@@ -18,86 +18,43 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo check (telemetry disabled)"
-# The telemetry feature must stay optional: with it off, the runtimes
-# and the simulator compile back to the exact untraced hot paths.
-cargo check -q -p zc-switchless -p intel-switchless -p zc-des --no-default-features
-
 echo "==> cargo test (workspace)"
 cargo test -q --workspace
 
-echo "==> DES kernel throughput smoke (event-driven vs round-robin)"
-# Times both DES kernels on the oversubscribed 128-vCPU ZC scenario and
-# writes BENCH_des_throughput.json. Full mode enforces the acceptance
-# floor: the event kernel must sustain >=100x the round-robin kernel's
-# simulated-calls-per-wall-second (DESIGN.md §11).
-cargo build --release -q -p zc-bench --bin bench_des_throughput
-if [[ $quick -eq 0 ]]; then
-    ./target/release/bench_des_throughput
-else
-    ./target/release/bench_des_throughput --quick
-fi
-
-echo "==> call-overhead perf smoke (per-phase SLO reports)"
-# Profiles where every cycle of a switchless call goes on the ZC,
-# fallback and Intel paths and writes BENCH_call_overhead.json. The
-# binary itself gates on the reports parsing cleanly, on per-phase
-# cycles summing to within 1% of whole-call cycles (conservation), and
-# on same-seed byte-identical reports — never on absolute speed
-# (DESIGN.md §12).
-cargo build --release -q -p zc-bench --bin call_overhead
-if [[ $quick -eq 0 ]]; then
-    ./target/release/call_overhead
-else
-    ./target/release/call_overhead --quick
-fi
-
-echo "==> overload sweep smoke (admission, shedding, goodput)"
-# Sweeps seeded open-loop MMPP traffic at 0.5x/1x/2x of measured
-# saturation capacity on the 128-vCPU event kernel and writes
-# BENCH_overload.json. The binary gates on exact conservation
-# (offered == completed + shed + abandoned at every point), same-seed
-# byte-identical reproduction of the 2x point, >=70% of saturation
-# capacity held as goodput at 2x overload and bounded p99 sojourn —
-# never on absolute speed (DESIGN.md §13).
-cargo build --release -q -p zc-bench --bin overload
-if [[ $quick -eq 0 ]]; then
-    ./target/release/overload
-else
-    ./target/release/overload --quick
-fi
-
-echo "==> recovery smoke (enclave crash/restart, exactly-once ledger)"
-# Drives the DES recovery soak — three whole-enclave crash/restart
-# cycles plus a crash-during-replay on the 128-vCPU event kernel, then
-# an all-non-idempotent refusal probe — and writes BENCH_recovery.json.
-# The binary gates on exact conservation (offered == completed +
-# refused_non_idempotent, journal drained, every crash restarted),
-# same-schedule byte-identical reproduction, and bounded
-# restart-to-first-completion latency — never on absolute speed
-# (DESIGN.md §14).
-cargo build --release -q -p zc-bench --bin recovery
-if [[ $quick -eq 0 ]]; then
-    ./target/release/recovery
-else
-    ./target/release/recovery --quick
-fi
-
-echo "==> multitenant fleet smoke (bulkhead isolation, global budget)"
-# Runs the noisy-neighbour fleet soak — a well-behaved tenant sharing
-# the global worker budget with a 4x-saturation hog, an enclave
-# crash-looper and an all-six-Byzantine tenant — and writes
-# BENCH_multitenant.json. The binary gates on exact per-tenant and
-# global conservation, the isolation criterion (>=90% of solo goodput,
-# p99 sojourn within 2x of the solo baseline, guard violations only on
-# the offending shard), and same-seed byte-identical reproduction —
-# never on absolute speed (DESIGN.md §15).
-cargo build --release -q -p zc-bench --bin multitenant
-if [[ $quick -eq 0 ]]; then
-    ./target/release/multitenant
-else
-    ./target/release/multitenant --quick
-fi
+# Bench smokes, each writing BENCH_<name>.json. Every binary gates on
+# ratios, conservation and same-seed reproducibility — never on
+# absolute speed:
+#  - bench_des_throughput: both DES kernels on the oversubscribed
+#    128-vCPU ZC scenario; full mode enforces the >=100x event-kernel
+#    floor in simulated-calls-per-wall-second (DESIGN.md §11).
+#  - call_overhead: where every cycle of a call goes on the ZC,
+#    fallback and Intel paths; reports parse, per-phase cycles sum to
+#    within 1% of whole-call cycles, byte-identical reports (§12).
+#  - overload: seeded open-loop MMPP traffic at 0.5x/1x/2x of measured
+#    saturation on the 128-vCPU event kernel; offered == completed +
+#    shed + abandoned at every point, >=70% of capacity held as goodput
+#    at 2x, bounded p99 sojourn (§13).
+#  - recovery: three whole-enclave crash/restart cycles plus a
+#    crash-during-replay, then an all-non-idempotent refusal probe;
+#    offered == completed + refused_non_idempotent, journal drained,
+#    bounded restart-to-first-completion latency (§14).
+#  - multitenant: a well-behaved tenant sharing the global worker
+#    budget with a 4x-saturation hog, an enclave crash-looper and an
+#    all-six-Byzantine tenant; per-tenant and global conservation,
+#    >=90% of solo goodput, p99 within 2x of solo, guard violations
+#    only on the offending shard (§15).
+bench_flag=
+[[ $quick -eq 1 ]] && bench_flag=--quick
+for bench in \
+    "bench_des_throughput|DES kernel throughput smoke (event-driven vs round-robin)" \
+    "call_overhead|call-overhead perf smoke (per-phase SLO reports)" \
+    "overload|overload sweep smoke (admission, shedding, goodput)" \
+    "recovery|recovery smoke (enclave crash/restart, exactly-once ledger)" \
+    "multitenant|multitenant fleet smoke (bulkhead isolation, global budget)"; do
+    echo "==> ${bench#*|}"
+    cargo build --release -q -p zc-bench --bin "${bench%%|*}"
+    "./target/release/${bench%%|*}" $bench_flag
+done
 
 # Collect every benchmark report into the perf trajectory uploaded by
 # CI — one directory per run, so regressions can be traced across

@@ -57,10 +57,10 @@ pub struct SimCounters {
     #[serde(default)]
     pub refused_non_idempotent: u64,
     /// Log-linear histogram of open-loop sojourn times
-    /// (arrival → completion, cycles), same geometry as
-    /// `zc-telemetry`'s quantile module: values 0–3 are singleton
-    /// buckets, then four linear sub-buckets per power-of-two octave,
-    /// so a bucket is at most 25% wide relative to its lower edge.
+    /// (arrival → completion, cycles), bucketed by
+    /// [`zc_telemetry::quantile`]: values 0–3 are singleton buckets,
+    /// then four linear sub-buckets per power-of-two octave, so a
+    /// bucket is at most 25% wide relative to its lower edge.
     /// Empty until an open-loop caller records one.
     #[serde(default)]
     pub sojourn_hist: Vec<u64>,
@@ -125,41 +125,10 @@ impl SimCounters {
         self.total_calls() as f64 / self.offered as f64
     }
 
-    /// Bucket index of a sojourn value: singleton buckets for 0–3, then
-    /// `(o-1)·4 + sub` for octave `o = floor(log2 v)` with `sub` the two
-    /// mantissa bits below the leading one. Must stay in lockstep with
-    /// `zc_telemetry::quantile::bucket_index` (duplicated here because
-    /// telemetry is an optional feature of this crate).
-    fn sojourn_bucket(cycles: u64) -> usize {
-        if cycles < 4 {
-            return cycles as usize;
-        }
-        let o = 63 - cycles.leading_zeros() as usize;
-        let sub = ((cycles >> (o - 2)) & 3) as usize;
-        (o - 1) * 4 + sub
-    }
-
-    /// Inclusive upper bound (cycles) of sojourn bucket `i`.
-    fn sojourn_bucket_upper(i: usize) -> u64 {
-        let lower = |i: usize| -> u64 {
-            if i < 4 {
-                i as u64
-            } else {
-                (4 + (i & 3) as u64) << ((i / 4 - 1).min(60))
-            }
-        };
-        let (lo, next) = (lower(i), lower(i + 1));
-        if next <= lo {
-            u64::MAX
-        } else {
-            next - 1
-        }
-    }
-
     /// Record one open-loop sojourn (arrival → completion) in the
     /// log-linear histogram.
     pub fn record_sojourn(&mut self, cycles: u64) {
-        let bucket = Self::sojourn_bucket(cycles);
+        let bucket = zc_telemetry::quantile::bucket_index(cycles);
         if self.sojourn_hist.len() <= bucket {
             self.sojourn_hist.resize(bucket + 1, 0);
         }
@@ -184,7 +153,7 @@ impl SimCounters {
         for (bucket, &count) in self.sojourn_hist.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                return Self::sojourn_bucket_upper(bucket);
+                return zc_telemetry::quantile::bucket_upper(bucket);
             }
         }
         u64::MAX

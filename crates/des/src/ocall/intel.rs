@@ -187,7 +187,6 @@ impl IntelDispatcher {
     /// traced as a `call_phases` event at
     /// [`Origin::Caller`](zc_telemetry::Origin::Caller), stamped with
     /// kernel virtual time.
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
         self.prof.set_hub(telemetry, self.caller as u32);

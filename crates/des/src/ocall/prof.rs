@@ -1,13 +1,12 @@
 //! Per-call phase profiling for the DES dispatchers.
 //!
-//! [`Prof`] is the simulator-side analogue of the `prof::Rec` shim in
-//! the real runtimes: each dispatcher owns one and marks phase
+//! [`Prof`] is the simulator-side analogue of the real runtimes'
+//! `sgx_sim::frontdoor::Rec`: each dispatcher owns one and marks phase
 //! boundaries with kernel virtual time as its dialogue advances. On
 //! completion the per-phase breakdown is accumulated into the hub's
 //! [`CallPhaseProfiler`] and emitted as a `call_phases` event, so a DES
 //! run produces the same SLO report schema as the bench harness. With
-//! the `telemetry` feature off (or no hub attached) every method is an
-//! inline no-op.
+//! no hub attached every method is one branch and no work.
 //!
 //! The profiler sees *every* call; the trace ring is bounded, so only
 //! the first [`TRACE_CALL_LIMIT`] completions per dispatcher emit a
@@ -17,20 +16,16 @@
 //!
 //! [`CallPhaseProfiler`]: zc_telemetry::CallPhaseProfiler
 
-#[cfg(feature = "telemetry")]
 pub(crate) use zc_telemetry::Phase;
 
-#[cfg(feature = "telemetry")]
 use switchless_core::CallPath;
 
 /// Per-dispatcher cap on traced `call_phases` events (aggregation into
 /// the phase profiler is never capped).
-#[cfg(feature = "telemetry")]
 const TRACE_CALL_LIMIT: u64 = 64;
 
 /// Per-dispatcher phase profiling state: the hub (if attached) plus the
 /// recorder of the in-flight call.
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Prof {
     hub: Option<(std::sync::Arc<zc_telemetry::Telemetry>, u32)>,
@@ -38,7 +33,6 @@ pub(crate) struct Prof {
     traced: u64,
 }
 
-#[cfg(feature = "telemetry")]
 impl Prof {
     /// Attach a hub; phases are traced at `Origin::Caller(caller)`.
     pub(crate) fn set_hub(&mut self, hub: std::sync::Arc<zc_telemetry::Telemetry>, caller: u32) {
@@ -109,44 +103,4 @@ impl Prof {
             );
         }
     }
-}
-
-/// Feature-off phase names (never read; keeps call sites identical).
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug, Clone, Copy)]
-#[allow(dead_code)]
-pub(crate) enum Phase {
-    Reserve,
-    CopyIn,
-    Signal,
-    Wait,
-    Execute,
-    CopyOut,
-}
-
-/// Feature-off stand-in: a ZST with empty inline methods.
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Prof;
-
-#[cfg(not(feature = "telemetry"))]
-#[allow(dead_code)]
-impl Prof {
-    #[inline]
-    pub(crate) fn begin(&mut self, _now: u64) {}
-
-    #[inline]
-    pub(crate) fn mark(&mut self, _phase: Phase, _now: u64) {}
-
-    #[inline]
-    pub(crate) fn transfer(&mut self, _from: Phase, _to: Phase, _cycles: u64) {}
-
-    #[inline]
-    pub(crate) fn set_execute_hint(&mut self, _cycles: u64) {}
-
-    #[inline]
-    pub(crate) fn discard(&mut self) {}
-
-    #[inline]
-    pub(crate) fn complete(&mut self, _class: usize, _path: switchless_core::CallPath, _now: u64) {}
 }

@@ -31,7 +31,6 @@ impl RegularDispatcher {
     /// traced as a `call_phases` event at
     /// [`Origin::Caller`](zc_telemetry::Origin::Caller), stamped with
     /// kernel virtual time.
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn with_telemetry(
         mut self,

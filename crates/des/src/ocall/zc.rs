@@ -261,7 +261,6 @@ pub struct ZcDispatcher {
     call_epoch0: u64,
     /// Virtual time this caller detected the enclave loss.
     crash_detected_at: u64,
-    #[cfg(feature = "telemetry")]
     hub: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
 }
 
@@ -320,7 +319,6 @@ impl ZcDispatcher {
             call_seq: 0,
             call_epoch0: 0,
             crash_detected_at: 0,
-            #[cfg(feature = "telemetry")]
             hub: None,
         }
     }
@@ -340,7 +338,6 @@ impl ZcDispatcher {
     /// traced as a `call_phases` event at
     /// [`Origin::Caller`](zc_telemetry::Origin::Caller), stamped with
     /// kernel virtual time.
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
         self.hub = Some(std::sync::Arc::clone(&telemetry));
@@ -350,7 +347,6 @@ impl ZcDispatcher {
 
     /// Trace a recovery event at this caller's origin, stamped with
     /// kernel virtual time.
-    #[cfg(feature = "telemetry")]
     fn trace(&self, now: u64, event: zc_telemetry::Event) {
         if let Some(hub) = &self.hub {
             hub.record(now, zc_telemetry::Origin::Caller(self.caller as u32), event);
@@ -401,7 +397,6 @@ impl ZcDispatcher {
         wld.pending_enclave_restart = true;
         wld.last_crash_at = now;
         self.crash_detected_at = now;
-        #[cfg(feature = "telemetry")]
         if let Some(plane) = &wld.recovery {
             self.trace(
                 now,
@@ -678,7 +673,6 @@ impl Dispatcher for ZcDispatcher {
                     ReconcileVerdict::Replay => {
                         // Idempotent and incomplete at the crash:
                         // re-execute through the regular path.
-                        #[cfg(feature = "telemetry")]
                         self.trace(
                             now,
                             zc_telemetry::Event::JournalReplay { seq: self.call_seq },
@@ -691,7 +685,6 @@ impl Dispatcher for ZcDispatcher {
                         // Completed before the crash but never
                         // delivered: hand back the journaled result
                         // without re-executing anything.
-                        #[cfg(feature = "telemetry")]
                         self.trace(
                             now,
                             zc_telemetry::Event::CallRedelivered { seq: self.call_seq },
@@ -710,7 +703,6 @@ impl Dispatcher for ZcDispatcher {
                     ReconcileVerdict::Refuse => {
                         // Non-idempotent with an unknown fate: neither
                         // completing nor re-executing is provably safe.
-                        #[cfg(feature = "telemetry")]
                         self.trace(now, zc_telemetry::Event::CallRefused { seq: self.call_seq });
                         if let Some(plane) = &wld.recovery {
                             plane.retire(self.call_seq);
@@ -867,13 +859,10 @@ pub struct ZcSchedulerActor {
     policy: SchedulerPolicy,
     queue: VecDeque<Syscall>,
     last_fallbacks: u64,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
-    #[cfg(feature = "telemetry")]
     traced_decisions: u64,
     /// Detects when the argmin re-settles on a worker count after a
     /// load shift (same trajectory logic as the real scheduler thread).
-    #[cfg(feature = "telemetry")]
     convergence: switchless_core::policy::ConvergenceTracker,
 }
 
@@ -893,11 +882,8 @@ impl ZcSchedulerActor {
             policy: SchedulerPolicy::new(params, initial_workers),
             queue: VecDeque::new(),
             last_fallbacks: 0,
-            #[cfg(feature = "telemetry")]
             telemetry: None,
-            #[cfg(feature = "telemetry")]
             traced_decisions: 0,
-            #[cfg(feature = "telemetry")]
             convergence: switchless_core::policy::ConvergenceTracker::new(),
         }
     }
@@ -907,7 +893,6 @@ impl ZcSchedulerActor {
     /// stamped with **kernel virtual time**, at [`Origin::Scheduler`].
     ///
     /// [`Origin::Scheduler`]: zc_telemetry::Origin::Scheduler
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
@@ -916,7 +901,7 @@ impl ZcSchedulerActor {
 }
 
 impl crate::kernel::Actor for ZcSchedulerActor {
-    fn step(&mut self, _res: SyscallResult, _now: u64) -> Syscall {
+    fn step(&mut self, _res: SyscallResult, now: u64) -> Syscall {
         if let Some(s) = self.queue.pop_front() {
             return s;
         }
@@ -929,7 +914,6 @@ impl crate::kernel::Actor for ZcSchedulerActor {
         // Fleet bulkhead: an externally imposed cap bounds whatever the
         // shard-local argmin picked (see `ZcWorld::worker_cap`).
         let m = step.workers().min(self.world.borrow().worker_cap);
-        #[cfg(feature = "telemetry")]
         if let Some(hub) = &self.telemetry {
             use switchless_core::policy::PolicyStep;
             use zc_telemetry::{Event, Origin, PhaseKind};
@@ -938,15 +922,15 @@ impl crate::kernel::Actor for ZcSchedulerActor {
                 if let Some(d) = self.policy.last_decision() {
                     let chosen = d.chosen_workers;
                     hub.record(
-                        _now,
+                        now,
                         Origin::Scheduler,
                         Event::Decision {
                             decision: d.clone(),
                         },
                     );
-                    if let Some(c) = self.convergence.observe(chosen, _now) {
+                    if let Some(c) = self.convergence.observe(chosen, now) {
                         hub.record(
-                            _now,
+                            now,
                             Origin::Scheduler,
                             Event::Converged {
                                 from_workers: c.from_workers,
@@ -963,7 +947,7 @@ impl crate::kernel::Actor for ZcSchedulerActor {
                 PolicyStep::Probe { .. } => PhaseKind::Probe,
             };
             hub.record(
-                _now,
+                now,
                 Origin::Scheduler,
                 Event::PhaseStart {
                     kind,
@@ -1250,7 +1234,6 @@ pub struct ZcSupervisorActor {
     queue: VecDeque<Syscall>,
     /// Per-slot respawn generation (0 = initial spawn).
     gens: Vec<u64>,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
 }
 
@@ -1288,7 +1271,6 @@ impl ZcSupervisorActor {
             events,
             queue: VecDeque::new(),
             gens: vec![0; workers],
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         }
     }
@@ -1298,7 +1280,6 @@ impl ZcSupervisorActor {
     /// `WorkerRespawned` at
     /// [`Origin::Scheduler`](zc_telemetry::Origin::Scheduler), stamped
     /// with kernel virtual time.
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
@@ -1314,8 +1295,6 @@ impl ZcSupervisorActor {
     }
 
     fn apply(&mut self, ev: FaultEv, now: u64) {
-        #[cfg(not(feature = "telemetry"))]
-        let _ = now;
         let mut wld = self.world.borrow_mut();
         match ev {
             FaultEv::Crash(w) | FaultEv::Hang(w) | FaultEv::Byzantine(w, _) => {
@@ -1340,7 +1319,6 @@ impl ZcSupervisorActor {
                     let flag = wld.worker_db[w];
                     self.queue.push_back(Syscall::SetFlag { flag, value: v });
                 }
-                #[cfg(feature = "telemetry")]
                 if let Some(hub) = &self.telemetry {
                     let event = match ev {
                         FaultEv::Crash(_) => zc_telemetry::Event::Fault {
@@ -1386,7 +1364,6 @@ impl ZcSupervisorActor {
                 let tid = wld.worker_tids[w];
                 self.queue.push_back(Syscall::Unpark(tid));
                 self.gens[w] += 1;
-                #[cfg(feature = "telemetry")]
                 if let Some(hub) = &self.telemetry {
                     hub.record(
                         now,

@@ -113,7 +113,6 @@ pub struct SimConfig {
     /// virtual time) and end-of-run counters. `None` falls back to the
     /// process-global hub ([`zc_telemetry::global::current`]), so bench
     /// binaries can observe runs without threading a handle through.
-    #[cfg(feature = "telemetry")]
     pub telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
 }
 
@@ -135,13 +134,11 @@ impl SimConfig {
             deadline_cycles: cpu.freq_hz * 120,
             gantt_buckets: 0,
             zc_faults: None,
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         }
     }
 
     /// Builder-style telemetry hub (see [`SimConfig::telemetry`]).
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
@@ -298,7 +295,6 @@ impl SimReport {
     /// `call_overhead` bench emits). Times are virtual: percentiles,
     /// goodput and the per-phase breakdown are derived from kernel
     /// cycles at the simulated CPU frequency.
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn slo_report(
         &self,
@@ -375,7 +371,6 @@ pub fn run(config: &SimConfig) -> SimReport {
     }
     let callers = config.workloads.len();
     let counters = Rc::new(RefCell::new(SimCounters::new(callers, config.classes)));
-    #[cfg(feature = "telemetry")]
     let telemetry = config
         .telemetry
         .clone()
@@ -389,13 +384,11 @@ pub fn run(config: &SimConfig) -> SimReport {
     match &config.mechanism {
         Mechanism::NoSl => {
             let costs = config.costs;
-            #[cfg(feature = "telemetry")]
             let hub = telemetry.clone();
-            make_dispatcher = Box::new(move |_caller| {
+            make_dispatcher = Box::new(move |caller| {
                 let d = RegularDispatcher::new(costs);
-                #[cfg(feature = "telemetry")]
                 let d = match &hub {
-                    Some(h) => d.with_telemetry(std::sync::Arc::clone(h), _caller as u32),
+                    Some(h) => d.with_telemetry(std::sync::Arc::clone(h), caller as u32),
                     None => d,
                 };
                 Box::new(d)
@@ -410,12 +403,10 @@ pub fn run(config: &SimConfig) -> SimReport {
             let costs = config.costs;
             let counters2 = Rc::clone(&counters);
             let world2 = Rc::clone(&world);
-            #[cfg(feature = "telemetry")]
             let hub = telemetry.clone();
             make_dispatcher = Box::new(move |caller| {
                 let d =
                     IntelDispatcher::new(Rc::clone(&world2), Rc::clone(&counters2), costs, caller);
-                #[cfg(feature = "telemetry")]
                 let d = match &hub {
                     Some(h) => d.with_telemetry(std::sync::Arc::clone(h)),
                     None => d,
@@ -458,7 +449,6 @@ pub fn run(config: &SimConfig) -> SimReport {
             };
             let scheduler =
                 ZcSchedulerActor::new(Rc::clone(&world), Rc::clone(&counters), params, initial);
-            #[cfg(feature = "telemetry")]
             let scheduler = match &telemetry {
                 Some(hub) => scheduler.with_telemetry(std::sync::Arc::clone(hub)),
                 None => scheduler,
@@ -466,7 +456,6 @@ pub fn run(config: &SimConfig) -> SimReport {
             kernel.spawn(Box::new(scheduler));
             if let Some(faults) = &config.zc_faults {
                 let supervisor = ZcSupervisorActor::new(Rc::clone(&world), faults);
-                #[cfg(feature = "telemetry")]
                 let supervisor = match &telemetry {
                     Some(hub) => supervisor.with_telemetry(std::sync::Arc::clone(hub)),
                     None => supervisor,
@@ -485,7 +474,6 @@ pub fn run(config: &SimConfig) -> SimReport {
             let counters2 = Rc::clone(&counters);
             let world2 = Rc::clone(&world);
             zc_world_handle = Some(Rc::clone(&world));
-            #[cfg(feature = "telemetry")]
             let hub = telemetry.clone();
             make_dispatcher = Box::new(move |caller| {
                 let d = ZcDispatcher::new(Rc::clone(&world2), Rc::clone(&counters2), costs, caller);
@@ -493,7 +481,6 @@ pub fn run(config: &SimConfig) -> SimReport {
                     Some(pauses) => d.with_watchdog(pauses),
                     None => d,
                 };
-                #[cfg(feature = "telemetry")]
                 let d = match &hub {
                     Some(h) => d.with_telemetry(std::sync::Arc::clone(h)),
                     None => d,
@@ -556,7 +543,6 @@ pub fn run(config: &SimConfig) -> SimReport {
     } else {
         kernel.now()
     };
-    #[cfg(feature = "telemetry")]
     let zc_decisions = zc_world_handle.as_ref().map_or(0, |w| w.borrow().decisions);
     let fault_recovery = zc_world_handle
         .as_ref()
@@ -597,7 +583,6 @@ pub fn run(config: &SimConfig) -> SimReport {
     );
     let gantt = (config.gantt_buckets > 0)
         .then(|| crate::gantt::render_kernel(&*kernel, config.gantt_buckets));
-    #[cfg(feature = "telemetry")]
     if let Some(hub) = &telemetry {
         // Publish the run's counters into the hub registry in one pass
         // (counters accumulate across runs sharing a hub), and mark the

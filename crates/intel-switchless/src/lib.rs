@@ -23,7 +23,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod pool;
-mod prof;
 pub mod runtime;
 
 pub use pool::{SlotIdx, SlotState, TaskPool};

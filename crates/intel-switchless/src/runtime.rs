@@ -2,80 +2,54 @@
 //!
 //! See the crate docs for the mechanism. One deliberate deviation from
 //! the SDK: busy-wait loops issue `std::thread::yield_now()` every
-//! [`YIELD_EVERY`] modelled pauses so the protocol stays live on hosts
-//! with fewer cores than the modelled machine (the SDK assumes dedicated
-//! cores and never yields). On an idle multicore host the yield is a
-//! no-op; the modelled pause costs are charged either way.
+//! [`YIELD_EVERY`](sgx_sim::frontdoor::YIELD_EVERY) modelled pauses so
+//! the protocol stays live on hosts with fewer cores than the modelled
+//! machine (the SDK assumes dedicated cores and never yields). On an
+//! idle multicore host the yield is a no-op; the modelled pause costs
+//! are charged either way.
+//!
+//! This is the Intel [`Transport`]: admission, journaling, recovery and
+//! the traced wrapper live in [`sgx_sim::frontdoor`]; what is here is
+//! the task-pool routing protocol and the worker loop. The task pool
+//! and the workers live in untrusted memory and survive an enclave
+//! crash, so unlike the zc runtime there is no worker generation to
+//! fence and respawn: a restart only pays the modelled rebuild cost.
 
 use crate::pool::{SlotIdx, SlotState, TaskPool};
-use crate::prof::{Phase, Rec};
 use parking_lot::{Condvar, Mutex};
-use sgx_sim::{CpuAccounting, CycleClock, Enclave, RegularOcall};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use sgx_sim::frontdoor::{self, spin_pause, FrontDoor, Phase, Rec, Transport, Wedged};
+use sgx_sim::{CpuAccounting, Enclave, RegularOcall};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
-use switchless_core::overload::{BreakerTransition, InflightGuard, ShedReason};
-use switchless_core::recovery::{EntryState, ReconcileVerdict, RecoveryPlane, RecoverySnapshot};
 use switchless_core::{
-    CallPath, CallStats, DrainReport, EnclaveFault, FaultInjector, GuardViolation, IntelConfig,
-    OcallDispatcher, OcallRequest, OcallTable, OverloadPlane, OverloadSnapshot, ReplyGuard,
-    SwitchlessError, WorkerFault,
+    CallPath, CallStats, DrainReport, FaultInjector, GuardViolation, IntelConfig, OcallDispatcher,
+    OcallRequest, OcallTable, OverloadSnapshot, RecoverySnapshot, SwitchlessError, WorkerFault,
 };
-
-/// Busy-wait loops yield to the OS scheduler after this many pauses.
-pub const YIELD_EVERY: u32 = 64;
+use zc_telemetry::{Event, FaultKind, MetricValue, Origin, Telemetry};
 
 #[derive(Debug)]
 struct Shared {
+    /// Self-reference handed to the worker threads this state spawns.
+    me: Weak<Shared>,
     config: IntelConfig,
     table: Arc<OcallTable>,
     pool: TaskPool,
-    fallback: RegularOcall,
-    stats: Arc<CallStats>,
-    clock: CycleClock,
-    running: AtomicBool,
+    /// Clock, fallback engine, stats, injector, overload/recovery
+    /// planes, telemetry hub, run flag and worker thread handles: the
+    /// call front door shared with the zc runtime. Workers are
+    /// untrusted and survive an enclave loss; only the enclave-side
+    /// callers (and their in-flight calls) are affected.
+    door: FrontDoor,
     sleepers: AtomicUsize,
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
     accounting: Option<Arc<CpuAccounting>>,
-    faults: Option<Arc<FaultInjector>>,
-    /// Overload-control plane; `Some` iff `config.overload` is set.
-    overload: Option<OverloadPlane>,
-    /// Enclave-restart recovery plane; `Some` iff `config.recovery` is
-    /// set. Workers are untrusted and survive an enclave loss; only the
-    /// enclave-side callers (and their in-flight calls) are affected.
-    recovery: Option<RecoveryPlane>,
-    /// Worker thread handles; shared so a dying worker can push its
-    /// replacement's handle (respawn) for shutdown to join.
-    worker_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Per-worker respawn generation counters (0 = initial spawn).
     respawn_gens: Vec<AtomicU64>,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<Arc<zc_telemetry::Telemetry>>,
 }
 
 impl Shared {
-    /// Record one event stamped with the runtime clock from an explicit
-    /// origin. One branch when no hub is installed.
-    #[cfg(feature = "telemetry")]
-    #[inline]
-    fn telemetry_event(&self, origin: zc_telemetry::Origin, event: zc_telemetry::Event) {
-        if let Some(t) = &self.telemetry {
-            t.record(self.clock.now_cycles(), origin, event);
-        }
-    }
-
-    /// Record one event attributed to the calling (enclave application)
-    /// thread.
-    #[cfg(feature = "telemetry")]
-    #[inline]
-    fn telemetry_caller_event(&self, event: zc_telemetry::Event) {
-        if let Some(t) = &self.telemetry {
-            t.record(self.clock.now_cycles(), t.caller_origin(), event);
-        }
-    }
-
     fn wake_one(&self) {
         if self.sleepers.load(Ordering::Acquire) > 0 {
             let _g = self.sleep_lock.lock();
@@ -86,6 +60,18 @@ impl Shared {
     fn wake_all(&self) {
         let _g = self.sleep_lock.lock();
         self.sleep_cv.notify_all();
+    }
+
+    /// Spawn worker thread `index`, generation `generation` (0 at
+    /// startup, >0 when a dying worker respawns its replacement). The
+    /// handle lands with the front door for shutdown to join.
+    fn spawn_worker(&self, index: usize, generation: u64) {
+        let sh = self.me.upgrade().expect("runtime state is alive");
+        self.door.spawn_worker(
+            index,
+            format!("intel-uworker-{index}-g{generation}"),
+            move |wedged| worker_loop(&sh, index, wedged),
+        );
     }
 }
 
@@ -131,15 +117,7 @@ impl IntelSwitchless {
         table: Arc<OcallTable>,
         enclave: Enclave,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(
-            config,
-            table,
-            enclave,
-            None,
-            None,
-            #[cfg(feature = "telemetry")]
-            None,
-        )
+        Self::start_inner(config, table, enclave, None, None, None)
     }
 
     /// [`start`](IntelSwitchless::start) with a telemetry hub: callers
@@ -151,12 +129,11 @@ impl IntelSwitchless {
     /// # Errors
     ///
     /// Same conditions as [`start`](IntelSwitchless::start).
-    #[cfg(feature = "telemetry")]
     pub fn start_with_telemetry(
         config: IntelConfig,
         table: Arc<OcallTable>,
         enclave: Enclave,
-        telemetry: Arc<zc_telemetry::Telemetry>,
+        telemetry: Arc<Telemetry>,
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Self, SwitchlessError> {
         Self::start_inner(config, table, enclave, None, faults, Some(telemetry))
@@ -171,15 +148,7 @@ impl IntelSwitchless {
         enclave: Enclave,
         accounting: Option<Arc<CpuAccounting>>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(
-            config,
-            table,
-            enclave,
-            accounting,
-            None,
-            #[cfg(feature = "telemetry")]
-            None,
-        )
+        Self::start_inner(config, table, enclave, accounting, None, None)
     }
 
     /// [`start`](IntelSwitchless::start) with a [`FaultInjector`]: workers
@@ -197,15 +166,7 @@ impl IntelSwitchless {
         enclave: Enclave,
         faults: Arc<FaultInjector>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(
-            config,
-            table,
-            enclave,
-            None,
-            Some(faults),
-            #[cfg(feature = "telemetry")]
-            None,
-        )
+        Self::start_inner(config, table, enclave, None, Some(faults), None)
     }
 
     fn start_inner(
@@ -214,131 +175,59 @@ impl IntelSwitchless {
         enclave: Enclave,
         accounting: Option<Arc<CpuAccounting>>,
         faults: Option<Arc<FaultInjector>>,
-        #[cfg(feature = "telemetry")] telemetry: Option<Arc<zc_telemetry::Telemetry>>,
+        telemetry: Option<Arc<Telemetry>>,
     ) -> Result<Self, SwitchlessError> {
         if !config.switchless_funcs.is_empty() && config.num_uworkers == 0 {
             return Err(SwitchlessError::InvalidConfig(
                 "switchless functions configured but num_uworkers is 0".into(),
             ));
         }
-        let stats = Arc::new(CallStats::new());
-        let mut fallback =
-            RegularOcall::new(Arc::clone(&table), enclave.clone()).with_stats(Arc::clone(&stats));
-        if let Some(f) = &faults {
-            fallback = fallback.with_faults(Arc::clone(f));
-        }
         let respawn_gens = (0..config.num_uworkers)
             .map(|_| AtomicU64::new(0))
             .collect();
-        let shared = Arc::new(Shared {
+        let shared = Arc::new_cyclic(|me| Shared {
+            me: me.clone(),
             pool: TaskPool::new(config.task_pool_capacity),
-            overload: config.overload.map(OverloadPlane::new),
-            recovery: config.recovery.map(RecoveryPlane::new),
+            door: FrontDoor::new(
+                RegularOcall::new(Arc::clone(&table), enclave),
+                faults,
+                config.overload,
+                config.recovery,
+                telemetry,
+            ),
             config,
             table,
-            fallback,
-            stats,
-            clock: enclave.clock(),
-            running: AtomicBool::new(true),
             sleepers: AtomicUsize::new(0),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
             accounting,
-            faults,
-            worker_handles: Mutex::new(Vec::new()),
             respawn_gens,
-            #[cfg(feature = "telemetry")]
-            telemetry,
         });
-        #[cfg(feature = "telemetry")]
-        if let Some(hub) = &shared.telemetry {
+        if let Some(hub) = &shared.door.telemetry {
             let weak = Arc::downgrade(&shared);
             hub.metrics().register_collector(move || {
-                use zc_telemetry::MetricValue;
                 let Some(sh) = weak.upgrade() else {
                     return Vec::new();
                 };
-                let s = sh.stats.snapshot();
+                let s = sh.door.stats.snapshot();
+                let counter = |name: &str, v| (name.to_string(), MetricValue::Counter(v));
                 let mut out = vec![
-                    (
-                        "intel_calls_total{path=\"switchless\"}".into(),
-                        MetricValue::Counter(s.switchless),
-                    ),
-                    (
-                        "intel_calls_total{path=\"fallback\"}".into(),
-                        MetricValue::Counter(s.fallback),
-                    ),
-                    (
-                        "intel_calls_total{path=\"regular\"}".into(),
-                        MetricValue::Counter(s.regular),
-                    ),
-                    (
-                        "intel_enclave_transitions_total".into(),
-                        MetricValue::Counter(s.transitions()),
-                    ),
+                    counter("intel_calls_total{path=\"switchless\"}", s.switchless),
+                    counter("intel_calls_total{path=\"fallback\"}", s.fallback),
+                    counter("intel_calls_total{path=\"regular\"}", s.regular),
+                    counter("intel_enclave_transitions_total", s.transitions()),
                     (
                         "intel_sleeping_workers".into(),
                         MetricValue::Gauge(sh.sleepers.load(Ordering::Acquire) as u64),
                     ),
-                    (
-                        "intel_guard_violations_total".into(),
-                        MetricValue::Counter(s.guard_violations),
-                    ),
+                    counter("intel_guard_violations_total", s.guard_violations),
                 ];
-                if let Some(plane) = &sh.overload {
-                    let o = plane.snapshot();
-                    out.push((
-                        "intel_offered_total".into(),
-                        MetricValue::Counter(o.offered),
-                    ));
-                    out.push((
-                        "intel_admitted_total".into(),
-                        MetricValue::Counter(o.admitted),
-                    ));
-                    for r in ShedReason::ALL {
-                        out.push((
-                            format!("intel_shed_total{{reason=\"{}\"}}", r.name()),
-                            MetricValue::Counter(o.shed_for(r)),
-                        ));
-                    }
-                    out.push((
-                        "intel_breaker_state".into(),
-                        MetricValue::Gauge(u64::from(o.breaker_state as u8)),
-                    ));
-                    out.push((
-                        "intel_breaker_trips_total".into(),
-                        MetricValue::Counter(o.breaker_trips),
-                    ));
-                    out.push((
-                        "intel_brownout_level".into(),
-                        MetricValue::Gauge(u64::from(o.brownout_level)),
-                    ));
-                }
-                if let Some(plane) = &sh.recovery {
-                    let r = plane.snapshot();
-                    out.push((
-                        "intel_enclave_crashes_total".into(),
-                        MetricValue::Counter(r.crashes),
-                    ));
-                    out.push((
-                        "intel_journal_replays_total".into(),
-                        MetricValue::Counter(r.replayed),
-                    ));
-                    out.push((
-                        "intel_call_redeliveries_total".into(),
-                        MetricValue::Counter(r.redelivered),
-                    ));
-                    out.push((
-                        "intel_calls_refused_total".into(),
-                        MetricValue::Counter(r.refused_non_idempotent),
-                    ));
-                    out.push(("intel_recovery_epoch".into(), MetricValue::Gauge(r.epoch)));
-                }
+                sh.door.plane_metrics("intel", &mut out);
                 out
             });
         }
         for i in 0..shared.config.num_uworkers {
-            spawn_worker(&shared, i, 0);
+            shared.spawn_worker(i, 0);
         }
         Ok(IntelSwitchless { shared })
     }
@@ -346,7 +235,7 @@ impl IntelSwitchless {
     /// Shared call statistics.
     #[must_use]
     pub fn stats(&self) -> &Arc<CallStats> {
-        &self.shared.stats
+        &self.shared.door.stats
     }
 
     /// The static configuration this runtime was started with.
@@ -368,7 +257,7 @@ impl IntelSwitchless {
     /// the counters conserve: `completed + shed_total == offered`.
     #[must_use]
     pub fn overload_snapshot(&self) -> Option<OverloadSnapshot> {
-        self.shared.overload.as_ref().map(OverloadPlane::snapshot)
+        self.shared.door.overload_snapshot()
     }
 
     /// Snapshot of the enclave-restart recovery plane (crash count,
@@ -376,7 +265,7 @@ impl IntelSwitchless {
     /// when recovery is off.
     #[must_use]
     pub fn recovery_snapshot(&self) -> Option<RecoverySnapshot> {
-        self.shared.recovery.as_ref().map(RecoveryPlane::snapshot)
+        self.shared.door.recovery_snapshot()
     }
 
     /// Total worker respawns so far (always 0 unless the configuration
@@ -398,54 +287,14 @@ impl IntelSwitchless {
         let _ = self.shutdown_with_timeout(Duration::from_secs(30));
     }
 
-    /// Stop the runtime, draining workers for at most `timeout` of
-    /// modelled time; workers still alive at the deadline (e.g. wedged by
-    /// an injected hang) are abandoned — detached rather than joined. On
-    /// a virtual clock the deadline advances logically and no wall-clock
-    /// time is slept.
+    /// Stop the runtime and drain its workers. A worker that published
+    /// itself as wedged (injected hang) is abandoned — detached rather
+    /// than joined — at once; every other worker is waited for and
+    /// joined. `timeout` is a backstop in real wall time (see
+    /// [`FrontDoor::drain`]).
     pub fn shutdown_with_timeout(&self, timeout: Duration) -> DrainReport {
-        self.shared.running.store(false, Ordering::Release);
-        self.shared.wake_all();
-        let clock = &self.shared.clock;
-        let deadline = clock
-            .now_cycles()
-            .saturating_add(clock.duration_to_cycles(timeout));
-        let mut workers = self.shared.worker_handles.lock();
-        let mut report = DrainReport::default();
-        loop {
-            let mut still_running = Vec::new();
-            for h in workers.drain(..) {
-                if h.is_finished() {
-                    let _ = h.join();
-                    report.drained += 1;
-                } else {
-                    still_running.push(h);
-                }
-            }
-            if still_running.is_empty() {
-                break;
-            }
-            if clock.now_cycles() >= deadline {
-                report.abandoned = still_running.len();
-                drop(still_running);
-                break;
-            }
-            *workers = still_running;
-            self.shared.wake_all();
-            clock.sleep(Duration::from_millis(1));
-        }
-        #[cfg(feature = "telemetry")]
-        if let Some(hub) = &self.shared.telemetry {
-            hub.record(
-                clock.now_cycles(),
-                hub.caller_origin(),
-                zc_telemetry::Event::Drain {
-                    drained: report.drained as u64,
-                    abandoned: report.abandoned as u64,
-                },
-            );
-        }
-        report
+        self.shared.door.stop();
+        self.shared.door.drain(timeout, || self.shared.wake_all())
     }
 }
 
@@ -462,199 +311,52 @@ impl OcallDispatcher for IntelSwitchless {
         payload_in: &[u8],
         payload_out: &mut Vec<u8>,
     ) -> Result<(i64, CallPath), SwitchlessError> {
-        #[cfg(feature = "telemetry")]
-        {
-            let sh = &*self.shared;
-            if let Some(hub) = &sh.telemetry {
-                let start = sh.clock.now_cycles();
-                let mut rec = Rec::start(|| start);
-                let result = dispatch_inner(sh, req, payload_in, payload_out, &mut rec);
-                if let Ok((_, path)) = &result {
-                    if let Some((phases, total)) = rec.finish(|| sh.clock.now_cycles()) {
-                        hub.profile().record_call(*path, total, &phases);
-                        let now = start.saturating_add(total);
-                        hub.record(
-                            now,
-                            hub.caller_origin(),
-                            zc_telemetry::Event::CallRouted {
-                                func: req.func.0,
-                                path: *path,
-                                start_cycles: start,
-                                duration_cycles: total,
-                            },
-                        );
-                        hub.record(
-                            now,
-                            hub.caller_origin(),
-                            zc_telemetry::Event::CallPhases {
-                                func: req.func.0,
-                                path: *path,
-                                phases,
-                            },
-                        );
-                    }
-                }
-                return result;
-            }
-        }
-        let mut rec = Rec::disabled();
-        dispatch_inner(&self.shared, req, payload_in, payload_out, &mut rec)
+        frontdoor::dispatch(&*self.shared, req, payload_in, payload_out)
     }
 }
 
-/// Trace a breaker state-machine edge, if one happened.
-fn trace_breaker_edge(sh: &Shared, edge: Option<BreakerTransition>) {
-    #[cfg(feature = "telemetry")]
-    if let Some(e) = edge {
-        sh.telemetry_caller_event(zc_telemetry::Event::BreakerTransition {
-            from: e.from,
-            to: e.to,
-        });
+impl Transport for Shared {
+    #[inline]
+    fn door(&self) -> &FrontDoor {
+        &self.door
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (sh, edge);
-}
 
-/// Front-door admission: offer the call to the overload plane (when
-/// configured) and either take an in-flight token or shed with a typed
-/// [`SwitchlessError::Overloaded`] before any work is done.
-fn overload_admit<'a>(
-    sh: &'a Shared,
-    req: &OcallRequest,
-) -> Result<Option<InflightGuard<'a>>, SwitchlessError> {
-    let Some(plane) = &sh.overload else {
-        return Ok(None);
-    };
-    let adm = plane.admit(sh.clock.now_cycles(), req.priority, req.deadline());
-    #[cfg(feature = "telemetry")]
-    if let Some((from_level, to_level)) = adm.brownout_shift {
-        sh.telemetry_caller_event(zc_telemetry::Event::BrownoutShift {
-            from_level,
-            to_level,
-        });
+    #[inline]
+    fn route(
+        &self,
+        req: &OcallRequest,
+        payload_in: &[u8],
+        payload_out: &mut Vec<u8>,
+        rec: &mut Rec,
+    ) -> Result<(i64, CallPath), SwitchlessError> {
+        route(self, req, payload_in, payload_out, rec)
     }
-    match adm.outcome {
-        Ok(guard) => Ok(Some(guard)),
-        Err(reason) => {
-            #[cfg(feature = "telemetry")]
-            sh.telemetry_caller_event(zc_telemetry::Event::CallShed {
-                func: req.func.0,
-                reason,
-            });
-            Err(SwitchlessError::Overloaded { reason })
-        }
-    }
-}
 
-/// Complete a call through the regular-ocall fallback engine, charging
-/// its phase time by the shared convention: the enclave transition cost
-/// is "signal", the host-function run is "execute". The engine's whole
-/// span is first marked execute, then the modelled transition cost is
-/// re-attributed (clamped, so conservation holds exactly).
-fn fallback_with_phases(
-    sh: &Shared,
-    rec: &mut Rec,
-    req: &OcallRequest,
-    payload_in: &[u8],
-    payload_out: &mut Vec<u8>,
-) -> Result<i64, SwitchlessError> {
-    let ret = sh
-        .fallback
-        .execute_transition(req, payload_in, payload_out)?;
-    rec.mark(Phase::Execute, || sh.clock.now_cycles());
-    rec.transfer(Phase::Execute, Phase::Signal, sh.clock.spec().t_es_cycles);
-    Ok(ret)
-}
-
-/// The Intel dispatch protocol itself (telemetry-free hot path; `rec`
-/// is a no-op ZST with the feature off).
-fn dispatch_inner(
-    sh: &Shared,
-    req: &OcallRequest,
-    payload_in: &[u8],
-    payload_out: &mut Vec<u8>,
-    rec: &mut Rec,
-) -> Result<(i64, CallPath), SwitchlessError> {
-    if !sh.running.load(Ordering::Acquire) {
-        return Err(SwitchlessError::RuntimeStopped);
+    /// This runtime has no configured reply bound; the reconcile guard
+    /// only validates the journal slot's sequence tag.
+    fn max_reply_bytes(&self) -> usize {
+        usize::MAX
     }
-    sh.stats.record_issued();
-    // Admission first: a shed call must cost nothing downstream.
-    let _inflight = overload_admit(sh, req)?;
-    if let Some(faults) = &sh.faults {
-        let skew = faults.on_dispatch();
-        if skew > 0 {
-            sh.clock.advance_cycles(skew);
-        }
-    }
-    // Journal the call's intent under a fresh sequence tag (recovery
-    // on), then evaluate the enclave-level fault site: a crash here
-    // loses every in-flight call, and this caller reconciles its own
-    // against the journal once the enclave is back.
-    let stamped;
-    let req = match &sh.recovery {
-        Some(plane) => {
-            stamped = req.with_seq(plane.next_seq());
-            let _covered = plane.record_intent(stamped.seq, stamped.idempotency_class());
-            if let Some(faults) = &sh.faults {
-                match faults.on_enclave_call() {
-                    EnclaveFault::Crash => {
-                        let epoch0 = plane.epoch();
-                        if plane.begin_crash() {
-                            #[cfg(feature = "telemetry")]
-                            sh.telemetry_caller_event(zc_telemetry::Event::EnclaveCrash {
-                                epoch: epoch0,
-                            });
-                            enclave_restart(sh);
-                        } else {
-                            wait_for_restart(sh, plane, epoch0);
-                        }
-                        return recover_call(sh, &stamped, payload_in, payload_out, rec);
-                    }
-                    EnclaveFault::Stall(cycles) => {
-                        sh.clock.advance_cycles(cycles);
-                        #[cfg(feature = "telemetry")]
-                        sh.telemetry_caller_event(zc_telemetry::Event::Fault {
-                            kind: zc_telemetry::FaultKind::EnclaveStall,
-                        });
-                    }
-                    EnclaveFault::None => {}
-                }
-            }
-            &stamped
-        }
-        None => req,
-    };
-    let result = dispatch_routed(sh, req, payload_in, payload_out, rec);
-    if let Some(plane) = &sh.recovery {
-        // Retire on every outcome: the call either completed (reply
-        // delivered) or failed with a typed error — it is no longer in
-        // flight. Recovery's own paths have already retired (retire is
-        // idempotent).
-        plane.retire(req.seq);
-    }
-    result
 }
 
 /// Route one admitted, journaled call: pool claim, rbf-bounded accept
-/// wait, completion spin, regular-ocall fallback. Split out of
-/// [`dispatch_inner`] so the recovery paths can re-enter routing-free
-/// reconciliation without re-journalling.
-fn dispatch_routed(
+/// wait, completion spin, regular-ocall fallback.
+fn route(
     sh: &Shared,
     req: &OcallRequest,
     payload_in: &[u8],
     payload_out: &mut Vec<u8>,
     rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
+    let door = &sh.door;
     // Epoch under which this call entered routing: the loss checks in
     // the spin loops below compare against it, so a crash/restart cycle
     // that completes while this caller spins is still observed.
-    let epoch0 = sh.recovery.as_ref().map_or(0, RecoveryPlane::epoch);
+    let epoch0 = door.epoch();
     // Statically non-switchless functions always pay the transition.
     if !sh.config.is_switchless(req.func) {
-        let ret = fallback_with_phases(sh, rec, req, payload_in, payload_out)?;
-        sh.stats.record_regular();
+        let ret = door.fallback_with_phases(rec, req, payload_in, payload_out)?;
+        door.stats.record_regular();
         return Ok((ret, CallPath::Regular));
     }
     // Switchless attempt: claim a slot (pool full -> immediate
@@ -662,37 +364,17 @@ fn dispatch_routed(
     // would-fallback point; safety re-routes further down are never
     // gated.
     let Some(idx) = sh.pool.claim() else {
-        rec.mark(Phase::Reserve, || sh.clock.now_cycles());
-        if let Some(plane) = &sh.overload {
-            let (allowed, edge) = plane.breaker_allow(sh.clock.now_cycles());
-            trace_breaker_edge(sh, edge);
-            if !allowed {
-                plane.record_shed(ShedReason::BreakerOpen);
-                #[cfg(feature = "telemetry")]
-                sh.telemetry_caller_event(zc_telemetry::Event::CallShed {
-                    func: req.func.0,
-                    reason: ShedReason::BreakerOpen,
-                });
-                return Err(SwitchlessError::Overloaded {
-                    reason: ShedReason::BreakerOpen,
-                });
-            }
-        }
-        let ret = fallback_with_phases(sh, rec, req, payload_in, payload_out)?;
-        sh.stats.record_fallback();
-        if let Some(plane) = &sh.overload {
-            trace_breaker_edge(sh, plane.on_fallback(sh.clock.now_cycles()));
-        }
-        return Ok((ret, CallPath::Fallback));
+        rec.mark(Phase::Reserve, &door.clock);
+        return door.guarded_fallback(rec, req, payload_in, payload_out);
     };
-    rec.mark(Phase::Reserve, || sh.clock.now_cycles());
+    rec.mark(Phase::Reserve, &door.clock);
     let submitted = sh.pool.submit(idx, *req, payload_in);
-    rec.mark(Phase::CopyIn, || sh.clock.now_cycles());
+    rec.mark(Phase::CopyIn, &door.clock);
     if let Err(v) = submitted {
         return guard_violation_fallback(sh, idx, v, req, payload_in, payload_out, rec);
     }
     sh.wake_one();
-    rec.mark(Phase::Signal, || sh.clock.now_cycles());
+    rec.mark(Phase::Signal, &door.clock);
 
     // Busy-wait up to rbf pauses for a worker to accept.
     let mut retries: u32 = 0;
@@ -700,34 +382,21 @@ fn dispatch_routed(
         // Enclave-loss check first: a dead enclave must surface as
         // typed recovery (replay / redeliver / refuse), not as an
         // rbf-expiry fallback racing the restart.
-        if let Some(plane) = &sh.recovery {
-            if enclave_lost_since(plane, epoch0) {
-                rec.mark(Phase::Wait, || sh.clock.now_cycles());
-                abandon_slot(sh, idx);
-                wait_for_restart(sh, plane, epoch0);
-                return recover_call(sh, req, payload_in, payload_out, rec);
-            }
+        if door.lost_since(epoch0) {
+            abandon_slot(sh, idx);
+            return frontdoor::recover_lost(sh, epoch0, req, payload_in, payload_out, rec);
         }
         if retries >= sh.config.retries_before_fallback {
             if sh.pool.cancel(idx) {
-                rec.mark(Phase::Wait, || sh.clock.now_cycles());
-                let ret = fallback_with_phases(sh, rec, req, payload_in, payload_out)?;
-                sh.stats.record_fallback();
-                if let Some(plane) = &sh.overload {
-                    // rbf expiry is the SDK's load signal: feed the
-                    // breaker so a sustained storm opens it.
-                    trace_breaker_edge(sh, plane.on_fallback(sh.clock.now_cycles()));
-                }
-                return Ok((ret, CallPath::Fallback));
+                rec.mark(Phase::Wait, &door.clock);
+                // rbf expiry is the SDK's load signal: it feeds the
+                // breaker so a sustained storm opens it.
+                return door.load_fallback(rec, req, payload_in, payload_out);
             }
             // A worker accepted at the last moment: wait for it.
             break;
         }
-        sh.clock.pause();
-        retries += 1;
-        if retries.is_multiple_of(YIELD_EVERY) {
-            std::thread::yield_now();
-        }
+        spin_pause(&door.clock, &mut retries);
     }
     // Accepted: busy-wait for completion (the caller thread pins its
     // core, exactly as in the SDK). Each iteration validates the
@@ -738,7 +407,7 @@ fn dispatch_routed(
     loop {
         match sh.pool.state(idx) {
             Err(v) => {
-                rec.mark(Phase::Wait, || sh.clock.now_cycles());
+                rec.mark(Phase::Wait, &door.clock);
                 return guard_violation_fallback(sh, idx, v, req, payload_in, payload_out, rec);
             }
             Ok(SlotState::Done) => break,
@@ -747,32 +416,22 @@ fn dispatch_routed(
                 // survives (it is untrusted) but its result raced the
                 // crash and proves nothing — drain the slot and let the
                 // journal decide whether re-execution is safe.
-                if let Some(plane) = &sh.recovery {
-                    if enclave_lost_since(plane, epoch0) {
-                        rec.mark(Phase::Wait, || sh.clock.now_cycles());
-                        abandon_slot(sh, idx);
-                        wait_for_restart(sh, plane, epoch0);
-                        return recover_call(sh, req, payload_in, payload_out, rec);
-                    }
+                if door.lost_since(epoch0) {
+                    abandon_slot(sh, idx);
+                    return frontdoor::recover_lost(sh, epoch0, req, payload_in, payload_out, rec);
                 }
                 if sh.pool.is_poisoned(idx) {
                     // The worker-side guard caught the host interfering
                     // with this slot (already counted there): discard
                     // the switchless attempt and fall back.
-                    rec.mark(Phase::Wait, || sh.clock.now_cycles());
-                    let ret = fallback_with_phases(sh, rec, req, payload_in, payload_out)?;
-                    sh.stats.record_fallback();
-                    return Ok((ret, CallPath::Fallback));
+                    rec.mark(Phase::Wait, &door.clock);
+                    return door.reroute_fallback(rec, req, payload_in, payload_out);
                 }
-                sh.clock.pause();
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(YIELD_EVERY) {
-                    std::thread::yield_now();
-                }
+                spin_pause(&door.clock, &mut spins);
             }
         }
     }
-    rec.mark(Phase::Wait, || sh.clock.now_cycles());
+    rec.mark(Phase::Wait, &door.clock);
     let collected = sh.pool.collect(idx, |d| {
         payload_out.clear();
         payload_out.extend_from_slice(&d.payload_out);
@@ -780,13 +439,9 @@ fn dispatch_routed(
     });
     match collected {
         Ok((ret, exec_cycles)) => {
-            // Carve the worker-measured host-function time out of the
-            // wait span (clamped at finish: the worker is untrusted).
             rec.set_execute_hint(exec_cycles);
-            sh.stats.record_switchless();
-            if let Some(plane) = &sh.overload {
-                trace_breaker_edge(sh, plane.on_success(sh.clock.now_cycles()));
-            }
+            door.stats.record_switchless();
+            door.breaker_success();
             Ok((ret, CallPath::Switchless))
         }
         // The host flipped the word between DONE and the collect: the
@@ -809,63 +464,8 @@ fn guard_violation_fallback(
     rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
     sh.pool.poison(idx);
-    sh.stats.record_guard_violation();
-    #[cfg(feature = "telemetry")]
-    if let Some(hub) = &sh.telemetry {
-        hub.record(
-            sh.clock.now_cycles(),
-            hub.caller_origin(),
-            zc_telemetry::Event::GuardViolation {
-                worker: idx.index() as u32,
-                kind: violation.kind,
-            },
-        );
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = violation;
-    let ret = fallback_with_phases(sh, rec, req, payload_in, payload_out)?;
-    sh.stats.record_fallback();
-    Ok((ret, CallPath::Fallback))
-}
-
-/// Has the enclave been lost since this call captured `epoch0`? Either
-/// the loss flag is currently raised, or a full crash/restart cycle
-/// already completed (epoch moved on).
-fn enclave_lost_since(plane: &RecoveryPlane, epoch0: u64) -> bool {
-    plane.is_lost() || plane.epoch() != epoch0
-}
-
-/// Spin until the restart the plane has begun completes: the epoch has
-/// advanced past `epoch0` and the loss flag is cleared. The caller that
-/// won the detection race drives the restart synchronously, so this
-/// wait is bounded.
-fn wait_for_restart(sh: &Shared, plane: &RecoveryPlane, epoch0: u64) {
-    let mut spins: u32 = 0;
-    while plane.is_lost() || plane.epoch() == epoch0 {
-        sh.clock.pause();
-        spins = spins.wrapping_add(1);
-        if spins.is_multiple_of(YIELD_EVERY) {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Restart the enclave after a loss. The task pool and the workers live
-/// in untrusted memory and survive the crash, so unlike the zc runtime
-/// there is no worker generation to fence and respawn: the restart pays
-/// the modelled enclave-rebuild cost and advances the recovery epoch.
-/// Blocked callers observe the epoch change and reconcile their own
-/// in-flight calls against the journal.
-fn enclave_restart(sh: &Shared) {
-    let plane = sh
-        .recovery
-        .as_ref()
-        .expect("enclave_restart without a recovery plane");
-    plane.begin_restart();
-    sh.clock
-        .advance_cycles(plane.params().restart_cycles.max(1));
-    plane.complete_restart();
-    plane.resume();
+    sh.door.guard_violation(idx.index() as u32, violation);
+    sh.door.reroute_fallback(rec, req, payload_in, payload_out)
 }
 
 /// Walk away from slot `idx` after an enclave loss: cancel if no worker
@@ -889,154 +489,48 @@ fn abandon_slot(sh: &Shared, idx: SlotIdx) {
                 if sh.pool.is_poisoned(idx) {
                     return;
                 }
-                sh.clock.pause();
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(YIELD_EVERY) {
-                    std::thread::yield_now();
-                }
+                spin_pause(&sh.door.clock, &mut spins);
             }
         }
     }
     let _ = sh.pool.collect(idx, |_| {});
 }
 
-/// Reconcile one lost in-flight call against the journal after the
-/// enclave restarted, and act on the verdict:
-///
-/// * `Replay` — the intent was journaled but no completion: re-execute
-///   through the regular-ocall engine (this caller still holds the
-///   payload), journal the completion, and deliver.
-/// * `Redeliver` — a completion was journaled but the reply never
-///   reached the caller: return the recorded result without touching
-///   the host function again.
-/// * `Refuse` — the call is non-idempotent and execution state is
-///   unknowable: surface the typed [`SwitchlessError::EnclaveLost`].
-fn recover_call(
-    sh: &Shared,
-    req: &OcallRequest,
-    payload_in: &[u8],
-    payload_out: &mut Vec<u8>,
-    rec: &mut Rec,
-) -> Result<(i64, CallPath), SwitchlessError> {
-    let plane = sh
-        .recovery
-        .as_ref()
-        .expect("recover_call without a recovery plane");
-    // This runtime has no configured reply bound; the reconcile guard
-    // only validates the journal slot's sequence tag.
-    let guard = ReplyGuard::new(usize::MAX);
-    match plane.reconcile_with_class(req.seq, guard, req.idempotency_class()) {
-        ReconcileVerdict::Replay => {
-            #[cfg(feature = "telemetry")]
-            sh.telemetry_caller_event(zc_telemetry::Event::JournalReplay { seq: req.seq });
-            let ret = fallback_with_phases(sh, rec, req, payload_in, payload_out)?;
-            plane.record_completion(req.seq, ret, payload_out.len() as u32);
-            // Crash-during-replay site: the enclave dies again right
-            // after the replay journaled its completion. The second
-            // reconciliation downgrades to Redeliver — the recorded
-            // result is returned and the host function never runs a
-            // second time.
-            if sh.faults.as_ref().is_some_and(|f| f.on_enclave_replay()) {
-                let epoch0 = plane.epoch();
-                if plane.begin_crash() {
-                    #[cfg(feature = "telemetry")]
-                    sh.telemetry_caller_event(zc_telemetry::Event::EnclaveCrash { epoch: epoch0 });
-                    enclave_restart(sh);
-                } else {
-                    wait_for_restart(sh, plane, epoch0);
-                }
-                return recover_call(sh, req, payload_in, payload_out, rec);
-            }
-            plane.retire(req.seq);
-            sh.stats.record_fallback();
-            Ok((ret, CallPath::Fallback))
-        }
-        ReconcileVerdict::Redeliver => {
-            #[cfg(feature = "telemetry")]
-            sh.telemetry_caller_event(zc_telemetry::Event::CallRedelivered { seq: req.seq });
-            let ret = match plane.entry(req.seq).map(|e| e.state) {
-                Some(EntryState::Completed { ret, .. }) => ret,
-                // Unreachable by construction (Redeliver only comes
-                // from a Completed entry), but never panic on the
-                // recovery path.
-                _ => 0,
-            };
-            // `payload_out` already holds the replayed output: the
-            // redelivery window only opens after a replay's own
-            // completion was journaled (crash-during-replay).
-            plane.retire(req.seq);
-            sh.stats.record_fallback();
-            Ok((ret, CallPath::Fallback))
-        }
-        ReconcileVerdict::Refuse => {
-            #[cfg(feature = "telemetry")]
-            sh.telemetry_caller_event(zc_telemetry::Event::CallRefused { seq: req.seq });
-            plane.retire(req.seq);
-            Err(SwitchlessError::EnclaveLost {
-                in_flight_seq: req.seq,
-            })
-        }
-    }
-}
-
-/// Spawn worker thread `index`, generation `generation` (0 at startup,
-/// >0 when a dying worker respawns its replacement).
-fn spawn_worker(shared: &Arc<Shared>, index: usize, generation: u64) {
-    let sh = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("intel-uworker-{index}-g{generation}"))
-        .spawn(move || worker_loop(&sh, index))
-        .expect("failed to spawn intel switchless worker");
-    shared.worker_handles.lock().push(handle);
-}
-
-fn worker_loop(sh: &Arc<Shared>, index: usize) {
+fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
+    let clock = &sh.door.clock;
+    let origin = Origin::Worker(index as u32);
+    let trace_fault = |kind| sh.door.event(origin, Event::Fault { kind });
     let meter = sh
         .accounting
         .as_ref()
         .map(|acc| acc.register(format!("intel-uworker-{index}")));
     let mut poll_retries: u32 = 0;
-    let mut busy_since = sh.clock.now_cycles();
-    while sh.running.load(Ordering::Acquire) {
+    let mut busy_since = clock.now_cycles();
+    while sh.door.is_running() {
         // Fault-injection site: evaluated once per observed pending task,
         // *before* the task is accepted — a crashed/hung worker leaves the
         // submission unaccepted, so the caller's rbf timeout cancels it
         // and degrades to a regular ocall.
         if sh.pool.has_pending() {
-            if let Some(faults) = &sh.faults {
-                #[cfg(feature = "telemetry")]
-                macro_rules! trace_fault {
-                    ($kind:ident) => {
-                        sh.telemetry_event(
-                            zc_telemetry::Origin::Worker(index as u32),
-                            zc_telemetry::Event::Fault {
-                                kind: zc_telemetry::FaultKind::$kind,
-                            },
-                        )
-                    };
-                }
+            if let Some(faults) = &sh.door.faults {
                 match faults.on_worker_call() {
                     WorkerFault::None => {}
                     WorkerFault::Stall(cycles) => {
-                        #[cfg(feature = "telemetry")]
-                        trace_fault!(WorkerStall);
-                        sh.clock.spin_cycles(cycles);
+                        trace_fault(FaultKind::WorkerStall);
+                        clock.spin_cycles(cycles);
                     }
                     WorkerFault::Crash => {
-                        #[cfg(feature = "telemetry")]
-                        trace_fault!(WorkerCrash);
+                        trace_fault(FaultKind::WorkerCrash);
                         // Self-healing (opt-in): a dying worker spawns its
                         // own successor — the SDK model has no supervisor
                         // thread, so the respawn rides on the failing
-                        // thread's way out. The successor's handle lands in
-                        // `worker_handles` for shutdown to join.
-                        if sh.config.respawn_workers && sh.running.load(Ordering::Acquire) {
+                        // thread's way out.
+                        if sh.config.respawn_workers && sh.door.is_running() {
                             let gen = sh.respawn_gens[index].fetch_add(1, Ordering::AcqRel) + 1;
-                            spawn_worker(sh, index, gen);
-                            #[cfg(feature = "telemetry")]
-                            sh.telemetry_event(
-                                zc_telemetry::Origin::Worker(index as u32),
-                                zc_telemetry::Event::WorkerRespawned {
+                            sh.spawn_worker(index, gen);
+                            sh.door.event(
+                                origin,
+                                Event::WorkerRespawned {
                                     worker: index as u32,
                                     generation: gen,
                                 },
@@ -1045,8 +539,10 @@ fn worker_loop(sh: &Arc<Shared>, index: usize) {
                         return;
                     }
                     WorkerFault::Hang => {
-                        #[cfg(feature = "telemetry")]
-                        trace_fault!(WorkerHang);
+                        trace_fault(FaultKind::WorkerHang);
+                        // Say so first, so the drain abandons this
+                        // thread instead of waiting for it.
+                        wedged.mark();
                         loop {
                             std::thread::park();
                         }
@@ -1066,68 +562,59 @@ fn worker_loop(sh: &Arc<Shared>, index: usize) {
                 };
                 // Contain host-function panics (see zc worker): a dead
                 // worker would strand its caller mid-spin.
-                #[cfg(feature = "telemetry")]
-                let exec_start = sh.clock.now_cycles();
+                let exec_start = clock.now_cycles();
                 let ret = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     sh.table
                         .invoke(&req, &data.payload_in, &mut data.payload_out)
                         .unwrap_or(-1)
                 }))
                 .unwrap_or(-1);
-                #[cfg(feature = "telemetry")]
-                {
-                    data.exec_cycles = sh.clock.now_cycles().saturating_sub(exec_start);
-                }
+                data.exec_cycles = clock.now_cycles().saturating_sub(exec_start);
                 data.reply.ret = ret;
                 data.reply.payload_len = data.payload_out.len() as u32;
             });
-            if let Err(_v) = done {
+            if let Err(v) = done {
                 // Host flipped the state word mid-completion: the slot is
                 // poisoned; the caller's guard re-routes to the fallback.
-                sh.stats.record_guard_violation();
-                #[cfg(feature = "telemetry")]
-                sh.telemetry_event(
-                    zc_telemetry::Origin::Worker(index as u32),
-                    zc_telemetry::Event::GuardViolation {
+                sh.door.stats.record_guard_violation();
+                sh.door.event(
+                    origin,
+                    Event::GuardViolation {
                         worker: idx.index() as u32,
-                        kind: _v.kind,
+                        kind: v.kind,
                     },
                 );
             }
             continue;
         }
         if poll_retries < sh.config.retries_before_sleep {
-            sh.clock.pause();
-            poll_retries += 1;
-            if poll_retries.is_multiple_of(YIELD_EVERY) {
-                std::thread::yield_now();
-            }
+            spin_pause(clock, &mut poll_retries);
             continue;
         }
         // rbs exhausted: sleep until a submission wakes us.
         poll_retries = 0;
         if let Some(m) = &meter {
-            m.add_busy(sh.clock.now_cycles().saturating_sub(busy_since));
+            m.add_busy(clock.now_cycles().saturating_sub(busy_since));
         }
-        let slept_at = sh.clock.now_cycles();
+        let slept_at = clock.now_cycles();
         {
             let mut g = sh.sleep_lock.lock();
             // Re-check under the lock to avoid a lost wakeup: a caller
             // that submitted before we raised the sleeper count has
             // nobody to wake.
-            if sh.running.load(Ordering::Acquire) && !sh.pool.has_pending() {
+            if sh.door.is_running() && !sh.pool.has_pending() {
                 sh.sleepers.fetch_add(1, Ordering::AcqRel);
                 sh.sleep_cv.wait(&mut g);
                 sh.sleepers.fetch_sub(1, Ordering::AcqRel);
             }
         }
-        busy_since = sh.clock.now_cycles();
+        busy_since = clock.now_cycles();
         if let Some(m) = &meter {
             m.add_idle(busy_since.saturating_sub(slept_at));
         }
     }
     if let Some(m) = &meter {
-        m.add_busy(sh.clock.now_cycles().saturating_sub(busy_since));
+        m.add_busy(clock.now_cycles().saturating_sub(busy_since));
     }
 }
 
@@ -1235,75 +722,6 @@ mod tests {
         let snap = rt.stats().snapshot();
         assert_eq!(snap.fallback, fallbacks);
         assert_eq!(snap.total_calls(), 50);
-    }
-
-    #[test]
-    fn overload_admission_sheds_typed_and_conserves() {
-        use switchless_core::{OverloadParams, ShedReason};
-        let (t, echo, _) = table();
-        // Two burst tokens and a refill period beyond the test's span:
-        // the third call on must shed RateLimited, typed, before any
-        // pool traffic.
-        let cpu = switchless_core::CpuSpec::paper_machine();
-        let params = OverloadParams::for_cpu(&cpu).with_bucket(2, 1 << 40);
-        let cfg = IntelConfig::new(1, [echo]).with_overload_params(params);
-        let rt = IntelSwitchless::start(cfg, t, enclave()).unwrap();
-        let mut out = Vec::new();
-        let mut completed = 0u64;
-        let mut shed = 0u64;
-        for _ in 0..10 {
-            match rt.dispatch(&OcallRequest::new(echo, &[]), b"x", &mut out) {
-                Ok(_) => completed += 1,
-                Err(SwitchlessError::Overloaded { reason }) => {
-                    assert_eq!(reason, ShedReason::RateLimited);
-                    shed += 1;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert_eq!(completed, 2, "exactly the two burst tokens complete");
-        assert_eq!(shed, 8);
-        let snap = rt.overload_snapshot().expect("overload is on");
-        assert_eq!(snap.offered, 10);
-        assert_eq!(snap.shed_for(ShedReason::RateLimited), 8);
-        assert_eq!(snap.inflight, 0, "all guards released");
-        assert!(snap.conserves(rt.stats().snapshot().total_calls()));
-        rt.shutdown();
-    }
-
-    #[test]
-    fn expired_deadline_sheds_before_any_work() {
-        use switchless_core::{OverloadParams, ShedReason};
-        let (t, echo, _) = table();
-        let cpu = switchless_core::CpuSpec::paper_machine();
-        let cfg = IntelConfig::new(1, [echo]).with_overload_params(OverloadParams::for_cpu(&cpu));
-        let rt = IntelSwitchless::start(cfg, t, enclave()).unwrap();
-        let mut out = Vec::new();
-        // Cycle 1, not 0: deadline_cycles == 0 means "no deadline".
-        let req = OcallRequest::new(echo, &[]).with_deadline_at(1);
-        let err = rt.dispatch(&req, b"late", &mut out).unwrap_err();
-        assert_eq!(
-            err,
-            SwitchlessError::Overloaded {
-                reason: ShedReason::DeadlineExpired
-            }
-        );
-        assert_eq!(rt.stats().snapshot().total_calls(), 0, "no work performed");
-        let live = OcallRequest::new(echo, &[]).with_deadline_at(u64::MAX);
-        rt.dispatch(&live, b"ok", &mut out).unwrap();
-        rt.shutdown();
-    }
-
-    #[test]
-    fn dispatch_after_shutdown_errors() {
-        let (t, echo, _) = table();
-        let rt = IntelSwitchless::start(IntelConfig::new(1, [echo]), t, enclave()).unwrap();
-        rt.shutdown();
-        let mut out = Vec::new();
-        let err = rt
-            .dispatch(&OcallRequest::new(echo, &[]), &[], &mut out)
-            .unwrap_err();
-        assert_eq!(err, SwitchlessError::RuntimeStopped);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   and transition counters.
 //! * [`transition`] — the regular (switch-paying) ocall path: cost
 //!   injection + boundary copy + host dispatch.
+//! * [`frontdoor`] — the call pipeline both switchless runtimes share:
+//!   plane ordering (admission → journal → route → retire), fallback
+//!   and recovery policy, traced dispatch wrapper, shutdown drain.
 //! * [`memory`] — untrusted memory arenas with explicit alignment
 //!   control, used to stage ocall payloads exactly like the SDK's
 //!   boundary marshalling.
@@ -36,6 +39,7 @@
 pub mod accounting;
 pub mod clock;
 pub mod enclave;
+pub mod frontdoor;
 pub mod hostfs;
 pub mod memory;
 pub mod profiler;
@@ -45,6 +49,7 @@ pub mod transition;
 pub use accounting::{CpuAccounting, ThreadMeter};
 pub use clock::CycleClock;
 pub use enclave::Enclave;
+pub use frontdoor::{FrontDoor, Transport};
 pub use hostfs::{FsFuncs, HostFs};
 pub use memory::{Alignment, UntrustedArena};
 pub use switchless_core::cpu::CpuSpec;

@@ -201,7 +201,14 @@ impl RegularOcall {
         STAGING.with(|cell| {
             let (arena, untrusted_out) = &mut *cell.borrow_mut();
             let staged = arena.stage_in(payload_in, self.memcpy, self.alignment);
-            let ret = self.table.invoke(req, staged, untrusted_out)?;
+            // Contain host-function panics, as the switchless workers
+            // do: the host side is untrusted, and a crash there maps to
+            // an error return instead of unwinding through the enclave
+            // caller — whichever path the call happened to take.
+            let ret = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.table.invoke(req, staged, untrusted_out)
+            }))
+            .unwrap_or(Ok(-1))?;
             UntrustedArena::stage_out(untrusted_out, payload_out, self.memcpy);
             Ok(ret)
         })

@@ -70,7 +70,6 @@ pub struct RequestSlot {
 /// Emits a telemetry event for every successful status transition of
 /// one buffer, attributed to the buffer's worker index (whichever
 /// thread — caller, worker or scheduler — performed the CAS).
-#[cfg(feature = "telemetry")]
 #[derive(Debug)]
 pub struct TransitionTracer {
     telemetry: Arc<zc_telemetry::Telemetry>,
@@ -78,7 +77,6 @@ pub struct TransitionTracer {
     worker: u32,
 }
 
-#[cfg(feature = "telemetry")]
 impl TransitionTracer {
     /// New tracer for worker buffer `worker`, stamping with `clock`.
     #[must_use]
@@ -117,7 +115,6 @@ pub struct WorkerBuffer {
     thread: OnceLock<Thread>,
     poisoned: AtomicBool,
     recorder: OnceLock<Arc<TransitionLog>>,
-    #[cfg(feature = "telemetry")]
     tracer: OnceLock<TransitionTracer>,
 }
 
@@ -133,7 +130,6 @@ impl WorkerBuffer {
             thread: OnceLock::new(),
             poisoned: AtomicBool::new(false),
             recorder: OnceLock::new(),
-            #[cfg(feature = "telemetry")]
             tracer: OnceLock::new(),
         }
     }
@@ -172,7 +168,6 @@ impl WorkerBuffer {
             if let Some(log) = self.recorder.get() {
                 log.record(from, to);
             }
-            #[cfg(feature = "telemetry")]
             if let Some(tracer) = self.tracer.get() {
                 tracer.emit(from, to);
             }
@@ -202,7 +197,6 @@ impl WorkerBuffer {
     /// Attach a telemetry [`TransitionTracer`] emitting an event per
     /// successful status transition (first caller wins; installed by
     /// `ZcRuntime::start_with_telemetry`).
-    #[cfg(feature = "telemetry")]
     pub fn set_tracer(&self, tracer: TransitionTracer) {
         let _ = self.tracer.set(tracer);
     }

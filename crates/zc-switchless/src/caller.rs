@@ -5,257 +5,100 @@
 //! found the call falls back to a regular ocall **immediately** — there
 //! is no `rbf`-style busy-wait, which is what saves ZC from the Intel
 //! SDK's long-ocall pathology (paper Take-away 7).
+//!
+//! This is the zc [`Transport`]: admission, journaling, recovery and
+//! the traced wrapper live in [`sgx_sim::frontdoor`]; what is here is
+//! the routing protocol and the worker-generation side of an enclave
+//! restart.
 
-use crate::buffer::WorkerBuffer;
+use crate::buffer::{SchedCommand, WorkerBuffer};
 use crate::pool::PoolAlloc;
-use crate::prof;
-use crate::runtime::{Shared, YIELD_EVERY};
+use crate::runtime::Shared;
+use crate::scheduler;
+use sgx_sim::frontdoor::{self, FrontDoor, Phase, Rec, Transport};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use switchless_core::overload::{BreakerTransition, InflightGuard, ShedReason};
-use switchless_core::recovery::{EntryState, ReconcileVerdict, RecoveryPlane};
 use switchless_core::{
-    CallPath, EnclaveFault, FailureKind, GuardViolation, OcallRequest, PoisonKey, ReplyGuard,
-    SuperviseDecision, SwitchlessError, WorkerState,
+    CallPath, FailureKind, GuardViolation, OcallRequest, PoisonKey, ReplyGuard, SuperviseDecision,
+    SwitchlessError, WorkerState,
 };
+use zc_telemetry::{Event, FaultKind};
 
 /// Retries granted to a pool allocation hit by injected exhaustion
 /// before the call degrades to a regular ocall. With the overload plane
 /// on, the breaker can cut the retry loop short of this cap.
 const POOL_RETRY_MAX: u32 = 3;
 
-/// Dispatch one ocall through the ZC protocol.
-///
-/// With the `telemetry` feature off the phase recorder is a ZST whose
-/// `now` closures are never invoked, so this compiles to the bare
-/// protocol; with it on but no hub installed, the added cost is one
-/// branch per phase boundary. Only when a hub is present does the
-/// caller read the clock, accumulate the per-phase breakdown into the
-/// hub's [`zc_telemetry::CallPhaseProfiler`], and record `CallRouted` +
-/// `CallPhases` events (relaxed-CAS ring pushes, no locks, no heap
-/// allocation).
-#[cfg(feature = "telemetry")]
-pub(crate) fn dispatch(
-    shared: &Arc<Shared>,
-    req: &OcallRequest,
-    payload_in: &[u8],
-    payload_out: &mut Vec<u8>,
-) -> Result<(i64, CallPath), SwitchlessError> {
-    let Some(hub) = &shared.telemetry else {
-        let mut rec = prof::Rec::disabled();
-        return dispatch_inner(shared, req, payload_in, payload_out, &mut rec);
-    };
-    let start = shared.clock.now_cycles();
-    let mut rec = prof::Rec::start(|| start);
-    let result = dispatch_inner(shared, req, payload_in, payload_out, &mut rec);
-    if let Ok((_, path)) = &result {
-        if let Some((phases, total)) = rec.finish(|| shared.clock.now_cycles()) {
-            hub.profile().record_call(*path, total, &phases);
-            let now = start.saturating_add(total);
-            let origin = hub.caller_origin();
-            hub.record(
-                now,
-                origin,
-                zc_telemetry::Event::CallRouted {
-                    func: req.func.0,
-                    path: *path,
-                    start_cycles: start,
-                    duration_cycles: total,
-                },
-            );
-            hub.record(
-                now,
-                origin,
-                zc_telemetry::Event::CallPhases {
-                    func: req.func.0,
-                    path: *path,
-                    phases,
-                },
-            );
+impl Transport for Shared {
+    #[inline]
+    fn door(&self) -> &FrontDoor {
+        &self.door
+    }
+
+    #[inline]
+    fn route(
+        &self,
+        req: &OcallRequest,
+        payload_in: &[u8],
+        payload_out: &mut Vec<u8>,
+        rec: &mut Rec,
+    ) -> Result<(i64, CallPath), SwitchlessError> {
+        route(self, req, payload_in, payload_out, rec)
+    }
+
+    fn max_reply_bytes(&self) -> usize {
+        self.config.max_reply_bytes
+    }
+
+    /// Poison-request quarantine: a shape that killed too many workers
+    /// is pinned to the regular path — no switchless attempt at all, so
+    /// it can never poison another worker.
+    #[inline]
+    fn pinned_regular(&self, req: &OcallRequest, payload_len: usize) -> bool {
+        self.supervisor.as_ref().is_some_and(|sup| {
+            sup.lock()
+                .is_blacklisted(PoisonKey::new(req.func, payload_len))
+        })
+    }
+
+    /// Every buffer of the dead incarnation is poisoned and told to
+    /// exit, so no old-generation worker can touch a request again
+    /// (crashed threads have already exited; stalled ones retire on
+    /// wake and are joined at shutdown).
+    fn fence_workers(&self) {
+        for w in &self.workers {
+            let w = w.read();
+            w.poison();
+            w.post_command(SchedCommand::Exit);
+            w.unpark();
         }
     }
-    result
-}
 
-#[cfg(not(feature = "telemetry"))]
-pub(crate) fn dispatch(
-    shared: &Arc<Shared>,
-    req: &OcallRequest,
-    payload_in: &[u8],
-    payload_out: &mut Vec<u8>,
-) -> Result<(i64, CallPath), SwitchlessError> {
-    let mut rec = prof::Rec::disabled();
-    dispatch_inner(shared, req, payload_in, payload_out, &mut rec)
-}
-
-/// Trace a breaker state-machine edge, if one happened.
-fn trace_breaker_edge(shared: &Shared, edge: Option<BreakerTransition>) {
-    #[cfg(feature = "telemetry")]
-    if let Some(e) = edge {
-        shared.telemetry_caller_event(zc_telemetry::Event::BreakerTransition {
-            from: e.from,
-            to: e.to,
-        });
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (shared, edge);
-}
-
-/// Front-door admission: offer the call to the overload plane (when
-/// configured) and either take an in-flight token or shed with a typed
-/// [`SwitchlessError::Overloaded`]. A shed call performs no work at
-/// all — no worker scan, no fallback transition.
-fn overload_admit<'a>(
-    shared: &'a Shared,
-    req: &OcallRequest,
-) -> Result<Option<InflightGuard<'a>>, SwitchlessError> {
-    let Some(plane) = &shared.overload else {
-        return Ok(None);
-    };
-    let adm = plane.admit(shared.clock.now_cycles(), req.priority, req.deadline());
-    #[cfg(feature = "telemetry")]
-    if let Some((from_level, to_level)) = adm.brownout_shift {
-        shared.telemetry_caller_event(zc_telemetry::Event::BrownoutShift {
-            from_level,
-            to_level,
-        });
-    }
-    match adm.outcome {
-        Ok(guard) => Ok(Some(guard)),
-        Err(reason) => {
-            #[cfg(feature = "telemetry")]
-            shared.telemetry_caller_event(zc_telemetry::Event::CallShed {
-                func: req.func.0,
-                reason,
-            });
-            Err(SwitchlessError::Overloaded { reason })
+    /// Install a fresh buffer + thread generation in every slot and
+    /// wipe the supervisor's per-slot ledgers (the blacklist
+    /// deliberately survives — poison request shapes outlive the
+    /// enclave).
+    fn respawn_workers(&self) {
+        let generation = self.enclave_generation.fetch_add(1, Ordering::AcqRel) + 1;
+        for i in 0..self.workers.len() {
+            self.respawn_slot(i, generation);
+        }
+        scheduler::set_active_workers(self, self.active_workers.load(Ordering::Acquire));
+        if let Some(sup) = &self.supervisor {
+            sup.lock().note_enclave_restart();
         }
     }
-}
-
-/// Execute the regular-ocall fallback engine and charge its cycles to
-/// the phase model: everything since the previous boundary becomes
-/// `execute`, out of which the machine's enclave-transition cost is
-/// re-attributed to `signal` (the transition *is* what a non-switchless
-/// call pays to signal the host).
-fn fallback_with_phases(
-    shared: &Shared,
-    rec: &mut prof::Rec,
-    req: &OcallRequest,
-    payload_in: &[u8],
-    payload_out: &mut Vec<u8>,
-) -> Result<i64, SwitchlessError> {
-    let ret = shared
-        .fallback
-        .execute_transition(req, payload_in, payload_out)?;
-    rec.mark(prof::Phase::Execute, || shared.clock.now_cycles());
-    rec.transfer(
-        prof::Phase::Execute,
-        prof::Phase::Signal,
-        shared.clock.spec().t_es_cycles,
-    );
-    Ok(ret)
-}
-
-/// The ZC dispatch protocol itself (telemetry-free hot path).
-pub(crate) fn dispatch_inner(
-    shared: &Arc<Shared>,
-    req: &OcallRequest,
-    payload_in: &[u8],
-    payload_out: &mut Vec<u8>,
-    rec: &mut prof::Rec,
-) -> Result<(i64, CallPath), SwitchlessError> {
-    if !shared.running.load(Ordering::Acquire) {
-        return Err(SwitchlessError::RuntimeStopped);
-    }
-    shared.stats.record_issued();
-    // Admission first: a shed call must cost nothing downstream. The
-    // guard holds one unit of the queue-depth gate until this dispatch
-    // returns (any path, including errors).
-    let _inflight = overload_admit(shared, req)?;
-    if let Some(sup) = &shared.supervisor {
-        // Poison-request quarantine: a shape that killed too many
-        // workers is pinned to the regular path — no switchless attempt
-        // at all, so it can never poison another worker.
-        let key = PoisonKey::new(req.func, payload_in.len());
-        if sup.lock().is_blacklisted(key) {
-            let ret = fallback_with_phases(shared, rec, req, payload_in, payload_out)?;
-            shared.stats.record_regular();
-            return Ok((ret, CallPath::Regular));
-        }
-    }
-    if let Some(faults) = &shared.faults {
-        let skew = faults.on_dispatch();
-        if skew > 0 {
-            shared.clock.advance_cycles(skew);
-            #[cfg(feature = "telemetry")]
-            shared.telemetry_caller_event(zc_telemetry::Event::Fault {
-                kind: zc_telemetry::FaultKind::ClockSkew,
-            });
-        }
-    }
-    // Recovery plane: stamp the sequence tag at admission and journal
-    // the call's intent, so whatever happens to the enclave from here
-    // on, the reconciliation after a restart can classify this call. A
-    // slot collision (journal full) leaves the call uncovered rather
-    // than failing it — the journal is sized far above any realistic
-    // in-flight population. This is also the injector's enclave fault
-    // site: a scheduled crash fires while exactly this call is in
-    // flight.
-    let stamped;
-    let req = match &shared.recovery {
-        Some(plane) => {
-            stamped = req.with_seq(plane.next_seq());
-            let _covered = plane.record_intent(stamped.seq, stamped.idempotency_class());
-            if let Some(faults) = &shared.faults {
-                match faults.on_enclave_call() {
-                    EnclaveFault::Crash => {
-                        let epoch0 = plane.epoch();
-                        if plane.begin_crash() {
-                            #[cfg(feature = "telemetry")]
-                            shared.telemetry_caller_event(zc_telemetry::Event::EnclaveCrash {
-                                epoch: epoch0,
-                            });
-                            crate::runtime::enclave_restart(shared);
-                        } else {
-                            wait_for_restart(shared, plane, epoch0);
-                        }
-                        return recover_call(shared, &stamped, payload_in, payload_out, rec);
-                    }
-                    EnclaveFault::Stall(cycles) => {
-                        shared.clock.advance_cycles(cycles);
-                        #[cfg(feature = "telemetry")]
-                        shared.telemetry_caller_event(zc_telemetry::Event::Fault {
-                            kind: zc_telemetry::FaultKind::EnclaveStall,
-                        });
-                    }
-                    EnclaveFault::None => {}
-                }
-            }
-            &stamped
-        }
-        None => req,
-    };
-    let result = dispatch_routed(shared, req, payload_in, payload_out, rec);
-    if let Some(plane) = &shared.recovery {
-        // Retire on every outcome: either the call completed (reply
-        // delivered, journal entry dead) or it failed with a typed
-        // error and is no longer in flight. Recovery's own paths have
-        // already retired — retire is idempotent.
-        plane.retire(req.seq);
-    }
-    result
 }
 
 /// Route one admitted, journaled call: worker scan, breaker-guarded
 /// would-fallback point, regular-ocall fallback.
-fn dispatch_routed(
-    shared: &Arc<Shared>,
+fn route(
+    shared: &Shared,
     req: &OcallRequest,
     payload_in: &[u8],
     payload_out: &mut Vec<u8>,
-    rec: &mut prof::Rec,
+    rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
+    let door = &shared.door;
     let n = shared.workers.len();
     // Rotate the scan start so callers spread over workers.
     let start = shared.rotor.fetch_add(1, Ordering::Relaxed) % n.max(1);
@@ -268,54 +111,29 @@ fn dispatch_routed(
             continue;
         }
         if w.try_transition(WorkerState::Unused, WorkerState::Reserved) {
-            rec.mark(prof::Phase::Reserve, || shared.clock.now_cycles());
+            rec.mark(Phase::Reserve, &door.clock);
             return switchless_call(shared, &w, idx, req, payload_in, payload_out, rec);
         }
     }
     // No idle worker: immediate fallback. The fruitless scan is still
     // reserve time — it is exactly the cost the immediate-fallback
     // design bounds.
-    rec.mark(prof::Phase::Reserve, || shared.clock.now_cycles());
-    if let Some(plane) = &shared.overload {
-        // The breaker guards this would-fallback point: during a storm
-        // it opens and over-capacity calls are shed here instead of
-        // piling onto the regular-ocall path. Safety re-routes (crash,
-        // watchdog, guard violation) are never gated — they must
-        // complete the call.
-        let (allowed, edge) = plane.breaker_allow(shared.clock.now_cycles());
-        trace_breaker_edge(shared, edge);
-        if !allowed {
-            plane.record_shed(ShedReason::BreakerOpen);
-            #[cfg(feature = "telemetry")]
-            shared.telemetry_caller_event(zc_telemetry::Event::CallShed {
-                func: req.func.0,
-                reason: ShedReason::BreakerOpen,
-            });
-            return Err(SwitchlessError::Overloaded {
-                reason: ShedReason::BreakerOpen,
-            });
-        }
-    }
-    let ret = fallback_with_phases(shared, rec, req, payload_in, payload_out)?;
-    shared.stats.record_fallback();
-    if let Some(plane) = &shared.overload {
-        let edge = plane.on_fallback(shared.clock.now_cycles());
-        trace_breaker_edge(shared, edge);
-    }
-    Ok((ret, CallPath::Fallback))
+    rec.mark(Phase::Reserve, &door.clock);
+    door.guarded_fallback(rec, req, payload_in, payload_out)
 }
 
 /// Complete a switchless call on a worker already claimed (`RESERVED`).
 #[allow(clippy::too_many_arguments)]
 fn switchless_call(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     w: &WorkerBuffer,
     widx: usize,
     req: &OcallRequest,
     payload_in: &[u8],
     payload_out: &mut Vec<u8>,
-    rec: &mut prof::Rec,
+    rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
+    let door = &shared.door;
     // Stamp the per-call monotonic sequence tag (unless the recovery
     // plane already stamped it at admission): an honest worker echoes
     // it into the reply, so a stale or replayed reply left over from an
@@ -338,30 +156,18 @@ fn switchless_call(
     let alloc = {
         let mut attempts: u32 = 0;
         loop {
-            let forced = shared.faults.as_ref().is_some_and(|f| f.on_pool_alloc());
+            let forced = door.faults.as_ref().is_some_and(|f| f.on_pool_alloc());
             if !forced {
                 break w.with_pool(|p| p.alloc(payload_in.len()));
             }
-            #[cfg(feature = "telemetry")]
-            shared.telemetry_caller_event(zc_telemetry::Event::Fault {
-                kind: zc_telemetry::FaultKind::PoolExhaustion,
+            door.caller_event(Event::Fault {
+                kind: FaultKind::PoolExhaustion,
             });
-            let retry_allowed = match &shared.overload {
-                Some(plane) => {
-                    let now = shared.clock.now_cycles();
-                    trace_breaker_edge(shared, plane.on_fallback(now));
-                    let (allowed, edge) = plane.breaker_allow(now);
-                    trace_breaker_edge(shared, edge);
-                    allowed
-                }
-                None => true,
-            };
-            if attempts >= POOL_RETRY_MAX || !retry_allowed {
+            if !door.breaker_storm_allows() || attempts >= POOL_RETRY_MAX {
                 break PoolAlloc::TooLarge;
             }
-            shared
-                .clock
-                .spin_cycles(shared.clock.spec().pause_cycles << attempts);
+            door.clock
+                .spin_cycles(door.clock.spec().pause_cycles << attempts);
             attempts += 1;
         }
     };
@@ -370,11 +176,10 @@ fn switchless_call(
         PoolAlloc::AfterRealloc => {
             // The pool was freed and reallocated: costs one real ocall
             // (the Fig. 8 latency spikes).
-            shared.stats.record_pool_realloc();
-            shared.enclave.record_ocall();
-            shared.clock.enclave_transition();
-            #[cfg(feature = "telemetry")]
-            shared.telemetry_caller_event(zc_telemetry::Event::PoolRealloc {
+            door.stats.record_pool_realloc();
+            door.fallback.enclave().record_ocall();
+            door.clock.enclave_transition();
+            door.caller_event(Event::PoolRealloc {
                 worker: widx as u32,
                 bytes: payload_in.len() as u64,
             });
@@ -388,14 +193,8 @@ fn switchless_call(
             // already claimed and the call must complete.
             let ok = w.try_transition(WorkerState::Reserved, WorkerState::Unused);
             debug_assert!(ok, "RESERVED -> UNUSED release must not be contended");
-            rec.mark(prof::Phase::CopyIn, || shared.clock.now_cycles());
-            let ret = fallback_with_phases(shared, rec, req, payload_in, payload_out)?;
-            shared.stats.record_fallback();
-            if let Some(plane) = &shared.overload {
-                let edge = plane.on_fallback(shared.clock.now_cycles());
-                trace_breaker_edge(shared, edge);
-            }
-            return Ok((ret, CallPath::Fallback));
+            rec.mark(Phase::CopyIn, &door.clock);
+            return door.load_fallback(rec, req, payload_in, payload_out);
         }
     };
     // Copy the payload to untrusted memory with the boundary memcpy and
@@ -409,34 +208,30 @@ fn switchless_call(
         slot.payload_out.clear();
         slot.exec_cycles = 0;
     });
-    rec.mark(prof::Phase::CopyIn, || shared.clock.now_cycles());
+    rec.mark(Phase::CopyIn, &door.clock);
     let ok = w.try_transition(WorkerState::Reserved, WorkerState::Processing);
     debug_assert!(ok, "RESERVED -> PROCESSING must not be contended");
-    rec.mark(prof::Phase::Signal, || shared.clock.now_cycles());
+    rec.mark(Phase::Signal, &door.clock);
 
     // Busy-wait for completion: while the worker runs our call, this
     // enclave thread spins — the "exactly one busy-waiting thread per
     // active worker" invariant of §IV-A. With supervision enabled the
     // spin carries a watchdog deadline.
-    let posted_at = shared.clock.now_cycles();
+    let posted_at = door.clock.now_cycles();
     let watchdog_deadline = shared
         .config
         .supervise
         .map(|p| posted_at.saturating_add(p.watchdog_cycles));
     // Recovery epoch this call was posted under: a later epoch (or the
     // loss flag) means the enclave died with this call in flight.
-    let epoch0 = shared.recovery.as_ref().map_or(0, RecoveryPlane::epoch);
+    let epoch0 = door.epoch();
     let mut spins: u32 = 0;
     loop {
         // Enclave-loss check first: a dead enclave must surface as
         // typed recovery (replay / redeliver / refuse), not as a
         // watchdog timeout after spinning out the full deadline.
-        if let Some(plane) = &shared.recovery {
-            if enclave_lost_since(plane, epoch0) {
-                rec.mark(prof::Phase::Wait, || shared.clock.now_cycles());
-                wait_for_restart(shared, plane, epoch0);
-                return recover_call(shared, req, payload_in, payload_out, rec);
-            }
+        if door.lost_since(epoch0) {
+            return frontdoor::recover_lost(shared, epoch0, req, payload_in, payload_out, rec);
         }
         // Decode the host-written status word *before* the poison check:
         // a hostile host that scribbles garbage on the word is always
@@ -445,7 +240,7 @@ fn switchless_call(
         let state = match w.state() {
             Ok(s) => s,
             Err(v) => {
-                rec.mark(prof::Phase::Wait, || shared.clock.now_cycles());
+                rec.mark(Phase::Wait, &door.clock);
                 return guard_violation_fallback(
                     shared,
                     w,
@@ -467,26 +262,20 @@ fn switchless_call(
             // poisoning every buffer, and a fenced worker may have been
             // mid-execution — only the journal may decide whether
             // re-execution is safe, so loss routes to reconciliation.
-            if let Some(plane) = &shared.recovery {
-                if enclave_lost_since(plane, epoch0) {
-                    rec.mark(prof::Phase::Wait, || shared.clock.now_cycles());
-                    wait_for_restart(shared, plane, epoch0);
-                    return recover_call(shared, req, payload_in, payload_out, rec);
-                }
+            if door.lost_since(epoch0) {
+                return frontdoor::recover_lost(shared, epoch0, req, payload_in, payload_out, rec);
             }
             // The worker crashed or hung *before* invoking our request
             // (poisoning happens ahead of any slot access), so re-routing
             // to a regular ocall cannot double-execute side effects. The
             // buffer stays quarantined in PROCESSING until the
             // supervisor (if enabled) respawns the slot.
-            rec.mark(prof::Phase::Wait, || shared.clock.now_cycles());
+            rec.mark(Phase::Wait, &door.clock);
             report_worker_failure(shared, widx, FailureKind::Crash, req, payload_in.len());
-            let ret = fallback_with_phases(shared, rec, req, payload_in, payload_out)?;
-            shared.stats.record_fallback();
-            return Ok((ret, CallPath::Fallback));
+            return door.reroute_fallback(rec, req, payload_in, payload_out);
         }
         if let Some(deadline) = watchdog_deadline {
-            let now = shared.clock.now_cycles();
+            let now = door.clock.now_cycles();
             if now >= deadline {
                 // Watchdog cancellation: the in-flight call exceeded its
                 // deadline. Poison the buffer first — the worker checks
@@ -501,25 +290,21 @@ fn switchless_call(
                     req,
                     payload_in.len(),
                 );
-                #[cfg(feature = "telemetry")]
-                shared.telemetry_caller_event(zc_telemetry::Event::WatchdogCancel {
+                door.caller_event(Event::WatchdogCancel {
                     worker: widx as u32,
                     func: req.func.0,
                     waited_cycles: now.saturating_sub(posted_at),
                 });
-                shared.stats.record_cancelled();
-                rec.mark(prof::Phase::Wait, || shared.clock.now_cycles());
-                let ret = fallback_with_phases(shared, rec, req, payload_in, payload_out)?;
+                // Counted as cancelled, not as a fallback.
+                door.stats.record_cancelled();
+                rec.mark(Phase::Wait, &door.clock);
+                let ret = door.fallback_with_phases(rec, req, payload_in, payload_out)?;
                 return Ok((ret, CallPath::Fallback));
             }
         }
-        shared.clock.pause();
-        spins = spins.wrapping_add(1);
-        if spins.is_multiple_of(YIELD_EVERY) {
-            std::thread::yield_now();
-        }
+        frontdoor::spin_pause(&door.clock, &mut spins);
     }
-    rec.mark(prof::Phase::Wait, || shared.clock.now_cycles());
+    rec.mark(Phase::Wait, &door.clock);
     // Validate the host-written reply, then copy results back into
     // enclave memory and release the worker. The declared length must
     // match the bytes actually present (an honest worker writes both),
@@ -539,21 +324,13 @@ fn switchless_call(
     match checked {
         Ok((ret, truncated, exec_cycles)) => {
             if truncated {
-                shared.stats.record_reply_truncation();
+                door.stats.record_reply_truncation();
             }
-            // The worker's self-measured host-function time is carved
-            // out of this caller's wait window at finish (clamped there,
-            // so a lying host cannot break phase conservation).
             rec.set_execute_hint(exec_cycles);
             let ok = w.try_transition(WorkerState::Waiting, WorkerState::Unused);
             debug_assert!(ok, "WAITING -> UNUSED release must not be contended");
-            shared.stats.record_switchless();
-            if let Some(plane) = &shared.overload {
-                // A switchless completion is the breaker's success
-                // signal: half-open probes that make it here close it.
-                let edge = plane.on_success(shared.clock.now_cycles());
-                trace_breaker_edge(shared, edge);
-            }
+            door.stats.record_switchless();
+            door.breaker_success();
             Ok((ret, CallPath::Switchless))
         }
         Err(v) => guard_violation_fallback(shared, w, widx, v, req, payload_in, payload_out, rec),
@@ -577,21 +354,14 @@ fn guard_violation_fallback(
     req: &OcallRequest,
     payload_in: &[u8],
     payload_out: &mut Vec<u8>,
-    rec: &mut prof::Rec,
+    rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
     w.poison();
-    shared.stats.record_guard_violation();
-    #[cfg(feature = "telemetry")]
-    shared.telemetry_caller_event(zc_telemetry::Event::GuardViolation {
-        worker: widx as u32,
-        kind: violation.kind,
-    });
-    #[cfg(not(feature = "telemetry"))]
-    let _ = violation;
+    shared.door.guard_violation(widx as u32, violation);
     report_worker_failure(shared, widx, FailureKind::Crash, req, payload_in.len());
-    let ret = fallback_with_phases(shared, rec, req, payload_in, payload_out)?;
-    shared.stats.record_fallback();
-    Ok((ret, CallPath::Fallback))
+    shared
+        .door
+        .reroute_fallback(rec, req, payload_in, payload_out)
 }
 
 /// Report a caller-observed worker failure to the supervisor (no-op when
@@ -614,132 +384,22 @@ fn report_worker_failure(
     let key = PoisonKey::new(req.func, payload_len);
     let decision = sup
         .lock()
-        .record_failure(widx, kind, Some(key), shared.clock.now_cycles());
+        .record_failure(widx, kind, Some(key), shared.door.clock.now_cycles());
     match decision {
         Some(SuperviseDecision::Blacklist { key }) => {
-            #[cfg(feature = "telemetry")]
-            shared.telemetry_caller_event(zc_telemetry::Event::Blacklisted {
+            shared.door.caller_event(Event::Blacklisted {
                 func: key.func.0,
                 shape: key.shape,
             });
-            #[cfg(not(feature = "telemetry"))]
-            let _ = key;
         }
         // Escalation needs the recovery plane: without a journal,
         // blocked callers could not reconcile and a whole-enclave
         // restart would strand them.
-        Some(SuperviseDecision::RestartEnclave { .. }) if shared.recovery.is_some() => {
+        Some(SuperviseDecision::RestartEnclave { .. }) if shared.door.recovery.is_some() => {
             shared
                 .pending_enclave_restart
                 .store(true, Ordering::Release);
         }
         _ => {}
-    }
-}
-
-/// Has the enclave been lost since this call captured `epoch0`? Either
-/// the loss flag is currently raised, or a full crash/restart cycle
-/// already completed (epoch moved on).
-fn enclave_lost_since(plane: &RecoveryPlane, epoch0: u64) -> bool {
-    plane.is_lost() || plane.epoch() != epoch0
-}
-
-/// Spin until the restart the plane has begun completes: the epoch has
-/// advanced past `epoch0` and the loss flag is cleared. The winner of
-/// the detection race drives the restart synchronously (and the
-/// supervisor thread polls on the virtual clock), so this wait is
-/// bounded.
-fn wait_for_restart(shared: &Shared, plane: &RecoveryPlane, epoch0: u64) {
-    let mut spins: u32 = 0;
-    while plane.is_lost() || plane.epoch() == epoch0 {
-        shared.clock.pause();
-        spins = spins.wrapping_add(1);
-        if spins.is_multiple_of(YIELD_EVERY) {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Reconcile one lost in-flight call against the journal after the
-/// enclave restarted, and act on the verdict:
-///
-/// * `Replay` — the intent was journaled but no completion: re-execute
-///   through the regular-ocall engine (this caller still holds the
-///   payload), journal the completion, and deliver. Exactly-once holds
-///   because the journal proves the host function never ran.
-/// * `Redeliver` — a completion was journaled but the reply never
-///   reached the caller: return the recorded result without touching
-///   the host function again.
-/// * `Refuse` — the call is non-idempotent and execution state is
-///   unknowable: surface the typed [`SwitchlessError::EnclaveLost`].
-fn recover_call(
-    shared: &Arc<Shared>,
-    req: &OcallRequest,
-    payload_in: &[u8],
-    payload_out: &mut Vec<u8>,
-    rec: &mut prof::Rec,
-) -> Result<(i64, CallPath), SwitchlessError> {
-    let plane = shared
-        .recovery
-        .as_ref()
-        .expect("recover_call without a recovery plane");
-    let guard = ReplyGuard::new(shared.config.max_reply_bytes);
-    match plane.reconcile_with_class(req.seq, guard, req.idempotency_class()) {
-        ReconcileVerdict::Replay => {
-            #[cfg(feature = "telemetry")]
-            shared.telemetry_caller_event(zc_telemetry::Event::JournalReplay { seq: req.seq });
-            let ret = fallback_with_phases(shared, rec, req, payload_in, payload_out)?;
-            plane.record_completion(req.seq, ret, payload_out.len() as u32);
-            // Crash-during-replay site: the enclave dies again right
-            // after the replay journaled its completion. The second
-            // reconciliation downgrades to Redeliver — the recorded
-            // result is returned and the host function never runs a
-            // second time.
-            if shared
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.on_enclave_replay())
-            {
-                let epoch0 = plane.epoch();
-                if plane.begin_crash() {
-                    #[cfg(feature = "telemetry")]
-                    shared.telemetry_caller_event(zc_telemetry::Event::EnclaveCrash {
-                        epoch: epoch0,
-                    });
-                    crate::runtime::enclave_restart(shared);
-                } else {
-                    wait_for_restart(shared, plane, epoch0);
-                }
-                return recover_call(shared, req, payload_in, payload_out, rec);
-            }
-            plane.retire(req.seq);
-            shared.stats.record_fallback();
-            Ok((ret, CallPath::Fallback))
-        }
-        ReconcileVerdict::Redeliver => {
-            #[cfg(feature = "telemetry")]
-            shared.telemetry_caller_event(zc_telemetry::Event::CallRedelivered { seq: req.seq });
-            let ret = match plane.entry(req.seq).map(|e| e.state) {
-                Some(EntryState::Completed { ret, .. }) => ret,
-                // Unreachable by construction (Redeliver only comes
-                // from a Completed entry), but never panic on the
-                // recovery path.
-                _ => 0,
-            };
-            // `payload_out` already holds the replayed output: in this
-            // runtime the redelivery window only opens after a replay's
-            // own completion was journaled (crash-during-replay).
-            plane.retire(req.seq);
-            shared.stats.record_fallback();
-            Ok((ret, CallPath::Fallback))
-        }
-        ReconcileVerdict::Refuse => {
-            #[cfg(feature = "telemetry")]
-            shared.telemetry_caller_event(zc_telemetry::Event::CallRefused { seq: req.seq });
-            plane.retire(req.seq);
-            Err(SwitchlessError::EnclaveLost {
-                in_flight_seq: req.seq,
-            })
-        }
     }
 }

@@ -48,7 +48,6 @@ pub struct TenantSpec {
     /// Shard-local telemetry hub, if any — a bulkhead like everything
     /// else shard-scoped: one tenant's trace volume cannot evict
     /// another's events.
-    #[cfg(feature = "telemetry")]
     pub telemetry: Option<Arc<zc_telemetry::Telemetry>>,
 }
 
@@ -62,7 +61,6 @@ impl TenantSpec {
             config,
             table,
             faults: None,
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         }
     }
@@ -84,7 +82,6 @@ impl TenantSpec {
     /// Attach a shard-local telemetry hub. The fleet also emits a
     /// tenant-labelled `FleetRebalance` event into it whenever a global
     /// decision moves this shard's worker cap.
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Arc<zc_telemetry::Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
@@ -110,14 +107,12 @@ struct Shard {
     weight: u64,
     runtime: ZcRuntime,
     ledger: Mutex<ShardLedger>,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<Arc<zc_telemetry::Telemetry>>,
 }
 
 impl Shard {
     /// Emit a tenant-labelled rebalance event into this shard's hub
     /// (no-op without one), stamped with the shard's runtime clock.
-    #[cfg(feature = "telemetry")]
     fn record_rebalance(&self, verdict: &'static str, cap_before: usize, cap_after: usize) {
         if let Some(hub) = &self.telemetry {
             hub.record(
@@ -132,9 +127,6 @@ impl Shard {
             );
         }
     }
-
-    #[cfg(not(feature = "telemetry"))]
-    fn record_rebalance(&self, _verdict: &'static str, _cap_before: usize, _cap_after: usize) {}
 }
 
 /// M [`ZcRuntime`] shards under one global worker budget.
@@ -174,33 +166,15 @@ impl Fleet {
         let mut shards = Vec::with_capacity(specs.len());
         for spec in specs {
             let enclave = Enclave::new_virtual(spec.config.cpu);
-            #[cfg(feature = "telemetry")]
-            let runtime = match (&spec.telemetry, &spec.faults) {
-                (Some(hub), f) => ZcRuntime::start_with_telemetry(
-                    spec.config,
-                    Arc::clone(&spec.table),
-                    enclave,
-                    Arc::clone(hub),
-                    f.clone(),
-                )?,
-                (None, Some(f)) => ZcRuntime::start_with_faults(
-                    spec.config,
-                    Arc::clone(&spec.table),
-                    enclave,
-                    Arc::clone(f),
-                )?,
-                (None, None) => ZcRuntime::start(spec.config, Arc::clone(&spec.table), enclave)?,
-            };
-            #[cfg(not(feature = "telemetry"))]
-            let runtime = match &spec.faults {
-                Some(f) => ZcRuntime::start_with_faults(
-                    spec.config,
-                    Arc::clone(&spec.table),
-                    enclave,
-                    Arc::clone(f),
-                )?,
-                None => ZcRuntime::start(spec.config, Arc::clone(&spec.table), enclave)?,
-            };
+            let runtime = ZcRuntime::start_inner(
+                spec.config,
+                Arc::clone(&spec.table),
+                enclave,
+                None,
+                false,
+                spec.faults.clone(),
+                spec.telemetry.clone(),
+            )?;
             // Weighted fair share before any demand is known; the first
             // rebalance replaces this with the measured argmin.
             let share = (params.budget as u64).saturating_mul(spec.weight.max(1)) / weight_sum;
@@ -215,7 +189,6 @@ impl Fleet {
                 weight: spec.weight.max(1),
                 runtime,
                 ledger: Mutex::new(ledger),
-                #[cfg(feature = "telemetry")]
                 telemetry: spec.telemetry,
             });
         }
@@ -485,7 +458,6 @@ mod tests {
         fleet.shutdown();
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn rebalance_emits_tenant_labelled_events() {
         let (a, fa) = spec("noisy");

@@ -49,7 +49,6 @@ pub mod buffer;
 pub mod caller;
 pub mod fleet;
 pub mod pool;
-mod prof;
 pub mod runtime;
 pub mod scheduler;
 pub mod supervise;

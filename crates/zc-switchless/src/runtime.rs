@@ -1,24 +1,20 @@
 //! Public API of the ZC-SWITCHLESS runtime.
 
-use crate::buffer::{SchedCommand, WorkerBuffer};
-use crate::{caller, scheduler, supervise, worker};
+use crate::buffer::{SchedCommand, TransitionTracer, WorkerBuffer};
+use crate::{scheduler, supervise, worker};
 use parking_lot::{Mutex, RwLock};
+use sgx_sim::frontdoor::{self, FrontDoor};
 use sgx_sim::{CpuAccounting, CycleClock, Enclave, MemcpyKind, RegularOcall};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use switchless_core::stats::WorkerResidency;
 use switchless_core::{
     CallPath, CallStats, DrainReport, FaultInjector, OcallDispatcher, OcallRequest, OcallTable,
-    OverloadPlane, OverloadSnapshot, RecoveryPlane, RecoverySnapshot, Supervisor, SwitchlessError,
-    TransitionLog, ZcConfig,
+    OverloadSnapshot, RecoverySnapshot, Supervisor, SwitchlessError, TransitionLog, ZcConfig,
 };
-
-/// Busy-wait loops yield to the OS scheduler after this many pauses
-/// (keeps the protocol live when the host has fewer cores than the
-/// modelled machine; a no-op cost-wise on idle multicore hosts).
-pub const YIELD_EVERY: u32 = 64;
+use zc_telemetry::{MetricValue, Telemetry};
 
 /// State shared between callers, workers, the scheduler and the
 /// supervisor.
@@ -29,15 +25,19 @@ pub const YIELD_EVERY: u32 = 64;
 /// references it.
 #[derive(Debug)]
 pub(crate) struct Shared {
+    /// Self-reference handed to the worker threads this state spawns
+    /// (at start, on slot respawn and on enclave restart).
+    me: Weak<Shared>,
     pub(crate) config: ZcConfig,
     pub(crate) table: Arc<OcallTable>,
+    /// Clock, fallback engine, stats, injector, overload/recovery
+    /// planes, telemetry hub, run flag and worker thread handles: the
+    /// call front door shared with the Intel runtime (see `caller`).
+    /// With recovery on, sequence tags come from its plane, so journal
+    /// entries and reply guards agree on the same tag space.
+    pub(crate) door: FrontDoor,
     pub(crate) workers: Vec<RwLock<Arc<WorkerBuffer>>>,
-    pub(crate) fallback: RegularOcall,
-    pub(crate) enclave: Enclave,
-    pub(crate) stats: Arc<CallStats>,
-    pub(crate) clock: CycleClock,
     pub(crate) memcpy: MemcpyKind,
-    pub(crate) running: AtomicBool,
     pub(crate) active_workers: AtomicUsize,
     /// Externally imposed ceiling on the scheduler's worker count
     /// (fleet bulkhead): the scheduler clamps every step to this cap, so
@@ -57,17 +57,8 @@ pub(crate) struct Shared {
     pub(crate) seq: AtomicU64,
     pub(crate) residency: Mutex<WorkerResidency>,
     pub(crate) accounting: Option<Arc<CpuAccounting>>,
-    pub(crate) faults: Option<Arc<FaultInjector>>,
     /// Self-healing policy state; `Some` iff `config.supervise` is set.
     pub(crate) supervisor: Option<Mutex<Supervisor>>,
-    /// Overload-control plane; `Some` iff `config.overload` is set.
-    /// Callers funnel admission through it and drive its breaker at
-    /// their would-fallback points (see `caller`).
-    pub(crate) overload: Option<OverloadPlane>,
-    /// Enclave-restart recovery plane; `Some` iff `config.recovery` is
-    /// set. Sequence tags then come from the plane, so journal entries
-    /// and reply guards agree on the same tag space (see `caller`).
-    pub(crate) recovery: Option<RecoveryPlane>,
     /// Raised by callers when the supervisor policy escalates from slot
     /// respawn to a whole-enclave restart; consumed by the supervisor
     /// thread, which performs the restart.
@@ -78,11 +69,6 @@ pub(crate) struct Shared {
     /// TransitionLog attached via `install_transition_log`, kept so
     /// respawned buffers inherit the same recorder.
     pub(crate) transition_log: Mutex<Option<Arc<TransitionLog>>>,
-    /// Worker thread handles, tagged with their slot index. Shared with
-    /// the supervisor thread, which pushes respawned generations.
-    pub(crate) worker_handles: Mutex<Vec<(usize, JoinHandle<()>)>>,
-    #[cfg(feature = "telemetry")]
-    pub(crate) telemetry: Option<Arc<zc_telemetry::Telemetry>>,
 }
 
 impl Shared {
@@ -97,102 +83,49 @@ impl Shared {
     /// on, the plane owns the counter so journal entries share it.
     #[inline]
     pub(crate) fn next_seq(&self) -> u64 {
-        match &self.recovery {
+        match &self.door.recovery {
             Some(plane) => plane.next_seq(),
             None => self.seq.fetch_add(1, Ordering::Relaxed).wrapping_add(1),
         }
     }
 
-    /// Spawn a worker thread for slot `index` serving buffer `buf`
-    /// (generation 0 at startup, >0 for supervisor respawns).
-    pub(crate) fn spawn_worker(
-        self: &Arc<Self>,
-        index: usize,
-        generation: u64,
-        buf: Arc<WorkerBuffer>,
-    ) {
-        let sh = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("zc-worker-{index}-g{generation}"))
-            .spawn(move || worker::worker_loop(&sh, index, &buf))
-            .expect("failed to spawn zc worker");
-        self.worker_handles.lock().push((index, handle));
-    }
-}
-
-#[cfg(feature = "telemetry")]
-impl Shared {
-    /// Record one event stamped with the runtime clock, attributed to
-    /// the calling (enclave application) thread. One branch when no hub
-    /// is installed; the clock is only read when one is.
-    #[inline]
-    pub(crate) fn telemetry_caller_event(&self, event: zc_telemetry::Event) {
-        if let Some(t) = &self.telemetry {
-            t.record(self.clock.now_cycles(), t.caller_origin(), event);
-        }
-    }
-
-    /// Record one event stamped with the runtime clock from an explicit
-    /// origin (worker / scheduler).
-    #[inline]
-    pub(crate) fn telemetry_event(&self, origin: zc_telemetry::Origin, event: zc_telemetry::Event) {
-        if let Some(t) = &self.telemetry {
-            t.record(self.clock.now_cycles(), origin, event);
-        }
-    }
-}
-
-/// Whole-enclave restart, driven by the one thread that won the loss
-/// detection race (`RecoveryPlane::begin_crash`).
-///
-/// Fence first: every buffer of the dead incarnation is poisoned and
-/// told to exit, so no old-generation worker can touch a request again
-/// (crashed threads have already exited; stalled ones retire on wake
-/// and are joined — or abandoned — at shutdown). The restart cost is
-/// then paid on the clock, a fresh buffer + thread generation is
-/// installed, the supervisor's per-slot ledgers are wiped (the
-/// blacklist deliberately survives — poison request shapes outlive the
-/// enclave), and the plane reopens under a new epoch. Blocked callers
-/// observe the epoch change and reconcile their own calls against the
-/// journal (see `caller::recover_call`).
-pub(crate) fn enclave_restart(shared: &Arc<Shared>) {
-    let plane = shared
-        .recovery
-        .as_ref()
-        .expect("enclave restart without a recovery plane");
-    for w in &shared.workers {
-        let w = w.read();
-        w.poison();
-        w.post_command(SchedCommand::Exit);
-        w.unpark();
-    }
-    plane.begin_restart();
-    shared
-        .clock
-        .advance_cycles(plane.params().restart_cycles.max(1));
-    let generation = shared.enclave_generation.fetch_add(1, Ordering::AcqRel) + 1;
-    for (i, slot) in shared.workers.iter().enumerate() {
-        let fresh = Arc::new(WorkerBuffer::new(shared.config.pool_bytes));
-        if let Some(log) = shared.transition_log.lock().clone() {
-            fresh.set_recorder(log);
-        }
-        #[cfg(feature = "telemetry")]
-        if let Some(hub) = &shared.telemetry {
-            fresh.set_tracer(crate::buffer::TransitionTracer::new(
+    /// Trace worker `index`'s state-machine edges into the hub, if one
+    /// is attached (the tracer sees edges made by whichever thread
+    /// performed the CAS, attributed to the buffer's worker index).
+    fn trace_transitions(&self, index: usize, buf: &WorkerBuffer) {
+        if let Some(hub) = &self.door.telemetry {
+            buf.set_tracer(TransitionTracer::new(
                 Arc::clone(hub),
-                shared.clock.clone(),
-                i as u32,
+                self.door.clock.clone(),
+                index as u32,
             ));
         }
-        *slot.write() = Arc::clone(&fresh);
-        shared.spawn_worker(i, generation, fresh);
     }
-    scheduler::set_active_workers(shared, shared.active_workers.load(Ordering::Acquire));
-    if let Some(sup) = &shared.supervisor {
-        sup.lock().note_enclave_restart();
+
+    /// Spawn a worker thread for slot `index` serving buffer `buf`
+    /// (generation 0 at startup, >0 for respawns).
+    fn spawn_worker(&self, index: usize, generation: u64, buf: Arc<WorkerBuffer>) {
+        let sh = self.me.upgrade().expect("runtime state is alive");
+        self.door.spawn_worker(
+            index,
+            format!("zc-worker-{index}-g{generation}"),
+            move |wedged| worker::worker_loop(&sh, index, &buf, wedged),
+        );
     }
-    plane.complete_restart();
-    plane.resume();
+
+    /// Respawn slot `index`: install a fresh buffer (inheriting any
+    /// transition recorder/tracer instrumentation) and spawn generation
+    /// `generation` of the worker thread onto it. The old buffer stays
+    /// with whatever thread still references it.
+    pub(crate) fn respawn_slot(&self, index: usize, generation: u64) {
+        let fresh = Arc::new(WorkerBuffer::new(self.config.pool_bytes));
+        if let Some(log) = self.transition_log.lock().clone() {
+            fresh.set_recorder(log);
+        }
+        self.trace_transitions(index, &fresh);
+        *self.workers[index].write() = Arc::clone(&fresh);
+        self.spawn_worker(index, generation, fresh);
+    }
 }
 
 /// The ZC-SWITCHLESS runtime: adaptive switchless ocalls with zero
@@ -240,16 +173,7 @@ impl ZcRuntime {
         table: Arc<OcallTable>,
         enclave: Enclave,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(
-            config,
-            table,
-            enclave,
-            None,
-            true,
-            None,
-            #[cfg(feature = "telemetry")]
-            None,
-        )
+        Self::start_inner(config, table, enclave, None, true, None, None)
     }
 
     /// [`start`](ZcRuntime::start) with a telemetry hub: the scheduler
@@ -266,12 +190,11 @@ impl ZcRuntime {
     /// # Errors
     ///
     /// Same conditions as [`start`](ZcRuntime::start).
-    #[cfg(feature = "telemetry")]
     pub fn start_with_telemetry(
         config: ZcConfig,
         table: Arc<OcallTable>,
         enclave: Enclave,
-        telemetry: Arc<zc_telemetry::Telemetry>,
+        telemetry: Arc<Telemetry>,
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Self, SwitchlessError> {
         Self::start_inner(config, table, enclave, None, false, faults, Some(telemetry))
@@ -292,16 +215,7 @@ impl ZcRuntime {
         enclave: Enclave,
         faults: Arc<FaultInjector>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(
-            config,
-            table,
-            enclave,
-            None,
-            false,
-            Some(faults),
-            #[cfg(feature = "telemetry")]
-            None,
-        )
+        Self::start_inner(config, table, enclave, None, false, Some(faults), None)
     }
 
     /// [`start`](ZcRuntime::start) with CPU accounting: workers and the
@@ -313,26 +227,17 @@ impl ZcRuntime {
         enclave: Enclave,
         accounting: Option<Arc<CpuAccounting>>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(
-            config,
-            table,
-            enclave,
-            accounting,
-            false,
-            None,
-            #[cfg(feature = "telemetry")]
-            None,
-        )
+        Self::start_inner(config, table, enclave, accounting, false, None, None)
     }
 
-    fn start_inner(
+    pub(crate) fn start_inner(
         config: ZcConfig,
         table: Arc<OcallTable>,
         enclave: Enclave,
         accounting: Option<Arc<CpuAccounting>>,
         ecalls: bool,
         faults: Option<Arc<FaultInjector>>,
-        #[cfg(feature = "telemetry")] telemetry: Option<Arc<zc_telemetry::Telemetry>>,
+        telemetry: Option<Arc<Telemetry>>,
     ) -> Result<Self, SwitchlessError> {
         let max = config.max_workers();
         if max == 0 {
@@ -340,27 +245,25 @@ impl ZcRuntime {
                 "machine model yields zero maximum workers".into(),
             ));
         }
-        let stats = Arc::new(CallStats::new());
-        let mut fallback =
-            RegularOcall::new(Arc::clone(&table), enclave.clone()).with_stats(Arc::clone(&stats));
+        let mut fallback = RegularOcall::new(Arc::clone(&table), enclave);
         if ecalls {
             fallback = fallback.as_ecalls();
-        }
-        if let Some(f) = &faults {
-            fallback = fallback.with_faults(Arc::clone(f));
         }
         let workers = (0..max)
             .map(|_| RwLock::new(Arc::new(WorkerBuffer::new(config.pool_bytes))))
             .collect();
-        let shared = Arc::new(Shared {
-            clock: enclave.clock(),
+        let shared = Arc::new_cyclic(|me| Shared {
+            me: me.clone(),
+            door: FrontDoor::new(
+                fallback,
+                faults,
+                config.overload,
+                config.recovery,
+                telemetry,
+            ),
             workers,
-            fallback,
-            enclave,
-            stats,
             table,
             memcpy: MemcpyKind::Zc,
-            running: AtomicBool::new(true),
             active_workers: AtomicUsize::new(config.initial_workers.min(max)),
             worker_cap: AtomicUsize::new(max),
             decisions: AtomicU64::new(0),
@@ -369,156 +272,63 @@ impl ZcRuntime {
             seq: AtomicU64::new(0),
             residency: Mutex::new(WorkerResidency::new(max)),
             accounting,
-            faults,
             supervisor: config
                 .supervise
                 .map(|params| Mutex::new(Supervisor::new(max, params))),
-            overload: config.overload.map(OverloadPlane::new),
-            recovery: config.recovery.map(RecoveryPlane::new),
             pending_enclave_restart: AtomicBool::new(false),
             enclave_generation: AtomicU64::new(0),
             transition_log: Mutex::new(None),
-            worker_handles: Mutex::new(Vec::with_capacity(max)),
-            #[cfg(feature = "telemetry")]
-            telemetry,
             config,
         });
-        #[cfg(feature = "telemetry")]
-        if let Some(hub) = &shared.telemetry {
-            // Trace worker state-machine edges alongside any
-            // TransitionLog recorder (the tracer sees edges made by
-            // whichever thread performed the CAS, attributed to the
-            // buffer's worker index).
+        if let Some(hub) = &shared.door.telemetry {
+            // Alongside any TransitionLog recorder.
             for (i, w) in shared.workers.iter().enumerate() {
-                w.read().set_tracer(crate::buffer::TransitionTracer::new(
-                    Arc::clone(hub),
-                    shared.clock.clone(),
-                    i as u32,
-                ));
+                shared.trace_transitions(i, &w.read());
             }
             // One collector per runtime: publishes the CallStats block
             // from a single snapshot (no torn totals) plus scheduler
             // gauges into the hub's registry.
             let weak = Arc::downgrade(&shared);
             hub.metrics().register_collector(move || {
-                use zc_telemetry::MetricValue;
                 let Some(sh) = weak.upgrade() else {
                     return Vec::new();
                 };
-                let s = sh.stats.snapshot();
+                let s = sh.door.stats.snapshot();
                 let mean_milli = (sh.residency.lock().mean_workers() * 1000.0) as u64;
+                let poisoned = sh.workers.iter().filter(|w| w.read().is_poisoned()).count();
+                let counter = |name: &str, v| (name.to_string(), MetricValue::Counter(v));
+                let gauge = |name: &str, v| (name.to_string(), MetricValue::Gauge(v));
                 let mut out = vec![
-                    (
-                        "zc_calls_total{path=\"switchless\"}".into(),
-                        MetricValue::Counter(s.switchless),
+                    counter("zc_calls_total{path=\"switchless\"}", s.switchless),
+                    counter("zc_calls_total{path=\"fallback\"}", s.fallback),
+                    counter("zc_calls_total{path=\"regular\"}", s.regular),
+                    counter("zc_pool_reallocs_total", s.pool_reallocs),
+                    counter("zc_enclave_transitions_total", s.transitions()),
+                    counter(
+                        "zc_scheduler_decisions_total",
+                        sh.decisions.load(Ordering::Acquire),
                     ),
-                    (
-                        "zc_calls_total{path=\"fallback\"}".into(),
-                        MetricValue::Counter(s.fallback),
+                    gauge(
+                        "zc_active_workers",
+                        sh.active_workers.load(Ordering::Acquire) as u64,
                     ),
-                    (
-                        "zc_calls_total{path=\"regular\"}".into(),
-                        MetricValue::Counter(s.regular),
-                    ),
-                    (
-                        "zc_pool_reallocs_total".into(),
-                        MetricValue::Counter(s.pool_reallocs),
-                    ),
-                    (
-                        "zc_enclave_transitions_total".into(),
-                        MetricValue::Counter(s.transitions()),
-                    ),
-                    (
-                        "zc_scheduler_decisions_total".into(),
-                        MetricValue::Counter(sh.decisions.load(Ordering::Acquire)),
-                    ),
-                    (
-                        "zc_active_workers".into(),
-                        MetricValue::Gauge(sh.active_workers.load(Ordering::Acquire) as u64),
-                    ),
-                    (
-                        "zc_poisoned_workers".into(),
-                        MetricValue::Gauge(
-                            sh.workers.iter().filter(|w| w.read().is_poisoned()).count() as u64,
-                        ),
-                    ),
-                    (
-                        "zc_residency_mean_workers_milli".into(),
-                        MetricValue::Gauge(mean_milli),
-                    ),
-                    (
-                        "zc_calls_issued_total".into(),
-                        MetricValue::Counter(s.issued),
-                    ),
-                    (
-                        "zc_watchdog_cancels_total".into(),
-                        MetricValue::Counter(s.cancelled),
-                    ),
-                    (
-                        "zc_guard_violations_total".into(),
-                        MetricValue::Counter(s.guard_violations),
-                    ),
-                    (
-                        "zc_reply_truncations_total".into(),
-                        MetricValue::Counter(s.reply_truncations),
-                    ),
+                    gauge("zc_poisoned_workers", poisoned as u64),
+                    gauge("zc_residency_mean_workers_milli", mean_milli),
+                    counter("zc_calls_issued_total", s.issued),
+                    counter("zc_watchdog_cancels_total", s.cancelled),
+                    counter("zc_guard_violations_total", s.guard_violations),
+                    counter("zc_reply_truncations_total", s.reply_truncations),
                 ];
                 if let Some(sup) = &sh.supervisor {
                     let sup = sup.lock();
-                    out.push((
-                        "zc_respawns_total".into(),
-                        MetricValue::Counter(sup.respawns()),
-                    ));
-                    out.push(("zc_heals_total".into(), MetricValue::Counter(sup.heals())));
-                    out.push((
-                        "zc_blacklisted_funcs".into(),
-                        MetricValue::Gauge(sup.blacklisted().len() as u64),
+                    out.push(counter("zc_respawns_total", sup.respawns()));
+                    out.push(counter("zc_heals_total", sup.heals()));
+                    out.push(gauge(
+                        "zc_blacklisted_funcs",
+                        sup.blacklisted().len() as u64,
                     ));
                 }
-                if let Some(plane) = &sh.recovery {
-                    let r = plane.snapshot();
-                    out.push((
-                        "zc_enclave_crashes_total".into(),
-                        MetricValue::Counter(r.crashes),
-                    ));
-                    out.push((
-                        "zc_journal_replays_total".into(),
-                        MetricValue::Counter(r.replayed),
-                    ));
-                    out.push((
-                        "zc_call_redeliveries_total".into(),
-                        MetricValue::Counter(r.redelivered),
-                    ));
-                    out.push((
-                        "zc_calls_refused_total".into(),
-                        MetricValue::Counter(r.refused_non_idempotent),
-                    ));
-                    out.push(("zc_recovery_epoch".into(), MetricValue::Gauge(r.epoch)));
-                }
-                if let Some(plane) = &sh.overload {
-                    let o = plane.snapshot();
-                    out.push(("zc_offered_total".into(), MetricValue::Counter(o.offered)));
-                    out.push(("zc_admitted_total".into(), MetricValue::Counter(o.admitted)));
-                    for r in switchless_core::ShedReason::ALL {
-                        out.push((
-                            format!("zc_shed_total{{reason=\"{}\"}}", r.name()),
-                            MetricValue::Counter(o.shed_for(r)),
-                        ));
-                    }
-                    out.push((
-                        "zc_breaker_state".into(),
-                        MetricValue::Gauge(u64::from(o.breaker_state as u8)),
-                    ));
-                    out.push((
-                        "zc_breaker_trips_total".into(),
-                        MetricValue::Counter(o.breaker_trips),
-                    ));
-                    out.push((
-                        "zc_brownout_level".into(),
-                        MetricValue::Gauge(u64::from(o.brownout_level)),
-                    ));
-                    out.push(("zc_inflight_calls".into(), MetricValue::Gauge(o.inflight)));
-                }
+                sh.door.plane_metrics("zc", &mut out);
                 out
             });
         }
@@ -552,7 +362,7 @@ impl ZcRuntime {
     /// Shared call statistics (switchless / fallback / pool reallocs).
     #[must_use]
     pub fn stats(&self) -> &Arc<CallStats> {
-        &self.shared.stats
+        &self.shared.door.stats
     }
 
     /// Configuration the runtime was started with.
@@ -565,7 +375,7 @@ impl ZcRuntime {
     /// virtual when the enclave was built with `Enclave::new_virtual`).
     #[must_use]
     pub fn clock(&self) -> CycleClock {
-        self.shared.clock.clone()
+        self.shared.door.clock.clone()
     }
 
     /// Worker count chosen by the scheduler for the current step.
@@ -664,7 +474,7 @@ impl ZcRuntime {
     /// exactly: `completed + shed_total == offered`.
     #[must_use]
     pub fn overload_snapshot(&self) -> Option<OverloadSnapshot> {
-        self.shared.overload.as_ref().map(OverloadPlane::snapshot)
+        self.shared.door.overload_snapshot()
     }
 
     /// Snapshot of the recovery plane's counters and phase (crashes,
@@ -674,7 +484,7 @@ impl ZcRuntime {
     /// holds exactly (see `OverloadSnapshot::conserves_with`).
     #[must_use]
     pub fn recovery_snapshot(&self) -> Option<RecoverySnapshot> {
-        self.shared.recovery.as_ref().map(RecoveryPlane::snapshot)
+        self.shared.door.recovery_snapshot()
     }
 
     /// Stop the scheduler and workers and join them. Idempotent; also
@@ -686,13 +496,15 @@ impl ZcRuntime {
         let _ = self.shutdown_with_timeout(Duration::from_secs(30));
     }
 
-    /// Stop the runtime, draining workers for at most `timeout` of
-    /// modelled time. Workers still alive at the deadline (e.g. wedged by
-    /// an injected hang) are *abandoned* — detached rather than joined —
-    /// so shutdown always completes. On a virtual clock the deadline
-    /// advances logically and no wall-clock time is slept.
+    /// Stop the runtime and drain its workers. A worker that published
+    /// itself as wedged (injected hang) is *abandoned* — detached rather
+    /// than joined — at once; every other worker is waited for and
+    /// joined. `timeout` is a backstop in real wall time (worker threads
+    /// are OS threads whatever clock the runtime models): only a thread
+    /// that wedged without saying so is abandoned by it, so shutdown
+    /// always completes.
     pub fn shutdown_with_timeout(&self, timeout: Duration) -> DrainReport {
-        self.shared.running.store(false, Ordering::Release);
+        self.shared.door.stop();
         if let Some(h) = self.scheduler_handle.lock().take() {
             let _ = h.join();
         }
@@ -701,59 +513,13 @@ impl ZcRuntime {
         if let Some(h) = self.supervisor_handle.lock().take() {
             let _ = h.join();
         }
-        for w in &self.shared.workers {
-            let w = w.read();
-            w.post_command(SchedCommand::Exit);
-            w.unpark();
-        }
-        let clock = &self.shared.clock;
-        let deadline = clock
-            .now_cycles()
-            .saturating_add(clock.duration_to_cycles(timeout));
-        let mut handles = self.shared.worker_handles.lock();
-        let mut report = DrainReport::default();
-        loop {
-            let mut still_running = Vec::new();
-            for (slot, h) in handles.drain(..) {
-                if h.is_finished() {
-                    let _ = h.join();
-                    report.drained += 1;
-                } else {
-                    still_running.push((slot, h));
-                }
-            }
-            if still_running.is_empty() {
-                break;
-            }
-            if clock.now_cycles() >= deadline {
-                report.abandoned = still_running.len();
-                // A wedged worker is given up *loudly*: one event per
-                // abandoned slot, then detach — dropping the handles
-                // leaves the threads to die with the process instead of
-                // wedging shutdown.
-                for (_slot, _h) in &still_running {
-                    #[cfg(feature = "telemetry")]
-                    self.shared
-                        .telemetry_caller_event(zc_telemetry::Event::WorkerAbandoned {
-                            worker: *_slot as u32,
-                        });
-                }
-                drop(still_running);
-                break;
-            }
-            *handles = still_running;
+        self.shared.door.drain(timeout, || {
             for w in &self.shared.workers {
-                w.read().unpark();
+                let w = w.read();
+                w.post_command(SchedCommand::Exit);
+                w.unpark();
             }
-            clock.sleep(Duration::from_millis(1));
-        }
-        #[cfg(feature = "telemetry")]
-        self.shared
-            .telemetry_caller_event(zc_telemetry::Event::Drain {
-                drained: report.drained as u64,
-                abandoned: report.abandoned as u64,
-            });
-        report
+        })
     }
 }
 
@@ -770,7 +536,7 @@ impl OcallDispatcher for ZcRuntime {
         payload_in: &[u8],
         payload_out: &mut Vec<u8>,
     ) -> Result<(i64, CallPath), SwitchlessError> {
-        caller::dispatch(&self.shared, req, payload_in, payload_out)
+        frontdoor::dispatch(&*self.shared, req, payload_in, payload_out)
     }
 }
 
@@ -906,20 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_after_shutdown_errors() {
-        let (t, echo, _) = table();
-        let cfg = test_config();
-        let rt = ZcRuntime::start(cfg, t, enclave(&cfg)).unwrap();
-        rt.shutdown();
-        let mut out = Vec::new();
-        assert_eq!(
-            rt.dispatch(&OcallRequest::new(echo, &[]), &[], &mut out)
-                .unwrap_err(),
-            SwitchlessError::RuntimeStopped
-        );
-    }
-
-    #[test]
     fn shutdown_is_idempotent() {
         let (t, _, _) = table();
         let cfg = test_config();
@@ -1028,64 +780,6 @@ mod tests {
             report.drained >= 3,
             "max workers plus the respawned generation must join: {report:?}"
         );
-    }
-
-    #[test]
-    fn overload_admission_sheds_typed_and_conserves() {
-        use switchless_core::{OverloadParams, ShedReason};
-        let (t, echo, _) = table();
-        // Two burst tokens, a refill period far beyond the test's
-        // virtual-time span: the third call must shed RateLimited.
-        let cfg = test_config().with_quantum_ms(1000);
-        let cfg =
-            cfg.with_overload_params(OverloadParams::for_cpu(&cfg.cpu).with_bucket(2, 1 << 40));
-        let rt = ZcRuntime::start(cfg, t, enclave(&cfg)).unwrap();
-        let mut out = Vec::new();
-        let mut completed = 0u64;
-        let mut shed = 0u64;
-        for _ in 0..10 {
-            match rt.dispatch(&OcallRequest::new(echo, &[]), b"x", &mut out) {
-                Ok(_) => completed += 1,
-                Err(SwitchlessError::Overloaded { reason }) => {
-                    assert_eq!(reason, ShedReason::RateLimited);
-                    shed += 1;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert_eq!(completed, 2, "exactly the two burst tokens complete");
-        assert_eq!(shed, 8);
-        let snap = rt.overload_snapshot().expect("overload is on");
-        assert_eq!(snap.offered, 10);
-        assert_eq!(snap.admitted, 2);
-        assert_eq!(snap.shed_for(ShedReason::RateLimited), 8);
-        assert_eq!(snap.inflight, 0, "all guards released");
-        assert!(snap.conserves(rt.stats().snapshot().total_calls()));
-        rt.shutdown();
-    }
-    #[test]
-    fn expired_deadline_sheds_before_any_work() {
-        use switchless_core::{OverloadParams, ShedReason};
-        let (t, echo, _) = table();
-        let cfg = test_config();
-        let cfg = cfg.with_overload_params(OverloadParams::for_cpu(&cfg.cpu));
-        let rt = ZcRuntime::start(cfg, t, enclave(&cfg)).unwrap();
-        let mut out = Vec::new();
-        // A deadline already in the past on arrival is shed, first.
-        // (Cycle 1, not 0: deadline_cycles == 0 means "no deadline".)
-        let req = OcallRequest::new(echo, &[]).with_deadline_at(1);
-        let err = rt.dispatch(&req, b"late", &mut out).unwrap_err();
-        assert_eq!(
-            err,
-            SwitchlessError::Overloaded {
-                reason: ShedReason::DeadlineExpired
-            }
-        );
-        assert_eq!(rt.stats().snapshot().total_calls(), 0, "no work performed");
-        // A live deadline sails through.
-        let live = OcallRequest::new(echo, &[]).with_deadline_at(u64::MAX);
-        rt.dispatch(&live, b"ok", &mut out).unwrap();
-        rt.shutdown();
     }
 
     #[test]

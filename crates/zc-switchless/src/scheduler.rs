@@ -26,21 +26,19 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
         .map(|acc| acc.register("zc-scheduler"));
     let mut policy =
         SchedulerPolicy::new(shared.config.policy_params(), shared.config.initial_workers);
-    let spec = *shared.clock.spec();
+    let spec = *shared.door.clock.spec();
     // One consistent snapshot per step boundary: the per-step F_i delta
     // and anything else derived from the counters come from the same
     // four readings (CallStats::snapshot), never from interleaved
     // individual getters.
-    let mut stats_at_step_start = shared.stats.snapshot();
+    let mut stats_at_step_start = shared.door.stats.snapshot();
     let mut last_delta = 0u64;
-    #[cfg(feature = "telemetry")]
     let mut traced_decisions = 0u64;
     // Convergence observable: detects the argmin re-settling on a new
     // worker count after a load shift and traces the settle time.
-    #[cfg(feature = "telemetry")]
     let mut convergence = switchless_core::policy::ConvergenceTracker::new();
 
-    while shared.running.load(Ordering::Acquire) {
+    while shared.door.is_running() {
         let step = policy.next(last_delta);
         // Fleet bulkhead: an externally imposed cap (set via
         // `ZcRuntime::set_worker_cap`) bounds whatever the shard-local
@@ -49,8 +47,7 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
         let m = step
             .workers()
             .min(shared.worker_cap.load(Ordering::Acquire));
-        #[cfg(feature = "telemetry")]
-        if let Some(hub) = &shared.telemetry {
+        if let Some(hub) = &shared.door.telemetry {
             use switchless_core::policy::PolicyStep;
             use zc_telemetry::{Event, Origin, PhaseKind};
             // A freshly completed configuration phase: publish the
@@ -58,7 +55,7 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
             if policy.decisions() > traced_decisions {
                 traced_decisions = policy.decisions();
                 if let Some(d) = policy.last_decision() {
-                    let now = shared.clock.now_cycles();
+                    let now = shared.door.clock.now_cycles();
                     hub.record(
                         now,
                         Origin::Scheduler,
@@ -85,7 +82,7 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
                 PolicyStep::Probe { .. } => PhaseKind::Probe,
             };
             hub.record(
-                shared.clock.now_cycles(),
+                shared.door.clock.now_cycles(),
                 Origin::Scheduler,
                 Event::PhaseStart {
                     kind,
@@ -100,9 +97,9 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
         // Sleep out the step in real time (the scheduler itself is idle:
         // its CPU cost is negligible by design).
         let step_ns = spec.cycles_to_ns(step.duration_cycles());
-        let slept_at = shared.clock.now_cycles();
+        let slept_at = shared.door.clock.now_cycles();
         sleep_interruptible(shared, Duration::from_nanos(step_ns));
-        let now = shared.clock.now_cycles();
+        let now = shared.door.clock.now_cycles();
         if let Some(m) = &meter {
             m.add_idle(now.saturating_sub(slept_at));
         }
@@ -111,7 +108,7 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
             .lock()
             .record(m, now.saturating_sub(slept_at));
 
-        let stats_now = shared.stats.snapshot();
+        let stats_now = shared.door.stats.snapshot();
         last_delta = stats_now.delta_since(&stats_at_step_start).fallback;
         stats_at_step_start = stats_now;
         if policy.decisions() > shared.decisions.load(Ordering::Acquire) {
@@ -152,13 +149,13 @@ pub(crate) fn set_active_workers(shared: &Shared, m: usize) {
 fn sleep_interruptible(shared: &Shared, total: Duration) {
     let mut remaining = total;
     while !remaining.is_zero() {
-        if !shared.running.load(Ordering::Acquire) {
+        if !shared.door.is_running() {
             return;
         }
         let chunk = remaining.min(SLEEP_CHUNK);
         // On a virtual clock this advances logical time instantly, so
         // quanta and micro-quanta step through without wall-clock sleeps.
-        shared.clock.sleep(chunk);
+        shared.door.clock.sleep(chunk);
         remaining = remaining.saturating_sub(chunk);
     }
 }

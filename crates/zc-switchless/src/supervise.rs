@@ -17,42 +17,54 @@
 //! already exited, a hung thread stays parked on it until shutdown
 //! abandons it (counted in `DrainReport` and traced per slot).
 
-use crate::buffer::WorkerBuffer;
 use crate::runtime::Shared;
+use sgx_sim::frontdoor;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 use switchless_core::SuperviseDecision;
+use zc_telemetry::{Event, Origin};
 
 /// Body of the `zc-supervisor` thread. Returns when the runtime stops.
-pub(crate) fn supervise_loop(shared: &Arc<Shared>) {
+pub(crate) fn supervise_loop(shared: &Shared) {
     let params = shared
         .config
         .supervise
         .expect("supervise thread started without supervision config");
-    let poll = Duration::from_nanos(shared.clock.spec().cycles_to_ns(params.poll_cycles).max(1));
-    while shared.running.load(Ordering::Acquire) {
+    let poll = Duration::from_nanos(
+        shared
+            .door
+            .clock
+            .spec()
+            .cycles_to_ns(params.poll_cycles)
+            .max(1),
+    );
+    while shared.door.is_running() {
         let decisions = {
             let Some(sup) = &shared.supervisor else {
                 return;
             };
-            sup.lock().poll(shared.clock.now_cycles())
+            sup.lock().poll(shared.door.clock.now_cycles())
         };
         for d in decisions {
             match d {
                 SuperviseDecision::Respawn { worker, generation } => {
-                    respawn(shared, worker, generation);
-                }
-                SuperviseDecision::Heal { worker } => {
-                    let _ = worker;
-                    #[cfg(feature = "telemetry")]
-                    shared.telemetry_event(
-                        zc_telemetry::Origin::Scheduler,
-                        zc_telemetry::Event::WorkerHealed {
+                    shared.respawn_slot(worker, generation);
+                    shared.door.event(
+                        Origin::Scheduler,
+                        Event::WorkerRespawned {
                             worker: worker as u32,
+                            generation,
                         },
                     );
                 }
+                // Bookkeeping only (the slot's failure ladder reset);
+                // traced so recovery is visible.
+                SuperviseDecision::Heal { worker } => shared.door.event(
+                    Origin::Scheduler,
+                    Event::WorkerHealed {
+                        worker: worker as u32,
+                    },
+                ),
                 // poll() never emits Blacklist or RestartEnclave (those
                 // happen at failure recording time, caller-side; the
                 // restart request arrives via the pending flag below).
@@ -66,50 +78,18 @@ pub(crate) fn supervise_loop(shared: &Arc<Shared>) {
         // wipe per-slot ledgers); blocked callers observe the epoch
         // change and reconcile against the journal.
         if shared.pending_enclave_restart.swap(false, Ordering::AcqRel) {
-            if let Some(plane) = &shared.recovery {
+            if let Some(plane) = &shared.door.recovery {
                 let epoch0 = plane.epoch();
-                #[cfg(not(feature = "telemetry"))]
-                let _ = epoch0;
                 if plane.begin_crash() {
-                    #[cfg(feature = "telemetry")]
-                    shared.telemetry_event(
-                        zc_telemetry::Origin::Scheduler,
-                        zc_telemetry::Event::EnclaveCrash { epoch: epoch0 },
-                    );
-                    crate::runtime::enclave_restart(shared);
+                    shared
+                        .door
+                        .event(Origin::Scheduler, Event::EnclaveCrash { epoch: epoch0 });
+                    frontdoor::enclave_restart(shared);
                 }
             }
         }
         // On a virtual clock this advances logical time instantly, so
         // backoff and probation windows elapse without wall-clock sleeps.
-        shared.clock.sleep(poll);
+        shared.door.clock.sleep(poll);
     }
-}
-
-/// Respawn slot `worker`: install a fresh buffer (inheriting any
-/// transition recorder/tracer instrumentation) and spawn generation
-/// `generation` of the worker thread onto it.
-fn respawn(shared: &Arc<Shared>, worker: usize, generation: u64) {
-    let fresh = Arc::new(WorkerBuffer::new(shared.config.pool_bytes));
-    if let Some(log) = shared.transition_log.lock().clone() {
-        fresh.set_recorder(log);
-    }
-    #[cfg(feature = "telemetry")]
-    if let Some(hub) = &shared.telemetry {
-        fresh.set_tracer(crate::buffer::TransitionTracer::new(
-            Arc::clone(hub),
-            shared.clock.clone(),
-            worker as u32,
-        ));
-    }
-    *shared.workers[worker].write() = Arc::clone(&fresh);
-    shared.spawn_worker(worker, generation, fresh);
-    #[cfg(feature = "telemetry")]
-    shared.telemetry_event(
-        zc_telemetry::Origin::Scheduler,
-        zc_telemetry::Event::WorkerRespawned {
-            worker: worker as u32,
-            generation,
-        },
-    );
 }

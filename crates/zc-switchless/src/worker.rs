@@ -13,21 +13,25 @@
 //! thread (paper §IV-A).
 
 use crate::buffer::{SchedCommand, WorkerBuffer};
-use crate::runtime::{Shared, YIELD_EVERY};
+use crate::runtime::Shared;
+use sgx_sim::frontdoor::{spin_pause, Wedged};
 use switchless_core::{ByzantineFault, GuardKind, WorkerFault, WorkerState};
+use zc_telemetry::{Event, FaultKind, Origin};
 
 /// Body of worker thread `index` serving buffer `me` (passed explicitly
 /// rather than read from the slot: a supervisor respawn swaps the slot
 /// to a fresh buffer, and each thread generation must keep serving the
 /// buffer it was spawned with). Returns when the worker reaches the
-/// `EXIT` state.
-pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer) {
+/// `EXIT` state. `wedged` is raised before an injected hang parks the
+/// thread forever, so the shutdown drain abandons it instead of waiting.
+pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer, wedged: &Wedged) {
+    let clock = &shared.door.clock;
     me.set_thread(std::thread::current());
     let meter = shared
         .accounting
         .as_ref()
         .map(|acc| acc.register(format!("zc-worker-{index}")));
-    let mut busy_since = shared.clock.now_cycles();
+    let mut busy_since = clock.now_cycles();
     let mut spins: u32 = 0;
 
     loop {
@@ -45,7 +49,7 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer) {
         match state {
             WorkerState::Processing => {
                 spins = 0;
-                if !execute(shared, me, index) {
+                if !execute(shared, me, index, wedged) {
                     // Injected crash: the thread dies abruptly. The buffer
                     // stays POISONED in PROCESSING, so it can never be
                     // claimed again — the quarantine the caller re-routes
@@ -53,7 +57,7 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer) {
                     break;
                 }
             }
-            WorkerState::Unused => match me.sched_command() {
+            WorkerState::Unused => match command(me) {
                 Err(v) => {
                     report_own_violation(shared, me, index, v.kind);
                     break;
@@ -67,13 +71,13 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer) {
                     if me.try_transition(WorkerState::Unused, WorkerState::Paused) {
                         // Account the spin time up to here as busy, the
                         // parked time as idle.
-                        let now = shared.clock.now_cycles();
+                        let now = clock.now_cycles();
                         if let Some(m) = &meter {
                             m.add_busy(now.saturating_sub(busy_since));
                         }
                         let parked_at = now;
                         park_until_released(me);
-                        busy_since = shared.clock.now_cycles();
+                        busy_since = clock.now_cycles();
                         if let Some(m) = &meter {
                             m.add_idle(busy_since.saturating_sub(parked_at));
                         }
@@ -87,11 +91,7 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer) {
                     }
                 }
                 Ok(SchedCommand::Run) => {
-                    shared.clock.pause();
-                    spins = spins.wrapping_add(1);
-                    if spins.is_multiple_of(YIELD_EVERY) {
-                        std::thread::yield_now();
-                    }
+                    spin_pause(clock, &mut spins);
                 }
             },
             WorkerState::Reserved | WorkerState::Waiting => {
@@ -102,11 +102,7 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer) {
                     break;
                 }
                 // Caller-owned interim states: stay hot.
-                shared.clock.pause();
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(YIELD_EVERY) {
-                    std::thread::yield_now();
-                }
+                spin_pause(clock, &mut spins);
             }
             WorkerState::Paused => {
                 // Only reachable on a spurious unpark race; re-park.
@@ -119,7 +115,21 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer) {
         }
     }
     if let Some(m) = &meter {
-        m.add_busy(shared.clock.now_cycles().saturating_sub(busy_since));
+        m.add_busy(clock.now_cycles().saturating_sub(busy_since));
+    }
+}
+
+/// The scheduler command as this buffer's own worker must read it: a
+/// poisoned buffer is never served again, so poison reads as `Exit`
+/// whatever the word says. (An enclave-restart fence poisons and posts
+/// `Exit`, but the scheduler thread may overwrite the word with
+/// `Deactivate` before an idle or parked worker looks — which used to
+/// strand that thread forever.)
+fn command(me: &WorkerBuffer) -> Result<SchedCommand, switchless_core::GuardViolation> {
+    if me.is_poisoned() {
+        Ok(SchedCommand::Exit)
+    } else {
+        me.sched_command()
     }
 }
 
@@ -128,7 +138,7 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer) {
 /// command.
 fn park_until_released(me: &WorkerBuffer) {
     loop {
-        let cmd = match me.sched_command() {
+        let cmd = match command(me) {
             Ok(c) => c,
             Err(_) => {
                 // Garbage on the command word while parked: quarantine
@@ -163,13 +173,10 @@ fn park_until_released(me: &WorkerBuffer) {
 /// worker cannot know which call shape the host was attacking) so the
 /// quarantined slot is respawned instead of being lost forever.
 fn report_own_violation(shared: &Shared, me: &WorkerBuffer, index: usize, kind: GuardKind) {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = kind;
-    shared.stats.record_guard_violation();
-    #[cfg(feature = "telemetry")]
-    shared.telemetry_event(
-        zc_telemetry::Origin::Worker(index as u32),
-        zc_telemetry::Event::GuardViolation {
+    shared.door.stats.record_guard_violation();
+    shared.door.event(
+        Origin::Worker(index as u32),
+        Event::GuardViolation {
             worker: index as u32,
             kind,
         },
@@ -180,7 +187,7 @@ fn report_own_violation(shared: &Shared, me: &WorkerBuffer, index: usize, kind: 
             index,
             switchless_core::FailureKind::Crash,
             None,
-            shared.clock.now_cycles(),
+            shared.door.clock.now_cycles(),
         );
     }
 }
@@ -190,31 +197,22 @@ fn report_own_violation(shared: &Shared, me: &WorkerBuffer, index: usize, kind: 
 /// retire: an injected crash (the caller's request was *not* invoked),
 /// a torn request slot, or a Byzantine status corruption that leaves the
 /// caller to detect the lie and quarantine the buffer.
-fn execute(shared: &Shared, me: &WorkerBuffer, index: usize) -> bool {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = index;
-    #[cfg(feature = "telemetry")]
-    macro_rules! trace_fault {
-        ($kind:ident) => {
-            shared.telemetry_event(
-                zc_telemetry::Origin::Worker(index as u32),
-                zc_telemetry::Event::Fault {
-                    kind: zc_telemetry::FaultKind::$kind,
-                },
-            )
-        };
-    }
-    if let Some(faults) = &shared.faults {
+fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) -> bool {
+    let clock = &shared.door.clock;
+    let trace_fault = |kind| {
+        shared
+            .door
+            .event(Origin::Worker(index as u32), Event::Fault { kind })
+    };
+    if let Some(faults) = &shared.door.faults {
         match faults.on_worker_call() {
             WorkerFault::None => {}
             WorkerFault::Stall(cycles) => {
-                #[cfg(feature = "telemetry")]
-                trace_fault!(WorkerStall);
-                shared.clock.spin_cycles(cycles);
+                trace_fault(FaultKind::WorkerStall);
+                clock.spin_cycles(cycles);
             }
             WorkerFault::Crash => {
-                #[cfg(feature = "telemetry")]
-                trace_fault!(WorkerCrash);
+                trace_fault(FaultKind::WorkerCrash);
                 // Poison *before* touching the slot: the request has not
                 // been invoked yet, so the caller re-executing it through
                 // the fallback path is side-effect-safe.
@@ -222,11 +220,12 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize) -> bool {
                 return false;
             }
             WorkerFault::Hang => {
-                #[cfg(feature = "telemetry")]
-                trace_fault!(WorkerHang);
+                trace_fault(FaultKind::WorkerHang);
                 me.poison();
-                // Wedge forever: unparks (e.g. from shutdown) just re-park.
-                // Shutdown must abandon this thread via its drain timeout.
+                // Wedge forever: unparks (e.g. from shutdown) just
+                // re-park. Say so first, so the drain abandons this
+                // thread instead of waiting for it.
+                wedged.mark();
                 loop {
                     std::thread::park();
                 }
@@ -244,6 +243,7 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize) -> bool {
     // reply metadata this worker is about to publish. The *trusted* side
     // (caller guard) must detect every one of these lies.
     let byz = shared
+        .door
         .faults
         .as_ref()
         .map_or(ByzantineFault::None, |f| f.on_byzantine());
@@ -261,8 +261,7 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize) -> bool {
             };
             let (off, len) = slot.payload_in;
             let payload_in = pool.slice(off, len);
-            #[cfg(feature = "telemetry")]
-            let exec_start = shared.clock.now_cycles();
+            let exec_start = clock.now_cycles();
             // Contain host-function panics: an unwinding worker would
             // leave its caller spinning forever. The host side is
             // untrusted anyway — a crash there maps to an error return,
@@ -274,10 +273,7 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize) -> bool {
                     .unwrap_or(-1)
             }))
             .unwrap_or(-1);
-            #[cfg(feature = "telemetry")]
-            {
-                slot.exec_cycles = shared.clock.now_cycles().saturating_sub(exec_start);
-            }
+            slot.exec_cycles = clock.now_cycles().saturating_sub(exec_start);
             slot.reply.ret = ret;
             let actual = slot.payload_out.len() as u32;
             // An honest worker declares exactly the bytes present and

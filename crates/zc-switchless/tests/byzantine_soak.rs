@@ -8,8 +8,6 @@
 //! and the whole run must be deterministic: the same schedule yields a
 //! byte-identical canonical guard-violation trace on every run.
 
-#![cfg(feature = "telemetry")]
-
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::{

@@ -281,10 +281,17 @@ fn seeded_soak_projection() -> String {
         rt.dispatch(&OcallRequest::new(echo, &[7]), b"seeded", &mut out)
             .expect("chaos calls still complete");
         let c = faults.counts();
-        if c.crashes >= 2 && c.hangs >= 1 {
+        // Quiesce on the supervisor too: the drain event counts joined
+        // thread generations, so whether the hung slot's respawn landed
+        // before shutdown must not be left to the OS scheduler.
+        let respawns = rt.supervisor_state().map_or(0, |s| s.respawns());
+        if c.crashes >= 2 && c.hangs >= 1 && respawns >= 3 {
             break;
         }
-        assert!(Instant::now() < deadline, "faults never fired: {c:?}");
+        assert!(
+            Instant::now() < deadline,
+            "faults never fired: {c:?} respawns={respawns}"
+        );
     }
     assert!(rt.stats().snapshot().is_conserved());
     let report = rt.shutdown_with_timeout(Duration::from_millis(200));

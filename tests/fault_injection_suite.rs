@@ -236,8 +236,10 @@ fn zc_shutdown_under_load_drains_cleanly() {
     // Four caller threads hammer the runtime while the main thread shuts
     // it down mid-load.
     let mut handles = Vec::new();
+    let started = Arc::new(std::sync::atomic::AtomicU32::new(0));
     for c in 0..4u8 {
         let rt = Arc::clone(&rt);
+        let started = Arc::clone(&started);
         handles.push(std::thread::spawn(move || {
             let mut out = Vec::new();
             let mut completed = 0u32;
@@ -248,6 +250,9 @@ fn zc_shutdown_under_load_drains_cleanly() {
                         assert_eq!(ret, 8);
                         assert_eq!(out, payload);
                         completed += 1;
+                        if completed == 1 {
+                            started.fetch_add(1, std::sync::atomic::Ordering::Release);
+                        }
                     }
                     Err(SwitchlessError::RuntimeStopped) => break,
                     Err(e) => panic!("unexpected dispatch error under shutdown: {e}"),
@@ -256,9 +261,13 @@ fn zc_shutdown_under_load_drains_cleanly() {
             completed
         }));
     }
-    // Let some calls land, then pull the plug while callers are active.
+    // Let some calls land — at least one per caller, whenever the OS
+    // gets round to scheduling it — then pull the plug while callers
+    // are active.
     let deadline = Instant::now() + BACKSTOP;
-    while rt.stats().snapshot().total_calls() < 50 {
+    while rt.stats().snapshot().total_calls() < 50
+        || started.load(std::sync::atomic::Ordering::Acquire) < 4
+    {
         assert!(Instant::now() < deadline, "no load built up");
         std::thread::yield_now();
     }
