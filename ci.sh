@@ -88,6 +88,13 @@ if [[ $quick -eq 0 ]]; then
         echo "==> cargo test --test fleet_isolation (noisy neighbours, run $i/3)"
         cargo test -q -p zc-des --test fleet_isolation
     done
+    # The zc worker mailbox has no lock: its correctness rests on the
+    # acquire/release ordering of the status CAS, and debug builds hide
+    # exactly the reorderings that would break it. One optimised pass
+    # of the protocol and hostile-host suites.
+    echo "==> cargo test --release (zc protocol + Byzantine suites)"
+    cargo test -q --release -p zc-switchless \
+        --test protocol_stress --test byzantine_soak --test byzantine_props
 fi
 
 echo "ci.sh: all green"

@@ -12,10 +12,21 @@
 //! [`GuardViolation`], never a panic) and transitions are checked against
 //! the legality table of [`WorkerState::can_transition`] in release
 //! builds — an illegal edge poisons the slot instead of asserting.
+//!
+//! The buffer is a **mailbox** (DESIGN.md §5): the status word, the
+//! posted request, the payload window, the reply and the pool headers
+//! sit in one 128-byte-aligned block that belongs to whoever the status
+//! word names — the caller in `RESERVED`/`WAITING`, the worker in
+//! `PROCESSING`. Ownership moves with the status CAS, so the slot and
+//! the pool need no lock of their own and one line transfer carries the
+//! whole request, one the whole reply. All `unsafe` of the crate is in
+//! this file.
 
 use crate::pool::RequestPool;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::cell::UnsafeCell;
+use std::mem::{align_of, offset_of, size_of};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use switchless_core::{
@@ -48,23 +59,38 @@ impl SchedCommand {
     }
 }
 
+/// Which end of the hand-off is touching the mailbox. The status word
+/// says whose turn it is; debug builds check the claim against it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    /// The enclave thread that claimed the worker: owns the mailbox in
+    /// `RESERVED` (posting) and `WAITING` (collecting the reply).
+    Caller,
+    /// The worker thread serving the buffer: owns it in `PROCESSING`.
+    Worker,
+}
+
 /// The request slot: what the caller hands to the worker and what the
 /// worker hands back. Only the current owner (per the status word)
-/// touches it, so the mutex is uncontended.
+/// touches it. Field order is the cache layout: everything a payload-
+/// free call reads or writes comes first, so that it shares the status
+/// word's 128 bytes (asserted below).
 #[derive(Debug, Default)]
+#[repr(C)]
 pub struct RequestSlot {
     /// The posted request.
     pub request: Option<OcallRequest>,
     /// Offset/length of the caller's payload inside the worker pool.
     pub payload_in: (usize, usize),
-    /// Host-function output (untrusted side).
-    pub payload_out: Vec<u8>,
     /// Completed reply.
     pub reply: OcallReply,
     /// Worker-measured host-function cycles for the last served call
     /// (phase profiling; advisory only — the caller clamps it to its
     /// own wait window, so a lying host cannot break conservation).
+    /// Measured only when a telemetry hub is attached; 0 otherwise.
     pub exec_cycles: u64,
+    /// Host-function output (untrusted side).
+    pub payload_out: Vec<u8>,
 }
 
 /// Emits a telemetry event for every successful status transition of
@@ -105,18 +131,51 @@ impl TransitionTracer {
     }
 }
 
-/// Shared buffer of one ZC worker.
+/// Shared buffer of one ZC worker: the mailbox block first, then the
+/// write-once instrumentation handles (read-only after start, so they
+/// never take the hot lines with them).
 #[derive(Debug)]
+#[repr(C, align(128))]
 pub struct WorkerBuffer {
     status: AtomicU8,
     sched_cmd: AtomicU8,
-    slot: Mutex<RequestSlot>,
-    pool: Mutex<RequestPool>,
-    thread: OnceLock<Thread>,
     poisoned: AtomicBool,
+    slot: StatusOwned<RequestSlot>,
+    pool: StatusOwned<RequestPool>,
+    thread: OnceLock<Thread>,
     recorder: OnceLock<Arc<TransitionLog>>,
     tracer: OnceLock<TransitionTracer>,
 }
+
+// The mailbox must not be split by a later field: the three shared
+// words and every slot field before `payload_out` (the whole request,
+// its payload window, the reply, the execute hint) share the first
+// 128-byte block (two adjacent lines, which x86 prefetches as a pair),
+// and the payload_out/pool headers follow within the next.
+const _: () = {
+    assert!(align_of::<WorkerBuffer>() == 128);
+    assert!(offset_of!(WorkerBuffer, status) == 0);
+    let slot = offset_of!(WorkerBuffer, slot);
+    assert!(slot + offset_of!(RequestSlot, reply) + size_of::<OcallReply>() <= 128);
+    assert!(slot + offset_of!(RequestSlot, payload_out) <= 128);
+    assert!(offset_of!(WorkerBuffer, pool) + size_of::<RequestPool>() <= 256);
+};
+
+/// A mailbox cell: its content belongs to whoever the buffer's status
+/// word names, and to nobody else.
+#[derive(Debug)]
+#[repr(transparent)]
+struct StatusOwned<T>(UnsafeCell<T>);
+
+// SAFETY: the cells are only reached through `with_slot` / `with_pool`,
+// whose callers hold the buffer per the status word: the caller that
+// won `UNUSED -> RESERVED` until its `RESERVED -> PROCESSING` CAS, the
+// worker from observing `PROCESSING` (acquire) until its `PROCESSING ->
+// WAITING` CAS, the caller again from observing `WAITING` until
+// `WAITING -> UNUSED`. Every hand-off is an AcqRel CAS on `status`, so
+// the two sides never overlap and each sees the other's writes. The
+// content moves between threads with the ownership, hence `T: Send`.
+unsafe impl<T: Send> Sync for StatusOwned<T> {}
 
 impl WorkerBuffer {
     /// New buffer in the `UNUSED` state with a pool of `pool_bytes`.
@@ -125,10 +184,10 @@ impl WorkerBuffer {
         WorkerBuffer {
             status: AtomicU8::new(WorkerState::Unused.as_u8()),
             sched_cmd: AtomicU8::new(SchedCommand::Run as u8),
-            slot: Mutex::new(RequestSlot::default()),
-            pool: Mutex::new(RequestPool::new(pool_bytes)),
-            thread: OnceLock::new(),
             poisoned: AtomicBool::new(false),
+            slot: StatusOwned(UnsafeCell::new(RequestSlot::default())),
+            pool: StatusOwned(UnsafeCell::new(RequestPool::new(pool_bytes))),
+            thread: OnceLock::new(),
             recorder: OnceLock::new(),
             tracer: OnceLock::new(),
         }
@@ -232,15 +291,42 @@ impl WorkerBuffer {
         self.sched_cmd.store(raw, Ordering::Release);
     }
 
-    /// Access the request slot. Callers/workers must hold ownership per
-    /// the status word before touching it.
-    pub fn with_slot<R>(&self, f: impl FnOnce(&mut RequestSlot) -> R) -> R {
-        f(&mut self.slot.lock())
+    /// Does the status word give the mailbox to `side` right now? A
+    /// garbage word gives it to nobody.
+    fn owned_by(&self, side: Side) -> bool {
+        matches!(
+            (side, self.state()),
+            (
+                Side::Caller,
+                Ok(WorkerState::Reserved | WorkerState::Waiting)
+            ) | (Side::Worker, Ok(WorkerState::Processing))
+        )
     }
 
-    /// Access the untrusted request pool.
-    pub fn with_pool<R>(&self, f: impl FnOnce(&mut RequestPool) -> R) -> R {
-        f(&mut self.pool.lock())
+    /// Access the request slot as `side`, which must own the mailbox
+    /// per the status word (checked in debug builds). Crate-private:
+    /// the protocol in `caller.rs` / `worker.rs` is what makes the
+    /// access exclusive.
+    pub(crate) fn with_slot<R>(&self, side: Side, f: impl FnOnce(&mut RequestSlot) -> R) -> R {
+        debug_assert!(
+            self.owned_by(side),
+            "{side:?} touched a slot it does not own"
+        );
+        // SAFETY: see `StatusOwned` — `side` holds the buffer, so this
+        // is the only live reference into the cell.
+        f(unsafe { &mut *self.slot.0.get() })
+    }
+
+    /// Access the untrusted request pool as `side`; same ownership rule
+    /// as [`with_slot`](Self::with_slot).
+    pub(crate) fn with_pool<R>(&self, side: Side, f: impl FnOnce(&mut RequestPool) -> R) -> R {
+        debug_assert!(
+            self.owned_by(side),
+            "{side:?} touched a pool it does not own"
+        );
+        // SAFETY: as in `with_slot`; the pool is a separate cell, so a
+        // worker may hold both at once.
+        f(unsafe { &mut *self.pool.0.get() })
     }
 
     /// Record the worker's thread handle (once, from the worker itself)
@@ -254,6 +340,76 @@ impl WorkerBuffer {
         if let Some(t) = self.thread.get() {
             t.unpark();
         }
+    }
+}
+
+/// One worker slot of the runtime: the buffer callers currently claim,
+/// swappable by a supervisor or enclave respawn while calls are in
+/// flight on the one it replaces.
+///
+/// Readers pay one acquire load and no read-modify-write: a replaced
+/// buffer is *retired*, not freed — the slot keeps every buffer it ever
+/// published until it is dropped, so a caller that loaded the old
+/// pointer just before a swap still dereferences live memory (and finds
+/// it poisoned: only a quarantined buffer is ever replaced). The price
+/// is one retired buffer (its pool included) per respawn for the life
+/// of the runtime; the supervisor's backoff ladder bounds the respawn
+/// rate.
+#[derive(Debug)]
+pub(crate) struct WorkerSlot {
+    current: AtomicPtr<WorkerBuffer>,
+    /// Every buffer published here, newest last. Never shrinks.
+    published: Mutex<Vec<Arc<WorkerBuffer>>>,
+}
+
+impl WorkerSlot {
+    /// Slot serving a fresh buffer with a pool of `pool_bytes`.
+    pub(crate) fn new(pool_bytes: usize) -> Self {
+        let first = Arc::new(WorkerBuffer::new(pool_bytes));
+        WorkerSlot {
+            current: AtomicPtr::new(Arc::as_ptr(&first).cast_mut()),
+            published: Mutex::new(vec![first]),
+        }
+    }
+
+    /// The buffer callers should claim now.
+    #[inline]
+    pub(crate) fn get(&self) -> &WorkerBuffer {
+        // SAFETY: `current` always points into an `Arc` held by
+        // `published`, which only grows while `self` is borrowed, so
+        // the target outlives the returned reference. The acquire load
+        // pairs with `replace_quarantined`'s release store: the buffer
+        // is fully built before it is visible.
+        unsafe { &*self.current.load(Ordering::Acquire) }
+    }
+
+    /// Owning handle on the current buffer, for the worker thread that
+    /// will serve it (cold path: start and respawn only).
+    pub(crate) fn current(&self) -> Arc<WorkerBuffer> {
+        let published = self.published.lock();
+        Arc::clone(published.last().expect("a slot always has a buffer"))
+    }
+
+    /// Replace the current buffer, if it is quarantined, by the one
+    /// `make` builds, and return that. Neither waits for nor blocks
+    /// callers: those mid-call on the replaced buffer re-route off it.
+    ///
+    /// A healthy current buffer means another respawner (supervisor vs.
+    /// enclave restart) got here first; replacing it too would strand
+    /// the worker thread serving it, which nobody would tell to exit.
+    pub(crate) fn replace_quarantined(
+        &self,
+        make: impl FnOnce() -> Arc<WorkerBuffer>,
+    ) -> Option<Arc<WorkerBuffer>> {
+        let mut published = self.published.lock();
+        if !self.get().is_poisoned() {
+            return None;
+        }
+        let fresh = make();
+        self.current
+            .store(Arc::as_ptr(&fresh).cast_mut(), Ordering::Release);
+        published.push(Arc::clone(&fresh));
+        Some(fresh)
     }
 }
 
@@ -302,22 +458,67 @@ mod tests {
     #[test]
     fn slot_carries_request_and_reply() {
         let b = WorkerBuffer::new(1024);
-        b.with_slot(|s| {
+        assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
+        b.with_slot(Side::Caller, |s| {
             s.request = Some(OcallRequest::new(FuncId(3), &[1]));
             s.payload_in = (0, 5);
-            s.reply.ret = 9;
         });
-        b.with_slot(|s| {
+        assert!(b.try_transition(WorkerState::Reserved, WorkerState::Processing));
+        b.with_slot(Side::Worker, |s| {
             assert_eq!(s.request.unwrap().func, FuncId(3));
             assert_eq!(s.payload_in, (0, 5));
-            assert_eq!(s.reply.ret, 9);
+            s.reply.ret = 9;
         });
+        assert!(b.try_transition(WorkerState::Processing, WorkerState::Waiting));
+        b.with_slot(Side::Caller, |s| assert_eq!(s.reply.ret, 9));
     }
 
     #[test]
     fn pool_is_per_buffer() {
         let b = WorkerBuffer::new(128);
-        b.with_pool(|p| assert_eq!(p.capacity(), 128));
+        assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
+        b.with_pool(Side::Caller, |p| assert_eq!(p.capacity(), 128));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn mailbox_access_out_of_turn_is_caught_in_debug_builds() {
+        let touch = |b: &WorkerBuffer, side| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                b.with_slot(side, |_| ());
+                b.with_pool(side, |_| ());
+            }))
+            .is_ok()
+        };
+        let b = WorkerBuffer::new(64);
+        // UNUSED: nobody's turn.
+        assert!(!touch(&b, Side::Caller) && !touch(&b, Side::Worker));
+        assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
+        assert!(touch(&b, Side::Caller) && !touch(&b, Side::Worker));
+        assert!(b.try_transition(WorkerState::Reserved, WorkerState::Processing));
+        assert!(!touch(&b, Side::Caller) && touch(&b, Side::Worker));
+        assert!(b.try_transition(WorkerState::Processing, WorkerState::Waiting));
+        assert!(touch(&b, Side::Caller) && !touch(&b, Side::Worker));
+        // A scribbled status word gives the mailbox to nobody.
+        b.host_write_status(0xEE);
+        assert!(!touch(&b, Side::Caller) && !touch(&b, Side::Worker));
+    }
+
+    #[test]
+    fn slot_swap_keeps_the_replaced_buffer_alive_for_stale_readers() {
+        let fresh = || Arc::new(WorkerBuffer::new(64));
+        let slot = WorkerSlot::new(64);
+        let old = slot.get();
+        assert!(std::ptr::eq(old, &*slot.current()));
+        // A healthy buffer is never replaced (its worker would be
+        // stranded); a quarantined one is, exactly once.
+        assert!(slot.replace_quarantined(fresh).is_none());
+        old.poison();
+        let new = slot.replace_quarantined(fresh).expect("quarantined");
+        assert!(slot.replace_quarantined(fresh).is_none());
+        assert!(std::ptr::eq(slot.get(), &*new) && std::ptr::eq(&*new, &*slot.current()));
+        // The reference taken before the swap still reads live memory.
+        assert!(old.is_poisoned() && !std::ptr::eq(old, slot.get()));
     }
 
     #[test]

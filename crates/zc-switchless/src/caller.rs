@@ -11,7 +11,7 @@
 //! the routing protocol and the worker-generation side of an enclave
 //! restart.
 
-use crate::buffer::{SchedCommand, WorkerBuffer};
+use crate::buffer::{SchedCommand, Side, WorkerBuffer};
 use crate::pool::PoolAlloc;
 use crate::runtime::Shared;
 use crate::scheduler;
@@ -66,7 +66,7 @@ impl Transport for Shared {
     /// wake and are joined at shutdown).
     fn fence_workers(&self) {
         for w in &self.workers {
-            let w = w.read();
+            let w = w.get();
             w.poison();
             w.post_command(SchedCommand::Exit);
             w.unpark();
@@ -100,8 +100,17 @@ fn route(
 ) -> Result<(i64, CallPath), SwitchlessError> {
     let door = &shared.door;
     let n = shared.workers.len();
-    // Rotate the scan start so callers spread over workers.
-    let start = shared.rotor.fetch_add(1, Ordering::Relaxed) % n.max(1);
+    // Recovery epoch this call is routed under, captured before any
+    // claim: a later epoch (or the loss flag) means the enclave died
+    // with this call in flight.
+    let epoch0 = door.epoch();
+    // Rotate the scan start so callers spread over workers. The rotor
+    // is a hint, so a plain load + store does: two callers racing here
+    // start at the same worker once, and the claim path keeps the claim
+    // CAS as its only atomic read-modify-write.
+    let turn = shared.rotor.load(Ordering::Relaxed);
+    shared.rotor.store(turn.wrapping_add(1), Ordering::Relaxed);
+    let start = turn % n.max(1);
     for k in 0..n {
         let idx = (start + k) % n;
         let w = shared.worker(idx);
@@ -112,7 +121,7 @@ fn route(
         }
         if w.try_transition(WorkerState::Unused, WorkerState::Reserved) {
             rec.mark(Phase::Reserve, &door.clock);
-            return switchless_call(shared, &w, idx, req, payload_in, payload_out, rec);
+            return switchless_call(shared, w, idx, epoch0, req, payload_in, payload_out, rec);
         }
     }
     // No idle worker: immediate fallback. The fruitless scan is still
@@ -128,12 +137,26 @@ fn switchless_call(
     shared: &Shared,
     w: &WorkerBuffer,
     widx: usize,
+    epoch0: u64,
     req: &OcallRequest,
     payload_in: &[u8],
     payload_out: &mut Vec<u8>,
     rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
     let door = &shared.door;
+    // The enclave was lost around the claim. Posting now could land on
+    // a buffer of the *next* incarnation (respawned, but the restart
+    // not yet resumed), and the loss check in the wait loop would then
+    // walk away from a healthy buffer nobody ever releases. Give the
+    // claim back instead — nothing was posted, so the journal replays
+    // the call. Past this point a buffer this call abandons to a loss
+    // is always one the restart fence poisons (the fence runs after the
+    // flag is raised, over the then-current buffers).
+    if door.lost_since(epoch0) {
+        let ok = w.try_transition(WorkerState::Reserved, WorkerState::Unused);
+        debug_assert!(ok, "RESERVED -> UNUSED release must not be contended");
+        return frontdoor::recover_lost(shared, epoch0, req, payload_in, payload_out, rec);
+    }
     // Stamp the per-call monotonic sequence tag (unless the recovery
     // plane already stamped it at admission): an honest worker echoes
     // it into the reply, so a stale or replayed reply left over from an
@@ -158,7 +181,7 @@ fn switchless_call(
         loop {
             let forced = door.faults.as_ref().is_some_and(|f| f.on_pool_alloc());
             if !forced {
-                break w.with_pool(|p| p.alloc(payload_in.len()));
+                break w.with_pool(Side::Caller, |p| p.alloc(payload_in.len()));
             }
             door.caller_event(Event::Fault {
                 kind: FaultKind::PoolExhaustion,
@@ -199,13 +222,18 @@ fn switchless_call(
     };
     // Copy the payload to untrusted memory with the boundary memcpy and
     // publish the request.
-    w.with_pool(|p| {
+    w.with_pool(Side::Caller, |p| {
         p.write_with(offset, payload_in, |dst, src| shared.memcpy.copy(dst, src));
     });
-    w.with_slot(|slot| {
+    w.with_slot(Side::Caller, |slot| {
         slot.request = Some(*req);
         slot.payload_in = (offset, payload_in.len());
-        slot.payload_out.clear();
+        // Payload-free calls leave the payload_out/pool headers (the
+        // line after the mailbox) untouched on both sides, so that
+        // line stays shared instead of bouncing once per call.
+        if !slot.payload_out.is_empty() {
+            slot.payload_out.clear();
+        }
         slot.exec_cycles = 0;
     });
     rec.mark(Phase::CopyIn, &door.clock);
@@ -216,15 +244,12 @@ fn switchless_call(
     // Busy-wait for completion: while the worker runs our call, this
     // enclave thread spins — the "exactly one busy-waiting thread per
     // active worker" invariant of §IV-A. With supervision enabled the
-    // spin carries a watchdog deadline.
-    let posted_at = door.clock.now_cycles();
-    let watchdog_deadline = shared
-        .config
-        .supervise
-        .map(|p| posted_at.saturating_add(p.watchdog_cycles));
-    // Recovery epoch this call was posted under: a later epoch (or the
-    // loss flag) means the enclave died with this call in flight.
-    let epoch0 = door.epoch();
+    // spin carries a watchdog deadline — the only consumer of the post
+    // time, so an unsupervised call does not read the clock for it.
+    let watchdog = shared.config.supervise.map(|p| {
+        let posted_at = door.clock.now_cycles();
+        (posted_at, posted_at.saturating_add(p.watchdog_cycles))
+    });
     let mut spins: u32 = 0;
     loop {
         // Enclave-loss check first: a dead enclave must surface as
@@ -274,7 +299,7 @@ fn switchless_call(
             report_worker_failure(shared, widx, FailureKind::Crash, req, payload_in.len());
             return door.reroute_fallback(rec, req, payload_in, payload_out);
         }
-        if let Some(deadline) = watchdog_deadline {
+        if let Some((posted_at, deadline)) = watchdog {
             let now = door.clock.now_cycles();
             if now >= deadline {
                 // Watchdog cancellation: the in-flight call exceeded its
@@ -312,7 +337,7 @@ fn switchless_call(
     // must echo this call's — anything else is a lying host and the
     // reply is discarded in favour of the fallback path.
     let guard = ReplyGuard::new(shared.config.max_reply_bytes);
-    let checked = w.with_slot(|slot| {
+    let checked = w.with_slot(Side::Caller, |slot| {
         guard.check_sequence(req.seq, slot.reply.seq)?;
         let verdict = guard.check_reply(slot.reply.payload_len, slot.payload_out.len())?;
         payload_out.resize(verdict.copy_len, 0);

@@ -514,15 +514,29 @@ mod tests {
         let fleet = Fleet::start(params(1), vec![a]).expect("fleet start");
         assert_eq!(fleet.caps(), vec![1]);
         let mut out = Vec::new();
-        for _ in 0..128 {
+        let mut call = || {
             fleet
                 .runtime(0)
                 .dispatch(&OcallRequest::new(fa, &[]), b"y", &mut out)
                 .expect("call");
+        };
+        // The cap is imposed after the runtime started: keep the load
+        // up until the scheduler has taken a step under it (it
+        // free-runs on the virtual clock, but only once the OS runs its
+        // thread).
+        let backstop = std::time::Instant::now() + Duration::from_secs(30);
+        while fleet.runtime(0).active_workers() > 1 {
+            assert!(
+                std::time::Instant::now() < backstop,
+                "scheduler never stepped under the cap"
+            );
+            call();
         }
-        // The published worker count can never exceed the cap once the
-        // scheduler has taken a step under it.
-        assert!(fleet.runtime(0).active_workers() <= fleet.runtime(0).config().max_workers());
+        // From then on the published worker count can never exceed it.
+        for _ in 0..128 {
+            call();
+            assert!(fleet.runtime(0).active_workers() <= 1);
+        }
         fleet.shutdown();
         assert!(fleet.runtime(0).active_workers() <= 1);
     }

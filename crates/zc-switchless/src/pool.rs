@@ -85,7 +85,10 @@ impl RequestPool {
         }
         if self.bump + len <= self.buf.len() {
             let offset = self.bump;
-            self.bump += len;
+            // An empty reservation must not dirty the pool header.
+            if len > 0 {
+                self.bump += len;
+            }
             PoolAlloc::Fit { offset }
         } else {
             // Full: free + reallocate (modelled as a reset; the real

@@ -1,8 +1,8 @@
 //! Public API of the ZC-SWITCHLESS runtime.
 
-use crate::buffer::{SchedCommand, TransitionTracer, WorkerBuffer};
+use crate::buffer::{SchedCommand, TransitionTracer, WorkerBuffer, WorkerSlot};
 use crate::{scheduler, supervise, worker};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use sgx_sim::frontdoor::{self, FrontDoor};
 use sgx_sim::{CpuAccounting, CycleClock, Enclave, MemcpyKind, RegularOcall};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -19,10 +19,10 @@ use zc_telemetry::{MetricValue, Telemetry};
 /// State shared between callers, workers, the scheduler and the
 /// supervisor.
 ///
-/// Worker slots hold swappable `Arc<WorkerBuffer>`s: the supervisor
-/// *respawns* a failed slot by installing a fresh buffer (and thread)
-/// while the poisoned old buffer stays with whatever thread still
-/// references it.
+/// Worker slots hold swappable buffers ([`WorkerSlot`]): the
+/// supervisor *respawns* a failed slot by publishing a fresh buffer
+/// (and thread) while the poisoned old buffer stays with whatever
+/// thread or in-flight call still references it.
 #[derive(Debug)]
 pub(crate) struct Shared {
     /// Self-reference handed to the worker threads this state spawns
@@ -36,7 +36,7 @@ pub(crate) struct Shared {
     /// With recovery on, sequence tags come from its plane, so journal
     /// entries and reply guards agree on the same tag space.
     pub(crate) door: FrontDoor,
-    pub(crate) workers: Vec<RwLock<Arc<WorkerBuffer>>>,
+    pub(crate) workers: Vec<WorkerSlot>,
     pub(crate) memcpy: MemcpyKind,
     pub(crate) active_workers: AtomicUsize,
     /// Externally imposed ceiling on the scheduler's worker count
@@ -72,10 +72,11 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Current buffer of worker slot `i` (respawns swap it).
+    /// Current buffer of worker slot `i` (respawns swap it): one load,
+    /// no lock and no reference count.
     #[inline]
-    pub(crate) fn worker(&self, i: usize) -> Arc<WorkerBuffer> {
-        Arc::clone(&self.workers[i].read())
+    pub(crate) fn worker(&self, i: usize) -> &WorkerBuffer {
+        self.workers[i].get()
     }
 
     /// Next per-call sequence tag (starts at 1, so the zero a fresh
@@ -113,18 +114,26 @@ impl Shared {
         );
     }
 
-    /// Respawn slot `index`: install a fresh buffer (inheriting any
-    /// transition recorder/tracer instrumentation) and spawn generation
-    /// `generation` of the worker thread onto it. The old buffer stays
-    /// with whatever thread still references it.
-    pub(crate) fn respawn_slot(&self, index: usize, generation: u64) {
-        let fresh = Arc::new(WorkerBuffer::new(self.config.pool_bytes));
-        if let Some(log) = self.transition_log.lock().clone() {
-            fresh.set_recorder(log);
-        }
-        self.trace_transitions(index, &fresh);
-        *self.workers[index].write() = Arc::clone(&fresh);
+    /// Respawn slot `index`: replace its quarantined buffer by a fresh
+    /// one (inheriting any transition recorder/tracer instrumentation)
+    /// and spawn generation `generation` of the worker thread onto it.
+    /// The old buffer stays with whatever thread or in-flight call
+    /// still references it. Returns `false`, having done nothing, when
+    /// the slot's buffer is healthy: a supervisor respawn and an
+    /// enclave restart raced for the slot and the other one won.
+    pub(crate) fn respawn_slot(&self, index: usize, generation: u64) -> bool {
+        let Some(fresh) = self.workers[index].replace_quarantined(|| {
+            let fresh = Arc::new(WorkerBuffer::new(self.config.pool_bytes));
+            if let Some(log) = self.transition_log.lock().clone() {
+                fresh.set_recorder(log);
+            }
+            self.trace_transitions(index, &fresh);
+            fresh
+        }) else {
+            return false;
+        };
         self.spawn_worker(index, generation, fresh);
+        true
     }
 }
 
@@ -250,7 +259,7 @@ impl ZcRuntime {
             fallback = fallback.as_ecalls();
         }
         let workers = (0..max)
-            .map(|_| RwLock::new(Arc::new(WorkerBuffer::new(config.pool_bytes))))
+            .map(|_| WorkerSlot::new(config.pool_bytes))
             .collect();
         let shared = Arc::new_cyclic(|me| Shared {
             me: me.clone(),
@@ -283,7 +292,7 @@ impl ZcRuntime {
         if let Some(hub) = &shared.door.telemetry {
             // Alongside any TransitionLog recorder.
             for (i, w) in shared.workers.iter().enumerate() {
-                shared.trace_transitions(i, &w.read());
+                shared.trace_transitions(i, w.get());
             }
             // One collector per runtime: publishes the CallStats block
             // from a single snapshot (no torn totals) plus scheduler
@@ -295,7 +304,7 @@ impl ZcRuntime {
                 };
                 let s = sh.door.stats.snapshot();
                 let mean_milli = (sh.residency.lock().mean_workers() * 1000.0) as u64;
-                let poisoned = sh.workers.iter().filter(|w| w.read().is_poisoned()).count();
+                let poisoned = sh.workers.iter().filter(|w| w.get().is_poisoned()).count();
                 let counter = |name: &str, v| (name.to_string(), MetricValue::Counter(v));
                 let gauge = |name: &str, v| (name.to_string(), MetricValue::Gauge(v));
                 let mut out = vec![
@@ -337,8 +346,7 @@ impl ZcRuntime {
         scheduler::set_active_workers(&shared, shared.active_workers.load(Ordering::Relaxed));
 
         for i in 0..max {
-            let buf = shared.worker(i);
-            shared.spawn_worker(i, 0, buf);
+            shared.spawn_worker(i, 0, shared.workers[i].current());
         }
         let sh = Arc::clone(&shared);
         let scheduler_handle = std::thread::Builder::new()
@@ -427,7 +435,7 @@ impl ZcRuntime {
         self.shared
             .workers
             .iter()
-            .filter(|w| w.read().state() == Ok(switchless_core::WorkerState::Paused))
+            .filter(|w| w.get().state() == Ok(switchless_core::WorkerState::Paused))
             .count()
     }
 
@@ -444,7 +452,7 @@ impl ZcRuntime {
         let log = Arc::new(TransitionLog::new());
         *self.shared.transition_log.lock() = Some(Arc::clone(&log));
         for w in &self.shared.workers {
-            w.read().set_recorder(Arc::clone(&log));
+            w.get().set_recorder(Arc::clone(&log));
         }
         log
     }
@@ -457,7 +465,7 @@ impl ZcRuntime {
         self.shared
             .workers
             .iter()
-            .filter(|w| w.read().is_poisoned())
+            .filter(|w| w.get().is_poisoned())
             .count()
     }
 
@@ -515,7 +523,7 @@ impl ZcRuntime {
         }
         self.shared.door.drain(timeout, || {
             for w in &self.shared.workers {
-                let w = w.read();
+                let w = w.get();
                 w.post_command(SchedCommand::Exit);
                 w.unpark();
             }
@@ -787,15 +795,21 @@ mod tests {
         use switchless_core::fault::{FaultInjector, FaultPlan};
         use switchless_core::{BreakerParams, OverloadParams, ShedReason};
         let (t, echo, _) = table();
-        // Crash the only active worker (no supervisor, so no respawn;
-        // slot 1 is deactivated by initial_workers(1) and pauses
-        // itself): every call after the crash re-route finds no idle
-        // worker and hits the breaker-guarded would-fallback point. The
-        // crash re-route is a safety path — it completes the call and
-        // does NOT feed the breaker; only the storm of no-idle
-        // fallbacks does, so with a threshold of 3 the breaker opens
-        // after calls 1..=3 and sheds the rest.
-        let cfg = test_config().with_quantum_ms(10_000);
+        // Crash the only worker (no supervisor, so no respawn): every
+        // call after the crash re-route finds no idle worker and hits
+        // the breaker-guarded would-fallback point. The crash re-route
+        // is a safety path — it completes the call and does NOT feed
+        // the breaker; only the storm of no-idle fallbacks does, so
+        // with a threshold of 3 the breaker opens after calls 1..=3 and
+        // sheds the rest. A one-worker machine, because a deactivated
+        // spare is not "down": a scheduler step that runs after the
+        // crash activates it in the crashed worker's place (and the
+        // scheduler thread's *first* step can be that late).
+        let mut cpu = CpuSpec::paper_machine();
+        cpu.logical_cpus = 2; // max 1 worker
+        let cfg = ZcConfig::for_cpu(cpu)
+            .with_quantum_ms(10_000)
+            .with_initial_workers(1);
         let cfg = cfg.with_overload_params(OverloadParams::for_cpu(&cfg.cpu).with_breaker(
             BreakerParams {
                 failure_threshold: 3,
@@ -806,19 +820,6 @@ mod tests {
         ));
         let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_worker_at(0)));
         let rt = ZcRuntime::start_with_faults(cfg, t, enclave(&cfg), faults).unwrap();
-        // Wait for the deactivated slot to park itself, so the storm
-        // below can never race a still-Unused spare worker.
-        {
-            use switchless_core::WorkerState;
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while rt.shared.worker(1).state() != Ok(WorkerState::Paused) {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "deactivated worker never paused"
-                );
-                std::thread::yield_now();
-            }
-        }
         let mut out = Vec::new();
         let mut fallbacks = 0u64;
         let mut breaker_sheds = 0u64;
@@ -842,6 +843,57 @@ mod tests {
         assert_eq!(snap.breaker_trips, 1);
         assert_eq!(snap.shed_for(ShedReason::BreakerOpen), 6);
         assert!(snap.conserves(rt.stats().snapshot().total_calls()));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn call_entering_during_a_restart_gives_its_claim_back() {
+        use sgx_sim::frontdoor::Transport;
+        use switchless_core::WorkerState::{Reserved, Unused};
+        let (t, echo, _) = table();
+        // Every worker active and a scheduler that never reconfigures:
+        // the only status edges of this run are the call's own.
+        let cfg = test_config()
+            .with_quantum_ms(10_000)
+            .with_initial_workers(2)
+            .with_recovery();
+        let rt = ZcRuntime::start(cfg, t, enclave(&cfg)).unwrap();
+        let plane = rt.shared.door.recovery.as_ref().expect("recovery is on");
+        // An enclave restart, stopped where the next incarnation's
+        // buffers are already claimable but the plane has not resumed.
+        assert!(plane.begin_crash());
+        rt.shared.fence_workers();
+        plane.begin_restart();
+        rt.shared.respawn_workers();
+        let log = rt.install_transition_log();
+        std::thread::scope(|s| {
+            let call = s.spawn(|| {
+                let mut out = Vec::new();
+                let req = OcallRequest::new(echo, &[]).with_idempotent();
+                rt.dispatch(&req, b"mid-restart", &mut out)
+                    .map(|r| (r, out))
+            });
+            // The call claims a fresh buffer, finds the enclave lost
+            // and must hand the claim back rather than post on it.
+            // (Judged only after the restart was completed: the call
+            // cannot return before, and the scope joins it.)
+            let backstop = std::time::Instant::now() + Duration::from_secs(30);
+            while log.len() < 2 && std::time::Instant::now() < backstop {
+                std::thread::yield_now();
+            }
+            let edges = log.edges();
+            plane.complete_restart();
+            plane.resume();
+            let ((ret, path), out) = call.join().unwrap().expect("replayed after the restart");
+            assert_eq!(edges, vec![(Unused, Reserved), (Reserved, Unused)]);
+            assert_eq!((ret, path), (11, CallPath::Fallback));
+            assert_eq!(out, b"mid-restart");
+        });
+        // Nothing of the new incarnation was left mid-protocol.
+        for w in &rt.shared.workers {
+            assert_eq!(w.get().state(), Ok(Unused));
+            assert!(!w.get().is_poisoned());
+        }
         rt.shutdown();
     }
 

@@ -126,7 +126,7 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
 pub(crate) fn set_active_workers(shared: &Shared, m: usize) {
     let mut activated = 0;
     for slot in shared.workers.iter() {
-        let w = slot.read();
+        let w = slot.get();
         if activated < m && !w.is_poisoned() {
             activated += 1;
             w.post_command(SchedCommand::Run);

@@ -48,14 +48,15 @@ pub(crate) fn supervise_loop(shared: &Shared) {
         for d in decisions {
             match d {
                 SuperviseDecision::Respawn { worker, generation } => {
-                    shared.respawn_slot(worker, generation);
-                    shared.door.event(
-                        Origin::Scheduler,
-                        Event::WorkerRespawned {
-                            worker: worker as u32,
-                            generation,
-                        },
-                    );
+                    if shared.respawn_slot(worker, generation) {
+                        shared.door.event(
+                            Origin::Scheduler,
+                            Event::WorkerRespawned {
+                                worker: worker as u32,
+                                generation,
+                            },
+                        );
+                    }
                 }
                 // Bookkeeping only (the slot's failure ladder reset);
                 // traced so recovery is visible.

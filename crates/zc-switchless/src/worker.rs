@@ -12,7 +12,7 @@
 //! for every active worker there is always exactly one busy-waiting
 //! thread (paper §IV-A).
 
-use crate::buffer::{SchedCommand, WorkerBuffer};
+use crate::buffer::{SchedCommand, Side, WorkerBuffer};
 use crate::runtime::Shared;
 use sgx_sim::frontdoor::{spin_pause, Wedged};
 use switchless_core::{ByzantineFault, GuardKind, WorkerFault, WorkerState};
@@ -173,6 +173,11 @@ fn park_until_released(me: &WorkerBuffer) {
 /// worker cannot know which call shape the host was attacking) so the
 /// quarantined slot is respawned instead of being lost forever.
 fn report_own_violation(shared: &Shared, me: &WorkerBuffer, index: usize, kind: GuardKind) {
+    // Quarantine before counting (as the caller-side guard path does):
+    // whoever reads the violation counter must already find the buffer
+    // poisoned, or "all violations counted and nothing poisoned" would
+    // hold for a moment with the lying slot still claimable.
+    me.poison();
     shared.door.stats.record_guard_violation();
     shared.door.event(
         Origin::Worker(index as u32),
@@ -181,7 +186,6 @@ fn report_own_violation(shared: &Shared, me: &WorkerBuffer, index: usize, kind: 
             kind,
         },
     );
-    me.poison();
     if let Some(sup) = &shared.supervisor {
         sup.lock().record_failure(
             index,
@@ -249,10 +253,14 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
         .map_or(ByzantineFault::None, |f| f.on_byzantine());
     if byz == ByzantineFault::TornRequest {
         // The host overwrites the posted request while we own the slot.
-        me.with_slot(|slot| slot.request = None);
+        me.with_slot(Side::Worker, |slot| slot.request = None);
     }
-    let torn = me.with_pool(|pool| {
-        me.with_slot(|slot| {
+    // Only an attached hub's phase recorder consumes the execute hint,
+    // so a bare worker does not bracket the host function with clock
+    // reads.
+    let timed = shared.door.telemetry.is_some();
+    let torn = me.with_pool(Side::Worker, |pool| {
+        me.with_slot(Side::Worker, |slot| {
             // A PROCESSING slot without a request is host interference
             // (torn overwrite), not a protocol bug: handled gracefully,
             // never a panic.
@@ -261,7 +269,7 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
             };
             let (off, len) = slot.payload_in;
             let payload_in = pool.slice(off, len);
-            let exec_start = clock.now_cycles();
+            let exec_start = timed.then(|| clock.now_cycles());
             // Contain host-function panics: an unwinding worker would
             // leave its caller spinning forever. The host side is
             // untrusted anyway — a crash there maps to an error return,
@@ -273,7 +281,9 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
                     .unwrap_or(-1)
             }))
             .unwrap_or(-1);
-            slot.exec_cycles = clock.now_cycles().saturating_sub(exec_start);
+            if let Some(exec_start) = exec_start {
+                slot.exec_cycles = clock.now_cycles().saturating_sub(exec_start);
+            }
             slot.reply.ret = ret;
             let actual = slot.payload_out.len() as u32;
             // An honest worker declares exactly the bytes present and

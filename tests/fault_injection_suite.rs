@@ -347,8 +347,13 @@ fn intel_worker_crash_degrades_to_fallback() {
     )
     .unwrap();
     let mut out = Vec::new();
-    for i in 0..10u8 {
-        let payload = vec![i; 12];
+    // Ten calls at least, and on until the worker thread has run far
+    // enough to hit its crash site: on a busy host every rbf window of
+    // the first ten can expire before the OS first schedules it.
+    let mut i = 0u32;
+    while i < 10 || faults.counts().crashes == 0 {
+        assert!(i < 1_000_000, "the worker never reached its crash site");
+        let payload = vec![i as u8; 12];
         let (ret, path) = rt
             .dispatch(&OcallRequest::new(echo, &[]), &payload, &mut out)
             .unwrap();
@@ -359,6 +364,7 @@ fn intel_worker_crash_degrades_to_fallback() {
             CallPath::Fallback,
             "call {i}: dead worker means fallback"
         );
+        i += 1;
     }
     assert_eq!(faults.counts().crashes, 1);
     let report = rt.shutdown_with_timeout(Duration::from_secs(5));
