@@ -23,13 +23,8 @@ fn main() {
     scope.finish();
 
     banner("Fig 3: g-duration sweep");
-    let g: Vec<u64> = if quick {
-        vec![0, 500]
-    } else {
-        vec![0, 100, 200, 300, 400, 500]
-    };
     let scope = FigureScope::begin("fig3_duration");
-    synthetic::fig3(params, &g, &[1, 3, 5]).emit(Some(Path::new("results/fig3_duration.csv")));
+    synthetic::fig3_sweep(params, quick).emit(Some(Path::new("results/fig3_duration.csv")));
     scope.finish();
 
     banner("Fig 7 / Fig 13: memcpy (real hardware)");

@@ -3,7 +3,7 @@
 //!
 //! Usage: `fig3_duration [--quick]`
 
-use zc_bench::experiments::synthetic::{fig3, SynthParams};
+use zc_bench::experiments::synthetic::{fig3_sweep, SynthParams};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -11,16 +11,6 @@ fn main() {
         total_ops: if quick { 10_000 } else { 100_000 },
         ..SynthParams::default()
     };
-    let g = if quick {
-        vec![0u64, 250, 500]
-    } else {
-        vec![0u64, 100, 200, 300, 400, 500]
-    };
-    let workers = if quick {
-        vec![1usize, 3, 5]
-    } else {
-        vec![1usize, 2, 3, 4, 5]
-    };
-    let t = fig3(params, &g, &workers);
+    let t = fig3_sweep(params, quick);
     t.emit(Some(std::path::Path::new("results/fig3_duration.csv")));
 }

@@ -211,6 +211,20 @@ pub fn fig3(params: SynthParams, g_pauses: &[u64], workers: &[usize]) -> Table {
     table
 }
 
+/// The Fig. 3 sweep behind `results/fig3_duration.csv`, shared by
+/// `fig3_duration` and `all_figures` so the two cannot drift apart:
+/// worker counts 1–5 always (the committed columns); `quick` only
+/// thins the `g` durations.
+#[must_use]
+pub fn fig3_sweep(params: SynthParams, quick: bool) -> Table {
+    let g_pauses: &[u64] = if quick {
+        &[0, 500]
+    } else {
+        &[0, 100, 200, 300, 400, 500]
+    };
+    fig3(params, g_pauses, &[1, 2, 3, 4, 5])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

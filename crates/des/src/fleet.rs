@@ -14,16 +14,12 @@
 //! donors shrink one quantum before receivers grow, so the sum of
 //! running workers never exceeds the budget mid-migration.
 
-use crate::event_kernel::EventKernel;
-use crate::kernel::{Actor, Kernel, Machine, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
+use crate::kernel::{Actor, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
 use crate::metrics::SimCounters;
-use crate::ocall::zc::{
-    ZcDispatcher, ZcEnclaveActor, ZcSchedulerActor, ZcSimFaults, ZcSupervisorActor, ZcWorkerActor,
-    ZcWorld,
-};
+use crate::ocall::zc::{ZcSimFaults, ZcWorld};
 use crate::ocall::CostModel;
-use crate::sim::{FaultRecovery, KernelMode, ZcSimParams};
-use crate::workload::{CallerActor, WorkloadSpec};
+use crate::sim::{spawn_zc_shard, FaultRecovery, KernelMode, ZcShardSpec, ZcSimParams};
+use crate::workload::WorkloadSpec;
 use std::cell::RefCell;
 use std::rc::Rc;
 use switchless_core::cpu::CpuSpec;
@@ -89,7 +85,7 @@ impl TenantSimSpec {
 pub struct FleetSpec {
     /// Machine model (one machine hosts the whole fleet).
     pub cpu: CpuSpec,
-    /// Which DES kernel drives the run.
+    /// Which kernel scheduling policy drives the run.
     pub kernel_mode: KernelMode,
     /// OS round-robin quantum in cycles (cycle-accurate mode only).
     pub rr_quantum: u64,
@@ -128,14 +124,14 @@ impl FleetSpec {
         }
     }
 
-    /// Builder-style kernel selection.
+    /// Builder-style kernel-policy selection.
     #[must_use]
     pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
         self
     }
 
-    /// Shorthand for event-driven kernel selection.
+    /// Shorthand for event-driven policy selection.
     #[must_use]
     pub fn with_event_kernel(self) -> Self {
         self.with_kernel_mode(KernelMode::EventDriven)
@@ -397,22 +393,11 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         spec.budget,
         spec.tenants.len()
     );
-    let mut kernel: Box<dyn Machine> = match spec.kernel_mode {
-        KernelMode::CycleAccurate => Box::new(Kernel::new(
-            spec.cpu.logical_cpus,
-            spec.rr_quantum,
-            spec.cpu.pause_cycles,
-        )),
-        KernelMode::EventDriven => Box::new(EventKernel::new(
-            spec.cpu.logical_cpus,
-            spec.cpu.pause_cycles,
-        )),
-    };
+    let mut kernel = spec.kernel_mode.kernel(&spec.cpu, spec.rr_quantum);
 
     let weight_sum: u64 = spec.tenants.iter().map(|t| t.weight.max(1)).sum();
     let mut shard_worlds = Vec::with_capacity(spec.tenants.len());
     let mut shard_counters = Vec::with_capacity(spec.tenants.len());
-    let mut shard_max_workers = Vec::with_capacity(spec.tenants.len());
     let quantum_cycles = spec
         .tenants
         .iter()
@@ -423,61 +408,21 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     for tenant in &spec.tenants {
         let callers = tenant.workloads.len();
         let counters = Rc::new(RefCell::new(SimCounters::new(callers, spec.classes)));
-        let max_workers = tenant
-            .zc
-            .max_workers
-            .unwrap_or(spec.cpu.zc_max_workers())
-            .max(1);
-        let world = ZcWorld::new(&mut *kernel, max_workers, callers, tenant.zc.pool_bytes);
         // Seed the cap (and the initial worker count) with the weighted
         // fair share of the budget; the first rebalance replaces it
         // with the measured argmin.
-        let share = ((spec.budget as u64).saturating_mul(tenant.weight.max(1)) / weight_sum)
-            .clamp(1, max_workers as u64) as usize;
-        world.borrow_mut().worker_cap = share;
-        for i in 0..max_workers {
-            let tid = kernel.spawn(Box::new(ZcWorkerActor::new(Rc::clone(&world), i)));
-            world.borrow_mut().worker_tids.push(tid);
-        }
-        let params = PolicyParams {
-            t_es_cycles: spec.cpu.t_es_cycles,
-            quantum_cycles: spec.cpu.quantum_cycles(tenant.zc.quantum_ms),
-            mu_inverse: tenant.zc.mu_inverse,
-            max_workers,
-            fallback_weight: tenant.zc.fallback_weight,
+        let share = (spec.budget as u64).saturating_mul(tenant.weight.max(1)) / weight_sum;
+        let shard = ZcShardSpec {
+            cpu: &spec.cpu,
+            costs: spec.costs,
+            zc: &tenant.zc,
+            faults: tenant.faults.as_ref(),
+            workloads: &tenant.workloads,
+            telemetry: None,
+            share: Some(usize::try_from(share).unwrap_or(usize::MAX)),
         };
-        let initial = tenant.zc.initial_workers.unwrap_or(share).min(share).max(1);
-        kernel.spawn(Box::new(ZcSchedulerActor::new(
-            Rc::clone(&world),
-            Rc::clone(&counters),
-            params,
-            initial,
-        )));
-        if let Some(faults) = &tenant.faults {
-            kernel.spawn(Box::new(ZcSupervisorActor::new(Rc::clone(&world), faults)));
-            if faults.has_enclave_faults() {
-                world.borrow_mut().install_enclave_faults(faults);
-                let tid = kernel.spawn(Box::new(ZcEnclaveActor::new(Rc::clone(&world))));
-                world.borrow_mut().enclave_tid = Some(tid);
-            }
-        }
-        let watchdog = tenant.faults.as_ref().map(|f| f.watchdog_pauses);
-        for (i, wl) in tenant.workloads.iter().enumerate() {
-            let d = ZcDispatcher::new(Rc::clone(&world), Rc::clone(&counters), spec.costs, i);
-            let d = match watchdog {
-                Some(pauses) => d.with_watchdog(pauses),
-                None => d,
-            };
-            kernel.spawn(Box::new(CallerActor::new(
-                i,
-                Box::new(d),
-                Rc::clone(&counters),
-                wl.clone(),
-            )));
-        }
-        shard_worlds.push(world);
+        shard_worlds.push(spawn_zc_shard(&mut kernel, &shard, &counters));
         shard_counters.push(counters);
-        shard_max_workers.push(max_workers);
     }
 
     // The global allocator. Its policy ceiling is the largest shard
@@ -486,7 +431,11 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         t_es_cycles: spec.cpu.t_es_cycles,
         quantum_cycles,
         mu_inverse: spec.tenants[0].zc.mu_inverse,
-        max_workers: shard_max_workers.iter().copied().max().unwrap_or(1),
+        max_workers: shard_worlds
+            .iter()
+            .map(|w| w.borrow().workers.len())
+            .max()
+            .unwrap_or(1),
         fallback_weight: spec.tenants[0].zc.fallback_weight,
     };
     let fleet_params = FleetParams::new(policy, spec.budget);
@@ -553,24 +502,10 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         .enumerate()
         .map(|(t, tenant)| {
             let w = shard_worlds[t].borrow();
-            let rec = w.recovery.as_ref().map(|p| p.snapshot());
             TenantSimReport {
                 name: tenant.name.clone(),
                 counters: shard_counters[t].borrow().clone(),
-                fault_recovery: FaultRecovery {
-                    crashes: w.crashes,
-                    hangs: w.hangs,
-                    respawns: w.respawns,
-                    cancelled: w.cancelled,
-                    guard_violations: w.guard_violations,
-                    dead_workers: w.workers.iter().filter(|s| s.dead).count() as u64,
-                    enclave_crashes: rec.as_ref().map_or(0, |s| s.crashes),
-                    enclave_restarts: rec.as_ref().map_or(0, |s| s.epoch),
-                    journal_replays: rec.as_ref().map_or(0, |s| s.replayed),
-                    call_redeliveries: rec.as_ref().map_or(0, |s| s.redelivered),
-                    refused_non_idempotent: rec.as_ref().map_or(0, |s| s.refused_non_idempotent),
-                    journal_live: rec.as_ref().map_or(0, |s| s.journal_live as u64),
-                },
+                fault_recovery: FaultRecovery::from_world(&w),
                 final_cap: w.worker_cap,
                 final_verdict: verdicts.get(t).copied().unwrap_or_default(),
             }

@@ -12,7 +12,7 @@
 //! Each column is one time bucket; the glyph is the last thread id (mod
 //! 36, `0-9a-z`) that occupied the core in that bucket, `-` for idle.
 
-use crate::kernel::{Machine, OccupancyEvent, Tid};
+use crate::kernel::{Kernel, OccupancyEvent, Tid};
 
 /// Render `trace` over `[t0, t1)` with `buckets` columns for a machine
 /// with `cores` cores.
@@ -73,10 +73,9 @@ pub fn render(trace: &[OccupancyEvent], cores: usize, t0: u64, t1: u64, buckets:
     out
 }
 
-/// Convenience: render a finished kernel's whole trace. Accepts either
-/// kernel through the shared [`Machine`] interface.
+/// Convenience: render a finished kernel's whole trace.
 #[must_use]
-pub fn render_kernel(kernel: &dyn Machine, buckets: usize) -> String {
+pub fn render_kernel(kernel: &Kernel, buckets: usize) -> String {
     render(
         kernel.trace(),
         kernel.cores(),

@@ -1,22 +1,19 @@
-//! Discrete-event kernel: virtual cores, preemptive round-robin
-//! scheduling, spin-waits, sleeps and parking — all in virtual cycles.
+//! Discrete-event kernel: virtual cores, a FIFO run queue, spin-waits,
+//! sleeps and parking — all in virtual cycles — under one of two
+//! scheduling policies.
 //!
 //! # Model
 //!
 //! * The machine has `N` identical cores. Runnable threads beyond `N`
-//!   wait in a FIFO run queue; a running thread is preempted at the end
-//!   of its round-robin quantum whenever the queue is non-empty.
+//!   wait in a FIFO run queue.
 //! * Threads are [`Actor`]s: each time the previous syscall finishes, the
 //!   kernel calls [`Actor::step`] with the result and executes the
 //!   returned [`Syscall`].
 //! * **Busy-waiting is modelled, not stepped**: a [`Syscall::SpinUntil`]
-//!   occupies its core (and is charged as *busy* time) but the kernel
-//!   does not simulate each `pause` iteration. When another thread sets
-//!   the awaited flag, a running spinner observes it one pause-latency
-//!   later; a preempted spinner observes it as soon as it is scheduled
-//!   again. Spin timeouts (`rbf`/`rbs`) are measured in pauses and only
-//!   elapse while the spinner actually holds a core — exactly like a real
-//!   pause loop.
+//!   is charged as *busy* time but the kernel does not simulate each
+//!   `pause` iteration. When another thread sets the awaited flag, the
+//!   spinner observes it one pause-latency later. Spin timeouts
+//!   (`rbf`/`rbs`) are measured in pauses.
 //! * Instant syscalls ([`Syscall::SetFlag`], [`Syscall::Unpark`], …)
 //!   execute at the current instant and the actor is immediately stepped
 //!   again; since event processing is serialized, actors may also touch
@@ -24,9 +21,46 @@
 //!   atomicity is a property of the kernel, mirroring word-sized atomic
 //!   operations on real hardware.
 //!
+//! # Scheduling policies
+//!
+//! One engine — one event heap, one run queue, one set of accounts —
+//! runs both machine models; they differ only where the private
+//! `Policy` is consulted (quantum arming, the `SpinUntil` syscall, the
+//! spin wake):
+//!
+//! * **Round-robin** ([`Kernel::new`]): preemptive. Every core occupancy
+//!   arms a quantum, and a running thread is preempted at the end of it
+//!   whenever the run queue is non-empty. A spinner *holds* its core; a
+//!   preempted spinner observes a flag write as soon as it is scheduled
+//!   again, and its pause budget only elapses while it actually holds a
+//!   core — exactly like a real pause loop. Cycle-accurate under core
+//!   contention: the paper-fidelity model.
+//! * **Event-driven** ([`Kernel::event_driven`]): cooperative. There is
+//!   no quantum, so the heap holds only op completions and timers and
+//!   virtual time jumps straight from one to the next. A `SpinUntil`
+//!   *releases* its core and blocks on the flag; the wake charges the
+//!   whole blocked span as busy time — the cycles a real spinner would
+//!   have burned — and re-queues the thread. Spin timeouts elapse in
+//!   virtual time from the moment the spin starts. Cores only gate how
+//!   many computations overlap, so spinners can never starve the
+//!   machine and the model stays fast at 128+ vCPUs.
+//!
+//! With at most as many threads as cores the two schedules are
+//! *cycle-identical* (round-robin never preempts when the run queue is
+//! empty); the cross-policy equivalence suite pins that down. With more
+//! threads than cores they model different machines — time-sliced vs
+//! cooperative — so use round-robin to study core contention.
+//!
 //! Determinism: no wall clock, no OS threads, FIFO tie-breaking by event
 //! sequence number. Two runs with the same actors produce identical
 //! traces.
+//!
+//! In discrete-event terms each thread is a component: its `next_tick`
+//! is the timestamp of its earliest armed event, and [`Actor::step`] is
+//! its `tick`. [`Kernel::next_tick`]/[`Kernel::tick`] expose the
+//! machine-level form of that interface for external drivers that want
+//! to interleave the simulation with other event sources;
+//! [`Kernel::run_while`] is the loop over them.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -133,7 +167,12 @@ enum Pending {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ThreadState {
     Runnable,
-    Running { core: usize },
+    Running {
+        core: usize,
+    },
+    /// Event-driven policy only: off-core on a flag waiter list (charged
+    /// busy on wake).
+    SpinBlocked,
     Sleeping,
     Parked,
     Finished,
@@ -204,108 +243,16 @@ impl Ord for EventBox {
 /// Default round-robin quantum: 3 ms at 3.8 GHz.
 pub const DEFAULT_RR_QUANTUM: u64 = 11_400_000;
 
-/// Common interface of the two DES kernels: the cycle-accurate
-/// round-robin [`Kernel`] and the priority-queue
-/// [`EventKernel`](crate::event_kernel::EventKernel).
-///
-/// Protocol worlds ([`ZcWorld`](crate::ocall::zc::ZcWorld) and friends),
-/// the experiment driver ([`sim::run`](crate::sim::run)) and the gantt
-/// renderer are written against this trait, so the same actors run
-/// unchanged on either kernel. See DESIGN.md §11 for when to use which.
-pub trait Machine {
-    /// Allocate a flag cell initialised to `value`.
-    fn new_flag(&mut self, value: u64) -> FlagId;
-    /// Current value of a flag.
-    fn flag(&self, id: FlagId) -> u64;
-    /// Spawn an actor as a runnable thread; returns its [`Tid`].
-    fn spawn(&mut self, actor: Box<dyn Actor>) -> Tid;
-    /// Current virtual time in cycles.
-    fn now(&self) -> u64;
-    /// Number of cores in the machine.
-    fn cores(&self) -> usize;
-    /// Run until every thread finishes, virtual time reaches `deadline`,
-    /// or `keep_going` returns `false` (checked after each event).
-    /// Returns the final virtual time. Object-safe form; prefer the
-    /// [`run_while`](trait.Machine.html#method.run_while) convenience on
-    /// `dyn Machine`.
-    fn run_while_dyn(&mut self, deadline: u64, keep_going: &mut dyn FnMut() -> bool) -> u64;
-    /// `(busy, idle)` cycles recorded for `tid` so far.
-    fn thread_cycles(&self, tid: Tid) -> (u64, u64);
-    /// Sum of busy cycles over all threads whose group name equals
-    /// `group`.
-    fn group_busy_cycles(&self, group: &str) -> u64;
-    /// Total busy cycles over all threads.
-    fn total_busy_cycles(&self) -> u64;
-    /// Number of threads not yet finished.
-    fn live_threads(&self) -> usize;
-    /// Total actor steps executed (diagnostics / runaway detection).
-    fn steps(&self) -> u64;
-    /// Record core-occupancy changes for later inspection. Call before
-    /// running.
-    fn enable_tracing(&mut self);
-    /// Occupancy trace recorded so far (empty unless tracing enabled).
-    fn trace(&self) -> &[OccupancyEvent];
-}
-
-impl dyn Machine + '_ {
-    /// Run until every thread finishes, virtual time reaches `deadline`,
-    /// or `keep_going` returns `false`.
-    pub fn run_while(&mut self, deadline: u64, mut keep_going: impl FnMut() -> bool) -> u64 {
-        self.run_while_dyn(deadline, &mut keep_going)
-    }
-
-    /// Run until every thread finishes or virtual time reaches
-    /// `deadline`.
-    pub fn run_until(&mut self, deadline: u64) -> u64 {
-        self.run_while_dyn(deadline, &mut || true)
-    }
-
-    /// Run to completion (no deadline).
-    pub fn run(&mut self) -> u64 {
-        self.run_until(u64::MAX)
-    }
-}
-
-impl Machine for Kernel {
-    fn new_flag(&mut self, value: u64) -> FlagId {
-        Kernel::new_flag(self, value)
-    }
-    fn flag(&self, id: FlagId) -> u64 {
-        Kernel::flag(self, id)
-    }
-    fn spawn(&mut self, actor: Box<dyn Actor>) -> Tid {
-        Kernel::spawn(self, actor)
-    }
-    fn now(&self) -> u64 {
-        Kernel::now(self)
-    }
-    fn cores(&self) -> usize {
-        Kernel::cores(self)
-    }
-    fn run_while_dyn(&mut self, deadline: u64, keep_going: &mut dyn FnMut() -> bool) -> u64 {
-        Kernel::run_while(self, deadline, keep_going)
-    }
-    fn thread_cycles(&self, tid: Tid) -> (u64, u64) {
-        Kernel::thread_cycles(self, tid)
-    }
-    fn group_busy_cycles(&self, group: &str) -> u64 {
-        Kernel::group_busy_cycles(self, group)
-    }
-    fn total_busy_cycles(&self) -> u64 {
-        Kernel::total_busy_cycles(self)
-    }
-    fn live_threads(&self) -> usize {
-        Kernel::live_threads(self)
-    }
-    fn steps(&self) -> u64 {
-        Kernel::steps(self)
-    }
-    fn enable_tracing(&mut self) {
-        Kernel::enable_tracing(self);
-    }
-    fn trace(&self) -> &[OccupancyEvent] {
-        Kernel::trace(self)
-    }
+/// How runnable threads share the cores — the only axis on which the
+/// two machine models differ (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Policy {
+    /// Preemptive: each occupancy arms a quantum of this many cycles and
+    /// spinners hold their cores.
+    RoundRobin { quantum: u64 },
+    /// Cooperative: no quantum; a `SpinUntil` releases its core and
+    /// blocks on the flag, and its wake re-queues it.
+    EventDriven,
 }
 
 /// One core-occupancy change, recorded when tracing is enabled.
@@ -323,12 +270,15 @@ pub struct OccupancyEvent {
 pub struct Kernel {
     now: u64,
     cores: Vec<CoreState>,
+    /// Indices of the idle cores (exactly those with no `running`
+    /// thread); the lowest index is handed out first.
+    free_cores: BinaryHeap<Reverse<usize>>,
     runq: VecDeque<Tid>,
     events: BinaryHeap<Reverse<(u64, u64, EventBox)>>,
     seq: u64,
     threads: Vec<ThreadCb>,
     flags: Vec<Flag>,
-    rr_quantum: u64,
+    policy: Policy,
     pause_cycles: u64,
     live_threads: usize,
     steps: u64,
@@ -338,6 +288,7 @@ pub struct Kernel {
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
+            .field("policy", &self.policy)
             .field("now", &self.now)
             .field("cores", &self.cores.len())
             .field("threads", &self.threads.len())
@@ -347,10 +298,23 @@ impl std::fmt::Debug for Kernel {
 }
 
 impl Kernel {
-    /// Kernel with `cores` cores, a round-robin quantum and the pause
-    /// latency (both in cycles).
+    /// Round-robin kernel with `cores` cores, a preemption quantum and
+    /// the pause latency (both in cycles).
     #[must_use]
     pub fn new(cores: usize, rr_quantum: u64, pause_cycles: u64) -> Self {
+        let quantum = rr_quantum.max(1);
+        Self::with_policy(cores, Policy::RoundRobin { quantum }, pause_cycles)
+    }
+
+    /// Event-driven kernel with `cores` cores and the pause latency in
+    /// cycles: no quantum, never preempts, spin-waits block off-core.
+    #[must_use]
+    pub fn event_driven(cores: usize, pause_cycles: u64) -> Self {
+        Self::with_policy(cores, Policy::EventDriven, pause_cycles)
+    }
+
+    fn with_policy(cores: usize, policy: Policy, pause_cycles: u64) -> Self {
+        let cores = cores.max(1);
         Kernel {
             now: 0,
             cores: vec![
@@ -358,14 +322,15 @@ impl Kernel {
                     running: None,
                     quantum_generation: 0,
                 };
-                cores.max(1)
+                cores
             ],
+            free_cores: (0..cores).map(Reverse).collect(),
             runq: VecDeque::new(),
             events: BinaryHeap::new(),
             seq: 0,
             threads: Vec::new(),
             flags: Vec::new(),
-            rr_quantum: rr_quantum.max(1),
+            policy,
             pause_cycles: pause_cycles.max(1),
             live_threads: 0,
             steps: 0,
@@ -374,7 +339,9 @@ impl Kernel {
     }
 
     /// Record core-occupancy changes for later inspection (e.g. the
-    /// [`gantt`](crate::gantt) renderer). Call before `run`.
+    /// [`gantt`](crate::gantt) renderer). Call before `run`. Under the
+    /// event-driven policy only compute occupancy shows up: blocked
+    /// spinners are off-core.
     pub fn enable_tracing(&mut self) {
         self.trace = Some(Vec::new());
     }
@@ -481,6 +448,26 @@ impl Kernel {
         self.events.push(Reverse((time, self.seq, EventBox(ev))));
     }
 
+    /// Timestamp of the next scheduled event, if any — the machine-level
+    /// `next_tick` of the discrete-event component interface.
+    #[must_use]
+    pub fn next_tick(&self) -> Option<u64> {
+        self.events.peek().map(|Reverse((time, _, _))| *time)
+    }
+
+    /// Process exactly the next event (advancing virtual time to it) and
+    /// everything it unblocks at that instant. Returns the new virtual
+    /// time, or `None` when no event is pending.
+    pub fn tick(&mut self) -> Option<u64> {
+        self.dispatch();
+        let Reverse((time, _, EventBox(ev))) = self.events.pop()?;
+        debug_assert!(time >= self.now);
+        self.now = time;
+        self.handle(ev);
+        self.dispatch();
+        Some(self.now)
+    }
+
     /// Run until every thread finishes or virtual time reaches
     /// `deadline`. Returns the final virtual time.
     pub fn run_until(&mut self, deadline: u64) -> u64 {
@@ -493,20 +480,16 @@ impl Kernel {
     pub fn run_while(&mut self, deadline: u64, mut keep_going: impl FnMut() -> bool) -> u64 {
         self.dispatch();
         while self.live_threads > 0 {
-            let Some(&Reverse((time, _, _))) = self.events.peek() else {
+            let Some(time) = self.next_tick() else {
                 // Live threads but no future events: everything is parked
-                // forever. Return rather than hang.
+                // or blocked forever. Return rather than hang.
                 break;
             };
             if time > deadline {
                 self.now = deadline.max(self.now);
                 break;
             }
-            let Reverse((time, _, EventBox(ev))) = self.events.pop().expect("peeked event");
-            debug_assert!(time >= self.now);
-            self.now = time;
-            self.handle(ev);
-            self.dispatch();
+            self.tick();
             if !keep_going() {
                 break;
             }
@@ -519,8 +502,8 @@ impl Kernel {
         self.run_until(u64::MAX)
     }
 
-    /// Account the on-core segment of a running thread up to `now` and
-    /// restart the segment clock. Returns the segment length.
+    /// Account the busy segment of a running (or spin-blocked) thread up
+    /// to `now` and restart the segment clock. Returns the segment length.
     fn account_running(&mut self, tid: Tid) -> u64 {
         let now = self.now;
         let t = &mut self.threads[tid.0];
@@ -558,12 +541,7 @@ impl Kernel {
                 if self.runq.is_empty() {
                     // Nobody waiting: renew the quantum in place without
                     // touching the thread's op.
-                    self.cores[core].quantum_generation += 1;
-                    let generation = self.cores[core].quantum_generation;
-                    self.push_event(
-                        self.now + self.rr_quantum,
-                        Event::Quantum { core, generation },
-                    );
+                    self.arm_quantum(core);
                 } else {
                     self.preempt(tid, core);
                 }
@@ -584,19 +562,23 @@ impl Kernel {
         }
     }
 
-    /// Complete the current op of the running thread `tid` and step its
-    /// actor (the thread retains its core and quantum).
+    /// Complete the current op of thread `tid`. A running thread retains
+    /// its core (and quantum) and its actor is stepped in place; an
+    /// event-driven spinner gave its core up, so its wake re-queues it.
     fn finish_op(&mut self, tid: Tid, result: SyscallResult) {
         self.account_running(tid);
-        let core = match self.threads[tid.0].state {
-            ThreadState::Running { core } => core,
-            other => unreachable!("finish_op on non-running thread in state {other:?}"),
-        };
         self.remove_spin_waiter(tid);
         self.threads[tid.0].pending = None;
         self.threads[tid.0].generation += 1; // invalidate stale events
         self.threads[tid.0].next_result = result;
-        self.step_thread_on_core(tid, core);
+        match self.threads[tid.0].state {
+            ThreadState::Running { core } => self.step_thread_on_core(tid, core),
+            ThreadState::SpinBlocked => {
+                self.threads[tid.0].state = ThreadState::Runnable;
+                self.runq.push_back(tid);
+            }
+            other => unreachable!("finish_op on a thread with no op in state {other:?}"),
+        }
     }
 
     /// Take `tid` off `core` at a quantum boundary, shrinking its pending
@@ -617,17 +599,14 @@ impl Kernel {
         }
         self.threads[tid.0].state = ThreadState::Runnable;
         self.threads[tid.0].generation += 1; // invalidate in-flight events
-        self.cores[core].running = None;
-        self.cores[core].quantum_generation += 1;
-        self.trace_occupancy(core, None);
+        self.vacate(core);
         self.runq.push_back(tid);
     }
 
-    /// Arm the completion event(s) for the pending op of the thread
-    /// running on `core`. Does not touch the quantum.
-    fn arm_op(&mut self, tid: Tid, core: usize) {
+    /// Arm the completion event(s) for the pending op of `tid` and start
+    /// its busy segment. Touches neither its state nor the quantum.
+    fn arm_op(&mut self, tid: Tid) {
         let now = self.now;
-        self.threads[tid.0].state = ThreadState::Running { core };
         self.threads[tid.0].segment_start = now;
         self.threads[tid.0].generation += 1;
         let generation = self.threads[tid.0].generation;
@@ -671,33 +650,37 @@ impl Kernel {
         }
     }
 
-    /// Pull threads from the run queue onto idle cores.
+    /// Start a fresh quantum for the current occupancy of `core`,
+    /// superseding any armed one. The event-driven policy has no quantum.
+    fn arm_quantum(&mut self, core: usize) {
+        self.cores[core].quantum_generation += 1;
+        if let Policy::RoundRobin { quantum } = self.policy {
+            let generation = self.cores[core].quantum_generation;
+            self.push_event(self.now + quantum, Event::Quantum { core, generation });
+        }
+    }
+
+    /// Pull threads from the run queue onto idle cores. Stepping may
+    /// ready further threads (unparks) or free cores (blocks), so loop
+    /// until one side is exhausted.
     fn dispatch(&mut self) {
-        loop {
-            let Some(core) = self.cores.iter().position(|c| c.running.is_none()) else {
+        while !self.runq.is_empty() {
+            let Some(Reverse(core)) = self.free_cores.pop() else {
                 return;
             };
-            let Some(tid) = self.runq.pop_front() else {
-                return;
-            };
+            let tid = self.runq.pop_front().expect("checked non-empty");
             // Fresh quantum for the new occupancy; the busy segment
             // starts now (arm_op refreshes it again for timed ops).
             self.threads[tid.0].segment_start = self.now;
             self.cores[core].running = Some(tid);
-            self.cores[core].quantum_generation += 1;
             self.trace_occupancy(core, Some(tid));
-            let qgen = self.cores[core].quantum_generation;
-            self.push_event(
-                self.now + self.rr_quantum,
-                Event::Quantum {
-                    core,
-                    generation: qgen,
-                },
-            );
+            self.arm_quantum(core);
             if self.threads[tid.0].pending.is_none() {
                 self.step_thread_on_core(tid, core);
             } else {
-                self.arm_op(tid, core);
+                // A preempted op resumes where it left off.
+                self.threads[tid.0].state = ThreadState::Running { core };
+                self.arm_op(tid);
             }
         }
     }
@@ -716,7 +699,7 @@ impl Kernel {
             match sys {
                 Syscall::Compute(cycles) => {
                     self.threads[tid.0].pending = Some(Pending::Compute { remaining: cycles });
-                    self.arm_op(tid, core);
+                    self.arm_op(tid);
                     return;
                 }
                 Syscall::SpinUntil {
@@ -724,12 +707,18 @@ impl Kernel {
                     target,
                     timeout_pauses,
                 } => {
+                    if self.policy == Policy::EventDriven {
+                        // The spinner no longer holds the core; the busy
+                        // charge for the wait lands at wake time.
+                        self.release_core(tid, core);
+                        self.threads[tid.0].state = ThreadState::SpinBlocked;
+                    }
                     self.threads[tid.0].pending = Some(Pending::Spin {
                         flag,
                         target,
                         remaining_pauses: timeout_pauses,
                     });
-                    self.arm_op(tid, core);
+                    self.arm_op(tid);
                     return;
                 }
                 Syscall::SetFlag { flag, value } => {
@@ -776,9 +765,16 @@ impl Kernel {
     fn release_core(&mut self, tid: Tid, core: usize) {
         debug_assert_eq!(self.cores[core].running, Some(tid));
         self.account_running(tid);
+        self.threads[tid.0].pending = None;
+        self.vacate(core);
+    }
+
+    /// `core` goes idle: invalidate its quantum and return it to the
+    /// free pool.
+    fn vacate(&mut self, core: usize) {
         self.cores[core].running = None;
         self.cores[core].quantum_generation += 1;
-        self.threads[tid.0].pending = None;
+        self.free_cores.push(Reverse(core));
         self.trace_occupancy(core, None);
     }
 
@@ -792,7 +788,10 @@ impl Kernel {
             if !target.matches(value) {
                 continue;
             }
-            if let ThreadState::Running { .. } = self.threads[tid.0].state {
+            if matches!(
+                self.threads[tid.0].state,
+                ThreadState::Running { .. } | ThreadState::SpinBlocked
+            ) {
                 // Observed one pause later; a fresh generation supersedes
                 // any armed timeout event.
                 self.threads[tid.0].generation += 1;
@@ -802,8 +801,9 @@ impl Kernel {
                     Event::OpComplete { tid, generation },
                 );
             }
-            // Runnable spinners observe the value via arm_op when next
-            // scheduled; sleeping/parked threads are never flag waiters.
+            // Runnable (preempted) spinners observe the value via arm_op
+            // when next scheduled; sleeping/parked threads are never flag
+            // waiters.
         }
     }
 
@@ -857,21 +857,327 @@ mod tests {
         }
     }
 
+    /// Round-robin kernel with a 1M-cycle quantum.
     fn kernel(cores: usize) -> Kernel {
         Kernel::new(cores, 1_000_000, 140)
     }
 
+    /// Event-driven kernel.
+    fn event_kernel(cores: usize) -> Kernel {
+        Kernel::event_driven(cores, 140)
+    }
+
+    /// Run `test` once per scheduling policy. The policy line is only
+    /// shown by the harness when the test fails.
+    fn on_both_policies(cores: usize, test: impl Fn(Kernel)) {
+        for k in [kernel(cores), event_kernel(cores)] {
+            eprintln!("policy under test: {:?}", k.policy);
+            test(k);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Contract shared by both policies.
+    // -----------------------------------------------------------------
+
     #[test]
     fn single_compute_finishes_at_exact_time() {
-        let mut k = kernel(1);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        k.spawn(Script::new(vec![Syscall::Compute(5_000)], Rc::clone(&log)));
-        let end = k.run();
-        assert_eq!(end, 5_000);
-        let log = log.borrow();
-        assert_eq!(log[0], (0, SyscallResult::Init));
-        assert_eq!(log[1], (5_000, SyscallResult::Ok));
+        on_both_policies(1, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            k.spawn(Script::new(vec![Syscall::Compute(5_000)], Rc::clone(&log)));
+            let end = k.run();
+            assert_eq!(end, 5_000);
+            let log = log.borrow();
+            assert_eq!(log[0], (0, SyscallResult::Init));
+            assert_eq!(log[1], (5_000, SyscallResult::Ok));
+        });
     }
+
+    #[test]
+    fn two_threads_two_cores_parallelize() {
+        on_both_policies(2, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            k.spawn(Script::new(
+                vec![Syscall::Compute(300_000)],
+                Rc::clone(&log),
+            ));
+            k.spawn(Script::new(
+                vec![Syscall::Compute(300_000)],
+                Rc::clone(&log),
+            ));
+            assert_eq!(k.run(), 300_000);
+        });
+    }
+
+    #[test]
+    fn sleep_yields_the_core() {
+        on_both_policies(1, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let sleeper = k.spawn(Script::new(
+                vec![Syscall::Sleep(1_000_000)],
+                Rc::clone(&log),
+            ));
+            let worker = k.spawn(Script::new(
+                vec![Syscall::Compute(500_000)],
+                Rc::clone(&log),
+            ));
+            let end = k.run();
+            assert_eq!(end, 1_000_000, "sleep dominates");
+            assert_eq!(k.thread_cycles(sleeper), (0, 1_000_000));
+            assert_eq!(k.thread_cycles(worker).0, 500_000);
+            // The worker's compute completed at 500k, while the sleeper
+            // was off-core.
+            assert!(log.borrow().contains(&(500_000, SyscallResult::Ok)));
+        });
+    }
+
+    #[test]
+    fn spin_wakes_one_pause_after_flag_set() {
+        on_both_policies(2, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let flag = k.new_flag(0);
+            k.spawn(Script::new(
+                vec![Syscall::SpinUntil {
+                    flag,
+                    target: SpinTarget::Eq(1),
+                    timeout_pauses: None,
+                }],
+                Rc::clone(&log),
+            ));
+            k.spawn(Script::new(
+                vec![
+                    Syscall::Compute(10_000),
+                    Syscall::SetFlag { flag, value: 1 },
+                ],
+                Rc::clone(&log),
+            ));
+            let end = k.run();
+            assert_eq!(end, 10_000 + 140, "observed one pause after the set");
+            assert_eq!(
+                k.thread_cycles(Tid(0)).0,
+                10_140,
+                "spinner charged busy throughout the wait, on-core or blocked"
+            );
+        });
+    }
+
+    #[test]
+    fn spin_timeout_fires_after_budget() {
+        on_both_policies(1, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let flag = k.new_flag(0);
+            k.spawn(Script::new(
+                vec![Syscall::SpinUntil {
+                    flag,
+                    target: SpinTarget::Eq(1),
+                    timeout_pauses: Some(100),
+                }],
+                Rc::clone(&log),
+            ));
+            let end = k.run();
+            assert_eq!(end, 100 * 140);
+            assert_eq!(log.borrow()[1], (14_000, SyscallResult::TimedOut));
+        });
+    }
+
+    #[test]
+    fn spin_on_already_set_flag_returns_after_one_pause() {
+        on_both_policies(1, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let flag = k.new_flag(7);
+            k.spawn(Script::new(
+                vec![Syscall::SpinUntil {
+                    flag,
+                    target: SpinTarget::Eq(7),
+                    timeout_pauses: Some(5),
+                }],
+                Rc::clone(&log),
+            ));
+            let end = k.run();
+            assert_eq!(end, 140);
+            assert_eq!(log.borrow()[1].1, SyscallResult::Ok);
+        });
+    }
+
+    #[test]
+    fn park_and_unpark() {
+        on_both_policies(2, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let parked = k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
+            k.spawn(Script::new(
+                vec![Syscall::Compute(50_000), Syscall::Unpark(parked)],
+                Rc::clone(&log),
+            ));
+            let end = k.run();
+            assert_eq!(end, 50_000);
+            assert_eq!(k.thread_cycles(parked), (0, 50_000), "parked time is idle");
+        });
+    }
+
+    #[test]
+    fn unpark_token_prevents_park() {
+        on_both_policies(1, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            // Unparker runs first; the target parks later and must consume
+            // the pending token without blocking.
+            let target = Tid(1);
+            k.spawn(Script::new(
+                vec![Syscall::Unpark(target), Syscall::Compute(1_000)],
+                Rc::clone(&log),
+            ));
+            k.spawn(Script::new(
+                vec![Syscall::Park, Syscall::Compute(500)],
+                Rc::clone(&log),
+            ));
+            let end = k.run();
+            assert_eq!(end, 1_500, "park must not block with a pending token");
+        });
+    }
+
+    #[test]
+    fn deadline_stops_the_clock() {
+        on_both_policies(1, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            k.spawn(Script::new(
+                vec![Syscall::Compute(u64::MAX / 2)],
+                Rc::clone(&log),
+            ));
+            let end = k.run_until(1_000_000);
+            assert_eq!(end, 1_000_000);
+            assert_eq!(k.live_threads(), 1);
+        });
+    }
+
+    #[test]
+    fn group_accounting() {
+        on_both_policies(2, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            k.spawn(Script::new(vec![Syscall::Compute(1_000)], Rc::clone(&log)));
+            k.spawn(Script::new(vec![Syscall::Compute(2_000)], Rc::clone(&log)));
+            k.run();
+            assert_eq!(k.group_busy_cycles("script"), 3_000);
+            assert_eq!(k.group_busy_cycles("other"), 0);
+            assert_eq!(k.total_busy_cycles(), 3_000);
+        });
+    }
+
+    #[test]
+    fn determinism_same_script_same_trace() {
+        let run = |mut k: Kernel| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let flag = k.new_flag(0);
+            for i in 0..4 {
+                k.spawn(Script::new(
+                    vec![
+                        Syscall::Compute(1_000 * (i + 1)),
+                        Syscall::SetFlag { flag, value: i },
+                        Syscall::Compute(500),
+                    ],
+                    Rc::clone(&log),
+                ));
+            }
+            k.run();
+            let trace = log.borrow().clone();
+            trace
+        };
+        assert_eq!(
+            run(Kernel::new(2, 10_000, 140)),
+            run(Kernel::new(2, 10_000, 140))
+        );
+        assert_eq!(run(event_kernel(2)), run(event_kernel(2)));
+    }
+
+    #[test]
+    fn zero_compute_is_instantaneous_but_valid() {
+        on_both_policies(1, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            k.spawn(Script::new(
+                vec![Syscall::Compute(0), Syscall::Compute(100)],
+                Rc::clone(&log),
+            ));
+            assert_eq!(k.run(), 100);
+        });
+    }
+
+    #[test]
+    fn flags_read_back() {
+        on_both_policies(1, |mut k| {
+            let f = k.new_flag(3);
+            assert_eq!(k.flag(f), 3);
+            let log = Rc::new(RefCell::new(Vec::new()));
+            k.spawn(Script::new(
+                vec![Syscall::SetFlag { flag: f, value: 9 }],
+                Rc::clone(&log),
+            ));
+            k.run();
+            assert_eq!(k.flag(f), 9);
+        });
+    }
+
+    // -----------------------------------------------------------------
+    // Where the policies diverge by design.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn one_core_spinner_holds_or_frees_its_core_by_policy() {
+        // The identical script on one core under each policy: a spinner
+        // with a 1000-pause budget (140k cycles, shorter than the 1M
+        // quantum), then a setter that computes 5k and sets the flag.
+        let run = |mut k: Kernel| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let flag = k.new_flag(0);
+            k.spawn(Script::new(
+                vec![Syscall::SpinUntil {
+                    flag,
+                    target: SpinTarget::Eq(1),
+                    timeout_pauses: Some(1_000),
+                }],
+                Rc::clone(&log),
+            ));
+            k.spawn(Script::new(
+                vec![Syscall::Compute(5_000), Syscall::SetFlag { flag, value: 1 }],
+                Rc::clone(&log),
+            ));
+            let end = k.run();
+            let log = log.borrow().clone();
+            (end, log)
+        };
+        // Round-robin: the spinner occupies the only core, so it times
+        // out before the setter ever runs.
+        let (_, log) = run(kernel(1));
+        assert_eq!(
+            log[1],
+            (140_000, SyscallResult::TimedOut),
+            "spinner must exhaust its budget before the setter ever runs"
+        );
+        // Event-driven: the spinner blocks off-core, the setter runs
+        // immediately, and the spin completes without a timeout.
+        let (end, log) = run(event_kernel(1));
+        assert_eq!(end, 5_140, "setter never waits for the spinner's core");
+        assert!(log.contains(&(5_140, SyscallResult::Ok)));
+    }
+
+    #[test]
+    fn all_parked_terminates_run() {
+        let run = |mut k: Kernel| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
+            let end = k.run_until(10_000);
+            assert_eq!(k.live_threads(), 1);
+            end
+        };
+        // Round-robin: the initial quantum event sits past the deadline;
+        // the clock stops at the deadline with the parked thread still
+        // live.
+        assert_eq!(run(kernel(1)), 10_000);
+        // Event-driven: no quantum events exist at all, so the run breaks
+        // at t = 0 with the parked thread still live.
+        assert_eq!(run(event_kernel(1)), 0);
+    }
+
+    // -----------------------------------------------------------------
+    // Round-robin only: preemption.
+    // -----------------------------------------------------------------
 
     #[test]
     fn two_threads_one_core_serialize() {
@@ -889,21 +1195,6 @@ mod tests {
         assert_eq!(end, 600_000, "one core must serialize the work");
         assert_eq!(k.thread_cycles(a).0, 300_000);
         assert_eq!(k.thread_cycles(b).0, 300_000);
-    }
-
-    #[test]
-    fn two_threads_two_cores_parallelize() {
-        let mut k = kernel(2);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        k.spawn(Script::new(
-            vec![Syscall::Compute(300_000)],
-            Rc::clone(&log),
-        ));
-        k.spawn(Script::new(
-            vec![Syscall::Compute(300_000)],
-            Rc::clone(&log),
-        ));
-        assert_eq!(k.run(), 300_000);
     }
 
     #[test]
@@ -932,153 +1223,6 @@ mod tests {
         assert!(
             finish_times[1] - finish_times[0] <= 1_000_000,
             "RR must interleave: finishes {finish_times:?}"
-        );
-    }
-
-    #[test]
-    fn sleep_yields_the_core() {
-        let mut k = kernel(1);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let sleeper = k.spawn(Script::new(
-            vec![Syscall::Sleep(1_000_000)],
-            Rc::clone(&log),
-        ));
-        let worker = k.spawn(Script::new(
-            vec![Syscall::Compute(500_000)],
-            Rc::clone(&log),
-        ));
-        let end = k.run();
-        assert_eq!(end, 1_000_000, "sleep dominates");
-        assert_eq!(k.thread_cycles(sleeper), (0, 1_000_000));
-        assert_eq!(k.thread_cycles(worker).0, 500_000);
-        // The worker's compute completed at 500k, while the sleeper was
-        // off-core.
-        assert!(log.borrow().contains(&(500_000, SyscallResult::Ok)));
-    }
-
-    #[test]
-    fn spin_wakes_one_pause_after_flag_set() {
-        let mut k = kernel(2);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(0);
-        k.spawn(Script::new(
-            vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(1),
-                timeout_pauses: None,
-            }],
-            Rc::clone(&log),
-        ));
-        k.spawn(Script::new(
-            vec![
-                Syscall::Compute(10_000),
-                Syscall::SetFlag { flag, value: 1 },
-            ],
-            Rc::clone(&log),
-        ));
-        let end = k.run();
-        assert_eq!(end, 10_000 + 140, "observed one pause after the set");
-        assert_eq!(
-            k.thread_cycles(Tid(0)).0,
-            10_140,
-            "spinner burned CPU throughout"
-        );
-    }
-
-    #[test]
-    fn spin_timeout_fires_after_budget() {
-        let mut k = kernel(1);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(0);
-        k.spawn(Script::new(
-            vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(1),
-                timeout_pauses: Some(100),
-            }],
-            Rc::clone(&log),
-        ));
-        let end = k.run();
-        assert_eq!(end, 100 * 140);
-        assert_eq!(log.borrow()[1], (14_000, SyscallResult::TimedOut));
-    }
-
-    #[test]
-    fn spin_on_already_set_flag_returns_after_one_pause() {
-        let mut k = kernel(1);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(7);
-        k.spawn(Script::new(
-            vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(7),
-                timeout_pauses: Some(5),
-            }],
-            Rc::clone(&log),
-        ));
-        let end = k.run();
-        assert_eq!(end, 140);
-        assert_eq!(log.borrow()[1].1, SyscallResult::Ok);
-    }
-
-    #[test]
-    fn park_and_unpark() {
-        let mut k = kernel(2);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let parked = k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
-        k.spawn(Script::new(
-            vec![Syscall::Compute(50_000), Syscall::Unpark(parked)],
-            Rc::clone(&log),
-        ));
-        let end = k.run();
-        assert_eq!(end, 50_000);
-        assert_eq!(k.thread_cycles(parked), (0, 50_000), "parked time is idle");
-    }
-
-    #[test]
-    fn unpark_token_prevents_park() {
-        let mut k = kernel(1);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        // Unparker runs first; the target parks later and must consume
-        // the pending token without blocking.
-        let target = Tid(1);
-        k.spawn(Script::new(
-            vec![Syscall::Unpark(target), Syscall::Compute(1_000)],
-            Rc::clone(&log),
-        ));
-        k.spawn(Script::new(
-            vec![Syscall::Park, Syscall::Compute(500)],
-            Rc::clone(&log),
-        ));
-        let end = k.run();
-        assert_eq!(end, 1_500, "park must not block with a pending token");
-    }
-
-    #[test]
-    fn spinner_occupying_core_blocks_other_work_on_one_core() {
-        // One core: the spinner's 1000-pause budget (140k cycles) is
-        // shorter than the quantum (1M), so it times out before the
-        // setter ever runs.
-        let mut k = kernel(1);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(0);
-        k.spawn(Script::new(
-            vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(1),
-                timeout_pauses: Some(1_000),
-            }],
-            Rc::clone(&log),
-        ));
-        k.spawn(Script::new(
-            vec![Syscall::SetFlag { flag, value: 1 }],
-            Rc::clone(&log),
-        ));
-        k.run();
-        assert_eq!(
-            log.borrow()[1],
-            (140_000, SyscallResult::TimedOut),
-            "spinner must exhaust its budget before the setter ever runs"
         );
     }
 
@@ -1158,88 +1302,84 @@ mod tests {
         assert!(timeout_at <= 30_000, "timed out too late: {timeout_at}");
     }
 
+    // -----------------------------------------------------------------
+    // Event-driven only: cooperative scheduling, off-core spinners.
+    // -----------------------------------------------------------------
+
     #[test]
-    fn deadline_stops_the_clock() {
-        let mut k = kernel(1);
+    fn two_threads_one_core_serialize_cooperatively() {
+        // No preemption: thread 0 runs its whole compute, then thread 1.
+        let mut k = event_kernel(1);
         let log = Rc::new(RefCell::new(Vec::new()));
-        k.spawn(Script::new(
-            vec![Syscall::Compute(u64::MAX / 2)],
+        let a = k.spawn(Script::new(
+            vec![Syscall::Compute(300_000)],
             Rc::clone(&log),
         ));
-        let end = k.run_until(1_000_000);
-        assert_eq!(end, 1_000_000);
-        assert_eq!(k.live_threads(), 1);
+        let b = k.spawn(Script::new(
+            vec![Syscall::Compute(300_000)],
+            Rc::clone(&log),
+        ));
+        let end = k.run();
+        assert_eq!(end, 600_000, "one core must serialize the work");
+        assert_eq!(k.thread_cycles(a).0, 300_000);
+        assert_eq!(k.thread_cycles(b).0, 300_000);
     }
 
     #[test]
-    fn all_parked_terminates_run() {
-        let mut k = kernel(1);
+    fn next_tick_and_tick_step_the_machine_event_by_event() {
+        let mut k = event_kernel(1);
         let log = Rc::new(RefCell::new(Vec::new()));
-        k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
-        let end = k.run_until(10_000);
-        // The initial quantum event sits past the deadline; the clock
-        // stops at the deadline with the parked thread still live.
-        assert_eq!(end, 10_000);
-        assert_eq!(k.live_threads(), 1);
+        k.spawn(Script::new(
+            vec![Syscall::Compute(1_000), Syscall::Sleep(500)],
+            Rc::clone(&log),
+        ));
+        // Seed the initial dispatch, then walk the event list manually.
+        assert_eq!(k.tick(), Some(1_000), "first event: compute completes");
+        assert_eq!(k.next_tick(), Some(1_500), "sleep timer is armed");
+        assert_eq!(k.tick(), Some(1_500));
+        assert_eq!(k.next_tick(), None, "thread finished; no more events");
+        assert_eq!(k.tick(), None);
+        assert_eq!(k.live_threads(), 0);
     }
 
     #[test]
-    fn group_accounting() {
-        let mut k = kernel(2);
+    fn oversubscription_stays_live_with_many_spinners() {
+        // 200 spinner/setter pairs on 4 cores: spinners block instead of
+        // hogging cores, so every pair completes.
+        let mut k = event_kernel(4);
         let log = Rc::new(RefCell::new(Vec::new()));
-        k.spawn(Script::new(vec![Syscall::Compute(1_000)], Rc::clone(&log)));
-        k.spawn(Script::new(vec![Syscall::Compute(2_000)], Rc::clone(&log)));
+        let flags: Vec<FlagId> = (0..200).map(|_| k.new_flag(0)).collect();
+        for &flag in &flags {
+            k.spawn(Script::new(
+                vec![Syscall::SpinUntil {
+                    flag,
+                    target: SpinTarget::Eq(1),
+                    timeout_pauses: None,
+                }],
+                Rc::clone(&log),
+            ));
+        }
+        for &flag in &flags {
+            k.spawn(Script::new(
+                vec![Syscall::Compute(1_000), Syscall::SetFlag { flag, value: 1 }],
+                Rc::clone(&log),
+            ));
+        }
         k.run();
-        assert_eq!(k.group_busy_cycles("script"), 3_000);
-        assert_eq!(k.group_busy_cycles("other"), 0);
-        assert_eq!(k.total_busy_cycles(), 3_000);
+        assert_eq!(k.live_threads(), 0, "no spinner may starve the machine");
+        for &flag in &flags {
+            assert_eq!(k.flag(flag), 1);
+        }
     }
 
     #[test]
-    fn determinism_same_script_same_trace() {
-        let run = || {
-            let mut k = Kernel::new(2, 10_000, 140);
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let flag = k.new_flag(0);
-            for i in 0..4 {
-                k.spawn(Script::new(
-                    vec![
-                        Syscall::Compute(1_000 * (i + 1)),
-                        Syscall::SetFlag { flag, value: i },
-                        Syscall::Compute(500),
-                    ],
-                    Rc::clone(&log),
-                ));
-            }
-            k.run();
-            let trace = log.borrow().clone();
-            trace
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn zero_compute_is_instantaneous_but_valid() {
-        let mut k = kernel(1);
+    fn lifted_core_cap_scales_past_128() {
+        let mut k = event_kernel(256);
         let log = Rc::new(RefCell::new(Vec::new()));
-        k.spawn(Script::new(
-            vec![Syscall::Compute(0), Syscall::Compute(100)],
-            Rc::clone(&log),
-        ));
-        assert_eq!(k.run(), 100);
-    }
-
-    #[test]
-    fn flags_read_back() {
-        let mut k = kernel(1);
-        let f = k.new_flag(3);
-        assert_eq!(k.flag(f), 3);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        k.spawn(Script::new(
-            vec![Syscall::SetFlag { flag: f, value: 9 }],
-            Rc::clone(&log),
-        ));
-        k.run();
-        assert_eq!(k.flag(f), 9);
+        for _ in 0..256 {
+            k.spawn(Script::new(vec![Syscall::Compute(10_000)], Rc::clone(&log)));
+        }
+        assert_eq!(k.run(), 10_000, "256 computes run fully in parallel");
+        assert_eq!(k.total_busy_cycles(), 256 * 10_000);
     }
 }

@@ -6,13 +6,14 @@
 //! *machine* — cores, preemptive scheduling, spin-waits, sleeps — in
 //! virtual time, and runs the switchless-call protocols on top:
 //!
-//! * [`kernel`] — the cycle-accurate kernel: virtual cores, round-robin
-//!   preemption, flags (spin-wait rendezvous), park/unpark.
-//! * [`event_kernel`] — the priority-queue kernel: time jumps to the
-//!   next scheduled event, spin-waits park instead of holding cores,
-//!   and the core count scales to 128+ vCPUs. Selected per run via
-//!   [`sim::KernelMode`]; both kernels run the same actors through the
-//!   shared [`kernel::Machine`] trait (DESIGN.md §11).
+//! * [`kernel`] — the one discrete-event engine: virtual cores, a FIFO
+//!   run queue, flags (spin-wait rendezvous), park/unpark, under one of
+//!   two scheduling policies selected per run via [`sim::KernelMode`].
+//!   *Round-robin* ([`Kernel::new`]) preempts at quantum boundaries and
+//!   lets spinners hold their cores — cycle-accurate under contention.
+//!   *Event-driven* ([`Kernel::event_driven`]) has no quantum: time
+//!   jumps to the next scheduled event, spin-waits block off-core, and
+//!   the core count scales to 128+ vCPUs (DESIGN.md §11).
 //! * [`ocall`] — the three mechanisms under study as virtual-thread
 //!   protocols: regular ocalls, the Intel switchless mechanism
 //!   (task pool, `rbf`/`rbs`) and ZC-SWITCHLESS (idle-worker handoff,
@@ -36,7 +37,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod arrival;
-pub mod event_kernel;
 pub mod fleet;
 pub mod gantt;
 pub mod kernel;
@@ -46,9 +46,8 @@ pub mod sim;
 pub mod workload;
 
 pub use arrival::{ArrivalGen, ArrivalProcess, ServiceDist, ServiceSampler};
-pub use event_kernel::EventKernel;
 pub use fleet::{run_fleet, FleetReport, FleetSpec, TenantSimReport, TenantSimSpec};
-pub use kernel::{Actor, FlagId, Kernel, Machine, SpinTarget, Syscall, SyscallResult, Tid};
+pub use kernel::{Actor, FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
 pub use ocall::zc::ZcSimFaults;
 pub use ocall::{CallDesc, CostModel, Dispatcher, Step};
 pub use sim::{

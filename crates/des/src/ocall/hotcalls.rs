@@ -14,8 +14,7 @@
 //!   specific call sites); non-hot calls go regular.
 
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{FlagId, Machine, SpinTarget, Syscall, SyscallResult, Tid};
-use crate::metrics::SimCounters;
+use crate::kernel::{FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -81,7 +80,7 @@ pub struct HotcallsWorld {
 impl HotcallsWorld {
     /// Build the world and its kernel flags.
     pub fn new(
-        kernel: &mut dyn Machine,
+        kernel: &mut Kernel,
         config: HotcallsConfig,
         callers: usize,
     ) -> Rc<RefCell<HotcallsWorld>> {
@@ -117,8 +116,6 @@ impl HotcallsWorld {
 #[derive(Debug)]
 pub struct HotcallsDispatcher {
     world: Rc<RefCell<HotcallsWorld>>,
-    #[allow(dead_code)]
-    counters: Rc<RefCell<SimCounters>>,
     costs: CostModel,
     caller: usize,
     dialog: Dialog,
@@ -153,15 +150,9 @@ enum Dialog {
 impl HotcallsDispatcher {
     /// Dialogue driver for `caller`.
     #[must_use]
-    pub fn new(
-        world: Rc<RefCell<HotcallsWorld>>,
-        counters: Rc<RefCell<SimCounters>>,
-        costs: CostModel,
-        caller: usize,
-    ) -> Self {
+    pub fn new(world: Rc<RefCell<HotcallsWorld>>, costs: CostModel, caller: usize) -> Self {
         HotcallsDispatcher {
             world,
-            counters,
             costs,
             caller,
             dialog: Dialog::Idle,

@@ -7,8 +7,7 @@
 
 use super::prof::{Phase, Prof};
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{FlagId, Machine, SpinTarget, Syscall, SyscallResult, Tid};
-use crate::metrics::SimCounters;
+use crate::kernel::{FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -98,7 +97,7 @@ pub struct IntelWorld {
 impl IntelWorld {
     /// Build the world and allocate its kernel flags.
     pub fn new(
-        kernel: &mut dyn Machine,
+        kernel: &mut Kernel,
         config: IntelSimConfig,
         callers: usize,
     ) -> Rc<RefCell<IntelWorld>> {
@@ -125,8 +124,6 @@ impl IntelWorld {
 #[derive(Debug)]
 pub struct IntelDispatcher {
     world: Rc<RefCell<IntelWorld>>,
-    #[allow(dead_code)]
-    counters: Rc<RefCell<SimCounters>>,
     costs: CostModel,
     caller: usize,
     dialog: Dialog,
@@ -162,15 +159,9 @@ enum Dialog {
 impl IntelDispatcher {
     /// Dialogue driver for `caller`.
     #[must_use]
-    pub fn new(
-        world: Rc<RefCell<IntelWorld>>,
-        counters: Rc<RefCell<SimCounters>>,
-        costs: CostModel,
-        caller: usize,
-    ) -> Self {
+    pub fn new(world: Rc<RefCell<IntelWorld>>, costs: CostModel, caller: usize) -> Self {
         IntelDispatcher {
             world,
-            counters,
             costs,
             caller,
             dialog: Dialog::Idle,
@@ -314,41 +305,20 @@ impl Dispatcher for IntelDispatcher {
                 Step::Complete(CallPath::Switchless)
             }
             Dialog::RegularExec => {
-                // One regular-call compute: attribute the transition to
-                // signal and the boundary copies to copy-in/copy-out,
-                // leaving the host function in execute.
-                self.prof.mark(Phase::Execute, now);
+                let path = CallPath::Regular;
                 self.prof
-                    .transfer(Phase::Execute, Phase::Signal, self.costs.t_es_cycles);
-                self.prof.transfer(
-                    Phase::Execute,
-                    Phase::CopyIn,
-                    self.costs.copy_cycles(call.payload_bytes),
-                );
-                self.prof.transfer(
-                    Phase::Execute,
-                    Phase::CopyOut,
-                    self.costs.copy_cycles(call.ret_bytes),
-                );
-                self.prof.complete(call.class, CallPath::Regular, now);
+                    .complete_regular(&self.costs, call, call.payload_bytes, path, now);
                 self.dialog = Dialog::Idle;
-                Step::Complete(CallPath::Regular)
+                Step::Complete(path)
             }
             Dialog::FallbackExec => {
                 // The fallback remainder: transition + host + result copy
                 // (the payload copy was already charged in copy-in). A
                 // cancelled task keeps its rbf spin in the wait phase.
-                self.prof.mark(Phase::Execute, now);
-                self.prof
-                    .transfer(Phase::Execute, Phase::Signal, self.costs.t_es_cycles);
-                self.prof.transfer(
-                    Phase::Execute,
-                    Phase::CopyOut,
-                    self.costs.copy_cycles(call.ret_bytes),
-                );
-                self.prof.complete(call.class, CallPath::Fallback, now);
+                let path = CallPath::Fallback;
+                self.prof.complete_regular(&self.costs, call, 0, path, now);
                 self.dialog = Dialog::Idle;
-                Step::Complete(CallPath::Fallback)
+                Step::Complete(path)
             }
             Dialog::Idle => unreachable!("advance without an active dialogue"),
         }

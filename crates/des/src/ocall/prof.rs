@@ -18,6 +18,7 @@
 
 pub(crate) use zc_telemetry::Phase;
 
+use super::{CallDesc, CostModel};
 use switchless_core::CallPath;
 
 /// Per-dispatcher cap on traced `call_phases` events (aggregation into
@@ -78,6 +79,35 @@ impl Prof {
     #[inline]
     pub(crate) fn discard(&mut self) {
         self.rec = None;
+    }
+
+    /// Close a recording whose last compute was one regular-ocall
+    /// execution of `call`: attribute the transition to signal and the
+    /// boundary copies to copy-in/copy-out, leaving the host function in
+    /// execute. `copy_in_bytes` is the payload that compute copied in —
+    /// 0 when an earlier phase already charged the copy.
+    #[inline]
+    pub(crate) fn complete_regular(
+        &mut self,
+        costs: &CostModel,
+        call: &CallDesc,
+        copy_in_bytes: u64,
+        path: CallPath,
+        now: u64,
+    ) {
+        self.mark(Phase::Execute, now);
+        self.transfer(Phase::Execute, Phase::Signal, costs.t_es_cycles);
+        self.transfer(
+            Phase::Execute,
+            Phase::CopyIn,
+            costs.copy_cycles(copy_in_bytes),
+        );
+        self.transfer(
+            Phase::Execute,
+            Phase::CopyOut,
+            costs.copy_cycles(call.ret_bytes),
+        );
+        self.complete(call.class, path, now);
     }
 
     /// Close the recording at `now`: accumulate into the hub profiler

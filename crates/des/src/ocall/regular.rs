@@ -1,7 +1,7 @@
 //! The `no_sl` baseline: every ocall pays the enclave transition and the
 //! caller's own core runs the host function (EEXIT → host → EENTER).
 
-use super::prof::{Phase, Prof};
+use super::prof::Prof;
 use super::{CallDesc, CostModel, Dispatcher, Step};
 use crate::kernel::{Syscall, SyscallResult};
 use switchless_core::CallPath;
@@ -54,24 +54,11 @@ impl Dispatcher for RegularDispatcher {
         debug_assert_eq!(res, SyscallResult::Ok);
         debug_assert!(self.in_call);
         self.in_call = false;
-        // One compute covered the whole call: attribute the transition
-        // to signal and the boundary copies to copy-in/copy-out, leaving
-        // the host function in execute.
-        self.prof.mark(Phase::Execute, now);
+        // One compute covered the whole call.
+        let path = CallPath::Regular;
         self.prof
-            .transfer(Phase::Execute, Phase::Signal, self.costs.t_es_cycles);
-        self.prof.transfer(
-            Phase::Execute,
-            Phase::CopyIn,
-            self.costs.copy_cycles(call.payload_bytes),
-        );
-        self.prof.transfer(
-            Phase::Execute,
-            Phase::CopyOut,
-            self.costs.copy_cycles(call.ret_bytes),
-        );
-        self.prof.complete(call.class, CallPath::Regular, now);
-        Step::Complete(CallPath::Regular)
+            .complete_regular(&self.costs, call, call.payload_bytes, path, now);
+        Step::Complete(path)
     }
 
     fn name(&self) -> &'static str {

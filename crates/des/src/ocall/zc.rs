@@ -13,7 +13,7 @@
 
 use super::prof::{Phase, Prof};
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{FlagId, Machine, SpinTarget, Syscall, SyscallResult, Tid};
+use crate::kernel::{FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
 use crate::metrics::SimCounters;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -143,7 +143,7 @@ pub struct ZcWorld {
 impl ZcWorld {
     /// Build the world and allocate its kernel flags.
     pub fn new(
-        kernel: &mut dyn Machine,
+        kernel: &mut Kernel,
         max_workers: usize,
         callers: usize,
         pool_bytes: u64,
@@ -609,27 +609,14 @@ impl Dispatcher for ZcDispatcher {
                 Step::Complete(CallPath::Switchless)
             }
             Dialog::FallbackExec => {
-                // One regular-call compute: attribute the transition to
-                // signal and the boundary copies to copy-in/copy-out,
-                // leaving the host function in execute. A watchdog-
-                // cancelled call keeps its dead spin in the wait phase.
-                self.prof.mark(Phase::Execute, now);
-                self.prof
-                    .transfer(Phase::Execute, Phase::Signal, self.costs.t_es_cycles);
-                self.prof.transfer(
-                    Phase::Execute,
-                    Phase::CopyIn,
-                    self.costs.copy_cycles(call.payload_bytes),
-                );
-                self.prof.transfer(
-                    Phase::Execute,
-                    Phase::CopyOut,
-                    self.costs.copy_cycles(call.ret_bytes),
-                );
+                // One regular-call compute. A watchdog-cancelled call
+                // keeps its dead spin in the wait phase.
                 self.complete_journaled(call, now);
-                self.prof.complete(call.class, CallPath::Fallback, now);
+                let path = CallPath::Fallback;
+                self.prof
+                    .complete_regular(&self.costs, call, call.payload_bytes, path, now);
                 self.dialog = Dialog::Idle;
-                Step::Complete(CallPath::Fallback)
+                Step::Complete(path)
             }
             Dialog::StallThenBegin => {
                 // The injected stall drained. If the enclave was also
@@ -739,22 +726,11 @@ impl Dispatcher for ZcDispatcher {
                 wld.note_completion(now);
                 drop(wld);
                 // Same phase attribution as a fallback execution.
-                self.prof.mark(Phase::Execute, now);
+                let path = CallPath::Fallback;
                 self.prof
-                    .transfer(Phase::Execute, Phase::Signal, self.costs.t_es_cycles);
-                self.prof.transfer(
-                    Phase::Execute,
-                    Phase::CopyIn,
-                    self.costs.copy_cycles(call.payload_bytes),
-                );
-                self.prof.transfer(
-                    Phase::Execute,
-                    Phase::CopyOut,
-                    self.costs.copy_cycles(call.ret_bytes),
-                );
-                self.prof.complete(call.class, CallPath::Fallback, now);
+                    .complete_regular(&self.costs, call, call.payload_bytes, path, now);
                 self.dialog = Dialog::Idle;
-                Step::Complete(CallPath::Fallback)
+                Step::Complete(path)
             }
             Dialog::Idle => unreachable!("advance without an active dialogue"),
         }

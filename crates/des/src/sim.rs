@@ -1,7 +1,6 @@
 //! Experiment assembly: machine + mechanism + workload → report.
 
-use crate::event_kernel::EventKernel;
-use crate::kernel::{Kernel, Machine, DEFAULT_RR_QUANTUM};
+use crate::kernel::{Kernel, DEFAULT_RR_QUANTUM};
 use crate::metrics::{Sample, SimCounters, Timeline};
 use crate::ocall::hotcalls::{HotWorkerActor, HotcallsConfig, HotcallsDispatcher, HotcallsWorld};
 use crate::ocall::intel::{IntelDispatcher, IntelSimConfig, IntelWorkerActor, IntelWorld};
@@ -15,6 +14,7 @@ use crate::workload::{CallerActor, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 use switchless_core::cpu::CpuSpec;
 use switchless_core::policy::PolicyParams;
 use switchless_core::stats::WorkerResidency;
@@ -50,20 +50,34 @@ impl Default for ZcSimParams {
     }
 }
 
-/// Which DES kernel drives the run (DESIGN.md §11).
+/// Which scheduling policy of the DES [`Kernel`] drives the run
+/// (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// The round-robin [`Kernel`]: preemptive quanta, spinners hold
+    /// Round-robin ([`Kernel::new`]): preemptive quanta, spinners hold
     /// cores. Cycle-accurate under core contention — the paper-fidelity
     /// mode, and the default.
     #[default]
     CycleAccurate,
-    /// The priority-queue [`EventKernel`]: no preemption, spin-waits
-    /// park and wake on flag writes. Cycle-identical to the round-robin
-    /// kernel whenever threads ≤ vCPUs (see the cross-kernel
-    /// equivalence suite), and orders of magnitude faster at 128+
-    /// vCPUs.
+    /// Event-driven ([`Kernel::event_driven`]): no preemption,
+    /// spin-waits block off-core and wake on flag writes.
+    /// Cycle-identical to round-robin whenever threads ≤ vCPUs (see the
+    /// cross-policy equivalence suite), and orders of magnitude faster
+    /// at 128+ vCPUs.
     EventDriven,
+}
+
+impl KernelMode {
+    /// The kernel this mode selects for machine `cpu`; `rr_quantum` only
+    /// matters to the round-robin policy.
+    pub(crate) fn kernel(self, cpu: &CpuSpec, rr_quantum: u64) -> Kernel {
+        match self {
+            KernelMode::CycleAccurate => {
+                Kernel::new(cpu.logical_cpus, rr_quantum, cpu.pause_cycles)
+            }
+            KernelMode::EventDriven => Kernel::event_driven(cpu.logical_cpus, cpu.pause_cycles),
+        }
+    }
 }
 
 /// Which switchless mechanism the simulation runs.
@@ -84,7 +98,7 @@ pub enum Mechanism {
 pub struct SimConfig {
     /// Machine model.
     pub cpu: CpuSpec,
-    /// Which DES kernel drives the run.
+    /// Which kernel scheduling policy drives the run.
     pub kernel_mode: KernelMode,
     /// OS round-robin quantum in cycles (cycle-accurate mode only).
     pub rr_quantum: u64,
@@ -161,8 +175,8 @@ impl SimConfig {
 
     /// Builder-style vCPU count: overrides the machine's logical CPU
     /// count (and with it derived quantities such as the ZC worker cap,
-    /// `N/2`). The event kernel scales to 128+ vCPUs; the cycle-accurate
-    /// kernel accepts any count but slows down past the paper's 8.
+    /// `N/2`). The event-driven policy scales to 128+ vCPUs; round-robin
+    /// accepts any count but slows down past the paper's 8.
     #[must_use]
     pub fn with_vcpus(mut self, vcpus: usize) -> Self {
         self.cpu = self.cpu.with_logical_cpus(vcpus);
@@ -238,6 +252,27 @@ pub struct FaultRecovery {
     /// was reconciled and retired).
     #[serde(default)]
     pub journal_live: u64,
+}
+
+impl FaultRecovery {
+    /// Fault and recovery-plane accounting of `world` as it stands.
+    pub(crate) fn from_world(w: &ZcWorld) -> Self {
+        let rec = w.recovery.as_ref().map(|p| p.snapshot());
+        FaultRecovery {
+            crashes: w.crashes,
+            hangs: w.hangs,
+            respawns: w.respawns,
+            cancelled: w.cancelled,
+            guard_violations: w.guard_violations,
+            dead_workers: w.workers.iter().filter(|s| s.dead).count() as u64,
+            enclave_crashes: rec.as_ref().map_or(0, |s| s.crashes),
+            enclave_restarts: rec.as_ref().map_or(0, |s| s.epoch),
+            journal_replays: rec.as_ref().map_or(0, |s| s.replayed),
+            call_redeliveries: rec.as_ref().map_or(0, |s| s.redelivered),
+            refused_non_idempotent: rec.as_ref().map_or(0, |s| s.refused_non_idempotent),
+            journal_live: rec.as_ref().map_or(0, |s| s.journal_live as u64),
+        }
+    }
 }
 
 /// Recovery-latency samples of one run (empty without enclave faults).
@@ -353,19 +388,108 @@ impl SimReport {
     }
 }
 
+/// Spawn one caller thread per workload, each driving the dispatcher
+/// `make_dispatcher` builds for its index.
+fn spawn_callers(
+    kernel: &mut Kernel,
+    workloads: &[WorkloadSpec],
+    counters: &Rc<RefCell<SimCounters>>,
+    mut make_dispatcher: impl FnMut(usize) -> Box<dyn Dispatcher>,
+) {
+    for (i, spec) in workloads.iter().enumerate() {
+        let d = make_dispatcher(i);
+        kernel.spawn(Box::new(CallerActor::new(
+            i,
+            d,
+            Rc::clone(counters),
+            spec.clone(),
+        )));
+    }
+}
+
+/// Everything one ZC shard stack is built from, besides the kernel it
+/// runs in and the counters it reports into.
+pub(crate) struct ZcShardSpec<'a> {
+    pub cpu: &'a CpuSpec,
+    pub costs: CostModel,
+    pub zc: &'a ZcSimParams,
+    pub faults: Option<&'a ZcSimFaults>,
+    /// One workload per caller thread.
+    pub workloads: &'a [WorkloadSpec],
+    pub telemetry: Option<&'a Arc<zc_telemetry::Telemetry>>,
+    /// Fleet bulkhead: this shard's seeded share of a global worker
+    /// budget, which caps its scheduler until the first rebalance.
+    /// `None` (a single-tenant run) leaves the shard its own ceiling.
+    pub share: Option<usize>,
+}
+
+/// Spawn one ZC shard stack into `kernel`, in the fixed order every tid
+/// and flag id downstream depends on: world, workers, adaptive
+/// scheduler, fault supervisor and enclave-lifecycle actor (if the
+/// schedule needs them), then the watchdog-armed callers.
+pub(crate) fn spawn_zc_shard(
+    kernel: &mut Kernel,
+    spec: &ZcShardSpec<'_>,
+    counters: &Rc<RefCell<SimCounters>>,
+) -> Rc<RefCell<ZcWorld>> {
+    let zp = spec.zc;
+    let max_workers = zp.max_workers.unwrap_or(spec.cpu.zc_max_workers()).max(1);
+    // A fleet shard never starts below the fairness floor of one worker.
+    let (cap, floor) = match spec.share {
+        Some(share) => (share.clamp(1, max_workers), 1),
+        None => (max_workers, 0),
+    };
+    let initial = zp.initial_workers.unwrap_or(cap).min(cap).max(floor);
+    let world = ZcWorld::new(kernel, max_workers, spec.workloads.len(), zp.pool_bytes);
+    world.borrow_mut().worker_cap = cap;
+    for i in 0..max_workers {
+        let tid = kernel.spawn(Box::new(ZcWorkerActor::new(Rc::clone(&world), i)));
+        world.borrow_mut().worker_tids.push(tid);
+    }
+    let params = PolicyParams {
+        t_es_cycles: spec.cpu.t_es_cycles,
+        quantum_cycles: spec.cpu.quantum_cycles(zp.quantum_ms),
+        mu_inverse: zp.mu_inverse,
+        max_workers,
+        fallback_weight: zp.fallback_weight,
+    };
+    let scheduler = ZcSchedulerActor::new(Rc::clone(&world), Rc::clone(counters), params, initial);
+    kernel.spawn(Box::new(match spec.telemetry {
+        Some(hub) => scheduler.with_telemetry(Arc::clone(hub)),
+        None => scheduler,
+    }));
+    if let Some(faults) = spec.faults {
+        let supervisor = ZcSupervisorActor::new(Rc::clone(&world), faults);
+        kernel.spawn(Box::new(match spec.telemetry {
+            Some(hub) => supervisor.with_telemetry(Arc::clone(hub)),
+            None => supervisor,
+        }));
+        if faults.has_enclave_faults() {
+            // Enclave faults: build the recovery plane and the
+            // lifecycle actor that drives restarts through it.
+            world.borrow_mut().install_enclave_faults(faults);
+            let tid = kernel.spawn(Box::new(ZcEnclaveActor::new(Rc::clone(&world))));
+            world.borrow_mut().enclave_tid = Some(tid);
+        }
+    }
+    let watchdog = spec.faults.map(|f| f.watchdog_pauses);
+    spawn_callers(kernel, spec.workloads, counters, |caller| {
+        let d = ZcDispatcher::new(Rc::clone(&world), Rc::clone(counters), spec.costs, caller);
+        let d = match watchdog {
+            Some(pauses) => d.with_watchdog(pauses),
+            None => d,
+        };
+        Box::new(match spec.telemetry {
+            Some(hub) => d.with_telemetry(Arc::clone(hub)),
+            None => d,
+        })
+    });
+    world
+}
+
 /// Run one experiment to completion (all callers done or deadline).
 pub fn run(config: &SimConfig) -> SimReport {
-    let mut kernel: Box<dyn Machine> = match config.kernel_mode {
-        KernelMode::CycleAccurate => Box::new(Kernel::new(
-            config.cpu.logical_cpus,
-            config.rr_quantum,
-            config.cpu.pause_cycles,
-        )),
-        KernelMode::EventDriven => Box::new(EventKernel::new(
-            config.cpu.logical_cpus,
-            config.cpu.pause_cycles,
-        )),
-    };
+    let mut kernel = config.kernel_mode.kernel(&config.cpu, config.rr_quantum);
     if config.gantt_buckets > 0 {
         kernel.enable_tracing();
     }
@@ -375,135 +499,65 @@ pub fn run(config: &SimConfig) -> SimReport {
         .telemetry
         .clone()
         .or_else(zc_telemetry::global::current);
+    let hub = telemetry.as_ref();
+    let costs = config.costs;
 
-    // Build the mechanism world, workers and per-caller dispatchers.
-    type DispatcherFactory = Box<dyn FnMut(usize) -> Box<dyn Dispatcher>>;
-    let mut make_dispatcher: DispatcherFactory;
-    let mut zc_world_handle: Option<Rc<RefCell<ZcWorld>>> = None;
-
-    match &config.mechanism {
+    // Build the mechanism world and workers, then one caller per
+    // workload driving that mechanism's dispatcher.
+    let zc_world_handle = match &config.mechanism {
         Mechanism::NoSl => {
-            let costs = config.costs;
-            let hub = telemetry.clone();
-            make_dispatcher = Box::new(move |caller| {
+            spawn_callers(&mut kernel, &config.workloads, &counters, |caller| {
                 let d = RegularDispatcher::new(costs);
-                let d = match &hub {
-                    Some(h) => d.with_telemetry(std::sync::Arc::clone(h), caller as u32),
+                Box::new(match hub {
+                    Some(h) => d.with_telemetry(Arc::clone(h), caller as u32),
                     None => d,
-                };
-                Box::new(d)
+                })
             });
+            None
         }
         Mechanism::Intel(icfg) => {
-            let world = IntelWorld::new(&mut *kernel, icfg.clone(), callers);
+            let world = IntelWorld::new(&mut kernel, icfg.clone(), callers);
             for i in 0..icfg.workers {
                 let tid = kernel.spawn(Box::new(IntelWorkerActor::new(Rc::clone(&world), i)));
                 world.borrow_mut().worker_tids.push(tid);
             }
-            let costs = config.costs;
-            let counters2 = Rc::clone(&counters);
-            let world2 = Rc::clone(&world);
-            let hub = telemetry.clone();
-            make_dispatcher = Box::new(move |caller| {
-                let d =
-                    IntelDispatcher::new(Rc::clone(&world2), Rc::clone(&counters2), costs, caller);
-                let d = match &hub {
-                    Some(h) => d.with_telemetry(std::sync::Arc::clone(h)),
+            spawn_callers(&mut kernel, &config.workloads, &counters, |caller| {
+                let d = IntelDispatcher::new(Rc::clone(&world), costs, caller);
+                Box::new(match hub {
+                    Some(h) => d.with_telemetry(Arc::clone(h)),
                     None => d,
-                };
-                Box::new(d)
+                })
             });
+            None
         }
         Mechanism::Hotcalls(hcfg) => {
-            let world = HotcallsWorld::new(&mut *kernel, hcfg.clone(), callers);
+            let world = HotcallsWorld::new(&mut kernel, hcfg.clone(), callers);
             for i in 0..hcfg.workers {
                 let tid = kernel.spawn(Box::new(HotWorkerActor::new(Rc::clone(&world), i)));
                 world.borrow_mut().worker_tids.push(tid);
             }
-            let costs = config.costs;
-            let counters2 = Rc::clone(&counters);
-            let world2 = Rc::clone(&world);
-            make_dispatcher = Box::new(move |caller| {
-                Box::new(HotcallsDispatcher::new(
-                    Rc::clone(&world2),
-                    Rc::clone(&counters2),
-                    costs,
-                    caller,
-                ))
+            spawn_callers(&mut kernel, &config.workloads, &counters, |caller| {
+                Box::new(HotcallsDispatcher::new(Rc::clone(&world), costs, caller))
             });
+            None
         }
         Mechanism::Zc(zp) => {
-            let max_workers = zp.max_workers.unwrap_or(config.cpu.zc_max_workers()).max(1);
-            let initial = zp.initial_workers.unwrap_or(max_workers).min(max_workers);
-            let world = ZcWorld::new(&mut *kernel, max_workers, callers, zp.pool_bytes);
-            for i in 0..max_workers {
-                let tid = kernel.spawn(Box::new(ZcWorkerActor::new(Rc::clone(&world), i)));
-                world.borrow_mut().worker_tids.push(tid);
-            }
-            let params = PolicyParams {
-                t_es_cycles: config.cpu.t_es_cycles,
-                quantum_cycles: config.cpu.quantum_cycles(zp.quantum_ms),
-                mu_inverse: zp.mu_inverse,
-                max_workers,
-                fallback_weight: zp.fallback_weight,
+            let shard = ZcShardSpec {
+                cpu: &config.cpu,
+                costs,
+                zc: zp,
+                faults: config.zc_faults.as_ref(),
+                workloads: &config.workloads,
+                telemetry: hub,
+                share: None,
             };
-            let scheduler =
-                ZcSchedulerActor::new(Rc::clone(&world), Rc::clone(&counters), params, initial);
-            let scheduler = match &telemetry {
-                Some(hub) => scheduler.with_telemetry(std::sync::Arc::clone(hub)),
-                None => scheduler,
-            };
-            kernel.spawn(Box::new(scheduler));
-            if let Some(faults) = &config.zc_faults {
-                let supervisor = ZcSupervisorActor::new(Rc::clone(&world), faults);
-                let supervisor = match &telemetry {
-                    Some(hub) => supervisor.with_telemetry(std::sync::Arc::clone(hub)),
-                    None => supervisor,
-                };
-                kernel.spawn(Box::new(supervisor));
-                if faults.has_enclave_faults() {
-                    // Enclave faults: build the recovery plane and the
-                    // lifecycle actor that drives restarts through it.
-                    world.borrow_mut().install_enclave_faults(faults);
-                    let tid = kernel.spawn(Box::new(ZcEnclaveActor::new(Rc::clone(&world))));
-                    world.borrow_mut().enclave_tid = Some(tid);
-                }
-            }
-            let watchdog = config.zc_faults.as_ref().map(|f| f.watchdog_pauses);
-            let costs = config.costs;
-            let counters2 = Rc::clone(&counters);
-            let world2 = Rc::clone(&world);
-            zc_world_handle = Some(Rc::clone(&world));
-            let hub = telemetry.clone();
-            make_dispatcher = Box::new(move |caller| {
-                let d = ZcDispatcher::new(Rc::clone(&world2), Rc::clone(&counters2), costs, caller);
-                let d = match watchdog {
-                    Some(pauses) => d.with_watchdog(pauses),
-                    None => d,
-                };
-                let d = match &hub {
-                    Some(h) => d.with_telemetry(std::sync::Arc::clone(h)),
-                    None => d,
-                };
-                Box::new(d)
-            });
+            Some(spawn_zc_shard(&mut kernel, &shard, &counters))
         }
-    }
-
-    for (i, spec) in config.workloads.iter().enumerate() {
-        let d = make_dispatcher(i);
-        kernel.spawn(Box::new(CallerActor::new(
-            i,
-            d,
-            Rc::clone(&counters),
-            spec.clone(),
-        )));
-    }
-    drop(make_dispatcher);
+    };
 
     // Drive the run, sampling the timeline externally.
     let mut timeline = Timeline::default();
-    let take_sample = |kernel: &dyn Machine, timeline: &mut Timeline| {
+    let take_sample = |kernel: &Kernel, timeline: &mut Timeline| {
         let c = counters.borrow();
         timeline.samples.push(Sample {
             t_cycles: kernel.now(),
@@ -517,7 +571,7 @@ pub fn run(config: &SimConfig) -> SimReport {
         });
     };
 
-    take_sample(&*kernel, &mut timeline);
+    take_sample(&kernel, &mut timeline);
     let interval = if config.sample_interval_cycles == 0 {
         config.deadline_cycles
     } else {
@@ -529,7 +583,7 @@ pub fn run(config: &SimConfig) -> SimReport {
         // workers and the scheduler past that point would pollute the
         // CPU and residency metrics.
         kernel.run_while(next, || counters.borrow().callers_live > 0);
-        take_sample(&*kernel, &mut timeline);
+        take_sample(&kernel, &mut timeline);
         let done = counters.borrow().callers_live == 0;
         if done || kernel.now() >= config.deadline_cycles || kernel.live_threads() == 0 {
             break;
@@ -547,22 +601,7 @@ pub fn run(config: &SimConfig) -> SimReport {
     let fault_recovery = zc_world_handle
         .as_ref()
         .map_or_else(FaultRecovery::default, |w| {
-            let w = w.borrow();
-            let rec = w.recovery.as_ref().map(|p| p.snapshot());
-            FaultRecovery {
-                crashes: w.crashes,
-                hangs: w.hangs,
-                respawns: w.respawns,
-                cancelled: w.cancelled,
-                guard_violations: w.guard_violations,
-                dead_workers: w.workers.iter().filter(|s| s.dead).count() as u64,
-                enclave_crashes: rec.as_ref().map_or(0, |s| s.crashes),
-                enclave_restarts: rec.as_ref().map_or(0, |s| s.epoch),
-                journal_replays: rec.as_ref().map_or(0, |s| s.replayed),
-                call_redeliveries: rec.as_ref().map_or(0, |s| s.redelivered),
-                refused_non_idempotent: rec.as_ref().map_or(0, |s| s.refused_non_idempotent),
-                journal_live: rec.as_ref().map_or(0, |s| s.journal_live as u64),
-            }
+            FaultRecovery::from_world(&w.borrow())
         });
     let recovery_latencies =
         zc_world_handle
@@ -582,8 +621,8 @@ pub fn run(config: &SimConfig) -> SimReport {
         },
     );
     let gantt = (config.gantt_buckets > 0)
-        .then(|| crate::gantt::render_kernel(&*kernel, config.gantt_buckets));
-    if let Some(hub) = &telemetry {
+        .then(|| crate::gantt::render_kernel(&kernel, config.gantt_buckets));
+    if let Some(hub) = hub {
         // Publish the run's counters into the hub registry in one pass
         // (counters accumulate across runs sharing a hub), and mark the
         // end of the run on the event timeline at Origin::Sim.
@@ -814,7 +853,7 @@ mod tests {
     /// A ZC soak config parameterized over machine scale: `vcpus`
     /// logical CPUs and `callers` closed-loop callers of `ops` calls
     /// each, with the given fault schedule. The `vcpus = 8` shape is
-    /// the paper machine; larger shapes ride the event-driven kernel
+    /// the paper machine; larger shapes ride the event-driven policy
     /// (selected by the caller via [`SimConfig::with_event_kernel`]).
     fn fault_soak_cfg(faults: ZcSimFaults, vcpus: usize, callers: usize, ops: u64) -> SimConfig {
         SimConfig::new(

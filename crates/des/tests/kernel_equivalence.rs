@@ -1,16 +1,16 @@
-//! Cross-kernel equivalence suite: the priority-queue [`EventKernel`]
-//! must agree with the cycle-accurate round-robin [`Kernel`] wherever
-//! the two models coincide.
+//! Cross-policy equivalence suite: the event-driven scheduling policy of
+//! the DES [`Kernel`] must agree with the cycle-accurate round-robin
+//! policy wherever the two models coincide.
 //!
-//! The coincidence regime is *threads ≤ vCPUs*: the round-robin kernel
-//! never preempts when its run queue is empty, so its schedule is
-//! exactly the event kernel's cooperative one — spin observation one
+//! The coincidence regime is *threads ≤ vCPUs*: round-robin never
+//! preempts when its run queue is empty, so its schedule is exactly the
+//! event-driven policy's cooperative one — spin observation one
 //! pause after the flag write, timeouts after the full pause budget,
 //! sleeps and parks to the cycle. Every scenario here stays in that
 //! regime (the paper machine runs 8 threads on 8 logical CPUs) and
 //! asserts **identical** call outcomes, conservation identities,
 //! guard-violation and fault accounting, virtual durations and busy
-//! cycles across the two kernels — not approximately equal: equal.
+//! cycles across the two policies — not approximately equal: equal.
 //!
 //! A property test over arbitrary small actor programs then pins the
 //! kernel-level contract directly: same final flag values, same
@@ -23,8 +23,8 @@ use zc_des::ocall::hotcalls::HotcallsConfig;
 use zc_des::ocall::intel::IntelSimConfig;
 use zc_des::ocall::CallDesc;
 use zc_des::{
-    run, Actor, EventKernel, FlagId, Kernel, KernelMode, Mechanism, SimConfig, SimReport,
-    SpinTarget, Syscall, SyscallResult, Tid, WorkloadSpec, ZcSimFaults, ZcSimParams,
+    run, Actor, FlagId, Kernel, KernelMode, Mechanism, SimConfig, SimReport, SpinTarget, Syscall,
+    SyscallResult, Tid, WorkloadSpec, ZcSimFaults, ZcSimParams,
 };
 
 fn call(host: u64) -> CallDesc {
@@ -43,7 +43,7 @@ fn closed(ops: u64, host: u64) -> WorkloadSpec {
     }
 }
 
-/// Run the same experiment on both kernels.
+/// Run the same experiment under both kernel policies.
 fn run_both(make: impl Fn() -> SimConfig) -> (SimReport, SimReport) {
     let rr = run(&make().with_kernel_mode(KernelMode::CycleAccurate));
     let ev = run(&make().with_kernel_mode(KernelMode::EventDriven));
@@ -158,7 +158,7 @@ fn crash_hang_revive_schedule_is_identical_across_kernels() {
 
 /// Each of the six Byzantine corruption kinds as its own schedule, plus
 /// the combined all-six schedule: guard-violation counts and recovery
-/// must match exactly on both kernels.
+/// must match exactly under both policies.
 #[test]
 fn all_six_byzantine_schedules_are_identical_across_kernels() {
     type Inject = fn(ZcSimFaults, u64, usize) -> ZcSimFaults;
@@ -261,7 +261,7 @@ const FLAGS: usize = 2;
 const DEADLINE: u64 = 50_000_000;
 
 /// One generated syscall; tids and flags are drawn within bounds. Spins
-/// are over-weighted — they are where the two kernels differ most.
+/// are over-weighted — they are where the two policies differ most.
 fn random_syscall(rng: &mut TestRng, threads: usize) -> Syscall {
     match rng.below(7) {
         0 => Syscall::Compute(rng.below(50_000)),
@@ -304,31 +304,7 @@ impl Strategy for ProgramsStrategy {
 /// final flag values.
 type Outcome = (Vec<(usize, u64, SyscallResult)>, Vec<(u64, u64)>, Vec<u64>);
 
-fn run_programs_rr(programs: &[Vec<Syscall>]) -> Outcome {
-    // Quantum far above any program's span: the run queue is empty in
-    // the coincidence regime anyway, so the quantum never preempts.
-    let mut k = Kernel::new(programs.len(), 1_000_000, 140);
-    let log = Rc::new(RefCell::new(Vec::new()));
-    let flags: Vec<_> = (0..FLAGS).map(|_| k.new_flag(0)).collect();
-    for (id, p) in programs.iter().enumerate() {
-        k.spawn(Box::new(Script {
-            steps: p.clone(),
-            i: 0,
-            log: Rc::clone(&log),
-            id,
-        }));
-    }
-    k.run_until(DEADLINE);
-    let cycles = (0..programs.len())
-        .map(|i| k.thread_cycles(Tid(i)))
-        .collect();
-    let values = flags.iter().map(|&f| k.flag(f)).collect();
-    let steps = log.borrow().clone();
-    (steps, cycles, values)
-}
-
-fn run_programs_ev(programs: &[Vec<Syscall>]) -> Outcome {
-    let mut k = EventKernel::new(programs.len(), 140);
+fn run_programs(mut k: Kernel, programs: &[Vec<Syscall>]) -> Outcome {
     let log = Rc::new(RefCell::new(Vec::new()));
     let flags: Vec<_> = (0..FLAGS).map(|_| k.new_flag(0)).collect();
     for (id, p) in programs.iter().enumerate() {
@@ -349,14 +325,18 @@ fn run_programs_ev(programs: &[Vec<Syscall>]) -> Outcome {
 }
 
 proptest! {
-    /// With one core per thread, both kernels must execute arbitrary
+    /// With one core per thread, both policies must execute arbitrary
     /// actor programs identically: same interleaved step log (thread,
     /// time, result), same per-thread busy/idle cycle totals, same
     /// final flag values.
     #[test]
     fn arbitrary_programs_agree_across_kernels(programs in ProgramsStrategy) {
-        let (log_rr, cycles_rr, flags_rr) = run_programs_rr(&programs);
-        let (log_ev, cycles_ev, flags_ev) = run_programs_ev(&programs);
+        // Quantum far above any program's span: the run queue is empty in
+        // the coincidence regime anyway, so the quantum never preempts.
+        let rr = Kernel::new(programs.len(), 1_000_000, 140);
+        let ev = Kernel::event_driven(programs.len(), 140);
+        let (log_rr, cycles_rr, flags_rr) = run_programs(rr, &programs);
+        let (log_ev, cycles_ev, flags_ev) = run_programs(ev, &programs);
         prop_assert_eq!(flags_rr, flags_ev, "final flag values diverge");
         prop_assert_eq!(cycles_rr, cycles_ev, "busy/idle totals diverge");
         prop_assert_eq!(log_rr, log_ev, "step logs diverge");
