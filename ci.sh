@@ -5,7 +5,8 @@
 # access is needed beyond a Rust toolchain.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick   skip the triple test run used to shake out flaky tests
+#   --quick   skip the all_figures-vs-results/ comparison and the triple
+#             test run used to shake out flaky tests
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,57 +27,16 @@ cargo build --release && cargo test -q
 echo "==> cargo test (workspace)"
 cargo test -q --workspace
 
-# Bench smokes, each writing BENCH_<name>.json. Every binary gates on
-# ratios, conservation and same-seed reproducibility — never on
-# absolute speed:
-#  - bench_des_throughput: both scheduling policies of the one DES
-#    kernel on the oversubscribed 128-vCPU ZC scenario; full mode
-#    enforces the >=100x event-driven floor in
-#    simulated-calls-per-wall-second (DESIGN.md §11).
-#  - call_overhead: where every cycle of a call goes on the ZC,
-#    fallback and Intel paths; reports parse, per-phase cycles sum to
-#    within 1% of whole-call cycles, byte-identical reports (§12).
-#  - overload: seeded open-loop MMPP traffic at 0.5x/1x/2x of measured
-#    saturation on the 128-vCPU event-driven kernel; offered == completed +
-#    shed + abandoned at every point, >=70% of capacity held as goodput
-#    at 2x, bounded p99 sojourn (§13).
-#  - recovery: three whole-enclave crash/restart cycles plus a
-#    crash-during-replay, then an all-non-idempotent refusal probe;
-#    offered == completed + refused_non_idempotent, journal drained,
-#    bounded restart-to-first-completion latency (§14).
-#  - multitenant: a well-behaved tenant sharing the global worker
-#    budget with a 4x-saturation hog, an enclave crash-looper and an
-#    all-six-Byzantine tenant; per-tenant and global conservation,
-#    >=90% of solo goodput, p99 within 2x of solo, guard violations
-#    only on the offending shard (§15).
-bench_flag=
-[[ $quick -eq 1 ]] && bench_flag=--quick
-for bench in \
-    "bench_des_throughput|DES kernel throughput smoke (event-driven vs round-robin policy)" \
-    "call_overhead|call-overhead perf smoke (per-phase SLO reports)" \
-    "overload|overload sweep smoke (admission, shedding, goodput)" \
-    "recovery|recovery smoke (enclave crash/restart, exactly-once ledger)" \
-    "multitenant|multitenant fleet smoke (bulkhead isolation, global budget)"; do
-    echo "==> ${bench#*|}"
-    cargo build --release -q -p zc-bench --bin "${bench%%|*}"
-    "./target/release/${bench%%|*}" $bench_flag
-done
-
-# Collect every benchmark report into the perf trajectory uploaded by
-# CI — one directory per run, so regressions can be traced across
-# commits instead of vanishing with the runner.
-mkdir -p results/bench_trajectory
-cp BENCH_*.json results/bench_trajectory/
-echo "==> bench trajectory: $(ls results/bench_trajectory)"
-
 if [[ $quick -eq 0 ]]; then
     # Cross-commit pin on the DES: the trace and soak suites below only
     # compare two runs of the *same* build, so a simulator change that
-    # is deterministic but different passes them all. The committed
-    # paper figures are full-mode output of this generator; regenerate
-    # them in a scratch directory (results/ stays untouched) and
-    # require every CSV byte-identical. The two memcpy figures are
-    # wall-clock measurements of this host and are skipped.
+    # is deterministic but different passes them all. The zc-des suites
+    # pin exact digests for the open-loop, recovery, fleet and
+    # phase-attribution paths (tier-1, above); this step pins the paper
+    # figures. The committed CSVs are full-mode output of this
+    # generator; regenerate them in a scratch directory (results/ stays
+    # untouched) and require every CSV byte-identical. The two memcpy
+    # figures are wall-clock measurements of this host and are skipped.
     echo "==> all_figures vs committed results/*.csv (cross-commit DES pin)"
     cargo build --release -q -p zc-bench --bin all_figures
     root=$PWD

@@ -52,8 +52,8 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Mean gap once dwell-weighted (the long-run offered rate is
-    /// roughly one call per this many cycles). Used by benches to turn
-    /// "2× saturation" into process parameters.
+    /// roughly one call per this many cycles). Used by the overload
+    /// sweep to turn "2× saturation" into process parameters.
     #[must_use]
     pub fn mean_gap_cycles(&self) -> u64 {
         match *self {

@@ -33,7 +33,7 @@ use switchless_core::policy::PolicyParams;
 /// fairness weight and (optionally) a shard-scoped fault schedule.
 #[derive(Debug, Clone)]
 pub struct TenantSimSpec {
-    /// Human-readable tenant label (reports, bench JSON).
+    /// Human-readable tenant label (reports).
     pub name: String,
     /// Fairness weight for the global allocator (≥1).
     pub weight: u64,
@@ -177,8 +177,11 @@ pub struct TenantSimReport {
     pub fault_recovery: FaultRecovery,
     /// Worker cap the allocator left the shard with.
     pub final_cap: usize,
-    /// Verdict the allocator last judged the tenant under.
-    pub final_verdict: TenantVerdict,
+    /// Worst verdict any allocator decision of the run judged the
+    /// tenant under (join over all decisions: verdicts are per-interval,
+    /// so the last one alone says `healthy` for a tenant whose six
+    /// guard violations all fell in earlier intervals).
+    pub worst_verdict: TenantVerdict,
 }
 
 /// Result of one multi-tenant fleet run.
@@ -190,8 +193,6 @@ pub struct FleetReport {
     pub tenants: Vec<TenantSimReport>,
     /// Completed global allocation decisions.
     pub decisions: u64,
-    /// Machine model the run used.
-    pub cpu: CpuSpec,
 }
 
 impl FleetReport {
@@ -220,22 +221,6 @@ impl FleetReport {
     #[must_use]
     pub fn conserves(&self) -> bool {
         self.snapshot().conserves()
-    }
-
-    /// Run duration in (virtual) seconds.
-    #[must_use]
-    pub fn duration_secs(&self) -> f64 {
-        self.cpu.cycles_to_secs(self.duration_cycles)
-    }
-
-    /// One tenant's mean goodput in completed calls per virtual second.
-    #[must_use]
-    pub fn tenant_goodput(&self, tenant: usize) -> f64 {
-        let secs = self.duration_secs();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.tenants[tenant].counters.total_calls() as f64 / secs
     }
 }
 
@@ -276,7 +261,7 @@ struct FleetAllocatorActor {
     quantum_cycles: u64,
     /// Caps to raise once the quiesce quantum has elapsed.
     pending_raises: Vec<(usize, usize)>,
-    last_verdicts: Rc<RefCell<Vec<TenantVerdict>>>,
+    worst_verdicts: Rc<RefCell<Vec<TenantVerdict>>>,
     decisions_out: Rc<RefCell<u64>>,
 }
 
@@ -285,55 +270,42 @@ impl FleetAllocatorActor {
         let params = *self.allocator.params();
         let mut demands = Vec::with_capacity(self.shards.len());
         for shard in &mut self.shards {
-            let (offered, fallback, guard_violations, worker_faults, probes) = {
-                let w = shard.world.borrow();
-                let c = shard.counters.borrow();
-                let scale = (params.policy.quantum_cycles
-                    / params.policy.micro_quantum_cycles().max(1))
-                .max(1);
-                let probes = match &w.last_decision {
-                    Some(d) => {
-                        let mut v = vec![0u64; params.policy.max_workers + 1];
-                        for p in &d.probes {
-                            if let Some(slot) = v.get_mut(p.workers) {
-                                *slot = p.fallbacks.saturating_mul(scale);
-                            }
-                        }
-                        v
-                    }
-                    // No probe data yet: a flat curve demands nothing
-                    // beyond the fairness floor.
-                    None => vec![c.fallback.saturating_sub(shard.last_fallback)],
-                };
-                (
-                    c.offered,
-                    c.fallback,
-                    w.guard_violations,
-                    w.crashes + w.hangs,
-                    probes,
-                )
-            };
+            let w = shard.world.borrow();
+            let c = shard.counters.borrow();
+            let worker_faults = w.crashes + w.hangs;
             let enclave_crashes = shard.enclave_crashes();
             let signals = TenantSignals {
-                guard_violations: guard_violations.saturating_sub(shard.last_guard_violations),
-                worker_crashes: worker_faults.saturating_sub(shard.last_worker_faults),
-                enclave_crashes: enclave_crashes.saturating_sub(shard.last_enclave_crashes),
+                guard_violations: w.guard_violations - shard.last_guard_violations,
+                worker_crashes: worker_faults - shard.last_worker_faults,
+                enclave_crashes: enclave_crashes - shard.last_enclave_crashes,
                 breaker_open: false,
                 brownout_level: 0,
             };
-            let offered_delta = offered.saturating_sub(shard.last_offered);
-            shard.last_offered = offered;
-            shard.last_fallback = fallback;
-            shard.last_guard_violations = guard_violations;
+            demands.push(
+                TenantDemand::from_probes(
+                    shard.weight,
+                    c.offered - shard.last_offered,
+                    &params.policy,
+                    w.last_decision.as_ref(),
+                    c.fallback - shard.last_fallback,
+                )
+                .with_verdict(signals.verdict(&params)),
+            );
+            shard.last_offered = c.offered;
+            shard.last_fallback = c.fallback;
+            shard.last_guard_violations = w.guard_violations;
             shard.last_worker_faults = worker_faults;
             shard.last_enclave_crashes = enclave_crashes;
-            demands.push(
-                TenantDemand::new(shard.weight, offered_delta, probes)
-                    .with_verdict(signals.verdict(&params)),
-            );
         }
         let decision = self.allocator.decide(&demands);
-        *self.last_verdicts.borrow_mut() = decision.verdicts.clone();
+        for (worst, v) in self
+            .worst_verdicts
+            .borrow_mut()
+            .iter_mut()
+            .zip(&decision.verdicts)
+        {
+            *worst = worst.join(*v);
+        }
         *self.decisions_out.borrow_mut() = self.allocator.decisions();
         // Phase 1: shrink donors now; stash raises for after the
         // quiesce quantum.
@@ -439,7 +411,7 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         fallback_weight: spec.tenants[0].zc.fallback_weight,
     };
     let fleet_params = FleetParams::new(policy, spec.budget);
-    let last_verdicts = Rc::new(RefCell::new(vec![
+    let worst_verdicts = Rc::new(RefCell::new(vec![
         TenantVerdict::Healthy;
         spec.tenants.len()
     ]));
@@ -464,7 +436,7 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         interval_cycles: spec.rebalance_interval_cycles.max(1),
         quantum_cycles,
         pending_raises: Vec::new(),
-        last_verdicts: Rc::clone(&last_verdicts),
+        worst_verdicts: Rc::clone(&worst_verdicts),
         decisions_out: Rc::clone(&decisions_out),
     }));
 
@@ -495,7 +467,6 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
             kernel.now()
         }
     };
-    let verdicts = last_verdicts.borrow().clone();
     let tenants = spec
         .tenants
         .iter()
@@ -507,7 +478,7 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
                 counters: shard_counters[t].borrow().clone(),
                 fault_recovery: FaultRecovery::from_world(&w),
                 final_cap: w.worker_cap,
-                final_verdict: verdicts.get(t).copied().unwrap_or_default(),
+                worst_verdict: worst_verdicts.borrow()[t],
             }
         })
         .collect();
@@ -516,7 +487,6 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         duration_cycles,
         tenants,
         decisions,
-        cpu: spec.cpu,
     }
 }
 

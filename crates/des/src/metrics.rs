@@ -105,14 +105,28 @@ impl SimCounters {
         self.fallback + self.regular + self.pool_reallocs
     }
 
+    /// The conservation ledger `[offered, completed, shed, abandoned,
+    /// refused]` — the row the deterministic suites pin exactly, so a
+    /// model change that is deterministic but different fails a test.
+    #[must_use]
+    pub fn ledger(&self) -> [u64; 5] {
+        [
+            self.offered,
+            self.total_calls(),
+            self.ops_shed,
+            self.ops_abandoned,
+            self.refused_non_idempotent,
+        ]
+    }
+
     /// Exact conservation: every offered call either completed on some
     /// path, was shed by a deadline, was abandoned un-issued, or was
     /// refused by post-crash reconciliation — nothing lost, nothing
     /// double-counted.
     #[must_use]
     pub fn conserves(&self) -> bool {
-        self.offered
-            == self.total_calls() + self.ops_shed + self.ops_abandoned + self.refused_non_idempotent
+        let [offered, outcomes @ ..] = self.ledger();
+        offered == outcomes.iter().sum::<u64>()
     }
 
     /// Goodput as a fraction of offered load (1.0 when nothing was

@@ -5,7 +5,7 @@
 //! boundaries with kernel virtual time as its dialogue advances. On
 //! completion the per-phase breakdown is accumulated into the hub's
 //! [`CallPhaseProfiler`] and emitted as a `call_phases` event, so a DES
-//! run produces the same SLO report schema as the bench harness. With
+//! run produces the same SLO report schema as the real runtimes. With
 //! no hub attached every method is one branch and no work.
 //!
 //! The profiler sees *every* call; the trace ring is bounded, so only

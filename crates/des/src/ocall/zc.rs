@@ -835,11 +835,7 @@ pub struct ZcSchedulerActor {
     policy: SchedulerPolicy,
     queue: VecDeque<Syscall>,
     last_fallbacks: u64,
-    telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
-    traced_decisions: u64,
-    /// Detects when the argmin re-settles on a worker count after a
-    /// load shift (same trajectory logic as the real scheduler thread).
-    convergence: switchless_core::policy::ConvergenceTracker,
+    tracer: Option<zc_telemetry::SchedulerTracer>,
 }
 
 impl ZcSchedulerActor {
@@ -858,9 +854,7 @@ impl ZcSchedulerActor {
             policy: SchedulerPolicy::new(params, initial_workers),
             queue: VecDeque::new(),
             last_fallbacks: 0,
-            telemetry: None,
-            traced_decisions: 0,
-            convergence: switchless_core::policy::ConvergenceTracker::new(),
+            tracer: None,
         }
     }
 
@@ -871,7 +865,7 @@ impl ZcSchedulerActor {
     /// [`Origin::Scheduler`]: zc_telemetry::Origin::Scheduler
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
-        self.telemetry = Some(telemetry);
+        self.tracer = Some(zc_telemetry::SchedulerTracer::new(telemetry));
         self
     }
 }
@@ -890,47 +884,8 @@ impl crate::kernel::Actor for ZcSchedulerActor {
         // Fleet bulkhead: an externally imposed cap bounds whatever the
         // shard-local argmin picked (see `ZcWorld::worker_cap`).
         let m = step.workers().min(self.world.borrow().worker_cap);
-        if let Some(hub) = &self.telemetry {
-            use switchless_core::policy::PolicyStep;
-            use zc_telemetry::{Event, Origin, PhaseKind};
-            if self.policy.decisions() > self.traced_decisions {
-                self.traced_decisions = self.policy.decisions();
-                if let Some(d) = self.policy.last_decision() {
-                    let chosen = d.chosen_workers;
-                    hub.record(
-                        now,
-                        Origin::Scheduler,
-                        Event::Decision {
-                            decision: d.clone(),
-                        },
-                    );
-                    if let Some(c) = self.convergence.observe(chosen, now) {
-                        hub.record(
-                            now,
-                            Origin::Scheduler,
-                            Event::Converged {
-                                from_workers: c.from_workers,
-                                to_workers: c.to_workers,
-                                decisions: c.decisions,
-                                settle_cycles: c.settle_cycles,
-                            },
-                        );
-                    }
-                }
-            }
-            let kind = match step {
-                PolicyStep::Schedule { .. } => PhaseKind::Schedule,
-                PolicyStep::Probe { .. } => PhaseKind::Probe,
-            };
-            hub.record(
-                now,
-                Origin::Scheduler,
-                Event::PhaseStart {
-                    kind,
-                    workers: m as u32,
-                    duration_cycles: step.duration_cycles(),
-                },
-            );
+        if let Some(tracer) = &mut self.tracer {
+            tracer.trace_step(now, &self.policy, step, m);
         }
         {
             let mut wld = self.world.borrow_mut();

@@ -326,8 +326,7 @@ impl SimReport {
     }
 
     /// Per-path SLO report of this run, built from the phase profiler of
-    /// the hub the simulation ran with (the same schema the
-    /// `call_overhead` bench emits). Times are virtual: percentiles,
+    /// the hub the simulation ran with. Times are virtual: percentiles,
     /// goodput and the per-phase breakdown are derived from kernel
     /// cycles at the simulated CPU frequency.
     #[must_use]
@@ -1077,7 +1076,9 @@ mod tests {
         // The recovery plane at the lifted scale: 128 vCPUs and 32
         // callers on the event-driven kernel, three crash/restart
         // cycles. Exactly-once accounting must be scale-invariant.
-        let cfg = fault_soak_cfg(enclave_chaos_faults(), 128, 32, 5_000).with_event_kernel();
+        let faults = enclave_chaos_faults();
+        let restart_cycles = faults.enclave_restart_cycles;
+        let cfg = fault_soak_cfg(faults, 128, 32, 5_000).with_event_kernel();
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 160_000);
         assert_eq!(r.counters.ops_per_caller, vec![5_000; 32]);
@@ -1088,7 +1089,18 @@ mod tests {
         assert!(f.journal_replays >= 3, "{f:?}");
         assert_eq!(f.journal_live, 0, "{f:?}");
         assert_eq!(f.dead_workers, 0, "{f:?}");
-        assert_eq!(r.recovery_latencies.restart_to_first_completion.len(), 3);
+        let rtfc = &r.recovery_latencies.restart_to_first_completion;
+        assert_eq!(rtfc.len(), 3);
+        // Service resumes promptly once the enclave is back: the first
+        // completion after each restart lands within an order of
+        // magnitude of the restart time itself.
+        assert!(rtfc.iter().all(|&c| c <= 10 * restart_cycles), "{rtfc:?}");
+        // Pinned digest. A PR that deliberately changes the model
+        // re-pins it once and says so.
+        assert_eq!(
+            (r.counters.ledger(), r.duration_cycles),
+            ([160_000, 160_000, 0, 0, 0], 10_061_903)
+        );
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //! tiny single-purpose simulations (the dialogue state machines are
 //! driven by the real kernel, not mocked).
 
+use switchless_core::CallPath;
 use zc_des::ocall::hotcalls::HotcallsConfig;
 use zc_des::ocall::intel::IntelSimConfig;
 use zc_des::ocall::CallDesc;
 use zc_des::{Mechanism, SimConfig, WorkloadSpec, ZcSimParams};
+use zc_telemetry::Telemetry;
 
 fn one_call(host: u64, payload: u64) -> WorkloadSpec {
     WorkloadSpec::ClosedLoop {
@@ -181,5 +183,81 @@ fn intel_default_rbf_outlasts_long_waits() {
         tight.counters.fallback > 0,
         "rbf=100 must give up: {:?}",
         tight.counters
+    );
+}
+
+/// Four closed-loop callers of 50 mixed ocalls each (modest payloads, a
+/// ~1.3 µs host function) on the event-driven policy with a fresh hub;
+/// returns the per-phase cycle sums of every path the run exercised, in
+/// `reserve, copy_in, signal, wait, execute, copy_out` order.
+fn phase_sums(mechanism: Mechanism, call_classes: &[usize]) -> Vec<(CallPath, Vec<u64>)> {
+    let pattern = call_classes
+        .iter()
+        .map(|&class| CallDesc {
+            class,
+            pre_compute_cycles: 200,
+            host_cycles: 5_000,
+            payload_bytes: 256,
+            ret_bytes: 64,
+            non_idempotent: false,
+        })
+        .collect();
+    let workload = WorkloadSpec::ClosedLoop {
+        pattern,
+        total_ops: 50,
+    };
+    let hub = Telemetry::new();
+    let cfg = SimConfig::new(mechanism, vec![workload; 4], call_classes.len())
+        .with_event_kernel()
+        .with_telemetry(std::sync::Arc::clone(&hub));
+    let report = zc_des::run(&cfg);
+    assert_eq!(report.counters.total_calls(), 200);
+    let slo = report.slo_report(&hub, "phase pins");
+    // Exact in virtual time: every cycle of a call is in some phase.
+    assert_eq!(slo.max_conservation_error(), 0.0);
+    slo.paths
+        .iter()
+        .map(|p| (p.path, p.phases.iter().map(|ph| ph.sum_cycles).collect()))
+        .collect()
+}
+
+#[test]
+fn phase_attribution_is_pinned_on_every_path() {
+    // Where every cycle of a call goes, per path. The switchless rows
+    // echo the cost model (reserve = 600/call hand-off); fallback and
+    // regular carry the transition (`signal` = 13 500/call).
+    assert_eq!(
+        phase_sums(Mechanism::Zc(ZcSimParams::default()), &[0]),
+        [(
+            CallPath::Switchless,
+            vec![120_000, 3_200, 0, 56_000, 1_000_000, 60_800]
+        )]
+    );
+    // A 16-byte pool cannot hold the 256-byte payload: every call
+    // releases its claimed worker and falls back immediately.
+    let undersized = ZcSimParams {
+        pool_bytes: 16,
+        ..ZcSimParams::default()
+    };
+    assert_eq!(
+        phase_sums(Mechanism::Zc(undersized), &[0]),
+        [(
+            CallPath::Fallback,
+            vec![0, 3_200, 2_700_000, 0, 1_000_000, 800]
+        )]
+    );
+    // Class 0 is in Intel's static switchless set, class 1 is not.
+    assert_eq!(
+        phase_sums(Mechanism::Intel(IntelSimConfig::new(2, [0])), &[0, 1]),
+        [
+            (
+                CallPath::Switchless,
+                vec![60_000, 1_600, 0, 38_000, 500_000, 30_400]
+            ),
+            (
+                CallPath::Regular,
+                vec![0, 1_600, 1_350_000, 0, 500_000, 400]
+            ),
+        ]
     );
 }

@@ -13,14 +13,24 @@
 //! tenant's ledger conserves exactly (per tenant and globally), and no
 //! guard violation is ever charged to an innocent shard. Run on both
 //! DES kernels, and byte-identical across same-seed reruns.
+//!
+//! The run lasts three scheduler quanta (`Q` = 38 M cycles): shard
+//! schedulers read their fleet cap at the first step boundary and
+//! configuration-phase probes reach the fleet argmin from ≈ 46 M
+//! cycles on. Anything shorter than one quantum decides once at
+//! `t = 0`, before a single call is offered, and exercises no fleet
+//! plane at all.
 
+use switchless_core::fleet::TenantVerdict;
 use zc_des::arrival::{ArrivalProcess, ServiceDist};
 use zc_des::fleet::{run_fleet, FleetReport, FleetSpec, TenantSimSpec};
 use zc_des::ocall::CallDesc;
 use zc_des::workload::{OpenLoad, WorkloadSpec};
 use zc_des::{KernelMode, ZcSimFaults};
 
-const RUN_CYCLES: u64 = 30_000_000;
+const RUN_CYCLES: u64 = 120_000_000;
+const CRASHLOOP_OPS: u64 = 24_000;
+const BYZANTINE_OPS: u64 = 32_000;
 
 fn call(host: u64) -> CallDesc {
     CallDesc {
@@ -72,14 +82,14 @@ fn crashloop_tenant() -> TenantSimSpec {
         "crashloop",
         vec![WorkloadSpec::ClosedLoop {
             pattern: vec![call(500)],
-            total_ops: 6_000,
+            total_ops: CRASHLOOP_OPS,
         }],
     )
     .with_faults(
         ZcSimFaults::new()
-            .crash_enclave_at_call(100)
-            .crash_enclave_at_call(2_000)
-            .crash_enclave_at_call(4_000)
+            .crash_enclave_at_call(400)
+            .crash_enclave_at_call(8_000)
+            .crash_enclave_at_call(16_000)
             .with_enclave_restart_cycles(500_000),
     )
 }
@@ -91,7 +101,7 @@ fn byzantine_tenant() -> TenantSimSpec {
         "byzantine",
         vec![WorkloadSpec::ClosedLoop {
             pattern: vec![call(500)],
-            total_ops: 8_000,
+            total_ops: BYZANTINE_OPS,
         }],
     )
     .with_faults(
@@ -113,6 +123,9 @@ fn fleet_of(tenants: Vec<TenantSimSpec>, mode: KernelMode) -> FleetSpec {
         .with_budget(8)
         .with_kernel_mode(mode)
         .with_deadline(RUN_CYCLES * 4)
+        // Re-divide the budget eight times per run so the soak exercises
+        // repeated quiesce-and-migrate, not just the initial decision.
+        .with_rebalance_interval(RUN_CYCLES / 8)
 }
 
 fn assert_isolated(solo: &FleetReport, noisy: &FleetReport) {
@@ -164,8 +177,27 @@ fn assert_isolated(solo: &FleetReport, noisy: &FleetReport) {
     );
 
     // Closed-loop neighbours still finish every call (contained ≠ starved).
-    assert_eq!(noisy.tenants[2].counters.total_calls(), 6_000);
-    assert_eq!(noisy.tenants[3].counters.total_calls(), 8_000);
+    assert_eq!(noisy.tenants[2].counters.total_calls(), CRASHLOOP_OPS);
+    assert_eq!(noisy.tenants[3].counters.total_calls(), BYZANTINE_OPS);
+
+    // The allocator kept deciding after the shards' schedulers started
+    // reading its caps, and judged each neighbour by its worst interval.
+    assert!(solo.decisions >= 8, "solo: {} decisions", solo.decisions);
+    assert!(noisy.decisions >= 8, "noisy: {} decisions", noisy.decisions);
+    let verdicts: Vec<_> = noisy.tenants.iter().map(|t| t.worst_verdict).collect();
+    assert!(verdicts[0] <= TenantVerdict::Degraded, "{verdicts:?}");
+    assert!(verdicts[1] <= TenantVerdict::Degraded, "{verdicts:?}");
+    assert_eq!(verdicts[2], TenantVerdict::Suspect, "{verdicts:?}");
+    assert_eq!(verdicts[3], TenantVerdict::Faulty, "{verdicts:?}");
+}
+
+/// Pinned digest: `(ledger, duration)` of the good tenant and the hog.
+/// Virtual time only, so exact; a PR that deliberately changes the model
+/// re-pins it once and says so.
+fn assert_digest(noisy: &FleetReport, good: [u64; 5], hog: [u64; 5], duration_cycles: u64) {
+    assert_eq!(noisy.tenants[0].counters.ledger(), good, "good tenant");
+    assert_eq!(noisy.tenants[1].counters.ledger(), hog, "hog");
+    assert_eq!(noisy.duration_cycles, duration_cycles);
 }
 
 fn run_scenario(mode: KernelMode) -> (FleetReport, FleetReport) {
@@ -192,12 +224,28 @@ fn noisy_neighbours_cannot_break_isolation_on_event_kernel() {
         "hog must shed: {:?}",
         noisy.tenants[1].counters.offered
     );
+    assert_digest(
+        &noisy,
+        [4_063, 4_063, 0, 0, 0],
+        [320_407, 69_951, 250_205, 251, 0],
+        120_015_433,
+    );
+    assert_eq!(
+        noisy.tenants[0].counters.sojourn_quantile_cycles(99),
+        16_383
+    );
 }
 
 #[test]
 fn noisy_neighbours_cannot_break_isolation_on_cycle_accurate_kernel() {
     let (solo, noisy) = run_scenario(KernelMode::CycleAccurate);
     assert_isolated(&solo, &noisy);
+    assert_digest(
+        &noisy,
+        [4_063, 4_063, 0, 0, 0],
+        [320_407, 69_946, 250_213, 248, 0],
+        120_008_126,
+    );
 }
 
 #[test]
@@ -210,5 +258,6 @@ fn noisy_neighbour_soak_is_byte_identical_across_reruns() {
         assert_eq!(ta.counters, tb.counters, "tenant {} diverged", ta.name);
         assert_eq!(ta.fault_recovery, tb.fault_recovery);
         assert_eq!(ta.final_cap, tb.final_cap);
+        assert_eq!(ta.worst_verdict, tb.worst_verdict);
     }
 }

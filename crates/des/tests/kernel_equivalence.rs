@@ -233,6 +233,41 @@ fn parameterized_vcpu_count_keeps_kernels_identical() {
     assert_equivalent(&rr, &ev, "16 vCPUs");
 }
 
+#[test]
+fn oversubscribed_machine_completes_every_call_under_both_policies() {
+    // Outside the coincidence regime the policies may disagree on
+    // timing, never on outcome. 256 callers of heavy 50k-cycle ocalls on
+    // 128 vCPUs (2× oversubscribed), so callers spend their lifetime
+    // spin-waiting on reply flags. Round-robin runs at a pause-granular
+    // quantum: a preempted spinner re-observes its flag only at quantum
+    // boundaries, so only a quantum of one pause resolves the wake —
+    // at one scheduling event per core per pause, hence the few ops.
+    for (mode, ops) in [
+        (KernelMode::EventDriven, 40),
+        (KernelMode::CycleAccurate, 2),
+    ] {
+        let heavy = CallDesc {
+            host_cycles: 50_000,
+            ret_bytes: 8,
+            ..CallDesc::default()
+        };
+        let workload = WorkloadSpec::ClosedLoop {
+            pattern: vec![heavy],
+            total_ops: ops,
+        };
+        let mut cfg = SimConfig::new(
+            Mechanism::Zc(ZcSimParams::default()),
+            vec![workload; 256],
+            1,
+        )
+        .with_vcpus(128)
+        .with_kernel_mode(mode);
+        cfg.rr_quantum = 140;
+        let r = run(&cfg);
+        assert_eq!(r.counters.ops_per_caller, vec![ops; 256], "{mode:?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Kernel-level property test: arbitrary small actor programs.
 // ---------------------------------------------------------------------

@@ -18,7 +18,7 @@
 use crate::pool::{SlotIdx, SlotState, TaskPool};
 use parking_lot::{Condvar, Mutex};
 use sgx_sim::frontdoor::{self, spin_pause, FrontDoor, Phase, Rec, Transport, Wedged};
-use sgx_sim::{CpuAccounting, Enclave, RegularOcall};
+use sgx_sim::{Enclave, RegularOcall};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -44,7 +44,6 @@ struct Shared {
     sleepers: AtomicUsize,
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
-    accounting: Option<Arc<CpuAccounting>>,
     /// Per-worker respawn generation counters (0 = initial spawn).
     respawn_gens: Vec<AtomicU64>,
 }
@@ -117,7 +116,7 @@ impl IntelSwitchless {
         table: Arc<OcallTable>,
         enclave: Enclave,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, None, None, None)
+        Self::start_inner(config, table, enclave, None, None)
     }
 
     /// [`start`](IntelSwitchless::start) with a telemetry hub: callers
@@ -136,19 +135,7 @@ impl IntelSwitchless {
         telemetry: Arc<Telemetry>,
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, None, faults, Some(telemetry))
-    }
-
-    /// [`start`](IntelSwitchless::start) with CPU accounting: each worker
-    /// registers a meter and classifies poll/execute cycles as busy and
-    /// sleep as idle.
-    pub fn start_with_accounting(
-        config: IntelConfig,
-        table: Arc<OcallTable>,
-        enclave: Enclave,
-        accounting: Option<Arc<CpuAccounting>>,
-    ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, accounting, None, None)
+        Self::start_inner(config, table, enclave, faults, Some(telemetry))
     }
 
     /// [`start`](IntelSwitchless::start) with a [`FaultInjector`]: workers
@@ -166,14 +153,13 @@ impl IntelSwitchless {
         enclave: Enclave,
         faults: Arc<FaultInjector>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, None, Some(faults), None)
+        Self::start_inner(config, table, enclave, Some(faults), None)
     }
 
     fn start_inner(
         config: IntelConfig,
         table: Arc<OcallTable>,
         enclave: Enclave,
-        accounting: Option<Arc<CpuAccounting>>,
         faults: Option<Arc<FaultInjector>>,
         telemetry: Option<Arc<Telemetry>>,
     ) -> Result<Self, SwitchlessError> {
@@ -200,7 +186,6 @@ impl IntelSwitchless {
             sleepers: AtomicUsize::new(0),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
-            accounting,
             respawn_gens,
         });
         if let Some(hub) = &shared.door.telemetry {
@@ -500,12 +485,7 @@ fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
     let clock = &sh.door.clock;
     let origin = Origin::Worker(index as u32);
     let trace_fault = |kind| sh.door.event(origin, Event::Fault { kind });
-    let meter = sh
-        .accounting
-        .as_ref()
-        .map(|acc| acc.register(format!("intel-uworker-{index}")));
     let mut poll_retries: u32 = 0;
-    let mut busy_since = clock.now_cycles();
     while sh.door.is_running() {
         // Fault-injection site: evaluated once per observed pending task,
         // *before* the task is accepted — a crashed/hung worker leaves the
@@ -593,28 +573,15 @@ fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
         }
         // rbs exhausted: sleep until a submission wakes us.
         poll_retries = 0;
-        if let Some(m) = &meter {
-            m.add_busy(clock.now_cycles().saturating_sub(busy_since));
+        let mut g = sh.sleep_lock.lock();
+        // Re-check under the lock to avoid a lost wakeup: a caller
+        // that submitted before we raised the sleeper count has
+        // nobody to wake.
+        if sh.door.is_running() && !sh.pool.has_pending() {
+            sh.sleepers.fetch_add(1, Ordering::AcqRel);
+            sh.sleep_cv.wait(&mut g);
+            sh.sleepers.fetch_sub(1, Ordering::AcqRel);
         }
-        let slept_at = clock.now_cycles();
-        {
-            let mut g = sh.sleep_lock.lock();
-            // Re-check under the lock to avoid a lost wakeup: a caller
-            // that submitted before we raised the sleeper count has
-            // nobody to wake.
-            if sh.door.is_running() && !sh.pool.has_pending() {
-                sh.sleepers.fetch_add(1, Ordering::AcqRel);
-                sh.sleep_cv.wait(&mut g);
-                sh.sleepers.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-        busy_since = clock.now_cycles();
-        if let Some(m) = &meter {
-            m.add_idle(busy_since.saturating_sub(slept_at));
-        }
-    }
-    if let Some(m) = &meter {
-        m.add_busy(clock.now_cycles().saturating_sub(busy_since));
     }
 }
 
@@ -923,32 +890,5 @@ mod tests {
         assert_eq!(snap.replayed, 1);
         assert_eq!(snap.redelivered, 1);
         assert_eq!(snap.journal_live, 0);
-    }
-
-    #[test]
-    fn accounting_meters_register_workers() {
-        let (t, echo, _) = table();
-        let acc = Arc::new(CpuAccounting::new());
-        let rt = IntelSwitchless::start_with_accounting(
-            IntelConfig::new(2, [echo]),
-            t,
-            enclave(),
-            Some(Arc::clone(&acc)),
-        )
-        .unwrap();
-        // One real call guarantees each meter has busy cycles to record;
-        // no wall-clock sleep needed.
-        let mut out = Vec::new();
-        let (ret, _) = rt
-            .dispatch(&OcallRequest::new(echo, &[]), b"acct", &mut out)
-            .unwrap();
-        assert_eq!(ret, 4);
-        rt.shutdown();
-        let per = acc.per_thread();
-        assert_eq!(per.len(), 2);
-        assert!(per
-            .iter()
-            .all(|(name, _, _)| name.starts_with("intel-uworker-")));
-        assert!(acc.total_busy_cycles() > 0, "pollers must record busy time");
     }
 }

@@ -7,8 +7,6 @@
 //! * [`clock`] — a cycle clock for a modelled CPU ([`CpuSpec`]) plus
 //!   calibrated busy-spins used to *inject* enclave-transition and
 //!   `pause` costs into real threads.
-//! * [`accounting`] — per-thread busy/idle accounting reproducing the
-//!   paper's `/proc/stat`-style `%CPU` metric.
 //! * [`enclave`] — the enclave model: EPC budget, trusted heap accounting
 //!   and transition counters.
 //! * [`transition`] — the regular (switch-paying) ocall path: cost
@@ -36,7 +34,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod accounting;
 pub mod clock;
 pub mod enclave;
 pub mod frontdoor;
@@ -46,7 +43,6 @@ pub mod profiler;
 pub mod tlibc;
 pub mod transition;
 
-pub use accounting::{CpuAccounting, ThreadMeter};
 pub use clock::CycleClock;
 pub use enclave::Enclave;
 pub use frontdoor::{FrontDoor, Transport};

@@ -51,7 +51,7 @@
 //! cross-tenant leakage (global totals drifting from the per-tenant
 //! sums) as a hard error.
 
-use crate::policy::PolicyParams;
+use crate::policy::{DecisionRecord, PolicyParams};
 use serde::{Deserialize, Serialize};
 
 /// Default consecutive floor-pinned intervals before anti-starvation
@@ -225,6 +225,37 @@ impl TenantDemand {
             probes,
             verdict: TenantVerdict::Healthy,
         }
+    }
+
+    /// Demand measured by a shard's own scheduler: the fallbacks its
+    /// latest configuration phase observed at each worker count during
+    /// one micro-quantum, scaled up to the full quantum so the fleet
+    /// objective weighs them against `T = quantum_cycles`. Before the
+    /// first decision there is no probe data, and the interval's
+    /// fallback count stands in as a flat curve — one that demands
+    /// nothing beyond the fairness floor.
+    #[must_use]
+    pub fn from_probes(
+        weight: u64,
+        offered: u64,
+        policy: &PolicyParams,
+        last_decision: Option<&DecisionRecord>,
+        interval_fallbacks: u64,
+    ) -> Self {
+        let probes = match last_decision {
+            Some(d) => {
+                let scale = (policy.quantum_cycles / policy.micro_quantum_cycles()).max(1);
+                let mut curve = vec![0u64; policy.max_workers + 1];
+                for p in &d.probes {
+                    if let Some(slot) = curve.get_mut(p.workers) {
+                        *slot = p.fallbacks.saturating_mul(scale);
+                    }
+                }
+                curve
+            }
+            None => vec![interval_fallbacks],
+        };
+        TenantDemand::new(weight, offered, probes)
     }
 
     /// Builder-style verdict override.

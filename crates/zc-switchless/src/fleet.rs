@@ -170,7 +170,6 @@ impl Fleet {
                 spec.config,
                 Arc::clone(&spec.table),
                 enclave,
-                None,
                 false,
                 spec.faults.clone(),
                 spec.telemetry.clone(),
@@ -235,34 +234,12 @@ impl Fleet {
     /// `quiesce_timeout` of wall time) for their schedulers to drop to
     /// the new cap, then receivers grow. Returns the decision.
     pub fn rebalance(&self, quiesce_timeout: Duration) -> FleetDecision {
+        let params = *self.allocator.lock().params();
         let mut demands = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let mut ledger = shard.ledger.lock();
             let now = shard.runtime.stats().snapshot();
             let delta = now.delta_since(&ledger.stats);
-            let offered = delta.issued;
-
-            // Demand curve: the shard's own configuration-phase probes
-            // (fallbacks observed at each worker count during one
-            // micro-quantum), scaled up to the full quantum so the
-            // fleet objective weighs them against `T = quantum_cycles`.
-            let policy = self.allocator.lock().params().policy;
-            let scale = (policy.quantum_cycles / policy.micro_quantum_cycles().max(1)).max(1);
-            let probes = match shard.runtime.last_decision() {
-                Some(d) => {
-                    let mut v = vec![0u64; policy.max_workers + 1];
-                    for p in &d.probes {
-                        if let Some(slot) = v.get_mut(p.workers) {
-                            *slot = p.fallbacks.saturating_mul(scale);
-                        }
-                    }
-                    v
-                }
-                // No probe data yet: a flat curve demands nothing
-                // beyond the fairness floor.
-                None => vec![delta.fallback],
-            };
-
             let crashes = shard.runtime.recovery_snapshot().map_or(0, |r| r.crashes);
             let respawns = shard.runtime.supervisor_state().map_or(0, |s| s.respawns());
             let overload = shard.runtime.overload_snapshot();
@@ -280,8 +257,16 @@ impl Fleet {
             ledger.enclave_crashes = crashes;
             ledger.respawns = respawns;
 
-            let verdict = signals.verdict(self.allocator.lock().params());
-            demands.push(TenantDemand::new(shard.weight, offered, probes).with_verdict(verdict));
+            demands.push(
+                TenantDemand::from_probes(
+                    shard.weight,
+                    delta.issued,
+                    &params.policy,
+                    shard.runtime.last_decision().as_ref(),
+                    delta.fallback,
+                )
+                .with_verdict(signals.verdict(&params)),
+            );
         }
         let decision = self.allocator.lock().decide(&demands);
         self.apply(&decision, quiesce_timeout);

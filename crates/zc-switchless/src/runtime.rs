@@ -4,7 +4,7 @@ use crate::buffer::{SchedCommand, TransitionTracer, WorkerBuffer, WorkerSlot};
 use crate::{scheduler, supervise, worker};
 use parking_lot::Mutex;
 use sgx_sim::frontdoor::{self, FrontDoor};
-use sgx_sim::{CpuAccounting, CycleClock, Enclave, MemcpyKind, RegularOcall};
+use sgx_sim::{CycleClock, Enclave, MemcpyKind, RegularOcall};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -56,7 +56,6 @@ pub(crate) struct Shared {
     /// replies.
     pub(crate) seq: AtomicU64,
     pub(crate) residency: Mutex<WorkerResidency>,
-    pub(crate) accounting: Option<Arc<CpuAccounting>>,
     /// Self-healing policy state; `Some` iff `config.supervise` is set.
     pub(crate) supervisor: Option<Mutex<Supervisor>>,
     /// Raised by callers when the supervisor policy escalates from slot
@@ -165,7 +164,7 @@ impl ZcRuntime {
         table: Arc<OcallTable>,
         enclave: Enclave,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_with_accounting(config, table, enclave, None)
+        Self::start_inner(config, table, enclave, false, None, None)
     }
 
     /// Start a runtime serving **switchless ecalls**: the symmetric
@@ -182,7 +181,7 @@ impl ZcRuntime {
         table: Arc<OcallTable>,
         enclave: Enclave,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, None, true, None, None)
+        Self::start_inner(config, table, enclave, true, None, None)
     }
 
     /// [`start`](ZcRuntime::start) with a telemetry hub: the scheduler
@@ -206,7 +205,7 @@ impl ZcRuntime {
         telemetry: Arc<Telemetry>,
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, None, false, faults, Some(telemetry))
+        Self::start_inner(config, table, enclave, false, faults, Some(telemetry))
     }
 
     /// [`start`](ZcRuntime::start) with a [`FaultInjector`]: workers,
@@ -224,26 +223,13 @@ impl ZcRuntime {
         enclave: Enclave,
         faults: Arc<FaultInjector>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, None, false, Some(faults), None)
-    }
-
-    /// [`start`](ZcRuntime::start) with CPU accounting: workers and the
-    /// scheduler register meters (busy while spinning/executing, idle
-    /// while parked/sleeping).
-    pub fn start_with_accounting(
-        config: ZcConfig,
-        table: Arc<OcallTable>,
-        enclave: Enclave,
-        accounting: Option<Arc<CpuAccounting>>,
-    ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, accounting, false, None, None)
+        Self::start_inner(config, table, enclave, false, Some(faults), None)
     }
 
     pub(crate) fn start_inner(
         config: ZcConfig,
         table: Arc<OcallTable>,
         enclave: Enclave,
-        accounting: Option<Arc<CpuAccounting>>,
         ecalls: bool,
         faults: Option<Arc<FaultInjector>>,
         telemetry: Option<Arc<Telemetry>>,
@@ -280,7 +266,6 @@ impl ZcRuntime {
             rotor: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
             residency: Mutex::new(WorkerResidency::new(max)),
-            accounting,
             supervisor: config
                 .supervise
                 .map(|params| Mutex::new(Supervisor::new(max, params))),
@@ -895,31 +880,5 @@ mod tests {
             assert!(!w.get().is_poisoned());
         }
         rt.shutdown();
-    }
-
-    #[test]
-    fn accounting_registers_workers_and_scheduler() {
-        let (t, echo, _add) = table();
-        let cfg = test_config();
-        let acc = Arc::new(CpuAccounting::new());
-        let rt = ZcRuntime::start_with_accounting(
-            cfg,
-            t,
-            Enclave::new_virtual(cfg.cpu),
-            Some(Arc::clone(&acc)),
-        )
-        .unwrap();
-        // A couple of real calls instead of a wall-clock sleep: all
-        // threads are registered at spawn, before any call completes.
-        let mut out = Vec::new();
-        for _ in 0..3 {
-            let _ = rt
-                .dispatch(&OcallRequest::new(echo, &[]), b"acct", &mut out)
-                .unwrap();
-        }
-        rt.shutdown();
-        let names: Vec<String> = acc.per_thread().into_iter().map(|(n, _, _)| n).collect();
-        assert!(names.iter().any(|n| n == "zc-scheduler"));
-        assert!(names.iter().filter(|n| n.starts_with("zc-worker-")).count() >= 2);
     }
 }

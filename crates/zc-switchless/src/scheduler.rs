@@ -11,6 +11,7 @@
 use crate::buffer::SchedCommand;
 use crate::runtime::Shared;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 use switchless_core::policy::SchedulerPolicy;
 use switchless_core::WorkerState;
@@ -20,10 +21,6 @@ const SLEEP_CHUNK: Duration = Duration::from_millis(5);
 
 /// Body of the scheduler thread.
 pub(crate) fn scheduler_loop(shared: &Shared) {
-    let meter = shared
-        .accounting
-        .as_ref()
-        .map(|acc| acc.register("zc-scheduler"));
     let mut policy =
         SchedulerPolicy::new(shared.config.policy_params(), shared.config.initial_workers);
     let spec = *shared.door.clock.spec();
@@ -33,10 +30,11 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
     // individual getters.
     let mut stats_at_step_start = shared.door.stats.snapshot();
     let mut last_delta = 0u64;
-    let mut traced_decisions = 0u64;
-    // Convergence observable: detects the argmin re-settling on a new
-    // worker count after a load shift and traces the settle time.
-    let mut convergence = switchless_core::policy::ConvergenceTracker::new();
+    let mut tracer = shared
+        .door
+        .telemetry
+        .as_ref()
+        .map(|hub| zc_telemetry::SchedulerTracer::new(Arc::clone(hub)));
 
     while shared.door.is_running() {
         let step = policy.next(last_delta);
@@ -47,49 +45,8 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
         let m = step
             .workers()
             .min(shared.worker_cap.load(Ordering::Acquire));
-        if let Some(hub) = &shared.door.telemetry {
-            use switchless_core::policy::PolicyStep;
-            use zc_telemetry::{Event, Origin, PhaseKind};
-            // A freshly completed configuration phase: publish the
-            // argmin decision with its F_i / U_i inputs.
-            if policy.decisions() > traced_decisions {
-                traced_decisions = policy.decisions();
-                if let Some(d) = policy.last_decision() {
-                    let now = shared.door.clock.now_cycles();
-                    hub.record(
-                        now,
-                        Origin::Scheduler,
-                        Event::Decision {
-                            decision: d.clone(),
-                        },
-                    );
-                    if let Some(c) = convergence.observe(d.chosen_workers, now) {
-                        hub.record(
-                            now,
-                            Origin::Scheduler,
-                            Event::Converged {
-                                from_workers: c.from_workers,
-                                to_workers: c.to_workers,
-                                decisions: c.decisions,
-                                settle_cycles: c.settle_cycles,
-                            },
-                        );
-                    }
-                }
-            }
-            let kind = match step {
-                PolicyStep::Schedule { .. } => PhaseKind::Schedule,
-                PolicyStep::Probe { .. } => PhaseKind::Probe,
-            };
-            hub.record(
-                shared.door.clock.now_cycles(),
-                Origin::Scheduler,
-                Event::PhaseStart {
-                    kind,
-                    workers: m as u32,
-                    duration_cycles: step.duration_cycles(),
-                },
-            );
+        if let Some(tracer) = &mut tracer {
+            tracer.trace_step(shared.door.clock.now_cycles(), &policy, step, m);
         }
         set_active_workers(shared, m);
         shared.active_workers.store(m, Ordering::Release);
@@ -100,9 +57,6 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
         let slept_at = shared.door.clock.now_cycles();
         sleep_interruptible(shared, Duration::from_nanos(step_ns));
         let now = shared.door.clock.now_cycles();
-        if let Some(m) = &meter {
-            m.add_idle(now.saturating_sub(slept_at));
-        }
         shared
             .residency
             .lock()

@@ -27,11 +27,6 @@ use zc_telemetry::{Event, FaultKind, Origin};
 pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer, wedged: &Wedged) {
     let clock = &shared.door.clock;
     me.set_thread(std::thread::current());
-    let meter = shared
-        .accounting
-        .as_ref()
-        .map(|acc| acc.register(format!("zc-worker-{index}")));
-    let mut busy_since = clock.now_cycles();
     let mut spins: u32 = 0;
 
     loop {
@@ -69,23 +64,9 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer, wedg
                 }
                 Ok(SchedCommand::Deactivate) => {
                     if me.try_transition(WorkerState::Unused, WorkerState::Paused) {
-                        // Account the spin time up to here as busy, the
-                        // parked time as idle.
-                        let now = clock.now_cycles();
-                        if let Some(m) = &meter {
-                            m.add_busy(now.saturating_sub(busy_since));
-                        }
-                        let parked_at = now;
                         park_until_released(me);
-                        busy_since = clock.now_cycles();
-                        if let Some(m) = &meter {
-                            m.add_idle(busy_since.saturating_sub(parked_at));
-                        }
                         if me.state() == Ok(WorkerState::Exit) {
                             // Final cleanup happened inside the park loop.
-                            if let Some(m) = &meter {
-                                m.add_busy(0);
-                            }
                             return;
                         }
                     }
@@ -113,9 +94,6 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer, wedg
             }
             WorkerState::Exit => break,
         }
-    }
-    if let Some(m) = &meter {
-        m.add_busy(clock.now_cycles().saturating_sub(busy_since));
     }
 }
 

@@ -34,6 +34,7 @@ pub mod metrics;
 pub mod profile;
 pub mod quantile;
 mod ring;
+pub mod scheduler;
 pub mod slo;
 pub mod tracer;
 
@@ -43,6 +44,7 @@ pub use metrics::{
 };
 pub use profile::{CallPhaseProfiler, Phase, PhaseRecorder, ProfileSnapshot, PHASES};
 pub use quantile::{Quantiles, WindowedQuantiles};
+pub use scheduler::SchedulerTracer;
 pub use slo::{OverloadSlo, SloReport};
 pub use tracer::Tracer;
 

@@ -1,9 +1,9 @@
 //! SLO reporting: per-path latency percentiles, goodput and
 //! wasted-cycle ratios derived from a [`crate::profile::ProfileSnapshot`].
 //!
-//! One schema serves every producer — the `call_overhead` bench binary,
-//! DES runs and ad-hoc runtime dumps all emit the same shape, so
-//! before/after numbers across PRs line up field-for-field. Two
+//! One schema serves every producer — DES runs and ad-hoc runtime
+//! dumps emit the same shape, so before/after numbers across PRs line
+//! up field-for-field. Two
 //! exporters: deterministic JSONL (hand-rolled, fixed-precision floats,
 //! byte-identical for identical inputs — pinned by CI) and a
 //! human-readable table via `Display`.
@@ -351,8 +351,8 @@ impl SloReport {
             .fold(0.0, f64::max)
     }
 
-    /// Single-object JSON document (the `BENCH_call_overhead.json`
-    /// payload). Deterministic for identical inputs.
+    /// Single-object JSON document (`"schema":"slo_report_v1"`).
+    /// Deterministic for identical inputs.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
