@@ -35,8 +35,10 @@ if [[ $quick -eq 0 ]]; then
     # phase-attribution paths (tier-1, above); this step pins the paper
     # figures. The committed CSVs are full-mode output of this
     # generator; regenerate them in a scratch directory (results/ stays
-    # untouched) and require every CSV byte-identical. The two memcpy
-    # figures are wall-clock measurements of this host and are skipped.
+    # untouched) and require every CSV byte-identical — in both
+    # directions: a tracked CSV that no generator writes any more would
+    # otherwise never be compared again. The two memcpy figures are
+    # wall-clock measurements of this host and are skipped.
     echo "==> all_figures vs committed results/*.csv (cross-commit DES pin)"
     cargo build --release -q -p zc-bench --bin all_figures
     root=$PWD
@@ -46,6 +48,11 @@ if [[ $quick -eq 0 ]]; then
         name=${csv##*/}
         case $name in fig7_memcpy_vanilla.csv | fig13_memcpy_zc.csv) continue ;; esac
         cmp "$csv" "results/$name"
+    done
+    for csv in $(git ls-files 'results/*.csv'); do
+        [[ -f "$figdir/$csv" ]] && continue
+        echo "ci.sh: $csv is tracked but all_figures did not regenerate it" >&2
+        exit 1
     done
     rm -rf "$figdir"
 

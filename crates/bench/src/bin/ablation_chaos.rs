@@ -2,16 +2,11 @@
 //! `tests/chaos_soak.rs` against the supervised ZC runtime in the DES,
 //! swept over supervisor respawn delays. Shows the throughput cost of
 //! faults and of recovery latency, with call conservation asserted on
-//! every run.
+//! every run. Emitted with the other ablations by
+//! `experiments::ablations::emit`.
 //!
 //! Usage: `ablation_chaos [--quick]`
 
-use zc_bench::experiments::ablations::chaos_sweep;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let ops = if quick { 5_000 } else { 20_000 };
-    // 100 µs .. ~2.6 ms of dead time per fault at 3.8 GHz.
-    let t = chaos_sweep(ops, &[380_000, 800_000, 3_800_000, 10_000_000]);
-    t.emit(Some(std::path::Path::new("results/ablation_chaos.csv")));
+    zc_bench::experiments::ablations::emit(std::env::args().any(|a| a == "--quick"));
 }

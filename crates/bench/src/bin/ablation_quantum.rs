@@ -1,19 +1,10 @@
 //! Ablation A2: sensitivity of the ZC scheduler to its quantum `Q` and
 //! micro-quantum fraction `µ` (paper: Q = 10 ms, µ = 1/100, chosen
-//! empirically).
+//! empirically). Emitted with the other ablations by
+//! `experiments::ablations::emit`.
 //!
 //! Usage: `ablation_quantum [--quick]`
 
-use zc_bench::experiments::ablations::{fallback_weight_sweep, quantum_sweep, tes_sweep};
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let keys = if quick { 1_000 } else { 5_000 };
-    let t = quantum_sweep(keys, &[1, 5, 10, 50], &[10, 100, 1_000]);
-    t.emit(Some(std::path::Path::new("results/ablation_quantum.csv")));
-    let t = fallback_weight_sweep(keys, &[1, 2, 4, 8, 16, 32]);
-    t.emit(Some(std::path::Path::new("results/ablation_weight.csv")));
-    // A4: TrustZone-like (3.5k) to pessimistic (50k) transition costs.
-    let t = tes_sweep(keys, &[1_000, 3_500, 13_500, 25_000, 50_000]);
-    t.emit(Some(std::path::Path::new("results/ablation_tes.csv")));
+    zc_bench::experiments::ablations::emit(std::env::args().any(|a| a == "--quick"));
 }

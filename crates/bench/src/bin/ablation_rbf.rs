@@ -1,20 +1,10 @@
 //! Ablation A1: the Intel `retries_before_fallback` pathology, directly.
 //! Oversubscribed callers (6) vs workers (2) with long (200 k-cycle)
 //! host calls: large rbf serializes callers behind the worker pool.
+//! Emitted with the other ablations by `experiments::ablations::emit`.
 //!
 //! Usage: `ablation_rbf [--quick]`
 
-use zc_bench::experiments::ablations::{fallback_ablation, mechanism_comparison, rbf_sweep};
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let ops = if quick { 500 } else { 5_000 };
-    let t = rbf_sweep(&[0, 64, 1_000, 20_000, 200_000], 6, 2, ops, 200_000);
-    t.emit(Some(std::path::Path::new("results/ablation_rbf.csv")));
-    let t = fallback_ablation(6, ops);
-    t.emit(Some(std::path::Path::new("results/ablation_fallback.csv")));
-    let t = mechanism_comparison(if quick { 500 } else { 3_000 });
-    t.emit(Some(std::path::Path::new(
-        "results/ablation_mechanisms.csv",
-    )));
+    zc_bench::experiments::ablations::emit(std::env::args().any(|a| a == "--quick"));
 }

@@ -1,28 +1,9 @@
 //! Fig. 10: OpenSSL-substitute file encryption/decryption — latency and
-//! CPU usage for no_sl, i-{fr,fw,frw,foc,frwoc}-{2,4} and zc. Pass
-//! `--residency` for the §V-B zc worker-count residency table.
+//! CPU usage for no_sl, i-{fr,fw,frw,foc,frwoc}-{2,4} and zc — and the
+//! §V-B zc worker-count residency table.
 //!
-//! Usage: `fig10_openssl [--quick] [--residency]`
-
-use zc_bench::experiments::openssl::{fig10, zc_residency};
+//! Usage: `fig10_openssl [--quick]`
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let (file_bytes, chunk) = if quick {
-        (256 * 1024, 4 * 1024)
-    } else {
-        (8 * 1024 * 1024, 16 * 1024)
-    };
-    if args.iter().any(|a| a == "--residency") {
-        let t = zc_residency(file_bytes, chunk);
-        t.emit(Some(std::path::Path::new("results/fig10_zc_residency.csv")));
-        return;
-    }
-    for workers in [2usize, 4] {
-        let t = fig10(file_bytes, chunk, workers);
-        t.emit(Some(std::path::Path::new(&format!(
-            "results/fig10_openssl_{workers}w.csv"
-        ))));
-    }
+    zc_bench::experiments::openssl::emit(std::env::args().any(|a| a == "--quick"));
 }

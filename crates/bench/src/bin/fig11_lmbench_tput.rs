@@ -1,36 +1,10 @@
 //! Fig. 11: dynamic lmbench read/write throughput (plateau summary to
-//! stdout, per-τ series to `results/fig11_<config>.csv`). Each
-//! configuration is simulated once; Fig. 12's CPU series come from the
-//! same runs (see fig12_lmbench_cpu).
+//! stdout, per-τ series to `results/fig11_series_<config>.csv`). Each
+//! configuration is simulated once; Fig. 12's CPU summary comes out of
+//! the same `experiments::lmbench::emit`.
 //!
 //! Usage: `fig11_lmbench_tput [--quick]`
 
-use zc_bench::experiments::lmbench::{fig11, run_all, series_table, LmbenchParams};
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let p = if quick {
-        LmbenchParams {
-            phase_secs: 1,
-            ..LmbenchParams::default()
-        }
-    } else {
-        LmbenchParams::default()
-    };
-    for workers in [2usize, 4] {
-        let reports = run_all(&p, workers);
-        let t = fig11(&p, &reports, workers);
-        t.emit(Some(std::path::Path::new(&format!(
-            "results/fig11_lmbench_tput_{workers}w.csv"
-        ))));
-        for (label, r) in &reports {
-            let s = series_table(label, r);
-            let path = format!("results/fig11_series_{label}.csv");
-            if let Some(dir) = std::path::Path::new(&path).parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let _ = std::fs::write(&path, s.to_csv());
-            eprintln!("wrote {path}");
-        }
-    }
+    zc_bench::experiments::lmbench::emit(std::env::args().any(|a| a == "--quick"));
 }

@@ -1,25 +1,9 @@
-//! Fig. 12: dynamic lmbench CPU usage (plateau summary + per-τ CPU
-//! series implied by the fig11 series CSVs, which carry a %cpu column).
+//! Fig. 12: dynamic lmbench CPU usage (plateau summary; the per-τ CPU
+//! series is the `%cpu` column of the fig11 series CSVs). Comes out of
+//! the same runs and the same `experiments::lmbench::emit` as Fig. 11.
 //!
 //! Usage: `fig12_lmbench_cpu [--quick]`
 
-use zc_bench::experiments::lmbench::{fig12, run_all, LmbenchParams};
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let p = if quick {
-        LmbenchParams {
-            phase_secs: 1,
-            ..LmbenchParams::default()
-        }
-    } else {
-        LmbenchParams::default()
-    };
-    for workers in [2usize, 4] {
-        let reports = run_all(&p, workers);
-        let t = fig12(&reports, workers);
-        t.emit(Some(std::path::Path::new(&format!(
-            "results/fig12_lmbench_cpu_{workers}w.csv"
-        ))));
-    }
+    zc_bench::experiments::lmbench::emit(std::env::args().any(|a| a == "--quick"));
 }

@@ -1,18 +1,9 @@
 //! Fig. 13: write-ocall throughput with vanilla vs zc memcpy (aligned
-//! and unaligned), with speedups. Runs on REAL hardware.
+//! and unaligned), with speedups. Runs on REAL hardware; emitted with
+//! Fig. 7 by `experiments::memcpy::emit`.
 //!
-//! Usage: `fig13_memcpy_zc [--ops N]` (default 20 000; paper: 100 000)
-
-use zc_bench::experiments::memcpy::{fig13, PAPER_SIZES};
+//! Usage: `fig13_memcpy_zc [--quick]`
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let ops = args
-        .iter()
-        .position(|a| a == "--ops")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
-    let t = fig13(ops, &PAPER_SIZES);
-    t.emit(Some(std::path::Path::new("results/fig13_memcpy_zc.csv")));
+    zc_bench::experiments::memcpy::emit(std::env::args().any(|a| a == "--quick"));
 }

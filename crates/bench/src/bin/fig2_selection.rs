@@ -1,37 +1,9 @@
 //! Fig. 2 + §III-A inline numbers: runtime of configurations C1–C5 for
 //! 100 000 ocalls (3:1 `f`:`g` mix) over 1–5 Intel switchless workers.
+//! Emitted with Fig. 3 by `experiments::synthetic::emit`.
 //!
 //! Usage: `fig2_selection [--quick]`
 
-use zc_bench::experiments::synthetic::{fig2, run_synthetic, SynthConfig, SynthParams};
-use zc_bench::table::{f3, Table};
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = SynthParams {
-        total_ops: if quick { 10_000 } else { 100_000 },
-        ..SynthParams::default()
-    };
-
-    // §III-A inline numbers at 2 workers.
-    let mut inline = Table::new(
-        "Sec III-A: C1..C5 runtime (paper: 0.9 / 1.6 / 1.3 / 1.3 / 1.0 s)",
-        &["config", "runtime (s)", "vs C1"],
-    );
-    let reports: Vec<_> = SynthConfig::ALL
-        .iter()
-        .map(|&c| (c, run_synthetic(c, params)))
-        .collect();
-    let c1 = reports[0].1.duration_secs();
-    for (c, r) in &reports {
-        inline.row(vec![
-            c.label().to_string(),
-            f3(r.duration_secs()),
-            format!("{:.2}x", r.duration_secs() / c1),
-        ]);
-    }
-    inline.emit(Some(std::path::Path::new("results/sec3a_inline.csv")));
-
-    let t = fig2(params, &[1, 2, 3, 4, 5]);
-    t.emit(Some(std::path::Path::new("results/fig2_selection.csv")));
+    zc_bench::experiments::synthetic::emit(std::env::args().any(|a| a == "--quick"));
 }

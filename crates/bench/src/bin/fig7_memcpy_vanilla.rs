@@ -1,20 +1,9 @@
 //! Fig. 7: write-ocall throughput with the vanilla (Intel tlibc) memcpy,
-//! aligned vs unaligned buffers, 512 B – 32 kB. Runs on REAL hardware.
+//! aligned vs unaligned buffers, 512 B – 32 kB. Runs on REAL hardware;
+//! emitted with Fig. 13 by `experiments::memcpy::emit`.
 //!
-//! Usage: `fig7_memcpy_vanilla [--ops N]` (default 20 000; paper: 100 000)
-
-use zc_bench::experiments::memcpy::{fig7, PAPER_SIZES};
+//! Usage: `fig7_memcpy_vanilla [--quick]`
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let ops = args
-        .iter()
-        .position(|a| a == "--ops")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
-    let t = fig7(ops, &PAPER_SIZES);
-    t.emit(Some(std::path::Path::new(
-        "results/fig7_memcpy_vanilla.csv",
-    )));
+    zc_bench::experiments::memcpy::emit(std::env::args().any(|a| a == "--quick"));
 }

@@ -1,21 +1,9 @@
 //! Fig. 8: kissdb average SET latency for no_sl,
 //! i-{fseeko,fread,fwrite,frw,all}-{2,4} and zc over 500–10 000 keys.
+//! Emitted with Fig. 9 by `experiments::kissdb::emit`.
 //!
 //! Usage: `fig8_kissdb_latency [--quick]`
 
-use zc_bench::experiments::kissdb::fig8;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let keys: Vec<u64> = if quick {
-        vec![500, 2_000]
-    } else {
-        vec![500, 1_000, 2_500, 5_000, 7_500, 10_000]
-    };
-    for workers in [2usize, 4] {
-        let t = fig8(&keys, workers);
-        t.emit(Some(std::path::Path::new(&format!(
-            "results/fig8_kissdb_latency_{workers}w.csv"
-        ))));
-    }
+    zc_bench::experiments::kissdb::emit(std::env::args().any(|a| a == "--quick"));
 }

@@ -1,20 +1,8 @@
 //! Fig. 9: kissdb average %CPU for the same configurations as Fig. 8.
+//! Emitted with Fig. 8 by `experiments::kissdb::emit`.
 //!
 //! Usage: `fig9_kissdb_cpu [--quick]`
 
-use zc_bench::experiments::kissdb::fig9;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let keys: Vec<u64> = if quick {
-        vec![500, 2_000]
-    } else {
-        vec![500, 1_000, 2_500, 5_000, 7_500, 10_000]
-    };
-    for workers in [2usize, 4] {
-        let t = fig9(&keys, workers);
-        t.emit(Some(std::path::Path::new(&format!(
-            "results/fig9_kissdb_cpu_{workers}w.csv"
-        ))));
-    }
+    zc_bench::experiments::kissdb::emit(std::env::args().any(|a| a == "--quick"));
 }

@@ -11,6 +11,7 @@
 use super::fscommon::{self, NamedMechanism};
 use super::kissdb;
 use crate::table::{f2, f3, Table};
+use switchless_core::config::INTEL_DEFAULT_RETRIES;
 use zc_des::ocall::intel::IntelSimConfig;
 use zc_des::ocall::CallDesc;
 use zc_des::{Mechanism, SimConfig, SimReport, WorkloadSpec, ZcSimFaults, ZcSimParams};
@@ -413,6 +414,29 @@ pub fn chaos_sweep(ops_per_caller: u64, respawn_delays: &[u64]) -> Table {
         emit((delay / cycles_per_us).to_string(), &r);
     }
     table
+}
+
+/// Emit ablations A1–A6 (`results/ablation_*.csv`); `quick` shrinks
+/// every run.
+pub fn emit(quick: bool) {
+    // A1: 6 callers over 2 workers, 200 k-cycle host calls, `rbf` swept
+    // through the SDK default.
+    let ops = if quick { 500 } else { 5_000 };
+    let sdk_rbf = u64::from(INTEL_DEFAULT_RETRIES);
+    rbf_sweep(&[0, 64, 1_000, sdk_rbf, 200_000], 6, 2, ops, 200_000).emit("ablation_rbf");
+    fallback_ablation(6, ops).emit("ablation_fallback");
+    let keys = if quick { 1_000 } else { 5_000 };
+    quantum_sweep(keys, &[1, 5, 10, 50], &[10, 100, 1_000]).emit("ablation_quantum");
+    fallback_weight_sweep(keys, &[1, 2, 4, 8, 16, 32]).emit("ablation_weight");
+    // A4: TrustZone-like (3.5 k) to pessimistic (50 k) transition costs.
+    tes_sweep(keys, &[1_000, 3_500, 13_500, 25_000, 50_000]).emit("ablation_tes");
+    mechanism_comparison(if quick { 500 } else { 3_000 }).emit("ablation_mechanisms");
+    // A6: 100 µs to 1 ms of dead time per fault at 3.8 GHz.
+    chaos_sweep(
+        if quick { 2_000 } else { 10_000 },
+        &[380_000, 800_000, 3_800_000],
+    )
+    .emit("ablation_chaos");
 }
 
 #[cfg(test)]

@@ -85,47 +85,55 @@ fn latency_us(report: &SimReport, n_keys: u64) -> f64 {
     report.duration_secs() * 1e6 / n_keys as f64
 }
 
-/// Fig. 8: average SET latency for each configuration over `key_counts`,
-/// with `workers` Intel workers.
+/// Fig. 8 (average SET latency) and Fig. 9 (average CPU usage, %) for
+/// each configuration over `key_counts`, with `workers` Intel workers:
+/// two views of the same runs.
 #[must_use]
-pub fn fig8(key_counts: &[u64], workers: usize) -> Table {
-    let mut headers = vec!["config".to_string()];
-    headers.extend(key_counts.iter().map(|k| format!("{k} keys (us)")));
-    let mut table = Table::new(
+pub fn fig8_fig9(key_counts: &[u64], workers: usize) -> (Table, Table) {
+    let table = |title: String, unit: &str| {
+        let mut headers = vec!["config".to_string()];
+        headers.extend(key_counts.iter().map(|k| format!("{k} keys ({unit})")));
+        Table::new(
+            title,
+            &headers.iter().map(String::as_str).collect::<Vec<_>>(),
+        )
+    };
+    let mut latency = table(
         format!("Fig 8: kissdb avg SET latency, {workers} Intel workers"),
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
+        "us",
+    );
+    let mut cpu = table(
+        format!("Fig 9: kissdb avg %CPU, {workers} Intel workers"),
+        "%cpu",
     );
     let traces: Vec<(u64, Vec<CallDesc>)> = key_counts.iter().map(|&k| (k, set_trace(k))).collect();
     for mech in configs(workers) {
-        let mut row = vec![mech.label.clone()];
+        let (mut lat_row, mut cpu_row) = (vec![mech.label.clone()], vec![mech.label.clone()]);
         for (k, trace) in &traces {
             let report = run(trace, &mech);
-            row.push(f2(latency_us(&report, *k)));
+            lat_row.push(f2(latency_us(&report, *k)));
+            cpu_row.push(f2(report.cpu_percent()));
         }
-        table.row(row);
+        latency.row(lat_row);
+        cpu.row(cpu_row);
     }
-    table
+    (latency, cpu)
 }
 
-/// Fig. 9: average CPU usage (%) for the same runs.
-#[must_use]
-pub fn fig9(key_counts: &[u64], workers: usize) -> Table {
-    let mut headers = vec!["config".to_string()];
-    headers.extend(key_counts.iter().map(|k| format!("{k} keys (%cpu)")));
-    let mut table = Table::new(
-        format!("Fig 9: kissdb avg %CPU, {workers} Intel workers"),
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    let traces: Vec<(u64, Vec<CallDesc>)> = key_counts.iter().map(|&k| (k, set_trace(k))).collect();
-    for mech in configs(workers) {
-        let mut row = vec![mech.label.clone()];
-        for (_k, trace) in &traces {
-            let report = run(trace, &mech);
-            row.push(f2(report.cpu_percent()));
-        }
-        table.row(row);
+/// Emit Fig. 8 and Fig. 9 for 2 and 4 Intel workers
+/// (`results/fig{8_kissdb_latency,9_kissdb_cpu}_{2,4}w.csv`); `quick`
+/// thins the paper's key counts.
+pub fn emit(quick: bool) {
+    let keys: &[u64] = if quick {
+        &[500, 2_000]
+    } else {
+        &[500, 1_000, 2_500, 5_000, 7_500, 10_000]
+    };
+    for w in [2usize, 4] {
+        let (latency, cpu) = fig8_fig9(keys, w);
+        latency.emit(&format!("fig8_kissdb_latency_{w}w"));
+        cpu.emit(&format!("fig9_kissdb_cpu_{w}w"));
     }
-    table
 }
 
 #[cfg(test)]

@@ -142,19 +142,6 @@ fn plateau_mean(series: &[f64]) -> f64 {
     mid.iter().sum::<f64>() / mid.len() as f64
 }
 
-/// Run every configuration once, returning `(label, report)` pairs that
-/// the figure tables and series derive from (one simulation per config).
-#[must_use]
-pub fn run_all(p: &LmbenchParams, workers: usize) -> Vec<(String, SimReport)> {
-    configs(workers)
-        .into_iter()
-        .map(|mech| {
-            let r = run(p, &mech);
-            (mech.label, r)
-        })
-        .collect()
-}
-
 /// Fig. 11 summary: plateau throughput of reader/writer per config.
 /// Full per-τ series go to `results/fig11_<label>.csv` via
 /// [`series_table`].
@@ -219,6 +206,28 @@ pub fn series_table(label: &str, r: &SimReport) -> Table {
         ]);
     }
     table
+}
+
+/// Emit Fig. 11, Fig. 12 and the per-τ series for 2 and 4 Intel workers,
+/// all from one run per configuration
+/// (`results/fig1{1_lmbench_tput,2_lmbench_cpu}_{2,4}w.csv`,
+/// `results/fig11_series_<config>.csv`); `quick` runs 1 s phases.
+pub fn emit(quick: bool) {
+    let mut p = LmbenchParams::default();
+    if quick {
+        p.phase_secs = 1;
+    }
+    for w in [2usize, 4] {
+        let reports: Vec<(String, SimReport)> = configs(w)
+            .into_iter()
+            .map(|mech| (mech.label.clone(), run(&p, &mech)))
+            .collect();
+        fig11(&p, &reports, w).emit(&format!("fig11_lmbench_tput_{w}w"));
+        fig12(&reports, w).emit(&format!("fig12_lmbench_cpu_{w}w"));
+        for (label, r) in &reports {
+            series_table(label, r).write_csv(&format!("fig11_series_{label}"));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -135,6 +135,15 @@ pub fn fig13(ops: usize, sizes: &[usize]) -> Table {
     table
 }
 
+/// Emit Fig. 7 and Fig. 13 over the paper's buffer sizes
+/// (`results/fig{7_memcpy_vanilla,13_memcpy_zc}.csv`): 20 000 `write`
+/// ocalls per point (paper: 100 000), 2 000 when `quick`.
+pub fn emit(quick: bool) {
+    let ops = if quick { 2_000 } else { 20_000 };
+    fig7(ops, &PAPER_SIZES).emit("fig7_memcpy_vanilla");
+    fig13(ops, &PAPER_SIZES).emit("fig13_memcpy_zc");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

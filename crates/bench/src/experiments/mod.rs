@@ -1,6 +1,9 @@
 //! Experiment logic behind each figure/table binary.
 //!
-//! Per-experiment index (see also `DESIGN.md` §4):
+//! Each module has one `emit(quick)` — its tables, their
+//! `results/*.csv` names and the quick/full parameters — which its
+//! binaries and `all_figures` all call. Per-experiment index (see also
+//! `DESIGN.md` §4):
 //!
 //! | module | paper item | binary |
 //! |---|---|---|
@@ -9,7 +12,7 @@
 //! | [`openssl`] | Fig. 10, §V-B residency | `fig10_openssl` |
 //! | [`lmbench`] | Fig. 11, Fig. 12 | `fig11_lmbench_tput`, `fig12_lmbench_cpu` |
 //! | [`memcpy`] | Fig. 7, Fig. 13 | `fig7_memcpy_vanilla`, `fig13_memcpy_zc` |
-//! | [`ablations`] | ours: rbf sweep, scheduler Q/µ sweep | `ablation_rbf`, `ablation_quantum` |
+//! | [`ablations`] | ours: A1–A6 | `ablation_rbf`, `ablation_quantum`, `ablation_chaos` |
 
 pub mod ablations;
 pub mod fscommon;

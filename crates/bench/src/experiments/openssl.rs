@@ -151,6 +151,21 @@ pub fn zc_residency(file_bytes: usize, chunk_bytes: usize) -> Table {
     table
 }
 
+/// Emit Fig. 10 for 2 and 4 Intel workers and the §V-B zc residency
+/// (`results/fig10_{openssl_{2,4}w,zc_residency}.csv`); `quick` shrinks
+/// the paper's 8 MiB file and 16 KiB chunks.
+pub fn emit(quick: bool) {
+    let (file_bytes, chunk_bytes) = if quick {
+        (256 * 1024, 4 * 1024)
+    } else {
+        (8 * 1024 * 1024, 16 * 1024)
+    };
+    for w in [2usize, 4] {
+        fig10(file_bytes, chunk_bytes, w).emit(&format!("fig10_openssl_{w}w"));
+    }
+    zc_residency(file_bytes, chunk_bytes).emit("fig10_zc_residency");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -211,18 +211,35 @@ pub fn fig3(params: SynthParams, g_pauses: &[u64], workers: &[usize]) -> Table {
     table
 }
 
-/// The Fig. 3 sweep behind `results/fig3_duration.csv`, shared by
-/// `fig3_duration` and `all_figures` so the two cannot drift apart:
-/// worker counts 1–5 always (the committed columns); `quick` only
-/// thins the `g` durations.
-#[must_use]
-pub fn fig3_sweep(params: SynthParams, quick: bool) -> Table {
+/// Emit the §III-A inline numbers (C1–C5 at 2 workers), Fig. 2 and
+/// Fig. 3 (`results/{sec3a_inline,fig2_selection,fig3_duration}.csv`).
+/// `quick` runs a tenth of the paper's ocalls and thins Fig. 3's `g`
+/// durations; worker counts stay 1–5 (the committed columns).
+pub fn emit(quick: bool) {
+    let params = SynthParams {
+        total_ops: if quick { 10_000 } else { 100_000 },
+        ..SynthParams::default()
+    };
+    let mut inline = Table::new(
+        "Sec III-A: C1..C5 runtime (paper: 0.9 / 1.6 / 1.3 / 1.3 / 1.0 s)",
+        &["config", "runtime (s)", "vs C1"],
+    );
+    let secs = SynthConfig::ALL.map(|c| run_synthetic(c, params).duration_secs());
+    for (c, s) in SynthConfig::ALL.iter().zip(secs) {
+        inline.row(vec![
+            c.label().to_string(),
+            f3(s),
+            format!("{:.2}x", s / secs[0]),
+        ]);
+    }
+    inline.emit("sec3a_inline");
+    fig2(params, &[1, 2, 3, 4, 5]).emit("fig2_selection");
     let g_pauses: &[u64] = if quick {
         &[0, 500]
     } else {
         &[0, 100, 200, 300, 400, 500]
     };
-    fig3(params, g_pauses, &[1, 2, 3, 4, 5])
+    fig3(params, g_pauses, &[1, 2, 3, 4, 5]).emit("fig3_duration");
 }
 
 #[cfg(test)]

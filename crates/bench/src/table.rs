@@ -104,21 +104,22 @@ impl Table {
         out
     }
 
-    /// Print to stdout and, if `csv_path` is `Some`, write the CSV
-    /// (creating parent directories).
-    pub fn emit(&self, csv_path: Option<&Path>) {
+    /// Write `results/<name>.csv` under the current directory (creating
+    /// it), reporting the outcome on stderr.
+    pub fn write_csv(&self, name: &str) {
+        let path = Path::new("results").join(format!("{name}.csv"));
+        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, self.to_csv()))
+        {
+            Ok(()) => eprintln!("wrote {}", path.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
+    }
+
+    /// Print to stdout and write `results/<name>.csv`.
+    pub fn emit(&self, name: &str) {
         print!("{}", self.to_text());
         println!();
-        if let Some(path) = csv_path {
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            if let Err(e) = std::fs::write(path, self.to_csv()) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
+        self.write_csv(name);
     }
 }
 

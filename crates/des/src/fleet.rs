@@ -6,13 +6,13 @@
 //! optional fault supervisor and enclave-lifecycle actor, and its own
 //! [`SimCounters`] — so a crashing, Byzantine or overloaded tenant can
 //! corrupt nothing beyond its own shard. One extra actor, the
-//! [`FleetAllocatorActor`], periodically gathers every shard's measured
-//! demand curve (its configuration-phase probes), folds its behaviour
-//! evidence into a [`TenantVerdict`], runs the global wasted-cycle
-//! argmin from [`switchless_core::fleet`], and applies the result as
-//! per-shard worker-count caps with the quiesce-and-migrate protocol:
-//! donors shrink one quantum before receivers grow, so the sum of
-//! running workers never exceeds the budget mid-migration.
+//! [`FleetAllocatorActor`], is the virtual-time host of the
+//! [`FleetController`] the real `zc_switchless::Fleet` runs: it
+//! periodically reads every shard's counters and measured demand curve,
+//! lets the controller judge, decide and hand out the cap changes, and
+//! supplies the quiesce wait of the quiesce-and-migrate protocol as a
+//! one-quantum sleep — donors shrink one quantum before receivers grow,
+//! so the sum of running workers never exceeds the budget mid-migration.
 
 use crate::kernel::{Actor, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
 use crate::metrics::SimCounters;
@@ -22,10 +22,11 @@ use crate::sim::{spawn_zc_shard, FaultRecovery, KernelMode, ZcShardSpec, ZcSimPa
 use crate::workload::WorkloadSpec;
 use std::cell::RefCell;
 use std::rc::Rc;
+use switchless_core::config::PAPER_QUANTUM_MS;
 use switchless_core::cpu::CpuSpec;
 use switchless_core::fleet::{
-    FleetAllocator, FleetParams, FleetSnapshot, TenantDemand, TenantSignals, TenantUsage,
-    TenantVerdict,
+    CapChange, FleetController, FleetParams, FleetSnapshot, PendingRaises, ShardEvidence,
+    ShardTotals, TenantUsage, TenantVerdict,
 };
 use switchless_core::policy::PolicyParams;
 
@@ -62,13 +63,6 @@ impl TenantSimSpec {
     #[must_use]
     pub fn with_weight(mut self, weight: u64) -> Self {
         self.weight = weight.max(1);
-        self
-    }
-
-    /// Override the shard's ZC parameters.
-    #[must_use]
-    pub fn with_zc(mut self, zc: ZcSimParams) -> Self {
-        self.zc = zc;
         self
     }
 
@@ -120,7 +114,7 @@ impl FleetSpec {
             tenants,
             classes,
             deadline_cycles: cpu.freq_hz * 120,
-            rebalance_interval_cycles: cpu.quantum_cycles(10) * 4,
+            rebalance_interval_cycles: cpu.quantum_cycles(PAPER_QUANTUM_MS) * 4,
         }
     }
 
@@ -224,80 +218,61 @@ impl FleetReport {
     }
 }
 
-/// Per-shard state the allocator actor reads and writes.
-struct ShardHandle {
-    world: Rc<RefCell<ZcWorld>>,
-    counters: Rc<RefCell<SimCounters>>,
-    weight: u64,
-    /// Baselines at the last rebalance (interval deltas drive demand
-    /// and verdict signals; the allocator's escalation state carries
-    /// longer memory).
-    last_offered: u64,
-    last_fallback: u64,
-    last_guard_violations: u64,
-    last_worker_faults: u64,
-    last_enclave_crashes: u64,
-}
-
-impl ShardHandle {
-    fn enclave_crashes(&self) -> u64 {
-        self.world
-            .borrow()
-            .recovery
-            .as_ref()
-            .map_or(0, |p| p.snapshot().crashes)
+/// One shard's counters and demand curve as the fleet controller reads
+/// them. The model wires no overload plane, and a dead slot is charged
+/// once, when it fails, not for every interval it stays dead.
+fn shard_evidence(world: &RefCell<ZcWorld>, counters: &RefCell<SimCounters>) -> ShardEvidence {
+    let w = world.borrow();
+    let c = counters.borrow();
+    ShardEvidence {
+        totals: ShardTotals {
+            offered: c.offered,
+            fallbacks: c.fallback,
+            guard_violations: w.guard_violations,
+            worker_faults: w.crashes + w.hangs,
+            enclave_crashes: w.recovery.as_ref().map_or(0, |p| p.snapshot().crashes),
+        },
+        last_decision: w.last_decision.clone(),
+        cap: w.worker_cap,
+        ..ShardEvidence::default()
     }
 }
 
-/// The global allocator as a kernel actor: every
-/// `rebalance_interval_cycles` it gathers per-shard demand, runs the
-/// fleet argmin, lowers donors' caps, sleeps one quantum (the donors'
-/// schedulers apply caps at their next step, at most a quantum away),
-/// then raises receivers' caps — quiesce-and-migrate in virtual time.
+/// The virtual-time host of the [`FleetController`]: every
+/// `rebalance_interval_cycles` it reads each shard's evidence, lets the
+/// controller decide, lowers donors' caps, sleeps one quantum (the
+/// donors' schedulers apply caps at their next step, at most a quantum
+/// away), then raises receivers' caps.
 struct FleetAllocatorActor {
-    shards: Vec<ShardHandle>,
-    allocator: FleetAllocator,
+    worlds: Vec<Rc<RefCell<ZcWorld>>>,
+    counters: Vec<Rc<RefCell<SimCounters>>>,
+    controller: FleetController,
     interval_cycles: u64,
     quantum_cycles: u64,
     /// Caps to raise once the quiesce quantum has elapsed.
-    pending_raises: Vec<(usize, usize)>,
+    pending_raises: Option<PendingRaises>,
     worst_verdicts: Rc<RefCell<Vec<TenantVerdict>>>,
     decisions_out: Rc<RefCell<u64>>,
 }
 
-impl FleetAllocatorActor {
-    fn gather_and_decide(&mut self) {
-        let params = *self.allocator.params();
-        let mut demands = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
-            let w = shard.world.borrow();
-            let c = shard.counters.borrow();
-            let worker_faults = w.crashes + w.hangs;
-            let enclave_crashes = shard.enclave_crashes();
-            let signals = TenantSignals {
-                guard_violations: w.guard_violations - shard.last_guard_violations,
-                worker_crashes: worker_faults - shard.last_worker_faults,
-                enclave_crashes: enclave_crashes - shard.last_enclave_crashes,
-                breaker_open: false,
-                brownout_level: 0,
-            };
-            demands.push(
-                TenantDemand::from_probes(
-                    shard.weight,
-                    c.offered - shard.last_offered,
-                    &params.policy,
-                    w.last_decision.as_ref(),
-                    c.fallback - shard.last_fallback,
-                )
-                .with_verdict(signals.verdict(&params)),
+impl Actor for FleetAllocatorActor {
+    fn step(&mut self, _res: SyscallResult, _now: u64) -> Syscall {
+        let worlds = &self.worlds;
+        let set_cap = |c: CapChange| worlds[c.shard].borrow_mut().worker_cap = c.to;
+        if let Some(raises) = self.pending_raises.take() {
+            raises.raise(set_cap);
+            return Syscall::Sleep(
+                self.interval_cycles
+                    .saturating_sub(self.quantum_cycles)
+                    .max(1),
             );
-            shard.last_offered = c.offered;
-            shard.last_fallback = c.fallback;
-            shard.last_guard_violations = w.guard_violations;
-            shard.last_worker_faults = worker_faults;
-            shard.last_enclave_crashes = enclave_crashes;
         }
-        let decision = self.allocator.decide(&demands);
+        let evidence: Vec<ShardEvidence> = worlds
+            .iter()
+            .zip(&self.counters)
+            .map(|(w, c)| shard_evidence(w, c))
+            .collect();
+        let (decision, raises) = self.controller.decide(&evidence, set_cap);
         for (worst, v) in self
             .worst_verdicts
             .borrow_mut()
@@ -306,41 +281,11 @@ impl FleetAllocatorActor {
         {
             *worst = worst.join(*v);
         }
-        *self.decisions_out.borrow_mut() = self.allocator.decisions();
-        // Phase 1: shrink donors now; stash raises for after the
-        // quiesce quantum.
-        self.pending_raises.clear();
-        for (t, shard) in self.shards.iter().enumerate() {
-            let new = decision.assigned[t].max(1);
-            let mut w = shard.world.borrow_mut();
-            match new.cmp(&w.worker_cap) {
-                std::cmp::Ordering::Less => w.worker_cap = new,
-                std::cmp::Ordering::Greater => self.pending_raises.push((t, new)),
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-    }
-}
-
-impl Actor for FleetAllocatorActor {
-    fn step(&mut self, _res: SyscallResult, _now: u64) -> Syscall {
-        if !self.pending_raises.is_empty() {
-            // Phase 2: donors have had a full quantum to re-park; grow
-            // the receivers.
-            for &(t, new) in &self.pending_raises {
-                self.shards[t].world.borrow_mut().worker_cap = new;
-            }
-            self.pending_raises.clear();
-            return Syscall::Sleep(
-                self.interval_cycles
-                    .saturating_sub(self.quantum_cycles)
-                    .max(1),
-            );
-        }
-        self.gather_and_decide();
-        if self.pending_raises.is_empty() {
+        *self.decisions_out.borrow_mut() = self.controller.decisions();
+        if raises.is_empty() {
             Syscall::Sleep(self.interval_cycles.max(1))
         } else {
+            self.pending_raises = Some(raises);
             Syscall::Sleep(self.quantum_cycles.max(1))
         }
     }
@@ -367,23 +312,42 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     );
     let mut kernel = spec.kernel_mode.kernel(&spec.cpu, spec.rr_quantum);
 
-    let weight_sum: u64 = spec.tenants.iter().map(|t| t.weight.max(1)).sum();
-    let mut shard_worlds = Vec::with_capacity(spec.tenants.len());
-    let mut shard_counters = Vec::with_capacity(spec.tenants.len());
-    let quantum_cycles = spec
+    // One machine hosts the whole fleet: the allocator's interval is the
+    // longest shard quantum and its ceiling the largest shard ceiling
+    // (verdict caps clamp per shard anyway via `assigned`).
+    let shard_policies: Vec<PolicyParams> = spec
         .tenants
         .iter()
-        .map(|t| spec.cpu.quantum_cycles(t.zc.quantum_ms))
+        .map(|t| t.zc.policy_params(&spec.cpu))
+        .collect();
+    let quantum_cycles = shard_policies
+        .iter()
+        .map(|p| p.quantum_cycles)
         .max()
-        .unwrap_or_else(|| spec.cpu.quantum_cycles(10));
+        .expect("fleet has a tenant");
+    let max_workers = shard_policies
+        .iter()
+        .map(|p| p.max_workers)
+        .max()
+        .expect("fleet has a tenant");
+    let policy = PolicyParams::new(
+        &spec.cpu,
+        quantum_cycles,
+        shard_policies[0].mu_inverse,
+        max_workers,
+        shard_policies[0].fallback_weight,
+    );
+    let weights: Vec<u64> = spec.tenants.iter().map(|t| t.weight).collect();
+    let controller = FleetController::new(FleetParams::new(policy, spec.budget), &weights);
 
-    for tenant in &spec.tenants {
+    // Each shard starts under the controller's seed cap (which also
+    // bounds its initial worker count); the first rebalance replaces it
+    // with the measured argmin.
+    let mut shard_worlds = Vec::with_capacity(spec.tenants.len());
+    let mut shard_counters = Vec::with_capacity(spec.tenants.len());
+    for (tenant, seed) in spec.tenants.iter().zip(controller.seed_caps()) {
         let callers = tenant.workloads.len();
         let counters = Rc::new(RefCell::new(SimCounters::new(callers, spec.classes)));
-        // Seed the cap (and the initial worker count) with the weighted
-        // fair share of the budget; the first rebalance replaces it
-        // with the measured argmin.
-        let share = (spec.budget as u64).saturating_mul(tenant.weight.max(1)) / weight_sum;
         let shard = ZcShardSpec {
             cpu: &spec.cpu,
             costs: spec.costs,
@@ -391,51 +355,24 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
             faults: tenant.faults.as_ref(),
             workloads: &tenant.workloads,
             telemetry: None,
-            share: Some(usize::try_from(share).unwrap_or(usize::MAX)),
+            share: Some(seed),
         };
         shard_worlds.push(spawn_zc_shard(&mut kernel, &shard, &counters));
         shard_counters.push(counters);
     }
 
-    // The global allocator. Its policy ceiling is the largest shard
-    // ceiling (verdict caps clamp per shard anyway via `assigned`).
-    let policy = PolicyParams {
-        t_es_cycles: spec.cpu.t_es_cycles,
-        quantum_cycles,
-        mu_inverse: spec.tenants[0].zc.mu_inverse,
-        max_workers: shard_worlds
-            .iter()
-            .map(|w| w.borrow().workers.len())
-            .max()
-            .unwrap_or(1),
-        fallback_weight: spec.tenants[0].zc.fallback_weight,
-    };
-    let fleet_params = FleetParams::new(policy, spec.budget);
     let worst_verdicts = Rc::new(RefCell::new(vec![
         TenantVerdict::Healthy;
         spec.tenants.len()
     ]));
     let decisions_out = Rc::new(RefCell::new(0u64));
     kernel.spawn(Box::new(FleetAllocatorActor {
-        shards: spec
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(t, tenant)| ShardHandle {
-                world: Rc::clone(&shard_worlds[t]),
-                counters: Rc::clone(&shard_counters[t]),
-                weight: tenant.weight.max(1),
-                last_offered: 0,
-                last_fallback: 0,
-                last_guard_violations: 0,
-                last_worker_faults: 0,
-                last_enclave_crashes: 0,
-            })
-            .collect(),
-        allocator: FleetAllocator::new(fleet_params, spec.tenants.len()),
+        worlds: shard_worlds.clone(),
+        counters: shard_counters.clone(),
+        controller,
         interval_cycles: spec.rebalance_interval_cycles.max(1),
         quantum_cycles,
-        pending_raises: Vec::new(),
+        pending_raises: None,
         worst_verdicts: Rc::clone(&worst_verdicts),
         decisions_out: Rc::clone(&decisions_out),
     }));

@@ -17,8 +17,7 @@
 //! * [`ocall`] — the three mechanisms under study as virtual-thread
 //!   protocols: regular ocalls, the Intel switchless mechanism
 //!   (task pool, `rbf`/`rbs`) and ZC-SWITCHLESS (idle-worker handoff,
-//!   immediate fallback, adaptive scheduler driven by
-//!   [`switchless_core::policy`]).
+//!   immediate fallback, adaptive scheduler).
 //! * [`workload`] — caller behaviours: closed-loop call mixes, the
 //!   phase-driven dynamic load of the lmbench experiment, and seeded
 //!   open-loop stochastic traffic ([`arrival`]) with client-side
@@ -28,6 +27,12 @@
 //! * [`fleet`] — multi-tenant assembly: M ZC shard stacks as bulkhead
 //!   fault domains in one kernel, with per-tenant counters and a global
 //!   worker-budget allocator actor ([`fleet::run_fleet`]).
+//!
+//! What the model shares with the real runtimes it calls rather than
+//! mirrors (DESIGN.md §11): the constants of [`switchless_core::config`],
+//! `PolicyParams::new`, [`zc_telemetry::SchedulerDriver::step`] and
+//! [`switchless_core::FleetController`]; the actors here only supply
+//! virtual time, simulation counters and `Sleep` syscalls.
 //!
 //! All results are in cycles of the modelled CPU and bit-for-bit
 //! reproducible across hosts. Enable [`Kernel::enable_tracing`] and

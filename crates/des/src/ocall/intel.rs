@@ -11,6 +11,7 @@ use crate::kernel::{FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
+use switchless_core::config::{intel_default_task_pool, INTEL_DEFAULT_RETRIES};
 use switchless_core::CallPath;
 
 /// Static configuration of the simulated Intel mechanism.
@@ -36,9 +37,9 @@ impl IntelSimConfig {
         IntelSimConfig {
             switchless_classes: switchless.into_iter().collect(),
             workers,
-            retries_before_fallback: 20_000,
-            retries_before_sleep: 20_000,
-            capacity: (2 * workers).max(4),
+            retries_before_fallback: u64::from(INTEL_DEFAULT_RETRIES),
+            retries_before_sleep: u64::from(INTEL_DEFAULT_RETRIES),
+            capacity: intel_default_task_pool(workers),
         }
     }
 

@@ -5,11 +5,9 @@
 //! worker's untrusted pool (reallocated via one transition when full),
 //! post the request and spin; with no idle worker they fall back
 //! *immediately*. Workers idle-spin on a doorbell flag; the scheduler
-//! actor drives the identical [`SchedulerPolicy`] used by the real
-//! runtime, probing worker counts every configuration phase and parking
-//! surplus workers.
-//!
-//! [`SchedulerPolicy`]: switchless_core::policy::SchedulerPolicy
+//! actor hosts the identical [`SchedulerDriver`] step the real runtime's
+//! scheduler thread does, probing worker counts every configuration
+//! phase and parking surplus workers.
 
 use super::prof::{Phase, Prof};
 use super::{CallDesc, CostModel, Dispatcher, Step};
@@ -18,11 +16,12 @@ use crate::metrics::SimCounters;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use switchless_core::policy::{PolicyParams, SchedulerPolicy};
+use switchless_core::policy::PolicyParams;
 use switchless_core::stats::WorkerResidency;
 use switchless_core::{
     CallPath, GuardKind, ReconcileVerdict, RecoveryParams, RecoveryPlane, ReplyGuard, WorkerState,
 };
+use zc_telemetry::SchedulerDriver;
 
 /// Scheduler command posted to a worker (DES model: no exit — the driver
 /// simply stops the simulation).
@@ -827,46 +826,35 @@ impl crate::kernel::Actor for ZcWorkerActor {
     }
 }
 
-/// The adaptive scheduler actor, driving the shared [`SchedulerPolicy`].
+/// The adaptive scheduler actor: the virtual-time host of the
+/// [`SchedulerDriver`] the real scheduler thread runs.
 #[derive(Debug)]
 pub struct ZcSchedulerActor {
     world: Rc<RefCell<ZcWorld>>,
     counters: Rc<RefCell<SimCounters>>,
-    policy: SchedulerPolicy,
+    driver: SchedulerDriver,
     queue: VecDeque<Syscall>,
-    last_fallbacks: u64,
-    tracer: Option<zc_telemetry::SchedulerTracer>,
 }
 
 impl ZcSchedulerActor {
     /// Scheduler with the given policy parameters and initial worker
-    /// count.
+    /// count. With a hub, phase starts and argmin decisions (with their
+    /// measured `F_i` and derived `U_i`) are traced stamped with
+    /// **kernel virtual time**.
     #[must_use]
     pub fn new(
         world: Rc<RefCell<ZcWorld>>,
         counters: Rc<RefCell<SimCounters>>,
         params: PolicyParams,
         initial_workers: usize,
+        telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
     ) -> Self {
         ZcSchedulerActor {
             world,
             counters,
-            policy: SchedulerPolicy::new(params, initial_workers),
+            driver: SchedulerDriver::new(params, initial_workers, telemetry),
             queue: VecDeque::new(),
-            last_fallbacks: 0,
-            tracer: None,
         }
-    }
-
-    /// Builder-style telemetry hub: the actor traces phase starts and
-    /// argmin decisions (with their measured `F_i` and derived `U_i`)
-    /// stamped with **kernel virtual time**, at [`Origin::Scheduler`].
-    ///
-    /// [`Origin::Scheduler`]: zc_telemetry::Origin::Scheduler
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
-        self.tracer = Some(zc_telemetry::SchedulerTracer::new(telemetry));
-        self
     }
 }
 
@@ -875,46 +863,36 @@ impl crate::kernel::Actor for ZcSchedulerActor {
         if let Some(s) = self.queue.pop_front() {
             return s;
         }
-        // Previous policy step finished: report its fallback delta and
-        // fetch the next one.
-        let fb = self.counters.borrow().fallback;
-        let delta = fb.saturating_sub(self.last_fallbacks);
-        self.last_fallbacks = fb;
-        let step = self.policy.next(delta);
-        // Fleet bulkhead: an externally imposed cap bounds whatever the
-        // shard-local argmin picked (see `ZcWorld::worker_cap`).
-        let m = step.workers().min(self.world.borrow().worker_cap);
-        if let Some(tracer) = &mut self.tracer {
-            tracer.trace_step(now, &self.policy, step, m);
+        let mut wld = self.world.borrow_mut();
+        let step = self
+            .driver
+            .step(now, self.counters.borrow().fallback, wld.worker_cap);
+        let m = step.workers;
+        wld.active_workers = m;
+        wld.residency.record(m, step.duration_cycles);
+        if step.new_decision.is_some() {
+            wld.last_decision = step.new_decision;
         }
-        {
-            let mut wld = self.world.borrow_mut();
-            wld.active_workers = m;
-            wld.residency.record(m, step.duration_cycles());
-            if self.policy.decisions() > wld.decisions {
-                wld.last_decision = self.policy.last_decision().cloned();
-            }
-            wld.decisions = self.policy.decisions();
-            for i in 0..wld.workers.len() {
-                if i < m {
-                    wld.workers[i].cmd = Cmd::Run;
-                    if wld.workers[i].state == WorkerState::Paused {
-                        wld.workers[i].state = WorkerState::Unused;
-                        let tid = wld.worker_tids[i];
-                        self.queue.push_back(Syscall::Unpark(tid));
-                    }
-                } else if wld.workers[i].cmd != Cmd::Deactivate {
-                    wld.workers[i].cmd = Cmd::Deactivate;
-                    // Ring the doorbell so an idle spinner re-checks its
-                    // command word and parks.
-                    wld.worker_db_val[i] += 1;
-                    let v = wld.worker_db_val[i];
-                    let flag = wld.worker_db[i];
-                    self.queue.push_back(Syscall::SetFlag { flag, value: v });
+        wld.decisions = step.decisions;
+        for i in 0..wld.workers.len() {
+            if i < m {
+                wld.workers[i].cmd = Cmd::Run;
+                if wld.workers[i].state == WorkerState::Paused {
+                    wld.workers[i].state = WorkerState::Unused;
+                    let tid = wld.worker_tids[i];
+                    self.queue.push_back(Syscall::Unpark(tid));
                 }
+            } else if wld.workers[i].cmd != Cmd::Deactivate {
+                wld.workers[i].cmd = Cmd::Deactivate;
+                // Ring the doorbell so an idle spinner re-checks its
+                // command word and parks.
+                wld.worker_db_val[i] += 1;
+                let v = wld.worker_db_val[i];
+                let flag = wld.worker_db[i];
+                self.queue.push_back(Syscall::SetFlag { flag, value: v });
             }
         }
-        self.queue.push_back(Syscall::Sleep(step.duration_cycles()));
+        self.queue.push_back(Syscall::Sleep(step.duration_cycles));
         self.queue
             .pop_front()
             .expect("queue holds at least the sleep")

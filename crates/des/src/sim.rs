@@ -15,6 +15,9 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
+use switchless_core::config::{
+    DEFAULT_FALLBACK_WEIGHT, DEFAULT_POOL_BYTES, PAPER_MU_INVERSE, PAPER_QUANTUM_MS,
+};
 use switchless_core::cpu::CpuSpec;
 use switchless_core::policy::PolicyParams;
 use switchless_core::stats::WorkerResidency;
@@ -40,13 +43,27 @@ pub struct ZcSimParams {
 impl Default for ZcSimParams {
     fn default() -> Self {
         ZcSimParams {
-            quantum_ms: 10,
-            mu_inverse: 100,
+            quantum_ms: PAPER_QUANTUM_MS,
+            mu_inverse: PAPER_MU_INVERSE,
             initial_workers: None,
             max_workers: None,
-            pool_bytes: 64 * 1024,
-            fallback_weight: switchless_core::policy::DEFAULT_FALLBACK_WEIGHT,
+            pool_bytes: DEFAULT_POOL_BYTES as u64,
+            fallback_weight: DEFAULT_FALLBACK_WEIGHT,
         }
+    }
+}
+
+impl ZcSimParams {
+    /// Scheduler policy parameters of a shard with these parameters on
+    /// machine `cpu` (the DES counterpart of `ZcConfig::policy_params`).
+    pub(crate) fn policy_params(&self, cpu: &CpuSpec) -> PolicyParams {
+        PolicyParams::new(
+            cpu,
+            cpu.quantum_cycles(self.quantum_ms),
+            self.mu_inverse,
+            self.max_workers.unwrap_or(cpu.zc_max_workers()),
+            self.fallback_weight,
+        )
     }
 }
 
@@ -432,7 +449,8 @@ pub(crate) fn spawn_zc_shard(
     counters: &Rc<RefCell<SimCounters>>,
 ) -> Rc<RefCell<ZcWorld>> {
     let zp = spec.zc;
-    let max_workers = zp.max_workers.unwrap_or(spec.cpu.zc_max_workers()).max(1);
+    let params = zp.policy_params(spec.cpu);
+    let max_workers = params.max_workers;
     // A fleet shard never starts below the fairness floor of one worker.
     let (cap, floor) = match spec.share {
         Some(share) => (share.clamp(1, max_workers), 1),
@@ -445,18 +463,13 @@ pub(crate) fn spawn_zc_shard(
         let tid = kernel.spawn(Box::new(ZcWorkerActor::new(Rc::clone(&world), i)));
         world.borrow_mut().worker_tids.push(tid);
     }
-    let params = PolicyParams {
-        t_es_cycles: spec.cpu.t_es_cycles,
-        quantum_cycles: spec.cpu.quantum_cycles(zp.quantum_ms),
-        mu_inverse: zp.mu_inverse,
-        max_workers,
-        fallback_weight: zp.fallback_weight,
-    };
-    let scheduler = ZcSchedulerActor::new(Rc::clone(&world), Rc::clone(counters), params, initial);
-    kernel.spawn(Box::new(match spec.telemetry {
-        Some(hub) => scheduler.with_telemetry(Arc::clone(hub)),
-        None => scheduler,
-    }));
+    kernel.spawn(Box::new(ZcSchedulerActor::new(
+        Rc::clone(&world),
+        Rc::clone(counters),
+        params,
+        initial,
+        spec.telemetry.cloned(),
+    )));
     if let Some(faults) = spec.faults {
         let supervisor = ZcSupervisorActor::new(Rc::clone(&world), faults);
         kernel.spawn(Box::new(match spec.telemetry {

@@ -24,7 +24,8 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 use switchless_core::{
     CallPath, CallStats, DrainReport, FaultInjector, GuardViolation, IntelConfig, OcallDispatcher,
-    OcallRequest, OcallTable, OverloadSnapshot, RecoverySnapshot, SwitchlessError, WorkerFault,
+    OcallRequest, OcallTable, OverloadSnapshot, RecoverySnapshot, SwitchlessError, TenantUsage,
+    WorkerFault,
 };
 use zc_telemetry::{Event, FaultKind, MetricValue, Origin, Telemetry};
 
@@ -251,6 +252,13 @@ impl IntelSwitchless {
     #[must_use]
     pub fn recovery_snapshot(&self) -> Option<RecoverySnapshot> {
         self.shared.door.recovery_snapshot()
+    }
+
+    /// This runtime's conservation-ledger row (see
+    /// [`FrontDoor::usage`]).
+    #[must_use]
+    pub fn usage(&self) -> TenantUsage {
+        self.shared.door.usage()
     }
 
     /// Total worker respawns so far (always 0 unless the configuration

@@ -36,7 +36,7 @@ use switchless_core::recovery::{EntryState, ReconcileVerdict, RecoveryPlane};
 use switchless_core::{
     CallPath, CallStats, DrainReport, EnclaveFault, FaultInjector, GuardViolation, OcallRequest,
     OverloadParams, OverloadPlane, OverloadSnapshot, RecoveryParams, RecoverySnapshot, ReplyGuard,
-    SwitchlessError,
+    SwitchlessError, TenantUsage,
 };
 pub use zc_telemetry::Phase;
 use zc_telemetry::{Event, FaultKind, MetricValue, Origin, PhaseRecorder, Telemetry};
@@ -249,6 +249,26 @@ impl FrontDoor {
     #[must_use]
     pub fn recovery_snapshot(&self) -> Option<RecoverySnapshot> {
         self.recovery.as_ref().map(RecoveryPlane::snapshot)
+    }
+
+    /// This runtime's row of the ledger `offered == completed + shed +
+    /// abandoned + refused`, as the DES reports it per tenant: a
+    /// watchdog-cancelled call was re-routed and returned its result, so
+    /// it is completed, and a runtime never abandons an offered call
+    /// un-issued. Exact at quiescence.
+    #[must_use]
+    pub fn usage(&self) -> TenantUsage {
+        let s = self.stats.snapshot();
+        TenantUsage {
+            offered: s.issued,
+            completed: s.total_calls(),
+            shed: self.overload_snapshot().map_or(0, |o| o.shed_total()),
+            abandoned: 0,
+            refused: self
+                .recovery_snapshot()
+                .map_or(0, |r| r.refused_non_idempotent),
+            guard_violations: s.guard_violations,
+        }
     }
 
     /// Trace a breaker state-machine edge, if one happened.

@@ -116,14 +116,6 @@ impl RegularOcall {
         self
     }
 
-    /// Builder-style stats sharing (e.g. with a switchless runtime that
-    /// uses this dispatcher for fallbacks).
-    #[must_use]
-    pub fn with_stats(mut self, stats: Arc<CallStats>) -> Self {
-        self.stats = stats;
-        self
-    }
-
     /// Disable the `T_es` spin (unit tests that only care about
     /// marshalling semantics).
     #[must_use]

@@ -15,9 +15,34 @@ use crate::supervise::SuperviseParams;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
+// The paper's and the SDK's constants, one definition each: every
+// default of the real runtimes and of the DES (`ZcSimParams`,
+// `IntelSimConfig`, `FleetSpec`) is derived from this table.
+
+/// Scheduling quantum `Q` in milliseconds (paper §IV-A: 10 ms).
+pub const PAPER_QUANTUM_MS: u64 = 10;
+
+/// Inverse micro-quantum fraction `µ⁻¹` (paper §IV-A: `µ = 1/100`).
+pub const PAPER_MU_INVERSE: u64 = 100;
+
+/// Default scheduler fallback weight (see
+/// [`PolicyParams::fallback_weight`]).
+pub const DEFAULT_FALLBACK_WEIGHT: u64 = 8;
+
+/// Default per-worker untrusted request-pool size in bytes (paper
+/// §IV-B preallocates the pools; 64 KiB holds any one benchmark
+/// payload).
+pub const DEFAULT_POOL_BYTES: usize = 64 * 1024;
+
 /// Default retry counts of the Intel SDK (developer reference §III-C):
 /// both `retries_before_fallback` and `retries_before_sleep` are 20 000.
 pub const INTEL_DEFAULT_RETRIES: u32 = 20_000;
+
+/// Default Intel task-pool capacity: two slots per worker, at least 4.
+#[must_use]
+pub fn intel_default_task_pool(workers: usize) -> usize {
+    (2 * workers).max(4)
+}
 
 /// Static build-time configuration of the Intel SGX SDK switchless
 /// library (reimplemented in the `intel-switchless` crate).
@@ -34,8 +59,8 @@ pub struct IntelConfig {
     /// Pauses a *worker* spends polling for tasks before sleeping (`rbs`).
     pub retries_before_sleep: u32,
     /// Capacity of the shared task pool (SDK default: one slot per
-    /// worker-facing task "window"; we default to `2 * num_uworkers`,
-    /// minimum 4).
+    /// worker-facing task "window"; we default to
+    /// [`intel_default_task_pool`]).
     pub task_pool_capacity: usize,
     /// Respawn crashed/hung workers instead of letting the pool shrink
     /// permanently. Off by default: the SDK library has no such
@@ -63,7 +88,7 @@ impl IntelConfig {
             num_uworkers: workers,
             retries_before_fallback: INTEL_DEFAULT_RETRIES,
             retries_before_sleep: INTEL_DEFAULT_RETRIES,
-            task_pool_capacity: (2 * workers).max(4),
+            task_pool_capacity: intel_default_task_pool(workers),
             respawn_workers: false,
             overload: None,
             recovery: None,
@@ -192,11 +217,11 @@ impl ZcConfig {
     pub fn for_cpu(cpu: CpuSpec) -> Self {
         ZcConfig {
             cpu,
-            quantum_cycles: cpu.quantum_cycles(10),
-            mu_inverse: 100,
+            quantum_cycles: cpu.quantum_cycles(PAPER_QUANTUM_MS),
+            mu_inverse: PAPER_MU_INVERSE,
             initial_workers: cpu.zc_max_workers(),
-            pool_bytes: 64 * 1024,
-            fallback_weight: crate::policy::DEFAULT_FALLBACK_WEIGHT,
+            pool_bytes: DEFAULT_POOL_BYTES,
+            fallback_weight: DEFAULT_FALLBACK_WEIGHT,
             max_reply_bytes: 1024 * 1024,
             supervise: None,
             overload: None,
@@ -213,13 +238,13 @@ impl ZcConfig {
     /// Scheduler policy parameters corresponding to this configuration.
     #[must_use]
     pub fn policy_params(&self) -> PolicyParams {
-        PolicyParams {
-            t_es_cycles: self.cpu.t_es_cycles,
-            quantum_cycles: self.quantum_cycles,
-            mu_inverse: self.mu_inverse,
-            max_workers: self.max_workers(),
-            fallback_weight: self.fallback_weight,
-        }
+        PolicyParams::new(
+            &self.cpu,
+            self.quantum_cycles,
+            self.mu_inverse,
+            self.max_workers(),
+            self.fallback_weight,
+        )
     }
 
     /// Builder-style override of the scheduling quantum (milliseconds).
@@ -247,13 +272,6 @@ impl ZcConfig {
     #[must_use]
     pub fn with_pool_bytes(mut self, bytes: usize) -> Self {
         self.pool_bytes = bytes.max(256);
-        self
-    }
-
-    /// Builder-style override of the scheduler fallback weight.
-    #[must_use]
-    pub fn with_fallback_weight(mut self, weight: u64) -> Self {
-        self.fallback_weight = weight.max(1);
         self
     }
 

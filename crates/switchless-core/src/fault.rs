@@ -335,24 +335,10 @@ impl FaultPlan {
         self
     }
 
-    /// Byzantine: flip the status word on every `n`-th corruption site.
-    #[must_use]
-    pub fn flip_status_every(mut self, n: u64) -> Self {
-        self.flip_status_calls = self.flip_status_calls.and_every(n);
-        self
-    }
-
     /// Byzantine: garbage the command word on corruption-site index `n`.
     #[must_use]
     pub fn garbage_command_at(mut self, n: u64) -> Self {
         self.garbage_command_calls = self.garbage_command_calls.and_at(n);
-        self
-    }
-
-    /// Byzantine: garbage the command word on every `n`-th site.
-    #[must_use]
-    pub fn garbage_command_every(mut self, n: u64) -> Self {
-        self.garbage_command_calls = self.garbage_command_calls.and_every(n);
         self
     }
 
@@ -363,26 +349,10 @@ impl FaultPlan {
         self
     }
 
-    /// Byzantine: oversize the declared reply length on every `n`-th
-    /// site.
-    #[must_use]
-    pub fn oversize_reply_every(mut self, n: u64) -> Self {
-        self.oversize_reply_calls = self.oversize_reply_calls.and_every(n);
-        self
-    }
-
     /// Byzantine: undersize the declared reply length at site `n`.
     #[must_use]
     pub fn undersize_reply_at(mut self, n: u64) -> Self {
         self.undersize_reply_calls = self.undersize_reply_calls.and_at(n);
-        self
-    }
-
-    /// Byzantine: undersize the declared reply length on every `n`-th
-    /// site.
-    #[must_use]
-    pub fn undersize_reply_every(mut self, n: u64) -> Self {
-        self.undersize_reply_calls = self.undersize_reply_calls.and_every(n);
         self
     }
 
@@ -393,24 +363,10 @@ impl FaultPlan {
         self
     }
 
-    /// Byzantine: replay a stale sequence tag on every `n`-th site.
-    #[must_use]
-    pub fn stale_seq_every(mut self, n: u64) -> Self {
-        self.stale_seq_calls = self.stale_seq_calls.and_every(n);
-        self
-    }
-
     /// Byzantine: tear the request slot at site `n`.
     #[must_use]
     pub fn torn_request_at(mut self, n: u64) -> Self {
         self.torn_request_calls = self.torn_request_calls.and_at(n);
-        self
-    }
-
-    /// Byzantine: tear the request slot on every `n`-th site.
-    #[must_use]
-    pub fn torn_request_every(mut self, n: u64) -> Self {
-        self.torn_request_calls = self.torn_request_calls.and_every(n);
         self
     }
 

@@ -103,13 +103,6 @@ impl FleetParams {
         self.starvation_intervals = n.max(1);
         self
     }
-
-    /// Builder-style override of the crash-suspicion threshold.
-    #[must_use]
-    pub fn with_crash_suspect_threshold(mut self, n: u64) -> Self {
-        self.crash_suspect_threshold = n.max(1);
-        self
-    }
 }
 
 /// Ordered verdict on one tenant's behaviour, derived from its shard's
@@ -313,6 +306,14 @@ pub fn fleet_cost(demands: &[TenantDemand], assigned: &[usize], params: &FleetPa
     u.saturating_add(total_workers.saturating_mul(params.policy.quantum_cycles))
 }
 
+/// A tenant's weighted fair share of the budget, `budget · weight /
+/// Σ weights` (rounded down): the cap every shard is seeded with before
+/// any demand is known, and the cap a `Suspect` tenant is held to.
+fn fair_share(budget: usize, weight: u64, weight_sum: u64) -> usize {
+    let share = (budget as u64).saturating_mul(weight) / weight_sum.max(1);
+    usize::try_from(share).unwrap_or(usize::MAX)
+}
+
 /// Effective worker cap for one tenant under its verdict.
 ///
 /// `Faulty` tenants are contained at the floor (1 if they offered load,
@@ -324,10 +325,9 @@ pub fn verdict_cap(demand: &TenantDemand, weight_sum: u64, params: &FleetParams)
     let shard_max = params.policy.max_workers.max(1);
     match demand.verdict {
         TenantVerdict::Faulty => floor.min(shard_max),
-        TenantVerdict::Suspect => {
-            let fair = (params.budget as u64).saturating_mul(demand.weight) / weight_sum.max(1);
-            (fair as usize).max(floor).min(shard_max)
-        }
+        TenantVerdict::Suspect => fair_share(params.budget, demand.weight, weight_sum)
+            .max(floor)
+            .min(shard_max),
         TenantVerdict::Healthy | TenantVerdict::Degraded => shard_max,
     }
 }
@@ -516,6 +516,171 @@ impl FleetAllocator {
         self.decisions += 1;
         self.last = Some(decision.clone());
         decision
+    }
+}
+
+/// Cumulative counters a fleet host reads off one shard at a rebalance.
+/// The controller judges the *interval* since the previous reading: a
+/// tenant that was Byzantine an hour ago is judged on its clean present
+/// (the allocator's escalation state carries the longer memory).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardTotals {
+    /// Calls the shard's workload put on offer.
+    pub offered: u64,
+    /// Calls that fell back to a regular transition.
+    pub fallbacks: u64,
+    /// Trusted-side guard violations.
+    pub guard_violations: u64,
+    /// Worker crashes and hangs the shard's supervision dealt with.
+    pub worker_faults: u64,
+    /// Whole-enclave losses.
+    pub enclave_crashes: u64,
+}
+
+/// What the [`FleetController`] reads off one shard at a rebalance.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardEvidence {
+    /// The shard's cumulative counters as of now.
+    pub totals: ShardTotals,
+    /// Worker slots quarantined right now: charged as worker crashes in
+    /// every interval they stay that way.
+    pub quarantined_workers: u64,
+    /// The shard's fallback-storm breaker is open.
+    pub breaker_open: bool,
+    /// The shard's brownout level.
+    pub brownout_level: u8,
+    /// The shard scheduler's latest decision: its measured demand curve.
+    pub last_decision: Option<DecisionRecord>,
+    /// The worker cap the shard currently runs under.
+    pub cap: usize,
+}
+
+/// One shard's cap moving as the result of a fleet decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CapChange {
+    /// Shard (tenant) index.
+    pub shard: usize,
+    /// Cap before the decision.
+    pub from: usize,
+    /// Cap to apply.
+    pub to: usize,
+    /// Verdict the shard was judged under.
+    pub verdict: TenantVerdict,
+}
+
+/// The caps that grow in a rebalance. The value only exists once every
+/// shrinking cap has been handed out ([`FleetController::decide`]); the
+/// host applies it after its donors have quiesced, so a moving worker
+/// never counts against two shards and `Σ running ≤ budget` holds
+/// mid-migration.
+#[derive(Debug)]
+#[must_use = "receivers keep their old caps until `raise` is called"]
+pub struct PendingRaises(Vec<CapChange>);
+
+impl PendingRaises {
+    /// No cap grows in this rebalance.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Hand out the raises, in shard order.
+    pub fn raise(self, apply: impl FnMut(CapChange)) {
+        self.0.into_iter().for_each(apply);
+    }
+}
+
+/// The fleet's control loop, written once for the real
+/// `zc_switchless::Fleet` and the DES allocator actor: seed caps,
+/// per-shard interval baselines, evidence → [`TenantSignals`] →
+/// [`TenantDemand`] → [`FleetAllocator::decide`], and the cap changes in
+/// quiesce-and-migrate order. A host only reads its shards' counters,
+/// applies caps and waits in its own notion of time.
+#[derive(Debug, Clone)]
+pub struct FleetController {
+    allocator: FleetAllocator,
+    weights: Vec<u64>,
+    /// Each shard's totals at the previous decision.
+    seen: Vec<ShardTotals>,
+}
+
+impl FleetController {
+    /// Controller for one shard per entry of `weights` (floored at 1).
+    #[must_use]
+    pub fn new(params: FleetParams, weights: &[u64]) -> Self {
+        FleetController {
+            allocator: FleetAllocator::new(params, weights.len()),
+            weights: weights.iter().map(|w| (*w).max(1)).collect(),
+            seen: vec![ShardTotals::default(); weights.len()],
+        }
+    }
+
+    /// Decisions taken so far.
+    #[must_use]
+    pub fn decisions(&self) -> u64 {
+        self.allocator.decisions()
+    }
+
+    /// Caps to start the shards under, before any demand is known: the
+    /// weighted fair share of the budget, every tenant ≥ 1.
+    #[must_use]
+    pub fn seed_caps(&self) -> Vec<usize> {
+        let budget = self.allocator.params().budget;
+        let weight_sum = self.weights.iter().sum();
+        self.weights
+            .iter()
+            .map(|&w| fair_share(budget, w, weight_sum).max(1))
+            .collect()
+    }
+
+    /// Run one fleet decision over the shards' `evidence` (in shard
+    /// order). Caps that shrink are handed to `lower` before this
+    /// returns; the caps that grow come back as [`PendingRaises`]. No
+    /// shard is left below the one-worker floor.
+    pub fn decide(
+        &mut self,
+        evidence: &[ShardEvidence],
+        lower: impl FnMut(CapChange),
+    ) -> (FleetDecision, PendingRaises) {
+        let params = *self.allocator.params();
+        let demands: Vec<TenantDemand> = evidence
+            .iter()
+            .zip(&mut self.seen)
+            .zip(&self.weights)
+            .map(|((e, seen), &weight)| {
+                let (now, was) = (e.totals, std::mem::replace(seen, e.totals));
+                let signals = TenantSignals {
+                    guard_violations: now.guard_violations.saturating_sub(was.guard_violations),
+                    worker_crashes: now.worker_faults.saturating_sub(was.worker_faults)
+                        + e.quarantined_workers,
+                    enclave_crashes: now.enclave_crashes.saturating_sub(was.enclave_crashes),
+                    breaker_open: e.breaker_open,
+                    brownout_level: e.brownout_level,
+                };
+                TenantDemand::from_probes(
+                    weight,
+                    now.offered.saturating_sub(was.offered),
+                    &params.policy,
+                    e.last_decision.as_ref(),
+                    now.fallbacks.saturating_sub(was.fallbacks),
+                )
+                .with_verdict(signals.verdict(&params))
+            })
+            .collect();
+        let decision = self.allocator.decide(&demands);
+        let (lowers, raises): (Vec<CapChange>, Vec<CapChange>) = evidence
+            .iter()
+            .enumerate()
+            .map(|(shard, e)| CapChange {
+                shard,
+                from: e.cap,
+                to: decision.assigned[shard].max(1),
+                verdict: decision.verdicts[shard],
+            })
+            .filter(|c| c.to != c.from)
+            .partition(|c| c.to < c.from);
+        lowers.into_iter().for_each(lower);
+        (decision, PendingRaises(raises))
     }
 }
 

@@ -47,8 +47,9 @@
 //! # Example
 //!
 //! ```
-//! use switchless_core::policy::{choose_workers, MicroQuantumReport};
+//! use switchless_core::config::{PAPER_MU_INVERSE, PAPER_QUANTUM_MS};
 //! use switchless_core::cpu::CpuSpec;
+//! use switchless_core::policy::{choose_workers, MicroQuantumReport};
 //!
 //! let cpu = CpuSpec::paper_machine();
 //! // Fallback counts observed while trying 0..=4 workers during the
@@ -58,7 +59,7 @@
 //!     .enumerate()
 //!     .map(|(i, &f)| MicroQuantumReport { workers: i, fallbacks: f })
 //!     .collect::<Vec<_>>();
-//! let micro_quantum = cpu.quantum_cycles(10) / 100;
+//! let micro_quantum = cpu.quantum_cycles(PAPER_QUANTUM_MS) / PAPER_MU_INVERSE;
 //! let best = choose_workers(&reports, cpu.t_es_cycles, micro_quantum);
 //! assert_eq!(best, 2); // extra workers past 2 cost more than they save
 //! ```
@@ -89,8 +90,9 @@ pub use fault::{
     FaultSchedule, TransitionLog, WorkerFault,
 };
 pub use fleet::{
-    FleetAccountingError, FleetAllocator, FleetDecision, FleetParams, FleetSnapshot, TenantDemand,
-    TenantSignals, TenantUsage, TenantVerdict,
+    CapChange, FleetAccountingError, FleetAllocator, FleetController, FleetDecision, FleetParams,
+    FleetSnapshot, PendingRaises, ShardEvidence, ShardTotals, TenantDemand, TenantSignals,
+    TenantUsage, TenantVerdict,
 };
 pub use func::{FuncId, HostFn, OcallReply, OcallRequest, OcallTable, MAX_OCALL_ARGS};
 pub use guard::{GuardKind, GuardViolation, ReplyGuard, ReplyVerdict, SharedWordGuard};

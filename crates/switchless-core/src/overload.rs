@@ -35,6 +35,7 @@
 //! (`tests/overload_props.rs`); the only inputs are cycle timestamps
 //! and load observations supplied by the caller.
 
+use crate::config::PAPER_QUANTUM_MS;
 use crate::cpu::CpuSpec;
 use serde::{Deserialize, Serialize};
 
@@ -263,7 +264,7 @@ impl BreakerParams {
     /// the right tool; above it, the storm needs breaking.
     #[must_use]
     pub fn for_cpu(cpu: &CpuSpec) -> Self {
-        let quantum = cpu.quantum_cycles(10);
+        let quantum = cpu.quantum_cycles(PAPER_QUANTUM_MS);
         BreakerParams {
             failure_threshold: u32::try_from(quantum / cpu.t_es_cycles.max(1))
                 .unwrap_or(u32::MAX)
@@ -559,7 +560,7 @@ impl OverloadParams {
         let refill = cpu.t_es_cycles.saturating_mul(4).max(1);
         OverloadParams {
             max_inflight: (cpu.logical_cpus as u64).saturating_mul(4).max(4),
-            bucket_capacity: (cpu.quantum_cycles(10) / refill).max(1),
+            bucket_capacity: (cpu.quantum_cycles(PAPER_QUANTUM_MS) / refill).max(1),
             refill_period_cycles: refill,
             breaker: BreakerParams::for_cpu(cpu),
             brownout: BrownoutParams::default(),

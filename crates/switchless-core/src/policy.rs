@@ -26,10 +26,9 @@
 //! real-thread scheduler (`zc-switchless`) and the discrete-event model
 //! (`zc-des`), and is directly unit- and property-testable.
 
+use crate::config::ZcConfig;
+use crate::cpu::CpuSpec;
 use serde::{Deserialize, Serialize};
-
-/// Default fallback weight (see [`PolicyParams::fallback_weight`]).
-pub const DEFAULT_FALLBACK_WEIGHT: u64 = 8;
 
 /// Parameters of the ZC scheduler policy, all in cycles of the modelled
 /// machine.
@@ -61,17 +60,32 @@ pub struct PolicyParams {
 }
 
 impl PolicyParams {
-    /// Parameters from a CPU spec using the paper's constants
-    /// (`Q` = 10 ms, `µ` = 1/100, `max = N/2`).
+    /// The one constructor every scheduler — real thread, DES actor,
+    /// fleet allocator — builds its parameters with: `T_es` comes from
+    /// the machine, and the worker ceiling is never below 1.
     #[must_use]
-    pub fn from_cpu(cpu: &crate::cpu::CpuSpec) -> Self {
+    pub fn new(
+        cpu: &CpuSpec,
+        quantum_cycles: u64,
+        mu_inverse: u64,
+        max_workers: usize,
+        fallback_weight: u64,
+    ) -> Self {
         PolicyParams {
             t_es_cycles: cpu.t_es_cycles,
-            quantum_cycles: cpu.quantum_cycles(10),
-            mu_inverse: 100,
-            max_workers: cpu.zc_max_workers(),
-            fallback_weight: DEFAULT_FALLBACK_WEIGHT,
+            quantum_cycles,
+            mu_inverse,
+            max_workers: max_workers.max(1),
+            fallback_weight,
         }
+    }
+
+    /// Parameters from a CPU spec using the paper's constants
+    /// (`Q` = 10 ms, `µ` = 1/100, `max = N/2`): those of the
+    /// paper-faithful [`ZcConfig::for_cpu`].
+    #[must_use]
+    pub fn from_cpu(cpu: &CpuSpec) -> Self {
+        ZcConfig::for_cpu(*cpu).policy_params()
     }
 
     /// Duration of one configuration micro-quantum, `µ · Q`, in cycles.
@@ -487,7 +501,7 @@ impl ConvergenceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::CpuSpec;
+    use crate::config::DEFAULT_FALLBACK_WEIGHT;
 
     fn params() -> PolicyParams {
         PolicyParams::from_cpu(&CpuSpec::paper_machine())

@@ -45,6 +45,7 @@
 //! executed twice
 //! ([`OverloadSnapshot::conserves_with`](crate::overload::OverloadSnapshot::conserves_with)).
 
+use crate::config::PAPER_QUANTUM_MS;
 use crate::cpu::CpuSpec;
 use crate::guard::{GuardViolation, ReplyGuard};
 use serde::{Deserialize, Serialize};
@@ -493,7 +494,7 @@ impl RecoveryParams {
     pub fn for_cpu(cpu: CpuSpec) -> Self {
         RecoveryParams {
             journal_slots: 1024,
-            restart_cycles: cpu.quantum_cycles(10),
+            restart_cycles: cpu.quantum_cycles(PAPER_QUANTUM_MS),
         }
     }
 

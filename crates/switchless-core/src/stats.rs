@@ -83,13 +83,12 @@ impl CallStats {
         self.guard_violations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Current fallback count.
+    /// Current fallback count: the one counter the scheduler step
+    /// differences against its own previous reading to get `F_i`.
     ///
-    /// Prefer [`CallStats::snapshot`] for anything that combines or
-    /// differences counters: mixing this getter with other individual
-    /// reads produces torn totals (each read samples a different
-    /// moment). The scheduler and bench call sites difference
-    /// successive `snapshot()`s instead.
+    /// Prefer [`CallStats::snapshot`] for anything that combines
+    /// counters: mixing this getter with other individual reads
+    /// produces torn totals (each read samples a different moment).
     #[must_use]
     pub fn fallbacks(&self) -> u64 {
         self.fallback.load(Ordering::Relaxed)

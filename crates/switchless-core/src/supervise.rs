@@ -27,6 +27,7 @@
 //! discrete-event simulator, so recovery behaviour can be pinned down
 //! deterministically in virtual time.
 
+use crate::config::{PAPER_MU_INVERSE, PAPER_QUANTUM_MS};
 use crate::cpu::CpuSpec;
 use crate::func::FuncId;
 use serde::{Deserialize, Serialize};
@@ -73,14 +74,14 @@ impl SuperviseParams {
     /// micro-quantum (`Q/100`).
     #[must_use]
     pub fn for_cpu(cpu: CpuSpec) -> Self {
-        let quantum = cpu.quantum_cycles(10);
+        let quantum = cpu.quantum_cycles(PAPER_QUANTUM_MS);
         SuperviseParams {
             backoff_base_cycles: quantum,
             backoff_max_cycles: quantum.saturating_mul(16),
             probation_cycles: quantum,
             poison_threshold: 3,
             watchdog_cycles: quantum,
-            poll_cycles: (quantum / 100).max(1),
+            poll_cycles: (quantum / PAPER_MU_INVERSE).max(1),
             enclave_restart_threshold: 0,
         }
     }

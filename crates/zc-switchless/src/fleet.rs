@@ -6,28 +6,31 @@
 //! crashing, Byzantine or overloaded tenant can corrupt nothing beyond
 //! its own shard. What the shards *share* is the machine's busy-wait
 //! capacity: a global worker budget carved up by the pure
-//! [`FleetAllocator`] from `switchless_core::fleet`, which runs the
-//! paper's wasted-cycle argmin `U = F·T_es + M·T` *across* shards using
-//! each shard's own configuration-phase probes as its demand curve.
+//! [`FleetController`] from `switchless_core::fleet` — the same control
+//! loop the DES fleet hosts — which runs the paper's wasted-cycle argmin
+//! `U = F·T_es + M·T` *across* shards using each shard's own
+//! configuration-phase probes as its demand curve, and keeps the seed
+//! caps, the per-shard interval baselines and the verdicts.
 //!
-//! The allocator's output is applied as per-shard worker-count **caps**
-//! ([`ZcRuntime::set_worker_cap`]); the shard-local argmin keeps running
-//! underneath and may pick fewer workers than its cap. Rebalancing is
-//! quiesce-and-migrate: donors' caps are lowered first, the fleet waits
-//! for their schedulers to actually drop (workers park at the next
-//! step), and only then are receivers' caps raised — a moving worker
-//! never serves two shards at once, and the sum of running workers never
-//! exceeds the budget mid-migration.
+//! This module is the controller's real-time host: it reads each
+//! runtime's counters ([`ShardEvidence`]), applies the controller's
+//! output as per-shard worker-count **caps**
+//! ([`ZcRuntime::set_worker_cap`]; the shard-local argmin keeps running
+//! underneath and may pick fewer workers than its cap) and supplies the
+//! wait of quiesce-and-migrate: the controller hands out donors' lowers
+//! first, the fleet waits for their schedulers to actually drop (workers
+//! park at the next step), and only then applies the receivers' raises —
+//! a moving worker never serves two shards at once, and the sum of
+//! running workers never exceeds the budget mid-migration.
 
 use crate::ZcRuntime;
 use parking_lot::Mutex;
 use sgx_sim::Enclave;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use switchless_core::stats::CallStatsSnapshot;
 use switchless_core::{
-    BreakerState, FaultInjector, FleetAllocator, FleetDecision, FleetParams, FleetSnapshot,
-    OcallTable, SwitchlessError, TenantDemand, TenantSignals, TenantUsage, ZcConfig,
+    BreakerState, CapChange, FaultInjector, FleetController, FleetDecision, FleetParams,
+    FleetSnapshot, OcallTable, ShardEvidence, ShardTotals, SwitchlessError, ZcConfig,
 };
 
 /// One tenant's slice of a [`Fleet`]: its runtime configuration, host
@@ -89,43 +92,56 @@ impl TenantSpec {
     }
 }
 
-/// Counter baselines at the last rebalance, so demand and verdict
-/// signals are computed from *interval* deltas (a tenant that was
-/// Byzantine an hour ago but clean since is judged on the clean
-/// interval, not its history — the allocator's own escalation state
-/// carries the memory).
-#[derive(Debug)]
-struct ShardLedger {
-    stats: CallStatsSnapshot,
-    enclave_crashes: u64,
-    respawns: u64,
-}
-
 #[derive(Debug)]
 struct Shard {
     name: String,
-    weight: u64,
     runtime: ZcRuntime,
-    ledger: Mutex<ShardLedger>,
     telemetry: Option<Arc<zc_telemetry::Telemetry>>,
 }
 
 impl Shard {
-    /// Emit a tenant-labelled rebalance event into this shard's hub
-    /// (no-op without one), stamped with the shard's runtime clock.
-    fn record_rebalance(&self, verdict: &'static str, cap_before: usize, cap_after: usize) {
+    /// What the fleet controller judges this shard on: its cumulative
+    /// counters, its planes' current state and its scheduler's latest
+    /// demand curve.
+    fn evidence(&self) -> ShardEvidence {
+        let rt = &self.runtime;
+        let stats = rt.stats().snapshot();
+        let overload = rt.overload_snapshot();
+        ShardEvidence {
+            totals: ShardTotals {
+                offered: stats.issued,
+                fallbacks: stats.fallback,
+                guard_violations: stats.guard_violations,
+                worker_faults: rt.supervisor_state().map_or(0, |s| s.respawns()),
+                enclave_crashes: rt.recovery_snapshot().map_or(0, |r| r.crashes),
+            },
+            quarantined_workers: rt.poisoned_workers() as u64,
+            breaker_open: overload
+                .as_ref()
+                .is_some_and(|o| o.breaker_state == BreakerState::Open),
+            brownout_level: overload.as_ref().map_or(0, |o| o.brownout_level),
+            last_decision: rt.last_decision(),
+            cap: rt.worker_cap(),
+        }
+    }
+
+    /// Apply one cap change and emit a tenant-labelled rebalance event
+    /// into this shard's hub (if it has one), stamped with the shard's
+    /// runtime clock.
+    fn move_cap(&self, change: CapChange) {
         if let Some(hub) = &self.telemetry {
             hub.record(
                 self.runtime.clock().now_cycles(),
                 zc_telemetry::Origin::Scheduler,
                 zc_telemetry::Event::FleetRebalance {
                     tenant: self.name.clone(),
-                    verdict,
-                    cap_before: cap_before as u32,
-                    cap_after: cap_after as u32,
+                    verdict: change.verdict.name(),
+                    cap_before: change.from as u32,
+                    cap_after: change.to as u32,
                 },
             );
         }
+        self.runtime.set_worker_cap(change.to);
     }
 }
 
@@ -139,7 +155,7 @@ impl Shard {
 #[derive(Debug)]
 pub struct Fleet {
     shards: Vec<Shard>,
-    allocator: Mutex<FleetAllocator>,
+    controller: Mutex<FleetController>,
 }
 
 impl Fleet {
@@ -162,9 +178,10 @@ impl Fleet {
                 "fleet worker budget must be nonzero".into(),
             ));
         }
-        let weight_sum: u64 = specs.iter().map(|s| s.weight.max(1)).sum();
+        let weights: Vec<u64> = specs.iter().map(|s| s.weight).collect();
+        let controller = FleetController::new(params, &weights);
         let mut shards = Vec::with_capacity(specs.len());
-        for spec in specs {
+        for (spec, seed) in specs.into_iter().zip(controller.seed_caps()) {
             let enclave = Enclave::new_virtual(spec.config.cpu);
             let runtime = ZcRuntime::start_inner(
                 spec.config,
@@ -174,27 +191,16 @@ impl Fleet {
                 spec.faults.clone(),
                 spec.telemetry.clone(),
             )?;
-            // Weighted fair share before any demand is known; the first
-            // rebalance replaces this with the measured argmin.
-            let share = (params.budget as u64).saturating_mul(spec.weight.max(1)) / weight_sum;
-            runtime.set_worker_cap((share as usize).max(1));
-            let ledger = ShardLedger {
-                stats: runtime.stats().snapshot(),
-                enclave_crashes: 0,
-                respawns: 0,
-            };
+            runtime.set_worker_cap(seed);
             shards.push(Shard {
                 name: spec.name,
-                weight: spec.weight.max(1),
                 runtime,
-                ledger: Mutex::new(ledger),
                 telemetry: spec.telemetry,
             });
         }
-        let allocator = FleetAllocator::new(params, shards.len());
         Ok(Fleet {
             shards,
-            allocator: Mutex::new(allocator),
+            controller: Mutex::new(controller),
         })
     }
 
@@ -225,7 +231,7 @@ impl Fleet {
     /// Completed global allocation decisions.
     #[must_use]
     pub fn decisions(&self) -> u64 {
-        self.allocator.lock().decisions()
+        self.controller.lock().decisions()
     }
 
     /// Gather per-shard demand and behaviour evidence, run the global
@@ -233,67 +239,22 @@ impl Fleet {
     /// protocol: donors shrink first, the fleet waits (bounded by
     /// `quiesce_timeout` of wall time) for their schedulers to drop to
     /// the new cap, then receivers grow. Returns the decision.
+    ///
+    /// Shrinking donors before growing receivers keeps `Σ running
+    /// workers ≤ budget` throughout; the wait observes each donor's
+    /// *published* worker count, which only moves when its scheduler
+    /// has actually re-parked workers.
     pub fn rebalance(&self, quiesce_timeout: Duration) -> FleetDecision {
-        let params = *self.allocator.lock().params();
-        let mut demands = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let mut ledger = shard.ledger.lock();
-            let now = shard.runtime.stats().snapshot();
-            let delta = now.delta_since(&ledger.stats);
-            let crashes = shard.runtime.recovery_snapshot().map_or(0, |r| r.crashes);
-            let respawns = shard.runtime.supervisor_state().map_or(0, |s| s.respawns());
-            let overload = shard.runtime.overload_snapshot();
-            let signals = TenantSignals {
-                guard_violations: delta.guard_violations,
-                worker_crashes: respawns.saturating_sub(ledger.respawns)
-                    + shard.runtime.poisoned_workers() as u64,
-                enclave_crashes: crashes.saturating_sub(ledger.enclave_crashes),
-                breaker_open: overload
-                    .as_ref()
-                    .is_some_and(|o| o.breaker_state == BreakerState::Open),
-                brownout_level: overload.as_ref().map_or(0, |o| o.brownout_level),
-            };
-            ledger.stats = now;
-            ledger.enclave_crashes = crashes;
-            ledger.respawns = respawns;
-
-            demands.push(
-                TenantDemand::from_probes(
-                    shard.weight,
-                    delta.issued,
-                    &params.policy,
-                    shard.runtime.last_decision().as_ref(),
-                    delta.fallback,
-                )
-                .with_verdict(signals.verdict(&params)),
-            );
-        }
-        let decision = self.allocator.lock().decide(&demands);
-        self.apply(&decision, quiesce_timeout);
-        decision
-    }
-
-    /// Quiesce-and-migrate cap application. Shrinking donors before
-    /// growing receivers keeps `Σ running workers ≤ budget` throughout;
-    /// the wait observes each donor's *published* worker count, which
-    /// only moves when its scheduler has actually re-parked workers.
-    fn apply(&self, decision: &FleetDecision, quiesce_timeout: Duration) {
+        let evidence: Vec<ShardEvidence> = self.shards.iter().map(Shard::evidence).collect();
         let mut donors = Vec::new();
-        for (t, shard) in self.shards.iter().enumerate() {
-            let new = decision.assigned[t].max(1);
-            let old = shard.runtime.worker_cap();
-            if new != old {
-                shard.record_rebalance(decision.verdicts[t].name(), old, new);
-            }
-            if new < old {
-                shard.runtime.set_worker_cap(new);
-                donors.push((t, new));
-            }
-        }
+        let (decision, raises) = self.controller.lock().decide(&evidence, |change| {
+            self.shards[change.shard].move_cap(change);
+            donors.push(change);
+        });
         let deadline = Instant::now() + quiesce_timeout;
         while donors
             .iter()
-            .any(|&(t, new)| self.shards[t].runtime.active_workers() > new)
+            .any(|d| self.shards[d.shard].runtime.active_workers() > d.to)
         {
             if Instant::now() >= deadline {
                 break;
@@ -301,12 +262,8 @@ impl Fleet {
             std::thread::yield_now();
             std::thread::sleep(Duration::from_micros(200));
         }
-        for (t, shard) in self.shards.iter().enumerate() {
-            let new = decision.assigned[t].max(1);
-            if new > shard.runtime.worker_cap() {
-                shard.runtime.set_worker_cap(new);
-            }
-        }
+        raises.raise(|change| self.shards[change.shard].move_cap(change));
+        decision
     }
 
     /// Per-tenant conservation ledger: for each shard,
@@ -315,30 +272,7 @@ impl Fleet {
     /// quiescent points (no calls in flight).
     #[must_use]
     pub fn fleet_snapshot(&self) -> FleetSnapshot {
-        let tenants = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let s = shard.runtime.stats().snapshot();
-                let shed = shard
-                    .runtime
-                    .overload_snapshot()
-                    .map_or(0, |o| o.shed_total());
-                let refused = shard
-                    .runtime
-                    .recovery_snapshot()
-                    .map_or(0, |r| r.refused_non_idempotent);
-                TenantUsage {
-                    offered: s.issued,
-                    completed: s.switchless + s.fallback + s.regular,
-                    shed,
-                    abandoned: s.cancelled,
-                    refused,
-                    guard_violations: s.guard_violations,
-                }
-            })
-            .collect();
-        FleetSnapshot::from_tenants(tenants)
+        FleetSnapshot::from_tenants(self.shards.iter().map(|s| s.runtime.usage()).collect())
     }
 
     /// Shut every shard down (idempotent; also runs on drop).

@@ -123,7 +123,7 @@ impl RequestPool {
 
 impl Default for RequestPool {
     fn default() -> Self {
-        RequestPool::new(64 * 1024)
+        RequestPool::new(switchless_core::config::DEFAULT_POOL_BYTES)
     }
 }
 

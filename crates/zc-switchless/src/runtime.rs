@@ -12,7 +12,8 @@ use std::time::Duration;
 use switchless_core::stats::WorkerResidency;
 use switchless_core::{
     CallPath, CallStats, DrainReport, FaultInjector, OcallDispatcher, OcallRequest, OcallTable,
-    OverloadSnapshot, RecoverySnapshot, Supervisor, SwitchlessError, TransitionLog, ZcConfig,
+    OverloadSnapshot, RecoverySnapshot, Supervisor, SwitchlessError, TenantUsage, TransitionLog,
+    ZcConfig,
 };
 use zc_telemetry::{MetricValue, Telemetry};
 
@@ -410,20 +411,6 @@ impl ZcRuntime {
         self.shared.worker_cap.load(Ordering::Acquire)
     }
 
-    /// Workers currently parked in the `Paused` state (quiesced: not
-    /// spinning, holding no call). A fleet migration waits for a donor
-    /// shard's worker count to drop — observed here — before crediting
-    /// the freed budget to the receiving shard, so a moving worker never
-    /// serves two shards at once.
-    #[must_use]
-    pub fn paused_workers(&self) -> usize {
-        self.shared
-            .workers
-            .iter()
-            .filter(|w| w.get().state() == Ok(switchless_core::WorkerState::Paused))
-            .count()
-    }
-
     /// Snapshot of the worker-count residency histogram (paper §V-B).
     #[must_use]
     pub fn residency(&self) -> WorkerResidency {
@@ -478,6 +465,13 @@ impl ZcRuntime {
     #[must_use]
     pub fn recovery_snapshot(&self) -> Option<RecoverySnapshot> {
         self.shared.door.recovery_snapshot()
+    }
+
+    /// This runtime's conservation-ledger row (see
+    /// [`FrontDoor::usage`]).
+    #[must_use]
+    pub fn usage(&self) -> TenantUsage {
+        self.shared.door.usage()
     }
 
     /// Stop the scheduler and workers and join them. Idempotent; also

@@ -1,59 +1,48 @@
 //! The ZC scheduler thread (paper §IV-A).
 //!
-//! Drives the pure [`SchedulerPolicy`] phase machine in real time:
-//! execute each [`PolicyStep`] by (de)activating workers, sleep for the
-//! step's duration, then report the fallback delta observed during the
-//! step back to the policy. Worker-count residency is recorded for the
-//! §V-B analysis.
-//!
-//! [`PolicyStep`]: switchless_core::policy::PolicyStep
+//! Hosts the shared [`SchedulerDriver`] in real time: execute each
+//! step by (de)activating workers, sleep for the step's duration, then
+//! hand the fallback counter back to the driver. Worker-count residency
+//! is recorded for the §V-B analysis.
 
 use crate::buffer::SchedCommand;
 use crate::runtime::Shared;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
-use switchless_core::policy::SchedulerPolicy;
 use switchless_core::WorkerState;
+use zc_telemetry::SchedulerDriver;
 
 /// Maximum chunk of real sleep between `running` checks.
 const SLEEP_CHUNK: Duration = Duration::from_millis(5);
 
-/// Body of the scheduler thread.
+/// Body of the scheduler thread: the host side of
+/// [`SchedulerDriver::step`] — read the clock, the fallback counter and
+/// the fleet cap, apply the step, sleep it out, publish.
 pub(crate) fn scheduler_loop(shared: &Shared) {
-    let mut policy =
-        SchedulerPolicy::new(shared.config.policy_params(), shared.config.initial_workers);
+    let mut driver = SchedulerDriver::new(
+        shared.config.policy_params(),
+        shared.config.initial_workers,
+        shared.door.telemetry.clone(),
+    );
     let spec = *shared.door.clock.spec();
-    // One consistent snapshot per step boundary: the per-step F_i delta
-    // and anything else derived from the counters come from the same
-    // four readings (CallStats::snapshot), never from interleaved
-    // individual getters.
-    let mut stats_at_step_start = shared.door.stats.snapshot();
-    let mut last_delta = 0u64;
-    let mut tracer = shared
-        .door
-        .telemetry
-        .as_ref()
-        .map(|hub| zc_telemetry::SchedulerTracer::new(Arc::clone(hub)));
 
     while shared.door.is_running() {
-        let step = policy.next(last_delta);
-        // Fleet bulkhead: an externally imposed cap (set via
-        // `ZcRuntime::set_worker_cap`) bounds whatever the shard-local
-        // argmin picked. Computed once per step so activation, the
-        // published gauge, telemetry and the residency record agree.
-        let m = step
-            .workers()
-            .min(shared.worker_cap.load(Ordering::Acquire));
-        if let Some(tracer) = &mut tracer {
-            tracer.trace_step(shared.door.clock.now_cycles(), &policy, step, m);
-        }
+        let step = driver.step(
+            shared.door.clock.now_cycles(),
+            shared.door.stats.fallbacks(),
+            shared.worker_cap.load(Ordering::Acquire),
+        );
+        let m = step.workers;
         set_active_workers(shared, m);
         shared.active_workers.store(m, Ordering::Release);
+        if let Some(decision) = step.new_decision {
+            *shared.last_decision.lock() = Some(decision);
+        }
+        shared.decisions.store(step.decisions, Ordering::Release);
 
         // Sleep out the step in real time (the scheduler itself is idle:
         // its CPU cost is negligible by design).
-        let step_ns = spec.cycles_to_ns(step.duration_cycles());
+        let step_ns = spec.cycles_to_ns(step.duration_cycles);
         let slept_at = shared.door.clock.now_cycles();
         sleep_interruptible(shared, Duration::from_nanos(step_ns));
         let now = shared.door.clock.now_cycles();
@@ -61,16 +50,6 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
             .residency
             .lock()
             .record(m, now.saturating_sub(slept_at));
-
-        let stats_now = shared.door.stats.snapshot();
-        last_delta = stats_now.delta_since(&stats_at_step_start).fallback;
-        stats_at_step_start = stats_now;
-        if policy.decisions() > shared.decisions.load(Ordering::Acquire) {
-            *shared.last_decision.lock() = policy.last_decision().cloned();
-        }
-        shared
-            .decisions
-            .store(policy.decisions(), Ordering::Release);
     }
 }
 

@@ -44,7 +44,7 @@ pub use metrics::{
 };
 pub use profile::{CallPhaseProfiler, Phase, PhaseRecorder, ProfileSnapshot, PHASES};
 pub use quantile::{Quantiles, WindowedQuantiles};
-pub use scheduler::SchedulerTracer;
+pub use scheduler::{SchedulerDriver, SchedulerStep};
 pub use slo::{OverloadSlo, SloReport};
 pub use tracer::Tracer;
 

@@ -1,55 +1,79 @@
-//! The scheduler's trace of its own phase machine, written once for the
-//! real scheduler thread and the DES scheduler actor (which differ only
-//! in where `now` comes from).
+//! One scheduler step, written once for the real scheduler thread and
+//! the DES scheduler actor. The two differ only in where `now` and the
+//! fallback total come from, how the worker cap is stored and how they
+//! wait out the step; everything between — fallback delta → policy →
+//! cap clamp → trace → decision report — is [`SchedulerDriver::step`].
 
 use crate::{Event, Origin, PhaseKind, Telemetry};
 use std::sync::Arc;
-use switchless_core::policy::{ConvergenceTracker, PolicyStep, SchedulerPolicy};
+use switchless_core::policy::{
+    ConvergenceTracker, DecisionRecord, PolicyParams, PolicyStep, SchedulerPolicy,
+};
 
-/// Traces each step of a [`SchedulerPolicy`] at [`Origin::Scheduler`]:
-/// a freshly completed configuration phase as a `Decision` (with its
-/// `F_i` / `U_i` inputs), the argmin re-settling on a new worker count
-/// after a load shift as `Converged`, and every step as a `PhaseStart`.
+/// What the host has to carry out for one scheduler step.
 #[derive(Debug)]
-pub struct SchedulerTracer {
-    hub: Arc<Telemetry>,
-    traced_decisions: u64,
+pub struct SchedulerStep {
+    /// Workers to run the step with: the policy's count, bounded by the
+    /// externally imposed cap (the fleet bulkhead — the shard-local
+    /// argmin keeps running underneath and may pick fewer).
+    pub workers: usize,
+    /// How long the step lasts.
+    pub duration_cycles: u64,
+    /// Configuration phases completed so far.
+    pub decisions: u64,
+    /// The decision that completed just before this step, if one did:
+    /// the shard's measured demand curve, for the host to publish.
+    pub new_decision: Option<DecisionRecord>,
+}
+
+/// Drives a [`SchedulerPolicy`] from the host's cumulative fallback
+/// counter. With a hub it traces, at [`Origin::Scheduler`], a freshly
+/// completed configuration phase as a `Decision` (with its `F_i` /
+/// `U_i` inputs), the argmin re-settling on a new worker count after a
+/// load shift as `Converged`, and every step as a `PhaseStart`.
+#[derive(Debug)]
+pub struct SchedulerDriver {
+    policy: SchedulerPolicy,
+    /// Fallback total at the previous step boundary.
+    fallbacks_seen: u64,
+    /// Decisions already reported (and traced).
+    reported_decisions: u64,
+    hub: Option<Arc<Telemetry>>,
     convergence: ConvergenceTracker,
 }
 
-impl SchedulerTracer {
-    /// Tracer recording into `hub`.
+impl SchedulerDriver {
+    /// Driver starting with a scheduling phase of `initial_workers`.
     #[must_use]
-    pub fn new(hub: Arc<Telemetry>) -> Self {
-        SchedulerTracer {
+    pub fn new(params: PolicyParams, initial_workers: usize, hub: Option<Arc<Telemetry>>) -> Self {
+        SchedulerDriver {
+            policy: SchedulerPolicy::new(params, initial_workers),
+            fallbacks_seen: 0,
+            reported_decisions: 0,
             hub,
-            traced_decisions: 0,
             convergence: ConvergenceTracker::new(),
         }
     }
 
-    /// Trace `step`, the one `policy` just produced, starting at cycle
-    /// `now` with `workers` active (the step's count after any external
-    /// cap).
-    pub fn trace_step(
-        &mut self,
-        now: u64,
-        policy: &SchedulerPolicy,
-        step: PolicyStep,
-        workers: usize,
-    ) {
-        if policy.decisions() > self.traced_decisions {
-            self.traced_decisions = policy.decisions();
-            if let Some(d) = policy.last_decision() {
-                self.hub.record(
-                    now,
-                    Origin::Scheduler,
-                    Event::Decision {
-                        decision: d.clone(),
-                    },
-                );
+    /// The previous step has run its course: report the fallbacks it
+    /// saw (`fallbacks_total` is cumulative) to the policy and return
+    /// the next step, starting at cycle `now` under `worker_cap`.
+    pub fn step(&mut self, now: u64, fallbacks_total: u64, worker_cap: usize) -> SchedulerStep {
+        let delta = fallbacks_total.saturating_sub(self.fallbacks_seen);
+        self.fallbacks_seen = fallbacks_total;
+        let step = self.policy.next(delta);
+        let workers = step.workers().min(worker_cap);
+        let decisions = self.policy.decisions();
+        let new_decision = (decisions > self.reported_decisions)
+            .then(|| self.policy.last_decision())
+            .flatten();
+        self.reported_decisions = decisions;
+        if let Some(hub) = &self.hub {
+            if let Some(d) = new_decision {
+                let decision = d.clone();
+                hub.record(now, Origin::Scheduler, Event::Decision { decision });
                 if let Some(c) = self.convergence.observe(d.chosen_workers, now) {
-                    self.hub.record(
+                    hub.record(
                         now,
                         Origin::Scheduler,
                         Event::Converged {
@@ -61,19 +85,25 @@ impl SchedulerTracer {
                     );
                 }
             }
+            let kind = match step {
+                PolicyStep::Schedule { .. } => PhaseKind::Schedule,
+                PolicyStep::Probe { .. } => PhaseKind::Probe,
+            };
+            hub.record(
+                now,
+                Origin::Scheduler,
+                Event::PhaseStart {
+                    kind,
+                    workers: workers as u32,
+                    duration_cycles: step.duration_cycles(),
+                },
+            );
         }
-        let kind = match step {
-            PolicyStep::Schedule { .. } => PhaseKind::Schedule,
-            PolicyStep::Probe { .. } => PhaseKind::Probe,
-        };
-        self.hub.record(
-            now,
-            Origin::Scheduler,
-            Event::PhaseStart {
-                kind,
-                workers: workers as u32,
-                duration_cycles: step.duration_cycles(),
-            },
-        );
+        SchedulerStep {
+            workers,
+            duration_cycles: step.duration_cycles(),
+            decisions,
+            new_decision: new_decision.cloned(),
+        }
     }
 }

@@ -1,25 +1,38 @@
 //! The call front door (`sgx_sim::frontdoor`) is one pipeline behind
 //! two transports. These tests hold the two runtimes to it: the same
 //! admission/stop contract on both, and — under one seeded fault plan
-//! on the virtual clock — the same recovery ledger and the same
-//! caller-side trace.
+//! on the virtual clock — the same recovery and conservation ledgers
+//! and the same caller-side trace; and the fleet to the ledger row the
+//! front door assembles.
 
 use intel_switchless::IntelSwitchless;
 use sgx_sim::Enclave;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use switchless_core::policy::PolicyParams;
 use switchless_core::{
-    CallStatsSnapshot, CpuSpec, FaultInjector, FaultPlan, FuncId, IntelConfig, OcallDispatcher,
-    OcallRequest, OcallTable, OverloadParams, OverloadSnapshot, RecoverySnapshot, ShedReason,
-    SwitchlessError, ZcConfig, MAX_OCALL_ARGS,
+    BrownoutParams, CallStatsSnapshot, CpuSpec, FaultInjector, FaultPlan, FleetParams, FuncId,
+    IntelConfig, OcallDispatcher, OcallRequest, OcallTable, OverloadParams, OverloadSnapshot,
+    Priority, RecoverySnapshot, ShedReason, SuperviseParams, SwitchlessError, TenantUsage,
+    ZcConfig, MAX_OCALL_ARGS,
 };
-use zc_switchless::ZcRuntime;
+use zc_switchless::{Fleet, TenantSpec, ZcRuntime};
 use zc_telemetry::{Origin, Telemetry};
 
 /// Wall-clock backstop for loops that wait on a scheduled fault.
 const BACKSTOP: Duration = Duration::from_secs(60);
 
-fn table() -> (Arc<OcallTable>, FuncId) {
+/// State of the `park` host function: it raises `entered`, then stays
+/// inside the host until the test raises `open`.
+#[derive(Debug, Default)]
+struct Gate {
+    entered: AtomicBool,
+    open: AtomicBool,
+}
+
+/// A host table serving `echo` and `park`, with the latter's gate.
+fn gated_table() -> (Arc<OcallTable>, FuncId, FuncId, Arc<Gate>) {
     let mut t = OcallTable::new();
     let echo = t.register(
         "echo",
@@ -28,7 +41,24 @@ fn table() -> (Arc<OcallTable>, FuncId) {
             pin.len() as i64
         },
     );
-    (Arc::new(t), echo)
+    let gate = Arc::new(Gate::default());
+    let g = Arc::clone(&gate);
+    let park = t.register(
+        "park",
+        move |_: &[u64; MAX_OCALL_ARGS], _: &[u8], _: &mut Vec<u8>| {
+            g.entered.store(true, Ordering::Release);
+            while !g.open.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            0
+        },
+    );
+    (Arc::new(t), echo, park, gate)
+}
+
+fn table() -> (Arc<OcallTable>, FuncId) {
+    let (t, echo, ..) = gated_table();
+    (t, echo)
 }
 
 fn cpu() -> CpuSpec {
@@ -42,6 +72,7 @@ trait Runtime: OcallDispatcher {
     fn call_stats(&self) -> CallStatsSnapshot;
     fn overload(&self) -> OverloadSnapshot;
     fn recovery(&self) -> RecoverySnapshot;
+    fn ledger(&self) -> TenantUsage;
     fn stop(&self) -> switchless_core::DrainReport;
 }
 
@@ -54,6 +85,9 @@ impl Runtime for ZcRuntime {
     }
     fn recovery(&self) -> RecoverySnapshot {
         self.recovery_snapshot().expect("recovery is on")
+    }
+    fn ledger(&self) -> TenantUsage {
+        self.usage()
     }
     fn stop(&self) -> switchless_core::DrainReport {
         self.shutdown_with_timeout(BACKSTOP)
@@ -70,40 +104,60 @@ impl Runtime for IntelSwitchless {
     fn recovery(&self) -> RecoverySnapshot {
         self.recovery_snapshot().expect("recovery is on")
     }
+    fn ledger(&self) -> TenantUsage {
+        self.usage()
+    }
     fn stop(&self) -> switchless_core::DrainReport {
         self.shutdown_with_timeout(BACKSTOP)
     }
 }
 
+/// A runtime under the admission contract, with its host functions.
+struct Started<R> {
+    rt: R,
+    echo: FuncId,
+    park: FuncId,
+    gate: Arc<Gate>,
+}
+
 /// Real clock: an already-expired deadline needs time to have passed.
-fn start_zc(overload: Option<OverloadParams>) -> (ZcRuntime, FuncId) {
-    let (t, echo) = table();
+fn start_zc(overload: Option<OverloadParams>) -> Started<ZcRuntime> {
+    let (t, echo, park, gate) = gated_table();
     let mut cfg = ZcConfig::for_cpu(cpu())
         .with_quantum_ms(1000)
         .with_initial_workers(1);
     cfg.overload = overload;
-    (ZcRuntime::start(cfg, t, Enclave::new(cpu())).unwrap(), echo)
+    let rt = ZcRuntime::start(cfg, t, Enclave::new(cpu())).unwrap();
+    Started {
+        rt,
+        echo,
+        park,
+        gate,
+    }
 }
 
-fn start_intel(overload: Option<OverloadParams>) -> (IntelSwitchless, FuncId) {
-    let (t, echo) = table();
+fn start_intel(overload: Option<OverloadParams>) -> Started<IntelSwitchless> {
+    let (t, echo, park, gate) = gated_table();
     let mut cfg = IntelConfig::new(1, [echo]);
     cfg.overload = overload;
-    (
-        IntelSwitchless::start(cfg, t, Enclave::new(cpu())).unwrap(),
+    let rt = IntelSwitchless::start(cfg, t, Enclave::new(cpu())).unwrap();
+    Started {
+        rt,
         echo,
-    )
+        park,
+        gate,
+    }
 }
 
 /// Admission sheds typed and conserves, an expired deadline sheds
-/// before any work, and a stopped runtime refuses — whichever transport
-/// sits behind the front door.
-fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>) -> (R, FuncId)) {
+/// before any work, the brownout ladder sheds by priority, and a stopped
+/// runtime refuses — whichever transport sits behind the front door.
+fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>) -> Started<R>) {
     let mut out = Vec::new();
 
     // Two burst tokens, a refill period far beyond the test's span: the
     // third call on must shed RateLimited before any transport traffic.
-    let (rt, echo) = start(Some(
+    let Started { rt, echo, .. } = start(Some(
         OverloadParams::for_cpu(&cpu()).with_bucket(2, 1 << 40),
     ));
     let (mut completed, mut shed) = (0u64, 0u64);
@@ -129,7 +183,7 @@ fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>
 
     // A deadline already in the past on arrival is shed, first. (Cycle
     // 1, not 0: deadline_cycles == 0 means "no deadline".)
-    let (rt, echo) = start(Some(OverloadParams::for_cpu(&cpu())));
+    let Started { rt, echo, .. } = start(Some(OverloadParams::for_cpu(&cpu())));
     let late = OcallRequest::new(echo, &[]).with_deadline_at(1);
     assert_eq!(
         rt.dispatch(&late, b"late", &mut out).unwrap_err(),
@@ -142,7 +196,52 @@ fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>
     rt.dispatch(&live, b"ok", &mut out).unwrap();
     rt.stop();
 
-    let (rt, echo) = start(None);
+    // One brownout rung per in-flight call, and one call parked inside
+    // the host: the observed depth is exactly 1, so the ladder climbs to
+    // rung 1 and stays there — Background is shed, Normal still runs.
+    let brownout = BrownoutParams {
+        step_depth: 1,
+        hysteresis_depth: 0,
+    };
+    let started = start(Some(
+        OverloadParams::for_cpu(&cpu()).with_brownout(brownout),
+    ));
+    let Started {
+        rt,
+        echo,
+        park,
+        gate,
+    } = &started;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            rt.dispatch(&OcallRequest::new(*park, &[]), &[], &mut Vec::new())
+                .unwrap();
+        });
+        let backstop = Instant::now() + BACKSTOP;
+        while !gate.entered.load(Ordering::Acquire) {
+            assert!(Instant::now() < backstop, "park never reached the host");
+            std::thread::yield_now();
+        }
+        let background = OcallRequest::new(*echo, &[]).with_priority(Priority::Background);
+        let shed = rt.dispatch(&background, b"bg", &mut out);
+        let normal = rt.dispatch(&OcallRequest::new(*echo, &[]), b"ok", &mut out);
+        // Open the gate before asserting, so a failure cannot strand the
+        // parked thread.
+        gate.open.store(true, Ordering::Release);
+        assert_eq!(
+            shed.unwrap_err(),
+            SwitchlessError::Overloaded {
+                reason: ShedReason::Brownout
+            }
+        );
+        assert_eq!(normal.unwrap().0, 2, "Normal outranks rung 1");
+    });
+    let snap = rt.overload();
+    assert_eq!(snap.shed_for(ShedReason::Brownout), 1);
+    assert_eq!((snap.offered, snap.admitted, snap.inflight), (3, 2, 0));
+    rt.stop();
+
+    let Started { rt, echo, .. } = start(None);
     rt.stop();
     assert_eq!(
         rt.dispatch(&OcallRequest::new(echo, &[]), &[], &mut out)
@@ -155,6 +254,42 @@ fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>
 fn admission_and_stop_contract_holds_on_both_transports() {
     admission_and_stop_contract(start_zc);
     admission_and_stop_contract(start_intel);
+}
+
+/// A watchdog-cancelled call is re-routed and returns its result to the
+/// caller: the fleet ledger (one `FrontDoor::usage` row per shard) books
+/// it as completed — as the DES does — not as "abandoned un-issued".
+#[test]
+fn watchdog_cancelled_calls_are_booked_as_completed() {
+    const WATCHDOG: u64 = 1_000_000;
+    let cpu = CpuSpec::paper_machine();
+    let (t, echo) = table();
+    let config = ZcConfig::for_cpu(cpu)
+        .with_supervise_params(SuperviseParams::for_cpu(cpu).with_watchdog_cycles(WATCHDOG));
+    // Every worker-serviced call stalls far past the watchdog; the first
+    // stalled worker to lose the race against its caller's watchdog gets
+    // its call cancelled.
+    let stalls = FaultPlan::new().stall_worker_every(1, 10 * WATCHDOG);
+    let tenant =
+        TenantSpec::new("stalled", config, t).with_faults(Arc::new(FaultInjector::new(stalls)));
+    let params = FleetParams::new(PolicyParams::from_cpu(&cpu), 4);
+    let fleet = Fleet::start(params, vec![tenant]).unwrap();
+    let rt = fleet.runtime(0);
+    let backstop = Instant::now() + BACKSTOP;
+    let mut out = Vec::new();
+    while rt.stats().snapshot().cancelled == 0 {
+        assert!(Instant::now() < backstop, "no stalled call was cancelled");
+        let (ret, _) = rt
+            .dispatch(&OcallRequest::new(echo, &[]), b"zz", &mut out)
+            .expect("a cancelled call still completes");
+        assert_eq!(ret, 2);
+    }
+    fleet.shutdown();
+    let snap = fleet.fleet_snapshot();
+    let row = snap.tenants[0];
+    assert_eq!(row.completed, row.offered, "{row:?}");
+    assert_eq!(row.abandoned, 0);
+    snap.check().expect("per-tenant conservation");
 }
 
 /// The seeded plan of the parity run. Over eight calls: the enclave
@@ -170,12 +305,16 @@ fn parity_plan() -> FaultPlan {
         .hang_worker_at(0)
 }
 
-/// Drive the parity plan through `rt`; returns the recovery ledger, the
-/// caller-origin event kinds of the eight scripted calls, and the
-/// caller-origin event kinds of the shutdown.
+/// Drive the parity plan through `rt`; returns the recovery and
+/// conservation ledgers and the caller-origin event kinds of the eight
+/// scripted calls, and the caller-origin event kinds of the shutdown.
 fn parity_run<R: Runtime>(
     start: impl FnOnce(Arc<Telemetry>, Arc<FaultInjector>) -> (R, FuncId),
-) -> (RecoverySnapshot, Vec<&'static str>, Vec<&'static str>) {
+) -> (
+    (RecoverySnapshot, TenantUsage),
+    Vec<&'static str>,
+    Vec<&'static str>,
+) {
     let hub = Telemetry::new();
     let faults = Arc::new(FaultInjector::new(parity_plan()));
     let (rt, echo) = start(Arc::clone(&hub), Arc::clone(&faults));
@@ -202,7 +341,7 @@ fn parity_run<R: Runtime>(
             }
         }
     }
-    let ledger = rt.recovery();
+    let ledger = (rt.recovery(), rt.ledger());
     let calls = caller_kinds(&hub);
     assert_eq!(faults.counts().clock_skews, 1);
     // The wedge needs a worker-serviced call; which call that is
@@ -243,14 +382,19 @@ fn same_fault_plan_yields_same_ledger_and_caller_trace_on_both_transports() {
         .unwrap();
         (rt, echo)
     });
-    assert_eq!(zc.0, intel.0, "recovery ledgers diverge");
+    assert_eq!(zc.0, intel.0, "ledgers diverge");
+    let (recovery, usage) = zc.0;
     assert_eq!(
-        (zc.0.crashes, zc.0.replayed, zc.0.redelivered),
+        (recovery.crashes, recovery.replayed, recovery.redelivered),
         (3, 1, 1),
-        "{:?}",
-        zc.0
+        "{recovery:?}"
     );
-    assert_eq!((zc.0.refused_non_idempotent, zc.0.journal_live), (1, 0));
+    assert_eq!(
+        (recovery.refused_non_idempotent, recovery.journal_live),
+        (1, 0)
+    );
+    assert!(usage.conserves(), "{usage:?}");
+    assert_eq!((usage.offered, usage.completed, usage.refused), (8, 7, 1));
     assert_eq!(zc.1, intel.1, "caller-origin event kinds diverge");
     let routed = |kinds: &[&str]| kinds.iter().filter(|k| **k == "call_routed").count();
     assert_eq!(routed(&zc.1), 7, "seven calls complete: {:?}", zc.1);
