@@ -5,8 +5,9 @@
 # access is needed beyond a Rust toolchain.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick   skip the all_figures-vs-results/ comparison and the triple
-#             test run used to shake out flaky tests
+#   --quick   skip the benchmark/ smoke run, the all_figures-vs-results/
+#             comparison and the triple test run used to shake out
+#             flaky tests
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -27,7 +28,19 @@ cargo build --release && cargo test -q
 echo "==> cargo test (workspace)"
 cargo test -q --workspace
 
+# benchmark/ is a crate of its own, outside the workspace and frozen
+# between [benchmark] PRs: nothing above compiles it, so a public-API
+# change that breaks it would first be seen by the acceptance driver.
+# Built into the root target/ with the committed lock file — this
+# script only reads benchmark/.
+bench=(--release --offline --locked --manifest-path benchmark/Cargo.toml --target-dir target/benchmark)
+echo "==> benchmark/ still builds against this tree"
+cargo build "${bench[@]}"
+
 if [[ $quick -eq 0 ]]; then
+    echo "==> benchmark/ --quick smoke (every workload, every check)"
+    cargo test -q "${bench[@]}"
+
     # Cross-commit pin on the DES: the trace and soak suites below only
     # compare two runs of the *same* build, so a simulator change that
     # is deterministic but different passes them all. The zc-des suites

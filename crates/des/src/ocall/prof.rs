@@ -4,9 +4,10 @@
 //! `sgx_sim::frontdoor::Rec`: each dispatcher owns one and marks phase
 //! boundaries with kernel virtual time as its dialogue advances. On
 //! completion the per-phase breakdown is accumulated into the hub's
-//! [`CallPhaseProfiler`] and emitted as a `call_phases` event, so a DES
-//! run produces the same SLO report schema as the real runtimes. With
-//! no hub attached every method is one branch and no work.
+//! [`CallPhaseProfiler`] and emitted as a `call_phases` event — the one
+//! per-call event, here as on the real runtimes — so a DES run produces
+//! the same SLO report schema. With no hub attached every method is one
+//! branch and no work.
 //!
 //! The profiler sees *every* call; the trace ring is bounded, so only
 //! the first [`TRACE_CALL_LIMIT`] completions per dispatcher emit a
@@ -31,6 +32,11 @@ const TRACE_CALL_LIMIT: u64 = 64;
 pub(crate) struct Prof {
     hub: Option<(std::sync::Arc<zc_telemetry::Telemetry>, u32)>,
     rec: Option<zc_telemetry::PhaseRecorder>,
+    /// Id of the in-flight call: this caller's index (from 1) above
+    /// bit 32 and its call count below, unless the dispatcher journals
+    /// the call and says so ([`Prof::set_call`]).
+    call: u64,
+    begun: u64,
     traced: u64,
 }
 
@@ -43,9 +49,18 @@ impl Prof {
     /// Open the recording for one call at virtual time `now`.
     #[inline]
     pub(crate) fn begin(&mut self, now: u64) {
-        if self.hub.is_some() {
+        if let Some((_, caller)) = &self.hub {
             self.rec = Some(zc_telemetry::PhaseRecorder::start(|| now));
+            self.begun += 1;
+            self.call = ((u64::from(*caller) + 1) << 32) | self.begun;
         }
+    }
+
+    /// The in-flight call is journaled under `seq`: trace it under that
+    /// id, which its recovery events carry too.
+    #[inline]
+    pub(crate) fn set_call(&mut self, seq: u64) {
+        self.call = seq;
     }
 
     /// Charge the cycles since the previous boundary to `phase`.
@@ -126,6 +141,7 @@ impl Prof {
                 now,
                 zc_telemetry::Origin::Caller(*caller),
                 zc_telemetry::Event::CallPhases {
+                    call: self.call,
                     func: class as u16,
                     path,
                     phases,

@@ -363,6 +363,7 @@ impl ZcDispatcher {
         {
             let plane = wld.recovery.as_ref().expect("caller checked presence");
             self.call_seq = plane.next_seq();
+            self.prof.set_call(self.call_seq);
             self.call_epoch0 = plane.epoch();
             plane.record_intent(self.call_seq, call.idempotency_class());
         }
@@ -1237,6 +1238,7 @@ impl ZcSupervisorActor {
                             kind: zc_telemetry::FaultKind::WorkerHang,
                         },
                         FaultEv::Byzantine(_, kind) => zc_telemetry::Event::GuardViolation {
+                            call: 0,
                             worker: w as u32,
                             kind,
                         },

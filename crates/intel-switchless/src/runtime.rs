@@ -121,7 +121,8 @@ impl IntelSwitchless {
     }
 
     /// [`start`](IntelSwitchless::start) with a telemetry hub: callers
-    /// trace routed-call spans, workers trace injected faults, shutdown
+    /// trace one phase-attributed span per completed call, workers
+    /// trace injected faults, shutdown
     /// traces the drain outcome, and the runtime registers a metrics
     /// collector publishing its [`CallStats`] (from one consistent
     /// snapshot) and sleeping-worker gauge.
@@ -434,7 +435,7 @@ fn route(
         Ok((ret, exec_cycles)) => {
             rec.set_execute_hint(exec_cycles);
             door.stats.record_switchless();
-            door.breaker_success();
+            door.breaker_success(rec);
             Ok((ret, CallPath::Switchless))
         }
         // The host flipped the word between DONE and the collect: the
@@ -457,7 +458,8 @@ fn guard_violation_fallback(
     rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
     sh.pool.poison(idx);
-    sh.door.guard_violation(idx.index() as u32, violation);
+    sh.door
+        .guard_violation(req.seq, idx.index() as u32, violation);
     sh.door.reroute_fallback(rec, req, payload_in, payload_out)
 }
 
@@ -568,6 +570,7 @@ fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
                 sh.door.event(
                     origin,
                     Event::GuardViolation {
+                        call: 0,
                         worker: idx.index() as u32,
                         kind: v.kind,
                     },

@@ -4,6 +4,8 @@
 //! passes the same robustness planes in the same order; this module is
 //! the one place that order is written down:
 //!
+//! 0. the call id, once per offered call (traced or journaled runtimes
+//!    only; it is the journal sequence and the reply-guard tag too);
 //! 1. stopped check, then `record_issued`;
 //! 2. overload admission (a shed call costs nothing downstream);
 //! 3. the transport's pinned-to-regular check;
@@ -15,8 +17,9 @@
 //! Around that pipeline sit the pieces both transports need while
 //! routing: the regular-ocall fallback with its phase accounting, the
 //! breaker-guarded would-fallback point, enclave-loss detection and
-//! journal reconciliation, the traced wrapper (`CallRouted` +
-//! `CallPhases`), the plane metric collector and the shutdown drain.
+//! journal reconciliation, the traced wrapper (one `CallPhases` event
+//! per completed call), the plane metric collector and the shutdown
+//! drain.
 //!
 //! A runtime embeds one [`FrontDoor`] and implements [`Transport`] for
 //! its shared state. Dispatch is generic over the transport and
@@ -27,7 +30,7 @@
 use crate::clock::CycleClock;
 use crate::transition::RegularOcall;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,6 +82,19 @@ impl Rec {
     pub fn set_execute_hint(&mut self, cycles: u64) {
         if let Some(r) = &mut self.0 {
             r.set_execute_hint(cycles);
+        }
+    }
+
+    /// "Now" for a plane that runs a few instructions after a phase
+    /// boundary: the recording's latest stamp, so a traced call does
+    /// not read the clock twice for one instant. Without a recording
+    /// this is the plane's own clock read, as ever.
+    #[inline]
+    #[must_use]
+    pub fn stamp(&self, clock: &CycleClock) -> u64 {
+        match &self.0 {
+            Some(r) => r.last(),
+            None => clock.now_cycles(),
         }
     }
 }
@@ -161,6 +177,9 @@ pub struct FrontDoor {
     pub recovery: Option<RecoveryPlane>,
     /// Telemetry hub, if one was attached at start.
     pub telemetry: Option<Arc<Telemetry>>,
+    /// Call-id source of a traced runtime without a recovery plane
+    /// (with one, the plane's journal sequence is the id).
+    call_ids: AtomicU64,
     running: AtomicBool,
     workers: Mutex<Vec<WorkerThread>>,
 }
@@ -186,6 +205,7 @@ impl FrontDoor {
             overload: overload.map(OverloadPlane::new),
             recovery: recovery.map(RecoveryPlane::new),
             telemetry,
+            call_ids: AtomicU64::new(0),
             running: AtomicBool::new(true),
             workers: Mutex::new(Vec::new()),
         }
@@ -218,6 +238,21 @@ impl FrontDoor {
     pub fn caller_event(&self, event: Event) {
         if let Some(t) = &self.telemetry {
             t.record(self.clock.now_cycles(), t.caller_origin(), event);
+        }
+    }
+
+    /// The id of one offered call (DESIGN.md §16): the journal sequence
+    /// when a recovery plane is attached, else a counter of this door
+    /// when a hub is, else 0 — nothing would carry it. Ids start at 1
+    /// and are unique per runtime, not dense per completed call.
+    #[inline]
+    fn next_call_id(&self) -> u64 {
+        if let Some(plane) = &self.recovery {
+            plane.next_seq()
+        } else if self.telemetry.is_some() {
+            self.call_ids.fetch_add(1, Ordering::Relaxed) + 1
+        } else {
+            0
         }
     }
 
@@ -282,11 +317,12 @@ impl FrontDoor {
     }
 
     /// A switchless completion is the breaker's success signal:
-    /// half-open probes that make it here close it.
+    /// half-open probes that make it here close it. Called right after
+    /// the wait phase closed, whose stamp it shares.
     #[inline]
-    pub fn breaker_success(&self) {
+    pub fn breaker_success(&self, rec: &Rec) {
         if let Some(plane) = &self.overload {
-            self.trace_breaker_edge(plane.on_success(self.clock.now_cycles()));
+            self.trace_breaker_edge(plane.on_success(rec.stamp(&self.clock)));
         }
     }
 
@@ -308,14 +344,17 @@ impl FrontDoor {
     /// configured) and either take an in-flight token or shed with a
     /// typed [`SwitchlessError::Overloaded`]. A shed call performs no
     /// work at all — no switchless attempt, no fallback transition.
+    /// Admission is the first thing a dispatch does, so it shares the
+    /// recording's start stamp.
     fn overload_admit(
         &self,
         req: &OcallRequest,
+        rec: &Rec,
     ) -> Result<Option<InflightGuard<'_>>, SwitchlessError> {
         let Some(plane) = &self.overload else {
             return Ok(None);
         };
-        let adm = plane.admit(self.clock.now_cycles(), req.priority, req.deadline());
+        let adm = plane.admit(rec.stamp(&self.clock), req.priority, req.deadline());
         if let Some((from_level, to_level)) = adm.brownout_shift {
             self.caller_event(Event::BrownoutShift {
                 from_level,
@@ -326,6 +365,7 @@ impl FrontDoor {
             Ok(guard) => Ok(Some(guard)),
             Err(reason) => {
                 self.caller_event(Event::CallShed {
+                    call: req.seq,
                     func: req.func.0,
                     reason,
                 });
@@ -424,6 +464,7 @@ impl FrontDoor {
                 let reason = ShedReason::BreakerOpen;
                 plane.record_shed(reason);
                 self.caller_event(Event::CallShed {
+                    call: req.seq,
                     func: req.func.0,
                     reason,
                 });
@@ -433,11 +474,12 @@ impl FrontDoor {
         self.load_fallback(rec, req, payload_in, payload_out)
     }
 
-    /// Count and trace a guard violation the caller observed on worker
-    /// (or pool slot) `worker`.
-    pub fn guard_violation(&self, worker: u32, violation: GuardViolation) {
+    /// Count and trace a guard violation the caller of call `call`
+    /// observed on worker (or pool slot) `worker`.
+    pub fn guard_violation(&self, call: u64, worker: u32, violation: GuardViolation) {
         self.stats.record_guard_violation();
         self.caller_event(Event::GuardViolation {
+            call,
             worker,
             kind: violation.kind,
         });
@@ -707,10 +749,12 @@ fn recover_call<T: Transport>(
 /// Dispatch one ocall through the front door and transport `t`.
 ///
 /// With no hub attached this is the bare pipeline. With one, the caller
-/// reads the clock at phase boundaries, accumulates the per-phase
-/// breakdown into the hub's `CallPhaseProfiler`, and records
-/// `CallRouted` + `CallPhases` events (relaxed-CAS ring pushes, no
-/// locks, no heap allocation).
+/// reads the clock at phase boundaries (six reads on a switchless call:
+/// start, four marks, finish — the planes in between reuse those
+/// stamps, see [`Rec::stamp`]), adds the per-phase breakdown to its own
+/// shard of the hub's `CallPhaseProfiler`, and records one
+/// `CallPhases` event carrying the call's id (one ring push, no locks,
+/// no heap allocation).
 ///
 /// # Errors
 ///
@@ -725,6 +769,14 @@ pub fn dispatch<T: Transport>(
     payload_out: &mut Vec<u8>,
 ) -> Result<(i64, CallPath), SwitchlessError> {
     let door = t.door();
+    let stamped;
+    let req = match door.next_call_id() {
+        0 => req,
+        id => {
+            stamped = req.with_seq(id);
+            &stamped
+        }
+    };
     let Some(hub) = &door.telemetry else {
         return admit_and_route(t, req, payload_in, payload_out, &mut Rec(None));
     };
@@ -734,22 +786,11 @@ pub fn dispatch<T: Transport>(
     if let (Ok((_, path)), Some(r)) = (&result, rec.0) {
         let (phases, total) = r.finish(|| door.clock.now_cycles());
         hub.profile().record_call(*path, total, &phases);
-        let now = start.saturating_add(total);
-        let origin = hub.caller_origin();
         hub.record(
-            now,
-            origin,
-            Event::CallRouted {
-                func: req.func.0,
-                path: *path,
-                start_cycles: start,
-                duration_cycles: total,
-            },
-        );
-        hub.record(
-            now,
-            origin,
+            start.saturating_add(total),
+            hub.caller_origin(),
             Event::CallPhases {
+                call: req.seq,
                 func: req.func.0,
                 path: *path,
                 phases,
@@ -774,7 +815,7 @@ fn admit_and_route<T: Transport>(
     door.stats.record_issued();
     // The guard holds one unit of the queue-depth gate until this
     // dispatch returns (any path, including errors).
-    let _inflight = door.overload_admit(req)?;
+    let _inflight = door.overload_admit(req, rec)?;
     if t.pinned_regular(req, payload_in.len()) {
         let ret = door.fallback_with_phases(rec, req, payload_in, payload_out)?;
         door.stats.record_regular();
@@ -789,9 +830,9 @@ fn admit_and_route<T: Transport>(
             });
         }
     }
-    // Recovery plane: stamp the sequence tag at admission and journal
-    // the call's intent, so whatever happens to the enclave from here
-    // on, the reconciliation after a restart can classify this call. A
+    // Recovery plane: journal the call's intent under its id, so
+    // whatever happens to the enclave from here on, the reconciliation
+    // after a restart can classify this call. A
     // slot collision (journal full) leaves the call uncovered rather
     // than failing it — the journal is sized far above any realistic
     // in-flight population. This is also the injector's enclave fault
@@ -800,7 +841,6 @@ fn admit_and_route<T: Transport>(
     let Some(plane) = &door.recovery else {
         return t.route(req, payload_in, payload_out, rec);
     };
-    let req = &req.with_seq(plane.next_seq());
     let _covered = plane.record_intent(req.seq, req.idempotency_class());
     if let Some(faults) = &door.faults {
         match faults.on_enclave_call() {

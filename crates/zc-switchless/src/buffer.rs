@@ -93,9 +93,11 @@ pub struct RequestSlot {
     pub payload_out: Vec<u8>,
 }
 
-/// Emits a telemetry event for every successful status transition of
-/// one buffer, attributed to the buffer's worker index (whichever
-/// thread — caller, worker or scheduler — performed the CAS).
+/// Emits a telemetry event for the status transitions of one buffer
+/// that no call owns — into or out of `PAUSED` or `EXIT` — attributed
+/// to the buffer's worker index (whichever thread performed the CAS).
+/// The edges a call walks are implied by its `CallPhases` event and
+/// cost the trace nothing.
 #[derive(Debug)]
 pub struct TransitionTracer {
     telemetry: Arc<zc_telemetry::Telemetry>,
@@ -209,6 +211,13 @@ impl WorkerBuffer {
     /// legality table *in release builds*: an illegal edge — only
     /// reachable when untrusted state lied to the caller — poisons the
     /// slot and fails the transition instead of asserting.
+    ///
+    /// The test-side recorder sees every successful edge; the telemetry
+    /// tracer only those a call does not own (see [`TransitionTracer`]),
+    /// so a call's five edges read no clock and push no event on either
+    /// thread. Inlined: `from` and `to` are constants at every call
+    /// site, so that choice is made at compile time.
+    #[inline]
     pub fn try_transition(&self, from: WorkerState, to: WorkerState) -> bool {
         if SharedWordGuard.check_transition(from, to).is_err() {
             self.poison();
@@ -227,8 +236,11 @@ impl WorkerBuffer {
             if let Some(log) = self.recorder.get() {
                 log.record(from, to);
             }
-            if let Some(tracer) = self.tracer.get() {
-                tracer.emit(from, to);
+            let parked = |s| matches!(s, WorkerState::Paused | WorkerState::Exit);
+            if parked(from) || parked(to) {
+                if let Some(tracer) = self.tracer.get() {
+                    tracer.emit(from, to);
+                }
             }
         }
         ok
@@ -253,9 +265,8 @@ impl WorkerBuffer {
         let _ = self.recorder.set(log);
     }
 
-    /// Attach a telemetry [`TransitionTracer`] emitting an event per
-    /// successful status transition (first caller wins; installed by
-    /// `ZcRuntime::start_with_telemetry`).
+    /// Attach a telemetry [`TransitionTracer`] (first caller wins;
+    /// installed by `ZcRuntime::start_with_telemetry`).
     pub fn set_tracer(&self, tracer: TransitionTracer) {
         let _ = self.tracer.set(tracer);
     }

@@ -51,12 +51,18 @@ impl Transport for Shared {
 
     /// Poison-request quarantine: a shape that killed too many workers
     /// is pinned to the regular path — no switchless attempt at all, so
-    /// it can never poison another worker.
+    /// it can never poison another worker. The blacklist is empty in
+    /// every healthy run, and then its published length (acquire,
+    /// pairing with the release store in `report_worker_failure`) spares
+    /// the call the supervisor's lock; a shape blacklisted a moment
+    /// later loses the same race it would lose on the lock.
     #[inline]
     fn pinned_regular(&self, req: &OcallRequest, payload_len: usize) -> bool {
         self.supervisor.as_ref().is_some_and(|sup| {
-            sup.lock()
-                .is_blacklisted(PoisonKey::new(req.func, payload_len))
+            self.blacklisted.load(Ordering::Acquire) != 0
+                && sup
+                    .lock()
+                    .is_blacklisted(PoisonKey::new(req.func, payload_len))
         })
     }
 
@@ -157,10 +163,11 @@ fn switchless_call(
         debug_assert!(ok, "RESERVED -> UNUSED release must not be contended");
         return frontdoor::recover_lost(shared, epoch0, req, payload_in, payload_out, rec);
     }
-    // Stamp the per-call monotonic sequence tag (unless the recovery
-    // plane already stamped it at admission): an honest worker echoes
-    // it into the reply, so a stale or replayed reply left over from an
-    // earlier call is detected at copy-back.
+    // Stamp the per-call monotonic sequence tag (unless the front door
+    // already did: on a traced or journaled runtime the call's id is
+    // the tag): an honest worker echoes it into the reply, so a stale
+    // or replayed reply left over from an earlier call is detected at
+    // copy-back.
     let stamped;
     let req = if req.seq == 0 {
         stamped = req.with_seq(shared.next_seq());
@@ -203,6 +210,7 @@ fn switchless_call(
             door.fallback.enclave().record_ocall();
             door.clock.enclave_transition();
             door.caller_event(Event::PoolRealloc {
+                call: req.seq,
                 worker: widx as u32,
                 bytes: payload_in.len() as u64,
             });
@@ -245,9 +253,10 @@ fn switchless_call(
     // enclave thread spins — the "exactly one busy-waiting thread per
     // active worker" invariant of §IV-A. With supervision enabled the
     // spin carries a watchdog deadline — the only consumer of the post
-    // time, so an unsupervised call does not read the clock for it.
+    // time, so an unsupervised call does not read the clock for it, and
+    // a recorded one reuses the signal boundary's stamp.
     let watchdog = shared.config.supervise.map(|p| {
-        let posted_at = door.clock.now_cycles();
+        let posted_at = rec.stamp(&door.clock);
         (posted_at, posted_at.saturating_add(p.watchdog_cycles))
     });
     let mut spins: u32 = 0;
@@ -316,6 +325,7 @@ fn switchless_call(
                     payload_in.len(),
                 );
                 door.caller_event(Event::WatchdogCancel {
+                    call: req.seq,
                     worker: widx as u32,
                     func: req.func.0,
                     waited_cycles: now.saturating_sub(posted_at),
@@ -355,7 +365,7 @@ fn switchless_call(
             let ok = w.try_transition(WorkerState::Waiting, WorkerState::Unused);
             debug_assert!(ok, "WAITING -> UNUSED release must not be contended");
             door.stats.record_switchless();
-            door.breaker_success();
+            door.breaker_success(rec);
             Ok((ret, CallPath::Switchless))
         }
         Err(v) => guard_violation_fallback(shared, w, widx, v, req, payload_in, payload_out, rec),
@@ -382,7 +392,7 @@ fn guard_violation_fallback(
     rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
     w.poison();
-    shared.door.guard_violation(widx as u32, violation);
+    shared.door.guard_violation(req.seq, widx as u32, violation);
     report_worker_failure(shared, widx, FailureKind::Crash, req, payload_in.len());
     shared
         .door
@@ -407,9 +417,18 @@ fn report_worker_failure(
         return;
     };
     let key = PoisonKey::new(req.func, payload_len);
-    let decision = sup
-        .lock()
-        .record_failure(widx, kind, Some(key), shared.door.clock.now_cycles());
+    let decision = {
+        let mut sup = sup.lock();
+        let decision = sup.record_failure(widx, kind, Some(key), shared.door.clock.now_cycles());
+        // Under the lock, so the length `pinned_regular` reads never
+        // disagrees with the list for longer than this section.
+        if matches!(decision, Some(SuperviseDecision::Blacklist { .. })) {
+            shared
+                .blacklisted
+                .store(sup.blacklisted().len(), Ordering::Release);
+        }
+        decision
+    };
     match decision {
         Some(SuperviseDecision::Blacklist { key }) => {
             shared.door.caller_event(Event::Blacklisted {

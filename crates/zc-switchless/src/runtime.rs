@@ -34,8 +34,8 @@ pub(crate) struct Shared {
     /// Clock, fallback engine, stats, injector, overload/recovery
     /// planes, telemetry hub, run flag and worker thread handles: the
     /// call front door shared with the Intel runtime (see `caller`).
-    /// With recovery on, sequence tags come from its plane, so journal
-    /// entries and reply guards agree on the same tag space.
+    /// Its call id is journal sequence and reply-guard tag in one, so
+    /// journal entries and reply guards agree on the same tag space.
     pub(crate) door: FrontDoor,
     pub(crate) workers: Vec<WorkerSlot>,
     pub(crate) memcpy: MemcpyKind,
@@ -52,13 +52,18 @@ pub(crate) struct Shared {
     /// (`F_i`) this shard measured, without requiring telemetry.
     pub(crate) last_decision: Mutex<Option<switchless_core::policy::DecisionRecord>>,
     pub(crate) rotor: AtomicUsize,
-    /// Monotonic per-call sequence source: every switchless attempt is
-    /// stamped with a fresh tag so the guard can reject stale/replayed
-    /// replies.
+    /// Reply-guard tag source of a runtime with neither hub nor recovery
+    /// plane (with either, the front door's call id is the tag): every
+    /// switchless attempt carries a fresh tag so the guard can reject
+    /// stale/replayed replies.
     pub(crate) seq: AtomicU64,
     pub(crate) residency: Mutex<WorkerResidency>,
     /// Self-healing policy state; `Some` iff `config.supervise` is set.
     pub(crate) supervisor: Option<Mutex<Supervisor>>,
+    /// Length of the supervisor's poison blacklist, stored under its
+    /// lock whenever a shape is added (it never shrinks): while 0, no
+    /// call takes the lock to ask whether its shape is pinned.
+    pub(crate) blacklisted: AtomicUsize,
     /// Raised by callers when the supervisor policy escalates from slot
     /// respawn to a whole-enclave restart; consumed by the supervisor
     /// thread, which performs the restart.
@@ -79,20 +84,18 @@ impl Shared {
         self.workers[i].get()
     }
 
-    /// Next per-call sequence tag (starts at 1, so the zero a fresh
-    /// reply struct carries never matches a live call). With recovery
-    /// on, the plane owns the counter so journal entries share it.
+    /// Next reply-guard tag for a call the front door left untagged
+    /// (starts at 1, so the zero a fresh reply struct carries never
+    /// matches a live call).
     #[inline]
     pub(crate) fn next_seq(&self) -> u64 {
-        match &self.door.recovery {
-            Some(plane) => plane.next_seq(),
-            None => self.seq.fetch_add(1, Ordering::Relaxed).wrapping_add(1),
-        }
+        self.seq.fetch_add(1, Ordering::Relaxed).wrapping_add(1)
     }
 
-    /// Trace worker `index`'s state-machine edges into the hub, if one
-    /// is attached (the tracer sees edges made by whichever thread
-    /// performed the CAS, attributed to the buffer's worker index).
+    /// Trace into the hub, if one is attached, the edges of worker
+    /// `index`'s state machine that no call owns (the tracer sees them
+    /// made by whichever thread performed the CAS, attributed to the
+    /// buffer's worker index).
     fn trace_transitions(&self, index: usize, buf: &WorkerBuffer) {
         if let Some(hub) = &self.door.telemetry {
             buf.set_tracer(TransitionTracer::new(
@@ -187,8 +190,9 @@ impl ZcRuntime {
 
     /// [`start`](ZcRuntime::start) with a telemetry hub: the scheduler
     /// traces phase starts and argmin decisions (with their `F_i`/`U_i`
-    /// inputs), workers trace state-machine edges and faults, callers
-    /// trace routed-call spans and pool reallocations, and the runtime
+    /// inputs), workers trace pause/resume/exit edges and faults,
+    /// callers trace one phase-attributed span per completed call and
+    /// pool reallocations, and the runtime
     /// registers a metrics collector publishing its [`CallStats`],
     /// residency and scheduler gauges into the hub's registry.
     ///
@@ -270,6 +274,7 @@ impl ZcRuntime {
             supervisor: config
                 .supervise
                 .map(|params| Mutex::new(Supervisor::new(max, params))),
+            blacklisted: AtomicUsize::new(0),
             pending_enclave_restart: AtomicBool::new(false),
             enclave_generation: AtomicU64::new(0),
             transition_log: Mutex::new(None),

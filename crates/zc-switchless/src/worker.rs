@@ -160,6 +160,7 @@ fn report_own_violation(shared: &Shared, me: &WorkerBuffer, index: usize, kind: 
     shared.door.event(
         Origin::Worker(index as u32),
         Event::GuardViolation {
+            call: 0,
             worker: index as u32,
             kind,
         },

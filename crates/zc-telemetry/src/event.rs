@@ -116,8 +116,12 @@ pub enum Event {
         /// The probe reports, costs and argmin (see `DecisionRecord`).
         decision: DecisionRecord,
     },
-    /// A worker buffer state-machine edge (same edges as the fault
-    /// layer's `TransitionLog`).
+    /// A worker buffer state-machine edge no call owns: into or out of
+    /// `PAUSED` or `EXIT` (scheduler deactivation/reactivation,
+    /// shutdown, fence). The five edges a call walks (`U→R`, `R→P`,
+    /// `P→W`, `W→U`, give-back `R→U`) are implied by the call's
+    /// [`Event::CallPhases`] and are not traced; the fault layer's
+    /// `TransitionLog` still records every edge.
     WorkerTransition {
         /// Buffer index the edge happened on.
         worker: u32,
@@ -126,7 +130,10 @@ pub enum Event {
         /// State after the CAS.
         to: WorkerState,
     },
-    /// One ocall completed, routed over `path`.
+    /// A routed-call span. No runtime emits it any more — a completed
+    /// call is one [`Event::CallPhases`] — but the frozen `benchmark/`
+    /// crate builds it as its ring-probe payload, so the variant stays
+    /// until ROADMAP [bench-unfreeze].
     CallRouted {
         /// Registered function id.
         func: u16,
@@ -139,6 +146,8 @@ pub enum Event {
     },
     /// The per-worker request pool grew to satisfy an allocation.
     PoolRealloc {
+        /// Id of the call whose payload forced the growth.
+        call: u64,
         /// Worker buffer whose pool grew.
         worker: u32,
         /// Requested allocation in bytes.
@@ -178,6 +187,8 @@ pub enum Event {
     /// that exceeded its deadline; the call re-routed to a regular
     /// ocall and the worker was marked for recycling.
     WatchdogCancel {
+        /// Id of the cancelled call.
+        call: u64,
         /// Worker slot the call was cancelled on.
         worker: u32,
         /// Registered function id of the cancelled call.
@@ -189,6 +200,10 @@ pub enum Event {
     /// the shared-memory boundary; the call re-routed via fallback and
     /// the worker slot was quarantined.
     GuardViolation {
+        /// Id of the call whose reply or slot failed validation; 0 when
+        /// a worker caught garbage on its own words and cannot know
+        /// which call the host was attacking.
+        call: u64,
         /// Worker slot whose shared words failed validation.
         worker: u32,
         /// Which guard rule was broken.
@@ -202,11 +217,15 @@ pub enum Event {
         /// `log2` payload-size bucket of the poison shape.
         shape: u8,
     },
-    /// Per-phase cycle breakdown of one completed call (emitted by the
-    /// phase profiler; phases in [`crate::profile::Phase::ALL`] order:
+    /// One completed call: *the* per-call event of both real runtimes
+    /// and the DES. Recorded at completion with the per-phase cycle
+    /// breakdown (phases in [`crate::profile::Phase::ALL`] order:
     /// reserve, copy_in, signal, wait, execute, copy_out). The six
-    /// entries sum to the call's total latency by construction.
+    /// entries sum to the call's total latency by construction, so the
+    /// call began at the record timestamp minus their sum.
     CallPhases {
+        /// Call id (see [`Event::call_id`]).
+        call: u64,
         /// Registered function id.
         func: u16,
         /// Switchless / fallback / regular.
@@ -230,6 +249,8 @@ pub enum Event {
     /// it (see `switchless_core::overload`). The caller observed a
     /// typed `Overloaded` error; no work was performed.
     CallShed {
+        /// Id of the shed call.
+        call: u64,
         /// Registered function id of the shed call.
         func: u16,
         /// Which admission check shed it.
@@ -327,6 +348,27 @@ impl Event {
             Event::CallRefused { .. } => "call_refused",
             Event::FleetRebalance { .. } => "fleet_rebalance",
             Event::Marker { .. } => "marker",
+        }
+    }
+
+    /// The id of the call this event belongs to, for the events that
+    /// belong to one: the front door allocates it once per offered call
+    /// (the journal sequence when a recovery plane is attached, which
+    /// is also zc's reply-guard tag) and every caller-side event of
+    /// that call carries it, so a drained trace groups into one
+    /// timeline per call. `None` for events no single call owns.
+    #[must_use]
+    pub fn call_id(&self) -> Option<u64> {
+        match *self {
+            Event::CallPhases { call, .. }
+            | Event::CallShed { call, .. }
+            | Event::GuardViolation { call, .. }
+            | Event::WatchdogCancel { call, .. }
+            | Event::PoolRealloc { call, .. }
+            | Event::JournalReplay { seq: call }
+            | Event::CallRedelivered { seq: call }
+            | Event::CallRefused { seq: call } => Some(call),
+            _ => None,
         }
     }
 }

@@ -107,9 +107,11 @@ fn event_fields(event: &Event) -> String {
             ",\"func\":{func},\"path\":\"{}\",\"start_cycles\":{start_cycles},\"duration_cycles\":{duration_cycles}",
             path_name(*path)
         ),
-        Event::PoolRealloc { worker, bytes } => {
-            format!(",\"worker\":{worker},\"bytes\":{bytes}")
-        }
+        Event::PoolRealloc {
+            call,
+            worker,
+            bytes,
+        } => format!(",\"call\":{call},\"worker\":{worker},\"bytes\":{bytes}"),
         Event::Fault { kind } => format!(",\"fault\":\"{}\"", kind.name()),
         Event::Drain { drained, abandoned } => {
             format!(",\"drained\":{drained},\"abandoned\":{abandoned}")
@@ -120,16 +122,25 @@ fn event_fields(event: &Event) -> String {
         }
         Event::WorkerHealed { worker } => format!(",\"worker\":{worker}"),
         Event::WatchdogCancel {
+            call,
             worker,
             func,
             waited_cycles,
-        } => format!(",\"worker\":{worker},\"func\":{func},\"waited_cycles\":{waited_cycles}"),
-        Event::GuardViolation { worker, kind } => {
-            format!(",\"worker\":{worker},\"guard\":\"{}\"", kind.name())
-        }
+        } => format!(
+            ",\"call\":{call},\"worker\":{worker},\"func\":{func},\"waited_cycles\":{waited_cycles}"
+        ),
+        Event::GuardViolation { call, worker, kind } => format!(
+            ",\"call\":{call},\"worker\":{worker},\"guard\":\"{}\"",
+            kind.name()
+        ),
         Event::Blacklisted { func, shape } => format!(",\"func\":{func},\"shape\":{shape}"),
-        Event::CallPhases { func, path, phases } => format!(
-            ",\"func\":{func},\"path\":\"{}\",\"phases\":{}",
+        Event::CallPhases {
+            call,
+            func,
+            path,
+            phases,
+        } => format!(
+            ",\"call\":{call},\"func\":{func},\"path\":\"{}\",\"phases\":{}",
             path_name(*path),
             u64_list(phases)
         ),
@@ -141,9 +152,10 @@ fn event_fields(event: &Event) -> String {
         } => format!(
             ",\"from_workers\":{from_workers},\"to_workers\":{to_workers},\"decisions\":{decisions},\"settle_cycles\":{settle_cycles}"
         ),
-        Event::CallShed { func, reason } => {
-            format!(",\"func\":{func},\"reason\":\"{}\"", reason.name())
-        }
+        Event::CallShed { call, func, reason } => format!(
+            ",\"call\":{call},\"func\":{func},\"reason\":\"{}\"",
+            reason.name()
+        ),
         Event::BreakerTransition { from, to } => {
             format!(",\"from\":\"{}\",\"to\":\"{}\"", from.name(), to.name())
         }
@@ -304,12 +316,32 @@ fn cycles_to_us(cycles: u64, freq_hz: u64) -> u64 {
     ((cycles as u128) * 1_000_000 / (freq_hz.max(1) as u128)) as u64
 }
 
+/// One `X` complete event for a call of `cycles` begun at
+/// `start_cycles`; `more_args` is appended to its `args` object.
+fn call_span(
+    tid: u64,
+    freq_hz: u64,
+    func: u16,
+    path: CallPath,
+    start_cycles: u64,
+    cycles: u64,
+    more_args: &str,
+) -> String {
+    let start_us = cycles_to_us(start_cycles, freq_hz);
+    // Sub-microsecond spans still get dur 1 so they render.
+    let dur_us = cycles_to_us(cycles, freq_hz).max(1);
+    let path = path_name(path);
+    format!(
+        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{start_us},\"dur\":{dur_us},\"name\":\"ocall-{func}\",\"cat\":\"{path}\",\"args\":{{\"path\":\"{path}\",\"cycles\":{cycles}{more_args}}}}}"
+    )
+}
+
 /// Chrome `trace_event` JSON for a batch of events.
 ///
 /// `freq_hz` converts cycle timestamps to the microsecond `ts` field.
 /// Output shape: `{"traceEvents":[...],"displayTimeUnit":"ms"}` with
 /// - `M` thread-name metadata per distinct origin,
-/// - `X` complete events for routed-call spans,
+/// - `X` complete events for call spans (one per `call_phases`),
 /// - `C` counter events tracking the scheduler's active worker count,
 /// - `i` instant events for decisions, transitions, faults and drains.
 pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
@@ -340,15 +372,15 @@ pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
                 path,
                 start_cycles,
                 duration_cycles,
-            } => {
-                let start_us = cycles_to_us(*start_cycles, freq_hz);
-                // Sub-microsecond spans still get dur 1 so they render.
-                let dur_us = cycles_to_us(*duration_cycles, freq_hz).max(1);
-                let path = path_name(*path);
-                lines.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{start_us},\"dur\":{dur_us},\"name\":\"ocall-{func}\",\"cat\":\"{path}\",\"args\":{{\"path\":\"{path}\",\"cycles\":{duration_cycles}}}}}"
-                ));
-            }
+            } => lines.push(call_span(
+                tid,
+                freq_hz,
+                *func,
+                *path,
+                *start_cycles,
+                *duration_cycles,
+                "",
+            )),
             Event::PhaseStart { kind, workers, .. } => {
                 lines.push(format!(
                     "{{\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"name\":\"active_workers\",\"args\":{{\"workers\":{workers}}}}}"
@@ -372,9 +404,9 @@ pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
                     state_name(*to)
                 ));
             }
-            Event::PoolRealloc { bytes, .. } => {
+            Event::PoolRealloc { call, bytes, .. } => {
                 lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"pool_realloc\",\"args\":{{\"bytes\":{bytes}}}}}"
+                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"pool_realloc\",\"args\":{{\"call\":{call},\"bytes\":{bytes}}}}}"
                 ));
             }
             Event::Fault { kind } => {
@@ -404,17 +436,18 @@ pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
                 ));
             }
             Event::WatchdogCancel {
+                call,
                 worker,
                 func,
                 waited_cycles,
             } => {
                 lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"watchdog_cancel\",\"args\":{{\"worker\":{worker},\"func\":{func},\"waited_cycles\":{waited_cycles}}}}}"
+                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"watchdog_cancel\",\"args\":{{\"call\":{call},\"worker\":{worker},\"func\":{func},\"waited_cycles\":{waited_cycles}}}}}"
                 ));
             }
-            Event::GuardViolation { worker, kind } => {
+            Event::GuardViolation { call, worker, kind } => {
                 lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"guard:{}\",\"args\":{{\"worker\":{worker}}}}}",
+                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"guard:{}\",\"args\":{{\"call\":{call},\"worker\":{worker}}}}}",
                     kind.name()
                 ));
             }
@@ -423,11 +456,23 @@ pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
                     "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"blacklisted\",\"args\":{{\"func\":{func},\"shape\":{shape}}}}}"
                 ));
             }
-            Event::CallPhases { func, path, phases } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"phases:ocall-{func}\",\"args\":{{\"path\":\"{}\",\"phases\":{}}}}}",
-                    path_name(*path),
-                    u64_list(phases)
+            Event::CallPhases {
+                call,
+                func,
+                path,
+                phases,
+            } => {
+                // Recorded at completion; the phases sum to the call's
+                // latency, so they also say when it began.
+                let cycles: u64 = phases.iter().sum();
+                lines.push(call_span(
+                    tid,
+                    freq_hz,
+                    *func,
+                    *path,
+                    ev.t_cycles.saturating_sub(cycles),
+                    cycles,
+                    &format!(",\"call\":{call},\"phases\":{}", u64_list(phases)),
                 ));
             }
             Event::Converged {
@@ -440,9 +485,9 @@ pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
                     "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"converged\",\"args\":{{\"from_workers\":{from_workers},\"to_workers\":{to_workers},\"decisions\":{decisions},\"settle_cycles\":{settle_cycles}}}}}"
                 ));
             }
-            Event::CallShed { func, reason } => {
+            Event::CallShed { call, func, reason } => {
                 lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"shed:{}\",\"args\":{{\"func\":{func}}}}}",
+                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"shed:{}\",\"args\":{{\"call\":{call},\"func\":{func}}}}}",
                     reason.name()
                 ));
             }
@@ -554,11 +599,11 @@ mod tests {
             RecordedEvent {
                 t_cycles: 300,
                 origin: Origin::Caller(0),
-                event: Event::CallRouted {
+                event: Event::CallPhases {
+                    call: 7,
                     func: 3,
                     path: CallPath::Switchless,
-                    start_cycles: 250,
-                    duration_cycles: 50,
+                    phases: [5, 5, 5, 10, 20, 5],
                 },
             },
             RecordedEvent {
@@ -582,7 +627,9 @@ mod tests {
         assert!(lines[1].contains("\"kind\":\"decision\""));
         assert!(lines[1].contains("\"probes\":[{\"workers\":0,\"fallbacks\":9}"));
         assert!(lines[1].contains("\"costs\":[720,34]"));
-        assert!(lines[2].contains("\"path\":\"switchless\""));
+        assert!(lines[2].contains(
+            "\"kind\":\"call_phases\",\"call\":7,\"func\":3,\"path\":\"switchless\",\"phases\":[5,5,5,10,20,5]"
+        ));
         assert!(lines[3].contains("\"fault\":\"worker_crash\""));
     }
 
@@ -592,13 +639,14 @@ mod tests {
             t_cycles: 500,
             origin: Origin::Caller(2),
             event: Event::GuardViolation {
+                call: 9,
                 worker: 1,
                 kind: switchless_core::GuardKind::StaleSequence,
             },
         }];
         let jsonl = events_to_jsonl(&evs);
         assert!(jsonl.contains("\"kind\":\"guard_violation\""));
-        assert!(jsonl.contains("\"worker\":1,\"guard\":\"stale_sequence\""));
+        assert!(jsonl.contains("\"call\":9,\"worker\":1,\"guard\":\"stale_sequence\""));
         let trace = to_chrome_trace(&evs, 1_000_000_000);
         assert!(trace.contains("\"name\":\"guard:stale_sequence\""));
     }
@@ -711,7 +759,9 @@ mod tests {
         assert!(trace.contains("\"ph\":\"C\""), "worker counter present");
         assert!(trace.contains("\"ph\":\"M\""), "thread names present");
         assert!(trace.contains("\"name\":\"scheduler\""));
-        // CallRouted at start_cycles 250 -> ts 0us (sub-us), dur >= 1.
+        // The call completed at 300 after 50 cycles: it began at 250 ->
+        // ts 0us (sub-us), dur >= 1.
         assert!(trace.contains("\"ts\":0,\"dur\":1,\"name\":\"ocall-3\""));
+        assert!(trace.contains("\"cycles\":50,\"call\":7,\"phases\":[5,5,5,10,20,5]"));
     }
 }

@@ -36,6 +36,7 @@ pub mod quantile;
 mod ring;
 pub mod scheduler;
 pub mod slo;
+mod thread_ids;
 pub mod tracer;
 
 pub use event::{Event, FaultKind, Origin, PhaseKind, RecordedEvent};

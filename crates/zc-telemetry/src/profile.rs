@@ -21,14 +21,17 @@
 //! the 1% conservation gate in CI verifies the instrumentation stays
 //! wired that way.
 //!
-//! [`CallPhaseProfiler`] is the lock-free accumulation substrate: one
-//! relaxed-atomic sum/count plus a log₂ histogram per (path, phase),
-//! and a whole-call latency histogram per path. The runtimes compile it
-//! out entirely when their `telemetry` feature is off.
+//! [`CallPhaseProfiler`] is the accumulation substrate: a saturating
+//! sum, a count and a log₂ histogram per (path, phase), and a
+//! whole-call latency histogram per path — kept once per recording
+//! thread, so that a recording is plain loads and stores on lines no
+//! other thread writes, and summed when a snapshot is taken.
 
 use crate::metrics::HIST_BUCKETS;
 use crate::quantile::{self, Quantiles};
+use crate::thread_ids::ThreadIds;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use switchless_core::CallPath;
 
 /// The fixed call phases, in pipeline order.
@@ -96,9 +99,9 @@ pub fn path_index(path: CallPath) -> usize {
 /// The three call paths in [`path_index`] order.
 pub const PATHS: [CallPath; 3] = [CallPath::Switchless, CallPath::Fallback, CallPath::Regular];
 
-/// Lock-free cycle accumulator: saturating sum, count, log₂ histogram.
+/// Cycle accumulator: saturating sum, count, log₂ histogram.
 #[derive(Debug)]
-pub struct PhaseStats {
+struct PhaseStats {
     sum: AtomicU64,
     count: AtomicU64,
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -113,42 +116,43 @@ impl PhaseStats {
         }
     }
 
-    /// Record one observation (relaxed atomics, no locks).
+    /// Record one observation. The one thread that owns the shard
+    /// (`owned`) updates with a relaxed load and store; threads sharing
+    /// a shard need the read-modify-write.
     #[inline]
-    pub fn record(&self, cycles: u64) {
-        self.buckets[quantile::bucket_index(cycles)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // Saturating sum, as in the metrics histograms: a pathological
-        // total must not wrap and corrupt means.
-        let mut cur = self.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(cycles);
-            match self
+    fn record(&self, cycles: u64, owned: bool) {
+        let bucket = &self.buckets[quantile::bucket_index(cycles)];
+        if owned {
+            bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            self.count
+                .store(self.count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            // Saturating sum, as in the metrics histograms: a
+            // pathological total must not wrap and corrupt means.
+            let sum = self.sum.load(Ordering::Relaxed).saturating_add(cycles);
+            self.sum.store(sum, Ordering::Relaxed);
+        } else {
+            bucket.fetch_add(1, Ordering::Relaxed);
+            self.count.fetch_add(1, Ordering::Relaxed);
+            let _ = self
                 .sum
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |sum| {
+                    Some(sum.saturating_add(cycles))
+                });
         }
     }
 
-    /// One-pass snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> PhaseSnapshot {
-        PhaseSnapshot {
-            sum: self.sum.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+    /// Add this accumulator into `into`.
+    fn add_to(&self, into: &mut PhaseSnapshot) {
+        into.sum = into.sum.saturating_add(self.sum.load(Ordering::Relaxed));
+        into.count += self.count.load(Ordering::Relaxed);
+        for (acc, b) in into.buckets.iter_mut().zip(&self.buckets) {
+            *acc += b.load(Ordering::Relaxed);
         }
     }
 }
 
-/// Immutable snapshot of one [`PhaseStats`].
+/// Immutable snapshot of one (path, phase) accumulator, summed over
+/// the recording threads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseSnapshot {
     /// Saturating sum of observed cycles.
@@ -179,27 +183,49 @@ impl PhaseSnapshot {
 
 /// Per-path accumulators: whole-call latency plus the six phases.
 #[derive(Debug)]
-pub struct PathProfile {
-    /// Whole-call latency.
-    pub total: PhaseStats,
-    /// Per-phase cycles, indexed by [`Phase::index`].
-    pub phases: [PhaseStats; PHASES],
+struct PathProfile {
+    total: PhaseStats,
+    phases: [PhaseStats; PHASES],
 }
 
-impl PathProfile {
-    fn new() -> Self {
-        PathProfile {
-            total: PhaseStats::new(),
-            phases: std::array::from_fn(|_| PhaseStats::new()),
-        }
+/// Recording threads that get a shard to themselves, in first-use
+/// order; any later thread records into one more shard they share.
+const PRIVATE_SHARDS: usize = 8;
+
+/// One recording thread's accumulators (or the shared overflow ones),
+/// on cache lines of their own.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Shard {
+    paths: [PathProfile; 3],
+}
+
+impl Shard {
+    fn new() -> Box<Self> {
+        Box::new(Shard {
+            paths: std::array::from_fn(|_| PathProfile {
+                total: PhaseStats::new(),
+                phases: std::array::from_fn(|_| PhaseStats::new()),
+            }),
+        })
     }
 }
 
-/// The fixed-phase call profiler: one [`PathProfile`] per call path,
-/// lock-free throughout. Owned by every [`crate::Telemetry`] hub.
+/// The fixed-phase call profiler, lock-free throughout. Owned by every
+/// [`crate::Telemetry`] hub.
+///
+/// Each recording thread writes its own shard (threads beyond the
+/// first `PRIVATE_SHARDS` share one, with atomic read-modify-writes),
+/// and [`snapshot`](CallPhaseProfiler::snapshot) sums the shards: exact
+/// once the recording threads are quiescent, otherwise short by at most
+/// the recordings in flight.
 #[derive(Debug)]
 pub struct CallPhaseProfiler {
-    paths: [PathProfile; 3],
+    threads: ThreadIds,
+    /// `PRIVATE_SHARDS` single-writer shards, then the shared one, each
+    /// allocated by the first recording that lands in it: a profiler
+    /// costs memory per thread that records, not per thread that might.
+    shards: [OnceLock<Box<Shard>>; PRIVATE_SHARDS + 1],
 }
 
 impl Default for CallPhaseProfiler {
@@ -213,43 +239,64 @@ impl CallPhaseProfiler {
     #[must_use]
     pub fn new() -> Self {
         CallPhaseProfiler {
-            paths: std::array::from_fn(|_| PathProfile::new()),
+            threads: ThreadIds::new(),
+            shards: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
-    /// Accumulators for one path.
-    #[must_use]
-    pub fn path(&self, path: CallPath) -> &PathProfile {
-        &self.paths[path_index(path)]
+    /// The calling thread's accumulators for `path`, and whether it is
+    /// their only writer: a thread's number is never handed to a second
+    /// thread, so a private shard has one writer for good.
+    #[inline]
+    fn shard(&self, path: CallPath) -> (&PathProfile, bool) {
+        let thread = self.threads.current() as usize;
+        let owned = thread < PRIVATE_SHARDS;
+        let shard =
+            self.shards[if owned { thread } else { PRIVATE_SHARDS }].get_or_init(Shard::new);
+        (&shard.paths[path_index(path)], owned)
     }
 
     /// Record one completed call: whole-call latency plus its per-phase
     /// breakdown (from [`PhaseRecorder::finish`]).
     #[inline]
     pub fn record_call(&self, path: CallPath, total_cycles: u64, phases: &[u64; PHASES]) {
-        let p = self.path(path);
-        p.total.record(total_cycles);
+        let (p, owned) = self.shard(path);
+        p.total.record(total_cycles, owned);
         for (stats, &cycles) in p.phases.iter().zip(phases.iter()) {
-            stats.record(cycles);
+            stats.record(cycles, owned);
         }
     }
 
     /// Record one phase observation in isolation (incremental producers).
     #[inline]
     pub fn record_phase(&self, path: CallPath, phase: Phase, cycles: u64) {
-        self.path(path).phases[phase.index()].record(cycles);
+        let (p, owned) = self.shard(path);
+        p.phases[phase.index()].record(cycles, owned);
     }
 
-    /// One-pass snapshot of every (path, phase) accumulator.
+    /// Snapshot of every (path, phase) accumulator, summed over shards.
     #[must_use]
     pub fn snapshot(&self) -> ProfileSnapshot {
-        ProfileSnapshot {
+        let empty = || PhaseSnapshot {
+            buckets: vec![0; HIST_BUCKETS],
+            ..PhaseSnapshot::default()
+        };
+        let mut snap = ProfileSnapshot {
             paths: std::array::from_fn(|i| PathSnapshot {
                 path: PATHS[i],
-                total: self.paths[i].total.snapshot(),
-                phases: std::array::from_fn(|j| self.paths[i].phases[j].snapshot()),
+                total: empty(),
+                phases: std::array::from_fn(|_| empty()),
             }),
+        };
+        for shard in self.shards.iter().filter_map(OnceLock::get) {
+            for (into, p) in snap.paths.iter_mut().zip(&shard.paths) {
+                p.total.add_to(&mut into.total);
+                for (into, stats) in into.phases.iter_mut().zip(&p.phases) {
+                    stats.add_to(into);
+                }
+            }
         }
+        snap
     }
 }
 
@@ -299,8 +346,8 @@ impl ProfileSnapshot {
 /// [`finish`](PhaseRecorder::finish), clamped so the partition is
 /// preserved even if the two clocks disagree.
 ///
-/// `now` is supplied by closures so that the feature-off stand-ins in
-/// the runtime crates can skip the clock read entirely.
+/// `now` is supplied by closures: the real runtimes read their
+/// `CycleClock`, the DES passes kernel virtual time.
 #[derive(Debug, Clone)]
 pub struct PhaseRecorder {
     start: u64,
@@ -328,6 +375,16 @@ impl PhaseRecorder {
         let t = now();
         self.acc[phase.index()] += t.saturating_sub(self.last);
         self.last = t;
+    }
+
+    /// The latest boundary stamp: the time of the last
+    /// [`mark`](PhaseRecorder::mark), or of the start before any. A
+    /// consumer that needs "now" a few instructions after a boundary
+    /// takes this instead of reading the clock again.
+    #[inline]
+    #[must_use]
+    pub fn last(&self) -> u64 {
+        self.last
     }
 
     /// Worker-measured host-function cycles for this call, to be carved
@@ -424,6 +481,38 @@ mod tests {
         assert_eq!(fb.total.count, 1);
         assert_eq!(fb.phase_sum(), fb.total.sum);
         assert_eq!(snap.path(CallPath::Regular).total.count, 0);
+    }
+
+    /// Four threads own a shard each, the rest share one; either way a
+    /// quiescent snapshot is exact.
+    #[test]
+    fn concurrent_recordings_sum_exactly_at_quiescence() {
+        const PER_THREAD: u64 = 10_000;
+        for threads in [4u64, PRIVATE_SHARDS as u64 + 3] {
+            let prof = CallPhaseProfiler::new();
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let prof = &prof;
+                    s.spawn(move || {
+                        for i in 0..PER_THREAD {
+                            let phases = [t, i, 5, 50, 250, 15];
+                            let path = PATHS[(i % 3) as usize];
+                            prof.record_call(path, phases.iter().sum(), &phases);
+                        }
+                    });
+                }
+            });
+            let snap = prof.snapshot();
+            let calls: u64 = snap.paths.iter().map(|p| p.total.count).sum();
+            assert_eq!(calls, threads * PER_THREAD);
+            for p in &snap.paths {
+                assert_eq!(p.phase_sum(), p.total.sum, "{:?}", p.path);
+                assert_eq!(p.total.buckets.iter().sum::<u64>(), p.total.count);
+                for phase in &p.phases {
+                    assert_eq!(phase.count, p.total.count);
+                }
+            }
+        }
     }
 
     #[test]

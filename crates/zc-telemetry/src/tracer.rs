@@ -2,20 +2,8 @@
 
 use crate::event::{Event, Origin, RecordedEvent};
 use crate::ring::Ring;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use crate::thread_ids::ThreadIds;
 use std::sync::Mutex;
-
-/// Monotonic id distinguishing tracer instances, so the thread-local
-/// caller id cache invalidates when a fresh tracer is created (caller
-/// numbering restarts at 0 per tracer — required for run-to-run
-/// deterministic traces).
-static TRACER_EPOCH: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// (tracer epoch, caller id) cached for this thread.
-    static CALLER_ID: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
-}
 
 /// Lock-free bounded event tracer (MPSC).
 ///
@@ -25,8 +13,7 @@ thread_local! {
 #[derive(Debug)]
 pub struct Tracer {
     ring: Ring,
-    epoch: u64,
-    next_caller: AtomicU32,
+    callers: ThreadIds,
     /// Serialises the single-consumer side of the ring.
     consumer: Mutex<()>,
 }
@@ -46,8 +33,7 @@ impl Tracer {
     pub fn with_capacity(capacity: usize) -> Self {
         Tracer {
             ring: Ring::with_capacity(capacity),
-            epoch: TRACER_EPOCH.fetch_add(1, Ordering::Relaxed),
-            next_caller: AtomicU32::new(0),
+            callers: ThreadIds::new(),
             consumer: Mutex::new(()),
         }
     }
@@ -70,16 +56,12 @@ impl Tracer {
 
     /// The calling thread's [`Origin::Caller`] identity for this
     /// tracer. Ids are dense, assigned in first-use order per tracer,
-    /// and cached in a thread-local, so a run that spawns callers in a
-    /// fixed order sees the same numbering every run.
+    /// and remembered per thread and tracer, so a run that spawns
+    /// callers in a fixed order sees the same numbering every run and a
+    /// thread recording into several hubs in turn keeps one id in each.
+    #[inline]
     pub fn caller_origin(&self) -> Origin {
-        let cached = CALLER_ID.get();
-        if cached.0 == self.epoch {
-            return Origin::Caller(cached.1);
-        }
-        let id = self.next_caller.fetch_add(1, Ordering::Relaxed);
-        CALLER_ID.set((self.epoch, id));
-        Origin::Caller(id)
+        Origin::Caller(self.callers.current())
     }
 
     /// Number of events dropped because the ring was full.
@@ -118,6 +100,24 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(from_thread, Origin::Caller(1), "second thread gets next id");
+    }
+
+    /// One application thread driving a fleet with per-tenant hubs
+    /// alternates tracers call by call; it used to be handed a fresh id
+    /// on every switch.
+    #[test]
+    fn caller_ids_do_not_churn_when_a_thread_alternates_tracers() {
+        let (a, b) = (Tracer::with_capacity(8), Tracer::with_capacity(8));
+        for _ in 0..2 {
+            assert_eq!(a.caller_origin(), Origin::Caller(0));
+            assert_eq!(b.caller_origin(), Origin::Caller(0));
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(a.caller_origin(), Origin::Caller(1));
+                assert_eq!(b.caller_origin(), Origin::Caller(1));
+            });
+        });
     }
 
     #[test]

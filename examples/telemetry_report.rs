@@ -10,18 +10,23 @@
 //!
 //! Along the way it prints the scheduler's decision timeline — the
 //! measured fallback counts `F_i` and derived costs `U_i` behind every
-//! argmin — and a per-function routing table built from call spans.
+//! argmin — a per-function routing table built from the per-call
+//! events, and one call's timeline across the planes, joined by its id
+//! (the seed of ROADMAP [one-event]'s `zc-report`).
 //!
 //! Run with: `cargo run --release --example telemetry_report`
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use switchless_core::{CallPath, CpuSpec, OcallDispatcher, OcallRequest, OcallTable, ZcConfig};
+use switchless_core::{
+    CallPath, CpuSpec, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable,
+    ZcConfig,
+};
 use zc_switchless_repro::sgx_sim::Enclave;
 use zc_switchless_repro::zc_switchless::ZcRuntime;
 use zc_telemetry::export::{events_to_jsonl, to_chrome_trace, to_prometheus};
-use zc_telemetry::{Event, RecordedEvent, Telemetry};
+use zc_telemetry::{Event, Phase, RecordedEvent, Telemetry};
 
 fn run_runtime(hub: &Arc<Telemetry>) -> Result<ZcRuntime, Box<dyn std::error::Error>> {
     println!("=== real threads on virtual time ===");
@@ -38,9 +43,20 @@ fn run_runtime(hub: &Arc<Telemetry>) -> Result<ZcRuntime, Box<dyn std::error::Er
         c3.spin_cycles(150_000);
         0
     });
-    // Short quantum so several scheduling decisions land in the demo.
-    let cfg = ZcConfig::for_cpu(*enclave.spec()).with_quantum_ms(2);
-    let zc = ZcRuntime::start_with_telemetry(cfg, Arc::new(table), enclave, Arc::clone(hub), None)?;
+    // Short quantum so several scheduling decisions land in the demo;
+    // recovery on and one scripted enclave crash, so one call has a
+    // story to tell in the timeline section.
+    let cfg = ZcConfig::for_cpu(*enclave.spec())
+        .with_quantum_ms(2)
+        .with_recovery();
+    let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_enclave_at(1_500)));
+    let zc = ZcRuntime::start_with_telemetry(
+        cfg,
+        Arc::new(table),
+        enclave,
+        Arc::clone(hub),
+        Some(faults),
+    )?;
 
     let mut out = Vec::new();
     for phase in 0..4 {
@@ -49,7 +65,8 @@ fn run_runtime(hub: &Arc<Telemetry>) -> Result<ZcRuntime, Box<dyn std::error::Er
         if bursty {
             for i in 0..3_000u64 {
                 let func = if i % 50 == 0 { slow } else { fast };
-                zc.dispatch(&OcallRequest::new(func, &[i]), b"payload", &mut out)?;
+                let req = OcallRequest::new(func, &[i]).with_idempotent();
+                zc.dispatch(&req, b"payload", &mut out)?;
                 ops += 1;
             }
         } else {
@@ -134,11 +151,8 @@ fn print_call_table(events: &[RecordedEvent]) {
     // func -> (switchless, fallback, regular, total cycles)
     let mut rows: BTreeMap<u16, (u64, u64, u64, u64)> = BTreeMap::new();
     for ev in events {
-        if let Event::CallRouted {
-            func,
-            path,
-            duration_cycles,
-            ..
+        if let Event::CallPhases {
+            func, path, phases, ..
         } = &ev.event
         {
             let row = rows.entry(*func).or_default();
@@ -147,7 +161,7 @@ fn print_call_table(events: &[RecordedEvent]) {
                 CallPath::Fallback => row.1 += 1,
                 CallPath::Regular => row.2 += 1,
             }
-            row.3 = row.3.saturating_add(*duration_cycles);
+            row.3 = row.3.saturating_add(phases.iter().sum());
         }
     }
     println!(
@@ -163,8 +177,68 @@ fn print_call_table(events: &[RecordedEvent]) {
     }
 }
 
+/// "Why was this call slow?" from the trace alone: every event one call
+/// left, on whichever plane, found by its id. The call explained is the
+/// one with the most to tell (most events under its id), the slowest
+/// among equals.
+fn print_call_timeline(events: &[RecordedEvent]) {
+    println!("\n--- one call across the planes, joined by id ---");
+    let mut by_id: BTreeMap<u64, Vec<&RecordedEvent>> = BTreeMap::new();
+    for ev in events {
+        if let Some(call) = ev.event.call_id() {
+            by_id.entry(call).or_default().push(ev);
+        }
+    }
+    let cycles = |ev: &RecordedEvent| match &ev.event {
+        Event::CallPhases { phases, .. } => phases.iter().sum(),
+        _ => 0u64,
+    };
+    let Some((call, timeline)) = by_id
+        .iter()
+        .max_by_key(|(_, evs)| (evs.len(), evs.iter().map(|e| cycles(e)).sum::<u64>()))
+    else {
+        println!("(no per-call event — run with a hub attached)");
+        return;
+    };
+    println!(
+        "call {call}: {} event(s) of {} calls traced",
+        timeline.len(),
+        by_id.len()
+    );
+    // The per-call event is recorded at completion and says how long
+    // the call took, hence when it was admitted.
+    if let Some(done) = timeline.iter().find(|ev| cycles(ev) > 0) {
+        println!(
+            "t={:>12}cyc [{}] admitted",
+            done.t_cycles.saturating_sub(cycles(done)),
+            done.origin.label()
+        );
+    }
+    for ev in timeline {
+        let what = match &ev.event {
+            Event::CallPhases {
+                func, path, phases, ..
+            } => {
+                let split: Vec<String> = Phase::ALL
+                    .iter()
+                    .map(|p| format!("{}={}", p.name(), phases[p.index()]))
+                    .collect();
+                format!(
+                    "func {func} completed on the {path:?} path after {} cycles: {}",
+                    cycles(ev),
+                    split.join(" ")
+                )
+            }
+            other => format!("{other:?}"),
+        };
+        println!("t={:>12}cyc [{}] {what}", ev.t_cycles, ev.origin.label());
+    }
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let hub = Telemetry::new();
+    // Room for the scheduler's free-running virtual-time steps on top
+    // of one event per call.
+    let hub = Telemetry::with_capacity(1 << 17);
     let _zc = run_runtime(&hub)?;
     run_simulation(&hub);
 
@@ -172,15 +246,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let snapshot = hub.metrics().snapshot();
     print_decisions(&events);
     print_call_table(&events);
+    print_call_timeline(&events);
 
-    let transitions = events
+    let calls = events
         .iter()
-        .filter(|e| matches!(e.event, Event::WorkerTransition { .. }))
+        .filter(|e| matches!(e.event, Event::CallPhases { .. }))
         .count();
     println!(
-        "\ncaptured {} events ({} worker transitions, {} dropped)",
+        "\ncaptured {} events ({} completed calls, {} dropped)",
         events.len(),
-        transitions,
+        calls,
         hub.tracer().dropped()
     );
 

@@ -10,9 +10,9 @@
 //!   `issued == switchless + fallback + regular + cancelled`
 //!   ([`CallStats::is_conserved`]);
 //! * **legal transitions** — worker buffers only take legal edges of
-//!   the paper's state machine, checked both from the
-//!   [`TransitionLog`] and from the `worker_transition` events on the
-//!   trace;
+//!   the paper's state machine, checked from the [`TransitionLog`]
+//!   (which sees every edge; the trace carries only those no call
+//!   owns);
 //! * **recovery** — every failed slot is respawned and heals: the
 //!   supervisor ends with zero quarantined slots and a full serving
 //!   pool, and the trace carries exactly one `worker_respawned` per
@@ -23,7 +23,9 @@
 //!   causal projection ([`canonical_jsonl`]).
 //!
 //! A property test closes the loop: *any* legal fault schedule leaves
-//! [`CallStats`] conserved on the virtual clock.
+//! [`CallStats`] conserved on the virtual clock. And the blacklist is
+//! followed to its end: a request shape that keeps killing workers is
+//! pinned to the regular path, other shapes are not.
 //!
 //! [`canonical_jsonl`]: zc_telemetry::export::canonical_jsonl
 
@@ -32,8 +34,8 @@ use sgx_sim::Enclave;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::{
-    CpuSpec, DrainReport, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable,
-    SuperviseParams, Supervisor, ZcConfig, MAX_OCALL_ARGS,
+    CallPath, CpuSpec, DrainReport, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest,
+    OcallTable, PoisonKey, SuperviseParams, Supervisor, WorkerState, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::export::{canonical_jsonl, events_to_jsonl};
@@ -123,18 +125,6 @@ fn check_trace_invariants(events: &[RecordedEvent], sup: &Supervisor, report: &D
         abandoned, report.abandoned as u64,
         "one worker_abandoned event per wedged thread"
     );
-    // Legal transitions, from the trace itself: every worker_transition
-    // edge must be a legal edge of the paper's state machine.
-    let illegal: Vec<_> = events
-        .iter()
-        .filter_map(|ev| match ev.event {
-            Event::WorkerTransition { worker, from, to } if !from.can_transition(to) => {
-                Some((worker, from, to))
-            }
-            _ => None,
-        })
-        .collect();
-    assert!(illegal.is_empty(), "illegal traced edges: {illegal:?}");
 }
 
 /// Tentpole acceptance run: the seeded chaos soak on the supervised
@@ -232,9 +222,14 @@ fn zc_chaos_soak_self_heals_and_conserves_calls() {
         "both hung threads abandoned: {report:?}"
     );
 
-    // Worker state machine stayed legal throughout the chaos.
+    // Worker state machine stayed legal throughout the chaos, on every
+    // edge: the recorder sees the ones calls own, which the trace no
+    // longer carries.
     let illegal = log.illegal_edges();
     assert!(illegal.is_empty(), "illegal edges under chaos: {illegal:?}");
+    assert!(log
+        .edges()
+        .contains(&(WorkerState::Reserved, WorkerState::Processing)));
 
     // Re-snapshot the ledger now that shutdown has joined the
     // supervisor thread: heals landing between the recovery snapshot
@@ -242,6 +237,109 @@ fn zc_chaos_soak_self_heals_and_conserves_calls() {
     let sup = rt.supervisor_state().expect("supervision is on");
     drop(rt);
     check_trace_invariants(&hub.tracer().drain(), &sup, &report);
+}
+
+/// The poison blacklist end to end: a request shape whose calls keep
+/// killing workers is traced as `blacklisted` and from then on takes
+/// the regular path without touching a worker; a shape in another
+/// payload-size bucket keeps going switchless.
+#[test]
+fn poison_shape_is_pinned_to_the_regular_path_and_others_are_not() {
+    let hub = Telemetry::new();
+    let (t, echo) = table();
+    let mut cpu = CpuSpec::paper_machine();
+    cpu.logical_cpus = 2; // one slot takes every crash
+    let params = SuperviseParams::for_cpu(cpu)
+        .with_backoff_cycles(1_000, 8_000)
+        .with_probation_cycles(1_000)
+        .with_watchdog_cycles(u64::MAX / 2);
+    let threshold = u64::from(params.poison_threshold);
+    let cfg = ZcConfig::for_cpu(cpu)
+        .with_quantum_ms(10)
+        .with_supervise_params(params);
+    // The first `threshold` calls a worker serves kill it.
+    let faults = Arc::new(FaultInjector::new(
+        FaultPlan::new().crash_worker_at_each(0..threshold),
+    ));
+    let rt = ZcRuntime::start_with_telemetry(
+        cfg,
+        t,
+        Enclave::new_virtual(cpu),
+        Arc::clone(&hub),
+        Some(Arc::clone(&faults)),
+    )
+    .expect("zc runtime must start");
+    let blacklist = || {
+        rt.supervisor_state()
+            .expect("supervision is on")
+            .blacklisted()
+            .to_vec()
+    };
+
+    let poison = [1u8; 100];
+    let deadline = Instant::now() + BACKSTOP;
+    let mut out = Vec::new();
+    let mut calls = 0u64;
+    while blacklist().is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "never blacklisted: {:?}",
+            faults.counts()
+        );
+        let (ret, path) = rt
+            .dispatch(&OcallRequest::new(echo, &[]), &poison, &mut out)
+            .expect("a call that kills its worker re-routes");
+        assert_eq!((ret, out.as_slice()), (100, &poison[..]));
+        assert_ne!(path, CallPath::Regular, "not pinned yet");
+        calls += 1;
+    }
+    let key = PoisonKey::new(echo, poison.len());
+    assert_eq!(blacklist(), [key]);
+    assert_eq!(faults.counts().crashes, threshold);
+
+    // Pinned: the very next call of that shape, and every later one.
+    for _ in 0..3 {
+        let (ret, path) = rt
+            .dispatch(&OcallRequest::new(echo, &[]), &poison, &mut out)
+            .expect("pinned calls complete");
+        assert_eq!((ret, path), (100, CallPath::Regular));
+        calls += 1;
+    }
+    // Another size bucket of the same function is not: once the slot
+    // is back it goes switchless again.
+    let benign = [2u8; 8];
+    assert_ne!(PoisonKey::new(echo, benign.len()), key);
+    loop {
+        assert!(Instant::now() < deadline, "benign shape never switchless");
+        let (ret, path) = rt
+            .dispatch(&OcallRequest::new(echo, &[]), &benign, &mut out)
+            .expect("benign calls complete");
+        assert_eq!(ret, 8);
+        assert_ne!(path, CallPath::Regular, "only the poison shape is pinned");
+        calls += 1;
+        if path == CallPath::Switchless {
+            break;
+        }
+    }
+
+    let stats = rt.stats().snapshot();
+    assert!(stats.is_conserved(), "{stats:?}");
+    assert_eq!((stats.issued, stats.regular), (calls, 3));
+    rt.shutdown();
+    let traced: Vec<_> = hub
+        .tracer()
+        .drain()
+        .into_iter()
+        .filter_map(|ev| match ev.event {
+            Event::Blacklisted { func, shape } => Some((func, shape)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        traced,
+        [(echo.0, key.shape)],
+        "one event, carrying the shape"
+    );
 }
 
 /// One single-worker chaos run projected to its causal fault/drain

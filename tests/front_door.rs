@@ -396,8 +396,8 @@ fn same_fault_plan_yields_same_ledger_and_caller_trace_on_both_transports() {
     assert!(usage.conserves(), "{usage:?}");
     assert_eq!((usage.offered, usage.completed, usage.refused), (8, 7, 1));
     assert_eq!(zc.1, intel.1, "caller-origin event kinds diverge");
-    let routed = |kinds: &[&str]| kinds.iter().filter(|k| **k == "call_routed").count();
-    assert_eq!(routed(&zc.1), 7, "seven calls complete: {:?}", zc.1);
+    let completed = zc.1.iter().filter(|k| **k == "call_phases").count();
+    assert_eq!(completed, 7, "one event per completed call: {:?}", zc.1);
     for kind in [
         "enclave_crash",
         "journal_replay",

@@ -12,12 +12,14 @@
 //! [`canonical_jsonl`]: zc_telemetry::export::canonical_jsonl
 
 use sgx_sim::Enclave;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::overload::OverloadParams;
 use switchless_core::{
-    CpuSpec, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable, ShedReason,
-    SwitchlessError, ZcConfig, MAX_OCALL_ARGS,
+    CallPath, CpuSpec, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable,
+    ShedReason, SuperviseParams, SwitchlessError, WorkerState, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::export::{canonical_jsonl, events_to_jsonl, to_chrome_trace, to_prometheus};
@@ -37,6 +39,71 @@ fn table() -> (Arc<OcallTable>, switchless_core::FuncId) {
     );
     (Arc::new(t), echo)
 }
+
+/// The status edges a trace carries.
+fn traced_edges(events: &[RecordedEvent]) -> Vec<(WorkerState, WorkerState)> {
+    events
+        .iter()
+        .filter_map(|e| match e.event {
+            Event::WorkerTransition { from, to, .. } => Some((from, to)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `PAUSED` and `EXIT`: the two states no call ever puts a worker in.
+fn parked(s: WorkerState) -> bool {
+    matches!(s, WorkerState::Paused | WorkerState::Exit)
+}
+
+/// Asserts that `events` hold exactly one `CallPhases` per completed
+/// call, `calls` of them, under distinct non-zero ids, and no status
+/// edge that a call owns.
+fn assert_one_event_per_call(events: &[RecordedEvent], calls: usize) {
+    let mut ids: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e.event {
+            Event::CallPhases { call, .. } => Some(call),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ids.len(), calls, "one call_phases per completed call");
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), calls, "call ids must be distinct");
+    assert_ne!(ids[0], 0, "0 means untagged");
+    let owned: Vec<_> = traced_edges(events)
+        .into_iter()
+        .filter(|(from, to)| !parked(*from) && !parked(*to))
+        .collect();
+    assert!(owned.is_empty(), "call-owned edges traced: {owned:?}");
+}
+
+/// The all-planes configuration of the benchmark's `zc_planes`, on a
+/// one-worker machine: supervision (with a watchdog no free-running
+/// virtual clock can reach by itself), recovery, overload admission
+/// with a bucket that never runs dry. The scheduler steps through
+/// virtual time as fast as the host lets it, one event a step; a long
+/// quantum (2 000 clock jumps a step) keeps that to a trickle the ring
+/// cannot overflow with, however the test's threads are scheduled.
+fn all_planes_config() -> ZcConfig {
+    let mut cpu = CpuSpec::paper_machine();
+    cpu.logical_cpus = 2;
+    ZcConfig::for_cpu(cpu)
+        .with_quantum_ms(10_000)
+        .with_supervise_params(
+            SuperviseParams::for_cpu(cpu)
+                .with_backoff_cycles(1_000, 8_000)
+                .with_probation_cycles(1_000)
+                .with_watchdog_cycles(WATCHDOG),
+        )
+        .with_recovery()
+        .with_overload_params(OverloadParams::for_cpu(&cpu).with_bucket(1 << 20, 1))
+}
+
+/// Watchdog of [`all_planes_config`]: 2^56 cycles, years of virtual
+/// time, yet far enough from `u64::MAX` to jump past it once.
+const WATCHDOG: u64 = 1 << 56;
 
 /// Keep only the causally-deterministic event kinds.
 fn causal(ev: &RecordedEvent) -> bool {
@@ -125,10 +192,12 @@ fn runtime_trace_exports_decisions_transitions_and_all_formats() {
         .expect("zc runtime must start");
 
     let mut out = Vec::new();
+    let mut calls = 0;
     let deadline = Instant::now() + BACKSTOP;
     while zc.scheduler_decisions() < 3 {
         zc.dispatch(&OcallRequest::new(echo, &[1]), b"x", &mut out)
             .expect("call must complete");
+        calls += 1;
         assert!(Instant::now() < deadline, "scheduler never decided");
     }
     zc.shutdown();
@@ -154,18 +223,15 @@ fn runtime_trace_exports_decisions_transitions_and_all_formats() {
         decision.chosen_workers <= zc.config().max_workers(),
         "argmin stays within the worker budget"
     );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.event, Event::WorkerTransition { .. })),
-        "worker state-machine edges must be traced"
-    );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.event, Event::CallRouted { .. })),
-        "routed calls must be traced"
-    );
+    // A completed call is one event; the only status edges on the
+    // trace are the ones no call owns — here at least every worker's
+    // way into EXIT at shutdown.
+    assert_one_event_per_call(&events, calls);
+    let exits = traced_edges(&events)
+        .iter()
+        .filter(|(_, to)| *to == WorkerState::Exit)
+        .count();
+    assert_eq!(exits, zc.config().max_workers(), "every worker's exit");
 
     // JSONL: one object per line, every line carries kind + timestamp.
     let jsonl = events_to_jsonl(&events);
@@ -192,7 +258,11 @@ fn runtime_trace_exports_decisions_transitions_and_all_formats() {
     let trace = to_chrome_trace(&events, cpu.freq_hz);
     assert!(trace.starts_with(r#"{"traceEvents":["#), "{trace}");
     assert!(trace.contains(r#""ph":"M""#), "thread metadata: {trace}");
-    assert!(trace.contains(r#""ph":"X""#), "call spans missing");
+    assert_eq!(
+        trace.matches(r#""ph":"X""#).count(),
+        calls,
+        "one span per call, derived from its call_phases"
+    );
     assert!(trace.contains(r#""ph":"C""#), "worker counter missing");
 }
 
@@ -576,9 +646,218 @@ fn des_recovery_trace_is_byte_identical_across_runs() {
     );
 }
 
+/// The events-per-call pin (DESIGN.md §8): with every plane on, a
+/// healthy call still costs the trace exactly one event, and the edges
+/// no call owns — the scheduler pausing and resuming the one worker,
+/// its exit at shutdown — are still traced.
+#[test]
+fn a_healthy_call_is_one_event_with_every_plane_on() {
+    let hub = Telemetry::new();
+    let (t, echo) = table();
+    let cfg = all_planes_config();
+    let zc =
+        ZcRuntime::start_with_telemetry(cfg, t, Enclave::new_virtual(cfg.cpu), hub.clone(), None)
+            .expect("zc runtime must start");
+    // Calls in batches until a configuration phase (which probes 0 and
+    // 1 workers) has been seen to pause and resume the worker; the
+    // scheduler's own events are drained and let go as the run goes.
+    let seen = |events: &[RecordedEvent], edge| traced_edges(events).contains(&edge);
+    let (mut events, mut out, mut calls) = (Vec::new(), Vec::new(), 0);
+    let deadline = Instant::now() + BACKSTOP;
+    while !(seen(&events, (WorkerState::Unused, WorkerState::Paused))
+        && seen(&events, (WorkerState::Paused, WorkerState::Unused)))
+    {
+        assert!(Instant::now() < deadline, "worker never paused and resumed");
+        for _ in 0..64 {
+            let (ret, _) = zc
+                .dispatch(&OcallRequest::new(echo, &[]), &[], &mut out)
+                .expect("healthy calls complete");
+            assert_eq!(ret, 0);
+            calls += 1;
+        }
+        events.extend(hub.tracer().drain().into_iter().filter(|e| {
+            matches!(
+                e.event,
+                Event::WorkerTransition { .. } | Event::Drain { .. }
+            ) || e.event.call_id().is_some()
+        }));
+    }
+    zc.shutdown();
+    events.extend(hub.tracer().drain());
+    assert_eq!(hub.tracer().dropped(), 0);
+
+    assert_one_event_per_call(&events, calls);
+    let per_call = events.iter().filter(|e| e.event.call_id().is_some());
+    assert_eq!(per_call.count(), calls, "nothing but call_phases per call");
+    assert!(
+        traced_edges(&events)
+            .iter()
+            .any(|(_, to)| *to == WorkerState::Exit),
+        "the worker's exit is traced"
+    );
+    let stats = zc.stats().snapshot();
+    assert!(stats.is_conserved() && zc.usage().conserves());
+    assert_eq!((stats.issued, stats.cancelled), (calls as u64, 0));
+    let profiled: u64 = hub
+        .profile()
+        .snapshot()
+        .paths
+        .iter()
+        .map(|p| p.total.count)
+        .sum();
+    assert_eq!(profiled, calls as u64, "the profiler saw every call");
+}
+
+/// The join test (DESIGN.md §16): whatever happens to a call — replayed
+/// after an enclave crash, shed, rejected by the reply guard, cancelled
+/// by the watchdog — every caller-side event it leaves carries its id,
+/// so the drained trace groups into one timeline per offered call.
+#[test]
+fn per_call_events_join_into_one_timeline_per_offered_call() {
+    // `echo`, and `park`: on a worker thread it raises `entered` and
+    // stays in the host until `open`; anywhere else (the caller's
+    // regular-path re-route) it returns at once.
+    let (entered, open) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let mut t = OcallTable::new();
+    let echo = t.register(
+        "echo",
+        |_: &[u64; MAX_OCALL_ARGS], pin: &[u8], pout: &mut Vec<u8>| {
+            pout.extend_from_slice(pin);
+            pin.len() as i64
+        },
+    );
+    let (e, o) = (Arc::clone(&entered), Arc::clone(&open));
+    let park = t.register(
+        "park",
+        move |_: &[u64; MAX_OCALL_ARGS], _: &[u8], _: &mut Vec<u8>| {
+            let on_worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("zc-worker"));
+            if on_worker {
+                e.store(true, Ordering::Release);
+                while !o.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            7
+        },
+    );
+
+    let hub = Telemetry::new();
+    let cfg = all_planes_config();
+    // The enclave dies under the first call; the first reply a worker
+    // writes echoes a stale sequence tag.
+    let faults = Arc::new(FaultInjector::new(
+        FaultPlan::new().crash_enclave_at(0).stale_seq_at(0),
+    ));
+    let enclave = Enclave::new_virtual(cfg.cpu);
+    let clock = enclave.clock();
+    let zc = ZcRuntime::start_with_telemetry(
+        cfg,
+        Arc::new(t),
+        enclave,
+        hub.clone(),
+        Some(Arc::clone(&faults)),
+    )
+    .expect("zc runtime must start");
+    let mut out = Vec::new();
+    let mut offered = 0u64;
+    let deadline = Instant::now() + BACKSTOP;
+
+    // 1. Replayed: an idempotent call loses the enclave.
+    let (ret, path) = zc
+        .dispatch(
+            &OcallRequest::new(echo, &[]).with_idempotent(),
+            b"one",
+            &mut out,
+        )
+        .expect("replayed from the journal");
+    assert_eq!((ret, path), (3, CallPath::Fallback));
+    offered += 1;
+    // 2. Shed: its deadline passed long ago (the restart moved the
+    // virtual clock).
+    let late = OcallRequest::new(echo, &[]).with_deadline_at(1);
+    assert_eq!(
+        zc.dispatch(&late, b"two", &mut out).unwrap_err(),
+        SwitchlessError::Overloaded {
+            reason: ShedReason::DeadlineExpired
+        }
+    );
+    offered += 1;
+    // 3. Guard violation: calls until a worker has served one (and
+    // lied about it).
+    while faults.counts().stale_replays == 0 {
+        assert!(Instant::now() < deadline, "no call reached a worker");
+        let (ret, _) = zc
+            .dispatch(&OcallRequest::new(echo, &[]), b"three", &mut out)
+            .expect("a rejected reply re-routes");
+        assert_eq!((ret, out.as_slice()), (5, &b"three"[..]));
+        offered += 1;
+    }
+    // 4. Watchdog cancel: `park` calls until one is served by a worker
+    // (the slot must be respawned first); a helper then jumps the
+    // clock past the watchdog and, once the cancel is counted, lets
+    // the parked worker go.
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !entered.load(Ordering::Acquire) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            clock.advance_cycles(2 * WATCHDOG);
+            while zc.stats().snapshot().cancelled == 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            open.store(true, Ordering::Release);
+        });
+        while zc.stats().snapshot().cancelled == 0 {
+            assert!(Instant::now() < deadline, "no park call was cancelled");
+            let (ret, _) = zc
+                .dispatch(&OcallRequest::new(park, &[]), &[], &mut out)
+                .expect("a cancelled call still completes");
+            assert_eq!(ret, 7);
+            offered += 1;
+        }
+    });
+    zc.shutdown();
+
+    // `CallStats` books the shed call as issued and nothing else; the
+    // front door's ledger row has the column for it.
+    let (usage, stats) = (zc.usage(), zc.stats().snapshot());
+    assert!(usage.conserves(), "{usage:?}");
+    assert_eq!(
+        (usage.offered, usage.completed, usage.shed),
+        (offered, offered - 1, 1)
+    );
+    assert_eq!(stats.issued, stats.total_calls() + usage.shed);
+    assert_eq!((stats.guard_violations, stats.cancelled), (1, 1));
+
+    // One timeline per offered call, none under id 0.
+    let mut timelines: BTreeMap<u64, Vec<&'static str>> = BTreeMap::new();
+    for ev in hub.tracer().drain() {
+        if let Some(call) = ev.event.call_id() {
+            timelines
+                .entry(call)
+                .or_default()
+                .push(ev.event.kind_name());
+        }
+    }
+    assert_eq!(hub.tracer().dropped(), 0);
+    assert_eq!(timelines.len() as u64, offered);
+    assert!(!timelines.contains_key(&0), "{:?}", timelines[&0]);
+    let with = |kinds: &[&str]| timelines.values().filter(|t| t.as_slice() == kinds).count();
+    assert_eq!(with(&["journal_replay", "call_phases"]), 1);
+    assert_eq!(with(&["call_shed"]), 1);
+    assert_eq!(with(&["guard_violation", "call_phases"]), 1);
+    assert_eq!(with(&["watchdog_cancel", "call_phases"]), 1);
+    assert_eq!(with(&["call_phases"]) as u64, offered - 4, "{timelines:?}");
+}
+
 /// A hub that is *not* attached to a runtime must stay silent: the
 /// profiler records nothing and the trace stays empty — instrumentation
-/// is pay-for-what-you-attach even with the `telemetry` feature on.
+/// is pay-for-what-you-attach.
 #[test]
 fn unattached_hub_sees_no_profile_activity() {
     let hub = Telemetry::new();
