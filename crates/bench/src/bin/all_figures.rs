@@ -1,6 +1,6 @@
 //! Run every figure, table and ablation of the reproduction in one go:
 //! each `experiments` module's `emit`, the same function its own
-//! binaries call, so parameters and output paths exist once.
+//! binary calls, so parameters and output paths exist once.
 //!
 //! Usage: `all_figures [--quick]` — `--quick` trades scale for speed
 //! (seconds instead of minutes). Tables print to stdout; CSVs land under

@@ -309,7 +309,6 @@ pub fn tes_sweep(n_keys: u64, tes_values: &[u64]) -> Table {
                 .collect();
             let mut cfg = SimConfig::new(mech, workloads, fscommon::CLASS_COUNT);
             cfg.cpu = cpu;
-            cfg.costs.t_es_cycles = tes;
             zc_des::run(&cfg)
         };
         let no_sl = run_with(Mechanism::NoSl);

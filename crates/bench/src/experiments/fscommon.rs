@@ -35,19 +35,6 @@ pub fn class_of(func: FuncId, funcs: &FsFuncs) -> usize {
     }
 }
 
-/// Human-readable class name.
-#[must_use]
-pub fn class_name(class: usize) -> &'static str {
-    match class {
-        FOPEN => "fopen",
-        FCLOSE => "fclose",
-        FSEEKO => "fseeko",
-        FREAD => "fread",
-        FWRITE => "fwrite",
-        _ => "?",
-    }
-}
-
 /// A labelled mechanism configuration (one line of a paper figure).
 #[derive(Debug, Clone)]
 pub struct NamedMechanism {
@@ -92,7 +79,6 @@ mod tests {
         assert_eq!(class_of(funcs.fseeko, &funcs), FSEEKO);
         assert_eq!(class_of(funcs.fread, &funcs), FREAD);
         assert_eq!(class_of(funcs.fwrite, &funcs), FWRITE);
-        assert_eq!(class_name(FSEEKO), "fseeko");
     }
 
     #[test]

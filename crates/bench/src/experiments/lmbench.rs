@@ -11,7 +11,7 @@ use super::fscommon::NamedMechanism;
 use crate::table::{f2, Table};
 use zc_des::ocall::intel::IntelSimConfig;
 use zc_des::ocall::CallDesc;
-use zc_des::workload::{Phase, PhaseMode, PhasedLoad};
+use zc_des::workload::PhasedLoad;
 use zc_des::{Mechanism, SimConfig, SimReport, WorkloadSpec, ZcSimParams};
 
 /// Call class of the reader thread's `read`.
@@ -66,26 +66,13 @@ pub fn write_call(p: &LmbenchParams) -> CallDesc {
 }
 
 fn phased(call: CallDesc, p: &LmbenchParams, freq_hz: u64) -> WorkloadSpec {
-    let secs = |s: u64| freq_hz * s;
-    WorkloadSpec::Phased(PhasedLoad {
+    WorkloadSpec::Phased(PhasedLoad::dynamic(
         call,
-        period_cycles: freq_hz / 1_000 * p.tau_ms,
-        initial_ops: p.initial_ops,
-        phases: vec![
-            Phase {
-                duration_cycles: secs(p.phase_secs),
-                mode: PhaseMode::Doubling,
-            },
-            Phase {
-                duration_cycles: secs(p.phase_secs),
-                mode: PhaseMode::Constant,
-            },
-            Phase {
-                duration_cycles: secs(p.phase_secs),
-                mode: PhaseMode::Halving,
-            },
-        ],
-    })
+        freq_hz,
+        p.phase_secs,
+        p.tau_ms,
+        p.initial_ops,
+    ))
 }
 
 /// The paper's six Intel configurations (for one worker count) plus

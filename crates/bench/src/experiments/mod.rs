@@ -2,17 +2,17 @@
 //!
 //! Each module has one `emit(quick)` — its tables, their
 //! `results/*.csv` names and the quick/full parameters — which its
-//! binaries and `all_figures` all call. Per-experiment index (see also
+//! one binary and `all_figures` call. Per-experiment index (see also
 //! `DESIGN.md` §4):
 //!
 //! | module | paper item | binary |
 //! |---|---|---|
-//! | [`synthetic`] | §III-A numbers, Fig. 2, Fig. 3 | `fig2_selection`, `fig3_duration` |
-//! | [`kissdb`] | Fig. 8, Fig. 9 | `fig8_kissdb_latency`, `fig9_kissdb_cpu` |
+//! | [`synthetic`] | §III-A numbers, Fig. 2, Fig. 3 | `fig2_selection` |
+//! | [`kissdb`] | Fig. 8, Fig. 9 | `fig8_kissdb_latency` |
 //! | [`openssl`] | Fig. 10, §V-B residency | `fig10_openssl` |
-//! | [`lmbench`] | Fig. 11, Fig. 12 | `fig11_lmbench_tput`, `fig12_lmbench_cpu` |
-//! | [`memcpy`] | Fig. 7, Fig. 13 | `fig7_memcpy_vanilla`, `fig13_memcpy_zc` |
-//! | [`ablations`] | ours: A1–A6 | `ablation_rbf`, `ablation_quantum`, `ablation_chaos` |
+//! | [`lmbench`] | Fig. 11, Fig. 12 | `fig11_lmbench_tput` |
+//! | [`memcpy`] | Fig. 7, Fig. 13 | `fig7_memcpy_vanilla` |
+//! | [`ablations`] | ours: A1–A6 | `ablations` |
 
 pub mod ablations;
 pub mod fscommon;

@@ -83,7 +83,7 @@ pub struct FleetSpec {
     pub kernel_mode: KernelMode,
     /// OS round-robin quantum in cycles (cycle-accurate mode only).
     pub rr_quantum: u64,
-    /// Boundary cost model.
+    /// Boundary cost model (its `T_es` is `cpu`'s).
     pub costs: CostModel,
     /// Global worker budget shared by all shards (must be ≥ the number
     /// of tenants, so every tenant's fairness floor is honourable).
@@ -350,7 +350,7 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         let counters = Rc::new(RefCell::new(SimCounters::new(callers, spec.classes)));
         let shard = ZcShardSpec {
             cpu: &spec.cpu,
-            costs: spec.costs,
+            costs: spec.costs.on(&spec.cpu),
             zc: &tenant.zc,
             faults: tenant.faults.as_ref(),
             workloads: &tenant.workloads,

@@ -49,13 +49,6 @@ impl IntelSimConfig {
         self.retries_before_fallback = rbf;
         self
     }
-
-    /// Builder-style override of `rbs`.
-    #[must_use]
-    pub fn with_rbs(mut self, rbs: u64) -> Self {
-        self.retries_before_sleep = rbs;
-        self
-    }
 }
 
 /// A submitted task awaiting acceptance.

@@ -25,7 +25,7 @@ pub mod zc;
 
 use crate::kernel::{Syscall, SyscallResult};
 use serde::{Deserialize, Serialize};
-use switchless_core::CallPath;
+use switchless_core::{CallPath, CpuSpec};
 
 /// Description of one ocall a workload wants to issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -68,8 +68,10 @@ impl CallDesc {
 /// Cost model of the boundary machinery, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CostModel {
-    /// Enclave transition round trip `T_es`.
-    pub t_es_cycles: u64,
+    /// Enclave transition round trip `T_es`: the simulated machine's
+    /// ([`CpuSpec::t_es_cycles`]), which `run`/`run_fleet` copy in from
+    /// their configured `cpu` — the one place it is set.
+    pub(crate) t_es_cycles: u64,
     /// Claiming a worker / task slot and publishing a request
     /// (CAS + request-struct copy + cache-line transfer).
     pub handoff_cycles: u64,
@@ -86,10 +88,19 @@ impl CostModel {
     #[must_use]
     pub fn paper() -> Self {
         CostModel {
-            t_es_cycles: 13_500,
+            t_es_cycles: CpuSpec::paper_machine().t_es_cycles,
             handoff_cycles: 600,
             collect_cycles: 300,
             copy_cycles_per_16b: 1,
+        }
+    }
+
+    /// The same model with `cpu`'s transition cost.
+    #[must_use]
+    pub(crate) fn on(self, cpu: &CpuSpec) -> Self {
+        CostModel {
+            t_es_cycles: cpu.t_es_cycles,
+            ..self
         }
     }
 

@@ -119,7 +119,7 @@ pub struct SimConfig {
     pub kernel_mode: KernelMode,
     /// OS round-robin quantum in cycles (cycle-accurate mode only).
     pub rr_quantum: u64,
-    /// Boundary cost model.
+    /// Boundary cost model (its `T_es` is `cpu`'s).
     pub costs: CostModel,
     /// Mechanism under test.
     pub mechanism: Mechanism,
@@ -371,37 +371,6 @@ impl SimReport {
         }
         (self.total_busy_cycles as f64 / capacity as f64 * 100.0).min(100.0)
     }
-
-    /// Mean throughput of one caller in ops/second.
-    #[must_use]
-    pub fn caller_throughput(&self, caller: usize) -> f64 {
-        let secs = self.duration_secs();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.counters
-            .ops_per_caller
-            .get(caller)
-            .copied()
-            .unwrap_or(0) as f64
-            / secs
-    }
-
-    /// Mean per-call latency over all callers, in microseconds (wall
-    /// time × callers / total calls — the kissdb/OpenSSL "average
-    /// latency" metric).
-    #[must_use]
-    pub fn mean_latency_us(&self) -> f64 {
-        let total = self.counters.total_calls();
-        if total == 0 {
-            return 0.0;
-        }
-        self.duration_secs() * 1e6 * self.workload_threads() as f64 / total as f64
-    }
-
-    fn workload_threads(&self) -> usize {
-        self.counters.ops_per_caller.len()
-    }
 }
 
 /// Spawn one caller thread per workload, each driving the dispatcher
@@ -512,7 +481,7 @@ pub fn run(config: &SimConfig) -> SimReport {
         .clone()
         .or_else(zc_telemetry::global::current);
     let hub = telemetry.as_ref();
-    let costs = config.costs;
+    let costs = config.costs.on(&config.cpu);
 
     // Build the mechanism world and workers, then one caller per
     // workload driving that mechanism's dispatcher.
@@ -800,7 +769,10 @@ mod tests {
             1,
         ));
         let intel = run(&SimConfig::new(
-            Mechanism::Intel(IntelSimConfig::new(2, [0]).with_rbs(1_000)),
+            Mechanism::Intel(IntelSimConfig {
+                retries_before_sleep: 1_000,
+                ..IntelSimConfig::new(2, [0])
+            }),
             vec![sparse],
             1,
         ));
@@ -1325,7 +1297,5 @@ mod tests {
         let r = run(&SimConfig::new(Mechanism::NoSl, vec![closed(100, 100)], 1));
         assert!(r.duration_secs() > 0.0);
         assert!(r.cpu_percent() > 0.0 && r.cpu_percent() <= 100.0);
-        assert!(r.caller_throughput(0) > 0.0);
-        assert!(r.mean_latency_us() > 0.0);
     }
 }

@@ -144,27 +144,29 @@ pub enum PhaseMode {
 }
 
 impl PhasedLoad {
-    /// The paper's dynamic workload: 3 phases of 20 s, τ = 0.5 s.
+    /// The paper's dynamic load shape: three phases of `phase_secs`
+    /// each — doubling, constant, halving — with load period τ =
+    /// `tau_ms` (paper: 3 × 20 s, τ = 0.5 s).
     #[must_use]
-    pub fn paper_dynamic(call: CallDesc, freq_hz: u64, initial_ops: u64) -> Self {
-        let secs = |s: u64| freq_hz * s;
+    pub fn dynamic(
+        call: CallDesc,
+        freq_hz: u64,
+        phase_secs: u64,
+        tau_ms: u64,
+        initial_ops: u64,
+    ) -> Self {
+        let phase = |mode| Phase {
+            duration_cycles: freq_hz * phase_secs,
+            mode,
+        };
         PhasedLoad {
             call,
-            period_cycles: secs(1) / 2,
+            period_cycles: freq_hz / 1_000 * tau_ms,
             initial_ops,
             phases: vec![
-                Phase {
-                    duration_cycles: secs(20),
-                    mode: PhaseMode::Doubling,
-                },
-                Phase {
-                    duration_cycles: secs(20),
-                    mode: PhaseMode::Constant,
-                },
-                Phase {
-                    duration_cycles: secs(20),
-                    mode: PhaseMode::Halving,
-                },
+                phase(PhaseMode::Doubling),
+                phase(PhaseMode::Constant),
+                phase(PhaseMode::Halving),
             ],
         }
     }
@@ -591,7 +593,7 @@ mod tests {
 
     #[test]
     fn paper_dynamic_shape() {
-        let p = PhasedLoad::paper_dynamic(call(1), 1_000_000, 8);
+        let p = PhasedLoad::dynamic(call(1), 1_000_000, 20, 500, 8);
         assert_eq!(p.period_cycles, 500_000);
         assert_eq!(p.phases.len(), 3);
         assert_eq!(p.total_cycles(), 60_000_000);

@@ -163,12 +163,6 @@ impl TaskPool {
         self.slots[idx.0].poisoned.load(Ordering::Acquire)
     }
 
-    /// Byzantine test hook: the "host" writes an arbitrary byte straight
-    /// onto a slot's state word, bypassing the CAS protocol.
-    pub fn host_write_state(&self, idx: SlotIdx, raw: u8) {
-        self.slots[idx.0].state.store(raw, Ordering::Release);
-    }
-
     fn cas(&self, idx: usize, from: SlotState, to: SlotState) -> bool {
         self.slots[idx]
             .state
@@ -339,6 +333,14 @@ mod tests {
 
     fn req() -> OcallRequest {
         OcallRequest::new(FuncId(1), &[11, 22])
+    }
+
+    impl TaskPool {
+        /// The Byzantine "host" writes an arbitrary byte straight onto a
+        /// slot's state word, bypassing the CAS protocol.
+        fn host_write_state(&self, idx: SlotIdx, raw: u8) {
+            self.slots[idx.0].state.store(raw, Ordering::Release);
+        }
     }
 
     #[test]

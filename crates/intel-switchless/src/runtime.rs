@@ -231,14 +231,6 @@ impl IntelSwitchless {
         &self.shared.config
     }
 
-    /// Workers currently asleep on the wake condvar (rbs exhausted with
-    /// an empty task pool). Lets tests observe sleep/wake behaviour by
-    /// polling instead of guessing with wall-clock sleeps.
-    #[must_use]
-    pub fn sleeping_workers(&self) -> usize {
-        self.shared.sleepers.load(Ordering::Acquire)
-    }
-
     /// Snapshot of the overload plane's counters and machine states.
     /// `None` when overload control is off. Once traffic has quiesced
     /// the counters conserve: `completed + shed_total == offered`.
@@ -260,17 +252,6 @@ impl IntelSwitchless {
     #[must_use]
     pub fn usage(&self) -> TenantUsage {
         self.shared.door.usage()
-    }
-
-    /// Total worker respawns so far (always 0 unless the configuration
-    /// enables [`respawn_workers`](IntelConfig::respawn_workers)).
-    #[must_use]
-    pub fn respawned_workers(&self) -> u64 {
-        self.shared
-            .respawn_gens
-            .iter()
-            .map(|g| g.load(Ordering::Acquire))
-            .sum()
     }
 
     /// Stop workers and join them. Idempotent; also invoked on drop.
@@ -623,6 +604,21 @@ mod tests {
 
     fn enclave() -> Enclave {
         Enclave::new(switchless_core::CpuSpec::paper_machine())
+    }
+
+    impl IntelSwitchless {
+        /// Workers currently asleep on the wake condvar (rbs exhausted
+        /// with an empty task pool): published state a test can poll
+        /// instead of guessing with wall-clock sleeps.
+        fn sleeping_workers(&self) -> usize {
+            self.shared.sleepers.load(Ordering::Acquire)
+        }
+
+        /// Total worker respawns so far.
+        fn respawned_workers(&self) -> u64 {
+            let gens = self.shared.respawn_gens.iter();
+            gens.map(|g| g.load(Ordering::Acquire)).sum()
+        }
     }
 
     #[test]

@@ -1,40 +1,17 @@
-//! Enclave model: EPC budget, trusted-heap accounting and transition
+//! Enclave model: the CPU it runs on, its clock and the transition
 //! counters.
-//!
-//! The paper's setup (§V): enclaves with 1 GB maximum heap on a machine
-//! with a 128 MB EPC of which 93.5 MB is usable. Allocations beyond the
-//! usable EPC are still allowed but pay a per-page *EPC paging* penalty,
-//! modelling SGX v1 page swapping.
 
 use crate::clock::CycleClock;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use switchless_core::cpu::CpuSpec;
-
-/// Usable EPC on the paper's machine: 93.5 MB.
-pub const PAPER_USABLE_EPC: usize = 93 * 1024 * 1024 + 512 * 1024;
-
-/// Default maximum enclave heap: 1 GB (paper §V).
-pub const PAPER_HEAP_MAX: usize = 1024 * 1024 * 1024;
-
-/// Cost of swapping one 4 KB EPC page, in cycles. SGX v1 paging costs
-/// tens of thousands of cycles per page (EWB + ELDU plus kernel work);
-/// we use a representative 40 000.
-pub const EPC_PAGE_SWAP_CYCLES: u64 = 40_000;
-
-const PAGE: usize = 4096;
 
 #[derive(Debug)]
 struct Inner {
     spec: CpuSpec,
     clock: CycleClock,
-    heap_max: usize,
-    usable_epc: usize,
-    allocated: AtomicUsize,
-    peak_allocated: AtomicUsize,
     ecalls: AtomicU64,
     ocalls: AtomicU64,
-    paged_pages: AtomicU64,
 }
 
 /// Handle to a simulated enclave instance (cheaply cloneable).
@@ -46,48 +23,22 @@ struct Inner {
 /// use switchless_core::CpuSpec;
 ///
 /// let enclave = Enclave::new(CpuSpec::paper_machine());
-/// let buf = enclave.alloc(4096)?;
-/// assert_eq!(enclave.allocated_bytes(), 4096);
-/// drop(buf);
-/// assert_eq!(enclave.allocated_bytes(), 0);
-/// # Ok::<(), sgx_sim::enclave::EnclaveOom>(())
+/// assert_eq!(enclave.record_ocall(), 1);
+/// assert_eq!(enclave.clone().ocalls(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Enclave {
     inner: Arc<Inner>,
 }
 
-/// Error: trusted heap exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnclaveOom {
-    /// Bytes requested by the failing allocation.
-    pub requested: usize,
-    /// Bytes already allocated.
-    pub in_use: usize,
-    /// Configured heap maximum.
-    pub heap_max: usize,
-}
-
-impl std::fmt::Display for EnclaveOom {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "enclave heap exhausted: requested {} bytes with {}/{} in use",
-            self.requested, self.in_use, self.heap_max
-        )
-    }
-}
-
-impl std::error::Error for EnclaveOom {}
-
 impl Enclave {
-    /// New enclave with the paper's heap and EPC limits.
+    /// New enclave on the wall clock.
     #[must_use]
     pub fn new(spec: CpuSpec) -> Self {
-        Self::with_limits(spec, PAPER_HEAP_MAX, PAPER_USABLE_EPC)
+        Self::with_clock(spec, CycleClock::new(spec))
     }
 
-    /// New enclave with the paper's limits, running on *virtual* time:
+    /// New enclave running on *virtual* time:
     /// every runtime built on this enclave inherits a
     /// [`CycleClock::new_virtual`] clock, so scheduler quanta, injected
     /// costs and drain timeouts advance logical time instead of sleeping
@@ -95,39 +46,16 @@ impl Enclave {
     /// deterministic fault-injection tests use.
     #[must_use]
     pub fn new_virtual(spec: CpuSpec) -> Self {
-        Self::with_clock(
-            spec,
-            CycleClock::new_virtual(spec),
-            PAPER_HEAP_MAX,
-            PAPER_USABLE_EPC,
-        )
+        Self::with_clock(spec, CycleClock::new_virtual(spec))
     }
 
-    /// New enclave with explicit heap maximum and usable EPC.
-    #[must_use]
-    pub fn with_limits(spec: CpuSpec, heap_max: usize, usable_epc: usize) -> Self {
-        Self::with_clock(spec, CycleClock::new(spec), heap_max, usable_epc)
-    }
-
-    /// New enclave with an explicit clock (real or virtual) and limits.
-    #[must_use]
-    pub fn with_clock(
-        spec: CpuSpec,
-        clock: CycleClock,
-        heap_max: usize,
-        usable_epc: usize,
-    ) -> Self {
+    fn with_clock(spec: CpuSpec, clock: CycleClock) -> Self {
         Enclave {
             inner: Arc::new(Inner {
                 spec,
                 clock,
-                heap_max,
-                usable_epc,
-                allocated: AtomicUsize::new(0),
-                peak_allocated: AtomicUsize::new(0),
                 ecalls: AtomicU64::new(0),
                 ocalls: AtomicU64::new(0),
-                paged_pages: AtomicU64::new(0),
             }),
         }
     }
@@ -142,72 +70,6 @@ impl Enclave {
     #[must_use]
     pub fn clock(&self) -> CycleClock {
         self.inner.clock.clone()
-    }
-
-    /// Allocate `bytes` of trusted heap.
-    ///
-    /// Allocations pushing usage beyond the usable EPC pay
-    /// [`EPC_PAGE_SWAP_CYCLES`] per newly paged 4 KB page (cost-injected
-    /// spin), modelling SGX v1 EPC oversubscription.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnclaveOom`] if the configured heap maximum would be
-    /// exceeded.
-    pub fn alloc(&self, bytes: usize) -> Result<TrustedAlloc, EnclaveOom> {
-        let prev = loop {
-            let cur = self.inner.allocated.load(Ordering::Relaxed);
-            let next = cur
-                .checked_add(bytes)
-                .filter(|&n| n <= self.inner.heap_max)
-                .ok_or(EnclaveOom {
-                    requested: bytes,
-                    in_use: cur,
-                    heap_max: self.inner.heap_max,
-                })?;
-            if self
-                .inner
-                .allocated
-                .compare_exchange(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                break cur;
-            }
-        };
-        let new_total = prev + bytes;
-        self.inner
-            .peak_allocated
-            .fetch_max(new_total, Ordering::Relaxed);
-        // Pages newly beyond the usable EPC must be swapped in.
-        if new_total > self.inner.usable_epc {
-            let over_before = prev.saturating_sub(self.inner.usable_epc);
-            let over_after = new_total - self.inner.usable_epc;
-            let new_pages = (over_after.div_ceil(PAGE) - over_before.div_ceil(PAGE)) as u64;
-            if new_pages > 0 {
-                self.inner
-                    .paged_pages
-                    .fetch_add(new_pages, Ordering::Relaxed);
-                self.inner
-                    .clock
-                    .spin_cycles(new_pages * EPC_PAGE_SWAP_CYCLES);
-            }
-        }
-        Ok(TrustedAlloc {
-            enclave: Arc::clone(&self.inner),
-            bytes,
-        })
-    }
-
-    /// Bytes currently allocated on the trusted heap.
-    #[must_use]
-    pub fn allocated_bytes(&self) -> usize {
-        self.inner.allocated.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of trusted-heap usage.
-    #[must_use]
-    pub fn peak_allocated_bytes(&self) -> usize {
-        self.inner.peak_allocated.load(Ordering::Relaxed)
     }
 
     /// Record an enclave entry (ecall). Returns the new total.
@@ -232,116 +94,22 @@ impl Enclave {
     pub fn ocalls(&self) -> u64 {
         self.inner.ocalls.load(Ordering::Relaxed)
     }
-
-    /// EPC pages swapped so far.
-    #[must_use]
-    pub fn paged_pages(&self) -> u64 {
-        self.inner.paged_pages.load(Ordering::Relaxed)
-    }
-}
-
-/// Guard representing a live trusted-heap allocation; frees its bytes on
-/// drop.
-#[derive(Debug)]
-pub struct TrustedAlloc {
-    enclave: Arc<Inner>,
-    bytes: usize,
-}
-
-impl TrustedAlloc {
-    /// Size of this allocation in bytes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bytes
-    }
-
-    /// `true` for zero-byte allocations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bytes == 0
-    }
-}
-
-impl Drop for TrustedAlloc {
-    fn drop(&mut self) {
-        self.enclave
-            .allocated
-            .fetch_sub(self.bytes, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small_enclave() -> Enclave {
-        // 64 KB heap, 16 KB usable EPC for cheap paging tests.
-        Enclave::with_limits(CpuSpec::paper_machine(), 64 * 1024, 16 * 1024)
-    }
-
     #[test]
-    fn alloc_and_free_accounting() {
-        let e = small_enclave();
-        let a = e.alloc(1000).unwrap();
-        let b = e.alloc(500).unwrap();
-        assert_eq!(e.allocated_bytes(), 1500);
-        drop(a);
-        assert_eq!(e.allocated_bytes(), 500);
-        drop(b);
-        assert_eq!(e.allocated_bytes(), 0);
-        assert_eq!(e.peak_allocated_bytes(), 1500);
-    }
-
-    #[test]
-    fn heap_exhaustion_is_an_error() {
-        let e = small_enclave();
-        let _a = e.alloc(60 * 1024).unwrap();
-        let err = e.alloc(8 * 1024).unwrap_err();
-        assert_eq!(err.requested, 8 * 1024);
-        assert_eq!(err.heap_max, 64 * 1024);
-        assert!(err.to_string().contains("exhausted"));
-    }
-
-    #[test]
-    fn epc_overflow_pages_are_counted() {
-        let e = small_enclave();
-        let _a = e.alloc(16 * 1024).unwrap(); // exactly at EPC: no paging
-        assert_eq!(e.paged_pages(), 0);
-        let _b = e.alloc(8 * 1024).unwrap(); // 8 KB over -> 2 pages
-        assert_eq!(e.paged_pages(), 2);
-        let _c = e.alloc(100).unwrap(); // 100 B over the 2-page mark -> 1 page
-        assert_eq!(e.paged_pages(), 3);
-    }
-
-    #[test]
-    fn transition_counters() {
-        let e = small_enclave();
-        assert_eq!(e.record_ecall(), 1);
-        assert_eq!(e.record_ocall(), 1);
-        assert_eq!(e.record_ocall(), 2);
-        assert_eq!(e.ecalls(), 1);
-        assert_eq!(e.ocalls(), 2);
-    }
-
-    #[test]
-    fn paper_limits_constructor() {
+    fn transition_counters_are_shared_across_clones() {
         let e = Enclave::new(CpuSpec::paper_machine());
         assert_eq!(e.spec().logical_cpus, 8);
-        // Can allocate far beyond EPC but within heap max (bounded here
-        // to keep the test fast: 1 MB over).
-        let a = e.alloc(PAPER_USABLE_EPC).unwrap();
-        assert_eq!(e.paged_pages(), 0);
-        drop(a);
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let e = small_enclave();
         let e2 = e.clone();
-        let _a = e.alloc(1024).unwrap();
-        assert_eq!(e2.allocated_bytes(), 1024);
-        e2.record_ocall();
-        assert_eq!(e.ocalls(), 1);
+        assert_eq!(e.record_ecall(), 1);
+        assert_eq!(e.record_ocall(), 1);
+        assert_eq!(e2.record_ocall(), 2);
+        assert_eq!(e2.ecalls(), 1);
+        assert_eq!(e.ocalls(), 2);
     }
 
     #[test]
@@ -349,17 +117,5 @@ mod tests {
         let e = Enclave::new_virtual(CpuSpec::paper_machine());
         assert!(e.clock().is_virtual());
         assert_eq!(e.clock().now_cycles(), 0);
-        // Paging penalties advance logical time instantly.
-        let e2 = Enclave::with_clock(CpuSpec::paper_machine(), e.clock(), 64 * 1024, 16 * 1024);
-        let _a = e2.alloc(24 * 1024).unwrap(); // 8 KB over EPC -> 2 pages
-        assert_eq!(e2.clock().now_cycles(), 2 * EPC_PAGE_SWAP_CYCLES);
-    }
-
-    #[test]
-    fn zero_alloc_is_fine() {
-        let e = small_enclave();
-        let a = e.alloc(0).unwrap();
-        assert!(a.is_empty());
-        assert_eq!(a.len(), 0);
     }
 }

@@ -7,8 +7,8 @@
 //! * [`clock`] — a cycle clock for a modelled CPU ([`CpuSpec`]) plus
 //!   calibrated busy-spins used to *inject* enclave-transition and
 //!   `pause` costs into real threads.
-//! * [`enclave`] — the enclave model: EPC budget, trusted heap accounting
-//!   and transition counters.
+//! * [`enclave`] — the enclave model: CPU spec, clock and transition
+//!   counters.
 //! * [`transition`] — the regular (switch-paying) ocall path: cost
 //!   injection + boundary copy + host dispatch.
 //! * [`frontdoor`] — the call pipeline both switchless runtimes share:
@@ -23,8 +23,6 @@
 //! * [`hostfs`] — an in-memory untrusted host filesystem exposing
 //!   `fopen`/`fclose`/`fseeko`/`fread`/`fwrite` plus `/dev/zero` and
 //!   `/dev/null`, registered as ocall host functions.
-//! * [`profiler`] — an ocall profiler with switchless-candidate
-//!   recommendations (the paper's §VII monitoring extension).
 //!
 //! The simulation philosophy (see `DESIGN.md` §2): all *relative* costs —
 //! transition vs. call duration vs. pause latency — come from the paper's
@@ -39,7 +37,6 @@ pub mod enclave;
 pub mod frontdoor;
 pub mod hostfs;
 pub mod memory;
-pub mod profiler;
 pub mod tlibc;
 pub mod transition;
 

@@ -115,13 +115,6 @@ impl IntelConfig {
         self
     }
 
-    /// Builder-style override of the task pool capacity.
-    #[must_use]
-    pub fn with_task_pool_capacity(mut self, cap: usize) -> Self {
-        self.task_pool_capacity = cap.max(1);
-        self
-    }
-
     /// Builder-style enable of worker respawning (self-healing pool).
     #[must_use]
     pub fn with_respawn(mut self) -> Self {
@@ -142,13 +135,6 @@ impl IntelConfig {
     #[must_use]
     pub fn with_recovery(mut self) -> Self {
         self.recovery = Some(RecoveryParams::default());
-        self
-    }
-
-    /// Builder-style enable of recovery with explicit parameters.
-    #[must_use]
-    pub fn with_recovery_params(mut self, params: RecoveryParams) -> Self {
-        self.recovery = Some(params);
         self
     }
 }
@@ -254,13 +240,6 @@ impl ZcConfig {
         self
     }
 
-    /// Builder-style override of `µ⁻¹`.
-    #[must_use]
-    pub fn with_mu_inverse(mut self, inv: u64) -> Self {
-        self.mu_inverse = inv.max(1);
-        self
-    }
-
     /// Builder-style override of the initial worker count.
     #[must_use]
     pub fn with_initial_workers(mut self, n: usize) -> Self {
@@ -272,21 +251,6 @@ impl ZcConfig {
     #[must_use]
     pub fn with_pool_bytes(mut self, bytes: usize) -> Self {
         self.pool_bytes = bytes.max(256);
-        self
-    }
-
-    /// Builder-style override of the caller-declared reply capacity.
-    #[must_use]
-    pub fn with_max_reply_bytes(mut self, bytes: usize) -> Self {
-        self.max_reply_bytes = bytes;
-        self
-    }
-
-    /// Builder-style enable of self-healing supervision with
-    /// machine-derived defaults ([`SuperviseParams::for_cpu`]).
-    #[must_use]
-    pub fn with_supervision(mut self) -> Self {
-        self.supervise = Some(SuperviseParams::for_cpu(self.cpu));
         self
     }
 
@@ -318,13 +282,6 @@ impl ZcConfig {
     #[must_use]
     pub fn with_recovery(mut self) -> Self {
         self.recovery = Some(RecoveryParams::for_cpu(self.cpu));
-        self
-    }
-
-    /// Builder-style enable of recovery with explicit parameters.
-    #[must_use]
-    pub fn with_recovery_params(mut self, params: RecoveryParams) -> Self {
-        self.recovery = Some(params);
         self
     }
 }
@@ -361,11 +318,9 @@ mod tests {
     fn intel_builder_overrides() {
         let c = IntelConfig::new(2, [])
             .with_retries_before_fallback(100)
-            .with_retries_before_sleep(50)
-            .with_task_pool_capacity(0);
+            .with_retries_before_sleep(50);
         assert_eq!(c.retries_before_fallback, 100);
         assert_eq!(c.retries_before_sleep, 50);
-        assert_eq!(c.task_pool_capacity, 1, "capacity clamps to >=1");
     }
 
     #[test]
@@ -384,33 +339,17 @@ mod tests {
     fn zc_builder_overrides() {
         let c = ZcConfig::default()
             .with_quantum_ms(20)
-            .with_mu_inverse(0)
             .with_initial_workers(1)
             .with_pool_bytes(0);
         assert_eq!(c.quantum_cycles, 76_000_000);
-        assert_eq!(c.mu_inverse, 1, "mu_inverse clamps to >=1");
         assert_eq!(c.initial_workers, 1);
         assert_eq!(c.pool_bytes, 256, "pool clamps to a usable minimum");
-    }
-
-    #[test]
-    fn reply_capacity_defaults_and_overrides() {
-        assert_eq!(ZcConfig::default().max_reply_bytes, 1024 * 1024);
-        assert_eq!(
-            ZcConfig::default().with_max_reply_bytes(32).max_reply_bytes,
-            32
-        );
     }
 
     #[test]
     fn supervision_is_opt_in() {
         assert!(ZcConfig::default().supervise.is_none());
         assert!(!IntelConfig::default().respawn_workers);
-        let zc = ZcConfig::default().with_supervision();
-        assert_eq!(
-            zc.supervise,
-            Some(SuperviseParams::for_cpu(CpuSpec::paper_machine()))
-        );
         let custom = SuperviseParams::default().with_poison_threshold(5);
         assert_eq!(
             ZcConfig::default().with_supervise_params(custom).supervise,
@@ -428,15 +367,7 @@ mod tests {
             zc.recovery,
             Some(RecoveryParams::for_cpu(CpuSpec::paper_machine()))
         );
-        let custom = RecoveryParams::default().with_journal_slots(16);
-        assert_eq!(
-            ZcConfig::default().with_recovery_params(custom).recovery,
-            Some(custom)
-        );
-        assert!(IntelConfig::default()
-            .with_recovery_params(custom)
-            .recovery
-            .is_some());
+        assert!(IntelConfig::default().with_recovery().recovery.is_some());
     }
 
     #[test]

@@ -37,22 +37,6 @@ impl CpuSpec {
         }
     }
 
-    /// A modelled ARM TrustZone machine (paper §IV-D: the design ports to
-    /// other TEEs with secure/normal-world switches). Armv8 world
-    /// switches (SMC + context save/restore) cost a few thousand cycles —
-    /// roughly 4× cheaper than SGX transitions — and `YIELD` is far
-    /// cheaper than x86 `PAUSE`; the switchless trade-off space shifts
-    /// accordingly (see the `ablation_tes` sweep).
-    #[must_use]
-    pub fn trustzone_machine() -> Self {
-        CpuSpec {
-            freq_hz: 2_000_000_000,
-            logical_cpus: 8,
-            t_es_cycles: 3_500,
-            pause_cycles: 40,
-        }
-    }
-
     /// A machine spec matching the *host* core count but keeping the
     /// paper's SGX costs. Useful for running the real-thread runtime on
     /// arbitrary hardware.
@@ -83,24 +67,12 @@ impl CpuSpec {
         self.freq_hz / 1_000 * ms
     }
 
-    /// Convert microseconds to cycles on this machine.
-    #[must_use]
-    pub fn us_to_cycles(&self, us: u64) -> u64 {
-        self.freq_hz / 1_000_000 * us
-    }
-
     /// Convert cycles to nanoseconds on this machine (rounded down).
     #[must_use]
     pub fn cycles_to_ns(&self, cycles: u64) -> u64 {
         // cycles * 1e9 / freq, computed without overflow for realistic
         // inputs (cycles < 2^53, freq >= 1 MHz).
         cycles.saturating_mul(1_000) / (self.freq_hz / 1_000_000)
-    }
-
-    /// Convert nanoseconds to cycles on this machine.
-    #[must_use]
-    pub fn ns_to_cycles(&self, ns: u64) -> u64 {
-        ns.saturating_mul(self.freq_hz / 1_000_000) / 1_000
     }
 
     /// Convert cycles to (fractional) seconds.
@@ -142,16 +114,13 @@ mod tests {
         let cpu = CpuSpec::paper_machine();
         // 10 ms at 3.8 GHz = 38 M cycles.
         assert_eq!(cpu.quantum_cycles(10), 38_000_000);
-        assert_eq!(cpu.us_to_cycles(1), 3_800);
     }
 
     #[test]
-    fn ns_cycles_roundtrip() {
+    fn cycles_to_ns_rounds_down() {
         let cpu = CpuSpec::paper_machine();
-        let cycles = cpu.ns_to_cycles(1_000_000); // 1 ms
-        assert_eq!(cycles, 3_800_000);
-        let ns = cpu.cycles_to_ns(cycles);
-        assert!((ns as i64 - 1_000_000).unsigned_abs() < 10);
+        assert_eq!(cpu.cycles_to_ns(3_800_000), 1_000_000); // 1 ms
+        assert_eq!(cpu.cycles_to_ns(3_799), 999);
     }
 
     #[test]
@@ -159,15 +128,6 @@ mod tests {
         let cpu = CpuSpec::paper_machine();
         let s = cpu.cycles_to_secs(3_800_000_000);
         assert!((s - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trustzone_machine_has_cheaper_switches() {
-        let tz = CpuSpec::trustzone_machine();
-        let sgx = CpuSpec::paper_machine();
-        assert!(tz.t_es_cycles < sgx.t_es_cycles / 3);
-        assert!(tz.pause_cycles < sgx.pause_cycles);
-        assert_eq!(tz.zc_max_workers(), 4);
     }
 
     #[test]

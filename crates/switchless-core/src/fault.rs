@@ -135,26 +135,6 @@ impl FaultSchedule {
         }
         s
     }
-
-    /// Number of firings with site index below `limit` (explicit indices
-    /// plus stride hits, counted without double-counting overlaps) —
-    /// lets tests predict how many faults a bounded run will see.
-    #[must_use]
-    pub fn firings_below(&self, limit: u64) -> u64 {
-        let explicit = self.indices.iter().filter(|&&i| i < limit).count() as u64;
-        match self.every {
-            None => explicit,
-            Some(e) => {
-                let stride_hits = limit / e;
-                let overlap = self
-                    .indices
-                    .iter()
-                    .filter(|&&i| i < limit && (i + 1).is_multiple_of(e))
-                    .count() as u64;
-                explicit + stride_hits - overlap
-            }
-        }
-    }
 }
 
 /// Script of failures to inject, all keyed on deterministic call indices
@@ -410,17 +390,6 @@ impl FaultPlan {
         !(self.enclave_crash_calls.is_empty()
             && self.enclave_stall_calls.is_empty()
             && self.enclave_replay_crash_calls.is_empty())
-    }
-
-    /// `true` when any Byzantine corruption schedule can fire.
-    #[must_use]
-    pub fn has_byzantine(&self) -> bool {
-        !(self.flip_status_calls.is_empty()
-            && self.garbage_command_calls.is_empty()
-            && self.oversize_reply_calls.is_empty()
-            && self.undersize_reply_calls.is_empty()
-            && self.stale_seq_calls.is_empty()
-            && self.torn_request_calls.is_empty())
     }
 }
 
@@ -961,16 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_firings_below_counts_without_double_counting() {
-        let s = FaultSchedule::at_each([2, 9]).and_every(5);
-        // stride hits below 20: indices 4, 9, 14, 19; explicit: 2, 9.
-        // index 9 overlaps -> 4 + 2 - 1 = 5.
-        assert_eq!(s.firings_below(20), 5);
-        assert_eq!(FaultSchedule::new().firings_below(100), 0);
-        assert_eq!(FaultSchedule::every(1).firings_below(7), 7);
-    }
-
-    #[test]
     fn empty_schedule_never_fires_and_zero_stride_clamps() {
         let s = FaultSchedule::new();
         assert!(s.is_empty());
@@ -1019,9 +978,7 @@ mod tests {
 
     #[test]
     fn byzantine_precedence_and_empty_plan() {
-        assert!(!FaultPlan::new().has_byzantine());
         let plan = FaultPlan::new().flip_status_at(0).torn_request_at(0);
-        assert!(plan.has_byzantine());
         let inj = FaultInjector::new(plan);
         assert_eq!(inj.on_byzantine(), ByzantineFault::FlipStatus);
         assert_eq!(inj.counts().torn_requests, 0);

@@ -96,13 +96,6 @@ impl FleetParams {
             crash_suspect_threshold: DEFAULT_CRASH_SUSPECT_THRESHOLD,
         }
     }
-
-    /// Builder-style override of the starvation-escalation threshold.
-    #[must_use]
-    pub fn with_starvation_intervals(mut self, n: u32) -> Self {
-        self.starvation_intervals = n.max(1);
-        self
-    }
 }
 
 /// Ordered verdict on one tenant's behaviour, derived from its shard's
@@ -1018,7 +1011,11 @@ mod tests {
         // floors plus one surplus worker; without escalation tenant 0
         // would sit at the floor forever while its probes keep showing
         // unmet savings.
-        let mut alloc = FleetAllocator::new(params(3).with_starvation_intervals(2), 2);
+        let impatient = FleetParams {
+            starvation_intervals: 2,
+            ..params(3)
+        };
+        let mut alloc = FleetAllocator::new(impatient, 2);
         let demands = vec![
             TenantDemand::new(1, 10_000, linear_probes(5_000, 2_000, 3)),
             TenantDemand::new(64, 10_000, linear_probes(5_000, 2_000, 3)),

@@ -272,15 +272,6 @@ impl OcallTable {
         self.entries.get(id.0 as usize).map(|e| e.name.as_str())
     }
 
-    /// Look up a function id by its registered name.
-    #[must_use]
-    pub fn lookup(&self, name: &str) -> Option<FuncId> {
-        self.entries
-            .iter()
-            .position(|e| e.name == name)
-            .map(|i| FuncId(i as u16))
-    }
-
     /// Invoke the host function for `req`.
     ///
     /// `payload_out` is cleared before the call.
@@ -347,14 +338,6 @@ mod tests {
         t.invoke(&OcallRequest::new(id, &[0]), b"x", &mut out)
             .unwrap();
         assert_eq!(out, b"x");
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let (t, id) = echo_table();
-        assert_eq!(t.lookup("echo"), Some(id));
-        assert_eq!(t.lookup("missing"), None);
-        assert_eq!(t.name(id), Some("echo"));
     }
 
     #[test]

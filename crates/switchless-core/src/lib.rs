@@ -127,14 +127,6 @@ pub enum CallPath {
     Regular,
 }
 
-impl CallPath {
-    /// `true` if the call crossed the enclave boundary (paid `T_es`).
-    #[must_use]
-    pub fn paid_transition(self) -> bool {
-        matches!(self, CallPath::Fallback | CallPath::Regular)
-    }
-}
-
 /// A dispatcher routes ocall requests from enclave caller threads to the
 /// untrusted world, by whatever mechanism it implements.
 ///
@@ -159,16 +151,4 @@ pub trait OcallDispatcher: Send + Sync {
         payload_in: &[u8],
         payload_out: &mut Vec<u8>,
     ) -> Result<(i64, CallPath), SwitchlessError>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn call_path_transition_accounting() {
-        assert!(!CallPath::Switchless.paid_transition());
-        assert!(CallPath::Fallback.paid_transition());
-        assert!(CallPath::Regular.paid_transition());
-    }
 }

@@ -597,13 +597,6 @@ impl OverloadParams {
         self.brownout = brownout;
         self
     }
-
-    /// Builder-style override of the implicit deadline budget.
-    #[must_use]
-    pub fn with_default_deadline_cycles(mut self, cycles: u64) -> Self {
-        self.default_deadline_cycles = cycles;
-        self
-    }
 }
 
 impl Default for OverloadParams {
@@ -1096,7 +1089,10 @@ mod tests {
     fn implicit_deadlines_follow_config() {
         let c = OverloadController::new(params());
         assert_eq!(c.implicit_deadline(123), None, "disabled by default");
-        let c = OverloadController::new(params().with_default_deadline_cycles(1_000));
+        let c = OverloadController::new(OverloadParams {
+            default_deadline_cycles: 1_000,
+            ..params()
+        });
         assert_eq!(
             c.implicit_deadline(123),
             Some(Deadline {
@@ -1179,7 +1175,10 @@ mod tests {
 
     #[test]
     fn plane_stamps_implicit_deadlines() {
-        let plane = OverloadPlane::new(params().with_default_deadline_cycles(10));
+        let plane = OverloadPlane::new(OverloadParams {
+            default_deadline_cycles: 10,
+            ..params()
+        });
         // A stale explicit deadline sheds; with none, the implicit
         // budget starts *now* and admits.
         let stale = plane.admit(100, Priority::Normal, Some(Deadline::after(0, 5)));

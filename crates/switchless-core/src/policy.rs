@@ -93,12 +93,6 @@ impl PolicyParams {
     pub fn micro_quantum_cycles(&self) -> u64 {
         (self.quantum_cycles / self.mu_inverse).max(1)
     }
-
-    /// Worker counts probed during one configuration phase:
-    /// `0, 1, …, max_workers`.
-    pub fn probe_plan(&self) -> impl Iterator<Item = usize> + '_ {
-        0..=self.max_workers
-    }
 }
 
 /// Wasted cycles `U = F·T_es + M·T` over an interval of `interval_cycles`.
@@ -514,7 +508,6 @@ mod tests {
         assert_eq!(p.mu_inverse, 100);
         assert_eq!(p.micro_quantum_cycles(), 380_000);
         assert_eq!(p.max_workers, 4);
-        assert_eq!(p.probe_plan().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

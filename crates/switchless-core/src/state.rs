@@ -79,28 +79,6 @@ impl WorkerState {
                 | (Paused, Exit)
         )
     }
-
-    /// `true` if a caller may claim a worker in this state.
-    #[must_use]
-    pub fn is_claimable(self) -> bool {
-        self == WorkerState::Unused
-    }
-
-    /// `true` if this is a terminal state.
-    #[must_use]
-    pub fn is_terminal(self) -> bool {
-        self == WorkerState::Exit
-    }
-
-    /// `true` while the worker is owned by some caller (claimed but not
-    /// yet released).
-    #[must_use]
-    pub fn is_owned_by_caller(self) -> bool {
-        matches!(
-            self,
-            WorkerState::Reserved | WorkerState::Processing | WorkerState::Waiting
-        )
-    }
 }
 
 impl fmt::Display for WorkerState {
@@ -160,7 +138,6 @@ mod tests {
         for s in WorkerState::ALL {
             assert!(!Exit.can_transition(s), "EXIT -> {s} must be illegal");
         }
-        assert!(Exit.is_terminal());
     }
 
     #[test]
@@ -168,17 +145,6 @@ mod tests {
         for s in WorkerState::ALL {
             assert!(!s.can_transition(s));
         }
-    }
-
-    #[test]
-    fn ownership_classification() {
-        assert!(Unused.is_claimable());
-        assert!(!Paused.is_claimable());
-        assert!(Reserved.is_owned_by_caller());
-        assert!(Processing.is_owned_by_caller());
-        assert!(Waiting.is_owned_by_caller());
-        assert!(!Unused.is_owned_by_caller());
-        assert!(!Paused.is_owned_by_caller());
     }
 
     #[test]

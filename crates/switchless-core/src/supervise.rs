@@ -86,15 +86,6 @@ impl SuperviseParams {
         }
     }
 
-    /// Builder-style override of the escalation threshold: `k` ledger
-    /// charges since the last restart escalate to a whole-enclave
-    /// restart (`0` disables).
-    #[must_use]
-    pub fn with_enclave_restart_threshold(mut self, k: u32) -> Self {
-        self.enclave_restart_threshold = k;
-        self
-    }
-
     /// Builder-style override of the watchdog deadline.
     #[must_use]
     pub fn with_watchdog_cycles(mut self, cycles: u64) -> Self {
@@ -650,7 +641,11 @@ mod tests {
 
     #[test]
     fn repeated_charges_escalate_to_enclave_restart() {
-        let mut sup = Supervisor::new(4, params().with_enclave_restart_threshold(3));
+        let escalating = SuperviseParams {
+            enclave_restart_threshold: 3,
+            ..params()
+        };
+        let mut sup = Supervisor::new(4, escalating);
         assert!(sup.record_failure(0, FailureKind::Crash, None, 0).is_none());
         assert!(sup.record_failure(1, FailureKind::Hang, None, 10).is_none());
         let d = sup.record_failure(2, FailureKind::WatchdogTimeout, None, 20);
@@ -676,9 +671,10 @@ mod tests {
     fn blacklist_wins_over_escalation_and_survives_restart() {
         let mut sup = Supervisor::new(
             4,
-            params()
-                .with_poison_threshold(2)
-                .with_enclave_restart_threshold(2),
+            SuperviseParams {
+                enclave_restart_threshold: 2,
+                ..params().with_poison_threshold(2)
+            },
         );
         let key = PoisonKey::new(FuncId(3), 512);
         sup.record_failure(0, FailureKind::Crash, Some(key), 0);

@@ -96,30 +96,6 @@ impl<'a> LmbenchDriver<'a> {
     }
 }
 
-/// Per-period op counts of the paper's 3-phase dynamic load, for a total
-/// of `periods` periods split evenly across doubling / constant / halving
-/// phases, starting at `initial_ops`.
-#[must_use]
-pub fn dynamic_schedule(initial_ops: u64, periods: usize) -> Vec<u64> {
-    let third = periods / 3;
-    let mut out = Vec::with_capacity(periods);
-    let mut ops = initial_ops.max(1);
-    for _ in 0..third {
-        out.push(ops);
-        ops = ops.saturating_mul(2);
-    }
-    let peak = out.last().copied().unwrap_or(ops);
-    for _ in 0..third {
-        out.push(peak);
-    }
-    let mut ops = peak;
-    for _ in out.len()..periods {
-        out.push(ops.max(1));
-        ops = (ops / 2).max(1);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,29 +117,5 @@ mod tests {
         assert_eq!(writes, 100);
         reader.close().unwrap();
         writer.close().unwrap();
-    }
-
-    #[test]
-    fn dynamic_schedule_shape() {
-        let s = dynamic_schedule(8, 12);
-        assert_eq!(s, vec![8, 16, 32, 64, 64, 64, 64, 64, 64, 32, 16, 8]);
-    }
-
-    #[test]
-    fn dynamic_schedule_never_zero() {
-        let s = dynamic_schedule(1, 30);
-        assert!(s.iter().all(|&x| x >= 1));
-        // Halving phase floors at 1.
-        assert_eq!(*s.last().unwrap(), 1);
-    }
-
-    #[test]
-    fn dynamic_schedule_non_multiple_of_three() {
-        let s = dynamic_schedule(4, 10);
-        assert_eq!(s.len(), 10);
-        // 3 doubling + 3 constant + 4 halving.
-        assert_eq!(&s[..3], &[4, 8, 16]);
-        assert_eq!(&s[3..6], &[16, 16, 16]);
-        assert_eq!(&s[6..], &[16, 8, 4, 2]);
     }
 }

@@ -340,10 +340,17 @@ impl ZcRuntime {
             shared.spawn_worker(i, 0, shared.workers[i].current());
         }
         let sh = Arc::clone(&shared);
+        let (started, first_step_applied) = std::sync::mpsc::channel();
         let scheduler_handle = std::thread::Builder::new()
             .name("zc-scheduler".into())
-            .spawn(move || scheduler::scheduler_loop(&sh))
+            .spawn(move || scheduler::scheduler_loop(&sh, started))
             .expect("failed to spawn zc scheduler");
+        // "Started" means "scheduler running": its first step re-posts
+        // every worker's command word, and a call racing that step
+        // could have what the host wrote there overwritten unseen. An
+        // `Err` is the thread gone before its first step; shutdown
+        // joins it and surfaces the panic.
+        let _ = first_step_applied.recv();
         let supervisor_handle = shared.supervisor.is_some().then(|| {
             let sh = Arc::clone(&shared);
             std::thread::Builder::new()

@@ -8,6 +8,7 @@
 use crate::buffer::SchedCommand;
 use crate::runtime::Shared;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::Sender;
 use std::time::Duration;
 use switchless_core::WorkerState;
 use zc_telemetry::SchedulerDriver;
@@ -17,8 +18,10 @@ const SLEEP_CHUNK: Duration = Duration::from_millis(5);
 
 /// Body of the scheduler thread: the host side of
 /// [`SchedulerDriver::step`] — read the clock, the fallback counter and
-/// the fleet cap, apply the step, sleep it out, publish.
-pub(crate) fn scheduler_loop(shared: &Shared) {
+/// the fleet cap, apply the step, sleep it out, publish. `started` is
+/// signalled once the first step has been applied.
+pub(crate) fn scheduler_loop(shared: &Shared, started: Sender<()>) {
+    let mut started = Some(started);
     let mut driver = SchedulerDriver::new(
         shared.config.policy_params(),
         shared.config.initial_workers,
@@ -39,6 +42,10 @@ pub(crate) fn scheduler_loop(shared: &Shared) {
             *shared.last_decision.lock() = Some(decision);
         }
         shared.decisions.store(step.decisions, Ordering::Release);
+        if let Some(started) = started.take() {
+            // `start_inner` is blocked on the other end.
+            let _ = started.send(());
+        }
 
         // Sleep out the step in real time (the scheduler itself is idle:
         // its CPU cost is negligible by design).

@@ -44,7 +44,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
 };
 pub use profile::{CallPhaseProfiler, Phase, PhaseRecorder, ProfileSnapshot, PHASES};
-pub use quantile::{Quantiles, WindowedQuantiles};
+pub use quantile::Quantiles;
 pub use scheduler::{SchedulerDriver, SchedulerStep};
 pub use slo::{OverloadSlo, SloReport};
 pub use tracer::Tracer;

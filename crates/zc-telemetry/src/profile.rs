@@ -267,13 +267,6 @@ impl CallPhaseProfiler {
         }
     }
 
-    /// Record one phase observation in isolation (incremental producers).
-    #[inline]
-    pub fn record_phase(&self, path: CallPath, phase: Phase, cycles: u64) {
-        let (p, owned) = self.shard(path);
-        p.phases[phase.index()].record(cycles, owned);
-    }
-
     /// Snapshot of every (path, phase) accumulator, summed over shards.
     #[must_use]
     pub fn snapshot(&self) -> ProfileSnapshot {
@@ -518,10 +511,13 @@ mod tests {
     #[test]
     fn phase_quantiles_come_from_histograms() {
         let prof = CallPhaseProfiler::new();
-        for _ in 0..99 {
-            prof.record_phase(CallPath::Switchless, Phase::Wait, 100);
-        }
-        prof.record_phase(CallPath::Switchless, Phase::Wait, 1_000_000);
+        let wait_only = |cycles| {
+            let mut phases = [0; PHASES];
+            phases[Phase::Wait.index()] = cycles;
+            prof.record_call(CallPath::Switchless, cycles, &phases);
+        };
+        (0..99).for_each(|_| wait_only(100));
+        wait_only(1_000_000);
         let snap = prof.snapshot();
         let wait = &snap.path(CallPath::Switchless).phases[Phase::Wait.index()];
         let q = wait.quantiles();

@@ -1,13 +1,13 @@
 //! Percentile math over log-linear histograms.
 //!
 //! One source of truth for the bucket geometry shared by the metrics
-//! registry ([`crate::metrics::Histogram`]), the phase profiler
-//! ([`crate::profile`]) and `sgx-sim`'s `OcallProfiler`. The geometry is
-//! *log-linear*: each power-of-two octave `[2^o, 2^(o+1))` is split into
-//! four linear sub-buckets, so a bucket's width is at most 1/4 of its
-//! lower edge (25% relative error) instead of the 2× of plain log₂
-//! buckets. Values 0–3 get exact singleton buckets; the last bucket
-//! absorbs everything larger than its lower edge.
+//! registry ([`crate::metrics::Histogram`]) and the phase profiler
+//! ([`crate::profile`]). The geometry is *log-linear*: each
+//! power-of-two octave `[2^o, 2^(o+1))` is split into four linear
+//! sub-buckets, so a bucket's width is at most 1/4 of its lower edge
+//! (25% relative error) instead of the 2× of plain log₂ buckets. Values
+//! 0–3 get exact singleton buckets; the last bucket absorbs everything
+//! larger than its lower edge.
 //!
 //! Plain log₂ buckets proved too coarse at call-overhead scale: every
 //! latency sample of a homogeneous workload landed in one bucket and
@@ -22,7 +22,6 @@
 //! down. Reports quote the conservative upper edge.
 
 use crate::metrics::HIST_BUCKETS;
-use std::collections::VecDeque;
 
 /// Bucket index of a value. Values below 4 map to their own singleton
 /// buckets; a value in octave `o = floor(log2 v)` maps to
@@ -126,85 +125,6 @@ impl Quantiles {
     }
 }
 
-/// Windowed percentile estimator for non-stationary runs.
-///
-/// Keeps up to `max_windows` per-window log₂ histograms; estimates are
-/// computed over the kept windows only, so after a load shift the old
-/// regime ages out once its windows are rolled away — a plain cumulative
-/// histogram would stay contaminated forever. Single-threaded by design
-/// (the report-building cold path); the lock-free hot-path accumulation
-/// lives in [`crate::profile::CallPhaseProfiler`].
-#[derive(Debug, Clone)]
-pub struct WindowedQuantiles {
-    windows: VecDeque<[u64; HIST_BUCKETS]>,
-    max_windows: usize,
-}
-
-impl WindowedQuantiles {
-    /// Estimator keeping at most `max_windows` windows (minimum 1),
-    /// starting with one empty current window.
-    #[must_use]
-    pub fn new(max_windows: usize) -> Self {
-        let mut windows = VecDeque::new();
-        windows.push_back([0u64; HIST_BUCKETS]);
-        WindowedQuantiles {
-            windows,
-            max_windows: max_windows.max(1),
-        }
-    }
-
-    /// Record one observation into the current window.
-    pub fn record(&mut self, value: u64) {
-        let w = self.windows.back_mut().expect("at least one window");
-        w[bucket_index(value)] += 1;
-    }
-
-    /// Close the current window and open a fresh one, evicting the
-    /// oldest window beyond the retention limit.
-    pub fn roll(&mut self) {
-        self.windows.push_back([0u64; HIST_BUCKETS]);
-        while self.windows.len() > self.max_windows {
-            self.windows.pop_front();
-        }
-    }
-
-    /// Windows currently retained (including the open one).
-    #[must_use]
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Observations across the retained windows.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.windows.iter().flatten().sum()
-    }
-
-    /// Merged per-bucket counts over the retained windows.
-    #[must_use]
-    pub fn merged_counts(&self) -> [u64; HIST_BUCKETS] {
-        let mut out = [0u64; HIST_BUCKETS];
-        for w in &self.windows {
-            for (o, c) in out.iter_mut().zip(w.iter()) {
-                *o += c;
-            }
-        }
-        out
-    }
-
-    /// Upper-edge q-th percentile over the retained windows.
-    #[must_use]
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        percentile(&self.merged_counts(), q)
-    }
-
-    /// p50/p99/p99.9 over the retained windows.
-    #[must_use]
-    pub fn quantiles(&self) -> Quantiles {
-        Quantiles::from_counts(&self.merged_counts())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,27 +192,5 @@ mod tests {
         let q = Quantiles::from_counts(&counts);
         assert_eq!(q.p50, bucket_upper(bucket_index(100)));
         assert_eq!(q.p999, bucket_upper(bucket_index(1_000_000)));
-    }
-
-    #[test]
-    fn windowed_estimator_forgets_old_regime() {
-        let mut w = WindowedQuantiles::new(3);
-        for _ in 0..100 {
-            w.record(100);
-        }
-        assert!(w.percentile(0.5).unwrap() < 256, "low regime");
-        // Load shift: three windows of the high regime evict the low one.
-        for _ in 0..3 {
-            w.roll();
-            for _ in 0..100 {
-                w.record(100_000);
-            }
-        }
-        assert_eq!(w.window_count(), 3);
-        let p50 = w.percentile(0.5).unwrap();
-        let (lo, hi) = percentile_bounds(&w.merged_counts(), 0.5).unwrap();
-        assert!(lo <= 100_000 && 100_000 <= hi, "p50 tracks the new regime");
-        assert!(p50 >= 65_536, "old fast samples aged out, got {p50}");
-        assert_eq!(w.count(), 300);
     }
 }

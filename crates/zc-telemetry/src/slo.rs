@@ -271,9 +271,6 @@ impl OverloadSlo {
 pub struct SloReport {
     /// Producer label (bench scenario / sim name).
     pub label: String,
-    /// Tenant this report is scoped to, for multi-tenant fleet runs
-    /// (`None` for single-tenant producers).
-    pub tenant: Option<String>,
     /// Cycle frequency used to convert cycles to seconds.
     pub freq_hz: u64,
     /// Run length in cycles (for goodput).
@@ -298,7 +295,6 @@ impl SloReport {
     ) -> SloReport {
         SloReport {
             label: label.to_string(),
-            tenant: None,
             freq_hz,
             elapsed_cycles,
             paths: snap
@@ -318,28 +314,10 @@ impl SloReport {
         self
     }
 
-    /// Scope the report to one tenant of a fleet (builder style). The
-    /// tenant name is carried in both JSON renderings.
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: impl Into<String>) -> SloReport {
-        self.tenant = Some(tenant.into());
-        self
-    }
-
     /// Summary for one path, if it saw traffic.
     #[must_use]
     pub fn path(&self, path: CallPath) -> Option<&PathSlo> {
         self.paths.iter().find(|p| p.path == path)
-    }
-
-    /// `"tenant":"…",` when scoped, empty otherwise — spliced into both
-    /// JSON headers so single-tenant payloads are byte-identical to the
-    /// pre-fleet schema.
-    fn tenant_field(&self) -> String {
-        match &self.tenant {
-            Some(t) => format!("\"tenant\":\"{}\",", json_escape(t)),
-            None => String::new(),
-        }
     }
 
     /// Worst per-path conservation error (0.0 for an empty report).
@@ -357,10 +335,9 @@ impl SloReport {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str(&format!(
-            "{{\"schema\":\"slo_report_v1\",\"label\":\"{}\",{}\"freq_hz\":{},\
+            "{{\"schema\":\"slo_report_v1\",\"label\":\"{}\",\"freq_hz\":{},\
              \"elapsed_cycles\":{},\"max_conservation_error\":{},\"paths\":[",
             json_escape(&self.label),
-            self.tenant_field(),
             self.freq_hz,
             self.elapsed_cycles,
             fmt_f64(self.max_conservation_error(), 6),
@@ -386,10 +363,9 @@ impl SloReport {
     pub fn to_jsonl(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str(&format!(
-            "{{\"kind\":\"slo_report\",\"label\":\"{}\",{}\"freq_hz\":{},\
+            "{{\"kind\":\"slo_report\",\"label\":\"{}\",\"freq_hz\":{},\
              \"elapsed_cycles\":{},\"paths\":{}}}\n",
             json_escape(&self.label),
-            self.tenant_field(),
             self.freq_hz,
             self.elapsed_cycles,
             self.paths.len(),
@@ -567,21 +543,6 @@ mod tests {
         assert!(!sample_report().to_json().contains("overload"));
         let broken = OverloadSlo { completed: 76, ..o };
         assert!(!broken.conserves());
-    }
-
-    #[test]
-    fn tenant_label_is_carried_in_both_renderings() {
-        let r = sample_report().with_tenant("tenant-a");
-        assert!(r.to_json().contains("\"label\":"));
-        assert!(r.to_json().contains("\"tenant\":\"tenant-a\","));
-        assert!(r.to_jsonl().contains("\"tenant\":\"tenant-a\","));
-        assert_eq!(
-            r.to_json().matches('{').count(),
-            r.to_json().matches('}').count()
-        );
-        // Unscoped reports keep the pre-fleet schema byte-for-byte.
-        assert!(!sample_report().to_json().contains("tenant"));
-        assert!(!sample_report().to_jsonl().contains("tenant"));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Property tests of the histogram percentile estimators: the log₂
 //! buckets lose precision but must never lose *bracketing* — every
 //! histogram-derived percentile bounds the exact sample percentile
-//! within one bucket — and the windowed estimator must track a step
-//! change in the observed load once the old windows age out.
+//! within one bucket.
 
 use proptest::prelude::*;
 use switchless_core::policy::ConvergenceTracker;
@@ -10,7 +9,7 @@ use switchless_core::rand::SplitMix64;
 use zc_telemetry::quantile::{
     bucket_index, bucket_lower, bucket_upper, nearest_rank, percentile_bounds,
 };
-use zc_telemetry::{Quantiles, WindowedQuantiles, HIST_BUCKETS};
+use zc_telemetry::{Quantiles, HIST_BUCKETS};
 
 /// Exact nearest-rank percentile of a sample set.
 fn exact_percentile(samples: &[u64], q: f64) -> u64 {
@@ -80,43 +79,6 @@ proptest! {
         let q = Quantiles::from_counts(&histogram(&samples));
         prop_assert!(q.p50 <= q.p99);
         prop_assert!(q.p99 <= q.p999);
-    }
-
-    /// The windowed estimator tracks a step change in the load: before
-    /// the shift its p50 sits in the low-value bucket; once the shift's
-    /// windows displace the old ones, its p50 sits in the high-value
-    /// bucket (a whole-history histogram would stay biased forever).
-    #[test]
-    fn windowed_estimator_tracks_step_change(
-        low in 1u64..4096,
-        shift in 8u32..20,
-        per_window in 1usize..40,
-        windows in 2usize..6,
-    ) {
-        let high = low << shift;
-        prop_assert!(bucket_index(high) > bucket_index(low));
-        let mut est = WindowedQuantiles::new(windows);
-        for _ in 0..windows {
-            for _ in 0..per_window {
-                est.record(low);
-            }
-            est.roll();
-        }
-        // Settled on the old load.
-        prop_assert_eq!(est.percentile(0.50), Some(bucket_upper(bucket_index(low))));
-        // Step change: the load jumps to `high`.
-        for _ in 0..windows {
-            for _ in 0..per_window {
-                est.record(high);
-            }
-            est.roll();
-        }
-        // Every low window has aged out; the estimate has converged.
-        // (The open current window is empty, so `windows - 1` sealed
-        // high windows remain in history.)
-        prop_assert_eq!(est.count(), ((windows - 1) * per_window) as u64);
-        prop_assert_eq!(est.percentile(0.50), Some(bucket_upper(bucket_index(high))));
-        prop_assert_eq!(est.quantiles().p999, bucket_upper(bucket_index(high)));
     }
 
     /// Bracketing survives bursty MMPP-shaped input: bimodal samples

@@ -63,7 +63,7 @@ fn real_runtime_demo() -> Result<(), Box<dyn std::error::Error>> {
 fn simulator_demo() {
     println!("\n=== deterministic simulator (paper's 8-core machine) ===");
     use zc_des::ocall::CallDesc;
-    use zc_des::workload::{Phase, PhaseMode, PhasedLoad};
+    use zc_des::workload::PhasedLoad;
     use zc_des::{Mechanism, SimConfig, WorkloadSpec, ZcSimParams};
 
     let cpu = CpuSpec::paper_machine();
@@ -72,25 +72,8 @@ fn simulator_demo() {
         ret_bytes: 8,
         ..CallDesc::default()
     };
-    let load = PhasedLoad {
-        call,
-        period_cycles: cpu.freq_hz / 10, // 100 ms periods
-        initial_ops: 1_000,
-        phases: vec![
-            Phase {
-                duration_cycles: cpu.freq_hz,
-                mode: PhaseMode::Doubling,
-            },
-            Phase {
-                duration_cycles: cpu.freq_hz,
-                mode: PhaseMode::Constant,
-            },
-            Phase {
-                duration_cycles: cpu.freq_hz,
-                mode: PhaseMode::Halving,
-            },
-        ],
-    };
+    // 3 × 1 s phases (doubling, constant, halving), 100 ms periods.
+    let load = PhasedLoad::dynamic(call, cpu.freq_hz, 1, 100, 1_000);
     // Two callers: the wasted-cycle objective U = F*T_es + M*T only
     // favours workers when concurrent fallbacks outweigh a pinned core,
     // which needs more than one enclave thread (see DESIGN.md).

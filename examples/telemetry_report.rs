@@ -11,7 +11,9 @@
 //! Along the way it prints the scheduler's decision timeline — the
 //! measured fallback counts `F_i` and derived costs `U_i` behind every
 //! argmin — a per-function routing table built from the per-call
-//! events, and one call's timeline across the planes, joined by its id
+//! events with the SDK's "short + frequent" switchless recommendation
+//! per function (the paper's §VII monitoring extension), and one call's
+//! timeline across the planes, joined by its id
 //! (the seed of ROADMAP [one-event]'s `zc-report`).
 //!
 //! Run with: `cargo run --release --example telemetry_report`
@@ -33,14 +35,18 @@ fn run_runtime(hub: &Arc<Telemetry>) -> Result<ZcRuntime, Box<dyn std::error::Er
     let mut table = OcallTable::new();
     let enclave = Enclave::new_virtual(CpuSpec::paper_machine());
     let clock = enclave.clock();
+    // The host functions cost modelled cycles by advancing the clock,
+    // not by `spin_cycles`: a virtual spin also yields, and the
+    // free-running scheduler thread would step the clock inside every
+    // call's `execute` window.
     let c2 = clock.clone();
     let fast = table.register("fast_op", move |_: &[u64; 6], _: &[u8], _: &mut Vec<u8>| {
-        c2.spin_cycles(2_000);
+        c2.advance_cycles(2_000);
         0
     });
     let c3 = clock.clone();
     let slow = table.register("slow_op", move |_: &[u64; 6], _: &[u8], _: &mut Vec<u8>| {
-        c3.spin_cycles(150_000);
+        c3.advance_cycles(150_000);
         0
     });
     // Short quantum so several scheduling decisions land in the demo;
@@ -146,10 +152,18 @@ fn print_decisions(events: &[RecordedEvent]) {
     }
 }
 
+/// The per-function routing table, plus the build-time analysis the
+/// paper argues developers cannot do by hand (§III-A), done from the
+/// trace: the Intel SDK's guidance is to mark a routine switchless if
+/// it is *short* (here: median `execute` phase at most `2 × T_es`, so a
+/// switchless execution at least halves the per-call cost) and
+/// *frequent* (at least 100 calls and 1 % of all calls). The median,
+/// because on the virtual clock a scheduler step that lands inside a
+/// call adds a whole (micro-)quantum to it.
 fn print_call_table(events: &[RecordedEvent]) {
     println!("\n--- routed calls by function ---");
-    // func -> (switchless, fallback, regular, total cycles)
-    let mut rows: BTreeMap<u16, (u64, u64, u64, u64)> = BTreeMap::new();
+    // func -> (switchless, fallback, regular, total cycles, execute cycles per call)
+    let mut rows: BTreeMap<u16, (u64, u64, u64, u64, Vec<u64>)> = BTreeMap::new();
     for ev in events {
         if let Event::CallPhases {
             func, path, phases, ..
@@ -162,17 +176,29 @@ fn print_call_table(events: &[RecordedEvent]) {
                 CallPath::Regular => row.2 += 1,
             }
             row.3 = row.3.saturating_add(phases.iter().sum());
+            row.4.push(phases[Phase::Execute.index()]);
         }
     }
     println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>12}",
-        "func", "switchless", "fallback", "regular", "mean (cyc)"
+        "{:>6} {:>10} {:>10} {:>10} {:>12} {:>14}  SDK guidance",
+        "func", "switchless", "fallback", "regular", "mean (cyc)", "p50 exec (cyc)"
     );
-    for (func, (s, f, r, cycles)) in &rows {
-        let calls = s + f + r;
+    let all_calls: usize = rows.values().map(|row| row.4.len()).sum();
+    let t_es = CpuSpec::paper_machine().t_es_cycles;
+    for (func, (s, f, r, cycles, execute)) in &mut rows {
+        let calls = execute.len();
+        execute.sort_unstable();
+        let execute = execute[calls / 2];
+        let guidance = if calls < 100 || calls * 100 < all_calls {
+            "too rare to matter"
+        } else if execute <= 2 * t_es {
+            "switchless candidate"
+        } else {
+            "keep regular"
+        };
         println!(
-            "{func:>6} {s:>10} {f:>10} {r:>10} {:>12}",
-            cycles.checked_div(calls).unwrap_or(0)
+            "{func:>6} {s:>10} {f:>10} {r:>10} {:>12} {execute:>14}  {guidance}",
+            *cycles / calls as u64
         );
     }
 }
