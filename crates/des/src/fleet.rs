@@ -192,8 +192,7 @@ pub struct FleetReport {
 impl FleetReport {
     /// Per-tenant conservation ledger: each tenant's
     /// `offered == completed + shed + abandoned + refused` from its own
-    /// counters, plus the cross-tenant leakage check on the summed
-    /// global row.
+    /// counters.
     #[must_use]
     pub fn snapshot(&self) -> FleetSnapshot {
         FleetSnapshot::from_tenants(
@@ -209,12 +208,6 @@ impl FleetReport {
                 })
                 .collect(),
         )
-    }
-
-    /// `true` iff every tenant and the global row conserve exactly.
-    #[must_use]
-    pub fn conserves(&self) -> bool {
-        self.snapshot().conserves()
     }
 }
 
@@ -493,7 +486,7 @@ mod tests {
         for r in [&ca, &ev] {
             assert_eq!(r.tenants[0].counters.total_calls(), 4_000);
             assert_eq!(r.tenants[1].counters.total_calls(), 2_000);
-            assert!(r.conserves());
+            r.snapshot().check().expect("fleet conservation");
         }
     }
 
@@ -519,7 +512,7 @@ mod tests {
         // it never loses its calls.
         assert_eq!(r.tenants[0].counters.total_calls(), 40_000);
         assert_eq!(r.tenants[1].counters.total_calls(), 40_000);
-        assert!(r.conserves());
+        r.snapshot().check().expect("fleet conservation");
         // The honest shard saw zero guard violations; the Byzantine
         // shard's violations were charged to it alone.
         assert_eq!(r.tenants[0].fault_recovery.guard_violations, 0);

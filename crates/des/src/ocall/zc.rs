@@ -1390,7 +1390,6 @@ impl crate::kernel::Actor for ZcEnclaveActor {
             let cycles = {
                 let plane = wld.recovery.as_ref().expect("spawned with recovery");
                 plane.begin_crash();
-                plane.begin_restart();
                 plane.params().restart_cycles
             };
             self.restarting = true;

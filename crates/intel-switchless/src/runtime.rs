@@ -22,6 +22,7 @@ use sgx_sim::{Enclave, RegularOcall};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
+use switchless_core::config::intel_default_task_pool;
 use switchless_core::{
     CallPath, CallStats, DrainReport, FaultInjector, GuardViolation, IntelConfig, OcallDispatcher,
     OcallRequest, OcallTable, OverloadSnapshot, RecoverySnapshot, SwitchlessError, TenantUsage,
@@ -175,7 +176,7 @@ impl IntelSwitchless {
             .collect();
         let shared = Arc::new_cyclic(|me| Shared {
             me: me.clone(),
-            pool: TaskPool::new(config.task_pool_capacity),
+            pool: TaskPool::new(intel_default_task_pool(config.num_uworkers)),
             door: FrontDoor::new(
                 RegularOcall::new(Arc::clone(&table), enclave),
                 faults,
@@ -305,12 +306,6 @@ impl Transport for Shared {
         rec: &mut Rec,
     ) -> Result<(i64, CallPath), SwitchlessError> {
         route(self, req, payload_in, payload_out, rec)
-    }
-
-    /// This runtime has no configured reply bound; the reconcile guard
-    /// only validates the journal slot's sequence tag.
-    fn max_reply_bytes(&self) -> usize {
-        usize::MAX
     }
 }
 

@@ -121,10 +121,6 @@ pub trait Transport {
         rec: &mut Rec,
     ) -> Result<(i64, CallPath), SwitchlessError>;
 
-    /// Reply-length bound of the guard that validates journal slots
-    /// during reconciliation.
-    fn max_reply_bytes(&self) -> usize;
-
     /// Is this request shape pinned to the regular path before it is
     /// journaled (zc: the supervisor's poison blacklist)?
     fn pinned_regular(&self, _req: &OcallRequest, _payload_len: usize) -> bool {
@@ -631,7 +627,6 @@ pub fn enclave_restart<T: Transport>(t: &T) {
         .as_ref()
         .expect("enclave restart without a recovery plane");
     t.fence_workers();
-    plane.begin_restart();
     door.clock
         .advance_cycles(plane.params().restart_cycles.max(1));
     t.respawn_workers();
@@ -701,7 +696,9 @@ fn recover_call<T: Transport>(
     rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
     let door = t.door();
-    let guard = ReplyGuard::new(t.max_reply_bytes());
+    // Only the journal slot's sequence tag is validated: no reply
+    // length is involved, so no bound applies.
+    let guard = ReplyGuard::new(usize::MAX);
     match plane.reconcile_with_class(req.seq, guard, req.idempotency_class()) {
         ReconcileVerdict::Replay => {
             door.caller_event(Event::JournalReplay { seq: req.seq });

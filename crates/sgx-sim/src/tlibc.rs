@@ -132,107 +132,6 @@ pub fn memcpy_zc(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// tlibc-style `memset` (volatile byte stores, mirroring the SDK's
-/// non-vectorised loop).
-pub fn memset_vanilla(dst: &mut [u8], value: u8) {
-    let d = dst.as_mut_ptr();
-    for i in 0..dst.len() {
-        unsafe { d.add(i).write_volatile(value) };
-    }
-}
-
-/// Optimised `memset` (`rep stosb`-equivalent via the write intrinsic).
-pub fn memset_zc(dst: &mut [u8], value: u8) {
-    unsafe { std::ptr::write_bytes(dst.as_mut_ptr(), value, dst.len()) };
-}
-
-/// tlibc-style `memcmp`: byte-by-byte volatile compare (no SIMD), early
-/// exit on the first difference. Returns `<0`, `0` or `>0` like C.
-#[must_use]
-pub fn memcmp_vanilla(a: &[u8], b: &[u8]) -> i32 {
-    let n = a.len().min(b.len());
-    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    for i in 0..n {
-        let (x, y) = unsafe { (pa.add(i).read_volatile(), pb.add(i).read_volatile()) };
-        if x != y {
-            return i32::from(x) - i32::from(y);
-        }
-    }
-    // C memcmp compares exactly n bytes; for the slice API we order by
-    // length when the common prefix matches.
-    (a.len() as i64 - b.len() as i64).clamp(-1, 1) as i32
-}
-
-/// Optimised `memcmp` (the compiler's vectorised slice comparison).
-#[must_use]
-pub fn memcmp_zc(a: &[u8], b: &[u8]) -> i32 {
-    match a.cmp(b) {
-        std::cmp::Ordering::Less => -1,
-        std::cmp::Ordering::Equal => 0,
-        std::cmp::Ordering::Greater => 1,
-    }
-}
-
-/// tlibc-style `memmove`: byte-by-byte volatile copy choosing direction
-/// by overlap, for a single buffer with potentially overlapping `src`
-/// and `dst` ranges.
-///
-/// # Panics
-///
-/// Panics if either range exceeds the buffer.
-pub fn memmove_vanilla(buf: &mut [u8], src: usize, dst: usize, len: usize) {
-    assert!(
-        src + len <= buf.len() && dst + len <= buf.len(),
-        "memmove out of range"
-    );
-    let p = buf.as_mut_ptr();
-    unsafe {
-        if dst < src {
-            for i in 0..len {
-                p.add(dst + i)
-                    .write_volatile(p.add(src + i).read_volatile());
-            }
-        } else {
-            for i in (0..len).rev() {
-                p.add(dst + i)
-                    .write_volatile(p.add(src + i).read_volatile());
-            }
-        }
-    }
-}
-
-/// Optimised `memmove` (`ptr::copy`, overlap-safe).
-///
-/// # Panics
-///
-/// Panics if either range exceeds the buffer.
-pub fn memmove_zc(buf: &mut [u8], src: usize, dst: usize, len: usize) {
-    assert!(
-        src + len <= buf.len() && dst + len <= buf.len(),
-        "memmove out of range"
-    );
-    unsafe { std::ptr::copy(buf.as_ptr().add(src), buf.as_mut_ptr().add(dst), len) };
-}
-
-/// tlibc-style `strlen` over a NUL-terminated buffer (volatile byte
-/// scan). Returns the index of the first NUL, or `buf.len()`.
-#[must_use]
-pub fn strlen_vanilla(buf: &[u8]) -> usize {
-    let p = buf.as_ptr();
-    for i in 0..buf.len() {
-        if unsafe { p.add(i).read_volatile() } == 0 {
-            return i;
-        }
-    }
-    buf.len()
-}
-
-/// Optimised `strlen` (the vectorised iterator search).
-#[must_use]
-pub fn strlen_zc(buf: &[u8]) -> usize {
-    buf.iter().position(|&b| b == 0).unwrap_or(buf.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,71 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn memset_fills() {
-        let mut b = vec![0u8; 37];
-        memset_vanilla(&mut b, 0xAB);
-        assert!(b.iter().all(|&x| x == 0xAB));
-        memset_vanilla(&mut [], 1); // empty is fine
-    }
-
-    #[test]
     fn default_kind_is_zc() {
         assert_eq!(MemcpyKind::default(), MemcpyKind::Zc);
-    }
-
-    #[test]
-    fn memset_variants_agree() {
-        let mut a = vec![1u8; 100];
-        let mut b = vec![2u8; 100];
-        memset_vanilla(&mut a, 0x5A);
-        memset_zc(&mut b, 0x5A);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn memcmp_variants_agree() {
-        let cases: [(&[u8], &[u8]); 6] = [
-            (b"abc", b"abc"),
-            (b"abc", b"abd"),
-            (b"abd", b"abc"),
-            (b"ab", b"abc"),
-            (b"abc", b"ab"),
-            (b"", b""),
-        ];
-        for (a, b) in cases {
-            assert_eq!(
-                memcmp_vanilla(a, b).signum(),
-                memcmp_zc(a, b).signum(),
-                "memcmp({a:?}, {b:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn memmove_variants_agree_on_overlap() {
-        for (src, dst, len) in [(0usize, 4usize, 8usize), (4, 0, 8), (2, 3, 6), (3, 2, 6)] {
-            let base: Vec<u8> = (0..16).collect();
-            let mut a = base.clone();
-            let mut b = base.clone();
-            memmove_vanilla(&mut a, src, dst, len);
-            memmove_zc(&mut b, src, dst, len);
-            assert_eq!(a, b, "memmove src={src} dst={dst} len={len}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn memmove_bounds_checked() {
-        memmove_vanilla(&mut [0u8; 4], 2, 0, 4);
-    }
-
-    #[test]
-    fn strlen_variants_agree() {
-        assert_eq!(strlen_vanilla(b"hello\0world"), 5);
-        assert_eq!(strlen_zc(b"hello\0world"), 5);
-        assert_eq!(strlen_vanilla(b"no nul"), 6);
-        assert_eq!(strlen_zc(b"no nul"), 6);
-        assert_eq!(strlen_vanilla(b""), 0);
-        assert_eq!(strlen_zc(b""), 0);
     }
 }

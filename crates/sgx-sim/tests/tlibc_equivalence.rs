@@ -5,15 +5,12 @@
 //! between a word path (pointers congruent mod 8) and a byte path — so
 //! the *correctness* of both our models has to hold at every alignment
 //! phase and at every size that straddles the prefix/word-body/tail
-//! thresholds. Each primitive is checked against a naive index-loop
+//! thresholds. Both copies are checked against a naive index-loop
 //! oracle across alignment offsets `0..16` for source and destination
 //! (covering every congruent and incongruent phase pair twice) and a
 //! size ladder spanning the 8-byte word boundaries.
 
-use sgx_sim::tlibc::{
-    memcmp_vanilla, memcmp_zc, memcpy_vanilla, memcpy_zc, memmove_vanilla, memmove_zc,
-    memset_vanilla, memset_zc, strlen_vanilla, strlen_zc, MemcpyKind,
-};
+use sgx_sim::tlibc::{memcpy_vanilla, memcpy_zc, MemcpyKind};
 
 /// Sizes straddling every interesting threshold: empty, sub-word, the
 /// word boundary itself, word ±1, multi-word ±1, and page-ish bulk.
@@ -108,114 +105,5 @@ fn memcpy_kind_dispatch_matches_free_functions() {
         let mut dst = vec![0u8; data.len()];
         kind.copy(&mut dst, &data);
         assert_eq!(dst, data, "{kind:?} dispatch must copy faithfully");
-    }
-}
-
-#[test]
-fn memset_vanilla_and_zc_agree_across_alignments_and_sizes() {
-    for &n in SIZES {
-        for off in OFFSETS {
-            for value in [0u8, 1, 0x5A, 0xFF] {
-                let mut a1 = arena(n + 16);
-                let b1 = bytes(&mut a1);
-                memset_vanilla(&mut b1[off..off + n], value);
-                let mut a2 = arena(n + 16);
-                let b2 = bytes(&mut a2);
-                memset_zc(&mut b2[off..off + n], value);
-                assert_eq!(
-                    &b1[off..off + n],
-                    &b2[off..off + n],
-                    "n={n} off={off} v={value}"
-                );
-                assert!(b1[off..off + n].iter().all(|&b| b == value));
-                assert!(b1[..off].iter().all(|&b| b == 0), "memset underflow");
-                assert!(b1[off + n..].iter().all(|&b| b == 0), "memset overflow");
-            }
-        }
-    }
-}
-
-#[test]
-fn memcmp_vanilla_and_zc_agree_on_sign() {
-    for &n in SIZES {
-        let base = pattern(n, 1);
-        // Equal buffers.
-        assert_eq!(memcmp_vanilla(&base, &base), 0, "n={n}");
-        assert_eq!(memcmp_zc(&base, &base), 0, "n={n}");
-        // A single differing byte at the front, middle, back.
-        for pos in [0usize, n / 2, n.saturating_sub(1)] {
-            if n == 0 {
-                continue;
-            }
-            let mut hi = base.clone();
-            hi[pos] = hi[pos].wrapping_add(1).max(1);
-            let mut lo = base.clone();
-            lo[pos] = 0;
-            for (a, b) in [(&hi, &base), (&base, &hi), (&lo, &hi), (&hi, &lo)] {
-                let v = memcmp_vanilla(a, b);
-                let z = memcmp_zc(a, b);
-                assert_eq!(
-                    v.signum(),
-                    z.signum(),
-                    "sign mismatch at n={n} pos={pos}: vanilla={v} zc={z}"
-                );
-            }
-        }
-        // Prefix-of relation orders by length.
-        if n > 0 {
-            let shorter = &base[..n - 1];
-            assert_eq!(memcmp_vanilla(shorter, &base).signum(), -1, "n={n}");
-            assert_eq!(memcmp_zc(shorter, &base).signum(), -1, "n={n}");
-        }
-    }
-}
-
-#[test]
-fn memmove_vanilla_and_zc_agree_under_overlap() {
-    // Forward, backward and disjoint moves at every distance 0..16 and
-    // threshold-spanning lengths, vs a copy-out oracle.
-    for &len in &[0usize, 1, 7, 8, 9, 16, 17, 64, 65, 256] {
-        for dist in 0..16usize {
-            let size = len + dist + 32;
-            let init = pattern(size, len + dist);
-            for (src, dst) in [(dist, 0), (0, dist), (8, 8 + dist)] {
-                if src + len > size || dst + len > size {
-                    continue;
-                }
-                // Oracle: copy the source range out first, then paste.
-                let mut oracle = init.clone();
-                let chunk: Vec<u8> = oracle[src..src + len].to_vec();
-                oracle[dst..dst + len].copy_from_slice(&chunk);
-
-                let mut b1 = init.clone();
-                memmove_vanilla(&mut b1, src, dst, len);
-                assert_eq!(b1, oracle, "vanilla memmove len={len} src={src} dst={dst}");
-
-                let mut b2 = init.clone();
-                memmove_zc(&mut b2, src, dst, len);
-                assert_eq!(b2, oracle, "zc memmove len={len} src={src} dst={dst}");
-            }
-        }
-    }
-}
-
-#[test]
-fn strlen_vanilla_and_zc_agree() {
-    for &n in SIZES {
-        // NUL at every position, plus no NUL at all.
-        let mut positions: Vec<usize> = (0..n.min(24)).collect();
-        positions.extend([n / 2, n.saturating_sub(1)]);
-        for &p in &positions {
-            if p >= n {
-                continue;
-            }
-            let mut buf: Vec<u8> = (0..n).map(|i| (i % 250 + 1) as u8).collect();
-            buf[p] = 0;
-            assert_eq!(strlen_vanilla(&buf), p, "n={n} p={p}");
-            assert_eq!(strlen_zc(&buf), p, "n={n} p={p}");
-        }
-        let no_nul: Vec<u8> = vec![7u8; n];
-        assert_eq!(strlen_vanilla(&no_nul), n);
-        assert_eq!(strlen_zc(&no_nul), n);
     }
 }

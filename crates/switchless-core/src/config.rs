@@ -38,7 +38,13 @@ pub const DEFAULT_POOL_BYTES: usize = 64 * 1024;
 /// both `retries_before_fallback` and `retries_before_sleep` are 20 000.
 pub const INTEL_DEFAULT_RETRIES: u32 = 20_000;
 
-/// Default Intel task-pool capacity: two slots per worker, at least 4.
+/// The most reply payload a single ZC ocall may copy back into the
+/// enclave: host-declared reply lengths are clamped to this bound by the
+/// trusted-side guard, so it bounds the enclave memory one hostile reply
+/// can touch.
+pub const MAX_REPLY_BYTES: usize = 1024 * 1024;
+
+/// Intel task-pool capacity: two slots per worker, at least 4.
 #[must_use]
 pub fn intel_default_task_pool(workers: usize) -> usize {
     (2 * workers).max(4)
@@ -58,10 +64,6 @@ pub struct IntelConfig {
     pub retries_before_fallback: u32,
     /// Pauses a *worker* spends polling for tasks before sleeping (`rbs`).
     pub retries_before_sleep: u32,
-    /// Capacity of the shared task pool (SDK default: one slot per
-    /// worker-facing task "window"; we default to
-    /// [`intel_default_task_pool`]).
-    pub task_pool_capacity: usize,
     /// Respawn crashed/hung workers instead of letting the pool shrink
     /// permanently. Off by default: the SDK library has no such
     /// mechanism, so the default stays SDK-faithful.
@@ -88,7 +90,6 @@ impl IntelConfig {
             num_uworkers: workers,
             retries_before_fallback: INTEL_DEFAULT_RETRIES,
             retries_before_sleep: INTEL_DEFAULT_RETRIES,
-            task_pool_capacity: intel_default_task_pool(workers),
             respawn_workers: false,
             overload: None,
             recovery: None,
@@ -168,12 +169,6 @@ pub struct ZcConfig {
     /// Fallback weight of the scheduler argmin (see
     /// [`crate::policy::PolicyParams::fallback_weight`]).
     pub fallback_weight: u64,
-    /// Caller-declared output capacity in bytes: the most reply payload
-    /// a single ocall may copy back into the enclave. Host-declared
-    /// reply lengths are clamped to this bound by the trusted-side
-    /// guard (machine-derived, not workload knowledge: it bounds the
-    /// enclave memory one hostile reply can touch).
-    pub max_reply_bytes: usize,
     /// Self-healing supervision ([`SuperviseParams`]). `None` (the
     /// default) preserves the paper's original lifecycle: crashed
     /// workers stay quarantined and hung workers are abandoned at
@@ -208,7 +203,6 @@ impl ZcConfig {
             initial_workers: cpu.zc_max_workers(),
             pool_bytes: DEFAULT_POOL_BYTES,
             fallback_weight: DEFAULT_FALLBACK_WEIGHT,
-            max_reply_bytes: 1024 * 1024,
             supervise: None,
             overload: None,
             recovery: None,
@@ -261,14 +255,6 @@ impl ZcConfig {
         self
     }
 
-    /// Builder-style enable of overload control with machine-derived
-    /// defaults ([`OverloadParams::for_cpu`]).
-    #[must_use]
-    pub fn with_overload(mut self) -> Self {
-        self.overload = Some(OverloadParams::for_cpu(&self.cpu));
-        self
-    }
-
     /// Builder-style enable of overload control with explicit
     /// parameters.
     #[must_use]
@@ -311,7 +297,7 @@ mod tests {
         assert!(c.is_switchless(FuncId(1)));
         assert!(c.is_switchless(FuncId(3)));
         assert!(!c.is_switchless(FuncId(2)));
-        assert_eq!(c.task_pool_capacity, 8);
+        assert_eq!(intel_default_task_pool(c.num_uworkers), 8);
     }
 
     #[test]

@@ -47,9 +47,8 @@
 //!
 //! [`FleetSnapshot`] extends the runtime conservation contracts
 //! (`offered == completed + shed + abandoned + refused`) to the fleet:
-//! it proves the identity per tenant *and* globally, and flags any
-//! cross-tenant leakage (global totals drifting from the per-tenant
-//! sums) as a hard error.
+//! it checks the identity on every tenant's own books, which is also
+//! what makes the fleet-wide totals balance.
 
 use crate::policy::{DecisionRecord, PolicyParams};
 use serde::{Deserialize, Serialize};
@@ -58,9 +57,9 @@ use serde::{Deserialize, Serialize};
 /// escalation kicks in.
 pub const DEFAULT_STARVATION_INTERVALS: u32 = 3;
 
-/// Default worker crashes per interval that mark a tenant
+/// Worker crashes in one interval that mark a tenant
 /// [`TenantVerdict::Suspect`].
-pub const DEFAULT_CRASH_SUSPECT_THRESHOLD: u64 = 3;
+pub const CRASH_SUSPECT_THRESHOLD: u64 = 3;
 
 /// Cap on anti-starvation weight doublings (2^16 ≫ any sane weight
 /// ratio; the cap only bounds the shift).
@@ -79,9 +78,6 @@ pub struct FleetParams {
     /// Consecutive decisions a tenant may sit at the floor with unmet
     /// demand before its effective weight escalates.
     pub starvation_intervals: u32,
-    /// Worker crashes in one interval that mark a tenant
-    /// [`TenantVerdict::Suspect`].
-    pub crash_suspect_threshold: u64,
 }
 
 impl FleetParams {
@@ -93,7 +89,6 @@ impl FleetParams {
             policy,
             budget: budget.max(1),
             starvation_intervals: DEFAULT_STARVATION_INTERVALS,
-            crash_suspect_threshold: DEFAULT_CRASH_SUSPECT_THRESHOLD,
         }
     }
 }
@@ -167,12 +162,12 @@ pub struct TenantSignals {
 impl TenantSignals {
     /// Fold the signals into one verdict (worst evidence wins).
     #[must_use]
-    pub fn verdict(&self, params: &FleetParams) -> TenantVerdict {
+    pub fn verdict(&self) -> TenantVerdict {
         let mut v = TenantVerdict::Healthy;
         if self.breaker_open || self.brownout_level > 0 {
             v = v.join(TenantVerdict::Degraded);
         }
-        if self.enclave_crashes > 0 || self.worker_crashes >= params.crash_suspect_threshold {
+        if self.enclave_crashes > 0 || self.worker_crashes >= CRASH_SUSPECT_THRESHOLD {
             v = v.join(TenantVerdict::Suspect);
         }
         if self.guard_violations > 0 {
@@ -263,9 +258,8 @@ impl TenantDemand {
     }
 }
 
-/// The record of one fleet decision: assignment, caps, verdicts and the
-/// global cost, kept for observability (mirrors the per-shard
-/// `DecisionRecord`).
+/// The record of one fleet decision: assignment, caps and verdicts,
+/// kept for observability (mirrors the per-shard `DecisionRecord`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetDecision {
     /// Workers assigned per tenant.
@@ -274,29 +268,6 @@ pub struct FleetDecision {
     pub caps: Vec<usize>,
     /// Verdict each tenant was judged under.
     pub verdicts: Vec<TenantVerdict>,
-    /// Tenants whose weight was escalated by the anti-starvation rule.
-    pub escalated: Vec<bool>,
-    /// Global wasted-cycle cost `U` of the assignment.
-    pub cost: u64,
-}
-
-/// Global waste `U = Σ_t w_t·fw·F_t(m_t)·T_es + (Σ m_t)·T` of an
-/// assignment (`fw` = the policy fallback weight; saturating).
-#[must_use]
-pub fn fleet_cost(demands: &[TenantDemand], assigned: &[usize], params: &FleetParams) -> u64 {
-    let mut u = 0u64;
-    let mut total_workers = 0u64;
-    for (t, d) in demands.iter().enumerate() {
-        let m = assigned.get(t).copied().unwrap_or(0);
-        total_workers += m as u64;
-        u = u.saturating_add(
-            d.weight
-                .saturating_mul(params.policy.fallback_weight.max(1))
-                .saturating_mul(d.fallbacks_at(m))
-                .saturating_mul(params.policy.t_es_cycles),
-        );
-    }
-    u.saturating_add(total_workers.saturating_mul(params.policy.quantum_cycles))
 }
 
 /// A tenant's weighted fair share of the budget, `budget · weight /
@@ -411,7 +382,6 @@ pub struct FleetAllocator {
     /// `2^level`).
     escalation: Vec<u32>,
     decisions: u64,
-    last: Option<FleetDecision>,
 }
 
 impl FleetAllocator {
@@ -423,7 +393,6 @@ impl FleetAllocator {
             starved: vec![0; tenants],
             escalation: vec![0; tenants],
             decisions: 0,
-            last: None,
         }
     }
 
@@ -437,12 +406,6 @@ impl FleetAllocator {
     #[must_use]
     pub fn decisions(&self) -> u64 {
         self.decisions
-    }
-
-    /// The most recent decision, if any.
-    #[must_use]
-    pub fn last_decision(&self) -> Option<&FleetDecision> {
-        self.last.as_ref()
     }
 
     /// Run one fleet decision over the tenants' current demands.
@@ -474,7 +437,6 @@ impl FleetAllocator {
         // would still save fallbacks. Faulty tenants are contained, not
         // starved — containment must not escalate into extra budget.
         let weight_sum: u64 = boosted.iter().map(|d| d.weight.max(1)).sum();
-        let mut escalated = vec![false; n];
         for (t, d) in demands.iter().enumerate() {
             let floor = usize::from(d.offered > 0);
             let unmet = d.fallbacks_at(assigned[t]) > d.fallbacks_at(assigned[t] + 1)
@@ -493,7 +455,6 @@ impl FleetAllocator {
                 // boosted and unboosted assignments.
                 self.escalation[t] = self.escalation[t].saturating_sub(1);
             }
-            escalated[t] = self.escalation[t] > 0;
         }
 
         let decision = FleetDecision {
@@ -502,12 +463,9 @@ impl FleetAllocator {
                 .map(|d| verdict_cap(d, weight_sum, &self.params))
                 .collect(),
             verdicts: demands.iter().map(|d| d.verdict).collect(),
-            cost: fleet_cost(demands, &assigned, &self.params),
             assigned,
-            escalated,
         };
         self.decisions += 1;
-        self.last = Some(decision.clone());
         decision
     }
 }
@@ -657,7 +615,7 @@ impl FleetController {
                     e.last_decision.as_ref(),
                     now.fallbacks.saturating_sub(was.fallbacks),
                 )
-                .with_verdict(signals.verdict(&params))
+                .with_verdict(signals.verdict())
             })
             .collect();
         let decision = self.allocator.decide(&demands);
@@ -700,17 +658,14 @@ impl TenantUsage {
     /// `offered == completed + shed + abandoned + refused`.
     #[must_use]
     pub fn conserves(&self) -> bool {
-        self.offered == self.completed + self.shed + self.abandoned + self.refused
+        self.offered == self.accounted()
     }
 
-    /// Accumulate another usage record into this one (saturating).
-    pub fn absorb(&mut self, other: &TenantUsage) {
-        self.offered = self.offered.saturating_add(other.offered);
-        self.completed = self.completed.saturating_add(other.completed);
-        self.shed = self.shed.saturating_add(other.shed);
-        self.abandoned = self.abandoned.saturating_add(other.abandoned);
-        self.refused = self.refused.saturating_add(other.refused);
-        self.guard_violations = self.guard_violations.saturating_add(other.guard_violations);
+    /// The fates the tenant's calls met:
+    /// `completed + shed + abandoned + refused`.
+    #[must_use]
+    pub fn accounted(&self) -> u64 {
+        self.completed + self.shed + self.abandoned + self.refused
     }
 }
 
@@ -726,129 +681,56 @@ pub enum FleetAccountingError {
         /// `completed + shed + abandoned + refused`.
         accounted: u64,
     },
-    /// The global totals drifted from the per-tenant sums: calls leaked
-    /// across a bulkhead (charged to the wrong tenant or double/never
-    /// counted).
-    CrossTenantLeak {
-        /// Name of the leaking field.
-        field: &'static str,
-        /// Sum over tenants.
-        tenant_sum: u64,
-        /// Independently accumulated global total.
-        global: u64,
-    },
 }
 
 impl std::fmt::Display for FleetAccountingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetAccountingError::TenantImbalance {
-                tenant,
-                offered,
-                accounted,
-            } => write!(
-                f,
-                "tenant {tenant} books do not balance: offered {offered} != accounted {accounted}"
-            ),
-            FleetAccountingError::CrossTenantLeak {
-                field,
-                tenant_sum,
-                global,
-            } => write!(
-                f,
-                "cross-tenant leak in {field}: per-tenant sum {tenant_sum} != global {global}"
-            ),
-        }
+        let FleetAccountingError::TenantImbalance {
+            tenant,
+            offered,
+            accounted,
+        } = self;
+        write!(
+            f,
+            "tenant {tenant} books do not balance: offered {offered} != accounted {accounted}"
+        )
     }
 }
 
-/// The fleet-wide conservation snapshot: per-tenant books plus the
-/// independently accumulated global totals.
+/// The fleet-wide conservation snapshot: every tenant's own books, as
+/// each shard counted them.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetSnapshot {
     /// One usage record per tenant, by tenant index.
     pub tenants: Vec<TenantUsage>,
-    /// Global totals accumulated independently of the per-tenant books
-    /// (when the producer has no independent global counters, use
-    /// [`FleetSnapshot::from_tenants`], which sums — the leak check is
-    /// then vacuous but the conservation checks still bite).
-    pub global: TenantUsage,
 }
 
 impl FleetSnapshot {
-    /// Snapshot whose global totals are the per-tenant sums.
+    /// Snapshot of the given per-tenant books.
     #[must_use]
     pub fn from_tenants(tenants: Vec<TenantUsage>) -> Self {
-        let mut global = TenantUsage::default();
-        for t in &tenants {
-            global.absorb(t);
-        }
-        FleetSnapshot { tenants, global }
+        FleetSnapshot { tenants }
     }
 
-    /// `Σ per-tenant` of every field.
-    #[must_use]
-    pub fn tenant_sum(&self) -> TenantUsage {
-        let mut sum = TenantUsage::default();
-        for t in &self.tenants {
-            sum.absorb(t);
-        }
-        sum
-    }
-
-    /// Do all books balance — each tenant, the global totals, and no
-    /// cross-tenant leakage?
-    #[must_use]
-    pub fn conserves(&self) -> bool {
-        self.check().is_ok()
-    }
-
-    /// Check every fleet accounting invariant, returning the first
-    /// violation: per-tenant conservation, global conservation, and
-    /// field-by-field agreement between the per-tenant sums and the
-    /// global totals (cross-tenant leak detection).
+    /// Check per-tenant conservation, returning the first tenant whose
+    /// books do not balance. Balanced rows sum to a balanced fleet row,
+    /// so this is also fleet-wide conservation; what it cannot see is a
+    /// call booked in full on the wrong tenant — each shard counts only
+    /// its own calls, there is no second ledger to compare against.
     pub fn check(&self) -> Result<(), FleetAccountingError> {
-        for (i, t) in self.tenants.iter().enumerate() {
-            if !t.conserves() {
-                return Err(FleetAccountingError::TenantImbalance {
-                    tenant: i,
-                    offered: t.offered,
-                    accounted: t.completed + t.shed + t.abandoned + t.refused,
-                });
-            }
+        match self
+            .tenants
+            .iter()
+            .enumerate()
+            .find(|(_, t)| !t.conserves())
+        {
+            None => Ok(()),
+            Some((tenant, t)) => Err(FleetAccountingError::TenantImbalance {
+                tenant,
+                offered: t.offered,
+                accounted: t.accounted(),
+            }),
         }
-        let sum = self.tenant_sum();
-        for (field, s, g) in [
-            ("offered", sum.offered, self.global.offered),
-            ("completed", sum.completed, self.global.completed),
-            ("shed", sum.shed, self.global.shed),
-            ("abandoned", sum.abandoned, self.global.abandoned),
-            ("refused", sum.refused, self.global.refused),
-            (
-                "guard_violations",
-                sum.guard_violations,
-                self.global.guard_violations,
-            ),
-        ] {
-            if s != g {
-                return Err(FleetAccountingError::CrossTenantLeak {
-                    field,
-                    tenant_sum: s,
-                    global: g,
-                });
-            }
-        }
-        if !self.global.conserves() {
-            return Err(FleetAccountingError::TenantImbalance {
-                tenant: usize::MAX,
-                offered: self.global.offered,
-                accounted: self.global.completed
-                    + self.global.shed
-                    + self.global.abandoned
-                    + self.global.refused,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -859,6 +741,24 @@ mod tests {
 
     fn params(budget: usize) -> FleetParams {
         FleetParams::new(PolicyParams::from_cpu(&CpuSpec::paper_machine()), budget)
+    }
+
+    /// Global waste `U = Σ_t w_t·fw·F_t(m_t)·T_es + (Σ m_t)·T` of an
+    /// assignment (`fw` = the policy fallback weight; saturating).
+    fn fleet_cost(demands: &[TenantDemand], assigned: &[usize], params: &FleetParams) -> u64 {
+        let mut u = 0u64;
+        let mut total_workers = 0u64;
+        for (t, d) in demands.iter().enumerate() {
+            let m = assigned.get(t).copied().unwrap_or(0);
+            total_workers += m as u64;
+            u = u.saturating_add(
+                d.weight
+                    .saturating_mul(params.policy.fallback_weight.max(1))
+                    .saturating_mul(d.fallbacks_at(m))
+                    .saturating_mul(params.policy.t_es_cycles),
+            );
+        }
+        u.saturating_add(total_workers.saturating_mul(params.policy.quantum_cycles))
     }
 
     /// A probe vector where each worker saves `saving` fallbacks until
@@ -884,15 +784,14 @@ mod tests {
 
     #[test]
     fn signals_fold_to_worst_evidence() {
-        let p = params(4);
         let mut s = TenantSignals::default();
-        assert_eq!(s.verdict(&p), TenantVerdict::Healthy);
+        assert_eq!(s.verdict(), TenantVerdict::Healthy);
         s.brownout_level = 2;
-        assert_eq!(s.verdict(&p), TenantVerdict::Degraded);
+        assert_eq!(s.verdict(), TenantVerdict::Degraded);
         s.enclave_crashes = 1;
-        assert_eq!(s.verdict(&p), TenantVerdict::Suspect);
+        assert_eq!(s.verdict(), TenantVerdict::Suspect);
         s.guard_violations = 1;
-        assert_eq!(s.verdict(&p), TenantVerdict::Faulty);
+        assert_eq!(s.verdict(), TenantVerdict::Faulty);
     }
 
     #[test]
@@ -1028,9 +927,9 @@ mod tests {
         );
         let mut lifted = false;
         for _ in 0..32 {
-            let d = alloc.decide(&demands);
-            if d.assigned[0] > 1 {
-                assert!(d.escalated[0], "the lift must come from escalation");
+            // Same demands, different assignment: only the allocator's
+            // escalation state can have moved it.
+            if alloc.decide(&demands).assigned[0] > 1 {
                 lifted = true;
                 break;
             }
@@ -1050,12 +949,10 @@ mod tests {
         assert_eq!(d.verdicts[1], TenantVerdict::Faulty);
         assert_eq!(d.caps[1], 0, "faulty + idle = no workers at all");
         assert_eq!(alloc.decisions(), 1);
-        assert_eq!(alloc.last_decision(), Some(&d));
-        assert_eq!(d.cost, fleet_cost(&demands, &d.assigned, alloc.params()));
     }
 
     #[test]
-    fn snapshot_balances_and_detects_leaks() {
+    fn snapshot_balances_and_names_the_unbalanced_tenant() {
         let t0 = TenantUsage {
             offered: 100,
             completed: 90,
@@ -1070,32 +967,19 @@ mod tests {
             ..TenantUsage::default()
         };
         let snap = FleetSnapshot::from_tenants(vec![t0, t1]);
-        assert!(snap.conserves());
-        assert_eq!(snap.global.offered, 150);
+        assert_eq!(snap.check(), Ok(()));
 
         // A tenant whose books do not balance.
         let mut bad = snap.clone();
-        bad.tenants[0].completed -= 1;
-        bad.global.completed -= 1;
-        assert!(matches!(
+        bad.tenants[1].completed -= 1;
+        assert_eq!(
             bad.check(),
-            Err(FleetAccountingError::TenantImbalance { tenant: 0, .. })
-        ));
-
-        // Books balance per tenant but a call leaked across a bulkhead:
-        // tenant 1 charged with a completion tenant 0 offered.
-        let mut leak = snap.clone();
-        leak.tenants[0].completed -= 1;
-        leak.tenants[0].shed += 1;
-        leak.tenants[1].completed += 1;
-        leak.tenants[1].offered += 1;
-        assert!(matches!(
-            leak.check(),
-            Err(FleetAccountingError::CrossTenantLeak {
-                field: "offered",
-                ..
+            Err(FleetAccountingError::TenantImbalance {
+                tenant: 1,
+                offered: 50,
+                accounted: 49,
             })
-        ));
+        );
     }
 
     #[test]

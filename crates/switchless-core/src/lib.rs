@@ -104,7 +104,7 @@ pub use overload::{
 pub use rand::SplitMix64;
 pub use recovery::{
     CallJournal, EntryState, IdempotencyClass, JournalEntry, ReconcileVerdict, RecoveryParams,
-    RecoveryPhase, RecoveryPlane, RecoveryPolicy, RecoverySnapshot,
+    RecoveryPlane, RecoverySnapshot,
 };
 pub use state::WorkerState;
 pub use stats::{CallStats, CallStatsSnapshot};

@@ -551,13 +551,18 @@ pub struct OverloadParams {
 impl OverloadParams {
     /// Machine-derived defaults for `cpu`.
     ///
-    /// The queue gate admits four in-flight calls per logical CPU; the
-    /// bucket sustains one call per 4·`T_es` (comfortably above any
-    /// rate the transition machinery itself could service) with one
-    /// quantum of burst; implicit deadlines are off.
+    /// The queue gate admits four in-flight calls per logical CPU. The
+    /// bucket sustains what the machine can *issue* switchlessly, not
+    /// what the transition path can service: a call cannot complete in
+    /// under two `pause`s and at most `logical_cpus` callers run, so
+    /// one token refills every `2·pause / logical_cpus` cycles (35 on
+    /// the paper machine, ≈ 109 M calls/s; 140 on two of its CPUs,
+    /// ≈ 27 M calls/s) and the burst is one quantum of that rate. No
+    /// healthy closed-loop caller is rate-limited; implicit deadlines
+    /// are off.
     #[must_use]
     pub fn for_cpu(cpu: &CpuSpec) -> Self {
-        let refill = cpu.t_es_cycles.saturating_mul(4).max(1);
+        let refill = (cpu.pause_cycles.saturating_mul(2) / cpu.logical_cpus.max(1) as u64).max(1);
         OverloadParams {
             max_inflight: (cpu.logical_cpus as u64).saturating_mul(4).max(4),
             bucket_capacity: (cpu.quantum_cycles(PAPER_QUANTUM_MS) / refill).max(1),
@@ -1105,8 +1110,15 @@ mod tests {
     fn machine_derived_defaults_are_sane() {
         let p = OverloadParams::for_cpu(&CpuSpec::paper_machine());
         assert!(p.max_inflight >= 4);
-        assert!(p.bucket_capacity >= 1);
-        assert!(p.refill_period_cycles >= 1);
+        // Two pauses per call, eight callers: one token per 35 cycles,
+        // one 38 M-cycle quantum of them as burst.
+        assert_eq!(p.refill_period_cycles, 35);
+        assert_eq!(p.bucket_capacity, 38_000_000 / 35);
+        let two = OverloadParams::for_cpu(&CpuSpec::paper_machine().with_logical_cpus(2));
+        assert_eq!(
+            (two.refill_period_cycles, two.bucket_capacity),
+            (140, 271_428)
+        );
         assert!(p.breaker.failure_threshold >= 1);
         assert_eq!(p.default_deadline_cycles, 0);
         let names: Vec<_> = ShedReason::ALL.iter().map(|r| r.name()).collect();

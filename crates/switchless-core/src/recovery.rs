@@ -1,5 +1,5 @@
 //! Pure enclave-crash recovery policy: the per-call intent journal,
-//! the reconciliation verdict lattice and the restart state machine.
+//! the reconciliation verdict lattice and the restart protocol.
 //!
 //! Everything before this module treats the enclave as immortal: the
 //! supervisor ([`crate::supervise`]) respawns *worker slots*, the guard
@@ -27,11 +27,13 @@
 //!   neither completing nor re-executing it can be proven safe. The
 //!   lattice join ([`ReconcileVerdict::join`]) resolves conflicting
 //!   evidence toward the conservative end.
-//! * **Restart state machine** ([`RecoveryPolicy`]) — Detect → Fence →
-//!   Restart → Reconcile → Drain-resume, driven by whichever caller
-//!   observes the loss first. Journal entries are validated through the
-//!   existing guard layer ([`ReplyGuard::check_sequence`]) before any
-//!   replay decision: the journal lives in *untrusted* memory and a
+//! * **Restart protocol** ([`RecoveryPlane`]) — a `lost` flag and an
+//!   `epoch` counter, moved by whichever caller observes the loss first:
+//!   detect and fence ([`RecoveryPlane::begin_crash`]), rebuild, publish
+//!   the new incarnation ([`RecoveryPlane::complete_restart`]), reopen
+//!   ([`RecoveryPlane::resume`]). Journal entries are validated through
+//!   the existing guard layer ([`ReplyGuard::check_sequence`]) before
+//!   any replay decision: the journal lives in *untrusted* memory and a
 //!   hostile host may tear it.
 //!
 //! Like every other policy module here, this one is thread-free in its
@@ -196,9 +198,6 @@ impl JournalEntry {
 #[derive(Debug, Clone)]
 pub struct CallJournal {
     slots: Vec<Option<JournalEntry>>,
-    recorded: u64,
-    completed: u64,
-    retired: u64,
     dropped_full: u64,
 }
 
@@ -208,17 +207,8 @@ impl CallJournal {
     pub fn new(capacity: usize) -> Self {
         CallJournal {
             slots: vec![None; capacity.max(1)],
-            recorded: 0,
-            completed: 0,
-            retired: 0,
             dropped_full: 0,
         }
-    }
-
-    /// Number of slots in the ring.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     fn slot(&self, seq: u64) -> usize {
@@ -245,7 +235,6 @@ impl CallJournal {
                     class,
                     state: EntryState::Intent,
                 });
-                self.recorded += 1;
                 true
             }
         }
@@ -259,7 +248,6 @@ impl CallJournal {
         match &mut self.slots[idx] {
             Some(e) if e.seq == seq => {
                 e.state = EntryState::Completed { ret, payload_len };
-                self.completed += 1;
                 true
             }
             _ => false,
@@ -272,7 +260,6 @@ impl CallJournal {
         let idx = self.slot(seq);
         if self.slots[idx].is_some_and(|e| e.seq == seq) {
             self.slots[idx] = None;
-            self.retired += 1;
             true
         } else {
             false
@@ -320,155 +307,6 @@ impl CallJournal {
             .as_ref()
             .expect("tag matched a live entry")
             .verdict())
-    }
-
-    /// Lifetime counters: `(recorded, completed, retired)`.
-    #[must_use]
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.recorded, self.completed, self.retired)
-    }
-}
-
-/// Phase of the enclave-recovery state machine.
-///
-/// The legal cycle is `Normal → Detect → Fence → Restart → Reconcile
-/// → DrainResume → Normal`; any other edge is rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum RecoveryPhase {
-    /// Enclave healthy; calls flow normally.
-    #[default]
-    Normal,
-    /// A caller observed the enclave loss.
-    Detect,
-    /// New work is fenced away from the dead enclave (the lost flag is
-    /// up; dispatch refuses or queues).
-    Fence,
-    /// The enclave is being restarted (fresh worker generation, fresh
-    /// shared state).
-    Restart,
-    /// Survivor calls are being reconciled against the journal.
-    Reconcile,
-    /// Reconciled work is draining; normal dispatch resumes behind it.
-    DrainResume,
-}
-
-impl RecoveryPhase {
-    /// Every phase, in cycle order starting at `Normal`.
-    pub const ALL: [RecoveryPhase; 6] = [
-        RecoveryPhase::Normal,
-        RecoveryPhase::Detect,
-        RecoveryPhase::Fence,
-        RecoveryPhase::Restart,
-        RecoveryPhase::Reconcile,
-        RecoveryPhase::DrainResume,
-    ];
-
-    /// Stable lowercase name for exports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            RecoveryPhase::Normal => "normal",
-            RecoveryPhase::Detect => "detect",
-            RecoveryPhase::Fence => "fence",
-            RecoveryPhase::Restart => "restart",
-            RecoveryPhase::Reconcile => "reconcile",
-            RecoveryPhase::DrainResume => "drain_resume",
-        }
-    }
-
-    /// The phase that legally follows this one in the recovery cycle.
-    #[must_use]
-    pub fn next(self) -> RecoveryPhase {
-        match self {
-            RecoveryPhase::Normal => RecoveryPhase::Detect,
-            RecoveryPhase::Detect => RecoveryPhase::Fence,
-            RecoveryPhase::Fence => RecoveryPhase::Restart,
-            RecoveryPhase::Restart => RecoveryPhase::Reconcile,
-            RecoveryPhase::Reconcile => RecoveryPhase::DrainResume,
-            RecoveryPhase::DrainResume => RecoveryPhase::Normal,
-        }
-    }
-
-    /// Is `from -> to` a legal edge of the recovery cycle?
-    #[must_use]
-    pub fn can_transition(self, to: RecoveryPhase) -> bool {
-        self.next() == to
-    }
-}
-
-/// The recovery state machine: pure (no clocks, no threads), advancing
-/// one legal edge at a time and counting full crash/restart cycles.
-///
-/// # Example
-///
-/// ```
-/// use switchless_core::recovery::{RecoveryPhase, RecoveryPolicy};
-///
-/// let mut p = RecoveryPolicy::new();
-/// assert!(p.observe_crash());
-/// assert_eq!(p.phase(), RecoveryPhase::Detect);
-/// while p.phase() != RecoveryPhase::Normal {
-///     assert!(p.advance());
-/// }
-/// assert_eq!((p.crashes(), p.restarts()), (1, 1));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryPolicy {
-    phase: RecoveryPhase,
-    crashes: u64,
-    restarts: u64,
-}
-
-impl RecoveryPolicy {
-    /// Policy at rest in `Normal`.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current phase.
-    #[must_use]
-    pub fn phase(&self) -> RecoveryPhase {
-        self.phase
-    }
-
-    /// Enter `Detect` from `Normal` (a caller observed the loss).
-    /// Returns `false` — and changes nothing — when a recovery is
-    /// already in progress.
-    pub fn observe_crash(&mut self) -> bool {
-        if self.phase == RecoveryPhase::Normal {
-            self.phase = RecoveryPhase::Detect;
-            self.crashes += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Take the next legal edge of the cycle. Returns `false` — and
-    /// changes nothing — from `Normal` (crashes enter via
-    /// [`observe_crash`](Self::observe_crash), not `advance`).
-    pub fn advance(&mut self) -> bool {
-        if self.phase == RecoveryPhase::Normal {
-            return false;
-        }
-        if self.phase == RecoveryPhase::Restart {
-            self.restarts += 1;
-        }
-        self.phase = self.phase.next();
-        true
-    }
-
-    /// Enclave losses observed.
-    #[must_use]
-    pub fn crashes(&self) -> u64 {
-        self.crashes
-    }
-
-    /// Restarts completed (the `Restart → Reconcile` edge).
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.restarts
     }
 }
 
@@ -533,57 +371,56 @@ pub struct RecoverySnapshot {
     pub redelivered: u64,
     /// Non-idempotent calls refused with a typed error.
     pub refused_non_idempotent: u64,
-    /// Recovery phase at snapshot time.
-    pub phase: RecoveryPhase,
     /// Live journal entries at snapshot time.
     pub journal_live: usize,
     /// Intents left uncovered because their slot was occupied.
     pub journal_dropped: u64,
 }
 
-/// Thread-safe recovery plane: the journal and policy behind mutexes
-/// plus lock-free epoch/lost/verdict accounting — the form the
-/// runtimes embed, mirroring [`crate::overload::OverloadPlane`].
+/// Thread-safe recovery plane: the journal behind a mutex plus
+/// lock-free epoch/lost/verdict accounting — the form the runtimes
+/// embed, mirroring [`crate::overload::OverloadPlane`].
 ///
-/// Protocol, distributed across callers (no recovery thread):
+/// Protocol, distributed across callers (no recovery thread); the whole
+/// restart state is the `lost` flag and the `epoch` counter:
 ///
 /// 1. Every dispatch stamps a seq from [`next_seq`](Self::next_seq)
 ///    (or the runtime's own counter), records an intent, and captures
 ///    [`epoch`](Self::epoch) before blocking on the backend.
 /// 2. A caller that observes the backend dead calls
-///    [`begin_crash`](Self::begin_crash); exactly one wins and drives
-///    Fence → Restart ([`begin_restart`](Self::begin_restart), the
-///    actual rebuild, [`complete_restart`](Self::complete_restart))
-///    then [`resume`](Self::resume). Losers wait for the epoch to
-///    advance.
+///    [`begin_crash`](Self::begin_crash), which raises `lost`; exactly
+///    one wins, fences and rebuilds the backend, publishes it with
+///    [`complete_restart`](Self::complete_restart) (`epoch + 1`) and
+///    lowers `lost` again with [`resume`](Self::resume). Losers wait
+///    for the epoch to advance and the flag to drop.
 /// 3. Every caller whose in-flight call straddled the crash asks
-///    [`reconcile`](Self::reconcile) for a verdict and executes it:
-///    redeliver the recorded result, replay through the fallback path,
-///    or surface the typed refusal.
+///    [`reconcile_with_class`](Self::reconcile_with_class) for a verdict
+///    and executes it: redeliver the recorded result, replay through
+///    the fallback path, or surface the typed refusal.
 #[derive(Debug)]
 pub struct RecoveryPlane {
     params: RecoveryParams,
     journal: Mutex<CallJournal>,
-    policy: Mutex<RecoveryPolicy>,
     seq: AtomicU64,
     epoch: AtomicU64,
     lost: AtomicBool,
+    crashes: AtomicU64,
     replayed: AtomicU64,
     redelivered: AtomicU64,
     refused: AtomicU64,
 }
 
 impl RecoveryPlane {
-    /// Plane at rest: empty journal, policy in `Normal`, epoch 0.
+    /// Plane at rest: empty journal, not lost, epoch 0.
     #[must_use]
     pub fn new(params: RecoveryParams) -> Self {
         RecoveryPlane {
             params,
             journal: Mutex::new(CallJournal::new(params.journal_slots)),
-            policy: Mutex::new(RecoveryPolicy::new()),
             seq: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             lost: AtomicBool::new(false),
+            crashes: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
             redelivered: AtomicU64::new(0),
             refused: AtomicU64::new(0),
@@ -598,10 +435,6 @@ impl RecoveryPlane {
 
     fn journal_lock(&self) -> std::sync::MutexGuard<'_, CallJournal> {
         self.journal.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn policy_lock(&self) -> std::sync::MutexGuard<'_, RecoveryPolicy> {
-        self.policy.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Next per-call sequence tag (starts at 1; 0 means untagged).
@@ -645,114 +478,68 @@ impl RecoveryPlane {
         self.journal_lock().entry(seq).copied()
     }
 
-    /// Observe the enclave loss. Exactly one caller wins (`true`) and
-    /// must drive the restart; everyone else backs off and waits for
-    /// the epoch to advance. The winner's policy walks Detect → Fence.
+    /// Observe the enclave loss and fence new work away from it (the
+    /// `lost` flag goes up). Exactly one caller wins (`true`) and must
+    /// drive the restart; everyone else backs off and waits for the
+    /// epoch to advance.
     pub fn begin_crash(&self) -> bool {
-        if self
+        let won = self
             .lost
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            let mut p = self.policy_lock();
-            p.observe_crash();
-            p.advance(); // Detect -> Fence
-            true
-        } else {
-            false
+            .is_ok();
+        if won {
+            self.crashes.fetch_add(1, Ordering::Relaxed);
         }
+        won
     }
 
-    /// Fence complete; the rebuild is starting (Fence → Restart).
-    pub fn begin_restart(&self) {
-        self.policy_lock().advance();
-    }
-
-    /// The rebuild finished: bump the epoch (Restart → Reconcile).
+    /// The rebuild finished: bump the epoch. Callers blocked on the old
+    /// incarnation see the change and reconcile.
     pub fn complete_restart(&self) {
-        self.policy_lock().advance();
         self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Reconciliation handed off to the blocked callers; drain and
-    /// resume normal dispatch (Reconcile → DrainResume → Normal,
-    /// lowering the lost flag).
+    /// Reopen normal dispatch (the `lost` flag goes down); the next
+    /// loss is detectable again.
     pub fn resume(&self) {
-        let mut p = self.policy_lock();
-        p.advance(); // Reconcile -> DrainResume
-        p.advance(); // DrainResume -> Normal
-        drop(p);
         self.lost.store(false, Ordering::Release);
     }
 
     /// Reconcile in-flight call `seq`: guard-validate the journal
-    /// entry, count the verdict, and return it. On a guard violation
-    /// (torn or missing entry) the caller falls back to
-    /// [`ReconcileVerdict::for_unknown`] with its trusted class — use
-    /// [`reconcile_with_class`](Self::reconcile_with_class) for that in
-    /// one step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sequence-tag violation from the guard layer.
-    pub fn reconcile(
-        &self,
-        seq: u64,
-        guard: ReplyGuard,
-    ) -> Result<ReconcileVerdict, GuardViolation> {
-        let verdict = self.journal_lock().reconcile(seq, guard)?;
-        self.count_verdict(verdict);
-        Ok(verdict)
-    }
-
-    /// Reconcile with a trusted-side fallback class: a torn or missing
-    /// journal entry joins (conservatively) with the verdict the
-    /// caller's own idempotency knowledge supports.
+    /// entry, count the verdict, and return it. A torn or missing entry
+    /// proves nothing, so the verdict is then the one the caller's own
+    /// (trusted) idempotency knowledge supports.
     pub fn reconcile_with_class(
         &self,
         seq: u64,
         guard: ReplyGuard,
         class: IdempotencyClass,
     ) -> ReconcileVerdict {
-        match self.journal_lock().reconcile(seq, guard) {
-            Ok(v) => {
-                self.count_verdict(v);
-                v
-            }
-            Err(_) => {
-                let v = ReconcileVerdict::for_unknown(class);
-                self.count_verdict(v);
-                v
-            }
-        }
-    }
-
-    fn count_verdict(&self, v: ReconcileVerdict) {
-        match v {
+        let verdict = self
+            .journal_lock()
+            .reconcile(seq, guard)
+            .unwrap_or_else(|_| ReconcileVerdict::for_unknown(class));
+        match verdict {
             ReconcileVerdict::Redeliver => self.redelivered.fetch_add(1, Ordering::Relaxed),
             ReconcileVerdict::Replay => self.replayed.fetch_add(1, Ordering::Relaxed),
             ReconcileVerdict::Refuse => self.refused.fetch_add(1, Ordering::Relaxed),
         };
+        verdict
     }
 
-    /// Counter + phase snapshot for metrics and conservation checks.
+    /// Counter snapshot for metrics and conservation checks.
     #[must_use]
     pub fn snapshot(&self) -> RecoverySnapshot {
-        let (phase, crashes) = {
-            let p = self.policy_lock();
-            (p.phase(), p.crashes())
-        };
         let (journal_live, journal_dropped) = {
             let j = self.journal_lock();
             (j.live(), j.dropped_full())
         };
         RecoverySnapshot {
             epoch: self.epoch.load(Ordering::Acquire),
-            crashes,
+            crashes: self.crashes.load(Ordering::Acquire),
             replayed: self.replayed.load(Ordering::Acquire),
             redelivered: self.redelivered.load(Ordering::Acquire),
             refused_non_idempotent: self.refused.load(Ordering::Acquire),
-            phase,
             journal_live,
             journal_dropped,
         }
@@ -804,7 +591,6 @@ mod tests {
         assert!(j.retire(1));
         assert_eq!(j.live(), 0);
         assert!(j.entry(1).is_none());
-        assert_eq!(j.counters(), (1, 1, 1));
         // Completion/retire without an entry are refused, not invented.
         assert!(!j.record_completion(2, 0, 0));
         assert!(!j.retire(2));
@@ -868,49 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_phase_cycle_is_the_only_legal_walk() {
-        let mut phase = RecoveryPhase::Normal;
-        for expect in [
-            RecoveryPhase::Detect,
-            RecoveryPhase::Fence,
-            RecoveryPhase::Restart,
-            RecoveryPhase::Reconcile,
-            RecoveryPhase::DrainResume,
-            RecoveryPhase::Normal,
-        ] {
-            assert!(phase.can_transition(expect), "{phase:?} -> {expect:?}");
-            phase = phase.next();
-            assert_eq!(phase, expect);
-        }
-        // Everything off-cycle is illegal.
-        for from in RecoveryPhase::ALL {
-            for to in RecoveryPhase::ALL {
-                assert_eq!(from.can_transition(to), from.next() == to);
-            }
-            assert!(!from.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn policy_counts_crashes_and_restarts() {
-        let mut p = RecoveryPolicy::new();
-        assert!(!p.advance(), "cannot advance out of Normal");
-        assert!(p.observe_crash());
-        assert!(!p.observe_crash(), "double-detect is refused");
-        for _ in 0..5 {
-            assert!(p.advance());
-        }
-        assert_eq!(p.phase(), RecoveryPhase::Normal);
-        assert_eq!((p.crashes(), p.restarts()), (1, 1));
-        // A second full cycle.
-        assert!(p.observe_crash());
-        while p.phase() != RecoveryPhase::Normal {
-            p.advance();
-        }
-        assert_eq!((p.crashes(), p.restarts()), (2, 2));
-    }
-
-    #[test]
     fn params_derive_from_machine_model() {
         let p = RecoveryParams::for_cpu(CpuSpec::paper_machine());
         assert_eq!(p.journal_slots, 1024);
@@ -934,16 +677,13 @@ mod tests {
         assert!(plane.begin_crash(), "first detector wins");
         assert!(!plane.begin_crash(), "everyone else loses");
         assert!(plane.is_lost());
-        assert_eq!(plane.snapshot().phase, RecoveryPhase::Fence);
-        plane.begin_restart();
-        assert_eq!(plane.snapshot().phase, RecoveryPhase::Restart);
         assert_eq!(plane.epoch(), 0, "epoch holds until the rebuild lands");
         plane.complete_restart();
         assert_eq!(plane.epoch(), 1);
-        assert_eq!(plane.snapshot().phase, RecoveryPhase::Reconcile);
+        assert!(plane.is_lost(), "fenced until resume");
         plane.resume();
         assert!(!plane.is_lost());
-        assert_eq!(plane.snapshot().phase, RecoveryPhase::Normal);
+        assert_eq!(plane.epoch(), 1, "one restart, one epoch");
         // The next crash is detectable again.
         assert!(plane.begin_crash());
         assert_eq!(plane.snapshot().crashes, 2);
@@ -965,9 +705,13 @@ mod tests {
         plane.record_intent(2, IdempotencyClass::NonIdempotent);
         plane.record_intent(3, IdempotencyClass::NonIdempotent);
         plane.record_completion(3, 5, 0);
-        assert_eq!(plane.reconcile(1, guard), Ok(ReconcileVerdict::Replay));
-        assert_eq!(plane.reconcile(2, guard), Ok(ReconcileVerdict::Refuse));
-        assert_eq!(plane.reconcile(3, guard), Ok(ReconcileVerdict::Redeliver));
+        // A validated entry decides alone: the class passed in is the
+        // fallback for a torn slot and must not override it.
+        use IdempotencyClass::{Idempotent, NonIdempotent};
+        let verdict = |seq, class| plane.reconcile_with_class(seq, guard, class);
+        assert_eq!(verdict(1, NonIdempotent), ReconcileVerdict::Replay);
+        assert_eq!(verdict(2, Idempotent), ReconcileVerdict::Refuse);
+        assert_eq!(verdict(3, NonIdempotent), ReconcileVerdict::Redeliver);
         // Torn slot: trusted class drives the conservative fallback.
         assert_eq!(
             plane.reconcile_with_class(9, guard, IdempotencyClass::NonIdempotent),
@@ -987,12 +731,19 @@ mod tests {
         // second crash before delivery must reconcile to Redeliver.
         let plane = RecoveryPlane::new(RecoveryParams::default());
         let guard = ReplyGuard::new(0);
-        plane.record_intent(7, IdempotencyClass::Idempotent);
-        assert_eq!(plane.reconcile(7, guard), Ok(ReconcileVerdict::Replay));
+        let class = IdempotencyClass::Idempotent;
+        plane.record_intent(7, class);
+        assert_eq!(
+            plane.reconcile_with_class(7, guard, class),
+            ReconcileVerdict::Replay
+        );
         // The caller re-executed and journaled the completion...
         plane.record_completion(7, 11, 4);
         // ...then the enclave died again before reply delivery.
-        assert_eq!(plane.reconcile(7, guard), Ok(ReconcileVerdict::Redeliver));
+        assert_eq!(
+            plane.reconcile_with_class(7, guard, class),
+            ReconcileVerdict::Redeliver
+        );
         assert_eq!(
             plane.entry(7).unwrap().state,
             EntryState::Completed {

@@ -27,7 +27,7 @@
 //! discrete-event simulator, so recovery behaviour can be pinned down
 //! deterministically in virtual time.
 
-use crate::config::{PAPER_MU_INVERSE, PAPER_QUANTUM_MS};
+use crate::config::PAPER_QUANTUM_MS;
 use crate::cpu::CpuSpec;
 use crate::func::FuncId;
 use serde::{Deserialize, Serialize};
@@ -54,9 +54,6 @@ pub struct SuperviseParams {
     /// Caller-side deadline for an in-flight switchless call, in
     /// cycles; past it the watchdog cancels the call and re-routes it.
     pub watchdog_cycles: u64,
-    /// Supervisor polling period in cycles (how often respawn/heal
-    /// transitions are evaluated).
-    pub poll_cycles: u64,
     /// Ledger charges (worker failures of any kind) since the last
     /// enclave restart that escalate supervision from slot-respawn to
     /// a whole-enclave restart ([`SuperviseDecision::RestartEnclave`]).
@@ -70,8 +67,7 @@ pub struct SuperviseParams {
 impl SuperviseParams {
     /// Machine-derived defaults: backoff starts at one scheduling
     /// quantum (10 ms), caps at 16 quanta, probation and the watchdog
-    /// deadline are one quantum, and the supervisor polls every
-    /// micro-quantum (`Q/100`).
+    /// deadline are one quantum.
     #[must_use]
     pub fn for_cpu(cpu: CpuSpec) -> Self {
         let quantum = cpu.quantum_cycles(PAPER_QUANTUM_MS);
@@ -81,7 +77,6 @@ impl SuperviseParams {
             probation_cycles: quantum,
             poison_threshold: 3,
             watchdog_cycles: quantum,
-            poll_cycles: (quantum / PAPER_MU_INVERSE).max(1),
             enclave_restart_threshold: 0,
         }
     }
@@ -212,7 +207,6 @@ pub enum SuperviseDecision {
 struct WorkerLedger {
     health: WorkerHealth,
     consecutive_failures: u32,
-    total_failures: u64,
     generation: u64,
 }
 
@@ -221,7 +215,6 @@ impl WorkerLedger {
         WorkerLedger {
             health: WorkerHealth::Healthy,
             consecutive_failures: 0,
-            total_failures: 0,
             generation: 0,
         }
     }
@@ -296,7 +289,6 @@ impl Supervisor {
         let _ = kind;
         let slot = self.ledger.get_mut(worker)?;
         slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
-        slot.total_failures += 1;
         let exp = u32::min(slot.consecutive_failures.saturating_sub(1), 32);
         let delay = self
             .params
@@ -430,12 +422,6 @@ impl Supervisor {
     pub fn heals(&self) -> u64 {
         self.heals
     }
-
-    /// Total failures recorded against slot `worker`.
-    #[must_use]
-    pub fn total_failures(&self, worker: usize) -> u64 {
-        self.ledger.get(worker).map_or(0, |s| s.total_failures)
-    }
 }
 
 trait SaturatingShl {
@@ -467,7 +453,6 @@ mod tests {
         assert_eq!(p.backoff_max_cycles, 16 * quantum);
         assert_eq!(p.probation_cycles, quantum);
         assert_eq!(p.watchdog_cycles, quantum);
-        assert_eq!(p.poll_cycles, quantum / 100);
         assert_eq!(p.poison_threshold, 3);
     }
 
@@ -623,7 +608,6 @@ mod tests {
         let mut sup = Supervisor::new(1, params());
         sup.record_failure(0, FailureKind::WatchdogTimeout, None, 0);
         assert!(matches!(sup.health(0), WorkerHealth::Backoff { .. }));
-        assert_eq!(sup.total_failures(0), 1);
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! arbitrary crash/restart schedules the journal never authorises a
 //! second execution of a completed call, reconciliation is
 //! deterministic and idempotent, call accounting conserves
-//! (`offered == completed + refused_non_idempotent`), and the policy
-//! state machine only walks legal phase edges.
+//! (`offered == completed + refused_non_idempotent`), and every restart
+//! advances the epoch exactly once and leaves the plane open.
 
 use proptest::prelude::*;
 use switchless_core::guard::ReplyGuard;
 use switchless_core::recovery::{
-    IdempotencyClass, ReconcileVerdict, RecoveryParams, RecoveryPhase, RecoveryPlane,
-    RecoveryPolicy,
+    IdempotencyClass, ReconcileVerdict, RecoveryParams, RecoveryPlane,
 };
 
 /// When, relative to one call's lifetime, the enclave dies.
@@ -38,11 +37,15 @@ fn crash_points(max_len: usize) -> impl Strategy<Value = Vec<(bool, usize)>> {
     prop::collection::vec((any::<bool>(), 0usize..CRASH_POINTS.len()), 1..max_len)
 }
 
-/// Drive one full crash/restart cycle on the plane.
+/// Drive one crash and restart on the plane, up to (not including) the
+/// `resume` that reopens it.
 fn crash_cycle(plane: &RecoveryPlane) {
+    let epoch = plane.epoch();
     assert!(plane.begin_crash(), "single-threaded: CAS always wins");
-    plane.begin_restart();
+    assert!(!plane.begin_crash(), "a second detector loses");
     plane.complete_restart();
+    assert_eq!(plane.epoch(), epoch + 1, "one restart, one epoch");
+    assert!(plane.is_lost(), "fenced until resume");
 }
 
 /// Reconcile `seq` after a crash and act on the verdict, returning the
@@ -146,7 +149,9 @@ proptest! {
         let snap = plane.snapshot();
         prop_assert_eq!(snap.refused_non_idempotent, refused);
         prop_assert_eq!(snap.journal_live, 0, "every call retired");
-        prop_assert_eq!(snap.phase, RecoveryPhase::Normal);
+        prop_assert!(!plane.is_lost(), "open again after the last resume");
+        prop_assert_eq!(snap.epoch, snap.crashes, "one epoch per restart");
+        prop_assert_eq!(plane.epoch(), snap.epoch);
     }
 
     /// Reconciliation is deterministic and idempotent: asking twice
@@ -197,34 +202,6 @@ proptest! {
         if complete_first {
             prop_assert_eq!(first, ReconcileVerdict::Redeliver);
         }
-    }
-
-    /// The policy state machine only walks the legal cycle
-    /// Normal → Detect → Fence → Restart → Reconcile → DrainResume →
-    /// Normal, and counts exactly one restart per completed cycle.
-    #[test]
-    fn policy_walks_legal_edges_only(ops in prop::collection::vec(any::<bool>(), 1..80)) {
-        let mut policy = RecoveryPolicy::new();
-        let mut prev = policy.phase();
-        for crash in ops {
-            let moved = if crash { policy.observe_crash() } else { policy.advance() };
-            let cur = policy.phase();
-            if moved {
-                prop_assert!(
-                    prev.can_transition(cur),
-                    "illegal edge {:?} -> {:?}",
-                    prev,
-                    cur
-                );
-            } else {
-                prop_assert_eq!(prev, cur, "a refused op must not move the phase");
-            }
-            prev = cur;
-        }
-        prop_assert!(policy.restarts() <= policy.crashes());
-        // Draining the machine always returns it to Normal.
-        while policy.advance() {}
-        prop_assert_eq!(policy.phase(), RecoveryPhase::Normal);
     }
 
     /// Slot collisions are refused, never silently overwritten: a live

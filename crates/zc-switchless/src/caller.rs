@@ -16,7 +16,9 @@ use crate::pool::PoolAlloc;
 use crate::runtime::Shared;
 use crate::scheduler;
 use sgx_sim::frontdoor::{self, FrontDoor, Phase, Rec, Transport};
+use sgx_sim::tlibc::memcpy_zc;
 use std::sync::atomic::Ordering;
+use switchless_core::config::MAX_REPLY_BYTES;
 use switchless_core::{
     CallPath, FailureKind, GuardViolation, OcallRequest, PoisonKey, ReplyGuard, SuperviseDecision,
     SwitchlessError, WorkerState,
@@ -43,10 +45,6 @@ impl Transport for Shared {
         rec: &mut Rec,
     ) -> Result<(i64, CallPath), SwitchlessError> {
         route(self, req, payload_in, payload_out, rec)
-    }
-
-    fn max_reply_bytes(&self) -> usize {
-        self.config.max_reply_bytes
     }
 
     /// Poison-request quarantine: a shape that killed too many workers
@@ -231,7 +229,7 @@ fn switchless_call(
     // Copy the payload to untrusted memory with the boundary memcpy and
     // publish the request.
     w.with_pool(Side::Caller, |p| {
-        p.write_with(offset, payload_in, |dst, src| shared.memcpy.copy(dst, src));
+        p.write_with(offset, payload_in, memcpy_zc);
     });
     w.with_slot(Side::Caller, |slot| {
         slot.request = Some(*req);
@@ -346,14 +344,12 @@ fn switchless_call(
     // is clamped to the caller-declared capacity, and the sequence tag
     // must echo this call's — anything else is a lying host and the
     // reply is discarded in favour of the fallback path.
-    let guard = ReplyGuard::new(shared.config.max_reply_bytes);
+    let guard = ReplyGuard::new(MAX_REPLY_BYTES);
     let checked = w.with_slot(Side::Caller, |slot| {
         guard.check_sequence(req.seq, slot.reply.seq)?;
         let verdict = guard.check_reply(slot.reply.payload_len, slot.payload_out.len())?;
         payload_out.resize(verdict.copy_len, 0);
-        shared
-            .memcpy
-            .copy(payload_out, &slot.payload_out[..verdict.copy_len]);
+        memcpy_zc(payload_out, &slot.payload_out[..verdict.copy_len]);
         Ok((slot.reply.ret, verdict.truncated, slot.exec_cycles))
     });
     match checked {

@@ -21,7 +21,8 @@
 //! first, the fleet waits for their schedulers to actually drop (workers
 //! park at the next step), and only then applies the receivers' raises —
 //! a moving worker never serves two shards at once, and the sum of
-//! running workers never exceeds the budget mid-migration.
+//! running workers never exceeds the budget mid-migration. A wait that
+//! times out applies no raise at all.
 
 use crate::ZcRuntime;
 use parking_lot::Mutex;
@@ -243,11 +244,20 @@ impl Fleet {
     /// Shrinking donors before growing receivers keeps `Σ running
     /// workers ≤ budget` throughout; the wait observes each donor's
     /// *published* worker count, which only moves when its scheduler
-    /// has actually re-parked workers.
+    /// has actually re-parked workers. If the wait times out, no
+    /// receiver grows: the donors keep their lowered caps, the receivers
+    /// keep their old ones, and a later rebalance — whose donors have
+    /// shrunk by then — hands out the raises.
     pub fn rebalance(&self, quiesce_timeout: Duration) -> FleetDecision {
         let evidence: Vec<ShardEvidence> = self.shards.iter().map(Shard::evidence).collect();
+        self.migrate(&evidence, quiesce_timeout)
+    }
+
+    /// One controller decision over `evidence`, applied in
+    /// quiesce-and-migrate order.
+    fn migrate(&self, evidence: &[ShardEvidence], quiesce_timeout: Duration) -> FleetDecision {
         let mut donors = Vec::new();
-        let (decision, raises) = self.controller.lock().decide(&evidence, |change| {
+        let (decision, raises) = self.controller.lock().decide(evidence, |change| {
             self.shards[change.shard].move_cap(change);
             donors.push(change);
         });
@@ -257,7 +267,11 @@ impl Fleet {
             .any(|d| self.shards[d.shard].runtime.active_workers() > d.to)
         {
             if Instant::now() >= deadline {
-                break;
+                // A donor is still running workers it has to give up:
+                // growing a receiver now would put `Σ running` over the
+                // budget.
+                drop(raises);
+                return decision;
             }
             std::thread::yield_now();
             std::thread::sleep(Duration::from_micros(200));
@@ -268,8 +282,7 @@ impl Fleet {
 
     /// Per-tenant conservation ledger: for each shard,
     /// `offered == completed + shed + abandoned + refused` from its own
-    /// counters, with the global row summed across shards. Exact at
-    /// quiescent points (no calls in flight).
+    /// counters. Exact at quiescent points (no calls in flight).
     #[must_use]
     pub fn fleet_snapshot(&self) -> FleetSnapshot {
         FleetSnapshot::from_tenants(self.shards.iter().map(|s| s.runtime.usage()).collect())
@@ -292,7 +305,7 @@ impl Drop for Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use switchless_core::policy::PolicyParams;
+    use switchless_core::policy::{DecisionRecord, MicroQuantumReport, PolicyParams};
     use switchless_core::{CpuSpec, OcallDispatcher, OcallRequest};
 
     fn echo_table() -> (Arc<OcallTable>, switchless_core::FuncId) {
@@ -303,6 +316,9 @@ mod tests {
         });
         (Arc::new(table), id)
     }
+
+    /// Wall-clock bound on waits for published state.
+    const BACKSTOP: Duration = Duration::from_secs(30);
 
     fn params(budget: usize) -> FleetParams {
         FleetParams::new(PolicyParams::from_cpu(&CpuSpec::paper_machine()), budget)
@@ -340,7 +356,6 @@ mod tests {
         snap.check().expect("per-tenant conservation");
         assert_eq!(snap.tenants[0].offered, 32);
         assert_eq!(snap.tenants[1].offered, 32);
-        assert_eq!(snap.global.offered, 64);
     }
 
     #[test]
@@ -366,7 +381,7 @@ mod tests {
                 .dispatch(&OcallRequest::new(fa, &[]), b"x", &mut out)
                 .expect("tenant 0 call");
         }
-        let d = fleet.rebalance(Duration::from_millis(500));
+        let d = fleet.rebalance(BACKSTOP);
         assert_eq!(d.assigned.len(), 2);
         assert!(d.assigned.iter().sum::<usize>() <= 4);
         // Applied caps match the decision (floored at 1).
@@ -374,6 +389,53 @@ mod tests {
             assert_eq!(fleet.runtime(t).worker_cap(), m.max(1));
         }
         assert_eq!(fleet.decisions(), 1);
+        fleet.shutdown();
+    }
+
+    /// A donor whose scheduler has not stepped under its lowered cap
+    /// when the quiesce wait runs out: the receiver must not grow.
+    #[test]
+    fn timed_out_quiesce_raises_no_cap() {
+        // A quantum the free-running virtual-clock scheduler cannot
+        // sleep out within the test (2·10^8 clock steps): both shards
+        // keep publishing their two initial workers, whatever their cap.
+        let stuck = |name| {
+            let (mut spec, id) = spec(name);
+            spec.config = spec
+                .config
+                .with_quantum_ms(1_000_000_000)
+                .with_initial_workers(2);
+            (spec, id)
+        };
+        let (a, fa) = stuck("hungry");
+        let (b, fb) = stuck("sated");
+        let fleet = Fleet::start(params(4), vec![a, b]).expect("fleet start");
+        assert_eq!(fleet.caps(), [2, 2]);
+        let mut out = Vec::new();
+        for (t, f) in [(0, fa), (1, fb)] {
+            fleet
+                .runtime(t)
+                .dispatch(&OcallRequest::new(f, &[]), b"x", &mut out)
+                .expect("call");
+        }
+        // Shard 0 measured a demand curve worth three workers, shard 1
+        // none: the decision moves one worker from shard 1 to shard 0.
+        let mut evidence: Vec<ShardEvidence> = fleet.shards.iter().map(Shard::evidence).collect();
+        evidence[0].last_decision = Some(DecisionRecord {
+            chosen_workers: 2,
+            probes: [500, 300, 150, 50, 0]
+                .iter()
+                .enumerate()
+                .map(|(workers, &fallbacks)| MicroQuantumReport { workers, fallbacks })
+                .collect(),
+            costs: Vec::new(),
+        });
+        let d = fleet.migrate(&evidence, Duration::ZERO);
+        assert_eq!(d.assigned, [3, 1]);
+        assert_eq!(fleet.runtime(1).active_workers(), 2, "donor not quiesced");
+        assert_eq!(fleet.caps(), [2, 1], "the receiver grew past a busy donor");
+        let running: usize = (0..2).map(|t| fleet.runtime(t).active_workers()).sum();
+        assert!(running <= 4 && fleet.caps().iter().sum::<usize>() <= 4);
         fleet.shutdown();
     }
 
@@ -394,7 +456,7 @@ mod tests {
         // Drive rebalances until tenant 0's cap moves off its seed.
         let seeded = fleet.caps()[0];
         for _ in 0..50 {
-            fleet.rebalance(Duration::from_millis(200));
+            fleet.rebalance(BACKSTOP);
             if fleet.caps()[0] != seeded {
                 break;
             }
@@ -443,10 +505,10 @@ mod tests {
         // up until the scheduler has taken a step under it (it
         // free-runs on the virtual clock, but only once the OS runs its
         // thread).
-        let backstop = std::time::Instant::now() + Duration::from_secs(30);
+        let backstop = Instant::now() + BACKSTOP;
         while fleet.runtime(0).active_workers() > 1 {
             assert!(
-                std::time::Instant::now() < backstop,
+                Instant::now() < backstop,
                 "scheduler never stepped under the cap"
             );
             call();

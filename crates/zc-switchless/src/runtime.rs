@@ -4,7 +4,7 @@ use crate::buffer::{SchedCommand, TransitionTracer, WorkerBuffer, WorkerSlot};
 use crate::{scheduler, supervise, worker};
 use parking_lot::Mutex;
 use sgx_sim::frontdoor::{self, FrontDoor};
-use sgx_sim::{CycleClock, Enclave, MemcpyKind, RegularOcall};
+use sgx_sim::{CycleClock, Enclave, RegularOcall};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -38,7 +38,6 @@ pub(crate) struct Shared {
     /// journal entries and reply guards agree on the same tag space.
     pub(crate) door: FrontDoor,
     pub(crate) workers: Vec<WorkerSlot>,
-    pub(crate) memcpy: MemcpyKind,
     pub(crate) active_workers: AtomicUsize,
     /// Externally imposed ceiling on the scheduler's worker count
     /// (fleet bulkhead): the scheduler clamps every step to this cap, so
@@ -263,7 +262,6 @@ impl ZcRuntime {
             ),
             workers,
             table,
-            memcpy: MemcpyKind::Zc,
             active_workers: AtomicUsize::new(config.initial_workers.min(max)),
             worker_cap: AtomicUsize::new(max),
             decisions: AtomicU64::new(0),
@@ -854,7 +852,6 @@ mod tests {
         // buffers are already claimable but the plane has not resumed.
         assert!(plane.begin_crash());
         rt.shared.fence_workers();
-        plane.begin_restart();
         rt.shared.respawn_workers();
         let log = rt.install_transition_log();
         std::thread::scope(|s| {

@@ -6,9 +6,8 @@
 //!
 //! * **Callers** detect failures (observed poison, watchdog timeouts)
 //!   and report them to the shared [`Supervisor`] ledger (`caller.rs`).
-//! * **This thread** polls the ledger every
-//!   [`poll_cycles`](switchless_core::SuperviseParams::poll_cycles) and
-//!   executes its time-driven decisions: a `Respawn` swaps the slot's
+//! * **This thread** polls the ledger every micro-quantum ([`POLL`])
+//!   and executes its time-driven decisions: a `Respawn` swaps the slot's
 //!   buffer for a fresh one and spawns a new worker thread generation;
 //!   a `Heal` is bookkeeping (the slot's failure ladder resets) and is
 //!   traced so recovery is visible in the telemetry stream.
@@ -21,23 +20,15 @@ use crate::runtime::Shared;
 use sgx_sim::frontdoor;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
+use switchless_core::config::{PAPER_MU_INVERSE, PAPER_QUANTUM_MS};
 use switchless_core::SuperviseDecision;
 use zc_telemetry::{Event, Origin};
 
+/// Polling period: one paper micro-quantum (`Q/100` = 100 µs).
+const POLL: Duration = Duration::from_micros(1000 * PAPER_QUANTUM_MS / PAPER_MU_INVERSE);
+
 /// Body of the `zc-supervisor` thread. Returns when the runtime stops.
 pub(crate) fn supervise_loop(shared: &Shared) {
-    let params = shared
-        .config
-        .supervise
-        .expect("supervise thread started without supervision config");
-    let poll = Duration::from_nanos(
-        shared
-            .door
-            .clock
-            .spec()
-            .cycles_to_ns(params.poll_cycles)
-            .max(1),
-    );
     while shared.door.is_running() {
         let decisions = {
             let Some(sup) = &shared.supervisor else {
@@ -91,6 +82,6 @@ pub(crate) fn supervise_loop(shared: &Shared) {
         }
         // On a virtual clock this advances logical time instantly, so
         // backoff and probation windows elapse without wall-clock sleeps.
-        shared.door.clock.sleep(poll);
+        shared.door.clock.sleep(POLL);
     }
 }

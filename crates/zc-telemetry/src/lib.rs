@@ -46,7 +46,7 @@ pub use metrics::{
 pub use profile::{CallPhaseProfiler, Phase, PhaseRecorder, ProfileSnapshot, PHASES};
 pub use quantile::Quantiles;
 pub use scheduler::{SchedulerDriver, SchedulerStep};
-pub use slo::{OverloadSlo, SloReport};
+pub use slo::SloReport;
 pub use tracer::Tracer;
 
 use std::sync::Arc;

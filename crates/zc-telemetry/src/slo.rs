@@ -11,7 +11,6 @@
 use crate::export::json_escape;
 use crate::profile::{PathSnapshot, Phase, ProfileSnapshot};
 use std::fmt;
-use switchless_core::overload::{OverloadSnapshot, ShedReason};
 use switchless_core::CallPath;
 
 /// Stable lowercase path name shared with the event exporters.
@@ -183,89 +182,6 @@ impl PathSlo {
     }
 }
 
-/// Overload-control section of an [`SloReport`]: the shed accounting
-/// that turns per-path goodput into a goodput-vs-offered-load point.
-///
-/// Conservation is exact by construction of the producing plane:
-/// `completed + shed` counts sum to `offered` once traffic quiesces
-/// ([`conserves`](OverloadSlo::conserves) checks it).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverloadSlo {
-    /// Calls offered to admission.
-    pub offered: u64,
-    /// Calls that passed admission.
-    pub admitted: u64,
-    /// Calls that completed on some path (from the runtime's
-    /// `CallStats`).
-    pub completed: u64,
-    /// Per-reason shed counts in [`ShedReason::ALL`] order.
-    pub shed: [u64; 5],
-    /// Closed→Open breaker trips over the run.
-    pub breaker_trips: u64,
-    /// Brownout ladder level at the end of the run.
-    pub brownout_level: u8,
-}
-
-impl OverloadSlo {
-    /// Build from a plane snapshot plus the runtime's completed-call
-    /// count (take both after quiescing for exact conservation).
-    #[must_use]
-    pub fn from_snapshot(snap: &OverloadSnapshot, completed: u64) -> OverloadSlo {
-        OverloadSlo {
-            offered: snap.offered,
-            admitted: snap.admitted,
-            completed,
-            shed: snap.shed,
-            breaker_trips: snap.breaker_trips,
-            brownout_level: snap.brownout_level,
-        }
-    }
-
-    /// Total sheds across all reasons.
-    #[must_use]
-    pub fn shed_total(&self) -> u64 {
-        self.shed.iter().sum()
-    }
-
-    /// Fraction of offered calls that completed (1.0 for an idle run).
-    #[must_use]
-    pub fn goodput_ratio(&self) -> f64 {
-        if self.offered == 0 {
-            1.0
-        } else {
-            self.completed as f64 / self.offered as f64
-        }
-    }
-
-    /// Exact shed conservation: `completed + shed_total == offered`.
-    #[must_use]
-    pub fn conserves(&self) -> bool {
-        self.completed + self.shed_total() == self.offered
-    }
-
-    fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "{{\"offered\":{},\"admitted\":{},\"completed\":{},\"goodput_ratio\":{},\
-             \"breaker_trips\":{},\"brownout_level\":{},\"shed\":{{",
-            self.offered,
-            self.admitted,
-            self.completed,
-            fmt_f64(self.goodput_ratio(), 6),
-            self.breaker_trips,
-            self.brownout_level,
-        ));
-        for (i, r) in ShedReason::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{}", r.name(), self.shed[i]));
-        }
-        s.push_str("}}");
-        s
-    }
-}
-
 /// The SLO report: one [`PathSlo`] per call path that saw traffic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloReport {
@@ -278,9 +194,6 @@ pub struct SloReport {
     /// Per-path summaries in Switchless/Fallback/Regular order,
     /// paths with zero calls omitted.
     pub paths: Vec<PathSlo>,
-    /// Overload-control accounting, when the producer ran with the
-    /// overload plane on.
-    pub overload: Option<OverloadSlo>,
 }
 
 impl SloReport {
@@ -303,15 +216,7 @@ impl SloReport {
                 .filter(|p| p.total.count > 0)
                 .map(|p| PathSlo::from_snapshot(p, freq_hz, elapsed_cycles))
                 .collect(),
-            overload: None,
         }
-    }
-
-    /// Attach the overload-control section (builder style).
-    #[must_use]
-    pub fn with_overload(mut self, overload: OverloadSlo) -> SloReport {
-        self.overload = Some(overload);
-        self
     }
 
     /// Summary for one path, if it saw traffic.
@@ -348,11 +253,7 @@ impl SloReport {
             }
             s.push_str(&p.to_json());
         }
-        s.push(']');
-        if let Some(o) = &self.overload {
-            s.push_str(&format!(",\"overload\":{}", o.to_json()));
-        }
-        s.push('}');
+        s.push_str("]}");
         s
     }
 
@@ -373,12 +274,6 @@ impl SloReport {
         for p in &self.paths {
             s.push_str(&p.to_json());
             s.push('\n');
-        }
-        if let Some(o) = &self.overload {
-            s.push_str(&format!(
-                "{{\"kind\":\"overload\",\"body\":{}}}\n",
-                o.to_json()
-            ));
         }
         s
     }
@@ -430,30 +325,6 @@ impl fmt::Display for SloReport {
                 p.total_cycles,
                 fmt_f64(err, 6),
             )?;
-        }
-        if let Some(o) = &self.overload {
-            writeln!(
-                f,
-                "  overload    offered={} admitted={} completed={} shed={} goodput_ratio={} \
-                 breaker_trips={} brownout_level={}{}",
-                o.offered,
-                o.admitted,
-                o.completed,
-                o.shed_total(),
-                fmt_f64(o.goodput_ratio(), 3),
-                o.breaker_trips,
-                o.brownout_level,
-                if o.conserves() {
-                    ""
-                } else {
-                    " (NOT CONSERVED)"
-                },
-            )?;
-            for (i, r) in ShedReason::ALL.iter().enumerate() {
-                if o.shed[i] > 0 {
-                    writeln!(f, "    shed[{}]={}", r.name(), o.shed[i])?;
-                }
-            }
         }
         Ok(())
     }
@@ -512,37 +383,6 @@ mod tests {
         let human = a.to_string();
         assert!(human.contains("switchless"));
         assert!(human.contains("conservation"));
-    }
-
-    #[test]
-    fn overload_section_exports_and_conserves() {
-        let o = OverloadSlo {
-            offered: 100,
-            admitted: 80,
-            completed: 75,
-            shed: [5, 10, 5, 0, 5],
-            breaker_trips: 2,
-            brownout_level: 1,
-        };
-        assert_eq!(o.shed_total(), 25);
-        assert!(o.conserves(), "75 completed + 25 shed == 100 offered");
-        assert!((o.goodput_ratio() - 0.75).abs() < 1e-12);
-        let r = sample_report().with_overload(o.clone());
-        let json = r.to_json();
-        assert!(json.contains("\"overload\":{\"offered\":100,\"admitted\":80"));
-        assert!(json.contains("\"deadline_expired\":5"));
-        assert!(json.contains("\"breaker_open\":5"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(
-            r.to_jsonl().lines().count(),
-            4,
-            "header + 2 paths + overload"
-        );
-        assert!(r.to_string().contains("breaker_trips=2"));
-        // A report without the section serialises exactly as before.
-        assert!(!sample_report().to_json().contains("overload"));
-        let broken = OverloadSlo { completed: 76, ..o };
-        assert!(!broken.conserves());
     }
 
     #[test]

@@ -214,9 +214,9 @@ fn zc_chaos_soak_self_heals_and_conserves_calls() {
         "every dispatched call completed exactly once: {snap:?}"
     );
 
-    // Drain: exactly the two hang-wedged threads are abandoned; the
-    // respawned generations join. Virtual clock: costs no wall time.
-    let report = rt.shutdown_with_timeout(Duration::from_millis(200));
+    // Drain: exactly the two hang-wedged threads are abandoned (they
+    // marked themselves); the respawned generations join.
+    let report = rt.shutdown_with_timeout(BACKSTOP);
     assert_eq!(
         report.abandoned, 2,
         "both hung threads abandoned: {report:?}"
@@ -392,7 +392,7 @@ fn seeded_soak_projection() -> String {
         );
     }
     assert!(rt.stats().snapshot().is_conserved());
-    let report = rt.shutdown_with_timeout(Duration::from_millis(200));
+    let report = rt.shutdown_with_timeout(BACKSTOP);
     assert_eq!(report.abandoned, 1, "the hung generation is abandoned");
     drop(rt);
     canonical_jsonl(&hub.tracer().drain(), |ev| {
@@ -574,7 +574,7 @@ proptest! {
             "lost or double-completed calls: {:?}",
             snap
         );
-        // Hung threads may be wedged: bounded virtual-clock drain.
-        rt.shutdown_with_timeout(Duration::from_millis(200));
+        // Hung threads are wedged and say so; everything else joins.
+        rt.shutdown_with_timeout(BACKSTOP);
     }
 }

@@ -256,6 +256,30 @@ fn admission_and_stop_contract_holds_on_both_transports() {
     admission_and_stop_contract(start_intel);
 }
 
+/// The machine-derived overload defaults admit a healthy closed-loop
+/// caller in full. The default burst (one quantum of the machine's issue
+/// rate, 271 428 tokens on two CPUs) alone outlasts the run, so the
+/// outcome does not depend on how fast the host refills it.
+#[test]
+fn default_overload_params_never_rate_limit_a_closed_loop_caller() {
+    let cpu = CpuSpec::paper_machine().with_logical_cpus(2);
+    let (t, echo) = table();
+    let cfg = ZcConfig::for_cpu(cpu).with_overload_params(OverloadParams::for_cpu(&cpu));
+    let rt = ZcRuntime::start(cfg, t, Enclave::new(cpu)).unwrap();
+    let mut out = Vec::new();
+    for _ in 0..50_000 {
+        match rt.dispatch(&OcallRequest::new(echo, &[]), &[], &mut out) {
+            Ok(_) | Err(SwitchlessError::Overloaded { .. }) => {}
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    let snap = rt.overload();
+    assert_eq!(snap.offered, 50_000);
+    assert_eq!(snap.shed_for(ShedReason::RateLimited), 0);
+    assert!(snap.conserves(rt.call_stats().total_calls()), "{snap:?}");
+    rt.stop();
+}
+
 /// A watchdog-cancelled call is re-routed and returns its result to the
 /// caller: the fleet ledger (one `FrontDoor::usage` row per shard) books
 /// it as completed — as the DES does — not as "abandoned un-issued".

@@ -23,10 +23,6 @@ crates/switchless-core/src/fault.rs: illegal_edges is_clean skew_clock stall_enc
 crates/switchless-core/src/fault.rs: stall_worker_at stall_worker_every
 crates/des/src/ocall/zc.rs: crash_enclave_during_replay stall_enclave_at_call
 
-# tlibc_equivalence.rs pins the vanilla/zc contract of paper §IV-C on all five routines
-crates/sgx-sim/src/tlibc.rs: memcmp_vanilla memcmp_zc memmove_vanilla memmove_zc
-crates/sgx-sim/src/tlibc.rs: memset_vanilla memset_zc strlen_vanilla strlen_zc
-
 # the four exporters are telemetry's output; deployers, examples and trace pins call them
 crates/zc-telemetry/src/export.rs: canonical_jsonl events_to_jsonl to_chrome_trace to_prometheus
 
@@ -43,6 +39,7 @@ crates/des/src/sim.rs: with_gantt
 crates/switchless-core/src/policy.rs: settled_workers shifting
 crates/switchless-core/src/supervise.rs: serving_workers
 crates/des/src/kernel.rs: thread_cycles
+crates/des/src/metrics.rs: goodput_ratio
 crates/sgx-sim/src/clock.rs: is_virtual
 crates/sgx-sim/src/hostfs.rs: file_contents file_size
 crates/intel-switchless/src/pool.rs: from_raw is_done
@@ -129,7 +126,7 @@ fn every_public_function_is_called_or_allowlisted() {
         }
     }
     let budget = allowed.len();
-    assert!(budget <= 55, "{budget} allowlist entries: the budget is 55");
+    assert!(budget <= 48, "{budget} allowlist entries: the budget is 48");
     let unlisted: Vec<_> = flagged.difference(&allowed).collect();
     let stale: Vec<_> = allowed.difference(&flagged).collect();
     assert!(
