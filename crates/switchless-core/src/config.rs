@@ -29,9 +29,10 @@ pub const PAPER_MU_INVERSE: u64 = 100;
 /// [`PolicyParams::fallback_weight`]).
 pub const DEFAULT_FALLBACK_WEIGHT: u64 = 8;
 
-/// Default per-worker untrusted request-pool size in bytes (paper
-/// §IV-B preallocates the pools; 64 KiB holds any one benchmark
-/// payload).
+/// Per-worker untrusted request-pool size in bytes of the DES's ZC
+/// model (paper §IV-B: a preallocated bump pool, reallocated via an
+/// ocall when full — the Fig. 8 spikes). The real runtime sizes each
+/// pool from the payloads it carries instead.
 pub const DEFAULT_POOL_BYTES: usize = 64 * 1024;
 
 /// Default retry counts of the Intel SDK (developer reference §III-C):
@@ -162,10 +163,6 @@ pub struct ZcConfig {
     /// Workers created at startup (paper §V: `N/2`, the scheduler then
     /// adapts within `0..=N/2`).
     pub initial_workers: usize,
-    /// Per-worker untrusted request-pool size in bytes. Pool exhaustion
-    /// triggers one real ocall to reallocate (paper §IV-B), visible as
-    /// latency spikes in Fig. 8.
-    pub pool_bytes: usize,
     /// Fallback weight of the scheduler argmin (see
     /// [`crate::policy::PolicyParams::fallback_weight`]).
     pub fallback_weight: u64,
@@ -201,7 +198,6 @@ impl ZcConfig {
             quantum_cycles: cpu.quantum_cycles(PAPER_QUANTUM_MS),
             mu_inverse: PAPER_MU_INVERSE,
             initial_workers: cpu.zc_max_workers(),
-            pool_bytes: DEFAULT_POOL_BYTES,
             fallback_weight: DEFAULT_FALLBACK_WEIGHT,
             supervise: None,
             overload: None,
@@ -238,13 +234,6 @@ impl ZcConfig {
     #[must_use]
     pub fn with_initial_workers(mut self, n: usize) -> Self {
         self.initial_workers = n;
-        self
-    }
-
-    /// Builder-style override of the per-worker pool size.
-    #[must_use]
-    pub fn with_pool_bytes(mut self, bytes: usize) -> Self {
-        self.pool_bytes = bytes.max(256);
         self
     }
 
@@ -325,11 +314,9 @@ mod tests {
     fn zc_builder_overrides() {
         let c = ZcConfig::default()
             .with_quantum_ms(20)
-            .with_initial_workers(1)
-            .with_pool_bytes(0);
+            .with_initial_workers(1);
         assert_eq!(c.quantum_cycles, 76_000_000);
         assert_eq!(c.initial_workers, 1);
-        assert_eq!(c.pool_bytes, 256, "pool clamps to a usable minimum");
     }
 
     #[test]

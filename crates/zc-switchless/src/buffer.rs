@@ -1,7 +1,7 @@
 //! Per-worker shared buffers (paper §IV-B).
 //!
 //! Each worker owns a buffer with the four fields of the paper's design:
-//! a preallocated untrusted memory pool, a slot for the most recent
+//! an untrusted memory pool, a slot for the most recent
 //! switchless request, an atomic status word driving the
 //! `UNUSED → RESERVED → PROCESSING → WAITING → UNUSED` state machine, and
 //! a scheduler-communication word ([`SchedCommand`]).
@@ -180,15 +180,16 @@ struct StatusOwned<T>(UnsafeCell<T>);
 unsafe impl<T: Send> Sync for StatusOwned<T> {}
 
 impl WorkerBuffer {
-    /// New buffer in the `UNUSED` state with a pool of `pool_bytes`.
+    /// New buffer in the `UNUSED` state with an empty pool, which its
+    /// payloads grow.
     #[must_use]
-    pub fn new(pool_bytes: usize) -> Self {
+    pub(crate) fn new() -> Self {
         WorkerBuffer {
             status: AtomicU8::new(WorkerState::Unused.as_u8()),
             sched_cmd: AtomicU8::new(SchedCommand::Run as u8),
             poisoned: AtomicBool::new(false),
             slot: StatusOwned(UnsafeCell::new(RequestSlot::default())),
-            pool: StatusOwned(UnsafeCell::new(RequestPool::new(pool_bytes))),
+            pool: StatusOwned(UnsafeCell::new(RequestPool::default())),
             thread: OnceLock::new(),
             recorder: OnceLock::new(),
             tracer: OnceLock::new(),
@@ -374,9 +375,9 @@ pub(crate) struct WorkerSlot {
 }
 
 impl WorkerSlot {
-    /// Slot serving a fresh buffer with a pool of `pool_bytes`.
-    pub(crate) fn new(pool_bytes: usize) -> Self {
-        let first = Arc::new(WorkerBuffer::new(pool_bytes));
+    /// Slot serving a fresh buffer.
+    pub(crate) fn new() -> Self {
+        let first = Arc::new(WorkerBuffer::new());
         WorkerSlot {
             current: AtomicPtr::new(Arc::as_ptr(&first).cast_mut()),
             published: Mutex::new(vec![first]),
@@ -431,14 +432,14 @@ mod tests {
 
     #[test]
     fn starts_unused_and_running() {
-        let b = WorkerBuffer::new(1024);
+        let b = WorkerBuffer::new();
         assert_eq!(b.state(), Ok(WorkerState::Unused));
         assert_eq!(b.sched_command(), Ok(SchedCommand::Run));
     }
 
     #[test]
     fn happy_path_transitions() {
-        let b = WorkerBuffer::new(1024);
+        let b = WorkerBuffer::new();
         assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
         assert!(b.try_transition(WorkerState::Reserved, WorkerState::Processing));
         assert!(b.try_transition(WorkerState::Processing, WorkerState::Waiting));
@@ -448,7 +449,7 @@ mod tests {
 
     #[test]
     fn failed_cas_leaves_state_untouched() {
-        let b = WorkerBuffer::new(1024);
+        let b = WorkerBuffer::new();
         assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
         // Second claim must lose.
         assert!(!b.try_transition(WorkerState::Unused, WorkerState::Reserved));
@@ -457,7 +458,7 @@ mod tests {
 
     #[test]
     fn commands_round_trip() {
-        let b = WorkerBuffer::new(1024);
+        let b = WorkerBuffer::new();
         b.post_command(SchedCommand::Deactivate);
         assert_eq!(b.sched_command(), Ok(SchedCommand::Deactivate));
         b.post_command(SchedCommand::Exit);
@@ -468,7 +469,7 @@ mod tests {
 
     #[test]
     fn slot_carries_request_and_reply() {
-        let b = WorkerBuffer::new(1024);
+        let b = WorkerBuffer::new();
         assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
         b.with_slot(Side::Caller, |s| {
             s.request = Some(OcallRequest::new(FuncId(3), &[1]));
@@ -486,9 +487,9 @@ mod tests {
 
     #[test]
     fn pool_is_per_buffer() {
-        let b = WorkerBuffer::new(128);
+        let b = WorkerBuffer::new();
         assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
-        b.with_pool(Side::Caller, |p| assert_eq!(p.capacity(), 128));
+        b.with_pool(Side::Caller, |p| assert_eq!(p.capacity(), 64));
     }
 
     #[test]
@@ -501,7 +502,7 @@ mod tests {
             }))
             .is_ok()
         };
-        let b = WorkerBuffer::new(64);
+        let b = WorkerBuffer::new();
         // UNUSED: nobody's turn.
         assert!(!touch(&b, Side::Caller) && !touch(&b, Side::Worker));
         assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
@@ -517,8 +518,8 @@ mod tests {
 
     #[test]
     fn slot_swap_keeps_the_replaced_buffer_alive_for_stale_readers() {
-        let fresh = || Arc::new(WorkerBuffer::new(64));
-        let slot = WorkerSlot::new(64);
+        let fresh = || Arc::new(WorkerBuffer::new());
+        let slot = WorkerSlot::new();
         let old = slot.get();
         assert!(std::ptr::eq(old, &*slot.current()));
         // A healthy buffer is never replaced (its worker would be
@@ -534,7 +535,7 @@ mod tests {
 
     #[test]
     fn unpark_without_thread_is_noop() {
-        let b = WorkerBuffer::new(64);
+        let b = WorkerBuffer::new();
         b.unpark(); // must not panic
         b.set_thread(std::thread::current());
         b.unpark();
@@ -545,7 +546,7 @@ mod tests {
         // The release-mode promotion of the old debug assertion: an
         // illegal edge never fires the CAS, quarantines the slot, and
         // leaves the status word untouched.
-        let b = WorkerBuffer::new(64);
+        let b = WorkerBuffer::new();
         assert!(!b.try_transition(WorkerState::Processing, WorkerState::Unused));
         assert!(b.is_poisoned());
         assert_eq!(b.state(), Ok(WorkerState::Unused));
@@ -554,7 +555,7 @@ mod tests {
     #[test]
     fn host_scribbles_become_violations_not_panics() {
         use switchless_core::GuardKind;
-        let b = WorkerBuffer::new(64);
+        let b = WorkerBuffer::new();
         b.host_write_status(0xEE);
         assert_eq!(b.state().unwrap_err().kind, GuardKind::BadStatusWord);
         b.host_write_sched_cmd(0x7F);
@@ -573,7 +574,7 @@ mod tests {
 
     #[test]
     fn poison_flag_latches() {
-        let b = WorkerBuffer::new(64);
+        let b = WorkerBuffer::new();
         assert!(!b.is_poisoned());
         b.poison();
         assert!(b.is_poisoned());
@@ -583,7 +584,7 @@ mod tests {
 
     #[test]
     fn recorder_sees_successful_transitions_only() {
-        let b = WorkerBuffer::new(64);
+        let b = WorkerBuffer::new();
         let log = Arc::new(TransitionLog::new());
         b.set_recorder(Arc::clone(&log));
         assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));

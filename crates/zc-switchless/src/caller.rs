@@ -177,10 +177,10 @@ fn switchless_call(
     // injected exhaustion is retried with exponential pause backoff (the
     // graceful-degradation path for transient pressure on the untrusted
     // heap); persistent exhaustion degrades to the regular-ocall path
-    // below, exactly like an oversized payload. Each exhaustion is also
-    // a storm signal for the overload plane's breaker, which can cut
-    // the retry loop short: once the breaker opens there is no point
-    // burning backoff spins on a heap that is not recovering.
+    // below. Each exhaustion is also a storm signal for the overload
+    // plane's breaker, which can cut the retry loop short: once the
+    // breaker opens there is no point burning backoff spins on a heap
+    // that is not recovering.
     let alloc = {
         let mut attempts: u32 = 0;
         loop {
@@ -202,8 +202,9 @@ fn switchless_call(
     let offset = match alloc {
         PoolAlloc::Fit { offset } => offset,
         PoolAlloc::AfterRealloc => {
-            // The pool was freed and reallocated: costs one real ocall
-            // (the Fig. 8 latency spikes).
+            // The payload outgrew the pool, which was freed and
+            // reallocated: costs one real ocall, at most
+            // ⌈log₂(largest payload / 64)⌉ times per buffer.
             door.stats.record_pool_realloc();
             door.fallback.enclave().record_ocall();
             door.clock.enclave_transition();
@@ -215,11 +216,11 @@ fn switchless_call(
             0
         }
         PoolAlloc::TooLarge => {
-            // Payload exceeds the pool outright: release the worker and
-            // execute as a regular ocall (the untrusted heap handles it).
-            // This is a load-driven fallback, so it feeds the breaker's
-            // storm signal — but it is never *gated*: the worker is
-            // already claimed and the call must complete.
+            // Injected exhaustion outlasted its retries: release the
+            // worker and execute as a regular ocall (the untrusted heap
+            // handles it). This is a load-driven fallback, so it feeds
+            // the breaker's storm signal — but it is never *gated*: the
+            // worker is already claimed and the call must complete.
             let ok = w.try_transition(WorkerState::Reserved, WorkerState::Unused);
             debug_assert!(ok, "RESERVED -> UNUSED release must not be contended");
             rec.mark(Phase::CopyIn, &door.clock);

@@ -15,8 +15,8 @@
 //!   [`switchless_core::policy`]);
 //! * hands requests over through per-worker shared buffers with the
 //!   `UNUSED → RESERVED → PROCESSING → WAITING → UNUSED` state machine
-//!   ([`buffer`]) and preallocated untrusted request pools that are
-//!   reallocated via one real ocall when full ([`pool`]);
+//!   ([`buffer`]) and untrusted request pools that wrap for free and
+//!   grow, via one real ocall, only for a larger payload ([`pool`]);
 //! * scales out to **multi-tenant fleets** ([`fleet`]): M runtimes as
 //!   bulkhead fault domains under one global worker budget, rebalanced
 //!   by the fleet-wide argmin with quiesce-and-migrate worker moves.

@@ -1,4 +1,4 @@
-//! Preallocated untrusted request pools (paper §IV-B).
+//! Untrusted request pools (paper §IV-B), sized by the traffic.
 //!
 //! Callers allocate switchless-request payload space from their worker's
 //! pool instead of ocall-ing `malloc` for every request — "using
@@ -6,14 +6,21 @@
 //! allocate untrusted memory for each switchless request, which would
 //! defeat the purpose of using a switchless system."
 //!
-//! When a pool is full it is *freed and reallocated via an ocall*: the
-//! caller pays one enclave transition, the pool resets, and allocation
-//! proceeds. These reallocations are the latency spikes visible in the
-//! paper's Fig. 8.
+//! A worker buffer carries one live request at a time (the mailbox,
+//! DESIGN.md §5), so the pool is a ring: a request goes at the cursor,
+//! and one that does not fit in the space left wraps to offset 0 for
+//! free. The bytes it overwrites were last read in an earlier call's
+//! `PROCESSING`, which ended before that caller released the buffer.
+//! Only a payload larger than the whole pool frees and reallocates it
+//! via an ocall, at the payload's next power of two: a buffer pays at
+//! most ⌈log₂(largest payload / 64)⌉ of these in its life and keeps
+//! less than twice its largest payload. (The paper's pool is a bump
+//! allocator reallocated whenever full — the Fig. 8 spikes, which the
+//! DES keeps modelling.)
 
 use std::fmt;
 
-/// Bump-allocated untrusted memory pool for one worker buffer.
+/// Ring-allocated untrusted memory pool for one worker buffer.
 pub struct RequestPool {
     buf: Vec<u8>,
     bump: usize,
@@ -38,65 +45,59 @@ pub enum PoolAlloc {
         /// Offset of the reserved range.
         offset: usize,
     },
-    /// The pool was full and has been reset; the allocation now sits at
-    /// offset 0 and the caller owes one reallocation ocall.
+    /// The payload outgrew the pool, which has been reallocated to fit
+    /// it; the allocation sits at offset 0 and the caller owes one
+    /// reallocation ocall.
     AfterRealloc,
-    /// The request exceeds the pool capacity outright.
+    /// Never returned by [`RequestPool::alloc`]: the caller's outcome
+    /// when injected exhaustion outlasts its retries.
     TooLarge,
 }
 
 impl RequestPool {
-    /// Pool of `capacity` bytes (minimum 64).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        RequestPool {
-            buf: vec![0u8; capacity.max(64)],
-            bump: 0,
-            reallocs: 0,
-        }
-    }
-
     /// Pool capacity in bytes.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.buf.len()
     }
 
-    /// Bytes currently bump-allocated.
+    /// End of the most recent request: where the next one goes if it
+    /// fits in the space left.
     #[must_use]
     pub fn used(&self) -> usize {
         self.bump
     }
 
-    /// Number of full-pool reallocations so far.
+    /// Number of growth reallocations so far.
     #[must_use]
     pub fn reallocs(&self) -> u64 {
         self.reallocs
     }
 
-    /// Reserve `len` bytes.
+    /// Reserve `len` bytes, overwriting any earlier request.
     ///
-    /// Returns [`PoolAlloc::AfterRealloc`] when the pool had to be freed
-    /// and reallocated — the caller must charge one enclave transition
-    /// (and record it) before using the space at offset 0.
+    /// Returns [`PoolAlloc::AfterRealloc`] when the pool had to grow —
+    /// the caller must charge one enclave transition (and record it)
+    /// before using the space at offset 0.
     pub fn alloc(&mut self, len: usize) -> PoolAlloc {
         if len > self.buf.len() {
-            return PoolAlloc::TooLarge;
-        }
-        if self.bump + len <= self.buf.len() {
-            let offset = self.bump;
-            // An empty reservation must not dirty the pool header.
-            if len > 0 {
-                self.bump += len;
-            }
-            PoolAlloc::Fit { offset }
-        } else {
-            // Full: free + reallocate (modelled as a reset; the real
+            // Free + reallocate (modelled as a fresh buffer; the real
             // system performs an ocall to do this).
+            self.buf = vec![0u8; len.next_power_of_two()];
             self.reallocs += 1;
             self.bump = len;
-            PoolAlloc::AfterRealloc
+            return PoolAlloc::AfterRealloc;
         }
+        let offset = if self.bump + len <= self.buf.len() {
+            self.bump
+        } else {
+            0
+        };
+        // An empty reservation must not dirty the pool header.
+        if len > 0 {
+            self.bump = offset + len;
+        }
+        PoolAlloc::Fit { offset }
     }
 
     /// Write `data` at `offset` (previously returned by
@@ -122,8 +123,14 @@ impl RequestPool {
 }
 
 impl Default for RequestPool {
+    /// An empty pool of 64 bytes (one cache line): the first payload
+    /// larger than that grows it.
     fn default() -> Self {
-        RequestPool::new(switchless_core::config::DEFAULT_POOL_BYTES)
+        RequestPool {
+            buf: vec![0u8; 64],
+            bump: 0,
+            reallocs: 0,
+        }
     }
 }
 
@@ -133,56 +140,61 @@ mod tests {
 
     #[test]
     fn bump_allocation_is_disjoint() {
-        let mut p = RequestPool::new(100);
-        let PoolAlloc::Fit { offset: a } = p.alloc(40) else {
-            panic!("first alloc must fit")
-        };
-        let PoolAlloc::Fit { offset: b } = p.alloc(40) else {
-            panic!("second alloc must fit")
-        };
-        assert_eq!(a, 0);
-        assert_eq!(b, 40);
-        assert_eq!(p.used(), 80);
+        let mut p = RequestPool::default();
+        assert_eq!(p.alloc(20), PoolAlloc::Fit { offset: 0 });
+        assert_eq!(p.alloc(20), PoolAlloc::Fit { offset: 20 });
+        assert_eq!(p.used(), 40);
     }
 
     #[test]
-    fn exhaustion_triggers_realloc_and_resets() {
-        let mut p = RequestPool::new(100);
-        assert!(matches!(p.alloc(80), PoolAlloc::Fit { .. }));
-        assert_eq!(p.alloc(40), PoolAlloc::AfterRealloc);
+    fn a_wrap_never_counts_a_realloc() {
+        let mut p = RequestPool::default();
+        assert_eq!(p.alloc(40), PoolAlloc::Fit { offset: 0 });
+        assert_eq!(p.alloc(40), PoolAlloc::Fit { offset: 0 }, "wraps");
+        assert_eq!(p.alloc(24), PoolAlloc::Fit { offset: 40 });
+        assert_eq!(
+            p.alloc(1),
+            PoolAlloc::Fit { offset: 0 },
+            "exactly full wraps"
+        );
+        assert_eq!((p.reallocs(), p.capacity(), p.used()), (0, 64, 1));
+    }
+
+    #[test]
+    fn growth_goes_to_the_next_power_of_two_and_counts_once() {
+        let mut p = RequestPool::default();
+        assert_eq!(p.alloc(65), PoolAlloc::AfterRealloc);
+        assert_eq!((p.reallocs(), p.capacity(), p.used()), (1, 128, 65));
+        // Anything up to the new capacity fits (wrapping) for free.
+        assert_eq!(p.alloc(128), PoolAlloc::Fit { offset: 0 });
+        assert_eq!(p.alloc(65), PoolAlloc::Fit { offset: 0 });
         assert_eq!(p.reallocs(), 1);
-        assert_eq!(p.used(), 40, "post-realloc allocation sits at the start");
-        // Next small alloc fits again without realloc.
-        assert!(matches!(p.alloc(10), PoolAlloc::Fit { offset: 40 }));
+        // An exact power of two is its own ceiling.
+        assert_eq!(p.alloc(4096), PoolAlloc::AfterRealloc);
+        assert_eq!((p.reallocs(), p.capacity()), (2, 4096));
     }
 
     #[test]
-    fn oversized_requests_are_rejected() {
-        let mut p = RequestPool::new(64);
-        assert_eq!(p.alloc(65), PoolAlloc::TooLarge);
-        assert_eq!(p.reallocs(), 0, "rejection is not a realloc");
+    fn empty_alloc_leaves_the_header_alone_after_a_wrap_or_a_growth() {
+        let mut p = RequestPool::default();
+        let header = |p: &RequestPool| (p.used(), p.capacity());
+        assert_eq!(p.alloc(0), PoolAlloc::Fit { offset: 0 });
+        assert_eq!(header(&p), (0, 64));
+        assert_eq!(p.alloc(100), PoolAlloc::AfterRealloc);
+        assert_eq!(p.alloc(0), PoolAlloc::Fit { offset: 100 });
+        assert_eq!(header(&p), (100, 128));
+        assert_eq!(p.alloc(50), PoolAlloc::Fit { offset: 0 }, "wraps");
+        assert_eq!(p.alloc(0), PoolAlloc::Fit { offset: 50 });
+        assert_eq!(header(&p), (50, 128));
     }
 
     #[test]
     fn write_and_read_back() {
-        let mut p = RequestPool::new(64);
+        let mut p = RequestPool::default();
         let PoolAlloc::Fit { offset } = p.alloc(5) else {
             panic!()
         };
         p.write_with(offset, b"hello", |d, s| d.copy_from_slice(s));
         assert_eq!(p.slice(offset, 5), b"hello");
-    }
-
-    #[test]
-    fn minimum_capacity_is_enforced() {
-        let p = RequestPool::new(0);
-        assert_eq!(p.capacity(), 64);
-    }
-
-    #[test]
-    fn zero_length_alloc_always_fits() {
-        let mut p = RequestPool::new(64);
-        assert!(matches!(p.alloc(64), PoolAlloc::Fit { .. }));
-        assert!(matches!(p.alloc(0), PoolAlloc::Fit { offset: 64 }));
     }
 }

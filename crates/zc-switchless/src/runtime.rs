@@ -125,7 +125,7 @@ impl Shared {
     /// enclave restart raced for the slot and the other one won.
     pub(crate) fn respawn_slot(&self, index: usize, generation: u64) -> bool {
         let Some(fresh) = self.workers[index].replace_quarantined(|| {
-            let fresh = Arc::new(WorkerBuffer::new(self.config.pool_bytes));
+            let fresh = Arc::new(WorkerBuffer::new());
             if let Some(log) = self.transition_log.lock().clone() {
                 fresh.set_recorder(log);
             }
@@ -248,9 +248,7 @@ impl ZcRuntime {
         if ecalls {
             fallback = fallback.as_ecalls();
         }
-        let workers = (0..max)
-            .map(|_| WorkerSlot::new(config.pool_bytes))
-            .collect();
+        let workers = (0..max).map(|_| WorkerSlot::new()).collect();
         let shared = Arc::new_cyclic(|me| Shared {
             me: me.clone(),
             door: FrontDoor::new(
@@ -619,30 +617,37 @@ mod tests {
     }
 
     #[test]
-    fn oversized_payload_falls_back() {
+    fn oversized_payload_grows_the_pool_once_then_goes_switchless() {
         let (t, echo, _) = table();
-        let mut cfg = test_config();
-        cfg = cfg.with_pool_bytes(256);
+        // One worker buffer, so every switchless call lands on the same
+        // pool.
+        let mut cpu = CpuSpec::paper_machine();
+        cpu.logical_cpus = 2;
+        let cfg = ZcConfig::for_cpu(cpu).with_quantum_ms(1000);
         let rt = ZcRuntime::start(cfg, t, enclave(&cfg)).unwrap();
         let big = vec![7u8; 1024];
         let mut out = Vec::new();
-        let (ret, path) = rt
-            .dispatch(&OcallRequest::new(echo, &[]), &big, &mut out)
-            .unwrap();
-        assert_eq!(ret, 1024);
-        assert_eq!(out, big);
+        let backstop = std::time::Instant::now() + Duration::from_secs(30);
+        while rt.stats().snapshot().switchless < 3 {
+            assert!(std::time::Instant::now() < backstop, "no switchless call");
+            let (ret, _) = rt
+                .dispatch(&OcallRequest::new(echo, &[]), &big, &mut out)
+                .unwrap();
+            assert_eq!(ret, 1024);
+            assert_eq!(out, big);
+        }
         assert_eq!(
-            path,
-            CallPath::Fallback,
-            "payload larger than pool must fall back"
+            rt.stats().snapshot().pool_reallocs,
+            1,
+            "the first switchless 1 KiB call grows the 64 B pool; the rest fit"
         );
         rt.shutdown();
     }
 
     #[test]
-    fn pool_exhaustion_reallocates_and_still_completes() {
+    fn repeated_payloads_never_reallocate_after_the_first_growth() {
         let (t, echo, _) = table();
-        let cfg = test_config().with_pool_bytes(256).with_quantum_ms(1000);
+        let cfg = test_config().with_quantum_ms(1000);
         let rt = ZcRuntime::start(cfg, t, enclave(&cfg)).unwrap();
         let payload = vec![1u8; 200];
         let mut out = Vec::new();
@@ -657,14 +662,12 @@ mod tests {
                 switchless_calls += 1;
             }
         }
-        let snap = rt.stats().snapshot();
-        if switchless_calls >= 2 {
-            assert!(
-                snap.pool_reallocs > 0,
-                "repeated 200 B payloads in a 256 B pool must trigger reallocs \
-                 (switchless={switchless_calls})"
-            );
-        }
+        let reallocs = rt.stats().snapshot().pool_reallocs;
+        assert!(
+            reallocs <= cfg.max_workers() as u64 && (reallocs > 0) == (switchless_calls > 0),
+            "each buffer grows once for 200 B and then wraps \
+             (reallocs={reallocs}, switchless={switchless_calls})"
+        );
         rt.shutdown();
     }
 

@@ -4,7 +4,8 @@
 
 use std::sync::Arc;
 use switchless_core::{
-    CallPath, CpuSpec, IntelConfig, OcallDispatcher, OcallRequest, OcallTable, ZcConfig,
+    CallPath, CpuSpec, FaultInjector, FaultPlan, IntelConfig, OcallDispatcher, OcallRequest,
+    OcallTable, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless_repro::intel_switchless::IntelSwitchless;
 use zc_switchless_repro::sgx_sim::hostfs::FsFuncs;
@@ -145,13 +146,14 @@ fn concurrent_mixed_workload_over_zc_is_correct() {
 
 #[test]
 fn fallback_paths_preserve_results() {
-    // Force heavy fallback by limiting zc pools to the minimum; payload
-    // integrity must hold on both the switchless and fallback paths.
-    let (_fs, table, funcs, enclave) = fixture();
-    let cfg = ZcConfig::for_cpu(test_cpu())
-        .with_quantum_ms(5)
-        .with_pool_bytes(0);
-    let rt = ZcRuntime::start(cfg, table, enclave).unwrap();
+    // Force heavy fallback by exhausting the zc pools for the first 100
+    // claimed calls' whole retry budget (1 + 3 forced allocations each);
+    // payload integrity must hold on both the switchless and fallback
+    // paths.
+    let (fs, table, funcs, enclave) = fixture();
+    let cfg = ZcConfig::for_cpu(test_cpu()).with_quantum_ms(5);
+    let faults = Arc::new(FaultInjector::new(FaultPlan::new().exhaust_pool_first(400)));
+    let rt = ZcRuntime::start_with_faults(cfg, table, enclave, faults).unwrap();
     let mut out = Vec::new();
     let (fd, _) = rt
         .dispatch(
@@ -161,8 +163,10 @@ fn fallback_paths_preserve_results() {
         )
         .unwrap();
     let mut fallbacks = 0;
+    let mut written = Vec::new();
     for i in 0..200u32 {
-        let payload = vec![i as u8; 512]; // larger than the 256 B pool
+        let payload = vec![i as u8; 512];
+        written.extend_from_slice(&payload);
         let (ret, path) = rt
             .dispatch(
                 &OcallRequest::new(funcs.fwrite, &[fd as u64]),
@@ -177,7 +181,44 @@ fn fallback_paths_preserve_results() {
     }
     assert!(
         fallbacks > 0,
-        "oversized payloads must exercise the fallback path"
+        "exhausted pools must exercise the fallback path"
+    );
+    assert_eq!(fs.file_contents("/fallbacks").unwrap(), written);
+    rt.shutdown();
+}
+
+#[test]
+fn payload_mix_pays_at_most_two_pool_growths_per_worker() {
+    // The `zc_payload` mix: a worker buffer holds one live request, so
+    // its pool wraps for free and reallocates only to grow, 64 B →
+    // 4 KiB → 16 KiB at most. Whichever calls the scheduler sends down
+    // the fallback path, no buffer can pay more than those two.
+    let mut table = OcallTable::new();
+    let echo = table.register(
+        "echo",
+        |_: &[u64; MAX_OCALL_ARGS], pin: &[u8], pout: &mut Vec<u8>| {
+            pout.extend_from_slice(pin);
+            pin.len() as i64
+        },
+    );
+    let mut cpu = test_cpu();
+    cpu.logical_cpus = 2; // one zc worker
+    let cfg = ZcConfig::for_cpu(cpu);
+    let rt = ZcRuntime::start(cfg, Arc::new(table), Enclave::new(cpu)).unwrap();
+    let mut out = Vec::new();
+    for i in 0..3_000usize {
+        let payload = vec![i as u8; [64, 4096, 16384][i % 3]];
+        let (ret, _) = rt
+            .dispatch(&OcallRequest::new(echo, &[]), &payload, &mut out)
+            .unwrap();
+        assert_eq!(ret, payload.len() as i64);
+        assert_eq!(out, payload, "call {i} corrupted its payload");
+    }
+    let reallocs = rt.stats().snapshot().pool_reallocs;
+    assert!(
+        reallocs <= 2 * cfg.max_workers() as u64,
+        "{reallocs} pool reallocations for {} worker(s)",
+        cfg.max_workers()
     );
     rt.shutdown();
 }

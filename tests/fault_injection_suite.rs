@@ -193,13 +193,22 @@ fn zc_persistent_pool_exhaustion_degrades_to_fallback() {
     rt.shutdown();
 }
 
+/// Forced pool allocations that send one claimed call down the
+/// regular path: the first attempt plus its three retries.
+const EXHAUST_ONE_CALL: u64 = 4;
+
 #[test]
 fn zc_transition_failures_recover_within_retry_budget() {
-    // Fail the first 2 transitions; force the fallback path with an
-    // oversized payload (always TooLarge for the worker pool). The very
-    // first dispatch is the first transition anywhere in the runtime.
-    let (rt, faults, echo) = start_zc(FaultPlan::new().fail_transitions_first(2));
-    let big = vec![9u8; rt.config().pool_bytes + 1];
+    // Fail the first 2 transitions; force the fallback path by
+    // exhausting the pool for the whole retry budget of the call (or it
+    // finds no idle worker, also a fallback). The very first dispatch
+    // is the first transition anywhere in the runtime.
+    let (rt, faults, echo) = start_zc(
+        FaultPlan::new()
+            .fail_transitions_first(2)
+            .exhaust_pool_first(EXHAUST_ONE_CALL),
+    );
+    let big = vec![9u8; 4096];
     let mut out = Vec::new();
     let (ret, path) = rt
         .dispatch(&OcallRequest::new(echo, &[]), &big, &mut out)
@@ -219,8 +228,12 @@ fn zc_transition_failures_recover_within_retry_budget() {
 fn zc_exhausted_transition_retries_surface_as_error() {
     // More failures than any retry budget: the fallback path must give up
     // with TransitionFailed instead of retrying forever.
-    let (rt, _faults, echo) = start_zc(FaultPlan::new().fail_transitions_first(1_000));
-    let big = vec![7u8; rt.config().pool_bytes + 1];
+    let (rt, _faults, echo) = start_zc(
+        FaultPlan::new()
+            .fail_transitions_first(1_000)
+            .exhaust_pool_first(EXHAUST_ONE_CALL),
+    );
+    let big = vec![7u8; 4096];
     let mut out = Vec::new();
     let err = rt
         .dispatch(&OcallRequest::new(echo, &[]), &big, &mut out)

@@ -27,7 +27,7 @@ crates/des/src/ocall/zc.rs: crash_enclave_during_replay stall_enclave_at_call
 crates/zc-telemetry/src/export.rs: canonical_jsonl events_to_jsonl to_chrome_trace to_prometheus
 
 # options and per-request inputs that the examples and the integration suites do set
-crates/switchless-core/src/config.rs: with_initial_workers with_pool_bytes with_quantum_ms
+crates/switchless-core/src/config.rs: with_initial_workers with_quantum_ms
 crates/switchless-core/src/config.rs: with_respawn with_retries_before_fallback
 crates/switchless-core/src/config.rs: with_retries_before_sleep
 crates/switchless-core/src/supervise.rs: with_poison_threshold with_probation_cycles
@@ -126,7 +126,7 @@ fn every_public_function_is_called_or_allowlisted() {
         }
     }
     let budget = allowed.len();
-    assert!(budget <= 48, "{budget} allowlist entries: the budget is 48");
+    assert!(budget <= 47, "{budget} allowlist entries: the budget is 47");
     let unlisted: Vec<_> = flagged.difference(&allowed).collect();
     let stale: Vec<_> = allowed.difference(&flagged).collect();
     assert!(
