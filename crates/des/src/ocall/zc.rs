@@ -19,7 +19,7 @@ use std::rc::Rc;
 use switchless_core::policy::PolicyParams;
 use switchless_core::stats::WorkerResidency;
 use switchless_core::{
-    CallPath, GuardKind, ReconcileVerdict, RecoveryParams, RecoveryPlane, ReplyGuard, WorkerState,
+    CallPath, Fault, GuardKind, ReconcileVerdict, RecoveryParams, RecoveryPlane, WorkerState,
 };
 use zc_telemetry::SchedulerDriver;
 
@@ -650,11 +650,7 @@ impl Dispatcher for ZcDispatcher {
                 let mut wld = self.world.borrow_mut();
                 let verdict = {
                     let plane = wld.recovery.as_ref().expect("reconcile implies recovery");
-                    plane.reconcile_with_class(
-                        self.call_seq,
-                        ReplyGuard::new(usize::MAX),
-                        call.idempotency_class(),
-                    )
+                    plane.reconcile_with_class(self.call_seq, call.idempotency_class())
                 };
                 match verdict {
                     ReconcileVerdict::Replay => {
@@ -1232,10 +1228,10 @@ impl ZcSupervisorActor {
                 if let Some(hub) = &self.telemetry {
                     let event = match ev {
                         FaultEv::Crash(_) => zc_telemetry::Event::Fault {
-                            kind: zc_telemetry::FaultKind::WorkerCrash,
+                            kind: Fault::WorkerCrash,
                         },
                         FaultEv::Hang(_) => zc_telemetry::Event::Fault {
-                            kind: zc_telemetry::FaultKind::WorkerHang,
+                            kind: Fault::WorkerHang,
                         },
                         FaultEv::Byzantine(_, kind) => zc_telemetry::Event::GuardViolation {
                             call: 0,

@@ -24,11 +24,11 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 use switchless_core::config::intel_default_task_pool;
 use switchless_core::{
-    CallPath, CallStats, DrainReport, FaultInjector, GuardViolation, IntelConfig, OcallDispatcher,
-    OcallRequest, OcallTable, OverloadSnapshot, RecoverySnapshot, SwitchlessError, TenantUsage,
-    WorkerFault,
+    CallPath, CallStats, DrainReport, Fault, FaultInjector, FaultSite, GuardViolation, IntelConfig,
+    OcallDispatcher, OcallRequest, OcallTable, OverloadSnapshot, RecoverySnapshot, SwitchlessError,
+    TenantUsage,
 };
-use zc_telemetry::{Event, FaultKind, MetricValue, Origin, Telemetry};
+use zc_telemetry::{Event, MetricValue, Origin, Telemetry};
 
 #[derive(Debug)]
 struct Shared {
@@ -470,7 +470,6 @@ fn abandon_slot(sh: &Shared, idx: SlotIdx) {
 fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
     let clock = &sh.door.clock;
     let origin = Origin::Worker(index as u32);
-    let trace_fault = |kind| sh.door.event(origin, Event::Fault { kind });
     let mut poll_retries: u32 = 0;
     while sh.door.is_running() {
         // Fault-injection site: evaluated once per observed pending task,
@@ -479,38 +478,35 @@ fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
         // and degrades to a regular ocall.
         if sh.pool.has_pending() {
             if let Some(faults) = &sh.door.faults {
-                match faults.on_worker_call() {
-                    WorkerFault::None => {}
-                    WorkerFault::Stall(cycles) => {
-                        trace_fault(FaultKind::WorkerStall);
-                        clock.spin_cycles(cycles);
-                    }
-                    WorkerFault::Crash => {
-                        trace_fault(FaultKind::WorkerCrash);
-                        // Self-healing (opt-in): a dying worker spawns its
-                        // own successor — the SDK model has no supervisor
-                        // thread, so the respawn rides on the failing
-                        // thread's way out.
-                        if sh.config.respawn_workers && sh.door.is_running() {
-                            let gen = sh.respawn_gens[index].fetch_add(1, Ordering::AcqRel) + 1;
-                            sh.spawn_worker(index, gen);
-                            sh.door.event(
-                                origin,
-                                Event::WorkerRespawned {
-                                    worker: index as u32,
-                                    generation: gen,
-                                },
-                            );
+                if let Some(fault) = faults.fire(FaultSite::WorkerCall) {
+                    sh.door.event(origin, Event::Fault { kind: fault });
+                    match fault {
+                        Fault::WorkerStall => clock.spin_cycles(faults.cycles(fault)),
+                        Fault::WorkerCrash => {
+                            // Self-healing (opt-in): a dying worker spawns
+                            // its own successor — the SDK model has no
+                            // supervisor thread, so the respawn rides on the
+                            // failing thread's way out.
+                            if sh.config.respawn_workers && sh.door.is_running() {
+                                let gen = sh.respawn_gens[index].fetch_add(1, Ordering::AcqRel) + 1;
+                                sh.spawn_worker(index, gen);
+                                sh.door.event(
+                                    origin,
+                                    Event::WorkerRespawned {
+                                        worker: index as u32,
+                                        generation: gen,
+                                    },
+                                );
+                            }
+                            return;
                         }
-                        return;
-                    }
-                    WorkerFault::Hang => {
-                        trace_fault(FaultKind::WorkerHang);
-                        // Say so first, so the drain abandons this
-                        // thread instead of waiting for it.
-                        wedged.mark();
-                        loop {
-                            std::thread::park();
+                        _ => {
+                            // A hang. Say so first, so the drain abandons
+                            // this thread instead of waiting for it.
+                            wedged.mark();
+                            loop {
+                                std::thread::park();
+                            }
                         }
                     }
                 }
@@ -757,7 +753,7 @@ mod tests {
 
     #[test]
     fn crashed_worker_is_respawned_when_enabled() {
-        use switchless_core::{FaultInjector, FaultPlan};
+        use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule};
         let (t, echo, _) = table();
         // Single worker, crash injected on its first observed task: with
         // respawn on, the dying thread spawns a replacement and later
@@ -765,7 +761,9 @@ mod tests {
         let cfg = IntelConfig::new(1, [echo])
             .with_retries_before_fallback(2_000_000)
             .with_respawn();
-        let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_worker_at(0)));
+        let faults = Arc::new(FaultInjector::new(
+            FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at(0)),
+        ));
         let rt = IntelSwitchless::start_with_faults(cfg, t, enclave(), faults).unwrap();
         let mut out = Vec::new();
         for i in 0..10 {
@@ -785,12 +783,14 @@ mod tests {
 
     #[test]
     fn crashed_worker_stays_dead_without_respawn() {
-        use switchless_core::{FaultInjector, FaultPlan};
+        use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule};
         let (t, echo, _) = table();
         // Same crash, respawn off (the default): every later call must
         // degrade to the rbf-timeout fallback path, none may hang.
         let cfg = IntelConfig::new(1, [echo]).with_retries_before_fallback(16);
-        let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_worker_at(0)));
+        let faults = Arc::new(FaultInjector::new(
+            FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at(0)),
+        ));
         let rt = IntelSwitchless::start_with_faults(cfg, t, enclave(), faults).unwrap();
         let mut out = Vec::new();
         for _ in 0..5 {
@@ -809,10 +809,12 @@ mod tests {
 
     #[test]
     fn enclave_crash_replays_idempotent_in_flight_exactly_once() {
-        use switchless_core::{FaultInjector, FaultPlan};
+        use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule};
         let (t, echo, _) = table();
         let cfg = IntelConfig::new(1, [echo]).with_recovery();
-        let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_enclave_at(2)));
+        let faults = Arc::new(FaultInjector::new(
+            FaultPlan::new().inject(Fault::EnclaveCrash, FaultSchedule::at(2)),
+        ));
         let rt = IntelSwitchless::start_with_faults(cfg, t, enclave(), faults).unwrap();
         let mut out = Vec::new();
         for i in 0..10 {
@@ -830,10 +832,12 @@ mod tests {
 
     #[test]
     fn enclave_crash_refuses_non_idempotent_in_flight() {
-        use switchless_core::{FaultInjector, FaultPlan};
+        use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule};
         let (t, echo, _) = table();
         let cfg = IntelConfig::new(1, [echo]).with_recovery();
-        let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_enclave_at(0)));
+        let faults = Arc::new(FaultInjector::new(
+            FaultPlan::new().inject(Fault::EnclaveCrash, FaultSchedule::at(0)),
+        ));
         let rt = IntelSwitchless::start_with_faults(cfg, t, enclave(), faults).unwrap();
         let mut out = Vec::new();
         // Default requests are conservatively non-idempotent: the lost
@@ -856,7 +860,7 @@ mod tests {
 
     #[test]
     fn crash_during_replay_redelivers_without_double_execution() {
-        use switchless_core::{FaultInjector, FaultPlan, MAX_OCALL_ARGS};
+        use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule, MAX_OCALL_ARGS};
         let execs = Arc::new(AtomicU64::new(0));
         let mut t = OcallTable::new();
         let counted = {
@@ -872,8 +876,8 @@ mod tests {
         let cfg = IntelConfig::new(1, [counted]).with_recovery();
         let faults = Arc::new(FaultInjector::new(
             FaultPlan::new()
-                .crash_enclave_at(0)
-                .crash_enclave_during_replay_at(0),
+                .inject(Fault::EnclaveCrash, FaultSchedule::at(0))
+                .inject(Fault::EnclaveReplayCrash, FaultSchedule::at(0)),
         ));
         let rt = IntelSwitchless::start_with_faults(cfg, Arc::new(t), enclave(), faults).unwrap();
         let mut out = Vec::new();

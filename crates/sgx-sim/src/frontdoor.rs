@@ -37,12 +37,12 @@ use std::time::{Duration, Instant};
 use switchless_core::overload::{BreakerTransition, InflightGuard, ShedReason};
 use switchless_core::recovery::{EntryState, ReconcileVerdict, RecoveryPlane};
 use switchless_core::{
-    CallPath, CallStats, DrainReport, EnclaveFault, FaultInjector, GuardViolation, OcallRequest,
-    OverloadParams, OverloadPlane, OverloadSnapshot, RecoveryParams, RecoverySnapshot, ReplyGuard,
-    SwitchlessError, TenantUsage,
+    CallPath, CallStats, DrainReport, Fault, FaultInjector, FaultSite, GuardViolation,
+    OcallRequest, OverloadParams, OverloadPlane, OverloadSnapshot, RecoveryParams,
+    RecoverySnapshot, SwitchlessError, TenantUsage,
 };
 pub use zc_telemetry::Phase;
-use zc_telemetry::{Event, FaultKind, MetricValue, Origin, PhaseRecorder, Telemetry};
+use zc_telemetry::{Event, MetricValue, Origin, PhaseRecorder, Telemetry};
 
 /// Busy-wait loops yield to the OS scheduler after this many pauses
 /// (keeps the protocols live when the host has fewer cores than the
@@ -696,10 +696,7 @@ fn recover_call<T: Transport>(
     rec: &mut Rec,
 ) -> Result<(i64, CallPath), SwitchlessError> {
     let door = t.door();
-    // Only the journal slot's sequence tag is validated: no reply
-    // length is involved, so no bound applies.
-    let guard = ReplyGuard::new(usize::MAX);
-    match plane.reconcile_with_class(req.seq, guard, req.idempotency_class()) {
+    match plane.reconcile_with_class(req.seq, req.idempotency_class()) {
         ReconcileVerdict::Replay => {
             door.caller_event(Event::JournalReplay { seq: req.seq });
             let ret = door.fallback_with_phases(rec, req, payload_in, payload_out)?;
@@ -709,7 +706,8 @@ fn recover_call<T: Transport>(
             // reconciliation downgrades to Redeliver — the recorded
             // result is returned and the host function never runs a
             // second time.
-            if door.faults.as_ref().is_some_and(|f| f.on_enclave_replay()) {
+            let replay = door.faults.as_ref().and_then(|f| f.fire(FaultSite::Replay));
+            if replay.is_some() {
                 crash_or_wait(t, plane);
                 return recover_call(t, plane, req, payload_in, payload_out, rec);
             }
@@ -819,11 +817,10 @@ fn admit_and_route<T: Transport>(
         return Ok((ret, CallPath::Regular));
     }
     if let Some(faults) = &door.faults {
-        let skew = faults.on_dispatch();
-        if skew > 0 {
-            door.clock.advance_cycles(skew);
+        if faults.fire(FaultSite::Dispatch).is_some() {
+            door.clock.advance_cycles(faults.cycles(Fault::ClockSkew));
             door.caller_event(Event::Fault {
-                kind: FaultKind::ClockSkew,
+                kind: Fault::ClockSkew,
             });
         }
     }
@@ -840,18 +837,16 @@ fn admit_and_route<T: Transport>(
     };
     let _covered = plane.record_intent(req.seq, req.idempotency_class());
     if let Some(faults) = &door.faults {
-        match faults.on_enclave_call() {
-            EnclaveFault::Crash => {
+        match faults.fire(FaultSite::EnclaveCall) {
+            Some(Fault::EnclaveCrash) => {
                 crash_or_wait(t, plane);
                 return recover_call(t, plane, req, payload_in, payload_out, rec);
             }
-            EnclaveFault::Stall(cycles) => {
-                door.clock.advance_cycles(cycles);
-                door.caller_event(Event::Fault {
-                    kind: FaultKind::EnclaveStall,
-                });
+            Some(stall) => {
+                door.clock.advance_cycles(faults.cycles(stall));
+                door.caller_event(Event::Fault { kind: stall });
             }
-            EnclaveFault::None => {}
+            None => {}
         }
     }
     let result = t.route(req, payload_in, payload_out, rec);

@@ -16,7 +16,8 @@ use crate::tlibc::MemcpyKind;
 use std::cell::RefCell;
 use std::sync::Arc;
 use switchless_core::{
-    CallPath, CallStats, FaultInjector, OcallDispatcher, OcallRequest, OcallTable, SwitchlessError,
+    CallPath, CallStats, FaultInjector, FaultSite, OcallDispatcher, OcallRequest, OcallTable,
+    SwitchlessError,
 };
 
 /// Retries granted after a failed transition attempt before giving up
@@ -173,7 +174,7 @@ impl RegularOcall {
             let mut attempts: u32 = 0;
             loop {
                 attempts += 1;
-                if !faults.on_transition() {
+                if faults.fire(FaultSite::Transition).is_none() {
                     break;
                 }
                 if attempts > TRANSITION_RETRY_MAX {
@@ -331,10 +332,10 @@ mod tests {
 
     #[test]
     fn injected_transition_failures_are_retried() {
-        use switchless_core::{FaultInjector, FaultPlan};
+        use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule};
         let (d, echo, _) = setup();
         let faults = Arc::new(FaultInjector::new(
-            FaultPlan::new().fail_transitions_first(2),
+            FaultPlan::new().inject(Fault::TransitionFailure, FaultSchedule::first(2)),
         ));
         let d = d.with_faults(Arc::clone(&faults));
         let mut out = Vec::new();
@@ -344,15 +345,15 @@ mod tests {
             .unwrap();
         assert_eq!(ret, 5);
         assert_eq!(out, b"retry");
-        assert_eq!(faults.counts().transition_failures, 2);
+        assert_eq!(faults.counts()[Fault::TransitionFailure], 2);
     }
 
     #[test]
     fn exhausted_transition_retries_error_out() {
-        use switchless_core::{FaultInjector, FaultPlan};
+        use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule};
         let (d, echo, _) = setup();
         let faults = Arc::new(FaultInjector::new(
-            FaultPlan::new().fail_transitions_first(100),
+            FaultPlan::new().inject(Fault::TransitionFailure, FaultSchedule::first(100)),
         ));
         let d = d.with_faults(faults);
         let mut out = Vec::new();

@@ -40,7 +40,7 @@
 //!   tenant simply demanded less.
 //! * **Anti-starvation escalation** — a stateful [`FleetAllocator`]
 //!   watches for tenants pinned at the floor with unmet demand for
-//!   [`FleetParams::starvation_intervals`] consecutive decisions and
+//!   [`DEFAULT_STARVATION_INTERVALS`] consecutive decisions and
 //!   escalates their effective weight (doubling per escalation) until
 //!   the argmin lifts them above the floor, so a low-weight tenant can
 //!   be delayed but never starved indefinitely.
@@ -53,8 +53,8 @@
 use crate::policy::{DecisionRecord, PolicyParams};
 use serde::{Deserialize, Serialize};
 
-/// Default consecutive floor-pinned intervals before anti-starvation
-/// escalation kicks in.
+/// Consecutive floor-pinned intervals before anti-starvation escalation
+/// kicks in.
 pub const DEFAULT_STARVATION_INTERVALS: u32 = 3;
 
 /// Worker crashes in one interval that mark a tenant
@@ -75,20 +75,16 @@ pub struct FleetParams {
     /// Global worker budget shared by all shards (the machine's
     /// busy-wait capacity, e.g. `N/2` cores).
     pub budget: usize,
-    /// Consecutive decisions a tenant may sit at the floor with unmet
-    /// demand before its effective weight escalates.
-    pub starvation_intervals: u32,
 }
 
 impl FleetParams {
     /// Fleet parameters for a machine (`budget` workers shared by all
-    /// tenants) with default robustness thresholds.
+    /// tenants).
     #[must_use]
     pub fn new(policy: PolicyParams, budget: usize) -> Self {
         FleetParams {
             policy,
             budget: budget.max(1),
-            starvation_intervals: DEFAULT_STARVATION_INTERVALS,
         }
     }
 }
@@ -445,7 +441,7 @@ impl FleetAllocator {
                 d.verdict < TenantVerdict::Faulty && d.offered > 0 && assigned[t] <= floor && unmet;
             if starving {
                 self.starved[t] = self.starved[t].saturating_add(1);
-                if self.starved[t] >= self.params.starvation_intervals {
+                if self.starved[t] >= DEFAULT_STARVATION_INTERVALS {
                     self.escalation[t] = (self.escalation[t] + 1).min(MAX_ESCALATION);
                     self.starved[t] = 0;
                 }
@@ -910,11 +906,7 @@ mod tests {
         // floors plus one surplus worker; without escalation tenant 0
         // would sit at the floor forever while its probes keep showing
         // unmet savings.
-        let impatient = FleetParams {
-            starvation_intervals: 2,
-            ..params(3)
-        };
-        let mut alloc = FleetAllocator::new(impatient, 2);
+        let mut alloc = FleetAllocator::new(params(3), 2);
         let demands = vec![
             TenantDemand::new(1, 10_000, linear_probes(5_000, 2_000, 3)),
             TenantDemand::new(64, 10_000, linear_probes(5_000, 2_000, 3)),
@@ -925,16 +917,19 @@ mod tests {
             vec![1, 2],
             "surplus goes to the heavy tenant"
         );
-        let mut lifted = false;
-        for _ in 0..32 {
-            // Same demands, different assignment: only the allocator's
-            // escalation state can have moved it.
-            if alloc.decide(&demands).assigned[0] > 1 {
-                lifted = true;
-                break;
-            }
-        }
-        assert!(lifted, "anti-starvation never lifted tenant 0");
+        // Same demands, different assignment: only the allocator's
+        // escalation state can have moved it.
+        let lifted_after = (1..=32u32)
+            .find(|_| alloc.decide(&demands).assigned[0] > 1)
+            .expect("anti-starvation never lifted tenant 0");
+        assert!(
+            lifted_after > DEFAULT_STARVATION_INTERVALS,
+            "{lifted_after}"
+        );
+        // Lifted, tenant 0 is not starving any more: its boost decays and
+        // the surplus goes back to the heavy tenant.
+        let decayed = (0..8).any(|_| alloc.decide(&demands).assigned == [1, 2]);
+        assert!(decayed, "escalation never decayed");
     }
 
     #[test]

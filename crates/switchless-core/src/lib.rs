@@ -86,8 +86,8 @@ pub use config::{IntelConfig, ZcConfig};
 pub use cpu::CpuSpec;
 pub use error::SwitchlessError;
 pub use fault::{
-    ByzantineFault, DrainReport, EnclaveFault, FaultCounts, FaultInjector, FaultPlan,
-    FaultSchedule, TransitionLog, WorkerFault,
+    DrainReport, Fault, FaultCounts, FaultInjector, FaultPlan, FaultSchedule, FaultSite,
+    TransitionLog,
 };
 pub use fleet::{
     CapChange, FleetAccountingError, FleetAllocator, FleetController, FleetDecision, FleetParams,
@@ -108,9 +108,7 @@ pub use recovery::{
 };
 pub use state::WorkerState;
 pub use stats::{CallStats, CallStatsSnapshot};
-pub use supervise::{
-    FailureKind, PoisonKey, SuperviseDecision, SuperviseParams, Supervisor, WorkerHealth,
-};
+pub use supervise::{PoisonKey, SuperviseDecision, SuperviseParams, Supervisor, WorkerHealth};
 
 /// How an individual ocall was ultimately executed.
 ///

@@ -543,9 +543,6 @@ pub struct OverloadParams {
     pub breaker: BreakerParams,
     /// Brownout ladder tuning.
     pub brownout: BrownoutParams,
-    /// Deadline budget stamped on calls that do not carry their own
-    /// (0 disables implicit deadlines).
-    pub default_deadline_cycles: u64,
 }
 
 impl OverloadParams {
@@ -558,8 +555,7 @@ impl OverloadParams {
     /// one token refills every `2·pause / logical_cpus` cycles (35 on
     /// the paper machine, ≈ 109 M calls/s; 140 on two of its CPUs,
     /// ≈ 27 M calls/s) and the burst is one quantum of that rate. No
-    /// healthy closed-loop caller is rate-limited; implicit deadlines
-    /// are off.
+    /// healthy closed-loop caller is rate-limited.
     #[must_use]
     pub fn for_cpu(cpu: &CpuSpec) -> Self {
         let refill = (cpu.pause_cycles.saturating_mul(2) / cpu.logical_cpus.max(1) as u64).max(1);
@@ -569,7 +565,6 @@ impl OverloadParams {
             refill_period_cycles: refill,
             breaker: BreakerParams::for_cpu(cpu),
             brownout: BrownoutParams::default(),
-            default_deadline_cycles: 0,
         }
     }
 
@@ -683,14 +678,6 @@ impl OverloadController {
             verdict,
             brownout_shift,
         }
-    }
-
-    /// Deadline to stamp on a call that carries none: the configured
-    /// implicit budget, or `None` when disabled.
-    #[must_use]
-    pub fn implicit_deadline(&self, now_cycles: u64) -> Option<Deadline> {
-        (self.params.default_deadline_cycles > 0)
-            .then(|| Deadline::after(now_cycles, self.params.default_deadline_cycles))
     }
 
     /// The fallback-storm breaker (owners drive it directly around
@@ -838,9 +825,8 @@ impl OverloadPlane {
         self.controller.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Admit or shed one call. A call with no deadline of its own gets
-    /// the configured implicit budget stamped here. Only admitted calls
-    /// hold an in-flight token; sheds are counted under their reason.
+    /// Admit or shed one call. Only admitted calls hold an in-flight
+    /// token; sheds are counted under their reason.
     pub fn admit(
         &self,
         now_cycles: u64,
@@ -850,10 +836,7 @@ impl OverloadPlane {
         use std::sync::atomic::Ordering;
         self.offered.fetch_add(1, Ordering::Relaxed);
         let depth = self.inflight.load(Ordering::Acquire);
-        let mut c = self.lock();
-        let deadline = deadline.or_else(|| c.implicit_deadline(now_cycles));
-        let adm = c.admit(now_cycles, depth, priority, deadline);
-        drop(c);
+        let adm = self.lock().admit(now_cycles, depth, priority, deadline);
         let outcome = match adm.verdict {
             Verdict::Admit => {
                 self.admitted.fetch_add(1, Ordering::Relaxed);
@@ -1091,22 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn implicit_deadlines_follow_config() {
-        let c = OverloadController::new(params());
-        assert_eq!(c.implicit_deadline(123), None, "disabled by default");
-        let c = OverloadController::new(OverloadParams {
-            default_deadline_cycles: 1_000,
-            ..params()
-        });
-        assert_eq!(
-            c.implicit_deadline(123),
-            Some(Deadline {
-                expires_at_cycles: 1_123
-            })
-        );
-    }
-
-    #[test]
     fn machine_derived_defaults_are_sane() {
         let p = OverloadParams::for_cpu(&CpuSpec::paper_machine());
         assert!(p.max_inflight >= 4);
@@ -1120,7 +1087,6 @@ mod tests {
             (140, 271_428)
         );
         assert!(p.breaker.failure_threshold >= 1);
-        assert_eq!(p.default_deadline_cycles, 0);
         let names: Vec<_> = ShedReason::ALL.iter().map(|r| r.name()).collect();
         assert_eq!(
             names,
@@ -1183,18 +1149,5 @@ mod tests {
         let edge = plane.on_success(201).expect("probe closes");
         assert_eq!(edge.to, BreakerState::Closed);
         assert_eq!(plane.snapshot().breaker_trips, 1);
-    }
-
-    #[test]
-    fn plane_stamps_implicit_deadlines() {
-        let plane = OverloadPlane::new(OverloadParams {
-            default_deadline_cycles: 10,
-            ..params()
-        });
-        // A stale explicit deadline sheds; with none, the implicit
-        // budget starts *now* and admits.
-        let stale = plane.admit(100, Priority::Normal, Some(Deadline::after(0, 5)));
-        assert_eq!(stale.outcome.unwrap_err(), ShedReason::DeadlineExpired);
-        assert!(plane.admit(100, Priority::Normal, None).outcome.is_ok());
     }
 }

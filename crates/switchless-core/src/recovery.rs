@@ -296,13 +296,10 @@ impl CallJournal {
     /// when the slot is empty or carries another call's tag. The caller
     /// falls back to [`ReconcileVerdict::for_unknown`] with its own
     /// (trusted) idempotency knowledge.
-    pub fn reconcile(
-        &self,
-        seq: u64,
-        guard: ReplyGuard,
-    ) -> Result<ReconcileVerdict, GuardViolation> {
+    pub fn reconcile(&self, seq: u64) -> Result<ReconcileVerdict, GuardViolation> {
         let stored = self.slots[self.slot(seq)].map_or(0, |e| e.seq);
-        guard.check_sequence(seq, stored)?;
+        // Only the tag is checked, and that check reads no capacity.
+        ReplyGuard::new(0).check_sequence(seq, stored)?;
         Ok(self.slots[self.slot(seq)]
             .as_ref()
             .expect("tag matched a live entry")
@@ -509,15 +506,10 @@ impl RecoveryPlane {
     /// entry, count the verdict, and return it. A torn or missing entry
     /// proves nothing, so the verdict is then the one the caller's own
     /// (trusted) idempotency knowledge supports.
-    pub fn reconcile_with_class(
-        &self,
-        seq: u64,
-        guard: ReplyGuard,
-        class: IdempotencyClass,
-    ) -> ReconcileVerdict {
+    pub fn reconcile_with_class(&self, seq: u64, class: IdempotencyClass) -> ReconcileVerdict {
         let verdict = self
             .journal_lock()
-            .reconcile(seq, guard)
+            .reconcile(seq)
             .unwrap_or_else(|_| ReconcileVerdict::for_unknown(class));
         match verdict {
             ReconcileVerdict::Redeliver => self.redelivered.fetch_add(1, Ordering::Relaxed),
@@ -642,15 +634,14 @@ mod tests {
     #[test]
     fn reconcile_guard_validates_the_untrusted_slot() {
         let mut j = CallJournal::new(4);
-        let guard = ReplyGuard::new(0);
         j.record_intent(1, IdempotencyClass::Idempotent);
-        assert_eq!(j.reconcile(1, guard), Ok(ReconcileVerdict::Replay));
+        assert_eq!(j.reconcile(1), Ok(ReconcileVerdict::Replay));
         // Empty slot: the tag cannot validate.
-        assert!(j.reconcile(2, guard).is_err());
+        assert!(j.reconcile(2).is_err());
         // Slot holding another call's tag (ring collision): rejected.
-        assert!(j.reconcile(5, guard).is_err());
+        assert!(j.reconcile(5).is_err());
         j.record_completion(1, 9, 3);
-        assert_eq!(j.reconcile(1, guard), Ok(ReconcileVerdict::Redeliver));
+        assert_eq!(j.reconcile(1), Ok(ReconcileVerdict::Redeliver));
     }
 
     #[test]
@@ -700,7 +691,6 @@ mod tests {
     #[test]
     fn plane_reconcile_counts_each_verdict() {
         let plane = RecoveryPlane::new(RecoveryParams::default().with_journal_slots(16));
-        let guard = ReplyGuard::new(0);
         plane.record_intent(1, IdempotencyClass::Idempotent);
         plane.record_intent(2, IdempotencyClass::NonIdempotent);
         plane.record_intent(3, IdempotencyClass::NonIdempotent);
@@ -708,13 +698,13 @@ mod tests {
         // A validated entry decides alone: the class passed in is the
         // fallback for a torn slot and must not override it.
         use IdempotencyClass::{Idempotent, NonIdempotent};
-        let verdict = |seq, class| plane.reconcile_with_class(seq, guard, class);
+        let verdict = |seq, class| plane.reconcile_with_class(seq, class);
         assert_eq!(verdict(1, NonIdempotent), ReconcileVerdict::Replay);
         assert_eq!(verdict(2, Idempotent), ReconcileVerdict::Refuse);
         assert_eq!(verdict(3, NonIdempotent), ReconcileVerdict::Redeliver);
         // Torn slot: trusted class drives the conservative fallback.
         assert_eq!(
-            plane.reconcile_with_class(9, guard, IdempotencyClass::NonIdempotent),
+            plane.reconcile_with_class(9, IdempotencyClass::NonIdempotent),
             ReconcileVerdict::Refuse
         );
         let snap = plane.snapshot();
@@ -730,18 +720,17 @@ mod tests {
         // replays an idempotent call and records its completion; a
         // second crash before delivery must reconcile to Redeliver.
         let plane = RecoveryPlane::new(RecoveryParams::default());
-        let guard = ReplyGuard::new(0);
         let class = IdempotencyClass::Idempotent;
         plane.record_intent(7, class);
         assert_eq!(
-            plane.reconcile_with_class(7, guard, class),
+            plane.reconcile_with_class(7, class),
             ReconcileVerdict::Replay
         );
         // The caller re-executed and journaled the completion...
         plane.record_completion(7, 11, 4);
         // ...then the enclave died again before reply delivery.
         assert_eq!(
-            plane.reconcile_with_class(7, guard, class),
+            plane.reconcile_with_class(7, class),
             ReconcileVerdict::Redeliver
         );
         assert_eq!(

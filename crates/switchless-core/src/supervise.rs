@@ -160,17 +160,6 @@ pub enum WorkerHealth {
     },
 }
 
-/// What went wrong with a worker, as reported to the supervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The worker thread crashed (poisoned its buffer and exited).
-    Crash,
-    /// The worker wedged (poisoned its buffer, never progresses).
-    Hang,
-    /// The caller-side watchdog cancelled an in-flight call on it.
-    WatchdogTimeout,
-}
-
 /// An action the supervisor instructs the runtime to take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuperviseDecision {
@@ -226,13 +215,11 @@ impl WorkerLedger {
 /// # Example
 ///
 /// ```
-/// use switchless_core::supervise::{
-///     FailureKind, SuperviseDecision, SuperviseParams, Supervisor,
-/// };
+/// use switchless_core::supervise::{SuperviseDecision, SuperviseParams, Supervisor};
 ///
 /// let params = SuperviseParams::default().with_backoff_cycles(1_000, 8_000);
 /// let mut sup = Supervisor::new(2, params);
-/// sup.record_failure(0, FailureKind::Crash, None, 10);
+/// sup.record_failure(0, None, 10);
 /// assert!(sup.poll(500).is_empty(), "still backing off");
 /// let d = sup.poll(2_000);
 /// assert_eq!(
@@ -274,19 +261,19 @@ impl Supervisor {
         &self.params
     }
 
-    /// Report a worker failure at cycle time `now`. The slot enters
-    /// `Backoff` with an exponentially growing delay. When `culprit`
-    /// (the request shape in flight, if any) reaches the poison
-    /// threshold, a [`SuperviseDecision::Blacklist`] is returned — the
-    /// runtime must stop routing that shape to workers.
+    /// Report a worker failure (crash, hang, guard violation or
+    /// watchdog cancellation: all charge the same ledger) at cycle time
+    /// `now`. The slot enters `Backoff` with an exponentially growing
+    /// delay. When `culprit` (the request shape in flight, if any)
+    /// reaches the poison threshold, a [`SuperviseDecision::Blacklist`]
+    /// is returned — the runtime must stop routing that shape to
+    /// workers.
     pub fn record_failure(
         &mut self,
         worker: usize,
-        kind: FailureKind,
         culprit: Option<PoisonKey>,
         now: u64,
     ) -> Option<SuperviseDecision> {
-        let _ = kind;
         let slot = self.ledger.get_mut(worker)?;
         slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
         let exp = u32::min(slot.consecutive_failures.saturating_sub(1), 32);
@@ -460,7 +447,7 @@ mod tests {
     fn respawn_after_backoff_then_heal_after_probation() {
         let mut sup = Supervisor::new(2, params());
         assert_eq!(sup.health(0), WorkerHealth::Healthy);
-        sup.record_failure(0, FailureKind::Crash, None, 100);
+        sup.record_failure(0, None, 100);
         assert_eq!(
             sup.health(0),
             WorkerHealth::Backoff {
@@ -491,7 +478,7 @@ mod tests {
     fn backoff_doubles_per_consecutive_failure_and_caps() {
         let mut sup = Supervisor::new(1, params());
         // Failure 1: 1000-cycle backoff.
-        sup.record_failure(0, FailureKind::Crash, None, 0);
+        sup.record_failure(0, None, 0);
         assert_eq!(
             sup.health(0),
             WorkerHealth::Backoff {
@@ -500,7 +487,7 @@ mod tests {
         );
         sup.poll(1_000); // respawn -> probation
                          // Relapse during probation: backoff doubles.
-        sup.record_failure(0, FailureKind::Hang, None, 1_500);
+        sup.record_failure(0, None, 1_500);
         assert_eq!(
             sup.health(0),
             WorkerHealth::Backoff {
@@ -508,7 +495,7 @@ mod tests {
             }
         );
         sup.poll(3_500);
-        sup.record_failure(0, FailureKind::Crash, None, 4_000);
+        sup.record_failure(0, None, 4_000);
         assert_eq!(
             sup.health(0),
             WorkerHealth::Backoff {
@@ -517,7 +504,7 @@ mod tests {
         );
         // Further failures stay at the 8000-cycle cap.
         sup.poll(8_000);
-        sup.record_failure(0, FailureKind::Crash, None, 9_000);
+        sup.record_failure(0, None, 9_000);
         assert_eq!(
             sup.health(0),
             WorkerHealth::Backoff {
@@ -529,14 +516,14 @@ mod tests {
     #[test]
     fn heal_resets_the_backoff_ladder() {
         let mut sup = Supervisor::new(1, params());
-        sup.record_failure(0, FailureKind::Crash, None, 0);
+        sup.record_failure(0, None, 0);
         sup.poll(1_000);
-        sup.record_failure(0, FailureKind::Crash, None, 1_100); // 2x backoff
+        sup.record_failure(0, None, 1_100); // 2x backoff
         sup.poll(3_100); // respawn
         sup.poll(8_100); // heal (probation 5000)
         assert_eq!(sup.health(0), WorkerHealth::Healthy);
         // After healing, the next failure is back to the base backoff.
-        sup.record_failure(0, FailureKind::Crash, None, 10_000);
+        sup.record_failure(0, None, 10_000);
         assert_eq!(
             sup.health(0),
             WorkerHealth::Backoff {
@@ -565,18 +552,14 @@ mod tests {
     fn blacklist_fires_at_threshold_distinct_failures() {
         let mut sup = Supervisor::new(4, params()); // threshold 2
         let key = PoisonKey::new(FuncId(3), 512);
-        assert!(sup
-            .record_failure(0, FailureKind::Crash, Some(key), 0)
-            .is_none());
+        assert!(sup.record_failure(0, Some(key), 0).is_none());
         assert!(!sup.is_blacklisted(key));
-        let d = sup.record_failure(1, FailureKind::Crash, Some(key), 10);
+        let d = sup.record_failure(1, Some(key), 10);
         assert_eq!(d, Some(SuperviseDecision::Blacklist { key }));
         assert!(sup.is_blacklisted(key));
         assert_eq!(sup.blacklisted(), &[key]);
         // Already blacklisted: no duplicate decision.
-        assert!(sup
-            .record_failure(2, FailureKind::Crash, Some(key), 20)
-            .is_none());
+        assert!(sup.record_failure(2, Some(key), 20).is_none());
         assert_eq!(sup.blacklisted().len(), 1);
     }
 
@@ -585,10 +568,10 @@ mod tests {
         let mut sup = Supervisor::new(4, params());
         let small = PoisonKey::new(FuncId(3), 16);
         let big = PoisonKey::new(FuncId(3), 4096);
-        sup.record_failure(0, FailureKind::Crash, Some(small), 0);
-        sup.record_failure(1, FailureKind::Crash, Some(big), 0);
+        sup.record_failure(0, Some(small), 0);
+        sup.record_failure(1, Some(big), 0);
         assert!(!sup.is_blacklisted(small) && !sup.is_blacklisted(big));
-        sup.record_failure(2, FailureKind::Crash, Some(big), 0);
+        sup.record_failure(2, Some(big), 0);
         assert!(sup.is_blacklisted(big));
         assert!(!sup.is_blacklisted(small));
     }
@@ -597,24 +580,17 @@ mod tests {
     fn serving_workers_excludes_backoff_slots() {
         let mut sup = Supervisor::new(3, params());
         assert_eq!(sup.serving_workers(), 3);
-        sup.record_failure(1, FailureKind::Hang, None, 0);
+        sup.record_failure(1, None, 0);
         assert_eq!(sup.serving_workers(), 2);
         sup.poll(1_000); // respawn: probation counts as serving
         assert_eq!(sup.serving_workers(), 3);
     }
 
     #[test]
-    fn watchdog_timeouts_feed_the_same_ladder() {
-        let mut sup = Supervisor::new(1, params());
-        sup.record_failure(0, FailureKind::WatchdogTimeout, None, 0);
-        assert!(matches!(sup.health(0), WorkerHealth::Backoff { .. }));
-    }
-
-    #[test]
     fn escalation_is_disabled_by_default() {
         let mut sup = Supervisor::new(2, SuperviseParams::default());
         for i in 0..100 {
-            let d = sup.record_failure(i % 2, FailureKind::Crash, None, i as u64);
+            let d = sup.record_failure(i % 2, None, i as u64);
             assert!(
                 !matches!(d, Some(SuperviseDecision::RestartEnclave { .. })),
                 "threshold 0 never escalates"
@@ -630,12 +606,12 @@ mod tests {
             ..params()
         };
         let mut sup = Supervisor::new(4, escalating);
-        assert!(sup.record_failure(0, FailureKind::Crash, None, 0).is_none());
-        assert!(sup.record_failure(1, FailureKind::Hang, None, 10).is_none());
-        let d = sup.record_failure(2, FailureKind::WatchdogTimeout, None, 20);
+        assert!(sup.record_failure(0, None, 0).is_none());
+        assert!(sup.record_failure(1, None, 10).is_none());
+        let d = sup.record_failure(2, None, 20);
         assert_eq!(d, Some(SuperviseDecision::RestartEnclave { charges: 3 }));
         // Until the restart is noted, every further charge re-escalates.
-        let d = sup.record_failure(3, FailureKind::Crash, None, 30);
+        let d = sup.record_failure(3, None, 30);
         assert_eq!(d, Some(SuperviseDecision::RestartEnclave { charges: 4 }));
         // The restart wipes ledgers and the tally, bumps generations.
         let gen_before = sup.generation(0);
@@ -646,9 +622,7 @@ mod tests {
         for w in 0..4 {
             assert_eq!(sup.health(w), WorkerHealth::Healthy);
         }
-        assert!(sup
-            .record_failure(0, FailureKind::Crash, None, 40)
-            .is_none());
+        assert!(sup.record_failure(0, None, 40).is_none());
     }
 
     #[test]
@@ -661,14 +635,14 @@ mod tests {
             },
         );
         let key = PoisonKey::new(FuncId(3), 512);
-        sup.record_failure(0, FailureKind::Crash, Some(key), 0);
+        sup.record_failure(0, Some(key), 0);
         // Second failure trips both thresholds; the blacklist decision
         // wins (the charge still counts toward escalation).
-        let d = sup.record_failure(1, FailureKind::Crash, Some(key), 10);
+        let d = sup.record_failure(1, Some(key), 10);
         assert_eq!(d, Some(SuperviseDecision::Blacklist { key }));
         assert_eq!(sup.charges_since_restart(), 2);
         // The next charge escalates.
-        let d = sup.record_failure(2, FailureKind::Crash, None, 20);
+        let d = sup.record_failure(2, None, 20);
         assert_eq!(d, Some(SuperviseDecision::RestartEnclave { charges: 3 }));
         sup.note_enclave_restart();
         assert!(sup.is_blacklisted(key), "shapes stay poisonous");
@@ -677,7 +651,7 @@ mod tests {
     #[test]
     fn out_of_range_worker_is_ignored() {
         let mut sup = Supervisor::new(1, params());
-        assert!(sup.record_failure(9, FailureKind::Crash, None, 0).is_none());
+        assert!(sup.record_failure(9, None, 0).is_none());
         assert_eq!(sup.health(9), WorkerHealth::Healthy);
         assert_eq!(sup.generation(9), 0);
         assert!(sup.poll(u64::MAX).is_empty());

@@ -6,7 +6,6 @@
 //! advances the epoch exactly once and leaves the plane open.
 
 use proptest::prelude::*;
-use switchless_core::guard::ReplyGuard;
 use switchless_core::recovery::{
     IdempotencyClass, ReconcileVerdict, RecoveryParams, RecoveryPlane,
 };
@@ -54,7 +53,7 @@ fn crash_cycle(plane: &RecoveryPlane) {
 /// journals the completion; Redeliver returns the recorded result;
 /// Refuse surfaces `EnclaveLost` and retires the entry.
 fn reconcile_and_act(plane: &RecoveryPlane, seq: u64, class: IdempotencyClass) -> u64 {
-    let verdict = plane.reconcile_with_class(seq, ReplyGuard::new(1024), class);
+    let verdict = plane.reconcile_with_class(seq, class);
     match verdict {
         ReconcileVerdict::Replay => {
             // Re-execute exactly once, then journal the completion so a
@@ -177,7 +176,7 @@ proptest! {
         let mut verdicts = Vec::new();
         for _ in 0..extra_crashes {
             crash_cycle(&plane);
-            let v = plane.reconcile_with_class(seq, ReplyGuard::new(1024), class);
+            let v = plane.reconcile_with_class(seq, class);
             if v == ReconcileVerdict::Replay {
                 // A replay journals its completion; later crashes see
                 // the Completed entry.

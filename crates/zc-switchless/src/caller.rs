@@ -20,10 +20,10 @@ use sgx_sim::tlibc::memcpy_zc;
 use std::sync::atomic::Ordering;
 use switchless_core::config::MAX_REPLY_BYTES;
 use switchless_core::{
-    CallPath, FailureKind, GuardViolation, OcallRequest, PoisonKey, ReplyGuard, SuperviseDecision,
-    SwitchlessError, WorkerState,
+    CallPath, Fault, FaultSite, GuardViolation, OcallRequest, PoisonKey, ReplyGuard,
+    SuperviseDecision, SwitchlessError, WorkerState,
 };
-use zc_telemetry::{Event, FaultKind};
+use zc_telemetry::Event;
 
 /// Retries granted to a pool allocation hit by injected exhaustion
 /// before the call degrades to a regular ocall. With the overload plane
@@ -184,12 +184,15 @@ fn switchless_call(
     let alloc = {
         let mut attempts: u32 = 0;
         loop {
-            let forced = door.faults.as_ref().is_some_and(|f| f.on_pool_alloc());
+            let forced = door
+                .faults
+                .as_ref()
+                .is_some_and(|f| f.fire(FaultSite::PoolAlloc).is_some());
             if !forced {
                 break w.with_pool(Side::Caller, |p| p.alloc(payload_in.len()));
             }
             door.caller_event(Event::Fault {
-                kind: FaultKind::PoolExhaustion,
+                kind: Fault::PoolExhaustion,
             });
             if !door.breaker_storm_allows() || attempts >= POOL_RETRY_MAX {
                 break PoolAlloc::TooLarge;
@@ -304,7 +307,7 @@ fn switchless_call(
             // buffer stays quarantined in PROCESSING until the
             // supervisor (if enabled) respawns the slot.
             rec.mark(Phase::Wait, &door.clock);
-            report_worker_failure(shared, widx, FailureKind::Crash, req, payload_in.len());
+            report_worker_failure(shared, widx, req, payload_in.len());
             return door.reroute_fallback(rec, req, payload_in, payload_out);
         }
         if let Some((posted_at, deadline)) = watchdog {
@@ -316,13 +319,7 @@ fn switchless_call(
                 // worker retires without touching the request and the
                 // regular-ocall re-route below cannot double-execute.
                 w.poison();
-                report_worker_failure(
-                    shared,
-                    widx,
-                    FailureKind::WatchdogTimeout,
-                    req,
-                    payload_in.len(),
-                );
+                report_worker_failure(shared, widx, req, payload_in.len());
                 door.caller_event(Event::WatchdogCancel {
                     call: req.seq,
                     worker: widx as u32,
@@ -390,7 +387,7 @@ fn guard_violation_fallback(
 ) -> Result<(i64, CallPath), SwitchlessError> {
     w.poison();
     shared.door.guard_violation(req.seq, widx as u32, violation);
-    report_worker_failure(shared, widx, FailureKind::Crash, req, payload_in.len());
+    report_worker_failure(shared, widx, req, payload_in.len());
     shared
         .door
         .reroute_fallback(rec, req, payload_in, payload_out)
@@ -403,20 +400,14 @@ fn guard_violation_fallback(
 /// escalation threshold raises the pending-restart flag for the
 /// supervisor thread: repeated ledger charges mean slot respawns are
 /// not containing the damage.
-fn report_worker_failure(
-    shared: &Shared,
-    widx: usize,
-    kind: FailureKind,
-    req: &OcallRequest,
-    payload_len: usize,
-) {
+fn report_worker_failure(shared: &Shared, widx: usize, req: &OcallRequest, payload_len: usize) {
     let Some(sup) = &shared.supervisor else {
         return;
     };
     let key = PoisonKey::new(req.func, payload_len);
     let decision = {
         let mut sup = sup.lock();
-        let decision = sup.record_failure(widx, kind, Some(key), shared.door.clock.now_cycles());
+        let decision = sup.record_failure(widx, Some(key), shared.door.clock.now_cycles());
         // Under the lock, so the length `pinned_regular` reads never
         // disagrees with the list for longer than this section.
         if matches!(decision, Some(SuperviseDecision::Blacklist { .. })) {

@@ -738,7 +738,7 @@ mod tests {
 
     #[test]
     fn supervisor_respawns_crashed_worker_and_slot_heals() {
-        use switchless_core::{FaultInjector, FaultPlan, SuperviseParams};
+        use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule, SuperviseParams};
         let (t, echo, _) = table();
         let cfg0 = test_config();
         let params = SuperviseParams::for_cpu(cfg0.cpu)
@@ -748,7 +748,9 @@ mod tests {
             // race the virtual clock forward.
             .with_watchdog_cycles(u64::MAX / 2);
         let cfg = cfg0.with_initial_workers(2).with_supervise_params(params);
-        let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_worker_at(2)));
+        let faults = Arc::new(FaultInjector::new(
+            FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at(2)),
+        ));
         let rt = ZcRuntime::start_with_faults(
             cfg,
             t,
@@ -773,7 +775,7 @@ mod tests {
                 rt.poisoned_workers()
             );
         }
-        assert_eq!(faults.counts().crashes, 1);
+        assert_eq!(faults.counts()[Fault::WorkerCrash], 1);
         let report = rt.shutdown_with_timeout(Duration::from_secs(5));
         assert_eq!(report.abandoned, 0, "a crashed thread exits and joins");
         assert!(
@@ -784,7 +786,7 @@ mod tests {
 
     #[test]
     fn fallback_storm_opens_breaker_and_sheds() {
-        use switchless_core::fault::{FaultInjector, FaultPlan};
+        use switchless_core::fault::{Fault, FaultInjector, FaultPlan, FaultSchedule};
         use switchless_core::{BreakerParams, OverloadParams, ShedReason};
         let (t, echo, _) = table();
         // Crash the only worker (no supervisor, so no respawn): every
@@ -810,7 +812,9 @@ mod tests {
                 probe_successes: 1,
             },
         ));
-        let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_worker_at(0)));
+        let faults = Arc::new(FaultInjector::new(
+            FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at(0)),
+        ));
         let rt = ZcRuntime::start_with_faults(cfg, t, enclave(&cfg), faults).unwrap();
         let mut out = Vec::new();
         let mut fallbacks = 0u64;

@@ -15,8 +15,8 @@
 use crate::buffer::{SchedCommand, Side, WorkerBuffer};
 use crate::runtime::Shared;
 use sgx_sim::frontdoor::{spin_pause, Wedged};
-use switchless_core::{ByzantineFault, GuardKind, WorkerFault, WorkerState};
-use zc_telemetry::{Event, FaultKind, Origin};
+use switchless_core::{Fault, FaultSite, GuardKind, WorkerState};
+use zc_telemetry::{Event, Origin};
 
 /// Body of worker thread `index` serving buffer `me` (passed explicitly
 /// rather than read from the slot: a supervisor respawn swaps the slot
@@ -166,12 +166,8 @@ fn report_own_violation(shared: &Shared, me: &WorkerBuffer, index: usize, kind: 
         },
     );
     if let Some(sup) = &shared.supervisor {
-        sup.lock().record_failure(
-            index,
-            switchless_core::FailureKind::Crash,
-            None,
-            shared.door.clock.now_cycles(),
-        );
+        sup.lock()
+            .record_failure(index, None, shared.door.clock.now_cycles());
     }
 }
 
@@ -182,35 +178,30 @@ fn report_own_violation(shared: &Shared, me: &WorkerBuffer, index: usize, kind: 
 /// caller to detect the lie and quarantine the buffer.
 fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) -> bool {
     let clock = &shared.door.clock;
-    let trace_fault = |kind| {
-        shared
-            .door
-            .event(Origin::Worker(index as u32), Event::Fault { kind })
-    };
     if let Some(faults) = &shared.door.faults {
-        match faults.on_worker_call() {
-            WorkerFault::None => {}
-            WorkerFault::Stall(cycles) => {
-                trace_fault(FaultKind::WorkerStall);
-                clock.spin_cycles(cycles);
-            }
-            WorkerFault::Crash => {
-                trace_fault(FaultKind::WorkerCrash);
-                // Poison *before* touching the slot: the request has not
-                // been invoked yet, so the caller re-executing it through
-                // the fallback path is side-effect-safe.
-                me.poison();
-                return false;
-            }
-            WorkerFault::Hang => {
-                trace_fault(FaultKind::WorkerHang);
-                me.poison();
-                // Wedge forever: unparks (e.g. from shutdown) just
-                // re-park. Say so first, so the drain abandons this
-                // thread instead of waiting for it.
-                wedged.mark();
-                loop {
-                    std::thread::park();
+        if let Some(fault) = faults.fire(FaultSite::WorkerCall) {
+            shared
+                .door
+                .event(Origin::Worker(index as u32), Event::Fault { kind: fault });
+            match fault {
+                Fault::WorkerStall => clock.spin_cycles(faults.cycles(fault)),
+                Fault::WorkerCrash => {
+                    // Poison *before* touching the slot: the request has
+                    // not been invoked yet, so the caller re-executing it
+                    // through the fallback path is side-effect-safe.
+                    me.poison();
+                    return false;
+                }
+                _ => {
+                    // A hang.
+                    me.poison();
+                    // Wedge forever: unparks (e.g. from shutdown) just
+                    // re-park. Say so first, so the drain abandons this
+                    // thread instead of waiting for it.
+                    wedged.mark();
+                    loop {
+                        std::thread::park();
+                    }
                 }
             }
         }
@@ -229,8 +220,8 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
         .door
         .faults
         .as_ref()
-        .map_or(ByzantineFault::None, |f| f.on_byzantine());
-    if byz == ByzantineFault::TornRequest {
+        .and_then(|f| f.fire(FaultSite::Publish));
+    if byz == Some(Fault::TornRequest) {
         // The host overwrites the posted request while we own the slot.
         me.with_slot(Side::Worker, |slot| slot.request = None);
     }
@@ -269,14 +260,14 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
             // echoes the request's sequence tag; the Byzantine variants
             // lie about one of the two.
             slot.reply.payload_len = match byz {
-                ByzantineFault::OversizeReplyLen => actual.wrapping_add(1),
+                Some(Fault::OversizeReply) => actual.wrapping_add(1),
                 // An empty reply cannot be undersold; the +1 lie still
                 // mismatches and is caught as an oversize violation.
-                ByzantineFault::UndersizeReplyLen => actual.checked_sub(1).unwrap_or(1),
+                Some(Fault::UndersizeReply) => actual.checked_sub(1).unwrap_or(1),
                 _ => actual,
             };
             slot.reply.seq = match byz {
-                ByzantineFault::StaleSeqReplay => req.seq.wrapping_sub(1),
+                Some(Fault::StaleSeq) => req.seq.wrapping_sub(1),
                 _ => req.seq,
             };
             false
@@ -286,7 +277,7 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
         report_own_violation(shared, me, index, GuardKind::TornRequest);
         return false;
     }
-    if byz == ByzantineFault::FlipStatus {
+    if byz == Some(Fault::FlipStatus) {
         // The host scribbles garbage on the status word instead of the
         // legal PROCESSING -> WAITING edge. Retire *without* poisoning:
         // the spinning caller must read the garbage itself, emit the
@@ -294,7 +285,7 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
         me.host_write_status(0xEE);
         return false;
     }
-    if byz == ByzantineFault::GarbageCommand {
+    if byz == Some(Fault::GarbageCommand) {
         // The host scribbles on the scheduler-command word. The reply
         // itself is honest — this worker detects the garbage on its next
         // idle iteration and self-quarantines.

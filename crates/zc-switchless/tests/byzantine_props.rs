@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use switchless_core::{
-    CpuSpec, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable, ZcConfig,
-    MAX_OCALL_ARGS,
+    CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, FaultSite, OcallDispatcher,
+    OcallRequest, OcallTable, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 
@@ -21,12 +21,12 @@ fn plan_from(schedule: &[(u64, usize)]) -> FaultPlan {
     let mut plan = FaultPlan::new();
     for &(site, kind) in schedule {
         plan = match kind {
-            0 => plan.flip_status_at(site),
-            1 => plan.garbage_command_at(site),
-            2 => plan.oversize_reply_at(site),
-            3 => plan.undersize_reply_at(site),
-            4 => plan.stale_seq_at(site),
-            _ => plan.torn_request_at(site),
+            0 => plan.inject(Fault::FlipStatus, FaultSchedule::at(site)),
+            1 => plan.inject(Fault::GarbageCommand, FaultSchedule::at(site)),
+            2 => plan.inject(Fault::OversizeReply, FaultSchedule::at(site)),
+            3 => plan.inject(Fault::UndersizeReply, FaultSchedule::at(site)),
+            4 => plan.inject(Fault::StaleSeq, FaultSchedule::at(site)),
+            _ => plan.inject(Fault::TornRequest, FaultSchedule::at(site)),
         };
     }
     plan
@@ -85,7 +85,7 @@ proptest! {
         );
         // Every *detected* lie must have routed somewhere countable:
         // violations never exceed the corruptions actually injected.
-        prop_assert!(snap.guard_violations <= faults.counts().byzantine_total());
+        prop_assert!(snap.guard_violations <= faults.counts().total(FaultSite::Publish));
         rt.shutdown();
     }
 }

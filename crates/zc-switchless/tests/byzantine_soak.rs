@@ -11,8 +11,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::{
-    CallPath, CpuSpec, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable,
-    SuperviseParams, ZcConfig, MAX_OCALL_ARGS,
+    CallPath, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, FaultSite, OcallDispatcher,
+    OcallRequest, OcallTable, SuperviseParams, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::export::canonical_jsonl;
@@ -52,12 +52,12 @@ fn soak_config() -> ZcConfig {
 /// services a call).
 fn seeded_plan() -> FaultPlan {
     FaultPlan::new()
-        .flip_status_at(0)
-        .garbage_command_at(1)
-        .oversize_reply_at(2)
-        .undersize_reply_at(3)
-        .stale_seq_at(4)
-        .torn_request_at(5)
+        .inject(Fault::FlipStatus, FaultSchedule::at(0))
+        .inject(Fault::GarbageCommand, FaultSchedule::at(1))
+        .inject(Fault::OversizeReply, FaultSchedule::at(2))
+        .inject(Fault::UndersizeReply, FaultSchedule::at(3))
+        .inject(Fault::StaleSeq, FaultSchedule::at(4))
+        .inject(Fault::TornRequest, FaultSchedule::at(5))
 }
 
 fn checksum_table() -> (Arc<OcallTable>, switchless_core::FuncId) {
@@ -132,7 +132,7 @@ fn run_soak() -> String {
         // the trace admission order and the claimed worker are
         // deterministic run-to-run.
         wait_until("corruption detected and slot respawned", || {
-            rt.stats().snapshot().guard_violations == faults.counts().byzantine_total()
+            rt.stats().snapshot().guard_violations == faults.counts().total(FaultSite::Publish)
                 && rt.poisoned_workers() == 0
         });
     }
@@ -143,20 +143,20 @@ fn run_soak() -> String {
     assert_eq!(snap.guard_violations, 6, "{snap:?}");
     assert_eq!(snap.reply_truncations, 0, "{snap:?}");
     let counts = faults.counts();
-    assert_eq!(counts.byzantine_total(), 6);
+    assert_eq!(counts.total(FaultSite::Publish), 6);
     assert_eq!(
         (
-            counts.flipped_status,
-            counts.garbage_commands,
-            counts.oversize_replies
+            counts[Fault::FlipStatus],
+            counts[Fault::GarbageCommand],
+            counts[Fault::OversizeReply]
         ),
         (1, 1, 1)
     );
     assert_eq!(
         (
-            counts.undersize_replies,
-            counts.stale_replays,
-            counts.torn_requests
+            counts[Fault::UndersizeReply],
+            counts[Fault::StaleSeq],
+            counts[Fault::TornRequest]
         ),
         (1, 1, 1)
     );

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::rand::SplitMix64;
 use switchless_core::{
-    CpuSpec, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable, SuperviseParams,
-    ZcConfig, MAX_OCALL_ARGS,
+    CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, OcallDispatcher, OcallRequest,
+    OcallTable, SuperviseParams, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 
@@ -293,8 +293,11 @@ fn slot_respawns_under_load_never_strand_or_block_a_caller() {
         );
     let faults = Arc::new(FaultInjector::new(
         FaultPlan::new()
-            .crash_worker_at_each([20, 90, 200, 260])
-            .crash_enclave_at(400),
+            .inject(
+                Fault::WorkerCrash,
+                FaultSchedule::at_each([20, 90, 200, 260]),
+            )
+            .inject(Fault::EnclaveCrash, FaultSchedule::at(400)),
     ));
     let rt = Arc::new(
         ZcRuntime::start_with_faults(cfg, table, sgx_sim::Enclave::new(cpu), Arc::clone(&faults))
@@ -309,7 +312,7 @@ fn slot_respawns_under_load_never_strand_or_block_a_caller() {
         // load up until every scripted fault has fired.
         let all_fired = || {
             let n = faults2.counts();
-            n.crashes == WORKER_CRASHES && n.enclave_crashes == 1
+            n[Fault::WorkerCrash] == WORKER_CRASHES && n[Fault::EnclaveCrash] == 1
         };
         let mut i = 0;
         while i < MIN_CALLS || !all_fired() {

@@ -2,7 +2,7 @@
 
 use switchless_core::overload::{BreakerState, ShedReason};
 use switchless_core::policy::DecisionRecord;
-use switchless_core::{CallPath, GuardKind, WorkerState};
+use switchless_core::{CallPath, Fault, GuardKind, WorkerState};
 
 /// Which scheduler phase a step belongs to (paper §IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,41 +19,6 @@ impl PhaseKind {
         match self {
             PhaseKind::Schedule => "schedule",
             PhaseKind::Probe => "probe",
-        }
-    }
-}
-
-/// The kind of injected or observed fault an event reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    /// A worker thread crashed (poisoned its buffer and exited).
-    WorkerCrash,
-    /// A worker stalled for an injected number of cycles.
-    WorkerStall,
-    /// A worker hung (parked forever, still poisoned).
-    WorkerHang,
-    /// A pool allocation was forced to fail (injected exhaustion).
-    PoolExhaustion,
-    /// A CAS state transition was forced to fail.
-    TransitionFailure,
-    /// Injected clock skew was applied to a caller.
-    ClockSkew,
-    /// The whole enclave stalled for an injected number of cycles
-    /// (all in-flight calls frozen, no loss).
-    EnclaveStall,
-}
-
-impl FaultKind {
-    /// Stable lowercase name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::WorkerCrash => "worker_crash",
-            FaultKind::WorkerStall => "worker_stall",
-            FaultKind::WorkerHang => "worker_hang",
-            FaultKind::PoolExhaustion => "pool_exhaustion",
-            FaultKind::TransitionFailure => "transition_failure",
-            FaultKind::ClockSkew => "clock_skew",
-            FaultKind::EnclaveStall => "enclave_stall",
         }
     }
 }
@@ -153,10 +118,10 @@ pub enum Event {
         /// Requested allocation in bytes.
         bytes: u64,
     },
-    /// An injected fault fired (see [`FaultKind`]).
+    /// An injected fault fired.
     Fault {
         /// Which fault.
-        kind: FaultKind,
+        kind: Fault,
     },
     /// Shutdown drained the worker pool.
     Drain {

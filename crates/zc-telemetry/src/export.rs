@@ -562,8 +562,9 @@ pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FaultKind, PhaseKind};
+    use crate::event::PhaseKind;
     use switchless_core::policy::{DecisionRecord, MicroQuantumReport};
+    use switchless_core::Fault;
 
     fn sample_events() -> Vec<RecordedEvent> {
         vec![
@@ -610,7 +611,7 @@ mod tests {
                 t_cycles: 400,
                 origin: Origin::Worker(1),
                 event: Event::Fault {
-                    kind: FaultKind::WorkerCrash,
+                    kind: Fault::WorkerCrash,
                 },
             },
         ]
@@ -690,7 +691,7 @@ mod tests {
                 t_cycles: 5,
                 origin: Origin::Sim,
                 event: Event::Fault {
-                    kind: FaultKind::EnclaveStall,
+                    kind: Fault::EnclaveStall,
                 },
             }],
             1_000_000_000

@@ -39,7 +39,7 @@ pub mod slo;
 mod thread_ids;
 pub mod tracer;
 
-pub use event::{Event, FaultKind, Origin, PhaseKind, RecordedEvent};
+pub use event::{Event, Origin, PhaseKind, RecordedEvent};
 pub use metrics::{
     Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
 };

@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 use switchless_core::{
-    CallPath, CpuSpec, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable,
-    ZcConfig,
+    CallPath, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, OcallDispatcher,
+    OcallRequest, OcallTable, ZcConfig,
 };
 use zc_switchless_repro::sgx_sim::Enclave;
 use zc_switchless_repro::zc_switchless::ZcRuntime;
@@ -55,7 +55,9 @@ fn run_runtime(hub: &Arc<Telemetry>) -> Result<ZcRuntime, Box<dyn std::error::Er
     let cfg = ZcConfig::for_cpu(*enclave.spec())
         .with_quantum_ms(2)
         .with_recovery();
-    let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_enclave_at(1_500)));
+    let faults = Arc::new(FaultInjector::new(
+        FaultPlan::new().inject(Fault::EnclaveCrash, FaultSchedule::at(1_500)),
+    ));
     let zc = ZcRuntime::start_with_telemetry(
         cfg,
         Arc::new(table),

@@ -34,12 +34,13 @@ use sgx_sim::Enclave;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::{
-    CallPath, CpuSpec, DrainReport, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest,
-    OcallTable, PoisonKey, SuperviseParams, Supervisor, WorkerState, ZcConfig, MAX_OCALL_ARGS,
+    CallPath, CpuSpec, DrainReport, Fault, FaultInjector, FaultPlan, FaultSchedule,
+    OcallDispatcher, OcallRequest, OcallTable, PoisonKey, SuperviseParams, Supervisor, WorkerState,
+    ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::export::{canonical_jsonl, events_to_jsonl};
-use zc_telemetry::{Event, FaultKind, RecordedEvent, Telemetry};
+use zc_telemetry::{Event, RecordedEvent, Telemetry};
 
 /// Failure backstop for bounded polls (never slept on).
 const BACKSTOP: Duration = Duration::from_secs(60);
@@ -83,8 +84,8 @@ fn supervised_config() -> ZcConfig {
 /// criteria quantify over.
 fn chaos_plan() -> FaultPlan {
     FaultPlan::new()
-        .crash_worker_at_each([2, 12, 24])
-        .hang_worker_at_each([6, 18])
+        .inject(Fault::WorkerCrash, FaultSchedule::at_each([2, 12, 24]))
+        .inject(Fault::WorkerHang, FaultSchedule::at_each([6, 18]))
 }
 
 /// Trace-level invariant checker for a supervised chaos run.
@@ -98,7 +99,7 @@ fn check_trace_invariants(events: &[RecordedEvent], sup: &Supervisor, report: &D
         matches!(
             e,
             Event::Fault {
-                kind: FaultKind::WorkerCrash
+                kind: Fault::WorkerCrash
             }
         )
     });
@@ -106,7 +107,7 @@ fn check_trace_invariants(events: &[RecordedEvent], sup: &Supervisor, report: &D
         matches!(
             e,
             Event::Fault {
-                kind: FaultKind::WorkerHang
+                kind: Fault::WorkerHang
             }
         )
     });
@@ -161,8 +162,8 @@ fn zc_chaos_soak_self_heals_and_conserves_calls() {
         i += 1;
         let c = faults.counts();
         let sup = rt.supervisor_state().expect("supervision is on");
-        if c.crashes >= 3
-            && c.hangs >= 2
+        if c[Fault::WorkerCrash] >= 3
+            && c[Fault::WorkerHang] >= 2
             && sup.respawns() >= 5
             && sup.heals() >= 1
             && rt.poisoned_workers() == 0
@@ -259,7 +260,7 @@ fn poison_shape_is_pinned_to_the_regular_path_and_others_are_not() {
         .with_supervise_params(params);
     // The first `threshold` calls a worker serves kill it.
     let faults = Arc::new(FaultInjector::new(
-        FaultPlan::new().crash_worker_at_each(0..threshold),
+        FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at_each(0..threshold)),
     ));
     let rt = ZcRuntime::start_with_telemetry(
         cfg,
@@ -295,7 +296,7 @@ fn poison_shape_is_pinned_to_the_regular_path_and_others_are_not() {
     }
     let key = PoisonKey::new(echo, poison.len());
     assert_eq!(blacklist(), [key]);
-    assert_eq!(faults.counts().crashes, threshold);
+    assert_eq!(faults.counts()[Fault::WorkerCrash], threshold);
 
     // Pinned: the very next call of that shape, and every later one.
     for _ in 0..3 {
@@ -362,8 +363,8 @@ fn seeded_soak_projection() -> String {
     // slot can fire: crash, crash, hang across the soak.
     let faults = Arc::new(FaultInjector::new(
         FaultPlan::new()
-            .crash_worker_at_each([1, 4])
-            .hang_worker_at(8),
+            .inject(Fault::WorkerCrash, FaultSchedule::at_each([1, 4]))
+            .inject(Fault::WorkerHang, FaultSchedule::at(8)),
     ));
     let rt = ZcRuntime::start_with_telemetry(
         cfg,
@@ -383,7 +384,7 @@ fn seeded_soak_projection() -> String {
         // thread generations, so whether the hung slot's respawn landed
         // before shutdown must not be left to the OS scheduler.
         let respawns = rt.supervisor_state().map_or(0, |s| s.respawns());
-        if c.crashes >= 2 && c.hangs >= 1 && respawns >= 3 {
+        if c[Fault::WorkerCrash] >= 2 && c[Fault::WorkerHang] >= 1 && respawns >= 3 {
             break;
         }
         assert!(
@@ -527,17 +528,19 @@ proptest! {
         calls in 30u64..70,
     ) {
         let mut plan = FaultPlan::new()
-            .crash_worker_at_each(crash_ixs)
-            .hang_worker_at_each(hang_ixs)
-            .exhaust_pool_first(exhaust)
-            .fail_transitions_first(trans_fail);
+            .inject(Fault::WorkerCrash, FaultSchedule::at_each(crash_ixs))
+            .inject(Fault::WorkerHang, FaultSchedule::at_each(hang_ixs))
+            .inject(Fault::PoolExhaustion, FaultSchedule::first(exhaust))
+            .inject(Fault::TransitionFailure, FaultSchedule::first(trans_fail));
         // Sub-range encodings of optional schedule entries: small
         // strides / cycle counts mean "absent".
         if crash_stride >= 5 {
-            plan = plan.crash_worker_every(crash_stride);
+            plan = plan.inject(Fault::WorkerCrash, FaultSchedule::every(crash_stride));
         }
         if stall_cycles >= 100_000 {
-            plan = plan.stall_worker_at(stall_at, stall_cycles);
+            plan = plan
+                .inject(Fault::WorkerStall, FaultSchedule::at(stall_at))
+                .cycles(Fault::WorkerStall, stall_cycles);
         }
         let (t, echo) = table();
         let cfg = if supervised {

@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 use switchless_core::{
-    CallPath, CpuSpec, FaultInjector, FaultPlan, IntelConfig, OcallDispatcher, OcallRequest,
-    OcallTable, ZcConfig, MAX_OCALL_ARGS,
+    CallPath, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, IntelConfig,
+    OcallDispatcher, OcallRequest, OcallTable, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless_repro::intel_switchless::IntelSwitchless;
 use zc_switchless_repro::sgx_sim::hostfs::FsFuncs;
@@ -152,7 +152,9 @@ fn fallback_paths_preserve_results() {
     // paths.
     let (fs, table, funcs, enclave) = fixture();
     let cfg = ZcConfig::for_cpu(test_cpu()).with_quantum_ms(5);
-    let faults = Arc::new(FaultInjector::new(FaultPlan::new().exhaust_pool_first(400)));
+    let faults = Arc::new(FaultInjector::new(
+        FaultPlan::new().inject(Fault::PoolExhaustion, FaultSchedule::first(400)),
+    ));
     let rt = ZcRuntime::start_with_faults(cfg, table, enclave, faults).unwrap();
     let mut out = Vec::new();
     let (fd, _) = rt

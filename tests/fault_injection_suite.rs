@@ -32,8 +32,8 @@ use sgx_sim::Enclave;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::{
-    CallPath, CpuSpec, FaultInjector, FaultPlan, IntelConfig, OcallDispatcher, OcallRequest,
-    OcallTable, SwitchlessError, ZcConfig, MAX_OCALL_ARGS,
+    CallPath, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, IntelConfig,
+    OcallDispatcher, OcallRequest, OcallTable, SwitchlessError, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 
@@ -104,8 +104,11 @@ fn drive_until(
 #[test]
 fn zc_worker_crash_is_quarantined_and_calls_complete() {
     // Crash the worker servicing the first *serviced* switchless call.
-    let (rt, faults, echo) = start_zc(FaultPlan::new().crash_worker_at(0));
-    let path = drive_until(&rt, echo, "injected crash", || faults.counts().crashes == 1);
+    let (rt, faults, echo) =
+        start_zc(FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at(0)));
+    let path = drive_until(&rt, echo, "injected crash", || {
+        faults.counts()[Fault::WorkerCrash] == 1
+    });
     assert_eq!(
         path,
         CallPath::Fallback,
@@ -134,10 +137,16 @@ fn zc_worker_crash_is_quarantined_and_calls_complete() {
 fn zc_worker_stall_delays_but_completes_switchlessly() {
     // Stall the first serviced call for a full modelled second.
     const STALL: u64 = 3_800_000_000;
-    let (rt, faults, echo) = start_zc(FaultPlan::new().stall_worker_at(0, STALL));
+    let (rt, faults, echo) = start_zc(
+        FaultPlan::new()
+            .inject(Fault::WorkerStall, FaultSchedule::at(0))
+            .cycles(Fault::WorkerStall, STALL),
+    );
     let clock = rt.clock();
     let before = clock.now_cycles();
-    let path = drive_until(&rt, echo, "injected stall", || faults.counts().stalls == 1);
+    let path = drive_until(&rt, echo, "injected stall", || {
+        faults.counts()[Fault::WorkerStall] == 1
+    });
     assert_eq!(
         path,
         CallPath::Switchless,
@@ -155,9 +164,10 @@ fn zc_worker_stall_delays_but_completes_switchlessly() {
 fn zc_pool_exhaustion_retries_then_falls_back() {
     // First 2 allocations fail: the first *claimed* call's bounded retry
     // (budget 3) absorbs both and the call still goes switchless.
-    let (rt, faults, echo) = start_zc(FaultPlan::new().exhaust_pool_first(2));
+    let (rt, faults, echo) =
+        start_zc(FaultPlan::new().inject(Fault::PoolExhaustion, FaultSchedule::first(2)));
     let path = drive_until(&rt, echo, "both injected exhaustions", || {
-        faults.counts().pool_exhaustions == 2
+        faults.counts()[Fault::PoolExhaustion] == 2
     });
     assert_eq!(
         path,
@@ -172,12 +182,13 @@ fn zc_persistent_pool_exhaustion_degrades_to_fallback() {
     // A large exhaustion window: the first claimed call burns its whole
     // retry budget (1 attempt + 3 retries) and degrades to a regular
     // ocall; later calls keep completing.
-    let (rt, faults, echo) = start_zc(FaultPlan::new().exhaust_pool_first(100));
+    let (rt, faults, echo) =
+        start_zc(FaultPlan::new().inject(Fault::PoolExhaustion, FaultSchedule::first(100)));
     let path = drive_until(&rt, echo, "a burnt retry budget", || {
-        faults.counts().pool_exhaustions >= 4
+        faults.counts()[Fault::PoolExhaustion] >= 4
     });
     assert_eq!(
-        faults.counts().pool_exhaustions,
+        faults.counts()[Fault::PoolExhaustion],
         4,
         "one claimed call consumes exactly 1 + 3 forced allocations"
     );
@@ -188,7 +199,7 @@ fn zc_persistent_pool_exhaustion_degrades_to_fallback() {
     );
     // Keep going: the runtime stays usable while the window drains.
     drive_until(&rt, echo, "the exhaustion window to drain", || {
-        faults.counts().pool_exhaustions == 100
+        faults.counts()[Fault::PoolExhaustion] == 100
     });
     rt.shutdown();
 }
@@ -205,8 +216,11 @@ fn zc_transition_failures_recover_within_retry_budget() {
     // is the first transition anywhere in the runtime.
     let (rt, faults, echo) = start_zc(
         FaultPlan::new()
-            .fail_transitions_first(2)
-            .exhaust_pool_first(EXHAUST_ONE_CALL),
+            .inject(Fault::TransitionFailure, FaultSchedule::first(2))
+            .inject(
+                Fault::PoolExhaustion,
+                FaultSchedule::first(EXHAUST_ONE_CALL),
+            ),
     );
     let big = vec![9u8; 4096];
     let mut out = Vec::new();
@@ -217,7 +231,7 @@ fn zc_transition_failures_recover_within_retry_budget() {
     assert_eq!(out, big);
     assert_eq!(path, CallPath::Fallback);
     assert_eq!(
-        faults.counts().transition_failures,
+        faults.counts()[Fault::TransitionFailure],
         2,
         "both injected failures absorbed by the retry budget"
     );
@@ -230,8 +244,11 @@ fn zc_exhausted_transition_retries_surface_as_error() {
     // with TransitionFailed instead of retrying forever.
     let (rt, _faults, echo) = start_zc(
         FaultPlan::new()
-            .fail_transitions_first(1_000)
-            .exhaust_pool_first(EXHAUST_ONE_CALL),
+            .inject(Fault::TransitionFailure, FaultSchedule::first(1_000))
+            .inject(
+                Fault::PoolExhaustion,
+                FaultSchedule::first(EXHAUST_ONE_CALL),
+            ),
     );
     let big = vec![7u8; 4096];
     let mut out = Vec::new();
@@ -306,7 +323,9 @@ fn zc_hung_worker_is_abandoned_by_drain_timeout() {
     let (t, echo) = table();
     let cfg = zc_config();
     let hub = zc_telemetry::Telemetry::new();
-    let faults = Arc::new(FaultInjector::new(FaultPlan::new().hang_worker_at(0)));
+    let faults = Arc::new(FaultInjector::new(
+        FaultPlan::new().inject(Fault::WorkerHang, FaultSchedule::at(0)),
+    ));
     let rt = ZcRuntime::start_with_telemetry(
         cfg,
         t,
@@ -315,7 +334,9 @@ fn zc_hung_worker_is_abandoned_by_drain_timeout() {
         Some(Arc::clone(&faults)),
     )
     .expect("zc runtime must start");
-    let path = drive_until(&rt, echo, "injected hang", || faults.counts().hangs == 1);
+    let path = drive_until(&rt, echo, "injected hang", || {
+        faults.counts()[Fault::WorkerHang] == 1
+    });
     assert_eq!(
         path,
         CallPath::Fallback,
@@ -352,7 +373,9 @@ fn intel_worker_crash_degrades_to_fallback() {
     // submission is cancelled and the call falls back. Every later call
     // degrades the same way — the runtime never hangs.
     let cfg = IntelConfig::new(1, [echo]).with_retries_before_fallback(64);
-    let faults = Arc::new(FaultInjector::new(FaultPlan::new().crash_worker_at(0)));
+    let faults = Arc::new(FaultInjector::new(
+        FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at(0)),
+    ));
     let rt = IntelSwitchless::start_with_faults(
         cfg,
         t,
@@ -365,7 +388,7 @@ fn intel_worker_crash_degrades_to_fallback() {
     // enough to hit its crash site: on a busy host every rbf window of
     // the first ten can expire before the OS first schedules it.
     let mut i = 0u32;
-    while i < 10 || faults.counts().crashes == 0 {
+    while i < 10 || faults.counts()[Fault::WorkerCrash] == 0 {
         assert!(i < 1_000_000, "the worker never reached its crash site");
         let payload = vec![i as u8; 12];
         let (ret, path) = rt
@@ -380,7 +403,7 @@ fn intel_worker_crash_degrades_to_fallback() {
         );
         i += 1;
     }
-    assert_eq!(faults.counts().crashes, 1);
+    assert_eq!(faults.counts()[Fault::WorkerCrash], 1);
     let report = rt.shutdown_with_timeout(Duration::from_secs(5));
     assert!(
         report.is_clean(),
@@ -394,7 +417,9 @@ fn intel_worker_stall_still_completes_switchlessly() {
     let (t, echo) = table();
     let cfg = IntelConfig::new(1, [echo]).with_retries_before_fallback(u32::MAX);
     let faults = Arc::new(FaultInjector::new(
-        FaultPlan::new().stall_worker_at(0, 1_000_000),
+        FaultPlan::new()
+            .inject(Fault::WorkerStall, FaultSchedule::at(0))
+            .cycles(Fault::WorkerStall, 1_000_000),
     ));
     let rt = IntelSwitchless::start_with_faults(
         cfg,
@@ -414,7 +439,7 @@ fn intel_worker_stall_still_completes_switchlessly() {
         CallPath::Switchless,
         "a stalled worker still serves the call"
     );
-    assert_eq!(faults.counts().stalls, 1);
+    assert_eq!(faults.counts()[Fault::WorkerStall], 1);
     rt.shutdown();
 }
 
@@ -423,7 +448,11 @@ fn clock_skew_does_not_break_dispatch() {
     // Skew the clock forward ~1 modelled second on every dispatch; calls
     // must still complete and the skew must be visible on the clock.
     const SKEW: u64 = 3_800_000_000;
-    let (rt, faults, echo) = start_zc(FaultPlan::new().skew_clock(1, SKEW));
+    let (rt, faults, echo) = start_zc(
+        FaultPlan::new()
+            .inject(Fault::ClockSkew, FaultSchedule::every(1))
+            .cycles(Fault::ClockSkew, SKEW),
+    );
     let clock = rt.clock();
     let before = clock.now_cycles();
     let mut out = Vec::new();
@@ -435,7 +464,7 @@ fn clock_skew_does_not_break_dispatch() {
         assert_eq!(ret, 16);
         assert_eq!(out, payload);
     }
-    assert_eq!(faults.counts().clock_skews, 10);
+    assert_eq!(faults.counts()[Fault::ClockSkew], 10);
     assert!(
         clock.now_cycles() - before >= 10 * SKEW,
         "injected skew must move the shared clock"

@@ -12,10 +12,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::policy::PolicyParams;
 use switchless_core::{
-    BrownoutParams, CallStatsSnapshot, CpuSpec, FaultInjector, FaultPlan, FleetParams, FuncId,
-    IntelConfig, OcallDispatcher, OcallRequest, OcallTable, OverloadParams, OverloadSnapshot,
-    Priority, RecoverySnapshot, ShedReason, SuperviseParams, SwitchlessError, TenantUsage,
-    ZcConfig, MAX_OCALL_ARGS,
+    BrownoutParams, CallStatsSnapshot, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule,
+    FleetParams, FuncId, IntelConfig, OcallDispatcher, OcallRequest, OcallTable, OverloadParams,
+    OverloadSnapshot, Priority, RecoverySnapshot, ShedReason, SuperviseParams, SwitchlessError,
+    TenantUsage, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::{Fleet, TenantSpec, ZcRuntime};
 use zc_telemetry::{Origin, Telemetry};
@@ -293,7 +293,9 @@ fn watchdog_cancelled_calls_are_booked_as_completed() {
     // Every worker-serviced call stalls far past the watchdog; the first
     // stalled worker to lose the race against its caller's watchdog gets
     // its call cancelled.
-    let stalls = FaultPlan::new().stall_worker_every(1, 10 * WATCHDOG);
+    let stalls = FaultPlan::new()
+        .inject(Fault::WorkerStall, FaultSchedule::every(1))
+        .cycles(Fault::WorkerStall, 10 * WATCHDOG);
     let tenant =
         TenantSpec::new("stalled", config, t).with_faults(Arc::new(FaultInjector::new(stalls)));
     let params = FleetParams::new(PolicyParams::from_cpu(&cpu), 4);
@@ -323,10 +325,11 @@ fn watchdog_cancelled_calls_are_booked_as_completed() {
 /// The first worker-serviced call wedges its worker.
 fn parity_plan() -> FaultPlan {
     FaultPlan::new()
-        .crash_enclave_at_each([2, 5])
-        .crash_enclave_during_replay_at(0)
-        .skew_clock(8, 1_000)
-        .hang_worker_at(0)
+        .inject(Fault::EnclaveCrash, FaultSchedule::at_each([2, 5]))
+        .inject(Fault::EnclaveReplayCrash, FaultSchedule::at(0))
+        .inject(Fault::ClockSkew, FaultSchedule::every(8))
+        .cycles(Fault::ClockSkew, 1_000)
+        .inject(Fault::WorkerHang, FaultSchedule::at(0))
 }
 
 /// Drive the parity plan through `rt`; returns the recovery and
@@ -367,12 +370,12 @@ fn parity_run<R: Runtime>(
     }
     let ledger = (rt.recovery(), rt.ledger());
     let calls = caller_kinds(&hub);
-    assert_eq!(faults.counts().clock_skews, 1);
+    assert_eq!(faults.counts()[Fault::ClockSkew], 1);
     // The wedge needs a worker-serviced call; which call that is
     // depends on the transport (and, for zc, on the free-running
     // scheduler), so it is driven outside the compared window.
     let deadline = Instant::now() + BACKSTOP;
-    while faults.counts().hangs == 0 {
+    while faults.counts()[Fault::WorkerHang] == 0 {
         assert!(Instant::now() < deadline, "hang never fired");
         rt.dispatch(&OcallRequest::new(echo, &[]), b"parity", &mut out)
             .unwrap();

@@ -7,8 +7,8 @@ use switchless_core::policy::{
     SchedulerPolicy,
 };
 use switchless_core::{
-    CpuSpec, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable, WorkerState,
-    ZcConfig, MAX_OCALL_ARGS,
+    CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, OcallDispatcher, OcallRequest,
+    OcallTable, WorkerState, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless_repro::sgx_sim::hostfs::{HostFs, OpenMode, Whence};
 use zc_switchless_repro::sgx_sim::tlibc::{memcpy_vanilla, memcpy_zc};
@@ -235,11 +235,13 @@ proptest! {
         calls in 10u64..40,
     ) {
         let mut plan = FaultPlan::new()
-            .exhaust_pool_first(exhaust)
-            .fail_transitions_first(trans_fail);
+            .inject(Fault::PoolExhaustion, FaultSchedule::first(exhaust))
+            .inject(Fault::TransitionFailure, FaultSchedule::first(trans_fail));
         plan = match kind {
-            1 => plan.crash_worker_at(at),
-            2 => plan.stall_worker_at(at, 500_000),
+            1 => plan.inject(Fault::WorkerCrash, FaultSchedule::at(at)),
+            2 => plan
+                .inject(Fault::WorkerStall, FaultSchedule::at(at))
+                .cycles(Fault::WorkerStall, 500_000),
             _ => plan,
         };
         let mut t = OcallTable::new();

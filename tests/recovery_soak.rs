@@ -20,8 +20,8 @@
 use sgx_sim::Enclave;
 use std::sync::Arc;
 use switchless_core::{
-    CpuSpec, FaultInjector, FaultPlan, IntelConfig, OcallDispatcher, OcallRequest, OcallTable,
-    SwitchlessError, ZcConfig, MAX_OCALL_ARGS,
+    CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, IntelConfig, OcallDispatcher,
+    OcallRequest, OcallTable, SwitchlessError, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 
@@ -87,7 +87,7 @@ fn soak_idempotent(
 fn zc_recovery_soak_replays_across_three_crash_cycles() {
     let (t, echo) = table();
     let faults = Arc::new(FaultInjector::new(
-        FaultPlan::new().crash_enclave_at_each(CRASH_SITES),
+        FaultPlan::new().inject(Fault::EnclaveCrash, FaultSchedule::at_each(CRASH_SITES)),
     ));
     let cfg = zc_config();
     let rt = ZcRuntime::start_with_faults(cfg, t, Enclave::new_virtual(cfg.cpu), faults).unwrap();
@@ -116,7 +116,7 @@ fn zc_recovery_soak_replays_across_three_crash_cycles() {
 fn zc_recovery_soak_accounts_for_non_idempotent_refusals() {
     let (t, echo) = table();
     let faults = Arc::new(FaultInjector::new(
-        FaultPlan::new().crash_enclave_at_each(CRASH_SITES),
+        FaultPlan::new().inject(Fault::EnclaveCrash, FaultSchedule::at_each(CRASH_SITES)),
     ));
     let cfg = zc_config();
     let rt = ZcRuntime::start_with_faults(cfg, t, Enclave::new_virtual(cfg.cpu), faults).unwrap();
@@ -162,8 +162,8 @@ fn zc_recovery_soak_survives_crash_during_replay() {
     let (t, echo) = table();
     let faults = Arc::new(FaultInjector::new(
         FaultPlan::new()
-            .crash_enclave_at_each([5, 900])
-            .crash_enclave_during_replay_at(0),
+            .inject(Fault::EnclaveCrash, FaultSchedule::at_each([5, 900]))
+            .inject(Fault::EnclaveReplayCrash, FaultSchedule::at(0)),
     ));
     let cfg = zc_config();
     let rt = ZcRuntime::start_with_faults(cfg, t, Enclave::new_virtual(cfg.cpu), faults).unwrap();
@@ -189,7 +189,7 @@ fn intel_recovery_soak_replays_across_three_crash_cycles() {
     let (t, echo) = table();
     let cfg = IntelConfig::new(2, [echo]).with_recovery();
     let faults = Arc::new(FaultInjector::new(
-        FaultPlan::new().crash_enclave_at_each(CRASH_SITES),
+        FaultPlan::new().inject(Fault::EnclaveCrash, FaultSchedule::at_each(CRASH_SITES)),
     ));
     let rt = IntelSwitchless::start_with_faults(
         cfg,
@@ -218,7 +218,7 @@ fn intel_recovery_soak_accounts_for_non_idempotent_refusals() {
     let (t, echo) = table();
     let cfg = IntelConfig::new(2, [echo]).with_recovery();
     let faults = Arc::new(FaultInjector::new(
-        FaultPlan::new().crash_enclave_at_each(CRASH_SITES),
+        FaultPlan::new().inject(Fault::EnclaveCrash, FaultSchedule::at_each(CRASH_SITES)),
     ));
     let rt = IntelSwitchless::start_with_faults(
         cfg,

@@ -18,8 +18,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::overload::OverloadParams;
 use switchless_core::{
-    CallPath, CpuSpec, FaultInjector, FaultPlan, OcallDispatcher, OcallRequest, OcallTable,
-    ShedReason, SuperviseParams, SwitchlessError, WorkerState, ZcConfig, MAX_OCALL_ARGS,
+    CallPath, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, OcallDispatcher,
+    OcallRequest, OcallTable, ShedReason, SuperviseParams, SwitchlessError, WorkerState, ZcConfig,
+    MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::export::{canonical_jsonl, events_to_jsonl, to_chrome_trace, to_prometheus};
@@ -123,7 +124,9 @@ fn faulted_run() -> String {
     let mut cpu = CpuSpec::paper_machine();
     cpu.logical_cpus = 2; // max_workers = 1: all worker events are Worker(0)
     let cfg = ZcConfig::for_cpu(cpu).with_quantum_ms(10);
-    let plan = FaultPlan::new().crash_worker_at(3).exhaust_pool_first(2);
+    let plan = FaultPlan::new()
+        .inject(Fault::WorkerCrash, FaultSchedule::at(3))
+        .inject(Fault::PoolExhaustion, FaultSchedule::first(2));
     let faults = Arc::new(FaultInjector::new(plan));
     let zc = ZcRuntime::start_with_telemetry(
         cfg,
@@ -140,7 +143,7 @@ fn faulted_run() -> String {
         zc.dispatch(&OcallRequest::new(echo, &[1]), b"payload", &mut out)
             .expect("faulted calls still complete via fallback");
         let c = faults.counts();
-        if c.crashes >= 1 && c.pool_exhaustions >= 2 {
+        if c[Fault::WorkerCrash] >= 1 && c[Fault::PoolExhaustion] >= 2 {
             break;
         }
         assert!(Instant::now() < deadline, "faults never fired: {c:?}");
@@ -514,7 +517,7 @@ fn recovery_run() -> String {
     cpu.logical_cpus = 2;
     let cfg = ZcConfig::for_cpu(cpu).with_quantum_ms(10).with_recovery();
     let faults = Arc::new(FaultInjector::new(
-        FaultPlan::new().crash_enclave_at_each([2, 5, 8]),
+        FaultPlan::new().inject(Fault::EnclaveCrash, FaultSchedule::at_each([2, 5, 8])),
     ));
     let zc = ZcRuntime::start_with_telemetry(
         cfg,
@@ -751,7 +754,9 @@ fn per_call_events_join_into_one_timeline_per_offered_call() {
     // The enclave dies under the first call; the first reply a worker
     // writes echoes a stale sequence tag.
     let faults = Arc::new(FaultInjector::new(
-        FaultPlan::new().crash_enclave_at(0).stale_seq_at(0),
+        FaultPlan::new()
+            .inject(Fault::EnclaveCrash, FaultSchedule::at(0))
+            .inject(Fault::StaleSeq, FaultSchedule::at(0)),
     ));
     let enclave = Enclave::new_virtual(cfg.cpu);
     let clock = enclave.clock();
@@ -789,7 +794,7 @@ fn per_call_events_join_into_one_timeline_per_offered_call() {
     offered += 1;
     // 3. Guard violation: calls until a worker has served one (and
     // lied about it).
-    while faults.counts().stale_replays == 0 {
+    while faults.counts()[Fault::StaleSeq] == 0 {
         assert!(Instant::now() < deadline, "no call reached a worker");
         let (ret, _) = zc
             .dispatch(&OcallRequest::new(echo, &[]), b"three", &mut out)
