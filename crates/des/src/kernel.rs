@@ -23,7 +23,7 @@
 //!
 //! # Scheduling policies
 //!
-//! One engine — one event heap, one run queue, one set of accounts —
+//! One engine — one event queue, one run queue, one set of accounts —
 //! runs both machine models; they differ only where the private
 //! `Policy` is consulted (quantum arming, the `SpinUntil` syscall, the
 //! spin wake):
@@ -36,7 +36,7 @@
 //!   core — exactly like a real pause loop. Cycle-accurate under core
 //!   contention: the paper-fidelity model.
 //! * **Event-driven** ([`Kernel::event_driven`]): cooperative. There is
-//!   no quantum, so the heap holds only op completions and timers and
+//!   no quantum, so the queue holds only op completions and timers and
 //!   virtual time jumps straight from one to the next. A `SpinUntil`
 //!   *releases* its core and blocks on the flag; the wake charges the
 //!   whole blocked span as busy time — the cycles a real spinner would
@@ -56,14 +56,24 @@
 //! traces.
 //!
 //! In discrete-event terms each thread is a component: its `next_tick`
-//! is the timestamp of its earliest armed event, and [`Actor::step`] is
-//! its `tick`. [`Kernel::next_tick`]/[`Kernel::tick`] expose the
+//! is the timestamp of its one armed event, and [`Actor::step`] is its
+//! `tick`. [`Kernel::next_tick`]/[`Kernel::tick`] expose the
 //! machine-level form of that interface for external drivers that want
 //! to interleave the simulation with other event sources;
 //! [`Kernel::run_while`] is the loop over them.
+//!
+//! The event queue holds at most one armed event per component — each
+//! core's quantum, each thread's op completion, spin wake or timeout, or
+//! sleep timer — so it never exceeds `cores + threads` entries.
+//! Re-arming a component replaces its entry and invalidating it (a
+//! preemption, a vacated core, a park, an exit) removes it. Superseded
+//! events used to stay queued until their time came, and popping one
+//! still moved `now`. That showed only on a deadlocked machine, whose
+//! run ended at its last dead event or the deadline (round-robin always
+//! left a dead quantum behind); both policies now stop at the last live
+//! event.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Thread identifier within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -185,31 +195,11 @@ struct ThreadCb {
     /// Result to deliver at the next `step`.
     next_result: SyscallResult,
     unpark_pending: bool,
-    /// Event generation: stale timer/complete events are ignored.
-    generation: u64,
     busy_cycles: u64,
     idle_cycles: u64,
     /// When the current on-core (or sleeping/parked) segment started.
     segment_start: u64,
     group: String,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// The pending op of `tid` completes (compute end, spin observation,
-    /// spin timeout).
-    OpComplete { tid: Tid, generation: u64 },
-    /// Round-robin quantum check for `core`.
-    Quantum { core: usize, generation: u64 },
-    /// Sleep finished.
-    Timer { tid: Tid, generation: u64 },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CoreState {
-    running: Option<Tid>,
-    /// Generation of the quantum event for the current occupancy.
-    quantum_generation: u64,
 }
 
 struct Flag {
@@ -218,25 +208,83 @@ struct Flag {
     waiters: Vec<Tid>,
 }
 
-/// Wrapper giving `Event` a (trivial) total order: the heap orders by the
-/// `(time, seq)` key, never by the event itself.
-#[derive(Debug, Clone, Copy)]
-struct EventBox(Event);
+/// Heap position of a slot with no armed event.
+const UNARMED: usize = usize::MAX;
 
-impl PartialEq for EventBox {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
+/// Indexed binary min-heap of armed events ordered by `(time, seq)`, at
+/// most one per slot: slot `c` is core `c`'s quantum, slot `cores + t`
+/// thread `t`'s op completion or sleep timer. `seq` counts arms, so
+/// equal-time events pop in arm order (FIFO).
+struct EventQueue {
+    /// `(time, seq, slot)` in heap order.
+    heap: Vec<(u64, u64, usize)>,
+    /// Heap index of each slot's entry, or `UNARMED`.
+    pos: Vec<usize>,
+    seq: u64,
 }
-impl Eq for EventBox {}
-impl PartialOrd for EventBox {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl EventQueue {
+    /// Arm `slot` at `time`, replacing its armed event if any.
+    fn arm(&mut self, slot: usize, time: u64) {
+        self.seq += 1;
+        let entry = (time, self.seq, slot);
+        let i = match self.pos[slot] {
+            UNARMED => {
+                self.heap.push(entry);
+                self.heap.len() - 1
+            }
+            i => {
+                self.heap[i] = entry;
+                i
+            }
+        };
+        self.sift(i);
     }
-}
-impl Ord for EventBox {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
+
+    /// Remove `slot`'s armed event, if any.
+    fn disarm(&mut self, slot: usize) {
+        let i = std::mem::replace(&mut self.pos[slot], UNARMED);
+        if i != UNARMED {
+            self.heap.swap_remove(i);
+            if i < self.heap.len() {
+                self.sift(i);
+            }
+        }
+    }
+
+    /// Remove the earliest event; returns its `(time, slot)`.
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        let (time, _, slot) = *self.heap.first()?;
+        self.disarm(slot);
+        Some((time, slot))
+    }
+
+    /// Move the entry at `i` up or down to its place in heap order. Whole
+    /// entries compare as their `(time, seq)` key: `seq` is unique.
+    fn sift(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        while i > 0 && entry < self.heap[(i - 1) / 2] {
+            self.place(i, self.heap[(i - 1) / 2]);
+            i = (i - 1) / 2;
+        }
+        loop {
+            let mut c = 2 * i + 1;
+            if c + 1 < self.heap.len() && self.heap[c + 1] < self.heap[c] {
+                c += 1;
+            }
+            if c >= self.heap.len() || entry < self.heap[c] {
+                break;
+            }
+            self.place(i, self.heap[c]);
+            i = c;
+        }
+        self.place(i, entry);
+    }
+
+    /// Store `entry` at heap index `i` and record that in `pos`.
+    fn place(&mut self, i: usize, entry: (u64, u64, usize)) {
+        self.heap[i] = entry;
+        self.pos[entry.2] = i;
     }
 }
 
@@ -269,13 +317,14 @@ pub struct OccupancyEvent {
 /// The discrete-event kernel. See module docs.
 pub struct Kernel {
     now: u64,
-    cores: Vec<CoreState>,
-    /// Indices of the idle cores (exactly those with no `running`
-    /// thread); the lowest index is handed out first.
-    free_cores: BinaryHeap<Reverse<usize>>,
+    /// The thread occupying each core.
+    running: Vec<Option<Tid>>,
+    /// Idle cores as a bitset: bit `c % 64` of word `c / 64` is set
+    /// exactly when `running[c]` is `None`; the lowest index is handed
+    /// out first.
+    free_cores: Vec<u64>,
     runq: VecDeque<Tid>,
-    events: BinaryHeap<Reverse<(u64, u64, EventBox)>>,
-    seq: u64,
+    events: EventQueue,
     threads: Vec<ThreadCb>,
     flags: Vec<Flag>,
     policy: Policy,
@@ -290,7 +339,7 @@ impl std::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("policy", &self.policy)
             .field("now", &self.now)
-            .field("cores", &self.cores.len())
+            .field("cores", &self.running.len())
             .field("threads", &self.threads.len())
             .field("live", &self.live_threads)
             .finish()
@@ -317,17 +366,17 @@ impl Kernel {
         let cores = cores.max(1);
         Kernel {
             now: 0,
-            cores: vec![
-                CoreState {
-                    running: None,
-                    quantum_generation: 0,
-                };
-                cores
-            ],
-            free_cores: (0..cores).map(Reverse).collect(),
+            running: vec![None; cores],
+            // Every core idle: word `w` holds cores `64w..`, up to 64.
+            free_cores: (0..cores.div_ceil(64))
+                .map(|w| u64::MAX >> (64 * (w + 1)).saturating_sub(cores))
+                .collect(),
             runq: VecDeque::new(),
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue {
+                heap: Vec::new(),
+                pos: vec![UNARMED; cores],
+                seq: 0,
+            },
             threads: Vec::new(),
             flags: Vec::new(),
             policy,
@@ -355,7 +404,7 @@ impl Kernel {
     /// Number of cores in the machine.
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.cores.len()
+        self.running.len()
     }
 
     fn trace_occupancy(&mut self, core: usize, tid: Option<Tid>) {
@@ -396,12 +445,12 @@ impl Kernel {
             pending: None,
             next_result: SyscallResult::Init,
             unpark_pending: false,
-            generation: 0,
             busy_cycles: 0,
             idle_cycles: 0,
             segment_start: 0,
             group,
         });
+        self.events.pos.push(UNARMED);
         self.live_threads += 1;
         self.runq.push_back(tid);
         tid
@@ -443,16 +492,16 @@ impl Kernel {
         self.steps
     }
 
-    fn push_event(&mut self, time: u64, ev: Event) {
-        self.seq += 1;
-        self.events.push(Reverse((time, self.seq, EventBox(ev))));
+    /// Event slot of thread `tid` (slots below `cores` are quanta).
+    fn slot(&self, tid: Tid) -> usize {
+        self.running.len() + tid.0
     }
 
     /// Timestamp of the next scheduled event, if any — the machine-level
     /// `next_tick` of the discrete-event component interface.
     #[must_use]
     pub fn next_tick(&self) -> Option<u64> {
-        self.events.peek().map(|Reverse((time, _, _))| *time)
+        self.events.heap.first().map(|e| e.0)
     }
 
     /// Process exactly the next event (advancing virtual time to it) and
@@ -460,11 +509,15 @@ impl Kernel {
     /// time, or `None` when no event is pending.
     pub fn tick(&mut self) -> Option<u64> {
         self.dispatch();
-        let Reverse((time, _, EventBox(ev))) = self.events.pop()?;
+        let (time, slot) = self.events.pop()?;
         debug_assert!(time >= self.now);
         self.now = time;
-        self.handle(ev);
+        self.handle(slot);
         self.dispatch();
+        debug_assert!(
+            self.events.heap.len() <= self.running.len() + self.threads.len(),
+            "more than one armed event per core or thread"
+        );
         Some(self.now)
     }
 
@@ -513,53 +566,45 @@ impl Kernel {
         seg
     }
 
-    fn handle(&mut self, ev: Event) {
-        match ev {
-            Event::OpComplete { tid, generation } => {
-                if self.threads[tid.0].generation != generation {
-                    return; // stale
-                }
-                // A spin op completing while its flag is still unequal to
-                // the target is a timeout; everything else is success.
-                let result = match self.threads[tid.0].pending {
-                    Some(Pending::Spin { flag, target, .. })
-                        if !target.matches(self.flags[flag.0].value) =>
-                    {
-                        SyscallResult::TimedOut
-                    }
-                    _ => SyscallResult::Ok,
-                };
-                self.finish_op(tid, result);
+    /// Handle the event of `slot`: a round-robin quantum check for a core
+    /// slot; for a thread slot, its sleep timer if it is sleeping and its
+    /// op completion (compute end, spin observation, spin timeout)
+    /// otherwise.
+    fn handle(&mut self, slot: usize) {
+        let Some(t) = slot.checked_sub(self.running.len()) else {
+            let core = slot;
+            let tid = self.running[core].expect("a vacated core has no quantum");
+            if self.runq.is_empty() {
+                // Nobody waiting: renew the quantum in place without
+                // touching the thread's op.
+                self.arm_quantum(core);
+            } else {
+                self.preempt(tid, core);
             }
-            Event::Quantum { core, generation } => {
-                if self.cores[core].quantum_generation != generation {
-                    return; // stale occupancy
-                }
-                let Some(tid) = self.cores[core].running else {
-                    return;
-                };
-                if self.runq.is_empty() {
-                    // Nobody waiting: renew the quantum in place without
-                    // touching the thread's op.
-                    self.arm_quantum(core);
-                } else {
-                    self.preempt(tid, core);
-                }
-            }
-            Event::Timer { tid, generation } => {
-                if self.threads[tid.0].generation != generation {
-                    return;
-                }
-                let now = self.now;
-                let t = &mut self.threads[tid.0];
-                debug_assert_eq!(t.state, ThreadState::Sleeping);
-                t.idle_cycles += now.saturating_sub(t.segment_start);
-                t.state = ThreadState::Runnable;
-                t.next_result = SyscallResult::Ok;
-                t.pending = None;
-                self.runq.push_back(tid);
-            }
+            return;
+        };
+        let tid = Tid(t);
+        if self.threads[t].state == ThreadState::Sleeping {
+            let now = self.now;
+            let t = &mut self.threads[t];
+            t.idle_cycles += now.saturating_sub(t.segment_start);
+            t.state = ThreadState::Runnable;
+            t.next_result = SyscallResult::Ok;
+            t.pending = None;
+            self.runq.push_back(tid);
+            return;
         }
+        // A spin op completing while its flag is still unequal to the
+        // target is a timeout; everything else is success.
+        let result = match self.threads[t].pending {
+            Some(Pending::Spin { flag, target, .. })
+                if !target.matches(self.flags[flag.0].value) =>
+            {
+                SyscallResult::TimedOut
+            }
+            _ => SyscallResult::Ok,
+        };
+        self.finish_op(tid, result);
     }
 
     /// Complete the current op of thread `tid`. A running thread retains
@@ -569,7 +614,6 @@ impl Kernel {
         self.account_running(tid);
         self.remove_spin_waiter(tid);
         self.threads[tid.0].pending = None;
-        self.threads[tid.0].generation += 1; // invalidate stale events
         self.threads[tid.0].next_result = result;
         match self.threads[tid.0].state {
             ThreadState::Running { core } => self.step_thread_on_core(tid, core),
@@ -598,22 +642,18 @@ impl Kernel {
             _ => {}
         }
         self.threads[tid.0].state = ThreadState::Runnable;
-        self.threads[tid.0].generation += 1; // invalidate in-flight events
+        self.events.disarm(self.slot(tid));
         self.vacate(core);
         self.runq.push_back(tid);
     }
 
-    /// Arm the completion event(s) for the pending op of `tid` and start
-    /// its busy segment. Touches neither its state nor the quantum.
+    /// Arm the completion event for the pending op of `tid` and start its
+    /// busy segment. Touches neither its state nor the quantum.
     fn arm_op(&mut self, tid: Tid) {
         let now = self.now;
         self.threads[tid.0].segment_start = now;
-        self.threads[tid.0].generation += 1;
-        let generation = self.threads[tid.0].generation;
-        match self.threads[tid.0].pending {
-            Some(Pending::Compute { remaining }) => {
-                self.push_event(now + remaining, Event::OpComplete { tid, generation });
-            }
+        let at = match self.threads[tid.0].pending {
+            Some(Pending::Compute { remaining }) => Some(now + remaining),
             Some(Pending::Spin {
                 flag,
                 target,
@@ -621,25 +661,22 @@ impl Kernel {
             }) => {
                 if target.matches(self.flags[flag.0].value) {
                     // Condition already true: observed after one pause.
-                    self.push_event(
-                        now + self.pause_cycles,
-                        Event::OpComplete { tid, generation },
-                    );
+                    Some(now + self.pause_cycles)
                 } else {
                     if !self.flags[flag.0].waiters.contains(&tid) {
                         self.flags[flag.0].waiters.push(tid);
                     }
-                    if let Some(p) = remaining_pauses {
-                        self.push_event(
-                            now + p.max(1) * self.pause_cycles,
-                            Event::OpComplete { tid, generation },
-                        );
-                    }
                     // Without a timeout, only a flag write or preemption
                     // moves this thread.
+                    remaining_pauses.map(|p| now + p.max(1) * self.pause_cycles)
                 }
             }
             None => unreachable!("arm_op without a pending op"),
+        };
+        let slot = self.slot(tid);
+        match at {
+            Some(time) => self.events.arm(slot, time),
+            None => self.events.disarm(slot),
         }
     }
 
@@ -651,12 +688,10 @@ impl Kernel {
     }
 
     /// Start a fresh quantum for the current occupancy of `core`,
-    /// superseding any armed one. The event-driven policy has no quantum.
+    /// replacing any armed one. The event-driven policy has no quantum.
     fn arm_quantum(&mut self, core: usize) {
-        self.cores[core].quantum_generation += 1;
         if let Policy::RoundRobin { quantum } = self.policy {
-            let generation = self.cores[core].quantum_generation;
-            self.push_event(self.now + quantum, Event::Quantum { core, generation });
+            self.events.arm(core, self.now + quantum);
         }
     }
 
@@ -665,14 +700,16 @@ impl Kernel {
     /// until one side is exhausted.
     fn dispatch(&mut self) {
         while !self.runq.is_empty() {
-            let Some(Reverse(core)) = self.free_cores.pop() else {
+            let Some(w) = self.free_cores.iter().position(|&w| w != 0) else {
                 return;
             };
+            let core = w * 64 + self.free_cores[w].trailing_zeros() as usize;
+            self.free_cores[w] &= self.free_cores[w] - 1;
             let tid = self.runq.pop_front().expect("checked non-empty");
             // Fresh quantum for the new occupancy; the busy segment
             // starts now (arm_op refreshes it again for timed ops).
             self.threads[tid.0].segment_start = self.now;
-            self.cores[core].running = Some(tid);
+            self.running[core] = Some(tid);
             self.trace_occupancy(core, Some(tid));
             self.arm_quantum(core);
             if self.threads[tid.0].pending.is_none() {
@@ -688,7 +725,7 @@ impl Kernel {
     /// Step the actor of the thread owning `core`, executing instant
     /// syscalls inline until a time-consuming one is returned.
     fn step_thread_on_core(&mut self, tid: Tid, core: usize) {
-        debug_assert_eq!(self.cores[core].running, Some(tid));
+        debug_assert_eq!(self.running[core], Some(tid));
         self.threads[tid.0].state = ThreadState::Running { core };
         loop {
             self.steps += 1;
@@ -733,9 +770,7 @@ impl Kernel {
                     let t = &mut self.threads[tid.0];
                     t.state = ThreadState::Sleeping;
                     t.segment_start = now;
-                    t.generation += 1;
-                    let generation = t.generation;
-                    self.push_event(now + cycles, Event::Timer { tid, generation });
+                    self.events.arm(self.slot(tid), now + cycles);
                     return;
                 }
                 Syscall::Park => {
@@ -748,13 +783,13 @@ impl Kernel {
                     let t = &mut self.threads[tid.0];
                     t.state = ThreadState::Parked;
                     t.segment_start = now;
-                    t.generation += 1;
+                    self.events.disarm(self.slot(tid));
                     return;
                 }
                 Syscall::Done => {
                     self.release_core(tid, core);
                     self.threads[tid.0].state = ThreadState::Finished;
-                    self.threads[tid.0].generation += 1;
+                    self.events.disarm(self.slot(tid));
                     self.live_threads -= 1;
                     return;
                 }
@@ -763,25 +798,26 @@ impl Kernel {
     }
 
     fn release_core(&mut self, tid: Tid, core: usize) {
-        debug_assert_eq!(self.cores[core].running, Some(tid));
+        debug_assert_eq!(self.running[core], Some(tid));
         self.account_running(tid);
         self.threads[tid.0].pending = None;
         self.vacate(core);
     }
 
-    /// `core` goes idle: invalidate its quantum and return it to the
-    /// free pool.
+    /// `core` goes idle: disarm its quantum and return it to the free
+    /// pool.
     fn vacate(&mut self, core: usize) {
-        self.cores[core].running = None;
-        self.cores[core].quantum_generation += 1;
-        self.free_cores.push(Reverse(core));
+        self.running[core] = None;
+        self.events.disarm(core);
+        self.free_cores[core / 64] |= 1 << (core % 64);
         self.trace_occupancy(core, None);
     }
 
     fn set_flag_internal(&mut self, flag: FlagId, value: u64) {
         self.flags[flag.0].value = value;
-        let waiters: Vec<Tid> = self.flags[flag.0].waiters.clone();
-        for tid in waiters {
+        // Arming events never touches a waiter list, so walk it in place.
+        for i in 0..self.flags[flag.0].waiters.len() {
+            let tid = self.flags[flag.0].waiters[i];
             let Some(Pending::Spin { target, .. }) = self.threads[tid.0].pending else {
                 continue;
             };
@@ -792,14 +828,9 @@ impl Kernel {
                 self.threads[tid.0].state,
                 ThreadState::Running { .. } | ThreadState::SpinBlocked
             ) {
-                // Observed one pause later; a fresh generation supersedes
-                // any armed timeout event.
-                self.threads[tid.0].generation += 1;
-                let generation = self.threads[tid.0].generation;
-                self.push_event(
-                    self.now + self.pause_cycles,
-                    Event::OpComplete { tid, generation },
-                );
+                // Observed one pause later; replaces any armed timeout.
+                self.events
+                    .arm(self.slot(tid), self.now + self.pause_cycles);
             }
             // Runnable (preempted) spinners observe the value via arm_op
             // when next scheduled; sleeping/parked threads are never flag
@@ -1114,6 +1145,69 @@ mod tests {
         });
     }
 
+    #[test]
+    fn all_parked_terminates_run() {
+        // Parking vacates the core and disarms its quantum, so no event
+        // is left: the run breaks at t = 0 with the parked thread live.
+        on_both_policies(1, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
+            assert_eq!(k.run_until(10_000), 0);
+            assert_eq!(k.live_threads(), 1);
+        });
+    }
+
+    #[test]
+    fn early_satisfied_spins_leave_no_timeout_behind() {
+        // 2 000 doorbell round trips, each side spinning with a 20 000-pause
+        // timeout (2.8 M cycles) that the other side satisfies within a
+        // few hundred cycles. A superseded timeout must leave the queue.
+        const ROUND_TRIPS: u64 = 2_000;
+        on_both_policies(2, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let (req, resp) = (k.new_flag(0), k.new_flag(0));
+            let spin = |flag, i| Syscall::SpinUntil {
+                flag,
+                target: SpinTarget::Eq(i),
+                timeout_pauses: Some(20_000),
+            };
+            let (mut caller, mut worker) = (Vec::new(), Vec::new());
+            for i in 1..=ROUND_TRIPS {
+                caller.extend([
+                    Syscall::SetFlag {
+                        flag: req,
+                        value: i,
+                    },
+                    spin(resp, i),
+                ]);
+                worker.extend([
+                    spin(req, i),
+                    Syscall::Compute(100),
+                    Syscall::SetFlag {
+                        flag: resp,
+                        value: i,
+                    },
+                ]);
+            }
+            k.spawn(Script::new(caller, Rc::clone(&log)));
+            k.spawn(Script::new(worker, Rc::clone(&log)));
+            let bound = k.cores() + k.threads.len();
+            while k.tick().is_some() {
+                assert!(
+                    k.events.heap.len() <= bound,
+                    "{} events",
+                    k.events.heap.len()
+                );
+            }
+            assert_eq!(k.live_threads(), 0);
+            assert_eq!(k.flag(resp), ROUND_TRIPS);
+            assert!(log
+                .borrow()
+                .iter()
+                .all(|&(_, r)| r != SyscallResult::TimedOut));
+        });
+    }
+
     // -----------------------------------------------------------------
     // Where the policies diverge by design.
     // -----------------------------------------------------------------
@@ -1155,24 +1249,6 @@ mod tests {
         let (end, log) = run(event_kernel(1));
         assert_eq!(end, 5_140, "setter never waits for the spinner's core");
         assert!(log.contains(&(5_140, SyscallResult::Ok)));
-    }
-
-    #[test]
-    fn all_parked_terminates_run() {
-        let run = |mut k: Kernel| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
-            let end = k.run_until(10_000);
-            assert_eq!(k.live_threads(), 1);
-            end
-        };
-        // Round-robin: the initial quantum event sits past the deadline;
-        // the clock stops at the deadline with the parked thread still
-        // live.
-        assert_eq!(run(kernel(1)), 10_000);
-        // Event-driven: no quantum events exist at all, so the run breaks
-        // at t = 0 with the parked thread still live.
-        assert_eq!(run(event_kernel(1)), 0);
     }
 
     // -----------------------------------------------------------------
