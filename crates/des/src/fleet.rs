@@ -17,7 +17,6 @@
 use crate::kernel::{Actor, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
 use crate::metrics::SimCounters;
 use crate::ocall::zc::{ZcSimFaults, ZcWorld};
-use crate::ocall::CostModel;
 use crate::sim::{spawn_zc_shard, FaultRecovery, KernelMode, ZcShardSpec, ZcSimParams};
 use crate::workload::WorkloadSpec;
 use std::cell::RefCell;
@@ -28,10 +27,10 @@ use switchless_core::fleet::{
     CapChange, FleetController, FleetParams, FleetSnapshot, PendingRaises, ShardEvidence,
     ShardTotals, TenantUsage, TenantVerdict,
 };
-use switchless_core::policy::PolicyParams;
 
-/// One tenant of a simulated fleet: its workloads, ZC parameters,
-/// fairness weight and (optionally) a shard-scoped fault schedule.
+/// One tenant of a simulated fleet: its workloads, fairness weight and
+/// (optionally) a shard-scoped fault schedule. Every shard runs the
+/// default [`ZcSimParams`].
 #[derive(Debug, Clone)]
 pub struct TenantSimSpec {
     /// Human-readable tenant label (reports).
@@ -40,21 +39,18 @@ pub struct TenantSimSpec {
     pub weight: u64,
     /// One workload per caller thread of this tenant.
     pub workloads: Vec<WorkloadSpec>,
-    /// Shard-local ZC parameters (worker ceiling, quantum, pool).
-    pub zc: ZcSimParams,
     /// Deterministic fault schedule scoped to this shard, if any.
     pub faults: Option<ZcSimFaults>,
 }
 
 impl TenantSimSpec {
-    /// Tenant with weight 1, default ZC parameters and no faults.
+    /// Tenant with weight 1 and no faults.
     #[must_use]
     pub fn new(name: impl Into<String>, workloads: Vec<WorkloadSpec>) -> Self {
         TenantSimSpec {
             name: name.into(),
             weight: 1,
             workloads,
-            zc: ZcSimParams::default(),
             faults: None,
         }
     }
@@ -81,10 +77,6 @@ pub struct FleetSpec {
     pub cpu: CpuSpec,
     /// Which kernel scheduling policy drives the run.
     pub kernel_mode: KernelMode,
-    /// OS round-robin quantum in cycles (cycle-accurate mode only).
-    pub rr_quantum: u64,
-    /// Boundary cost model (its `T_es` is `cpu`'s).
-    pub costs: CostModel,
     /// Global worker budget shared by all shards (must be ≥ the number
     /// of tenants, so every tenant's fairness floor is honourable).
     pub budget: usize,
@@ -100,16 +92,14 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
-    /// Fleet on the paper machine: default costs, a 120-virtual-second
-    /// deadline, budget `N/2`, rebalance every 4 quanta.
+    /// Fleet on the paper machine: a 120-virtual-second deadline,
+    /// budget `N/2`, rebalance every 4 quanta.
     #[must_use]
     pub fn new(tenants: Vec<TenantSimSpec>, classes: usize) -> Self {
         let cpu = CpuSpec::paper_machine();
         FleetSpec {
             cpu,
             kernel_mode: KernelMode::default(),
-            rr_quantum: DEFAULT_RR_QUANTUM,
-            costs: CostModel::paper(),
             budget: cpu.zc_max_workers().max(1),
             tenants,
             classes,
@@ -123,12 +113,6 @@ impl FleetSpec {
     pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
         self
-    }
-
-    /// Shorthand for event-driven policy selection.
-    #[must_use]
-    pub fn with_event_kernel(self) -> Self {
-        self.with_kernel_mode(KernelMode::EventDriven)
     }
 
     /// Builder-style vCPU count (overrides the machine's logical CPUs).
@@ -303,33 +287,13 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         spec.budget,
         spec.tenants.len()
     );
-    let mut kernel = spec.kernel_mode.kernel(&spec.cpu, spec.rr_quantum);
+    let mut kernel = spec.kernel_mode.kernel(&spec.cpu, DEFAULT_RR_QUANTUM);
 
-    // One machine hosts the whole fleet: the allocator's interval is the
-    // longest shard quantum and its ceiling the largest shard ceiling
-    // (verdict caps clamp per shard anyway via `assigned`).
-    let shard_policies: Vec<PolicyParams> = spec
-        .tenants
-        .iter()
-        .map(|t| t.zc.policy_params(&spec.cpu))
-        .collect();
-    let quantum_cycles = shard_policies
-        .iter()
-        .map(|p| p.quantum_cycles)
-        .max()
-        .expect("fleet has a tenant");
-    let max_workers = shard_policies
-        .iter()
-        .map(|p| p.max_workers)
-        .max()
-        .expect("fleet has a tenant");
-    let policy = PolicyParams::new(
-        &spec.cpu,
-        quantum_cycles,
-        shard_policies[0].mu_inverse,
-        max_workers,
-        shard_policies[0].fallback_weight,
-    );
+    // Every shard, and so the allocator, runs the default ZC
+    // parameters on the one machine that hosts the whole fleet.
+    let zc = ZcSimParams::default();
+    let policy = zc.policy_params(&spec.cpu);
+    let quantum_cycles = policy.quantum_cycles;
     let weights: Vec<u64> = spec.tenants.iter().map(|t| t.weight).collect();
     let controller = FleetController::new(FleetParams::new(policy, spec.budget), &weights);
 
@@ -343,8 +307,7 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         let counters = Rc::new(RefCell::new(SimCounters::new(callers, spec.classes)));
         let shard = ZcShardSpec {
             cpu: &spec.cpu,
-            costs: spec.costs.on(&spec.cpu),
-            zc: &tenant.zc,
+            zc: &zc,
             faults: tenant.faults.as_ref(),
             workloads: &tenant.workloads,
             telemetry: None,
@@ -482,7 +445,7 @@ mod tests {
     #[test]
     fn fleet_runs_on_both_kernels() {
         let ca = run_fleet(&two_tenant_spec(2_000));
-        let ev = run_fleet(&two_tenant_spec(2_000).with_event_kernel());
+        let ev = run_fleet(&two_tenant_spec(2_000).with_kernel_mode(KernelMode::EventDriven));
         for r in [&ca, &ev] {
             assert_eq!(r.tenants[0].counters.total_calls(), 4_000);
             assert_eq!(r.tenants[1].counters.total_calls(), 2_000);
@@ -506,7 +469,7 @@ mod tests {
             1,
         )
         .with_vcpus(24)
-        .with_event_kernel();
+        .with_kernel_mode(KernelMode::EventDriven);
         let r = run_fleet(&spec);
         // Both tenants finish — containment caps the offender's workers,
         // it never loses its calls.

@@ -18,6 +18,7 @@ use crate::kernel::{FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
+use switchless_core::config::{COLLECT_CYCLES, HANDOFF_CYCLES};
 use switchless_core::{CallPath, WorkerState};
 
 /// Static HotCalls configuration.
@@ -168,7 +169,7 @@ impl HotcallsDispatcher {
             wld.workers[w].caller = self.caller;
             self.dialog = Dialog::Post { w };
             return Step::Next(Syscall::Compute(
-                self.costs.handoff_cycles + self.costs.copy_cycles(call.payload_bytes),
+                HANDOFF_CYCLES + self.costs.copy_cycles(call.payload_bytes),
             ));
         }
         // All workers busy: HotCalls never falls back — spin until any
@@ -238,7 +239,7 @@ impl Dispatcher for HotcallsDispatcher {
             Dialog::ReleaseRing => {
                 self.dialog = Dialog::Collect;
                 Step::Next(Syscall::Compute(
-                    self.costs.collect_cycles + self.costs.copy_cycles(call.ret_bytes),
+                    COLLECT_CYCLES + self.costs.copy_cycles(call.ret_bytes),
                 ))
             }
             Dialog::Collect => {

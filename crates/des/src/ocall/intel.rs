@@ -11,7 +11,9 @@ use crate::kernel::{FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
-use switchless_core::config::{intel_default_task_pool, INTEL_DEFAULT_RETRIES};
+use switchless_core::config::{
+    intel_default_task_pool, COLLECT_CYCLES, HANDOFF_CYCLES, INTEL_DEFAULT_RETRIES,
+};
 use switchless_core::CallPath;
 
 /// Static configuration of the simulated Intel mechanism.
@@ -197,7 +199,7 @@ impl Dispatcher for IntelDispatcher {
         }
         drop(wld);
         self.dialog = Dialog::CopyIn;
-        Syscall::Compute(self.costs.handoff_cycles + self.costs.copy_cycles(call.payload_bytes))
+        Syscall::Compute(HANDOFF_CYCLES + self.costs.copy_cycles(call.payload_bytes))
     }
 
     fn advance(&mut self, call: &CallDesc, res: SyscallResult, now: u64) -> Step {
@@ -206,7 +208,7 @@ impl Dispatcher for IntelDispatcher {
                 // The finished compute was handoff + payload copy.
                 self.prof.mark(Phase::CopyIn, now);
                 self.prof
-                    .transfer(Phase::CopyIn, Phase::Reserve, self.costs.handoff_cycles);
+                    .transfer(Phase::CopyIn, Phase::Reserve, HANDOFF_CYCLES);
                 let mut wld = self.world.borrow_mut();
                 if wld.queue.len() >= wld.config.capacity {
                     // Pool full: immediate fallback (as in the SDK).
@@ -288,7 +290,7 @@ impl Dispatcher for IntelDispatcher {
                 self.prof.set_execute_hint(call.host_cycles);
                 self.dialog = Dialog::Collect;
                 Step::Next(Syscall::Compute(
-                    self.costs.collect_cycles + self.costs.copy_cycles(call.ret_bytes),
+                    COLLECT_CYCLES + self.costs.copy_cycles(call.ret_bytes),
                 ))
             }
             Dialog::Collect => {

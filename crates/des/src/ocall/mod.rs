@@ -25,6 +25,7 @@ pub mod zc;
 
 use crate::kernel::{Syscall, SyscallResult};
 use serde::{Deserialize, Serialize};
+use switchless_core::config::COPY_CYCLES_PER_16B;
 use switchless_core::{CallPath, CpuSpec};
 
 /// Description of one ocall a workload wants to issue.
@@ -65,49 +66,30 @@ impl CallDesc {
     }
 }
 
-/// Cost model of the boundary machinery, in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Cost model of the boundary machinery, in cycles: the simulated
+/// machine's transition round trip `T_es` plus the hand-off, collect
+/// and copy constants of [`switchless_core::config`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
-    /// Enclave transition round trip `T_es`: the simulated machine's
-    /// ([`CpuSpec::t_es_cycles`]), which `run`/`run_fleet` copy in from
-    /// their configured `cpu` — the one place it is set.
+    /// Enclave transition round trip `T_es` ([`CpuSpec::t_es_cycles`]).
     pub(crate) t_es_cycles: u64,
-    /// Claiming a worker / task slot and publishing a request
-    /// (CAS + request-struct copy + cache-line transfer).
-    pub handoff_cycles: u64,
-    /// Collecting results and releasing the worker/slot.
-    pub collect_cycles: u64,
-    /// Boundary copy throughput: cycles per 16 bytes (the optimised
-    /// `memcpy` moves ~16 B/cycle; the DES always models the optimised
-    /// copy — the vanilla-vs-zc comparison runs on real hardware).
-    pub copy_cycles_per_16b: u64,
 }
 
 impl CostModel {
-    /// Paper-machine cost model.
+    /// The cost model of machine `cpu`.
     #[must_use]
-    pub fn paper() -> Self {
-        CostModel {
-            t_es_cycles: CpuSpec::paper_machine().t_es_cycles,
-            handoff_cycles: 600,
-            collect_cycles: 300,
-            copy_cycles_per_16b: 1,
-        }
-    }
-
-    /// The same model with `cpu`'s transition cost.
-    #[must_use]
-    pub(crate) fn on(self, cpu: &CpuSpec) -> Self {
+    pub fn on(cpu: &CpuSpec) -> Self {
         CostModel {
             t_es_cycles: cpu.t_es_cycles,
-            ..self
         }
     }
 
-    /// Cycles to copy `bytes` across the boundary.
+    /// Cycles to copy `bytes` across the boundary (the DES always
+    /// models the optimised copy; the vanilla-vs-zc comparison runs on
+    /// real hardware).
     #[must_use]
     pub fn copy_cycles(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(16) * self.copy_cycles_per_16b
+        bytes.div_ceil(16) * COPY_CYCLES_PER_16B
     }
 
     /// Total cycles of a full regular-ocall execution of `call`
@@ -118,12 +100,6 @@ impl CostModel {
             + self.copy_cycles(call.payload_bytes)
             + call.host_cycles
             + self.copy_cycles(call.ret_bytes)
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::paper()
     }
 }
 
@@ -165,7 +141,7 @@ mod tests {
 
     #[test]
     fn copy_cost_rounds_up_to_16b_granules() {
-        let m = CostModel::paper();
+        let m = CostModel::on(&CpuSpec::paper_machine());
         assert_eq!(m.copy_cycles(0), 0);
         assert_eq!(m.copy_cycles(1), 1);
         assert_eq!(m.copy_cycles(16), 1);
@@ -175,7 +151,7 @@ mod tests {
 
     #[test]
     fn regular_call_cost_composition() {
-        let m = CostModel::paper();
+        let m = CostModel::on(&CpuSpec::paper_machine());
         let call = CallDesc {
             class: 0,
             pre_compute_cycles: 0,

@@ -72,7 +72,8 @@ mod tests {
 
     #[test]
     fn dialogue_is_one_compute_then_done() {
-        let mut d = RegularDispatcher::new(CostModel::paper());
+        let mut d =
+            RegularDispatcher::new(CostModel::on(&switchless_core::CpuSpec::paper_machine()));
         let call = CallDesc {
             host_cycles: 500,
             ..CallDesc::default()

@@ -16,10 +16,12 @@ use crate::metrics::SimCounters;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use switchless_core::config::{COLLECT_CYCLES, HANDOFF_CYCLES};
 use switchless_core::policy::PolicyParams;
 use switchless_core::stats::WorkerResidency;
 use switchless_core::{
-    CallPath, Fault, GuardKind, ReconcileVerdict, RecoveryParams, RecoveryPlane, WorkerState,
+    CallPath, Fault, FaultInjector, FaultPlan, FaultSchedule, FaultSite, GuardKind,
+    ReconcileVerdict, RecoveryParams, RecoveryPlane, WorkerState,
 };
 use zc_telemetry::SchedulerDriver;
 
@@ -107,24 +109,16 @@ pub struct ZcWorld {
     /// fault-free and worker-only-fault runs are byte-identical to a
     /// world without the recovery machinery.
     pub recovery: Option<RecoveryPlane>,
+    /// Evaluator of the schedule's enclave [`FaultPlan`], fired at the
+    /// `EnclaveCall` site once per journaled dispatch and at the
+    /// `Replay` site once per replay (site indices are global across
+    /// callers). Empty unless the schedule injects enclave faults.
+    enclave_faults: FaultInjector,
     /// The enclave lifecycle actor's tid (unparked by a crash trigger).
     pub enclave_tid: Option<Tid>,
     /// A crash trigger fired; the enclave actor consumes this and
     /// walks fence → restart → reconcile-ready.
-    pub pending_enclave_restart: bool,
-    /// Global dispatch counter driving the crash/stall-at-call
-    /// schedules (0-based, across all callers).
-    pub enclave_calls: u64,
-    /// Global replay counter driving the crash-during-replay schedule.
-    pub enclave_replays: u64,
-    /// Dispatch indices at which the enclave crashes.
-    pub enclave_crashes_at_calls: Vec<u64>,
-    /// `(dispatch index, stall cycles)` enclave stall injections.
-    pub enclave_stalls_at_calls: Vec<(u64, u64)>,
-    /// Replay indices at which a second crash interrupts recovery.
-    pub enclave_crashes_at_replays: Vec<u64>,
-    /// Modelled enclave teardown + reload duration.
-    pub enclave_restart_cycles: u64,
+    pub crash_pending: bool,
     /// Virtual time of the most recent crash trigger.
     pub last_crash_at: u64,
     /// Virtual time the most recent restart completed.
@@ -181,14 +175,9 @@ impl ZcWorld {
             cancelled: 0,
             guard_violations: 0,
             recovery: None,
+            enclave_faults: FaultInjector::new(FaultPlan::new()),
             enclave_tid: None,
-            pending_enclave_restart: false,
-            enclave_calls: 0,
-            enclave_replays: 0,
-            enclave_crashes_at_calls: Vec::new(),
-            enclave_stalls_at_calls: Vec::new(),
-            enclave_crashes_at_replays: Vec::new(),
-            enclave_restart_cycles: 0,
+            crash_pending: false,
             last_crash_at: 0,
             last_restart_done_at: 0,
             awaiting_first_completion: false,
@@ -209,14 +198,9 @@ impl ZcWorld {
         if !faults.has_enclave_faults() {
             return;
         }
-        self.enclave_crashes_at_calls = faults.enclave_crashes_at_calls.clone();
-        self.enclave_stalls_at_calls = faults.enclave_stalls_at_calls.clone();
-        self.enclave_crashes_at_replays = faults.enclave_crashes_at_replays.clone();
-        self.enclave_restart_cycles = faults.enclave_restart_cycles;
+        self.enclave_faults = FaultInjector::new(faults.enclave_faults.clone());
         self.recovery = Some(RecoveryPlane::new(
-            RecoveryParams::default()
-                .with_journal_slots(faults.journal_slots)
-                .with_restart_cycles(faults.enclave_restart_cycles),
+            RecoveryParams::default().with_restart_cycles(faults.enclave_restart_cycles),
         ));
     }
 
@@ -228,6 +212,11 @@ impl ZcWorld {
             self.restart_to_first_completion
                 .push(now.saturating_sub(self.last_restart_done_at));
         }
+    }
+
+    /// `true` from a crash trigger until its restart completes.
+    fn loss_in_progress(&self) -> bool {
+        self.crash_pending || self.recovery.as_ref().is_some_and(|p| p.is_lost())
     }
 
     /// `true` while the enclave is lost or restarting, or already moved
@@ -305,6 +294,7 @@ impl ZcDispatcher {
         counters: Rc<RefCell<SimCounters>>,
         costs: CostModel,
         caller: usize,
+        watchdog_pauses: Option<u64>,
     ) -> Self {
         ZcDispatcher {
             world,
@@ -313,22 +303,13 @@ impl ZcDispatcher {
             caller,
             dialog: Dialog::Idle,
             await_db_val: 0,
-            watchdog_pauses: None,
+            watchdog_pauses,
             prof: Prof::default(),
             call_seq: 0,
             call_epoch0: 0,
             crash_detected_at: 0,
             hub: None,
         }
-    }
-
-    /// Builder-style watchdog: cancel an in-flight call after `pauses`
-    /// on-CPU pauses and re-route it to the regular path (mirrors the
-    /// real runtime's supervision watchdog).
-    #[must_use]
-    pub fn with_watchdog(mut self, pauses: u64) -> Self {
-        self.watchdog_pauses = Some(pauses);
-        self
     }
 
     /// Builder-style telemetry hub: every completed call accumulates its
@@ -353,10 +334,10 @@ impl ZcDispatcher {
     }
 
     /// Recovery-plane prologue of one dispatch: journal the call's
-    /// intent, apply any enclave fault scheduled at this dispatch
-    /// index, and divert to the restart-await path when the enclave is
-    /// already lost. Returns `None` when the dialogue opens normally.
-    /// Only called when the world carries a recovery plane.
+    /// intent, fire the `EnclaveCall` site, and divert to the
+    /// restart-await path when the enclave is already lost. Returns
+    /// `None` when the dialogue opens normally. Only called when the
+    /// world carries a recovery plane.
     fn begin_recovery(&mut self, call: &CallDesc, now: u64) -> Option<Syscall> {
         let world = Rc::clone(&self.world);
         let mut wld = world.borrow_mut();
@@ -367,34 +348,32 @@ impl ZcDispatcher {
             self.call_epoch0 = plane.epoch();
             plane.record_intent(self.call_seq, call.idempotency_class());
         }
-        let n = wld.enclave_calls;
-        wld.enclave_calls += 1;
-        let loss_in_progress =
-            wld.pending_enclave_restart || wld.recovery.as_ref().is_some_and(|p| p.is_lost());
-        if !loss_in_progress && wld.enclave_crashes_at_calls.contains(&n) {
-            return Some(self.trigger_crash(&mut wld, now));
-        }
-        if loss_in_progress {
+        let fault = wld.enclave_faults.fire(FaultSite::EnclaveCall);
+        if wld.loss_in_progress() {
             // A crash (scheduled here or detected by another caller) is
             // still recovering: this dispatch folds into it and waits
             // for the epoch bump like every other straddling call.
             self.crash_detected_at = now;
             return Some(self.await_restart(&mut wld));
         }
-        if let Some(&(_, cycles)) = wld.enclave_stalls_at_calls.iter().find(|&&(at, _)| at == n) {
-            // The enclave stalls (an AEX storm, paging) but is not
-            // lost: the dialogue opens once the stall drains.
-            self.dialog = Dialog::StallThenBegin;
-            return Some(Syscall::Compute(cycles.max(1)));
+        match fault {
+            Some(Fault::EnclaveCrash) => Some(self.trigger_crash(&mut wld, now)),
+            Some(Fault::EnclaveStall) => {
+                // The enclave stalls (an AEX storm, paging) but is not
+                // lost: the dialogue opens once the stall drains.
+                self.dialog = Dialog::StallThenBegin;
+                let cycles = wld.enclave_faults.cycles(Fault::EnclaveStall);
+                Some(Syscall::Compute(cycles.max(1)))
+            }
+            _ => None,
         }
-        None
     }
 
     /// Trip the crash trigger: mark the restart pending and wake the
     /// enclave actor to fence and restart. This caller then awaits the
     /// epoch bump like any other in-flight caller.
     fn trigger_crash(&mut self, wld: &mut ZcWorld, now: u64) -> Syscall {
-        wld.pending_enclave_restart = true;
+        wld.crash_pending = true;
         wld.last_crash_at = now;
         self.crash_detected_at = now;
         if let Some(plane) = &wld.recovery {
@@ -495,9 +474,7 @@ impl ZcDispatcher {
             wld.workers[w].pool_used += call.payload_bytes;
         }
         self.dialog = Dialog::Post { w };
-        Syscall::Compute(
-            self.costs.handoff_cycles + self.costs.copy_cycles(call.payload_bytes) + extra,
-        )
+        Syscall::Compute(HANDOFF_CYCLES + self.costs.copy_cycles(call.payload_bytes) + extra)
     }
 }
 
@@ -524,7 +501,7 @@ impl Dispatcher for ZcDispatcher {
                 // realloc transition, left in copy-in).
                 self.prof.mark(Phase::CopyIn, now);
                 self.prof
-                    .transfer(Phase::CopyIn, Phase::Reserve, self.costs.handoff_cycles);
+                    .transfer(Phase::CopyIn, Phase::Reserve, HANDOFF_CYCLES);
                 let mut wld = self.world.borrow_mut();
                 debug_assert_eq!(wld.workers[w].state, WorkerState::Reserved);
                 wld.workers[w].state = WorkerState::Processing;
@@ -597,7 +574,7 @@ impl Dispatcher for ZcDispatcher {
             Dialog::ReleaseRing => {
                 self.dialog = Dialog::Collect;
                 Step::Next(Syscall::Compute(
-                    self.costs.collect_cycles + self.costs.copy_cycles(call.ret_bytes),
+                    COLLECT_CYCLES + self.costs.copy_cycles(call.ret_bytes),
                 ))
             }
             Dialog::Collect => {
@@ -699,19 +676,16 @@ impl Dispatcher for ZcDispatcher {
             }
             Dialog::ReplayExec => {
                 // The re-executed host call finished. Journal the
-                // completion BEFORE checking the crash-during-replay
-                // schedule, so a second loss redelivers the recorded
-                // result instead of executing a third time.
+                // completion BEFORE firing the `Replay` site, so a
+                // second loss redelivers the recorded result instead
+                // of executing a third time.
                 let world = Rc::clone(&self.world);
                 let mut wld = world.borrow_mut();
                 if let Some(plane) = &wld.recovery {
                     plane.record_completion(self.call_seq, 0, call.ret_bytes as u32);
                 }
-                let r = wld.enclave_replays;
-                wld.enclave_replays += 1;
-                let loss_in_progress = wld.pending_enclave_restart
-                    || wld.recovery.as_ref().is_some_and(|p| p.is_lost());
-                if !loss_in_progress && wld.enclave_crashes_at_replays.contains(&r) {
+                let fault = wld.enclave_faults.fire(FaultSite::Replay);
+                if fault == Some(Fault::EnclaveReplayCrash) && !wld.loss_in_progress() {
                     return Step::Next(self.trigger_crash(&mut wld, now));
                 }
                 if let Some(plane) = &wld.recovery {
@@ -900,48 +874,44 @@ impl crate::kernel::Actor for ZcSchedulerActor {
     }
 }
 
-/// Deterministic worker-fault schedule for the ZC model, in virtual
-/// time. Attached to a simulation via
+/// Deterministic fault schedule for the ZC model. Attached to a
+/// simulation via
 /// [`SimConfig::with_zc_faults`](crate::sim::SimConfig::with_zc_faults);
 /// ignored by non-ZC mechanisms.
+///
+/// Worker faults are timed: each applies at a virtual cycle to one
+/// worker slot. Enclave faults are the real runtimes' [`FaultPlan`]:
+/// counted over site visits, not time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZcSimFaults {
-    /// `(virtual cycle, worker index)` crash injections.
-    pub crashes: Vec<(u64, usize)>,
-    /// `(virtual cycle, worker index)` hang injections.
-    pub hangs: Vec<(u64, usize)>,
-    /// `(virtual cycle, worker index, violation kind)` Byzantine
-    /// corruption injections: a hostile host scribbles on the shared
-    /// words / reply metadata of that worker's buffer. The trusted-side
-    /// guard detects the lie and quarantines the slot — the DES models
-    /// the detect-and-quarantine as one event; the owning caller's
-    /// watchdog re-routes any in-flight call to the regular path and the
-    /// supervisor revives the slot after the respawn delay.
-    pub byzantine: Vec<(u64, usize, GuardKind)>,
+    /// `(virtual cycle, worker index, fault)` injections: a
+    /// [`Fault::WorkerCrash`], a [`Fault::WorkerHang`] or one of the six
+    /// `Publish`-site corruptions, with which a hostile host scribbles
+    /// on the shared words / reply metadata of that worker's buffer.
+    /// The trusted-side guard detects the lie and quarantines the slot
+    /// — the DES models the detect-and-quarantine as one event; the
+    /// owning caller's watchdog re-routes any in-flight call to the
+    /// regular path and the supervisor revives the slot after the
+    /// respawn delay. Same-instant faults on one slot apply in
+    /// [`Fault`] declaration order, and only the first takes effect.
+    pub worker_faults: Vec<(u64, usize, Fault)>,
     /// Dead time before the supervisor revives a failed worker slot
     /// (the respawn/probation latency of the real runtime).
     pub respawn_delay_cycles: u64,
     /// Caller watchdog: on-CPU pauses spent awaiting completion before
     /// an in-flight call is cancelled and re-routed.
     pub watchdog_pauses: u64,
-    /// Enclave crash triggers by 0-based global dispatch index: the
-    /// `n`-th ZC dispatch (across all callers) finds the enclave dead
-    /// and escalates to a whole-enclave restart. A crash scheduled
-    /// while a previous loss is still recovering folds into it.
-    pub enclave_crashes_at_calls: Vec<u64>,
-    /// `(dispatch index, stall cycles)` enclave stall injections: the
-    /// enclave freezes (AEX storm, paging) but is not lost, and the
-    /// stalled dispatch proceeds once the stall drains.
-    pub enclave_stalls_at_calls: Vec<(u64, u64)>,
-    /// Second-crash triggers by 0-based global replay index: the
-    /// `n`-th post-restart replay is interrupted by another crash just
-    /// after its completion is journaled — the redelivery-not-
-    /// re-execution schedule.
-    pub enclave_crashes_at_replays: Vec<u64>,
+    /// Enclave faults, as in the real runtimes: `EnclaveCrash` and
+    /// `EnclaveStall` at the `EnclaveCall` site, whose 0-based index
+    /// counts ZC dispatches across all callers, and
+    /// `EnclaveReplayCrash` at the `Replay` site, whose index counts
+    /// post-restart replays (the replay's completion is journaled
+    /// first, so the second loss redelivers). A crash that fires
+    /// while a previous loss is still recovering folds into it. Any
+    /// plan other than the empty one builds the recovery plane.
+    pub enclave_faults: FaultPlan,
     /// Modelled enclave teardown + reload duration.
     pub enclave_restart_cycles: u64,
-    /// Durable call-journal capacity in slots.
-    pub journal_slots: usize,
 }
 
 impl ZcSimFaults {
@@ -951,75 +921,65 @@ impl ZcSimFaults {
     #[must_use]
     pub fn new() -> Self {
         ZcSimFaults {
-            crashes: Vec::new(),
-            hangs: Vec::new(),
-            byzantine: Vec::new(),
+            worker_faults: Vec::new(),
             respawn_delay_cycles: 2_000_000,
             watchdog_pauses: 10_000,
-            enclave_crashes_at_calls: Vec::new(),
-            enclave_stalls_at_calls: Vec::new(),
-            enclave_crashes_at_replays: Vec::new(),
+            enclave_faults: FaultPlan::new(),
             enclave_restart_cycles: 2_000_000,
-            journal_slots: 1024,
         }
+    }
+
+    fn at(mut self, cycle: u64, worker: usize, fault: Fault) -> Self {
+        self.worker_faults.push((cycle, worker, fault));
+        self
     }
 
     /// Builder-style crash of `worker` at virtual `cycle`.
     #[must_use]
-    pub fn crash_at(mut self, cycle: u64, worker: usize) -> Self {
-        self.crashes.push((cycle, worker));
-        self
+    pub fn crash_at(self, cycle: u64, worker: usize) -> Self {
+        self.at(cycle, worker, Fault::WorkerCrash)
     }
 
     /// Builder-style hang of `worker` at virtual `cycle`.
     #[must_use]
-    pub fn hang_at(mut self, cycle: u64, worker: usize) -> Self {
-        self.hangs.push((cycle, worker));
-        self
-    }
-
-    /// Builder-style Byzantine corruption of `worker` at virtual `cycle`
-    /// with an explicit violation kind.
-    #[must_use]
-    pub fn byzantine_at(mut self, cycle: u64, worker: usize, kind: GuardKind) -> Self {
-        self.byzantine.push((cycle, worker, kind));
-        self
+    pub fn hang_at(self, cycle: u64, worker: usize) -> Self {
+        self.at(cycle, worker, Fault::WorkerHang)
     }
 
     /// Host flips `worker`'s status word to garbage at `cycle`.
     #[must_use]
     pub fn flip_status_at(self, cycle: u64, worker: usize) -> Self {
-        self.byzantine_at(cycle, worker, GuardKind::BadStatusWord)
+        self.at(cycle, worker, Fault::FlipStatus)
     }
 
     /// Host scribbles on `worker`'s scheduler-command word at `cycle`.
     #[must_use]
     pub fn garbage_command_at(self, cycle: u64, worker: usize) -> Self {
-        self.byzantine_at(cycle, worker, GuardKind::BadCommandWord)
+        self.at(cycle, worker, Fault::GarbageCommand)
     }
 
     /// Host over-declares `worker`'s reply length at `cycle`.
     #[must_use]
     pub fn oversize_reply_at(self, cycle: u64, worker: usize) -> Self {
-        self.byzantine_at(cycle, worker, GuardKind::OversizedReply)
+        self.at(cycle, worker, Fault::OversizeReply)
     }
 
     /// Host under-declares `worker`'s reply length at `cycle`.
     #[must_use]
     pub fn undersize_reply_at(self, cycle: u64, worker: usize) -> Self {
-        self.byzantine_at(cycle, worker, GuardKind::UndersizedReply)
+        self.at(cycle, worker, Fault::UndersizeReply)
     }
 
     /// Host replays a stale reply sequence tag on `worker` at `cycle`.
     #[must_use]
     pub fn stale_seq_at(self, cycle: u64, worker: usize) -> Self {
-        self.byzantine_at(cycle, worker, GuardKind::StaleSequence)
+        self.at(cycle, worker, Fault::StaleSeq)
     }
 
     /// Host tears `worker`'s posted request slot at `cycle`.
     #[must_use]
     pub fn torn_request_at(self, cycle: u64, worker: usize) -> Self {
-        self.byzantine_at(cycle, worker, GuardKind::TornRequest)
+        self.at(cycle, worker, Fault::TornRequest)
     }
 
     /// Builder-style revive delay.
@@ -1037,25 +997,13 @@ impl ZcSimFaults {
     }
 
     /// Builder-style enclave crash at the `n`-th dispatch (0-based,
-    /// global across callers).
+    /// global across callers): shorthand for injecting
+    /// [`Fault::EnclaveCrash`] at `n` into
+    /// [`enclave_faults`](ZcSimFaults::enclave_faults).
     #[must_use]
     pub fn crash_enclave_at_call(mut self, n: u64) -> Self {
-        self.enclave_crashes_at_calls.push(n);
-        self
-    }
-
-    /// Builder-style enclave stall of `cycles` at the `n`-th dispatch.
-    #[must_use]
-    pub fn stall_enclave_at_call(mut self, n: u64, cycles: u64) -> Self {
-        self.enclave_stalls_at_calls.push((n, cycles));
-        self
-    }
-
-    /// Builder-style second crash at the `n`-th post-restart replay
-    /// (0-based, global): exercises exactly-once redelivery.
-    #[must_use]
-    pub fn crash_enclave_during_replay(mut self, n: u64) -> Self {
-        self.enclave_crashes_at_replays.push(n);
+        self.enclave_faults = std::mem::take(&mut self.enclave_faults)
+            .inject(Fault::EnclaveCrash, FaultSchedule::at(n));
         self
     }
 
@@ -1066,20 +1014,11 @@ impl ZcSimFaults {
         self
     }
 
-    /// Builder-style durable-journal capacity.
-    #[must_use]
-    pub fn with_journal_slots(mut self, slots: usize) -> Self {
-        self.journal_slots = slots.max(1);
-        self
-    }
-
     /// `true` when the schedule injects any enclave-level fault; only
     /// then are the recovery plane and enclave actor built.
     #[must_use]
     pub fn has_enclave_faults(&self) -> bool {
-        !self.enclave_crashes_at_calls.is_empty()
-            || !self.enclave_stalls_at_calls.is_empty()
-            || !self.enclave_crashes_at_replays.is_empty()
+        self.enclave_faults != FaultPlan::new()
     }
 }
 
@@ -1089,27 +1028,35 @@ impl Default for ZcSimFaults {
     }
 }
 
-/// One scheduled supervisor event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultEv {
-    Crash(usize),
-    Hang(usize),
-    Byzantine(usize, GuardKind),
-    Revive(usize),
+/// The guard verdict a corruption is traced as, or `None` for a fault
+/// that is no corruption.
+fn guard_kind(fault: Fault) -> Option<GuardKind> {
+    Some(match fault {
+        Fault::FlipStatus => GuardKind::BadStatusWord,
+        Fault::GarbageCommand => GuardKind::BadCommandWord,
+        Fault::OversizeReply => GuardKind::OversizedReply,
+        Fault::UndersizeReply => GuardKind::UndersizedReply,
+        Fault::StaleSeq => GuardKind::StaleSequence,
+        Fault::TornRequest => GuardKind::TornRequest,
+        _ => return None,
+    })
 }
 
-impl FaultEv {
-    /// Total order for same-instant events (determinism; same-instant
-    /// Byzantine kinds on one worker keep schedule insertion order via
-    /// the stable sort).
-    fn rank(self) -> (u8, usize) {
-        match self {
-            FaultEv::Crash(w) => (0, w),
-            FaultEv::Hang(w) => (1, w),
-            FaultEv::Byzantine(w, _) => (2, w),
-            FaultEv::Revive(w) => (3, w),
-        }
-    }
+/// One scheduled supervisor event: a fault to apply to a worker slot,
+/// or (`None`) that slot's revival.
+type SupEv = (usize, Option<Fault>);
+
+/// Total order of same-instant events: crashes, then hangs, then
+/// corruptions, then revivals, each by worker; one worker's
+/// same-instant corruptions in [`Fault`] declaration order.
+fn rank((w, fault): SupEv) -> (u8, usize, usize) {
+    let class = match fault {
+        Some(Fault::WorkerCrash) => 0,
+        Some(Fault::WorkerHang) => 1,
+        Some(_) => 2,
+        None => 3,
+    };
+    (class, w, fault.map_or(0, |f| f as usize))
 }
 
 /// A revive that found the slot still busy (compute draining or a caller
@@ -1117,26 +1064,29 @@ impl FaultEv {
 const REVIVE_RETRY_CYCLES: u64 = 100_000;
 
 /// The supervisor actor of the ZC fault model: applies the
-/// crash/hang/Byzantine schedule at its virtual times and revives each
+/// crash/hang/corruption schedule at its virtual times and revives each
 /// failed slot
-/// [`respawn_delay_cycles`](ZcSimFaults::respawn_delay_cycles) later —
-/// the DES mirror of the real runtime's `zc-supervisor` thread. A
-/// Byzantine corruption quarantines the slot exactly like a crash (the
-/// trusted-side guard detected the lie and poisoned the buffer), but is
-/// counted in [`ZcWorld::guard_violations`] and traced as a
-/// `GuardViolation` event instead of a `Fault`.
+/// [`respawn_delay_cycles`](ZcSimFaults::respawn_delay_cycles) after
+/// the fault that took it down — the DES mirror of the real runtime's
+/// `zc-supervisor` thread. A corruption quarantines the slot exactly
+/// like a crash (the trusted-side guard detected the lie and poisoned
+/// the buffer), but is counted in [`ZcWorld::guard_violations`] and
+/// traced as a `GuardViolation` event instead of a `Fault`.
 ///
 /// Failure → recovery sequence for one slot: the supervisor marks the
 /// worker dead (its actor parks); the owning caller's watchdog cancels
 /// the in-flight call and completes it on the regular path (no call is
 /// ever lost or double-completed); after the revive delay the slot is
-/// reset to `UNUSED` on a fresh pool and the actor is unparked.
+/// reset to `UNUSED` on a fresh pool and the actor is unparked. A
+/// fault on a slot that is already down is a no-op and schedules no
+/// revival.
 #[derive(Debug)]
 pub struct ZcSupervisorActor {
     world: Rc<RefCell<ZcWorld>>,
     /// Pending events, sorted by `(time, rank)` **descending** so the
     /// earliest event pops from the back.
-    events: Vec<(u64, FaultEv)>,
+    events: Vec<(u64, SupEv)>,
+    respawn_delay_cycles: u64,
     queue: VecDeque<Syscall>,
     /// Per-slot respawn generation (0 = initial spawn).
     gens: Vec<u64>,
@@ -1145,36 +1095,33 @@ pub struct ZcSupervisorActor {
 
 impl ZcSupervisorActor {
     /// Supervisor for `faults` over the workers of `world`.
+    ///
+    /// # Panics
+    ///
+    /// If the schedule holds a worker fault the DES does not model
+    /// (anything but a crash, a hang or a corruption).
     #[must_use]
     pub fn new(world: Rc<RefCell<ZcWorld>>, faults: &ZcSimFaults) -> Self {
         let workers = world.borrow().workers.len();
-        let mut events = Vec::new();
-        for &(t, w) in &faults.crashes {
-            events.push((t, FaultEv::Crash(w)));
-            events.push((
-                t.saturating_add(faults.respawn_delay_cycles),
-                FaultEv::Revive(w),
-            ));
-        }
-        for &(t, w) in &faults.hangs {
-            events.push((t, FaultEv::Hang(w)));
-            events.push((
-                t.saturating_add(faults.respawn_delay_cycles),
-                FaultEv::Revive(w),
-            ));
-        }
-        for &(t, w, kind) in &faults.byzantine {
-            events.push((t, FaultEv::Byzantine(w, kind)));
-            events.push((
-                t.saturating_add(faults.respawn_delay_cycles),
-                FaultEv::Revive(w),
-            ));
-        }
-        events.retain(|&(_, ev)| ev.rank().1 < workers);
-        events.sort_by_key(|&(t, ev)| std::cmp::Reverse((t, ev.rank())));
+        let mut events: Vec<(u64, SupEv)> = faults
+            .worker_faults
+            .iter()
+            .filter(|&&(_, w, _)| w < workers)
+            .map(|&(t, w, fault)| {
+                assert!(
+                    matches!(fault, Fault::WorkerCrash | Fault::WorkerHang)
+                        || guard_kind(fault).is_some(),
+                    "{} is not a worker fault the DES models",
+                    fault.name()
+                );
+                (t, (w, Some(fault)))
+            })
+            .collect();
+        events.sort_by_key(|&(t, ev)| std::cmp::Reverse((t, rank(ev))));
         ZcSupervisorActor {
             world,
             events,
+            respawn_delay_cycles: faults.respawn_delay_cycles,
             queue: VecDeque::new(),
             gens: vec![0; workers],
             telemetry: None,
@@ -1192,97 +1139,92 @@ impl ZcSupervisorActor {
         self
     }
 
-    fn insert(&mut self, t: u64, ev: FaultEv) {
-        let key = (t, ev.rank());
+    fn insert(&mut self, t: u64, ev: SupEv) {
+        let key = (t, rank(ev));
         let pos = self
             .events
-            .partition_point(|&(et, eev)| (et, eev.rank()) > key);
+            .partition_point(|&(et, eev)| (et, rank(eev)) > key);
         self.events.insert(pos, (t, ev));
     }
 
-    fn apply(&mut self, ev: FaultEv, now: u64) {
+    /// Apply the event scheduled at `t` (reached at `now`).
+    fn apply(&mut self, t: u64, (w, fault): SupEv, now: u64) {
         let mut wld = self.world.borrow_mut();
-        match ev {
-            FaultEv::Crash(w) | FaultEv::Hang(w) | FaultEv::Byzantine(w, _) => {
-                if wld.workers[w].dead {
-                    return; // already down; the fault is a no-op
-                }
-                wld.workers[w].dead = true;
-                match ev {
-                    FaultEv::Crash(_) => wld.crashes += 1,
-                    FaultEv::Hang(_) => wld.hangs += 1,
-                    _ => wld.guard_violations += 1,
-                }
-                if wld.workers[w].state == WorkerState::Paused {
-                    // Already parked by the scheduler: nothing drains.
-                    wld.workers[w].parked_dead = true;
-                } else {
-                    // Ring its doorbell so an idle spinner wakes, sees
-                    // `dead` and parks. A worker mid-compute ignores the
-                    // ring and parks when its compute drains.
-                    wld.worker_db_val[w] += 1;
-                    let v = wld.worker_db_val[w];
-                    let flag = wld.worker_db[w];
-                    self.queue.push_back(Syscall::SetFlag { flag, value: v });
-                }
-                if let Some(hub) = &self.telemetry {
-                    let event = match ev {
-                        FaultEv::Crash(_) => zc_telemetry::Event::Fault {
-                            kind: Fault::WorkerCrash,
-                        },
-                        FaultEv::Hang(_) => zc_telemetry::Event::Fault {
-                            kind: Fault::WorkerHang,
-                        },
-                        FaultEv::Byzantine(_, kind) => zc_telemetry::Event::GuardViolation {
-                            call: 0,
-                            worker: w as u32,
-                            kind,
-                        },
-                        FaultEv::Revive(_) => unreachable!("outer arm excludes Revive"),
-                    };
-                    hub.record(now, zc_telemetry::Origin::Worker(w as u32), event);
-                }
+        let Some(fault) = fault else {
+            let ready = {
+                let st = &wld.workers[w];
+                st.parked_dead
+                    && match st.state {
+                        WorkerState::Unused | WorkerState::Paused => true,
+                        // A caller is still attached: only safe once
+                        // its watchdog cancelled the call.
+                        WorkerState::Processing | WorkerState::Waiting => st.cancelled,
+                        _ => false, // RESERVED: caller mid-post
+                    }
+            };
+            if !ready {
+                drop(wld);
+                self.insert(now.saturating_add(REVIVE_RETRY_CYCLES), (w, None));
+                return;
             }
-            FaultEv::Revive(w) => {
-                let ready = {
-                    let st = &wld.workers[w];
-                    st.parked_dead
-                        && match st.state {
-                            WorkerState::Unused | WorkerState::Paused => true,
-                            // A caller is still attached: only safe once
-                            // its watchdog cancelled the call.
-                            WorkerState::Processing | WorkerState::Waiting => st.cancelled,
-                            _ => false, // RESERVED: caller mid-post
-                        }
-                };
-                if !ready {
-                    drop(wld);
-                    self.insert(now.saturating_add(REVIVE_RETRY_CYCLES), FaultEv::Revive(w));
-                    return;
-                }
-                let st = &mut wld.workers[w];
-                st.dead = false;
-                st.parked_dead = false;
-                st.cancelled = false;
-                st.state = WorkerState::Unused;
-                st.pool_used = 0;
-                st.caller = usize::MAX;
-                wld.respawns += 1;
-                let tid = wld.worker_tids[w];
-                self.queue.push_back(Syscall::Unpark(tid));
-                self.gens[w] += 1;
-                if let Some(hub) = &self.telemetry {
-                    hub.record(
-                        now,
-                        zc_telemetry::Origin::Scheduler,
-                        zc_telemetry::Event::WorkerRespawned {
-                            worker: w as u32,
-                            generation: self.gens[w],
-                        },
-                    );
-                }
+            let st = &mut wld.workers[w];
+            st.dead = false;
+            st.parked_dead = false;
+            st.cancelled = false;
+            st.state = WorkerState::Unused;
+            st.pool_used = 0;
+            st.caller = usize::MAX;
+            wld.respawns += 1;
+            let tid = wld.worker_tids[w];
+            self.queue.push_back(Syscall::Unpark(tid));
+            self.gens[w] += 1;
+            if let Some(hub) = &self.telemetry {
+                hub.record(
+                    now,
+                    zc_telemetry::Origin::Scheduler,
+                    zc_telemetry::Event::WorkerRespawned {
+                        worker: w as u32,
+                        generation: self.gens[w],
+                    },
+                );
             }
+            return;
+        };
+        if wld.workers[w].dead {
+            return; // already down; the fault is a no-op
         }
+        wld.workers[w].dead = true;
+        let kind = guard_kind(fault);
+        match fault {
+            Fault::WorkerCrash => wld.crashes += 1,
+            Fault::WorkerHang => wld.hangs += 1,
+            _ => wld.guard_violations += 1,
+        }
+        if wld.workers[w].state == WorkerState::Paused {
+            // Already parked by the scheduler: nothing drains.
+            wld.workers[w].parked_dead = true;
+        } else {
+            // Ring its doorbell so an idle spinner wakes, sees `dead`
+            // and parks. A worker mid-compute ignores the ring and
+            // parks when its compute drains.
+            wld.worker_db_val[w] += 1;
+            let v = wld.worker_db_val[w];
+            let flag = wld.worker_db[w];
+            self.queue.push_back(Syscall::SetFlag { flag, value: v });
+        }
+        drop(wld);
+        if let Some(hub) = &self.telemetry {
+            let event = match kind {
+                Some(kind) => zc_telemetry::Event::GuardViolation {
+                    call: 0,
+                    worker: w as u32,
+                    kind,
+                },
+                None => zc_telemetry::Event::Fault { kind: fault },
+            };
+            hub.record(now, zc_telemetry::Origin::Worker(w as u32), event);
+        }
+        self.insert(t.saturating_add(self.respawn_delay_cycles), (w, None));
     }
 }
 
@@ -1294,8 +1236,8 @@ impl crate::kernel::Actor for ZcSupervisorActor {
             }
             match self.events.last() {
                 Some(&(t, _)) if t <= now => {
-                    let (_, ev) = self.events.pop().expect("checked non-empty");
-                    self.apply(ev, now);
+                    let (t, ev) = self.events.pop().expect("checked non-empty");
+                    self.apply(t, ev, now);
                 }
                 Some(&(t, _)) => return Syscall::Sleep(t - now),
                 None => return Syscall::Park,
@@ -1311,7 +1253,7 @@ impl crate::kernel::Actor for ZcSupervisorActor {
 /// The enclave lifecycle actor of the recovery model: parked until a
 /// crash trigger unparks it, then it drives the shared
 /// [`RecoveryPlane`] through the whole-enclave restart — the DES
-/// mirror of the real runtime's supervisor escalation.
+/// mirror of the real runtimes' `frontdoor::enclave_restart`.
 ///
 /// One step **fences** (poisons every in-flight worker request so no
 /// pre-crash execution can publish into the new epoch) and starts the
@@ -1374,8 +1316,8 @@ impl crate::kernel::Actor for ZcEnclaveActor {
             drop(wld);
             return self.queue.pop_front().unwrap_or(Syscall::Park);
         }
-        if wld.pending_enclave_restart {
-            wld.pending_enclave_restart = false;
+        if wld.crash_pending {
+            wld.crash_pending = false;
             // Fence: poison every in-flight request so a pre-crash
             // execution drains without publishing.
             for w in wld.workers.iter_mut() {

@@ -119,8 +119,6 @@ pub struct SimConfig {
     pub kernel_mode: KernelMode,
     /// OS round-robin quantum in cycles (cycle-accurate mode only).
     pub rr_quantum: u64,
-    /// Boundary cost model (its `T_es` is `cpu`'s).
-    pub costs: CostModel,
     /// Mechanism under test.
     pub mechanism: Mechanism,
     /// One workload per caller thread.
@@ -157,7 +155,6 @@ impl SimConfig {
             cpu,
             kernel_mode: KernelMode::default(),
             rr_quantum: DEFAULT_RR_QUANTUM,
-            costs: CostModel::paper(),
             mechanism,
             workloads,
             classes,
@@ -181,13 +178,6 @@ impl SimConfig {
     pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
         self
-    }
-
-    /// Shorthand for
-    /// [`with_kernel_mode`](SimConfig::with_kernel_mode)`(KernelMode::EventDriven)`.
-    #[must_use]
-    pub fn with_event_kernel(self) -> Self {
-        self.with_kernel_mode(KernelMode::EventDriven)
     }
 
     /// Builder-style vCPU count: overrides the machine's logical CPU
@@ -250,7 +240,9 @@ pub struct FaultRecovery {
     pub guard_violations: u64,
     /// Workers still dead when the run ended (0 = full recovery).
     pub dead_workers: u64,
-    /// Whole-enclave crashes injected by the fault schedule.
+    /// Whole-enclave crashes the recovery plane observed (a crash that
+    /// fires while an earlier one is still recovering folds into it
+    /// and is not counted).
     #[serde(default)]
     pub enclave_crashes: u64,
     /// Completed enclave restarts (recovery-plane epoch at run end).
@@ -396,7 +388,6 @@ fn spawn_callers(
 /// runs in and the counters it reports into.
 pub(crate) struct ZcShardSpec<'a> {
     pub cpu: &'a CpuSpec,
-    pub costs: CostModel,
     pub zc: &'a ZcSimParams,
     pub faults: Option<&'a ZcSimFaults>,
     /// One workload per caller thread.
@@ -453,13 +444,16 @@ pub(crate) fn spawn_zc_shard(
             world.borrow_mut().enclave_tid = Some(tid);
         }
     }
+    let costs = CostModel::on(spec.cpu);
     let watchdog = spec.faults.map(|f| f.watchdog_pauses);
     spawn_callers(kernel, spec.workloads, counters, |caller| {
-        let d = ZcDispatcher::new(Rc::clone(&world), Rc::clone(counters), spec.costs, caller);
-        let d = match watchdog {
-            Some(pauses) => d.with_watchdog(pauses),
-            None => d,
-        };
+        let d = ZcDispatcher::new(
+            Rc::clone(&world),
+            Rc::clone(counters),
+            costs,
+            caller,
+            watchdog,
+        );
         Box::new(match spec.telemetry {
             Some(hub) => d.with_telemetry(Arc::clone(hub)),
             None => d,
@@ -481,7 +475,7 @@ pub fn run(config: &SimConfig) -> SimReport {
         .clone()
         .or_else(zc_telemetry::global::current);
     let hub = telemetry.as_ref();
-    let costs = config.costs.on(&config.cpu);
+    let costs = CostModel::on(&config.cpu);
 
     // Build the mechanism world and workers, then one caller per
     // workload driving that mechanism's dispatcher.
@@ -525,7 +519,6 @@ pub fn run(config: &SimConfig) -> SimReport {
         Mechanism::Zc(zp) => {
             let shard = ZcShardSpec {
                 cpu: &config.cpu,
-                costs,
                 zc: zp,
                 faults: config.zc_faults.as_ref(),
                 workloads: &config.workloads,
@@ -673,6 +666,7 @@ pub fn run(config: &SimConfig) -> SimReport {
 mod tests {
     use super::*;
     use crate::ocall::CallDesc;
+    use switchless_core::{Fault, FaultPlan, FaultSchedule, GuardKind};
 
     fn simple_call(host: u64) -> CallDesc {
         CallDesc {
@@ -838,7 +832,7 @@ mod tests {
     /// logical CPUs and `callers` closed-loop callers of `ops` calls
     /// each, with the given fault schedule. The `vcpus = 8` shape is
     /// the paper machine; larger shapes ride the event-driven policy
-    /// (selected by the caller via [`SimConfig::with_event_kernel`]).
+    /// (selected by the caller via [`SimConfig::with_kernel_mode`]).
     fn fault_soak_cfg(faults: ZcSimFaults, vcpus: usize, callers: usize, ops: u64) -> SimConfig {
         SimConfig::new(
             Mechanism::Zc(ZcSimParams::default()),
@@ -916,12 +910,46 @@ mod tests {
     }
 
     #[test]
+    fn same_instant_faults_on_one_worker_follow_fault_precedence() {
+        // Two corruptions of slot 0 at one instant, the later `Fault`
+        // listed last: the earlier one (`FlipStatus`) quarantines the
+        // slot; the stale tag finds it already down, so it is neither
+        // counted nor traced and schedules no second revival.
+        let hub = zc_telemetry::Telemetry::new();
+        let faults = ZcSimFaults::new()
+            .flip_status_at(1_000_000, 0)
+            .stale_seq_at(1_000_000, 0)
+            .with_respawn_delay(800_000)
+            .with_watchdog_pauses(5_000);
+        let cfg = fault_soak_cfg(faults, 8, 2, 5_000).with_telemetry(Arc::clone(&hub));
+        let r = run(&cfg);
+        assert_eq!(
+            r.fault_recovery.guard_violations, 1,
+            "{:?}",
+            r.fault_recovery
+        );
+        assert_eq!(r.fault_recovery.dead_workers, 0, "{:?}", r.fault_recovery);
+        assert!(r.counters.conserves());
+        let (mut kinds, mut revivals) = (Vec::new(), 0);
+        for e in hub.tracer().drain() {
+            match e.event {
+                zc_telemetry::Event::GuardViolation { kind, .. } => kinds.push(kind),
+                zc_telemetry::Event::WorkerRespawned { .. } => revivals += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(kinds, [GuardKind::BadStatusWord]);
+        assert_eq!(revivals, 1);
+    }
+
+    #[test]
     fn zc_chaos_soak_recovers_at_128_vcpus_on_event_kernel() {
         // The same crash/hang schedule at the lifted scale: 128 vCPUs
         // (64-worker pool) and 32 callers on the event-driven kernel.
         // Self-healing must be scale-invariant: every fault still
         // revives and every call still completes exactly once.
-        let cfg = fault_soak_cfg(chaos_faults(), 128, 32, 10_000).with_event_kernel();
+        let cfg = fault_soak_cfg(chaos_faults(), 128, 32, 10_000)
+            .with_kernel_mode(KernelMode::EventDriven);
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 320_000);
         assert_eq!(r.counters.ops_per_caller, vec![10_000; 32]);
@@ -938,7 +966,8 @@ mod tests {
         // All six corruption kinds against the 128-vCPU event-kernel
         // machine: the trusted-side guards must detect and quarantine
         // each one regardless of pool size.
-        let cfg = fault_soak_cfg(byzantine_faults(), 128, 32, 10_000).with_event_kernel();
+        let cfg = fault_soak_cfg(byzantine_faults(), 128, 32, 10_000)
+            .with_kernel_mode(KernelMode::EventDriven);
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 320_000);
         assert_eq!(
@@ -956,12 +985,16 @@ mod tests {
     /// Three whole-enclave crashes spread across the run plus an
     /// enclave stall: the ≥3-cycle crash/restart recovery soak.
     fn enclave_chaos_faults() -> ZcSimFaults {
-        ZcSimFaults::new()
-            .crash_enclave_at_call(100)
-            .crash_enclave_at_call(5_000)
-            .crash_enclave_at_call(20_000)
-            .stall_enclave_at_call(10_000, 50_000)
-            .with_enclave_restart_cycles(500_000)
+        ZcSimFaults {
+            enclave_faults: FaultPlan::new()
+                .inject(
+                    Fault::EnclaveCrash,
+                    FaultSchedule::at_each([100, 5_000, 20_000]),
+                )
+                .inject(Fault::EnclaveStall, FaultSchedule::at(10_000))
+                .cycles(Fault::EnclaveStall, 50_000),
+            ..ZcSimFaults::new().with_enclave_restart_cycles(500_000)
+        }
     }
 
     #[test]
@@ -1038,10 +1071,12 @@ mod tests {
         // its completion: reconciliation after the second restart must
         // redeliver the recorded result, not execute a third time.
         let cfg = fault_soak_cfg(
-            ZcSimFaults::new()
-                .crash_enclave_at_call(100)
-                .crash_enclave_during_replay(0)
-                .with_enclave_restart_cycles(500_000),
+            ZcSimFaults {
+                enclave_faults: FaultPlan::new()
+                    .inject(Fault::EnclaveCrash, FaultSchedule::at(100))
+                    .inject(Fault::EnclaveReplayCrash, FaultSchedule::at(0)),
+                ..ZcSimFaults::new().with_enclave_restart_cycles(500_000)
+            },
             8,
             2,
             5_000,
@@ -1063,7 +1098,7 @@ mod tests {
         // cycles. Exactly-once accounting must be scale-invariant.
         let faults = enclave_chaos_faults();
         let restart_cycles = faults.enclave_restart_cycles;
-        let cfg = fault_soak_cfg(faults, 128, 32, 5_000).with_event_kernel();
+        let cfg = fault_soak_cfg(faults, 128, 32, 5_000).with_kernel_mode(KernelMode::EventDriven);
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 160_000);
         assert_eq!(r.counters.ops_per_caller, vec![5_000; 32]);
@@ -1092,7 +1127,8 @@ mod tests {
     fn zc_enclave_recovery_runs_are_deterministic() {
         // Same seed-free closed-loop schedule, same report — including
         // the recovery counters and latency samples — byte for byte.
-        let cfg = fault_soak_cfg(enclave_chaos_faults(), 128, 8, 2_000).with_event_kernel();
+        let cfg = fault_soak_cfg(enclave_chaos_faults(), 128, 8, 2_000)
+            .with_kernel_mode(KernelMode::EventDriven);
         let a = run(&cfg);
         let b = run(&cfg);
         assert_eq!(a.counters, b.counters);
@@ -1146,7 +1182,7 @@ mod tests {
             1,
         )
         .with_vcpus(128)
-        .with_event_kernel()
+        .with_kernel_mode(KernelMode::EventDriven)
     }
 
     #[test]

@@ -614,7 +614,9 @@ mod tests {
         };
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::paper())),
+            Box::new(RegularDispatcher::new(CostModel::on(
+                &switchless_core::CpuSpec::paper_machine(),
+            ))),
             Rc::clone(&counters),
             spec,
         )));
@@ -651,7 +653,9 @@ mod tests {
         };
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::paper())),
+            Box::new(RegularDispatcher::new(CostModel::on(
+                &switchless_core::CpuSpec::paper_machine(),
+            ))),
             Rc::clone(&counters),
             spec,
         )));
@@ -680,7 +684,9 @@ mod tests {
         };
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::paper())),
+            Box::new(RegularDispatcher::new(CostModel::on(
+                &switchless_core::CpuSpec::paper_machine(),
+            ))),
             Rc::clone(&counters),
             WorkloadSpec::Phased(p),
         )));
@@ -708,7 +714,9 @@ mod tests {
         let counters = Rc::new(RefCell::new(SimCounters::new(1, 1)));
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::paper())),
+            Box::new(RegularDispatcher::new(CostModel::on(
+                &switchless_core::CpuSpec::paper_machine(),
+            ))),
             Rc::clone(&counters),
             WorkloadSpec::ClosedLoop {
                 pattern: vec![call(100)],
@@ -745,7 +753,9 @@ mod tests {
         };
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::paper())),
+            Box::new(RegularDispatcher::new(CostModel::on(
+                &switchless_core::CpuSpec::paper_machine(),
+            ))),
             Rc::clone(&counters),
             WorkloadSpec::Phased(p),
         )));
@@ -789,7 +799,9 @@ mod tests {
         let counters = Rc::new(RefCell::new(SimCounters::new(1, 1)));
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::paper())),
+            Box::new(RegularDispatcher::new(CostModel::on(
+                &switchless_core::CpuSpec::paper_machine(),
+            ))),
             Rc::clone(&counters),
             WorkloadSpec::Open(open_load(seed)),
         )));
@@ -847,7 +859,9 @@ mod tests {
         );
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::paper())),
+            Box::new(RegularDispatcher::new(CostModel::on(
+                &switchless_core::CpuSpec::paper_machine(),
+            ))),
             Rc::clone(&counters),
             WorkloadSpec::Open(load),
         )));

@@ -208,7 +208,7 @@ fn phase_sums(mechanism: Mechanism, call_classes: &[usize]) -> Vec<(CallPath, Ve
     };
     let hub = Telemetry::new();
     let cfg = SimConfig::new(mechanism, vec![workload; 4], call_classes.len())
-        .with_event_kernel()
+        .with_kernel_mode(zc_des::KernelMode::EventDriven)
         .with_telemetry(std::sync::Arc::clone(&hub));
     let report = zc_des::run(&cfg);
     assert_eq!(report.counters.total_calls(), 200);

@@ -8,8 +8,8 @@
 //! virtual time, so every number below is exact.
 
 use zc_des::{
-    run, ArrivalProcess, CallDesc, Mechanism, OpenLoad, ServiceDist, SimConfig, WorkloadSpec,
-    ZcSimParams,
+    run, ArrivalProcess, CallDesc, KernelMode, Mechanism, OpenLoad, ServiceDist, SimConfig,
+    WorkloadSpec, ZcSimParams,
 };
 
 const CALLERS: usize = 32;
@@ -37,7 +37,7 @@ fn call_template() -> CallDesc {
 fn machine(workloads: Vec<WorkloadSpec>) -> SimConfig {
     SimConfig::new(Mechanism::Zc(ZcSimParams::default()), workloads, 1)
         .with_vcpus(VCPUS)
-        .with_event_kernel()
+        .with_kernel_mode(KernelMode::EventDriven)
 }
 
 /// Closed-loop saturation probe: every caller issues back to back.

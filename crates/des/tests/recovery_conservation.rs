@@ -18,8 +18,9 @@
 //! [`SimCounters::conserves`]: zc_des::metrics::SimCounters::conserves
 
 use proptest::prelude::*;
+use switchless_core::{Fault, FaultPlan, FaultSchedule};
 use zc_des::sim::{run, Mechanism, SimConfig, SimReport, ZcSimParams};
-use zc_des::{CallDesc, WorkloadSpec, ZcSimFaults};
+use zc_des::{CallDesc, KernelMode, WorkloadSpec, ZcSimFaults};
 
 /// Callers in every generated sim.
 const CALLERS: usize = 2;
@@ -59,7 +60,7 @@ fn cfg_for(faults: ZcSimFaults, event_kernel: bool) -> SimConfig {
     .with_vcpus(8)
     .with_zc_faults(faults);
     if event_kernel {
-        cfg.with_event_kernel()
+        cfg.with_kernel_mode(KernelMode::EventDriven)
     } else {
         cfg
     }
@@ -76,17 +77,22 @@ fn schedule(
     replay_crash: Option<u64>,
     restart_cycles: u64,
 ) -> ZcSimFaults {
-    let mut f = ZcSimFaults::new().with_enclave_restart_cycles(restart_cycles);
-    for &n in crash_sites {
-        f = f.crash_enclave_at_call(n);
-    }
+    let mut plan = FaultPlan::new().inject(
+        Fault::EnclaveCrash,
+        FaultSchedule::at_each(crash_sites.iter().copied()),
+    );
     if let Some((at, cycles)) = stall {
-        f = f.stall_enclave_at_call(at, cycles);
+        plan = plan
+            .inject(Fault::EnclaveStall, FaultSchedule::at(at))
+            .cycles(Fault::EnclaveStall, cycles);
     }
     if let Some(r) = replay_crash {
-        f = f.crash_enclave_during_replay(r);
+        plan = plan.inject(Fault::EnclaveReplayCrash, FaultSchedule::at(r));
     }
-    f
+    ZcSimFaults {
+        enclave_faults: plan,
+        ..ZcSimFaults::new().with_enclave_restart_cycles(restart_cycles)
+    }
 }
 
 /// The shared audit: conservation, restart completion, journal drain,

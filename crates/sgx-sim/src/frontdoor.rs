@@ -620,7 +620,7 @@ fn wait_for_restart(clock: &CycleClock, plane: &RecoveryPlane, epoch0: u64) {
 /// # Panics
 ///
 /// If the transport has no recovery plane.
-pub fn enclave_restart<T: Transport>(t: &T) {
+fn enclave_restart<T: Transport>(t: &T) {
     let door = t.door();
     let plane = door
         .recovery

@@ -17,7 +17,8 @@ use std::collections::BTreeSet;
 
 // The paper's and the SDK's constants, one definition each: every
 // default of the real runtimes and of the DES (`ZcSimParams`,
-// `IntelSimConfig`, `FleetSpec`) is derived from this table.
+// `IntelSimConfig`, `FleetSpec`, `CostModel`) is derived from this
+// table.
 
 /// Scheduling quantum `Q` in milliseconds (paper §IV-A: 10 ms).
 pub const PAPER_QUANTUM_MS: u64 = 10;
@@ -44,6 +45,19 @@ pub const INTEL_DEFAULT_RETRIES: u32 = 20_000;
 /// trusted-side guard, so it bounds the enclave memory one hostile reply
 /// can touch.
 pub const MAX_REPLY_BYTES: usize = 1024 * 1024;
+
+/// DES boundary cost of claiming a worker or task slot and publishing
+/// a request (CAS, request-struct copy, cache-line transfer), in
+/// cycles. Assumed: PAPER.md states none.
+pub const HANDOFF_CYCLES: u64 = 600;
+
+/// DES boundary cost of collecting a result and releasing the worker
+/// or task slot, in cycles. Assumed: PAPER.md states none.
+pub const COLLECT_CYCLES: u64 = 300;
+
+/// DES boundary copy cost per 16 bytes, in cycles (the optimised
+/// `memcpy` moves ~16 B/cycle). Assumed: PAPER.md states none.
+pub const COPY_CYCLES_PER_16B: u64 = 1;
 
 /// Intel task-pool capacity: two slots per worker, at least 4.
 #[must_use]
@@ -158,14 +172,9 @@ pub struct ZcConfig {
     pub cpu: CpuSpec,
     /// Scheduling-phase quantum `Q` in cycles (paper: 10 ms).
     pub quantum_cycles: u64,
-    /// Inverse micro-quantum fraction (paper: `µ = 1/100`).
-    pub mu_inverse: u64,
     /// Workers created at startup (paper §V: `N/2`, the scheduler then
     /// adapts within `0..=N/2`).
     pub initial_workers: usize,
-    /// Fallback weight of the scheduler argmin (see
-    /// [`crate::policy::PolicyParams::fallback_weight`]).
-    pub fallback_weight: u64,
     /// Self-healing supervision ([`SuperviseParams`]). `None` (the
     /// default) preserves the paper's original lifecycle: crashed
     /// workers stay quarantined and hung workers are abandoned at
@@ -196,9 +205,7 @@ impl ZcConfig {
         ZcConfig {
             cpu,
             quantum_cycles: cpu.quantum_cycles(PAPER_QUANTUM_MS),
-            mu_inverse: PAPER_MU_INVERSE,
             initial_workers: cpu.zc_max_workers(),
-            fallback_weight: DEFAULT_FALLBACK_WEIGHT,
             supervise: None,
             overload: None,
             recovery: None,
@@ -211,15 +218,16 @@ impl ZcConfig {
         self.cpu.zc_max_workers().max(1)
     }
 
-    /// Scheduler policy parameters corresponding to this configuration.
+    /// Scheduler policy parameters corresponding to this configuration
+    /// (`µ⁻¹` and the fallback weight are the table's constants).
     #[must_use]
     pub fn policy_params(&self) -> PolicyParams {
         PolicyParams::new(
             &self.cpu,
             self.quantum_cycles,
-            self.mu_inverse,
+            PAPER_MU_INVERSE,
             self.max_workers(),
-            self.fallback_weight,
+            DEFAULT_FALLBACK_WEIGHT,
         )
     }
 
@@ -302,10 +310,10 @@ mod tests {
     fn zc_defaults_are_paper_faithful() {
         let c = ZcConfig::default();
         assert_eq!(c.quantum_cycles, 38_000_000);
-        assert_eq!(c.mu_inverse, 100);
         assert_eq!(c.initial_workers, 4);
         assert_eq!(c.max_workers(), 4);
         let p = c.policy_params();
+        assert_eq!(p.mu_inverse, 100);
         assert_eq!(p.max_workers, 4);
         assert_eq!(p.t_es_cycles, 13_500);
     }

@@ -240,7 +240,7 @@ impl FaultSchedule {
 /// assert_eq!(inj.counts()[Fault::WorkerCrash], 1);
 /// assert_eq!(inj.counts()[Fault::TransitionFailure], 2);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     schedules: [FaultSchedule; Fault::ALL.len()],
     durations: [u64; 3],

@@ -54,14 +54,6 @@ pub struct SuperviseParams {
     /// Caller-side deadline for an in-flight switchless call, in
     /// cycles; past it the watchdog cancels the call and re-routes it.
     pub watchdog_cycles: u64,
-    /// Ledger charges (worker failures of any kind) since the last
-    /// enclave restart that escalate supervision from slot-respawn to
-    /// a whole-enclave restart ([`SuperviseDecision::RestartEnclave`]).
-    /// `0` (the default) disables escalation: slot respawn remains the
-    /// only tier, exactly as before the recovery plane existed. The
-    /// runtime must also have a recovery plane configured for the
-    /// decision to be actionable.
-    pub enclave_restart_threshold: u32,
 }
 
 impl SuperviseParams {
@@ -77,7 +69,6 @@ impl SuperviseParams {
             probation_cycles: quantum,
             poison_threshold: 3,
             watchdog_cycles: quantum,
-            enclave_restart_threshold: 0,
         }
     }
 
@@ -181,15 +172,6 @@ pub enum SuperviseDecision {
         /// The offending request shape.
         key: PoisonKey,
     },
-    /// The ledger charged
-    /// [`enclave_restart_threshold`](SuperviseParams::enclave_restart_threshold)
-    /// failures since the last restart: slot-respawn is not containing
-    /// the decay, escalate to a whole-enclave restart through the
-    /// recovery plane ([`crate::recovery`]).
-    RestartEnclave {
-        /// Ledger charges accumulated when the threshold tripped.
-        charges: u32,
-    },
 }
 
 #[derive(Debug, Clone)]
@@ -235,7 +217,6 @@ pub struct Supervisor {
     blacklist: Vec<PoisonKey>,
     respawns: u64,
     heals: u64,
-    charges_since_restart: u32,
     enclave_restarts: u64,
 }
 
@@ -250,7 +231,6 @@ impl Supervisor {
             blacklist: Vec::new(),
             respawns: 0,
             heals: 0,
-            charges_since_restart: 0,
             enclave_restarts: 0,
         }
     }
@@ -285,7 +265,6 @@ impl Supervisor {
         slot.health = WorkerHealth::Backoff {
             until_cycles: now.saturating_add(delay),
         };
-        self.charges_since_restart = self.charges_since_restart.saturating_add(1);
         if let Some(key) = culprit {
             if !self.blacklist.contains(&key) {
                 let count = self.poison_counts.entry(key).or_insert(0);
@@ -296,34 +275,20 @@ impl Supervisor {
                 }
             }
         }
-        if self.params.enclave_restart_threshold > 0
-            && self.charges_since_restart >= self.params.enclave_restart_threshold
-        {
-            return Some(SuperviseDecision::RestartEnclave {
-                charges: self.charges_since_restart,
-            });
-        }
         None
     }
 
     /// The enclave restarted: wipe every slot's ledger (the worker
-    /// fleet is a fresh generation), reset the escalation tally and
-    /// keep the poison blacklist (request shapes stay poisonous across
-    /// restarts — they live host-side).
+    /// fleet is a fresh generation) and keep the poison blacklist
+    /// (request shapes stay poisonous across restarts — they live
+    /// host-side).
     pub fn note_enclave_restart(&mut self) {
         for slot in &mut self.ledger {
             slot.health = WorkerHealth::Healthy;
             slot.consecutive_failures = 0;
             slot.generation += 1;
         }
-        self.charges_since_restart = 0;
         self.enclave_restarts += 1;
-    }
-
-    /// Ledger charges accumulated since the last enclave restart.
-    #[must_use]
-    pub fn charges_since_restart(&self) -> u32 {
-        self.charges_since_restart
     }
 
     /// Whole-enclave restarts noted so far.
@@ -587,63 +552,35 @@ mod tests {
     }
 
     #[test]
-    fn escalation_is_disabled_by_default() {
-        let mut sup = Supervisor::new(2, SuperviseParams::default());
-        for i in 0..100 {
-            let d = sup.record_failure(i % 2, None, i as u64);
-            assert!(
-                !matches!(d, Some(SuperviseDecision::RestartEnclave { .. })),
-                "threshold 0 never escalates"
-            );
+    fn enclave_restart_wipes_ledgers_and_bumps_generations() {
+        let mut sup = Supervisor::new(4, params());
+        for w in 0..3 {
+            sup.record_failure(w, None, 10 * w as u64);
         }
-        assert_eq!(sup.charges_since_restart(), 100);
-    }
-
-    #[test]
-    fn repeated_charges_escalate_to_enclave_restart() {
-        let escalating = SuperviseParams {
-            enclave_restart_threshold: 3,
-            ..params()
-        };
-        let mut sup = Supervisor::new(4, escalating);
-        assert!(sup.record_failure(0, None, 0).is_none());
-        assert!(sup.record_failure(1, None, 10).is_none());
-        let d = sup.record_failure(2, None, 20);
-        assert_eq!(d, Some(SuperviseDecision::RestartEnclave { charges: 3 }));
-        // Until the restart is noted, every further charge re-escalates.
-        let d = sup.record_failure(3, None, 30);
-        assert_eq!(d, Some(SuperviseDecision::RestartEnclave { charges: 4 }));
-        // The restart wipes ledgers and the tally, bumps generations.
         let gen_before = sup.generation(0);
         sup.note_enclave_restart();
-        assert_eq!(sup.charges_since_restart(), 0);
         assert_eq!(sup.enclave_restarts(), 1);
         assert_eq!(sup.generation(0), gen_before + 1);
         for w in 0..4 {
             assert_eq!(sup.health(w), WorkerHealth::Healthy);
         }
-        assert!(sup.record_failure(0, None, 40).is_none());
+        // The ladder restarts too: the next failure backs off at base.
+        sup.record_failure(0, None, 40);
+        assert_eq!(
+            sup.health(0),
+            WorkerHealth::Backoff {
+                until_cycles: 1_040
+            }
+        );
     }
 
     #[test]
-    fn blacklist_wins_over_escalation_and_survives_restart() {
-        let mut sup = Supervisor::new(
-            4,
-            SuperviseParams {
-                enclave_restart_threshold: 2,
-                ..params().with_poison_threshold(2)
-            },
-        );
+    fn blacklist_survives_enclave_restart() {
+        let mut sup = Supervisor::new(4, params()); // threshold 2
         let key = PoisonKey::new(FuncId(3), 512);
         sup.record_failure(0, Some(key), 0);
-        // Second failure trips both thresholds; the blacklist decision
-        // wins (the charge still counts toward escalation).
         let d = sup.record_failure(1, Some(key), 10);
         assert_eq!(d, Some(SuperviseDecision::Blacklist { key }));
-        assert_eq!(sup.charges_since_restart(), 2);
-        // The next charge escalates.
-        let d = sup.record_failure(2, None, 20);
-        assert_eq!(d, Some(SuperviseDecision::RestartEnclave { charges: 3 }));
         sup.note_enclave_restart();
         assert!(sup.is_blacklisted(key), "shapes stay poisonous");
     }

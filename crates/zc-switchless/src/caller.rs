@@ -396,10 +396,7 @@ fn guard_violation_fallback(
 /// Report a caller-observed worker failure to the supervisor (no-op when
 /// supervision is off). The in-flight request shape is charged as the
 /// blacklist culprit; a shape crossing the poison threshold gets pinned
-/// to the regular path and traced. A charge that crosses the enclave
-/// escalation threshold raises the pending-restart flag for the
-/// supervisor thread: repeated ledger charges mean slot respawns are
-/// not containing the damage.
+/// to the regular path and traced.
 fn report_worker_failure(shared: &Shared, widx: usize, req: &OcallRequest, payload_len: usize) {
     let Some(sup) = &shared.supervisor else {
         return;
@@ -417,21 +414,10 @@ fn report_worker_failure(shared: &Shared, widx: usize, req: &OcallRequest, paylo
         }
         decision
     };
-    match decision {
-        Some(SuperviseDecision::Blacklist { key }) => {
-            shared.door.caller_event(Event::Blacklisted {
-                func: key.func.0,
-                shape: key.shape,
-            });
-        }
-        // Escalation needs the recovery plane: without a journal,
-        // blocked callers could not reconcile and a whole-enclave
-        // restart would strand them.
-        Some(SuperviseDecision::RestartEnclave { .. }) if shared.door.recovery.is_some() => {
-            shared
-                .pending_enclave_restart
-                .store(true, Ordering::Release);
-        }
-        _ => {}
+    if let Some(SuperviseDecision::Blacklist { key }) = decision {
+        shared.door.caller_event(Event::Blacklisted {
+            func: key.func.0,
+            shape: key.shape,
+        });
     }
 }

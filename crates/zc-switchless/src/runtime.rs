@@ -5,7 +5,7 @@ use crate::{scheduler, supervise, worker};
 use parking_lot::Mutex;
 use sgx_sim::frontdoor::{self, FrontDoor};
 use sgx_sim::{CycleClock, Enclave, RegularOcall};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -63,10 +63,6 @@ pub(crate) struct Shared {
     /// lock whenever a shape is added (it never shrinks): while 0, no
     /// call takes the lock to ask whether its shape is pinned.
     pub(crate) blacklisted: AtomicUsize,
-    /// Raised by callers when the supervisor policy escalates from slot
-    /// respawn to a whole-enclave restart; consumed by the supervisor
-    /// thread, which performs the restart.
-    pub(crate) pending_enclave_restart: AtomicBool,
     /// Monotonic enclave incarnation, used as the worker-thread
     /// generation tag for post-restart spawns.
     pub(crate) enclave_generation: AtomicU64,
@@ -271,7 +267,6 @@ impl ZcRuntime {
                 .supervise
                 .map(|params| Mutex::new(Supervisor::new(max, params))),
             blacklisted: AtomicUsize::new(0),
-            pending_enclave_restart: AtomicBool::new(false),
             enclave_generation: AtomicU64::new(0),
             transition_log: Mutex::new(None),
             config,

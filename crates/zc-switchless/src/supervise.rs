@@ -17,8 +17,6 @@
 //! abandons it (counted in `DrainReport` and traced per slot).
 
 use crate::runtime::Shared;
-use sgx_sim::frontdoor;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 use switchless_core::config::{PAPER_MU_INVERSE, PAPER_QUANTUM_MS};
 use switchless_core::SuperviseDecision;
@@ -57,27 +55,9 @@ pub(crate) fn supervise_loop(shared: &Shared) {
                         worker: worker as u32,
                     },
                 ),
-                // poll() never emits Blacklist or RestartEnclave (those
-                // happen at failure recording time, caller-side; the
-                // restart request arrives via the pending flag below).
+                // poll() never emits Blacklist: that happens at
+                // failure recording time, caller-side.
                 SuperviseDecision::Blacklist { .. } => {}
-                SuperviseDecision::RestartEnclave { .. } => {}
-            }
-        }
-        // Escalation: a caller's ledger charge crossed the enclave
-        // restart threshold. This thread performs the whole-enclave
-        // restart (fence → pay restart cost → fresh worker generation →
-        // wipe per-slot ledgers); blocked callers observe the epoch
-        // change and reconcile against the journal.
-        if shared.pending_enclave_restart.swap(false, Ordering::AcqRel) {
-            if let Some(plane) = &shared.door.recovery {
-                let epoch0 = plane.epoch();
-                if plane.begin_crash() {
-                    shared
-                        .door
-                        .event(Origin::Scheduler, Event::EnclaveCrash { epoch: epoch0 });
-                    frontdoor::enclave_restart(shared);
-                }
             }
         }
         // On a virtual clock this advances logical time instantly, so

@@ -437,3 +437,80 @@ fn same_fault_plan_yields_same_ledger_and_caller_trace_on_both_transports() {
     assert_eq!(zc.2, intel.2, "shutdown traces diverge");
     assert_eq!(zc.2, ["worker_abandoned", "drain"]);
 }
+
+/// One fault scenario, two hosts: the plan that scripts enclave
+/// crashes for the real runtimes is the plan the DES reads. One
+/// sequential caller issues ten idempotent calls; the enclave dies
+/// under dispatches 3 and 7 and again once the first replay has
+/// journaled its completion. The real leg is the Intel runtime on the
+/// virtual clock, the simulated leg the DES's ZC model. Both conserve
+/// and agree on crashes, redeliveries and refusals; they disagree by
+/// one replay (DESIGN.md §11, "crash during replay"), and each host's
+/// ledger is pinned so a change to either shows.
+#[test]
+fn one_fault_plan_drives_the_des_and_the_intel_runtime() {
+    use zc_des::{run, CallDesc, Mechanism, SimConfig, WorkloadSpec, ZcSimFaults, ZcSimParams};
+    const CALLS: u64 = 10;
+    let plan = FaultPlan::new()
+        .inject(Fault::EnclaveCrash, FaultSchedule::at_each([3, 7]))
+        .inject(Fault::EnclaveReplayCrash, FaultSchedule::at(0));
+
+    let (t, echo) = table();
+    let cfg = IntelConfig::new(1, [echo]).with_recovery();
+    let faults = Arc::new(FaultInjector::new(plan.clone()));
+    let rt =
+        IntelSwitchless::start_with_faults(cfg, t, Enclave::new_virtual(cpu()), faults).unwrap();
+    let mut out = Vec::new();
+    for i in 0..CALLS {
+        let req = OcallRequest::new(echo, &[]).with_idempotent();
+        let (ret, _) = rt.dispatch(&req, b"plan", &mut out).unwrap();
+        assert_eq!((ret, out.as_slice()), (4, &b"plan"[..]), "call {i}");
+    }
+    let (real, usage) = (rt.recovery(), rt.ledger());
+    rt.stop();
+    assert!(usage.conserves(), "{usage:?}");
+    assert_eq!((usage.offered, usage.completed), (CALLS, CALLS));
+
+    let call = CallDesc {
+        host_cycles: 2_000,
+        payload_bytes: 4,
+        ret_bytes: 4,
+        ..CallDesc::default()
+    };
+    let workload = WorkloadSpec::ClosedLoop {
+        pattern: vec![call],
+        total_ops: CALLS,
+    };
+    let sim = run(
+        &SimConfig::new(Mechanism::Zc(ZcSimParams::default()), vec![workload], 1).with_zc_faults(
+            ZcSimFaults {
+                enclave_faults: plan,
+                ..ZcSimFaults::new()
+            },
+        ),
+    );
+    assert!(sim.counters.conserves(), "{:?}", sim.counters);
+    assert_eq!(sim.counters.total_calls(), CALLS);
+    let des = &sim.fault_recovery;
+
+    // (crashes, replays, redeliveries, refusals, live journal entries)
+    let real = (
+        real.crashes,
+        real.replayed,
+        real.redelivered,
+        real.refused_non_idempotent,
+        real.journal_live,
+    );
+    let des = (
+        des.enclave_crashes,
+        des.journal_replays,
+        des.call_redeliveries,
+        des.refused_non_idempotent,
+        des.journal_live,
+    );
+    assert_eq!(real, (3, 2, 1, 0, 0), "Intel runtime");
+    // The replaying caller reconciles against the first restart's epoch
+    // before the second restart begins, so the call after it straddles
+    // the second loss and is replayed too.
+    assert_eq!(des, (3, 3, 1, 0, 0), "DES");
+}

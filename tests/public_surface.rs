@@ -15,9 +15,9 @@ use std::path::Path;
 /// One group per paragraph: `# why these stay public without a product
 /// caller`, then `file: name name …` lines (`*` is the whole file).
 const ALLOW: &str = "
-# TransitionLog, DrainReport and the DES fault builders: the harness of every fault suite
+# TransitionLog, DrainReport and the journal capacity: the harness of every fault and recovery suite
 crates/switchless-core/src/fault.rs: illegal_edges is_clean
-crates/des/src/ocall/zc.rs: crash_enclave_during_replay stall_enclave_at_call
+crates/switchless-core/src/recovery.rs: with_journal_slots
 
 # the four exporters are telemetry's output; deployers, examples and trace pins call them
 crates/zc-telemetry/src/export.rs: canonical_jsonl events_to_jsonl to_chrome_trace to_prometheus
@@ -122,7 +122,7 @@ fn every_public_function_is_called_or_allowlisted() {
         }
     }
     let budget = allowed.len();
-    assert!(budget <= 34, "{budget} allowlist entries: the budget is 34");
+    assert!(budget <= 33, "{budget} allowlist entries: the budget is 33");
     let unlisted: Vec<_> = flagged.difference(&allowed).collect();
     let stale: Vec<_> = allowed.difference(&flagged).collect();
     assert!(

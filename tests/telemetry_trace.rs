@@ -339,7 +339,7 @@ fn des_slo_report_jsonl_is_byte_identical_across_runs() {
             ],
             1,
         )
-        .with_event_kernel()
+        .with_kernel_mode(zc_des::KernelMode::EventDriven)
         .with_telemetry(Arc::clone(&hub));
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 10_000);
@@ -478,7 +478,7 @@ fn des_mmpp_overload_trace_is_byte_identical_and_conserves() {
             ..ZcSimParams::default()
         };
         let cfg = SimConfig::new(Mechanism::Zc(params), vec![WorkloadSpec::Open(load); 4], 1)
-            .with_event_kernel()
+            .with_kernel_mode(zc_des::KernelMode::EventDriven)
             .with_telemetry(Arc::clone(&hub));
         let r = run(&cfg);
         let c = &r.counters;
@@ -610,13 +610,12 @@ fn des_recovery_trace_is_byte_identical_across_runs() {
             ],
             1,
         )
-        .with_zc_faults(
-            ZcSimFaults::new()
-                .crash_enclave_at_call(100)
-                .crash_enclave_at_call(5_000)
-                .crash_enclave_during_replay(0)
-                .with_enclave_restart_cycles(500_000),
-        )
+        .with_zc_faults(ZcSimFaults {
+            enclave_faults: FaultPlan::new()
+                .inject(Fault::EnclaveCrash, FaultSchedule::at_each([100, 5_000]))
+                .inject(Fault::EnclaveReplayCrash, FaultSchedule::at(0)),
+            ..ZcSimFaults::new().with_enclave_restart_cycles(500_000)
+        })
         .with_telemetry(Arc::clone(&hub));
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 10_000);
@@ -911,7 +910,7 @@ fn des_event_kernel_trace_is_deterministic_at_8_and_128_vcpus() {
             ],
             1,
         )
-        .with_event_kernel()
+        .with_kernel_mode(zc_des::KernelMode::EventDriven)
         .with_vcpus(vcpus)
         .with_telemetry(Arc::clone(&hub));
         let r = run(&cfg);
