@@ -6,13 +6,13 @@
 //! optional fault supervisor and enclave-lifecycle actor, and its own
 //! [`SimCounters`] — so a crashing, Byzantine or overloaded tenant can
 //! corrupt nothing beyond its own shard. One extra actor, the
-//! [`FleetAllocatorActor`], is the virtual-time host of the
-//! [`FleetController`] the real `zc_switchless::Fleet` runs: it
-//! periodically reads every shard's counters and measured demand curve,
-//! lets the controller judge, decide and hand out the cap changes, and
-//! supplies the quiesce wait of the quiesce-and-migrate protocol as a
-//! one-quantum sleep — donors shrink one quantum before receivers grow,
-//! so the sum of running workers never exceeds the budget mid-migration.
+//! [`FleetAllocatorActor`], is the one host of the [`FleetController`]:
+//! it periodically reads every shard's counters and measured demand
+//! curve, lets the controller judge, decide and hand out the cap
+//! changes, and supplies the quiesce wait of the quiesce-and-migrate
+//! protocol as a one-quantum sleep — donors shrink one quantum before
+//! receivers grow, so the sum of running workers never exceeds the
+//! budget mid-migration.
 
 use crate::kernel::{Actor, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
 use crate::metrics::SimCounters;
@@ -28,15 +28,13 @@ use switchless_core::fleet::{
     ShardTotals, TenantUsage, TenantVerdict,
 };
 
-/// One tenant of a simulated fleet: its workloads, fairness weight and
-/// (optionally) a shard-scoped fault schedule. Every shard runs the
-/// default [`ZcSimParams`].
+/// One tenant of a simulated fleet: its workloads and (optionally) a
+/// shard-scoped fault schedule. Every shard runs the default
+/// [`ZcSimParams`] and weighs the same in the global allocator.
 #[derive(Debug, Clone)]
 pub struct TenantSimSpec {
     /// Human-readable tenant label (reports).
     pub name: String,
-    /// Fairness weight for the global allocator (≥1).
-    pub weight: u64,
     /// One workload per caller thread of this tenant.
     pub workloads: Vec<WorkloadSpec>,
     /// Deterministic fault schedule scoped to this shard, if any.
@@ -44,22 +42,14 @@ pub struct TenantSimSpec {
 }
 
 impl TenantSimSpec {
-    /// Tenant with weight 1 and no faults.
+    /// Tenant with no faults.
     #[must_use]
     pub fn new(name: impl Into<String>, workloads: Vec<WorkloadSpec>) -> Self {
         TenantSimSpec {
             name: name.into(),
-            weight: 1,
             workloads,
             faults: None,
         }
-    }
-
-    /// Set the fairness weight (clamped to ≥1).
-    #[must_use]
-    pub fn with_weight(mut self, weight: u64) -> Self {
-        self.weight = weight.max(1);
-        self
     }
 
     /// Attach a deterministic fault schedule to this shard.
@@ -196,8 +186,8 @@ impl FleetReport {
 }
 
 /// One shard's counters and demand curve as the fleet controller reads
-/// them. The model wires no overload plane, and a dead slot is charged
-/// once, when it fails, not for every interval it stays dead.
+/// them. A dead slot is charged once, when it fails, not for every
+/// interval it stays dead.
 fn shard_evidence(world: &RefCell<ZcWorld>, counters: &RefCell<SimCounters>) -> ShardEvidence {
     let w = world.borrow();
     let c = counters.borrow();
@@ -211,7 +201,6 @@ fn shard_evidence(world: &RefCell<ZcWorld>, counters: &RefCell<SimCounters>) -> 
         },
         last_decision: w.last_decision.clone(),
         cap: w.worker_cap,
-        ..ShardEvidence::default()
     }
 }
 
@@ -294,8 +283,8 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     let zc = ZcSimParams::default();
     let policy = zc.policy_params(&spec.cpu);
     let quantum_cycles = policy.quantum_cycles;
-    let weights: Vec<u64> = spec.tenants.iter().map(|t| t.weight).collect();
-    let controller = FleetController::new(FleetParams::new(policy, spec.budget), &weights);
+    let controller =
+        FleetController::new(FleetParams::new(policy, spec.budget), spec.tenants.len());
 
     // Each shard starts under the controller's seed cap (which also
     // bounds its initial worker count); the first rebalance replaces it

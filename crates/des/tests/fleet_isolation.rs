@@ -185,8 +185,8 @@ fn assert_isolated(solo: &FleetReport, noisy: &FleetReport) {
     assert!(solo.decisions >= 8, "solo: {} decisions", solo.decisions);
     assert!(noisy.decisions >= 8, "noisy: {} decisions", noisy.decisions);
     let verdicts: Vec<_> = noisy.tenants.iter().map(|t| t.worst_verdict).collect();
-    assert!(verdicts[0] <= TenantVerdict::Degraded, "{verdicts:?}");
-    assert!(verdicts[1] <= TenantVerdict::Degraded, "{verdicts:?}");
+    assert_eq!(verdicts[0], TenantVerdict::Healthy, "{verdicts:?}");
+    assert_eq!(verdicts[1], TenantVerdict::Healthy, "{verdicts:?}");
     assert_eq!(verdicts[2], TenantVerdict::Suspect, "{verdicts:?}");
     assert_eq!(verdicts[3], TenantVerdict::Faulty, "{verdicts:?}");
 }

@@ -31,7 +31,7 @@
 //!   neighbours: a starved shard would otherwise pay `T_es` on *every*
 //!   call forever.
 //! * **Verdict caps** — a [`TenantVerdict`] lattice folds each shard's
-//!   supervision/guard/overload/recovery signals into one ordered
+//!   supervision/guard/recovery signals into one ordered
 //!   judgement; misbehaving tenants are capped (fair share when
 //!   [`TenantVerdict::Suspect`], the floor when
 //!   [`TenantVerdict::Faulty`]) so their demand cannot pull budget away
@@ -100,9 +100,6 @@ pub enum TenantVerdict {
     /// No adverse signals; full access to the shared budget.
     #[default]
     Healthy,
-    /// Overloaded but honest (breaker open / brownout active): its own
-    /// admission gate is already shedding; allocation is not capped.
-    Degraded,
     /// Crash-looping (workers or whole enclave): capped at its weighted
     /// fair share so respawn churn cannot annex surplus budget.
     Suspect,
@@ -114,9 +111,8 @@ pub enum TenantVerdict {
 
 impl TenantVerdict {
     /// All verdicts in lattice order.
-    pub const ALL: [TenantVerdict; 4] = [
+    pub const ALL: [TenantVerdict; 3] = [
         TenantVerdict::Healthy,
-        TenantVerdict::Degraded,
         TenantVerdict::Suspect,
         TenantVerdict::Faulty,
     ];
@@ -126,21 +122,10 @@ impl TenantVerdict {
     pub fn join(self, other: TenantVerdict) -> TenantVerdict {
         self.max(other)
     }
-
-    /// Stable lowercase name used by exporters and reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TenantVerdict::Healthy => "healthy",
-            TenantVerdict::Degraded => "degraded",
-            TenantVerdict::Suspect => "suspect",
-            TenantVerdict::Faulty => "faulty",
-        }
-    }
 }
 
 /// Per-interval robustness signals from one tenant's shard, gathered
-/// from its supervisor, guards, overload gate and recovery plane.
+/// from its supervisor, guards and recovery plane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenantSignals {
     /// Trusted-side guard violations (Byzantine evidence).
@@ -149,10 +134,6 @@ pub struct TenantSignals {
     pub worker_crashes: u64,
     /// Whole-enclave losses handled by the recovery plane.
     pub enclave_crashes: u64,
-    /// The shard's fallback-storm circuit breaker is open.
-    pub breaker_open: bool,
-    /// The shard's brownout ladder is above level 0.
-    pub brownout_level: u8,
 }
 
 impl TenantSignals {
@@ -160,9 +141,6 @@ impl TenantSignals {
     #[must_use]
     pub fn verdict(&self) -> TenantVerdict {
         let mut v = TenantVerdict::Healthy;
-        if self.breaker_open || self.brownout_level > 0 {
-            v = v.join(TenantVerdict::Degraded);
-        }
         if self.enclave_crashes > 0 || self.worker_crashes >= CRASH_SUSPECT_THRESHOLD {
             v = v.join(TenantVerdict::Suspect);
         }
@@ -204,16 +182,15 @@ impl TenantDemand {
         }
     }
 
-    /// Demand measured by a shard's own scheduler: the fallbacks its
-    /// latest configuration phase observed at each worker count during
-    /// one micro-quantum, scaled up to the full quantum so the fleet
-    /// objective weighs them against `T = quantum_cycles`. Before the
-    /// first decision there is no probe data, and the interval's
-    /// fallback count stands in as a flat curve — one that demands
-    /// nothing beyond the fairness floor.
+    /// Weight-1 demand measured by a shard's own scheduler: the
+    /// fallbacks its latest configuration phase observed at each worker
+    /// count during one micro-quantum, scaled up to the full quantum so
+    /// the fleet objective weighs them against `T = quantum_cycles`.
+    /// Before the first decision there is no probe data, and the
+    /// interval's fallback count stands in as a flat curve — one that
+    /// demands nothing beyond the fairness floor.
     #[must_use]
     pub fn from_probes(
-        weight: u64,
         offered: u64,
         policy: &PolicyParams,
         last_decision: Option<&DecisionRecord>,
@@ -232,7 +209,7 @@ impl TenantDemand {
             }
             None => vec![interval_fallbacks],
         };
-        TenantDemand::new(weight, offered, probes)
+        TenantDemand::new(1, offered, probes)
     }
 
     /// Builder-style verdict override.
@@ -288,7 +265,7 @@ pub fn verdict_cap(demand: &TenantDemand, weight_sum: u64, params: &FleetParams)
         TenantVerdict::Suspect => fair_share(params.budget, demand.weight, weight_sum)
             .max(floor)
             .min(shard_max),
-        TenantVerdict::Healthy | TenantVerdict::Degraded => shard_max,
+        TenantVerdict::Healthy => shard_max,
     }
 }
 
@@ -485,17 +462,10 @@ pub struct ShardTotals {
 }
 
 /// What the [`FleetController`] reads off one shard at a rebalance.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardEvidence {
     /// The shard's cumulative counters as of now.
     pub totals: ShardTotals,
-    /// Worker slots quarantined right now: charged as worker crashes in
-    /// every interval they stay that way.
-    pub quarantined_workers: u64,
-    /// The shard's fallback-storm breaker is open.
-    pub breaker_open: bool,
-    /// The shard's brownout level.
-    pub brownout_level: u8,
     /// The shard scheduler's latest decision: its measured demand curve.
     pub last_decision: Option<DecisionRecord>,
     /// The worker cap the shard currently runs under.
@@ -511,8 +481,6 @@ pub struct CapChange {
     pub from: usize,
     /// Cap to apply.
     pub to: usize,
-    /// Verdict the shard was judged under.
-    pub verdict: TenantVerdict,
 }
 
 /// The caps that grow in a rebalance. The value only exists once every
@@ -537,28 +505,26 @@ impl PendingRaises {
     }
 }
 
-/// The fleet's control loop, written once for the real
-/// `zc_switchless::Fleet` and the DES allocator actor: seed caps,
-/// per-shard interval baselines, evidence → [`TenantSignals`] →
+/// The fleet's control loop, hosted by the DES allocator actor: seed
+/// caps, per-shard interval baselines, evidence → [`TenantSignals`] →
 /// [`TenantDemand`] → [`FleetAllocator::decide`], and the cap changes in
-/// quiesce-and-migrate order. A host only reads its shards' counters,
-/// applies caps and waits in its own notion of time.
+/// quiesce-and-migrate order. Every shard has weight 1. A host only
+/// reads its shards' counters, applies caps and waits in its own notion
+/// of time.
 #[derive(Debug, Clone)]
 pub struct FleetController {
     allocator: FleetAllocator,
-    weights: Vec<u64>,
     /// Each shard's totals at the previous decision.
     seen: Vec<ShardTotals>,
 }
 
 impl FleetController {
-    /// Controller for one shard per entry of `weights` (floored at 1).
+    /// Controller for `shards` equally weighted shards.
     #[must_use]
-    pub fn new(params: FleetParams, weights: &[u64]) -> Self {
+    pub fn new(params: FleetParams, shards: usize) -> Self {
         FleetController {
-            allocator: FleetAllocator::new(params, weights.len()),
-            weights: weights.iter().map(|w| (*w).max(1)).collect(),
-            seen: vec![ShardTotals::default(); weights.len()],
+            allocator: FleetAllocator::new(params, shards),
+            seen: vec![ShardTotals::default(); shards],
         }
     }
 
@@ -569,15 +535,12 @@ impl FleetController {
     }
 
     /// Caps to start the shards under, before any demand is known: the
-    /// weighted fair share of the budget, every tenant ≥ 1.
+    /// fair share of the budget, every tenant ≥ 1.
     #[must_use]
     pub fn seed_caps(&self) -> Vec<usize> {
-        let budget = self.allocator.params().budget;
-        let weight_sum = self.weights.iter().sum();
-        self.weights
-            .iter()
-            .map(|&w| fair_share(budget, w, weight_sum).max(1))
-            .collect()
+        let shards = self.seen.len();
+        let share = fair_share(self.allocator.params().budget, 1, shards as u64).max(1);
+        vec![share; shards]
     }
 
     /// Run one fleet decision over the shards' `evidence` (in shard
@@ -593,19 +556,14 @@ impl FleetController {
         let demands: Vec<TenantDemand> = evidence
             .iter()
             .zip(&mut self.seen)
-            .zip(&self.weights)
-            .map(|((e, seen), &weight)| {
+            .map(|(e, seen)| {
                 let (now, was) = (e.totals, std::mem::replace(seen, e.totals));
                 let signals = TenantSignals {
                     guard_violations: now.guard_violations.saturating_sub(was.guard_violations),
-                    worker_crashes: now.worker_faults.saturating_sub(was.worker_faults)
-                        + e.quarantined_workers,
+                    worker_crashes: now.worker_faults.saturating_sub(was.worker_faults),
                     enclave_crashes: now.enclave_crashes.saturating_sub(was.enclave_crashes),
-                    breaker_open: e.breaker_open,
-                    brownout_level: e.brownout_level,
                 };
                 TenantDemand::from_probes(
-                    weight,
                     now.offered.saturating_sub(was.offered),
                     &params.policy,
                     e.last_decision.as_ref(),
@@ -622,7 +580,6 @@ impl FleetController {
                 shard,
                 from: e.cap,
                 to: decision.assigned[shard].max(1),
-                verdict: decision.verdicts[shard],
             })
             .filter(|c| c.to != c.from)
             .partition(|c| c.to < c.from);
@@ -768,7 +725,7 @@ mod tests {
     #[test]
     fn verdict_lattice_is_ordered_join() {
         use TenantVerdict::*;
-        assert!(Healthy < Degraded && Degraded < Suspect && Suspect < Faulty);
+        assert!(Healthy < Suspect && Suspect < Faulty);
         for a in TenantVerdict::ALL {
             for b in TenantVerdict::ALL {
                 assert_eq!(a.join(b), b.join(a), "commutative");
@@ -782,8 +739,6 @@ mod tests {
     fn signals_fold_to_worst_evidence() {
         let mut s = TenantSignals::default();
         assert_eq!(s.verdict(), TenantVerdict::Healthy);
-        s.brownout_level = 2;
-        assert_eq!(s.verdict(), TenantVerdict::Degraded);
         s.enclave_crashes = 1;
         assert_eq!(s.verdict(), TenantVerdict::Suspect);
         s.guard_violations = 1;

@@ -3,8 +3,9 @@
 //! no tenant with nonzero offered load is ever allocated below its
 //! floor (budget permitting), the budget is never exceeded, and
 //! decisions are a deterministic function of the inputs — through the
-//! pure allocator and through the [`FleetController`] both fleet hosts
-//! run, which must also hand out every lower before any raise.
+//! pure allocator and through the [`FleetController`] the DES fleet
+//! host runs (every shard at weight 1), which must also hand out every
+//! lower before any raise.
 
 use proptest::prelude::*;
 use switchless_core::cpu::CpuSpec;
@@ -28,7 +29,7 @@ fn arb_fleet() -> impl Strategy<Value = Vec<RawTenant>> {
             1u64..1_000,
             0u64..1_000_000,
             prop::collection::vec(0u64..1_000_000, 0..8),
-            0u8..4,
+            0u8..3,
         ),
         1..8,
     )
@@ -71,10 +72,8 @@ fn evidence_from(raw: &[RawTenant]) -> Vec<ShardEvidence> {
                     enclave_crashes: u64::from(verdict == TenantVerdict::Suspect),
                     ..ShardTotals::default()
                 },
-                breaker_open: verdict == TenantVerdict::Degraded,
                 last_decision: Some(measured(probes)),
                 cap: 1,
-                ..ShardEvidence::default()
             }
         })
         .collect()
@@ -86,8 +85,7 @@ fn controller_decide(
     raw: &[RawTenant],
     budget: usize,
 ) -> (FleetDecision, Vec<CapChange>, Vec<CapChange>) {
-    let weights: Vec<u64> = raw.iter().map(|r| r.0).collect();
-    let mut controller = FleetController::new(fleet_params(budget), &weights);
+    let mut controller = FleetController::new(fleet_params(budget), raw.len());
     let (mut lowers, mut raises) = (Vec::new(), Vec::new());
     let (decision, pending) = controller.decide(&evidence_from(raw), |c| lowers.push(c));
     pending.raise(|c| raises.push(c));
@@ -102,9 +100,9 @@ fn controller_decide(
 fn controller_hands_out_every_lower_before_any_raise() {
     let hungry = measured(&[500, 300, 150, 50, 0]);
     let sated = measured(&[0; 5]);
-    let mut controller = FleetController::new(fleet_params(8), &[1, 1, 2]);
+    let mut controller = FleetController::new(fleet_params(8), 3);
     let mut caps = controller.seed_caps();
-    assert_eq!(caps, [2, 2, 4]);
+    assert_eq!(caps, [2, 2, 2]);
     let shard = |offered, guard_violations, curve: &DecisionRecord, cap| ShardEvidence {
         totals: ShardTotals {
             offered,
@@ -113,7 +111,6 @@ fn controller_hands_out_every_lower_before_any_raise() {
         },
         last_decision: Some(curve.clone()),
         cap,
-        ..ShardEvidence::default()
     };
     // (verdict of shard 2, shards lowered, shards raised) per decision:
     // first the Byzantine shard 2 and the sated shard 1 give way to the

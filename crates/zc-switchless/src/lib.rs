@@ -16,10 +16,7 @@
 //! * hands requests over through per-worker shared buffers with the
 //!   `UNUSED → RESERVED → PROCESSING → WAITING → UNUSED` state machine
 //!   ([`buffer`]) and untrusted request pools that wrap for free and
-//!   grow, via one real ocall, only for a larger payload ([`pool`]);
-//! * scales out to **multi-tenant fleets** ([`fleet`]): M runtimes as
-//!   bulkhead fault domains under one global worker budget, rebalanced
-//!   by the fleet-wide argmin with quiesce-and-migrate worker moves.
+//!   grow, via one real ocall, only for a larger payload ([`pool`]).
 //!
 //! # Quickstart
 //!
@@ -47,7 +44,6 @@
 
 pub mod buffer;
 pub mod caller;
-pub mod fleet;
 pub mod pool;
 pub mod runtime;
 pub mod scheduler;
@@ -55,7 +51,6 @@ pub mod supervise;
 pub mod worker;
 
 pub use buffer::{SchedCommand, WorkerBuffer};
-pub use fleet::{Fleet, TenantSpec};
 pub use pool::RequestPool;
 pub use runtime::ZcRuntime;
 pub use switchless_core::ZcConfig;

@@ -39,23 +39,17 @@ pub(crate) struct Shared {
     pub(crate) door: FrontDoor,
     pub(crate) workers: Vec<WorkerSlot>,
     pub(crate) active_workers: AtomicUsize,
-    /// Externally imposed ceiling on the scheduler's worker count
-    /// (fleet bulkhead): the scheduler clamps every step to this cap, so
-    /// a fleet allocator can shrink or grow a shard's share of the
-    /// global budget without touching the shard's own argmin policy.
-    /// Takes effect at the next scheduler step (≤ one quantum).
-    pub(crate) worker_cap: AtomicUsize,
     pub(crate) decisions: AtomicU64,
-    /// Latest completed configuration-phase decision, kept so an
-    /// external allocator can read the per-worker-count fallback probes
-    /// (`F_i`) this shard measured, without requiring telemetry.
-    pub(crate) last_decision: Mutex<Option<switchless_core::policy::DecisionRecord>>,
-    pub(crate) rotor: AtomicUsize,
+    /// Round-robin start of the idle-worker search. Like `seq`, stored
+    /// by every call, so both sit on lines of their own: on a line with
+    /// `table`, which a worker reads on every request, each call would
+    /// pay one more cross-core line transfer.
+    pub(crate) rotor: CachePadded<AtomicUsize>,
     /// Reply-guard tag source of a runtime with neither hub nor recovery
     /// plane (with either, the front door's call id is the tag): every
     /// switchless attempt carries a fresh tag so the guard can reject
     /// stale/replayed replies.
-    pub(crate) seq: AtomicU64,
+    pub(crate) seq: CachePadded<AtomicU64>,
     pub(crate) residency: Mutex<WorkerResidency>,
     /// Self-healing policy state; `Some` iff `config.supervise` is set.
     pub(crate) supervisor: Option<Mutex<Supervisor>>,
@@ -71,12 +65,34 @@ pub(crate) struct Shared {
     pub(crate) transition_log: Mutex<Option<Arc<TransitionLog>>>,
 }
 
+/// A value alone on its 128-byte block (two adjacent cache lines, which
+/// x86 prefetches as a pair).
+#[derive(Debug)]
+#[repr(align(128))]
+pub(crate) struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 impl Shared {
     /// Current buffer of worker slot `i` (respawns swap it): one load,
     /// no lock and no reference count.
     #[inline]
     pub(crate) fn worker(&self, i: usize) -> &WorkerBuffer {
         self.workers[i].get()
+    }
+
+    /// Worker slots whose current buffer is quarantined (poisoned).
+    fn poisoned_workers(&self) -> usize {
+        self.workers
+            .iter()
+            .filter(|w| w.get().is_poisoned())
+            .count()
     }
 
     /// Next reply-guard tag for a call the front door left untagged
@@ -257,11 +273,9 @@ impl ZcRuntime {
             workers,
             table,
             active_workers: AtomicUsize::new(config.initial_workers.min(max)),
-            worker_cap: AtomicUsize::new(max),
             decisions: AtomicU64::new(0),
-            last_decision: Mutex::new(None),
-            rotor: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
+            rotor: CachePadded(AtomicUsize::new(0)),
+            seq: CachePadded(AtomicU64::new(0)),
             residency: Mutex::new(WorkerResidency::new(max)),
             supervisor: config
                 .supervise
@@ -286,7 +300,6 @@ impl ZcRuntime {
                 };
                 let s = sh.door.stats.snapshot();
                 let mean_milli = (sh.residency.lock().mean_workers() * 1000.0) as u64;
-                let poisoned = sh.workers.iter().filter(|w| w.get().is_poisoned()).count();
                 let counter = |name: &str, v| (name.to_string(), MetricValue::Counter(v));
                 let gauge = |name: &str, v| (name.to_string(), MetricValue::Gauge(v));
                 let mut out = vec![
@@ -303,7 +316,7 @@ impl ZcRuntime {
                         "zc_active_workers",
                         sh.active_workers.load(Ordering::Acquire) as u64,
                     ),
-                    gauge("zc_poisoned_workers", poisoned as u64),
+                    gauge("zc_poisoned_workers", sh.poisoned_workers() as u64),
                     gauge("zc_residency_mean_workers_milli", mean_milli),
                     counter("zc_calls_issued_total", s.issued),
                     counter("zc_watchdog_cancels_total", s.cancelled),
@@ -387,33 +400,6 @@ impl ZcRuntime {
         self.shared.decisions.load(Ordering::Acquire)
     }
 
-    /// Latest completed configuration-phase decision, with its
-    /// per-worker-count fallback probes (`F_i`) and costs. `None` until
-    /// the first configuration phase completes. A fleet allocator reads
-    /// this to weigh the shard's marginal benefit of extra workers.
-    #[must_use]
-    pub fn last_decision(&self) -> Option<switchless_core::policy::DecisionRecord> {
-        self.shared.last_decision.lock().clone()
-    }
-
-    /// Impose a ceiling on the scheduler's worker count (fleet
-    /// bulkhead). The cap is clamped to `1..=max_workers` and applied by
-    /// the scheduler at its next step (≤ one quantum later); the
-    /// shard-local argmin keeps running underneath and is free to pick
-    /// fewer workers than the cap.
-    pub fn set_worker_cap(&self, cap: usize) {
-        let max = self.shared.config.max_workers();
-        self.shared
-            .worker_cap
-            .store(cap.clamp(1, max), Ordering::Release);
-    }
-
-    /// The current externally imposed worker-count ceiling.
-    #[must_use]
-    pub fn worker_cap(&self) -> usize {
-        self.shared.worker_cap.load(Ordering::Acquire)
-    }
-
     /// Snapshot of the worker-count residency histogram (paper §V-B).
     #[must_use]
     pub fn residency(&self) -> WorkerResidency {
@@ -437,11 +423,7 @@ impl ZcRuntime {
     /// been respawned onto fresh buffers.
     #[must_use]
     pub fn poisoned_workers(&self) -> usize {
-        self.shared
-            .workers
-            .iter()
-            .filter(|w| w.get().is_poisoned())
-            .count()
+        self.shared.poisoned_workers()
     }
 
     /// Snapshot of the supervisor's policy state (health ledger,

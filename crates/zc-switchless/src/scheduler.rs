@@ -17,9 +17,9 @@ use zc_telemetry::SchedulerDriver;
 const SLEEP_CHUNK: Duration = Duration::from_millis(5);
 
 /// Body of the scheduler thread: the host side of
-/// [`SchedulerDriver::step`] — read the clock, the fallback counter and
-/// the fleet cap, apply the step, sleep it out, publish. `started` is
-/// signalled once the first step has been applied.
+/// [`SchedulerDriver::step`] — read the clock and the fallback counter,
+/// apply the step, sleep it out, publish. `started` is signalled once
+/// the first step has been applied.
 pub(crate) fn scheduler_loop(shared: &Shared, started: Sender<()>) {
     let mut started = Some(started);
     let mut driver = SchedulerDriver::new(
@@ -28,19 +28,17 @@ pub(crate) fn scheduler_loop(shared: &Shared, started: Sender<()>) {
         shared.door.telemetry.clone(),
     );
     let spec = *shared.door.clock.spec();
+    let max_workers = shared.config.max_workers();
 
     while shared.door.is_running() {
         let step = driver.step(
             shared.door.clock.now_cycles(),
             shared.door.stats.fallbacks(),
-            shared.worker_cap.load(Ordering::Acquire),
+            max_workers,
         );
         let m = step.workers;
         set_active_workers(shared, m);
         shared.active_workers.store(m, Ordering::Release);
-        if let Some(decision) = step.new_decision {
-            *shared.last_decision.lock() = Some(decision);
-        }
         shared.decisions.store(step.decisions, Ordering::Release);
         if let Some(started) = started.take() {
             // `start_inner` is blocked on the other end.

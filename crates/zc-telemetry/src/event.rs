@@ -265,19 +265,6 @@ pub enum Event {
         /// Sequence tag of the refused call.
         seq: u64,
     },
-    /// The fleet allocator re-divided the global worker budget and this
-    /// tenant shard's cap moved (quiesce-and-migrate: donors shrink
-    /// before receivers grow). One event per tenant whose cap changed.
-    FleetRebalance {
-        /// Tenant the new cap applies to.
-        tenant: String,
-        /// Allocator verdict for the interval (`healthy` … `faulty`).
-        verdict: &'static str,
-        /// Worker cap before the decision.
-        cap_before: u32,
-        /// Worker cap after the decision.
-        cap_after: u32,
-    },
     /// Free-form marker (phase labels in examples/benches).
     Marker {
         /// Static label.
@@ -311,7 +298,6 @@ impl Event {
             Event::JournalReplay { .. } => "journal_replay",
             Event::CallRedelivered { .. } => "call_redelivered",
             Event::CallRefused { .. } => "call_refused",
-            Event::FleetRebalance { .. } => "fleet_rebalance",
             Event::Marker { .. } => "marker",
         }
     }

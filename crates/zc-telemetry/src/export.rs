@@ -167,15 +167,6 @@ fn event_fields(event: &Event) -> String {
         Event::JournalReplay { seq } => format!(",\"seq\":{seq}"),
         Event::CallRedelivered { seq } => format!(",\"seq\":{seq}"),
         Event::CallRefused { seq } => format!(",\"seq\":{seq}"),
-        Event::FleetRebalance {
-            tenant,
-            verdict,
-            cap_before,
-            cap_after,
-        } => format!(
-            ",\"tenant\":\"{}\",\"verdict\":\"{verdict}\",\"cap_before\":{cap_before},\"cap_after\":{cap_after}",
-            json_escape(tenant)
-        ),
         Event::Marker { label } => format!(",\"label\":\"{}\"", json_escape(label)),
     }
 }
@@ -526,18 +517,6 @@ pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
                     "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"call_refused\",\"args\":{{\"seq\":{seq}}}}}"
                 ));
             }
-            Event::FleetRebalance {
-                tenant,
-                verdict,
-                cap_before,
-                cap_after,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"fleet_rebalance\",\
-                     \"args\":{{\"tenant\":\"{}\",\"verdict\":\"{verdict}\",\"cap_before\":{cap_before},\"cap_after\":{cap_after}}}}}",
-                    json_escape(tenant)
-                ));
-            }
             Event::Marker { label } => {
                 lines.push(format!(
                     "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"{}\"}}",
@@ -697,28 +676,6 @@ mod tests {
             1_000_000_000
         )
         .contains("\"name\":\"fault:enclave_stall\""));
-    }
-
-    #[test]
-    fn fleet_rebalance_carries_tenant_label_in_both_exporters() {
-        let evs = vec![RecordedEvent {
-            t_cycles: 50,
-            origin: Origin::Scheduler,
-            event: Event::FleetRebalance {
-                tenant: "tenant-b".to_string(),
-                verdict: "suspect",
-                cap_before: 4,
-                cap_after: 2,
-            },
-        }];
-        let jsonl = events_to_jsonl(&evs);
-        assert!(jsonl.contains("\"kind\":\"fleet_rebalance\""));
-        assert!(jsonl.contains(
-            "\"tenant\":\"tenant-b\",\"verdict\":\"suspect\",\"cap_before\":4,\"cap_after\":2"
-        ));
-        let trace = to_chrome_trace(&evs, 1_000_000_000);
-        assert!(trace.contains("\"name\":\"fleet_rebalance\""));
-        assert!(trace.contains("\"tenant\":\"tenant-b\""));
     }
 
     #[test]

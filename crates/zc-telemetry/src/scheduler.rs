@@ -1,8 +1,10 @@
 //! One scheduler step, written once for the real scheduler thread and
-//! the DES scheduler actor. The two differ only in where `now` and the
-//! fallback total come from, how the worker cap is stored and how they
-//! wait out the step; everything between — fallback delta → policy →
-//! cap clamp → trace → decision report — is [`SchedulerDriver::step`].
+//! the DES scheduler actor. The two differ only in where `now`, the
+//! fallback total and the worker cap come from (the real scheduler's
+//! cap is its constant ceiling, a DES fleet shard's the allocator's
+//! cap) and how they wait out the step; everything between — fallback
+//! delta → policy → cap clamp → trace → decision report — is
+//! [`SchedulerDriver::step`].
 
 use crate::{Event, Origin, PhaseKind, Telemetry};
 use std::sync::Arc;
@@ -14,8 +16,8 @@ use switchless_core::policy::{
 #[derive(Debug)]
 pub struct SchedulerStep {
     /// Workers to run the step with: the policy's count, bounded by the
-    /// externally imposed cap (the fleet bulkhead — the shard-local
-    /// argmin keeps running underneath and may pick fewer).
+    /// host's cap (in a DES fleet the bulkhead — the shard-local argmin
+    /// keeps running underneath and may pick fewer).
     pub workers: usize,
     /// How long the step lasts.
     pub duration_cycles: u64,

@@ -2,22 +2,21 @@
 //! two transports. These tests hold the two runtimes to it: the same
 //! admission/stop contract on both, and — under one seeded fault plan
 //! on the virtual clock — the same recovery and conservation ledgers
-//! and the same caller-side trace; and the fleet to the ledger row the
-//! front door assembles.
+//! and the same caller-side trace; and a watchdog-cancelled call to the
+//! ledger row the front door assembles.
 
 use intel_switchless::IntelSwitchless;
 use sgx_sim::Enclave;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use switchless_core::policy::PolicyParams;
 use switchless_core::{
     BrownoutParams, CallStatsSnapshot, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule,
-    FleetParams, FuncId, IntelConfig, OcallDispatcher, OcallRequest, OcallTable, OverloadParams,
+    FleetSnapshot, FuncId, IntelConfig, OcallDispatcher, OcallRequest, OcallTable, OverloadParams,
     OverloadSnapshot, Priority, RecoverySnapshot, ShedReason, SuperviseParams, SwitchlessError,
     TenantUsage, ZcConfig, MAX_OCALL_ARGS,
 };
-use zc_switchless::{Fleet, TenantSpec, ZcRuntime};
+use zc_switchless::ZcRuntime;
 use zc_telemetry::{Origin, Telemetry};
 
 /// Wall-clock backstop for loops that wait on a scheduled fault.
@@ -281,8 +280,8 @@ fn default_overload_params_never_rate_limit_a_closed_loop_caller() {
 }
 
 /// A watchdog-cancelled call is re-routed and returns its result to the
-/// caller: the fleet ledger (one `FrontDoor::usage` row per shard) books
-/// it as completed — as the DES does — not as "abandoned un-issued".
+/// caller: the runtime's `FrontDoor::usage` row books it as completed —
+/// as the DES does — not as "abandoned un-issued".
 #[test]
 fn watchdog_cancelled_calls_are_booked_as_completed() {
     const WATCHDOG: u64 = 1_000_000;
@@ -296,11 +295,8 @@ fn watchdog_cancelled_calls_are_booked_as_completed() {
     let stalls = FaultPlan::new()
         .inject(Fault::WorkerStall, FaultSchedule::every(1))
         .cycles(Fault::WorkerStall, 10 * WATCHDOG);
-    let tenant =
-        TenantSpec::new("stalled", config, t).with_faults(Arc::new(FaultInjector::new(stalls)));
-    let params = FleetParams::new(PolicyParams::from_cpu(&cpu), 4);
-    let fleet = Fleet::start(params, vec![tenant]).unwrap();
-    let rt = fleet.runtime(0);
+    let faults = Arc::new(FaultInjector::new(stalls));
+    let rt = ZcRuntime::start_with_faults(config, t, Enclave::new_virtual(cpu), faults).unwrap();
     let backstop = Instant::now() + BACKSTOP;
     let mut out = Vec::new();
     while rt.stats().snapshot().cancelled == 0 {
@@ -310,12 +306,13 @@ fn watchdog_cancelled_calls_are_booked_as_completed() {
             .expect("a cancelled call still completes");
         assert_eq!(ret, 2);
     }
-    fleet.shutdown();
-    let snap = fleet.fleet_snapshot();
-    let row = snap.tenants[0];
+    rt.shutdown();
+    let row = rt.usage();
     assert_eq!(row.completed, row.offered, "{row:?}");
     assert_eq!(row.abandoned, 0);
-    snap.check().expect("per-tenant conservation");
+    FleetSnapshot::from_tenants(vec![row])
+        .check()
+        .expect("per-tenant conservation");
 }
 
 /// The seeded plan of the parity run. Over eight calls: the enclave

@@ -4,9 +4,10 @@
 //! first `#[cfg(test)]`, anything under `benchmark/`) is either called,
 //! narrowed, deleted — or listed here with the reason it stays. Same
 //! for a whole file none of whose top-level `pub` items is mentioned
-//! (comments aside) outside it: entry `*`. One-directional on purpose:
-//! a generic name (`new`) is never flagged, so the rule has no false
-//! failures. Reads `benchmark/`, writes nothing.
+//! (comments and `pub use` re-exports aside) outside it: entry `*`.
+//! One-directional on purpose: a generic name (`new`) is never flagged,
+//! so the rule has no false failures. Reads `benchmark/`, writes
+//! nothing.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fs;
@@ -46,8 +47,9 @@ crates/zc-switchless/src/runtime.rs: start_ecalls
 crates/workloads/src/lmbench.rs: *
 ";
 
-/// Every readable file under `dir` as `(path, text)`; a `product` file's
-/// text ends at its first `#[cfg(test)]`.
+/// Every readable file under `dir` as `(path, text)`, its `pub use …;`
+/// re-exports cut out (naming an item is not using it); a `product`
+/// file's text ends at its first `#[cfg(test)]`.
 fn read(dir: &Path, product: bool, out: &mut Vec<(String, String)>) {
     for path in fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
         if path.is_dir() {
@@ -57,6 +59,12 @@ fn read(dir: &Path, product: bool, out: &mut Vec<(String, String)>) {
         } else if let Ok(mut text) = fs::read_to_string(&path) {
             let cut = text.find("#[cfg(test)]").filter(|_| product);
             text.truncate(cut.unwrap_or(text.len()));
+            while let Some(start) = text.find("pub use ") {
+                let end = text[start..]
+                    .find(';')
+                    .map_or(text.len(), |e| start + e + 1);
+                text.replace_range(start..end, "");
+            }
             let file = path.strip_prefix(env!("CARGO_MANIFEST_DIR")).unwrap();
             out.push((file.to_str().unwrap().to_string(), text));
         }
