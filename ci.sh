@@ -51,12 +51,18 @@ if [[ $quick -eq 0 ]]; then
     # untouched) and require every CSV byte-identical — in both
     # directions: a tracked CSV that no generator writes any more would
     # otherwise never be compared again. The two memcpy figures are
-    # wall-clock measurements of this host and are skipped.
+    # wall-clock measurements of this host and are skipped. Tier-1
+    # `tests/figure_digests.rs` pins the same figures in quick mode (one
+    # FNV-1a digest per CSV); this full-mode comparison stays because
+    # only it runs the paper-scale parameters. The run's wall time is
+    # printed so the cost of the figures is on record with every run.
     echo "==> all_figures vs committed results/*.csv (cross-commit DES pin)"
     cargo build --release -q -p zc-bench --bin all_figures
     root=$PWD
     figdir=$(mktemp -d)
+    started=$SECONDS
     (cd "$figdir" && "$root/target/release/all_figures" > all_figures.txt)
+    echo "all_figures (full mode) took $((SECONDS - started)) s"
     for csv in "$figdir"/results/*.csv; do
         name=${csv##*/}
         case $name in fig7_memcpy_vanilla.csv | fig13_memcpy_zc.csv) continue ;; esac

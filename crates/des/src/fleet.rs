@@ -14,7 +14,7 @@
 //! receivers grow, so the sum of running workers never exceeds the
 //! budget mid-migration.
 
-use crate::kernel::{Actor, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
+use crate::kernel::{Actor, StepCx, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
 use crate::metrics::SimCounters;
 use crate::ocall::zc::{ZcSimFaults, ZcWorld};
 use crate::sim::{spawn_zc_shard, FaultRecovery, KernelMode, ZcShardSpec, ZcSimParams};
@@ -222,7 +222,7 @@ struct FleetAllocatorActor {
 }
 
 impl Actor for FleetAllocatorActor {
-    fn step(&mut self, _res: SyscallResult, _now: u64) -> Syscall {
+    fn step(&mut self, _res: SyscallResult, _now: u64, _cx: &mut StepCx) -> Syscall {
         let worlds = &self.worlds;
         let set_cap = |c: CapChange| worlds[c.shard].borrow_mut().worker_cap = c.to;
         if let Some(raises) = self.pending_raises.take() {

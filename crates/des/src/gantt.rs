@@ -88,11 +88,11 @@ pub fn render_kernel(kernel: &Kernel, buckets: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Actor, Kernel, Syscall, SyscallResult};
+    use crate::kernel::{Actor, Kernel, StepCx, Syscall, SyscallResult};
 
     struct Busy(u64);
     impl Actor for Busy {
-        fn step(&mut self, res: SyscallResult, _now: u64) -> Syscall {
+        fn step(&mut self, res: SyscallResult, _now: u64, _cx: &mut StepCx) -> Syscall {
             if res == SyscallResult::Init {
                 Syscall::Compute(self.0)
             } else {

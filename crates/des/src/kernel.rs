@@ -14,12 +14,17 @@
 //!   `pause` iteration. When another thread sets the awaited flag, the
 //!   spinner observes it one pause-latency later. Spin timeouts
 //!   (`rbf`/`rbs`) are measured in pauses.
-//! * Instant syscalls ([`Syscall::SetFlag`], [`Syscall::Unpark`], …)
-//!   execute at the current instant and the actor is immediately stepped
-//!   again; since event processing is serialized, actors may also touch
-//!   shared `RefCell` protocol state inside `step` without data races —
-//!   atomicity is a property of the kernel, mirroring word-sized atomic
-//!   operations on real hardware.
+//! * Instant ops — flag writes and unparks — are issued through the
+//!   [`StepCx`] a step is handed. They apply in issue order at the step's
+//!   instant, before the syscall the step returns, exactly as if each had
+//!   been returned by a step of its own, so one step carries a whole
+//!   protocol turn (ring the doorbell, then spin). A returned instant
+//!   syscall ([`Syscall::SetFlag`], [`Syscall::Unpark`]) goes through the
+//!   same code, and the actor is immediately stepped again. Since event
+//!   processing is serialized, actors may also touch shared `RefCell`
+//!   protocol state inside `step` without data races — atomicity is a
+//!   property of the kernel, mirroring word-sized atomic operations on
+//!   real hardware.
 //!
 //! # Scheduling policies
 //!
@@ -56,8 +61,9 @@
 //! traces.
 //!
 //! In discrete-event terms each thread is a component: its `next_tick`
-//! is the timestamp of its one armed event, and [`Actor::step`] is its
-//! `tick`. [`Kernel::next_tick`]/[`Kernel::tick`] expose the
+//! is the timestamp of its one armed event, [`Actor::step`] is its
+//! `tick`, and the [`StepCx`] it is handed is its write access to the
+//! rest of the machine. [`Kernel::next_tick`]/[`Kernel::tick`] expose the
 //! machine-level form of that interface for external drivers that want
 //! to interleave the simulation with other event sources;
 //! [`Kernel::run_while`] is the loop over them.
@@ -66,12 +72,16 @@
 //! core's quantum, each thread's op completion, spin wake or timeout, or
 //! sleep timer — so it never exceeds `cores + threads` entries.
 //! Re-arming a component replaces its entry and invalidating it (a
-//! preemption, a vacated core, a park, an exit) removes it. Superseded
-//! events used to stay queued until their time came, and popping one
-//! still moved `now`. That showed only on a deadlocked machine, whose
-//! run ended at its last dead event or the deadline (round-robin always
-//! left a dead quantum behind); both policies now stop at the last live
-//! event.
+//! preemption, a vacated core, a park, an exit) removes it. The event
+//! being handled stays queued until its handler returns: a handler that
+//! re-arms its own slot (a compute followed by the next one, a renewed
+//! quantum) moves the entry in place — one sift rather than a pop and a
+//! push — and an entry nobody re-armed or disarmed is retired then.
+//! Superseded events used to stay queued until their time came, and
+//! popping one still moved `now`. That showed only on a deadlocked
+//! machine, whose run ended at its last dead event or the deadline
+//! (round-robin always left a dead quantum behind); both policies now
+//! stop at the last live event.
 
 use std::collections::VecDeque;
 
@@ -150,11 +160,33 @@ pub enum SyscallResult {
     TimedOut,
 }
 
+/// The instant ops one [`Actor::step`] issues before the syscall it
+/// returns: flag writes and unparks. The kernel applies them in issue
+/// order at the step's instant, ahead of that syscall — exactly as if
+/// each had been returned by a step of its own — so one step can carry a
+/// whole protocol turn (ring the doorbell, then spin).
+#[derive(Debug, Default)]
+pub struct StepCx {
+    ops: Vec<Syscall>,
+}
+
+impl StepCx {
+    /// Issue [`Syscall::SetFlag`] for this step.
+    pub fn set_flag(&mut self, flag: FlagId, value: u64) {
+        self.ops.push(Syscall::SetFlag { flag, value });
+    }
+
+    /// Issue [`Syscall::Unpark`] for this step.
+    pub fn unpark(&mut self, tid: Tid) {
+        self.ops.push(Syscall::Unpark(tid));
+    }
+}
+
 /// A simulated thread body.
 pub trait Actor {
     /// Decide the next syscall given the previous result and the current
-    /// virtual time.
-    fn step(&mut self, res: SyscallResult, now: u64) -> Syscall;
+    /// virtual time; instant ops to apply first go through `cx`.
+    fn step(&mut self, res: SyscallResult, now: u64, cx: &mut StepCx) -> Syscall;
 
     /// Label used for per-group accounting (e.g. `"caller"`, `"worker"`).
     fn group(&self) -> &str {
@@ -252,11 +284,13 @@ impl EventQueue {
         }
     }
 
-    /// Remove the earliest event; returns its `(time, slot)`.
-    fn pop(&mut self) -> Option<(u64, usize)> {
-        let (time, _, slot) = *self.heap.first()?;
-        self.disarm(slot);
-        Some((time, slot))
+    /// Remove `slot`'s event if it is still the one armed as `seq`: the
+    /// event just handled, which nobody re-armed or disarmed meanwhile.
+    fn retire(&mut self, slot: usize, seq: u64) {
+        let i = self.pos[slot];
+        if i != UNARMED && self.heap[i].1 == seq {
+            self.disarm(slot);
+        }
     }
 
     /// Move the entry at `i` up or down to its place in heap order. Whole
@@ -331,6 +365,8 @@ pub struct Kernel {
     pause_cycles: u64,
     live_threads: usize,
     steps: u64,
+    /// Instant ops of the step in progress (empty between steps).
+    cx: StepCx,
     trace: Option<Vec<OccupancyEvent>>,
 }
 
@@ -383,6 +419,7 @@ impl Kernel {
             pause_cycles: pause_cycles.max(1),
             live_threads: 0,
             steps: 0,
+            cx: StepCx::default(),
             trace: None,
         }
     }
@@ -509,10 +546,14 @@ impl Kernel {
     /// time, or `None` when no event is pending.
     pub fn tick(&mut self) -> Option<u64> {
         self.dispatch();
-        let (time, slot) = self.events.pop()?;
+        // The event stays queued while it is handled: a handler that
+        // re-arms its own slot moves the entry in place (one sift, not a
+        // pop and a push), and one that does not retires it after.
+        let (time, seq, slot) = *self.events.heap.first()?;
         debug_assert!(time >= self.now);
         self.now = time;
         self.handle(slot);
+        self.events.retire(slot, seq);
         self.dispatch();
         debug_assert!(
             self.events.heap.len() <= self.running.len() + self.threads.len(),
@@ -695,10 +736,20 @@ impl Kernel {
         }
     }
 
-    /// Pull threads from the run queue onto idle cores. Stepping may
-    /// ready further threads (unparks) or free cores (blocks), so loop
-    /// until one side is exhausted.
+    /// Pull threads from the run queue onto idle cores. Called twice per
+    /// event and almost always with an empty run queue, so the check
+    /// stays inline at the call site and the loop does not.
+    #[inline]
     fn dispatch(&mut self) {
+        if !self.runq.is_empty() {
+            self.dispatch_runq();
+        }
+    }
+
+    /// The body of [`Kernel::dispatch`]. Stepping may ready further
+    /// threads (unparks) or free cores (blocks), so loop until one side
+    /// is exhausted.
+    fn dispatch_runq(&mut self) {
         while !self.runq.is_empty() {
             let Some(w) = self.free_cores.iter().position(|&w| w != 0) else {
                 return;
@@ -722,8 +773,9 @@ impl Kernel {
         }
     }
 
-    /// Step the actor of the thread owning `core`, executing instant
-    /// syscalls inline until a time-consuming one is returned.
+    /// Step the actor of the thread owning `core`: apply the instant ops
+    /// each step issues, and re-step at once after a returned instant
+    /// syscall, until a time-consuming one is returned.
     fn step_thread_on_core(&mut self, tid: Tid, core: usize) {
         debug_assert_eq!(self.running[core], Some(tid));
         self.threads[tid.0].state = ThreadState::Running { core };
@@ -732,11 +784,18 @@ impl Kernel {
             let res = self.threads[tid.0].next_result;
             self.threads[tid.0].next_result = SyscallResult::Ok;
             let now = self.now;
-            let sys = self.threads[tid.0].actor.step(res, now);
+            let sys = self.threads[tid.0].actor.step(res, now, &mut self.cx);
+            for i in 0..self.cx.ops.len() {
+                self.instant(self.cx.ops[i]);
+            }
+            self.cx.ops.clear();
             match sys {
                 Syscall::Compute(cycles) => {
-                    self.threads[tid.0].pending = Some(Pending::Compute { remaining: cycles });
-                    self.arm_op(tid);
+                    // `arm_op` for a compute, inline: the common case.
+                    let t = &mut self.threads[tid.0];
+                    t.pending = Some(Pending::Compute { remaining: cycles });
+                    t.segment_start = now;
+                    self.events.arm(self.slot(tid), now + cycles);
                     return;
                 }
                 Syscall::SpinUntil {
@@ -758,12 +817,7 @@ impl Kernel {
                     self.arm_op(tid);
                     return;
                 }
-                Syscall::SetFlag { flag, value } => {
-                    self.set_flag_internal(flag, value);
-                }
-                Syscall::Unpark(target) => {
-                    self.unpark_internal(target);
-                }
+                Syscall::SetFlag { .. } | Syscall::Unpark(_) => self.instant(sys),
                 Syscall::Sleep(cycles) => {
                     self.release_core(tid, core);
                     let now = self.now;
@@ -813,7 +867,16 @@ impl Kernel {
         self.trace_occupancy(core, None);
     }
 
-    fn set_flag_internal(&mut self, flag: FlagId, value: u64) {
+    /// Apply an instant syscall, returned or issued through [`StepCx`].
+    fn instant(&mut self, op: Syscall) {
+        match op {
+            Syscall::SetFlag { flag, value } => self.set_flag(flag, value),
+            Syscall::Unpark(target) => self.unpark(target),
+            other => unreachable!("{other:?} is not an instant syscall"),
+        }
+    }
+
+    fn set_flag(&mut self, flag: FlagId, value: u64) {
         self.flags[flag.0].value = value;
         // Arming events never touches a waiter list, so walk it in place.
         for i in 0..self.flags[flag.0].waiters.len() {
@@ -838,7 +901,7 @@ impl Kernel {
         }
     }
 
-    fn unpark_internal(&mut self, target: Tid) {
+    fn unpark(&mut self, target: Tid) {
         let now = self.now;
         let t = &mut self.threads[target.0];
         match t.state {
@@ -877,7 +940,7 @@ mod tests {
     }
 
     impl Actor for Script {
-        fn step(&mut self, res: SyscallResult, now: u64) -> Syscall {
+        fn step(&mut self, res: SyscallResult, now: u64, _cx: &mut StepCx) -> Syscall {
             self.log.borrow_mut().push((now, res));
             let s = self.steps.get(self.i).copied().unwrap_or(Syscall::Done);
             self.i += 1;
@@ -1205,6 +1268,118 @@ mod tests {
                 .borrow()
                 .iter()
                 .all(|&(_, r)| r != SyscallResult::TimedOut));
+        });
+    }
+
+    /// Plays `(instant ops, syscall)` turns: each step issues its ops
+    /// through the step context, then returns the syscall.
+    struct Turns(std::vec::IntoIter<(Vec<Syscall>, Syscall)>);
+
+    impl Actor for Turns {
+        fn step(&mut self, _res: SyscallResult, _now: u64, cx: &mut StepCx) -> Syscall {
+            let Some((ops, sys)) = self.0.next() else {
+                return Syscall::Done;
+            };
+            for op in ops {
+                match op {
+                    Syscall::SetFlag { flag, value } => cx.set_flag(flag, value),
+                    Syscall::Unpark(tid) => cx.unpark(tid),
+                    other => unreachable!("{other:?} is not an instant op"),
+                }
+            }
+            sys
+        }
+    }
+
+    /// A [`Script`] whose steps also land, tagged with its thread, in
+    /// one log shared by several threads: the log then shows the order
+    /// in which same-instant events were handled.
+    struct Tagged(
+        usize,
+        Box<Script>,
+        Rc<RefCell<Vec<(usize, u64, SyscallResult)>>>,
+    );
+
+    impl Actor for Tagged {
+        fn step(&mut self, res: SyscallResult, now: u64, cx: &mut StepCx) -> Syscall {
+            self.2.borrow_mut().push((self.0, now, res));
+            self.1.step(res, now, cx)
+        }
+    }
+
+    #[test]
+    fn ops_issued_in_a_step_act_like_one_op_steps() {
+        // Thread 0 computes, then issues `a := 1`, unpark thread 2 and
+        // `b := 1` before spinning on `c`, then unparks thread 4 before
+        // a last compute — once as turns through the step context, once
+        // as a script of one-op steps. Thread 2 ends its own compute at
+        // the same instant, after thread 0, so the unpark reaches it as
+        // a token before its `Park`; thread 4 is parked by then. Three
+        // cores, five threads: round-robin queues threads 3 and 4
+        // behind the spinners; event-driven has threads 1 and 3 both
+        // wake at 1 140, in the order of the writes to `a` and `b`.
+        let run = |mut k: Kernel, batched: bool| {
+            let (a, b, c) = (k.new_flag(0), k.new_flag(0), k.new_flag(0));
+            let set = |flag| Syscall::SetFlag { flag, value: 1 };
+            let spin = |flag, target, timeout_pauses| Syscall::SpinUntil {
+                flag,
+                target,
+                timeout_pauses,
+            };
+            let turns = vec![
+                (vec![], Syscall::Compute(1_000)),
+                (
+                    vec![set(a), Syscall::Unpark(Tid(2)), set(b)],
+                    spin(c, SpinTarget::Eq(1), Some(100)),
+                ),
+                (vec![Syscall::Unpark(Tid(4))], Syscall::Compute(100)),
+            ];
+            if batched {
+                k.spawn(Box::new(Turns(turns.into_iter())));
+            } else {
+                let steps = turns
+                    .into_iter()
+                    .flat_map(|(ops, sys)| ops.into_iter().chain([sys]));
+                k.spawn(Script::new(steps.collect(), Rc::default()));
+            }
+            let log = Rc::new(RefCell::new(Vec::new()));
+            for (t, steps) in [
+                vec![
+                    spin(a, SpinTarget::Eq(1), None),
+                    Syscall::Compute(200),
+                    set(c),
+                ],
+                vec![Syscall::Compute(1_000), Syscall::Park, Syscall::Compute(50)],
+                vec![
+                    spin(b, SpinTarget::Ne(0), Some(5_000)),
+                    Syscall::Compute(10),
+                ],
+                vec![Syscall::Park, Syscall::Compute(30)],
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let script = Script::new(steps, Rc::default());
+                k.spawn(Box::new(Tagged(t + 1, script, Rc::clone(&log))));
+            }
+            let end = k.run();
+            assert_eq!(k.live_threads(), 0);
+            let cycles: Vec<_> = (0..5).map(|t| k.thread_cycles(Tid(t))).collect();
+            let flags = [a, b, c].map(|f| k.flag(f));
+            let log = log.borrow().clone();
+            (end, log, cycles, flags)
+        };
+        on_both_policies(3, |k| {
+            let fresh = match k.policy {
+                Policy::RoundRobin { quantum } => Kernel::new(3, quantum, k.pause_cycles),
+                Policy::EventDriven => Kernel::event_driven(3, k.pause_cycles),
+            };
+            let batched = run(k, true);
+            assert_eq!(batched, run(fresh, false));
+            let (_, _, cycles, flags) = batched;
+            assert_eq!(flags, [1, 1, 1]);
+            assert_eq!(cycles[2].1, 0, "thread 2 took the token, never parked");
+            assert!(cycles[4].1 > 0, "thread 4 was parked until the unpark");
         });
     }
 

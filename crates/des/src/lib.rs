@@ -52,7 +52,7 @@ pub mod workload;
 
 pub use arrival::{ArrivalGen, ArrivalProcess, ServiceDist, ServiceSampler};
 pub use fleet::{run_fleet, FleetReport, FleetSpec, TenantSimReport, TenantSimSpec};
-pub use kernel::{Actor, FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
+pub use kernel::{Actor, FlagId, Kernel, SpinTarget, StepCx, Syscall, SyscallResult, Tid};
 pub use ocall::zc::ZcSimFaults;
 pub use ocall::{CallDesc, CostModel, Dispatcher, Step};
 pub use sim::{

@@ -14,7 +14,7 @@
 //!   specific call sites); non-hot calls go regular.
 
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
+use crate::kernel::{FlagId, Kernel, SpinTarget, StepCx, Syscall, SyscallResult, Tid};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -132,17 +132,11 @@ enum Dialog {
     Post {
         w: usize,
     },
-    /// Ringing the worker.
-    Ring {
-        w: usize,
-    },
-    /// Spinning for completion.
+    /// Spinning for completion (the worker was rung).
     Await {
         w: usize,
     },
-    /// Ringing the release doorbell after collecting.
-    ReleaseRing,
-    /// Copying results back.
+    /// Copying results back (the release doorbell was rung).
     Collect,
     /// Executing a regular (non-hot) call.
     RegularExec,
@@ -186,7 +180,7 @@ impl HotcallsDispatcher {
 }
 
 impl Dispatcher for HotcallsDispatcher {
-    fn begin(&mut self, call: &CallDesc, _now: u64) -> Syscall {
+    fn begin(&mut self, call: &CallDesc, _now: u64, _cx: &mut StepCx) -> Syscall {
         debug_assert_eq!(self.dialog, Dialog::Idle, "begin during an active dialogue");
         if !self.world.borrow().config.hot_classes.contains(&call.class) {
             self.dialog = Dialog::RegularExec;
@@ -200,7 +194,7 @@ impl Dispatcher for HotcallsDispatcher {
         }
     }
 
-    fn advance(&mut self, call: &CallDesc, res: SyscallResult, _now: u64) -> Step {
+    fn advance(&mut self, call: &CallDesc, res: SyscallResult, _now: u64, cx: &mut StepCx) -> Step {
         debug_assert_eq!(res, SyscallResult::Ok, "hotcalls dialogues never time out");
         match self.dialog {
             Dialog::AwaitFree => self.try_claim(call),
@@ -212,16 +206,10 @@ impl Dispatcher for HotcallsDispatcher {
                 wld.workers[w].ret_bytes = call.ret_bytes;
                 self.await_db_val = wld.caller_db_val[self.caller];
                 wld.worker_db_val[w] += 1;
-                let v = wld.worker_db_val[w];
-                let flag = wld.worker_db[w];
-                self.dialog = Dialog::Ring { w };
-                Step::Next(Syscall::SetFlag { flag, value: v })
-            }
-            Dialog::Ring { w } => {
-                let flag = self.world.borrow().caller_db[self.caller];
+                cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
                 self.dialog = Dialog::Await { w };
                 Step::Next(Syscall::SpinUntil {
-                    flag,
+                    flag: wld.caller_db[self.caller],
                     target: SpinTarget::Ne(self.await_db_val),
                     timeout_pauses: None,
                 })
@@ -231,12 +219,7 @@ impl Dispatcher for HotcallsDispatcher {
                 debug_assert_eq!(wld.workers[w].state, WorkerState::Waiting);
                 wld.workers[w].state = WorkerState::Unused;
                 wld.release_db_val += 1;
-                let v = wld.release_db_val;
-                let flag = wld.release_db;
-                self.dialog = Dialog::ReleaseRing;
-                Step::Next(Syscall::SetFlag { flag, value: v })
-            }
-            Dialog::ReleaseRing => {
+                cx.set_flag(wld.release_db, wld.release_db_val);
                 self.dialog = Dialog::Collect;
                 Step::Next(Syscall::Compute(
                     COLLECT_CYCLES + self.costs.copy_cycles(call.ret_bytes),
@@ -280,18 +263,17 @@ impl HotWorkerActor {
 }
 
 impl crate::kernel::Actor for HotWorkerActor {
-    fn step(&mut self, _res: SyscallResult, _now: u64) -> Syscall {
+    fn step(&mut self, _res: SyscallResult, _now: u64, cx: &mut StepCx) -> Syscall {
         let mut wld = self.world.borrow_mut();
         let idx = self.idx;
         if self.executing {
+            // Done: publish, ring the caller, back to the doorbell.
             self.executing = false;
             debug_assert_eq!(wld.workers[idx].state, WorkerState::Processing);
             wld.workers[idx].state = WorkerState::Waiting;
             let caller = wld.workers[idx].caller;
             wld.caller_db_val[caller] += 1;
-            let v = wld.caller_db_val[caller];
-            let flag = wld.caller_db[caller];
-            return Syscall::SetFlag { flag, value: v };
+            cx.set_flag(wld.caller_db[caller], wld.caller_db_val[caller]);
         }
         if wld.workers[idx].state == WorkerState::Processing {
             self.executing = true;

@@ -7,7 +7,7 @@
 
 use super::prof::{Phase, Prof};
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
+use crate::kernel::{FlagId, Kernel, SpinTarget, StepCx, Syscall, SyscallResult, Tid};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -134,13 +134,8 @@ enum Dialog {
     Idle,
     /// Copying the payload into untrusted memory before submitting.
     CopyIn,
-    /// Ringing the queue doorbell (then optionally waking a sleeper).
-    RingQueue {
-        wake: Option<Tid>,
-    },
-    /// Waking a sleeping worker.
-    Wake,
-    /// Spinning for acceptance with the rbf budget.
+    /// Spinning for acceptance with the rbf budget (the queue doorbell
+    /// was rung and a sleeping worker, if any, woken).
     AwaitAccept,
     /// Spinning for completion (unbounded).
     AwaitDone,
@@ -189,7 +184,7 @@ impl IntelDispatcher {
 }
 
 impl Dispatcher for IntelDispatcher {
-    fn begin(&mut self, call: &CallDesc, now: u64) -> Syscall {
+    fn begin(&mut self, call: &CallDesc, now: u64, _cx: &mut StepCx) -> Syscall {
         debug_assert_eq!(self.dialog, Dialog::Idle, "begin during an active dialogue");
         self.prof.begin(now);
         let wld = self.world.borrow();
@@ -202,7 +197,7 @@ impl Dispatcher for IntelDispatcher {
         Syscall::Compute(HANDOFF_CYCLES + self.costs.copy_cycles(call.payload_bytes))
     }
 
-    fn advance(&mut self, call: &CallDesc, res: SyscallResult, now: u64) -> Step {
+    fn advance(&mut self, call: &CallDesc, res: SyscallResult, now: u64, cx: &mut StepCx) -> Step {
         match self.dialog {
             Dialog::CopyIn => {
                 // The finished compute was handoff + payload copy.
@@ -227,32 +222,12 @@ impl Dispatcher for IntelDispatcher {
                 };
                 wld.queue.push_back(task);
                 wld.queue_db_val += 1;
-                let ring = Syscall::SetFlag {
-                    flag: wld.queue_db,
-                    value: wld.queue_db_val,
-                };
-                let wake = wld.sleeping.pop().map(|w| wld.worker_tids[w]);
-                self.dialog = Dialog::RingQueue { wake };
-                Step::Next(ring)
-            }
-            Dialog::RingQueue { wake } => {
-                self.prof.mark(Phase::Signal, now);
-                if let Some(tid) = wake {
-                    self.dialog = Dialog::Wake;
-                    return Step::Next(Syscall::Unpark(tid));
+                cx.set_flag(wld.queue_db, wld.queue_db_val);
+                if let Some(w) = wld.sleeping.pop() {
+                    cx.unpark(wld.worker_tids[w]);
                 }
-                self.dialog = Dialog::AwaitAccept;
-                let wld = self.world.borrow();
-                Step::Next(Syscall::SpinUntil {
-                    flag: wld.accept_db[self.caller],
-                    target: SpinTarget::Ne(self.await_accept_val),
-                    timeout_pauses: Some(wld.config.retries_before_fallback),
-                })
-            }
-            Dialog::Wake => {
                 self.prof.mark(Phase::Signal, now);
                 self.dialog = Dialog::AwaitAccept;
-                let wld = self.world.borrow();
                 Step::Next(Syscall::SpinUntil {
                     flag: wld.accept_db[self.caller],
                     target: SpinTarget::Ne(self.await_accept_val),
@@ -339,9 +314,7 @@ enum WPhase {
     Poll,
     /// Spinning on the queue doorbell with the rbs budget.
     IdleSpin,
-    /// Accepted a task; about to execute it.
-    Accepted { caller: usize, host_cycles: u64 },
-    /// Host function running.
+    /// Host function of an accepted task running.
     Executing { caller: usize },
 }
 
@@ -358,21 +331,20 @@ impl IntelWorkerActor {
 }
 
 impl crate::kernel::Actor for IntelWorkerActor {
-    fn step(&mut self, res: SyscallResult, _now: u64) -> Syscall {
+    fn step(&mut self, res: SyscallResult, _now: u64, cx: &mut StepCx) -> Syscall {
         loop {
             match self.phase {
                 WPhase::Poll => {
                     let mut wld = self.world.borrow_mut();
                     if let Some(task) = wld.queue.pop_front() {
-                        // Accept: ring the caller's acceptance doorbell.
+                        // Accept: ring the caller's acceptance doorbell
+                        // and run the host function.
                         wld.accept_db_val[task.caller] += 1;
-                        let v = wld.accept_db_val[task.caller];
-                        let flag = wld.accept_db[task.caller];
-                        self.phase = WPhase::Accepted {
+                        cx.set_flag(wld.accept_db[task.caller], wld.accept_db_val[task.caller]);
+                        self.phase = WPhase::Executing {
                             caller: task.caller,
-                            host_cycles: task.host_cycles,
                         };
-                        return Syscall::SetFlag { flag, value: v };
+                        return Syscall::Compute(task.host_cycles);
                     }
                     // Queue empty: arm the rbs-bounded idle spin.
                     let v = wld.queue_db_val;
@@ -401,20 +373,13 @@ impl crate::kernel::Actor for IntelWorkerActor {
                     self.phase = WPhase::Poll;
                     // Loop back to re-poll immediately.
                 }
-                WPhase::Accepted {
-                    caller,
-                    host_cycles,
-                } => {
-                    self.phase = WPhase::Executing { caller };
-                    return Syscall::Compute(host_cycles);
-                }
                 WPhase::Executing { caller } => {
+                    // Done: ring the caller's completion doorbell and
+                    // poll again.
                     let mut wld = self.world.borrow_mut();
                     wld.done_db_val[caller] += 1;
-                    let v = wld.done_db_val[caller];
-                    let flag = wld.done_db[caller];
+                    cx.set_flag(wld.done_db[caller], wld.done_db_val[caller]);
                     self.phase = WPhase::Poll;
-                    return Syscall::SetFlag { flag, value: v };
                 }
             }
         }

@@ -1,7 +1,8 @@
 //! Switchless-call mechanisms as virtual-thread protocols.
 //!
 //! Each mechanism implements [`Dispatcher`]: a per-caller dialogue state
-//! machine that the caller actor drives one [`Syscall`] at a time.
+//! machine that the caller actor drives one blocking [`Syscall`] at a
+//! time.
 //! Protocol state shared between callers, workers and schedulers lives in
 //! `Rc<RefCell<…>>` worlds — kernel event processing is serialized, so
 //! each `step` executes atomically (the analogue of the word-sized atomic
@@ -23,7 +24,7 @@ pub(crate) mod prof;
 pub mod regular;
 pub mod zc;
 
-use crate::kernel::{Syscall, SyscallResult};
+use crate::kernel::{StepCx, Syscall, SyscallResult};
 use serde::{Deserialize, Serialize};
 use switchless_core::config::COPY_CYCLES_PER_16B;
 use switchless_core::{CallPath, CpuSpec};
@@ -122,14 +123,18 @@ pub enum Step {
 /// The caller actor calls [`begin`](Dispatcher::begin) to start an ocall,
 /// executes the returned syscall, then repeatedly feeds results to
 /// [`advance`](Dispatcher::advance) until it yields
-/// [`Step::Complete`].
+/// [`Step::Complete`]. Both run inside the caller's [`Actor::step`]
+/// and issue its instant ops (doorbell rings, wakes) through `cx`, so
+/// one protocol turn — ring, then spin — is one kernel step.
+///
+/// [`Actor::step`]: crate::kernel::Actor::step
 pub trait Dispatcher {
     /// Start a new ocall dialogue. Must only be called when the previous
     /// dialogue has completed.
-    fn begin(&mut self, call: &CallDesc, now: u64) -> Syscall;
+    fn begin(&mut self, call: &CallDesc, now: u64, cx: &mut StepCx) -> Syscall;
 
     /// Continue the dialogue after the previous syscall finished.
-    fn advance(&mut self, call: &CallDesc, res: SyscallResult, now: u64) -> Step;
+    fn advance(&mut self, call: &CallDesc, res: SyscallResult, now: u64, cx: &mut StepCx) -> Step;
 
     /// Mechanism label for reports.
     fn name(&self) -> &'static str;

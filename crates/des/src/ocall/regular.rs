@@ -3,7 +3,7 @@
 
 use super::prof::Prof;
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{Syscall, SyscallResult};
+use crate::kernel::{StepCx, Syscall, SyscallResult};
 use switchless_core::CallPath;
 
 /// Dispatcher executing every call as a regular ocall.
@@ -43,14 +43,14 @@ impl RegularDispatcher {
 }
 
 impl Dispatcher for RegularDispatcher {
-    fn begin(&mut self, call: &CallDesc, now: u64) -> Syscall {
+    fn begin(&mut self, call: &CallDesc, now: u64, _cx: &mut StepCx) -> Syscall {
         debug_assert!(!self.in_call, "begin during an active dialogue");
         self.in_call = true;
         self.prof.begin(now);
         Syscall::Compute(self.costs.regular_call_cycles(call))
     }
 
-    fn advance(&mut self, call: &CallDesc, res: SyscallResult, now: u64) -> Step {
+    fn advance(&mut self, call: &CallDesc, res: SyscallResult, now: u64, _cx: &mut StepCx) -> Step {
         debug_assert_eq!(res, SyscallResult::Ok);
         debug_assert!(self.in_call);
         self.in_call = false;
@@ -78,11 +78,12 @@ mod tests {
             host_cycles: 500,
             ..CallDesc::default()
         };
-        let s = d.begin(&call, 0);
+        let cx = &mut StepCx::default();
+        let s = d.begin(&call, 0, cx);
         assert_eq!(s, Syscall::Compute(13_500 + 500));
-        let step = d.advance(&call, SyscallResult::Ok, 14_000);
+        let step = d.advance(&call, SyscallResult::Ok, 14_000, cx);
         assert_eq!(step, Step::Complete(CallPath::Regular));
         // Reusable for the next call.
-        let _ = d.begin(&call, 14_000);
+        let _ = d.begin(&call, 14_000, cx);
     }
 }

@@ -11,10 +11,9 @@
 
 use super::prof::{Phase, Prof};
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{FlagId, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
+use crate::kernel::{FlagId, Kernel, SpinTarget, StepCx, Syscall, SyscallResult, Tid};
 use crate::metrics::SimCounters;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use switchless_core::config::{COLLECT_CYCLES, HANDOFF_CYCLES};
 use switchless_core::policy::PolicyParams;
@@ -259,25 +258,16 @@ enum Dialog {
     Post {
         w: usize,
     },
-    /// Ringing the worker's doorbell.
-    Ring {
-        w: usize,
-    },
-    /// Spinning for completion.
+    /// Spinning for completion (the worker's doorbell was rung).
     Await {
         w: usize,
     },
-    /// Ringing the worker's doorbell after release.
-    ReleaseRing,
-    /// Copying results back.
+    /// Copying results back (the worker's doorbell was rung on release).
     Collect,
     /// Executing the fallback regular ocall.
     FallbackExec,
     /// Stalled by an injected enclave stall before the dialogue opens.
     StallThenBegin,
-    /// Waking the enclave actor: this caller's dispatch tripped a
-    /// crash trigger.
-    WakeEnclave,
     /// Spinning until the enclave restart bumps the recovery epoch.
     AwaitRestart,
     /// Asking the post-restart journal for the in-flight call's fate.
@@ -338,7 +328,7 @@ impl ZcDispatcher {
     /// restart-await path when the enclave is already lost. Returns
     /// `None` when the dialogue opens normally. Only called when the
     /// world carries a recovery plane.
-    fn begin_recovery(&mut self, call: &CallDesc, now: u64) -> Option<Syscall> {
+    fn begin_recovery(&mut self, call: &CallDesc, now: u64, cx: &mut StepCx) -> Option<Syscall> {
         let world = Rc::clone(&self.world);
         let mut wld = world.borrow_mut();
         {
@@ -357,7 +347,7 @@ impl ZcDispatcher {
             return Some(self.await_restart(&mut wld));
         }
         match fault {
-            Some(Fault::EnclaveCrash) => Some(self.trigger_crash(&mut wld, now)),
+            Some(Fault::EnclaveCrash) => Some(self.trigger_crash(&mut wld, now, cx)),
             Some(Fault::EnclaveStall) => {
                 // The enclave stalls (an AEX storm, paging) but is not
                 // lost: the dialogue opens once the stall drains.
@@ -372,7 +362,7 @@ impl ZcDispatcher {
     /// Trip the crash trigger: mark the restart pending and wake the
     /// enclave actor to fence and restart. This caller then awaits the
     /// epoch bump like any other in-flight caller.
-    fn trigger_crash(&mut self, wld: &mut ZcWorld, now: u64) -> Syscall {
+    fn trigger_crash(&mut self, wld: &mut ZcWorld, now: u64, cx: &mut StepCx) -> Syscall {
         wld.crash_pending = true;
         wld.last_crash_at = now;
         self.crash_detected_at = now;
@@ -384,9 +374,8 @@ impl ZcDispatcher {
                 },
             );
         }
-        let tid = wld.enclave_tid.expect("enclave actor spawned with faults");
-        self.dialog = Dialog::WakeEnclave;
-        Syscall::Unpark(tid)
+        cx.unpark(wld.enclave_tid.expect("enclave actor spawned with faults"));
+        self.await_restart(wld)
     }
 
     /// Arm a spin on this caller's doorbell until the enclave actor
@@ -479,18 +468,18 @@ impl ZcDispatcher {
 }
 
 impl Dispatcher for ZcDispatcher {
-    fn begin(&mut self, call: &CallDesc, now: u64) -> Syscall {
+    fn begin(&mut self, call: &CallDesc, now: u64, cx: &mut StepCx) -> Syscall {
         debug_assert_eq!(self.dialog, Dialog::Idle, "begin during an active dialogue");
         self.prof.begin(now);
         if self.world.borrow().recovery.is_some() {
-            if let Some(diverted) = self.begin_recovery(call, now) {
+            if let Some(diverted) = self.begin_recovery(call, now, cx) {
                 return diverted;
             }
         }
         self.begin_dialogue(call)
     }
 
-    fn advance(&mut self, call: &CallDesc, res: SyscallResult, now: u64) -> Step {
+    fn advance(&mut self, call: &CallDesc, res: SyscallResult, now: u64, cx: &mut StepCx) -> Step {
         debug_assert!(
             res == SyscallResult::Ok || matches!(self.dialog, Dialog::Await { .. }),
             "only the watchdog-armed await may time out"
@@ -511,17 +500,11 @@ impl Dispatcher for ZcDispatcher {
                 // completion ring can never be missed.
                 self.await_db_val = wld.caller_db_val[self.caller];
                 wld.worker_db_val[w] += 1;
-                let v = wld.worker_db_val[w];
-                let flag = wld.worker_db[w];
-                self.dialog = Dialog::Ring { w };
-                Step::Next(Syscall::SetFlag { flag, value: v })
-            }
-            Dialog::Ring { w } => {
+                cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
                 self.prof.mark(Phase::Signal, now);
-                let flag = self.world.borrow().caller_db[self.caller];
                 self.dialog = Dialog::Await { w };
                 Step::Next(Syscall::SpinUntil {
-                    flag,
+                    flag: wld.caller_db[self.caller],
                     target: SpinTarget::Ne(self.await_db_val),
                     timeout_pauses: self.watchdog_pauses,
                 })
@@ -566,12 +549,7 @@ impl Dispatcher for ZcDispatcher {
                 // scheduler Deactivate while executing, and only
                 // re-evaluates its command word when its doorbell rings.
                 wld.worker_db_val[w] += 1;
-                let v = wld.worker_db_val[w];
-                let flag = wld.worker_db[w];
-                self.dialog = Dialog::ReleaseRing;
-                Step::Next(Syscall::SetFlag { flag, value: v })
-            }
-            Dialog::ReleaseRing => {
+                cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
                 self.dialog = Dialog::Collect;
                 Step::Next(Syscall::Compute(
                     COLLECT_CYCLES + self.costs.copy_cycles(call.ret_bytes),
@@ -606,13 +584,6 @@ impl Dispatcher for ZcDispatcher {
                     return Step::Next(self.await_restart(&mut wld));
                 }
                 Step::Next(self.begin_dialogue(call))
-            }
-            Dialog::WakeEnclave => {
-                // The enclave actor is awake and will fence + restart;
-                // wait for the epoch bump with the other stragglers.
-                let world = Rc::clone(&self.world);
-                let mut wld = world.borrow_mut();
-                Step::Next(self.await_restart(&mut wld))
             }
             Dialog::AwaitRestart => {
                 // Rung — either by the restarted enclave or by a stale
@@ -686,7 +657,7 @@ impl Dispatcher for ZcDispatcher {
                 }
                 let fault = wld.enclave_faults.fire(FaultSite::Replay);
                 if fault == Some(Fault::EnclaveReplayCrash) && !wld.loss_in_progress() {
-                    return Step::Next(self.trigger_crash(&mut wld, now));
+                    return Step::Next(self.trigger_crash(&mut wld, now, cx));
                 }
                 if let Some(plane) = &wld.recovery {
                     plane.retire(self.call_seq);
@@ -732,27 +703,26 @@ impl ZcWorkerActor {
 }
 
 impl crate::kernel::Actor for ZcWorkerActor {
-    fn step(&mut self, _res: SyscallResult, _now: u64) -> Syscall {
+    fn step(&mut self, _res: SyscallResult, _now: u64, cx: &mut StepCx) -> Syscall {
         let mut wld = self.world.borrow_mut();
         let idx = self.idx;
         if self.executing {
             self.executing = false;
             if !wld.workers[idx].cancelled && !wld.workers[idx].dead {
-                // Host function finished: publish results, ring the caller.
+                // Host function finished: publish results, ring the
+                // caller, then back to the doorbell below.
                 debug_assert_eq!(wld.workers[idx].state, WorkerState::Processing);
                 wld.workers[idx].state = WorkerState::Waiting;
                 let caller = wld.workers[idx].caller;
                 wld.caller_db_val[caller] += 1;
-                let v = wld.caller_db_val[caller];
-                let flag = wld.caller_db[caller];
-                return Syscall::SetFlag { flag, value: v };
-            }
-            // Cancelled by the caller's watchdog (or crashed mid-call):
-            // the results are discarded, never published.
-            if !wld.workers[idx].dead {
-                // Still alive — the caller merely gave up on a slow call.
-                // The slot self-recovers onto a fresh buffer (the real
-                // runtime's supervisor respawn after a watchdog cancel).
+                cx.set_flag(wld.caller_db[caller], wld.caller_db_val[caller]);
+            } else if !wld.workers[idx].dead {
+                // Cancelled by the caller's watchdog, still alive — the
+                // caller merely gave up on a slow call. The results are
+                // discarded, never published (a crashed worker's too),
+                // and the slot self-recovers onto a fresh buffer (the
+                // real runtime's supervisor respawn after a watchdog
+                // cancel).
                 let w = &mut wld.workers[idx];
                 w.state = WorkerState::Unused;
                 w.cancelled = false;
@@ -804,7 +774,6 @@ pub struct ZcSchedulerActor {
     world: Rc<RefCell<ZcWorld>>,
     counters: Rc<RefCell<SimCounters>>,
     driver: SchedulerDriver,
-    queue: VecDeque<Syscall>,
 }
 
 impl ZcSchedulerActor {
@@ -824,16 +793,12 @@ impl ZcSchedulerActor {
             world,
             counters,
             driver: SchedulerDriver::new(params, initial_workers, telemetry),
-            queue: VecDeque::new(),
         }
     }
 }
 
 impl crate::kernel::Actor for ZcSchedulerActor {
-    fn step(&mut self, _res: SyscallResult, now: u64) -> Syscall {
-        if let Some(s) = self.queue.pop_front() {
-            return s;
-        }
+    fn step(&mut self, _res: SyscallResult, now: u64, cx: &mut StepCx) -> Syscall {
         let mut wld = self.world.borrow_mut();
         let step = self
             .driver
@@ -850,23 +815,17 @@ impl crate::kernel::Actor for ZcSchedulerActor {
                 wld.workers[i].cmd = Cmd::Run;
                 if wld.workers[i].state == WorkerState::Paused {
                     wld.workers[i].state = WorkerState::Unused;
-                    let tid = wld.worker_tids[i];
-                    self.queue.push_back(Syscall::Unpark(tid));
+                    cx.unpark(wld.worker_tids[i]);
                 }
             } else if wld.workers[i].cmd != Cmd::Deactivate {
                 wld.workers[i].cmd = Cmd::Deactivate;
                 // Ring the doorbell so an idle spinner re-checks its
                 // command word and parks.
                 wld.worker_db_val[i] += 1;
-                let v = wld.worker_db_val[i];
-                let flag = wld.worker_db[i];
-                self.queue.push_back(Syscall::SetFlag { flag, value: v });
+                cx.set_flag(wld.worker_db[i], wld.worker_db_val[i]);
             }
         }
-        self.queue.push_back(Syscall::Sleep(step.duration_cycles));
-        self.queue
-            .pop_front()
-            .expect("queue holds at least the sleep")
+        Syscall::Sleep(step.duration_cycles)
     }
 
     fn group(&self) -> &str {
@@ -1087,7 +1046,6 @@ pub struct ZcSupervisorActor {
     /// earliest event pops from the back.
     events: Vec<(u64, SupEv)>,
     respawn_delay_cycles: u64,
-    queue: VecDeque<Syscall>,
     /// Per-slot respawn generation (0 = initial spawn).
     gens: Vec<u64>,
     telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
@@ -1122,7 +1080,6 @@ impl ZcSupervisorActor {
             world,
             events,
             respawn_delay_cycles: faults.respawn_delay_cycles,
-            queue: VecDeque::new(),
             gens: vec![0; workers],
             telemetry: None,
         }
@@ -1148,7 +1105,7 @@ impl ZcSupervisorActor {
     }
 
     /// Apply the event scheduled at `t` (reached at `now`).
-    fn apply(&mut self, t: u64, (w, fault): SupEv, now: u64) {
+    fn apply(&mut self, t: u64, (w, fault): SupEv, now: u64, cx: &mut StepCx) {
         let mut wld = self.world.borrow_mut();
         let Some(fault) = fault else {
             let ready = {
@@ -1175,8 +1132,7 @@ impl ZcSupervisorActor {
             st.pool_used = 0;
             st.caller = usize::MAX;
             wld.respawns += 1;
-            let tid = wld.worker_tids[w];
-            self.queue.push_back(Syscall::Unpark(tid));
+            cx.unpark(wld.worker_tids[w]);
             self.gens[w] += 1;
             if let Some(hub) = &self.telemetry {
                 hub.record(
@@ -1208,9 +1164,7 @@ impl ZcSupervisorActor {
             // and parks. A worker mid-compute ignores the ring and
             // parks when its compute drains.
             wld.worker_db_val[w] += 1;
-            let v = wld.worker_db_val[w];
-            let flag = wld.worker_db[w];
-            self.queue.push_back(Syscall::SetFlag { flag, value: v });
+            cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
         }
         drop(wld);
         if let Some(hub) = &self.telemetry {
@@ -1229,15 +1183,12 @@ impl ZcSupervisorActor {
 }
 
 impl crate::kernel::Actor for ZcSupervisorActor {
-    fn step(&mut self, _res: SyscallResult, now: u64) -> Syscall {
+    fn step(&mut self, _res: SyscallResult, now: u64, cx: &mut StepCx) -> Syscall {
         loop {
-            if let Some(s) = self.queue.pop_front() {
-                return s;
-            }
             match self.events.last() {
                 Some(&(t, _)) if t <= now => {
                     let (t, ev) = self.events.pop().expect("checked non-empty");
-                    self.apply(t, ev, now);
+                    self.apply(t, ev, now, cx);
                 }
                 Some(&(t, _)) => return Syscall::Sleep(t - now),
                 None => return Syscall::Park,
@@ -1265,7 +1216,6 @@ impl crate::kernel::Actor for ZcSupervisorActor {
 #[derive(Debug)]
 pub struct ZcEnclaveActor {
     world: Rc<RefCell<ZcWorld>>,
-    queue: VecDeque<Syscall>,
     restarting: bool,
 }
 
@@ -1276,17 +1226,13 @@ impl ZcEnclaveActor {
     pub fn new(world: Rc<RefCell<ZcWorld>>) -> Self {
         ZcEnclaveActor {
             world,
-            queue: VecDeque::new(),
             restarting: false,
         }
     }
 }
 
 impl crate::kernel::Actor for ZcEnclaveActor {
-    fn step(&mut self, _res: SyscallResult, now: u64) -> Syscall {
-        if let Some(s) = self.queue.pop_front() {
-            return s;
-        }
+    fn step(&mut self, _res: SyscallResult, now: u64, cx: &mut StepCx) -> Syscall {
         let mut wld = self.world.borrow_mut();
         if self.restarting {
             // The reload sleep drained: bump the epoch, resume, and
@@ -1301,20 +1247,14 @@ impl crate::kernel::Actor for ZcEnclaveActor {
             wld.awaiting_first_completion = true;
             for c in 0..wld.caller_db.len() {
                 wld.caller_db_val[c] += 1;
-                let v = wld.caller_db_val[c];
-                let flag = wld.caller_db[c];
-                self.queue.push_back(Syscall::SetFlag { flag, value: v });
+                cx.set_flag(wld.caller_db[c], wld.caller_db_val[c]);
             }
             for i in 0..wld.workers.len() {
                 if !wld.workers[i].dead && wld.workers[i].state != WorkerState::Paused {
                     wld.worker_db_val[i] += 1;
-                    let v = wld.worker_db_val[i];
-                    let flag = wld.worker_db[i];
-                    self.queue.push_back(Syscall::SetFlag { flag, value: v });
+                    cx.set_flag(wld.worker_db[i], wld.worker_db_val[i]);
                 }
             }
-            drop(wld);
-            return self.queue.pop_front().unwrap_or(Syscall::Park);
         }
         if wld.crash_pending {
             wld.crash_pending = false;

@@ -325,6 +325,10 @@ pub struct SimReport {
     /// Text Gantt chart of core occupancy (only when
     /// [`SimConfig::gantt_buckets`] was non-zero).
     pub gantt: Option<String>,
+    /// Actor steps the kernel ran ([`Kernel::steps`]): the host-side
+    /// work of the run, one step per protocol turn of each thread.
+    #[serde(default)]
+    pub kernel_steps: u64,
 }
 
 impl SimReport {
@@ -659,6 +663,7 @@ pub fn run(config: &SimConfig) -> SimReport {
         recovery_latencies,
         cpu: config.cpu,
         gantt,
+        kernel_steps: kernel.steps(),
     }
 }
 

@@ -7,7 +7,7 @@
 //! until the workload is exhausted.
 
 use crate::arrival::{ArrivalGen, ArrivalProcess, ServiceDist, ServiceSampler};
-use crate::kernel::{Actor, Syscall, SyscallResult};
+use crate::kernel::{Actor, StepCx, Syscall, SyscallResult};
 use crate::metrics::SimCounters;
 use crate::ocall::{CallDesc, Dispatcher, Step};
 use serde::{Deserialize, Serialize};
@@ -215,6 +215,8 @@ pub struct CallerActor {
     counters: Rc<RefCell<SimCounters>>,
     spec: WorkloadSpec,
     state: CallerState,
+    /// The call in pre-compute or in flight.
+    call: CallDesc,
     ops_issued: u64,
     /// Phased mode: absolute start of the current period.
     period_start: u64,
@@ -235,9 +237,8 @@ struct OpenRun {
     next_arrival: u64,
     /// Arrived-but-not-issued calls (relative arrival times, FIFO).
     backlog: VecDeque<u64>,
-    /// The call currently in flight (template + sampled service time).
-    current: CallDesc,
-    /// Relative arrival time of `current`, for sojourn recording.
+    /// Relative arrival time of the call in flight, for sojourn
+    /// recording.
     current_arrival: u64,
 }
 
@@ -291,7 +292,6 @@ impl CallerActor {
                     service: ServiceSampler::new(l.service, service_seed),
                     next_arrival,
                     backlog: VecDeque::new(),
-                    current: l.call,
                     current_arrival: 0,
                 })
             }
@@ -303,6 +303,7 @@ impl CallerActor {
             counters,
             spec,
             state: CallerState::Deciding,
+            call: CallDesc::default(),
             ops_issued: 0,
             period_start: 0,
             period_remaining: 0,
@@ -311,25 +312,16 @@ impl CallerActor {
         }
     }
 
-    fn current_call(&self) -> CallDesc {
-        match &self.spec {
-            WorkloadSpec::ClosedLoop { pattern, .. } => {
-                pattern[(self.ops_issued % pattern.len() as u64) as usize]
-            }
-            WorkloadSpec::Phased(p) => p.call,
-            WorkloadSpec::Open(_) => self.open.as_ref().expect("open run state").current,
-        }
-    }
-
     /// Decide the next action at `now`.
-    fn decide(&mut self, now: u64) -> Syscall {
+    fn decide(&mut self, now: u64, cx: &mut StepCx) -> Syscall {
         match &self.spec {
-            WorkloadSpec::ClosedLoop { total_ops, .. } => {
+            WorkloadSpec::ClosedLoop { pattern, total_ops } => {
                 if self.ops_issued >= *total_ops {
                     return self.finish(now);
                 }
+                let call = pattern[(self.ops_issued % pattern.len() as u64) as usize];
                 self.counters.borrow_mut().offered += 1;
-                self.start_call(now)
+                self.start_call(call, now, cx)
             }
             WorkloadSpec::Phased(p) => {
                 let first = self.started_at.is_none();
@@ -337,7 +329,6 @@ impl CallerActor {
                 if first {
                     self.period_start = started;
                 }
-                let p = p.clone();
                 // Locate the period containing `now`.
                 let elapsed = now.saturating_sub(started);
                 let period_idx = elapsed / p.period_cycles;
@@ -363,7 +354,7 @@ impl CallerActor {
                 }
                 if self.period_remaining > 0 {
                     self.period_remaining -= 1;
-                    return self.start_call(now);
+                    return self.start_call(p.call, now, cx);
                 }
                 match p.ops_for_period(this_period_start - started) {
                     None => self.finish(now),
@@ -378,19 +369,19 @@ impl CallerActor {
                         self.period_start = this_period_start;
                         self.period_remaining = ops.saturating_sub(1);
                         self.counters.borrow_mut().offered += ops;
-                        self.start_call(now)
+                        self.start_call(p.call, now, cx)
                     }
                 }
             }
-            WorkloadSpec::Open(_) => self.decide_open(now),
+            WorkloadSpec::Open(_) => self.decide_open(now, cx),
         }
     }
 
     /// Open-loop decide: materialize due arrivals, shed expired backlog,
     /// then issue, sleep or finish.
-    fn decide_open(&mut self, now: u64) -> Syscall {
+    fn decide_open(&mut self, now: u64, cx: &mut StepCx) -> Syscall {
         enum Next {
-            Issue,
+            Issue(CallDesc),
             SleepFor(u64),
             Finish,
         }
@@ -439,13 +430,12 @@ impl CallerActor {
                 if service > 0 {
                     call.host_cycles = service;
                 }
-                o.current = call;
                 o.current_arrival = arrival;
-                Next::Issue
+                Next::Issue(call)
             }
         };
         match next {
-            Next::Issue => self.start_call(now),
+            Next::Issue(call) => self.start_call(call, now, cx),
             Next::SleepFor(d) => {
                 self.state = CallerState::PeriodSleep;
                 Syscall::Sleep(d)
@@ -454,14 +444,14 @@ impl CallerActor {
         }
     }
 
-    fn start_call(&mut self, now: u64) -> Syscall {
-        let call = self.current_call();
+    fn start_call(&mut self, call: CallDesc, now: u64, cx: &mut StepCx) -> Syscall {
+        self.call = call;
         if call.pre_compute_cycles > 0 {
             self.state = CallerState::PreCompute;
             return Syscall::Compute(call.pre_compute_cycles);
         }
         self.state = CallerState::InCall;
-        self.dispatcher.begin(&call, now)
+        self.dispatcher.begin(&self.call, now, cx)
     }
 
     fn finish(&mut self, now: u64) -> Syscall {
@@ -476,22 +466,20 @@ impl CallerActor {
 }
 
 impl Actor for CallerActor {
-    fn step(&mut self, res: SyscallResult, now: u64) -> Syscall {
+    fn step(&mut self, res: SyscallResult, now: u64, cx: &mut StepCx) -> Syscall {
         loop {
             match self.state {
-                CallerState::Deciding => return self.decide(now),
+                CallerState::Deciding => return self.decide(now, cx),
                 CallerState::PreCompute => {
-                    let call = self.current_call();
                     self.state = CallerState::InCall;
-                    return self.dispatcher.begin(&call, now);
+                    return self.dispatcher.begin(&self.call, now, cx);
                 }
                 CallerState::InCall => {
-                    let call = self.current_call();
-                    match self.dispatcher.advance(&call, res, now) {
+                    match self.dispatcher.advance(&self.call, res, now, cx) {
                         Step::Next(s) => return s,
                         Step::Complete(path) => {
                             let mut c = self.counters.borrow_mut();
-                            c.record_call(self.id, call.class, path);
+                            c.record_call(self.id, self.call.class, path);
                             if let Some(o) = &self.open {
                                 let started = self.started_at.unwrap_or(0);
                                 let sojourn = now.saturating_sub(started + o.current_arrival);

@@ -261,3 +261,38 @@ fn phase_attribution_is_pinned_on_every_path() {
         ]
     );
 }
+
+/// Kernel steps per simulated call on the `des_rr_paper8` benchmark
+/// config (paper machine, round-robin kernel, four callers issuing
+/// 2 500 calls each of the `f,f,f,g` mix): one step per protocol turn
+/// of each thread. A change that splits a turn again — an instant op
+/// returned as a step of its own instead of issued from the step that
+/// blocks — costs host time without moving a simulated cycle, so only
+/// this pin sees it.
+#[test]
+fn steps_per_call_are_pinned_on_the_paper8_config() {
+    let cpu = switchless_core::CpuSpec::paper_machine();
+    let f = CallDesc::default();
+    let g = CallDesc {
+        class: 1,
+        host_cycles: 200 * cpu.pause_cycles,
+        ..CallDesc::default()
+    };
+    let caller = WorkloadSpec::ClosedLoop {
+        pattern: vec![f, f, f, g],
+        total_ops: 2_500,
+    };
+    for (mechanism, steps) in [
+        (Mechanism::Zc(ZcSimParams::default()), 60_009),
+        (Mechanism::Intel(IntelSimConfig::new(2, [0, 1])), 53_758),
+        (Mechanism::NoSl, 10_004),
+    ] {
+        let r = zc_des::run(&SimConfig::new(
+            mechanism.clone(),
+            vec![caller.clone(); 4],
+            2,
+        ));
+        assert_eq!(r.counters.total_calls(), 10_000);
+        assert_eq!(r.kernel_steps, steps, "{mechanism:?}");
+    }
+}

@@ -23,8 +23,8 @@ use zc_des::ocall::hotcalls::HotcallsConfig;
 use zc_des::ocall::intel::IntelSimConfig;
 use zc_des::ocall::CallDesc;
 use zc_des::{
-    run, Actor, FlagId, Kernel, KernelMode, Mechanism, SimConfig, SimReport, SpinTarget, Syscall,
-    SyscallResult, Tid, WorkloadSpec, ZcSimFaults, ZcSimParams,
+    run, Actor, FlagId, Kernel, KernelMode, Mechanism, SimConfig, SimReport, SpinTarget, StepCx,
+    Syscall, SyscallResult, Tid, WorkloadSpec, ZcSimFaults, ZcSimParams,
 };
 
 fn call(host: u64) -> CallDesc {
@@ -281,7 +281,7 @@ struct Script {
 }
 
 impl Actor for Script {
-    fn step(&mut self, res: SyscallResult, now: u64) -> Syscall {
+    fn step(&mut self, res: SyscallResult, now: u64, _cx: &mut StepCx) -> Syscall {
         self.log.borrow_mut().push((self.id, now, res));
         let s = self.steps.get(self.i).copied().unwrap_or(Syscall::Done);
         self.i += 1;

@@ -2,7 +2,7 @@
 //! spin semantics under randomized workloads.
 
 use proptest::prelude::*;
-use zc_des::kernel::{Actor, Kernel, SpinTarget, Syscall, SyscallResult, Tid};
+use zc_des::kernel::{Actor, Kernel, SpinTarget, StepCx, Syscall, SyscallResult, Tid};
 
 /// Plays a fixed syscall script.
 struct Script {
@@ -11,7 +11,7 @@ struct Script {
 }
 
 impl Actor for Script {
-    fn step(&mut self, _res: SyscallResult, _now: u64) -> Syscall {
+    fn step(&mut self, _res: SyscallResult, _now: u64, _cx: &mut StepCx) -> Syscall {
         let s = self.steps.get(self.i).copied().unwrap_or(Syscall::Done);
         self.i += 1;
         s
