@@ -331,7 +331,7 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         kernel.run_while(next, || live(&shard_counters));
         if !live(&shard_counters)
             || kernel.now() >= spec.deadline_cycles
-            || kernel.live_threads() == 0
+            || kernel.next_tick().is_none()
         {
             break;
         }

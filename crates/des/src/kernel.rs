@@ -82,6 +82,19 @@
 //! machine, whose run ended at its last dead event or the deadline
 //! (round-robin always left a dead quantum behind); both policies now
 //! stop at the last live event.
+//!
+//! # End of run and accounting
+//!
+//! Both policies stop at the last event that can change the machine.
+//! Under the event-driven policy that is the last armed event. A
+//! round-robin machine whose run queue is empty and whose only armed
+//! events are quanta — every thread on a core an untimed spinner — is
+//! quiescent in the same way: its quanta would renew to the deadline
+//! with nothing left to happen, so [`Kernel::next_tick`] reports no
+//! event there too. A thread's busy cycles are its closed segments plus
+//! the open one — the span since it last took a core or started a
+//! spin-block — up to [`Kernel::now`], so a spinner still waiting when a
+//! run stops is charged for its wait under either policy.
 
 use std::collections::VecDeque;
 
@@ -493,28 +506,41 @@ impl Kernel {
         tid
     }
 
-    /// `(busy, idle)` cycles recorded for `tid` so far.
+    /// `(busy, idle)` cycles of `tid` so far. Busy counts the closed
+    /// segments plus, for a thread on a core or spin-blocked, the open
+    /// one up to [`Kernel::now`]; idle counts closed sleeps and parks.
     #[must_use]
     pub fn thread_cycles(&self, tid: Tid) -> (u64, u64) {
         let t = &self.threads[tid.0];
-        (t.busy_cycles, t.idle_cycles)
+        (self.busy(t), t.idle_cycles)
     }
 
-    /// Sum of busy cycles over all threads whose group name equals
-    /// `group`.
+    /// Sum of busy cycles (closed plus open segments) over all threads
+    /// whose group name equals `group`.
     #[must_use]
     pub fn group_busy_cycles(&self, group: &str) -> u64 {
         self.threads
             .iter()
             .filter(|t| t.group == group)
-            .map(|t| t.busy_cycles)
+            .map(|t| self.busy(t))
             .sum()
     }
 
-    /// Total busy cycles over all threads.
+    /// Total busy cycles (closed plus open segments) over all threads.
     #[must_use]
     pub fn total_busy_cycles(&self) -> u64 {
-        self.threads.iter().map(|t| t.busy_cycles).sum()
+        self.threads.iter().map(|t| self.busy(t)).sum()
+    }
+
+    /// Busy cycles of `t`: its closed segments, plus the open one while
+    /// it holds a core or is spin-blocked.
+    fn busy(&self, t: &ThreadCb) -> u64 {
+        match t.state {
+            ThreadState::Running { .. } | ThreadState::SpinBlocked => {
+                t.busy_cycles + self.now.saturating_sub(t.segment_start)
+            }
+            _ => t.busy_cycles,
+        }
     }
 
     /// Number of threads not yet finished.
@@ -534,22 +560,40 @@ impl Kernel {
         self.running.len() + tid.0
     }
 
-    /// Timestamp of the next scheduled event, if any — the machine-level
-    /// `next_tick` of the discrete-event component interface.
+    /// Timestamp of the next event that can change the machine, if any —
+    /// the machine-level `next_tick` of the discrete-event component
+    /// interface. `None` once the machine is quiescent: no event is
+    /// armed, or (round-robin) only quanta that would renew forever.
     #[must_use]
     pub fn next_tick(&self) -> Option<u64> {
-        self.events.heap.first().map(|e| e.0)
+        let &(time, _, slot) = self.events.heap.first()?;
+        // Only a quantum can head a quiescent queue, so the check runs
+        // once per quantum, never on the per-event path.
+        if slot < self.running.len() && self.quiescent() {
+            return None;
+        }
+        Some(time)
+    }
+
+    /// Round-robin: the run queue is empty and the only armed events are
+    /// the quanta of the occupied cores (one each), so every thread on a
+    /// core is an untimed spinner whose flag nobody is left to write.
+    fn quiescent(&self) -> bool {
+        let free: u32 = self.free_cores.iter().map(|w| w.count_ones()).sum();
+        self.runq.is_empty() && self.events.heap.len() == self.running.len() - free as usize
     }
 
     /// Process exactly the next event (advancing virtual time to it) and
     /// everything it unblocks at that instant. Returns the new virtual
-    /// time, or `None` when no event is pending.
+    /// time, or `None` when the machine is quiescent (see
+    /// [`Kernel::next_tick`]).
     pub fn tick(&mut self) -> Option<u64> {
         self.dispatch();
+        self.next_tick()?;
         // The event stays queued while it is handled: a handler that
         // re-arms its own slot moves the entry in place (one sift, not a
         // pop and a push), and one that does not retires it after.
-        let (time, seq, slot) = *self.events.heap.first()?;
+        let (time, seq, slot) = self.events.heap[0];
         debug_assert!(time >= self.now);
         self.now = time;
         self.handle(slot);
@@ -575,8 +619,9 @@ impl Kernel {
         self.dispatch();
         while self.live_threads > 0 {
             let Some(time) = self.next_tick() else {
-                // Live threads but no future events: everything is parked
-                // or blocked forever. Return rather than hang.
+                // Live threads but quiescent: everything is parked or
+                // spins on a flag nobody will write. Stop at the last
+                // live event rather than hang or idle to the deadline.
                 break;
             };
             if time > deadline {
@@ -1139,6 +1184,35 @@ mod tests {
             let end = k.run_until(1_000_000);
             assert_eq!(end, 1_000_000);
             assert_eq!(k.live_threads(), 1);
+        });
+    }
+
+    #[test]
+    fn open_segments_count_and_both_policies_stop_at_the_last_event() {
+        // An untimed spinner beside a 10 000-cycle compute, with a
+        // deadline far past both. Round-robin used to renew the
+        // spinner's quantum to the deadline, and both policies read the
+        // spinner as (0, 0): its only segment was still open.
+        on_both_policies(2, |mut k| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let flag = k.new_flag(0);
+            let spinner = k.spawn(Script::new(
+                vec![Syscall::SpinUntil {
+                    flag,
+                    target: SpinTarget::Eq(1),
+                    timeout_pauses: None,
+                }],
+                Rc::clone(&log),
+            ));
+            let worker = k.spawn(Script::new(vec![Syscall::Compute(10_000)], Rc::clone(&log)));
+            assert_eq!(k.run_until(5_000_000), 10_000);
+            assert_eq!(k.next_tick(), None);
+            assert_eq!(k.tick(), None);
+            assert_eq!(k.live_threads(), 1);
+            assert_eq!(k.thread_cycles(spinner), (10_000, 0));
+            assert_eq!(k.thread_cycles(worker), (10_000, 0));
+            assert_eq!(k.group_busy_cycles("script"), 20_000);
+            assert_eq!(k.total_busy_cycles(), 20_000);
         });
     }
 

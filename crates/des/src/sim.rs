@@ -563,7 +563,9 @@ pub fn run(config: &SimConfig) -> SimReport {
         kernel.run_while(next, || counters.borrow().callers_live > 0);
         take_sample(&kernel, &mut timeline);
         let done = counters.borrow().callers_live == 0;
-        if done || kernel.now() >= config.deadline_cycles || kernel.live_threads() == 0 {
+        // A quiescent machine (no event left that can change it) stops
+        // short of `next`, and would every time after.
+        if done || kernel.now() >= config.deadline_cycles || kernel.next_tick().is_none() {
             break;
         }
     }

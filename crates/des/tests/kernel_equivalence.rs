@@ -368,10 +368,7 @@ proptest! {
     /// With one core per thread, both policies must execute arbitrary
     /// actor programs identically: same interleaved step log (thread,
     /// time, result), same per-thread busy/idle cycle totals, same
-    /// final flag values, and the same end of run. Only a thread left in
-    /// an untimed spin holds its core under round-robin, where the run
-    /// therefore goes on to the deadline; the event-driven policy blocks
-    /// it off-core and stops at the last event.
+    /// final flag values, and the same end of run.
     #[test]
     fn arbitrary_programs_agree_across_kernels(programs in ProgramsStrategy) {
         // Quantum far above any program's span: the run queue is empty in
@@ -383,8 +380,6 @@ proptest! {
         prop_assert_eq!(flags_rr, flags_ev, "final flag values diverge");
         prop_assert_eq!(cycles_rr, cycles_ev, "busy/idle totals diverge");
         prop_assert_eq!(log_rr, log_ev, "step logs diverge");
-        if end_rr < DEADLINE {
-            prop_assert_eq!(end_rr, end_ev, "end of run diverges");
-        }
+        prop_assert_eq!(end_rr, end_ev, "end of run diverges");
     }
 }

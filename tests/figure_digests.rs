@@ -22,15 +22,15 @@ use zc_bench::telemetry::FigureScope;
 
 /// `(csv, FNV-1a 64 of its bytes)` of a quick run, sorted by name.
 const PINS: &[(&str, u64)] = &[
-    ("ablation_chaos.csv", 0x28e0d1aa5a60ca1d),
-    ("ablation_fallback.csv", 0x4576ebaafc0ffea1),
-    ("ablation_mechanisms.csv", 0xa4f445f26c01eb91),
-    ("ablation_quantum.csv", 0xaaf18602b854b787),
-    ("ablation_rbf.csv", 0x417c50ca2225fd06),
+    ("ablation_chaos.csv", 0x823405d01c113a69),
+    ("ablation_fallback.csv", 0xa4a2bba2a5217104),
+    ("ablation_mechanisms.csv", 0xfe0b467bfb2166e2),
+    ("ablation_quantum.csv", 0x25ebb052860e5328),
+    ("ablation_rbf.csv", 0xaf1b598f6858a17b),
     ("ablation_tes.csv", 0x4da950426959aee6),
-    ("ablation_weight.csv", 0x5c7a8b5b4affcc6e),
-    ("fig10_openssl_2w.csv", 0xf0b8ff1481aaaf94),
-    ("fig10_openssl_4w.csv", 0x7a46b8ddc5013923),
+    ("ablation_weight.csv", 0x8f32e9ddfc11b788),
+    ("fig10_openssl_2w.csv", 0xed668037bddafbd1),
+    ("fig10_openssl_4w.csv", 0xbc0f3f74a5bb1240),
     ("fig10_zc_residency.csv", 0x2dba95127595d8e2),
     ("fig11_lmbench_tput_2w.csv", 0x5e53883cdae7512e),
     ("fig11_lmbench_tput_4w.csv", 0x9ea653ca512a26a4),
@@ -48,8 +48,8 @@ const PINS: &[(&str, u64)] = &[
     ("fig3_duration.csv", 0xca6ee3a82dddc06f),
     ("fig8_kissdb_latency_2w.csv", 0xf098fc5c27b6d4c8),
     ("fig8_kissdb_latency_4w.csv", 0x763c7ff703f7af6a),
-    ("fig9_kissdb_cpu_2w.csv", 0xfdb0f75add621e58),
-    ("fig9_kissdb_cpu_4w.csv", 0x5b9dc138873ab352),
+    ("fig9_kissdb_cpu_2w.csv", 0x7c72db7ba71c884e),
+    ("fig9_kissdb_cpu_4w.csv", 0x9412dfb602d2b2d2),
     ("sec3a_inline.csv", 0x6c17da58325a5725),
 ];
 
