@@ -67,7 +67,8 @@ pub struct ZcWorld {
     pub workers: Vec<WorkerSt>,
     /// Worker thread ids (filled at spawn).
     pub worker_tids: Vec<Tid>,
-    /// Worker doorbells (rung on request post and scheduler commands).
+    /// Worker doorbells (rung on request post, on scheduler commands, and
+    /// on a release that a posted Deactivate waits for).
     pub worker_db: Vec<FlagId>,
     /// Authoritative doorbell counters (actors cannot read kernel flags).
     pub worker_db_val: Vec<u64>,
@@ -262,7 +263,8 @@ enum Dialog {
     Await {
         w: usize,
     },
-    /// Copying results back (the worker's doorbell was rung on release).
+    /// Copying results back (the worker's doorbell was rung on release
+    /// if a Deactivate waits for it).
     Collect,
     /// Executing the fallback regular ocall.
     FallbackExec,
@@ -545,19 +547,22 @@ impl Dispatcher for ZcDispatcher {
                 // run: carve the modelled execute time out of the wait.
                 self.prof.set_execute_hint(call.host_cycles);
                 wld.workers[w].state = WorkerState::Unused;
-                // Ring the worker on release: it may have missed a
-                // scheduler Deactivate while executing, and only
-                // re-evaluates its command word when its doorbell rings.
-                wld.worker_db_val[w] += 1;
-                cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
+                // A scheduler Deactivate posted while the worker executed
+                // found it off its doorbell, and the worker re-reads its
+                // command word only when rung: ring it so it parks. A
+                // worker told to keep running has nothing to re-read.
+                if wld.workers[w].cmd == Cmd::Deactivate {
+                    wld.worker_db_val[w] += 1;
+                    cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
+                }
                 self.dialog = Dialog::Collect;
                 Step::Next(Syscall::Compute(
                     COLLECT_CYCLES + self.costs.copy_cycles(call.ret_bytes),
                 ))
             }
             Dialog::Collect => {
-                // Release ring + collect + result copy land in copy-out
-                // (the finish residual).
+                // Release + collect + result copy land in copy-out (the
+                // finish residual).
                 self.complete_journaled(call, now);
                 self.prof.complete(call.class, CallPath::Switchless, now);
                 self.dialog = Dialog::Idle;

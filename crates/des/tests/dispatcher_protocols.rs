@@ -2,11 +2,19 @@
 //! tiny single-purpose simulations (the dialogue state machines are
 //! driven by the real kernel, not mocked).
 
-use switchless_core::CallPath;
+use std::cell::RefCell;
+use std::rc::Rc;
+use switchless_core::{CallPath, WorkerState};
+use zc_des::metrics::SimCounters;
 use zc_des::ocall::hotcalls::HotcallsConfig;
 use zc_des::ocall::intel::IntelSimConfig;
+use zc_des::ocall::zc::{Cmd, ZcDispatcher, ZcWorkerActor, ZcWorld};
 use zc_des::ocall::CallDesc;
-use zc_des::{Mechanism, SimConfig, WorkloadSpec, ZcSimParams};
+use zc_des::workload::CallerActor;
+use zc_des::{
+    Actor, CostModel, Kernel, Mechanism, SimConfig, StepCx, Syscall, SyscallResult, WorkloadSpec,
+    ZcSimParams,
+};
 use zc_telemetry::Telemetry;
 
 fn one_call(host: u64, payload: u64) -> WorkloadSpec {
@@ -283,7 +291,7 @@ fn steps_per_call_are_pinned_on_the_paper8_config() {
         total_ops: 2_500,
     };
     for (mechanism, steps) in [
-        (Mechanism::Zc(ZcSimParams::default()), 60_009),
+        (Mechanism::Zc(ZcSimParams::default()), 50_009),
         (Mechanism::Intel(IntelSimConfig::new(2, [0, 1])), 53_758),
         (Mechanism::NoSl, 10_004),
     ] {
@@ -294,5 +302,78 @@ fn steps_per_call_are_pinned_on_the_paper8_config() {
         ));
         assert_eq!(r.counters.total_calls(), 10_000);
         assert_eq!(r.kernel_steps, steps, "{mechanism:?}");
+    }
+}
+
+/// Posts `Deactivate` to ZC worker 0 at a fixed instant, exactly as the
+/// scheduler actor posts it to a surplus worker: set the command word,
+/// then ring the doorbell.
+struct PostDeactivate {
+    world: Rc<RefCell<ZcWorld>>,
+    at: u64,
+}
+
+impl Actor for PostDeactivate {
+    fn step(&mut self, res: SyscallResult, _now: u64, cx: &mut StepCx) -> Syscall {
+        if res == SyscallResult::Init {
+            return Syscall::Sleep(self.at);
+        }
+        let mut wld = self.world.borrow_mut();
+        assert_eq!(wld.workers[0].state, WorkerState::Processing);
+        wld.workers[0].cmd = Cmd::Deactivate;
+        wld.worker_db_val[0] += 1;
+        cx.set_flag(wld.worker_db[0], wld.worker_db_val[0]);
+        Syscall::Done
+    }
+}
+
+/// The one ring a ZC release still makes: a `Deactivate` posted while
+/// the worker executes rings a doorbell nobody spins on, so the worker
+/// only learns of it when the caller's release rings it again, and parks
+/// one pause later. A release that rings nobody leaves the worker
+/// spinning forever.
+#[test]
+fn release_rings_a_worker_whose_deactivate_landed_mid_execution() {
+    let cpu = switchless_core::CpuSpec::paper_machine();
+    for mut k in [
+        Kernel::new(3, zc_des::kernel::DEFAULT_RR_QUANTUM, cpu.pause_cycles),
+        Kernel::event_driven(3, cpu.pause_cycles),
+    ] {
+        let world = ZcWorld::new(&mut k, 1, 1, ZcSimParams::default().pool_bytes);
+        let worker = k.spawn(Box::new(ZcWorkerActor::new(Rc::clone(&world), 0)));
+        world.borrow_mut().worker_tids.push(worker);
+        let counters = Rc::new(RefCell::new(SimCounters::new(1, 1)));
+        let zc = ZcDispatcher::new(
+            Rc::clone(&world),
+            Rc::clone(&counters),
+            CostModel::on(&cpu),
+            0,
+            None,
+        );
+        k.spawn(Box::new(CallerActor::new(
+            0,
+            Box::new(zc),
+            Rc::clone(&counters),
+            one_call(1_000_000, 64),
+        )));
+        k.spawn(Box::new(PostDeactivate {
+            world: Rc::clone(&world),
+            at: 500_000,
+        }));
+        // The release is the step that takes the slot from Waiting to
+        // Unused; the park is the worker's step into Paused.
+        let (mut last, mut released, mut paused) = (WorkerState::Unused, None, None);
+        while let Some(now) = k.tick() {
+            let state = world.borrow().workers[0].state;
+            match (last, state) {
+                (WorkerState::Waiting, WorkerState::Unused) => released = Some(now),
+                (_, WorkerState::Paused) if paused.is_none() => paused = Some(now),
+                _ => {}
+            }
+            last = state;
+        }
+        assert_eq!(counters.borrow().switchless, 1, "{k:?}");
+        let released = released.expect("the caller released the worker");
+        assert_eq!(paused, Some(released + cpu.pause_cycles), "{k:?}");
     }
 }
