@@ -1190,9 +1190,9 @@ mod tests {
     #[test]
     fn open_segments_count_and_both_policies_stop_at_the_last_event() {
         // An untimed spinner beside a 10 000-cycle compute, with a
-        // deadline far past both. Round-robin used to renew the
-        // spinner's quantum to the deadline, and both policies read the
-        // spinner as (0, 0): its only segment was still open.
+        // deadline far past both. Nothing can wake the spinner after
+        // 10 000, so round-robin must not renew its quantum to the
+        // deadline, and its still-open spin counts as busy.
         on_both_policies(2, |mut k| {
             let log = Rc::new(RefCell::new(Vec::new()));
             let flag = k.new_flag(0);

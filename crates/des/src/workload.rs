@@ -218,6 +218,9 @@ pub struct CallerActor {
     /// The call in pre-compute or in flight.
     call: CallDesc,
     ops_issued: u64,
+    /// Closed-loop mode: index of the next call in the pattern
+    /// (`ops_issued` modulo its length, kept without a division).
+    pattern_next: usize,
     /// Phased mode: absolute start of the current period.
     period_start: u64,
     /// Phased mode: ops remaining in the current period.
@@ -305,6 +308,7 @@ impl CallerActor {
             state: CallerState::Deciding,
             call: CallDesc::default(),
             ops_issued: 0,
+            pattern_next: 0,
             period_start: 0,
             period_remaining: 0,
             started_at: None,
@@ -319,7 +323,11 @@ impl CallerActor {
                 if self.ops_issued >= *total_ops {
                     return self.finish(now);
                 }
-                let call = pattern[(self.ops_issued % pattern.len() as u64) as usize];
+                let call = pattern[self.pattern_next];
+                self.pattern_next += 1;
+                if self.pattern_next == pattern.len() {
+                    self.pattern_next = 0;
+                }
                 self.counters.borrow_mut().offered += 1;
                 self.start_call(call, now, cx)
             }
