@@ -56,7 +56,7 @@ if [[ $quick -eq 0 ]]; then
     # FNV-1a digest per CSV); this full-mode comparison stays because
     # only it runs the paper-scale parameters. The run's wall time is
     # printed so the cost of the figures is on record with every run.
-    echo "==> all_figures vs committed results/*.csv (cross-commit DES pin)"
+    echo "==> all_figures vs committed results/*.csv and all_figures.txt (cross-commit DES pin)"
     cargo build --release -q -p zc-bench --bin all_figures
     root=$PWD
     figdir=$(mktemp -d)
@@ -73,6 +73,10 @@ if [[ $quick -eq 0 ]]; then
         echo "ci.sh: $csv is tracked but all_figures did not regenerate it" >&2
         exit 1
     done
+    # The printed report too (EXPERIMENTS.md quotes it), minus its memcpy
+    # block: the one part of it that times real hardware.
+    drop_memcpy() { awk '/^=== /{skip = /^=== Fig 7 \/ Fig 13: memcpy/} !skip' "$1"; }
+    cmp <(drop_memcpy "$figdir/all_figures.txt") <(drop_memcpy results/all_figures.txt)
     rm -rf "$figdir"
 
     # The fault-injection, property and telemetry-trace suites must be
