@@ -20,6 +20,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Intra-doc links are checked only here: a deleted or narrowed item
+# otherwise leaves its links dangling without a compile error.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # The literal tier-1 command first, so the `default-members` wiring
 # (umbrella + zc-des) is exercised exactly as the pipeline runs it.
 echo "==> tier-1: cargo build --release && cargo test -q"

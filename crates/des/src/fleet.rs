@@ -6,7 +6,7 @@
 //! optional fault supervisor and enclave-lifecycle actor, and its own
 //! [`SimCounters`] — so a crashing, Byzantine or overloaded tenant can
 //! corrupt nothing beyond its own shard. One extra actor, the
-//! [`FleetAllocatorActor`], is the one host of the [`FleetController`]:
+//! `FleetAllocatorActor`, is the one host of the [`FleetController`]:
 //! it periodically reads every shard's counters and measured demand
 //! curve, lets the controller judge, decide and hand out the cap
 //! changes, and supplies the quiesce wait of the quiesce-and-migrate

@@ -350,17 +350,6 @@ enum Policy {
     EventDriven,
 }
 
-/// One core-occupancy change, recorded when tracing is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OccupancyEvent {
-    /// Virtual time of the change.
-    pub t: u64,
-    /// Core affected.
-    pub core: usize,
-    /// Thread now occupying the core (`None` = core went idle).
-    pub tid: Option<Tid>,
-}
-
 /// The discrete-event kernel. See module docs.
 pub struct Kernel {
     now: u64,
@@ -380,7 +369,6 @@ pub struct Kernel {
     steps: u64,
     /// Instant ops of the step in progress (empty between steps).
     cx: StepCx,
-    trace: Option<Vec<OccupancyEvent>>,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -433,35 +421,13 @@ impl Kernel {
             live_threads: 0,
             steps: 0,
             cx: StepCx::default(),
-            trace: None,
         }
-    }
-
-    /// Record core-occupancy changes for later inspection (e.g. the
-    /// [`gantt`](crate::gantt) renderer). Call before `run`. Under the
-    /// event-driven policy only compute occupancy shows up: blocked
-    /// spinners are off-core.
-    pub fn enable_tracing(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Occupancy trace recorded so far (empty unless tracing enabled).
-    #[must_use]
-    pub fn trace(&self) -> &[OccupancyEvent] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Number of cores in the machine.
     #[must_use]
     pub fn cores(&self) -> usize {
         self.running.len()
-    }
-
-    fn trace_occupancy(&mut self, core: usize, tid: Option<Tid>) {
-        let now = self.now;
-        if let Some(trace) = &mut self.trace {
-            trace.push(OccupancyEvent { t: now, core, tid });
-        }
     }
 
     /// Current virtual time in cycles.
@@ -806,7 +772,6 @@ impl Kernel {
             // starts now (arm_op refreshes it again for timed ops).
             self.threads[tid.0].segment_start = self.now;
             self.running[core] = Some(tid);
-            self.trace_occupancy(core, Some(tid));
             self.arm_quantum(core);
             if self.threads[tid.0].pending.is_none() {
                 self.step_thread_on_core(tid, core);
@@ -909,7 +874,6 @@ impl Kernel {
         self.running[core] = None;
         self.events.disarm(core);
         self.free_cores[core / 64] |= 1 << (core % 64);
-        self.trace_occupancy(core, None);
     }
 
     /// Apply an instant syscall, returned or issued through [`StepCx`].

@@ -35,15 +35,13 @@
 //! virtual time, simulation counters and `Sleep` syscalls.
 //!
 //! All results are in cycles of the modelled CPU and bit-for-bit
-//! reproducible across hosts. Enable [`Kernel::enable_tracing`] and
-//! render with [`gantt`] to see per-core occupancy timelines.
+//! reproducible across hosts.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod arrival;
 pub mod fleet;
-pub mod gantt;
 pub mod kernel;
 pub mod metrics;
 pub mod ocall;

@@ -129,9 +129,6 @@ pub struct SimConfig {
     pub sample_interval_cycles: u64,
     /// Hard stop in cycles (safety net for open-loop runs).
     pub deadline_cycles: u64,
-    /// When non-zero, record core occupancy and render a text Gantt
-    /// chart with this many columns into [`SimReport::gantt`].
-    pub gantt_buckets: usize,
     /// Deterministic worker-fault schedule for the ZC mechanism: spawns
     /// a supervisor actor applying the crashes/hangs/Byzantine
     /// corruptions at their virtual times and arms every caller's
@@ -160,7 +157,6 @@ impl SimConfig {
             classes,
             sample_interval_cycles: 0,
             deadline_cycles: cpu.freq_hz * 120,
-            gantt_buckets: 0,
             zc_faults: None,
             telemetry: None,
         }
@@ -201,13 +197,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_deadline(mut self, deadline_cycles: u64) -> Self {
         self.deadline_cycles = deadline_cycles;
-        self
-    }
-
-    /// Builder-style Gantt rendering (see [`SimReport::gantt`]).
-    #[must_use]
-    pub fn with_gantt(mut self, buckets: usize) -> Self {
-        self.gantt_buckets = buckets;
         self
     }
 
@@ -322,9 +311,6 @@ pub struct SimReport {
     pub recovery_latencies: RecoveryLatencies,
     /// Machine model the run used.
     pub cpu: CpuSpec,
-    /// Text Gantt chart of core occupancy (only when
-    /// [`SimConfig::gantt_buckets`] was non-zero).
-    pub gantt: Option<String>,
     /// Actor steps the kernel ran ([`Kernel::steps`]): the host-side
     /// work of the run, one step per protocol turn of each thread.
     #[serde(default)]
@@ -469,9 +455,6 @@ pub(crate) fn spawn_zc_shard(
 /// Run one experiment to completion (all callers done or deadline).
 pub fn run(config: &SimConfig) -> SimReport {
     let mut kernel = config.kernel_mode.kernel(&config.cpu, config.rr_quantum);
-    if config.gantt_buckets > 0 {
-        kernel.enable_tracing();
-    }
     let callers = config.workloads.len();
     let counters = Rc::new(RefCell::new(SimCounters::new(callers, config.classes)));
     let telemetry = config
@@ -600,8 +583,6 @@ pub fn run(config: &SimConfig) -> SimReport {
             (w.residency.clone(), w.residency.mean_workers())
         },
     );
-    let gantt = (config.gantt_buckets > 0)
-        .then(|| crate::gantt::render_kernel(&kernel, config.gantt_buckets));
     if let Some(hub) = hub {
         // Publish the run's counters into the hub registry in one pass
         // (counters accumulate across runs sharing a hub), and mark the
@@ -664,7 +645,6 @@ pub fn run(config: &SimConfig) -> SimReport {
         fault_recovery,
         recovery_latencies,
         cpu: config.cpu,
-        gantt,
         kernel_steps: kernel.steps(),
     }
 }
@@ -1316,23 +1296,6 @@ mod tests {
         assert_eq!(a.duration_cycles, b.duration_cycles);
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.total_busy_cycles, b.total_busy_cycles);
-    }
-
-    #[test]
-    fn gantt_rendering_shows_callers_and_workers() {
-        let cfg = SimConfig::new(
-            Mechanism::Zc(ZcSimParams::default()),
-            vec![closed(500, 2_000); 2],
-            1,
-        )
-        .with_gantt(40);
-        let r = run(&cfg);
-        let g = r.gantt.expect("gantt requested");
-        assert_eq!(g.lines().count(), 8, "one row per core:\n{g}");
-        assert!(g.contains('|'), "{g}");
-        // Without the flag, no gantt is produced.
-        let r2 = run(&SimConfig::new(Mechanism::NoSl, vec![closed(10, 100)], 1));
-        assert!(r2.gantt.is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Caller behaviours: what calls to make and when.
 //!
 //! A [`CallerActor`] owns a [`WorkloadSpec`] (the *what*) and a
-//! [`Dispatcher`](crate::ocall::Dispatcher) implementation (the *how*),
+//! [`Dispatcher`] implementation (the *how*),
 //! driving both:
 //! optional in-enclave pre-compute, then the ocall dialogue, repeated
 //! until the workload is exhausted.

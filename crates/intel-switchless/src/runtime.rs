@@ -19,8 +19,8 @@ use crate::pool::{SlotIdx, SlotState, TaskPool};
 use parking_lot::{Condvar, Mutex};
 use sgx_sim::frontdoor::{self, spin_pause, FrontDoor, Phase, Rec, Transport, Wedged};
 use sgx_sim::{Enclave, RegularOcall};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use switchless_core::config::intel_default_task_pool;
 use switchless_core::{
@@ -32,8 +32,6 @@ use zc_telemetry::{Event, MetricValue, Origin, Telemetry};
 
 #[derive(Debug)]
 struct Shared {
-    /// Self-reference handed to the worker threads this state spawns.
-    me: Weak<Shared>,
     config: IntelConfig,
     table: Arc<OcallTable>,
     pool: TaskPool,
@@ -46,8 +44,6 @@ struct Shared {
     sleepers: AtomicUsize,
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
-    /// Per-worker respawn generation counters (0 = initial spawn).
-    respawn_gens: Vec<AtomicU64>,
 }
 
 impl Shared {
@@ -61,18 +57,6 @@ impl Shared {
     fn wake_all(&self) {
         let _g = self.sleep_lock.lock();
         self.sleep_cv.notify_all();
-    }
-
-    /// Spawn worker thread `index`, generation `generation` (0 at
-    /// startup, >0 when a dying worker respawns its replacement). The
-    /// handle lands with the front door for shutdown to join.
-    fn spawn_worker(&self, index: usize, generation: u64) {
-        let sh = self.me.upgrade().expect("runtime state is alive");
-        self.door.spawn_worker(
-            index,
-            format!("intel-uworker-{index}-g{generation}"),
-            move |wedged| worker_loop(&sh, index, wedged),
-        );
     }
 }
 
@@ -171,11 +155,7 @@ impl IntelSwitchless {
                 "switchless functions configured but num_uworkers is 0".into(),
             ));
         }
-        let respawn_gens = (0..config.num_uworkers)
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        let shared = Arc::new_cyclic(|me| Shared {
-            me: me.clone(),
+        let shared = Arc::new(Shared {
             pool: TaskPool::new(intel_default_task_pool(config.num_uworkers)),
             door: FrontDoor::new(
                 RegularOcall::new(Arc::clone(&table), enclave),
@@ -189,7 +169,6 @@ impl IntelSwitchless {
             sleepers: AtomicUsize::new(0),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
-            respawn_gens,
         });
         if let Some(hub) = &shared.door.telemetry {
             let weak = Arc::downgrade(&shared);
@@ -215,7 +194,11 @@ impl IntelSwitchless {
             });
         }
         for i in 0..shared.config.num_uworkers {
-            shared.spawn_worker(i, 0);
+            let sh = Arc::clone(&shared);
+            let body = move |wedged: &Wedged| worker_loop(&sh, i, wedged);
+            shared
+                .door
+                .spawn_worker(i, format!("intel-uworker-{i}"), body);
         }
         Ok(IntelSwitchless { shared })
     }
@@ -482,24 +465,9 @@ fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
                     sh.door.event(origin, Event::Fault { kind: fault });
                     match fault {
                         Fault::WorkerStall => clock.spin_cycles(faults.cycles(fault)),
-                        Fault::WorkerCrash => {
-                            // Self-healing (opt-in): a dying worker spawns
-                            // its own successor — the SDK model has no
-                            // supervisor thread, so the respawn rides on the
-                            // failing thread's way out.
-                            if sh.config.respawn_workers && sh.door.is_running() {
-                                let gen = sh.respawn_gens[index].fetch_add(1, Ordering::AcqRel) + 1;
-                                sh.spawn_worker(index, gen);
-                                sh.door.event(
-                                    origin,
-                                    Event::WorkerRespawned {
-                                        worker: index as u32,
-                                        generation: gen,
-                                    },
-                                );
-                            }
-                            return;
-                        }
+                        // As in the SDK, nothing replaces a crashed worker:
+                        // the pool stays one short.
+                        Fault::WorkerCrash => return,
                         _ => {
                             // A hang. Say so first, so the drain abandons
                             // this thread instead of waiting for it.
@@ -571,6 +539,7 @@ fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use switchless_core::MAX_OCALL_ARGS;
 
     fn table() -> (
@@ -603,12 +572,6 @@ mod tests {
         /// instead of guessing with wall-clock sleeps.
         fn sleeping_workers(&self) -> usize {
             self.shared.sleepers.load(Ordering::Acquire)
-        }
-
-        /// Total worker respawns so far.
-        fn respawned_workers(&self) -> u64 {
-            let gens = self.shared.respawn_gens.iter();
-            gens.map(|g| g.load(Ordering::Acquire)).sum()
         }
     }
 
@@ -702,9 +665,8 @@ mod tests {
     fn workers_sleep_and_wake() {
         let (t, echo, _) = table();
         // rbs = 0: workers sleep immediately when the pool is empty.
-        let cfg = IntelConfig::new(1, [echo])
-            .with_retries_before_sleep(0)
-            .with_retries_before_fallback(2_000_000);
+        let mut cfg = IntelConfig::new(1, [echo]).with_retries_before_fallback(2_000_000);
+        cfg.retries_before_sleep = 0;
         let rt = IntelSwitchless::start(cfg, t, enclave()).unwrap();
         // Wait (bounded) until the worker has actually gone to sleep —
         // observable via the sleeper count, no wall-clock guessing.
@@ -752,41 +714,12 @@ mod tests {
     }
 
     #[test]
-    fn crashed_worker_is_respawned_when_enabled() {
-        use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule};
-        let (t, echo, _) = table();
-        // Single worker, crash injected on its first observed task: with
-        // respawn on, the dying thread spawns a replacement and later
-        // calls still complete switchlessly.
-        let cfg = IntelConfig::new(1, [echo])
-            .with_retries_before_fallback(2_000_000)
-            .with_respawn();
-        let faults = Arc::new(FaultInjector::new(
-            FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at(0)),
-        ));
-        let rt = IntelSwitchless::start_with_faults(cfg, t, enclave(), faults).unwrap();
-        let mut out = Vec::new();
-        for i in 0..10 {
-            let (ret, _) = rt
-                .dispatch(&OcallRequest::new(echo, &[]), b"resp", &mut out)
-                .unwrap();
-            assert_eq!(ret, 4, "call {i} must complete despite the crash");
-            assert_eq!(out, b"resp");
-        }
-        assert_eq!(rt.respawned_workers(), 1, "crash must trigger one respawn");
-        let snap = rt.stats().snapshot();
-        assert_eq!(snap.total_calls(), 10);
-        let report = rt.shutdown_with_timeout(Duration::from_secs(30));
-        assert_eq!(report.drained, 2, "original + replacement must both join");
-        assert_eq!(report.abandoned, 0);
-    }
-
-    #[test]
     fn crashed_worker_stays_dead_without_respawn() {
         use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule};
         let (t, echo, _) = table();
-        // Same crash, respawn off (the default): every later call must
-        // degrade to the rbf-timeout fallback path, none may hang.
+        // Single worker, crash injected on its first observed task: every
+        // later call must degrade to the rbf-timeout fallback path, none
+        // may hang.
         let cfg = IntelConfig::new(1, [echo]).with_retries_before_fallback(16);
         let faults = Arc::new(FaultInjector::new(
             FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at(0)),
@@ -799,7 +732,6 @@ mod tests {
                 .unwrap();
             assert_eq!(ret, 4);
         }
-        assert_eq!(rt.respawned_workers(), 0);
         let snap = rt.stats().snapshot();
         // After the crash the pool has no worker: at least the later
         // calls must be fallbacks (the crash-triggering call itself also

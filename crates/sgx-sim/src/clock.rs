@@ -100,12 +100,6 @@ impl CycleClock {
         }
     }
 
-    /// `true` if this clock runs on logical (virtual) time.
-    #[must_use]
-    pub fn is_virtual(&self) -> bool {
-        matches!(self.inner.backend, Backend::Virtual { .. })
-    }
-
     /// Machine model this clock measures.
     #[must_use]
     pub fn spec(&self) -> &CpuSpec {
@@ -260,7 +254,7 @@ mod tests {
     #[test]
     fn virtual_clock_starts_at_zero_and_spins_instantly() {
         let clock = CycleClock::new_virtual(CpuSpec::paper_machine());
-        assert!(clock.is_virtual());
+        assert!(matches!(clock.inner.backend, Backend::Virtual { .. }));
         assert_eq!(clock.now_cycles(), 0);
         let wall = Instant::now();
         clock.spin_cycles(38_000_000_000); // 10 modelled seconds
@@ -300,7 +294,7 @@ mod tests {
         assert_eq!(vclock.now_cycles(), 1_000);
 
         let rclock = CycleClock::new(CpuSpec::paper_machine());
-        assert!(!rclock.is_virtual());
+        assert!(matches!(rclock.inner.backend, Backend::Real { .. }));
         let before = rclock.now_cycles();
         rclock.advance_cycles(1_000_000_000);
         assert!(rclock.now_cycles() >= before + 1_000_000_000);

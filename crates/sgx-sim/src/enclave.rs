@@ -115,7 +115,8 @@ mod tests {
     #[test]
     fn virtual_enclave_hands_out_a_virtual_clock() {
         let e = Enclave::new_virtual(CpuSpec::paper_machine());
-        assert!(e.clock().is_virtual());
         assert_eq!(e.clock().now_cycles(), 0);
+        e.clock().spin_cycles(38_000);
+        assert_eq!(e.clock().now_cycles(), 38_000, "a virtual spin is exact");
     }
 }

@@ -652,7 +652,7 @@ fn crash_or_wait<T: Transport>(t: &T, plane: &RecoveryPlane) {
 ///
 /// # Errors
 ///
-/// See [`recover_call`]'s verdicts.
+/// See `recover_call`'s verdicts.
 ///
 /// # Panics
 ///

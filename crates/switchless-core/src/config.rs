@@ -79,10 +79,6 @@ pub struct IntelConfig {
     pub retries_before_fallback: u32,
     /// Pauses a *worker* spends polling for tasks before sleeping (`rbs`).
     pub retries_before_sleep: u32,
-    /// Respawn crashed/hung workers instead of letting the pool shrink
-    /// permanently. Off by default: the SDK library has no such
-    /// mechanism, so the default stays SDK-faithful.
-    pub respawn_workers: bool,
     /// Overload control ([`OverloadParams`]). `None` (the default,
     /// SDK-faithful) admits every call unconditionally; `Some` enables
     /// the admission/deadline/brownout plane shared with the ZC
@@ -105,7 +101,6 @@ impl IntelConfig {
             num_uworkers: workers,
             retries_before_fallback: INTEL_DEFAULT_RETRIES,
             retries_before_sleep: INTEL_DEFAULT_RETRIES,
-            respawn_workers: false,
             overload: None,
             recovery: None,
         }
@@ -121,20 +116,6 @@ impl IntelConfig {
     #[must_use]
     pub fn with_retries_before_fallback(mut self, rbf: u32) -> Self {
         self.retries_before_fallback = rbf;
-        self
-    }
-
-    /// Builder-style override of `retries_before_sleep`.
-    #[must_use]
-    pub fn with_retries_before_sleep(mut self, rbs: u32) -> Self {
-        self.retries_before_sleep = rbs;
-        self
-    }
-
-    /// Builder-style enable of worker respawning (self-healing pool).
-    #[must_use]
-    pub fn with_respawn(mut self) -> Self {
-        self.respawn_workers = true;
         self
     }
 
@@ -299,11 +280,8 @@ mod tests {
 
     #[test]
     fn intel_builder_overrides() {
-        let c = IntelConfig::new(2, [])
-            .with_retries_before_fallback(100)
-            .with_retries_before_sleep(50);
+        let c = IntelConfig::new(2, []).with_retries_before_fallback(100);
         assert_eq!(c.retries_before_fallback, 100);
-        assert_eq!(c.retries_before_sleep, 50);
     }
 
     #[test]
@@ -330,13 +308,11 @@ mod tests {
     #[test]
     fn supervision_is_opt_in() {
         assert!(ZcConfig::default().supervise.is_none());
-        assert!(!IntelConfig::default().respawn_workers);
         let custom = SuperviseParams::default().with_poison_threshold(5);
         assert_eq!(
             ZcConfig::default().with_supervise_params(custom).supervise,
             Some(custom)
         );
-        assert!(IntelConfig::default().with_respawn().respawn_workers);
     }
 
     #[test]

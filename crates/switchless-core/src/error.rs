@@ -25,7 +25,7 @@ pub enum SwitchlessError {
     InvalidConfig(String),
     /// The enclave transition machinery failed and bounded retries were
     /// exhausted. Only produced under fault injection
-    /// ([`FaultPlan::fail_transitions_first`](crate::FaultPlan::fail_transitions_first)).
+    /// ([`Fault::TransitionFailure`](crate::Fault::TransitionFailure)).
     TransitionFailed {
         /// Transition attempts made, including the retries.
         attempts: u32,

@@ -584,13 +584,6 @@ impl OverloadParams {
         self
     }
 
-    /// Builder-style override of the breaker tuning.
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: BreakerParams) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
     /// Builder-style override of the brownout tuning.
     #[must_use]
     pub fn with_brownout(mut self, brownout: BrownoutParams) -> Self {
@@ -1128,12 +1121,13 @@ mod tests {
 
     #[test]
     fn plane_breaker_round_trip_is_traced() {
-        let p = params().with_breaker(BreakerParams {
+        let mut p = params();
+        p.breaker = BreakerParams {
             failure_threshold: 2,
             window_cycles: 1_000,
             open_cycles: 100,
             probe_successes: 1,
-        });
+        };
         let plane = OverloadPlane::new(p);
         assert!(plane.on_fallback(0).is_none());
         let edge = plane.on_fallback(1).expect("second failure trips");

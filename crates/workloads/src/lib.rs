@@ -13,8 +13,6 @@
 //!   substitute) plus the two-thread file encryption/decryption pipeline
 //!   of §V-B: `fopen`/`fread`/`fwrite`/`fclose` ocalls around in-enclave
 //!   crypto.
-//! * [`lmbench`] — the §V-C dynamic benchmark: word-granularity reads of
-//!   `/dev/zero` and writes to `/dev/null`.
 //! * [`synthetic`] — the §III `f`/`g` microbenchmark (α empty calls vs β
 //!   pause-loop calls).
 //! * [`efile`] — `FILE*`-style helpers turning a dispatcher + registered
@@ -29,7 +27,6 @@
 pub mod crypto;
 pub mod efile;
 pub mod kissdb;
-pub mod lmbench;
 pub mod synthetic;
 pub mod trace;
 

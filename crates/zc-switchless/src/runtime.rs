@@ -781,14 +781,14 @@ mod tests {
         let cfg = ZcConfig::for_cpu(cpu)
             .with_quantum_ms(10_000)
             .with_initial_workers(1);
-        let cfg = cfg.with_overload_params(OverloadParams::for_cpu(&cfg.cpu).with_breaker(
-            BreakerParams {
-                failure_threshold: 3,
-                window_cycles: 1 << 40,
-                open_cycles: 1 << 40,
-                probe_successes: 1,
-            },
-        ));
+        let mut overload = OverloadParams::for_cpu(&cfg.cpu);
+        overload.breaker = BreakerParams {
+            failure_threshold: 3,
+            window_cycles: 1 << 40,
+            open_cycles: 1 << 40,
+            probe_successes: 1,
+        };
+        let cfg = cfg.with_overload_params(overload);
         let faults = Arc::new(FaultInjector::new(
             FaultPlan::new().inject(Fault::WorkerCrash, FaultSchedule::at(0)),
         ));

@@ -1,12 +1,12 @@
-//! The supervisor thread: drives the pure [`Supervisor`] policy against
-//! the runtime clock, respawning failed worker slots onto fresh
-//! [`WorkerBuffer`]s and healing them after a clean probation.
+//! The supervisor thread: drives the pure [`switchless_core::Supervisor`]
+//! policy against the runtime clock, respawning failed worker slots onto
+//! fresh [`WorkerBuffer`](crate::WorkerBuffer)s and healing them after a clean probation.
 //!
 //! Division of labour:
 //!
 //! * **Callers** detect failures (observed poison, watchdog timeouts)
-//!   and report them to the shared [`Supervisor`] ledger (`caller.rs`).
-//! * **This thread** polls the ledger every micro-quantum ([`POLL`])
+//!   and report them to the shared `Supervisor` ledger (`caller.rs`).
+//! * **This thread** polls the ledger every micro-quantum (`POLL`)
 //!   and executes its time-driven decisions: a `Respawn` swaps the slot's
 //!   buffer for a fresh one and spawns a new worker thread generation;
 //!   a `Heal` is bookkeeping (the slot's failure ladder resets) and is

@@ -163,7 +163,7 @@ pub mod prop {
     pub mod collection {
         use super::super::{Strategy, TestRng};
 
-        /// Element count for [`vec`]: a fixed length or a half-open range.
+        /// Element count for [`vec()`]: a fixed length or a half-open range.
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             start: usize,

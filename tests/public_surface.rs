@@ -6,45 +6,49 @@
 //! for a whole file none of whose top-level `pub` items is mentioned
 //! (comments and `pub use` re-exports aside) outside it: entry `*`.
 //! One-directional on purpose: a generic name (`new`) is never flagged,
-//! so the rule has no false failures. Reads `benchmark/`, writes
-//! nothing.
+//! so the rule has no false failures. Each allowlist reason is checked
+//! too: its tag names the code that must mention the entry. Reads
+//! `benchmark/`, `tests/` and `examples/`, writes nothing.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fs;
 use std::path::Path;
 
-/// One group per paragraph: `# why these stay public without a product
-/// caller`, then `file: name name …` lines (`*` is the whole file).
+/// One group per paragraph: `# tag: why these stay public without a
+/// product caller`, then `file: name name …` lines (`*` is the whole
+/// file). The tag is the part of the reason that is checked — it names
+/// the code that must mention every entry of the paragraph (for `*`, one
+/// of the file's top-level `pub` items), comments aside: `itest`, code
+/// under `tests/` (this file aside) or `crates/*/tests/`; `example`,
+/// code under `examples/`.
 const ALLOW: &str = "
-# TransitionLog, DrainReport and the journal capacity: the harness of every fault and recovery suite
+# itest: TransitionLog, DrainReport and the journal capacity: the harness of every fault and recovery suite
 crates/switchless-core/src/fault.rs: illegal_edges is_clean
 crates/switchless-core/src/recovery.rs: with_journal_slots
 
-# the four exporters are telemetry's output; deployers, examples and trace pins call them
+# itest: the four exporters are telemetry's output; deployers call them, the trace pins check them
 crates/zc-telemetry/src/export.rs: canonical_jsonl events_to_jsonl to_chrome_trace to_prometheus
 
-# options and per-request inputs that the examples and the integration suites do set
-crates/switchless-core/src/config.rs: with_initial_workers with_quantum_ms
-crates/switchless-core/src/config.rs: with_respawn with_retries_before_fallback
-crates/switchless-core/src/config.rs: with_retries_before_sleep
+# itest: options and per-request inputs that the integration suites set
+crates/switchless-core/src/config.rs: with_initial_workers with_quantum_ms with_retries_before_fallback
 crates/switchless-core/src/supervise.rs: with_poison_threshold with_probation_cycles
-crates/switchless-core/src/overload.rs: with_breaker with_brownout with_max_inflight
+crates/switchless-core/src/overload.rs: with_brownout with_max_inflight
 crates/switchless-core/src/func.rs: with_deadline_at with_priority
-crates/des/src/sim.rs: with_gantt
 
-# state the suites assert on and the examples print; nothing in the runtimes needs it
+# itest: state the suites assert on; nothing in the runtimes needs it
 crates/switchless-core/src/policy.rs: settled_workers shifting
 crates/switchless-core/src/supervise.rs: serving_workers
 crates/des/src/kernel.rs: thread_cycles
 crates/des/src/metrics.rs: goodput_ratio
-crates/sgx-sim/src/clock.rs: is_virtual
-crates/sgx-sim/src/hostfs.rs: file_contents file_size
+crates/sgx-sim/src/hostfs.rs: file_contents
 crates/intel-switchless/src/pool.rs: from_raw is_done
 
-# entry points for callers outside the product: demo machine, ecalls, [rings]' batch client
-crates/switchless-core/src/cpu.rs: host_machine
+# itest: the ecall entry point, for callers outside the product
 crates/zc-switchless/src/runtime.rs: start_ecalls
-crates/workloads/src/lmbench.rs: *
+
+# example: the demo machine and a host file's size, which the examples print
+crates/sgx-sim/src/hostfs.rs: file_size
+crates/switchless-core/src/cpu.rs: host_machine
 ";
 
 /// Every readable file under `dir` as `(path, text)`, its `pub use …;`
@@ -76,6 +80,13 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
         .filter(|w| !w.is_empty())
 }
 
+/// The words of `text` outside `//` comments.
+fn code_words(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .map(|l| l.split("//").next().unwrap())
+        .flat_map(words)
+}
+
 /// The word after each `marker` that itself starts a word.
 fn named<'a>(text: &'a str, marker: &'a str) -> impl Iterator<Item = &'a str> {
     text.match_indices(marker)
@@ -87,24 +98,77 @@ const ITEMS: [&str; 7] = [
     "struct ", "enum ", "trait ", "type ", "const ", "static ", "fn ",
 ];
 
+/// The names of a file's top-level `pub` items.
+fn items(text: &str) -> Vec<&str> {
+    let top_level = text.lines().filter(|l| l.starts_with("pub "));
+    top_level
+        .filter_map(|l| ITEMS.iter().find_map(|kind| named(l, kind).next()))
+        .collect()
+}
+
+/// An allowlist entry: `(file, name)`.
+type Entry<'a> = (&'a str, &'a str);
+
+/// Every `(file, name)` entry of `allow`, and the entries whose
+/// paragraph tag is false: no code of the tag's `readers` mentions the
+/// name (for `*`, any top-level `pub` item of the file in `product`).
+fn allowlist<'a>(
+    allow: &'a str,
+    product: &[(String, String)],
+    readers: &[(&str, &[(String, String)])],
+) -> (BTreeSet<Entry<'a>>, Vec<Entry<'a>>) {
+    let mut allowed = BTreeSet::new();
+    let mut unread = Vec::new();
+    for group in allow.trim().split("\n\n") {
+        let (reason, entries) = group.split_once('\n').unwrap_or((group, ""));
+        let tag = reason.strip_prefix("# ").and_then(|r| r.split_once(": "));
+        let files = tag.and_then(|(tag, _)| readers.iter().find(|(t, _)| *t == tag));
+        let Some((_, files)) = files.filter(|_| reason.len() > 40) else {
+            panic!("no tagged reason given for:\n{group}");
+        };
+        let said: HashSet<&str> = files.iter().flat_map(|(_, t)| code_words(t)).collect();
+        for (file, names) in entries.lines().filter_map(|l| l.split_once(": ")) {
+            for name in names.split_whitespace() {
+                let read = if name == "*" {
+                    let text = product.iter().find(|(f, _)| f == file).map(|(_, t)| t);
+                    items(text.unwrap()).iter().any(|i| said.contains(i))
+                } else {
+                    said.contains(name)
+                };
+                allowed.insert((file, name));
+                if !read {
+                    unread.push((file, name));
+                }
+            }
+        }
+    }
+    (allowed, unread)
+}
+
 #[test]
 fn every_public_function_is_called_or_allowlisted() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut corpus = Vec::new();
+    let (mut corpus, mut itests, mut examples) = (Vec::new(), Vec::new(), Vec::new());
     for krate in fs::read_dir(root.join("crates")).unwrap() {
-        read(&krate.unwrap().path().join("src"), true, &mut corpus);
+        let krate = krate.unwrap().path();
+        read(&krate.join("src"), true, &mut corpus);
+        if krate.join("tests").is_dir() {
+            read(&krate.join("tests"), false, &mut itests);
+        }
     }
     let scanned = corpus.len();
     read(&root.join("src"), true, &mut corpus);
     read(&root.join("benchmark"), false, &mut corpus);
+    read(&root.join("tests"), false, &mut itests);
+    itests.retain(|(file, _)| file != "tests/public_surface.rs");
+    read(&root.join("examples"), false, &mut examples);
 
     // Mentions of each word anywhere, and the files whose code mentions it.
     let mut mentions: HashMap<&str, usize> = HashMap::new();
     let mut mentioned_in: HashMap<&str, HashSet<&str>> = HashMap::new();
     for (file, text) in &corpus {
         words(text).for_each(|w| *mentions.entry(w).or_default() += 1);
-        let code = text.lines().map(|l| l.split("//").next().unwrap());
-        for w in code.flat_map(words) {
+        for w in code_words(text) {
             mentioned_in.entry(w).or_default().insert(file);
         }
     }
@@ -112,30 +176,50 @@ fn every_public_function_is_called_or_allowlisted() {
     for (file, text) in &corpus[..scanned] {
         let uncalled = named(text, "pub fn ").filter(|n| mentions[n] == 1);
         flagged.extend(uncalled.map(|n| (file.as_str(), n)));
-        let top_level = text.lines().filter(|l| l.starts_with("pub "));
-        let items: Vec<&str> = top_level
-            .filter_map(|l| ITEMS.iter().find_map(|kind| named(l, kind).next()))
-            .collect();
+        let items = items(text);
         if !items.is_empty() && items.iter().all(|i| mentioned_in[i].len() == 1) {
             flagged.insert((file.as_str(), "*"));
         }
     }
-    let mut allowed = BTreeSet::new();
-    for group in ALLOW.trim().split("\n\n") {
-        let (reason, entries) = group.split_once('\n').unwrap_or(("", group));
-        let stated = reason.starts_with("# ") && reason.len() > 40;
-        assert!(stated, "no reason given for:\n{group}");
-        for (file, names) in entries.lines().filter_map(|l| l.split_once(": ")) {
-            allowed.extend(names.split_whitespace().map(|n| (file, n)));
-        }
-    }
+    let readers = [("itest", &itests[..]), ("example", &examples[..])];
+    let (allowed, unread) = allowlist(ALLOW, &corpus[..scanned], &readers);
     let budget = allowed.len();
-    assert!(budget <= 33, "{budget} allowlist entries: the budget is 33");
+    assert!(budget <= 27, "{budget} allowlist entries: the budget is 27");
     let unlisted: Vec<_> = flagged.difference(&allowed).collect();
     let stale: Vec<_> = allowed.difference(&flagged).collect();
     assert!(
-        unlisted.is_empty() && stale.is_empty(),
+        unlisted.is_empty() && stale.is_empty() && unread.is_empty(),
         "public, but no product code mentions it — call it, narrow it, delete it, or allowlist it \
-         with a reason: {unlisted:?}\nallowlisted, but not flagged any more — drop it: {stale:?}"
+         with a reason: {unlisted:?}\nallowlisted, but not flagged any more — drop it: {stale:?}\n\
+         allowlisted, but its tag is false — give it that reader, or delete it: {unread:?}"
     );
+}
+
+#[test]
+fn a_false_tag_is_reported() {
+    let file = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let product = [
+        file(
+            "lib.rs",
+            "pub fn tested() {}\npub fn nobody() {}\npub fn shown() {}",
+        ),
+        file(
+            "demo.rs",
+            "pub struct Demo;\nimpl Demo {\n    pub fn new() -> Self { Demo }\n}",
+        ),
+    ];
+    let itests = [file("tests/t.rs", "fn t() { tested(); } // nobody")];
+    let examples = [file("examples/e.rs", "fn main() { shown(); Demo::new(); }")];
+    let allow = "
+# itest: one entry a suite calls, one that only a test comment names
+lib.rs: tested nobody
+
+# example: two entries an example calls, one that only a suite calls
+lib.rs: shown tested
+demo.rs: *
+";
+    let readers = [("itest", &itests[..]), ("example", &examples[..])];
+    let (allowed, unread) = allowlist(allow, &product, &readers);
+    assert_eq!(allowed.len(), 4);
+    assert_eq!(unread, [("lib.rs", "nobody"), ("lib.rs", "tested")]);
 }
