@@ -78,6 +78,14 @@ if [[ $quick -eq 0 ]]; then
         echo "ci.sh: $csv is tracked but all_figures did not regenerate it" >&2
         exit 1
     done
+    # Every output is on record: a file under results/ that git does not
+    # track (a non-CSV dump, a new figure) would otherwise go unseen.
+    for out in "$figdir"/results/*; do
+        name=results/${out##*/}
+        git ls-files --error-unmatch "$name" > /dev/null 2>&1 && continue
+        echo "ci.sh: all_figures wrote $name, which git does not track" >&2
+        exit 1
+    done
     # The printed report too (EXPERIMENTS.md quotes it), minus its memcpy
     # block: the one part of it that times real hardware.
     drop_memcpy() { awk '/^=== /{skip = /^=== Fig 7 \/ Fig 13: memcpy/} !skip' "$1"; }

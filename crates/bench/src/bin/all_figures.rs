@@ -4,36 +4,25 @@
 //!
 //! Usage: `all_figures [--quick]` — `--quick` trades scale for speed
 //! (seconds instead of minutes). Tables print to stdout; CSVs land under
-//! `results/`, along with one `telemetry_<figures>.jsonl` per module
-//! (metrics snapshot + event trace of the runs behind it).
+//! `results/`.
 
 use zc_bench::experiments::{ablations, kissdb, lmbench, memcpy, openssl, synthetic};
-use zc_bench::telemetry::FigureScope;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let run = |banner: &str, scope: &str, emit: fn(bool)| {
+    let modules = [
+        (
+            "Sec III-A / Fig 2 / Fig 3: switchless selection",
+            synthetic::emit as fn(bool),
+        ),
+        ("Fig 7 / Fig 13: memcpy (real hardware)", memcpy::emit),
+        ("Fig 8 / Fig 9: kissdb", kissdb::emit),
+        ("Fig 10: OpenSSL-substitute", openssl::emit),
+        ("Fig 11 / Fig 12: lmbench dynamic", lmbench::emit),
+        ("Ablations A1-A6", ablations::emit),
+    ];
+    for (banner, emit) in modules {
         println!("\n=== {banner} ===\n");
-        let scope = FigureScope::begin(scope);
         emit(quick);
-        scope.finish();
-    };
-    run(
-        "Sec III-A / Fig 2 / Fig 3: switchless selection",
-        "fig2_fig3_synthetic",
-        synthetic::emit,
-    );
-    run(
-        "Fig 7 / Fig 13: memcpy (real hardware)",
-        "fig7_fig13_memcpy",
-        memcpy::emit,
-    );
-    run("Fig 8 / Fig 9: kissdb", "fig8_fig9_kissdb", kissdb::emit);
-    run("Fig 10: OpenSSL-substitute", "fig10_openssl", openssl::emit);
-    run(
-        "Fig 11 / Fig 12: lmbench dynamic",
-        "fig11_fig12_lmbench",
-        lmbench::emit,
-    );
-    run("Ablations A1-A6", "ablations", ablations::emit);
+    }
 }

@@ -13,6 +13,5 @@
 
 pub mod experiments;
 pub mod table;
-pub mod telemetry;
 
 pub use table::Table;

@@ -36,18 +36,6 @@ pub enum ArrivalProcess {
         /// Mean dwell in the burst state.
         burst_dwell_cycles: u64,
     },
-    /// Diurnal load: Poisson arrivals whose mean gap sweeps through a
-    /// triangle wave over `period_cycles` — rate peaks mid-period at
-    /// `mean/(1+swing)` gaps and troughs at `mean/(1-swing)`. A whole
-    /// day compressed into virtual time.
-    Diurnal {
-        /// Mean gap at the midpoint of the swing.
-        mean_gap_cycles: u64,
-        /// Swing amplitude in percent of the mean (clamped to ≤ 90).
-        swing_pct: u64,
-        /// Length of one low→high→low sweep.
-        period_cycles: u64,
-    },
 }
 
 impl ArrivalProcess {
@@ -57,10 +45,7 @@ impl ArrivalProcess {
     #[must_use]
     pub fn mean_gap_cycles(&self) -> u64 {
         match *self {
-            ArrivalProcess::Poisson { mean_gap_cycles }
-            | ArrivalProcess::Diurnal {
-                mean_gap_cycles, ..
-            } => mean_gap_cycles.max(1),
+            ArrivalProcess::Poisson { mean_gap_cycles } => mean_gap_cycles.max(1),
             ArrivalProcess::Mmpp {
                 calm_gap_cycles,
                 burst_gap_cycles,
@@ -99,18 +84,6 @@ pub enum ServiceDist {
         /// Mean host-function cycles.
         mean_cycles: u64,
     },
-    /// Heavy-tailed (Pareto) service times: most calls are near
-    /// `min_cycles`, a few are huge. `alpha_milli` is the tail index α
-    /// in thousandths (1500 = α 1.5; smaller = heavier tail); draws are
-    /// capped at `cap_cycles` so one sample cannot swallow the run.
-    Pareto {
-        /// Scale (minimum) of the distribution.
-        min_cycles: u64,
-        /// Tail index α in thousandths, clamped to ≥ 100.
-        alpha_milli: u64,
-        /// Upper clamp on any single draw.
-        cap_cycles: u64,
-    },
 }
 
 impl ServiceDist {
@@ -119,17 +92,6 @@ impl ServiceDist {
         match *self {
             ServiceDist::Fixed { cycles } => cycles,
             ServiceDist::Exponential { mean_cycles } => exp_cycles(rng, mean_cycles),
-            ServiceDist::Pareto {
-                min_cycles,
-                alpha_milli,
-                cap_cycles,
-            } => {
-                let alpha = alpha_milli.max(100) as f64 / 1000.0;
-                // Inverse-CDF: m / u^(1/α), u ∈ (0, 1].
-                let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-                let x = min_cycles.max(1) as f64 / u.powf(1.0 / alpha);
-                (x as u64).clamp(min_cycles.max(1), cap_cycles.max(min_cycles.max(1)))
-            }
         }
     }
 }
@@ -224,27 +186,6 @@ impl ArrivalGen {
                 }
                 gap_total.max(1)
             }
-            ArrivalProcess::Diurnal {
-                mean_gap_cycles,
-                swing_pct,
-                period_cycles,
-            } => {
-                let swing = swing_pct.min(90);
-                let period = period_cycles.max(2);
-                // Triangle wave in [-1, 1] over the period: -1 at the
-                // edges (slow), +1 mid-period (fast).
-                let phase = self.t % period;
-                let half = period / 2;
-                let tri = if phase < half {
-                    phase as f64 / half as f64 * 2.0 - 1.0
-                } else {
-                    (period - phase) as f64 / half as f64 * 2.0 - 1.0
-                };
-                // Faster mid-period: divide the mean gap by (1 + s·tri).
-                let factor = 1.0 + swing as f64 / 100.0 * tri;
-                let scaled = (mean_gap_cycles.max(1) as f64 / factor).max(1.0);
-                exp_cycles(&mut self.rng, scaled as u64)
-            }
         };
         self.t = self.t.saturating_add(gap.max(1));
         self.t
@@ -300,11 +241,6 @@ mod tests {
                 burst_gap_cycles: 100,
                 calm_dwell_cycles: 50_000,
                 burst_dwell_cycles: 20_000,
-            },
-            ArrivalProcess::Diurnal {
-                mean_gap_cycles: 1_000,
-                swing_pct: 50,
-                period_cycles: 100_000,
             },
         ] {
             let a = drain(ArrivalGen::new(process, 42), 500);
@@ -372,60 +308,12 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_rate_swings_within_the_period() {
-        // Count arrivals near the period edges (slow) vs mid-period
-        // (fast); the mid-period window must see clearly more.
-        let period = 1_000_000u64;
-        let g = ArrivalGen::new(
-            ArrivalProcess::Diurnal {
-                mean_gap_cycles: 1_000,
-                swing_pct: 80,
-                period_cycles: period,
-            },
-            13,
-        );
-        let ts = drain(g, 20_000);
-        let in_window = |lo_frac: f64, hi_frac: f64| {
-            ts.iter()
-                .filter(|&&t| {
-                    let phase = (t % period) as f64 / period as f64;
-                    phase >= lo_frac && phase < hi_frac
-                })
-                .count()
-        };
-        let slow = in_window(0.0, 0.1) + in_window(0.9, 1.0);
-        let fast = in_window(0.45, 0.65);
-        assert!(
-            fast > slow * 2,
-            "mid-period must be denser: fast={fast} slow={slow}"
-        );
-    }
-
-    #[test]
     fn exponential_service_times_have_the_right_mean() {
         let mut s = ServiceSampler::new(ServiceDist::Exponential { mean_cycles: 5_000 }, 17);
         let n = 20_000;
         let total: u64 = (0..n).map(|_| s.next_cycles()).sum();
         let mean = total as f64 / n as f64;
         assert!((4_000.0..6_000.0).contains(&mean), "mean {mean}");
-    }
-
-    #[test]
-    fn pareto_respects_floor_cap_and_has_a_tail() {
-        let mut s = ServiceSampler::new(
-            ServiceDist::Pareto {
-                min_cycles: 1_000,
-                alpha_milli: 1_500,
-                cap_cycles: 1_000_000,
-            },
-            19,
-        );
-        let draws: Vec<u64> = (0..20_000).map(|_| s.next_cycles()).collect();
-        assert!(draws.iter().all(|&d| (1_000..=1_000_000).contains(&d)));
-        let near_floor = draws.iter().filter(|&&d| d < 2_000).count();
-        let deep_tail = draws.iter().filter(|&&d| d > 20_000).count();
-        assert!(near_floor > 10_000, "mass near the floor: {near_floor}");
-        assert!(deep_tail > 50, "heavy tail present: {deep_tail}");
     }
 
     #[test]

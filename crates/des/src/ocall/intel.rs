@@ -148,9 +148,19 @@ enum Dialog {
 }
 
 impl IntelDispatcher {
-    /// Dialogue driver for `caller`.
+    /// Dialogue driver for `caller`. With a hub, every completed call
+    /// accumulates its per-phase cycle breakdown into the hub's
+    /// [`CallPhaseProfiler`](zc_telemetry::CallPhaseProfiler) and is
+    /// traced as a `call_phases` event at
+    /// [`Origin::Caller`](zc_telemetry::Origin::Caller), stamped with
+    /// kernel virtual time.
     #[must_use]
-    pub fn new(world: Rc<RefCell<IntelWorld>>, costs: CostModel, caller: usize) -> Self {
+    pub fn new(
+        world: Rc<RefCell<IntelWorld>>,
+        costs: CostModel,
+        caller: usize,
+        telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
+    ) -> Self {
         IntelDispatcher {
             world,
             costs,
@@ -159,20 +169,8 @@ impl IntelDispatcher {
             task_id: 0,
             await_accept_val: 0,
             await_done_val: 0,
-            prof: Prof::default(),
+            prof: Prof::new(telemetry, caller),
         }
-    }
-
-    /// Builder-style telemetry hub: every completed call accumulates its
-    /// per-phase cycle breakdown into the hub's
-    /// [`CallPhaseProfiler`](zc_telemetry::CallPhaseProfiler) and is
-    /// traced as a `call_phases` event at
-    /// [`Origin::Caller`](zc_telemetry::Origin::Caller), stamped with
-    /// kernel virtual time.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
-        self.prof.set_hub(telemetry, self.caller as u32);
-        self
     }
 
     fn fallback_remainder(&self, call: &CallDesc) -> u64 {

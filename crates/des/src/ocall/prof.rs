@@ -28,7 +28,7 @@ const TRACE_CALL_LIMIT: u64 = 64;
 
 /// Per-dispatcher phase profiling state: the hub (if attached) plus the
 /// recorder of the in-flight call.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Prof {
     hub: Option<(std::sync::Arc<zc_telemetry::Telemetry>, u32)>,
     rec: Option<zc_telemetry::PhaseRecorder>,
@@ -41,9 +41,23 @@ pub(crate) struct Prof {
 }
 
 impl Prof {
-    /// Attach a hub; phases are traced at `Origin::Caller(caller)`.
-    pub(crate) fn set_hub(&mut self, hub: std::sync::Arc<zc_telemetry::Telemetry>, caller: u32) {
-        self.hub = Some((hub, caller));
+    /// Profiler of `caller`'s calls into `hub`, traced at
+    /// `Origin::Caller(caller)`; with no hub every method is a no-op.
+    pub(crate) fn new(hub: Option<std::sync::Arc<zc_telemetry::Telemetry>>, caller: usize) -> Self {
+        Prof {
+            hub: hub.map(|h| (h, caller as u32)),
+            rec: None,
+            call: 0,
+            begun: 0,
+            traced: 0,
+        }
+    }
+
+    /// Trace `event` at this caller's origin, stamped with `now`.
+    pub(crate) fn trace(&self, now: u64, event: zc_telemetry::Event) {
+        if let Some((hub, caller)) = &self.hub {
+            hub.record(now, zc_telemetry::Origin::Caller(*caller), event);
+        }
     }
 
     /// Open the recording for one call at virtual time `now`.

@@ -15,30 +15,24 @@ pub struct RegularDispatcher {
 }
 
 impl RegularDispatcher {
-    /// New regular-ocall dispatcher with the given cost model.
-    #[must_use]
-    pub fn new(costs: CostModel) -> Self {
-        RegularDispatcher {
-            costs,
-            in_call: false,
-            prof: Prof::default(),
-        }
-    }
-
-    /// Builder-style telemetry hub: every completed call accumulates its
-    /// per-phase cycle breakdown into the hub's
+    /// Regular-ocall dispatcher for `caller` with the given cost model.
+    /// With a hub, every completed call accumulates its per-phase cycle
+    /// breakdown into the hub's
     /// [`CallPhaseProfiler`](zc_telemetry::CallPhaseProfiler) and is
     /// traced as a `call_phases` event at
     /// [`Origin::Caller`](zc_telemetry::Origin::Caller), stamped with
     /// kernel virtual time.
     #[must_use]
-    pub fn with_telemetry(
-        mut self,
-        telemetry: std::sync::Arc<zc_telemetry::Telemetry>,
-        caller: u32,
+    pub fn new(
+        costs: CostModel,
+        caller: usize,
+        telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
     ) -> Self {
-        self.prof.set_hub(telemetry, caller);
-        self
+        RegularDispatcher {
+            costs,
+            in_call: false,
+            prof: Prof::new(telemetry, caller),
+        }
     }
 }
 
@@ -72,8 +66,11 @@ mod tests {
 
     #[test]
     fn dialogue_is_one_compute_then_done() {
-        let mut d =
-            RegularDispatcher::new(CostModel::on(&switchless_core::CpuSpec::paper_machine()));
+        let mut d = RegularDispatcher::new(
+            CostModel::on(&switchless_core::CpuSpec::paper_machine()),
+            0,
+            None,
+        );
         let call = CallDesc {
             host_cycles: 500,
             ..CallDesc::default()

@@ -249,7 +249,6 @@ pub struct ZcDispatcher {
     call_epoch0: u64,
     /// Virtual time this caller detected the enclave loss.
     crash_detected_at: u64,
-    hub: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,7 +278,12 @@ enum Dialog {
 }
 
 impl ZcDispatcher {
-    /// Dialogue driver for `caller`.
+    /// Dialogue driver for `caller`. With a hub, every completed call
+    /// accumulates its per-phase cycle breakdown into the hub's
+    /// [`CallPhaseProfiler`](zc_telemetry::CallPhaseProfiler) and is
+    /// traced as a `call_phases` event at
+    /// [`Origin::Caller`](zc_telemetry::Origin::Caller), as are this
+    /// caller's recovery events, all stamped with kernel virtual time.
     #[must_use]
     pub fn new(
         world: Rc<RefCell<ZcWorld>>,
@@ -287,6 +291,7 @@ impl ZcDispatcher {
         costs: CostModel,
         caller: usize,
         watchdog_pauses: Option<u64>,
+        telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
     ) -> Self {
         ZcDispatcher {
             world,
@@ -296,32 +301,10 @@ impl ZcDispatcher {
             dialog: Dialog::Idle,
             await_db_val: 0,
             watchdog_pauses,
-            prof: Prof::default(),
+            prof: Prof::new(telemetry, caller),
             call_seq: 0,
             call_epoch0: 0,
             crash_detected_at: 0,
-            hub: None,
-        }
-    }
-
-    /// Builder-style telemetry hub: every completed call accumulates its
-    /// per-phase cycle breakdown into the hub's
-    /// [`CallPhaseProfiler`](zc_telemetry::CallPhaseProfiler) and is
-    /// traced as a `call_phases` event at
-    /// [`Origin::Caller`](zc_telemetry::Origin::Caller), stamped with
-    /// kernel virtual time.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
-        self.hub = Some(std::sync::Arc::clone(&telemetry));
-        self.prof.set_hub(telemetry, self.caller as u32);
-        self
-    }
-
-    /// Trace a recovery event at this caller's origin, stamped with
-    /// kernel virtual time.
-    fn trace(&self, now: u64, event: zc_telemetry::Event) {
-        if let Some(hub) = &self.hub {
-            hub.record(now, zc_telemetry::Origin::Caller(self.caller as u32), event);
         }
     }
 
@@ -369,7 +352,7 @@ impl ZcDispatcher {
         wld.last_crash_at = now;
         self.crash_detected_at = now;
         if let Some(plane) = &wld.recovery {
-            self.trace(
+            self.prof.trace(
                 now,
                 zc_telemetry::Event::EnclaveCrash {
                     epoch: plane.epoch(),
@@ -609,7 +592,7 @@ impl Dispatcher for ZcDispatcher {
                     ReconcileVerdict::Replay => {
                         // Idempotent and incomplete at the crash:
                         // re-execute through the regular path.
-                        self.trace(
+                        self.prof.trace(
                             now,
                             zc_telemetry::Event::JournalReplay { seq: self.call_seq },
                         );
@@ -621,7 +604,7 @@ impl Dispatcher for ZcDispatcher {
                         // Completed before the crash but never
                         // delivered: hand back the journaled result
                         // without re-executing anything.
-                        self.trace(
+                        self.prof.trace(
                             now,
                             zc_telemetry::Event::CallRedelivered { seq: self.call_seq },
                         );
@@ -639,7 +622,8 @@ impl Dispatcher for ZcDispatcher {
                     ReconcileVerdict::Refuse => {
                         // Non-idempotent with an unknown fate: neither
                         // completing nor re-executing is provably safe.
-                        self.trace(now, zc_telemetry::Event::CallRefused { seq: self.call_seq });
+                        self.prof
+                            .trace(now, zc_telemetry::Event::CallRefused { seq: self.call_seq });
                         if let Some(plane) = &wld.recovery {
                             plane.retire(self.call_seq);
                         }
@@ -1057,14 +1041,23 @@ pub struct ZcSupervisorActor {
 }
 
 impl ZcSupervisorActor {
-    /// Supervisor for `faults` over the workers of `world`.
+    /// Supervisor for `faults` over the workers of `world`. With a hub,
+    /// fault injections are traced at
+    /// [`Origin::Worker`](zc_telemetry::Origin::Worker) and revivals as
+    /// `WorkerRespawned` at
+    /// [`Origin::Scheduler`](zc_telemetry::Origin::Scheduler), stamped
+    /// with kernel virtual time.
     ///
     /// # Panics
     ///
     /// If the schedule holds a worker fault the DES does not model
     /// (anything but a crash, a hang or a corruption).
     #[must_use]
-    pub fn new(world: Rc<RefCell<ZcWorld>>, faults: &ZcSimFaults) -> Self {
+    pub fn new(
+        world: Rc<RefCell<ZcWorld>>,
+        faults: &ZcSimFaults,
+        telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
+    ) -> Self {
         let workers = world.borrow().workers.len();
         let mut events: Vec<(u64, SupEv)> = faults
             .worker_faults
@@ -1086,19 +1079,8 @@ impl ZcSupervisorActor {
             events,
             respawn_delay_cycles: faults.respawn_delay_cycles,
             gens: vec![0; workers],
-            telemetry: None,
+            telemetry,
         }
-    }
-
-    /// Builder-style telemetry hub: fault injections are traced at
-    /// [`Origin::Worker`](zc_telemetry::Origin::Worker) and revivals as
-    /// `WorkerRespawned` at
-    /// [`Origin::Scheduler`](zc_telemetry::Origin::Scheduler), stamped
-    /// with kernel virtual time.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: std::sync::Arc<zc_telemetry::Telemetry>) -> Self {
-        self.telemetry = Some(telemetry);
-        self
     }
 
     fn insert(&mut self, t: u64, ev: SupEv) {

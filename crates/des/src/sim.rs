@@ -135,10 +135,10 @@ pub struct SimConfig {
     /// watchdog. Ignored by non-ZC mechanisms. `None` (the default)
     /// models a fault-free, honest-host machine.
     pub zc_faults: Option<ZcSimFaults>,
-    /// Telemetry hub receiving scheduler events (stamped with kernel
-    /// virtual time) and end-of-run counters. `None` falls back to the
-    /// process-global hub ([`zc_telemetry::global::current`]), so bench
-    /// binaries can observe runs without threading a handle through.
+    /// Telemetry hub receiving scheduler, fault, recovery and per-call
+    /// phase events (stamped with kernel virtual time) and end-of-run
+    /// counters. `None` (the default) traces nothing; the run is the
+    /// same either way.
     pub telemetry: Option<std::sync::Arc<zc_telemetry::Telemetry>>,
 }
 
@@ -421,11 +421,11 @@ pub(crate) fn spawn_zc_shard(
         spec.telemetry.cloned(),
     )));
     if let Some(faults) = spec.faults {
-        let supervisor = ZcSupervisorActor::new(Rc::clone(&world), faults);
-        kernel.spawn(Box::new(match spec.telemetry {
-            Some(hub) => supervisor.with_telemetry(Arc::clone(hub)),
-            None => supervisor,
-        }));
+        kernel.spawn(Box::new(ZcSupervisorActor::new(
+            Rc::clone(&world),
+            faults,
+            spec.telemetry.cloned(),
+        )));
         if faults.has_enclave_faults() {
             // Enclave faults: build the recovery plane and the
             // lifecycle actor that drives restarts through it.
@@ -437,17 +437,14 @@ pub(crate) fn spawn_zc_shard(
     let costs = CostModel::on(spec.cpu);
     let watchdog = spec.faults.map(|f| f.watchdog_pauses);
     spawn_callers(kernel, spec.workloads, counters, |caller| {
-        let d = ZcDispatcher::new(
+        Box::new(ZcDispatcher::new(
             Rc::clone(&world),
             Rc::clone(counters),
             costs,
             caller,
             watchdog,
-        );
-        Box::new(match spec.telemetry {
-            Some(hub) => d.with_telemetry(Arc::clone(hub)),
-            None => d,
-        })
+            spec.telemetry.cloned(),
+        ))
     });
     world
 }
@@ -457,11 +454,7 @@ pub fn run(config: &SimConfig) -> SimReport {
     let mut kernel = config.kernel_mode.kernel(&config.cpu, config.rr_quantum);
     let callers = config.workloads.len();
     let counters = Rc::new(RefCell::new(SimCounters::new(callers, config.classes)));
-    let telemetry = config
-        .telemetry
-        .clone()
-        .or_else(zc_telemetry::global::current);
-    let hub = telemetry.as_ref();
+    let hub = config.telemetry.as_ref();
     let costs = CostModel::on(&config.cpu);
 
     // Build the mechanism world and workers, then one caller per
@@ -469,11 +462,7 @@ pub fn run(config: &SimConfig) -> SimReport {
     let zc_world_handle = match &config.mechanism {
         Mechanism::NoSl => {
             spawn_callers(&mut kernel, &config.workloads, &counters, |caller| {
-                let d = RegularDispatcher::new(costs);
-                Box::new(match hub {
-                    Some(h) => d.with_telemetry(Arc::clone(h), caller as u32),
-                    None => d,
-                })
+                Box::new(RegularDispatcher::new(costs, caller, hub.cloned()))
             });
             None
         }
@@ -484,11 +473,12 @@ pub fn run(config: &SimConfig) -> SimReport {
                 world.borrow_mut().worker_tids.push(tid);
             }
             spawn_callers(&mut kernel, &config.workloads, &counters, |caller| {
-                let d = IntelDispatcher::new(Rc::clone(&world), costs, caller);
-                Box::new(match hub {
-                    Some(h) => d.with_telemetry(Arc::clone(h)),
-                    None => d,
-                })
+                Box::new(IntelDispatcher::new(
+                    Rc::clone(&world),
+                    costs,
+                    caller,
+                    hub.cloned(),
+                ))
             });
             None
         }

@@ -610,9 +610,11 @@ mod tests {
         };
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::on(
-                &switchless_core::CpuSpec::paper_machine(),
-            ))),
+            Box::new(RegularDispatcher::new(
+                CostModel::on(&switchless_core::CpuSpec::paper_machine()),
+                0,
+                None,
+            )),
             Rc::clone(&counters),
             spec,
         )));
@@ -649,9 +651,11 @@ mod tests {
         };
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::on(
-                &switchless_core::CpuSpec::paper_machine(),
-            ))),
+            Box::new(RegularDispatcher::new(
+                CostModel::on(&switchless_core::CpuSpec::paper_machine()),
+                0,
+                None,
+            )),
             Rc::clone(&counters),
             spec,
         )));
@@ -680,9 +684,11 @@ mod tests {
         };
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::on(
-                &switchless_core::CpuSpec::paper_machine(),
-            ))),
+            Box::new(RegularDispatcher::new(
+                CostModel::on(&switchless_core::CpuSpec::paper_machine()),
+                0,
+                None,
+            )),
             Rc::clone(&counters),
             WorkloadSpec::Phased(p),
         )));
@@ -710,9 +716,11 @@ mod tests {
         let counters = Rc::new(RefCell::new(SimCounters::new(1, 1)));
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::on(
-                &switchless_core::CpuSpec::paper_machine(),
-            ))),
+            Box::new(RegularDispatcher::new(
+                CostModel::on(&switchless_core::CpuSpec::paper_machine()),
+                0,
+                None,
+            )),
             Rc::clone(&counters),
             WorkloadSpec::ClosedLoop {
                 pattern: vec![call(100)],
@@ -749,9 +757,11 @@ mod tests {
         };
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::on(
-                &switchless_core::CpuSpec::paper_machine(),
-            ))),
+            Box::new(RegularDispatcher::new(
+                CostModel::on(&switchless_core::CpuSpec::paper_machine()),
+                0,
+                None,
+            )),
             Rc::clone(&counters),
             WorkloadSpec::Phased(p),
         )));
@@ -795,9 +805,11 @@ mod tests {
         let counters = Rc::new(RefCell::new(SimCounters::new(1, 1)));
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::on(
-                &switchless_core::CpuSpec::paper_machine(),
-            ))),
+            Box::new(RegularDispatcher::new(
+                CostModel::on(&switchless_core::CpuSpec::paper_machine()),
+                0,
+                None,
+            )),
             Rc::clone(&counters),
             WorkloadSpec::Open(open_load(seed)),
         )));
@@ -855,9 +867,11 @@ mod tests {
         );
         k.spawn(Box::new(CallerActor::new(
             0,
-            Box::new(RegularDispatcher::new(CostModel::on(
-                &switchless_core::CpuSpec::paper_machine(),
-            ))),
+            Box::new(RegularDispatcher::new(
+                CostModel::on(&switchless_core::CpuSpec::paper_machine()),
+                0,
+                None,
+            )),
             Rc::clone(&counters),
             WorkloadSpec::Open(load),
         )));

@@ -349,6 +349,7 @@ fn release_rings_a_worker_whose_deactivate_landed_mid_execution() {
             CostModel::on(&cpu),
             0,
             None,
+            None,
         );
         k.spawn(Box::new(CallerActor::new(
             0,

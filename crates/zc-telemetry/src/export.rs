@@ -265,43 +265,6 @@ pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Metrics snapshot as JSONL, one `{"metric":...}` object per line
-/// (the shape `all_figures` writes next to its tables).
-pub fn metrics_to_jsonl(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, value) in &snapshot.entries {
-        match value {
-            MetricValue::Counter(v) => {
-                let _ = writeln!(
-                    out,
-                    "{{\"metric\":\"{}\",\"type\":\"counter\",\"value\":{v}}}",
-                    json_escape(name)
-                );
-            }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(
-                    out,
-                    "{{\"metric\":\"{}\",\"type\":\"gauge\",\"value\":{v}}}",
-                    json_escape(name)
-                );
-            }
-            MetricValue::Histogram {
-                buckets,
-                count,
-                sum,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"metric\":\"{}\",\"type\":\"histogram\",\"count\":{count},\"sum\":{sum},\"buckets\":{}}}",
-                    json_escape(name),
-                    u64_list(buckets)
-                );
-            }
-        }
-    }
-    out
-}
-
 /// Convert cycles to integer microseconds at `freq_hz` (for trace `ts`).
 fn cycles_to_us(cycles: u64, freq_hz: u64) -> u64 {
     ((cycles as u128) * 1_000_000 / (freq_hz.max(1) as u128)) as u64

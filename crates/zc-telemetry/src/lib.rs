@@ -18,6 +18,10 @@
 //!    `about://tracing` / Perfetto). All output is hand-rolled: the
 //!    workspace `serde` is an offline no-op shim.
 //!
+//! A hub reaches a component only by being passed to it — a runtime's
+//! `start_with_telemetry`, the simulator's `SimConfig::with_telemetry`;
+//! there is no process-wide default, so an untraced run records nothing.
+//!
 //! Ordering contract (see DESIGN.md §8): events from one thread appear
 //! in that thread's program order; events from different threads appear
 //! in *some* interleaving consistent with the ring's admission order.
@@ -29,7 +33,6 @@
 
 pub mod event;
 pub mod export;
-pub mod global;
 pub mod metrics;
 pub mod profile;
 pub mod quantile;

@@ -1,10 +1,13 @@
 //! Cross-commit pin on the paper figures, in tier-1: runs every DES
 //! experiment module's `emit(true)` — the quick mode of `all_figures`,
-//! each module inside its own telemetry scope exactly as `all_figures`
-//! opens it — in a temporary working directory and compares a 64-bit
-//! FNV-1a digest of every CSV written against the pins below. A
+//! in its order — in a temporary working directory and compares a
+//! 64-bit FNV-1a digest of every CSV written against the pins below. A
 //! simulator change that moves a simulated cycle anywhere a figure looks
 //! fails here, and the message names each CSV that changed.
+//!
+//! The figures run without a telemetry hub, as `all_figures` runs them;
+//! `crates/des/tests/telemetry_observation.rs` is what lets
+//! these digests speak for traced runs too.
 //!
 //! The `memcpy` module (figs 7 and 13) times real hardware and is
 //! skipped. The full-mode comparison of `ci.sh` against the committed
@@ -13,12 +16,11 @@
 //! digests here: the test prints the ones it measured.
 //!
 //! One test in its own binary: it changes the process working
-//! directory and installs the process-global telemetry hub.
+//! directory.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use zc_bench::experiments::{ablations, kissdb, lmbench, openssl, synthetic};
-use zc_bench::telemetry::FigureScope;
 
 /// `(csv, FNV-1a 64 of its bytes)` of a quick run, sorted by name.
 const PINS: &[(&str, u64)] = &[
@@ -75,18 +77,16 @@ fn quick_figures_match_their_pinned_digests() {
         TempDir(std::env::temp_dir().join(format!("zc-figure-digests-{}", std::process::id())));
     std::fs::create_dir_all(&dir.0).unwrap();
     std::env::set_current_dir(&dir.0).unwrap();
-    // The scopes and order of `all_figures`, minus memcpy.
-    let modules = [
-        ("fig2_fig3_synthetic", synthetic::emit as fn(bool)),
-        ("fig8_fig9_kissdb", kissdb::emit),
-        ("fig10_openssl", openssl::emit),
-        ("fig11_fig12_lmbench", lmbench::emit),
-        ("ablations", ablations::emit),
+    // The order of `all_figures`, minus memcpy.
+    let modules: [fn(bool); 5] = [
+        synthetic::emit,
+        kissdb::emit,
+        openssl::emit,
+        lmbench::emit,
+        ablations::emit,
     ];
-    for (scope, emit) in modules {
-        let scope = FigureScope::begin(scope);
+    for emit in modules {
         emit(true);
-        scope.finish();
     }
 
     let mut measured = BTreeMap::new();
