@@ -119,9 +119,10 @@ if [[ $quick -eq 0 ]]; then
     # The zc worker mailbox has no lock: its correctness rests on the
     # acquire/release ordering of the status CAS, and debug builds hide
     # exactly the reorderings that would break it. One optimised pass
-    # of the protocol and hostile-host suites.
-    echo "==> cargo test --release (zc protocol + Byzantine suites)"
-    cargo test -q --release -p zc-switchless \
+    # of the crate's unit tests (the mailbox layout and round trips
+    # among them) and its protocol and hostile-host suites.
+    echo "==> cargo test --release (zc mailbox, protocol + Byzantine suites)"
+    cargo test -q --release -p zc-switchless --lib \
         --test protocol_stress --test byzantine_soak --test byzantine_props
 fi
 

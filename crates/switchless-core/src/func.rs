@@ -274,7 +274,10 @@ impl OcallTable {
 
     /// Invoke the host function for `req`.
     ///
-    /// `payload_out` is cleared before the call.
+    /// `payload_out` is cleared before the call. An already empty one
+    /// is not written at all: on the switchless path its header sits in
+    /// memory the caller shares, and a store there would move that
+    /// cache line to the worker on every payload-free call.
     ///
     /// # Errors
     ///
@@ -289,7 +292,9 @@ impl OcallTable {
             .entries
             .get(req.func.0 as usize)
             .ok_or(SwitchlessError::UnknownFunc(req.func))?;
-        payload_out.clear();
+        if !payload_out.is_empty() {
+            payload_out.clear();
+        }
         Ok(entry.f.call(&req.args, payload_in, payload_out))
     }
 }
@@ -334,10 +339,16 @@ mod tests {
     #[test]
     fn payload_out_is_cleared_between_calls() {
         let (t, id) = echo_table();
+        // A stale reply is cleared before the host function runs...
         let mut out = vec![1, 2, 3];
         t.invoke(&OcallRequest::new(id, &[0]), b"x", &mut out)
             .unwrap();
         assert_eq!(out, b"x");
+        // ...and an empty one stays empty.
+        let mut out = Vec::new();
+        t.invoke(&OcallRequest::new(id, &[0]), b"", &mut out)
+            .unwrap();
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! sit in one 128-byte-aligned block that belongs to whoever the status
 //! word names — the caller in `RESERVED`/`WAITING`, the worker in
 //! `PROCESSING`. Ownership moves with the status CAS, so the slot and
-//! the pool need no lock of their own and one line transfer carries the
-//! whole request, one the whole reply. All `unsafe` of the crate is in
-//! this file.
+//! the pool need no lock of their own. The block's first 64-byte line
+//! holds the three shared words and everything a payload-free call with
+//! up to three scalar arguments posts and gets back, so such a call
+//! moves that one line to the worker and back, and nothing else. All
+//! `unsafe` of the crate is in this file.
 
 use crate::pool::RequestPool;
 use parking_lot::Mutex;
@@ -30,7 +32,8 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use switchless_core::{
-    GuardViolation, OcallReply, OcallRequest, SharedWordGuard, TransitionLog, WorkerState,
+    FuncId, GuardViolation, OcallReply, OcallRequest, SharedWordGuard, TransitionLog, WorkerState,
+    MAX_OCALL_ARGS,
 };
 
 /// Command word the scheduler writes into a worker's buffer.
@@ -70,27 +73,120 @@ pub(crate) enum Side {
     Worker,
 }
 
+/// Scalar arguments that fit in the status word's line beside the rest
+/// of a posted request and its reply (asserted below): a payload-free
+/// call with at most this many moves one 64-byte line each way.
+const LINE0_ARGS: usize = 3;
+
+/// `RequestSlot::posted` while a request waits for its worker.
+const POSTED: u8 = 1;
+
 /// The request slot: what the caller hands to the worker and what the
 /// worker hands back. Only the current owner (per the status word)
-/// touches it. Field order is the cache layout: everything a payload-
-/// free call reads or writes comes first, so that it shares the status
-/// word's 128 bytes (asserted below).
+/// touches it.
+///
+/// Field order is the cache layout: everything a payload-free call with
+/// at most [`LINE0_ARGS`] arguments writes comes first and shares the
+/// status word's 64-byte line (asserted below); what else it reads, the
+/// `payload_out` and pool headers, nobody writes on such a call. A
+/// request is posted field by field, not as an [`OcallRequest`]: the
+/// caller-only deadline, priority and idempotency are not posted at
+/// all, and only the arguments up to the last non-zero one are
+/// written. The worker
+/// reads `nargs` of them and zero-fills the rest, so a shorter call
+/// never sees the trailing arguments of a longer one. The reply's
+/// return value comes back in `args[0]`; its length and sequence echo
+/// have words of their own that no argument shares, so no request byte
+/// can pose as either: a worker that never writes them leaves the
+/// previous call's echo, which the stale-reply guard rejects.
 #[derive(Debug, Default)]
 #[repr(C)]
-pub struct RequestSlot {
-    /// The posted request.
-    pub request: Option<OcallRequest>,
-    /// Offset/length of the caller's payload inside the worker pool.
-    pub payload_in: (usize, usize),
-    /// Completed reply.
-    pub reply: OcallReply,
+pub(crate) struct RequestSlot {
+    func: FuncId,
+    /// Arguments posted. Host-writable: clamped to [`MAX_OCALL_ARGS`]
+    /// when read.
+    nargs: u8,
+    /// [`POSTED`] from the post until the worker takes the request, so
+    /// a `PROCESSING` slot without it was torn by the host.
+    posted: u8,
+    /// Reply: payload bytes the worker declares.
+    reply_len: u32,
+    /// Request: the call's sequence tag.
+    seq: u64,
+    /// Reply: the worker's echo of `seq`.
+    reply_seq: u64,
+    /// Request: offset and length of the payload in the worker pool.
+    /// Host-writable: clamped to the pool when read.
+    payload_off: u32,
+    payload_len: u32,
+    /// Request: the scalar arguments. Reply: the return value, in
+    /// `args[0]`.
+    args: [u64; MAX_OCALL_ARGS],
     /// Worker-measured host-function cycles for the last served call
     /// (phase profiling; advisory only — the caller clamps it to its
     /// own wait window, so a lying host cannot break conservation).
-    /// Measured only when a telemetry hub is attached; 0 otherwise.
-    pub exec_cycles: u64,
+    /// Written and read only when a telemetry hub is attached.
+    pub(crate) exec_cycles: u64,
+    /// The rest of line 1, so that `payload_out` and the pool header
+    /// share line 2 (asserted below): a payload call then moves two
+    /// lines, and line 1 only with a hub or past three arguments.
+    _pad: [u64; 4],
     /// Host-function output (untrusted side).
-    pub payload_out: Vec<u8>,
+    pub(crate) payload_out: Vec<u8>,
+}
+
+impl RequestSlot {
+    /// Post `req` and its payload window (caller, in `RESERVED`). The
+    /// window's length is at most `u32::MAX` ([`RequestPool::alloc`]
+    /// refuses longer payloads), and the offset of an empty window,
+    /// the only one that can lie past that, is never read.
+    pub(crate) fn post(&mut self, req: &OcallRequest, offset: usize, len: usize) {
+        debug_assert!(u32::try_from(len).is_ok(), "window longer than u32::MAX");
+        let nargs = req.args.iter().rposition(|&a| a != 0).map_or(0, |i| i + 1);
+        self.func = req.func;
+        self.nargs = nargs as u8;
+        self.posted = POSTED;
+        self.seq = req.seq;
+        self.payload_off = offset as u32;
+        self.payload_len = len as u32;
+        self.args[..nargs].copy_from_slice(&req.args[..nargs]);
+    }
+
+    /// Take the posted request and its payload window `(offset, len)`
+    /// (worker, in `PROCESSING`); `None` if none is posted, which only
+    /// host interference can cause. Returns the request as the worker
+    /// needs it: function, arguments and sequence tag.
+    pub(crate) fn take(&mut self) -> Option<(OcallRequest, usize, usize)> {
+        if self.posted != POSTED {
+            return None;
+        }
+        self.posted = 0;
+        let nargs = usize::from(self.nargs).min(MAX_OCALL_ARGS);
+        let req = OcallRequest::new(self.func, &self.args[..nargs]).with_seq(self.seq);
+        Some((req, self.payload_off as usize, self.payload_len as usize))
+    }
+
+    /// Byzantine hook: the host overwrites the posted request while the
+    /// worker owns the slot.
+    pub(crate) fn tear(&mut self) {
+        self.posted = 0;
+    }
+
+    /// Publish the reply (worker, in `PROCESSING`).
+    pub(crate) fn set_reply(&mut self, reply: OcallReply) {
+        self.args[0] = reply.ret as u64;
+        self.reply_len = reply.payload_len;
+        self.reply_seq = reply.seq;
+    }
+
+    /// The published reply (caller, in `WAITING`).
+    pub(crate) fn reply(&self) -> OcallReply {
+        OcallReply {
+            ret: self.args[0] as i64,
+            payload_len: self.reply_len,
+            seq: self.reply_seq,
+        }
+    }
 }
 
 /// Emits a telemetry event for the status transitions of one buffer
@@ -149,18 +245,45 @@ pub struct WorkerBuffer {
     tracer: OnceLock<TransitionTracer>,
 }
 
-// The mailbox must not be split by a later field: the three shared
-// words and every slot field before `payload_out` (the whole request,
-// its payload window, the reply, the execute hint) share the first
-// 128-byte block (two adjacent lines, which x86 prefetches as a pair),
-// and the payload_out/pool headers follow within the next.
+// Line 0 (bytes 0..64) is the whole hand-off of a payload-free call
+// with at most `LINE0_ARGS` arguments: the three shared words, every
+// field of the posted request and every field of the reply. Line 1
+// holds the remaining arguments and the execute hint; line 2 the
+// `payload_out` and pool headers, which a payload call moves together;
+// the write-once handles come last. Pinned field by field, so a later
+// field cannot push one of them onto another line.
 const _: () = {
+    const fn on_line(line: usize, offset: usize, size: usize) -> bool {
+        offset >= 64 * line && offset + size <= 64 * (line + 1)
+    }
+    let slot = offset_of!(WorkerBuffer, slot);
     assert!(align_of::<WorkerBuffer>() == 128);
     assert!(offset_of!(WorkerBuffer, status) == 0);
-    let slot = offset_of!(WorkerBuffer, slot);
-    assert!(slot + offset_of!(RequestSlot, reply) + size_of::<OcallReply>() <= 128);
-    assert!(slot + offset_of!(RequestSlot, payload_out) <= 128);
-    assert!(offset_of!(WorkerBuffer, pool) + size_of::<RequestPool>() <= 256);
+    assert!(on_line(0, offset_of!(WorkerBuffer, sched_cmd), 1));
+    assert!(on_line(0, offset_of!(WorkerBuffer, poisoned), 1));
+    assert!(on_line(0, slot + offset_of!(RequestSlot, func), 2));
+    assert!(on_line(0, slot + offset_of!(RequestSlot, nargs), 1));
+    assert!(on_line(0, slot + offset_of!(RequestSlot, posted), 1));
+    assert!(on_line(0, slot + offset_of!(RequestSlot, reply_len), 4));
+    assert!(on_line(0, slot + offset_of!(RequestSlot, seq), 8));
+    assert!(on_line(0, slot + offset_of!(RequestSlot, reply_seq), 8));
+    assert!(on_line(0, slot + offset_of!(RequestSlot, payload_off), 4));
+    assert!(on_line(0, slot + offset_of!(RequestSlot, payload_len), 4));
+    let args = slot + offset_of!(RequestSlot, args);
+    assert!(on_line(0, args, 8 * LINE0_ARGS));
+    assert!(on_line(
+        1,
+        args + 8 * LINE0_ARGS,
+        8 * (MAX_OCALL_ARGS - LINE0_ARGS)
+    ));
+    assert!(on_line(1, slot + offset_of!(RequestSlot, exec_cycles), 8));
+    let payload_out = slot + offset_of!(RequestSlot, payload_out);
+    assert!(on_line(2, payload_out, size_of::<Vec<u8>>()));
+    assert!(on_line(
+        2,
+        offset_of!(WorkerBuffer, pool),
+        size_of::<RequestPool>()
+    ));
 };
 
 /// A mailbox cell: its content belongs to whoever the buffer's status
@@ -471,18 +594,99 @@ mod tests {
     fn slot_carries_request_and_reply() {
         let b = WorkerBuffer::new();
         assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
-        b.with_slot(Side::Caller, |s| {
-            s.request = Some(OcallRequest::new(FuncId(3), &[1]));
-            s.payload_in = (0, 5);
-        });
+        let req = OcallRequest::new(FuncId(3), &[1]).with_seq(11);
+        b.with_slot(Side::Caller, |s| s.post(&req, 0, 5));
         assert!(b.try_transition(WorkerState::Reserved, WorkerState::Processing));
         b.with_slot(Side::Worker, |s| {
-            assert_eq!(s.request.unwrap().func, FuncId(3));
-            assert_eq!(s.payload_in, (0, 5));
-            s.reply.ret = 9;
+            assert_eq!(s.take(), Some((req, 0, 5)));
+            assert_eq!(s.take(), None, "a request is taken once");
+            s.set_reply(OcallReply {
+                ret: -9,
+                payload_len: 2,
+                seq: 11,
+            });
         });
         assert!(b.try_transition(WorkerState::Processing, WorkerState::Waiting));
-        b.with_slot(Side::Caller, |s| assert_eq!(s.reply.ret, 9));
+        b.with_slot(Side::Caller, |s| {
+            assert_eq!(
+                s.reply(),
+                OcallReply {
+                    ret: -9,
+                    payload_len: 2,
+                    seq: 11
+                }
+            );
+        });
+    }
+
+    #[test]
+    fn only_what_the_worker_needs_is_posted() {
+        use switchless_core::Priority;
+        let mut s = RequestSlot::default();
+        let req = OcallRequest::new(FuncId(1), &[0, 5, 0])
+            .with_seq(7)
+            .with_deadline_at(99)
+            .with_priority(Priority::Critical)
+            .with_idempotent();
+        s.post(&req, 0, 0);
+        // Trailing zero arguments are not posted; the worker restores
+        // them, and never sees the caller-only fields.
+        assert_eq!(s.nargs, 2);
+        let expect = OcallRequest::new(FuncId(1), &[0, 5]).with_seq(7);
+        assert_eq!(s.take(), Some((expect, 0, 0)));
+    }
+
+    #[test]
+    fn a_six_arg_request_spills_past_line_0_and_round_trips() {
+        let mut s = RequestSlot::default();
+        let req = OcallRequest::new(FuncId(2), &[1, 2, 3, 4, 5, u64::MAX]).with_seq(3);
+        s.post(&req, 8, 16);
+        assert_eq!(s.take(), Some((req, 8, 16)));
+    }
+
+    #[test]
+    fn a_short_call_after_a_long_one_sees_zero_trailing_args() {
+        let mut s = RequestSlot::default();
+        s.post(&OcallRequest::new(FuncId(0), &[9; 6]), 0, 0);
+        let _ = s.take();
+        s.set_reply(OcallReply {
+            ret: -1,
+            payload_len: 0,
+            seq: 0,
+        });
+        s.post(&OcallRequest::new(FuncId(0), &[4]).with_seq(2), 0, 0);
+        let (req, _, _) = s.take().expect("posted");
+        assert_eq!(req.args, [4, 0, 0, 0, 0, 0]);
+        // Nor does a zero-argument call see the previous return value,
+        // which shares `args[0]`.
+        s.post(&OcallRequest::new(FuncId(0), &[]), 0, 0);
+        assert_eq!(s.take().expect("posted").0.args, [0; MAX_OCALL_ARGS]);
+    }
+
+    #[test]
+    fn scribbled_arg_count_and_window_are_clamped_not_panics() {
+        let pool = RequestPool::default();
+        let mut s = RequestSlot::default();
+        let req = OcallRequest::new(FuncId(0), &[1, 2, 3, 4, 5, 6]);
+        for raw in 0..=u8::MAX {
+            s.post(&req, 0, 0);
+            s.nargs = raw;
+            let (got, _, _) = s.take().expect("posted");
+            let n = usize::from(raw).min(MAX_OCALL_ARGS);
+            assert_eq!(got.args[..n], req.args[..n]);
+            assert!(got.args[n..].iter().all(|&a| a == 0));
+        }
+        for (off, len) in [(u32::MAX, u32::MAX), (0, u32::MAX), (60, 10), (u32::MAX, 0)] {
+            s.post(&req, 0, 0);
+            (s.payload_off, s.payload_len) = (off, len);
+            let (_, off, len) = s.take().expect("posted");
+            let room = pool.capacity().saturating_sub(off);
+            assert_eq!(pool.slice(off, len).len(), len.min(room));
+        }
+        // A scribbled `posted` byte reads as a torn request.
+        s.post(&req, 0, 0);
+        s.posted = 0xEE;
+        assert_eq!(s.take(), None);
     }
 
     #[test]

@@ -219,7 +219,8 @@ fn switchless_call(
             0
         }
         PoolAlloc::TooLarge => {
-            // Injected exhaustion outlasted its retries: release the
+            // Injected exhaustion outlasted its retries (or the payload
+            // is longer than a mailbox window can name): release the
             // worker and execute as a regular ocall (the untrusted heap
             // handles it). This is a load-driven fallback, so it feeds
             // the breaker's storm signal — but it is never *gated*: the
@@ -235,16 +236,20 @@ fn switchless_call(
     w.with_pool(Side::Caller, |p| {
         p.write_with(offset, payload_in, memcpy_zc);
     });
+    // Only an attached hub consumes the worker's execute hint; without
+    // one neither side touches it.
+    let timed = door.telemetry.is_some();
     w.with_slot(Side::Caller, |slot| {
-        slot.request = Some(*req);
-        slot.payload_in = (offset, payload_in.len());
-        // Payload-free calls leave the payload_out/pool headers (the
-        // line after the mailbox) untouched on both sides, so that
-        // line stays shared instead of bouncing once per call.
+        slot.post(req, offset, payload_in.len());
+        // A payload-free call only reads what lies past the mailbox's
+        // first line (the payload_out and pool headers), so that memory
+        // stays shared in both caches instead of bouncing once per call.
         if !slot.payload_out.is_empty() {
             slot.payload_out.clear();
         }
-        slot.exec_cycles = 0;
+        if timed {
+            slot.exec_cycles = 0;
+        }
     });
     rec.mark(Phase::CopyIn, &door.clock);
     let ok = w.try_transition(WorkerState::Reserved, WorkerState::Processing);
@@ -344,11 +349,13 @@ fn switchless_call(
     // reply is discarded in favour of the fallback path.
     let guard = ReplyGuard::new(MAX_REPLY_BYTES);
     let checked = w.with_slot(Side::Caller, |slot| {
-        guard.check_sequence(req.seq, slot.reply.seq)?;
-        let verdict = guard.check_reply(slot.reply.payload_len, slot.payload_out.len())?;
+        let reply = slot.reply();
+        guard.check_sequence(req.seq, reply.seq)?;
+        let verdict = guard.check_reply(reply.payload_len, slot.payload_out.len())?;
         payload_out.resize(verdict.copy_len, 0);
         memcpy_zc(payload_out, &slot.payload_out[..verdict.copy_len]);
-        Ok((slot.reply.ret, verdict.truncated, slot.exec_cycles))
+        let exec_cycles = if timed { slot.exec_cycles } else { 0 };
+        Ok((reply.ret, verdict.truncated, exec_cycles))
     });
     match checked {
         Ok((ret, truncated, exec_cycles)) => {

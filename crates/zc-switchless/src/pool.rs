@@ -49,8 +49,9 @@ pub enum PoolAlloc {
     /// it; the allocation sits at offset 0 and the caller owes one
     /// reallocation ocall.
     AfterRealloc,
-    /// Never returned by [`RequestPool::alloc`]: the caller's outcome
-    /// when injected exhaustion outlasts its retries.
+    /// The payload is longer than a mailbox window can name
+    /// (`u32::MAX` bytes); also the caller's outcome when injected
+    /// exhaustion outlasts its retries.
     TooLarge,
 }
 
@@ -78,8 +79,13 @@ impl RequestPool {
     ///
     /// Returns [`PoolAlloc::AfterRealloc`] when the pool had to grow —
     /// the caller must charge one enclave transition (and record it)
-    /// before using the space at offset 0.
+    /// before using the space at offset 0 — and [`PoolAlloc::TooLarge`],
+    /// leaving the pool as it was, for a payload of more than
+    /// `u32::MAX` bytes.
     pub fn alloc(&mut self, len: usize) -> PoolAlloc {
+        if u32::try_from(len).is_err() {
+            return PoolAlloc::TooLarge;
+        }
         if len > self.buf.len() {
             // Free + reallocate (modelled as a fresh buffer; the real
             // system performs an ocall to do this).
@@ -111,14 +117,14 @@ impl RequestPool {
         copy(&mut self.buf[offset..offset + data.len()], data);
     }
 
-    /// Read `len` bytes at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the pool.
+    /// Read `len` bytes at `offset`, cut at the end of the pool: the
+    /// window is read back from host-writable memory, so a scribbled
+    /// one must read short, never panic.
     #[must_use]
     pub fn slice(&self, offset: usize, len: usize) -> &[u8] {
-        &self.buf[offset..offset + len]
+        let start = offset.min(self.buf.len());
+        let end = start.saturating_add(len).min(self.buf.len());
+        &self.buf[start..end]
     }
 }
 
@@ -186,6 +192,14 @@ mod tests {
         assert_eq!(p.alloc(50), PoolAlloc::Fit { offset: 0 }, "wraps");
         assert_eq!(p.alloc(0), PoolAlloc::Fit { offset: 50 });
         assert_eq!(header(&p), (50, 128));
+    }
+
+    #[test]
+    fn a_payload_no_window_can_name_is_refused_untouched() {
+        let mut p = RequestPool::default();
+        let len = u32::MAX as usize + 1;
+        assert_eq!(p.alloc(len), PoolAlloc::TooLarge);
+        assert_eq!((p.reallocs(), p.capacity(), p.used()), (0, 64, 0));
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! for every active worker there is always exactly one busy-waiting
 //! thread (paper §IV-A).
 
-use crate::buffer::{SchedCommand, Side, WorkerBuffer};
+use crate::buffer::{RequestSlot, SchedCommand, Side, WorkerBuffer};
 use crate::runtime::Shared;
 use sgx_sim::frontdoor::{spin_pause, Wedged};
-use switchless_core::{Fault, FaultSite, GuardKind, WorkerState};
+use switchless_core::{Fault, FaultSite, GuardKind, OcallReply, WorkerState};
 use zc_telemetry::{Event, Origin};
 
 /// Body of worker thread `index` serving buffer `me` (passed explicitly
@@ -223,7 +223,7 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
         .and_then(|f| f.fire(FaultSite::Publish));
     if byz == Some(Fault::TornRequest) {
         // The host overwrites the posted request while we own the slot.
-        me.with_slot(Side::Worker, |slot| slot.request = None);
+        me.with_slot(Side::Worker, RequestSlot::tear);
     }
     // Only an attached hub's phase recorder consumes the execute hint,
     // so a bare worker does not bracket the host function with clock
@@ -234,10 +234,9 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
             // A PROCESSING slot without a request is host interference
             // (torn overwrite), not a protocol bug: handled gracefully,
             // never a panic.
-            let Some(req) = slot.request.take() else {
+            let Some((req, off, len)) = slot.take() else {
                 return true;
             };
-            let (off, len) = slot.payload_in;
             let payload_in = pool.slice(off, len);
             let exec_start = timed.then(|| clock.now_cycles());
             // Contain host-function panics: an unwinding worker would
@@ -254,22 +253,24 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
             if let Some(exec_start) = exec_start {
                 slot.exec_cycles = clock.now_cycles().saturating_sub(exec_start);
             }
-            slot.reply.ret = ret;
             let actual = slot.payload_out.len() as u32;
             // An honest worker declares exactly the bytes present and
             // echoes the request's sequence tag; the Byzantine variants
             // lie about one of the two.
-            slot.reply.payload_len = match byz {
-                Some(Fault::OversizeReply) => actual.wrapping_add(1),
-                // An empty reply cannot be undersold; the +1 lie still
-                // mismatches and is caught as an oversize violation.
-                Some(Fault::UndersizeReply) => actual.checked_sub(1).unwrap_or(1),
-                _ => actual,
-            };
-            slot.reply.seq = match byz {
-                Some(Fault::StaleSeq) => req.seq.wrapping_sub(1),
-                _ => req.seq,
-            };
+            slot.set_reply(OcallReply {
+                ret,
+                payload_len: match byz {
+                    Some(Fault::OversizeReply) => actual.wrapping_add(1),
+                    // An empty reply cannot be undersold; the +1 lie still
+                    // mismatches and is caught as an oversize violation.
+                    Some(Fault::UndersizeReply) => actual.checked_sub(1).unwrap_or(1),
+                    _ => actual,
+                },
+                seq: match byz {
+                    Some(Fault::StaleSeq) => req.seq.wrapping_sub(1),
+                    _ => req.seq,
+                },
+            });
             false
         })
     });
