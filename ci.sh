@@ -92,6 +92,21 @@ if [[ $quick -eq 0 ]]; then
     cmp <(drop_memcpy "$figdir/all_figures.txt") <(drop_memcpy results/all_figures.txt)
     rm -rf "$figdir"
 
+    # No test runs the examples, and `telemetry_report` is the only
+    # non-test caller of `to_chrome_trace` and `to_prometheus`: each
+    # example runs once, in release, in a scratch directory (so the
+    # report's exports land there), with its wall time on record. The
+    # five take about 3 s together on a 2-vCPU host.
+    echo "==> examples (release, each once)"
+    cargo build --release -q --examples
+    exdir=$(mktemp -d)
+    for ex in quickstart kissdb_store file_crypto adaptive_workload telemetry_report; do
+        started=$(date +%s%N)
+        (cd "$exdir" && "$root/target/release/examples/$ex" > /dev/null)
+        echo "example $ex took $((($(date +%s%N) - started) / 1000000)) ms"
+    done
+    rm -rf "$exdir"
+
     # The fault-injection, property and telemetry-trace suites must be
     # deterministic on the virtual clock: two more full runs guard
     # against flakes, plus an explicit pass of the trace-determinism,

@@ -119,8 +119,6 @@ pub struct ZcWorld {
     /// A crash trigger fired; the enclave actor consumes this and
     /// walks fence → restart → reconcile-ready.
     pub crash_pending: bool,
-    /// Virtual time of the most recent crash trigger.
-    pub last_crash_at: u64,
     /// Virtual time the most recent restart completed.
     pub last_restart_done_at: u64,
     /// Set at restart completion; the next completed call (any path)
@@ -178,7 +176,6 @@ impl ZcWorld {
             enclave_faults: FaultInjector::new(FaultPlan::new()),
             enclave_tid: None,
             crash_pending: false,
-            last_crash_at: 0,
             last_restart_done_at: 0,
             awaiting_first_completion: false,
             restart_to_first_completion: Vec::new(),
@@ -349,7 +346,6 @@ impl ZcDispatcher {
     /// epoch bump like any other in-flight caller.
     fn trigger_crash(&mut self, wld: &mut ZcWorld, now: u64, cx: &mut StepCx) -> Syscall {
         wld.crash_pending = true;
-        wld.last_crash_at = now;
         self.crash_detected_at = now;
         if let Some(plane) = &wld.recovery {
             self.prof.trace(

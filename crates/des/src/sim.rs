@@ -79,8 +79,12 @@ pub enum KernelMode {
     /// Event-driven ([`Kernel::event_driven`]): no preemption,
     /// spin-waits block off-core and wake on flag writes.
     /// Cycle-identical to round-robin whenever threads ≤ vCPUs (see the
-    /// cross-policy equivalence suite), and orders of magnitude faster
-    /// at 128+ vCPUs.
+    /// cross-policy equivalence suite), and no faster in host time:
+    /// on a 2-vCPU Xeon host (release build, best of 3–5 runs),
+    /// 32 closed-loop ZC callers × 10 000 calls on 128 vCPUs took
+    /// 0.11–0.12 s under either policy, and the oversubscribed
+    /// 256 callers × 3 907 calls on 128 vCPUs took 0.33–0.39 s here
+    /// against 0.18–0.24 s under round-robin (DESIGN.md §11).
     EventDriven,
 }
 
@@ -178,8 +182,8 @@ impl SimConfig {
 
     /// Builder-style vCPU count: overrides the machine's logical CPU
     /// count (and with it derived quantities such as the ZC worker cap,
-    /// `N/2`). The event-driven policy scales to 128+ vCPUs; round-robin
-    /// accepts any count but slows down past the paper's 8.
+    /// `N/2`). Both kernel policies accept any count; their host time
+    /// at 128 vCPUs is on [`KernelMode::EventDriven`].
     #[must_use]
     pub fn with_vcpus(mut self, vcpus: usize) -> Self {
         self.cpu = self.cpu.with_logical_cpus(vcpus);

@@ -20,11 +20,9 @@
 //!
 //! [`TransitionFailed`]: crate::SwitchlessError::TransitionFailed
 
-use crate::state::WorkerState;
 use std::collections::BTreeSet;
 use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// An instrumented point in the runtimes. Each site keeps its own
 /// occurrence index, which is what a [`FaultSchedule`] counts.
@@ -371,59 +369,6 @@ impl DrainReport {
     }
 }
 
-/// Recorder of successful worker-state transitions, for state-machine
-/// property tests: attach one to every worker buffer and assert
-/// afterwards that only legal edges of the paper's state machine were
-/// taken, even under injected faults.
-#[derive(Debug, Default)]
-pub struct TransitionLog {
-    edges: Mutex<Vec<(WorkerState, WorkerState)>>,
-}
-
-impl TransitionLog {
-    /// Empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one successful `from -> to` transition.
-    pub fn record(&self, from: WorkerState, to: WorkerState) {
-        self.edges
-            .lock()
-            .expect("transition log poisoned")
-            .push((from, to));
-    }
-
-    /// All recorded edges, in global observation order.
-    #[must_use]
-    pub fn edges(&self) -> Vec<(WorkerState, WorkerState)> {
-        self.edges.lock().expect("transition log poisoned").clone()
-    }
-
-    /// Recorded edges that are illegal per
-    /// [`WorkerState::can_transition`]. Empty on a correct run.
-    #[must_use]
-    pub fn illegal_edges(&self) -> Vec<(WorkerState, WorkerState)> {
-        self.edges()
-            .into_iter()
-            .filter(|(from, to)| !from.can_transition(*to))
-            .collect()
-    }
-
-    /// Number of recorded edges.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.edges.lock().expect("transition log poisoned").len()
-    }
-
-    /// `true` if nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,21 +565,6 @@ mod tests {
         for (i, f) in Fault::ALL.into_iter().enumerate() {
             assert_eq!(f as usize, i, "ALL is declaration order");
         }
-    }
-
-    #[test]
-    fn transition_log_flags_illegal_edges() {
-        let log = TransitionLog::new();
-        log.record(WorkerState::Unused, WorkerState::Reserved);
-        log.record(WorkerState::Reserved, WorkerState::Processing);
-        assert!(log.illegal_edges().is_empty());
-        log.record(WorkerState::Processing, WorkerState::Unused); // illegal
-        assert_eq!(
-            log.illegal_edges(),
-            vec![(WorkerState::Processing, WorkerState::Unused)]
-        );
-        assert_eq!(log.len(), 3);
-        assert!(!log.is_empty());
     }
 
     #[test]

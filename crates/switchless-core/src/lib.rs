@@ -87,7 +87,6 @@ pub use cpu::CpuSpec;
 pub use error::SwitchlessError;
 pub use fault::{
     DrainReport, Fault, FaultCounts, FaultInjector, FaultPlan, FaultSchedule, FaultSite,
-    TransitionLog,
 };
 pub use fleet::{
     CapChange, FleetAccountingError, FleetAllocator, FleetController, FleetDecision, FleetParams,
@@ -123,6 +122,18 @@ pub enum CallPath {
     Fallback,
     /// Executed as a regular ocall without any switchless attempt.
     Regular,
+}
+
+impl CallPath {
+    /// Stable lowercase name used by the trace and SLO exporters.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            CallPath::Switchless => "switchless",
+            CallPath::Fallback => "fallback",
+            CallPath::Regular => "regular",
+        }
+    }
 }
 
 /// A dispatcher routes ocall requests from enclave caller threads to the

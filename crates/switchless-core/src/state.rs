@@ -50,6 +50,20 @@ impl WorkerState {
         self as u8
     }
 
+    /// Stable lowercase name used by the trace exporters (`Display`
+    /// prints the paper's uppercase form).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            WorkerState::Unused => "unused",
+            WorkerState::Reserved => "reserved",
+            WorkerState::Processing => "processing",
+            WorkerState::Waiting => "waiting",
+            WorkerState::Paused => "paused",
+            WorkerState::Exit => "exit",
+        }
+    }
+
     /// Is `self -> to` a legal transition of the paper's state machine?
     ///
     /// Legal edges:

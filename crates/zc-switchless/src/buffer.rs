@@ -32,8 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use switchless_core::{
-    FuncId, GuardViolation, OcallReply, OcallRequest, SharedWordGuard, TransitionLog, WorkerState,
-    MAX_OCALL_ARGS,
+    FuncId, GuardViolation, OcallReply, OcallRequest, SharedWordGuard, WorkerState, MAX_OCALL_ARGS,
 };
 
 /// Command word the scheduler writes into a worker's buffer.
@@ -230,8 +229,8 @@ impl TransitionTracer {
 }
 
 /// Shared buffer of one ZC worker: the mailbox block first, then the
-/// write-once instrumentation handles (read-only after start, so they
-/// never take the hot lines with them).
+/// write-once worker-thread and tracer handles (read-only after start,
+/// so they never take the hot lines with them).
 #[derive(Debug)]
 #[repr(C, align(128))]
 pub struct WorkerBuffer {
@@ -241,7 +240,6 @@ pub struct WorkerBuffer {
     slot: StatusOwned<RequestSlot>,
     pool: StatusOwned<RequestPool>,
     thread: OnceLock<Thread>,
-    recorder: OnceLock<Arc<TransitionLog>>,
     tracer: OnceLock<TransitionTracer>,
 }
 
@@ -314,7 +312,6 @@ impl WorkerBuffer {
             slot: StatusOwned(UnsafeCell::new(RequestSlot::default())),
             pool: StatusOwned(UnsafeCell::new(RequestPool::default())),
             thread: OnceLock::new(),
-            recorder: OnceLock::new(),
             tracer: OnceLock::new(),
         }
     }
@@ -336,11 +333,11 @@ impl WorkerBuffer {
     /// reachable when untrusted state lied to the caller — poisons the
     /// slot and fails the transition instead of asserting.
     ///
-    /// The test-side recorder sees every successful edge; the telemetry
-    /// tracer only those a call does not own (see [`TransitionTracer`]),
-    /// so a call's five edges read no clock and push no event on either
-    /// thread. Inlined: `from` and `to` are constants at every call
-    /// site, so that choice is made at compile time.
+    /// The telemetry tracer sees only the edges a call does not own
+    /// (see [`TransitionTracer`]), so a call's five edges read no clock
+    /// and push no event on either thread. Inlined: `from` and `to` are
+    /// constants at every call site, so that choice is made at compile
+    /// time.
     #[inline]
     pub fn try_transition(&self, from: WorkerState, to: WorkerState) -> bool {
         if SharedWordGuard.check_transition(from, to).is_err() {
@@ -357,9 +354,6 @@ impl WorkerBuffer {
             )
             .is_ok();
         if ok {
-            if let Some(log) = self.recorder.get() {
-                log.record(from, to);
-            }
             let parked = |s| matches!(s, WorkerState::Paused | WorkerState::Exit);
             if parked(from) || parked(to) {
                 if let Some(tracer) = self.tracer.get() {
@@ -381,12 +375,6 @@ impl WorkerBuffer {
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// Attach a [`TransitionLog`] recording every *successful* status
-    /// transition (first caller wins; used by state-machine tests).
-    pub fn set_recorder(&self, log: Arc<TransitionLog>) {
-        let _ = self.recorder.set(log);
     }
 
     /// Attach a telemetry [`TransitionTracer`] (first caller wins;
@@ -787,20 +775,13 @@ mod tests {
     }
 
     #[test]
-    fn recorder_sees_successful_transitions_only() {
+    fn a_lost_cas_leaves_the_word_to_the_winner() {
         let b = WorkerBuffer::new();
-        let log = Arc::new(TransitionLog::new());
-        b.set_recorder(Arc::clone(&log));
         assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
-        assert!(!b.try_transition(WorkerState::Unused, WorkerState::Reserved)); // lost CAS
+        assert!(!b.try_transition(WorkerState::Unused, WorkerState::Reserved));
+        assert_eq!(b.state(), Ok(WorkerState::Reserved));
+        assert!(!b.is_poisoned(), "a lost race is not an illegal edge");
         assert!(b.try_transition(WorkerState::Reserved, WorkerState::Processing));
-        assert_eq!(
-            log.edges(),
-            vec![
-                (WorkerState::Unused, WorkerState::Reserved),
-                (WorkerState::Reserved, WorkerState::Processing),
-            ]
-        );
-        assert!(log.illegal_edges().is_empty());
+        assert_eq!(b.state(), Ok(WorkerState::Processing));
     }
 }

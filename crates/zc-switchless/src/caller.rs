@@ -137,7 +137,7 @@ fn route(
 
 /// Complete a switchless call on a worker already claimed (`RESERVED`).
 #[allow(clippy::too_many_arguments)]
-fn switchless_call(
+pub(crate) fn switchless_call(
     shared: &Shared,
     w: &WorkerBuffer,
     widx: usize,

@@ -12,8 +12,7 @@ use std::time::Duration;
 use switchless_core::stats::WorkerResidency;
 use switchless_core::{
     CallPath, CallStats, DrainReport, FaultInjector, OcallDispatcher, OcallRequest, OcallTable,
-    OverloadSnapshot, RecoverySnapshot, Supervisor, SwitchlessError, TenantUsage, TransitionLog,
-    ZcConfig,
+    OverloadSnapshot, RecoverySnapshot, Supervisor, SwitchlessError, TenantUsage, ZcConfig,
 };
 use zc_telemetry::{MetricValue, Telemetry};
 
@@ -60,9 +59,6 @@ pub(crate) struct Shared {
     /// Monotonic enclave incarnation, used as the worker-thread
     /// generation tag for post-restart spawns.
     pub(crate) enclave_generation: AtomicU64,
-    /// TransitionLog attached via `install_transition_log`, kept so
-    /// respawned buffers inherit the same recorder.
-    pub(crate) transition_log: Mutex<Option<Arc<TransitionLog>>>,
 }
 
 /// A value alone on its 128-byte block (two adjacent cache lines, which
@@ -129,8 +125,8 @@ impl Shared {
     }
 
     /// Respawn slot `index`: replace its quarantined buffer by a fresh
-    /// one (inheriting any transition recorder/tracer instrumentation)
-    /// and spawn generation `generation` of the worker thread onto it.
+    /// one (with the hub's transition tracer, if any) and spawn
+    /// generation `generation` of the worker thread onto it.
     /// The old buffer stays with whatever thread or in-flight call
     /// still references it. Returns `false`, having done nothing, when
     /// the slot's buffer is healthy: a supervisor respawn and an
@@ -138,9 +134,6 @@ impl Shared {
     pub(crate) fn respawn_slot(&self, index: usize, generation: u64) -> bool {
         let Some(fresh) = self.workers[index].replace_quarantined(|| {
             let fresh = Arc::new(WorkerBuffer::new());
-            if let Some(log) = self.transition_log.lock().clone() {
-                fresh.set_recorder(log);
-            }
             self.trace_transitions(index, &fresh);
             fresh
         }) else {
@@ -282,11 +275,9 @@ impl ZcRuntime {
                 .map(|params| Mutex::new(Supervisor::new(max, params))),
             blacklisted: AtomicUsize::new(0),
             enclave_generation: AtomicU64::new(0),
-            transition_log: Mutex::new(None),
             config,
         });
         if let Some(hub) = &shared.door.telemetry {
-            // Alongside any TransitionLog recorder.
             for (i, w) in shared.workers.iter().enumerate() {
                 shared.trace_transitions(i, w.get());
             }
@@ -404,18 +395,6 @@ impl ZcRuntime {
     #[must_use]
     pub fn residency(&self) -> WorkerResidency {
         self.shared.residency.lock().clone()
-    }
-
-    /// Attach a fresh [`TransitionLog`] to every worker buffer, recording
-    /// each successful status transition from this point on (test
-    /// instrumentation; first installation wins per worker).
-    pub fn install_transition_log(&self) -> Arc<TransitionLog> {
-        let log = Arc::new(TransitionLog::new());
-        *self.shared.transition_log.lock() = Some(Arc::clone(&log));
-        for w in &self.shared.workers {
-            w.get().set_recorder(Arc::clone(&log));
-        }
-        log
     }
 
     /// Workers whose *current* buffer is quarantined (poisoned). With
@@ -821,11 +800,40 @@ mod tests {
 
     #[test]
     fn call_entering_during_a_restart_gives_its_claim_back() {
-        use sgx_sim::frontdoor::Transport;
+        use sgx_sim::frontdoor::{Rec, Transport};
         use switchless_core::WorkerState::{Reserved, Unused};
+
+        /// The caller path past the claim: every call goes to slot 0,
+        /// whose buffer the test has already claimed.
+        struct Claimed<'a>(&'a Shared);
+        impl Transport for Claimed<'_> {
+            fn door(&self) -> &FrontDoor {
+                &self.0.door
+            }
+            fn route(
+                &self,
+                req: &OcallRequest,
+                payload_in: &[u8],
+                payload_out: &mut Vec<u8>,
+                rec: &mut Rec,
+            ) -> Result<(i64, CallPath), SwitchlessError> {
+                let epoch0 = self.0.door.epoch();
+                crate::caller::switchless_call(
+                    self.0,
+                    self.0.worker(0),
+                    0,
+                    epoch0,
+                    req,
+                    payload_in,
+                    payload_out,
+                    rec,
+                )
+            }
+        }
+
         let (t, echo, _) = table();
         // Every worker active and a scheduler that never reconfigures:
-        // the only status edges of this run are the call's own.
+        // nothing but the call moves the claimed buffer's status word.
         let cfg = test_config()
             .with_quantum_ms(10_000)
             .with_initial_workers(2)
@@ -837,30 +845,40 @@ mod tests {
         assert!(plane.begin_crash());
         rt.shared.fence_workers();
         rt.shared.respawn_workers();
-        let log = rt.install_transition_log();
-        std::thread::scope(|s| {
-            let call = s.spawn(|| {
-                let mut out = Vec::new();
-                let req = OcallRequest::new(echo, &[]).with_idempotent();
-                rt.dispatch(&req, b"mid-restart", &mut out)
-                    .map(|r| (r, out))
+        let fresh = rt.shared.worker(0);
+        assert!(fresh.try_transition(Unused, Reserved));
+        let (left_to, result, out) = std::thread::scope(|s| {
+            // The call finds the enclave lost and must hand the claim
+            // back rather than post on it; either way the buffer leaves
+            // RESERVED before the call blocks on the restart, which this
+            // thread then completes.
+            let restart = s.spawn(|| {
+                let backstop = std::time::Instant::now() + Duration::from_secs(30);
+                let left_to = loop {
+                    match fresh.state() {
+                        Ok(Reserved) if std::time::Instant::now() < backstop => {
+                            std::thread::yield_now();
+                        }
+                        other => break other,
+                    }
+                };
+                plane.complete_restart();
+                plane.resume();
+                left_to
             });
-            // The call claims a fresh buffer, finds the enclave lost
-            // and must hand the claim back rather than post on it.
-            // (Judged only after the restart was completed: the call
-            // cannot return before, and the scope joins it.)
-            let backstop = std::time::Instant::now() + Duration::from_secs(30);
-            while log.len() < 2 && std::time::Instant::now() < backstop {
-                std::thread::yield_now();
-            }
-            let edges = log.edges();
-            plane.complete_restart();
-            plane.resume();
-            let ((ret, path), out) = call.join().unwrap().expect("replayed after the restart");
-            assert_eq!(edges, vec![(Unused, Reserved), (Reserved, Unused)]);
-            assert_eq!((ret, path), (11, CallPath::Fallback));
-            assert_eq!(out, b"mid-restart");
+            let mut out = Vec::new();
+            let req = OcallRequest::new(echo, &[]).with_idempotent();
+            let result = frontdoor::dispatch(&Claimed(&rt.shared), &req, b"mid-restart", &mut out);
+            (restart.join().unwrap(), result, out)
         });
+        assert_eq!(
+            left_to,
+            Ok(Unused),
+            "the claim was posted on, not given back"
+        );
+        let (ret, path) = result.expect("replayed after the restart");
+        assert_eq!((ret, path), (11, CallPath::Fallback));
+        assert_eq!(out, b"mid-restart");
         // Nothing of the new incarnation was left mid-protocol.
         for w in &rt.shared.workers {
             assert_eq!(w.get().state(), Ok(Unused));

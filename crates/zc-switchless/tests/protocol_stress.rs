@@ -242,7 +242,6 @@ fn mailbox_echo_load_is_byte_exact_legal_and_conserved() {
         .with_quantum_ms(1)
         .with_initial_workers(2);
     let rt = Arc::new(ZcRuntime::start(cfg, table, sgx_sim::Enclave::new(test_cpu())).unwrap());
-    let log = rt.install_transition_log();
     let calls = 300u64;
     let rt2 = Arc::clone(&rt);
     run_callers(move |c| {
@@ -260,7 +259,8 @@ fn mailbox_echo_load_is_byte_exact_legal_and_conserved() {
         "the load never went switchless: {snap:?}"
     );
     assert_eq!(snap.guard_violations, 0, "{snap:?}");
-    assert_eq!(log.illegal_edges(), vec![], "illegal status edges");
+    // `try_transition` poisons a slot rather than take an illegal edge.
+    assert_eq!(rt.poisoned_workers(), 0, "a slot was quarantined");
     rt.shutdown();
 }
 
@@ -303,7 +303,6 @@ fn slot_respawns_under_load_never_strand_or_block_a_caller() {
         ZcRuntime::start_with_faults(cfg, table, sgx_sim::Enclave::new(cpu), Arc::clone(&faults))
             .unwrap(),
     );
-    let log = rt.install_transition_log();
     let (rt2, faults2) = (Arc::clone(&rt), Arc::clone(&faults));
     run_callers(move |c| {
         let mut rng = SplitMix64::new(0x5e5b_a57e ^ c);
@@ -333,7 +332,6 @@ fn slot_respawns_under_load_never_strand_or_block_a_caller() {
     let snap = rt.stats().snapshot();
     assert!(snap.is_conserved(), "{snap:?}");
     assert_eq!(snap.guard_violations, 0, "{snap:?}");
-    assert_eq!(log.illegal_edges(), vec![], "illegal status edges");
     let recovery = rt.recovery_snapshot().expect("recovery is on");
     assert_eq!((recovery.crashes, recovery.epoch), (1, 1), "{recovery:?}");
     assert_eq!(recovery.refused_non_idempotent, 0, "{recovery:?}");

@@ -85,8 +85,10 @@ pub enum Event {
     /// `PAUSED` or `EXIT` (scheduler deactivation/reactivation,
     /// shutdown, fence). The five edges a call walks (`U→R`, `R→P`,
     /// `P→W`, `W→U`, give-back `R→U`) are implied by the call's
-    /// [`Event::CallPhases`] and are not traced; the fault layer's
-    /// `TransitionLog` still records every edge.
+    /// [`Event::CallPhases`] and are not traced. No trace is needed to
+    /// keep any edge legal: `WorkerBuffer::try_transition` refuses an
+    /// illegal one before its CAS and poisons the slot. Nothing checks
+    /// a host that writes a *valid but wrong* state word.
     WorkerTransition {
         /// Buffer index the edge happened on.
         worker: u32,

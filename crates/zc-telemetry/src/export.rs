@@ -9,7 +9,6 @@
 use crate::event::{Event, Origin, RecordedEvent};
 use crate::metrics::{MetricValue, MetricsSnapshot};
 use std::fmt::Write as _;
-use switchless_core::{CallPath, WorkerState};
 
 /// Escape a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -28,25 +27,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-fn path_name(p: CallPath) -> &'static str {
-    match p {
-        CallPath::Switchless => "switchless",
-        CallPath::Fallback => "fallback",
-        CallPath::Regular => "regular",
-    }
-}
-
-fn state_name(s: WorkerState) -> &'static str {
-    match s {
-        WorkerState::Unused => "unused",
-        WorkerState::Reserved => "reserved",
-        WorkerState::Processing => "processing",
-        WorkerState::Waiting => "waiting",
-        WorkerState::Paused => "paused",
-        WorkerState::Exit => "exit",
-    }
 }
 
 fn u64_list(vals: &[u64]) -> String {
@@ -95,8 +75,8 @@ fn event_fields(event: &Event) -> String {
         }
         Event::WorkerTransition { worker, from, to } => format!(
             ",\"worker\":{worker},\"from\":\"{}\",\"to\":\"{}\"",
-            state_name(*from),
-            state_name(*to)
+            from.name(),
+            to.name()
         ),
         Event::CallRouted {
             func,
@@ -105,7 +85,7 @@ fn event_fields(event: &Event) -> String {
             duration_cycles,
         } => format!(
             ",\"func\":{func},\"path\":\"{}\",\"start_cycles\":{start_cycles},\"duration_cycles\":{duration_cycles}",
-            path_name(*path)
+            path.name()
         ),
         Event::PoolRealloc {
             call,
@@ -141,7 +121,7 @@ fn event_fields(event: &Event) -> String {
             phases,
         } => format!(
             ",\"call\":{call},\"func\":{func},\"path\":\"{}\",\"phases\":{}",
-            path_name(*path),
+            path.name(),
             u64_list(phases)
         ),
         Event::Converged {
@@ -270,34 +250,19 @@ fn cycles_to_us(cycles: u64, freq_hz: u64) -> u64 {
     ((cycles as u128) * 1_000_000 / (freq_hz.max(1) as u128)) as u64
 }
 
-/// One `X` complete event for a call of `cycles` begun at
-/// `start_cycles`; `more_args` is appended to its `args` object.
-fn call_span(
-    tid: u64,
-    freq_hz: u64,
-    func: u16,
-    path: CallPath,
-    start_cycles: u64,
-    cycles: u64,
-    more_args: &str,
-) -> String {
-    let start_us = cycles_to_us(start_cycles, freq_hz);
-    // Sub-microsecond spans still get dur 1 so they render.
-    let dur_us = cycles_to_us(cycles, freq_hz).max(1);
-    let path = path_name(path);
-    format!(
-        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{start_us},\"dur\":{dur_us},\"name\":\"ocall-{func}\",\"cat\":\"{path}\",\"args\":{{\"path\":\"{path}\",\"cycles\":{cycles}{more_args}}}}}"
-    )
-}
-
 /// Chrome `trace_event` JSON for a batch of events.
 ///
 /// `freq_hz` converts cycle timestamps to the microsecond `ts` field.
 /// Output shape: `{"traceEvents":[...],"displayTimeUnit":"ms"}` with
 /// - `M` thread-name metadata per distinct origin,
-/// - `X` complete events for call spans (one per `call_phases`),
-/// - `C` counter events tracking the scheduler's active worker count,
-/// - `i` instant events for decisions, transitions, faults and drains.
+/// - `X` complete events for call spans (one per `call_phases` or
+///   `call_routed`), named `ocall-<func>`,
+/// - `C` counter events tracking the scheduler's active worker count
+///   (one per `phase_start`, beside its instant),
+/// - `i` instant events for every other event, named by its kind.
+///
+/// Every record's `args` are the event's JSONL fields, so the trace
+/// carries everything the JSONL line does.
 pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
     let mut lines: Vec<String> = Vec::new();
 
@@ -320,173 +285,44 @@ pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
     for ev in events {
         let tid = ev.origin.tid();
         let ts = cycles_to_us(ev.t_cycles, freq_hz);
-        match &ev.event {
+        let fields = event_fields(&ev.event);
+        let args = fields.strip_prefix(',').unwrap_or(&fields);
+        let span = match &ev.event {
             Event::CallRouted {
                 func,
                 path,
                 start_cycles,
                 duration_cycles,
-            } => lines.push(call_span(
-                tid,
-                freq_hz,
-                *func,
-                *path,
-                *start_cycles,
-                *duration_cycles,
-                "",
-            )),
-            Event::PhaseStart { kind, workers, .. } => {
-                lines.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"name\":\"active_workers\",\"args\":{{\"workers\":{workers}}}}}"
-                ));
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"{}\",\"args\":{{\"workers\":{workers}}}}}",
-                    kind.name()
-                ));
-            }
-            Event::Decision { decision } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"decision\",\"args\":{{\"chosen_workers\":{},\"costs\":{}}}}}",
-                    decision.chosen_workers,
-                    u64_list(&decision.costs)
-                ));
-            }
-            Event::WorkerTransition { from, to, .. } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"{}->{}\"}}",
-                    state_name(*from),
-                    state_name(*to)
-                ));
-            }
-            Event::PoolRealloc { call, bytes, .. } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"pool_realloc\",\"args\":{{\"call\":{call},\"bytes\":{bytes}}}}}"
-                ));
-            }
-            Event::Fault { kind } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"fault:{}\"}}",
-                    kind.name()
-                ));
-            }
-            Event::Drain { drained, abandoned } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"drain\",\"args\":{{\"drained\":{drained},\"abandoned\":{abandoned}}}}}"
-                ));
-            }
-            Event::WorkerAbandoned { worker } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"worker_abandoned\",\"args\":{{\"worker\":{worker}}}}}"
-                ));
-            }
-            Event::WorkerRespawned { worker, generation } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"worker_respawned\",\"args\":{{\"worker\":{worker},\"generation\":{generation}}}}}"
-                ));
-            }
-            Event::WorkerHealed { worker } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"worker_healed\",\"args\":{{\"worker\":{worker}}}}}"
-                ));
-            }
-            Event::WatchdogCancel {
-                call,
-                worker,
-                func,
-                waited_cycles,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"watchdog_cancel\",\"args\":{{\"call\":{call},\"worker\":{worker},\"func\":{func},\"waited_cycles\":{waited_cycles}}}}}"
-                ));
-            }
-            Event::GuardViolation { call, worker, kind } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"guard:{}\",\"args\":{{\"call\":{call},\"worker\":{worker}}}}}",
-                    kind.name()
-                ));
-            }
-            Event::Blacklisted { func, shape } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"blacklisted\",\"args\":{{\"func\":{func},\"shape\":{shape}}}}}"
-                ));
-            }
+            } => Some((*func, *path, *start_cycles, *duration_cycles)),
+            // Recorded at completion; the phases sum to the call's
+            // latency, so they also say when it began.
             Event::CallPhases {
-                call,
-                func,
-                path,
-                phases,
+                func, path, phases, ..
             } => {
-                // Recorded at completion; the phases sum to the call's
-                // latency, so they also say when it began.
                 let cycles: u64 = phases.iter().sum();
-                lines.push(call_span(
-                    tid,
-                    freq_hz,
-                    *func,
-                    *path,
-                    ev.t_cycles.saturating_sub(cycles),
-                    cycles,
-                    &format!(",\"call\":{call},\"phases\":{}", u64_list(phases)),
-                ));
+                Some((*func, *path, ev.t_cycles.saturating_sub(cycles), cycles))
             }
-            Event::Converged {
-                from_workers,
-                to_workers,
-                decisions,
-                settle_cycles,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"converged\",\"args\":{{\"from_workers\":{from_workers},\"to_workers\":{to_workers},\"decisions\":{decisions},\"settle_cycles\":{settle_cycles}}}}}"
-                ));
-            }
-            Event::CallShed { call, func, reason } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"shed:{}\",\"args\":{{\"call\":{call},\"func\":{func}}}}}",
-                    reason.name()
-                ));
-            }
-            Event::BreakerTransition { from, to } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"breaker:{}->{}\"}}",
-                    from.name(),
-                    to.name()
-                ));
-            }
-            Event::BrownoutShift {
-                from_level,
-                to_level,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"brownout:{from_level}->{to_level}\"}}"
-                ));
-            }
-            Event::EnclaveCrash { epoch } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"enclave_crash\",\"args\":{{\"epoch\":{epoch}}}}}"
-                ));
-            }
-            Event::JournalReplay { seq } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"journal_replay\",\"args\":{{\"seq\":{seq}}}}}"
-                ));
-            }
-            Event::CallRedelivered { seq } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"call_redelivered\",\"args\":{{\"seq\":{seq}}}}}"
-                ));
-            }
-            Event::CallRefused { seq } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"call_refused\",\"args\":{{\"seq\":{seq}}}}}"
-                ));
-            }
-            Event::Marker { label } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"g\",\"name\":\"{}\"}}",
-                    json_escape(label)
-                ));
-            }
+            _ => None,
+        };
+        if let Some((func, path, start_cycles, cycles)) = span {
+            let start_us = cycles_to_us(start_cycles, freq_hz);
+            // Sub-microsecond spans still get dur 1 so they render.
+            let dur_us = cycles_to_us(cycles, freq_hz).max(1);
+            lines.push(format!(
+                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{start_us},\"dur\":{dur_us},\"name\":\"ocall-{func}\",\"cat\":\"{}\",\"args\":{{{args}}}}}",
+                path.name()
+            ));
+            continue;
         }
+        if let Event::PhaseStart { workers, .. } = ev.event {
+            lines.push(format!(
+                "{{\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"name\":\"active_workers\",\"args\":{{\"workers\":{workers}}}}}"
+            ));
+        }
+        lines.push(format!(
+            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"{}\",\"args\":{{{args}}}}}",
+            ev.event.kind_name()
+        ));
     }
 
     let mut out = String::from("{\"traceEvents\":[\n");
@@ -505,11 +341,19 @@ pub fn to_chrome_trace(events: &[RecordedEvent], freq_hz: u64) -> String {
 mod tests {
     use super::*;
     use crate::event::PhaseKind;
+    use std::collections::BTreeSet;
     use switchless_core::policy::{DecisionRecord, MicroQuantumReport};
-    use switchless_core::Fault;
+    use switchless_core::{BreakerState, CallPath, Fault, GuardKind, ShedReason, WorkerState};
 
+    /// One event of every `Event` kind (the first four are the ones the
+    /// field-level assertions below name).
     fn sample_events() -> Vec<RecordedEvent> {
-        vec![
+        let at = |t_cycles, origin, event| RecordedEvent {
+            t_cycles,
+            origin,
+            event,
+        };
+        let mut evs = vec![
             RecordedEvent {
                 t_cycles: 100,
                 origin: Origin::Scheduler,
@@ -556,14 +400,167 @@ mod tests {
                     kind: Fault::WorkerCrash,
                 },
             },
-        ]
+        ];
+        let (caller, worker, sched) = (Origin::Caller(0), Origin::Worker(1), Origin::Scheduler);
+        evs.extend([
+            at(
+                500,
+                worker,
+                Event::WorkerTransition {
+                    worker: 1,
+                    from: WorkerState::Unused,
+                    to: WorkerState::Paused,
+                },
+            ),
+            at(
+                2_600,
+                caller,
+                Event::CallRouted {
+                    func: 2,
+                    path: CallPath::Fallback,
+                    start_cycles: 600,
+                    duration_cycles: 2_000,
+                },
+            ),
+            at(
+                700,
+                caller,
+                Event::PoolRealloc {
+                    call: 8,
+                    worker: 1,
+                    bytes: 4_096,
+                },
+            ),
+            at(
+                800,
+                Origin::Sim,
+                Event::Drain {
+                    drained: 3,
+                    abandoned: 1,
+                },
+            ),
+            at(900, Origin::Sim, Event::WorkerAbandoned { worker: 1 }),
+            at(
+                1_000,
+                Origin::Sim,
+                Event::WorkerRespawned {
+                    worker: 1,
+                    generation: 2,
+                },
+            ),
+            at(1_100, Origin::Sim, Event::WorkerHealed { worker: 1 }),
+            at(
+                1_200,
+                caller,
+                Event::WatchdogCancel {
+                    call: 9,
+                    worker: 1,
+                    func: 3,
+                    waited_cycles: 5_000,
+                },
+            ),
+            at(
+                1_300,
+                caller,
+                Event::GuardViolation {
+                    call: 10,
+                    worker: 1,
+                    kind: GuardKind::StaleSequence,
+                },
+            ),
+            at(1_400, Origin::Sim, Event::Blacklisted { func: 3, shape: 6 }),
+            at(
+                1_500,
+                sched,
+                Event::Converged {
+                    from_workers: 1,
+                    to_workers: 2,
+                    decisions: 3,
+                    settle_cycles: 9_000,
+                },
+            ),
+            at(
+                1_600,
+                caller,
+                Event::CallShed {
+                    call: 11,
+                    func: 3,
+                    reason: ShedReason::BreakerOpen,
+                },
+            ),
+            at(
+                1_700,
+                caller,
+                Event::BreakerTransition {
+                    from: BreakerState::Closed,
+                    to: BreakerState::Open,
+                },
+            ),
+            at(
+                1_800,
+                caller,
+                Event::BrownoutShift {
+                    from_level: 0,
+                    to_level: 1,
+                },
+            ),
+            at(1_900, caller, Event::EnclaveCrash { epoch: 2 }),
+            at(2_000, caller, Event::JournalReplay { seq: 12 }),
+            at(2_100, caller, Event::CallRedelivered { seq: 13 }),
+            at(2_200, caller, Event::CallRefused { seq: 14 }),
+            at(
+                2_300,
+                Origin::Sim,
+                Event::Marker {
+                    label: "warm \"up\"",
+                },
+            ),
+        ]);
+        evs
+    }
+
+    #[test]
+    fn sample_holds_every_event_kind() {
+        let evs = sample_events();
+        for ev in &evs {
+            // No wildcard: a new variant stops this compiling until it
+            // is listed here and given a sample above.
+            match ev.event {
+                Event::PhaseStart { .. }
+                | Event::Decision { .. }
+                | Event::WorkerTransition { .. }
+                | Event::CallRouted { .. }
+                | Event::PoolRealloc { .. }
+                | Event::Fault { .. }
+                | Event::Drain { .. }
+                | Event::WorkerAbandoned { .. }
+                | Event::WorkerRespawned { .. }
+                | Event::WorkerHealed { .. }
+                | Event::WatchdogCancel { .. }
+                | Event::GuardViolation { .. }
+                | Event::Blacklisted { .. }
+                | Event::CallPhases { .. }
+                | Event::Converged { .. }
+                | Event::CallShed { .. }
+                | Event::BreakerTransition { .. }
+                | Event::BrownoutShift { .. }
+                | Event::EnclaveCrash { .. }
+                | Event::JournalReplay { .. }
+                | Event::CallRedelivered { .. }
+                | Event::CallRefused { .. }
+                | Event::Marker { .. } => {}
+            }
+        }
+        let kinds: BTreeSet<_> = evs.iter().map(|e| e.event.kind_name()).collect();
+        assert_eq!(kinds.len(), 23, "one sample per event kind: {kinds:?}");
+        assert_eq!(evs.len(), kinds.len());
     }
 
     #[test]
     fn jsonl_lines_are_json_objects_with_expected_fields() {
         let out = events_to_jsonl(&sample_events());
         let lines: Vec<_> = out.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), sample_events().len());
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'));
         }
@@ -591,7 +588,9 @@ mod tests {
         assert!(jsonl.contains("\"kind\":\"guard_violation\""));
         assert!(jsonl.contains("\"call\":9,\"worker\":1,\"guard\":\"stale_sequence\""));
         let trace = to_chrome_trace(&evs, 1_000_000_000);
-        assert!(trace.contains("\"name\":\"guard:stale_sequence\""));
+        assert!(trace.contains(
+            "\"name\":\"guard_violation\",\"args\":{\"call\":9,\"worker\":1,\"guard\":\"stale_sequence\"}"
+        ));
     }
 
     #[test]
@@ -638,7 +637,7 @@ mod tests {
             }],
             1_000_000_000
         )
-        .contains("\"name\":\"fault:enclave_stall\""));
+        .contains("\"name\":\"fault\",\"args\":{\"fault\":\"enclave_stall\"}"));
     }
 
     #[test]
@@ -683,6 +682,31 @@ mod tests {
         // The call completed at 300 after 50 cycles: it began at 250 ->
         // ts 0us (sub-us), dur >= 1.
         assert!(trace.contains("\"ts\":0,\"dur\":1,\"name\":\"ocall-3\""));
-        assert!(trace.contains("\"cycles\":50,\"call\":7,\"phases\":[5,5,5,10,20,5]"));
+        assert!(trace.contains(
+            "\"args\":{\"call\":7,\"func\":3,\"path\":\"switchless\",\"phases\":[5,5,5,10,20,5]}"
+        ));
+        // One record per event (the counter beside each `phase_start`
+        // aside), in order, whose `args` are its JSONL line's fields.
+        let records: Vec<&str> = trace
+            .lines()
+            .map(|l| l.trim_end_matches(','))
+            .filter(|l| l.starts_with("{\"ph\":\"i\"") || l.starts_with("{\"ph\":\"X\""))
+            .collect();
+        let evs = sample_events();
+        assert_eq!(records.len(), evs.len());
+        for (ev, record) in evs.iter().zip(records) {
+            let line = event_jsonl_line(ev, false);
+            let head = format!(
+                "{{\"origin\":\"{}\",\"kind\":\"{}\"",
+                ev.origin.label(),
+                ev.event.kind_name()
+            );
+            let fields = &line[head.len()..line.len() - 1];
+            let args = format!("{{{}}}", fields.strip_prefix(',').unwrap_or(fields));
+            assert!(
+                record.ends_with(&format!("\"args\":{args}}}")),
+                "{record} does not carry {line}"
+            );
+        }
     }
 }

@@ -13,16 +13,6 @@ use crate::profile::{PathSnapshot, Phase, ProfileSnapshot};
 use std::fmt;
 use switchless_core::CallPath;
 
-/// Stable lowercase path name shared with the event exporters.
-#[must_use]
-pub fn path_name(path: CallPath) -> &'static str {
-    match path {
-        CallPath::Switchless => "switchless",
-        CallPath::Fallback => "fallback",
-        CallPath::Regular => "regular",
-    }
-}
-
 /// Fixed-precision float formatting so exports are byte-stable across
 /// runs and platforms (no shortest-repr jitter).
 #[must_use]
@@ -150,7 +140,7 @@ impl PathSlo {
             "{{\"path\":\"{}\",\"calls\":{},\"total_cycles\":{},\"phase_sum_cycles\":{},\
              \"goodput_cps\":{},\"wasted_ratio\":{},\"mean_cycles\":{},\
              \"p50\":{},\"p99\":{},\"p999\":{},\"phases\":[",
-            path_name(self.path),
+            self.path.name(),
             self.calls,
             self.total_cycles,
             self.phase_sum_cycles,
@@ -293,7 +283,7 @@ impl fmt::Display for SloReport {
             writeln!(
                 f,
                 "  {:<10} calls={:<8} goodput={:>12}/s mean={:>10} p50={:<8} p99={:<8} p99.9={:<8} wasted={}",
-                path_name(p.path),
+                p.path.name(),
                 p.calls,
                 fmt_f64(p.goodput_cps, 0),
                 fmt_f64(p.mean_cycles, 0),

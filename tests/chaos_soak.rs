@@ -9,10 +9,6 @@
 //! * **conservation** — no call is lost or double-completed:
 //!   `issued == switchless + fallback + regular + cancelled`
 //!   ([`CallStats::is_conserved`]);
-//! * **legal transitions** — worker buffers only take legal edges of
-//!   the paper's state machine, checked from the [`TransitionLog`]
-//!   (which sees every edge; the trace carries only those no call
-//!   owns);
 //! * **recovery** — every failed slot is respawned and heals: the
 //!   supervisor ends with zero quarantined slots and a full serving
 //!   pool, and the trace carries exactly one `worker_respawned` per
@@ -21,6 +17,12 @@
 //!   produce byte-identical traces: the DES soak is identical
 //!   including timestamps, the wall-thread runtime soak under its
 //!   causal projection ([`canonical_jsonl`]).
+//!
+//! Edge legality is not checked here, because it cannot fail:
+//! `WorkerBuffer::try_transition` refuses an edge the paper's state
+//! machine forbids *before* its CAS and poisons the slot instead
+//! (`buffer::tests::illegal_transition_poisons_in_release_too`). What
+//! nothing checks is a host that writes a *valid but wrong* state word.
 //!
 //! A property test closes the loop: *any* legal fault schedule leaves
 //! [`CallStats`] conserved on the virtual clock. And the blacklist is
@@ -35,8 +37,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::{
     CallPath, CpuSpec, DrainReport, Fault, FaultInjector, FaultPlan, FaultSchedule,
-    OcallDispatcher, OcallRequest, OcallTable, PoisonKey, SuperviseParams, Supervisor, WorkerState,
-    ZcConfig, MAX_OCALL_ARGS,
+    OcallDispatcher, OcallRequest, OcallTable, PoisonKey, SuperviseParams, Supervisor, ZcConfig,
+    MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::export::{canonical_jsonl, events_to_jsonl};
@@ -145,7 +147,6 @@ fn zc_chaos_soak_self_heals_and_conserves_calls() {
         Some(Arc::clone(&faults)),
     )
     .expect("zc runtime must start");
-    let log = rt.install_transition_log();
 
     // Soak until every scheduled fault has fired and the supervisor has
     // recovered: one respawn per fault, quarantine empty, full pool.
@@ -214,6 +215,7 @@ fn zc_chaos_soak_self_heals_and_conserves_calls() {
         i,
         "every dispatched call completed exactly once: {snap:?}"
     );
+    assert!(snap.switchless > 0, "no call went switchless: {snap:?}");
 
     // Drain: exactly the two hang-wedged threads are abandoned (they
     // marked themselves); the respawned generations join.
@@ -222,15 +224,6 @@ fn zc_chaos_soak_self_heals_and_conserves_calls() {
         report.abandoned, 2,
         "both hung threads abandoned: {report:?}"
     );
-
-    // Worker state machine stayed legal throughout the chaos, on every
-    // edge: the recorder sees the ones calls own, which the trace no
-    // longer carries.
-    let illegal = log.illegal_edges();
-    assert!(illegal.is_empty(), "illegal edges under chaos: {illegal:?}");
-    assert!(log
-        .edges()
-        .contains(&(WorkerState::Reserved, WorkerState::Processing)));
 
     // Re-snapshot the ledger now that shutdown has joined the
     // supervisor thread: heals landing between the recovery snapshot

@@ -22,8 +22,8 @@ use std::path::Path;
 /// under `tests/` (this file aside) or `crates/*/tests/`; `example`,
 /// code under `examples/`.
 const ALLOW: &str = "
-# itest: TransitionLog, DrainReport and the journal capacity: the harness of every fault and recovery suite
-crates/switchless-core/src/fault.rs: illegal_edges is_clean
+# itest: DrainReport and the journal capacity: the harness of every fault and recovery suite
+crates/switchless-core/src/fault.rs: is_clean
 crates/switchless-core/src/recovery.rs: with_journal_slots
 
 # itest: the four exporters are telemetry's output; deployers call them, the trace pins check them
@@ -184,7 +184,7 @@ fn every_public_function_is_called_or_allowlisted() {
     let readers = [("itest", &itests[..]), ("example", &examples[..])];
     let (allowed, unread) = allowlist(ALLOW, &corpus[..scanned], &readers);
     let budget = allowed.len();
-    assert!(budget <= 27, "{budget} allowlist entries: the budget is 27");
+    assert!(budget <= 26, "{budget} allowlist entries: the budget is 26");
     let unlisted: Vec<_> = flagged.difference(&allowed).collect();
     let stale: Vec<_> = allowed.difference(&flagged).collect();
     assert!(
