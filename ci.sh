@@ -93,9 +93,10 @@ if [[ $quick -eq 0 ]]; then
     rm -rf "$figdir"
 
     # No test runs the examples, and `telemetry_report` is the only
-    # non-test caller of `to_chrome_trace` and `to_prometheus`: each
-    # example runs once, in release, in a scratch directory (so the
-    # report's exports land there), with its wall time on record. The
+    # non-test caller of `to_chrome_trace` and the only writer of the
+    # two trace files: each example runs once, in release, in a scratch
+    # directory (so the report's exports land there), with its wall
+    # time on record, and both exports must exist and be non-empty. The
     # five take about 3 s together on a 2-vCPU host.
     echo "==> examples (release, each once)"
     cargo build --release -q --examples
@@ -104,6 +105,11 @@ if [[ $quick -eq 0 ]]; then
         started=$(date +%s%N)
         (cd "$exdir" && "$root/target/release/examples/$ex" > /dev/null)
         echo "example $ex took $((($(date +%s%N) - started) / 1000000)) ms"
+    done
+    for export in telemetry_report.jsonl telemetry_report.trace.json; do
+        [[ -s "$exdir/results/$export" ]] && continue
+        echo "ci.sh: telemetry_report left results/$export missing or empty" >&2
+        exit 1
     done
     rm -rf "$exdir"
 

@@ -87,8 +87,6 @@ pub struct ZcWorld {
     pub worker_cap: usize,
     /// Worker-count residency histogram (paper §V-B).
     pub residency: WorkerResidency,
-    /// Completed scheduler decisions.
-    pub decisions: u64,
     /// Latest completed configuration-phase decision, kept so a fleet
     /// allocator can read this shard's per-worker-count fallback probes.
     pub last_decision: Option<switchless_core::policy::DecisionRecord>,
@@ -165,7 +163,6 @@ impl ZcWorld {
             active_workers: 0,
             worker_cap: max_workers,
             residency: WorkerResidency::new(max_workers),
-            decisions: 0,
             last_decision: None,
             crashes: 0,
             hangs: 0,
@@ -794,7 +791,6 @@ impl crate::kernel::Actor for ZcSchedulerActor {
         if step.new_decision.is_some() {
             wld.last_decision = step.new_decision;
         }
-        wld.decisions = step.decisions;
         for i in 0..wld.workers.len() {
             if i < m {
                 wld.workers[i].cmd = Cmd::Run;

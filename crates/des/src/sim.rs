@@ -554,7 +554,6 @@ pub fn run(config: &SimConfig) -> SimReport {
     } else {
         kernel.now()
     };
-    let zc_decisions = zc_world_handle.as_ref().map_or(0, |w| w.borrow().decisions);
     let fault_recovery = zc_world_handle
         .as_ref()
         .map_or_else(FaultRecovery::default, |w| {
@@ -578,47 +577,6 @@ pub fn run(config: &SimConfig) -> SimReport {
         },
     );
     if let Some(hub) = hub {
-        // Publish the run's counters into the hub registry in one pass
-        // (counters accumulate across runs sharing a hub), and mark the
-        // end of the run on the event timeline at Origin::Sim.
-        let m = hub.metrics();
-        m.counter("des_calls_total{path=\"switchless\"}")
-            .add(counters_final.switchless);
-        m.counter("des_calls_total{path=\"fallback\"}")
-            .add(counters_final.fallback);
-        m.counter("des_calls_total{path=\"regular\"}")
-            .add(counters_final.regular);
-        m.counter("des_pool_reallocs_total")
-            .add(counters_final.pool_reallocs);
-        m.counter("des_scheduler_decisions_total").add(zc_decisions);
-        m.counter("des_watchdog_cancels_total")
-            .add(counters_final.cancelled);
-        m.counter("des_worker_crashes_total")
-            .add(fault_recovery.crashes);
-        m.counter("des_worker_hangs_total")
-            .add(fault_recovery.hangs);
-        m.counter("des_worker_respawns_total")
-            .add(fault_recovery.respawns);
-        m.counter("des_guard_violations_total")
-            .add(fault_recovery.guard_violations);
-        m.counter("des_offered_total").add(counters_final.offered);
-        m.counter("des_client_sheds_total")
-            .add(counters_final.ops_shed);
-        m.counter("des_abandoned_total")
-            .add(counters_final.ops_abandoned);
-        m.counter("des_enclave_crashes_total")
-            .add(fault_recovery.enclave_crashes);
-        m.counter("des_enclave_restarts_total")
-            .add(fault_recovery.enclave_restarts);
-        m.counter("des_journal_replays_total")
-            .add(fault_recovery.journal_replays);
-        m.counter("des_call_redeliveries_total")
-            .add(fault_recovery.call_redeliveries);
-        m.counter("des_calls_refused_total")
-            .add(fault_recovery.refused_non_idempotent);
-        m.gauge("des_duration_cycles").set(duration_cycles);
-        m.gauge("des_mean_active_workers_milli")
-            .set((mean_active * 1000.0) as u64);
         hub.record(
             duration_cycles,
             zc_telemetry::Origin::Sim,

@@ -28,7 +28,7 @@ use switchless_core::{
     OcallDispatcher, OcallRequest, OcallTable, OverloadSnapshot, RecoverySnapshot, SwitchlessError,
     TenantUsage,
 };
-use zc_telemetry::{Event, MetricValue, Origin, Telemetry};
+use zc_telemetry::{Event, Origin, Telemetry};
 
 #[derive(Debug)]
 struct Shared {
@@ -170,29 +170,6 @@ impl IntelSwitchless {
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
         });
-        if let Some(hub) = &shared.door.telemetry {
-            let weak = Arc::downgrade(&shared);
-            hub.metrics().register_collector(move || {
-                let Some(sh) = weak.upgrade() else {
-                    return Vec::new();
-                };
-                let s = sh.door.stats.snapshot();
-                let counter = |name: &str, v| (name.to_string(), MetricValue::Counter(v));
-                let mut out = vec![
-                    counter("intel_calls_total{path=\"switchless\"}", s.switchless),
-                    counter("intel_calls_total{path=\"fallback\"}", s.fallback),
-                    counter("intel_calls_total{path=\"regular\"}", s.regular),
-                    counter("intel_enclave_transitions_total", s.transitions()),
-                    (
-                        "intel_sleeping_workers".into(),
-                        MetricValue::Gauge(sh.sleepers.load(Ordering::Acquire) as u64),
-                    ),
-                    counter("intel_guard_violations_total", s.guard_violations),
-                ];
-                sh.door.plane_metrics("intel", &mut out);
-                out
-            });
-        }
         for i in 0..shared.config.num_uworkers {
             let sh = Arc::clone(&shared);
             let body = move |wedged: &Wedged| worker_loop(&sh, i, wedged);

@@ -42,7 +42,7 @@ use switchless_core::{
     RecoverySnapshot, SwitchlessError, TenantUsage,
 };
 pub use zc_telemetry::Phase;
-use zc_telemetry::{Event, MetricValue, Origin, PhaseRecorder, Telemetry};
+use zc_telemetry::{Event, Origin, PhaseRecorder, Telemetry};
 
 /// Busy-wait loops yield to the OS scheduler after this many pauses
 /// (keeps the protocols live when the host has fewer cores than the
@@ -479,47 +479,6 @@ impl FrontDoor {
             worker,
             kind: violation.kind,
         });
-    }
-
-    /// Append the overload and recovery planes' metrics, named
-    /// `{prefix}_…`, to a collector's output.
-    pub fn plane_metrics(&self, prefix: &str, out: &mut Vec<(String, MetricValue)>) {
-        let mut push = |name: &str, v: MetricValue| out.push((format!("{prefix}_{name}"), v));
-        if let Some(plane) = &self.overload {
-            let o = plane.snapshot();
-            push("offered_total", MetricValue::Counter(o.offered));
-            push("admitted_total", MetricValue::Counter(o.admitted));
-            for r in ShedReason::ALL {
-                push(
-                    &format!("shed_total{{reason=\"{}\"}}", r.name()),
-                    MetricValue::Counter(o.shed_for(r)),
-                );
-            }
-            push(
-                "breaker_state",
-                MetricValue::Gauge(u64::from(o.breaker_state as u8)),
-            );
-            push("breaker_trips_total", MetricValue::Counter(o.breaker_trips));
-            push(
-                "brownout_level",
-                MetricValue::Gauge(u64::from(o.brownout_level)),
-            );
-            push("inflight_calls", MetricValue::Gauge(o.inflight));
-        }
-        if let Some(plane) = &self.recovery {
-            let r = plane.snapshot();
-            push("enclave_crashes_total", MetricValue::Counter(r.crashes));
-            push("journal_replays_total", MetricValue::Counter(r.replayed));
-            push(
-                "call_redeliveries_total",
-                MetricValue::Counter(r.redelivered),
-            );
-            push(
-                "calls_refused_total",
-                MetricValue::Counter(r.refused_non_idempotent),
-            );
-            push("recovery_epoch", MetricValue::Gauge(r.epoch));
-        }
     }
 
     /// Spawn worker thread `name` for slot `slot` and keep its handle

@@ -548,9 +548,17 @@ pub struct OverloadParams {
 impl OverloadParams {
     /// Machine-derived defaults for `cpu`.
     ///
-    /// The queue gate admits four in-flight calls per logical CPU. The
-    /// bucket sustains what the machine can *issue* switchlessly, not
-    /// what the transition path can service: a call cannot complete in
+    /// The queue gate's ceiling is four in-flight calls per logical CPU,
+    /// but it is not always the gate that binds: the default brownout
+    /// ladder climbs one rung per 8 in-flight calls, and at level 2
+    /// (16 in flight) it sheds every [`Priority::Normal`] call — the
+    /// priority of every call that does not set one. So a ramp of
+    /// normal calls is first shed `QueueFull` at 8 in flight on two
+    /// logical CPUs, but `Brownout` at 16 on four, and on the paper
+    /// machine's eight (ceiling 32) too.
+    ///
+    /// The bucket sustains what the machine can *issue* switchlessly,
+    /// not what the transition path can service: a call cannot complete in
     /// under two `pause`s and at most `logical_cpus` callers run, so
     /// one token refills every `2·pause / logical_cpus` cycles (35 on
     /// the paper machine, ≈ 109 M calls/s; 140 on two of its CPUs,
@@ -1143,5 +1151,29 @@ mod tests {
         let edge = plane.on_success(201).expect("probe closes");
         assert_eq!(edge.to, BreakerState::Closed);
         assert_eq!(plane.snapshot().breaker_trips, 1);
+    }
+
+    #[test]
+    fn one_priority_class_turns_the_brownout_ladder_into_a_second_depth_gate() {
+        // Every product call is `Priority::Normal`: the machine-derived
+        // params, fed a rising in-flight depth (three calls per depth),
+        // first shed at the queue gate only while `max_inflight` is at
+        // most the ladder's level-2 rung (2 · step_depth = 16).
+        let first_shed = |logical_cpus| {
+            let params =
+                OverloadParams::for_cpu(&CpuSpec::paper_machine().with_logical_cpus(logical_cpus));
+            let mut ctl = OverloadController::new(params);
+            let shed = (0..).flat_map(|depth| [depth; 3]).find_map(|depth| {
+                match ctl.admit(0, depth, Priority::Normal, None).verdict {
+                    Verdict::Shed(reason) => Some((depth, reason)),
+                    Verdict::Admit => None,
+                }
+            });
+            (params.max_inflight, shed.expect("a rising depth sheds"))
+        };
+        assert_eq!(first_shed(2), (8, (8, ShedReason::QueueFull)));
+        assert_eq!(first_shed(4), (16, (16, ShedReason::Brownout)));
+        // The paper machine: its 32-call queue gate is never reached.
+        assert_eq!(first_shed(8), (32, (16, ShedReason::Brownout)));
     }
 }

@@ -14,7 +14,7 @@ use switchless_core::{
     CallPath, CallStats, DrainReport, FaultInjector, OcallDispatcher, OcallRequest, OcallTable,
     OverloadSnapshot, RecoverySnapshot, Supervisor, SwitchlessError, TenantUsage, ZcConfig,
 };
-use zc_telemetry::{MetricValue, Telemetry};
+use zc_telemetry::Telemetry;
 
 /// State shared between callers, workers, the scheduler and the
 /// supervisor.
@@ -277,55 +277,10 @@ impl ZcRuntime {
             enclave_generation: AtomicU64::new(0),
             config,
         });
-        if let Some(hub) = &shared.door.telemetry {
+        if shared.door.telemetry.is_some() {
             for (i, w) in shared.workers.iter().enumerate() {
                 shared.trace_transitions(i, w.get());
             }
-            // One collector per runtime: publishes the CallStats block
-            // from a single snapshot (no torn totals) plus scheduler
-            // gauges into the hub's registry.
-            let weak = Arc::downgrade(&shared);
-            hub.metrics().register_collector(move || {
-                let Some(sh) = weak.upgrade() else {
-                    return Vec::new();
-                };
-                let s = sh.door.stats.snapshot();
-                let mean_milli = (sh.residency.lock().mean_workers() * 1000.0) as u64;
-                let counter = |name: &str, v| (name.to_string(), MetricValue::Counter(v));
-                let gauge = |name: &str, v| (name.to_string(), MetricValue::Gauge(v));
-                let mut out = vec![
-                    counter("zc_calls_total{path=\"switchless\"}", s.switchless),
-                    counter("zc_calls_total{path=\"fallback\"}", s.fallback),
-                    counter("zc_calls_total{path=\"regular\"}", s.regular),
-                    counter("zc_pool_reallocs_total", s.pool_reallocs),
-                    counter("zc_enclave_transitions_total", s.transitions()),
-                    counter(
-                        "zc_scheduler_decisions_total",
-                        sh.decisions.load(Ordering::Acquire),
-                    ),
-                    gauge(
-                        "zc_active_workers",
-                        sh.active_workers.load(Ordering::Acquire) as u64,
-                    ),
-                    gauge("zc_poisoned_workers", sh.poisoned_workers() as u64),
-                    gauge("zc_residency_mean_workers_milli", mean_milli),
-                    counter("zc_calls_issued_total", s.issued),
-                    counter("zc_watchdog_cancels_total", s.cancelled),
-                    counter("zc_guard_violations_total", s.guard_violations),
-                    counter("zc_reply_truncations_total", s.reply_truncations),
-                ];
-                if let Some(sup) = &sh.supervisor {
-                    let sup = sup.lock();
-                    out.push(counter("zc_respawns_total", sup.respawns()));
-                    out.push(counter("zc_heals_total", sup.heals()));
-                    out.push(gauge(
-                        "zc_blacklisted_funcs",
-                        sup.blacklisted().len() as u64,
-                    ));
-                }
-                sh.door.plane_metrics("zc", &mut out);
-                out
-            });
         }
         // Initial activation before any thread runs: first
         // `initial_workers` active, rest deactivated.

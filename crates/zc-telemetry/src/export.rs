@@ -1,13 +1,11 @@
-//! Exporters: JSON-lines event dumps, Prometheus text exposition, and
-//! Chrome `trace_event` JSON (viewable in `about://tracing` and
-//! Perfetto).
+//! Exporters: JSON-lines event dumps and Chrome `trace_event` JSON
+//! (viewable in `about://tracing` and Perfetto).
 //!
 //! All serialisation is hand-rolled: the workspace `serde` is an
 //! offline no-op shim, and the formats involved are simple enough that
 //! a string builder is clearer than a serialisation framework anyway.
 
 use crate::event::{Event, Origin, RecordedEvent};
-use crate::metrics::{MetricValue, MetricsSnapshot};
 use std::fmt::Write as _;
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -192,55 +190,6 @@ where
     for ev in events.iter().filter(|e| keep(e)) {
         out.push_str(&event_jsonl_line(ev, false));
         out.push('\n');
-    }
-    out
-}
-
-/// Base metric name (labels stripped) for Prometheus `# TYPE` lines.
-fn base_name(name: &str) -> &str {
-    name.split('{').next().unwrap_or(name)
-}
-
-/// Prometheus text exposition of a metrics snapshot.
-///
-/// Counter/gauge entries become one sample each; histograms expand to
-/// cumulative `_bucket{le="..."}` samples plus `_count` and `_sum`.
-pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let mut last_base = String::new();
-    for (name, value) in &snapshot.entries {
-        let base = base_name(name);
-        let type_str = match value {
-            MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
-            MetricValue::Histogram { .. } => "histogram",
-        };
-        if base != last_base {
-            let _ = writeln!(out, "# TYPE {base} {type_str}");
-            last_base = base.to_string();
-        }
-        match value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "{name} {v}");
-            }
-            MetricValue::Histogram {
-                buckets,
-                count,
-                sum,
-            } => {
-                let mut cumulative = 0u64;
-                for (i, b) in buckets.iter().enumerate() {
-                    cumulative += b;
-                    if *b != 0 || i + 1 == buckets.len() {
-                        let le = crate::quantile::bucket_upper(i);
-                        let _ = writeln!(out, "{base}_bucket{{le=\"{le}\"}} {cumulative}");
-                    }
-                }
-                let _ = writeln!(out, "{base}_bucket{{le=\"+Inf\"}} {count}");
-                let _ = writeln!(out, "{base}_sum {sum}");
-                let _ = writeln!(out, "{base}_count {count}");
-            }
-        }
     }
     out
 }
@@ -648,25 +597,6 @@ mod tests {
             canon,
             "{\"origin\":\"worker-1\",\"kind\":\"fault\",\"fault\":\"worker_crash\"}\n"
         );
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        use crate::metrics::MetricsRegistry;
-        let reg = MetricsRegistry::new();
-        reg.counter("zc_calls_total{path=\"switchless\"}").add(5);
-        reg.counter("zc_calls_total{path=\"fallback\"}").add(2);
-        reg.gauge("zc_active_workers").set(3);
-        reg.histogram("zc_call_cycles").record(1000);
-        let text = to_prometheus(&reg.snapshot());
-        assert!(text.contains("# TYPE zc_calls_total counter"));
-        assert!(text.contains("zc_calls_total{path=\"switchless\"} 5"));
-        assert!(text.contains("# TYPE zc_active_workers gauge"));
-        assert!(text.contains("zc_active_workers 3"));
-        assert!(text.contains("zc_call_cycles_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("zc_call_cycles_count 1"));
-        // TYPE emitted once per base name even with two labelled series.
-        assert_eq!(text.matches("# TYPE zc_calls_total").count(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Unified telemetry for the switchless runtimes (paper §VII's
 //! "integration with profiling tools" extension).
 //!
-//! Three layers, all dependency-free and usable from both the real
+//! Two layers, both dependency-free and usable from both the real
 //! runtimes and the deterministic simulator:
 //!
 //! 1. [`Tracer`] — a lock-free bounded MPSC ring buffer of typed
@@ -11,12 +11,15 @@
 //!    Timestamps are **caller-provided** cycle counts so the real
 //!    runtimes stamp with `CycleClock` (real or virtual) and the DES
 //!    stamps with kernel time — this crate has no clock of its own.
-//! 2. [`MetricsRegistry`] — named counters/gauges/histograms plus
-//!    pull-style collectors, with a single-pass [`MetricsRegistry::snapshot`].
-//! 3. Exporters ([`export`]) — JSON-lines event dumps, Prometheus-style
-//!    text exposition, and Chrome `trace_event` JSON (loads in
-//!    `about://tracing` / Perfetto). All output is hand-rolled: the
-//!    workspace `serde` is an offline no-op shim.
+//! 2. Exporters ([`export`]) — JSON-lines event dumps and Chrome
+//!    `trace_event` JSON (loads in `about://tracing` / Perfetto). All
+//!    output is hand-rolled: the workspace `serde` is an offline no-op
+//!    shim.
+//!
+//! Per-phase call timings live in the hub's [`CallPhaseProfiler`];
+//! call and plane counts are not duplicated here — they are the
+//! runtimes' typed snapshots (`CallStats`, `overload_snapshot()`, …)
+//! and the simulator's `SimReport`.
 //!
 //! A hub reaches a component only by being passed to it — a runtime's
 //! `start_with_telemetry`, the simulator's `SimConfig::with_telemetry`;
@@ -25,9 +28,6 @@
 //! Ordering contract (see DESIGN.md §8): events from one thread appear
 //! in that thread's program order; events from different threads appear
 //! in *some* interleaving consistent with the ring's admission order.
-//! Metric updates are relaxed atomics — a snapshot is internally
-//! consistent per counter but may skew across counters by in-flight
-//! updates.
 
 #![warn(missing_docs)]
 
@@ -43,11 +43,9 @@ mod thread_ids;
 pub mod tracer;
 
 pub use event::{Event, Origin, PhaseKind, RecordedEvent};
-pub use metrics::{
-    Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
-};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use profile::{CallPhaseProfiler, Phase, PhaseRecorder, ProfileSnapshot, PHASES};
-pub use quantile::Quantiles;
+pub use quantile::{Quantiles, HIST_BUCKETS};
 pub use scheduler::{SchedulerDriver, SchedulerStep};
 pub use slo::SloReport;
 pub use tracer::Tracer;
@@ -57,7 +55,7 @@ use std::sync::Arc;
 /// Default ring capacity (events) for a [`Telemetry`] hub.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// A telemetry hub: one tracer plus one metrics registry.
+/// A telemetry hub: one tracer plus one per-phase call profiler.
 ///
 /// Runtimes hold an `Option<Arc<Telemetry>>`; when `None` the hot path
 /// is a single branch. Create with [`Telemetry::new`] and pass the same
@@ -65,7 +63,6 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 #[derive(Debug)]
 pub struct Telemetry {
     tracer: Tracer,
-    metrics: MetricsRegistry,
     profile: CallPhaseProfiler,
 }
 
@@ -80,7 +77,6 @@ impl Telemetry {
     pub fn with_capacity(capacity: usize) -> Arc<Self> {
         Arc::new(Telemetry {
             tracer: Tracer::with_capacity(capacity),
-            metrics: MetricsRegistry::new(),
             profile: CallPhaseProfiler::new(),
         })
     }
@@ -88,11 +84,6 @@ impl Telemetry {
     /// The event tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// The per-phase call profiler.

@@ -1,61 +1,18 @@
-//! Named counters, gauges, histograms and pull-style collectors.
+//! A named registry of log-linear histograms.
 //!
-//! Registration takes a short mutex (cold path); every update is a
-//! relaxed atomic on a pre-registered handle (hot path). A
-//! [`snapshot`](MetricsRegistry::snapshot) walks the registry once,
-//! reading each atomic exactly once — values are internally consistent
-//! per metric but may skew across metrics by updates racing the walk
-//! (documented monotonic skew; see DESIGN.md §8).
+//! Nothing in the runtimes or the simulator records into it: calls are
+//! counted by the typed snapshots (`CallStats`, the plane snapshots,
+//! `SimReport`) and timed by [`crate::CallPhaseProfiler`]. It stays for
+//! one reader only, the standalone benchmark crate's
+//! `zc-telemetry.hist.record_ns` probe (`MetricsRegistry::new()
+//! .histogram("probe")`), which must keep building against this tree.
+//! ROADMAP [bench-unfreeze], part (g), retargets that probe and
+//! deletes this module.
 
+use crate::quantile::HIST_BUCKETS;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Number of log-linear latency buckets: values 0–3 get singleton
-/// buckets, then each power-of-two octave splits into four linear
-/// sub-buckets (see [`crate::quantile::bucket_index`]); the last bucket
-/// absorbs everything larger (lower edge `7·2^38 ≈ 1.9e12` cycles).
-pub const HIST_BUCKETS: usize = 160;
-
-/// Monotonic counter handle (relaxed increments).
-#[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins gauge handle (relaxed stores).
-#[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 #[derive(Debug)]
 struct HistogramInner {
@@ -97,69 +54,13 @@ impl Histogram {
     }
 }
 
-/// Snapshot value of one metric.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MetricValue {
-    /// Monotonic counter reading.
-    Counter(u64),
-    /// Gauge reading.
-    Gauge(u64),
-    /// Histogram reading: per-bucket counts plus total count and
-    /// saturating sum.
-    Histogram {
-        /// Count per log-linear bucket.
-        buckets: Vec<u64>,
-        /// Total observations.
-        count: u64,
-        /// Saturating sum of observed values.
-        sum: u64,
-    },
-}
-
-/// A single-pass snapshot of the registry, in name order.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// `(name, value)` pairs, sorted by name.
-    pub entries: Vec<(String, MetricValue)>,
-}
-
-impl MetricsSnapshot {
-    /// Look up one entry by exact name.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-}
-
-type Collector = Box<dyn Fn() -> Vec<(String, MetricValue)> + Send + Sync>;
-
-#[derive(Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicU64>>,
-    histograms: BTreeMap<String, Arc<HistogramInner>>,
-    collectors: Vec<Collector>,
-}
-
-/// Registry of named metrics. Handles are get-or-create by name, so
-/// independent components converge on shared metrics safely.
-///
-/// Metric names may carry Prometheus-style labels inline, e.g.
-/// `zc_calls_total{path="switchless"}`.
-#[derive(Default)]
+/// Histograms by name, get-or-create, so two handles of one name share
+/// storage. It exists only because the standalone benchmark's
+/// `zc-telemetry.hist.record_ns` probe builds one; ROADMAP
+/// [bench-unfreeze], part (g), retires both.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        f.debug_struct("MetricsRegistry")
-            .field("counters", &inner.counters.len())
-            .field("gauges", &inner.gauges.len())
-            .field("histograms", &inner.histograms.len())
-            .field("collectors", &inner.collectors.len())
-            .finish()
-    }
+    histograms: Mutex<BTreeMap<String, Arc<HistogramInner>>>,
 }
 
 impl MetricsRegistry {
@@ -168,33 +69,11 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Get or create a counter.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        Counter(Arc::clone(
-            inner
-                .counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        ))
-    }
-
-    /// Get or create a gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        Gauge(Arc::clone(
-            inner
-                .gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        ))
-    }
-
     /// Get or create a histogram.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut histograms = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
         Histogram(Arc::clone(
-            inner.histograms.entry(name.to_string()).or_insert_with(|| {
+            histograms.entry(name.to_string()).or_insert_with(|| {
                 Arc::new(HistogramInner {
                     buckets: std::array::from_fn(|_| AtomicU64::new(0)),
                     count: AtomicU64::new(0),
@@ -203,71 +82,11 @@ impl MetricsRegistry {
             }),
         ))
     }
-
-    /// Register a pull-style collector invoked at every snapshot.
-    /// Collectors absorb external counter blocks (e.g. a runtime's
-    /// `CallStats`) by reading them in **one** consistent pass and
-    /// reporting the derived values together, superseding torn
-    /// one-getter-at-a-time reads.
-    pub fn register_collector<F>(&self, f: F)
-    where
-        F: Fn() -> Vec<(String, MetricValue)> + Send + Sync + 'static,
-    {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.collectors.push(Box::new(f));
-    }
-
-    /// Walk the registry once, reading every atomic exactly once, and
-    /// invoke the collectors. Entries come back sorted by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut entries: Vec<(String, MetricValue)> = Vec::new();
-        for (name, c) in &inner.counters {
-            entries.push((
-                name.clone(),
-                MetricValue::Counter(c.load(Ordering::Relaxed)),
-            ));
-        }
-        for (name, g) in &inner.gauges {
-            entries.push((name.clone(), MetricValue::Gauge(g.load(Ordering::Relaxed))));
-        }
-        for (name, h) in &inner.histograms {
-            entries.push((
-                name.clone(),
-                MetricValue::Histogram {
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .map(|b| b.load(Ordering::Relaxed))
-                        .collect(),
-                    count: h.count.load(Ordering::Relaxed),
-                    sum: h.sum.load(Ordering::Relaxed),
-                },
-            ));
-        }
-        for collector in &inner.collectors {
-            entries.extend(collector());
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsSnapshot { entries }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn get_or_create_shares_storage() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("x_total");
-        let b = reg.counter("x_total");
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3);
-        let snap = reg.snapshot();
-        assert_eq!(snap.get("x_total"), Some(&MetricValue::Counter(3)));
-    }
 
     #[test]
     fn histogram_clamps_oversized_values() {
@@ -276,32 +95,18 @@ mod tests {
         h.record(0); // -> bucket 0 (the zero singleton)
         h.record(1u64 << 62); // beyond the last bucket's lower edge
         h.record(u64::MAX); // extreme: must clamp, sum must saturate
-        let snap = reg.snapshot();
-        let Some(MetricValue::Histogram {
-            buckets,
-            count,
-            sum,
-        }) = snap.get("lat")
-        else {
-            panic!("missing histogram");
-        };
-        assert_eq!(*count, 3);
-        assert_eq!(buckets[0], 1);
+        let bucket = |i: usize| h.0.buckets[i].load(Ordering::Relaxed);
+        assert_eq!(reg.histogram("lat").count(), 3, "one name, one storage");
+        assert_eq!(bucket(0), 1);
         assert_eq!(
-            buckets[HIST_BUCKETS - 1],
+            bucket(HIST_BUCKETS - 1),
             2,
             "oversized values clamp to last"
         );
-        assert_eq!(*sum, u64::MAX, "sum saturates instead of wrapping");
-    }
-
-    #[test]
-    fn collectors_run_at_snapshot_and_sort_with_entries() {
-        let reg = MetricsRegistry::new();
-        reg.gauge("z_gauge").set(7);
-        reg.register_collector(|| vec![("a_from_collector".into(), MetricValue::Counter(1))]);
-        let snap = reg.snapshot();
-        let names: Vec<_> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["a_from_collector", "z_gauge"]);
+        assert_eq!(
+            h.0.sum.load(Ordering::Relaxed),
+            u64::MAX,
+            "sum saturates instead of wrapping"
+        );
     }
 }

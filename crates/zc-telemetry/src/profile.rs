@@ -27,7 +27,7 @@
 //! thread, so that a recording is plain loads and stores on lines no
 //! other thread writes, and summed when a snapshot is taken.
 
-use crate::metrics::HIST_BUCKETS;
+use crate::quantile::HIST_BUCKETS;
 use crate::quantile::{self, Quantiles};
 use crate::thread_ids::ThreadIds;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -219,7 +219,12 @@ impl Shard {
 /// and [`snapshot`](CallPhaseProfiler::snapshot) sums the shards: exact
 /// once the recording threads are quiescent, otherwise short by at most
 /// the recordings in flight.
+///
+/// Starts a 64-byte line of its own: its thread ids and shard pointers,
+/// read on every recording, must not share a line with the tracer
+/// ring's `head` cursor beside it in the hub, which every event writes.
 #[derive(Debug)]
+#[repr(align(64))]
 pub struct CallPhaseProfiler {
     threads: ThreadIds,
     /// `PRIVATE_SHARDS` single-writer shards, then the shared one, each

@@ -1,8 +1,8 @@
 //! Percentile math over log-linear histograms.
 //!
-//! One source of truth for the bucket geometry shared by the metrics
-//! registry ([`crate::metrics::Histogram`]) and the phase profiler
-//! ([`crate::profile`]). The geometry is *log-linear*: each
+//! One source of truth for the bucket geometry shared by the phase
+//! profiler ([`crate::profile`]) and the benchmark-only
+//! [`crate::metrics::Histogram`]. The geometry is *log-linear*: each
 //! power-of-two octave `[2^o, 2^(o+1))` is split into four linear
 //! sub-buckets, so a bucket's width is at most 1/4 of its lower edge
 //! (25% relative error) instead of the 2× of plain log₂ buckets. Values
@@ -21,13 +21,17 @@
 //! returns — the one-bucket bracketing property the proptest suite pins
 //! down. Reports quote the conservative upper edge.
 
-use crate::metrics::HIST_BUCKETS;
+/// Number of log-linear latency buckets: values 0–3 get singleton
+/// buckets, then each power-of-two octave splits into four linear
+/// sub-buckets (see [`bucket_index`]); the last bucket absorbs
+/// everything larger (lower edge `7·2^38 ≈ 1.9e12` cycles).
+pub const HIST_BUCKETS: usize = 160;
 
 /// Bucket index of a value. Values below 4 map to their own singleton
 /// buckets; a value in octave `o = floor(log2 v)` maps to
 /// `(o-1)·4 + sub` where `sub` is the top two mantissa bits below the
 /// leading one. Clamped to the last bucket. This is the exact formula
-/// the metrics histograms use.
+/// every histogram in this crate uses.
 #[must_use]
 pub fn bucket_index(value: u64) -> usize {
     if value < 4 {

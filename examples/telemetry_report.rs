@@ -1,10 +1,9 @@
 //! End-to-end telemetry demo: run the real-thread ZC runtime **on
 //! virtual time** under a bursty workload, then a DES simulation on the
 //! paper machine, both reporting into one telemetry hub — and export
-//! everything three ways:
+//! the events two ways:
 //!
 //! * `results/telemetry_report.jsonl` — one JSON object per event;
-//! * `results/telemetry_report.prom` — Prometheus text exposition;
 //! * `results/telemetry_report.trace.json` — Chrome `trace_event` JSON
 //!   (load in `chrome://tracing` or Perfetto).
 //!
@@ -27,10 +26,10 @@ use switchless_core::{
 };
 use zc_switchless_repro::sgx_sim::Enclave;
 use zc_switchless_repro::zc_switchless::ZcRuntime;
-use zc_telemetry::export::{events_to_jsonl, to_chrome_trace, to_prometheus};
+use zc_telemetry::export::{events_to_jsonl, to_chrome_trace};
 use zc_telemetry::{Event, Phase, RecordedEvent, Telemetry};
 
-fn run_runtime(hub: &Arc<Telemetry>) -> Result<ZcRuntime, Box<dyn std::error::Error>> {
+fn run_runtime(hub: &Arc<Telemetry>) -> Result<(), Box<dyn std::error::Error>> {
     println!("=== real threads on virtual time ===");
     let mut table = OcallTable::new();
     let enclave = Enclave::new_virtual(CpuSpec::paper_machine());
@@ -92,9 +91,10 @@ fn run_runtime(hub: &Arc<Telemetry>) -> Result<ZcRuntime, Box<dyn std::error::Er
         "drained {} in-flight calls ({} abandoned)",
         report.drained, report.abandoned
     );
-    // Hand the (stopped) runtime back so its metrics collector stays
-    // registered until the final snapshot is taken.
-    Ok(zc)
+    // The runtime's call counts are its typed stats snapshot; the hub
+    // carries the events and the per-phase timings.
+    println!("{:?}", zc.stats().snapshot());
+    Ok(())
 }
 
 fn run_simulation(hub: &Arc<Telemetry>) {
@@ -267,11 +267,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Room for the scheduler's free-running virtual-time steps on top
     // of one event per call.
     let hub = Telemetry::with_capacity(1 << 17);
-    let _zc = run_runtime(&hub)?;
+    run_runtime(&hub)?;
     run_simulation(&hub);
 
     let events = hub.tracer().drain();
-    let snapshot = hub.metrics().snapshot();
     print_decisions(&events);
     print_call_table(&events);
     print_call_timeline(&events);
@@ -289,14 +288,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     std::fs::create_dir_all("results")?;
     std::fs::write("results/telemetry_report.jsonl", events_to_jsonl(&events))?;
-    std::fs::write("results/telemetry_report.prom", to_prometheus(&snapshot))?;
     std::fs::write(
         "results/telemetry_report.trace.json",
         to_chrome_trace(&events, CpuSpec::paper_machine().freq_hz),
     )?;
-    println!(
-        "wrote results/telemetry_report.jsonl, .prom and .trace.json ({} metrics)",
-        snapshot.entries.len()
-    );
+    println!("wrote results/telemetry_report.jsonl and .trace.json");
     Ok(())
 }

@@ -26,8 +26,8 @@ const ALLOW: &str = "
 crates/switchless-core/src/fault.rs: is_clean
 crates/switchless-core/src/recovery.rs: with_journal_slots
 
-# itest: the four exporters are telemetry's output; deployers call them, the trace pins check them
-crates/zc-telemetry/src/export.rs: canonical_jsonl events_to_jsonl to_chrome_trace to_prometheus
+# itest: the trace exporters are telemetry's output; deployers call them, the trace pins check them
+crates/zc-telemetry/src/export.rs: canonical_jsonl to_chrome_trace
 
 # itest: options and per-request inputs that the integration suites set
 crates/switchless-core/src/config.rs: with_initial_workers with_quantum_ms with_retries_before_fallback
@@ -38,6 +38,7 @@ crates/switchless-core/src/func.rs: with_deadline_at with_priority
 # itest: state the suites assert on; nothing in the runtimes needs it
 crates/switchless-core/src/policy.rs: settled_workers shifting
 crates/switchless-core/src/supervise.rs: serving_workers
+crates/switchless-core/src/overload.rs: shed_for
 crates/des/src/kernel.rs: thread_cycles
 crates/des/src/metrics.rs: goodput_ratio
 crates/sgx-sim/src/hostfs.rs: file_contents
@@ -184,7 +185,7 @@ fn every_public_function_is_called_or_allowlisted() {
     let readers = [("itest", &itests[..]), ("example", &examples[..])];
     let (allowed, unread) = allowlist(ALLOW, &corpus[..scanned], &readers);
     let budget = allowed.len();
-    assert!(budget <= 26, "{budget} allowlist entries: the budget is 26");
+    assert!(budget <= 25, "{budget} allowlist entries: the budget is 25");
     let unlisted: Vec<_> = flagged.difference(&allowed).collect();
     let stale: Vec<_> = allowed.difference(&flagged).collect();
     assert!(

@@ -23,7 +23,7 @@ use switchless_core::{
     MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
-use zc_telemetry::export::{canonical_jsonl, events_to_jsonl, to_chrome_trace, to_prometheus};
+use zc_telemetry::export::{canonical_jsonl, events_to_jsonl, to_chrome_trace};
 use zc_telemetry::{Event, RecordedEvent, Telemetry};
 
 /// Failure backstop for bounded polls (never slept on).
@@ -248,14 +248,11 @@ fn runtime_trace_exports_decisions_transitions_and_all_formats() {
         assert!(line.contains(r#""t":"#), "line lacks timestamp: {line}");
     }
 
-    // Prometheus text exposition via the runtime's registered collector.
-    let prom = to_prometheus(&hub.metrics().snapshot());
-    assert!(prom.contains("# TYPE zc_calls_total counter"), "{prom}");
-    assert!(
-        prom.contains(r#"zc_calls_total{path="switchless"}"#),
-        "{prom}"
-    );
-    assert!(prom.contains("zc_scheduler_decisions_total"), "{prom}");
+    // Typed counts: the runtime's one stats block accounts for every
+    // dispatched call, each resolved to exactly one terminal path.
+    let stats = zc.stats().snapshot();
+    assert_eq!(stats.total_calls(), calls as u64, "{stats:?}");
+    assert!(stats.is_conserved(), "{stats:?}");
 
     // Chrome trace_event JSON: named threads, spans, counters.
     let trace = to_chrome_trace(&events, cpu.freq_hz);
