@@ -145,6 +145,11 @@ if [[ $quick -eq 0 ]]; then
     echo "==> cargo test --release (zc mailbox, protocol + Byzantine suites)"
     cargo test -q --release -p zc-switchless --lib \
         --test protocol_stress --test byzantine_soak --test byzantine_props
+    # The Intel task slot keeps its lock but posts and reads its
+    # one-line mailbox field by field; its unit tests (layout, round
+    # trips, reply guard) and the pool model run optimised too.
+    echo "==> cargo test --release (Intel task slot and pool model)"
+    cargo test -q --release -p intel-switchless
 fi
 
 echo "ci.sh: all green"

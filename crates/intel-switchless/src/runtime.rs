@@ -106,11 +106,10 @@ impl IntelSwitchless {
     }
 
     /// [`start`](IntelSwitchless::start) with a telemetry hub: callers
-    /// trace one phase-attributed span per completed call, workers
-    /// trace injected faults, shutdown
-    /// traces the drain outcome, and the runtime registers a metrics
-    /// collector publishing its [`CallStats`] (from one consistent
-    /// snapshot) and sleeping-worker gauge.
+    /// trace one phase-attributed span per completed call, workers time
+    /// the host function for its execute phase and trace injected
+    /// faults, and shutdown traces the drain outcome. Without a hub no
+    /// thread of the runtime reads the clock for telemetry.
     ///
     /// # Errors
     ///
@@ -298,7 +297,7 @@ fn route(
         return door.guarded_fallback(rec, req, payload_in, payload_out);
     };
     rec.mark(Phase::Reserve, &door.clock);
-    let submitted = sh.pool.submit(idx, *req, payload_in);
+    let submitted = sh.pool.submit(idx, req, payload_in);
     rec.mark(Phase::CopyIn, &door.clock);
     if let Err(v) = submitted {
         return guard_violation_fallback(sh, idx, v, req, payload_in, payload_out, rec);
@@ -362,21 +361,29 @@ fn route(
         }
     }
     rec.mark(Phase::Wait, &door.clock);
+    // Validate the host-written reply and copy it back: the declared
+    // length must match the bytes present and the copy is clamped to
+    // MAX_REPLY_BYTES. Only a hub's recorder reads the execute hint, and
+    // only then does the worker write it.
+    let timed = door.telemetry.is_some();
     let collected = sh.pool.collect(idx, |d| {
-        payload_out.clear();
-        payload_out.extend_from_slice(&d.payload_out);
-        (d.reply.ret, d.exec_cycles)
+        let (ret, truncated) = d.reply(payload_out)?;
+        Ok((ret, truncated, if timed { d.execute_hint() } else { 0 }))
     });
     match collected {
-        Ok((ret, exec_cycles)) => {
+        Ok((ret, truncated, exec_cycles)) => {
+            if truncated {
+                door.stats.record_reply_truncation();
+            }
             rec.set_execute_hint(exec_cycles);
             door.stats.record_switchless();
             door.breaker_success(rec);
             Ok((ret, CallPath::Switchless))
         }
-        // The host flipped the word between DONE and the collect: the
-        // bytes read above are untrustworthy — discard and fall back
-        // (payload_out is rewritten by the fallback execution).
+        // The reply lied about its length, or the host flipped the word
+        // between DONE and the collect: whatever was read is
+        // untrustworthy — discard and fall back (payload_out is
+        // rewritten by the fallback execution).
         Err(v) => guard_violation_fallback(sh, idx, v, req, payload_in, payload_out, rec),
     }
 }
@@ -424,12 +431,16 @@ fn abandon_slot(sh: &Shared, idx: SlotIdx) {
             }
         }
     }
-    let _ = sh.pool.collect(idx, |_| {});
+    let _ = sh.pool.collect(idx, |_| Ok(()));
 }
 
 fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
     let clock = &sh.door.clock;
     let origin = Origin::Worker(index as u32);
+    // Only an attached hub's phase recorder consumes the execute hint,
+    // so a bare worker does not bracket the host function with clock
+    // reads.
+    let timed = sh.door.telemetry.is_some();
     let mut poll_retries: u32 = 0;
     while sh.door.is_running() {
         // Fault-injection site: evaluated once per observed pending task,
@@ -460,25 +471,20 @@ fn worker_loop(sh: &Shared, index: usize, wedged: &Wedged) {
         if let Some(idx) = sh.pool.accept() {
             poll_retries = 0;
             let done = sh.pool.complete(idx, |data| {
+                let exec_start = timed.then(|| clock.now_cycles());
                 // A torn request (host overwrote the slot) degrades to an
-                // error return instead of panicking the worker.
-                let Some(req) = data.request.take() else {
-                    data.reply.ret = -1;
-                    data.reply.payload_len = 0;
-                    return;
-                };
-                // Contain host-function panics (see zc worker): a dead
-                // worker would strand its caller mid-spin.
-                let exec_start = clock.now_cycles();
-                let ret = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    sh.table
-                        .invoke(&req, &data.payload_in, &mut data.payload_out)
-                        .unwrap_or(-1)
-                }))
-                .unwrap_or(-1);
-                data.exec_cycles = clock.now_cycles().saturating_sub(exec_start);
-                data.reply.ret = ret;
-                data.reply.payload_len = data.payload_out.len() as u32;
+                // error return instead of panicking the worker; so does
+                // a host-function panic (see zc worker): a dead worker
+                // would strand its caller mid-spin.
+                data.serve(|req, payload_in, payload_out| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        sh.table.invoke(req, payload_in, payload_out).unwrap_or(-1)
+                    }))
+                    .unwrap_or(-1)
+                });
+                if let Some(exec_start) = exec_start {
+                    data.set_execute_hint(clock.now_cycles().saturating_sub(exec_start));
+                }
             });
             if let Err(v) = done {
                 // Host flipped the state word mid-completion: the slot is
@@ -688,6 +694,69 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(rt.stats().snapshot().total_calls(), 100);
+    }
+
+    #[test]
+    fn the_worker_times_the_host_function_only_with_a_hub() {
+        const N: u64 = 1_000_000;
+        for hub in [None, Some(Telemetry::new())] {
+            let enclave = Enclave::new_virtual(switchless_core::CpuSpec::paper_machine());
+            let clock = enclave.clock();
+            let mut t = OcallTable::new();
+            let slow = t.register(
+                "slow",
+                move |_: &[u64; MAX_OCALL_ARGS], _: &[u8], _: &mut Vec<u8>| {
+                    clock.advance_cycles(N);
+                    0
+                },
+            );
+            let cfg = IntelConfig::new(1, [slow]).with_retries_before_fallback(2_000_000);
+            let t = Arc::new(t);
+            let rt = match &hub {
+                None => IntelSwitchless::start(cfg, t, enclave),
+                Some(h) => IntelSwitchless::start_with_telemetry(cfg, t, enclave, h.clone(), None),
+            }
+            .unwrap();
+            let mut out = Vec::new();
+            for _ in 0..20 {
+                rt.dispatch(&OcallRequest::new(slow, &[]), &[], &mut out)
+                    .unwrap();
+            }
+            rt.shutdown();
+            assert!(rt.stats().snapshot().switchless > 0);
+            let hints = rt.shared.pool.execute_hints();
+            if hub.is_some() {
+                assert!(hints.iter().any(|&h| h >= N), "{hints:?}");
+            } else {
+                assert!(
+                    hints.iter().all(|&h| h == 0),
+                    "written without a hub: {hints:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversized_reply_is_clamped_and_counted() {
+        use switchless_core::config::MAX_REPLY_BYTES;
+        let mut t = OcallTable::new();
+        let big = t.register(
+            "big",
+            |_: &[u64; MAX_OCALL_ARGS], _: &[u8], pout: &mut Vec<u8>| {
+                pout.resize(MAX_REPLY_BYTES + 10, 1);
+                0
+            },
+        );
+        let cfg = IntelConfig::new(1, [big]).with_retries_before_fallback(2_000_000);
+        let rt = IntelSwitchless::start(cfg, Arc::new(t), enclave()).unwrap();
+        let mut out = Vec::new();
+        let (_, path) = rt
+            .dispatch(&OcallRequest::new(big, &[]), &[], &mut out)
+            .unwrap();
+        assert_eq!(path, CallPath::Switchless);
+        assert_eq!(out.len(), MAX_REPLY_BYTES);
+        let snap = rt.stats().snapshot();
+        assert_eq!((snap.reply_truncations, snap.guard_violations), (1, 0));
     }
 
     #[test]

@@ -56,7 +56,7 @@ proptest! {
                 1 => {
                     if let Some((mi, idx)) = claims.pop() {
                         tag += 1;
-                        pool.submit(idx, req(tag), &[]).unwrap();
+                        pool.submit(idx, &req(tag), &[]).unwrap();
                         model[mi] = ModelSlot::Submitted(tag);
                     }
                 }
@@ -89,13 +89,12 @@ proptest! {
                 3 => {
                     if let Some((mi, idx)) = accepted.pop() {
                         let ModelSlot::Accepted(t) = model[mi] else { unreachable!() };
-                        pool.complete(idx, |d| {
-                            let got = d.request.take().expect("request present");
+                        pool.complete(idx, |d| d.serve(|got, _, _| {
                             assert_eq!(got.args[0], t, "slot carries the submitted tag");
-                            d.reply.ret = t as i64;
-                        }).unwrap();
+                            t as i64
+                        })).unwrap();
                         model[mi] = ModelSlot::Done(t);
-                        let ret = pool.collect(idx, |d| d.reply.ret).unwrap();
+                        let (ret, _) = pool.collect(idx, |d| d.reply(&mut Vec::new())).unwrap();
                         prop_assert_eq!(ret, t as i64);
                         model[mi] = ModelSlot::Free;
                     }
@@ -146,11 +145,8 @@ fn exactly_once_under_thread_stress() {
         workers.push(std::thread::spawn(move || {
             while !stop.load(Ordering::Acquire) {
                 if let Some(idx) = pool.accept() {
-                    pool.complete(idx, |d| {
-                        let r = d.request.take().expect("request");
-                        d.reply.ret = r.args[0] as i64;
-                    })
-                    .unwrap();
+                    pool.complete(idx, |d| d.serve(|r, _, _| r.args[0] as i64))
+                        .unwrap();
                     served.fetch_add(1, Ordering::Relaxed);
                 } else {
                     std::thread::yield_now();
@@ -172,11 +168,11 @@ fn exactly_once_under_thread_stress() {
                     }
                     std::thread::yield_now();
                 };
-                pool.submit(idx, req(tag), &[]).unwrap();
+                pool.submit(idx, &req(tag), &[]).unwrap();
                 while !pool.is_done(idx) {
                     std::thread::yield_now();
                 }
-                let ret = pool.collect(idx, |d| d.reply.ret).unwrap();
+                let (ret, _) = pool.collect(idx, |d| d.reply(&mut Vec::new())).unwrap();
                 assert_eq!(ret, tag as i64, "caller {c} got someone else's reply");
             }
         }));

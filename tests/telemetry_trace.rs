@@ -11,6 +11,7 @@
 //!
 //! [`canonical_jsonl`]: zc_telemetry::export::canonical_jsonl
 
+use intel_switchless::IntelSwitchless;
 use sgx_sim::Enclave;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,13 +19,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::overload::OverloadParams;
 use switchless_core::{
-    CallPath, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, OcallDispatcher,
-    OcallRequest, OcallTable, ShedReason, SuperviseParams, SwitchlessError, WorkerState, ZcConfig,
-    MAX_OCALL_ARGS,
+    CallPath, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, IntelConfig,
+    OcallDispatcher, OcallRequest, OcallTable, ShedReason, SuperviseParams, SwitchlessError,
+    WorkerState, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::export::{canonical_jsonl, events_to_jsonl, to_chrome_trace};
-use zc_telemetry::{Event, RecordedEvent, Telemetry};
+use zc_telemetry::{Event, Phase, RecordedEvent, Telemetry};
 
 /// Failure backstop for bounded polls (never slept on).
 const BACKSTOP: Duration = Duration::from_secs(60);
@@ -878,6 +879,76 @@ fn unattached_hub_sees_no_profile_activity() {
         assert_eq!(path.phase_sum(), 0);
     }
     assert!(hub.tracer().drain().is_empty(), "no events without a hub");
+}
+
+/// The Intel worker brackets the host function with clock reads only
+/// for an attached hub. With one, every call's execute phase carries
+/// the `N` cycles its host function spends; a hub the runtime was not
+/// handed sees nothing. (That a hub-less worker never writes the slot's
+/// hint is checked inside the crate, where the slot is visible.)
+#[test]
+fn intel_worker_times_the_host_function_only_for_a_hub() {
+    const N: u64 = 1_000_000;
+    const CALLS: u64 = 50;
+    let hub = Telemetry::new();
+    for attached in [true, false] {
+        let cpu = CpuSpec::paper_machine();
+        let enclave = Enclave::new_virtual(cpu);
+        let clock = enclave.clock();
+        let mut t = OcallTable::new();
+        let slow = t.register(
+            "slow",
+            move |_: &[u64; MAX_OCALL_ARGS], _: &[u8], _: &mut Vec<u8>| {
+                // On a worker, first wait for the spinning caller to move
+                // the virtual clock: it is then past its `signal` mark, so
+                // all of `N` lands in its wait window, which is what the
+                // worker's hint is carved out of.
+                let on_worker = std::thread::current()
+                    .name()
+                    .is_some_and(|n| n.starts_with("intel-uworker"));
+                let entry = clock.now_cycles();
+                while on_worker && clock.now_cycles() == entry {
+                    std::thread::yield_now();
+                }
+                clock.advance_cycles(N);
+                0
+            },
+        );
+        let cfg = IntelConfig::new(1, [slow]);
+        let t = Arc::new(t);
+        let rt = if attached {
+            IntelSwitchless::start_with_telemetry(cfg, t, enclave, hub.clone(), None)
+        } else {
+            IntelSwitchless::start(cfg, t, enclave)
+        }
+        .expect("intel runtime must start");
+        let mut out = Vec::new();
+        for _ in 0..CALLS {
+            rt.dispatch(&OcallRequest::new(slow, &[]), &[], &mut out)
+                .expect("call must complete");
+        }
+        rt.shutdown();
+        let snap = hub.profile().snapshot();
+        let profiled: u64 = snap.paths.iter().map(|p| p.total.count).sum();
+        assert_eq!(profiled, CALLS, "only the attached run is profiled");
+        for path in &snap.paths {
+            let execute = &path.phases[Phase::Execute.index()];
+            assert!(
+                execute.sum >= N * path.total.count,
+                "{:?}: {} calls, execute {} cycles",
+                path.path,
+                path.total.count,
+                execute.sum
+            );
+        }
+    }
+    let switchless = hub
+        .profile()
+        .snapshot()
+        .path(CallPath::Switchless)
+        .total
+        .count;
+    assert!(switchless > 0, "no call went switchless");
 }
 
 /// The event-driven kernel obeys the same determinism contract as the
