@@ -17,6 +17,12 @@ quick=0
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# Before anything builds: `cargo build` silently rewrites a stale root
+# Cargo.lock (a dependency dropped from a manifest, say), so a lock file
+# that no longer matches the manifests would otherwise go unseen.
+echo "==> Cargo.lock matches the manifests"
+cargo metadata --locked --offline --format-version 1 > /dev/null
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -88,7 +88,7 @@ const POSTED: u8 = 1;
 ///
 /// Field order is the cache layout: this part sits on the state word's
 /// line (asserted below). A request is posted field by field, not as an
-/// [`OcallRequest`]: the caller-only deadline, priority and idempotency
+/// [`OcallRequest`]: the caller-only deadline and idempotency
 /// are not posted at all, and only the arguments up to the last
 /// non-zero one are written. The worker reads `nargs` of them and
 /// zero-fills the rest, so a shorter call never sees the trailing

@@ -760,6 +760,37 @@ mod tests {
     }
 
     #[test]
+    fn a_fully_poisoned_pool_falls_back_on_every_call() {
+        // No respawn: a slot poisoned by a detected host lie stays out
+        // of service. Once every slot is poisoned, each
+        // switchless-configured call takes the pool-full fallback.
+        let (t, echo, _) = table();
+        let workers = 2;
+        let rt = IntelSwitchless::start(IntelConfig::new(workers, [echo]), t, enclave()).unwrap();
+        let slots = intel_default_task_pool(workers);
+        assert_eq!(rt.shared.pool.capacity(), slots);
+        for i in 0..slots {
+            rt.shared.pool.poison(crate::pool::SlotIdx::from_raw(i));
+        }
+        const N: u64 = 100;
+        let mut out = Vec::new();
+        for i in 0..N {
+            let payload = [i as u8; 8];
+            let (ret, path) = rt
+                .dispatch(&OcallRequest::new(echo, &[]), &payload, &mut out)
+                .unwrap();
+            assert_eq!((ret, path), (8, CallPath::Fallback), "call {i}");
+            assert_eq!(out, payload);
+        }
+        let usage = rt.usage();
+        assert!(usage.conserves(), "{usage:?}");
+        assert_eq!((usage.offered, usage.completed), (N, N));
+        let snap = rt.stats().snapshot();
+        assert_eq!((snap.switchless, snap.fallback), (0, N));
+        assert!(rt.shutdown_with_timeout(Duration::from_secs(30)).is_clean());
+    }
+
+    #[test]
     fn crashed_worker_stays_dead_without_respawn() {
         use switchless_core::{Fault, FaultInjector, FaultPlan, FaultSchedule};
         let (t, echo, _) = table();

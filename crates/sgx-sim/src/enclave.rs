@@ -10,7 +10,6 @@ use switchless_core::cpu::CpuSpec;
 struct Inner {
     spec: CpuSpec,
     clock: CycleClock,
-    ecalls: AtomicU64,
     ocalls: AtomicU64,
 }
 
@@ -54,7 +53,6 @@ impl Enclave {
             inner: Arc::new(Inner {
                 spec,
                 clock,
-                ecalls: AtomicU64::new(0),
                 ocalls: AtomicU64::new(0),
             }),
         }
@@ -72,21 +70,10 @@ impl Enclave {
         self.inner.clock.clone()
     }
 
-    /// Record an enclave entry (ecall). Returns the new total.
-    pub fn record_ecall(&self) -> u64 {
-        self.inner.ecalls.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     /// Record an enclave exit/re-entry pair (regular ocall). Returns the
     /// new total.
     pub fn record_ocall(&self) -> u64 {
         self.inner.ocalls.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Total ecalls recorded.
-    #[must_use]
-    pub fn ecalls(&self) -> u64 {
-        self.inner.ecalls.load(Ordering::Relaxed)
     }
 
     /// Total regular ocalls recorded.
@@ -105,10 +92,8 @@ mod tests {
         let e = Enclave::new(CpuSpec::paper_machine());
         assert_eq!(e.spec().logical_cpus, 8);
         let e2 = e.clone();
-        assert_eq!(e.record_ecall(), 1);
         assert_eq!(e.record_ocall(), 1);
         assert_eq!(e2.record_ocall(), 2);
-        assert_eq!(e2.ecalls(), 1);
         assert_eq!(e.ocalls(), 2);
     }
 

@@ -350,14 +350,7 @@ impl FrontDoor {
         let Some(plane) = &self.overload else {
             return Ok(None);
         };
-        let adm = plane.admit(rec.stamp(&self.clock), req.priority, req.deadline());
-        if let Some((from_level, to_level)) = adm.brownout_shift {
-            self.caller_event(Event::BrownoutShift {
-                from_level,
-                to_level,
-            });
-        }
-        match adm.outcome {
+        match plane.try_admit(rec.stamp(&self.clock), req.deadline()) {
             Ok(guard) => Ok(Some(guard)),
             Err(reason) => {
                 self.caller_event(Event::CallShed {

@@ -29,16 +29,6 @@ thread_local! {
         RefCell::new((UntrustedArena::default(), Vec::new()));
 }
 
-/// Direction of a regular transition-paying call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransitionKind {
-    /// Enclave → host (ocall): counted via [`Enclave::record_ocall`].
-    #[default]
-    OCall,
-    /// Host → enclave (ecall): counted via [`Enclave::record_ecall`].
-    ECall,
-}
-
 /// Dispatcher executing every ocall as a regular enclave transition.
 ///
 /// # Example
@@ -71,7 +61,6 @@ pub struct RegularOcall {
     alignment: Alignment,
     stats: Arc<CallStats>,
     inject_cost: bool,
-    kind: TransitionKind,
     faults: Option<Arc<FaultInjector>>,
 }
 
@@ -89,18 +78,8 @@ impl RegularOcall {
             alignment: Alignment::Aligned,
             stats: Arc::new(CallStats::new()),
             inject_cost: true,
-            kind: TransitionKind::OCall,
             faults: None,
         }
-    }
-
-    /// Builder-style direction override: count calls as ecalls (the
-    /// symmetric host→enclave case the paper notes its techniques apply
-    /// to equally).
-    #[must_use]
-    pub fn as_ecalls(mut self) -> Self {
-        self.kind = TransitionKind::ECall;
-        self
     }
 
     /// Builder-style choice of the boundary `memcpy` implementation.
@@ -184,10 +163,7 @@ impl RegularOcall {
                     .spin_cycles(self.clock.spec().pause_cycles << (attempts - 1));
             }
         }
-        match self.kind {
-            TransitionKind::OCall => self.enclave.record_ocall(),
-            TransitionKind::ECall => self.enclave.record_ecall(),
-        };
+        self.enclave.record_ocall();
         if self.inject_cost {
             self.clock.enclave_transition();
         }
@@ -317,17 +293,6 @@ mod tests {
             .unwrap();
         assert_eq!(ret, 1000);
         assert_eq!(out, payload);
-    }
-
-    #[test]
-    fn ecall_direction_counts_ecalls() {
-        let (d, echo, _) = setup();
-        let d = d.as_ecalls();
-        let mut out = Vec::new();
-        d.dispatch(&OcallRequest::new(echo, &[]), b"in", &mut out)
-            .unwrap();
-        assert_eq!(d.enclave().ecalls(), 1);
-        assert_eq!(d.enclave().ocalls(), 0);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub struct IntelConfig {
     pub retries_before_sleep: u32,
     /// Overload control ([`OverloadParams`]). `None` (the default,
     /// SDK-faithful) admits every call unconditionally; `Some` enables
-    /// the admission/deadline/brownout plane shared with the ZC
+    /// the admission/deadline/breaker plane shared with the ZC
     /// runtime.
     pub overload: Option<OverloadParams>,
     /// Enclave-restart recovery ([`RecoveryParams`]). `None` (the
@@ -166,9 +166,8 @@ pub struct ZcConfig {
     /// Overload control ([`OverloadParams`]). `None` (the default)
     /// preserves the paper's unconditional admission: every call
     /// queues or falls back, however hopeless. `Some` enables the
-    /// admission gate, deadline shedding, the brownout ladder and the
-    /// fallback-storm breaker — all machine-derived, so the runtime
-    /// stays configless.
+    /// admission gate, deadline shedding and the fallback-storm
+    /// breaker — all machine-derived, so the runtime stays configless.
     pub overload: Option<OverloadParams>,
     /// Enclave-restart recovery ([`RecoveryParams`]). `None` (the
     /// default) preserves the paper's lifecycle: an enclave loss

@@ -9,7 +9,6 @@
 //! arguments, and an optional byte payload (e.g. a write buffer).
 
 use crate::error::SwitchlessError;
-use crate::overload::Priority;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -54,9 +53,6 @@ pub struct OcallRequest {
     /// deadline. Consulted only by the caller-side admission check
     /// ([`crate::overload`]); workers never read it.
     pub deadline_cycles: u64,
-    /// Importance class for brownout shedding (default
-    /// [`Priority::Normal`]).
-    pub priority: Priority,
     /// Caller-declared replay safety: `true` when re-executing the
     /// call after an enclave loss is observably equivalent to one
     /// execution. Defaults to `false` (non-idempotent), so unknown
@@ -85,7 +81,6 @@ impl OcallRequest {
             args: a,
             seq: 0,
             deadline_cycles: 0,
-            priority: Priority::Normal,
             idempotent: false,
         }
     }
@@ -102,13 +97,6 @@ impl OcallRequest {
     #[must_use]
     pub fn with_deadline_at(mut self, expires_at_cycles: u64) -> Self {
         self.deadline_cycles = expires_at_cycles;
-        self
-    }
-
-    /// Builder-style priority class for brownout shedding.
-    #[must_use]
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
         self
     }
 

@@ -24,9 +24,8 @@
 //!   legality, reply-length clamping and sequence-tag replay detection
 //!   ([`SharedWordGuard`], [`ReplyGuard`]).
 //! * [`overload`] — the *pure* overload-control plane: queue-depth and
-//!   token-bucket admission verdicts, per-call deadline budgets, the
-//!   fallback-storm circuit breaker and the brownout priority ladder
-//!   ([`OverloadController`]).
+//!   token-bucket admission verdicts, per-call deadline budgets and the
+//!   fallback-storm circuit breaker ([`OverloadController`]).
 //! * [`recovery`] — the *pure* enclave-restart recovery plane: the
 //!   per-call intent journal, the idempotency-class reconciliation
 //!   verdict lattice and the Detect → Fence → Restart → Reconcile →
@@ -96,9 +95,8 @@ pub use fleet::{
 pub use func::{FuncId, HostFn, OcallReply, OcallRequest, OcallTable, MAX_OCALL_ARGS};
 pub use guard::{GuardKind, GuardViolation, ReplyGuard, ReplyVerdict, SharedWordGuard};
 pub use overload::{
-    Admission, BreakerParams, BreakerState, BreakerTransition, BrownoutLadder, BrownoutParams,
-    CircuitBreaker, Deadline, InflightGuard, OverloadController, OverloadParams, OverloadPlane,
-    OverloadSnapshot, PlaneAdmission, Priority, ShedReason, TokenBucket, Verdict,
+    BreakerParams, BreakerState, BreakerTransition, CircuitBreaker, Deadline, InflightGuard,
+    OverloadController, OverloadParams, OverloadPlane, OverloadSnapshot, ShedReason, TokenBucket,
 };
 pub use rand::SplitMix64;
 pub use recovery::{

@@ -1,5 +1,5 @@
-//! Pure overload-control policy: admission, deadlines, the
-//! fallback-storm circuit breaker and the brownout ladder.
+//! Pure overload-control policy: admission, deadlines and the
+//! fallback-storm circuit breaker.
 //!
 //! Under sustained overload an unprotected switchless runtime fails in
 //! a characteristic sequence: the worker pool saturates, every extra
@@ -12,24 +12,20 @@
 //! [`crate::policy`] and the healing decisions from
 //! [`crate::supervise`].
 //!
-//! Four cooperating mechanisms, all in the cycle domain of the machine
+//! Three cooperating mechanisms, all in the cycle domain of the machine
 //! model and all integer-exact:
 //!
 //! * **Admission** ([`OverloadController::admit`]) — a queue-depth gate
-//!   plus a token bucket, combined with the deadline and brownout
-//!   checks into a single [`Verdict`] per call. The verdict *lattice*
-//!   is ordered: `DeadlineExpired > Brownout > QueueFull > RateLimited`
-//!   — a call dead on arrival is never charged to the rate limiter, so
-//!   shed accounting stays attributable.
+//!   plus a token bucket, combined with the deadline check into one
+//!   verdict per call. The checks are ordered: `DeadlineExpired >
+//!   QueueFull > RateLimited` — a call dead on arrival is never charged
+//!   to the rate limiter, so shed accounting stays attributable.
 //! * **Deadline budgets** ([`Deadline`]) — every admitted call may carry
 //!   an expiry cycle; over-budget work is shed instead of queued.
 //! * **Circuit breaker** ([`CircuitBreaker`]) — Closed → Open →
 //!   HalfOpen with probation probes, guarding the *fallback* path: a
 //!   fallback storm trips it and subsequent over-capacity calls are
 //!   shed immediately instead of piling onto the regular-ocall path.
-//! * **Brownout ladder** ([`BrownoutLadder`]) — graduated degradation
-//!   that sheds the lowest-[`Priority`] work first as queue depth
-//!   climbs, with hysteresis so the level does not flap.
 //!
 //! Everything here is deterministic and proptested
 //! (`tests/overload_props.rs`); the only inputs are cycle timestamps
@@ -39,49 +35,11 @@ use crate::config::PAPER_QUANTUM_MS;
 use crate::cpu::CpuSpec;
 use serde::{Deserialize, Serialize};
 
-/// Importance class of a call, shed in ascending order by the brownout
-/// ladder (`Background` goes first, `Critical` is never browned out).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+/// Kept only for the frozen `benchmark/src/layers.rs`, which passes `Priority::Normal`.
+#[derive(Debug, Clone, Copy)]
 pub enum Priority {
-    /// Best-effort work: first to be shed.
-    Background,
-    /// Ordinary calls (the default).
-    #[default]
+    /// The one class every call has.
     Normal,
-    /// Latency-sensitive calls.
-    High,
-    /// Must-run calls: exempt from brownout (but not from queue-full,
-    /// rate or deadline shedding).
-    Critical,
-}
-
-impl Priority {
-    /// All priorities, lowest first.
-    pub const ALL: [Priority; 4] = [
-        Priority::Background,
-        Priority::Normal,
-        Priority::High,
-        Priority::Critical,
-    ];
-
-    /// Numeric level, 0 (shed first) to 3 (shed last).
-    #[must_use]
-    pub fn level(self) -> u8 {
-        self as u8
-    }
-
-    /// Stable lowercase name for exports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Priority::Background => "background",
-            Priority::Normal => "normal",
-            Priority::High => "high",
-            Priority::Critical => "critical",
-        }
-    }
 }
 
 /// Why a call was shed. Doubles as the shed-accounting key: every shed
@@ -91,8 +49,6 @@ impl Priority {
 pub enum ShedReason {
     /// The call's deadline had already expired on arrival.
     DeadlineExpired,
-    /// The brownout ladder is shedding this call's priority class.
-    Brownout,
     /// The in-flight queue-depth gate was at capacity.
     QueueFull,
     /// The token bucket was empty (sustained arrival rate above the
@@ -105,9 +61,8 @@ pub enum ShedReason {
 impl ShedReason {
     /// All reasons, in lattice order (breaker last: it guards the
     /// fallback path, not front-door admission).
-    pub const ALL: [ShedReason; 5] = [
+    pub const ALL: [ShedReason; 4] = [
         ShedReason::DeadlineExpired,
-        ShedReason::Brownout,
         ShedReason::QueueFull,
         ShedReason::RateLimited,
         ShedReason::BreakerOpen,
@@ -118,7 +73,6 @@ impl ShedReason {
     pub fn name(self) -> &'static str {
         match self {
             ShedReason::DeadlineExpired => "deadline_expired",
-            ShedReason::Brownout => "brownout",
             ShedReason::QueueFull => "queue_full",
             ShedReason::RateLimited => "rate_limited",
             ShedReason::BreakerOpen => "breaker_open",
@@ -129,23 +83,6 @@ impl ShedReason {
     #[must_use]
     pub fn index(self) -> usize {
         self as usize
-    }
-}
-
-/// Admission verdict for one call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Verdict {
-    /// Run the call.
-    Admit,
-    /// Refuse the call with the given attribution.
-    Shed(ShedReason),
-}
-
-impl Verdict {
-    /// `true` if the call may proceed.
-    #[must_use]
-    pub fn admitted(self) -> bool {
-        matches!(self, Verdict::Admit)
     }
 }
 
@@ -445,86 +382,6 @@ impl CircuitBreaker {
     }
 }
 
-/// Brownout tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BrownoutParams {
-    /// Queue depth per ladder rung: level `L` is raised once depth
-    /// reaches `(L + 1) * step_depth`.
-    pub step_depth: u64,
-    /// Depth slack required below a rung before the level drops back —
-    /// the hysteresis band that stops the ladder flapping.
-    pub hysteresis_depth: u64,
-}
-
-impl Default for BrownoutParams {
-    /// One rung per 8 queued calls with a 2-call hysteresis band.
-    fn default() -> Self {
-        BrownoutParams {
-            step_depth: 8,
-            hysteresis_depth: 2,
-        }
-    }
-}
-
-/// Highest brownout level: only [`Priority::Critical`] survives.
-pub const BROWNOUT_MAX_LEVEL: u8 = 3;
-
-/// Graduated load shedding: as observed queue depth climbs the ladder
-/// raises its level one rung at a time, and level `L` sheds every
-/// priority with [`Priority::level`] `< L`. Hysteresis keeps the level
-/// from oscillating around a rung boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BrownoutLadder {
-    params: BrownoutParams,
-    level: u8,
-}
-
-impl BrownoutLadder {
-    /// Ladder at level 0 (nothing shed).
-    #[must_use]
-    pub fn new(params: BrownoutParams) -> Self {
-        BrownoutLadder {
-            params: BrownoutParams {
-                step_depth: params.step_depth.max(1),
-                hysteresis_depth: params.hysteresis_depth,
-            },
-            level: 0,
-        }
-    }
-
-    /// Current level, 0 (all admitted) to [`BROWNOUT_MAX_LEVEL`].
-    #[must_use]
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-
-    /// Would a call of `priority` survive the current level?
-    #[must_use]
-    pub fn admits(&self, priority: Priority) -> bool {
-        priority.level() >= self.level
-    }
-
-    /// Update the level from an observed queue depth; returns the
-    /// `(from, to)` shift if the level moved.
-    ///
-    /// Raising is immediate (one rung per observation); lowering
-    /// requires depth to sit a full hysteresis band below the rung.
-    pub fn observe(&mut self, queue_depth: u64) -> Option<(u8, u8)> {
-        let step = self.params.step_depth;
-        let raise_to = (queue_depth / step).min(u64::from(BROWNOUT_MAX_LEVEL)) as u8;
-        let from = self.level;
-        if raise_to > self.level {
-            self.level += 1;
-        } else if self.level > 0 {
-            let floor = u64::from(self.level) * step;
-            if queue_depth.saturating_add(self.params.hysteresis_depth) < floor {
-                self.level -= 1;
-            }
-        }
-        (self.level != from).then_some((from, self.level))
-    }
-}
-
 /// Tuning for the whole overload plane (all durations in cycles).
 ///
 /// `Copy` and machine-derived like the rest of [`crate::config`]: the
@@ -541,21 +398,14 @@ pub struct OverloadParams {
     pub refill_period_cycles: u64,
     /// Fallback-storm breaker tuning.
     pub breaker: BreakerParams,
-    /// Brownout ladder tuning.
-    pub brownout: BrownoutParams,
 }
 
 impl OverloadParams {
     /// Machine-derived defaults for `cpu`.
     ///
-    /// The queue gate's ceiling is four in-flight calls per logical CPU,
-    /// but it is not always the gate that binds: the default brownout
-    /// ladder climbs one rung per 8 in-flight calls, and at level 2
-    /// (16 in flight) it sheds every [`Priority::Normal`] call — the
-    /// priority of every call that does not set one. So a ramp of
-    /// normal calls is first shed `QueueFull` at 8 in flight on two
-    /// logical CPUs, but `Brownout` at 16 on four, and on the paper
-    /// machine's eight (ceiling 32) too.
+    /// The queue gate's ceiling is four in-flight calls per logical CPU
+    /// (8 on two, 32 on the paper machine's eight), and it is the only
+    /// depth gate: a rising ramp of calls is first shed `QueueFull` there.
     ///
     /// The bucket sustains what the machine can *issue* switchlessly,
     /// not what the transition path can service: a call cannot complete in
@@ -572,7 +422,6 @@ impl OverloadParams {
             bucket_capacity: (cpu.quantum_cycles(PAPER_QUANTUM_MS) / refill).max(1),
             refill_period_cycles: refill,
             breaker: BreakerParams::for_cpu(cpu),
-            brownout: BrownoutParams::default(),
         }
     }
 
@@ -591,13 +440,6 @@ impl OverloadParams {
         self.refill_period_cycles = refill_period_cycles.max(1);
         self
     }
-
-    /// Builder-style override of the brownout tuning.
-    #[must_use]
-    pub fn with_brownout(mut self, brownout: BrownoutParams) -> Self {
-        self.brownout = brownout;
-        self
-    }
 }
 
 impl Default for OverloadParams {
@@ -606,18 +448,8 @@ impl Default for OverloadParams {
     }
 }
 
-/// Outcome of one admission decision: the verdict plus any brownout
-/// shift it caused, so the owner can trace level changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Admission {
-    /// Admit or shed (with attribution).
-    pub verdict: Verdict,
-    /// `(from, to)` if this observation moved the brownout level.
-    pub brownout_shift: Option<(u8, u8)>,
-}
-
 /// The combined overload-control state machine: queue gate + token
-/// bucket + brownout ladder for admission, plus the fallback breaker.
+/// bucket for admission, plus the fallback breaker.
 ///
 /// Pure: the owner supplies every timestamp and load observation and
 /// executes the verdicts; the controller holds no locks, spawns no
@@ -626,19 +458,17 @@ pub struct Admission {
 pub struct OverloadController {
     params: OverloadParams,
     bucket: TokenBucket,
-    brownout: BrownoutLadder,
     breaker: CircuitBreaker,
 }
 
 impl OverloadController {
-    /// Controller with everything at rest (bucket full, ladder level 0,
-    /// breaker closed).
+    /// Controller with everything at rest (bucket full, breaker
+    /// closed).
     #[must_use]
     pub fn new(params: OverloadParams) -> Self {
         OverloadController {
             params,
             bucket: TokenBucket::new(params.bucket_capacity, params.refill_period_cycles),
-            brownout: BrownoutLadder::new(params.brownout),
             breaker: CircuitBreaker::new(params.breaker),
         }
     }
@@ -654,30 +484,26 @@ impl OverloadController {
     /// `inflight` is the caller-observed in-flight call count *before*
     /// this call; `deadline` is the call's own budget if it carries
     /// one. Checks apply in lattice order (see the module docs):
-    /// deadline, brownout, queue depth, rate. Only an admitted call
-    /// consumes a token.
+    /// deadline, queue depth, rate. Only an admitted call consumes a
+    /// token.
+    ///
+    /// # Errors
+    ///
+    /// The [`ShedReason`] of the first check the call fails.
     pub fn admit(
         &mut self,
         now_cycles: u64,
         inflight: u64,
-        priority: Priority,
         deadline: Option<Deadline>,
-    ) -> Admission {
-        let brownout_shift = self.brownout.observe(inflight);
-        let verdict = if deadline.is_some_and(|d| d.expired(now_cycles)) {
-            Verdict::Shed(ShedReason::DeadlineExpired)
-        } else if !self.brownout.admits(priority) {
-            Verdict::Shed(ShedReason::Brownout)
+    ) -> Result<(), ShedReason> {
+        if deadline.is_some_and(|d| d.expired(now_cycles)) {
+            Err(ShedReason::DeadlineExpired)
         } else if inflight >= self.params.max_inflight {
-            Verdict::Shed(ShedReason::QueueFull)
+            Err(ShedReason::QueueFull)
         } else if !self.bucket.try_take(now_cycles) {
-            Verdict::Shed(ShedReason::RateLimited)
+            Err(ShedReason::RateLimited)
         } else {
-            Verdict::Admit
-        };
-        Admission {
-            verdict,
-            brownout_shift,
+            Ok(())
         }
     }
 
@@ -691,12 +517,6 @@ impl OverloadController {
     #[must_use]
     pub fn breaker_state(&self) -> BreakerState {
         self.breaker.state()
-    }
-
-    /// Current brownout level for metrics.
-    #[must_use]
-    pub fn brownout_level(&self) -> u8 {
-        self.brownout.level()
     }
 }
 
@@ -740,14 +560,11 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Outcome of one [`OverloadPlane::admit`]: the in-flight token or the
-/// shed reason, plus any brownout shift for tracing.
+/// Outcome of one [`OverloadPlane::admit`].
 #[derive(Debug)]
 pub struct PlaneAdmission<'a> {
-    /// The in-flight token if admitted, else the attributed reason.
+    /// In-flight token or shed reason; a struct only for the frozen `benchmark/src/layers.rs`.
     pub outcome: Result<InflightGuard<'a>, ShedReason>,
-    /// `(from, to)` if this admission moved the brownout level.
-    pub brownout_shift: Option<(u8, u8)>,
 }
 
 /// Consistent point-in-time read of the plane's counters and machine
@@ -767,8 +584,6 @@ pub struct OverloadSnapshot {
     pub breaker_state: BreakerState,
     /// Closed→Open trips so far.
     pub breaker_trips: u64,
-    /// Brownout ladder level at snapshot time.
-    pub brownout_level: u8,
 }
 
 impl OverloadSnapshot {
@@ -828,30 +643,40 @@ impl OverloadPlane {
 
     /// Admit or shed one call. Only admitted calls hold an in-flight
     /// token; sheds are counted under their reason.
-    pub fn admit(
+    ///
+    /// # Errors
+    ///
+    /// The [`ShedReason`] the controller shed the call for.
+    pub fn try_admit(
         &self,
         now_cycles: u64,
-        priority: Priority,
         deadline: Option<Deadline>,
-    ) -> PlaneAdmission<'_> {
+    ) -> Result<InflightGuard<'_>, ShedReason> {
         use std::sync::atomic::Ordering;
         self.offered.fetch_add(1, Ordering::Relaxed);
         let depth = self.inflight.load(Ordering::Acquire);
-        let adm = self.lock().admit(now_cycles, depth, priority, deadline);
-        let outcome = match adm.verdict {
-            Verdict::Admit => {
+        match self.lock().admit(now_cycles, depth, deadline) {
+            Ok(()) => {
                 self.admitted.fetch_add(1, Ordering::Relaxed);
                 self.inflight.fetch_add(1, Ordering::AcqRel);
                 Ok(InflightGuard { plane: self })
             }
-            Verdict::Shed(reason) => {
+            Err(reason) => {
                 self.shed[reason.index()].fetch_add(1, Ordering::Relaxed);
                 Err(reason)
             }
-        };
+        }
+    }
+
+    /// [`try_admit`](Self::try_admit), kept only for the frozen `benchmark/src/layers.rs`.
+    pub fn admit(
+        &self,
+        now_cycles: u64,
+        _priority: Priority,
+        deadline: Option<Deadline>,
+    ) -> PlaneAdmission<'_> {
         PlaneAdmission {
-            outcome,
-            brownout_shift: adm.brownout_shift,
+            outcome: self.try_admit(now_cycles, deadline),
         }
     }
 
@@ -884,8 +709,7 @@ impl OverloadPlane {
     pub fn snapshot(&self) -> OverloadSnapshot {
         use std::sync::atomic::Ordering;
         let c = self.lock();
-        let (breaker_state, breaker_trips, brownout_level) =
-            (c.breaker_state(), c.breaker.trips(), c.brownout_level());
+        let (breaker_state, breaker_trips) = (c.breaker_state(), c.breaker.trips());
         drop(c);
         OverloadSnapshot {
             offered: self.offered.load(Ordering::Acquire),
@@ -894,7 +718,6 @@ impl OverloadPlane {
             shed: std::array::from_fn(|i| self.shed[i].load(Ordering::Acquire)),
             breaker_state,
             breaker_trips,
-            brownout_level,
         }
     }
 }
@@ -907,10 +730,6 @@ mod tests {
         OverloadParams::default()
             .with_max_inflight(8)
             .with_bucket(4, 100)
-            .with_brownout(BrownoutParams {
-                step_depth: 4,
-                hysteresis_depth: 1,
-            })
     }
 
     #[test]
@@ -1013,44 +832,16 @@ mod tests {
     }
 
     #[test]
-    fn brownout_raises_sheds_low_priority_and_lowers_with_hysteresis() {
-        let mut l = BrownoutLadder::new(BrownoutParams {
-            step_depth: 4,
-            hysteresis_depth: 1,
-        });
-        assert!(l.admits(Priority::Background));
-        assert_eq!(l.observe(4), Some((0, 1)));
-        assert!(!l.admits(Priority::Background));
-        assert!(l.admits(Priority::Normal));
-        // One rung per observation even if depth warrants more.
-        assert_eq!(l.observe(100), Some((1, 2)));
-        assert_eq!(l.observe(100), Some((2, 3)));
-        assert_eq!(l.observe(100), None, "capped at BROWNOUT_MAX_LEVEL");
-        assert!(l.admits(Priority::Critical), "critical always survives");
-        assert!(!l.admits(Priority::High));
-        // Depth just below the rung is inside the hysteresis band.
-        assert_eq!(l.observe(11), None);
-        assert_eq!(l.observe(10), Some((3, 2)));
-    }
-
-    #[test]
     fn verdict_lattice_orders_shed_reasons() {
-        let mut c = OverloadController::new(params());
+        let mut c = OverloadController::new(params().with_bucket(0, 1_000));
         let now = 0;
         // Expired deadline wins over everything.
-        let a = c.admit(now, 100, Priority::Background, Some(Deadline::after(0, 0)));
-        assert_eq!(a.verdict, Verdict::Shed(ShedReason::DeadlineExpired));
-        // Brownout (level rose from the depth-100 observation above)
-        // wins over queue-full for sheddable priorities.
-        let a = c.admit(now, 100, Priority::Background, None);
-        assert_eq!(a.verdict, Verdict::Shed(ShedReason::Brownout));
-        // A critical call at the same depth hits the queue gate instead.
-        let a = c.admit(now, 100, Priority::Critical, None);
-        assert_eq!(a.verdict, Verdict::Shed(ShedReason::QueueFull));
+        let a = c.admit(now, 100, Some(Deadline::after(0, 0)));
+        assert_eq!(a, Err(ShedReason::DeadlineExpired));
+        // Over the gate: queue-full, even with an empty bucket.
+        assert_eq!(c.admit(now, 100, None), Err(ShedReason::QueueFull));
         // Under the gate with an empty bucket: rate-limited.
-        let mut c = OverloadController::new(params().with_bucket(0, 1_000));
-        let a = c.admit(now, 0, Priority::Normal, None);
-        assert_eq!(a.verdict, Verdict::Shed(ShedReason::RateLimited));
+        assert_eq!(c.admit(now, 0, None), Err(ShedReason::RateLimited));
     }
 
     #[test]
@@ -1058,20 +849,17 @@ mod tests {
         let mut c = OverloadController::new(params());
         // Burst capacity 4: four admits, then rate-limited.
         for _ in 0..4 {
-            assert!(c.admit(0, 0, Priority::Normal, None).verdict.admitted());
+            assert_eq!(c.admit(0, 0, None), Ok(()));
         }
-        assert_eq!(
-            c.admit(0, 0, Priority::Normal, None).verdict,
-            Verdict::Shed(ShedReason::RateLimited)
-        );
+        assert_eq!(c.admit(0, 0, None), Err(ShedReason::RateLimited));
         // Deadline sheds never touched the bucket: refill one token and
         // shed on deadline repeatedly — the token must survive.
         let mut c = OverloadController::new(params().with_bucket(1, 100));
         for _ in 0..10 {
-            let a = c.admit(500, 0, Priority::Normal, Some(Deadline::after(0, 1)));
-            assert_eq!(a.verdict, Verdict::Shed(ShedReason::DeadlineExpired));
+            let a = c.admit(500, 0, Some(Deadline::after(0, 1)));
+            assert_eq!(a, Err(ShedReason::DeadlineExpired));
         }
-        assert!(c.admit(500, 0, Priority::Normal, None).verdict.admitted());
+        assert_eq!(c.admit(500, 0, None), Ok(()));
     }
 
     #[test]
@@ -1093,7 +881,6 @@ mod tests {
             names,
             [
                 "deadline_expired",
-                "brownout",
                 "queue_full",
                 "rate_limited",
                 "breaker_open"
@@ -1104,13 +891,13 @@ mod tests {
     #[test]
     fn plane_guard_releases_inflight_and_counters_conserve() {
         let plane = OverloadPlane::new(params().with_max_inflight(2).with_bucket(100, 1));
-        let a = plane.admit(0, Priority::Normal, None);
-        let b = plane.admit(0, Priority::Normal, None);
-        assert!(a.outcome.is_ok() && b.outcome.is_ok());
+        let a = plane.try_admit(0, None);
+        let b = plane.try_admit(0, None);
+        assert!(a.is_ok() && b.is_ok());
         assert_eq!(plane.snapshot().inflight, 2);
         // Third call hits the queue-depth gate.
-        let c = plane.admit(0, Priority::Normal, None);
-        assert_eq!(c.outcome.unwrap_err(), ShedReason::QueueFull);
+        let c = plane.try_admit(0, None);
+        assert_eq!(c.unwrap_err(), ShedReason::QueueFull);
         drop(a);
         drop(b);
         let snap = plane.snapshot();
@@ -1154,26 +941,22 @@ mod tests {
     }
 
     #[test]
-    fn one_priority_class_turns_the_brownout_ladder_into_a_second_depth_gate() {
-        // Every product call is `Priority::Normal`: the machine-derived
-        // params, fed a rising in-flight depth (three calls per depth),
-        // first shed at the queue gate only while `max_inflight` is at
-        // most the ladder's level-2 rung (2 · step_depth = 16).
+    fn the_queue_gate_is_the_first_shed_at_every_cpu_count() {
+        // The machine-derived params, fed a rising in-flight depth
+        // (three calls per depth), first shed at the queue gate, at
+        // `max_inflight` = four calls per logical CPU.
         let first_shed = |logical_cpus| {
             let params =
                 OverloadParams::for_cpu(&CpuSpec::paper_machine().with_logical_cpus(logical_cpus));
             let mut ctl = OverloadController::new(params);
-            let shed = (0..).flat_map(|depth| [depth; 3]).find_map(|depth| {
-                match ctl.admit(0, depth, Priority::Normal, None).verdict {
-                    Verdict::Shed(reason) => Some((depth, reason)),
-                    Verdict::Admit => None,
-                }
-            });
+            let shed = (0..)
+                .flat_map(|depth| [depth; 3])
+                .find_map(|depth| ctl.admit(0, depth, None).err().map(|r| (depth, r)));
             (params.max_inflight, shed.expect("a rising depth sheds"))
         };
         assert_eq!(first_shed(2), (8, (8, ShedReason::QueueFull)));
-        assert_eq!(first_shed(4), (16, (16, ShedReason::Brownout)));
-        // The paper machine: its 32-call queue gate is never reached.
-        assert_eq!(first_shed(8), (32, (16, ShedReason::Brownout)));
+        assert_eq!(first_shed(4), (16, (16, ShedReason::QueueFull)));
+        // The paper machine.
+        assert_eq!(first_shed(8), (32, (32, ShedReason::QueueFull)));
     }
 }

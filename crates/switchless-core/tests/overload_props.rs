@@ -1,30 +1,21 @@
 //! Property tests of the overload-control plane: for arbitrary call
 //! sequences the token bucket never over-admits, the breaker only
-//! walks legal edges, the brownout ladder degrades monotonically by
-//! priority, and admission accounting conserves (admitted + shed ==
-//! offered) with every shed attributed to exactly one reason.
+//! walks legal edges, and admission accounting conserves (admitted +
+//! shed == offered) with every shed attributed to exactly one reason,
+//! the first check failed in lattice order.
 
 use proptest::prelude::*;
 use switchless_core::overload::{
-    BreakerParams, BreakerState, BrownoutLadder, BrownoutParams, CircuitBreaker, Deadline,
-    OverloadController, OverloadParams, Priority, ShedReason, TokenBucket, Verdict,
-    BROWNOUT_MAX_LEVEL,
+    BreakerParams, BreakerState, CircuitBreaker, Deadline, OverloadController, OverloadParams,
+    ShedReason, TokenBucket,
 };
 
 /// One scripted admission call: (cycles since previous call, inflight
-/// depth, priority index, deadline budget — 0 for none).
-type Arrival = (u64, u64, usize, u64);
+/// depth, deadline budget — 0 for none).
+type Arrival = (u64, u64, u64);
 
 fn arrivals(max_len: usize) -> impl Strategy<Value = Vec<Arrival>> {
-    prop::collection::vec(
-        (
-            0u64..5_000,
-            0u64..64,
-            0usize..Priority::ALL.len(),
-            0u64..200,
-        ),
-        1..max_len,
-    )
+    prop::collection::vec((0u64..5_000, 0u64..64, 0u64..200), 1..max_len)
 }
 
 proptest! {
@@ -107,40 +98,11 @@ proptest! {
         }
     }
 
-    /// Brownout admission is monotone in priority at every ladder
-    /// state: if a priority is admitted, every higher priority is too,
-    /// and `Critical` is admitted at every level.
-    #[test]
-    fn brownout_is_monotone_in_priority(
-        step in 1u64..32,
-        hysteresis in 0u64..8,
-        depths in prop::collection::vec(0u64..256, 1..100),
-    ) {
-        let mut l = BrownoutLadder::new(BrownoutParams {
-            step_depth: step,
-            hysteresis_depth: hysteresis,
-        });
-        for d in depths {
-            let shift = l.observe(d);
-            prop_assert!(l.level() <= BROWNOUT_MAX_LEVEL);
-            if let Some((from, to)) = shift {
-                prop_assert_eq!(to, l.level());
-                prop_assert_eq!(from.abs_diff(to), 1, "one rung per observation");
-            }
-            for pair in Priority::ALL.windows(2) {
-                prop_assert!(
-                    !l.admits(pair[0]) || l.admits(pair[1]),
-                    "admitting {:?} but shedding higher {:?} at level {}",
-                    pair[0], pair[1], l.level()
-                );
-            }
-            prop_assert!(l.admits(Priority::Critical));
-        }
-    }
-
     /// Conservation and attribution: over any arrival script,
     /// admitted + shed == offered, every shed carries exactly one
-    /// reason, and per-reason counts sum to the shed total.
+    /// reason — the first failed check in lattice order (deadline,
+    /// queue depth, rate) — and per-reason counts sum to the shed
+    /// total.
     #[test]
     fn admission_accounting_conserves(script in arrivals(200)) {
         let mut c = OverloadController::new(
@@ -152,13 +114,23 @@ proptest! {
         let (mut admitted, mut shed) = (0u64, 0u64);
         let mut by_reason = std::collections::BTreeMap::new();
         let offered = script.len() as u64;
-        for (gap, inflight, pri, budget) in script {
+        for (gap, inflight, budget) in script {
             now += gap;
             let deadline = (budget > 0).then(|| Deadline::after(now.saturating_sub(100), budget));
-            let a = c.admit(now, inflight, Priority::ALL[pri], deadline);
-            match a.verdict {
-                Verdict::Admit => admitted += 1,
-                Verdict::Shed(r) => {
+            let gate = if deadline.is_some_and(|d| d.expired(now)) {
+                Some(ShedReason::DeadlineExpired)
+            } else if inflight >= 16 {
+                Some(ShedReason::QueueFull)
+            } else {
+                None
+            };
+            match c.admit(now, inflight, deadline) {
+                Ok(()) => {
+                    prop_assert_eq!(gate, None);
+                    admitted += 1;
+                }
+                Err(r) => {
+                    prop_assert_eq!(r, gate.unwrap_or(ShedReason::RateLimited));
                     shed += 1;
                     *by_reason.entry(r.name()).or_insert(0u64) += 1;
                 }

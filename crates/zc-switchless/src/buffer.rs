@@ -89,7 +89,7 @@ const POSTED: u8 = 1;
 /// status word's 64-byte line (asserted below); what else it reads, the
 /// `payload_out` and pool headers, nobody writes on such a call. A
 /// request is posted field by field, not as an [`OcallRequest`]: the
-/// caller-only deadline, priority and idempotency are not posted at
+/// caller-only deadline and idempotency are not posted at
 /// all, and only the arguments up to the last non-zero one are
 /// written. The worker
 /// reads `nargs` of them and zero-fills the rest, so a shorter call
@@ -609,12 +609,10 @@ mod tests {
 
     #[test]
     fn only_what_the_worker_needs_is_posted() {
-        use switchless_core::Priority;
         let mut s = RequestSlot::default();
         let req = OcallRequest::new(FuncId(1), &[0, 5, 0])
             .with_seq(7)
             .with_deadline_at(99)
-            .with_priority(Priority::Critical)
             .with_idempotent();
         s.post(&req, 0, 0);
         // Trailing zero arguments are not posted; the worker restores

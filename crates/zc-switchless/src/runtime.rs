@@ -172,33 +172,14 @@ impl ZcRuntime {
         table: Arc<OcallTable>,
         enclave: Enclave,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, false, None, None)
-    }
-
-    /// Start a runtime serving **switchless ecalls**: the symmetric
-    /// host→enclave case the paper notes its techniques apply to equally
-    /// (§II). Workers model *trusted* threads inside the enclave serving
-    /// requests posted by untrusted callers; the fallback path pays a
-    /// regular ecall transition.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`start`](ZcRuntime::start).
-    pub fn start_ecalls(
-        config: ZcConfig,
-        table: Arc<OcallTable>,
-        enclave: Enclave,
-    ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, true, None, None)
+        Self::start_inner(config, table, enclave, None, None)
     }
 
     /// [`start`](ZcRuntime::start) with a telemetry hub: the scheduler
     /// traces phase starts and argmin decisions (with their `F_i`/`U_i`
     /// inputs), workers trace pause/resume/exit edges and faults,
     /// callers trace one phase-attributed span per completed call and
-    /// pool reallocations, and the runtime
-    /// registers a metrics collector publishing its [`CallStats`],
-    /// residency and scheduler gauges into the hub's registry.
+    /// pool reallocations.
     ///
     /// `faults` may additionally inject deterministic faults (as in
     /// [`start_with_faults`](ZcRuntime::start_with_faults)); injections
@@ -214,7 +195,7 @@ impl ZcRuntime {
         telemetry: Arc<Telemetry>,
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, false, faults, Some(telemetry))
+        Self::start_inner(config, table, enclave, faults, Some(telemetry))
     }
 
     /// [`start`](ZcRuntime::start) with a [`FaultInjector`]: workers,
@@ -232,14 +213,13 @@ impl ZcRuntime {
         enclave: Enclave,
         faults: Arc<FaultInjector>,
     ) -> Result<Self, SwitchlessError> {
-        Self::start_inner(config, table, enclave, false, Some(faults), None)
+        Self::start_inner(config, table, enclave, Some(faults), None)
     }
 
     pub(crate) fn start_inner(
         config: ZcConfig,
         table: Arc<OcallTable>,
         enclave: Enclave,
-        ecalls: bool,
         faults: Option<Arc<FaultInjector>>,
         telemetry: Option<Arc<Telemetry>>,
     ) -> Result<Self, SwitchlessError> {
@@ -249,10 +229,7 @@ impl ZcRuntime {
                 "machine model yields zero maximum workers".into(),
             ));
         }
-        let mut fallback = RegularOcall::new(Arc::clone(&table), enclave);
-        if ecalls {
-            fallback = fallback.as_ecalls();
-        }
+        let fallback = RegularOcall::new(Arc::clone(&table), enclave);
         let workers = (0..max).map(|_| WorkerSlot::new()).collect();
         let shared = Arc::new_cyclic(|me| Shared {
             me: me.clone(),
@@ -368,7 +345,7 @@ impl ZcRuntime {
     }
 
     /// Snapshot of the overload plane's counters and machine states
-    /// (offered/admitted/shed, breaker, brownout). `None` when overload
+    /// (offered/admitted/shed, breaker). `None` when overload
     /// control is off. Once traffic has quiesced the counters conserve
     /// exactly: `completed + shed_total == offered`.
     #[must_use]

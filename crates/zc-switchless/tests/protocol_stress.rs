@@ -1,6 +1,5 @@
 //! Stress and adversarial-interleaving tests of the ZC runtime: many
-//! callers, scheduler churn, ecalls, and payload-integrity under
-//! concurrency.
+//! callers, scheduler churn and payload-integrity under concurrency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,36 +75,6 @@ fn many_callers_with_scheduler_churn_never_corrupt_payloads() {
     assert!(total >= 900);
     let snap = rt.stats().snapshot();
     assert_eq!(snap.total_calls(), total);
-    rt.shutdown();
-}
-
-#[test]
-fn switchless_ecalls_work_and_count_ecall_transitions() {
-    let mut t = OcallTable::new();
-    // A "trusted" function: runs inside the enclave on trusted workers.
-    let seal = t.register(
-        "seal_data",
-        |_: &[u64; MAX_OCALL_ARGS], pin: &[u8], pout: &mut Vec<u8>| {
-            // Toy sealing: xor with a fixed key.
-            pout.extend(pin.iter().map(|b| b ^ 0xA5));
-            pin.len() as i64
-        },
-    );
-    let enclave = sgx_sim::Enclave::new(test_cpu());
-    let cfg = ZcConfig::for_cpu(test_cpu()).with_quantum_ms(5);
-    let rt = ZcRuntime::start_ecalls(cfg, Arc::new(t), enclave.clone()).unwrap();
-    let mut out = Vec::new();
-    for i in 0..50u8 {
-        let payload = vec![i; 64];
-        let (ret, _) = rt
-            .dispatch(&OcallRequest::new(seal, &[]), &payload, &mut out)
-            .unwrap();
-        assert_eq!(ret, 64);
-        assert!(out.iter().all(|&b| b == i ^ 0xA5));
-    }
-    assert_eq!(rt.stats().snapshot().total_calls(), 50);
-    // Fallback transitions (if any) must have been counted as ecalls.
-    assert_eq!(enclave.ocalls(), 0, "an ecall runtime never records ocalls");
     rt.shutdown();
 }
 

@@ -232,14 +232,6 @@ pub enum Event {
         /// State after the edge.
         to: BreakerState,
     },
-    /// The brownout ladder moved one rung (raised under queue growth,
-    /// lowered inside the hysteresis band).
-    BrownoutShift {
-        /// Ladder level before the shift.
-        from_level: u8,
-        /// Ladder level after the shift.
-        to_level: u8,
-    },
     /// The enclave died and the recovery plane began a restart cycle
     /// (see `switchless_core::recovery`). Emitted once per loss by the
     /// caller that won the detection race.
@@ -295,7 +287,6 @@ impl Event {
             Event::Converged { .. } => "converged",
             Event::CallShed { .. } => "call_shed",
             Event::BreakerTransition { .. } => "breaker_transition",
-            Event::BrownoutShift { .. } => "brownout_shift",
             Event::EnclaveCrash { .. } => "enclave_crash",
             Event::JournalReplay { .. } => "journal_replay",
             Event::CallRedelivered { .. } => "call_redelivered",

@@ -137,10 +137,6 @@ fn event_fields(event: &Event) -> String {
         Event::BreakerTransition { from, to } => {
             format!(",\"from\":\"{}\",\"to\":\"{}\"", from.name(), to.name())
         }
-        Event::BrownoutShift {
-            from_level,
-            to_level,
-        } => format!(",\"from_level\":{from_level},\"to_level\":{to_level}"),
         Event::EnclaveCrash { epoch } => format!(",\"epoch\":{epoch}"),
         Event::JournalReplay { seq } => format!(",\"seq\":{seq}"),
         Event::CallRedelivered { seq } => format!(",\"seq\":{seq}"),
@@ -445,14 +441,6 @@ mod tests {
                     to: BreakerState::Open,
                 },
             ),
-            at(
-                1_800,
-                caller,
-                Event::BrownoutShift {
-                    from_level: 0,
-                    to_level: 1,
-                },
-            ),
             at(1_900, caller, Event::EnclaveCrash { epoch: 2 }),
             at(2_000, caller, Event::JournalReplay { seq: 12 }),
             at(2_100, caller, Event::CallRedelivered { seq: 13 }),
@@ -492,7 +480,6 @@ mod tests {
                 | Event::Converged { .. }
                 | Event::CallShed { .. }
                 | Event::BreakerTransition { .. }
-                | Event::BrownoutShift { .. }
                 | Event::EnclaveCrash { .. }
                 | Event::JournalReplay { .. }
                 | Event::CallRedelivered { .. }
@@ -501,7 +488,7 @@ mod tests {
             }
         }
         let kinds: BTreeSet<_> = evs.iter().map(|e| e.event.kind_name()).collect();
-        assert_eq!(kinds.len(), 23, "one sample per event kind: {kinds:?}");
+        assert_eq!(kinds.len(), 22, "one sample per event kind: {kinds:?}");
         assert_eq!(evs.len(), kinds.len());
     }
 

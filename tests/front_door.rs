@@ -11,10 +11,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::{
-    BrownoutParams, CallStatsSnapshot, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule,
-    FleetSnapshot, FuncId, IntelConfig, OcallDispatcher, OcallRequest, OcallTable, OverloadParams,
-    OverloadSnapshot, Priority, RecoverySnapshot, ShedReason, SuperviseParams, SwitchlessError,
-    TenantUsage, ZcConfig, MAX_OCALL_ARGS,
+    CallStatsSnapshot, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, FleetSnapshot,
+    FuncId, IntelConfig, OcallDispatcher, OcallRequest, OcallTable, OverloadParams,
+    OverloadSnapshot, RecoverySnapshot, ShedReason, SuperviseParams, SwitchlessError, TenantUsage,
+    ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::{Origin, Telemetry};
@@ -149,8 +149,9 @@ fn start_intel(overload: Option<OverloadParams>) -> Started<IntelSwitchless> {
 }
 
 /// Admission sheds typed and conserves, an expired deadline sheds
-/// before any work, the brownout ladder sheds by priority, and a stopped
-/// runtime refuses — whichever transport sits behind the front door.
+/// before any work, a full queue gate sheds until a call returns its
+/// token, and a stopped runtime refuses — whichever transport sits
+/// behind the front door.
 fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>) -> Started<R>) {
     let mut out = Vec::new();
 
@@ -195,16 +196,10 @@ fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>
     rt.dispatch(&live, b"ok", &mut out).unwrap();
     rt.stop();
 
-    // One brownout rung per in-flight call, and one call parked inside
-    // the host: the observed depth is exactly 1, so the ladder climbs to
-    // rung 1 and stays there — Background is shed, Normal still runs.
-    let brownout = BrownoutParams {
-        step_depth: 1,
-        hysteresis_depth: 0,
-    };
-    let started = start(Some(
-        OverloadParams::for_cpu(&cpu()).with_brownout(brownout),
-    ));
+    // A one-call queue gate, held by a call parked inside the host: the
+    // next call is shed QueueFull, and once the parked call returns its
+    // token a call runs again.
+    let started = start(Some(OverloadParams::for_cpu(&cpu()).with_max_inflight(1)));
     let Started {
         rt,
         echo,
@@ -212,32 +207,35 @@ fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>
         gate,
     } = &started;
     std::thread::scope(|s| {
-        s.spawn(|| {
+        let parked = s.spawn(|| {
             rt.dispatch(&OcallRequest::new(*park, &[]), &[], &mut Vec::new())
-                .unwrap();
+                .map(|(ret, _)| ret)
         });
         let backstop = Instant::now() + BACKSTOP;
         while !gate.entered.load(Ordering::Acquire) {
             assert!(Instant::now() < backstop, "park never reached the host");
             std::thread::yield_now();
         }
-        let background = OcallRequest::new(*echo, &[]).with_priority(Priority::Background);
-        let shed = rt.dispatch(&background, b"bg", &mut out);
-        let normal = rt.dispatch(&OcallRequest::new(*echo, &[]), b"ok", &mut out);
+        let full = rt.dispatch(&OcallRequest::new(*echo, &[]), b"full", &mut out);
         // Open the gate before asserting, so a failure cannot strand the
         // parked thread.
         gate.open.store(true, Ordering::Release);
         assert_eq!(
-            shed.unwrap_err(),
+            full.unwrap_err(),
             SwitchlessError::Overloaded {
-                reason: ShedReason::Brownout
+                reason: ShedReason::QueueFull
             }
         );
-        assert_eq!(normal.unwrap().0, 2, "Normal outranks rung 1");
+        assert_eq!(parked.join().unwrap(), Ok(0));
     });
+    let (ret, _) = rt
+        .dispatch(&OcallRequest::new(*echo, &[]), b"ok", &mut out)
+        .unwrap();
+    assert_eq!(ret, 2, "the returned token admits the next call");
     let snap = rt.overload();
-    assert_eq!(snap.shed_for(ShedReason::Brownout), 1);
+    assert_eq!(snap.shed_for(ShedReason::QueueFull), 1);
     assert_eq!((snap.offered, snap.admitted, snap.inflight), (3, 2, 0));
+    assert!(snap.conserves(rt.call_stats().total_calls()));
     rt.stop();
 
     let Started { rt, echo, .. } = start(None);

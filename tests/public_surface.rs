@@ -32,8 +32,8 @@ crates/zc-telemetry/src/export.rs: canonical_jsonl to_chrome_trace
 # itest: options and per-request inputs that the integration suites set
 crates/switchless-core/src/config.rs: with_initial_workers with_quantum_ms with_retries_before_fallback
 crates/switchless-core/src/supervise.rs: with_poison_threshold with_probation_cycles
-crates/switchless-core/src/overload.rs: with_brownout with_max_inflight
-crates/switchless-core/src/func.rs: with_deadline_at with_priority
+crates/switchless-core/src/overload.rs: with_max_inflight
+crates/switchless-core/src/func.rs: with_deadline_at
 
 # itest: state the suites assert on; nothing in the runtimes needs it
 crates/switchless-core/src/policy.rs: settled_workers shifting
@@ -43,9 +43,6 @@ crates/des/src/kernel.rs: thread_cycles
 crates/des/src/metrics.rs: goodput_ratio
 crates/sgx-sim/src/hostfs.rs: file_contents
 crates/intel-switchless/src/pool.rs: from_raw is_done
-
-# itest: the ecall entry point, for callers outside the product
-crates/zc-switchless/src/runtime.rs: start_ecalls
 
 # example: the demo machine and a host file's size, which the examples print
 crates/sgx-sim/src/hostfs.rs: file_size
@@ -185,7 +182,7 @@ fn every_public_function_is_called_or_allowlisted() {
     let readers = [("itest", &itests[..]), ("example", &examples[..])];
     let (allowed, unread) = allowlist(ALLOW, &corpus[..scanned], &readers);
     let budget = allowed.len();
-    assert!(budget <= 25, "{budget} allowlist entries: the budget is 25");
+    assert!(budget <= 22, "{budget} allowlist entries: the budget is 22");
     let unlisted: Vec<_> = flagged.difference(&allowed).collect();
     let stale: Vec<_> = allowed.difference(&flagged).collect();
     assert!(

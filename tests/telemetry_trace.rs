@@ -375,7 +375,7 @@ fn des_slo_report_jsonl_is_byte_identical_across_runs() {
 /// refill period far beyond the test (no deadline, breaker untouched),
 /// so of 10 sequential calls exactly the first 2 complete and the
 /// remaining 8 shed as `rate_limited`. Returns the canonical projection
-/// of the shed/breaker/brownout events.
+/// of the shed and breaker events.
 fn overloaded_run() -> String {
     let hub = Telemetry::new();
     let (t, echo) = table();
@@ -403,7 +403,7 @@ fn overloaded_run() -> String {
     canonical_jsonl(&hub.tracer().drain(), |ev| {
         matches!(
             ev.event,
-            Event::CallShed { .. } | Event::BreakerTransition { .. } | Event::BrownoutShift { .. }
+            Event::CallShed { .. } | Event::BreakerTransition { .. }
         )
     })
 }
