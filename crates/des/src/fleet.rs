@@ -25,7 +25,7 @@ use switchless_core::config::PAPER_QUANTUM_MS;
 use switchless_core::cpu::CpuSpec;
 use switchless_core::fleet::{
     CapChange, FleetController, FleetParams, FleetSnapshot, PendingRaises, ShardEvidence,
-    ShardTotals, TenantUsage, TenantVerdict,
+    ShardTotals, TenantVerdict,
 };
 
 /// One tenant of a simulated fleet: its workloads and (optionally) a
@@ -169,19 +169,7 @@ impl FleetReport {
     /// counters.
     #[must_use]
     pub fn snapshot(&self) -> FleetSnapshot {
-        FleetSnapshot::from_tenants(
-            self.tenants
-                .iter()
-                .map(|t| TenantUsage {
-                    offered: t.counters.offered,
-                    completed: t.counters.total_calls(),
-                    shed: t.counters.ops_shed,
-                    abandoned: t.counters.ops_abandoned,
-                    refused: t.counters.refused_non_idempotent,
-                    guard_violations: t.fault_recovery.guard_violations,
-                })
-                .collect(),
-        )
+        FleetSnapshot::from_tenants(self.tenants.iter().map(|t| t.counters.ledger()).collect())
     }
 }
 

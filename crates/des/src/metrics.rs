@@ -1,6 +1,7 @@
 //! Counters and time series collected during a simulation.
 
 use serde::{Deserialize, Serialize};
+use switchless_core::Ledger;
 
 /// Shared event counters, mutated by actors as the protocol runs.
 ///
@@ -105,28 +106,24 @@ impl SimCounters {
         self.fallback + self.regular + self.pool_reallocs
     }
 
-    /// The conservation ledger `[offered, completed, shed, abandoned,
-    /// refused]` — the row the deterministic suites pin exactly, so a
-    /// model change that is deterministic but different fails a test.
+    /// This run's conservation-ledger row — the row the deterministic
+    /// suites pin exactly, so a model change that is deterministic but
+    /// different fails a test.
     #[must_use]
-    pub fn ledger(&self) -> [u64; 5] {
-        [
-            self.offered,
-            self.total_calls(),
-            self.ops_shed,
-            self.ops_abandoned,
-            self.refused_non_idempotent,
-        ]
+    pub fn ledger(&self) -> Ledger {
+        Ledger {
+            offered: self.offered,
+            completed: self.total_calls(),
+            shed: self.ops_shed,
+            abandoned: self.ops_abandoned,
+            refused: self.refused_non_idempotent,
+        }
     }
 
-    /// Exact conservation: every offered call either completed on some
-    /// path, was shed by a deadline, was abandoned un-issued, or was
-    /// refused by post-crash reconciliation — nothing lost, nothing
-    /// double-counted.
+    /// [`Ledger::conserves`] of [`ledger`](Self::ledger); kept for the frozen `benchmark/src/des.rs`.
     #[must_use]
     pub fn conserves(&self) -> bool {
-        let [offered, outcomes @ ..] = self.ledger();
-        offered == outcomes.iter().sum::<u64>()
+        self.ledger().conserves()
     }
 
     /// Goodput as a fraction of offered load (1.0 when nothing was

@@ -605,7 +605,7 @@ pub fn run(config: &SimConfig) -> SimReport {
 mod tests {
     use super::*;
     use crate::ocall::CallDesc;
-    use switchless_core::{Fault, FaultPlan, FaultSchedule, GuardKind};
+    use switchless_core::{Fault, FaultPlan, FaultSchedule, GuardKind, Ledger};
 
     fn simple_call(host: u64) -> CallDesc {
         CallDesc {
@@ -1058,7 +1058,16 @@ mod tests {
         // re-pins it once and says so.
         assert_eq!(
             (r.counters.ledger(), r.duration_cycles),
-            ([160_000, 160_000, 0, 0, 0], 10_061_903)
+            (
+                Ledger {
+                    offered: 160_000,
+                    completed: 160_000,
+                    shed: 0,
+                    abandoned: 0,
+                    refused: 0,
+                },
+                10_061_903
+            )
         );
     }
 

@@ -22,6 +22,7 @@
 //! plane at all.
 
 use switchless_core::fleet::TenantVerdict;
+use switchless_core::Ledger;
 use zc_des::arrival::{ArrivalProcess, ServiceDist};
 use zc_des::fleet::{run_fleet, FleetReport, FleetSpec, TenantSimSpec};
 use zc_des::ocall::CallDesc;
@@ -194,7 +195,7 @@ fn assert_isolated(solo: &FleetReport, noisy: &FleetReport) {
 /// Pinned digest: `(ledger, duration)` of the good tenant and the hog.
 /// Virtual time only, so exact; a PR that deliberately changes the model
 /// re-pins it once and says so.
-fn assert_digest(noisy: &FleetReport, good: [u64; 5], hog: [u64; 5], duration_cycles: u64) {
+fn assert_digest(noisy: &FleetReport, good: Ledger, hog: Ledger, duration_cycles: u64) {
     assert_eq!(noisy.tenants[0].counters.ledger(), good, "good tenant");
     assert_eq!(noisy.tenants[1].counters.ledger(), hog, "hog");
     assert_eq!(noisy.duration_cycles, duration_cycles);
@@ -226,8 +227,20 @@ fn noisy_neighbours_cannot_break_isolation_on_event_kernel() {
     );
     assert_digest(
         &noisy,
-        [4_063, 4_063, 0, 0, 0],
-        [320_407, 69_951, 250_205, 251, 0],
+        Ledger {
+            offered: 4_063,
+            completed: 4_063,
+            shed: 0,
+            abandoned: 0,
+            refused: 0,
+        },
+        Ledger {
+            offered: 320_407,
+            completed: 69_951,
+            shed: 250_205,
+            abandoned: 251,
+            refused: 0,
+        },
         120_015_433,
     );
     assert_eq!(
@@ -242,8 +255,20 @@ fn noisy_neighbours_cannot_break_isolation_on_cycle_accurate_kernel() {
     assert_isolated(&solo, &noisy);
     assert_digest(
         &noisy,
-        [4_063, 4_063, 0, 0, 0],
-        [320_407, 69_946, 250_213, 248, 0],
+        Ledger {
+            offered: 4_063,
+            completed: 4_063,
+            shed: 0,
+            abandoned: 0,
+            refused: 0,
+        },
+        Ledger {
+            offered: 320_407,
+            completed: 69_946,
+            shed: 250_213,
+            abandoned: 248,
+            refused: 0,
+        },
         120_008_126,
     );
 }

@@ -7,6 +7,7 @@
 //! a client-side dispatch budget shedding stale arrivals. Everything is
 //! virtual time, so every number below is exact.
 
+use switchless_core::Ledger;
 use zc_des::{
     run, ArrivalProcess, CallDesc, KernelMode, Mechanism, OpenLoad, ServiceDist, SimConfig,
     WorkloadSpec, ZcSimParams,
@@ -119,6 +120,15 @@ fn sweep_through_measured_saturation_conserves_sheds_and_holds_goodput() {
     // model re-pins it once and says so.
     assert_eq!(
         (c.ledger(), top.duration_cycles),
-        ([149_870, 66_648, 80_766, 2_456, 0], 4_007_532)
+        (
+            Ledger {
+                offered: 149_870,
+                completed: 66_648,
+                shed: 80_766,
+                abandoned: 2_456,
+                refused: 0,
+            },
+            4_007_532
+        )
     );
 }

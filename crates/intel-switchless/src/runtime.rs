@@ -25,8 +25,8 @@ use std::time::Duration;
 use switchless_core::config::intel_default_task_pool;
 use switchless_core::{
     CallPath, CallStats, DrainReport, Fault, FaultInjector, FaultSite, GuardViolation, IntelConfig,
-    OcallDispatcher, OcallRequest, OcallTable, OverloadSnapshot, RecoverySnapshot, SwitchlessError,
-    TenantUsage,
+    Ledger, OcallDispatcher, OcallRequest, OcallTable, OverloadSnapshot, RecoverySnapshot,
+    SwitchlessError,
 };
 use zc_telemetry::{Event, Origin, Telemetry};
 
@@ -210,7 +210,7 @@ impl IntelSwitchless {
     /// This runtime's conservation-ledger row (see
     /// [`FrontDoor::usage`]).
     #[must_use]
-    pub fn usage(&self) -> TenantUsage {
+    pub fn usage(&self) -> Ledger {
         self.shared.door.usage()
     }
 

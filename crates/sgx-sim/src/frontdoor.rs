@@ -37,9 +37,9 @@ use std::time::{Duration, Instant};
 use switchless_core::overload::{BreakerTransition, InflightGuard, ShedReason};
 use switchless_core::recovery::{EntryState, ReconcileVerdict, RecoveryPlane};
 use switchless_core::{
-    CallPath, CallStats, DrainReport, Fault, FaultInjector, FaultSite, GuardViolation,
+    CallPath, CallStats, DrainReport, Fault, FaultInjector, FaultSite, GuardViolation, Ledger,
     OcallRequest, OverloadParams, OverloadPlane, OverloadSnapshot, RecoveryParams,
-    RecoverySnapshot, SwitchlessError, TenantUsage,
+    RecoverySnapshot, SwitchlessError,
 };
 pub use zc_telemetry::Phase;
 use zc_telemetry::{Event, Origin, PhaseRecorder, Telemetry};
@@ -288,9 +288,9 @@ impl FrontDoor {
     /// it is completed, and a runtime never abandons an offered call
     /// un-issued. Exact at quiescence.
     #[must_use]
-    pub fn usage(&self) -> TenantUsage {
+    pub fn usage(&self) -> Ledger {
         let s = self.stats.snapshot();
-        TenantUsage {
+        Ledger {
             offered: s.issued,
             completed: s.total_calls(),
             shed: self.overload_snapshot().map_or(0, |o| o.shed_total()),
@@ -298,7 +298,6 @@ impl FrontDoor {
             refused: self
                 .recovery_snapshot()
                 .map_or(0, |r| r.refused_non_idempotent),
-            guard_violations: s.guard_violations,
         }
     }
 

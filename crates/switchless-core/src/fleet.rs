@@ -51,6 +51,7 @@
 //! what makes the fleet-wide totals balance.
 
 use crate::policy::{DecisionRecord, PolicyParams};
+use crate::stats::Ledger;
 use serde::{Deserialize, Serialize};
 
 /// Consecutive floor-pinned intervals before anti-starvation escalation
@@ -588,40 +589,6 @@ impl FleetController {
     }
 }
 
-/// One tenant's call accounting, in the vocabulary of the runtime
-/// conservation contracts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TenantUsage {
-    /// Calls the tenant's workload put on offer.
-    pub offered: u64,
-    /// Calls that completed on some path.
-    pub completed: u64,
-    /// Calls shed by admission control or client-side deadlines.
-    pub shed: u64,
-    /// Offered calls abandoned un-issued.
-    pub abandoned: u64,
-    /// Non-idempotent calls refused by post-crash reconciliation.
-    pub refused: u64,
-    /// Guard violations charged to this tenant's shard.
-    pub guard_violations: u64,
-}
-
-impl TenantUsage {
-    /// Exact per-tenant conservation:
-    /// `offered == completed + shed + abandoned + refused`.
-    #[must_use]
-    pub fn conserves(&self) -> bool {
-        self.offered == self.accounted()
-    }
-
-    /// The fates the tenant's calls met:
-    /// `completed + shed + abandoned + refused`.
-    #[must_use]
-    pub fn accounted(&self) -> u64 {
-        self.completed + self.shed + self.abandoned + self.refused
-    }
-}
-
 /// A fleet-accounting violation found by [`FleetSnapshot::check`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetAccountingError {
@@ -654,22 +621,23 @@ impl std::fmt::Display for FleetAccountingError {
 /// each shard counted them.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetSnapshot {
-    /// One usage record per tenant, by tenant index.
-    pub tenants: Vec<TenantUsage>,
+    /// One ledger row per tenant, by tenant index.
+    pub tenants: Vec<Ledger>,
 }
 
 impl FleetSnapshot {
     /// Snapshot of the given per-tenant books.
     #[must_use]
-    pub fn from_tenants(tenants: Vec<TenantUsage>) -> Self {
+    pub fn from_tenants(tenants: Vec<Ledger>) -> Self {
         FleetSnapshot { tenants }
     }
 
-    /// Check per-tenant conservation, returning the first tenant whose
-    /// books do not balance. Balanced rows sum to a balanced fleet row,
-    /// so this is also fleet-wide conservation; what it cannot see is a
-    /// call booked in full on the wrong tenant — each shard counts only
-    /// its own calls, there is no second ledger to compare against.
+    /// The first tenant whose [`Ledger::conserves`] fails; kept for the frozen `benchmark/src/des.rs`.
+    ///
+    /// Balanced rows sum to a balanced fleet row, so this is also
+    /// fleet-wide conservation; what it cannot see is a call booked in
+    /// full on the wrong tenant — each shard counts only its own calls,
+    /// there is no second ledger to compare against.
     pub fn check(&self) -> Result<(), FleetAccountingError> {
         match self
             .tenants
@@ -903,18 +871,17 @@ mod tests {
 
     #[test]
     fn snapshot_balances_and_names_the_unbalanced_tenant() {
-        let t0 = TenantUsage {
+        let t0 = Ledger {
             offered: 100,
             completed: 90,
             shed: 6,
             abandoned: 3,
             refused: 1,
-            guard_violations: 0,
         };
-        let t1 = TenantUsage {
+        let t1 = Ledger {
             offered: 50,
             completed: 50,
-            ..TenantUsage::default()
+            ..Ledger::default()
         };
         let snap = FleetSnapshot::from_tenants(vec![t0, t1]);
         assert_eq!(snap.check(), Ok(()));

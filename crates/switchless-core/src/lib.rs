@@ -90,7 +90,7 @@ pub use fault::{
 pub use fleet::{
     CapChange, FleetAccountingError, FleetAllocator, FleetController, FleetDecision, FleetParams,
     FleetSnapshot, PendingRaises, ShardEvidence, ShardTotals, TenantDemand, TenantSignals,
-    TenantUsage, TenantVerdict,
+    TenantVerdict,
 };
 pub use func::{FuncId, HostFn, OcallReply, OcallRequest, OcallTable, MAX_OCALL_ARGS};
 pub use guard::{GuardKind, GuardViolation, ReplyGuard, ReplyVerdict, SharedWordGuard};
@@ -104,7 +104,7 @@ pub use recovery::{
     RecoveryPlane, RecoverySnapshot,
 };
 pub use state::WorkerState;
-pub use stats::{CallStats, CallStatsSnapshot};
+pub use stats::{CallStats, CallStatsSnapshot, Ledger};
 pub use supervise::{PoisonKey, SuperviseDecision, SuperviseParams, Supervisor, WorkerHealth};
 
 /// How an individual ocall was ultimately executed.

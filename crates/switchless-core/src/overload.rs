@@ -33,6 +33,7 @@
 
 use crate::config::PAPER_QUANTUM_MS;
 use crate::cpu::CpuSpec;
+use crate::stats::Ledger;
 use serde::{Deserialize, Serialize};
 
 /// Kept only for the frozen `benchmark/src/layers.rs`, which passes `Priority::Normal`.
@@ -540,7 +541,6 @@ pub struct OverloadPlane {
     controller: std::sync::Mutex<OverloadController>,
     inflight: std::sync::atomic::AtomicU64,
     offered: std::sync::atomic::AtomicU64,
-    admitted: std::sync::atomic::AtomicU64,
     shed: [std::sync::atomic::AtomicU64; ShedReason::ALL.len()],
 }
 
@@ -574,7 +574,8 @@ pub struct PlaneAdmission<'a> {
 pub struct OverloadSnapshot {
     /// Calls that entered admission.
     pub offered: u64,
-    /// Calls that passed admission.
+    /// `offered` minus the admission sheds (a breaker shed comes after
+    /// admission); kept for the frozen `benchmark/src/real.rs`.
     pub admitted: u64,
     /// Calls currently holding an in-flight token.
     pub inflight: u64,
@@ -599,21 +600,16 @@ impl OverloadSnapshot {
         self.shed[reason.index()]
     }
 
-    /// Exact conservation check against a completed-call count from the
-    /// owning runtime's [`crate::CallStats`]: valid once quiesced.
+    /// [`Ledger::conserves`] with `completed` from outside; kept for the frozen `benchmark/src/real.rs`.
     #[must_use]
     pub fn conserves(&self, completed: u64) -> bool {
-        self.conserves_with(completed, 0)
-    }
-
-    /// Conservation check extended with the recovery plane's
-    /// refused-non-idempotent count (see [`crate::recovery`]): with
-    /// enclave crashes in play, every offered call is exactly one of
-    /// completed, shed, or refused-with-typed-error —
-    /// `completed + shed + refused == offered`.
-    #[must_use]
-    pub fn conserves_with(&self, completed: u64, refused_non_idempotent: u64) -> bool {
-        completed + self.shed_total() + refused_non_idempotent == self.offered
+        Ledger {
+            offered: self.offered,
+            completed,
+            shed: self.shed_total(),
+            ..Ledger::default()
+        }
+        .conserves()
     }
 }
 
@@ -626,7 +622,6 @@ impl OverloadPlane {
             controller: std::sync::Mutex::new(OverloadController::new(params)),
             inflight: std::sync::atomic::AtomicU64::new(0),
             offered: std::sync::atomic::AtomicU64::new(0),
-            admitted: std::sync::atomic::AtomicU64::new(0),
             shed: Default::default(),
         }
     }
@@ -657,7 +652,6 @@ impl OverloadPlane {
         let depth = self.inflight.load(Ordering::Acquire);
         match self.lock().admit(now_cycles, depth, deadline) {
             Ok(()) => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
                 self.inflight.fetch_add(1, Ordering::AcqRel);
                 Ok(InflightGuard { plane: self })
             }
@@ -711,11 +705,15 @@ impl OverloadPlane {
         let c = self.lock();
         let (breaker_state, breaker_trips) = (c.breaker_state(), c.breaker.trips());
         drop(c);
+        let offered = self.offered.load(Ordering::Acquire);
+        let shed: [u64; ShedReason::ALL.len()] =
+            std::array::from_fn(|i| self.shed[i].load(Ordering::Acquire));
+        let breaker_sheds = shed[ShedReason::BreakerOpen.index()];
         OverloadSnapshot {
-            offered: self.offered.load(Ordering::Acquire),
-            admitted: self.admitted.load(Ordering::Acquire),
+            offered,
+            admitted: offered.saturating_sub(shed.iter().sum::<u64>() - breaker_sheds),
             inflight: self.inflight.load(Ordering::Acquire),
-            shed: std::array::from_fn(|i| self.shed[i].load(Ordering::Acquire)),
+            shed,
             breaker_state,
             breaker_trips,
         }
@@ -903,15 +901,10 @@ mod tests {
         let snap = plane.snapshot();
         assert_eq!(snap.inflight, 0, "guards release on drop");
         assert_eq!(snap.offered, 3);
-        assert_eq!(snap.admitted, 2);
         assert_eq!(snap.shed_for(ShedReason::QueueFull), 1);
         // Two calls completed, one shed: exact conservation.
         assert!(snap.conserves(2));
         assert!(!snap.conserves(3));
-        // Extended form: one completion traded for a typed refusal
-        // still conserves; double counting does not.
-        assert!(snap.conserves_with(1, 1));
-        assert!(!snap.conserves_with(2, 1));
     }
 
     #[test]

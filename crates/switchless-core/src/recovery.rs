@@ -44,8 +44,7 @@
 //! With recovery enabled the conservation invariant extends to
 //! `offered == completed + shed + abandoned + refused_non_idempotent`
 //! — every offered call has exactly one fate, and no call is ever
-//! executed twice
-//! ([`OverloadSnapshot::conserves_with`](crate::overload::OverloadSnapshot::conserves_with)).
+//! executed twice ([`Ledger::conserves`](crate::Ledger::conserves)).
 
 use crate::config::PAPER_QUANTUM_MS;
 use crate::cpu::CpuSpec;

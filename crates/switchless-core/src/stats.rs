@@ -155,14 +155,10 @@ impl CallStatsSnapshot {
         self.fallback + self.regular + self.cancelled + self.pool_reallocs
     }
 
-    /// Conservation invariant of the supervision layer: every issued
-    /// call resolved to exactly one terminal outcome
-    /// (`issued = switchless + fallback + regular + cancelled`). Only
-    /// meaningful at quiescence (no calls in flight) and for runtimes
-    /// that record issuance.
+    /// `issued == total_calls()`, exact at quiescence; kept for the frozen `benchmark/src/real.rs`.
     #[must_use]
     pub fn is_conserved(&self) -> bool {
-        self.issued == self.switchless + self.fallback + self.regular + self.cancelled
+        self.issued == self.total_calls()
     }
 
     /// Wasted cycles attributable to transitions over an interval with
@@ -191,6 +187,40 @@ impl CallStatsSnapshot {
                 .guard_violations
                 .saturating_sub(earlier.guard_violations),
         }
+    }
+}
+
+/// One row of the conservation ledger: what became of every call a
+/// runtime, a DES run or a fleet tenant was offered. The real runtimes
+/// (`FrontDoor::usage`), the DES (`SimCounters::ledger`) and the fleet
+/// snapshot all report this one type, so their rows compare directly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Ledger {
+    /// Calls put on offer.
+    pub offered: u64,
+    /// Calls that completed on some path.
+    pub completed: u64,
+    /// Calls shed by admission control, the breaker or a deadline.
+    pub shed: u64,
+    /// Offered calls abandoned un-issued.
+    pub abandoned: u64,
+    /// Non-idempotent calls refused by post-crash reconciliation.
+    pub refused: u64,
+}
+
+impl Ledger {
+    /// Exact conservation — nothing lost, nothing counted twice:
+    /// `offered == completed + shed + abandoned + refused`. Exact once
+    /// no call is in flight.
+    #[must_use]
+    pub fn conserves(&self) -> bool {
+        self.offered == self.accounted()
+    }
+
+    /// The fates the calls met: `completed + shed + abandoned + refused`.
+    #[must_use]
+    pub fn accounted(&self) -> u64 {
+        self.completed + self.shed + self.abandoned + self.refused
     }
 }
 
@@ -300,6 +330,35 @@ mod tests {
         assert_eq!(snap.total_calls(), 5);
         s.record_issued(); // in flight: conservation does not hold
         assert!(!s.snapshot().is_conserved());
+    }
+
+    #[test]
+    fn ledger_balances_each_fate_once() {
+        // Three offered: two completed, one shed.
+        let row = Ledger {
+            offered: 3,
+            completed: 2,
+            shed: 1,
+            ..Ledger::default()
+        };
+        assert!(row.conserves());
+        assert_eq!(row.accounted(), 3);
+        // One completion traded for a typed refusal still balances.
+        let refused = Ledger {
+            completed: 1,
+            refused: 1,
+            ..row
+        };
+        assert!(refused.conserves());
+        // A call counted both completed and refused does not, and
+        // neither does a lost one.
+        assert!(!Ledger { refused: 1, ..row }.conserves());
+        assert!(!Ledger {
+            completed: 1,
+            ..row
+        }
+        .conserves());
+        assert!(Ledger::default().conserves(), "nothing offered");
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use switchless_core::stats::WorkerResidency;
 use switchless_core::{
-    CallPath, CallStats, DrainReport, FaultInjector, OcallDispatcher, OcallRequest, OcallTable,
-    OverloadSnapshot, RecoverySnapshot, Supervisor, SwitchlessError, TenantUsage, ZcConfig,
+    CallPath, CallStats, DrainReport, FaultInjector, Ledger, OcallDispatcher, OcallRequest,
+    OcallTable, OverloadSnapshot, RecoverySnapshot, Supervisor, SwitchlessError, ZcConfig,
 };
 use zc_telemetry::Telemetry;
 
@@ -345,9 +345,8 @@ impl ZcRuntime {
     }
 
     /// Snapshot of the overload plane's counters and machine states
-    /// (offered/admitted/shed, breaker). `None` when overload
-    /// control is off. Once traffic has quiesced the counters conserve
-    /// exactly: `completed + shed_total == offered`.
+    /// (offered/shed, breaker). `None` when overload control is off.
+    /// Its sheds are the `shed` column of [`usage`](Self::usage).
     #[must_use]
     pub fn overload_snapshot(&self) -> Option<OverloadSnapshot> {
         self.shared.door.overload_snapshot()
@@ -355,9 +354,8 @@ impl ZcRuntime {
 
     /// Snapshot of the recovery plane's counters and phase (crashes,
     /// replays, redeliveries, refused non-idempotent calls, journal
-    /// occupancy). `None` when recovery is off. Once traffic has
-    /// quiesced, `offered == completed + shed + refused_non_idempotent`
-    /// holds exactly (see `OverloadSnapshot::conserves_with`).
+    /// occupancy). `None` when recovery is off. Its refusals are the
+    /// `refused` column of [`usage`](Self::usage).
     #[must_use]
     pub fn recovery_snapshot(&self) -> Option<RecoverySnapshot> {
         self.shared.door.recovery_snapshot()
@@ -366,7 +364,7 @@ impl ZcRuntime {
     /// This runtime's conservation-ledger row (see
     /// [`FrontDoor::usage`]).
     #[must_use]
-    pub fn usage(&self) -> TenantUsage {
+    pub fn usage(&self) -> Ledger {
         self.shared.door.usage()
     }
 
@@ -726,7 +724,8 @@ mod tests {
         let snap = rt.overload_snapshot().unwrap();
         assert_eq!(snap.breaker_trips, 1);
         assert_eq!(snap.shed_for(ShedReason::BreakerOpen), 6);
-        assert!(snap.conserves(rt.stats().snapshot().total_calls()));
+        let usage = rt.usage();
+        assert!(usage.conserves(), "{usage:?}");
         rt.shutdown();
     }
 

@@ -12,9 +12,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::{
     CallStatsSnapshot, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, FleetSnapshot,
-    FuncId, IntelConfig, OcallDispatcher, OcallRequest, OcallTable, OverloadParams,
-    OverloadSnapshot, RecoverySnapshot, ShedReason, SuperviseParams, SwitchlessError, TenantUsage,
-    ZcConfig, MAX_OCALL_ARGS,
+    FuncId, IntelConfig, Ledger, OcallDispatcher, OcallRequest, OcallTable, OverloadParams,
+    OverloadSnapshot, RecoverySnapshot, ShedReason, SuperviseParams, SwitchlessError, ZcConfig,
+    MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::{Origin, Telemetry};
@@ -71,7 +71,7 @@ trait Runtime: OcallDispatcher {
     fn call_stats(&self) -> CallStatsSnapshot;
     fn overload(&self) -> OverloadSnapshot;
     fn recovery(&self) -> RecoverySnapshot;
-    fn ledger(&self) -> TenantUsage;
+    fn ledger(&self) -> Ledger;
     fn stop(&self) -> switchless_core::DrainReport;
 }
 
@@ -85,7 +85,7 @@ impl Runtime for ZcRuntime {
     fn recovery(&self) -> RecoverySnapshot {
         self.recovery_snapshot().expect("recovery is on")
     }
-    fn ledger(&self) -> TenantUsage {
+    fn ledger(&self) -> Ledger {
         self.usage()
     }
     fn stop(&self) -> switchless_core::DrainReport {
@@ -103,7 +103,7 @@ impl Runtime for IntelSwitchless {
     fn recovery(&self) -> RecoverySnapshot {
         self.recovery_snapshot().expect("recovery is on")
     }
-    fn ledger(&self) -> TenantUsage {
+    fn ledger(&self) -> Ledger {
         self.usage()
     }
     fn stop(&self) -> switchless_core::DrainReport {
@@ -175,10 +175,10 @@ fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>
     assert_eq!(shed, 8);
     let snap = rt.overload();
     assert_eq!(snap.offered, 10);
-    assert_eq!(snap.admitted, 2);
     assert_eq!(snap.shed_for(ShedReason::RateLimited), 8);
     assert_eq!(snap.inflight, 0, "all guards released");
-    assert!(snap.conserves(rt.call_stats().total_calls()));
+    let usage = rt.ledger();
+    assert!(usage.conserves(), "{usage:?}");
     rt.stop();
 
     // A deadline already in the past on arrival is shed, first. (Cycle
@@ -234,8 +234,9 @@ fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>
     assert_eq!(ret, 2, "the returned token admits the next call");
     let snap = rt.overload();
     assert_eq!(snap.shed_for(ShedReason::QueueFull), 1);
-    assert_eq!((snap.offered, snap.admitted, snap.inflight), (3, 2, 0));
-    assert!(snap.conserves(rt.call_stats().total_calls()));
+    assert_eq!((snap.offered, snap.inflight), (3, 0));
+    let usage = rt.ledger();
+    assert!(usage.conserves(), "{usage:?}");
     rt.stop();
 
     let Started { rt, echo, .. } = start(None);
@@ -273,7 +274,8 @@ fn default_overload_params_never_rate_limit_a_closed_loop_caller() {
     let snap = rt.overload();
     assert_eq!(snap.offered, 50_000);
     assert_eq!(snap.shed_for(ShedReason::RateLimited), 0);
-    assert!(snap.conserves(rt.call_stats().total_calls()), "{snap:?}");
+    let usage = rt.usage();
+    assert!(usage.conserves(), "{usage:?}");
     rt.stop();
 }
 
@@ -333,7 +335,7 @@ fn parity_plan() -> FaultPlan {
 fn parity_run<R: Runtime>(
     start: impl FnOnce(Arc<Telemetry>, Arc<FaultInjector>) -> (R, FuncId),
 ) -> (
-    (RecoverySnapshot, TenantUsage),
+    (RecoverySnapshot, Ledger),
     Vec<&'static str>,
     Vec<&'static str>,
 ) {
@@ -484,8 +486,7 @@ fn one_fault_plan_drives_the_des_and_the_intel_runtime() {
             },
         ),
     );
-    assert!(sim.counters.conserves(), "{:?}", sim.counters);
-    assert_eq!(sim.counters.total_calls(), CALLS);
+    assert_eq!(sim.counters.ledger(), usage, "the two hosts' ledger rows");
     let des = &sim.fault_recovery;
 
     // (crashes, replays, redeliveries, refusals, live journal entries)

@@ -397,8 +397,8 @@ fn overloaded_run() -> String {
         }
     }
     assert_eq!((completed, shed), (2, 8), "2 bucket tokens, 8 sheds");
-    let snap = zc.overload_snapshot().expect("overload plane configured");
-    assert!(snap.conserves(zc.stats().snapshot().total_calls()));
+    let usage = zc.usage();
+    assert!(usage.conserves(), "{usage:?}");
     zc.shutdown();
     canonical_jsonl(&hub.tracer().drain(), |ev| {
         matches!(
