@@ -180,10 +180,13 @@ impl ZcWorld {
         }))
     }
 
+    /// An idle live worker the scheduler still counts in `M`. A worker
+    /// told to `Deactivate` parks only when it next runs while UNUSED,
+    /// so claiming it in the meantime would keep it serving forever.
     fn find_unused(&self) -> Option<usize> {
         self.workers
             .iter()
-            .position(|w| w.state == WorkerState::Unused && !w.dead)
+            .position(|w| w.state == WorkerState::Unused && !w.dead && w.cmd == Cmd::Run)
     }
 
     /// Install the enclave-fault schedule and build its recovery plane.

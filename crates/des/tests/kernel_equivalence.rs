@@ -268,6 +268,70 @@ fn oversubscribed_machine_completes_every_call_under_both_policies() {
     }
 }
 
+/// Closed-loop zc callers on the §III-A f/g pattern with g = 0 (so `f`
+/// and `g` differ only in class), `calls` in all, given 0.1 virtual s:
+/// the calls completed under each policy.
+fn f_g_cell(
+    vcpus: usize,
+    callers: usize,
+    max_workers: usize,
+    calls: u64,
+) -> [(KernelMode, u64); 2] {
+    let f_g: Vec<CallDesc> = [0, 1, 0, 2, 1, 0, 1, 3]
+        .map(|class| CallDesc {
+            class,
+            ..CallDesc::default()
+        })
+        .into();
+    let zc = ZcSimParams {
+        max_workers: Some(max_workers),
+        ..ZcSimParams::default()
+    };
+    let workload = WorkloadSpec::ClosedLoop {
+        pattern: f_g,
+        total_ops: calls / callers as u64,
+    };
+    [KernelMode::CycleAccurate, KernelMode::EventDriven].map(|mode| {
+        let cfg = SimConfig::new(Mechanism::Zc(zc), vec![workload.clone(); callers], 4)
+            .with_vcpus(vcpus)
+            .with_kernel_mode(mode);
+        let tenth_of_a_second = cfg.cpu.freq_hz / 10;
+        (
+            mode,
+            run(&cfg.with_deadline(tenth_of_a_second))
+                .counters
+                .total_calls(),
+        )
+    })
+}
+
+#[test]
+fn a_deactivated_worker_is_never_claimed_under_either_policy() {
+    // When a caller could claim a worker the scheduler had deactivated,
+    // every cell with callers ≥ N and `max_workers` ≥ N stalled on
+    // round-robin: its N spinning workers and N callers swapped cores
+    // every quantum. At N = 4 with 4 callers and 4 workers the 20 000
+    // calls took over two virtual seconds; honouring the command word
+    // they take 0.03.
+    for (mode, done) in f_g_cell(4, 4, 4, 20_000) {
+        assert_eq!(done, 20_000, "{mode:?}");
+    }
+    // The whole callers × `max_workers` grid on 4 and 8 vCPUs.
+    for vcpus in [4, 8] {
+        for callers in 1..=vcpus {
+            for max_workers in 1..=vcpus {
+                let calls = 4_000 / callers as u64 * callers as u64;
+                for (mode, done) in f_g_cell(vcpus, callers, max_workers, calls) {
+                    assert_eq!(
+                        done, calls,
+                        "{callers} callers, max_workers {max_workers}, {vcpus} vCPUs, {mode:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Kernel-level property test: arbitrary small actor programs.
 // ---------------------------------------------------------------------

@@ -123,6 +123,14 @@ fn route(
             // supervisor, if enabled, has not yet respawned the slot).
             continue;
         }
+        // Claim only a worker the scheduler still counts in `M`: one told
+        // to deactivate parks only once it sees the command while UNUSED,
+        // so a claim in between keeps it serving. The word shares line 0
+        // with the status word the CAS below takes anyway. A garbage word
+        // is skipped here and reported by the worker itself.
+        if w.sched_command() != Ok(SchedCommand::Run) {
+            continue;
+        }
         if w.try_transition(WorkerState::Unused, WorkerState::Reserved) {
             rec.mark(Phase::Reserve, &door.clock);
             return switchless_call(shared, w, idx, epoch0, req, payload_in, payload_out, rec);

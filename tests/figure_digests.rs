@@ -27,7 +27,7 @@ const PINS: &[(&str, u64)] = &[
     ("ablation_chaos.csv", 0x823405d01c113a69),
     ("ablation_fallback.csv", 0xa4a2bba2a5217104),
     ("ablation_mechanisms.csv", 0xfe0b467bfb2166e2),
-    ("ablation_quantum.csv", 0x25ebb052860e5328),
+    ("ablation_quantum.csv", 0x77bece81ce847921),
     ("ablation_rbf.csv", 0xaf1b598f6858a17b),
     ("ablation_tes.csv", 0x4da950426959aee6),
     ("ablation_weight.csv", 0x8f32e9ddfc11b788),
