@@ -190,6 +190,10 @@ fn assert_isolated(solo: &FleetReport, noisy: &FleetReport) {
     assert_eq!(verdicts[1], TenantVerdict::Healthy, "{verdicts:?}");
     assert_eq!(verdicts[2], TenantVerdict::Suspect, "{verdicts:?}");
     assert_eq!(verdicts[3], TenantVerdict::Faulty, "{verdicts:?}");
+    // The hog never showed a curve that pays for more or fewer workers,
+    // so it keeps its seed share of the budget, 8 / 4 tenants: a shard
+    // without a decision of its own is not cut to the floor.
+    assert_eq!(noisy.tenants[1].final_cap, 2, "hog");
 }
 
 /// Pinned digest: `(ledger, duration)` of the good tenant and the hog.
@@ -236,12 +240,12 @@ fn noisy_neighbours_cannot_break_isolation_on_event_kernel() {
         },
         Ledger {
             offered: 320_407,
-            completed: 69_951,
-            shed: 250_205,
-            abandoned: 251,
+            completed: 89_925,
+            shed: 230_226,
+            abandoned: 256,
             refused: 0,
         },
-        120_015_433,
+        120_004_197,
     );
     assert_eq!(
         noisy.tenants[0].counters.sojourn_quantile_cycles(99),
@@ -264,12 +268,12 @@ fn noisy_neighbours_cannot_break_isolation_on_cycle_accurate_kernel() {
         },
         Ledger {
             offered: 320_407,
-            completed: 69_946,
-            shed: 250_213,
-            abandoned: 248,
+            completed: 89_951,
+            shed: 230_205,
+            abandoned: 251,
             refused: 0,
         },
-        120_008_126,
+        120_009_214,
     );
 }
 

@@ -580,7 +580,13 @@ impl FleetController {
             .map(|(shard, e)| CapChange {
                 shard,
                 from: e.cap,
-                to: decision.assigned[shard].max(1),
+                // A shard that has not decided yet has no curve: its flat
+                // zero-evidence demand would collapse the cap to the floor.
+                to: if e.last_decision.is_none() {
+                    e.cap
+                } else {
+                    decision.assigned[shard].max(1)
+                },
             })
             .filter(|c| c.to != c.from)
             .partition(|c| c.to < c.from);
