@@ -74,11 +74,24 @@ if [[ $quick -eq 0 ]]; then
     started=$SECONDS
     (cd "$figdir" && "$root/target/release/all_figures" > all_figures.txt)
     echo "all_figures (full mode) took $((SECONDS - started)) s"
+    # Every moved output is listed before failing (as
+    # tests/figure_digests.rs lists every moved digest), so a deliberate
+    # model change sees all it has to re-pin in one run.
+    moved=()
     for csv in "$figdir"/results/*.csv; do
         name=${csv##*/}
         case $name in fig7_memcpy_vanilla.csv | fig13_memcpy_zc.csv) continue ;; esac
-        cmp "$csv" "results/$name"
+        cmp -s "$csv" "results/$name" || moved+=("results/$name")
     done
+    # The printed report too (EXPERIMENTS.md quotes it), minus its memcpy
+    # block: the one part of it that times real hardware.
+    drop_memcpy() { awk '/^=== /{skip = /^=== Fig 7 \/ Fig 13: memcpy/} !skip' "$1"; }
+    cmp -s <(drop_memcpy "$figdir/all_figures.txt") <(drop_memcpy results/all_figures.txt) ||
+        moved+=(results/all_figures.txt)
+    if [[ ${#moved[@]} -gt 0 ]]; then
+        printf 'ci.sh: all_figures no longer reproduces %s\n' "${moved[@]}" >&2
+        exit 1
+    fi
     for csv in $(git ls-files 'results/*.csv'); do
         [[ -f "$figdir/$csv" ]] && continue
         echo "ci.sh: $csv is tracked but all_figures did not regenerate it" >&2
@@ -92,10 +105,6 @@ if [[ $quick -eq 0 ]]; then
         echo "ci.sh: all_figures wrote $name, which git does not track" >&2
         exit 1
     done
-    # The printed report too (EXPERIMENTS.md quotes it), minus its memcpy
-    # block: the one part of it that times real hardware.
-    drop_memcpy() { awk '/^=== /{skip = /^=== Fig 7 \/ Fig 13: memcpy/} !skip' "$1"; }
-    cmp <(drop_memcpy "$figdir/all_figures.txt") <(drop_memcpy results/all_figures.txt)
     rm -rf "$figdir"
 
     # No test runs the examples, and `telemetry_report` is the only
