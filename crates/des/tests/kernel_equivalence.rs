@@ -307,12 +307,11 @@ fn f_g_cell(
 
 #[test]
 fn a_deactivated_worker_is_never_claimed_under_either_policy() {
-    // When a caller could claim a worker the scheduler had deactivated,
-    // every cell with callers ≥ N and `max_workers` ≥ N stalled on
-    // round-robin: its N spinning workers and N callers swapped cores
-    // every quantum. At N = 4 with 4 callers and 4 workers the 20 000
-    // calls took over two virtual seconds; honouring the command word
-    // they take 0.03.
+    // A caller that claims a worker the scheduler has deactivated keeps
+    // it from parking. With callers ≥ N and `max_workers` ≥ N that
+    // stalls round-robin: N spinning workers and N callers swap cores
+    // every quantum, and the 4/4 cell on 4 vCPUs needs over two virtual
+    // seconds for its 20 000 calls instead of 0.03.
     for (mode, done) in f_g_cell(4, 4, 4, 20_000) {
         assert_eq!(done, 20_000, "{mode:?}");
     }

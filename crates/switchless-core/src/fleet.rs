@@ -580,8 +580,7 @@ impl FleetController {
             .map(|(shard, e)| CapChange {
                 shard,
                 from: e.cap,
-                // A shard that has not decided yet has no curve: its flat
-                // zero-evidence demand would collapse the cap to the floor.
+                // No decision yet means no curve: keep the cap, not the floor.
                 to: if e.last_decision.is_none() {
                     e.cap
                 } else {
@@ -639,11 +638,8 @@ impl FleetSnapshot {
     }
 
     /// The first tenant whose [`Ledger::conserves`] fails; kept for the frozen `benchmark/src/des.rs`.
-    ///
-    /// Balanced rows sum to a balanced fleet row, so this is also
-    /// fleet-wide conservation; what it cannot see is a call booked in
-    /// full on the wrong tenant — each shard counts only its own calls,
-    /// there is no second ledger to compare against.
+    /// Balanced rows sum to a balanced fleet row; a call booked in full on
+    /// the wrong tenant is invisible here (each shard counts only its own).
     pub fn check(&self) -> Result<(), FleetAccountingError> {
         match self
             .tenants

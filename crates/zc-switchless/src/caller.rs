@@ -118,17 +118,12 @@ fn route(
     for k in 0..n {
         let idx = (start + k) % n;
         let w = shared.worker(idx);
-        if w.is_poisoned() {
-            // Quarantined: a fault killed this worker's thread (and the
-            // supervisor, if enabled, has not yet respawned the slot).
-            continue;
-        }
-        // Claim only a worker the scheduler still counts in `M`: one told
-        // to deactivate parks only once it sees the command while UNUSED,
-        // so a claim in between keeps it serving. The word shares line 0
-        // with the status word the CAS below takes anyway. A garbage word
-        // is skipped here and reported by the worker itself.
-        if w.sched_command() != Ok(SchedCommand::Run) {
+        // Skip a quarantined worker (a fault killed its thread and the
+        // supervisor, if enabled, has not yet respawned the slot) and one
+        // no longer counted in `M`: a deactivated worker parks only when it
+        // sees its command while UNUSED, so a claim in between would keep
+        // it serving (DESIGN.md §5). A garbage command is the worker's to report.
+        if w.is_poisoned() || w.sched_command() != Ok(SchedCommand::Run) {
             continue;
         }
         if w.try_transition(WorkerState::Unused, WorkerState::Reserved) {

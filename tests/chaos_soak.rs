@@ -8,7 +8,7 @@
 //!
 //! * **conservation** — no call is lost or double-completed:
 //!   `issued == switchless + fallback + regular + cancelled`
-//!   ([`CallStats::is_conserved`]);
+//!   (`CallStatsSnapshot::is_conserved`);
 //! * **recovery** — every failed slot is respawned and heals: the
 //!   supervisor ends with zero quarantined slots and a full serving
 //!   pool, and the trace carries exactly one `worker_respawned` per
