@@ -6,11 +6,14 @@
 //! preempts when its run queue is empty, so its schedule is exactly the
 //! event-driven policy's cooperative one — spin observation one
 //! pause after the flag write, timeouts after the full pause budget,
-//! sleeps and parks to the cycle. Every scenario here stays in that
-//! regime (the paper machine runs 8 threads on 8 logical CPUs) and
-//! asserts **identical** call outcomes, conservation identities,
+//! sleeps and parks to the cycle. Every equivalence scenario here stays
+//! in that regime (the paper machine runs 8 threads on 8 logical CPUs)
+//! and asserts **identical** call outcomes, conservation identities,
 //! guard-violation and fault accounting, virtual durations and busy
 //! cycles across the two policies — not approximately equal: equal.
+//! Two tests leave the regime on purpose and assert only that every
+//! call completes under both policies: an oversubscribed machine, and
+//! the callers × `max_workers` grid of the worker-claim rule.
 //!
 //! A property test over arbitrary small actor programs then pins the
 //! kernel-level contract directly: same final flag values, same
