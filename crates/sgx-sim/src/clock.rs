@@ -3,10 +3,12 @@
 //! The clock maps time onto cycles of the *modelled* machine
 //! (`CpuSpec::freq_hz`) through one of two backends:
 //!
-//! * **Real** (default): cycles are derived from host wall-clock time,
-//!   and injected costs — enclave transitions, `pause` instructions —
-//!   are realised as calibrated busy-spins so they consume real CPU
-//!   exactly like the hardware they stand in for.
+//! * **Real** (default): cycles are derived from the host's time-stamp
+//!   counter, scaled to the modelled frequency by a ratio calibrated
+//!   once per process against `Instant`, and injected costs — enclave
+//!   transitions, `pause` instructions — are realised as `Instant`-timed
+//!   busy-spins so they consume real CPU exactly like the hardware they
+//!   stand in for.
 //! * **Virtual** ([`CycleClock::new_virtual`]): cycles come from a
 //!   shared logical counter that only advances when someone *spends*
 //!   time on it. Spins and sleeps advance the counter instantly, so
@@ -19,9 +21,53 @@
 //! offset added to every subsequent reading).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use switchless_core::cpu::CpuSpec;
+
+/// Wall time over which [`tsc_hz`] measures the time-stamp counter.
+const CALIBRATION_WINDOW: Duration = Duration::from_millis(2);
+
+/// Widest `Instant` bracket [`bracketed`] accepts around a reading; a
+/// wider one was preempted and is read again.
+const MAX_BRACKET: Duration = Duration::from_micros(2);
+
+/// The host's time-stamp counter.
+#[inline]
+fn rdtsc() -> u64 {
+    // SAFETY: `rdtsc` reads a counter and has no preconditions; every
+    // x86_64 CPU has it.
+    unsafe { core::arch::x86_64::_rdtsc() }
+}
+
+/// `read()` and the midpoint of an `Instant` bracket around it narrower
+/// than [`MAX_BRACKET`], so that a preemption between the two clocks'
+/// reads cannot skew a comparison of them.
+fn bracketed(mut read: impl FnMut() -> u64) -> (Instant, u64) {
+    loop {
+        let before = Instant::now();
+        let value = read();
+        let width = before.elapsed();
+        if width < MAX_BRACKET {
+            return (before + width / 2, value);
+        }
+    }
+}
+
+/// Time-stamp counter ticks per wall-clock second, measured once per
+/// process over [`CALIBRATION_WINDOW`].
+fn tsc_hz() -> u64 {
+    static HZ: OnceLock<u64> = OnceLock::new();
+    *HZ.get_or_init(|| {
+        let (t0, c0) = bracketed(rdtsc);
+        while t0.elapsed() < CALIBRATION_WINDOW {
+            std::hint::spin_loop();
+        }
+        let (t1, c1) = bracketed(rdtsc);
+        let ns = (t1 - t0).as_nanos().max(1);
+        (u128::from(c1.saturating_sub(c0)) * 1_000_000_000 / ns).max(1) as u64
+    })
+}
 
 /// Clock measuring elapsed cycles of the modelled CPU and providing
 /// cost-injection spins.
@@ -59,10 +105,13 @@ struct Inner {
 
 #[derive(Debug)]
 enum Backend {
-    /// Wall-clock driven; `skew_cycles` is added to every reading so the
-    /// fault injector can skew even a wall clock forward.
+    /// Time-stamp-counter driven: modelled cycles are the ticks since
+    /// `epoch_tsc` times `cycles_per_tick`, a 32.32 fixed-point ratio.
+    /// `skew_cycles` is added to every reading so the fault injector
+    /// can skew even a wall clock forward.
     Real {
-        epoch: Instant,
+        epoch_tsc: u64,
+        cycles_per_tick: u64,
         skew_cycles: AtomicU64,
     },
     /// Logical time: advances only via spins, sleeps and explicit
@@ -71,15 +120,18 @@ enum Backend {
 }
 
 impl CycleClock {
-    /// New wall-clock-backed clock for the given machine model; cycle
-    /// zero is "now".
+    /// New time-stamp-counter-backed clock for the given machine model;
+    /// cycle zero is "now". The first one in a process first calibrates
+    /// the counter against `Instant`, which takes about 2 ms.
     #[must_use]
     pub fn new(spec: CpuSpec) -> Self {
+        let cycles_per_tick = ((u128::from(spec.freq_hz) << 32) / u128::from(tsc_hz())) as u64;
         CycleClock {
             inner: Arc::new(Inner {
                 spec,
                 backend: Backend::Real {
-                    epoch: Instant::now(),
+                    epoch_tsc: rdtsc(),
+                    cycles_per_tick,
                     skew_cycles: AtomicU64::new(0),
                 },
             }),
@@ -110,10 +162,15 @@ impl CycleClock {
     #[must_use]
     pub fn now_cycles(&self) -> u64 {
         match &self.inner.backend {
-            Backend::Real { epoch, skew_cycles } => {
-                let ns = epoch.elapsed().as_nanos();
-                // cycles = ns * freq / 1e9, in u128 to avoid overflow.
-                let elapsed = (ns * u128::from(self.inner.spec.freq_hz) / 1_000_000_000) as u64;
+            Backend::Real {
+                epoch_tsc,
+                cycles_per_tick,
+                skew_cycles,
+            } => {
+                // A counter a little behind the epoch's (another vCPU)
+                // reads as the epoch.
+                let ticks = rdtsc().saturating_sub(*epoch_tsc);
+                let elapsed = ((u128::from(ticks) * u128::from(*cycles_per_tick)) >> 32) as u64;
                 elapsed.saturating_add(skew_cycles.load(Ordering::Acquire))
             }
             Backend::Virtual { now_cycles } => now_cycles.load(Ordering::Acquire),
@@ -126,6 +183,9 @@ impl CycleClock {
     /// instantly and yields once to keep concurrent threads live.
     pub fn spin_cycles(&self, cycles: u64) {
         match &self.inner.backend {
+            // Timed by `Instant`, not by the counter: a spin's clock read
+            // is part of the poll period of every wait loop built on it
+            // (DESIGN.md §12).
             Backend::Real { .. } => {
                 let start = Instant::now();
                 let target_ns =
@@ -298,6 +358,21 @@ mod tests {
         let before = rclock.now_cycles();
         rclock.advance_cycles(1_000_000_000);
         assert!(rclock.now_cycles() >= before + 1_000_000_000);
+    }
+
+    #[test]
+    fn the_counter_ratio_agrees_with_instant_within_one_percent() {
+        let clock = CycleClock::new(CpuSpec::paper_machine());
+        let (t0, c0) = bracketed(|| clock.now_cycles());
+        clock.spin_cycles(clock.duration_to_cycles(Duration::from_millis(10)));
+        let (t1, c1) = bracketed(|| clock.now_cycles());
+        let wall = clock.duration_to_cycles(t1 - t0) as f64;
+        let ratio = (c1 - c0) as f64 / wall;
+        assert!(
+            (ratio - 1.0).abs() < 0.01,
+            "counter read {} cycles over {wall} cycles of Instant time",
+            c1 - c0
+        );
     }
 
     #[test]

@@ -32,6 +32,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(not(target_arch = "x86_64"))]
+compile_error!("sgx-sim models Intel SGX, which is x86_64-only: its cycle clock reads the x86_64 time-stamp counter");
+
 pub mod clock;
 pub mod enclave;
 pub mod frontdoor;

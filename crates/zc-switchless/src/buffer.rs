@@ -97,7 +97,10 @@ const POSTED: u8 = 1;
 /// return value comes back in `args[0]`; its length and sequence echo
 /// have words of their own that no argument shares, so no request byte
 /// can pose as either: a worker that never writes them leaves the
-/// previous call's echo, which the stale-reply guard rejects.
+/// previous call's echo, which the stale-reply guard rejects. With a
+/// telemetry hub the worker also returns its execute hint, in the
+/// payload window's two words: the request is done with them once
+/// taken, and every post writes them again.
 #[derive(Debug, Default)]
 #[repr(C)]
 pub(crate) struct RequestSlot {
@@ -115,21 +118,17 @@ pub(crate) struct RequestSlot {
     /// Reply: the worker's echo of `seq`.
     reply_seq: u64,
     /// Request: offset and length of the payload in the worker pool.
-    /// Host-writable: clamped to the pool when read.
+    /// Host-writable: clamped to the pool when read. Reply, with a hub:
+    /// the low and high words of the execute hint.
     payload_off: u32,
     payload_len: u32,
     /// Request: the scalar arguments. Reply: the return value, in
     /// `args[0]`.
     args: [u64; MAX_OCALL_ARGS],
-    /// Worker-measured host-function cycles for the last served call
-    /// (phase profiling; advisory only — the caller clamps it to its
-    /// own wait window, so a lying host cannot break conservation).
-    /// Written and read only when a telemetry hub is attached.
-    pub(crate) exec_cycles: u64,
     /// The rest of line 1, so that `payload_out` and the pool header
     /// share line 2 (asserted below): a payload call then moves two
-    /// lines, and line 1 only with a hub or past three arguments.
-    _pad: [u64; 4],
+    /// lines, and line 1 only past three arguments.
+    _pad: [u64; 5],
     /// Host-function output (untrusted side).
     pub(crate) payload_out: Vec<u8>,
 }
@@ -169,6 +168,21 @@ impl RequestSlot {
     /// worker owns the slot.
     pub(crate) fn tear(&mut self) {
         self.posted = 0;
+    }
+
+    /// Publish the worker-measured host-function cycles of the call
+    /// just taken (worker, in `PROCESSING`, only with a hub), in the
+    /// payload window's words.
+    pub(crate) fn set_execute_hint(&mut self, cycles: u64) {
+        self.payload_off = cycles as u32;
+        self.payload_len = (cycles >> 32) as u32;
+    }
+
+    /// The execute hint (caller, in `WAITING`, only with a hub): phase
+    /// profiling only, and advisory — the caller clamps it to its own
+    /// wait window, so a lying host cannot break conservation.
+    pub(crate) fn execute_hint(&self) -> u64 {
+        u64::from(self.payload_len) << 32 | u64::from(self.payload_off)
     }
 
     /// Publish the reply (worker, in `PROCESSING`).
@@ -245,8 +259,8 @@ pub struct WorkerBuffer {
 
 // Line 0 (bytes 0..64) is the whole hand-off of a payload-free call
 // with at most `LINE0_ARGS` arguments: the three shared words, every
-// field of the posted request and every field of the reply. Line 1
-// holds the remaining arguments and the execute hint; line 2 the
+// field of the posted request and every field of the reply, the
+// execute hint included. Line 1 holds the remaining arguments; line 2 the
 // `payload_out` and pool headers, which a payload call moves together;
 // the write-once handles come last. Pinned field by field, so a later
 // field cannot push one of them onto another line.
@@ -274,7 +288,7 @@ const _: () = {
         args + 8 * LINE0_ARGS,
         8 * (MAX_OCALL_ARGS - LINE0_ARGS)
     ));
-    assert!(on_line(1, slot + offset_of!(RequestSlot, exec_cycles), 8));
+    assert!(on_line(1, slot + offset_of!(RequestSlot, _pad), 8 * 5));
     let payload_out = slot + offset_of!(RequestSlot, payload_out);
     assert!(on_line(2, payload_out, size_of::<Vec<u8>>()));
     assert!(on_line(

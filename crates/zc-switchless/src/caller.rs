@@ -239,9 +239,6 @@ pub(crate) fn switchless_call(
     w.with_pool(Side::Caller, |p| {
         p.write_with(offset, payload_in, memcpy_zc);
     });
-    // Only an attached hub consumes the worker's execute hint; without
-    // one neither side touches it.
-    let timed = door.telemetry.is_some();
     w.with_slot(Side::Caller, |slot| {
         slot.post(req, offset, payload_in.len());
         // A payload-free call only reads what lies past the mailbox's
@@ -249,9 +246,6 @@ pub(crate) fn switchless_call(
         // stays shared in both caches instead of bouncing once per call.
         if !slot.payload_out.is_empty() {
             slot.payload_out.clear();
-        }
-        if timed {
-            slot.exec_cycles = 0;
         }
     });
     rec.mark(Phase::CopyIn, &door.clock);
@@ -357,7 +351,13 @@ pub(crate) fn switchless_call(
         let verdict = guard.check_reply(reply.payload_len, slot.payload_out.len())?;
         payload_out.resize(verdict.copy_len, 0);
         memcpy_zc(payload_out, &slot.payload_out[..verdict.copy_len]);
-        let exec_cycles = if timed { slot.exec_cycles } else { 0 };
+        // Only an attached hub consumes the worker's execute hint;
+        // without one the worker does not write it.
+        let exec_cycles = if door.telemetry.is_some() {
+            slot.execute_hint()
+        } else {
+            0
+        };
         Ok((reply.ret, verdict.truncated, exec_cycles))
     });
     match checked {

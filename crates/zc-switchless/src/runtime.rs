@@ -730,6 +730,125 @@ mod tests {
     }
 
     #[test]
+    fn the_execute_hint_comes_back_whole_in_the_payload_window() {
+        use zc_telemetry::{Event, Phase, Telemetry};
+        // More than `u32::MAX`: only both window words can carry it.
+        const SLOW: u64 = 5_000_000_000;
+        let mut cpu = CpuSpec::paper_machine();
+        cpu.logical_cpus = 4;
+        // A spin advances the virtual clock by `pause_cycles`: at zero
+        // only the scheduler's sleep and the host function move it.
+        cpu.pause_cycles = 0;
+        // A long first quantum, so the test can park the scheduler at
+        // its end (below) before it gets there.
+        let cfg = ZcConfig::for_cpu(cpu)
+            .with_quantum_ms(100_000)
+            .with_initial_workers(1);
+        // Stop the clock: the scheduler records residency when its first
+        // quantum has been slept out, so holding the lock parks it there,
+        // and once the clock reads that quantum's end nothing but the
+        // host function moves time. A scheduler that got there before
+        // the lock was taken is on its next step: start again.
+        for _ in 0..5 {
+            let enclave = Enclave::new_virtual(cpu);
+            let clock = enclave.clock().clone();
+            let mut t = OcallTable::new();
+            let host_clock = clock.clone();
+            let slow = t.register(
+                "slow",
+                move |_: &[u64; MAX_OCALL_ARGS], _: &[u8], _: &mut Vec<u8>| {
+                    // Give the caller time to pass its signal mark; a call
+                    // that loses this race is recognised below and retried.
+                    std::thread::sleep(Duration::from_millis(1));
+                    host_clock.advance_cycles(SLOW);
+                    0
+                },
+            );
+            let sum = t.register(
+                "sum",
+                |args: &[u64; MAX_OCALL_ARGS], _: &[u8], _: &mut Vec<u8>| {
+                    args.iter().sum::<u64>() as i64
+                },
+            );
+            let echo = t.register(
+                "echo",
+                |_: &[u64; MAX_OCALL_ARGS], pin: &[u8], pout: &mut Vec<u8>| {
+                    pout.extend_from_slice(pin);
+                    pin.len() as i64
+                },
+            );
+            let hub = Telemetry::new();
+            let rt = ZcRuntime::start_with_telemetry(cfg, Arc::new(t), enclave, hub.clone(), None)
+                .unwrap();
+            let residency = rt.shared.residency.lock();
+            if residency.total_cycles() != 0 {
+                drop(residency);
+                rt.shutdown();
+                continue;
+            }
+            let quantum_end = hub
+                .tracer()
+                .drain()
+                .iter()
+                .find_map(|e| match e.event {
+                    Event::PhaseStart {
+                        duration_cycles, ..
+                    } => Some(e.t_cycles + duration_cycles),
+                    _ => None,
+                })
+                .expect("the first step is traced");
+            let backstop = std::time::Instant::now() + Duration::from_secs(30);
+            while clock.now_cycles() < quantum_end {
+                assert!(
+                    std::time::Instant::now() < backstop,
+                    "quantum not slept out"
+                );
+                std::thread::yield_now();
+            }
+            let mut out = Vec::new();
+            let mut exact = false;
+            for _ in 0..20 {
+                let (_, path) = rt
+                    .dispatch(&OcallRequest::new(slow, &[]), &[], &mut out)
+                    .unwrap();
+                let phases = hub
+                    .tracer()
+                    .drain()
+                    .iter()
+                    .find_map(|e| match e.event {
+                        Event::CallPhases { phases, .. } => Some(phases),
+                        _ => None,
+                    })
+                    .expect("a traced call records its phases");
+                // A call whose caller was still before its signal mark when
+                // the clock moved books the time there and proves nothing.
+                if path != CallPath::Switchless || phases[Phase::Signal.index()] != 0 {
+                    continue;
+                }
+                assert_eq!(phases[Phase::Execute.index()], SLOW);
+                assert_eq!(phases.iter().sum::<u64>(), SLOW);
+                exact = true;
+                break;
+            }
+            assert!(exact, "no switchless call passed its signal mark in time");
+            // The window words are posted again on every call.
+            let (ret, path) = rt
+                .dispatch(&OcallRequest::new(sum, &[1, 2, 3, 4, 5, 6]), &[], &mut out)
+                .unwrap();
+            assert_eq!((ret, path), (21, CallPath::Switchless));
+            let (ret, path) = rt
+                .dispatch(&OcallRequest::new(echo, &[]), b"after the hint", &mut out)
+                .unwrap();
+            assert_eq!((ret, path), (14, CallPath::Switchless));
+            assert_eq!(out, b"after the hint");
+            drop(residency);
+            rt.shutdown();
+            return;
+        }
+        panic!("the scheduler ended its first quantum before every attempt to park it");
+    }
+
+    #[test]
     fn call_entering_during_a_restart_gives_its_claim_back() {
         use sgx_sim::frontdoor::{Rec, Transport};
         use switchless_core::WorkerState::{Reserved, Unused};

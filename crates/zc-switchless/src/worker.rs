@@ -251,7 +251,7 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
             }))
             .unwrap_or(-1);
             if let Some(exec_start) = exec_start {
-                slot.exec_cycles = clock.now_cycles().saturating_sub(exec_start);
+                slot.set_execute_hint(clock.now_cycles().saturating_sub(exec_start));
             }
             let actual = slot.payload_out.len() as u32;
             // An honest worker declares exactly the bytes present and

@@ -367,11 +367,13 @@ impl PhaseRecorder {
         }
     }
 
-    /// Charge the cycles since the previous boundary to `phase`.
+    /// Charge the cycles since the previous boundary to `phase`. A stamp
+    /// below that boundary (a thread that migrated to a CPU whose counter
+    /// lags) charges nothing and leaves the boundary where it was.
     #[inline]
     pub fn mark(&mut self, phase: Phase, now: impl FnOnce() -> u64) {
-        let t = now();
-        self.acc[phase.index()] += t.saturating_sub(self.last);
+        let t = now().max(self.last);
+        self.acc[phase.index()] += t - self.last;
         self.last = t;
     }
 
@@ -406,15 +408,16 @@ impl PhaseRecorder {
     /// Finish at `now()`: any unmarked residual is charged to
     /// `copy_out`, execute is carved from wait, and the per-phase
     /// breakdown plus whole-call total are returned. The breakdown sums
-    /// exactly to the total.
+    /// exactly to the total, backwards stamps included (clamped as in
+    /// [`mark`](PhaseRecorder::mark)).
     #[inline]
     pub fn finish(mut self, now: impl FnOnce() -> u64) -> ([u64; PHASES], u64) {
-        let t = now();
-        self.acc[Phase::CopyOut.index()] += t.saturating_sub(self.last);
+        let t = now().max(self.last);
+        self.acc[Phase::CopyOut.index()] += t - self.last;
         let exec = self.execute_hint.min(self.acc[Phase::Wait.index()]);
         self.acc[Phase::Wait.index()] -= exec;
         self.acc[Phase::Execute.index()] += exec;
-        (self.acc, t.saturating_sub(self.start))
+        (self.acc, t - self.start)
     }
 }
 
@@ -443,6 +446,25 @@ mod tests {
         assert_eq!(phases[Phase::Wait.index()], 50, "execute carved out");
         assert_eq!(phases[Phase::Execute.index()], 250);
         assert_eq!(phases[Phase::CopyOut.index()], 15);
+        assert_eq!(phases.iter().sum::<u64>(), total);
+    }
+
+    #[test]
+    fn a_backwards_stamp_keeps_the_partition_exact() {
+        let mut rec = PhaseRecorder::start(|| 1_000);
+        rec.mark(Phase::Reserve, || 1_100);
+        // The caller migrated: this stamp is 60 cycles behind the last.
+        rec.mark(Phase::CopyIn, || 1_040);
+        assert_eq!(rec.last(), 1_100, "the boundary does not move back");
+        rec.mark(Phase::Signal, || 1_150);
+        rec.mark(Phase::Wait, || 1_400);
+        let (phases, total) = rec.finish(|| 1_390);
+        assert_eq!(total, 400);
+        assert_eq!(phases[Phase::Reserve.index()], 100);
+        assert_eq!(phases[Phase::CopyIn.index()], 0);
+        assert_eq!(phases[Phase::Signal.index()], 50, "not over-counted");
+        assert_eq!(phases[Phase::Wait.index()], 250);
+        assert_eq!(phases[Phase::CopyOut.index()], 0);
         assert_eq!(phases.iter().sum::<u64>(), total);
     }
 
