@@ -14,7 +14,7 @@
 //! receivers grow, so the sum of running workers never exceeds the
 //! budget mid-migration.
 
-use crate::kernel::{Actor, StepCx, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
+use crate::kernel::{Actor, Kernel, StepCx, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
 use crate::metrics::SimCounters;
 use crate::ocall::zc::{ZcSimFaults, ZcWorld};
 use crate::sim::{spawn_zc_shard, FaultRecovery, KernelMode, ZcShardSpec, ZcSimParams};
@@ -65,8 +65,6 @@ impl TenantSimSpec {
 pub struct FleetSpec {
     /// Machine model (one machine hosts the whole fleet).
     pub cpu: CpuSpec,
-    /// Which kernel scheduling policy drives the run.
-    pub kernel_mode: KernelMode,
     /// Global worker budget shared by all shards (must be ≥ the number
     /// of tenants, so every tenant's fairness floor is honourable).
     pub budget: usize,
@@ -89,7 +87,6 @@ impl FleetSpec {
         let cpu = CpuSpec::paper_machine();
         FleetSpec {
             cpu,
-            kernel_mode: KernelMode::default(),
             budget: cpu.zc_max_workers().max(1),
             tenants,
             classes,
@@ -98,10 +95,11 @@ impl FleetSpec {
         }
     }
 
-    /// Builder-style kernel-policy selection.
+    /// Returns `self`: frozen shim for `benchmark/src/des.rs` until
+    /// ROADMAP [bench-unfreeze].
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
+    pub fn with_kernel_mode(self, _mode: KernelMode) -> Self {
         self
     }
 
@@ -264,7 +262,11 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         spec.budget,
         spec.tenants.len()
     );
-    let mut kernel = spec.kernel_mode.kernel(&spec.cpu, DEFAULT_RR_QUANTUM);
+    let mut kernel = Kernel::new(
+        spec.cpu.logical_cpus,
+        DEFAULT_RR_QUANTUM,
+        spec.cpu.pause_cycles,
+    );
 
     // Every shard, and so the allocator, runs the default ZC
     // parameters on the one machine that hosts the whole fleet.
@@ -420,17 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_runs_on_both_kernels() {
-        let ca = run_fleet(&two_tenant_spec(2_000));
-        let ev = run_fleet(&two_tenant_spec(2_000).with_kernel_mode(KernelMode::EventDriven));
-        for r in [&ca, &ev] {
-            assert_eq!(r.tenants[0].counters.total_calls(), 4_000);
-            assert_eq!(r.tenants[1].counters.total_calls(), 2_000);
-            r.snapshot().check().expect("fleet conservation");
-        }
-    }
-
-    #[test]
     fn byzantine_tenant_is_contained_and_judged_faulty() {
         let faults = ZcSimFaults::new()
             .flip_status_at(1_000_000, 0)
@@ -445,8 +436,7 @@ mod tests {
             ],
             1,
         )
-        .with_vcpus(24)
-        .with_kernel_mode(KernelMode::EventDriven);
+        .with_vcpus(24);
         let r = run_fleet(&spec);
         // Both tenants finish — containment caps the offender's workers,
         // it never loses its calls.

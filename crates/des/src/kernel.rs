@@ -1,6 +1,5 @@
-//! Discrete-event kernel: virtual cores, a FIFO run queue, spin-waits,
-//! sleeps and parking — all in virtual cycles — under one of two
-//! scheduling policies.
+//! Discrete-event kernel: virtual cores, a FIFO run queue, round-robin
+//! preemption, spin-waits, sleeps and parking — all in virtual cycles.
 //!
 //! # Model
 //!
@@ -9,11 +8,19 @@
 //! * Threads are [`Actor`]s: each time the previous syscall finishes, the
 //!   kernel calls [`Actor::step`] with the result and executes the
 //!   returned [`Syscall`].
+//! * Scheduling is preemptive round-robin, the time-sliced machine the
+//!   paper runs on: every core occupancy arms a quantum, and a running
+//!   thread is preempted at the end of it whenever the run queue is
+//!   non-empty. With no thread queued a quantum renews in place, so with
+//!   at most as many runnable threads as cores nothing is ever preempted.
 //! * **Busy-waiting is modelled, not stepped**: a [`Syscall::SpinUntil`]
 //!   is charged as *busy* time but the kernel does not simulate each
-//!   `pause` iteration. When another thread sets the awaited flag, the
-//!   spinner observes it one pause-latency later. Spin timeouts
-//!   (`rbf`/`rbs`) are measured in pauses.
+//!   `pause` iteration. A spinner *holds* its core. When another thread
+//!   sets the awaited flag, a spinner on a core observes it one
+//!   pause-latency later; a preempted spinner observes it as soon as it
+//!   is scheduled again. Spin timeouts (`rbf`/`rbs`) are measured in
+//!   pauses, and a pause budget only elapses while its spinner holds a
+//!   core — exactly like a real pause loop.
 //! * Instant ops — flag writes and unparks — are issued through the
 //!   [`StepCx`] a step is handed. They apply in issue order at the step's
 //!   instant, before the syscall the step returns, exactly as if each had
@@ -25,36 +32,6 @@
 //!   protocol state inside `step` without data races — atomicity is a
 //!   property of the kernel, mirroring word-sized atomic operations on
 //!   real hardware.
-//!
-//! # Scheduling policies
-//!
-//! One engine — one event queue, one run queue, one set of accounts —
-//! runs both machine models; they differ only where the private
-//! `Policy` is consulted (quantum arming, the `SpinUntil` syscall, the
-//! spin wake):
-//!
-//! * **Round-robin** ([`Kernel::new`]): preemptive. Every core occupancy
-//!   arms a quantum, and a running thread is preempted at the end of it
-//!   whenever the run queue is non-empty. A spinner *holds* its core; a
-//!   preempted spinner observes a flag write as soon as it is scheduled
-//!   again, and its pause budget only elapses while it actually holds a
-//!   core — exactly like a real pause loop. Cycle-accurate under core
-//!   contention: the paper-fidelity model.
-//! * **Event-driven** ([`Kernel::event_driven`]): cooperative. There is
-//!   no quantum, so the queue holds only op completions and timers and
-//!   virtual time jumps straight from one to the next. A `SpinUntil`
-//!   *releases* its core and blocks on the flag; the wake charges the
-//!   whole blocked span as busy time — the cycles a real spinner would
-//!   have burned — and re-queues the thread. Spin timeouts elapse in
-//!   virtual time from the moment the spin starts. Cores only gate how
-//!   many computations overlap, so spinners can never starve the
-//!   machine and the model stays fast at 128+ vCPUs.
-//!
-//! With at most as many threads as cores the two schedules are
-//! *cycle-identical* (round-robin never preempts when the run queue is
-//! empty); the cross-policy equivalence suite pins that down. With more
-//! threads than cores they model different machines — time-sliced vs
-//! cooperative — so use round-robin to study core contention.
 //!
 //! Determinism: no wall clock, no OS threads, FIFO tie-breaking by event
 //! sequence number. Two runs with the same actors produce identical
@@ -77,24 +54,17 @@
 //! re-arms its own slot (a compute followed by the next one, a renewed
 //! quantum) moves the entry in place — one sift rather than a pop and a
 //! push — and an entry nobody re-armed or disarmed is retired then.
-//! Superseded events used to stay queued until their time came, and
-//! popping one still moved `now`. That showed only on a deadlocked
-//! machine, whose run ended at its last dead event or the deadline
-//! (round-robin always left a dead quantum behind); both policies now
-//! stop at the last live event.
 //!
 //! # End of run and accounting
 //!
-//! Both policies stop at the last event that can change the machine.
-//! Under the event-driven policy that is the last armed event. A
-//! round-robin machine whose run queue is empty and whose only armed
-//! events are quanta — every thread on a core an untimed spinner — is
-//! quiescent in the same way: its quanta would renew to the deadline
-//! with nothing left to happen, so [`Kernel::next_tick`] reports no
-//! event there too. A thread's busy cycles are its closed segments plus
-//! the open one — the span since it last took a core or started a
-//! spin-block — up to [`Kernel::now`], so a spinner still waiting when a
-//! run stops is charged for its wait under either policy.
+//! A run stops at the last event that can change the machine. A machine
+//! whose run queue is empty and whose only armed events are quanta —
+//! every thread on a core an untimed spinner — is quiescent: its quanta
+//! would renew to the deadline with nothing left to happen, so
+//! [`Kernel::next_tick`] reports no event there. A thread's busy cycles
+//! are its closed segments plus the open one — the span since it last
+//! took a core — up to [`Kernel::now`], so a spinner still waiting when a
+//! run stops is charged for its wait.
 
 use std::collections::VecDeque;
 
@@ -222,12 +192,7 @@ enum Pending {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ThreadState {
     Runnable,
-    Running {
-        core: usize,
-    },
-    /// Event-driven policy only: off-core on a flag waiter list (charged
-    /// busy on wake).
-    SpinBlocked,
+    Running { core: usize },
     Sleeping,
     Parked,
     Finished,
@@ -338,18 +303,6 @@ impl EventQueue {
 /// Default round-robin quantum: 3 ms at 3.8 GHz.
 pub const DEFAULT_RR_QUANTUM: u64 = 11_400_000;
 
-/// How runnable threads share the cores — the only axis on which the
-/// two machine models differ (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Policy {
-    /// Preemptive: each occupancy arms a quantum of this many cycles and
-    /// spinners hold their cores.
-    RoundRobin { quantum: u64 },
-    /// Cooperative: no quantum; a `SpinUntil` releases its core and
-    /// blocks on the flag, and its wake re-queues it.
-    EventDriven,
-}
-
 /// The discrete-event kernel. See module docs.
 pub struct Kernel {
     now: u64,
@@ -363,7 +316,8 @@ pub struct Kernel {
     events: EventQueue,
     threads: Vec<ThreadCb>,
     flags: Vec<Flag>,
-    policy: Policy,
+    /// Round-robin quantum in cycles: each core occupancy arms one.
+    quantum: u64,
     pause_cycles: u64,
     live_threads: usize,
     steps: u64,
@@ -374,7 +328,7 @@ pub struct Kernel {
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
-            .field("policy", &self.policy)
+            .field("quantum", &self.quantum)
             .field("now", &self.now)
             .field("cores", &self.running.len())
             .field("threads", &self.threads.len())
@@ -388,18 +342,6 @@ impl Kernel {
     /// the pause latency (both in cycles).
     #[must_use]
     pub fn new(cores: usize, rr_quantum: u64, pause_cycles: u64) -> Self {
-        let quantum = rr_quantum.max(1);
-        Self::with_policy(cores, Policy::RoundRobin { quantum }, pause_cycles)
-    }
-
-    /// Event-driven kernel with `cores` cores and the pause latency in
-    /// cycles: no quantum, never preempts, spin-waits block off-core.
-    #[must_use]
-    pub fn event_driven(cores: usize, pause_cycles: u64) -> Self {
-        Self::with_policy(cores, Policy::EventDriven, pause_cycles)
-    }
-
-    fn with_policy(cores: usize, policy: Policy, pause_cycles: u64) -> Self {
         let cores = cores.max(1);
         Kernel {
             now: 0,
@@ -416,7 +358,7 @@ impl Kernel {
             },
             threads: Vec::new(),
             flags: Vec::new(),
-            policy,
+            quantum: rr_quantum.max(1),
             pause_cycles: pause_cycles.max(1),
             live_threads: 0,
             steps: 0,
@@ -473,8 +415,8 @@ impl Kernel {
     }
 
     /// `(busy, idle)` cycles of `tid` so far. Busy counts the closed
-    /// segments plus, for a thread on a core or spin-blocked, the open
-    /// one up to [`Kernel::now`]; idle counts closed sleeps and parks.
+    /// segments plus, for a thread on a core, the open one up to
+    /// [`Kernel::now`]; idle counts closed sleeps and parks.
     #[must_use]
     pub fn thread_cycles(&self, tid: Tid) -> (u64, u64) {
         let t = &self.threads[tid.0];
@@ -499,12 +441,10 @@ impl Kernel {
     }
 
     /// Busy cycles of `t`: its closed segments, plus the open one while
-    /// it holds a core or is spin-blocked.
+    /// it holds a core.
     fn busy(&self, t: &ThreadCb) -> u64 {
         match t.state {
-            ThreadState::Running { .. } | ThreadState::SpinBlocked => {
-                t.busy_cycles + self.now.saturating_sub(t.segment_start)
-            }
+            ThreadState::Running { .. } => t.busy_cycles + self.now.saturating_sub(t.segment_start),
             _ => t.busy_cycles,
         }
     }
@@ -529,7 +469,7 @@ impl Kernel {
     /// Timestamp of the next event that can change the machine, if any —
     /// the machine-level `next_tick` of the discrete-event component
     /// interface. `None` once the machine is quiescent: no event is
-    /// armed, or (round-robin) only quanta that would renew forever.
+    /// armed, or only quanta that would renew forever.
     #[must_use]
     pub fn next_tick(&self) -> Option<u64> {
         let &(time, _, slot) = self.events.heap.first()?;
@@ -541,7 +481,7 @@ impl Kernel {
         Some(time)
     }
 
-    /// Round-robin: the run queue is empty and the only armed events are
+    /// The run queue is empty and the only armed events are
     /// the quanta of the occupied cores (one each), so every thread on a
     /// core is an untimed spinner whose flag nobody is left to write.
     fn quiescent(&self) -> bool {
@@ -607,8 +547,8 @@ impl Kernel {
         self.run_until(u64::MAX)
     }
 
-    /// Account the busy segment of a running (or spin-blocked) thread up
-    /// to `now` and restart the segment clock. Returns the segment length.
+    /// Account the busy segment of a running thread up to `now` and
+    /// restart the segment clock. Returns the segment length.
     fn account_running(&mut self, tid: Tid) -> u64 {
         let now = self.now;
         let t = &mut self.threads[tid.0];
@@ -618,7 +558,7 @@ impl Kernel {
         seg
     }
 
-    /// Handle the event of `slot`: a round-robin quantum check for a core
+    /// Handle the event of `slot`: a quantum check for a core
     /// slot; for a thread slot, its sleep timer if it is sleeping and its
     /// op completion (compute end, spin observation, spin timeout)
     /// otherwise.
@@ -659,9 +599,8 @@ impl Kernel {
         self.finish_op(tid, result);
     }
 
-    /// Complete the current op of thread `tid`. A running thread retains
-    /// its core (and quantum) and its actor is stepped in place; an
-    /// event-driven spinner gave its core up, so its wake re-queues it.
+    /// Complete the current op of thread `tid`, which holds its core: it
+    /// keeps the core (and quantum) and its actor is stepped in place.
     fn finish_op(&mut self, tid: Tid, result: SyscallResult) {
         self.account_running(tid);
         self.remove_spin_waiter(tid);
@@ -669,10 +608,6 @@ impl Kernel {
         self.threads[tid.0].next_result = result;
         match self.threads[tid.0].state {
             ThreadState::Running { core } => self.step_thread_on_core(tid, core),
-            ThreadState::SpinBlocked => {
-                self.threads[tid.0].state = ThreadState::Runnable;
-                self.runq.push_back(tid);
-            }
             other => unreachable!("finish_op on a thread with no op in state {other:?}"),
         }
     }
@@ -740,11 +675,9 @@ impl Kernel {
     }
 
     /// Start a fresh quantum for the current occupancy of `core`,
-    /// replacing any armed one. The event-driven policy has no quantum.
+    /// replacing any armed one.
     fn arm_quantum(&mut self, core: usize) {
-        if let Policy::RoundRobin { quantum } = self.policy {
-            self.events.arm(core, self.now + quantum);
-        }
+        self.events.arm(core, self.now + self.quantum);
     }
 
     /// Pull threads from the run queue onto idle cores. Called twice per
@@ -813,12 +746,6 @@ impl Kernel {
                     target,
                     timeout_pauses,
                 } => {
-                    if self.policy == Policy::EventDriven {
-                        // The spinner no longer holds the core; the busy
-                        // charge for the wait lands at wake time.
-                        self.release_core(tid, core);
-                        self.threads[tid.0].state = ThreadState::SpinBlocked;
-                    }
                     self.threads[tid.0].pending = Some(Pending::Spin {
                         flag,
                         target,
@@ -896,10 +823,7 @@ impl Kernel {
             if !target.matches(value) {
                 continue;
             }
-            if matches!(
-                self.threads[tid.0].state,
-                ThreadState::Running { .. } | ThreadState::SpinBlocked
-            ) {
+            if matches!(self.threads[tid.0].state, ThreadState::Running { .. }) {
                 // Observed one pause later; replaces any armed timeout.
                 self.events
                     .arm(self.slot(tid), self.now + self.pause_cycles);
@@ -960,237 +884,212 @@ mod tests {
         }
     }
 
-    /// Round-robin kernel with a 1M-cycle quantum.
+    /// Kernel with a 1M-cycle quantum.
     fn kernel(cores: usize) -> Kernel {
         Kernel::new(cores, 1_000_000, 140)
     }
 
-    /// Event-driven kernel.
-    fn event_kernel(cores: usize) -> Kernel {
-        Kernel::event_driven(cores, 140)
-    }
-
-    /// Run `test` once per scheduling policy. The policy line is only
-    /// shown by the harness when the test fails.
-    fn on_both_policies(cores: usize, test: impl Fn(Kernel)) {
-        for k in [kernel(cores), event_kernel(cores)] {
-            eprintln!("policy under test: {:?}", k.policy);
-            test(k);
-        }
-    }
-
     // -----------------------------------------------------------------
-    // Contract shared by both policies.
+    // Threads ≤ cores: nothing is ever preempted.
     // -----------------------------------------------------------------
 
     #[test]
     fn single_compute_finishes_at_exact_time() {
-        on_both_policies(1, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            k.spawn(Script::new(vec![Syscall::Compute(5_000)], Rc::clone(&log)));
-            let end = k.run();
-            assert_eq!(end, 5_000);
-            let log = log.borrow();
-            assert_eq!(log[0], (0, SyscallResult::Init));
-            assert_eq!(log[1], (5_000, SyscallResult::Ok));
-        });
+        let mut k = kernel(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        k.spawn(Script::new(vec![Syscall::Compute(5_000)], Rc::clone(&log)));
+        let end = k.run();
+        assert_eq!(end, 5_000);
+        let log = log.borrow();
+        assert_eq!(log[0], (0, SyscallResult::Init));
+        assert_eq!(log[1], (5_000, SyscallResult::Ok));
     }
 
     #[test]
     fn two_threads_two_cores_parallelize() {
-        on_both_policies(2, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            k.spawn(Script::new(
-                vec![Syscall::Compute(300_000)],
-                Rc::clone(&log),
-            ));
-            k.spawn(Script::new(
-                vec![Syscall::Compute(300_000)],
-                Rc::clone(&log),
-            ));
-            assert_eq!(k.run(), 300_000);
-        });
+        let mut k = kernel(2);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        k.spawn(Script::new(
+            vec![Syscall::Compute(300_000)],
+            Rc::clone(&log),
+        ));
+        k.spawn(Script::new(
+            vec![Syscall::Compute(300_000)],
+            Rc::clone(&log),
+        ));
+        assert_eq!(k.run(), 300_000);
     }
 
     #[test]
     fn sleep_yields_the_core() {
-        on_both_policies(1, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let sleeper = k.spawn(Script::new(
-                vec![Syscall::Sleep(1_000_000)],
-                Rc::clone(&log),
-            ));
-            let worker = k.spawn(Script::new(
-                vec![Syscall::Compute(500_000)],
-                Rc::clone(&log),
-            ));
-            let end = k.run();
-            assert_eq!(end, 1_000_000, "sleep dominates");
-            assert_eq!(k.thread_cycles(sleeper), (0, 1_000_000));
-            assert_eq!(k.thread_cycles(worker).0, 500_000);
-            // The worker's compute completed at 500k, while the sleeper
-            // was off-core.
-            assert!(log.borrow().contains(&(500_000, SyscallResult::Ok)));
-        });
+        let mut k = kernel(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sleeper = k.spawn(Script::new(
+            vec![Syscall::Sleep(1_000_000)],
+            Rc::clone(&log),
+        ));
+        let worker = k.spawn(Script::new(
+            vec![Syscall::Compute(500_000)],
+            Rc::clone(&log),
+        ));
+        let end = k.run();
+        assert_eq!(end, 1_000_000, "sleep dominates");
+        assert_eq!(k.thread_cycles(sleeper), (0, 1_000_000));
+        assert_eq!(k.thread_cycles(worker).0, 500_000);
+        // The worker's compute completed at 500k, while the sleeper
+        // was off-core.
+        assert!(log.borrow().contains(&(500_000, SyscallResult::Ok)));
     }
 
     #[test]
     fn spin_wakes_one_pause_after_flag_set() {
-        on_both_policies(2, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let flag = k.new_flag(0);
-            k.spawn(Script::new(
-                vec![Syscall::SpinUntil {
-                    flag,
-                    target: SpinTarget::Eq(1),
-                    timeout_pauses: None,
-                }],
-                Rc::clone(&log),
-            ));
-            k.spawn(Script::new(
-                vec![
-                    Syscall::Compute(10_000),
-                    Syscall::SetFlag { flag, value: 1 },
-                ],
-                Rc::clone(&log),
-            ));
-            let end = k.run();
-            assert_eq!(end, 10_000 + 140, "observed one pause after the set");
-            assert_eq!(
-                k.thread_cycles(Tid(0)).0,
-                10_140,
-                "spinner charged busy throughout the wait, on-core or blocked"
-            );
-        });
+        let mut k = kernel(2);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let flag = k.new_flag(0);
+        k.spawn(Script::new(
+            vec![Syscall::SpinUntil {
+                flag,
+                target: SpinTarget::Eq(1),
+                timeout_pauses: None,
+            }],
+            Rc::clone(&log),
+        ));
+        k.spawn(Script::new(
+            vec![
+                Syscall::Compute(10_000),
+                Syscall::SetFlag { flag, value: 1 },
+            ],
+            Rc::clone(&log),
+        ));
+        let end = k.run();
+        assert_eq!(end, 10_000 + 140, "observed one pause after the set");
+        assert_eq!(
+            k.thread_cycles(Tid(0)).0,
+            10_140,
+            "spinner charged busy throughout the wait"
+        );
     }
 
     #[test]
     fn spin_timeout_fires_after_budget() {
-        on_both_policies(1, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let flag = k.new_flag(0);
-            k.spawn(Script::new(
-                vec![Syscall::SpinUntil {
-                    flag,
-                    target: SpinTarget::Eq(1),
-                    timeout_pauses: Some(100),
-                }],
-                Rc::clone(&log),
-            ));
-            let end = k.run();
-            assert_eq!(end, 100 * 140);
-            assert_eq!(log.borrow()[1], (14_000, SyscallResult::TimedOut));
-        });
+        let mut k = kernel(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let flag = k.new_flag(0);
+        k.spawn(Script::new(
+            vec![Syscall::SpinUntil {
+                flag,
+                target: SpinTarget::Eq(1),
+                timeout_pauses: Some(100),
+            }],
+            Rc::clone(&log),
+        ));
+        let end = k.run();
+        assert_eq!(end, 100 * 140);
+        assert_eq!(log.borrow()[1], (14_000, SyscallResult::TimedOut));
     }
 
     #[test]
     fn spin_on_already_set_flag_returns_after_one_pause() {
-        on_both_policies(1, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let flag = k.new_flag(7);
-            k.spawn(Script::new(
-                vec![Syscall::SpinUntil {
-                    flag,
-                    target: SpinTarget::Eq(7),
-                    timeout_pauses: Some(5),
-                }],
-                Rc::clone(&log),
-            ));
-            let end = k.run();
-            assert_eq!(end, 140);
-            assert_eq!(log.borrow()[1].1, SyscallResult::Ok);
-        });
+        let mut k = kernel(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let flag = k.new_flag(7);
+        k.spawn(Script::new(
+            vec![Syscall::SpinUntil {
+                flag,
+                target: SpinTarget::Eq(7),
+                timeout_pauses: Some(5),
+            }],
+            Rc::clone(&log),
+        ));
+        let end = k.run();
+        assert_eq!(end, 140);
+        assert_eq!(log.borrow()[1].1, SyscallResult::Ok);
     }
 
     #[test]
     fn park_and_unpark() {
-        on_both_policies(2, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let parked = k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
-            k.spawn(Script::new(
-                vec![Syscall::Compute(50_000), Syscall::Unpark(parked)],
-                Rc::clone(&log),
-            ));
-            let end = k.run();
-            assert_eq!(end, 50_000);
-            assert_eq!(k.thread_cycles(parked), (0, 50_000), "parked time is idle");
-        });
+        let mut k = kernel(2);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let parked = k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
+        k.spawn(Script::new(
+            vec![Syscall::Compute(50_000), Syscall::Unpark(parked)],
+            Rc::clone(&log),
+        ));
+        let end = k.run();
+        assert_eq!(end, 50_000);
+        assert_eq!(k.thread_cycles(parked), (0, 50_000), "parked time is idle");
     }
 
     #[test]
     fn unpark_token_prevents_park() {
-        on_both_policies(1, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            // Unparker runs first; the target parks later and must consume
-            // the pending token without blocking.
-            let target = Tid(1);
-            k.spawn(Script::new(
-                vec![Syscall::Unpark(target), Syscall::Compute(1_000)],
-                Rc::clone(&log),
-            ));
-            k.spawn(Script::new(
-                vec![Syscall::Park, Syscall::Compute(500)],
-                Rc::clone(&log),
-            ));
-            let end = k.run();
-            assert_eq!(end, 1_500, "park must not block with a pending token");
-        });
+        let mut k = kernel(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        // Unparker runs first; the target parks later and must consume
+        // the pending token without blocking.
+        let target = Tid(1);
+        k.spawn(Script::new(
+            vec![Syscall::Unpark(target), Syscall::Compute(1_000)],
+            Rc::clone(&log),
+        ));
+        k.spawn(Script::new(
+            vec![Syscall::Park, Syscall::Compute(500)],
+            Rc::clone(&log),
+        ));
+        let end = k.run();
+        assert_eq!(end, 1_500, "park must not block with a pending token");
     }
 
     #[test]
     fn deadline_stops_the_clock() {
-        on_both_policies(1, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            k.spawn(Script::new(
-                vec![Syscall::Compute(u64::MAX / 2)],
-                Rc::clone(&log),
-            ));
-            let end = k.run_until(1_000_000);
-            assert_eq!(end, 1_000_000);
-            assert_eq!(k.live_threads(), 1);
-        });
+        let mut k = kernel(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        k.spawn(Script::new(
+            vec![Syscall::Compute(u64::MAX / 2)],
+            Rc::clone(&log),
+        ));
+        let end = k.run_until(1_000_000);
+        assert_eq!(end, 1_000_000);
+        assert_eq!(k.live_threads(), 1);
     }
 
     #[test]
     fn open_segments_count_and_both_policies_stop_at_the_last_event() {
         // An untimed spinner beside a 10 000-cycle compute, with a
         // deadline far past both. Nothing can wake the spinner after
-        // 10 000, so round-robin must not renew its quantum to the
-        // deadline, and its still-open spin counts as busy.
-        on_both_policies(2, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let flag = k.new_flag(0);
-            let spinner = k.spawn(Script::new(
-                vec![Syscall::SpinUntil {
-                    flag,
-                    target: SpinTarget::Eq(1),
-                    timeout_pauses: None,
-                }],
-                Rc::clone(&log),
-            ));
-            let worker = k.spawn(Script::new(vec![Syscall::Compute(10_000)], Rc::clone(&log)));
-            assert_eq!(k.run_until(5_000_000), 10_000);
-            assert_eq!(k.next_tick(), None);
-            assert_eq!(k.tick(), None);
-            assert_eq!(k.live_threads(), 1);
-            assert_eq!(k.thread_cycles(spinner), (10_000, 0));
-            assert_eq!(k.thread_cycles(worker), (10_000, 0));
-            assert_eq!(k.group_busy_cycles("script"), 20_000);
-            assert_eq!(k.total_busy_cycles(), 20_000);
-        });
+        // 10 000, so its quantum must not renew to the deadline, and
+        // its still-open spin counts as busy.
+        let mut k = kernel(2);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let flag = k.new_flag(0);
+        let spinner = k.spawn(Script::new(
+            vec![Syscall::SpinUntil {
+                flag,
+                target: SpinTarget::Eq(1),
+                timeout_pauses: None,
+            }],
+            Rc::clone(&log),
+        ));
+        let worker = k.spawn(Script::new(vec![Syscall::Compute(10_000)], Rc::clone(&log)));
+        assert_eq!(k.run_until(5_000_000), 10_000);
+        assert_eq!(k.next_tick(), None);
+        assert_eq!(k.tick(), None);
+        assert_eq!(k.live_threads(), 1);
+        assert_eq!(k.thread_cycles(spinner), (10_000, 0));
+        assert_eq!(k.thread_cycles(worker), (10_000, 0));
+        assert_eq!(k.group_busy_cycles("script"), 20_000);
+        assert_eq!(k.total_busy_cycles(), 20_000);
     }
 
     #[test]
     fn group_accounting() {
-        on_both_policies(2, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            k.spawn(Script::new(vec![Syscall::Compute(1_000)], Rc::clone(&log)));
-            k.spawn(Script::new(vec![Syscall::Compute(2_000)], Rc::clone(&log)));
-            k.run();
-            assert_eq!(k.group_busy_cycles("script"), 3_000);
-            assert_eq!(k.group_busy_cycles("other"), 0);
-            assert_eq!(k.total_busy_cycles(), 3_000);
-        });
+        let mut k = kernel(2);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        k.spawn(Script::new(vec![Syscall::Compute(1_000)], Rc::clone(&log)));
+        k.spawn(Script::new(vec![Syscall::Compute(2_000)], Rc::clone(&log)));
+        k.run();
+        assert_eq!(k.group_busy_cycles("script"), 3_000);
+        assert_eq!(k.group_busy_cycles("other"), 0);
+        assert_eq!(k.total_busy_cycles(), 3_000);
     }
 
     #[test]
@@ -1216,46 +1115,42 @@ mod tests {
             run(Kernel::new(2, 10_000, 140)),
             run(Kernel::new(2, 10_000, 140))
         );
-        assert_eq!(run(event_kernel(2)), run(event_kernel(2)));
     }
 
     #[test]
     fn zero_compute_is_instantaneous_but_valid() {
-        on_both_policies(1, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            k.spawn(Script::new(
-                vec![Syscall::Compute(0), Syscall::Compute(100)],
-                Rc::clone(&log),
-            ));
-            assert_eq!(k.run(), 100);
-        });
+        let mut k = kernel(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        k.spawn(Script::new(
+            vec![Syscall::Compute(0), Syscall::Compute(100)],
+            Rc::clone(&log),
+        ));
+        assert_eq!(k.run(), 100);
     }
 
     #[test]
     fn flags_read_back() {
-        on_both_policies(1, |mut k| {
-            let f = k.new_flag(3);
-            assert_eq!(k.flag(f), 3);
-            let log = Rc::new(RefCell::new(Vec::new()));
-            k.spawn(Script::new(
-                vec![Syscall::SetFlag { flag: f, value: 9 }],
-                Rc::clone(&log),
-            ));
-            k.run();
-            assert_eq!(k.flag(f), 9);
-        });
+        let mut k = kernel(1);
+        let f = k.new_flag(3);
+        assert_eq!(k.flag(f), 3);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        k.spawn(Script::new(
+            vec![Syscall::SetFlag { flag: f, value: 9 }],
+            Rc::clone(&log),
+        ));
+        k.run();
+        assert_eq!(k.flag(f), 9);
     }
 
     #[test]
     fn all_parked_terminates_run() {
         // Parking vacates the core and disarms its quantum, so no event
         // is left: the run breaks at t = 0 with the parked thread live.
-        on_both_policies(1, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
-            assert_eq!(k.run_until(10_000), 0);
-            assert_eq!(k.live_threads(), 1);
-        });
+        let mut k = kernel(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
+        assert_eq!(k.run_until(10_000), 0);
+        assert_eq!(k.live_threads(), 1);
     }
 
     #[test]
@@ -1264,49 +1159,48 @@ mod tests {
         // timeout (2.8 M cycles) that the other side satisfies within a
         // few hundred cycles. A superseded timeout must leave the queue.
         const ROUND_TRIPS: u64 = 2_000;
-        on_both_policies(2, |mut k| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let (req, resp) = (k.new_flag(0), k.new_flag(0));
-            let spin = |flag, i| Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(i),
-                timeout_pauses: Some(20_000),
-            };
-            let (mut caller, mut worker) = (Vec::new(), Vec::new());
-            for i in 1..=ROUND_TRIPS {
-                caller.extend([
-                    Syscall::SetFlag {
-                        flag: req,
-                        value: i,
-                    },
-                    spin(resp, i),
-                ]);
-                worker.extend([
-                    spin(req, i),
-                    Syscall::Compute(100),
-                    Syscall::SetFlag {
-                        flag: resp,
-                        value: i,
-                    },
-                ]);
-            }
-            k.spawn(Script::new(caller, Rc::clone(&log)));
-            k.spawn(Script::new(worker, Rc::clone(&log)));
-            let bound = k.cores() + k.threads.len();
-            while k.tick().is_some() {
-                assert!(
-                    k.events.heap.len() <= bound,
-                    "{} events",
-                    k.events.heap.len()
-                );
-            }
-            assert_eq!(k.live_threads(), 0);
-            assert_eq!(k.flag(resp), ROUND_TRIPS);
-            assert!(log
-                .borrow()
-                .iter()
-                .all(|&(_, r)| r != SyscallResult::TimedOut));
-        });
+        let mut k = kernel(2);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let (req, resp) = (k.new_flag(0), k.new_flag(0));
+        let spin = |flag, i| Syscall::SpinUntil {
+            flag,
+            target: SpinTarget::Eq(i),
+            timeout_pauses: Some(20_000),
+        };
+        let (mut caller, mut worker) = (Vec::new(), Vec::new());
+        for i in 1..=ROUND_TRIPS {
+            caller.extend([
+                Syscall::SetFlag {
+                    flag: req,
+                    value: i,
+                },
+                spin(resp, i),
+            ]);
+            worker.extend([
+                spin(req, i),
+                Syscall::Compute(100),
+                Syscall::SetFlag {
+                    flag: resp,
+                    value: i,
+                },
+            ]);
+        }
+        k.spawn(Script::new(caller, Rc::clone(&log)));
+        k.spawn(Script::new(worker, Rc::clone(&log)));
+        let bound = k.cores() + k.threads.len();
+        while k.tick().is_some() {
+            assert!(
+                k.events.heap.len() <= bound,
+                "{} events",
+                k.events.heap.len()
+            );
+        }
+        assert_eq!(k.live_threads(), 0);
+        assert_eq!(k.flag(resp), ROUND_TRIPS);
+        assert!(log
+            .borrow()
+            .iter()
+            .all(|&(_, r)| r != SyscallResult::TimedOut));
     }
 
     /// Plays `(instant ops, syscall)` turns: each step issues its ops
@@ -1353,9 +1247,8 @@ mod tests {
         // as a script of one-op steps. Thread 2 ends its own compute at
         // the same instant, after thread 0, so the unpark reaches it as
         // a token before its `Park`; thread 4 is parked by then. Three
-        // cores, five threads: round-robin queues threads 3 and 4
-        // behind the spinners; event-driven has threads 1 and 3 both
-        // wake at 1 140, in the order of the writes to `a` and `b`.
+        // cores, five threads: threads 3 and 4 queue behind the
+        // spinners.
         let run = |mut k: Kernel, batched: bool| {
             let (a, b, c) = (k.new_flag(0), k.new_flag(0), k.new_flag(0));
             let set = |flag| Syscall::SetFlag { flag, value: 1 };
@@ -1407,65 +1300,16 @@ mod tests {
             let log = log.borrow().clone();
             (end, log, cycles, flags)
         };
-        on_both_policies(3, |k| {
-            let fresh = match k.policy {
-                Policy::RoundRobin { quantum } => Kernel::new(3, quantum, k.pause_cycles),
-                Policy::EventDriven => Kernel::event_driven(3, k.pause_cycles),
-            };
-            let batched = run(k, true);
-            assert_eq!(batched, run(fresh, false));
-            let (_, _, cycles, flags) = batched;
-            assert_eq!(flags, [1, 1, 1]);
-            assert_eq!(cycles[2].1, 0, "thread 2 took the token, never parked");
-            assert!(cycles[4].1 > 0, "thread 4 was parked until the unpark");
-        });
+        let batched = run(kernel(3), true);
+        assert_eq!(batched, run(kernel(3), false));
+        let (_, _, cycles, flags) = batched;
+        assert_eq!(flags, [1, 1, 1]);
+        assert_eq!(cycles[2].1, 0, "thread 2 took the token, never parked");
+        assert!(cycles[4].1 > 0, "thread 4 was parked until the unpark");
     }
 
     // -----------------------------------------------------------------
-    // Where the policies diverge by design.
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn one_core_spinner_holds_or_frees_its_core_by_policy() {
-        // The identical script on one core under each policy: a spinner
-        // with a 1000-pause budget (140k cycles, shorter than the 1M
-        // quantum), then a setter that computes 5k and sets the flag.
-        let run = |mut k: Kernel| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let flag = k.new_flag(0);
-            k.spawn(Script::new(
-                vec![Syscall::SpinUntil {
-                    flag,
-                    target: SpinTarget::Eq(1),
-                    timeout_pauses: Some(1_000),
-                }],
-                Rc::clone(&log),
-            ));
-            k.spawn(Script::new(
-                vec![Syscall::Compute(5_000), Syscall::SetFlag { flag, value: 1 }],
-                Rc::clone(&log),
-            ));
-            let end = k.run();
-            let log = log.borrow().clone();
-            (end, log)
-        };
-        // Round-robin: the spinner occupies the only core, so it times
-        // out before the setter ever runs.
-        let (_, log) = run(kernel(1));
-        assert_eq!(
-            log[1],
-            (140_000, SyscallResult::TimedOut),
-            "spinner must exhaust its budget before the setter ever runs"
-        );
-        // Event-driven: the spinner blocks off-core, the setter runs
-        // immediately, and the spin completes without a timeout.
-        let (end, log) = run(event_kernel(1));
-        assert_eq!(end, 5_140, "setter never waits for the spinner's core");
-        assert!(log.contains(&(5_140, SyscallResult::Ok)));
-    }
-
-    // -----------------------------------------------------------------
-    // Round-robin only: preemption.
+    // Threads > cores: preemption at quantum boundaries.
     // -----------------------------------------------------------------
 
     #[test]
@@ -1592,31 +1436,12 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Event-driven only: cooperative scheduling, off-core spinners.
+    // Stepping, liveness and scale.
     // -----------------------------------------------------------------
 
     #[test]
-    fn two_threads_one_core_serialize_cooperatively() {
-        // No preemption: thread 0 runs its whole compute, then thread 1.
-        let mut k = event_kernel(1);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let a = k.spawn(Script::new(
-            vec![Syscall::Compute(300_000)],
-            Rc::clone(&log),
-        ));
-        let b = k.spawn(Script::new(
-            vec![Syscall::Compute(300_000)],
-            Rc::clone(&log),
-        ));
-        let end = k.run();
-        assert_eq!(end, 600_000, "one core must serialize the work");
-        assert_eq!(k.thread_cycles(a).0, 300_000);
-        assert_eq!(k.thread_cycles(b).0, 300_000);
-    }
-
-    #[test]
     fn next_tick_and_tick_step_the_machine_event_by_event() {
-        let mut k = event_kernel(1);
+        let mut k = kernel(1);
         let log = Rc::new(RefCell::new(Vec::new()));
         k.spawn(Script::new(
             vec![Syscall::Compute(1_000), Syscall::Sleep(500)],
@@ -1624,7 +1449,11 @@ mod tests {
         ));
         // Seed the initial dispatch, then walk the event list manually.
         assert_eq!(k.tick(), Some(1_000), "first event: compute completes");
-        assert_eq!(k.next_tick(), Some(1_500), "sleep timer is armed");
+        assert_eq!(
+            k.next_tick(),
+            Some(1_500),
+            "sleep timer is armed, the vacated core's quantum is not"
+        );
         assert_eq!(k.tick(), Some(1_500));
         assert_eq!(k.next_tick(), None, "thread finished; no more events");
         assert_eq!(k.tick(), None);
@@ -1633,9 +1462,11 @@ mod tests {
 
     #[test]
     fn oversubscription_stays_live_with_many_spinners() {
-        // 200 spinner/setter pairs on 4 cores: spinners block instead of
-        // hogging cores, so every pair completes.
-        let mut k = event_kernel(4);
+        // 200 spinner/setter pairs on 4 cores. The spinners take the
+        // cores first and hold them, but every quantum hands each core
+        // to the next queued thread, so every setter runs and every
+        // pair completes.
+        let mut k = kernel(4);
         let log = Rc::new(RefCell::new(Vec::new()));
         let flags: Vec<FlagId> = (0..200).map(|_| k.new_flag(0)).collect();
         for &flag in &flags {
@@ -1663,7 +1494,7 @@ mod tests {
 
     #[test]
     fn lifted_core_cap_scales_past_128() {
-        let mut k = event_kernel(256);
+        let mut k = kernel(256);
         let log = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..256 {
             k.spawn(Script::new(vec![Syscall::Compute(10_000)], Rc::clone(&log)));

@@ -6,14 +6,11 @@
 //! *machine* — cores, preemptive scheduling, spin-waits, sleeps — in
 //! virtual time, and runs the switchless-call protocols on top:
 //!
-//! * [`kernel`] — the one discrete-event engine: virtual cores, a FIFO
-//!   run queue, flags (spin-wait rendezvous), park/unpark, under one of
-//!   two scheduling policies selected per run via [`sim::KernelMode`].
-//!   *Round-robin* ([`Kernel::new`]) preempts at quantum boundaries and
-//!   lets spinners hold their cores — cycle-accurate under contention.
-//!   *Event-driven* ([`Kernel::event_driven`]) has no quantum: time
-//!   jumps to the next scheduled event, spin-waits block off-core, and
-//!   the core count scales to 128+ vCPUs (DESIGN.md §11).
+//! * [`kernel`] — the discrete-event engine: virtual cores, a FIFO run
+//!   queue with round-robin preemption at quantum boundaries, flags
+//!   (spin-wait rendezvous) on which spinners hold their cores, and
+//!   park/unpark. Time jumps from one armed event to the next, so the
+//!   same kernel runs the paper's 8 vCPUs and 128+ (DESIGN.md §11).
 //! * [`ocall`] — the three mechanisms under study as virtual-thread
 //!   protocols: regular ocalls, the Intel switchless mechanism
 //!   (task pool, `rbf`/`rbs`) and ZC-SWITCHLESS (idle-worker handoff,

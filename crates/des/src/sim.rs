@@ -67,38 +67,13 @@ impl ZcSimParams {
     }
 }
 
-/// Which scheduling policy of the DES [`Kernel`] drives the run
-/// (DESIGN.md §11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Selects nothing: the DES has one kernel. Frozen shim for
+/// `benchmark/src/{des,layers}.rs` until ROADMAP [bench-unfreeze].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Round-robin ([`Kernel::new`]): preemptive quanta, spinners hold
-    /// cores. Cycle-accurate under core contention — the paper-fidelity
-    /// mode, and the default.
-    #[default]
-    CycleAccurate,
-    /// Event-driven ([`Kernel::event_driven`]): no preemption,
-    /// spin-waits block off-core and wake on flag writes.
-    /// Cycle-identical to round-robin whenever threads ≤ vCPUs (see the
-    /// cross-policy equivalence suite), and no faster in host time:
-    /// on a 2-vCPU Xeon host (release build, best of 3–5 runs),
-    /// 32 closed-loop ZC callers × 10 000 calls on 128 vCPUs took
-    /// 0.11–0.12 s under either policy, and the oversubscribed
-    /// 256 callers × 3 907 calls on 128 vCPUs took 0.33–0.39 s here
-    /// against 0.18–0.24 s under round-robin (DESIGN.md §11).
+    /// The name the frozen benchmark passes.
     EventDriven,
-}
-
-impl KernelMode {
-    /// The kernel this mode selects for machine `cpu`; `rr_quantum` only
-    /// matters to the round-robin policy.
-    pub(crate) fn kernel(self, cpu: &CpuSpec, rr_quantum: u64) -> Kernel {
-        match self {
-            KernelMode::CycleAccurate => {
-                Kernel::new(cpu.logical_cpus, rr_quantum, cpu.pause_cycles)
-            }
-            KernelMode::EventDriven => Kernel::event_driven(cpu.logical_cpus, cpu.pause_cycles),
-        }
-    }
 }
 
 /// Which switchless mechanism the simulation runs.
@@ -119,9 +94,7 @@ pub enum Mechanism {
 pub struct SimConfig {
     /// Machine model.
     pub cpu: CpuSpec,
-    /// Which kernel scheduling policy drives the run.
-    pub kernel_mode: KernelMode,
-    /// OS round-robin quantum in cycles (cycle-accurate mode only).
+    /// OS round-robin quantum in cycles.
     pub rr_quantum: u64,
     /// Mechanism under test.
     pub mechanism: Mechanism,
@@ -154,7 +127,6 @@ impl SimConfig {
         let cpu = CpuSpec::paper_machine();
         SimConfig {
             cpu,
-            kernel_mode: KernelMode::default(),
             rr_quantum: DEFAULT_RR_QUANTUM,
             mechanism,
             workloads,
@@ -173,17 +145,18 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style kernel selection (see [`KernelMode`]).
+    /// Returns `self`: frozen shim for `benchmark/src/{des,layers}.rs`
+    /// until ROADMAP [bench-unfreeze].
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
+    pub fn with_kernel_mode(self, _mode: KernelMode) -> Self {
         self
     }
 
     /// Builder-style vCPU count: overrides the machine's logical CPU
     /// count (and with it derived quantities such as the ZC worker cap,
-    /// `N/2`). Both kernel policies accept any count; their host time
-    /// at 128 vCPUs is on [`KernelMode::EventDriven`].
+    /// `N/2`). The kernel accepts any count (DESIGN.md §11 has its host
+    /// time at 128 vCPUs).
     #[must_use]
     pub fn with_vcpus(mut self, vcpus: usize) -> Self {
         self.cpu = self.cpu.with_logical_cpus(vcpus);
@@ -455,7 +428,11 @@ pub(crate) fn spawn_zc_shard(
 
 /// Run one experiment to completion (all callers done or deadline).
 pub fn run(config: &SimConfig) -> SimReport {
-    let mut kernel = config.kernel_mode.kernel(&config.cpu, config.rr_quantum);
+    let mut kernel = Kernel::new(
+        config.cpu.logical_cpus,
+        config.rr_quantum,
+        config.cpu.pause_cycles,
+    );
     let callers = config.workloads.len();
     let counters = Rc::new(RefCell::new(SimCounters::new(callers, config.classes)));
     let hub = config.telemetry.as_ref();
@@ -770,8 +747,7 @@ mod tests {
     /// A ZC soak config parameterized over machine scale: `vcpus`
     /// logical CPUs and `callers` closed-loop callers of `ops` calls
     /// each, with the given fault schedule. The `vcpus = 8` shape is
-    /// the paper machine; larger shapes ride the event-driven policy
-    /// (selected by the caller via [`SimConfig::with_kernel_mode`]).
+    /// the paper machine; 128 is the lifted scale.
     fn fault_soak_cfg(faults: ZcSimFaults, vcpus: usize, callers: usize, ops: u64) -> SimConfig {
         SimConfig::new(
             Mechanism::Zc(ZcSimParams::default()),
@@ -884,11 +860,10 @@ mod tests {
     #[test]
     fn zc_chaos_soak_recovers_at_128_vcpus_on_event_kernel() {
         // The same crash/hang schedule at the lifted scale: 128 vCPUs
-        // (64-worker pool) and 32 callers on the event-driven kernel.
-        // Self-healing must be scale-invariant: every fault still
-        // revives and every call still completes exactly once.
-        let cfg = fault_soak_cfg(chaos_faults(), 128, 32, 10_000)
-            .with_kernel_mode(KernelMode::EventDriven);
+        // (64-worker pool) and 32 callers. Self-healing must be
+        // scale-invariant: every fault still revives and every call
+        // still completes exactly once.
+        let cfg = fault_soak_cfg(chaos_faults(), 128, 32, 10_000);
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 320_000);
         assert_eq!(r.counters.ops_per_caller, vec![10_000; 32]);
@@ -902,11 +877,9 @@ mod tests {
 
     #[test]
     fn zc_byzantine_soak_recovers_at_128_vcpus_on_event_kernel() {
-        // All six corruption kinds against the 128-vCPU event-kernel
-        // machine: the trusted-side guards must detect and quarantine
+        // All six corruption kinds against the 128-vCPU machine: the trusted-side guards must detect and quarantine
         // each one regardless of pool size.
-        let cfg = fault_soak_cfg(byzantine_faults(), 128, 32, 10_000)
-            .with_kernel_mode(KernelMode::EventDriven);
+        let cfg = fault_soak_cfg(byzantine_faults(), 128, 32, 10_000);
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 320_000);
         assert_eq!(
@@ -1033,11 +1006,11 @@ mod tests {
     #[test]
     fn zc_enclave_recovery_soak_at_128_vcpus_on_event_kernel() {
         // The recovery plane at the lifted scale: 128 vCPUs and 32
-        // callers on the event-driven kernel, three crash/restart
-        // cycles. Exactly-once accounting must be scale-invariant.
+        // callers, three crash/restart cycles. Exactly-once accounting
+        // must be scale-invariant.
         let faults = enclave_chaos_faults();
         let restart_cycles = faults.enclave_restart_cycles;
-        let cfg = fault_soak_cfg(faults, 128, 32, 5_000).with_kernel_mode(KernelMode::EventDriven);
+        let cfg = fault_soak_cfg(faults, 128, 32, 5_000);
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 160_000);
         assert_eq!(r.counters.ops_per_caller, vec![5_000; 32]);
@@ -1075,8 +1048,7 @@ mod tests {
     fn zc_enclave_recovery_runs_are_deterministic() {
         // Same seed-free closed-loop schedule, same report — including
         // the recovery counters and latency samples — byte for byte.
-        let cfg = fault_soak_cfg(enclave_chaos_faults(), 128, 8, 2_000)
-            .with_kernel_mode(KernelMode::EventDriven);
+        let cfg = fault_soak_cfg(enclave_chaos_faults(), 128, 8, 2_000);
         let a = run(&cfg);
         let b = run(&cfg);
         assert_eq!(a.counters, b.counters);
@@ -1106,7 +1078,7 @@ mod tests {
     }
 
     /// 32 open-loop callers of sustained ~2× MMPP traffic against the
-    /// ZC mechanism on the 128-vCPU event-kernel machine, with a
+    /// ZC mechanism on the 128-vCPU machine, with a
     /// client-side dispatch budget — the overload regime of ISSUE 8.
     fn mmpp_overload_cfg(seed: u64) -> SimConfig {
         use crate::arrival::{ArrivalProcess, ServiceDist};
@@ -1130,7 +1102,6 @@ mod tests {
             1,
         )
         .with_vcpus(128)
-        .with_kernel_mode(KernelMode::EventDriven)
     }
 
     #[test]

@@ -195,7 +195,7 @@ fn intel_default_rbf_outlasts_long_waits() {
 }
 
 /// Four closed-loop callers of 50 mixed ocalls each (modest payloads, a
-/// ~1.3 µs host function) on the event-driven policy with a fresh hub;
+/// ~1.3 µs host function) with a fresh hub;
 /// returns the per-phase cycle sums of every path the run exercised, in
 /// `reserve, copy_in, signal, wait, execute, copy_out` order.
 fn phase_sums(mechanism: Mechanism, call_classes: &[usize]) -> Vec<(CallPath, Vec<u64>)> {
@@ -216,7 +216,6 @@ fn phase_sums(mechanism: Mechanism, call_classes: &[usize]) -> Vec<(CallPath, Ve
     };
     let hub = Telemetry::new();
     let cfg = SimConfig::new(mechanism, vec![workload; 4], call_classes.len())
-        .with_kernel_mode(zc_des::KernelMode::EventDriven)
         .with_telemetry(std::sync::Arc::clone(&hub));
     let report = zc_des::run(&cfg);
     assert_eq!(report.counters.total_calls(), 200);
@@ -335,46 +334,42 @@ impl Actor for PostDeactivate {
 #[test]
 fn release_rings_a_worker_whose_deactivate_landed_mid_execution() {
     let cpu = switchless_core::CpuSpec::paper_machine();
-    for mut k in [
-        Kernel::new(3, zc_des::kernel::DEFAULT_RR_QUANTUM, cpu.pause_cycles),
-        Kernel::event_driven(3, cpu.pause_cycles),
-    ] {
-        let world = ZcWorld::new(&mut k, 1, 1, ZcSimParams::default().pool_bytes);
-        let worker = k.spawn(Box::new(ZcWorkerActor::new(Rc::clone(&world), 0)));
-        world.borrow_mut().worker_tids.push(worker);
-        let counters = Rc::new(RefCell::new(SimCounters::new(1, 1)));
-        let zc = ZcDispatcher::new(
-            Rc::clone(&world),
-            Rc::clone(&counters),
-            CostModel::on(&cpu),
-            0,
-            None,
-            None,
-        );
-        k.spawn(Box::new(CallerActor::new(
-            0,
-            Box::new(zc),
-            Rc::clone(&counters),
-            one_call(1_000_000, 64),
-        )));
-        k.spawn(Box::new(PostDeactivate {
-            world: Rc::clone(&world),
-            at: 500_000,
-        }));
-        // The release is the step that takes the slot from Waiting to
-        // Unused; the park is the worker's step into Paused.
-        let (mut last, mut released, mut paused) = (WorkerState::Unused, None, None);
-        while let Some(now) = k.tick() {
-            let state = world.borrow().workers[0].state;
-            match (last, state) {
-                (WorkerState::Waiting, WorkerState::Unused) => released = Some(now),
-                (_, WorkerState::Paused) if paused.is_none() => paused = Some(now),
-                _ => {}
-            }
-            last = state;
+    let mut k = Kernel::new(3, zc_des::kernel::DEFAULT_RR_QUANTUM, cpu.pause_cycles);
+    let world = ZcWorld::new(&mut k, 1, 1, ZcSimParams::default().pool_bytes);
+    let worker = k.spawn(Box::new(ZcWorkerActor::new(Rc::clone(&world), 0)));
+    world.borrow_mut().worker_tids.push(worker);
+    let counters = Rc::new(RefCell::new(SimCounters::new(1, 1)));
+    let zc = ZcDispatcher::new(
+        Rc::clone(&world),
+        Rc::clone(&counters),
+        CostModel::on(&cpu),
+        0,
+        None,
+        None,
+    );
+    k.spawn(Box::new(CallerActor::new(
+        0,
+        Box::new(zc),
+        Rc::clone(&counters),
+        one_call(1_000_000, 64),
+    )));
+    k.spawn(Box::new(PostDeactivate {
+        world: Rc::clone(&world),
+        at: 500_000,
+    }));
+    // The release is the step that takes the slot from Waiting to
+    // Unused; the park is the worker's step into Paused.
+    let (mut last, mut released, mut paused) = (WorkerState::Unused, None, None);
+    while let Some(now) = k.tick() {
+        let state = world.borrow().workers[0].state;
+        match (last, state) {
+            (WorkerState::Waiting, WorkerState::Unused) => released = Some(now),
+            (_, WorkerState::Paused) if paused.is_none() => paused = Some(now),
+            _ => {}
         }
-        assert_eq!(counters.borrow().switchless, 1, "{k:?}");
-        let released = released.expect("the caller released the worker");
-        assert_eq!(paused, Some(released + cpu.pause_cycles), "{k:?}");
+        last = state;
     }
+    assert_eq!(counters.borrow().switchless, 1);
+    let released = released.expect("the caller released the worker");
+    assert_eq!(paused, Some(released + cpu.pause_cycles));
 }

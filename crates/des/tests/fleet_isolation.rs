@@ -11,8 +11,8 @@
 //! Bulkheads must hold: the well-behaved tenant keeps ≥90% of its solo
 //! goodput and its p99 sojourn within 2× of its solo baseline, every
 //! tenant's ledger conserves exactly (per tenant and globally), and no
-//! guard violation is ever charged to an innocent shard. Run on both
-//! DES kernels, and byte-identical across same-seed reruns.
+//! guard violation is ever charged to an innocent shard. Pinned to an
+//! exact digest, and byte-identical across same-seed reruns.
 //!
 //! The run lasts three scheduler quanta (`Q` = 38 M cycles): shard
 //! schedulers read their fleet cap at the first step boundary and
@@ -27,7 +27,7 @@ use zc_des::arrival::{ArrivalProcess, ServiceDist};
 use zc_des::fleet::{run_fleet, FleetReport, FleetSpec, TenantSimSpec};
 use zc_des::ocall::CallDesc;
 use zc_des::workload::{OpenLoad, WorkloadSpec};
-use zc_des::{KernelMode, ZcSimFaults};
+use zc_des::ZcSimFaults;
 
 const RUN_CYCLES: u64 = 120_000_000;
 const CRASHLOOP_OPS: u64 = 24_000;
@@ -118,11 +118,10 @@ fn byzantine_tenant() -> TenantSimSpec {
     )
 }
 
-fn fleet_of(tenants: Vec<TenantSimSpec>, mode: KernelMode) -> FleetSpec {
+fn fleet_of(tenants: Vec<TenantSimSpec>) -> FleetSpec {
     FleetSpec::new(tenants, 1)
         .with_vcpus(40)
         .with_budget(8)
-        .with_kernel_mode(mode)
         .with_deadline(RUN_CYCLES * 4)
         // Re-divide the budget eight times per run so the soak exercises
         // repeated quiesce-and-migrate, not just the initial decision.
@@ -205,23 +204,20 @@ fn assert_digest(noisy: &FleetReport, good: Ledger, hog: Ledger, duration_cycles
     assert_eq!(noisy.duration_cycles, duration_cycles);
 }
 
-fn run_scenario(mode: KernelMode) -> (FleetReport, FleetReport) {
-    let solo = run_fleet(&fleet_of(vec![good_tenant(11)], mode));
-    let noisy = run_fleet(&fleet_of(
-        vec![
-            good_tenant(11),
-            hog_tenant(22),
-            crashloop_tenant(),
-            byzantine_tenant(),
-        ],
-        mode,
-    ));
+fn run_scenario() -> (FleetReport, FleetReport) {
+    let solo = run_fleet(&fleet_of(vec![good_tenant(11)]));
+    let noisy = run_fleet(&fleet_of(vec![
+        good_tenant(11),
+        hog_tenant(22),
+        crashloop_tenant(),
+        byzantine_tenant(),
+    ]));
     (solo, noisy)
 }
 
 #[test]
-fn noisy_neighbours_cannot_break_isolation_on_event_kernel() {
-    let (solo, noisy) = run_scenario(KernelMode::EventDriven);
+fn noisy_neighbours_cannot_break_isolation_on_cycle_accurate_kernel() {
+    let (solo, noisy) = run_scenario();
     assert_isolated(&solo, &noisy);
     // The hog really is misbehaving: sheds heavily under its budget.
     assert!(
@@ -240,12 +236,12 @@ fn noisy_neighbours_cannot_break_isolation_on_event_kernel() {
         },
         Ledger {
             offered: 320_407,
-            completed: 89_925,
-            shed: 230_226,
-            abandoned: 256,
+            completed: 89_951,
+            shed: 230_205,
+            abandoned: 251,
             refused: 0,
         },
-        120_004_197,
+        120_009_214,
     );
     assert_eq!(
         noisy.tenants[0].counters.sojourn_quantile_cycles(99),
@@ -254,33 +250,9 @@ fn noisy_neighbours_cannot_break_isolation_on_event_kernel() {
 }
 
 #[test]
-fn noisy_neighbours_cannot_break_isolation_on_cycle_accurate_kernel() {
-    let (solo, noisy) = run_scenario(KernelMode::CycleAccurate);
-    assert_isolated(&solo, &noisy);
-    assert_digest(
-        &noisy,
-        Ledger {
-            offered: 4_063,
-            completed: 4_063,
-            shed: 0,
-            abandoned: 0,
-            refused: 0,
-        },
-        Ledger {
-            offered: 320_407,
-            completed: 89_951,
-            shed: 230_205,
-            abandoned: 251,
-            refused: 0,
-        },
-        120_009_214,
-    );
-}
-
-#[test]
 fn noisy_neighbour_soak_is_byte_identical_across_reruns() {
-    let (_, a) = run_scenario(KernelMode::EventDriven);
-    let (_, b) = run_scenario(KernelMode::EventDriven);
+    let (_, a) = run_scenario();
+    let (_, b) = run_scenario();
     assert_eq!(a.duration_cycles, b.duration_cycles);
     assert_eq!(a.decisions, b.decisions);
     for (ta, tb) in a.tenants.iter().zip(&b.tenants) {

@@ -2,15 +2,15 @@
 //! swept through the machine's *measured* saturation point.
 //!
 //! A closed-loop probe measures the capacity of the ZC mechanism on the
-//! 128-vCPU event-driven machine; seeded open-loop MMPP traffic
+//! 128-vCPU machine; seeded open-loop MMPP traffic
 //! (DESIGN.md §13) is then offered at 50 %, 100 % and 200 % of it, with
 //! a client-side dispatch budget shedding stale arrivals. Everything is
 //! virtual time, so every number below is exact.
 
 use switchless_core::Ledger;
 use zc_des::{
-    run, ArrivalProcess, CallDesc, KernelMode, Mechanism, OpenLoad, ServiceDist, SimConfig,
-    WorkloadSpec, ZcSimParams,
+    run, ArrivalProcess, CallDesc, Mechanism, OpenLoad, ServiceDist, SimConfig, WorkloadSpec,
+    ZcSimParams,
 };
 
 const CALLERS: usize = 32;
@@ -36,9 +36,7 @@ fn call_template() -> CallDesc {
 }
 
 fn machine(workloads: Vec<WorkloadSpec>) -> SimConfig {
-    SimConfig::new(Mechanism::Zc(ZcSimParams::default()), workloads, 1)
-        .with_vcpus(VCPUS)
-        .with_kernel_mode(KernelMode::EventDriven)
+    SimConfig::new(Mechanism::Zc(ZcSimParams::default()), workloads, 1).with_vcpus(VCPUS)
 }
 
 /// Closed-loop saturation probe: every caller issues back to back.

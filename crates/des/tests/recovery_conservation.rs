@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use switchless_core::{Fault, FaultPlan, FaultSchedule};
 use zc_des::sim::{run, Mechanism, SimConfig, SimReport, ZcSimParams};
-use zc_des::{CallDesc, KernelMode, WorkloadSpec, ZcSimFaults};
+use zc_des::{CallDesc, WorkloadSpec, ZcSimFaults};
 
 /// Callers in every generated sim.
 const CALLERS: usize = 2;
@@ -45,8 +45,8 @@ fn mixed_pattern() -> Vec<CallDesc> {
 }
 
 /// Assemble the sim for one generated fault schedule.
-fn cfg_for(faults: ZcSimFaults, event_kernel: bool) -> SimConfig {
-    let cfg = SimConfig::new(
+fn cfg_for(faults: ZcSimFaults) -> SimConfig {
+    SimConfig::new(
         Mechanism::Zc(ZcSimParams::default()),
         vec![
             WorkloadSpec::ClosedLoop {
@@ -58,12 +58,7 @@ fn cfg_for(faults: ZcSimFaults, event_kernel: bool) -> SimConfig {
         1,
     )
     .with_vcpus(8)
-    .with_zc_faults(faults);
-    if event_kernel {
-        cfg.with_kernel_mode(KernelMode::EventDriven)
-    } else {
-        cfg
-    }
+    .with_zc_faults(faults)
 }
 
 /// Build the fault schedule from generated raw material. Crash sites
@@ -125,8 +120,7 @@ fn audit(r: &SimReport) {
 }
 
 proptest! {
-    /// Conservation holds for any crash/stall/replay-crash schedule on
-    /// the cycle-accurate kernel.
+    /// Conservation holds for any crash/stall/replay-crash schedule.
     #[test]
     fn conservation_holds_under_arbitrary_crash_schedules(
         crash_sites in prop::collection::vec(0u64..(CALLERS as u64 * OPS), 1..5),
@@ -143,21 +137,21 @@ proptest! {
             (with_replay_crash == 1).then_some(replay_crash),
             restart_cycles,
         );
-        let r = run(&cfg_for(faults, false));
+        let r = run(&cfg_for(faults));
         audit(&r);
         prop_assert!(r.fault_recovery.enclave_crashes >= 1, "at least one scheduled crash must fire");
     }
 
-    /// The same identity is kernel- and schedule-invariant on the
-    /// event-driven kernel, and the whole report is deterministic:
-    /// rerunning the same schedule reproduces it bit for bit.
+    /// The same identity holds for a crash schedule alone, and the whole
+    /// report is deterministic: rerunning the same schedule reproduces
+    /// it bit for bit.
     #[test]
     fn event_kernel_recovery_is_conserved_and_deterministic(
         crash_sites in prop::collection::vec(0u64..(CALLERS as u64 * OPS), 1..4),
         restart_cycles in 50_000u64..1_000_000,
     ) {
         let faults = schedule(&crash_sites, None, None, restart_cycles);
-        let cfg = cfg_for(faults, true);
+        let cfg = cfg_for(faults);
         let a = run(&cfg);
         audit(&a);
         let b = run(&cfg);

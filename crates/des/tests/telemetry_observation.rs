@@ -20,8 +20,8 @@ use switchless_core::{Fault, FaultPlan, FaultSchedule};
 use zc_des::ocall::hotcalls::HotcallsConfig;
 use zc_des::ocall::intel::IntelSimConfig;
 use zc_des::{
-    run, ArrivalProcess, CallDesc, KernelMode, Mechanism, OpenLoad, ServiceDist, SimConfig,
-    SimReport, WorkloadSpec, ZcSimFaults, ZcSimParams,
+    run, ArrivalProcess, CallDesc, Mechanism, OpenLoad, ServiceDist, SimConfig, SimReport,
+    WorkloadSpec, ZcSimFaults, ZcSimParams,
 };
 use zc_telemetry::export::events_to_jsonl;
 use zc_telemetry::Telemetry;
@@ -174,16 +174,12 @@ fn observation_only() {
             SimConfig::new(zc(), closed(2, 5_000, 500), 1).with_zc_faults(worker_faults()),
         ),
         (
-            "zc enclave faults, event-driven",
-            SimConfig::new(zc(), closed(2, 3_000, 500), 1)
-                .with_kernel_mode(KernelMode::EventDriven)
-                .with_zc_faults(enclave_faults()),
+            "zc enclave faults",
+            SimConfig::new(zc(), closed(2, 3_000, 500), 1).with_zc_faults(enclave_faults()),
         ),
         (
             "zc mmpp open loop, 32 vCPUs",
-            SimConfig::new(zc(), mmpp_open_loop(), 1)
-                .with_vcpus(32)
-                .with_kernel_mode(KernelMode::EventDriven),
+            SimConfig::new(zc(), mmpp_open_loop(), 1).with_vcpus(32),
         ),
     ];
     for (name, cfg) in configs {

@@ -53,8 +53,8 @@ impl CpuSpec {
 
     /// The same machine with a different logical CPU count (builder
     /// style). Derived quantities ([`CpuSpec::zc_max_workers`]) follow.
-    /// Simulated machines may exceed the host: the DES event kernel
-    /// handles 128+ vCPUs.
+    /// Simulated machines may exceed the host: the DES kernel handles
+    /// 128+ vCPUs.
     #[must_use]
     pub fn with_logical_cpus(mut self, logical_cpus: usize) -> Self {
         self.logical_cpus = logical_cpus.max(1);

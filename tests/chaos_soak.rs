@@ -409,10 +409,9 @@ fn zc_chaos_soak_projection_is_byte_identical_across_runs() {
 }
 
 /// One DES chaos soak parameterized over machine scale: `vcpus`
-/// logical CPUs, `callers` closed-loop callers of `ops` calls each,
-/// on either kernel ([`zc_des::KernelMode`]). Returns the full
-/// timestamped JSONL trace.
-fn des_soak(vcpus: usize, callers: usize, ops: u64, mode: zc_des::KernelMode) -> String {
+/// logical CPUs, `callers` closed-loop callers of `ops` calls each.
+/// Returns the full timestamped JSONL trace.
+fn des_soak(vcpus: usize, callers: usize, ops: u64) -> String {
     use zc_des::ocall::CallDesc;
     use zc_des::workload::WorkloadSpec;
     use zc_des::{run, Mechanism, SimConfig, ZcSimFaults, ZcSimParams};
@@ -424,7 +423,7 @@ fn des_soak(vcpus: usize, callers: usize, ops: u64, mode: zc_des::KernelMode) ->
     };
     // At vcpus = 8: 2 callers + 4 workers + scheduler + supervisor = 8
     // threads on the paper machine's 8 cores, so supervisor timers fire
-    // on time. Larger shapes oversubscribe and ride the event kernel.
+    // on time.
     let faults = ZcSimFaults::new()
         .crash_at(1_000_000, 0)
         .crash_at(3_000_000, 1)
@@ -445,7 +444,6 @@ fn des_soak(vcpus: usize, callers: usize, ops: u64, mode: zc_des::KernelMode) ->
         1,
     )
     .with_vcpus(vcpus)
-    .with_kernel_mode(mode)
     .with_zc_faults(faults)
     .with_telemetry(Arc::clone(&hub));
     let r = run(&cfg);
@@ -467,7 +465,7 @@ fn des_soak(vcpus: usize, callers: usize, ops: u64, mode: zc_des::KernelMode) ->
 /// byte-identical run to run.
 #[test]
 fn des_chaos_soak_recovers_and_is_byte_identical() {
-    let soak = || des_soak(8, 2, 20_000, zc_des::KernelMode::CycleAccurate);
+    let soak = || des_soak(8, 2, 20_000);
     let first = soak();
     assert!(
         first.contains(r#""fault":"worker_crash""#) && first.contains(r#""fault":"worker_hang""#),
@@ -485,11 +483,11 @@ fn des_chaos_soak_recovers_and_is_byte_identical() {
 }
 
 /// The 128-vCPU soak variant: the same fault schedule against a
-/// 64-worker pool with 32 callers on the event-driven kernel. Recovery
+/// 64-worker pool with 32 callers. Recovery
 /// and trace determinism must be scale-invariant.
 #[test]
 fn des_chaos_soak_recovers_at_128_vcpus_and_is_byte_identical() {
-    let soak = || des_soak(128, 32, 10_000, zc_des::KernelMode::EventDriven);
+    let soak = || des_soak(128, 32, 10_000);
     let first = soak();
     assert!(
         first.contains(r#""fault":"worker_crash""#) && first.contains(r#""fault":"worker_hang""#),

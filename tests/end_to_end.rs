@@ -226,6 +226,46 @@ fn payload_mix_pays_at_most_two_pool_growths_per_worker() {
 }
 
 #[test]
+fn one_cpu_zc_runtime_completes_every_call_of_two_callers() {
+    // One logical CPU: the worker cap is one, so the cap equals N — the
+    // one configuration where every worker the scheduler deactivates is
+    // the whole pool. Two callers contend for that worker while the
+    // scheduler moves it between `Run` and `Deactivate`; each call must
+    // still complete, switchless or by fallback, and the ledger balance.
+    const CALLS: u64 = 10_000;
+    let mut table = OcallTable::new();
+    let echo = table.register(
+        "echo",
+        |_: &[u64; MAX_OCALL_ARGS], pin: &[u8], pout: &mut Vec<u8>| {
+            pout.extend_from_slice(pin);
+            pin.len() as i64
+        },
+    );
+    let cpu = CpuSpec::paper_machine().with_logical_cpus(1);
+    let cfg = ZcConfig::for_cpu(cpu);
+    assert_eq!(cfg.max_workers(), cpu.logical_cpus);
+    let rt = ZcRuntime::start(cfg, Arc::new(table), Enclave::new(cpu)).unwrap();
+    std::thread::scope(|s| {
+        for caller in 0..2u8 {
+            let rt = &rt;
+            s.spawn(move || {
+                let mut out = Vec::new();
+                for _ in 0..CALLS {
+                    let (ret, _) = rt
+                        .dispatch(&OcallRequest::new(echo, &[]), &[caller], &mut out)
+                        .unwrap();
+                    assert_eq!((ret, out.as_slice()), (1, &[caller][..]));
+                }
+            });
+        }
+    });
+    let usage = rt.usage();
+    assert!(usage.conserves(), "{usage:?}");
+    assert_eq!(usage.completed, 2 * CALLS, "{usage:?}");
+    rt.shutdown();
+}
+
+#[test]
 fn intel_and_zc_stats_account_every_call() {
     let (_fs, table, funcs, enclave) = fixture();
     let intel = IntelSwitchless::start(

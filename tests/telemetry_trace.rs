@@ -337,7 +337,6 @@ fn des_slo_report_jsonl_is_byte_identical_across_runs() {
             ],
             1,
         )
-        .with_kernel_mode(zc_des::KernelMode::EventDriven)
         .with_telemetry(Arc::clone(&hub));
         let r = run(&cfg);
         assert_eq!(r.counters.total_calls(), 10_000);
@@ -476,7 +475,6 @@ fn des_mmpp_overload_trace_is_byte_identical_and_conserves() {
             ..ZcSimParams::default()
         };
         let cfg = SimConfig::new(Mechanism::Zc(params), vec![WorkloadSpec::Open(load); 4], 1)
-            .with_kernel_mode(zc_des::KernelMode::EventDriven)
             .with_telemetry(Arc::clone(&hub));
         let r = run(&cfg);
         let c = &r.counters;
@@ -951,10 +949,9 @@ fn intel_worker_times_the_host_function_only_for_a_hub() {
     assert!(switchless > 0, "no call went switchless");
 }
 
-/// The event-driven kernel obeys the same determinism contract as the
-/// cycle-accurate one: the full timestamped trace is byte-identical
-/// across same-seed runs, at the paper's 8 vCPUs and at the lifted
-/// 128-vCPU scale (DESIGN.md §11).
+/// The determinism contract at both machine scales: the full timestamped
+/// trace is byte-identical across same-seed runs, at the paper's 8 vCPUs
+/// and at the lifted 128-vCPU scale (DESIGN.md §11).
 #[test]
 fn des_event_kernel_trace_is_deterministic_at_8_and_128_vcpus() {
     use zc_des::ocall::CallDesc;
@@ -978,7 +975,6 @@ fn des_event_kernel_trace_is_deterministic_at_8_and_128_vcpus() {
             ],
             1,
         )
-        .with_kernel_mode(zc_des::KernelMode::EventDriven)
         .with_vcpus(vcpus)
         .with_telemetry(Arc::clone(&hub));
         let r = run(&cfg);
@@ -993,13 +989,13 @@ fn des_event_kernel_trace_is_deterministic_at_8_and_128_vcpus() {
         let first = sim_trace(vcpus, callers, ops);
         assert!(
             first.contains(r#""kind":"decision""#),
-            "event-kernel sim at {vcpus} vCPUs must trace decisions:\n{}",
+            "sim at {vcpus} vCPUs must trace decisions:\n{}",
             &first[..first.len().min(2_000)]
         );
         assert_eq!(
             first,
             sim_trace(vcpus, callers, ops),
-            "event-kernel trace at {vcpus} vCPUs must be fully deterministic"
+            "trace at {vcpus} vCPUs must be fully deterministic"
         );
     }
 }
