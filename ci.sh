@@ -23,6 +23,18 @@ cargo fmt --all -- --check
 echo "==> Cargo.lock matches the manifests"
 cargo metadata --locked --offline --format-version 1 > /dev/null
 
+# The size of the product code, on record with every run: each file
+# under crates/*/src counts up to its first `#[cfg(test)]`, per crate
+# and in total. It reports and gates nothing.
+echo "==> non-test lines under crates/*/src"
+total=0
+for src in crates/*/src; do
+    lines=$(find "$src" -name '*.rs' -exec awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} +)
+    printf '%-18s %6d\n' "$(basename "$(dirname "$src")")" "$lines"
+    total=$((total + lines))
+done
+printf '%-18s %6d\n' total "$total"
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
