@@ -606,10 +606,11 @@ impl Kernel {
         self.remove_spin_waiter(tid);
         self.threads[tid.0].pending = None;
         self.threads[tid.0].next_result = result;
-        match self.threads[tid.0].state {
-            ThreadState::Running { core } => self.step_thread_on_core(tid, core),
-            other => unreachable!("finish_op on a thread with no op in state {other:?}"),
-        }
+        let state = self.threads[tid.0].state;
+        let ThreadState::Running { core } = state else {
+            unreachable!("finish_op on a thread with no op in state {state:?}");
+        };
+        self.step_thread_on_core(tid, core);
     }
 
     /// Take `tid` off `core` at a quantum boundary, shrinking its pending
@@ -890,7 +891,7 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Threads ≤ cores: nothing is ever preempted.
+    // Computes, spins, sleeps, parks, instant ops and accounting.
     // -----------------------------------------------------------------
 
     #[test]

@@ -145,8 +145,8 @@ impl SimConfig {
         self
     }
 
-    /// Returns `self`: frozen shim for `benchmark/src/{des,layers}.rs`
-    /// until ROADMAP [bench-unfreeze].
+    /// Returns `self`: frozen shim for `benchmark/src/layers.rs` until
+    /// ROADMAP [bench-unfreeze].
     #[doc(hidden)]
     #[must_use]
     pub fn with_kernel_mode(self, _mode: KernelMode) -> Self {
