@@ -168,10 +168,14 @@ if [[ $quick -eq 0 ]]; then
     # acquire/release ordering of the status CAS, and debug builds hide
     # exactly the reorderings that would break it. One optimised pass
     # of the crate's unit tests (the mailbox layout and round trips
-    # among them) and its protocol and hostile-host suites.
+    # among them) and its protocol and hostile-host suites, then of the
+    # umbrella fault-injection and end-to-end suites, which push small
+    # (inline-window) and large (pool) payloads and pool faults through
+    # real threads (under a second once built).
     echo "==> cargo test --release (zc mailbox, protocol + Byzantine suites)"
     cargo test -q --release -p zc-switchless --lib \
         --test protocol_stress --test byzantine_soak --test byzantine_props
+    cargo test -q --release --test fault_injection_suite --test end_to_end
     # The Intel task slot keeps its lock but posts and reads its
     # one-line mailbox field by field; its unit tests (layout, round
     # trips, reply guard) and the pool model run optimised too.

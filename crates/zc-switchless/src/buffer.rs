@@ -14,25 +14,31 @@
 //! builds — an illegal edge poisons the slot instead of asserting.
 //!
 //! The buffer is a **mailbox** (DESIGN.md §5): the status word, the
-//! posted request, the payload window, the reply and the pool headers
+//! posted request, the inline window, the reply and the pool headers
 //! sit in one 128-byte-aligned block that belongs to whoever the status
 //! word names — the caller in `RESERVED`/`WAITING`, the worker in
 //! `PROCESSING`. Ownership moves with the status CAS, so the slot and
 //! the pool need no lock of their own. The block's first 64-byte line
 //! holds the three shared words and everything a payload-free call with
 //! up to three scalar arguments posts and gets back, so such a call
-//! moves that one line to the worker and back, and nothing else. All
+//! moves that one line to the worker and back, and nothing else. The
+//! second line ends in a 39-byte inline window: a request payload that
+//! fits rides there instead of in the pool, and so does a reply that
+//! fits, so such a call moves two lines. Longer payloads go through the
+//! pool and `payload_out`, whose headers share the third line. All
 //! `unsafe` of the crate is in this file.
 
 use crate::pool::RequestPool;
 use parking_lot::Mutex;
+use sgx_sim::tlibc::memcpy_zc;
 use std::cell::UnsafeCell;
 use std::mem::{align_of, offset_of, size_of};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use switchless_core::{
-    FuncId, GuardViolation, OcallReply, OcallRequest, SharedWordGuard, WorkerState, MAX_OCALL_ARGS,
+    FuncId, GuardViolation, OcallReply, OcallRequest, ReplyGuard, SharedWordGuard, WorkerState,
+    MAX_OCALL_ARGS,
 };
 
 /// Command word the scheduler writes into a worker's buffer.
@@ -77,8 +83,19 @@ pub(crate) enum Side {
 /// call with at most this many moves one 64-byte line each way.
 const LINE0_ARGS: usize = 3;
 
-/// `RequestSlot::posted` while a request waits for its worker.
-const POSTED: u8 = 1;
+/// Bytes of the inline window, the end of line 1 (asserted below): a
+/// request payload or a reply of at most this many rides there, beside
+/// the posted request, instead of in the pool or `payload_out`.
+pub(crate) const INLINE_BYTES: usize = 39;
+
+/// `RequestSlot::mark` of a message whose payload is in the inline
+/// window.
+const INLINE: u8 = 1;
+
+/// `RequestSlot::mark` of a message whose payload lies past the
+/// mailbox's first two lines: a request's in the pool, a reply's in
+/// `payload_out`.
+const OUTBOARD: u8 = 2;
 
 /// The request slot: what the caller hands to the worker and what the
 /// worker hands back. Only the current owner (per the status word)
@@ -86,9 +103,10 @@ const POSTED: u8 = 1;
 ///
 /// Field order is the cache layout: everything a payload-free call with
 /// at most [`LINE0_ARGS`] arguments writes comes first and shares the
-/// status word's 64-byte line (asserted below); what else it reads, the
-/// `payload_out` and pool headers, nobody writes on such a call. A
-/// request is posted field by field, not as an [`OcallRequest`]: the
+/// status word's 64-byte line (asserted below); the inline window ends
+/// line 1; `payload_out` and the pool header, which only payloads
+/// longer than the window touch, are on line 2. A request is posted
+/// field by field, not as an [`OcallRequest`]: the
 /// caller-only deadline and idempotency are not posted at
 /// all, and only the arguments up to the last non-zero one are
 /// written. The worker
@@ -101,73 +119,115 @@ const POSTED: u8 = 1;
 /// telemetry hub the worker also returns its execute hint, in the
 /// payload window's two words: the request is done with them once
 /// taken, and every post writes them again.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 #[repr(C)]
 pub(crate) struct RequestSlot {
     func: FuncId,
     /// Arguments posted. Host-writable: clamped to [`MAX_OCALL_ARGS`]
     /// when read.
     nargs: u8,
-    /// [`POSTED`] from the post until the worker takes the request, so
-    /// a `PROCESSING` slot without it was torn by the host.
-    posted: u8,
+    /// Where the payload of the message in the slot is: [`INLINE`] or
+    /// [`OUTBOARD`]. A posted request always has one, so a
+    /// `PROCESSING` slot without it was torn by the host; taking the
+    /// request clears it. A reply with no bytes leaves it clear.
+    mark: u8,
     /// Reply: payload bytes the worker declares.
     reply_len: u32,
     /// Request: the call's sequence tag.
     seq: u64,
     /// Reply: the worker's echo of `seq`.
     reply_seq: u64,
-    /// Request: offset and length of the payload in the worker pool.
-    /// Host-writable: clamped to the pool when read. Reply, with a hub:
-    /// the low and high words of the execute hint.
+    /// Request: offset and length of the payload, in the worker pool or
+    /// (offset 0) the inline window. Host-writable: clamped to the pool
+    /// or the window when read. Reply, with a hub: the low and high
+    /// words of the execute hint.
     payload_off: u32,
     payload_len: u32,
     /// Request: the scalar arguments. Reply: the return value, in
     /// `args[0]`.
     args: [u64; MAX_OCALL_ARGS],
-    /// The rest of line 1, so that `payload_out` and the pool header
-    /// share line 2 (asserted below): a payload call then moves two
-    /// lines, and line 1 only past three arguments.
-    _pad: [u64; 5],
-    /// Host-function output (untrusted side).
-    pub(crate) payload_out: Vec<u8>,
+    /// Reply: bytes of the inline window it fills. Host-writable:
+    /// clamped to [`INLINE_BYTES`] when read.
+    inline_len: u8,
+    /// The inline window: the request payload or the reply bytes of a
+    /// message marked [`INLINE`].
+    inline: [u8; INLINE_BYTES],
+    /// Reply bytes that do not fit the window (untrusted side).
+    payload_out: Vec<u8>,
+}
+
+impl Default for RequestSlot {
+    fn default() -> Self {
+        RequestSlot {
+            func: FuncId::default(),
+            nargs: 0,
+            mark: 0,
+            reply_len: 0,
+            seq: 0,
+            reply_seq: 0,
+            payload_off: 0,
+            payload_len: 0,
+            args: [0; MAX_OCALL_ARGS],
+            inline_len: 0,
+            inline: [0; INLINE_BYTES],
+            payload_out: Vec::new(),
+        }
+    }
 }
 
 impl RequestSlot {
-    /// Post `req` and its payload window (caller, in `RESERVED`). The
-    /// window's length is at most `u32::MAX` ([`RequestPool::alloc`]
-    /// refuses longer payloads), and the offset of an empty window,
-    /// the only one that can lie past that, is never read.
+    /// Post `req` with its payload in the inline window (caller, in
+    /// `RESERVED`): `payload` is at most [`INLINE_BYTES`] long, and an
+    /// empty one writes nothing past line 0.
+    pub(crate) fn post_inline(&mut self, req: &OcallRequest, payload: &[u8]) {
+        self.post_header(req, INLINE, 0, payload.len());
+        memcpy_zc(&mut self.inline[..payload.len()], payload);
+    }
+
+    /// Post `req` with its payload at `offset` in the worker pool
+    /// (caller, in `RESERVED`). The window's length is at most
+    /// `u32::MAX` ([`RequestPool::alloc`] refuses longer payloads).
     pub(crate) fn post(&mut self, req: &OcallRequest, offset: usize, len: usize) {
         debug_assert!(u32::try_from(len).is_ok(), "window longer than u32::MAX");
+        self.post_header(req, OUTBOARD, offset, len);
+    }
+
+    fn post_header(&mut self, req: &OcallRequest, mark: u8, offset: usize, len: usize) {
         let nargs = req.args.iter().rposition(|&a| a != 0).map_or(0, |i| i + 1);
         self.func = req.func;
         self.nargs = nargs as u8;
-        self.posted = POSTED;
+        self.mark = mark;
         self.seq = req.seq;
         self.payload_off = offset as u32;
         self.payload_len = len as u32;
         self.args[..nargs].copy_from_slice(&req.args[..nargs]);
     }
 
-    /// Take the posted request and its payload window `(offset, len)`
-    /// (worker, in `PROCESSING`); `None` if none is posted, which only
-    /// host interference can cause. Returns the request as the worker
-    /// needs it: function, arguments and sequence tag.
-    pub(crate) fn take(&mut self) -> Option<(OcallRequest, usize, usize)> {
-        if self.posted != POSTED {
-            return None;
-        }
-        self.posted = 0;
+    /// Take the posted request and its payload (worker, in
+    /// `PROCESSING`); `None` if none is posted, which only host
+    /// interference can cause. Returns the request as the worker needs
+    /// it — function, arguments and sequence tag — and its payload, in
+    /// the inline window or in `pool`.
+    pub(crate) fn take<'a>(
+        &'a mut self,
+        pool: &'a RequestPool,
+    ) -> Option<(OcallRequest, &'a [u8])> {
+        let mark = std::mem::take(&mut self.mark);
+        let len = self.payload_len as usize;
+        let payload = match mark {
+            INLINE => &self.inline[..len.min(INLINE_BYTES)],
+            OUTBOARD => pool.slice(self.payload_off as usize, len),
+            _ => return None,
+        };
         let nargs = usize::from(self.nargs).min(MAX_OCALL_ARGS);
         let req = OcallRequest::new(self.func, &self.args[..nargs]).with_seq(self.seq);
-        Some((req, self.payload_off as usize, self.payload_len as usize))
+        Some((req, payload))
     }
 
     /// Byzantine hook: the host overwrites the posted request while the
     /// worker owns the slot.
     pub(crate) fn tear(&mut self) {
-        self.posted = 0;
+        self.mark = 0;
     }
 
     /// Publish the worker-measured host-function cycles of the call
@@ -185,6 +245,26 @@ impl RequestSlot {
         u64::from(self.payload_len) << 32 | u64::from(self.payload_off)
     }
 
+    /// Publish the reply bytes the host function wrote into the
+    /// worker's own buffer `bytes` (worker, in `PROCESSING`, after
+    /// taking the request), and return how many there are. Bytes that
+    /// fit are copied into the inline window; longer ones are swapped
+    /// into `payload_out`, and `bytes` gets the previous reply's buffer
+    /// back to reuse. `payload_out` is written only for those, and
+    /// nothing past line 0 for an empty reply.
+    pub(crate) fn set_reply_bytes(&mut self, bytes: &mut Vec<u8>) -> u32 {
+        let len = bytes.len();
+        if len > INLINE_BYTES {
+            std::mem::swap(bytes, &mut self.payload_out);
+            self.mark = OUTBOARD;
+        } else if len > 0 {
+            self.inline[..len].copy_from_slice(bytes);
+            self.inline_len = len as u8;
+            self.mark = INLINE;
+        }
+        len as u32
+    }
+
     /// Publish the reply (worker, in `PROCESSING`).
     pub(crate) fn set_reply(&mut self, reply: OcallReply) {
         self.args[0] = reply.ret as u64;
@@ -193,12 +273,40 @@ impl RequestSlot {
     }
 
     /// The published reply (caller, in `WAITING`).
-    pub(crate) fn reply(&self) -> OcallReply {
+    fn reply(&self) -> OcallReply {
         OcallReply {
             ret: self.args[0] as i64,
             payload_len: self.reply_len,
             seq: self.reply_seq,
         }
+    }
+
+    /// The bytes present for the published reply, per its mark: the
+    /// inline window up to its count (clamped to the window), or
+    /// `payload_out`, or none.
+    fn reply_bytes(&self) -> &[u8] {
+        match self.mark {
+            INLINE => &self.inline[..usize::from(self.inline_len).min(INLINE_BYTES)],
+            OUTBOARD => &self.payload_out,
+            _ => &[],
+        }
+    }
+
+    /// The published reply as `guard` lets the caller accept it (in
+    /// `WAITING`) for the call tagged `seq`: the return value, the reply
+    /// bytes to copy out (cut to the guard's capacity) and whether they
+    /// were cut. The sequence echo is checked first, then the declared
+    /// length against the bytes present; anything else is a lying host.
+    pub(crate) fn checked_reply(
+        &self,
+        seq: u64,
+        guard: ReplyGuard,
+    ) -> Result<(i64, &[u8], bool), GuardViolation> {
+        let reply = self.reply();
+        guard.check_sequence(seq, reply.seq)?;
+        let bytes = self.reply_bytes();
+        let verdict = guard.check_reply(reply.payload_len, bytes.len())?;
+        Ok((reply.ret, &bytes[..verdict.copy_len], verdict.truncated))
     }
 }
 
@@ -260,10 +368,12 @@ pub struct WorkerBuffer {
 // Line 0 (bytes 0..64) is the whole hand-off of a payload-free call
 // with at most `LINE0_ARGS` arguments: the three shared words, every
 // field of the posted request and every field of the reply, the
-// execute hint included. Line 1 holds the remaining arguments; line 2 the
-// `payload_out` and pool headers, which a payload call moves together;
-// the write-once handles come last. Pinned field by field, so a later
-// field cannot push one of them onto another line.
+// execute hint included. Line 1 holds the remaining arguments and then
+// the inline window with its count, which a call whose payloads fit
+// moves as well; line 2 the `payload_out` and pool headers, which only
+// a longer payload moves; the write-once handles come last. Pinned
+// field by field, so a later field cannot push one of them onto
+// another line.
 const _: () = {
     const fn on_line(line: usize, offset: usize, size: usize) -> bool {
         offset >= 64 * line && offset + size <= 64 * (line + 1)
@@ -275,7 +385,7 @@ const _: () = {
     assert!(on_line(0, offset_of!(WorkerBuffer, poisoned), 1));
     assert!(on_line(0, slot + offset_of!(RequestSlot, func), 2));
     assert!(on_line(0, slot + offset_of!(RequestSlot, nargs), 1));
-    assert!(on_line(0, slot + offset_of!(RequestSlot, posted), 1));
+    assert!(on_line(0, slot + offset_of!(RequestSlot, mark), 1));
     assert!(on_line(0, slot + offset_of!(RequestSlot, reply_len), 4));
     assert!(on_line(0, slot + offset_of!(RequestSlot, seq), 8));
     assert!(on_line(0, slot + offset_of!(RequestSlot, reply_seq), 8));
@@ -288,7 +398,12 @@ const _: () = {
         args + 8 * LINE0_ARGS,
         8 * (MAX_OCALL_ARGS - LINE0_ARGS)
     ));
-    assert!(on_line(1, slot + offset_of!(RequestSlot, _pad), 8 * 5));
+    // The window and its count fill the rest of line 1: at least 32
+    // bytes, and a count byte that can name every one of them.
+    assert!(INLINE_BYTES >= 32 && INLINE_BYTES <= u8::MAX as usize);
+    assert!(on_line(1, slot + offset_of!(RequestSlot, inline_len), 1));
+    let inline = slot + offset_of!(RequestSlot, inline);
+    assert!(on_line(1, inline, INLINE_BYTES) && inline + INLINE_BYTES == 128);
     let payload_out = slot + offset_of!(RequestSlot, payload_out);
     assert!(on_line(2, payload_out, size_of::<Vec<u8>>()));
     assert!(on_line(
@@ -553,7 +668,8 @@ impl WorkerSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use switchless_core::FuncId;
+    use crate::pool::PoolAlloc;
+    use switchless_core::{FuncId, GuardKind};
 
     #[test]
     fn starts_unused_and_running() {
@@ -592,75 +708,94 @@ mod tests {
         assert_eq!(b.sched_command(), Ok(SchedCommand::Run));
     }
 
+    impl WorkerBuffer {
+        /// Claim this idle buffer for a moment and say whether its pool
+        /// and `payload_out` are as new: no request went to the pool and
+        /// no reply to `payload_out`.
+        pub(crate) fn outboard_untouched(&self) -> bool {
+            assert!(self.try_transition(WorkerState::Unused, WorkerState::Reserved));
+            let untouched = self.with_pool(Side::Caller, |p| p.used() == 0 && p.reallocs() == 0)
+                && self.with_slot(Side::Caller, |s| s.payload_out.capacity() == 0);
+            assert!(self.try_transition(WorkerState::Reserved, WorkerState::Unused));
+            untouched
+        }
+    }
+
+    const W: usize = INLINE_BYTES;
+
+    fn guard() -> ReplyGuard {
+        ReplyGuard::new(switchless_core::config::MAX_REPLY_BYTES)
+    }
+
     #[test]
     fn slot_carries_request_and_reply() {
         let b = WorkerBuffer::new();
         assert!(b.try_transition(WorkerState::Unused, WorkerState::Reserved));
         let req = OcallRequest::new(FuncId(3), &[1]).with_seq(11);
-        b.with_slot(Side::Caller, |s| s.post(&req, 0, 5));
+        b.with_slot(Side::Caller, |s| s.post_inline(&req, b"hello"));
         assert!(b.try_transition(WorkerState::Reserved, WorkerState::Processing));
-        b.with_slot(Side::Worker, |s| {
-            assert_eq!(s.take(), Some((req, 0, 5)));
-            assert_eq!(s.take(), None, "a request is taken once");
-            s.set_reply(OcallReply {
-                ret: -9,
-                payload_len: 2,
-                seq: 11,
+        b.with_pool(Side::Worker, |pool| {
+            b.with_slot(Side::Worker, |s| {
+                assert_eq!(s.take(pool), Some((req, &b"hello"[..])));
+                assert_eq!(s.take(pool), None, "a request is taken once");
+                let payload_len = s.set_reply_bytes(&mut b"ok".to_vec());
+                s.set_reply(OcallReply {
+                    ret: -9,
+                    payload_len,
+                    seq: 11,
+                });
             });
         });
         assert!(b.try_transition(WorkerState::Processing, WorkerState::Waiting));
         b.with_slot(Side::Caller, |s| {
-            assert_eq!(
-                s.reply(),
-                OcallReply {
-                    ret: -9,
-                    payload_len: 2,
-                    seq: 11
-                }
-            );
+            assert_eq!(s.checked_reply(11, guard()), Ok((-9, &b"ok"[..], false)));
         });
     }
 
     #[test]
     fn only_what_the_worker_needs_is_posted() {
+        let pool = RequestPool::default();
         let mut s = RequestSlot::default();
         let req = OcallRequest::new(FuncId(1), &[0, 5, 0])
             .with_seq(7)
             .with_deadline_at(99)
             .with_idempotent();
-        s.post(&req, 0, 0);
+        s.post_inline(&req, &[]);
         // Trailing zero arguments are not posted; the worker restores
         // them, and never sees the caller-only fields.
         assert_eq!(s.nargs, 2);
         let expect = OcallRequest::new(FuncId(1), &[0, 5]).with_seq(7);
-        assert_eq!(s.take(), Some((expect, 0, 0)));
+        assert_eq!(s.take(&pool), Some((expect, &[][..])));
     }
 
     #[test]
     fn a_six_arg_request_spills_past_line_0_and_round_trips() {
+        let mut pool = RequestPool::default();
         let mut s = RequestSlot::default();
         let req = OcallRequest::new(FuncId(2), &[1, 2, 3, 4, 5, u64::MAX]).with_seq(3);
+        pool.write_with(8, &[7; 16], <[u8]>::copy_from_slice);
         s.post(&req, 8, 16);
-        assert_eq!(s.take(), Some((req, 8, 16)));
+        assert_eq!(s.take(&pool), Some((req, &[7; 16][..])));
     }
 
     #[test]
     fn a_short_call_after_a_long_one_sees_zero_trailing_args() {
+        let pool = RequestPool::default();
         let mut s = RequestSlot::default();
-        s.post(&OcallRequest::new(FuncId(0), &[9; 6]), 0, 0);
-        let _ = s.take();
+        s.post_inline(&OcallRequest::new(FuncId(0), &[9; 6]), &[]);
+        let _ = s.take(&pool);
         s.set_reply(OcallReply {
             ret: -1,
             payload_len: 0,
             seq: 0,
         });
-        s.post(&OcallRequest::new(FuncId(0), &[4]).with_seq(2), 0, 0);
-        let (req, _, _) = s.take().expect("posted");
+        s.post_inline(&OcallRequest::new(FuncId(0), &[4]).with_seq(2), &[]);
+        let (req, _) = s.take(&pool).expect("posted");
         assert_eq!(req.args, [4, 0, 0, 0, 0, 0]);
         // Nor does a zero-argument call see the previous return value,
         // which shares `args[0]`.
-        s.post(&OcallRequest::new(FuncId(0), &[]), 0, 0);
-        assert_eq!(s.take().expect("posted").0.args, [0; MAX_OCALL_ARGS]);
+        s.post_inline(&OcallRequest::new(FuncId(0), &[]), &[]);
+        assert_eq!(s.take(&pool).expect("posted").0.args, [0; MAX_OCALL_ARGS]);
     }
 
     #[test]
@@ -669,9 +804,9 @@ mod tests {
         let mut s = RequestSlot::default();
         let req = OcallRequest::new(FuncId(0), &[1, 2, 3, 4, 5, 6]);
         for raw in 0..=u8::MAX {
-            s.post(&req, 0, 0);
+            s.post_inline(&req, &[]);
             s.nargs = raw;
-            let (got, _, _) = s.take().expect("posted");
+            let (got, _) = s.take(&pool).expect("posted");
             let n = usize::from(raw).min(MAX_OCALL_ARGS);
             assert_eq!(got.args[..n], req.args[..n]);
             assert!(got.args[n..].iter().all(|&a| a == 0));
@@ -679,14 +814,196 @@ mod tests {
         for (off, len) in [(u32::MAX, u32::MAX), (0, u32::MAX), (60, 10), (u32::MAX, 0)] {
             s.post(&req, 0, 0);
             (s.payload_off, s.payload_len) = (off, len);
-            let (_, off, len) = s.take().expect("posted");
-            let room = pool.capacity().saturating_sub(off);
-            assert_eq!(pool.slice(off, len).len(), len.min(room));
+            let (_, payload) = s.take(&pool).expect("posted");
+            let room = pool.capacity().saturating_sub(off as usize);
+            assert_eq!(payload.len(), (len as usize).min(room));
+            // An inline request's length is cut at the window.
+            s.post_inline(&req, b"abc");
+            (s.payload_off, s.payload_len) = (off, len);
+            let (_, payload) = s.take(&pool).expect("posted");
+            assert_eq!(payload.len(), (len as usize).min(W));
         }
-        // A scribbled `posted` byte reads as a torn request.
-        s.post(&req, 0, 0);
-        s.posted = 0xEE;
-        assert_eq!(s.take(), None);
+    }
+
+    #[test]
+    fn a_torn_or_scribbled_request_mark_is_no_request() {
+        let pool = RequestPool::default();
+        let mut s = RequestSlot::default();
+        let req = OcallRequest::new(FuncId(0), &[1]);
+        s.post_inline(&req, b"key12345");
+        s.tear();
+        assert_eq!(s.take(&pool), None, "a torn inline request");
+        for raw in 0..=u8::MAX {
+            s.post_inline(&req, b"key12345");
+            s.mark = raw;
+            let taken = s.take(&pool).map(|(_, p)| p.len());
+            match raw {
+                INLINE => assert_eq!(taken, Some(8)),
+                OUTBOARD => assert!(taken.is_some()),
+                _ => assert_eq!(taken, None),
+            }
+        }
+    }
+
+    /// Payload lengths at and around the window's edge, for each side.
+    const EDGES: [usize; 5] = [0, 1, W - 1, W, W + 1];
+
+    #[test]
+    fn payloads_up_to_the_window_ride_it_and_longer_ones_the_pool() {
+        let mut pool = RequestPool::default();
+        let mut s = RequestSlot::default();
+        let mut reply = Vec::new();
+        for (seq, len) in (1..).zip(EDGES) {
+            let data: Vec<u8> = (0..len as u8).map(|i| i ^ 0x5A).collect();
+            let req = OcallRequest::new(FuncId(0), &[]).with_seq(seq);
+            if len <= W {
+                s.post_inline(&req, &data);
+            } else {
+                let PoolAlloc::Fit { offset } = pool.alloc(len) else {
+                    panic!("fits the 64-byte pool")
+                };
+                pool.write_with(offset, &data, <[u8]>::copy_from_slice);
+                s.post(&req, offset, len);
+            }
+            let (got, payload_in) = s.take(&pool).expect("posted");
+            assert_eq!((got.seq, payload_in), (seq, &data[..]));
+            // The same bytes back as the reply.
+            reply.clear();
+            reply.extend_from_slice(&data);
+            let payload_len = s.set_reply_bytes(&mut reply);
+            s.set_reply(OcallReply {
+                ret: 0,
+                payload_len,
+                seq,
+            });
+            let expect_mark = match len {
+                0 => 0,
+                n if n <= W => INLINE,
+                _ => OUTBOARD,
+            };
+            assert_eq!(s.mark, expect_mark, "{len}-byte reply");
+            assert_eq!(s.checked_reply(seq, guard()), Ok((0, &data[..], false)));
+        }
+        assert_eq!(pool.used(), W + 1, "only the longest request took the pool");
+    }
+
+    #[test]
+    fn a_payload_free_call_writes_nothing_past_line_0() {
+        let pool = RequestPool::default();
+        let mut s = RequestSlot {
+            inline_len: 0xAB,
+            inline: [0xCD; W],
+            ..RequestSlot::default()
+        };
+        s.post_inline(&OcallRequest::new(FuncId(0), &[1, 2, 3]).with_seq(4), &[]);
+        let _ = s.take(&pool).expect("posted");
+        assert_eq!(s.set_reply_bytes(&mut Vec::new()), 0);
+        s.set_reply(OcallReply {
+            ret: 0,
+            payload_len: 0,
+            seq: 4,
+        });
+        assert_eq!((s.inline_len, s.inline), (0xAB, [0xCD; W]));
+        assert_eq!(s.payload_out.capacity(), 0);
+        assert_eq!(s.checked_reply(4, guard()), Ok((0, &[][..], false)));
+    }
+
+    #[test]
+    fn a_reply_that_fits_leaves_payload_out_alone_and_a_long_one_is_swapped_in() {
+        let mut s = RequestSlot::default();
+        let mut reply = vec![1; W];
+        s.set_reply_bytes(&mut reply);
+        assert_eq!(s.payload_out.capacity(), 0, "payload_out not written");
+        let mut reply = vec![2; 4096];
+        let long = reply.as_ptr();
+        s.set_reply_bytes(&mut reply);
+        // Swapped, not copied: the worker gets the old buffer back.
+        assert_eq!(s.payload_out.as_ptr(), long);
+        assert_eq!((reply.capacity(), s.mark), (0, OUTBOARD));
+    }
+
+    /// One call on a fresh slot whose earlier call (if `stale`) left a
+    /// long reply in `payload_out`: an honest worker replies `bytes`,
+    /// then `lie` rewrites the slot. What the caller accepts, or the
+    /// kind of violation it sees.
+    fn lied_reply(
+        stale: bool,
+        bytes: &[u8],
+        lie: impl FnOnce(&mut RequestSlot),
+    ) -> Result<Vec<u8>, GuardKind> {
+        let pool = RequestPool::default();
+        let mut s = RequestSlot::default();
+        if stale {
+            s.set_reply_bytes(&mut vec![0xEE; 100]);
+        }
+        s.post_inline(&OcallRequest::new(FuncId(0), &[]).with_seq(7), b"in");
+        let _ = s.take(&pool).expect("posted");
+        let payload_len = s.set_reply_bytes(&mut bytes.to_vec());
+        s.set_reply(OcallReply {
+            ret: 1,
+            payload_len,
+            seq: 7,
+        });
+        lie(&mut s);
+        s.checked_reply(7, guard())
+            .map(|(_, got, _)| got.to_vec())
+            .map_err(|v| v.kind)
+    }
+
+    #[test]
+    fn every_flipped_reply_mark_is_a_violation() {
+        for stale in [false, true] {
+            for len in [1, 8, W, W + 1, 4096] {
+                let bytes = vec![0x11; len];
+                let honest = if len <= W { INLINE } else { OUTBOARD };
+                for raw in 0..=u8::MAX {
+                    let got = lied_reply(stale, &bytes, |s| s.mark = raw);
+                    if raw == honest {
+                        assert_eq!(got, Ok(bytes.clone()));
+                    } else {
+                        assert!(got.is_err(), "mark {raw} on a {len}-byte reply: {got:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lying_count_is_a_violation_and_never_reads_past_the_window() {
+        for len in 1..=W {
+            let bytes: Vec<u8> = (0..len as u8).collect();
+            for count in 0..=u8::MAX {
+                let got = lied_reply(true, &bytes, |s| s.inline_len = count);
+                // Clamped to the window: a count past it names the
+                // whole window, which an honest W-byte reply fills.
+                let present = usize::from(count).min(W);
+                let expect = match present.cmp(&len) {
+                    std::cmp::Ordering::Equal => Ok(bytes.clone()),
+                    std::cmp::Ordering::Less => Err(GuardKind::OversizedReply),
+                    std::cmp::Ordering::Greater => Err(GuardKind::UndersizedReply),
+                };
+                assert_eq!(got, expect, "count {count} on a {len}-byte reply");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lying_length_or_stale_echo_on_an_inline_reply_is_a_violation() {
+        for len in [0, 1, 8, W] {
+            let bytes = vec![3; len];
+            let over = lied_reply(false, &bytes, |s| s.reply_len += 1);
+            assert_eq!(over, Err(GuardKind::OversizedReply));
+            if len > 0 {
+                let under = lied_reply(false, &bytes, |s| s.reply_len -= 1);
+                assert_eq!(under, Err(GuardKind::UndersizedReply));
+            }
+            // The echo is checked first.
+            let stale = lied_reply(false, &bytes, |s| {
+                s.reply_seq -= 1;
+                s.reply_len += 1;
+            });
+            assert_eq!(stale, Err(GuardKind::StaleSequence));
+        }
     }
 
     #[test]
@@ -758,7 +1075,6 @@ mod tests {
 
     #[test]
     fn host_scribbles_become_violations_not_panics() {
-        use switchless_core::GuardKind;
         let b = WorkerBuffer::new();
         b.host_write_status(0xEE);
         assert_eq!(b.state().unwrap_err().kind, GuardKind::BadStatusWord);

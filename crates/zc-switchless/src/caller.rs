@@ -11,7 +11,7 @@
 //! the routing protocol and the worker-generation side of an enclave
 //! restart.
 
-use crate::buffer::{SchedCommand, Side, WorkerBuffer};
+use crate::buffer::{SchedCommand, Side, WorkerBuffer, INLINE_BYTES};
 use crate::pool::PoolAlloc;
 use crate::runtime::Shared;
 use crate::scheduler;
@@ -176,78 +176,18 @@ pub(crate) fn switchless_call(
     } else {
         req
     };
-    // Allocate the request payload from the worker's untrusted pool. An
-    // injected exhaustion is retried with exponential pause backoff (the
-    // graceful-degradation path for transient pressure on the untrusted
-    // heap); persistent exhaustion degrades to the regular-ocall path
-    // below. Each exhaustion is also a storm signal for the overload
-    // plane's breaker, which can cut the retry loop short: once the
-    // breaker opens there is no point burning backoff spins on a heap
-    // that is not recovering.
-    let alloc = {
-        let mut attempts: u32 = 0;
-        loop {
-            let forced = door
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.fire(FaultSite::PoolAlloc).is_some());
-            if !forced {
-                break w.with_pool(Side::Caller, |p| p.alloc(payload_in.len()));
-            }
-            door.caller_event(Event::Fault {
-                kind: Fault::PoolExhaustion,
-            });
-            if !door.breaker_storm_allows() || attempts >= POOL_RETRY_MAX {
-                break PoolAlloc::TooLarge;
-            }
-            door.clock
-                .spin_cycles(door.clock.spec().pause_cycles << attempts);
-            attempts += 1;
-        }
-    };
-    let offset = match alloc {
-        PoolAlloc::Fit { offset } => offset,
-        PoolAlloc::AfterRealloc => {
-            // The payload outgrew the pool, which was freed and
-            // reallocated: costs one real ocall, at most
-            // ⌈log₂(largest payload / 64)⌉ times per buffer.
-            door.stats.record_pool_realloc();
-            door.fallback.enclave().record_ocall();
-            door.clock.enclave_transition();
-            door.caller_event(Event::PoolRealloc {
-                call: req.seq,
-                worker: widx as u32,
-                bytes: payload_in.len() as u64,
-            });
-            0
-        }
-        PoolAlloc::TooLarge => {
-            // Injected exhaustion outlasted its retries (or the payload
-            // is longer than a mailbox window can name): release the
-            // worker and execute as a regular ocall (the untrusted heap
-            // handles it). This is a load-driven fallback, so it feeds
-            // the breaker's storm signal — but it is never *gated*: the
-            // worker is already claimed and the call must complete.
-            let ok = w.try_transition(WorkerState::Reserved, WorkerState::Unused);
-            debug_assert!(ok, "RESERVED -> UNUSED release must not be contended");
-            rec.mark(Phase::CopyIn, &door.clock);
-            return door.load_fallback(rec, req, payload_in, payload_out);
-        }
-    };
-    // Copy the payload to untrusted memory with the boundary memcpy and
-    // publish the request.
-    w.with_pool(Side::Caller, |p| {
-        p.write_with(offset, payload_in, memcpy_zc);
-    });
-    w.with_slot(Side::Caller, |slot| {
-        slot.post(req, offset, payload_in.len());
-        // A payload-free call only reads what lies past the mailbox's
-        // first line (the payload_out and pool headers), so that memory
-        // stays shared in both caches instead of bouncing once per call.
-        if !slot.payload_out.is_empty() {
-            slot.payload_out.clear();
-        }
-    });
+    if !post(door, w, widx, req, payload_in) {
+        // Injected exhaustion outlasted its retries (or the payload is
+        // longer than a mailbox window can name): release the worker
+        // and execute as a regular ocall (the untrusted heap handles
+        // it). This is a load-driven fallback, so it feeds the
+        // breaker's storm signal — but it is never *gated*: the worker
+        // is already claimed and the call must complete.
+        let ok = w.try_transition(WorkerState::Reserved, WorkerState::Unused);
+        debug_assert!(ok, "RESERVED -> UNUSED release must not be contended");
+        rec.mark(Phase::CopyIn, &door.clock);
+        return door.load_fallback(rec, req, payload_in, payload_out);
+    }
     rec.mark(Phase::CopyIn, &door.clock);
     let ok = w.try_transition(WorkerState::Reserved, WorkerState::Processing);
     debug_assert!(ok, "RESERVED -> PROCESSING must not be contended");
@@ -339,18 +279,16 @@ pub(crate) fn switchless_call(
     }
     rec.mark(Phase::Wait, &door.clock);
     // Validate the host-written reply, then copy results back into
-    // enclave memory and release the worker. The declared length must
-    // match the bytes actually present (an honest worker writes both),
-    // is clamped to the caller-declared capacity, and the sequence tag
-    // must echo this call's — anything else is a lying host and the
+    // enclave memory and release the worker. The sequence tag must echo
+    // this call's and the declared length must match the bytes actually
+    // present (an honest worker writes both); the copy is clamped to the
+    // caller-declared capacity. Anything else is a lying host and the
     // reply is discarded in favour of the fallback path.
-    let guard = ReplyGuard::new(MAX_REPLY_BYTES);
     let checked = w.with_slot(Side::Caller, |slot| {
-        let reply = slot.reply();
-        guard.check_sequence(req.seq, reply.seq)?;
-        let verdict = guard.check_reply(reply.payload_len, slot.payload_out.len())?;
-        payload_out.resize(verdict.copy_len, 0);
-        memcpy_zc(payload_out, &slot.payload_out[..verdict.copy_len]);
+        let (ret, bytes, truncated) =
+            slot.checked_reply(req.seq, ReplyGuard::new(MAX_REPLY_BYTES))?;
+        payload_out.resize(bytes.len(), 0);
+        memcpy_zc(payload_out, bytes);
         // Only an attached hub consumes the worker's execute hint;
         // without one the worker does not write it.
         let exec_cycles = if door.telemetry.is_some() {
@@ -358,7 +296,7 @@ pub(crate) fn switchless_call(
         } else {
             0
         };
-        Ok((reply.ret, verdict.truncated, exec_cycles))
+        Ok((ret, truncated, exec_cycles))
     });
     match checked {
         Ok((ret, truncated, exec_cycles)) => {
@@ -374,6 +312,73 @@ pub(crate) fn switchless_call(
         }
         Err(v) => guard_violation_fallback(shared, w, widx, v, req, payload_in, payload_out, rec),
     }
+}
+
+/// Copy the payload to untrusted memory with the boundary memcpy and
+/// post the request (caller, in `RESERVED`); `false` if the pool
+/// refused the payload.
+///
+/// A payload that fits rides the inline window and leaves the pool
+/// alone; a longer one is allocated from the worker's untrusted pool.
+/// Either way the pool-allocation fault site is consulted first: an
+/// injected exhaustion is retried with exponential pause backoff (the
+/// graceful-degradation path for transient pressure on the untrusted
+/// heap), and persistent exhaustion refuses the payload. Each
+/// exhaustion is also a storm signal for the overload plane's breaker,
+/// which can cut the retry loop short: once the breaker opens there is
+/// no point burning backoff spins on a heap that is not recovering.
+fn post(
+    door: &FrontDoor,
+    w: &WorkerBuffer,
+    widx: usize,
+    req: &OcallRequest,
+    payload_in: &[u8],
+) -> bool {
+    let mut attempts: u32 = 0;
+    while door
+        .faults
+        .as_ref()
+        .is_some_and(|f| f.fire(FaultSite::PoolAlloc).is_some())
+    {
+        door.caller_event(Event::Fault {
+            kind: Fault::PoolExhaustion,
+        });
+        if !door.breaker_storm_allows() || attempts >= POOL_RETRY_MAX {
+            return false;
+        }
+        door.clock
+            .spin_cycles(door.clock.spec().pause_cycles << attempts);
+        attempts += 1;
+    }
+    if payload_in.len() <= INLINE_BYTES {
+        w.with_slot(Side::Caller, |slot| slot.post_inline(req, payload_in));
+        return true;
+    }
+    let offset = match w.with_pool(Side::Caller, |p| p.alloc(payload_in.len())) {
+        PoolAlloc::Fit { offset } => offset,
+        PoolAlloc::AfterRealloc => {
+            // The payload outgrew the pool, which was freed and
+            // reallocated: costs one real ocall, at most
+            // ⌈log₂(largest payload / 64)⌉ times per buffer.
+            door.stats.record_pool_realloc();
+            door.fallback.enclave().record_ocall();
+            door.clock.enclave_transition();
+            door.caller_event(Event::PoolRealloc {
+                call: req.seq,
+                worker: widx as u32,
+                bytes: payload_in.len() as u64,
+            });
+            0
+        }
+        PoolAlloc::TooLarge => return false,
+    };
+    w.with_pool(Side::Caller, |p| {
+        p.write_with(offset, payload_in, memcpy_zc)
+    });
+    w.with_slot(Side::Caller, |slot| {
+        slot.post(req, offset, payload_in.len())
+    });
+    true
 }
 
 /// A guard rejected a host-written value: quarantine the worker, count

@@ -6,6 +6,11 @@
 //! allocate untrusted memory for each switchless request, which would
 //! defeat the purpose of using a switchless system."
 //!
+//! A payload short enough for the mailbox's inline window (DESIGN.md
+//! §5) never reaches the pool: it rides the mailbox line beside the
+//! request, and the pool is neither allocated from nor written. Only
+//! longer payloads land here.
+//!
 //! A worker buffer carries one live request at a time (the mailbox,
 //! DESIGN.md §5), so the pool is a ring: a request goes at the cursor,
 //! and one that does not fit in the space left wraps to offset 0 for

@@ -3,7 +3,7 @@
 use crate::buffer::{SchedCommand, TransitionTracer, WorkerBuffer, WorkerSlot};
 use crate::{scheduler, supervise, worker};
 use parking_lot::Mutex;
-use sgx_sim::frontdoor::{self, FrontDoor};
+use sgx_sim::frontdoor::{self, CachePadded, FrontDoor};
 use sgx_sim::{CycleClock, Enclave, RegularOcall};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -59,20 +59,6 @@ pub(crate) struct Shared {
     /// Monotonic enclave incarnation, used as the worker-thread
     /// generation tag for post-restart spawns.
     pub(crate) enclave_generation: AtomicU64,
-}
-
-/// A value alone on its 128-byte block (two adjacent cache lines, which
-/// x86 prefetches as a pair).
-#[derive(Debug)]
-#[repr(align(128))]
-pub(crate) struct CachePadded<T>(T);
-
-impl<T> std::ops::Deref for CachePadded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.0
-    }
 }
 
 impl Shared {
@@ -478,6 +464,68 @@ mod tests {
         let snap = rt.stats().snapshot();
         assert_eq!(snap.total_calls(), 60);
         assert_eq!(snap.regular, 0, "zc has no statically-regular path");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn payloads_round_trip_at_the_window_edges_each_way_and_crossed() {
+        const W: usize = crate::buffer::INLINE_BYTES;
+        let mut t = OcallTable::new();
+        // Replies `args[0]` bytes and returns the input's byte sum.
+        let shape = t.register(
+            "shape",
+            |args: &[u64; MAX_OCALL_ARGS], pin: &[u8], pout: &mut Vec<u8>| {
+                pout.extend((0..args[0]).map(|i| (i as usize + pin.len()) as u8));
+                pin.iter().map(|&b| i64::from(b)).sum()
+            },
+        );
+        // One worker buffer, so every switchless call lands on it.
+        let mut cpu = CpuSpec::paper_machine();
+        cpu.logical_cpus = 2;
+        let cfg = ZcConfig::for_cpu(cpu).with_quantum_ms(1000);
+        let rt = ZcRuntime::start(cfg, Arc::new(t), enclave(&cfg)).unwrap();
+        let mut out = Vec::new();
+        // Each shape until one call of it went switchless (wall time is
+        // only the backstop); every call must return the right bytes.
+        let mut round_trip = |len_in: usize, len_out: usize| {
+            let payload: Vec<u8> = (0..len_in).map(|i| (i * 7 + 1) as u8).collect();
+            let expect: Vec<u8> = (0..len_out).map(|i| (i + len_in) as u8).collect();
+            let sum: i64 = payload.iter().map(|&b| i64::from(b)).sum();
+            let req = OcallRequest::new(shape, &[len_out as u64]);
+            let backstop = std::time::Instant::now() + Duration::from_secs(30);
+            loop {
+                let (ret, path) = rt.dispatch(&req, &payload, &mut out).unwrap();
+                assert_eq!(
+                    (ret, &out[..]),
+                    (sum, &expect[..]),
+                    "{len_in} B in, {len_out} B out"
+                );
+                if path == CallPath::Switchless {
+                    break;
+                }
+                assert!(
+                    std::time::Instant::now() < backstop,
+                    "{len_in} B in never went switchless"
+                );
+            }
+        };
+        for n in [0, 1, W - 1, W] {
+            round_trip(n, 0);
+            round_trip(0, n);
+            round_trip(n, n);
+        }
+        // Inline-only traffic leaves the pool and `payload_out` alone.
+        assert_eq!(rt.stats().snapshot().pool_reallocs, 0);
+        assert!(rt.shared.worker(0).outboard_untouched());
+        for (len_in, len_out) in [(W + 1, 0), (0, W + 1), (W + 1, W + 1), (4096, 8), (8, 4096)] {
+            round_trip(len_in, len_out);
+        }
+        assert_eq!(
+            rt.stats().snapshot().pool_reallocs,
+            1,
+            "4 KiB grew the pool"
+        );
+        assert!(!rt.shared.worker(0).outboard_untouched());
         rt.shutdown();
     }
 

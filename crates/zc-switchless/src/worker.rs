@@ -11,6 +11,13 @@
 //! Idle spinning is the *deliberate* CPU cost the ZC scheduler manages:
 //! for every active worker there is always exactly one busy-waiting
 //! thread (paper §IV-A).
+//!
+//! The host function writes its reply into a buffer private to the
+//! worker thread, which the caller never reads. The worker then
+//! publishes it: a reply that fits is copied into the mailbox's inline
+//! window, a longer one is swapped (not copied) into its `payload_out`,
+//! so the shared `payload_out` is written only for the replies that need
+//! it.
 
 use crate::buffer::{RequestSlot, SchedCommand, Side, WorkerBuffer};
 use crate::runtime::Shared;
@@ -28,6 +35,8 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer, wedg
     let clock = &shared.door.clock;
     me.set_thread(std::thread::current());
     let mut spins: u32 = 0;
+    // The host function's reply buffer, private to this thread.
+    let mut reply = Vec::new();
 
     loop {
         // Both shared words are host-writable: garbage in either is a
@@ -44,7 +53,7 @@ pub(crate) fn worker_loop(shared: &Shared, index: usize, me: &WorkerBuffer, wedg
         match state {
             WorkerState::Processing => {
                 spins = 0;
-                if !execute(shared, me, index, wedged) {
+                if !execute(shared, me, index, wedged, &mut reply) {
                     // Injected crash: the thread dies abruptly. The buffer
                     // stays POISONED in PROCESSING, so it can never be
                     // claimed again — the quarantine the caller re-routes
@@ -171,12 +180,19 @@ fn report_own_violation(shared: &Shared, me: &WorkerBuffer, index: usize, kind: 
     }
 }
 
-/// Execute the posted request and publish results
-/// (`PROCESSING -> WAITING`). Returns `false` if the worker thread must
+/// Execute the posted request into `reply` (the worker's own buffer)
+/// and publish results (`PROCESSING -> WAITING`). Returns `false` if
+/// the worker thread must
 /// retire: an injected crash (the caller's request was *not* invoked),
 /// a torn request slot, or a Byzantine status corruption that leaves the
 /// caller to detect the lie and quarantine the buffer.
-fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) -> bool {
+fn execute(
+    shared: &Shared,
+    me: &WorkerBuffer,
+    index: usize,
+    wedged: &Wedged,
+    reply: &mut Vec<u8>,
+) -> bool {
     let clock = &shared.door.clock;
     if let Some(faults) = &shared.door.faults {
         if let Some(fault) = faults.fire(FaultSite::WorkerCall) {
@@ -234,26 +250,25 @@ fn execute(shared: &Shared, me: &WorkerBuffer, index: usize, wedged: &Wedged) ->
             // A PROCESSING slot without a request is host interference
             // (torn overwrite), not a protocol bug: handled gracefully,
             // never a panic.
-            let Some((req, off, len)) = slot.take() else {
+            let Some((req, payload_in)) = slot.take(pool) else {
                 return true;
             };
-            let payload_in = pool.slice(off, len);
             let exec_start = timed.then(|| clock.now_cycles());
             // Contain host-function panics: an unwinding worker would
             // leave its caller spinning forever. The host side is
             // untrusted anyway — a crash there maps to an error return,
-            // mirroring how a killed ocall surfaces in SGX.
+            // mirroring how a killed ocall surfaces in SGX. A failed or
+            // unwound call may leave bytes behind, so `reply` is
+            // cleared here rather than trusted to `invoke`.
+            reply.clear();
             let ret = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                shared
-                    .table
-                    .invoke(&req, payload_in, &mut slot.payload_out)
-                    .unwrap_or(-1)
+                shared.table.invoke(&req, payload_in, reply).unwrap_or(-1)
             }))
             .unwrap_or(-1);
             if let Some(exec_start) = exec_start {
                 slot.set_execute_hint(clock.now_cycles().saturating_sub(exec_start));
             }
-            let actual = slot.payload_out.len() as u32;
+            let actual = slot.set_reply_bytes(reply);
             // An honest worker declares exactly the bytes present and
             // echoes the request's sequence tag; the Byzantine variants
             // lie about one of the two.
