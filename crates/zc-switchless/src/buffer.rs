@@ -272,41 +272,30 @@ impl RequestSlot {
         self.reply_seq = reply.seq;
     }
 
-    /// The published reply (caller, in `WAITING`).
-    fn reply(&self) -> OcallReply {
-        OcallReply {
-            ret: self.args[0] as i64,
-            payload_len: self.reply_len,
-            seq: self.reply_seq,
-        }
-    }
-
-    /// The bytes present for the published reply, per its mark: the
-    /// inline window up to its count (clamped to the window), or
-    /// `payload_out`, or none.
-    fn reply_bytes(&self) -> &[u8] {
-        match self.mark {
-            INLINE => &self.inline[..usize::from(self.inline_len).min(INLINE_BYTES)],
-            OUTBOARD => &self.payload_out,
-            _ => &[],
-        }
-    }
-
     /// The published reply as `guard` lets the caller accept it (in
     /// `WAITING`) for the call tagged `seq`: the return value, the reply
     /// bytes to copy out (cut to the guard's capacity) and whether they
     /// were cut. The sequence echo is checked first, then the declared
-    /// length against the bytes present; anything else is a lying host.
+    /// length against the bytes present, which the mark places: the
+    /// inline window up to its count (clamped to the window),
+    /// `payload_out`, or none. Anything else is a lying host.
     pub(crate) fn checked_reply(
         &self,
         seq: u64,
         guard: ReplyGuard,
     ) -> Result<(i64, &[u8], bool), GuardViolation> {
-        let reply = self.reply();
-        guard.check_sequence(seq, reply.seq)?;
-        let bytes = self.reply_bytes();
-        let verdict = guard.check_reply(reply.payload_len, bytes.len())?;
-        Ok((reply.ret, &bytes[..verdict.copy_len], verdict.truncated))
+        guard.check_sequence(seq, self.reply_seq)?;
+        let bytes: &[u8] = match self.mark {
+            INLINE => &self.inline[..usize::from(self.inline_len).min(INLINE_BYTES)],
+            OUTBOARD => &self.payload_out,
+            _ => &[],
+        };
+        let verdict = guard.check_reply(self.reply_len, bytes.len())?;
+        Ok((
+            self.args[0] as i64,
+            &bytes[..verdict.copy_len],
+            verdict.truncated,
+        ))
     }
 }
 
