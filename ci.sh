@@ -5,9 +5,9 @@
 # access is needed beyond a Rust toolchain.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick   skip the benchmark/ smoke run, the all_figures-vs-results/
-#             comparison and the triple test run used to shake out
-#             flaky tests
+#   --quick   skip the benchmark/ and pairs.sh smoke runs, the
+#             all_figures-vs-results/ comparison and the triple test
+#             run used to shake out flaky tests
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -63,6 +63,14 @@ cargo build "${bench[@]}"
 if [[ $quick -eq 0 ]]; then
     echo "==> benchmark/ --quick smoke (every workload, every check)"
     cargo test -q "${bench[@]}"
+
+    # The pair runner end to end: a 2-pair, 1 s A/A run of HEAD on one
+    # DES workload must print its table. Its verdicts never gate; a
+    # failed run or a missing table does.
+    echo "==> pairs.sh A/A smoke (des_rr_paper8, 2 pairs of 1 s)"
+    ./pairs.sh --aa HEAD des_rr_paper8 2 1 1 > target/pairs-smoke.txt
+    cat target/pairs-smoke.txt
+    grep -q '^ops_per_s ' target/pairs-smoke.txt
 
     # Cross-commit pin on the DES: the trace and soak suites below only
     # compare two runs of the *same* build, so a simulator change that

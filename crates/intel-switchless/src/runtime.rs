@@ -289,12 +289,10 @@ fn route(
         return Ok((ret, CallPath::Regular));
     }
     // Switchless attempt: claim a slot (pool full -> immediate
-    // fallback, as in the SDK). The fallback-storm breaker guards this
-    // would-fallback point; safety re-routes further down are never
-    // gated.
+    // fallback, as in the SDK).
     let Some(idx) = sh.pool.claim() else {
         rec.mark(Phase::Reserve, &door.clock);
-        return door.guarded_fallback(rec, req, payload_in, payload_out);
+        return door.reroute_fallback(rec, req, payload_in, payload_out);
     };
     rec.mark(Phase::Reserve, &door.clock);
     let submitted = sh.pool.submit(idx, req, payload_in);
@@ -318,9 +316,7 @@ fn route(
         if retries >= sh.config.retries_before_fallback {
             if sh.pool.cancel(idx) {
                 rec.mark(Phase::Wait, &door.clock);
-                // rbf expiry is the SDK's load signal: it feeds the
-                // breaker so a sustained storm opens it.
-                return door.load_fallback(rec, req, payload_in, payload_out);
+                return door.reroute_fallback(rec, req, payload_in, payload_out);
             }
             // A worker accepted at the last moment: wait for it.
             break;
@@ -377,7 +373,6 @@ fn route(
             }
             rec.set_execute_hint(exec_cycles);
             door.stats.record_switchless();
-            door.breaker_success(rec);
             Ok((ret, CallPath::Switchless))
         }
         // The reply lied about its length, or the host flipped the word

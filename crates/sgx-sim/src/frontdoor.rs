@@ -15,11 +15,10 @@
 //! 7. journal retire, on every outcome.
 //!
 //! Around that pipeline sit the pieces both transports need while
-//! routing: the regular-ocall fallback with its phase accounting, the
-//! breaker-guarded would-fallback point, enclave-loss detection and
-//! journal reconciliation, the traced wrapper (one `CallPhases` event
-//! per completed call), the plane metric collector and the shutdown
-//! drain.
+//! routing: the regular-ocall fallback with its phase accounting,
+//! enclave-loss detection and journal reconciliation, the traced
+//! wrapper (one `CallPhases` event per completed call), the plane
+//! metric collector and the shutdown drain.
 //!
 //! A runtime embeds one [`FrontDoor`] and implements [`Transport`] for
 //! its shared state. Dispatch is generic over the transport and
@@ -34,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use switchless_core::overload::{BreakerTransition, InflightGuard, ShedReason};
+use switchless_core::overload::InflightGuard;
 use switchless_core::recovery::{EntryState, ReconcileVerdict, RecoveryPlane};
 use switchless_core::{
     CallPath, CallStats, DrainReport, Fault, FaultInjector, FaultSite, GuardViolation, Ledger,
@@ -167,8 +166,11 @@ pub struct FrontDoor {
     pub stats: Arc<CallStats>,
     /// Deterministic fault injector, if any.
     pub faults: Option<Arc<FaultInjector>>,
-    /// Overload-control plane; `Some` iff configured.
-    pub overload: Option<OverloadPlane>,
+    /// Overload-control plane; `Some` iff configured. Every call stores
+    /// its offered count, and every admitted one its bucket and
+    /// in-flight words, so it sits on a block of its own, as `call_ids`
+    /// does (DESIGN.md §16).
+    pub overload: CachePadded<Option<OverloadPlane>>,
     /// Enclave-restart recovery plane; `Some` iff configured.
     pub recovery: Option<RecoveryPlane>,
     /// Telemetry hub, if one was attached at start.
@@ -202,6 +204,7 @@ const _: () = {
     use std::mem::{align_of, size_of};
     assert!(align_of::<CachePadded<AtomicU64>>() == 128);
     assert!(size_of::<CachePadded<AtomicU64>>() == 128);
+    assert!(align_of::<CachePadded<Option<OverloadPlane>>>() == 128);
 };
 
 impl FrontDoor {
@@ -222,7 +225,7 @@ impl FrontDoor {
             stats: Arc::clone(fallback.stats()),
             fallback,
             faults,
-            overload: overload.map(OverloadPlane::new),
+            overload: CachePadded(overload.map(OverloadPlane::new)),
             recovery: recovery.map(RecoveryPlane::new),
             telemetry,
             call_ids: CachePadded(AtomicU64::new(0)),
@@ -325,40 +328,6 @@ impl FrontDoor {
         }
     }
 
-    /// Trace a breaker state-machine edge, if one happened.
-    fn trace_breaker_edge(&self, edge: Option<BreakerTransition>) {
-        if let Some(e) = edge {
-            self.caller_event(Event::BreakerTransition {
-                from: e.from,
-                to: e.to,
-            });
-        }
-    }
-
-    /// A switchless completion is the breaker's success signal:
-    /// half-open probes that make it here close it. Called right after
-    /// the wait phase closed, whose stamp it shares.
-    #[inline]
-    pub fn breaker_success(&self, rec: &Rec) {
-        if let Some(plane) = &self.overload {
-            self.trace_breaker_edge(plane.on_success(rec.stamp(&self.clock)));
-        }
-    }
-
-    /// Feed one load-driven fallback into the breaker's storm signal
-    /// and ask whether further switchless effort is still allowed
-    /// (`true` without an overload plane).
-    pub fn breaker_storm_allows(&self) -> bool {
-        let Some(plane) = &self.overload else {
-            return true;
-        };
-        let now = self.clock.now_cycles();
-        self.trace_breaker_edge(plane.on_fallback(now));
-        let (allowed, edge) = plane.breaker_allow(now);
-        self.trace_breaker_edge(edge);
-        allowed
-    }
-
     /// Front-door admission: offer the call to the overload plane (when
     /// configured) and either take an in-flight token or shed with a
     /// typed [`SwitchlessError::Overloaded`]. A shed call performs no
@@ -370,7 +339,7 @@ impl FrontDoor {
         req: &OcallRequest,
         rec: &Rec,
     ) -> Result<Option<InflightGuard<'_>>, SwitchlessError> {
-        let Some(plane) = &self.overload else {
+        let Some(plane) = &*self.overload else {
             return Ok(None);
         };
         match plane.try_admit(rec.stamp(&self.clock), req.deadline()) {
@@ -413,9 +382,11 @@ impl FrontDoor {
         Ok(ret)
     }
 
-    /// Safety re-route (worker crash, watchdog cancel, guard violation,
-    /// poisoned slot): complete the call on the regular path. Never
-    /// gated and never fed to the breaker — it must complete the call.
+    /// Complete a routed call on the regular path: the would-fallback
+    /// point (no idle worker, pool full, `rbf` expired, payload refused)
+    /// and every safety re-route (worker crash, guard violation,
+    /// poisoned slot) alike. Never gated: an admitted call completes
+    /// (paper §IV-B, Take-away 7).
     ///
     /// # Errors
     ///
@@ -430,60 +401,6 @@ impl FrontDoor {
         let ret = self.fallback_with_phases(rec, req, payload_in, payload_out)?;
         self.stats.record_fallback();
         Ok((ret, CallPath::Fallback))
-    }
-
-    /// Load-driven fallback past the point of no return (worker already
-    /// claimed, `rbf` expired): complete on the regular path and feed
-    /// the breaker's storm signal, but never gate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the fallback engine's errors.
-    pub fn load_fallback(
-        &self,
-        rec: &mut Rec,
-        req: &OcallRequest,
-        payload_in: &[u8],
-        payload_out: &mut Vec<u8>,
-    ) -> Result<(i64, CallPath), SwitchlessError> {
-        let done = self.reroute_fallback(rec, req, payload_in, payload_out)?;
-        if let Some(plane) = &self.overload {
-            self.trace_breaker_edge(plane.on_fallback(self.clock.now_cycles()));
-        }
-        Ok(done)
-    }
-
-    /// The would-fallback point (no idle worker / pool full). The
-    /// breaker guards it: during a storm it opens and over-capacity
-    /// calls are shed here instead of piling onto the regular-ocall
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// [`SwitchlessError::Overloaded`] with `BreakerOpen` when shed;
-    /// otherwise the fallback engine's errors.
-    pub fn guarded_fallback(
-        &self,
-        rec: &mut Rec,
-        req: &OcallRequest,
-        payload_in: &[u8],
-        payload_out: &mut Vec<u8>,
-    ) -> Result<(i64, CallPath), SwitchlessError> {
-        if let Some(plane) = &self.overload {
-            let (allowed, edge) = plane.breaker_allow(self.clock.now_cycles());
-            self.trace_breaker_edge(edge);
-            if !allowed {
-                let reason = ShedReason::BreakerOpen;
-                plane.record_shed(reason);
-                self.caller_event(Event::CallShed {
-                    call: req.seq,
-                    func: req.func.0,
-                    reason,
-                });
-                return Err(SwitchlessError::Overloaded { reason });
-            }
-        }
-        self.load_fallback(rec, req, payload_in, payload_out)
     }
 
     /// Count and trace a guard violation the caller of call `call`

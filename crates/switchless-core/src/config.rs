@@ -81,8 +81,7 @@ pub struct IntelConfig {
     pub retries_before_sleep: u32,
     /// Overload control ([`OverloadParams`]). `None` (the default,
     /// SDK-faithful) admits every call unconditionally; `Some` enables
-    /// the admission/deadline/breaker plane shared with the ZC
-    /// runtime.
+    /// the admission/deadline plane shared with the ZC runtime.
     pub overload: Option<OverloadParams>,
     /// Enclave-restart recovery ([`RecoveryParams`]). `None` (the
     /// default, SDK-faithful) means an enclave loss strands in-flight
@@ -166,8 +165,8 @@ pub struct ZcConfig {
     /// Overload control ([`OverloadParams`]). `None` (the default)
     /// preserves the paper's unconditional admission: every call
     /// queues or falls back, however hopeless. `Some` enables the
-    /// admission gate, deadline shedding and the fallback-storm
-    /// breaker — all machine-derived, so the runtime stays configless.
+    /// admission gate and deadline shedding — both machine-derived, so
+    /// the runtime stays configless.
     pub overload: Option<OverloadParams>,
     /// Enclave-restart recovery ([`RecoveryParams`]). `None` (the
     /// default) preserves the paper's lifecycle: an enclave loss

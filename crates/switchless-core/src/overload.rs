@@ -1,5 +1,4 @@
-//! Pure overload-control policy: admission, deadlines and the
-//! fallback-storm circuit breaker.
+//! Pure overload-control policy: admission and deadlines.
 //!
 //! Under sustained overload an unprotected switchless runtime fails in
 //! a characteristic sequence: the worker pool saturates, every extra
@@ -12,8 +11,8 @@
 //! [`crate::policy`] and the healing decisions from
 //! [`crate::supervise`].
 //!
-//! Three cooperating mechanisms, all in the cycle domain of the machine
-//! model and all integer-exact:
+//! Two cooperating mechanisms, both in the cycle domain of the machine
+//! model and both integer-exact, acting at one point, admission:
 //!
 //! * **Admission** ([`OverloadController::admit`]) — a queue-depth gate
 //!   plus a token bucket, combined with the deadline check into one
@@ -22,10 +21,10 @@
 //!   to the rate limiter, so shed accounting stays attributable.
 //! * **Deadline budgets** ([`Deadline`]) — every admitted call may carry
 //!   an expiry cycle; over-budget work is shed instead of queued.
-//! * **Circuit breaker** ([`CircuitBreaker`]) — Closed → Open →
-//!   HalfOpen with probation probes, guarding the *fallback* path: a
-//!   fallback storm trips it and subsequent over-capacity calls are
-//!   shed immediately instead of piling onto the regular-ocall path.
+//!
+//! An admitted call is never shed later: a caller that finds no idle
+//! worker falls back to a regular ocall at once, and that call always
+//! completes (paper §IV-B, Take-away 7).
 //!
 //! Everything here is deterministic and proptested
 //! (`tests/overload_props.rs`); the only inputs are cycle timestamps
@@ -55,18 +54,14 @@ pub enum ShedReason {
     /// The token bucket was empty (sustained arrival rate above the
     /// configured ceiling).
     RateLimited,
-    /// The fallback-storm circuit breaker was open.
-    BreakerOpen,
 }
 
 impl ShedReason {
-    /// All reasons, in lattice order (breaker last: it guards the
-    /// fallback path, not front-door admission).
-    pub const ALL: [ShedReason; 4] = [
+    /// All reasons, in lattice order.
+    pub const ALL: [ShedReason; 3] = [
         ShedReason::DeadlineExpired,
         ShedReason::QueueFull,
         ShedReason::RateLimited,
-        ShedReason::BreakerOpen,
     ];
 
     /// Stable lowercase name for exports and counters.
@@ -76,7 +71,6 @@ impl ShedReason {
             ShedReason::DeadlineExpired => "deadline_expired",
             ShedReason::QueueFull => "queue_full",
             ShedReason::RateLimited => "rate_limited",
-            ShedReason::BreakerOpen => "breaker_open",
         }
     }
 
@@ -181,208 +175,6 @@ impl TokenBucket {
     }
 }
 
-/// Circuit-breaker tuning (all durations in cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BreakerParams {
-    /// Failures within one window that trip the breaker open.
-    pub failure_threshold: u32,
-    /// Length of the rolling failure-count window.
-    pub window_cycles: u64,
-    /// How long the breaker stays open before probing.
-    pub open_cycles: u64,
-    /// Consecutive probe successes in HalfOpen required to close.
-    pub probe_successes: u32,
-}
-
-impl BreakerParams {
-    /// Machine-derived defaults: the window is one scheduling quantum,
-    /// the open hold-off two quanta, and the threshold the number of
-    /// fallbacks whose wasted transitions would outweigh a worker for a
-    /// whole quantum (`Q / T_es`) — below that, the argmin scheduler is
-    /// the right tool; above it, the storm needs breaking.
-    #[must_use]
-    pub fn for_cpu(cpu: &CpuSpec) -> Self {
-        let quantum = cpu.quantum_cycles(PAPER_QUANTUM_MS);
-        BreakerParams {
-            failure_threshold: u32::try_from(quantum / cpu.t_es_cycles.max(1))
-                .unwrap_or(u32::MAX)
-                .max(1),
-            window_cycles: quantum,
-            open_cycles: quantum.saturating_mul(2),
-            probe_successes: 3,
-        }
-    }
-}
-
-impl Default for BreakerParams {
-    fn default() -> Self {
-        BreakerParams::for_cpu(&CpuSpec::paper_machine())
-    }
-}
-
-/// Observable breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BreakerState {
-    /// Normal operation; failures are counted per window.
-    Closed,
-    /// Tripped: fallback work is refused until the hold-off elapses.
-    Open,
-    /// Probation: calls run as probes; enough successes close the
-    /// breaker, any failure re-opens it.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Stable lowercase name for exports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
-    }
-}
-
-/// A breaker state-machine edge, for telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BreakerTransition {
-    /// State before the edge.
-    pub from: BreakerState,
-    /// State after the edge.
-    pub to: BreakerState,
-}
-
-/// Fallback-storm circuit breaker: Closed → Open → HalfOpen → Closed.
-///
-/// Failures (fallbacks, pool exhaustions, worker losses — whatever the
-/// owner counts) are recorded via [`on_failure`]; successes via
-/// [`on_success`]. [`allow`] asks whether fallback-path work may
-/// proceed right now. Methods return the [`BreakerTransition`] they
-/// caused, if any, so the owner can trace every edge.
-///
-/// [`on_failure`]: CircuitBreaker::on_failure
-/// [`on_success`]: CircuitBreaker::on_success
-/// [`allow`]: CircuitBreaker::allow
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CircuitBreaker {
-    params: BreakerParams,
-    state: BreakerState,
-    /// Failures observed in the current window (Closed only).
-    window_failures: u32,
-    /// Start of the current failure window (Closed only).
-    window_start_cycles: u64,
-    /// When the breaker last opened (Open only).
-    opened_at_cycles: u64,
-    /// Consecutive probe successes (HalfOpen only).
-    probe_streak: u32,
-    /// Total Closed/HalfOpen→Open trips, for counters.
-    trips: u64,
-}
-
-impl CircuitBreaker {
-    /// Closed breaker with the given tuning.
-    #[must_use]
-    pub fn new(params: BreakerParams) -> Self {
-        CircuitBreaker {
-            params: BreakerParams {
-                failure_threshold: params.failure_threshold.max(1),
-                window_cycles: params.window_cycles.max(1),
-                open_cycles: params.open_cycles,
-                probe_successes: params.probe_successes.max(1),
-            },
-            state: BreakerState::Closed,
-            window_failures: 0,
-            window_start_cycles: 0,
-            opened_at_cycles: 0,
-            probe_streak: 0,
-            trips: 0,
-        }
-    }
-
-    /// Current state (does not advance time).
-    #[must_use]
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// Times the breaker has tripped open.
-    #[must_use]
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// May fallback-path work proceed at `now_cycles`?
-    ///
-    /// Open flips to HalfOpen once the hold-off elapses (the returned
-    /// transition records it); HalfOpen admits work as probation
-    /// probes; Closed always admits.
-    pub fn allow(&mut self, now_cycles: u64) -> (bool, Option<BreakerTransition>) {
-        match self.state {
-            BreakerState::Closed => (true, None),
-            BreakerState::HalfOpen => (true, None),
-            BreakerState::Open => {
-                if now_cycles.saturating_sub(self.opened_at_cycles) >= self.params.open_cycles {
-                    let t = self.transition(BreakerState::HalfOpen);
-                    self.probe_streak = 0;
-                    (true, t)
-                } else {
-                    (false, None)
-                }
-            }
-        }
-    }
-
-    /// Record a fallback-path success at `now_cycles`.
-    pub fn on_success(&mut self, _now_cycles: u64) -> Option<BreakerTransition> {
-        match self.state {
-            BreakerState::Closed | BreakerState::Open => None,
-            BreakerState::HalfOpen => {
-                self.probe_streak += 1;
-                if self.probe_streak >= self.params.probe_successes {
-                    self.window_failures = 0;
-                    self.transition(BreakerState::Closed)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Record a fallback-path failure at `now_cycles`.
-    pub fn on_failure(&mut self, now_cycles: u64) -> Option<BreakerTransition> {
-        match self.state {
-            BreakerState::Open => None,
-            BreakerState::HalfOpen => {
-                self.opened_at_cycles = now_cycles;
-                self.trips += 1;
-                self.transition(BreakerState::Open)
-            }
-            BreakerState::Closed => {
-                if now_cycles.saturating_sub(self.window_start_cycles) >= self.params.window_cycles
-                {
-                    self.window_start_cycles = now_cycles;
-                    self.window_failures = 0;
-                }
-                self.window_failures += 1;
-                if self.window_failures >= self.params.failure_threshold {
-                    self.opened_at_cycles = now_cycles;
-                    self.trips += 1;
-                    self.transition(BreakerState::Open)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn transition(&mut self, to: BreakerState) -> Option<BreakerTransition> {
-        let from = self.state;
-        self.state = to;
-        Some(BreakerTransition { from, to })
-    }
-}
-
 /// Tuning for the whole overload plane (all durations in cycles).
 ///
 /// `Copy` and machine-derived like the rest of [`crate::config`]: the
@@ -397,8 +189,6 @@ pub struct OverloadParams {
     /// Cycles per token refilled (the sustained admission rate is one
     /// call per this many cycles).
     pub refill_period_cycles: u64,
-    /// Fallback-storm breaker tuning.
-    pub breaker: BreakerParams,
 }
 
 impl OverloadParams {
@@ -422,7 +212,6 @@ impl OverloadParams {
             max_inflight: (cpu.logical_cpus as u64).saturating_mul(4).max(4),
             bucket_capacity: (cpu.quantum_cycles(PAPER_QUANTUM_MS) / refill).max(1),
             refill_period_cycles: refill,
-            breaker: BreakerParams::for_cpu(cpu),
         }
     }
 
@@ -450,7 +239,7 @@ impl Default for OverloadParams {
 }
 
 /// The combined overload-control state machine: queue gate + token
-/// bucket for admission, plus the fallback breaker.
+/// bucket + deadline check, one verdict per call.
 ///
 /// Pure: the owner supplies every timestamp and load observation and
 /// executes the verdicts; the controller holds no locks, spawns no
@@ -459,18 +248,15 @@ impl Default for OverloadParams {
 pub struct OverloadController {
     params: OverloadParams,
     bucket: TokenBucket,
-    breaker: CircuitBreaker,
 }
 
 impl OverloadController {
-    /// Controller with everything at rest (bucket full, breaker
-    /// closed).
+    /// Controller at rest (bucket full).
     #[must_use]
     pub fn new(params: OverloadParams) -> Self {
         OverloadController {
             params,
             bucket: TokenBucket::new(params.bucket_capacity, params.refill_period_cycles),
-            breaker: CircuitBreaker::new(params.breaker),
         }
     }
 
@@ -507,18 +293,6 @@ impl OverloadController {
             Ok(())
         }
     }
-
-    /// The fallback-storm breaker (owners drive it directly around
-    /// their fallback path).
-    pub fn breaker(&mut self) -> &mut CircuitBreaker {
-        &mut self.breaker
-    }
-
-    /// Read-only breaker state for metrics.
-    #[must_use]
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
-    }
 }
 
 /// Thread-safe overload plane: one [`OverloadController`] behind a
@@ -526,10 +300,10 @@ impl OverloadController {
 ///
 /// This is the form the runtimes embed (mirroring how they wrap the
 /// pure [`crate::supervise::Supervisor`]): callers funnel admission
-/// through [`admit`](OverloadPlane::admit), drive the breaker at their
-/// would-fallback points, and read [`snapshot`](OverloadPlane::snapshot)
-/// for metrics. The policy itself stays pure and proptestable; this
-/// wrapper only adds the mutex and the counters.
+/// through [`try_admit`](OverloadPlane::try_admit) and read
+/// [`snapshot`](OverloadPlane::snapshot) for metrics. The policy itself
+/// stays pure and proptestable; this wrapper only adds the mutex and
+/// the counters.
 ///
 /// Accounting contract (exact once the runtime has quiesced): every
 /// call offered to the plane either completes on some
@@ -567,24 +341,19 @@ pub struct PlaneAdmission<'a> {
     pub outcome: Result<InflightGuard<'a>, ShedReason>,
 }
 
-/// Consistent point-in-time read of the plane's counters and machine
-/// states (counters may individually race while traffic is live; after
-/// quiescing they are exact).
+/// Point-in-time read of the plane's counters (they may individually
+/// race while traffic is live; after quiescing they are exact).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadSnapshot {
     /// Calls that entered admission.
     pub offered: u64,
-    /// `offered` minus the admission sheds (a breaker shed comes after
-    /// admission); kept for the frozen `benchmark/src/real.rs`.
+    /// `offered` minus the sheds; kept for the frozen
+    /// `benchmark/src/real.rs`.
     pub admitted: u64,
     /// Calls currently holding an in-flight token.
     pub inflight: u64,
     /// Per-reason shed counts, [`ShedReason::ALL`] order.
     pub shed: [u64; ShedReason::ALL.len()],
-    /// Breaker state at snapshot time.
-    pub breaker_state: BreakerState,
-    /// Closed→Open trips so far.
-    pub breaker_trips: u64,
 }
 
 impl OverloadSnapshot {
@@ -674,48 +443,21 @@ impl OverloadPlane {
         }
     }
 
-    /// Ask the breaker whether the fallback path may be used right now
-    /// (an Open breaker whose hold-off elapsed moves to HalfOpen here).
-    pub fn breaker_allow(&self, now_cycles: u64) -> (bool, Option<BreakerTransition>) {
-        self.lock().breaker().allow(now_cycles)
-    }
+    /// A no-op, kept only for the frozen `benchmark/src/layers.rs`.
+    pub fn on_success(&self, _now_cycles: u64) {}
 
-    /// Record one fallback occurrence (the storm signal the breaker
-    /// integrates).
-    pub fn on_fallback(&self, now_cycles: u64) -> Option<BreakerTransition> {
-        self.lock().breaker().on_failure(now_cycles)
-    }
-
-    /// Record one switchless completion (closes a half-open breaker
-    /// after its probation probes).
-    pub fn on_success(&self, now_cycles: u64) -> Option<BreakerTransition> {
-        self.lock().breaker().on_success(now_cycles)
-    }
-
-    /// Count one shed decided outside admission (the breaker-open shed
-    /// at the would-fallback point).
-    pub fn record_shed(&self, reason: ShedReason) {
-        self.shed[reason.index()].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Counter + state snapshot for metrics and reports.
+    /// Counter snapshot for metrics and reports.
     #[must_use]
     pub fn snapshot(&self) -> OverloadSnapshot {
         use std::sync::atomic::Ordering;
-        let c = self.lock();
-        let (breaker_state, breaker_trips) = (c.breaker_state(), c.breaker.trips());
-        drop(c);
         let offered = self.offered.load(Ordering::Acquire);
         let shed: [u64; ShedReason::ALL.len()] =
             std::array::from_fn(|i| self.shed[i].load(Ordering::Acquire));
-        let breaker_sheds = shed[ShedReason::BreakerOpen.index()];
         OverloadSnapshot {
             offered,
-            admitted: offered.saturating_sub(shed.iter().sum::<u64>() - breaker_sheds),
+            admitted: offered.saturating_sub(shed.iter().sum()),
             inflight: self.inflight.load(Ordering::Acquire),
             shed,
-            breaker_state,
-            breaker_trips,
         }
     }
 }
@@ -765,71 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn breaker_walks_closed_open_halfopen_closed() {
-        let p = BreakerParams {
-            failure_threshold: 3,
-            window_cycles: 1_000,
-            open_cycles: 500,
-            probe_successes: 2,
-        };
-        let mut b = CircuitBreaker::new(p);
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.on_failure(10).is_none());
-        assert!(b.on_failure(20).is_none());
-        let t = b.on_failure(30).expect("third failure trips");
-        assert_eq!((t.from, t.to), (BreakerState::Closed, BreakerState::Open));
-        assert_eq!(b.trips(), 1);
-        // Open: refused until the hold-off elapses.
-        assert!(!b.allow(31).0);
-        assert!(!b.allow(529).0);
-        let (ok, t) = b.allow(530);
-        assert!(ok);
-        assert_eq!(t.unwrap().to, BreakerState::HalfOpen);
-        // Probation: two successes close it.
-        assert!(b.on_success(540).is_none());
-        let t = b.on_success(550).expect("streak closes the breaker");
-        assert_eq!(
-            (t.from, t.to),
-            (BreakerState::HalfOpen, BreakerState::Closed)
-        );
-    }
-
-    #[test]
-    fn breaker_probe_failure_reopens() {
-        let p = BreakerParams {
-            failure_threshold: 1,
-            window_cycles: 1_000,
-            open_cycles: 100,
-            probe_successes: 3,
-        };
-        let mut b = CircuitBreaker::new(p);
-        b.on_failure(0);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.allow(100).0);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.on_success(110);
-        let t = b.on_failure(120).expect("probe failure reopens");
-        assert_eq!((t.from, t.to), (BreakerState::HalfOpen, BreakerState::Open));
-        assert_eq!(b.trips(), 2);
-        assert!(!b.allow(121).0, "reopened hold-off restarts");
-    }
-
-    #[test]
-    fn breaker_window_expiry_forgets_failures() {
-        let p = BreakerParams {
-            failure_threshold: 2,
-            window_cycles: 100,
-            open_cycles: 100,
-            probe_successes: 1,
-        };
-        let mut b = CircuitBreaker::new(p);
-        assert!(b.on_failure(0).is_none());
-        // The second failure lands in a fresh window: no trip.
-        assert!(b.on_failure(150).is_none());
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
     fn verdict_lattice_orders_shed_reasons() {
         let mut c = OverloadController::new(params().with_bucket(0, 1_000));
         let now = 0;
@@ -873,17 +550,8 @@ mod tests {
             (two.refill_period_cycles, two.bucket_capacity),
             (140, 271_428)
         );
-        assert!(p.breaker.failure_threshold >= 1);
         let names: Vec<_> = ShedReason::ALL.iter().map(|r| r.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "deadline_expired",
-                "queue_full",
-                "rate_limited",
-                "breaker_open"
-            ]
-        );
+        assert_eq!(names, ["deadline_expired", "queue_full", "rate_limited"]);
     }
 
     #[test]
@@ -905,32 +573,6 @@ mod tests {
         // Two calls completed, one shed: exact conservation.
         assert!(snap.conserves(2));
         assert!(!snap.conserves(3));
-    }
-
-    #[test]
-    fn plane_breaker_round_trip_is_traced() {
-        let mut p = params();
-        p.breaker = BreakerParams {
-            failure_threshold: 2,
-            window_cycles: 1_000,
-            open_cycles: 100,
-            probe_successes: 1,
-        };
-        let plane = OverloadPlane::new(p);
-        assert!(plane.on_fallback(0).is_none());
-        let edge = plane.on_fallback(1).expect("second failure trips");
-        assert_eq!(
-            (edge.from, edge.to),
-            (BreakerState::Closed, BreakerState::Open)
-        );
-        let (ok, edge) = plane.breaker_allow(2);
-        assert!(!ok && edge.is_none(), "inside the hold-off");
-        let (ok, edge) = plane.breaker_allow(200);
-        assert!(ok, "hold-off elapsed admits a probe");
-        assert_eq!(edge.unwrap().to, BreakerState::HalfOpen);
-        let edge = plane.on_success(201).expect("probe closes");
-        assert_eq!(edge.to, BreakerState::Closed);
-        assert_eq!(plane.snapshot().breaker_trips, 1);
     }
 
     #[test]

@@ -200,7 +200,7 @@ pub struct Ledger {
     pub offered: u64,
     /// Calls that completed on some path.
     pub completed: u64,
-    /// Calls shed by admission control, the breaker or a deadline.
+    /// Calls shed by admission control (queue gate, rate or deadline).
     pub shed: u64,
     /// Offered calls abandoned un-issued.
     pub abandoned: u64,

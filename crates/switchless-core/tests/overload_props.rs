@@ -1,13 +1,12 @@
 //! Property tests of the overload-control plane: for arbitrary call
-//! sequences the token bucket never over-admits, the breaker only
-//! walks legal edges, and admission accounting conserves (admitted +
-//! shed == offered) with every shed attributed to exactly one reason,
-//! the first check failed in lattice order.
+//! sequences the token bucket never over-admits, and admission
+//! accounting conserves (admitted + shed == offered) with every shed
+//! attributed to exactly one reason, the first check failed in lattice
+//! order.
 
 use proptest::prelude::*;
 use switchless_core::overload::{
-    BreakerParams, BreakerState, CircuitBreaker, Deadline, OverloadController, OverloadParams,
-    ShedReason, TokenBucket,
+    Deadline, OverloadController, OverloadParams, ShedReason, TokenBucket,
 };
 
 /// One scripted admission call: (cycles since previous call, inflight
@@ -39,63 +38,6 @@ proptest! {
             prop_assert!(b.tokens() <= capacity);
         }
         prop_assert!(admitted <= capacity + now / period);
-    }
-
-    /// The breaker only ever moves along the legal edges
-    /// Closed→Open, Open→HalfOpen, HalfOpen→{Open, Closed}, and while
-    /// Open it refuses all work until the hold-off elapses.
-    #[test]
-    fn breaker_walks_only_legal_edges(
-        threshold in 1u32..6,
-        window in 1u64..2_000,
-        hold in 1u64..2_000,
-        probes in 1u32..4,
-        // 0 = failure, 1 = success, 2 = allow-query
-        script in prop::collection::vec((0u8..3, 0u64..500), 1..200),
-    ) {
-        let mut b = CircuitBreaker::new(BreakerParams {
-            failure_threshold: threshold,
-            window_cycles: window,
-            open_cycles: hold,
-            probe_successes: probes,
-        });
-        let mut now = 0u64;
-        let mut opened_at = 0u64;
-        for (op, gap) in script {
-            now += gap;
-            let before = b.state();
-            let edge = match op {
-                0 => b.on_failure(now),
-                1 => b.on_success(now),
-                _ => {
-                    let (ok, t) = b.allow(now);
-                    if before == BreakerState::Open && now.saturating_sub(opened_at) < hold {
-                        prop_assert!(!ok, "open breaker must refuse inside the hold-off");
-                    }
-                    if matches!(before, BreakerState::Closed | BreakerState::HalfOpen) {
-                        prop_assert!(ok, "closed/half-open breakers admit");
-                    }
-                    t
-                }
-            };
-            if let Some(t) = edge {
-                prop_assert_eq!(t.from, before);
-                prop_assert_eq!(t.to, b.state());
-                let legal = matches!(
-                    (t.from, t.to),
-                    (BreakerState::Closed, BreakerState::Open)
-                        | (BreakerState::Open, BreakerState::HalfOpen)
-                        | (BreakerState::HalfOpen, BreakerState::Open)
-                        | (BreakerState::HalfOpen, BreakerState::Closed)
-                );
-                prop_assert!(legal, "illegal edge {:?}", t);
-                if t.to == BreakerState::Open {
-                    opened_at = now;
-                }
-            } else {
-                prop_assert_eq!(before, b.state(), "no edge reported, no state change");
-            }
-        }
     }
 
     /// Conservation and attribution: over any arrival script,

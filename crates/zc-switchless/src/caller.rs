@@ -26,8 +26,7 @@ use switchless_core::{
 use zc_telemetry::Event;
 
 /// Retries granted to a pool allocation hit by injected exhaustion
-/// before the call degrades to a regular ocall. With the overload plane
-/// on, the breaker can cut the retry loop short of this cap.
+/// before the call degrades to a regular ocall.
 const POOL_RETRY_MAX: u32 = 3;
 
 impl Transport for Shared {
@@ -93,8 +92,8 @@ impl Transport for Shared {
     }
 }
 
-/// Route one admitted, journaled call: worker scan, breaker-guarded
-/// would-fallback point, regular-ocall fallback.
+/// Route one admitted, journaled call: worker scan, then the claimed
+/// worker or an immediate regular-ocall fallback.
 fn route(
     shared: &Shared,
     req: &OcallRequest,
@@ -135,7 +134,7 @@ fn route(
     // reserve time — it is exactly the cost the immediate-fallback
     // design bounds.
     rec.mark(Phase::Reserve, &door.clock);
-    door.guarded_fallback(rec, req, payload_in, payload_out)
+    door.reroute_fallback(rec, req, payload_in, payload_out)
 }
 
 /// Complete a switchless call on a worker already claimed (`RESERVED`).
@@ -180,13 +179,11 @@ pub(crate) fn switchless_call(
         // Injected exhaustion outlasted its retries (or the payload is
         // longer than a mailbox window can name): release the worker
         // and execute as a regular ocall (the untrusted heap handles
-        // it). This is a load-driven fallback, so it feeds the
-        // breaker's storm signal — but it is never *gated*: the worker
-        // is already claimed and the call must complete.
+        // it).
         let ok = w.try_transition(WorkerState::Reserved, WorkerState::Unused);
         debug_assert!(ok, "RESERVED -> UNUSED release must not be contended");
         rec.mark(Phase::CopyIn, &door.clock);
-        return door.load_fallback(rec, req, payload_in, payload_out);
+        return door.reroute_fallback(rec, req, payload_in, payload_out);
     }
     rec.mark(Phase::CopyIn, &door.clock);
     let ok = w.try_transition(WorkerState::Reserved, WorkerState::Processing);
@@ -307,7 +304,6 @@ pub(crate) fn switchless_call(
             let ok = w.try_transition(WorkerState::Waiting, WorkerState::Unused);
             debug_assert!(ok, "WAITING -> UNUSED release must not be contended");
             door.stats.record_switchless();
-            door.breaker_success(rec);
             Ok((ret, CallPath::Switchless))
         }
         Err(v) => guard_violation_fallback(shared, w, widx, v, req, payload_in, payload_out, rec),
@@ -323,10 +319,7 @@ pub(crate) fn switchless_call(
 /// Either way the pool-allocation fault site is consulted first: an
 /// injected exhaustion is retried with exponential pause backoff (the
 /// graceful-degradation path for transient pressure on the untrusted
-/// heap), and persistent exhaustion refuses the payload. Each
-/// exhaustion is also a storm signal for the overload plane's breaker,
-/// which can cut the retry loop short: once the breaker opens there is
-/// no point burning backoff spins on a heap that is not recovering.
+/// heap), and persistent exhaustion refuses the payload.
 fn post(
     door: &FrontDoor,
     w: &WorkerBuffer,
@@ -343,7 +336,7 @@ fn post(
         door.caller_event(Event::Fault {
             kind: Fault::PoolExhaustion,
         });
-        if !door.breaker_storm_allows() || attempts >= POOL_RETRY_MAX {
+        if attempts >= POOL_RETRY_MAX {
             return false;
         }
         door.clock

@@ -1,6 +1,6 @@
 //! Typed trace events and their origins.
 
-use switchless_core::overload::{BreakerState, ShedReason};
+use switchless_core::overload::ShedReason;
 use switchless_core::policy::DecisionRecord;
 use switchless_core::{CallPath, Fault, GuardKind, WorkerState};
 
@@ -223,15 +223,6 @@ pub enum Event {
         /// Which admission check shed it.
         reason: ShedReason,
     },
-    /// The fallback-storm circuit breaker walked one edge of its state
-    /// machine (Closed→Open on a storm, Open→HalfOpen at probation,
-    /// HalfOpen→Closed/Open on probe outcome).
-    BreakerTransition {
-        /// State before the edge.
-        from: BreakerState,
-        /// State after the edge.
-        to: BreakerState,
-    },
     /// The enclave died and the recovery plane began a restart cycle
     /// (see `switchless_core::recovery`). Emitted once per loss by the
     /// caller that won the detection race.
@@ -286,7 +277,6 @@ impl Event {
             Event::CallPhases { .. } => "call_phases",
             Event::Converged { .. } => "converged",
             Event::CallShed { .. } => "call_shed",
-            Event::BreakerTransition { .. } => "breaker_transition",
             Event::EnclaveCrash { .. } => "enclave_crash",
             Event::JournalReplay { .. } => "journal_replay",
             Event::CallRedelivered { .. } => "call_redelivered",

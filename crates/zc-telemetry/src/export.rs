@@ -134,9 +134,6 @@ fn event_fields(event: &Event) -> String {
             ",\"call\":{call},\"func\":{func},\"reason\":\"{}\"",
             reason.name()
         ),
-        Event::BreakerTransition { from, to } => {
-            format!(",\"from\":\"{}\",\"to\":\"{}\"", from.name(), to.name())
-        }
         Event::EnclaveCrash { epoch } => format!(",\"epoch\":{epoch}"),
         Event::JournalReplay { seq } => format!(",\"seq\":{seq}"),
         Event::CallRedelivered { seq } => format!(",\"seq\":{seq}"),
@@ -288,7 +285,7 @@ mod tests {
     use crate::event::PhaseKind;
     use std::collections::BTreeSet;
     use switchless_core::policy::{DecisionRecord, MicroQuantumReport};
-    use switchless_core::{BreakerState, CallPath, Fault, GuardKind, ShedReason, WorkerState};
+    use switchless_core::{CallPath, Fault, GuardKind, ShedReason, WorkerState};
 
     /// One event of every `Event` kind (the first four are the ones the
     /// field-level assertions below name).
@@ -430,15 +427,7 @@ mod tests {
                 Event::CallShed {
                     call: 11,
                     func: 3,
-                    reason: ShedReason::BreakerOpen,
-                },
-            ),
-            at(
-                1_700,
-                caller,
-                Event::BreakerTransition {
-                    from: BreakerState::Closed,
-                    to: BreakerState::Open,
+                    reason: ShedReason::RateLimited,
                 },
             ),
             at(1_900, caller, Event::EnclaveCrash { epoch: 2 }),
@@ -479,7 +468,6 @@ mod tests {
                 | Event::CallPhases { .. }
                 | Event::Converged { .. }
                 | Event::CallShed { .. }
-                | Event::BreakerTransition { .. }
                 | Event::EnclaveCrash { .. }
                 | Event::JournalReplay { .. }
                 | Event::CallRedelivered { .. }
@@ -488,7 +476,7 @@ mod tests {
             }
         }
         let kinds: BTreeSet<_> = evs.iter().map(|e| e.event.kind_name()).collect();
-        assert_eq!(kinds.len(), 22, "one sample per event kind: {kinds:?}");
+        assert_eq!(kinds.len(), 21, "one sample per event kind: {kinds:?}");
         assert_eq!(evs.len(), kinds.len());
     }
 

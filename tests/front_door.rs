@@ -11,10 +11,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchless_core::{
-    CallStatsSnapshot, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule, FleetSnapshot,
-    FuncId, IntelConfig, Ledger, OcallDispatcher, OcallRequest, OcallTable, OverloadParams,
-    OverloadSnapshot, RecoverySnapshot, ShedReason, SuperviseParams, SwitchlessError, ZcConfig,
-    MAX_OCALL_ARGS,
+    CallPath, CallStatsSnapshot, CpuSpec, Fault, FaultInjector, FaultPlan, FaultSchedule,
+    FleetSnapshot, FuncId, IntelConfig, Ledger, OcallDispatcher, OcallRequest, OcallTable,
+    OverloadParams, OverloadSnapshot, RecoverySnapshot, ShedReason, SuperviseParams,
+    SwitchlessError, ZcConfig, MAX_OCALL_ARGS,
 };
 use zc_switchless::ZcRuntime;
 use zc_telemetry::{Origin, Telemetry};
@@ -22,12 +22,25 @@ use zc_telemetry::{Origin, Telemetry};
 /// Wall-clock backstop for loops that wait on a scheduled fault.
 const BACKSTOP: Duration = Duration::from_secs(60);
 
-/// State of the `park` host function: it raises `entered`, then stays
-/// inside the host until the test raises `open`.
+/// State of the `park` host function: it raises `entered` (and
+/// `on_worker` when a worker thread, not the caller, runs it), then
+/// stays inside the host until the test raises `open`.
 #[derive(Debug, Default)]
 struct Gate {
     entered: AtomicBool,
+    on_worker: AtomicBool,
     open: AtomicBool,
+}
+
+impl Gate {
+    /// Wait until a `park` call is inside the host.
+    fn wait_entered(&self) {
+        let backstop = Instant::now() + BACKSTOP;
+        while !self.entered.load(Ordering::Acquire) {
+            assert!(Instant::now() < backstop, "park never reached the host");
+            std::thread::yield_now();
+        }
+    }
 }
 
 /// A host table serving `echo` and `park`, with the latter's gate.
@@ -45,6 +58,10 @@ fn gated_table() -> (Arc<OcallTable>, FuncId, FuncId, Arc<Gate>) {
     let park = t.register(
         "park",
         move |_: &[u64; MAX_OCALL_ARGS], _: &[u8], _: &mut Vec<u8>| {
+            let on_worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.contains("worker"));
+            g.on_worker.store(on_worker, Ordering::Release);
             g.entered.store(true, Ordering::Release);
             while !g.open.load(Ordering::Acquire) {
                 std::thread::yield_now();
@@ -137,7 +154,7 @@ fn start_zc(overload: Option<OverloadParams>) -> Started<ZcRuntime> {
 
 fn start_intel(overload: Option<OverloadParams>) -> Started<IntelSwitchless> {
     let (t, echo, park, gate) = gated_table();
-    let mut cfg = IntelConfig::new(1, [echo]);
+    let mut cfg = IntelConfig::new(1, [echo, park]);
     cfg.overload = overload;
     let rt = IntelSwitchless::start(cfg, t, Enclave::new(cpu())).unwrap();
     Started {
@@ -150,7 +167,8 @@ fn start_intel(overload: Option<OverloadParams>) -> Started<IntelSwitchless> {
 
 /// Admission sheds typed and conserves, an expired deadline sheds
 /// before any work, a full queue gate sheds until a call returns its
-/// token, and a stopped runtime refuses — whichever transport sits
+/// token, an admitted call that finds no worker falls back instead of
+/// being shed, and a stopped runtime refuses — whichever transport sits
 /// behind the front door.
 fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>) -> Started<R>) {
     let mut out = Vec::new();
@@ -211,11 +229,7 @@ fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>
             rt.dispatch(&OcallRequest::new(*park, &[]), &[], &mut Vec::new())
                 .map(|(ret, _)| ret)
         });
-        let backstop = Instant::now() + BACKSTOP;
-        while !gate.entered.load(Ordering::Acquire) {
-            assert!(Instant::now() < backstop, "park never reached the host");
-            std::thread::yield_now();
-        }
+        gate.wait_entered();
         let full = rt.dispatch(&OcallRequest::new(*echo, &[]), b"full", &mut out);
         // Open the gate before asserting, so a failure cannot strand the
         // parked thread.
@@ -239,6 +253,61 @@ fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>
     assert!(usage.conserves(), "{usage:?}");
     rt.stop();
 
+    // Overload on and the one worker parked in the host: each further
+    // call finds no idle worker (zc) or sees `rbf` expire (Intel), and
+    // completes on the fallback path; nothing is shed past admission
+    // (paper §IV-B, Take-away 7). The park holds the worker only if a
+    // worker ran it — an Intel caller whose `rbf` ran out first runs it
+    // itself — so it is retried until one has.
+    let started = start(Some(OverloadParams::for_cpu(&cpu())));
+    let Started {
+        rt,
+        echo,
+        park,
+        gate,
+    } = &started;
+    let backstop = Instant::now() + BACKSTOP;
+    let mut offered = 0;
+    loop {
+        gate.entered.store(false, Ordering::Release);
+        gate.open.store(false, Ordering::Release);
+        let paths = std::thread::scope(|s| {
+            let parked =
+                s.spawn(|| rt.dispatch(&OcallRequest::new(*park, &[]), &[], &mut Vec::new()));
+            gate.wait_entered();
+            let paths = gate.on_worker.load(Ordering::Acquire).then(|| {
+                (0..10)
+                    .map(|_| {
+                        rt.dispatch(&OcallRequest::new(*echo, &[]), b"fb", &mut Vec::new())
+                            .map(|(_, path)| path)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            gate.open.store(true, Ordering::Release);
+            assert_eq!(parked.join().unwrap().map(|(ret, _)| ret), Ok(0));
+            paths
+        });
+        offered += 1;
+        if let Some(paths) = paths {
+            offered += 10;
+            assert!(
+                paths.iter().all(|p| *p == Ok(CallPath::Fallback)),
+                "{paths:?}"
+            );
+            break;
+        }
+        assert!(Instant::now() < backstop, "no worker ever ran the park");
+    }
+    let snap = rt.overload();
+    assert_eq!(
+        (snap.offered, snap.shed_total(), snap.inflight),
+        (offered, 0, 0)
+    );
+    let usage = rt.ledger();
+    assert!(usage.conserves(), "{usage:?}");
+    assert_eq!(usage.completed, offered);
+    rt.stop();
+
     let Started { rt, echo, .. } = start(None);
     rt.stop();
     assert_eq!(
@@ -257,7 +326,9 @@ fn admission_and_stop_contract_holds_on_both_transports() {
 /// The machine-derived overload defaults admit a healthy closed-loop
 /// caller in full. The default burst (one quantum of the machine's issue
 /// rate, 271 428 tokens on two CPUs) alone outlasts the run, so the
-/// outcome does not depend on how fast the host refills it.
+/// outcome does not depend on how fast the host refills it; with one
+/// caller and no deadline neither the queue gate nor a deadline can
+/// shed, and a call that finds no worker falls back.
 #[test]
 fn default_overload_params_never_rate_limit_a_closed_loop_caller() {
     let cpu = CpuSpec::paper_machine().with_logical_cpus(2);
@@ -266,14 +337,13 @@ fn default_overload_params_never_rate_limit_a_closed_loop_caller() {
     let rt = ZcRuntime::start(cfg, t, Enclave::new(cpu)).unwrap();
     let mut out = Vec::new();
     for _ in 0..50_000 {
-        match rt.dispatch(&OcallRequest::new(echo, &[]), &[], &mut out) {
-            Ok(_) | Err(SwitchlessError::Overloaded { .. }) => {}
-            Err(e) => panic!("unexpected error: {e}"),
+        if let Err(e) = rt.dispatch(&OcallRequest::new(echo, &[]), &[], &mut out) {
+            panic!("unexpected error: {e}");
         }
     }
     let snap = rt.overload();
     assert_eq!(snap.offered, 50_000);
-    assert_eq!(snap.shed_for(ShedReason::RateLimited), 0);
+    assert_eq!(snap.shed_total(), 0);
     let usage = rt.usage();
     assert!(usage.conserves(), "{usage:?}");
     rt.stop();

@@ -371,10 +371,9 @@ fn des_slo_report_jsonl_is_byte_identical_across_runs() {
 }
 
 /// One deterministic overload scenario: a token bucket of 2 with a
-/// refill period far beyond the test (no deadline, breaker untouched),
-/// so of 10 sequential calls exactly the first 2 complete and the
-/// remaining 8 shed as `rate_limited`. Returns the canonical projection
-/// of the shed and breaker events.
+/// refill period far beyond the test (no deadline), so of 10 sequential
+/// calls exactly the first 2 complete and the remaining 8 shed as
+/// `rate_limited`. Returns the canonical projection of the shed events.
 fn overloaded_run() -> String {
     let hub = Telemetry::new();
     let (t, echo) = table();
@@ -400,10 +399,7 @@ fn overloaded_run() -> String {
     assert!(usage.conserves(), "{usage:?}");
     zc.shutdown();
     canonical_jsonl(&hub.tracer().drain(), |ev| {
-        matches!(
-            ev.event,
-            Event::CallShed { .. } | Event::BreakerTransition { .. }
-        )
+        matches!(ev.event, Event::CallShed { .. })
     })
 }
 
