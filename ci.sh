@@ -6,8 +6,9 @@
 #
 # Usage: ./ci.sh [--quick]
 #   --quick   skip the benchmark/ and pairs.sh smoke runs, the
-#             all_figures-vs-results/ comparison and the triple test
-#             run used to shake out flaky tests
+#             des_event_fleet128 seed-1 pin, the all_figures-vs-results/
+#             comparison and the triple test run used to shake out
+#             flaky tests
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -63,6 +64,21 @@ cargo build "${bench[@]}"
 if [[ $quick -eq 0 ]]; then
     echo "==> benchmark/ --quick smoke (every workload, every check)"
     cargo test -q "${bench[@]}"
+
+    # Cross-commit pin on the fleet: the benchmark's 128-vCPU, four-tenant
+    # fleet at seed 1 must reproduce its simulated makespan and fault
+    # counts. Nothing else compares this scenario across commits.
+    echo "==> des_event_fleet128 at seed 1 (cross-commit fleet pin)"
+    cargo run -q "${bench[@]}" -- run --workload des_event_fleet128 --seconds 1 --seed 1 \
+        > target/fleet128-seed1.txt
+    fleet_stat() { awk -v k="$1" '$1 == k { print $2 + 0 }' target/fleet128-seed1.txt; }
+    if [[ $(fleet_stat sim_makespan_cycles) != 10003712 ||
+        $(fleet_stat zc-des.sim.guard_violations) != 6 ||
+        $(fleet_stat zc-des.sim.enclave_restarts) != 3 ]]; then
+        cat target/fleet128-seed1.txt >&2
+        echo "ci.sh: des_event_fleet128 seed 1 wants makespan 10003712, 6 guard violations, 3 restarts" >&2
+        exit 1
+    fi
 
     # The pair runner end to end: a 2-pair, 1 s A/A run of HEAD on one
     # DES workload must print its table. Its verdicts never gate; a

@@ -7,12 +7,12 @@
 //! [`SimCounters`] — so a crashing, Byzantine or overloaded tenant can
 //! corrupt nothing beyond its own shard. One extra actor, the
 //! `FleetAllocatorActor`, is the one host of the [`FleetController`]:
-//! it periodically reads every shard's counters and measured demand
-//! curve, lets the controller judge, decide and hand out the cap
-//! changes, and supplies the quiesce wait of the quiesce-and-migrate
-//! protocol as a one-quantum sleep — donors shrink one quantum before
-//! receivers grow, so the sum of running workers never exceeds the
-//! budget mid-migration.
+//! it periodically reads every shard's fault counters and whether its
+//! scheduler has decided yet, lets the controller judge, decide and
+//! hand out the cap changes, and supplies the quiesce wait of the
+//! quiesce-and-migrate protocol as a one-quantum sleep — donors shrink
+//! one quantum before receivers grow, so the sum of running workers
+//! never exceeds the budget mid-migration.
 
 use crate::kernel::{Actor, Kernel, StepCx, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
 use crate::metrics::SimCounters;
@@ -30,7 +30,7 @@ use switchless_core::fleet::{
 
 /// One tenant of a simulated fleet: its workloads and (optionally) a
 /// shard-scoped fault schedule. Every shard runs the default
-/// [`ZcSimParams`] and weighs the same in the global allocator.
+/// [`ZcSimParams`] and is capped at the same fair share.
 #[derive(Debug, Clone)]
 pub struct TenantSimSpec {
     /// Human-readable tenant label (reports).
@@ -171,21 +171,18 @@ impl FleetReport {
     }
 }
 
-/// One shard's counters and demand curve as the fleet controller reads
-/// them. A dead slot is charged once, when it fails, not for every
-/// interval it stays dead.
-fn shard_evidence(world: &RefCell<ZcWorld>, counters: &RefCell<SimCounters>) -> ShardEvidence {
+/// One shard's fault counters, decided flag and cap as the fleet
+/// controller reads them. A dead slot is charged once, when it fails,
+/// not for every interval it stays dead.
+fn shard_evidence(world: &RefCell<ZcWorld>) -> ShardEvidence {
     let w = world.borrow();
-    let c = counters.borrow();
     ShardEvidence {
         totals: ShardTotals {
-            offered: c.offered,
-            fallbacks: c.fallback,
             guard_violations: w.guard_violations,
             worker_faults: w.crashes + w.hangs,
             enclave_crashes: w.recovery.as_ref().map_or(0, |p| p.snapshot().crashes),
         },
-        last_decision: w.last_decision.clone(),
+        decided: w.decided,
         cap: w.worker_cap,
     }
 }
@@ -197,7 +194,6 @@ fn shard_evidence(world: &RefCell<ZcWorld>, counters: &RefCell<SimCounters>) -> 
 /// away), then raises receivers' caps.
 struct FleetAllocatorActor {
     worlds: Vec<Rc<RefCell<ZcWorld>>>,
-    counters: Vec<Rc<RefCell<SimCounters>>>,
     controller: FleetController,
     interval_cycles: u64,
     quantum_cycles: u64,
@@ -219,11 +215,7 @@ impl Actor for FleetAllocatorActor {
                     .max(1),
             );
         }
-        let evidence: Vec<ShardEvidence> = worlds
-            .iter()
-            .zip(&self.counters)
-            .map(|(w, c)| shard_evidence(w, c))
-            .collect();
+        let evidence: Vec<ShardEvidence> = worlds.iter().map(|w| shard_evidence(w)).collect();
         let (decision, raises) = self.controller.decide(&evidence, set_cap);
         for (worst, v) in self
             .worst_verdicts
@@ -276,9 +268,11 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     let controller =
         FleetController::new(FleetParams::new(policy, spec.budget), spec.tenants.len());
 
-    // Each shard starts under the controller's seed cap (which also
-    // bounds its initial worker count); the first rebalance replaces it
-    // with the measured argmin.
+    // Each shard starts under the controller's seed cap, its fair share
+    // (which also bounds its initial worker count). A rebalance moves a
+    // cap only once the shard's scheduler has decided: to one worker
+    // after an interval judged `Faulty`, back to the share after a clean
+    // one.
     let mut shard_worlds = Vec::with_capacity(spec.tenants.len());
     let mut shard_counters = Vec::with_capacity(spec.tenants.len());
     for (tenant, seed) in spec.tenants.iter().zip(controller.seed_caps()) {
@@ -303,7 +297,6 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     let decisions_out = Rc::new(RefCell::new(0u64));
     kernel.spawn(Box::new(FleetAllocatorActor {
         worlds: shard_worlds.clone(),
-        counters: shard_counters.clone(),
         controller,
         interval_cycles: spec.rebalance_interval_cycles.max(1),
         quantum_cycles,

@@ -87,9 +87,9 @@ pub struct ZcWorld {
     pub worker_cap: usize,
     /// Worker-count residency histogram (paper §V-B).
     pub residency: WorkerResidency,
-    /// Latest completed configuration-phase decision, kept so a fleet
-    /// allocator can read this shard's per-worker-count fallback probes.
-    pub last_decision: Option<switchless_core::policy::DecisionRecord>,
+    /// Whether this shard's scheduler has completed a configuration
+    /// phase: until it has, the fleet controller leaves its cap alone.
+    pub decided: bool,
     /// Injected crashes applied so far.
     pub crashes: u64,
     /// Injected hangs applied so far.
@@ -163,7 +163,7 @@ impl ZcWorld {
             active_workers: 0,
             worker_cap: max_workers,
             residency: WorkerResidency::new(max_workers),
-            last_decision: None,
+            decided: false,
             crashes: 0,
             hangs: 0,
             respawns: 0,
@@ -791,9 +791,7 @@ impl crate::kernel::Actor for ZcSchedulerActor {
         let m = step.workers;
         wld.active_workers = m;
         wld.residency.record(m, step.duration_cycles);
-        if step.new_decision.is_some() {
-            wld.last_decision = step.new_decision;
-        }
+        wld.decided = step.decisions > 0;
         for i in 0..wld.workers.len() {
             if i < m {
                 wld.workers[i].cmd = Cmd::Run;

@@ -15,11 +15,11 @@
 //! exact digest, and byte-identical across same-seed reruns.
 //!
 //! The run lasts three scheduler quanta (`Q` = 38 M cycles): shard
-//! schedulers read their fleet cap at the first step boundary and
-//! configuration-phase probes reach the fleet argmin from ≈ 46 M
-//! cycles on. Anything shorter than one quantum decides once at
-//! `t = 0`, before a single call is offered, and exercises no fleet
-//! plane at all.
+//! schedulers read their fleet cap (their fair share of the budget) at
+//! the first step boundary and decide from ≈ 46 M cycles on; from then
+//! on a `Faulty` interval would hold a shard to one worker. Anything
+//! shorter than one quantum decides once at `t = 0`, before a single
+//! call is offered, and exercises no fleet plane at all.
 
 use switchless_core::fleet::TenantVerdict;
 use switchless_core::Ledger;
@@ -123,8 +123,9 @@ fn fleet_of(tenants: Vec<TenantSimSpec>) -> FleetSpec {
         .with_vcpus(40)
         .with_budget(8)
         .with_deadline(RUN_CYCLES * 4)
-        // Re-divide the budget eight times per run so the soak exercises
-        // repeated quiesce-and-migrate, not just the initial decision.
+        // Judge every shard eight times per run, not just at `t = 0`.
+        // No cap moves in the soak itself (its Byzantine violations all
+        // fall before that shard decides); the last test here moves one.
         .with_rebalance_interval(RUN_CYCLES / 8)
 }
 
@@ -189,9 +190,8 @@ fn assert_isolated(solo: &FleetReport, noisy: &FleetReport) {
     assert_eq!(verdicts[1], TenantVerdict::Healthy, "{verdicts:?}");
     assert_eq!(verdicts[2], TenantVerdict::Suspect, "{verdicts:?}");
     assert_eq!(verdicts[3], TenantVerdict::Faulty, "{verdicts:?}");
-    // The hog never showed a curve that pays for more or fewer workers,
-    // so it keeps its seed share of the budget, 8 / 4 tenants: a shard
-    // without a decision of its own is not cut to the floor.
+    // No cap rises above the fair share and the hog is never judged
+    // `Faulty`, so it ends at its share of the budget, 8 / 4 tenants.
     assert_eq!(noisy.tenants[1].final_cap, 2, "hog");
 }
 
@@ -261,4 +261,51 @@ fn noisy_neighbour_soak_is_byte_identical_across_reruns() {
         assert_eq!(ta.final_cap, tb.final_cap);
         assert_eq!(ta.worst_verdict, tb.worst_verdict);
     }
+}
+
+/// Containment moves a cap. Two quiet tenants share the fleet with a
+/// Byzantine one whose host turns hostile only after its scheduler's
+/// first decision (≈ 46 M cycles): its guard violations fall in the
+/// interval the 75 M-cycle rebalance judges, and the run ends before
+/// the next one, at 90 M, could hand its share back. The offender ends
+/// held to one worker; every other shard keeps its share, 8 / 3 = 2.
+#[test]
+fn a_faulty_verdict_holds_the_offender_alone_to_one_worker() {
+    const HORIZON: u64 = 80_000_000;
+    let quiet = |name: &str, seed| {
+        let load = OpenLoad::new(
+            call(2_000),
+            ArrivalProcess::Poisson {
+                mean_gap_cycles: 60_000,
+            },
+            seed,
+            HORIZON,
+        )
+        .with_service(ServiceDist::Exponential { mean_cycles: 1_500 })
+        .with_deadline_budget(10_000_000);
+        TenantSimSpec::new(name, vec![WorkloadSpec::Open(load); 2])
+    };
+    let byzantine = quiet("byzantine", 33).with_faults(
+        ZcSimFaults::new()
+            .flip_status_at(62_000_000, 0)
+            .stale_seq_at(64_000_000, 0)
+            .oversize_reply_at(66_000_000, 0)
+            .with_respawn_delay(800_000)
+            .with_watchdog_pauses(5_000),
+    );
+    let r = run_fleet(&fleet_of(vec![quiet("a", 11), quiet("b", 12), byzantine]));
+    r.snapshot().check().expect("conservation");
+    // Six decisions: 0, 15, …, 75 M cycles; the one at 75 M is the last.
+    assert_eq!(r.decisions, 6);
+    let violations: Vec<u64> = r
+        .tenants
+        .iter()
+        .map(|t| t.fault_recovery.guard_violations)
+        .collect();
+    assert_eq!(violations, [0, 0, 3]);
+    let verdicts: Vec<_> = r.tenants.iter().map(|t| t.worst_verdict).collect();
+    let (healthy, faulty) = (TenantVerdict::Healthy, TenantVerdict::Faulty);
+    assert_eq!(verdicts, [healthy, healthy, faulty]);
+    let caps: Vec<usize> = r.tenants.iter().map(|t| t.final_cap).collect();
+    assert_eq!(caps, [2, 2, 1], "the offender alone is held to one worker");
 }

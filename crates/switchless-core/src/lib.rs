@@ -30,11 +30,11 @@
 //!   per-call intent journal, the idempotency-class reconciliation
 //!   verdict lattice and the Detect → Fence → Restart → Reconcile →
 //!   Drain-resume policy state machine ([`RecoveryPlane`]).
-//! * [`fleet`] — the *pure* multi-enclave fleet plane: the global
-//!   worker-budget allocator running the wasted-cycle argmin across M
-//!   tenant shards, the fairness floor and anti-starvation escalation,
-//!   the [`TenantVerdict`] behaviour lattice and the fleet-wide
-//!   conservation snapshot ([`FleetSnapshot`]).
+//! * [`fleet`] — the *pure* multi-enclave fleet plane: each of M tenant
+//!   shards capped at its fair share of one worker budget, a `Faulty`
+//!   shard held to one worker by the [`TenantVerdict`] behaviour
+//!   lattice, and the fleet-wide conservation snapshot
+//!   ([`FleetSnapshot`]).
 //! * [`rand`] — the workspace's one seeded PRNG ([`SplitMix64`]), so a
 //!   single seed reproduces an overload+fault scenario byte-identically.
 //!

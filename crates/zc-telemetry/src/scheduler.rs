@@ -3,14 +3,12 @@
 //! fallback total and the worker cap come from (the real scheduler's
 //! cap is its constant ceiling, a DES fleet shard's the allocator's
 //! cap) and how they wait out the step; everything between — fallback
-//! delta → policy → cap clamp → trace → decision report — is
+//! delta → policy → cap clamp → trace — is
 //! [`SchedulerDriver::step`].
 
 use crate::{Event, Origin, PhaseKind, Telemetry};
 use std::sync::Arc;
-use switchless_core::policy::{
-    ConvergenceTracker, DecisionRecord, PolicyParams, PolicyStep, SchedulerPolicy,
-};
+use switchless_core::policy::{ConvergenceTracker, PolicyParams, PolicyStep, SchedulerPolicy};
 
 /// What the host has to carry out for one scheduler step.
 #[derive(Debug)]
@@ -23,9 +21,6 @@ pub struct SchedulerStep {
     pub duration_cycles: u64,
     /// Configuration phases completed so far.
     pub decisions: u64,
-    /// The decision that completed just before this step, if one did:
-    /// the shard's measured demand curve, for the host to publish.
-    pub new_decision: Option<DecisionRecord>,
 }
 
 /// Drives a [`SchedulerPolicy`] from the host's cumulative fallback
@@ -105,7 +100,6 @@ impl SchedulerDriver {
             workers,
             duration_cycles: step.duration_cycles(),
             decisions,
-            new_decision: new_decision.cloned(),
         }
     }
 }
