@@ -195,11 +195,14 @@ if [[ $quick -eq 0 ]]; then
     # among them) and its protocol and hostile-host suites, then of the
     # umbrella fault-injection and end-to-end suites, which push small
     # (inline-window) and large (pool) payloads and pool faults through
-    # real threads (under a second once built).
-    echo "==> cargo test --release (zc mailbox, protocol + Byzantine suites)"
+    # real threads (under a second once built), and of the front-door
+    # suite: the overload plane has no lock, so its admission counters
+    # and the fallback-instead-of-shed contract rest on atomics on both
+    # transports.
+    echo "==> cargo test --release (zc mailbox, protocol + Byzantine suites, front door)"
     cargo test -q --release -p zc-switchless --lib \
         --test protocol_stress --test byzantine_soak --test byzantine_props
-    cargo test -q --release --test fault_injection_suite --test end_to_end
+    cargo test -q --release --test fault_injection_suite --test end_to_end --test front_door
     # The Intel task slot keeps its lock but posts and reads its
     # one-line mailbox field by field; its unit tests (layout, round
     # trips, reply guard) and the pool model run optimised too.

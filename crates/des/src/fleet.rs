@@ -7,12 +7,10 @@
 //! [`SimCounters`] — so a crashing, Byzantine or overloaded tenant can
 //! corrupt nothing beyond its own shard. One extra actor, the
 //! `FleetAllocatorActor`, is the one host of the [`FleetController`]:
-//! it periodically reads every shard's fault counters and whether its
-//! scheduler has decided yet, lets the controller judge, decide and
-//! hand out the cap changes, and supplies the quiesce wait of the
-//! quiesce-and-migrate protocol as a one-quantum sleep — donors shrink
-//! one quantum before receivers grow, so the sum of running workers
-//! never exceeds the budget mid-migration.
+//! every rebalance interval it reads each shard's fault counters and
+//! cap, lets the controller judge and decide, and applies the cap
+//! changes at once. Every cap is 1 or the fair share, so their sum never
+//! exceeds the budget, whatever order they change in.
 
 use crate::kernel::{Actor, Kernel, StepCx, Syscall, SyscallResult, DEFAULT_RR_QUANTUM};
 use crate::metrics::SimCounters;
@@ -24,8 +22,8 @@ use std::rc::Rc;
 use switchless_core::config::PAPER_QUANTUM_MS;
 use switchless_core::cpu::CpuSpec;
 use switchless_core::fleet::{
-    CapChange, FleetController, FleetParams, FleetSnapshot, PendingRaises, ShardEvidence,
-    ShardTotals, TenantVerdict,
+    CapChange, FleetController, FleetParams, FleetSnapshot, ShardEvidence, ShardTotals,
+    TenantVerdict,
 };
 
 /// One tenant of a simulated fleet: its workloads and (optionally) a
@@ -74,8 +72,8 @@ pub struct FleetSpec {
     pub classes: usize,
     /// Hard stop in cycles (safety net for open-loop runs).
     pub deadline_cycles: u64,
-    /// Allocator cadence in cycles (default: 4 quanta). Each rebalance
-    /// costs one quantum of quiesce lag before receivers grow.
+    /// Allocator cadence in cycles (default: 4 quanta). A shard's
+    /// scheduler applies a new cap at its next step.
     pub rebalance_interval_cycles: u64,
 }
 
@@ -171,8 +169,8 @@ impl FleetReport {
     }
 }
 
-/// One shard's fault counters, decided flag and cap as the fleet
-/// controller reads them. A dead slot is charged once, when it fails,
+/// One shard's fault counters and cap as the fleet controller reads
+/// them. A dead slot is charged once, when it fails,
 /// not for every interval it stays dead.
 fn shard_evidence(world: &RefCell<ZcWorld>) -> ShardEvidence {
     let w = world.borrow();
@@ -182,23 +180,18 @@ fn shard_evidence(world: &RefCell<ZcWorld>) -> ShardEvidence {
             worker_faults: w.crashes + w.hangs,
             enclave_crashes: w.recovery.as_ref().map_or(0, |p| p.snapshot().crashes),
         },
-        decided: w.decided,
         cap: w.worker_cap,
     }
 }
 
 /// The virtual-time host of the [`FleetController`]: every
 /// `rebalance_interval_cycles` it reads each shard's evidence, lets the
-/// controller decide, lowers donors' caps, sleeps one quantum (the
-/// donors' schedulers apply caps at their next step, at most a quantum
-/// away), then raises receivers' caps.
+/// controller decide and applies the cap changes (each shard's
+/// scheduler picks a new cap up at its next step).
 struct FleetAllocatorActor {
     worlds: Vec<Rc<RefCell<ZcWorld>>>,
     controller: FleetController,
     interval_cycles: u64,
-    quantum_cycles: u64,
-    /// Caps to raise once the quiesce quantum has elapsed.
-    pending_raises: Option<PendingRaises>,
     worst_verdicts: Rc<RefCell<Vec<TenantVerdict>>>,
     decisions_out: Rc<RefCell<u64>>,
 }
@@ -206,17 +199,10 @@ struct FleetAllocatorActor {
 impl Actor for FleetAllocatorActor {
     fn step(&mut self, _res: SyscallResult, _now: u64, _cx: &mut StepCx) -> Syscall {
         let worlds = &self.worlds;
-        let set_cap = |c: CapChange| worlds[c.shard].borrow_mut().worker_cap = c.to;
-        if let Some(raises) = self.pending_raises.take() {
-            raises.raise(set_cap);
-            return Syscall::Sleep(
-                self.interval_cycles
-                    .saturating_sub(self.quantum_cycles)
-                    .max(1),
-            );
-        }
         let evidence: Vec<ShardEvidence> = worlds.iter().map(|w| shard_evidence(w)).collect();
-        let (decision, raises) = self.controller.decide(&evidence, set_cap);
+        let decision = self.controller.decide(&evidence, |c: CapChange| {
+            worlds[c.shard].borrow_mut().worker_cap = c.to;
+        });
         for (worst, v) in self
             .worst_verdicts
             .borrow_mut()
@@ -226,12 +212,7 @@ impl Actor for FleetAllocatorActor {
             *worst = worst.join(*v);
         }
         *self.decisions_out.borrow_mut() = self.controller.decisions();
-        if raises.is_empty() {
-            Syscall::Sleep(self.interval_cycles.max(1))
-        } else {
-            self.pending_raises = Some(raises);
-            Syscall::Sleep(self.quantum_cycles.max(1))
-        }
+        Syscall::Sleep(self.interval_cycles)
     }
 
     fn group(&self) -> &str {
@@ -264,15 +245,13 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     // parameters on the one machine that hosts the whole fleet.
     let zc = ZcSimParams::default();
     let policy = zc.policy_params(&spec.cpu);
-    let quantum_cycles = policy.quantum_cycles;
     let controller =
         FleetController::new(FleetParams::new(policy, spec.budget), spec.tenants.len());
 
     // Each shard starts under the controller's seed cap, its fair share
     // (which also bounds its initial worker count). A rebalance moves a
-    // cap only once the shard's scheduler has decided: to one worker
-    // after an interval judged `Faulty`, back to the share after a clean
-    // one.
+    // cap to one worker after an interval judged `Faulty`, back to the
+    // share after a clean one.
     let mut shard_worlds = Vec::with_capacity(spec.tenants.len());
     let mut shard_counters = Vec::with_capacity(spec.tenants.len());
     for (tenant, seed) in spec.tenants.iter().zip(controller.seed_caps()) {
@@ -299,8 +278,6 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         worlds: shard_worlds.clone(),
         controller,
         interval_cycles: spec.rebalance_interval_cycles.max(1),
-        quantum_cycles,
-        pending_raises: None,
         worst_verdicts: Rc::clone(&worst_verdicts),
         decisions_out: Rc::clone(&decisions_out),
     }));
@@ -422,6 +399,10 @@ mod tests {
             .stale_seq_at(3_000_000, 0)
             .with_respawn_delay(800_000)
             .with_watchdog_pauses(5_000);
+        // A rebalance every 20 M cycles: the one at 20 M judges the
+        // interval that holds all three violations, long before the
+        // shard's scheduler first decides (one 38 M-cycle quantum in),
+        // and the run ends before the next one.
         let spec = FleetSpec::new(
             vec![
                 TenantSimSpec::new("honest", vec![closed(20_000, 500); 2]),
@@ -429,7 +410,8 @@ mod tests {
             ],
             1,
         )
-        .with_vcpus(24);
+        .with_vcpus(24)
+        .with_rebalance_interval(20_000_000);
         let r = run_fleet(&spec);
         // Both tenants finish — containment caps the offender's workers,
         // it never loses its calls.
@@ -437,9 +419,17 @@ mod tests {
         assert_eq!(r.tenants[1].counters.total_calls(), 40_000);
         r.snapshot().check().expect("fleet conservation");
         // The honest shard saw zero guard violations; the Byzantine
-        // shard's violations were charged to it alone.
+        // shard's violations were charged to it alone, and judged so.
         assert_eq!(r.tenants[0].fault_recovery.guard_violations, 0);
         assert_eq!(r.tenants[1].fault_recovery.guard_violations, 3);
+        let worst: Vec<_> = r.tenants.iter().map(|t| t.worst_verdict).collect();
+        assert_eq!(worst, [TenantVerdict::Healthy, TenantVerdict::Faulty]);
+        // The offender is held to one worker; the honest shard ends at
+        // its share of the budget (4 / 2).
+        assert_eq!(r.decisions, 2);
+        assert_eq!(spec.budget, 4);
+        let caps: Vec<_> = r.tenants.iter().map(|t| t.final_cap).collect();
+        assert_eq!(caps, [2, 1]);
     }
 
     #[test]

@@ -87,9 +87,6 @@ pub struct ZcWorld {
     pub worker_cap: usize,
     /// Worker-count residency histogram (paper §V-B).
     pub residency: WorkerResidency,
-    /// Whether this shard's scheduler has completed a configuration
-    /// phase: until it has, the fleet controller leaves its cap alone.
-    pub decided: bool,
     /// Injected crashes applied so far.
     pub crashes: u64,
     /// Injected hangs applied so far.
@@ -163,7 +160,6 @@ impl ZcWorld {
             active_workers: 0,
             worker_cap: max_workers,
             residency: WorkerResidency::new(max_workers),
-            decided: false,
             crashes: 0,
             hangs: 0,
             respawns: 0,
@@ -791,7 +787,6 @@ impl crate::kernel::Actor for ZcSchedulerActor {
         let m = step.workers;
         wld.active_workers = m;
         wld.residency.record(m, step.duration_cycles);
-        wld.decided = step.decisions > 0;
         for i in 0..wld.workers.len() {
             if i < m {
                 wld.workers[i].cmd = Cmd::Run;

@@ -167,9 +167,8 @@ pub struct FrontDoor {
     /// Deterministic fault injector, if any.
     pub faults: Option<Arc<FaultInjector>>,
     /// Overload-control plane; `Some` iff configured. Every call stores
-    /// its offered count, and every admitted one its bucket and
-    /// in-flight words, so it sits on a block of its own, as `call_ids`
-    /// does (DESIGN.md §16).
+    /// its offered count, and every admitted one its in-flight word, so
+    /// it sits on a block of its own, as `call_ids` does (DESIGN.md §16).
     pub overload: CachePadded<Option<OverloadPlane>>,
     /// Enclave-restart recovery plane; `Some` iff configured.
     pub recovery: Option<RecoveryPlane>,
@@ -205,6 +204,7 @@ const _: () = {
     assert!(align_of::<CachePadded<AtomicU64>>() == 128);
     assert!(size_of::<CachePadded<AtomicU64>>() == 128);
     assert!(align_of::<CachePadded<Option<OverloadPlane>>>() == 128);
+    assert!(size_of::<CachePadded<Option<OverloadPlane>>>() == 128);
 };
 
 impl FrontDoor {

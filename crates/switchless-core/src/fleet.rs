@@ -17,8 +17,11 @@
 //!   while its interval's verdict is `Faulty` and gets its share back
 //!   after a clean one. No other shard's cap depends on that verdict:
 //!   containment charges the offender only.
-//! * **No decision, no move** — a shard whose scheduler has not decided
-//!   yet keeps the cap it has.
+//! * **Every cap fits at every step** — each cap is 1 or the share, so
+//!   when the budget covers one worker per shard (the DES host asserts
+//!   it) the caps sum to at most `M · share ≤ budget` whatever order
+//!   they change in: a rebalance applies its changes in one pass, with
+//!   no quiesce.
 //!
 //! [`FleetSnapshot`] extends the runtime conservation contracts
 //! (`offered == completed + shed + abandoned + refused`) to the fleet:
@@ -208,8 +211,6 @@ pub struct ShardTotals {
 pub struct ShardEvidence {
     /// The shard's cumulative counters as of now.
     pub totals: ShardTotals,
-    /// Whether the shard's scheduler has completed a decision yet.
-    pub decided: bool,
     /// The worker cap the shard currently runs under.
     pub cap: usize,
 }
@@ -225,33 +226,11 @@ pub struct CapChange {
     pub to: usize,
 }
 
-/// The caps that grow in a rebalance. The value only exists once every
-/// shrinking cap has been handed out ([`FleetController::decide`]); the
-/// host applies it after its donors have quiesced, so a moving worker
-/// never counts against two shards and `Σ running ≤ budget` holds
-/// mid-migration.
-#[derive(Debug)]
-#[must_use = "receivers keep their old caps until `raise` is called"]
-pub struct PendingRaises(Vec<CapChange>);
-
-impl PendingRaises {
-    /// No cap grows in this rebalance.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Hand out the raises, in shard order.
-    pub fn raise(self, apply: impl FnMut(CapChange)) {
-        self.0.into_iter().for_each(apply);
-    }
-}
-
 /// The fleet's control loop, hosted by the DES allocator actor: seed
 /// caps, per-shard interval baselines, evidence → [`TenantSignals`] →
-/// [`FleetAllocator::decide`], and the cap changes in
-/// quiesce-and-migrate order. A host only reads its shards' counters,
-/// applies caps and waits in its own notion of time.
+/// [`FleetAllocator::decide`], and the cap changes. A host only reads
+/// its shards' counters, applies caps and waits in its own notion of
+/// time.
 #[derive(Debug, Clone)]
 pub struct FleetController {
     allocator: FleetAllocator,
@@ -283,15 +262,15 @@ impl FleetController {
     }
 
     /// Run one fleet decision over the shards' `evidence` (in shard
-    /// order). A shard that has decided moves to its
-    /// [`FleetDecision::caps`] entry; one that has not keeps its cap.
-    /// Caps that shrink are handed to `lower` before this returns; the
-    /// caps that grow come back as [`PendingRaises`].
+    /// order): every shard moves to its [`FleetDecision::caps`] entry,
+    /// and each cap that changes is handed to `apply`, in shard order.
+    /// Each cap is 1 or the fair share, so with a budget of at least
+    /// one worker per shard the caps fit it after every single change.
     pub fn decide(
         &mut self,
         evidence: &[ShardEvidence],
-        lower: impl FnMut(CapChange),
-    ) -> (FleetDecision, PendingRaises) {
+        apply: impl FnMut(CapChange),
+    ) -> FleetDecision {
         let demands: Vec<TenantDemand> = evidence
             .iter()
             .zip(&mut self.seen)
@@ -308,19 +287,18 @@ impl FleetController {
             })
             .collect();
         let decision = self.allocator.decide(&demands);
-        let (lowers, raises): (Vec<CapChange>, Vec<CapChange>) = evidence
+        evidence
             .iter()
             .zip(&decision.caps)
             .enumerate()
-            .map(|(shard, (e, &cap))| CapChange {
+            .map(|(shard, (e, &to))| CapChange {
                 shard,
                 from: e.cap,
-                to: if e.decided { cap } else { e.cap },
+                to,
             })
             .filter(|c| c.to != c.from)
-            .partition(|c| c.to < c.from);
-        lowers.into_iter().for_each(lower);
-        (decision, PendingRaises(raises))
+            .for_each(apply);
+        decision
     }
 }
 

@@ -23,9 +23,9 @@
 //!   decoding of host-written shared words, release-mode transition
 //!   legality, reply-length clamping and sequence-tag replay detection
 //!   ([`SharedWordGuard`], [`ReplyGuard`]).
-//! * [`overload`] — the *pure* overload-control plane: queue-depth and
-//!   token-bucket admission verdicts and per-call deadline budgets
-//!   ([`OverloadController`]).
+//! * [`overload`] — the overload-control plane: a pure admission
+//!   verdict (an expired deadline, then the queue-depth gate) hosted
+//!   lock-free by [`OverloadPlane`].
 //! * [`recovery`] — the *pure* enclave-restart recovery plane: the
 //!   per-call intent journal, the idempotency-class reconciliation
 //!   verdict lattice and the Detect → Fence → Restart → Reconcile →
@@ -89,14 +89,12 @@ pub use fault::{
 };
 pub use fleet::{
     CapChange, FleetAccountingError, FleetAllocator, FleetController, FleetDecision, FleetParams,
-    FleetSnapshot, PendingRaises, ShardEvidence, ShardTotals, TenantDemand, TenantSignals,
-    TenantVerdict,
+    FleetSnapshot, ShardEvidence, ShardTotals, TenantDemand, TenantSignals, TenantVerdict,
 };
 pub use func::{FuncId, HostFn, OcallReply, OcallRequest, OcallTable, MAX_OCALL_ARGS};
 pub use guard::{GuardKind, GuardViolation, ReplyGuard, ReplyVerdict, SharedWordGuard};
 pub use overload::{
-    Deadline, InflightGuard, OverloadController, OverloadParams, OverloadPlane, OverloadSnapshot,
-    ShedReason, TokenBucket,
+    Deadline, InflightGuard, OverloadParams, OverloadPlane, OverloadSnapshot, ShedReason,
 };
 pub use rand::SplitMix64;
 pub use recovery::{

@@ -1,38 +1,44 @@
 //! Property tests of the fleet's cap rule: for arbitrary fleets of
-//! verdicts, decided flags and current caps, no shard's cap is ever
-//! below one worker or above the shard ceiling, a decided fleet's caps
-//! fit the budget whenever the budget covers one worker per shard,
-//! decisions are a deterministic function of the inputs, and a `Faulty`
-//! verdict moves no cap but the offender's — through the pure
-//! [`FleetAllocator`] and through the [`FleetController`] the DES fleet
-//! host runs, which must also hand out every lower before any raise.
+//! verdicts and current caps, no shard's cap is ever below one worker or
+//! above the shard ceiling, the caps fit the budget whenever the budget
+//! covers one worker per shard — after every single cap change the
+//! [`FleetController`] hands out, in whatever order a host applies them
+//! — decisions are a deterministic function of the inputs, and a
+//! `Faulty` verdict moves no cap but the offender's.
 
 use proptest::prelude::*;
 use switchless_core::cpu::CpuSpec;
 use switchless_core::policy::PolicyParams;
 use switchless_core::{
-    FleetAllocator, FleetController, FleetDecision, FleetParams, ShardEvidence, ShardTotals,
-    TenantDemand, TenantVerdict,
+    CapChange, FleetAllocator, FleetController, FleetDecision, FleetParams, ShardEvidence,
+    ShardTotals, SplitMix64, TenantDemand, TenantVerdict,
 };
 
 fn fleet_params(budget: usize) -> FleetParams {
     FleetParams::new(PolicyParams::from_cpu(&CpuSpec::paper_machine()), budget)
 }
 
-/// Raw generated shard: (verdict index, decided, current cap).
-type RawShard = (u8, bool, usize);
+/// Raw generated shard: (verdict index, current cap).
+type RawShard = (u8, usize);
 
 fn arb_fleet() -> impl Strategy<Value = Vec<RawShard>> {
-    prop::collection::vec((0u8..3, any::<bool>(), 1usize..8), 1..8)
+    prop::collection::vec((0u8..3, 1usize..8), 1..8)
 }
 
 fn verdict_of(v: u8) -> TenantVerdict {
     TenantVerdict::ALL[v as usize % TenantVerdict::ALL.len()]
 }
 
+/// Cumulative shard counters after one more interval judged `verdict`.
+fn judged(mut totals: ShardTotals, verdict: TenantVerdict) -> ShardTotals {
+    totals.guard_violations += u64::from(verdict == TenantVerdict::Faulty);
+    totals.enclave_crashes += u64::from(verdict == TenantVerdict::Suspect);
+    totals
+}
+
 fn demands_from(raw: &[RawShard]) -> Vec<TenantDemand> {
     raw.iter()
-        .map(|&(v, ..)| TenantDemand {
+        .map(|&(v, _)| TenantDemand {
             verdict: verdict_of(v),
         })
         .collect()
@@ -42,90 +48,28 @@ fn demands_from(raw: &[RawShard]) -> Vec<TenantDemand> {
 /// the signal that produces it.
 fn evidence_from(raw: &[RawShard]) -> Vec<ShardEvidence> {
     raw.iter()
-        .map(|&(v, decided, cap)| {
-            let verdict = verdict_of(v);
-            ShardEvidence {
-                totals: ShardTotals {
-                    guard_violations: u64::from(verdict == TenantVerdict::Faulty),
-                    enclave_crashes: u64::from(verdict == TenantVerdict::Suspect),
-                    ..ShardTotals::default()
-                },
-                decided,
-                cap,
-            }
+        .map(|&(v, cap)| ShardEvidence {
+            totals: judged(ShardTotals::default(), verdict_of(v)),
+            cap,
         })
         .collect()
 }
 
 /// One controller decision over `raw`: the decision and the caps after
-/// its lowers and raises.
+/// its changes.
 fn controller_decide(raw: &[RawShard], budget: usize) -> (FleetDecision, Vec<usize>) {
     let mut controller = FleetController::new(fleet_params(budget), raw.len());
-    let mut caps: Vec<usize> = raw.iter().map(|&(_, _, cap)| cap).collect();
-    let (decision, pending) = controller.decide(&evidence_from(raw), |c| caps[c.shard] = c.to);
-    pending.raise(|c| caps[c.shard] = c.to);
+    let mut caps: Vec<usize> = raw.iter().map(|&(_, cap)| cap).collect();
+    let decision = controller.decide(&evidence_from(raw), |c| caps[c.shard] = c.to);
     (decision, caps)
-}
-
-/// Two controller decisions over scripted shard evidence: a
-/// guard-violation interval lowers the Byzantine shard to one worker,
-/// the clean interval after it raises the shard back to its share, and
-/// applying the changes in hand-out order never lifts the fleet's
-/// summed caps above the budget.
-#[test]
-fn controller_hands_out_every_lower_before_any_raise() {
-    let mut controller = FleetController::new(fleet_params(8), 3);
-    let mut caps = controller.seed_caps();
-    assert_eq!(caps, [2, 2, 2]);
-    // (shard 2's cumulative guard violations, its verdict, shards
-    // lowered, shards raised) per decision: the second reading repeats
-    // the first's three violations, so its interval is clean.
-    let script = [
-        (3, TenantVerdict::Faulty, vec![2], vec![]),
-        (3, TenantVerdict::Healthy, vec![], vec![2]),
-    ];
-    for (round, (violations, verdict, lowered, raised)) in script.into_iter().enumerate() {
-        let evidence: Vec<ShardEvidence> = (0..3)
-            .map(|t| ShardEvidence {
-                totals: ShardTotals {
-                    guard_violations: if t == 2 { violations } else { 0 },
-                    ..ShardTotals::default()
-                },
-                decided: true,
-                cap: caps[t],
-            })
-            .collect();
-        let mut log = Vec::new();
-        let (decision, pending) = controller.decide(&evidence, |c| log.push(c));
-        assert_eq!(decision.verdicts[2], verdict, "round {round}");
-        assert_eq!(log.iter().map(|c| c.shard).collect::<Vec<_>>(), lowered);
-        assert!(log.iter().all(|c| c.to < c.from), "{log:?}");
-        assert_eq!(pending.is_empty(), raised.is_empty());
-        pending.raise(|c| log.push(c));
-        assert_eq!(
-            log[lowered.len()..]
-                .iter()
-                .map(|c| c.shard)
-                .collect::<Vec<_>>(),
-            raised
-        );
-        for c in log {
-            assert_eq!(caps[c.shard], c.from);
-            caps[c.shard] = c.to;
-            assert!(caps.iter().sum::<usize>() <= 8, "{caps:?}");
-        }
-        assert_eq!(caps, decision.caps, "round {round}");
-    }
-    assert_eq!(caps, [2, 2, 2]);
-    assert_eq!(controller.decisions(), 2);
 }
 
 proptest! {
     /// Every cap lies between the one-worker floor and the shard
     /// ceiling; a `Faulty` tenant's cap is the floor; and when the budget
     /// covers one worker per tenant, the caps fit the budget. Through the
-    /// controller, a decided shard ends at its decision's cap and an
-    /// undecided one where it started.
+    /// controller, every shard ends at its decision's cap, wherever it
+    /// started.
     #[test]
     fn floor_ceiling_and_budget_always_hold(raw in arb_fleet(), budget in 1usize..32) {
         let demands = demands_from(&raw);
@@ -144,8 +88,47 @@ proptest! {
         }
         let (decision, caps) = controller_decide(&raw, budget);
         prop_assert_eq!(&decision, &d);
-        for (t, &(_, decided, cap)) in raw.iter().enumerate() {
-            prop_assert_eq!(caps[t], if decided { d.caps[t] } else { cap });
+        prop_assert_eq!(&caps, &d.caps);
+    }
+
+    /// Over any run of intervals, the controller's cap changes can be
+    /// applied one at a time in any order: after each one, every cap is 1
+    /// or the fair share and the caps sum to at most the budget, so a
+    /// host needs no quiesce between lowering one shard and raising
+    /// another.
+    #[test]
+    fn caps_fit_the_budget_after_every_change_in_any_order(
+        rounds in prop::collection::vec(prop::collection::vec(0u8..3, 8..9), 1..8),
+        shards in 1usize..9,
+        spare in 0usize..24,
+        order_seed in any::<u64>(),
+    ) {
+        let budget = shards + spare;
+        let mut controller = FleetController::new(fleet_params(budget), shards);
+        let mut caps = controller.seed_caps();
+        let share = caps[0];
+        let mut totals = vec![ShardTotals::default(); shards];
+        let mut order = SplitMix64::new(order_seed);
+        for verdicts in rounds {
+            let evidence: Vec<ShardEvidence> = (0..shards)
+                .map(|t| {
+                    totals[t] = judged(totals[t], verdict_of(verdicts[t]));
+                    ShardEvidence { totals: totals[t], cap: caps[t] }
+                })
+                .collect();
+            let mut changes: Vec<CapChange> = Vec::new();
+            let decision = controller.decide(&evidence, |c| changes.push(c));
+            // Fisher–Yates: any order a host might apply them in.
+            for i in (1..changes.len()).rev() {
+                changes.swap(i, order.next_below(i as u64 + 1) as usize);
+            }
+            for c in changes {
+                prop_assert_eq!(caps[c.shard], c.from);
+                caps[c.shard] = c.to;
+                prop_assert!(caps.iter().all(|&cap| cap == 1 || cap == share), "{:?}", caps);
+                prop_assert!(caps.iter().sum::<usize>() <= budget, "{:?} > {}", caps, budget);
+            }
+            prop_assert_eq!(&caps, &decision.caps);
         }
     }
 
@@ -173,6 +156,7 @@ proptest! {
         let (contained, contained_caps) = controller_decide(&byzantine, budget);
         let (free, free_caps) = controller_decide(&clean, budget);
         prop_assert_eq!(contained.verdicts[0], TenantVerdict::Faulty);
+        prop_assert_eq!(contained_caps[0], 1);
         prop_assert_eq!(&contained.caps[1..], &free.caps[1..]);
         prop_assert_eq!(&contained_caps[1..], &free_caps[1..]);
     }

@@ -427,7 +427,7 @@ mod tests {
                 Event::CallShed {
                     call: 11,
                     func: 3,
-                    reason: ShedReason::RateLimited,
+                    reason: ShedReason::QueueFull,
                 },
             ),
             at(1_900, caller, Event::EnclaveCrash { epoch: 2 }),

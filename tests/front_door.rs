@@ -173,45 +173,34 @@ fn start_intel(overload: Option<OverloadParams>) -> Started<IntelSwitchless> {
 fn admission_and_stop_contract<R: Runtime>(start: impl Fn(Option<OverloadParams>) -> Started<R>) {
     let mut out = Vec::new();
 
-    // Two burst tokens, a refill period far beyond the test's span: the
-    // third call on must shed RateLimited before any transport traffic.
-    let Started { rt, echo, .. } = start(Some(
-        OverloadParams::for_cpu(&cpu()).with_bucket(2, 1 << 40),
-    ));
-    let (mut completed, mut shed) = (0u64, 0u64);
-    for _ in 0..10 {
-        match rt.dispatch(&OcallRequest::new(echo, &[]), b"x", &mut out) {
-            Ok(_) => completed += 1,
-            Err(SwitchlessError::Overloaded { reason }) => {
-                assert_eq!(reason, ShedReason::RateLimited);
-                shed += 1;
+    // Eight calls whose deadline (cycle 1; 0 would mean "no deadline")
+    // is past on arrival on the wall clock shed first, before any work;
+    // two without one, or with one far off, then complete.
+    let Started { rt, echo, .. } = start(Some(OverloadParams::for_cpu(&cpu())));
+    for _ in 0..8 {
+        let late = OcallRequest::new(echo, &[]).with_deadline_at(1);
+        assert_eq!(
+            rt.dispatch(&late, b"late", &mut out).unwrap_err(),
+            SwitchlessError::Overloaded {
+                reason: ShedReason::DeadlineExpired
             }
-            Err(e) => panic!("unexpected error: {e}"),
-        }
+        );
     }
-    assert_eq!(completed, 2, "exactly the two burst tokens complete");
-    assert_eq!(shed, 8);
+    assert_eq!(rt.call_stats().total_calls(), 0, "no work performed");
+    for req in [
+        OcallRequest::new(echo, &[]),
+        OcallRequest::new(echo, &[]).with_deadline_at(u64::MAX),
+    ] {
+        rt.dispatch(&req, b"x", &mut out).unwrap();
+    }
     let snap = rt.overload();
     assert_eq!(snap.offered, 10);
-    assert_eq!(snap.shed_for(ShedReason::RateLimited), 8);
+    assert_eq!(snap.shed_for(ShedReason::DeadlineExpired), 8);
+    assert_eq!(snap.shed_total(), 8);
     assert_eq!(snap.inflight, 0, "all guards released");
     let usage = rt.ledger();
     assert!(usage.conserves(), "{usage:?}");
-    rt.stop();
-
-    // A deadline already in the past on arrival is shed, first. (Cycle
-    // 1, not 0: deadline_cycles == 0 means "no deadline".)
-    let Started { rt, echo, .. } = start(Some(OverloadParams::for_cpu(&cpu())));
-    let late = OcallRequest::new(echo, &[]).with_deadline_at(1);
-    assert_eq!(
-        rt.dispatch(&late, b"late", &mut out).unwrap_err(),
-        SwitchlessError::Overloaded {
-            reason: ShedReason::DeadlineExpired
-        }
-    );
-    assert_eq!(rt.call_stats().total_calls(), 0, "no work performed");
-    let live = OcallRequest::new(echo, &[]).with_deadline_at(u64::MAX);
-    rt.dispatch(&live, b"ok", &mut out).unwrap();
+    assert_eq!(usage.completed, 2);
     rt.stop();
 
     // A one-call queue gate, held by a call parked inside the host: the
@@ -324,13 +313,11 @@ fn admission_and_stop_contract_holds_on_both_transports() {
 }
 
 /// The machine-derived overload defaults admit a healthy closed-loop
-/// caller in full. The default burst (one quantum of the machine's issue
-/// rate, 271 428 tokens on two CPUs) alone outlasts the run, so the
-/// outcome does not depend on how fast the host refills it; with one
-/// caller and no deadline neither the queue gate nor a deadline can
-/// shed, and a call that finds no worker falls back.
+/// caller in full: with one caller and no deadline neither the queue
+/// gate nor a deadline can shed, and a call that finds no worker falls
+/// back.
 #[test]
-fn default_overload_params_never_rate_limit_a_closed_loop_caller() {
+fn default_overload_params_never_shed_a_closed_loop_caller() {
     let cpu = CpuSpec::paper_machine().with_logical_cpus(2);
     let (t, echo) = table();
     let cfg = ZcConfig::for_cpu(cpu).with_overload_params(OverloadParams::for_cpu(&cpu));

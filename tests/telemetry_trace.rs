@@ -83,8 +83,8 @@ fn assert_one_event_per_call(events: &[RecordedEvent], calls: usize) {
 
 /// The all-planes configuration of the benchmark's `zc_planes`, on a
 /// one-worker machine: supervision (with a watchdog no free-running
-/// virtual clock can reach by itself), recovery, overload admission
-/// with a bucket that never runs dry. The scheduler steps through
+/// virtual clock can reach by itself), recovery and overload admission
+/// at its machine-derived defaults. The scheduler steps through
 /// virtual time as fast as the host lets it, one event a step; a long
 /// quantum (2 000 clock jumps a step) keeps that to a trickle the ring
 /// cannot overflow with, however the test's threads are scheduled.
@@ -100,7 +100,7 @@ fn all_planes_config() -> ZcConfig {
                 .with_watchdog_cycles(WATCHDOG),
         )
         .with_recovery()
-        .with_overload_params(OverloadParams::for_cpu(&cpu).with_bucket(1 << 20, 1))
+        .with_overload_params(OverloadParams::for_cpu(&cpu))
 }
 
 /// Watchdog of [`all_planes_config`]: 2^56 cycles, years of virtual
@@ -370,31 +370,39 @@ fn des_slo_report_jsonl_is_byte_identical_across_runs() {
     );
 }
 
-/// One deterministic overload scenario: a token bucket of 2 with a
-/// refill period far beyond the test (no deadline), so of 10 sequential
-/// calls exactly the first 2 complete and the remaining 8 shed as
-/// `rate_limited`. Returns the canonical projection of the shed events.
+/// One deterministic overload scenario on a virtual clock: of 10
+/// sequential calls the first 2 carry no deadline and complete, then the
+/// test moves the clock past cycle 1 (left alone, it moves only as the
+/// runtime's threads spin and sleep) and the remaining 8, due at cycle 1,
+/// shed as `deadline_expired`. Returns the canonical projection of the
+/// shed events.
 fn overloaded_run() -> String {
     let hub = Telemetry::new();
     let (t, echo) = table();
     let cpu = CpuSpec::paper_machine();
-    let cfg = ZcConfig::for_cpu(cpu)
-        .with_overload_params(OverloadParams::for_cpu(&cpu).with_bucket(2, 1 << 40));
-    let zc = ZcRuntime::start_with_telemetry(cfg, t, Enclave::new_virtual(cpu), hub.clone(), None)
+    let cfg = ZcConfig::for_cpu(cpu).with_overload_params(OverloadParams::for_cpu(&cpu));
+    let enclave = Enclave::new_virtual(cpu);
+    let clock = enclave.clock();
+    let zc = ZcRuntime::start_with_telemetry(cfg, t, enclave, hub.clone(), None)
         .expect("zc runtime must start");
     let mut out = Vec::new();
     let (mut completed, mut shed) = (0, 0);
-    for _ in 0..10 {
-        match zc.dispatch(&OcallRequest::new(echo, &[1]), b"x", &mut out) {
+    for i in 0..10 {
+        let mut req = OcallRequest::new(echo, &[1]);
+        if i >= 2 {
+            clock.advance_cycles(1);
+            req = req.with_deadline_at(1);
+        }
+        match zc.dispatch(&req, b"x", &mut out) {
             Ok(_) => completed += 1,
             Err(SwitchlessError::Overloaded { reason }) => {
-                assert_eq!(reason, ShedReason::RateLimited);
+                assert_eq!(reason, ShedReason::DeadlineExpired);
                 shed += 1;
             }
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    assert_eq!((completed, shed), (2, 8), "2 bucket tokens, 8 sheds");
+    assert_eq!((completed, shed), (2, 8), "2 without a deadline, 8 late");
     let usage = zc.usage();
     assert!(usage.conserves(), "{usage:?}");
     zc.shutdown();
@@ -403,10 +411,11 @@ fn overloaded_run() -> String {
     })
 }
 
-/// The overload shed sequence is causally deterministic even on the
-/// real (wall-clock) runtime: admission depends only on the token count,
-/// not on timing, so the canonical shed trace is byte-identical across
-/// runs (the overload-plane analogue of the fault-trace pin above).
+/// The overload shed sequence is causally deterministic on the real
+/// runtime's threads: which calls are late depends only on the call
+/// order, not on timing, so the canonical shed trace is byte-identical
+/// across runs (the overload-plane analogue of the fault-trace pin
+/// above).
 #[test]
 fn overload_shed_trace_is_byte_identical_across_runs() {
     let first = overloaded_run();
@@ -420,8 +429,9 @@ fn overload_shed_trace_is_byte_identical_across_runs() {
         first.contains(r#""kind":"call_shed""#),
         "sheds must be traced:\n{first}"
     );
-    assert!(
-        first.contains(r#""reason":"rate_limited""#),
+    assert_eq!(
+        first.matches(r#""reason":"deadline_expired""#).count(),
+        8,
         "shed reason must be attributed:\n{first}"
     );
     assert!(
