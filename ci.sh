@@ -208,6 +208,14 @@ if [[ $quick -eq 0 ]]; then
     # trips, reply guard) and the pool model run optimised too.
     echo "==> cargo test --release (Intel task slot and pool model)"
     cargo test -q --release -p intel-switchless
+    # The DES kernel's properties at 1024 random cases instead of the
+    # 64 every other run uses, optimised: chiefly the wake-up property
+    # (no lost and no spurious wake-up, with spinners preempted). The
+    # wall time is printed so its cost stays on record.
+    echo "==> cargo test --release --test kernel_properties (1024 cases)"
+    started=$SECONDS
+    PROPTEST_CASES=1024 cargo test -q --release -p zc-des --test kernel_properties
+    echo "kernel_properties (1024 cases) took $((SECONDS - started)) s"
 fi
 
 echo "ci.sh: all green"

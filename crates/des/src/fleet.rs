@@ -315,10 +315,11 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         .enumerate()
         .map(|(t, tenant)| {
             let w = shard_worlds[t].borrow();
+            let counters = shard_counters[t].borrow().clone();
             TenantSimReport {
                 name: tenant.name.clone(),
-                counters: shard_counters[t].borrow().clone(),
-                fault_recovery: FaultRecovery::from_world(&w),
+                fault_recovery: FaultRecovery::from_world(&w, &counters),
+                counters,
                 final_cap: w.worker_cap,
                 worst_verdict: worst_verdicts.borrow()[t],
             }

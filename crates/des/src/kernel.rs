@@ -13,25 +13,26 @@
 //!   thread is preempted at the end of it whenever the run queue is
 //!   non-empty. With no thread queued a quantum renews in place, so with
 //!   at most as many runnable threads as cores nothing is ever preempted.
+//! * The only rendezvous is the doorbell, a [`Bell`]: a count that
+//!   starts at 0 and that each ring adds one to. The kernel owns every
+//!   count; an actor reads one with [`StepCx::rung`] and waits with a
+//!   [`Syscall::SpinUntil`] on the count it last saw.
 //! * **Busy-waiting is modelled, not stepped**: a [`Syscall::SpinUntil`]
 //!   is charged as *busy* time but the kernel does not simulate each
 //!   `pause` iteration. A spinner *holds* its core. When another thread
-//!   sets the awaited flag, a spinner on a core observes it one
+//!   rings the awaited bell, a spinner on a core observes it one
 //!   pause-latency later; a preempted spinner observes it as soon as it
 //!   is scheduled again. Spin timeouts (`rbf`/`rbs`) are measured in
 //!   pauses, and a pause budget only elapses while its spinner holds a
 //!   core — exactly like a real pause loop.
-//! * Instant ops — flag writes and unparks — are issued through the
-//!   [`StepCx`] a step is handed. They apply in issue order at the step's
-//!   instant, before the syscall the step returns, exactly as if each had
-//!   been returned by a step of its own, so one step carries a whole
-//!   protocol turn (ring the doorbell, then spin). A returned instant
-//!   syscall ([`Syscall::SetFlag`], [`Syscall::Unpark`]) goes through the
-//!   same code, and the actor is immediately stepped again. Since event
-//!   processing is serialized, actors may also touch shared `RefCell`
-//!   protocol state inside `step` without data races — atomicity is a
-//!   property of the kernel, mirroring word-sized atomic operations on
-//!   real hardware.
+//! * Instant ops — rings and unparks — are issued through the
+//!   [`StepCx`] a step is handed. A ring counts at once; its wake-up and
+//!   every unpark apply in issue order at the step's instant, before the
+//!   syscall the step returns, so one step carries a whole protocol turn
+//!   (ring the doorbell, then spin). Since event processing is
+//!   serialized, actors may also touch shared `RefCell` protocol state
+//!   inside `step` without data races — atomicity is a property of the
+//!   kernel, mirroring word-sized atomic operations on real hardware.
 //!
 //! Determinism: no wall clock, no OS threads, FIFO tie-breaking by event
 //! sequence number. Two runs with the same actors produce identical
@@ -72,61 +73,31 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tid(pub usize);
 
-/// Identifier of a kernel flag cell (a shared `u64` used for spin-wait
-/// rendezvous).
+/// A doorbell: a count, owned by the kernel, that starts at 0 and that
+/// each [`StepCx::ring`] adds one to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlagId(pub usize);
-
-/// Condition a spin-wait is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpinTarget {
-    /// Wait until the flag equals this value.
-    Eq(u64),
-    /// Wait until the flag differs from this value (doorbell pattern:
-    /// spin on the last-seen value, wake on any change).
-    Ne(u64),
-}
-
-impl SpinTarget {
-    /// Is the condition satisfied by `value`?
-    #[must_use]
-    pub fn matches(self, value: u64) -> bool {
-        match self {
-            SpinTarget::Eq(v) => value == v,
-            SpinTarget::Ne(v) => value != v,
-        }
-    }
-}
+pub struct Bell(usize);
 
 /// What a thread asks the kernel to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Syscall {
     /// Execute `0` or more cycles of useful work (busy).
     Compute(u64),
-    /// Busy-wait (busy) until the flag satisfies `target`, or until
-    /// `timeout_pauses` pauses have elapsed *on-CPU* (if `Some`).
+    /// Busy-wait (busy) until `bell`'s count differs from `seen`, or
+    /// until `timeout_pauses` pauses have elapsed *on-CPU* (if `Some`).
     SpinUntil {
-        /// Flag to watch.
-        flag: FlagId,
-        /// Condition to wait for.
-        target: SpinTarget,
+        /// Bell to watch.
+        bell: Bell,
+        /// The count last seen: any ring past it ends the wait.
+        seen: u64,
         /// Give up after this many on-CPU pauses.
         timeout_pauses: Option<u64>,
     },
-    /// Write `value` to `flag` (instant; wakes matching spinners).
-    SetFlag {
-        /// Flag to write.
-        flag: FlagId,
-        /// New value.
-        value: u64,
-    },
     /// Yield the core and sleep for the given cycles (idle).
     Sleep(u64),
-    /// Yield the core until someone calls [`Syscall::Unpark`] (idle).
+    /// Yield the core until someone calls [`StepCx::unpark`] (idle).
     /// A pending unpark token makes this return immediately.
     Park,
-    /// Deliver an unpark token to `Tid` (instant).
-    Unpark(Tid),
     /// Terminate this thread.
     Done,
 }
@@ -136,32 +107,54 @@ pub enum Syscall {
 pub enum SyscallResult {
     /// First step of the thread; no previous syscall.
     Init,
-    /// The previous syscall completed normally (compute finished, flag
-    /// observed, sleep elapsed, park released, instant op applied).
+    /// The previous syscall completed normally (compute finished, ring
+    /// observed, sleep elapsed, park released).
     Ok,
     /// A `SpinUntil` gave up after its pause budget.
     TimedOut,
 }
 
-/// The instant ops one [`Actor::step`] issues before the syscall it
-/// returns: flag writes and unparks. The kernel applies them in issue
-/// order at the step's instant, ahead of that syscall — exactly as if
-/// each had been returned by a step of its own — so one step can carry a
-/// whole protocol turn (ring the doorbell, then spin).
+/// An actor's access to the kernel during one [`Actor::step`]: it holds
+/// every bell's count, and queues the step's instant ops — the wake-up
+/// of each ring and each unpark — which the kernel applies in issue
+/// order at the step's instant, ahead of the syscall the step returns.
+/// So one step can carry a whole protocol turn (ring the doorbell, then
+/// spin).
 #[derive(Debug, Default)]
 pub struct StepCx {
-    ops: Vec<Syscall>,
+    /// Each bell's count, indexed by [`Bell`].
+    counts: Vec<u64>,
+    ops: Vec<Op>,
+}
+
+/// An instant op queued in a [`StepCx`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Wake the spinners of a bell whose count just moved.
+    Ring(Bell),
+    /// Deliver an unpark token.
+    Unpark(Tid),
 }
 
 impl StepCx {
-    /// Issue [`Syscall::SetFlag`] for this step.
-    pub fn set_flag(&mut self, flag: FlagId, value: u64) {
-        self.ops.push(Syscall::SetFlag { flag, value });
+    /// Ring `bell`: its count goes up by one at once, and its spinners
+    /// wake when the step ends.
+    pub fn ring(&mut self, bell: Bell) {
+        self.counts[bell.0] += 1;
+        self.ops.push(Op::Ring(bell));
     }
 
-    /// Issue [`Syscall::Unpark`] for this step.
+    /// How many times `bell` has been rung.
+    #[must_use]
+    pub fn rung(&self, bell: Bell) -> u64 {
+        self.counts[bell.0]
+    }
+
+    /// Deliver an unpark token to `tid` when the step ends: a parked
+    /// thread becomes runnable, any other one's next [`Syscall::Park`]
+    /// returns at once.
     pub fn unpark(&mut self, tid: Tid) {
-        self.ops.push(Syscall::Unpark(tid));
+        self.ops.push(Op::Unpark(tid));
     }
 }
 
@@ -183,8 +176,8 @@ enum Pending {
         remaining: u64,
     },
     Spin {
-        flag: FlagId,
-        target: SpinTarget,
+        bell: Bell,
+        seen: u64,
         remaining_pauses: Option<u64>,
     },
 }
@@ -210,12 +203,6 @@ struct ThreadCb {
     /// When the current on-core (or sleeping/parked) segment started.
     segment_start: u64,
     group: String,
-}
-
-struct Flag {
-    value: u64,
-    /// Tids currently spin-waiting on this flag.
-    waiters: Vec<Tid>,
 }
 
 /// Heap position of a slot with no armed event.
@@ -315,13 +302,15 @@ pub struct Kernel {
     runq: VecDeque<Tid>,
     events: EventQueue,
     threads: Vec<ThreadCb>,
-    flags: Vec<Flag>,
+    /// The threads spin-waiting on each bell.
+    waiters: Vec<Vec<Tid>>,
     /// Round-robin quantum in cycles: each core occupancy arms one.
     quantum: u64,
     pause_cycles: u64,
     live_threads: usize,
     steps: u64,
-    /// Instant ops of the step in progress (empty between steps).
+    /// Every bell's count, and the instant ops of the step in progress
+    /// (none between steps).
     cx: StepCx,
 }
 
@@ -357,7 +346,7 @@ impl Kernel {
                 seq: 0,
             },
             threads: Vec::new(),
-            flags: Vec::new(),
+            waiters: Vec::new(),
             quantum: rr_quantum.max(1),
             pause_cycles: pause_cycles.max(1),
             live_threads: 0,
@@ -378,19 +367,11 @@ impl Kernel {
         self.now
     }
 
-    /// Allocate a flag cell initialised to `value`.
-    pub fn new_flag(&mut self, value: u64) -> FlagId {
-        self.flags.push(Flag {
-            value,
-            waiters: Vec::new(),
-        });
-        FlagId(self.flags.len() - 1)
-    }
-
-    /// Current value of a flag.
-    #[must_use]
-    pub fn flag(&self, id: FlagId) -> u64 {
-        self.flags[id.0].value
+    /// A new bell, not yet rung.
+    pub fn bell(&mut self) -> Bell {
+        self.cx.counts.push(0);
+        self.waiters.push(Vec::new());
+        Bell(self.waiters.len() - 1)
     }
 
     /// Spawn an actor as a runnable thread; returns its [`Tid`].
@@ -483,7 +464,7 @@ impl Kernel {
 
     /// The run queue is empty and the only armed events are
     /// the quanta of the occupied cores (one each), so every thread on a
-    /// core is an untimed spinner whose flag nobody is left to write.
+    /// core is an untimed spinner whose bell nobody is left to ring.
     fn quiescent(&self) -> bool {
         let free: u32 = self.free_cores.iter().map(|w| w.count_ones()).sum();
         self.runq.is_empty() && self.events.heap.len() == self.running.len() - free as usize
@@ -526,7 +507,7 @@ impl Kernel {
         while self.live_threads > 0 {
             let Some(time) = self.next_tick() else {
                 // Live threads but quiescent: everything is parked or
-                // spins on a flag nobody will write. Stop at the last
+                // spins on a bell nobody will ring. Stop at the last
                 // live event rather than hang or idle to the deadline.
                 break;
             };
@@ -586,12 +567,10 @@ impl Kernel {
             self.runq.push_back(tid);
             return;
         }
-        // A spin op completing while its flag is still unequal to the
-        // target is a timeout; everything else is success.
+        // A spin op completing while its bell has not moved past the
+        // count it saw is a timeout; everything else is success.
         let result = match self.threads[t].pending {
-            Some(Pending::Spin { flag, target, .. })
-                if !target.matches(self.flags[flag.0].value) =>
-            {
+            Some(Pending::Spin { bell, seen, .. }) if self.cx.rung(bell) == seen => {
                 SyscallResult::TimedOut
             }
             _ => SyscallResult::Ok,
@@ -643,19 +622,19 @@ impl Kernel {
         let at = match self.threads[tid.0].pending {
             Some(Pending::Compute { remaining }) => Some(now + remaining),
             Some(Pending::Spin {
-                flag,
-                target,
+                bell,
+                seen,
                 remaining_pauses,
             }) => {
-                if target.matches(self.flags[flag.0].value) {
-                    // Condition already true: observed after one pause.
+                if self.cx.rung(bell) != seen {
+                    // Already rung past `seen`: observed after one pause.
                     Some(now + self.pause_cycles)
                 } else {
-                    if !self.flags[flag.0].waiters.contains(&tid) {
-                        self.flags[flag.0].waiters.push(tid);
+                    if !self.waiters[bell.0].contains(&tid) {
+                        self.waiters[bell.0].push(tid);
                     }
-                    // Without a timeout, only a flag write or preemption
-                    // moves this thread.
+                    // Without a timeout, only a ring or preemption moves
+                    // this thread.
                     remaining_pauses.map(|p| now + p.max(1) * self.pause_cycles)
                 }
             }
@@ -668,10 +647,10 @@ impl Kernel {
         }
     }
 
-    /// Remove `tid` from any flag waiter list.
+    /// Remove `tid` from any bell's waiter list.
     fn remove_spin_waiter(&mut self, tid: Tid) {
-        if let Some(Pending::Spin { flag, .. }) = self.threads[tid.0].pending {
-            self.flags[flag.0].waiters.retain(|&w| w != tid);
+        if let Some(Pending::Spin { bell, .. }) = self.threads[tid.0].pending {
+            self.waiters[bell.0].retain(|&w| w != tid);
         }
     }
 
@@ -717,9 +696,9 @@ impl Kernel {
         }
     }
 
-    /// Step the actor of the thread owning `core`: apply the instant ops
-    /// each step issues, and re-step at once after a returned instant
-    /// syscall, until a time-consuming one is returned.
+    /// Step the actor of the thread owning `core` and apply the instant
+    /// ops it issued, re-stepping at once when a park finds its token,
+    /// until a time-consuming syscall is returned.
     fn step_thread_on_core(&mut self, tid: Tid, core: usize) {
         debug_assert_eq!(self.running[core], Some(tid));
         self.threads[tid.0].state = ThreadState::Running { core };
@@ -730,7 +709,10 @@ impl Kernel {
             let now = self.now;
             let sys = self.threads[tid.0].actor.step(res, now, &mut self.cx);
             for i in 0..self.cx.ops.len() {
-                self.instant(self.cx.ops[i]);
+                match self.cx.ops[i] {
+                    Op::Ring(bell) => self.wake(bell),
+                    Op::Unpark(target) => self.unpark(target),
+                }
             }
             self.cx.ops.clear();
             match sys {
@@ -743,19 +725,18 @@ impl Kernel {
                     return;
                 }
                 Syscall::SpinUntil {
-                    flag,
-                    target,
+                    bell,
+                    seen,
                     timeout_pauses,
                 } => {
                     self.threads[tid.0].pending = Some(Pending::Spin {
-                        flag,
-                        target,
+                        bell,
+                        seen,
                         remaining_pauses: timeout_pauses,
                     });
                     self.arm_op(tid);
                     return;
                 }
-                Syscall::SetFlag { .. } | Syscall::Unpark(_) => self.instant(sys),
                 Syscall::Sleep(cycles) => {
                     self.release_core(tid, core);
                     let now = self.now;
@@ -804,34 +785,21 @@ impl Kernel {
         self.free_cores[core / 64] |= 1 << (core % 64);
     }
 
-    /// Apply an instant syscall, returned or issued through [`StepCx`].
-    fn instant(&mut self, op: Syscall) {
-        match op {
-            Syscall::SetFlag { flag, value } => self.set_flag(flag, value),
-            Syscall::Unpark(target) => self.unpark(target),
-            other => unreachable!("{other:?} is not an instant syscall"),
-        }
-    }
-
-    fn set_flag(&mut self, flag: FlagId, value: u64) {
-        self.flags[flag.0].value = value;
+    /// Wake the spinners of `bell`, which was just rung. A waiter armed
+    /// only while the count equalled its `seen`, and counts only grow, so
+    /// every waiter has now been rung past it.
+    fn wake(&mut self, bell: Bell) {
         // Arming events never touches a waiter list, so walk it in place.
-        for i in 0..self.flags[flag.0].waiters.len() {
-            let tid = self.flags[flag.0].waiters[i];
-            let Some(Pending::Spin { target, .. }) = self.threads[tid.0].pending else {
-                continue;
-            };
-            if !target.matches(value) {
-                continue;
-            }
+        for i in 0..self.waiters[bell.0].len() {
+            let tid = self.waiters[bell.0][i];
             if matches!(self.threads[tid.0].state, ThreadState::Running { .. }) {
                 // Observed one pause later; replaces any armed timeout.
                 self.events
                     .arm(self.slot(tid), self.now + self.pause_cycles);
             }
-            // Runnable (preempted) spinners observe the value via arm_op
-            // when next scheduled; sleeping/parked threads are never flag
-            // waiters.
+            // Runnable (preempted) spinners observe the ring via arm_op
+            // when next scheduled; sleeping/parked threads are never
+            // bell waiters.
         }
     }
 
@@ -860,25 +828,51 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Scripted actor: plays a fixed list of syscalls, recording results.
+    /// One script entry: an instant op, or the syscall that ends a step.
+    #[derive(Debug, Clone, Copy)]
+    enum Do {
+        Ring(Bell),
+        Unpark(Tid),
+        Sys(Syscall),
+    }
+
+    impl From<Syscall> for Do {
+        fn from(sys: Syscall) -> Self {
+            Do::Sys(sys)
+        }
+    }
+
+    /// Scripted actor: each step issues the rings and unparks up to the
+    /// script's next syscall through the step context, then returns that
+    /// syscall (`Done` once the script runs out), recording results.
     struct Script {
-        steps: Vec<Syscall>,
+        steps: Vec<Do>,
         i: usize,
         log: Rc<RefCell<Vec<(u64, SyscallResult)>>>,
     }
 
     impl Script {
-        fn new(steps: Vec<Syscall>, log: Rc<RefCell<Vec<(u64, SyscallResult)>>>) -> Box<Self> {
+        fn new<D: Into<Do>>(
+            steps: Vec<D>,
+            log: Rc<RefCell<Vec<(u64, SyscallResult)>>>,
+        ) -> Box<Self> {
+            let steps = steps.into_iter().map(Into::into).collect();
             Box::new(Script { steps, i: 0, log })
         }
     }
 
     impl Actor for Script {
-        fn step(&mut self, res: SyscallResult, now: u64, _cx: &mut StepCx) -> Syscall {
+        fn step(&mut self, res: SyscallResult, now: u64, cx: &mut StepCx) -> Syscall {
             self.log.borrow_mut().push((now, res));
-            let s = self.steps.get(self.i).copied().unwrap_or(Syscall::Done);
-            self.i += 1;
-            s
+            while let Some(&entry) = self.steps.get(self.i) {
+                self.i += 1;
+                match entry {
+                    Do::Ring(bell) => cx.ring(bell),
+                    Do::Unpark(tid) => cx.unpark(tid),
+                    Do::Sys(sys) => return sys,
+                }
+            }
+            Syscall::Done
         }
         fn group(&self) -> &str {
             "script"
@@ -946,24 +940,21 @@ mod tests {
     fn spin_wakes_one_pause_after_flag_set() {
         let mut k = kernel(2);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(0);
+        let bell = k.bell();
         k.spawn(Script::new(
             vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(1),
+                bell,
+                seen: 0,
                 timeout_pauses: None,
             }],
             Rc::clone(&log),
         ));
         k.spawn(Script::new(
-            vec![
-                Syscall::Compute(10_000),
-                Syscall::SetFlag { flag, value: 1 },
-            ],
+            vec![Do::Sys(Syscall::Compute(10_000)), Do::Ring(bell)],
             Rc::clone(&log),
         ));
         let end = k.run();
-        assert_eq!(end, 10_000 + 140, "observed one pause after the set");
+        assert_eq!(end, 10_000 + 140, "observed one pause after the ring");
         assert_eq!(
             k.thread_cycles(Tid(0)).0,
             10_140,
@@ -975,11 +966,11 @@ mod tests {
     fn spin_timeout_fires_after_budget() {
         let mut k = kernel(1);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(0);
+        let bell = k.bell();
         k.spawn(Script::new(
             vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(1),
+                bell,
+                seen: 0,
                 timeout_pauses: Some(100),
             }],
             Rc::clone(&log),
@@ -993,13 +984,17 @@ mod tests {
     fn spin_on_already_set_flag_returns_after_one_pause() {
         let mut k = kernel(1);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(7);
+        // The ring lands in the spin's own step, before it arms.
+        let bell = k.bell();
         k.spawn(Script::new(
-            vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(7),
-                timeout_pauses: Some(5),
-            }],
+            vec![
+                Do::Ring(bell),
+                Do::Sys(Syscall::SpinUntil {
+                    bell,
+                    seen: 0,
+                    timeout_pauses: Some(5),
+                }),
+            ],
             Rc::clone(&log),
         ));
         let end = k.run();
@@ -1013,7 +1008,7 @@ mod tests {
         let log = Rc::new(RefCell::new(Vec::new()));
         let parked = k.spawn(Script::new(vec![Syscall::Park], Rc::clone(&log)));
         k.spawn(Script::new(
-            vec![Syscall::Compute(50_000), Syscall::Unpark(parked)],
+            vec![Do::Sys(Syscall::Compute(50_000)), Do::Unpark(parked)],
             Rc::clone(&log),
         ));
         let end = k.run();
@@ -1029,7 +1024,7 @@ mod tests {
         // the pending token without blocking.
         let target = Tid(1);
         k.spawn(Script::new(
-            vec![Syscall::Unpark(target), Syscall::Compute(1_000)],
+            vec![Do::Unpark(target), Do::Sys(Syscall::Compute(1_000))],
             Rc::clone(&log),
         ));
         k.spawn(Script::new(
@@ -1061,11 +1056,11 @@ mod tests {
         // its still-open spin counts as busy.
         let mut k = kernel(2);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(0);
+        let bell = k.bell();
         let spinner = k.spawn(Script::new(
             vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(1),
+                bell,
+                seen: 0,
                 timeout_pauses: None,
             }],
             Rc::clone(&log),
@@ -1097,13 +1092,13 @@ mod tests {
     fn determinism_same_script_same_trace() {
         let run = |mut k: Kernel| {
             let log = Rc::new(RefCell::new(Vec::new()));
-            let flag = k.new_flag(0);
+            let bell = k.bell();
             for i in 0..4 {
                 k.spawn(Script::new(
                     vec![
-                        Syscall::Compute(1_000 * (i + 1)),
-                        Syscall::SetFlag { flag, value: i },
-                        Syscall::Compute(500),
+                        Do::Sys(Syscall::Compute(1_000 * (i + 1))),
+                        Do::Ring(bell),
+                        Do::Sys(Syscall::Compute(500)),
                     ],
                     Rc::clone(&log),
                 ));
@@ -1130,17 +1125,22 @@ mod tests {
     }
 
     #[test]
-    fn flags_read_back() {
+    fn rings_are_counted() {
         let mut k = kernel(1);
-        let f = k.new_flag(3);
-        assert_eq!(k.flag(f), 3);
+        let (b, other) = (k.bell(), k.bell());
+        assert_eq!(k.cx.rung(b), 0);
         let log = Rc::new(RefCell::new(Vec::new()));
         k.spawn(Script::new(
-            vec![Syscall::SetFlag { flag: f, value: 9 }],
+            vec![
+                Do::Ring(b),
+                Do::Ring(b),
+                Do::Sys(Syscall::Compute(100)),
+                Do::Ring(b),
+            ],
             Rc::clone(&log),
         ));
         k.run();
-        assert_eq!(k.flag(f), 9);
+        assert_eq!((k.cx.rung(b), k.cx.rung(other)), (3, 0));
     }
 
     #[test]
@@ -1162,29 +1162,18 @@ mod tests {
         const ROUND_TRIPS: u64 = 2_000;
         let mut k = kernel(2);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let (req, resp) = (k.new_flag(0), k.new_flag(0));
-        let spin = |flag, i| Syscall::SpinUntil {
-            flag,
-            target: SpinTarget::Eq(i),
-            timeout_pauses: Some(20_000),
+        let (req, resp) = (k.bell(), k.bell());
+        let spin = |bell, seen| {
+            Do::Sys(Syscall::SpinUntil {
+                bell,
+                seen,
+                timeout_pauses: Some(20_000),
+            })
         };
         let (mut caller, mut worker) = (Vec::new(), Vec::new());
-        for i in 1..=ROUND_TRIPS {
-            caller.extend([
-                Syscall::SetFlag {
-                    flag: req,
-                    value: i,
-                },
-                spin(resp, i),
-            ]);
-            worker.extend([
-                spin(req, i),
-                Syscall::Compute(100),
-                Syscall::SetFlag {
-                    flag: resp,
-                    value: i,
-                },
-            ]);
+        for i in 0..ROUND_TRIPS {
+            caller.extend([Do::Ring(req), spin(resp, i)]);
+            worker.extend([spin(req, i), Do::Sys(Syscall::Compute(100)), Do::Ring(resp)]);
         }
         k.spawn(Script::new(caller, Rc::clone(&log)));
         k.spawn(Script::new(worker, Rc::clone(&log)));
@@ -1197,31 +1186,11 @@ mod tests {
             );
         }
         assert_eq!(k.live_threads(), 0);
-        assert_eq!(k.flag(resp), ROUND_TRIPS);
+        assert_eq!(k.cx.rung(resp), ROUND_TRIPS);
         assert!(log
             .borrow()
             .iter()
             .all(|&(_, r)| r != SyscallResult::TimedOut));
-    }
-
-    /// Plays `(instant ops, syscall)` turns: each step issues its ops
-    /// through the step context, then returns the syscall.
-    struct Turns(std::vec::IntoIter<(Vec<Syscall>, Syscall)>);
-
-    impl Actor for Turns {
-        fn step(&mut self, _res: SyscallResult, _now: u64, cx: &mut StepCx) -> Syscall {
-            let Some((ops, sys)) = self.0.next() else {
-                return Syscall::Done;
-            };
-            for op in ops {
-                match op {
-                    Syscall::SetFlag { flag, value } => cx.set_flag(flag, value),
-                    Syscall::Unpark(tid) => cx.unpark(tid),
-                    other => unreachable!("{other:?} is not an instant op"),
-                }
-            }
-            sys
-        }
     }
 
     /// A [`Script`] whose steps also land, tagged with its thread, in
@@ -1242,69 +1211,77 @@ mod tests {
 
     #[test]
     fn ops_issued_in_a_step_act_like_one_op_steps() {
-        // Thread 0 computes, then issues `a := 1`, unpark thread 2 and
-        // `b := 1` before spinning on `c`, then unparks thread 4 before
-        // a last compute — once as turns through the step context, once
-        // as a script of one-op steps. Thread 2 ends its own compute at
-        // the same instant, after thread 0, so the unpark reaches it as
-        // a token before its `Park`; thread 4 is parked by then. Three
-        // cores, five threads: threads 3 and 4 queue behind the
-        // spinners.
-        let run = |mut k: Kernel, batched: bool| {
-            let (a, b, c) = (k.new_flag(0), k.new_flag(0), k.new_flag(0));
-            let set = |flag| Syscall::SetFlag { flag, value: 1 };
-            let spin = |flag, target, timeout_pauses| Syscall::SpinUntil {
-                flag,
-                target,
+        // Thread 0 computes, then rings `a`, unparks thread 2 and rings
+        // `b` before spinning on `c`, then unparks thread 4 before a last
+        // compute. Thread 2 ends its own compute at the same instant,
+        // after thread 0, so the unpark reaches it as a token before its
+        // `Park`; thread 4 is parked by then. Three cores, five threads:
+        // threads 3 and 4 queue behind the spinners. The pinned run is
+        // the same scenario on the kernel that still took each instant
+        // op as a step of its own, where it matched that one-op form.
+        let mut k = kernel(3);
+        let (a, b, c) = (k.bell(), k.bell(), k.bell());
+        let spin = |bell, timeout_pauses| {
+            Do::Sys(Syscall::SpinUntil {
+                bell,
+                seen: 0,
                 timeout_pauses,
-            };
-            let turns = vec![
-                (vec![], Syscall::Compute(1_000)),
-                (
-                    vec![set(a), Syscall::Unpark(Tid(2)), set(b)],
-                    spin(c, SpinTarget::Eq(1), Some(100)),
-                ),
-                (vec![Syscall::Unpark(Tid(4))], Syscall::Compute(100)),
-            ];
-            if batched {
-                k.spawn(Box::new(Turns(turns.into_iter())));
-            } else {
-                let steps = turns
-                    .into_iter()
-                    .flat_map(|(ops, sys)| ops.into_iter().chain([sys]));
-                k.spawn(Script::new(steps.collect(), Rc::default()));
-            }
-            let log = Rc::new(RefCell::new(Vec::new()));
-            for (t, steps) in [
-                vec![
-                    spin(a, SpinTarget::Eq(1), None),
-                    Syscall::Compute(200),
-                    set(c),
-                ],
-                vec![Syscall::Compute(1_000), Syscall::Park, Syscall::Compute(50)],
-                vec![
-                    spin(b, SpinTarget::Ne(0), Some(5_000)),
-                    Syscall::Compute(10),
-                ],
-                vec![Syscall::Park, Syscall::Compute(30)],
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let script = Script::new(steps, Rc::default());
-                k.spawn(Box::new(Tagged(t + 1, script, Rc::clone(&log))));
-            }
-            let end = k.run();
-            assert_eq!(k.live_threads(), 0);
-            let cycles: Vec<_> = (0..5).map(|t| k.thread_cycles(Tid(t))).collect();
-            let flags = [a, b, c].map(|f| k.flag(f));
-            let log = log.borrow().clone();
-            (end, log, cycles, flags)
+            })
         };
-        let batched = run(kernel(3), true);
-        assert_eq!(batched, run(kernel(3), false));
-        let (_, _, cycles, flags) = batched;
-        assert_eq!(flags, [1, 1, 1]);
+        k.spawn(Script::new(
+            vec![
+                Do::Sys(Syscall::Compute(1_000)),
+                Do::Ring(a),
+                Do::Unpark(Tid(2)),
+                Do::Ring(b),
+                spin(c, Some(100)),
+                Do::Unpark(Tid(4)),
+                Do::Sys(Syscall::Compute(100)),
+            ],
+            Rc::default(),
+        ));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for (t, steps) in [
+            vec![spin(a, None), Do::Sys(Syscall::Compute(200)), Do::Ring(c)],
+            [Syscall::Compute(1_000), Syscall::Park, Syscall::Compute(50)]
+                .map(Do::Sys)
+                .to_vec(),
+            vec![spin(b, Some(5_000)), Do::Sys(Syscall::Compute(10))],
+            [Syscall::Park, Syscall::Compute(30)].map(Do::Sys).to_vec(),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let script = Script::new(steps, Rc::default());
+            k.spawn(Box::new(Tagged(t + 1, script, Rc::clone(&log))));
+        }
+        assert_eq!(k.run(), 1_580);
+        assert_eq!(k.live_threads(), 0);
+        use SyscallResult::{Init, Ok};
+        assert_eq!(
+            *log.borrow(),
+            [
+                (1, 0, Init),
+                (2, 0, Init),
+                (2, 1_000, Ok),
+                (2, 1_000, Ok),
+                (2, 1_050, Ok),
+                (3, 1_050, Init),
+                (1, 1_140, Ok),
+                (3, 1_190, Ok),
+                (3, 1_200, Ok),
+                (4, 1_200, Init),
+                (1, 1_340, Ok),
+                (4, 1_480, Ok),
+                (4, 1_510, Ok),
+            ]
+        );
+        let cycles: Vec<_> = (0..5).map(|t| k.thread_cycles(Tid(t))).collect();
+        assert_eq!(
+            cycles,
+            [(1_580, 0), (1_340, 0), (1_050, 0), (150, 0), (30, 280)]
+        );
+        assert_eq!([a, b, c].map(|bell| k.cx.rung(bell)), [1, 1, 1]);
         assert_eq!(cycles[2].1, 0, "thread 2 took the token, never parked");
         assert!(cycles[4].1 > 0, "thread 4 was parked until the unpark");
     }
@@ -1363,21 +1340,21 @@ mod tests {
     #[test]
     fn preempted_spinner_observes_flag_when_rescheduled() {
         // One core, 10k quantum, untimed spinner. Timeline: spinner spins
-        // 10k (quantum), setter computes 5k and sets the flag, spinner is
+        // 10k (quantum), ringer computes 5k and rings the bell, spinner is
         // rescheduled and observes one pause later.
         let mut k = Kernel::new(1, 10_000, 140);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(0);
+        let bell = k.bell();
         k.spawn(Script::new(
             vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(1),
+                bell,
+                seen: 0,
                 timeout_pauses: None,
             }],
             Rc::clone(&log),
         ));
         k.spawn(Script::new(
-            vec![Syscall::Compute(5_000), Syscall::SetFlag { flag, value: 1 }],
+            vec![Do::Sys(Syscall::Compute(5_000)), Do::Ring(bell)],
             Rc::clone(&log),
         ));
         let end = k.run();
@@ -1410,11 +1387,11 @@ mod tests {
         // fires after roughly twice the wall time of an uncontended spin.
         let mut k = Kernel::new(1, 7_000, 140);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let flag = k.new_flag(0);
+        let bell = k.bell();
         k.spawn(Script::new(
             vec![Syscall::SpinUntil {
-                flag,
-                target: SpinTarget::Eq(1),
+                bell,
+                seen: 0,
                 timeout_pauses: Some(100),
             }],
             Rc::clone(&log),
@@ -1463,33 +1440,33 @@ mod tests {
 
     #[test]
     fn oversubscription_stays_live_with_many_spinners() {
-        // 200 spinner/setter pairs on 4 cores. The spinners take the
+        // 200 spinner/ringer pairs on 4 cores. The spinners take the
         // cores first and hold them, but every quantum hands each core
-        // to the next queued thread, so every setter runs and every
+        // to the next queued thread, so every ringer runs and every
         // pair completes.
         let mut k = kernel(4);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let flags: Vec<FlagId> = (0..200).map(|_| k.new_flag(0)).collect();
-        for &flag in &flags {
+        let bells: Vec<Bell> = (0..200).map(|_| k.bell()).collect();
+        for &bell in &bells {
             k.spawn(Script::new(
                 vec![Syscall::SpinUntil {
-                    flag,
-                    target: SpinTarget::Eq(1),
+                    bell,
+                    seen: 0,
                     timeout_pauses: None,
                 }],
                 Rc::clone(&log),
             ));
         }
-        for &flag in &flags {
+        for &bell in &bells {
             k.spawn(Script::new(
-                vec![Syscall::Compute(1_000), Syscall::SetFlag { flag, value: 1 }],
+                vec![Do::Sys(Syscall::Compute(1_000)), Do::Ring(bell)],
                 Rc::clone(&log),
             ));
         }
         k.run();
         assert_eq!(k.live_threads(), 0, "no spinner may starve the machine");
-        for &flag in &flags {
-            assert_eq!(k.flag(flag), 1);
+        for &bell in &bells {
+            assert_eq!(k.cx.rung(bell), 1);
         }
     }
 

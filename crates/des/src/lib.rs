@@ -7,8 +7,8 @@
 //! virtual time, and runs the switchless-call protocols on top:
 //!
 //! * [`kernel`] — the discrete-event engine: virtual cores, a FIFO run
-//!   queue with round-robin preemption at quantum boundaries, flags
-//!   (spin-wait rendezvous) on which spinners hold their cores, and
+//!   queue with round-robin preemption at quantum boundaries, doorbells
+//!   (the one spin-wait rendezvous) on which spinners hold their cores, and
 //!   park/unpark. Time jumps from one armed event to the next, so the
 //!   same kernel runs the paper's 8 vCPUs and 128+ (DESIGN.md §11).
 //! * [`ocall`] — the three mechanisms under study as virtual-thread
@@ -47,7 +47,7 @@ pub mod workload;
 
 pub use arrival::{ArrivalGen, ArrivalProcess, ServiceDist, ServiceSampler};
 pub use fleet::{run_fleet, FleetReport, FleetSpec, TenantSimReport, TenantSimSpec};
-pub use kernel::{Actor, FlagId, Kernel, SpinTarget, StepCx, Syscall, SyscallResult, Tid};
+pub use kernel::{Actor, Bell, Kernel, StepCx, Syscall, SyscallResult, Tid};
 pub use ocall::zc::ZcSimFaults;
 pub use ocall::{CallDesc, CostModel, Dispatcher, Step};
 pub use sim::{

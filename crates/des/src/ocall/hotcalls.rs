@@ -14,7 +14,7 @@
 //!   specific call sites); non-hot calls go regular.
 
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{FlagId, Kernel, SpinTarget, StepCx, Syscall, SyscallResult, Tid};
+use crate::kernel::{Bell, Kernel, StepCx, Syscall, SyscallResult, Tid};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -64,22 +64,16 @@ pub struct HotcallsWorld {
     /// Worker thread ids.
     pub worker_tids: Vec<Tid>,
     /// Per-worker request doorbells.
-    pub worker_db: Vec<FlagId>,
-    /// Authoritative per-worker doorbell counters.
-    pub worker_db_val: Vec<u64>,
+    pub worker_db: Vec<Bell>,
     /// Per-caller completion doorbells.
-    pub caller_db: Vec<FlagId>,
-    /// Authoritative caller doorbell counters.
-    pub caller_db_val: Vec<u64>,
+    pub caller_db: Vec<Bell>,
     /// Global doorbell rung whenever any worker is released, so waiting
     /// callers re-scan.
-    pub release_db: FlagId,
-    /// Authoritative release counter.
-    pub release_db_val: u64,
+    pub release_db: Bell,
 }
 
 impl HotcallsWorld {
-    /// Build the world and its kernel flags.
+    /// Build the world and its doorbells.
     pub fn new(
         kernel: &mut Kernel,
         config: HotcallsConfig,
@@ -97,12 +91,9 @@ impl HotcallsWorld {
                 })
                 .collect(),
             worker_tids: Vec::new(),
-            worker_db: (0..n).map(|_| kernel.new_flag(0)).collect(),
-            worker_db_val: vec![0; n],
-            caller_db: (0..callers).map(|_| kernel.new_flag(0)).collect(),
-            caller_db_val: vec![0; callers],
-            release_db: kernel.new_flag(0),
-            release_db_val: 0,
+            worker_db: (0..n).map(|_| kernel.bell()).collect(),
+            caller_db: (0..callers).map(|_| kernel.bell()).collect(),
+            release_db: kernel.bell(),
         }))
     }
 
@@ -120,7 +111,6 @@ pub struct HotcallsDispatcher {
     costs: CostModel,
     caller: usize,
     dialog: Dialog,
-    await_db_val: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,12 +141,11 @@ impl HotcallsDispatcher {
             costs,
             caller,
             dialog: Dialog::Idle,
-            await_db_val: 0,
         }
     }
 
     /// Try to claim a worker; returns the next step either way.
-    fn try_claim(&mut self, call: &CallDesc) -> Step {
+    fn try_claim(&mut self, call: &CallDesc, cx: &StepCx) -> Step {
         let mut wld = self.world.borrow_mut();
         if let Some(w) = wld.find_unused() {
             wld.workers[w].state = WorkerState::Reserved;
@@ -168,25 +157,23 @@ impl HotcallsDispatcher {
         }
         // All workers busy: HotCalls never falls back — spin until any
         // worker is released, then retry the scan.
-        let v = wld.release_db_val;
-        let flag = wld.release_db;
         self.dialog = Dialog::AwaitFree;
         Step::Next(Syscall::SpinUntil {
-            flag,
-            target: SpinTarget::Ne(v),
+            bell: wld.release_db,
+            seen: cx.rung(wld.release_db),
             timeout_pauses: None,
         })
     }
 }
 
 impl Dispatcher for HotcallsDispatcher {
-    fn begin(&mut self, call: &CallDesc, _now: u64, _cx: &mut StepCx) -> Syscall {
+    fn begin(&mut self, call: &CallDesc, _now: u64, cx: &mut StepCx) -> Syscall {
         debug_assert_eq!(self.dialog, Dialog::Idle, "begin during an active dialogue");
         if !self.world.borrow().config.hot_classes.contains(&call.class) {
             self.dialog = Dialog::RegularExec;
             return Syscall::Compute(self.costs.regular_call_cycles(call));
         }
-        match self.try_claim(call) {
+        match self.try_claim(call, cx) {
             Step::Next(s) => s,
             Step::Complete(_) | Step::Refused => {
                 unreachable!("claim never completes or refuses a call")
@@ -197,20 +184,22 @@ impl Dispatcher for HotcallsDispatcher {
     fn advance(&mut self, call: &CallDesc, res: SyscallResult, _now: u64, cx: &mut StepCx) -> Step {
         debug_assert_eq!(res, SyscallResult::Ok, "hotcalls dialogues never time out");
         match self.dialog {
-            Dialog::AwaitFree => self.try_claim(call),
+            Dialog::AwaitFree => self.try_claim(call, cx),
             Dialog::Post { w } => {
                 let mut wld = self.world.borrow_mut();
                 debug_assert_eq!(wld.workers[w].state, WorkerState::Reserved);
                 wld.workers[w].state = WorkerState::Processing;
                 wld.workers[w].host_cycles = call.host_cycles;
                 wld.workers[w].ret_bytes = call.ret_bytes;
-                self.await_db_val = wld.caller_db_val[self.caller];
-                wld.worker_db_val[w] += 1;
-                cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
+                // The worker runs only after this step, so the count read
+                // here precedes its completion ring.
+                let bell = wld.caller_db[self.caller];
+                let seen = cx.rung(bell);
+                cx.ring(wld.worker_db[w]);
                 self.dialog = Dialog::Await { w };
                 Step::Next(Syscall::SpinUntil {
-                    flag: wld.caller_db[self.caller],
-                    target: SpinTarget::Ne(self.await_db_val),
+                    bell,
+                    seen,
                     timeout_pauses: None,
                 })
             }
@@ -218,8 +207,7 @@ impl Dispatcher for HotcallsDispatcher {
                 let mut wld = self.world.borrow_mut();
                 debug_assert_eq!(wld.workers[w].state, WorkerState::Waiting);
                 wld.workers[w].state = WorkerState::Unused;
-                wld.release_db_val += 1;
-                cx.set_flag(wld.release_db, wld.release_db_val);
+                cx.ring(wld.release_db);
                 self.dialog = Dialog::Collect;
                 Step::Next(Syscall::Compute(
                     COLLECT_CYCLES + self.costs.copy_cycles(call.ret_bytes),
@@ -271,20 +259,17 @@ impl crate::kernel::Actor for HotWorkerActor {
             self.executing = false;
             debug_assert_eq!(wld.workers[idx].state, WorkerState::Processing);
             wld.workers[idx].state = WorkerState::Waiting;
-            let caller = wld.workers[idx].caller;
-            wld.caller_db_val[caller] += 1;
-            cx.set_flag(wld.caller_db[caller], wld.caller_db_val[caller]);
+            cx.ring(wld.caller_db[wld.workers[idx].caller]);
         }
         if wld.workers[idx].state == WorkerState::Processing {
             self.executing = true;
             return Syscall::Compute(wld.workers[idx].host_cycles);
         }
         // Hot: spin forever, no sleeping, no parking.
-        let v = wld.worker_db_val[idx];
-        let flag = wld.worker_db[idx];
+        let bell = wld.worker_db[idx];
         Syscall::SpinUntil {
-            flag,
-            target: SpinTarget::Ne(v),
+            bell,
+            seen: cx.rung(bell),
             timeout_pauses: None,
         }
     }

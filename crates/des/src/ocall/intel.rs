@@ -7,7 +7,7 @@
 
 use super::prof::{Phase, Prof};
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{FlagId, Kernel, SpinTarget, StepCx, Syscall, SyscallResult, Tid};
+use crate::kernel::{Bell, Kernel, StepCx, Syscall, SyscallResult, Tid};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -72,17 +72,11 @@ pub struct IntelWorld {
     /// Submitted, not-yet-accepted tasks.
     pub queue: VecDeque<Task>,
     /// Queue doorbell: rung on every submission.
-    pub queue_db: FlagId,
-    /// Authoritative queue doorbell counter.
-    pub queue_db_val: u64,
+    pub queue_db: Bell,
     /// Per-caller acceptance doorbells.
-    pub accept_db: Vec<FlagId>,
-    /// Authoritative acceptance counters.
-    pub accept_db_val: Vec<u64>,
+    pub accept_db: Vec<Bell>,
     /// Per-caller completion doorbells.
-    pub done_db: Vec<FlagId>,
-    /// Authoritative completion counters.
-    pub done_db_val: Vec<u64>,
+    pub done_db: Vec<Bell>,
     /// Indices of sleeping workers.
     pub sleeping: Vec<usize>,
     /// Worker thread ids (filled at spawn).
@@ -91,24 +85,18 @@ pub struct IntelWorld {
 }
 
 impl IntelWorld {
-    /// Build the world and allocate its kernel flags.
+    /// Build the world and allocate its doorbells.
     pub fn new(
         kernel: &mut Kernel,
         config: IntelSimConfig,
         callers: usize,
     ) -> Rc<RefCell<IntelWorld>> {
-        let queue_db = kernel.new_flag(0);
-        let accept_db = (0..callers).map(|_| kernel.new_flag(0)).collect();
-        let done_db = (0..callers).map(|_| kernel.new_flag(0)).collect();
         Rc::new(RefCell::new(IntelWorld {
             config,
             queue: VecDeque::new(),
-            queue_db,
-            queue_db_val: 0,
-            accept_db,
-            accept_db_val: vec![0; callers],
-            done_db,
-            done_db_val: vec![0; callers],
+            queue_db: kernel.bell(),
+            accept_db: (0..callers).map(|_| kernel.bell()).collect(),
+            done_db: (0..callers).map(|_| kernel.bell()).collect(),
             sleeping: Vec::new(),
             worker_tids: Vec::new(),
             next_task_id: 0,
@@ -124,8 +112,9 @@ pub struct IntelDispatcher {
     caller: usize,
     dialog: Dialog,
     task_id: u64,
-    await_accept_val: u64,
-    await_done_val: u64,
+    /// Count of this caller's completion doorbell read at submit: the
+    /// worker may ring it before the acceptance wait ends.
+    done_seen: u64,
     prof: Prof,
 }
 
@@ -167,8 +156,7 @@ impl IntelDispatcher {
             caller,
             dialog: Dialog::Idle,
             task_id: 0,
-            await_accept_val: 0,
-            await_done_val: 0,
+            done_seen: 0,
             prof: Prof::new(telemetry, caller),
         }
     }
@@ -210,25 +198,27 @@ impl Dispatcher for IntelDispatcher {
                 }
                 wld.next_task_id += 1;
                 self.task_id = wld.next_task_id;
-                // Sample my doorbells before publishing the task.
-                self.await_accept_val = wld.accept_db_val[self.caller];
-                self.await_done_val = wld.done_db_val[self.caller];
+                // No worker runs before this step ends, so the counts of
+                // my doorbells read here precede the task's acceptance
+                // and completion rings.
+                let accept_db = wld.accept_db[self.caller];
+                let accept_seen = cx.rung(accept_db);
+                self.done_seen = cx.rung(wld.done_db[self.caller]);
                 let task = Task {
                     id: self.task_id,
                     caller: self.caller,
                     host_cycles: call.host_cycles,
                 };
                 wld.queue.push_back(task);
-                wld.queue_db_val += 1;
-                cx.set_flag(wld.queue_db, wld.queue_db_val);
+                cx.ring(wld.queue_db);
                 if let Some(w) = wld.sleeping.pop() {
                     cx.unpark(wld.worker_tids[w]);
                 }
                 self.prof.mark(Phase::Signal, now);
                 self.dialog = Dialog::AwaitAccept;
                 Step::Next(Syscall::SpinUntil {
-                    flag: wld.accept_db[self.caller],
-                    target: SpinTarget::Ne(self.await_accept_val),
+                    bell: accept_db,
+                    seen: accept_seen,
                     timeout_pauses: Some(wld.config.retries_before_fallback),
                 })
             }
@@ -250,8 +240,8 @@ impl Dispatcher for IntelDispatcher {
                 self.dialog = Dialog::AwaitDone;
                 let wld = self.world.borrow();
                 Step::Next(Syscall::SpinUntil {
-                    flag: wld.done_db[self.caller],
-                    target: SpinTarget::Ne(self.await_done_val),
+                    bell: wld.done_db[self.caller],
+                    seen: self.done_seen,
                     timeout_pauses: None,
                 })
             }
@@ -337,22 +327,18 @@ impl crate::kernel::Actor for IntelWorkerActor {
                     if let Some(task) = wld.queue.pop_front() {
                         // Accept: ring the caller's acceptance doorbell
                         // and run the host function.
-                        wld.accept_db_val[task.caller] += 1;
-                        cx.set_flag(wld.accept_db[task.caller], wld.accept_db_val[task.caller]);
+                        cx.ring(wld.accept_db[task.caller]);
                         self.phase = WPhase::Executing {
                             caller: task.caller,
                         };
                         return Syscall::Compute(task.host_cycles);
                     }
                     // Queue empty: arm the rbs-bounded idle spin.
-                    let v = wld.queue_db_val;
-                    let flag = wld.queue_db;
-                    let rbs = wld.config.retries_before_sleep;
                     self.phase = WPhase::IdleSpin;
                     return Syscall::SpinUntil {
-                        flag,
-                        target: SpinTarget::Ne(v),
-                        timeout_pauses: Some(rbs),
+                        bell: wld.queue_db,
+                        seen: cx.rung(wld.queue_db),
+                        timeout_pauses: Some(wld.config.retries_before_sleep),
                     };
                 }
                 WPhase::IdleSpin => {
@@ -374,9 +360,7 @@ impl crate::kernel::Actor for IntelWorkerActor {
                 WPhase::Executing { caller } => {
                     // Done: ring the caller's completion doorbell and
                     // poll again.
-                    let mut wld = self.world.borrow_mut();
-                    wld.done_db_val[caller] += 1;
-                    cx.set_flag(wld.done_db[caller], wld.done_db_val[caller]);
+                    cx.ring(self.world.borrow().done_db[caller]);
                     self.phase = WPhase::Poll;
                 }
             }

@@ -4,14 +4,14 @@
 //! worker (atomic within one kernel step), copy the payload into the
 //! worker's untrusted pool (reallocated via one transition when full),
 //! post the request and spin; with no idle worker they fall back
-//! *immediately*. Workers idle-spin on a doorbell flag; the scheduler
+//! *immediately*. Workers idle-spin on a doorbell; the scheduler
 //! actor hosts the identical [`SchedulerDriver`] step the real runtime's
 //! scheduler thread does, probing worker counts every configuration
 //! phase and parking surplus workers.
 
 use super::prof::{Phase, Prof};
 use super::{CallDesc, CostModel, Dispatcher, Step};
-use crate::kernel::{FlagId, Kernel, SpinTarget, StepCx, Syscall, SyscallResult, Tid};
+use crate::kernel::{Bell, Kernel, StepCx, Syscall, SyscallResult, Tid};
 use crate::metrics::SimCounters;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -60,6 +60,19 @@ pub struct WorkerSt {
     pub parked_dead: bool,
 }
 
+impl WorkerSt {
+    /// Put the slot back in service: a live `UNUSED` worker on a fresh
+    /// pool, with no caller and nothing cancelled.
+    fn revive(&mut self) {
+        self.state = WorkerState::Unused;
+        self.caller = usize::MAX;
+        self.pool_used = 0;
+        self.cancelled = false;
+        self.dead = false;
+        self.parked_dead = false;
+    }
+}
+
 /// Shared ZC protocol state.
 #[derive(Debug)]
 pub struct ZcWorld {
@@ -69,13 +82,9 @@ pub struct ZcWorld {
     pub worker_tids: Vec<Tid>,
     /// Worker doorbells (rung on request post, on scheduler commands, and
     /// on a release that a posted Deactivate waits for).
-    pub worker_db: Vec<FlagId>,
-    /// Authoritative doorbell counters (actors cannot read kernel flags).
-    pub worker_db_val: Vec<u64>,
+    pub worker_db: Vec<Bell>,
     /// Caller doorbells (rung on request completion).
-    pub caller_db: Vec<FlagId>,
-    /// Authoritative caller doorbell counters.
-    pub caller_db_val: Vec<u64>,
+    pub caller_db: Vec<Bell>,
     /// Per-worker untrusted pool capacity in bytes.
     pub pool_bytes: u64,
     /// Worker count of the current scheduler step.
@@ -94,8 +103,6 @@ pub struct ZcWorld {
     /// Worker slots recovered (supervisor revivals plus self-recoveries
     /// of live workers whose call was watchdog-cancelled).
     pub respawns: u64,
-    /// In-flight calls cancelled by caller watchdogs.
-    pub cancelled: u64,
     /// Byzantine corruptions detected by the trusted-side guards (each
     /// quarantines its worker slot until revival).
     pub guard_violations: u64,
@@ -127,7 +134,7 @@ pub struct ZcWorld {
 }
 
 impl ZcWorld {
-    /// Build the world and allocate its kernel flags.
+    /// Build the world and allocate its doorbells.
     pub fn new(
         kernel: &mut Kernel,
         max_workers: usize,
@@ -147,15 +154,11 @@ impl ZcWorld {
                 parked_dead: false,
             })
             .collect();
-        let worker_db = (0..max_workers).map(|_| kernel.new_flag(0)).collect();
-        let caller_db = (0..callers).map(|_| kernel.new_flag(0)).collect();
         Rc::new(RefCell::new(ZcWorld {
             workers,
             worker_tids: Vec::new(),
-            worker_db,
-            worker_db_val: vec![0; max_workers],
-            caller_db,
-            caller_db_val: vec![0; callers],
+            worker_db: (0..max_workers).map(|_| kernel.bell()).collect(),
+            caller_db: (0..callers).map(|_| kernel.bell()).collect(),
             pool_bytes,
             active_workers: 0,
             worker_cap: max_workers,
@@ -163,7 +166,6 @@ impl ZcWorld {
             crashes: 0,
             hangs: 0,
             respawns: 0,
-            cancelled: 0,
             guard_violations: 0,
             recovery: None,
             enclave_faults: FaultInjector::new(FaultPlan::new()),
@@ -229,7 +231,6 @@ pub struct ZcDispatcher {
     costs: CostModel,
     caller: usize,
     dialog: Dialog,
-    await_db_val: u64,
     /// Caller watchdog: on-CPU pauses spent awaiting completion before
     /// the in-flight call is cancelled and re-routed (None = wait
     /// forever, the fault-free default).
@@ -292,7 +293,6 @@ impl ZcDispatcher {
             costs,
             caller,
             dialog: Dialog::Idle,
-            await_db_val: 0,
             watchdog_pauses,
             prof: Prof::new(telemetry, caller),
             call_seq: 0,
@@ -322,7 +322,7 @@ impl ZcDispatcher {
             // still recovering: this dispatch folds into it and waits
             // for the epoch bump like every other straddling call.
             self.crash_detected_at = now;
-            return Some(self.await_restart(&mut wld));
+            return Some(self.await_restart(&wld, cx));
         }
         match fault {
             Some(Fault::EnclaveCrash) => Some(self.trigger_crash(&mut wld, now, cx)),
@@ -352,14 +352,13 @@ impl ZcDispatcher {
             );
         }
         cx.unpark(wld.enclave_tid.expect("enclave actor spawned with faults"));
-        self.await_restart(wld)
+        self.await_restart(wld, cx)
     }
 
     /// Arm a spin on this caller's doorbell until the enclave actor
     /// completes the restart (it rings every caller doorbell), or move
     /// straight to reconciliation when the epoch already advanced.
-    fn await_restart(&mut self, wld: &mut ZcWorld) -> Syscall {
-        self.await_db_val = wld.caller_db_val[self.caller];
+    fn await_restart(&mut self, wld: &ZcWorld, cx: &StepCx) -> Syscall {
         let restarted = wld
             .recovery
             .as_ref()
@@ -368,11 +367,11 @@ impl ZcDispatcher {
             self.dialog = Dialog::Reconcile;
             return Syscall::Compute(1);
         }
-        let flag = wld.caller_db[self.caller];
+        let bell = wld.caller_db[self.caller];
         self.dialog = Dialog::AwaitRestart;
         Syscall::SpinUntil {
-            flag,
-            target: SpinTarget::Ne(self.await_db_val),
+            bell,
+            seen: cx.rung(bell),
             timeout_pauses: None,
         }
     }
@@ -473,16 +472,17 @@ impl Dispatcher for ZcDispatcher {
                 wld.workers[w].state = WorkerState::Processing;
                 wld.workers[w].host_cycles = call.host_cycles;
                 wld.workers[w].ret_bytes = call.ret_bytes;
-                // Sample my own doorbell BEFORE ringing the worker so the
-                // completion ring can never be missed.
-                self.await_db_val = wld.caller_db_val[self.caller];
-                wld.worker_db_val[w] += 1;
-                cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
+                // The worker runs only after this step, so the count of
+                // my own doorbell read here precedes its completion ring:
+                // that ring can never be missed.
+                let bell = wld.caller_db[self.caller];
+                let seen = cx.rung(bell);
+                cx.ring(wld.worker_db[w]);
                 self.prof.mark(Phase::Signal, now);
                 self.dialog = Dialog::Await { w };
                 Step::Next(Syscall::SpinUntil {
-                    flag: wld.caller_db[self.caller],
-                    target: SpinTarget::Ne(self.await_db_val),
+                    bell,
+                    seen,
                     timeout_pauses: self.watchdog_pauses,
                 })
             }
@@ -497,7 +497,7 @@ impl Dispatcher for ZcDispatcher {
                     // decide the call's fate after the restart.
                     self.crash_detected_at = now;
                     Self::abandon_slot(&mut wld, w, self.caller);
-                    return Step::Next(self.await_restart(&mut wld));
+                    return Step::Next(self.await_restart(&wld, cx));
                 }
                 if res == SyscallResult::TimedOut {
                     // Watchdog cancellation: the worker crashed, hung, or
@@ -507,7 +507,6 @@ impl Dispatcher for ZcDispatcher {
                     // quarantined until the supervisor revives it (or the
                     // still-live worker self-recovers).
                     wld.workers[w].cancelled = true;
-                    wld.cancelled += 1;
                     drop(wld);
                     self.counters.borrow_mut().cancelled += 1;
                     self.dialog = Dialog::FallbackExec;
@@ -527,8 +526,7 @@ impl Dispatcher for ZcDispatcher {
                 // command word only when rung: ring it so it parks. A
                 // worker told to keep running has nothing to re-read.
                 if wld.workers[w].cmd == Cmd::Deactivate {
-                    wld.worker_db_val[w] += 1;
-                    cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
+                    cx.ring(wld.worker_db[w]);
                 }
                 self.dialog = Dialog::Collect;
                 Step::Next(Syscall::Compute(
@@ -560,8 +558,8 @@ impl Dispatcher for ZcDispatcher {
                 if self.world.borrow().enclave_lost_since(self.call_epoch0) {
                     self.crash_detected_at = now;
                     let world = Rc::clone(&self.world);
-                    let mut wld = world.borrow_mut();
-                    return Step::Next(self.await_restart(&mut wld));
+                    let wld = world.borrow();
+                    return Step::Next(self.await_restart(&wld, cx));
                 }
                 Step::Next(self.begin_dialogue(call))
             }
@@ -570,8 +568,8 @@ impl Dispatcher for ZcDispatcher {
                 // pre-crash completion. `await_restart` re-checks the
                 // epoch and re-arms if the restart is not done yet.
                 let world = Rc::clone(&self.world);
-                let mut wld = world.borrow_mut();
-                Step::Next(self.await_restart(&mut wld))
+                let wld = world.borrow();
+                Step::Next(self.await_restart(&wld, cx))
             }
             Dialog::Reconcile => {
                 self.prof.mark(Phase::Wait, now);
@@ -694,9 +692,7 @@ impl crate::kernel::Actor for ZcWorkerActor {
                 // caller, then back to the doorbell below.
                 debug_assert_eq!(wld.workers[idx].state, WorkerState::Processing);
                 wld.workers[idx].state = WorkerState::Waiting;
-                let caller = wld.workers[idx].caller;
-                wld.caller_db_val[caller] += 1;
-                cx.set_flag(wld.caller_db[caller], wld.caller_db_val[caller]);
+                cx.ring(wld.caller_db[wld.workers[idx].caller]);
             } else if !wld.workers[idx].dead {
                 // Cancelled by the caller's watchdog, still alive — the
                 // caller merely gave up on a slow call. The results are
@@ -704,11 +700,7 @@ impl crate::kernel::Actor for ZcWorkerActor {
                 // and the slot self-recovers onto a fresh buffer (the
                 // real runtime's supervisor respawn after a watchdog
                 // cancel).
-                let w = &mut wld.workers[idx];
-                w.state = WorkerState::Unused;
-                w.cancelled = false;
-                w.pool_used = 0;
-                w.caller = usize::MAX;
+                wld.workers[idx].revive();
                 wld.respawns += 1;
             }
         }
@@ -729,14 +721,13 @@ impl crate::kernel::Actor for ZcWorkerActor {
                 Syscall::Park
             }
             // Idle (or caller mid-post): spin on the doorbell. Reading
-            // the authoritative counter and arming the spin is atomic
-            // within this step, so no ring can be lost.
+            // its count and arming the spin is atomic within this step,
+            // so no ring can be lost.
             _ => {
-                let v = wld.worker_db_val[idx];
-                let flag = wld.worker_db[idx];
+                let bell = wld.worker_db[idx];
                 Syscall::SpinUntil {
-                    flag,
-                    target: SpinTarget::Ne(v),
+                    bell,
+                    seen: cx.rung(bell),
                     timeout_pauses: None,
                 }
             }
@@ -798,8 +789,7 @@ impl crate::kernel::Actor for ZcSchedulerActor {
                 wld.workers[i].cmd = Cmd::Deactivate;
                 // Ring the doorbell so an idle spinner re-checks its
                 // command word and parks.
-                wld.worker_db_val[i] += 1;
-                cx.set_flag(wld.worker_db[i], wld.worker_db_val[i]);
+                cx.ring(wld.worker_db[i]);
             }
         }
         Syscall::Sleep(step.duration_cycles)
@@ -1099,13 +1089,7 @@ impl ZcSupervisorActor {
                 self.insert(now.saturating_add(REVIVE_RETRY_CYCLES), (w, None));
                 return;
             }
-            let st = &mut wld.workers[w];
-            st.dead = false;
-            st.parked_dead = false;
-            st.cancelled = false;
-            st.state = WorkerState::Unused;
-            st.pool_used = 0;
-            st.caller = usize::MAX;
+            wld.workers[w].revive();
             wld.respawns += 1;
             cx.unpark(wld.worker_tids[w]);
             self.gens[w] += 1;
@@ -1138,8 +1122,7 @@ impl ZcSupervisorActor {
             // Ring its doorbell so an idle spinner wakes, sees `dead`
             // and parks. A worker mid-compute ignores the ring and
             // parks when its compute drains.
-            wld.worker_db_val[w] += 1;
-            cx.set_flag(wld.worker_db[w], wld.worker_db_val[w]);
+            cx.ring(wld.worker_db[w]);
         }
         drop(wld);
         if let Some(hub) = &self.telemetry {
@@ -1220,14 +1203,12 @@ impl crate::kernel::Actor for ZcEnclaveActor {
             }
             wld.last_restart_done_at = now;
             wld.awaiting_first_completion = true;
-            for c in 0..wld.caller_db.len() {
-                wld.caller_db_val[c] += 1;
-                cx.set_flag(wld.caller_db[c], wld.caller_db_val[c]);
+            for &bell in &wld.caller_db {
+                cx.ring(bell);
             }
-            for i in 0..wld.workers.len() {
-                if !wld.workers[i].dead && wld.workers[i].state != WorkerState::Paused {
-                    wld.worker_db_val[i] += 1;
-                    cx.set_flag(wld.worker_db[i], wld.worker_db_val[i]);
+            for (st, &bell) in wld.workers.iter().zip(&wld.worker_db) {
+                if !st.dead && st.state != WorkerState::Paused {
+                    cx.ring(bell);
                 }
             }
         }

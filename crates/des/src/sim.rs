@@ -230,14 +230,15 @@ pub struct FaultRecovery {
 }
 
 impl FaultRecovery {
-    /// Fault and recovery-plane accounting of `world` as it stands.
-    pub(crate) fn from_world(w: &ZcWorld) -> Self {
+    /// Fault and recovery-plane accounting of `world` as it stands,
+    /// with the watchdog cancels its callers counted into `counters`.
+    pub(crate) fn from_world(w: &ZcWorld, counters: &SimCounters) -> Self {
         let rec = w.recovery.as_ref().map(|p| p.snapshot());
         FaultRecovery {
             crashes: w.crashes,
             hangs: w.hangs,
             respawns: w.respawns,
-            cancelled: w.cancelled,
+            cancelled: counters.cancelled,
             guard_violations: w.guard_violations,
             dead_workers: w.workers.iter().filter(|s| s.dead).count() as u64,
             enclave_crashes: rec.as_ref().map_or(0, |s| s.crashes),
@@ -367,7 +368,7 @@ pub(crate) struct ZcShardSpec<'a> {
 }
 
 /// Spawn one ZC shard stack into `kernel`, in the fixed order every tid
-/// and flag id downstream depends on: world, workers, adaptive
+/// and bell downstream depends on: world, workers, adaptive
 /// scheduler, fault supervisor and enclave-lifecycle actor (if the
 /// schedule needs them), then the watchdog-armed callers.
 pub(crate) fn spawn_zc_shard(
@@ -534,7 +535,7 @@ pub fn run(config: &SimConfig) -> SimReport {
     let fault_recovery = zc_world_handle
         .as_ref()
         .map_or_else(FaultRecovery::default, |w| {
-            FaultRecovery::from_world(&w.borrow())
+            FaultRecovery::from_world(&w.borrow(), &counters_final)
         });
     let recovery_latencies =
         zc_world_handle

@@ -320,8 +320,7 @@ impl Actor for PostDeactivate {
         let mut wld = self.world.borrow_mut();
         assert_eq!(wld.workers[0].state, WorkerState::Processing);
         wld.workers[0].cmd = Cmd::Deactivate;
-        wld.worker_db_val[0] += 1;
-        cx.set_flag(wld.worker_db[0], wld.worker_db_val[0]);
+        cx.ring(wld.worker_db[0]);
         Syscall::Done
     }
 }
